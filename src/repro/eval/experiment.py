@@ -101,7 +101,7 @@ class OverlayExperiment:
         self._shard_owned: Optional[set[int]] = None
         self._shard_id = 0
         self._shard_plan = None
-        #: Owner-gated dispatches this shard popped but skipped (model events
+        #: Scenario events this shard popped without counting (model events
         #: are scheduled pre-fork on every shard's heap, so each skip is one
         #: event the single-process run would not have executed here; the
         #: worker subtracts them to report a shard-count-independent
@@ -157,7 +157,10 @@ class OverlayExperiment:
         replicas: they exist (so addresses, topology attachment, and deliver
         handlers resolve) but must never be initialised, crashed, recovered,
         or made to send — their lifecycle plays out on their owner shard and
-        reaches this one only as network packets.
+        reaches this one only as network packets.  The scenario dispatcher
+        (:meth:`_apply_model_event`) enforces that for every model event;
+        the only other readers are payload builders that report per-node
+        state once, from the owner.
         """
         owned = self._shard_owned
         return owned is None or node.address in owned
@@ -168,8 +171,8 @@ class OverlayExperiment:
         Marks this process's owned nodes (see :meth:`owns_node`) and diverts
         deliveries bound for other shards' hosts into *capture* —
         ``capture(arrival_time, dst_shard, dst_address, packet)``, the shard
-        driver's mailbox buffer.  A one-shard plan installs nothing: the
-        worker then executes the exact single-process code paths.
+        driver's mailbox buffer.  A one-shard plan installs nothing: every
+        node stays owned and no packet leaves the process.
         """
         self._shard_id = shard_id
         self._shard_plan = plan
@@ -186,11 +189,8 @@ class OverlayExperiment:
     # ------------------------------------------------------ scenario primitives
     def join_node(self, node, bootstrap: Optional[int] = None) -> None:
         """Initialise one node against the bootstrap (recovering it first if
-        it is currently crashed).  No-op for nodes other shards own."""
+        it is currently crashed)."""
         node = self._resolve_node(node)
-        if not self.owns_node(node):
-            self.shard_skipped_events += 1
-            return
         bootstrap = bootstrap if bootstrap is not None else self.bootstrap.address
         if node.crashed:
             self._recover(node, bootstrap)
@@ -198,21 +198,13 @@ class OverlayExperiment:
             node.macedon_init(bootstrap)
 
     def crash_node(self, node) -> None:
-        """Fail-stop one node.  Idempotent; no-op for nodes other shards own."""
-        node = self._resolve_node(node)
-        if not self.owns_node(node):
-            self.shard_skipped_events += 1
-            return
-        node.crash()
+        """Fail-stop one node.  Idempotent."""
+        self._resolve_node(node).crash()
 
     def recover_node(self, node, *, rejoin: bool = True) -> None:
-        """Recover a crashed node, re-joining the overlay unless told not to.
-        No-op for nodes other shards own."""
-        node = self._resolve_node(node)
-        if not self.owns_node(node):
-            self.shard_skipped_events += 1
-            return
-        self._recover(node, self.bootstrap.address if rejoin else None)
+        """Recover a crashed node, re-joining the overlay unless told not to."""
+        self._recover(self._resolve_node(node),
+                      self.bootstrap.address if rejoin else None)
 
     def _recover(self, node: MacedonNode, bootstrap: Optional[int]) -> None:
         """Recover *node*, re-applying the configure hook to the fresh stack
@@ -279,31 +271,31 @@ class OverlayExperiment:
         self.compiled_models.append(compiled)
         for event in compiled.events:
             if immediate and event.time <= 0.0:
-                event.apply()
+                self._apply_model_event(event)
             else:
                 self.simulator.schedule(event.time, self._apply_model_event,
                                         event, label=f"scenario:{event.kind}")
         return compiled
 
-    #: Emulator-level event kinds that intentionally replicate on every shard
-    #: (each worker mutates its own network replica so all shards see the same
-    #: cuts/degradations).  Node-level kinds (join/crash/recover/group and the
-    #: workload kinds) instead self-report their owner-gated skips at the
-    #: call site.
-    _REPLICATED_EVENT_KINDS = frozenset({"partition", "heal",
-                                         "degrade", "restore"})
-
     def _apply_model_event(self, event) -> None:
-        """Dispatch one scheduled scenario event.
+        """Dispatch one scenario event — the one place that knows about shards.
 
-        In a multi-shard worker, a replicated emulator-level event executes on
-        every shard but must count as *one* processed event after the merge:
-        shard 0 is the canonical counter, every other shard books the dispatch
-        as skipped.  Single-process runs (``_shard_id == 0``) take the plain
-        path untouched.
+        An event that acts on a single node (``event.node`` is its index)
+        runs only where that node is owned.  A network-wide event
+        (``event.node is None``) runs in every process, because each worker
+        mutates its own network replica, and counts on shard 0.  Every other
+        pop is booked as skipped, so the merged ``sim.events_processed`` does
+        not depend on the shard count.  Outside a multi-shard worker every
+        node is owned and the shard id is 0: nothing is ever skipped.
         """
-        event.apply()
-        if self._shard_id and event.kind in self._REPLICATED_EVENT_KINDS:
+        if event.node is None:
+            counted = self._shard_id == 0
+            event.apply()
+        else:
+            counted = self.owns_node(self.nodes[event.node])
+            if counted:
+                event.apply()
+        if not counted:
             self.shard_skipped_events += 1
 
     # -------------------------------------------------------------- measurement

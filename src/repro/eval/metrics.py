@@ -192,6 +192,25 @@ def correct_successor_fraction(ring: Sequence[tuple[int, int]],
 
 
 # -------------------------------------------------------- application (KV) metrics
+def zipf_cdf(keys: int, s: float) -> list[float]:
+    """Cumulative popularity of *keys* ranks under Zipf(*s*): rank ``r`` has
+    weight ``1 / (r + 1) ** s`` (``s=0`` is uniform).
+
+    A workload draws a rank with ``bisect_left(cdf, rng.random())``; the
+    last element is pinned to exactly ``1.0`` so that accumulated rounding
+    can never leave a draw past the end.
+    """
+    weights = [1.0 / (rank + 1) ** s for rank in range(keys)]
+    total_weight = sum(weights)
+    cdf: list[float] = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total_weight
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def requests_per_second(completed: int, window: float) -> float:
     """Application throughput: completed client operations per second.
 

@@ -70,6 +70,10 @@ class ScenarioEvent:
     kind: str            # "join" | "crash" | "recover" | "partition" | ...
     detail: str
     apply: Callable[[], None]
+    #: Index of the single node the event acts on; ``None`` for a
+    #: network-wide event.  Sharded runs execute a node event only on the
+    #: shard that owns the node and a network-wide one on every shard.
+    node: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -78,30 +82,46 @@ class ScenarioEvent:
 
 
 class CompiledModel:
-    """A model bound to one experiment: its events plus a metrics closure."""
+    """A model bound to one experiment: its events, what it observed, and the
+    one formula that scores it.
+
+    ``payload`` returns this process's raw, picklable observations and
+    ``score`` is a pure function from the payloads of every process that ran
+    the scenario (one in-process, K when sharded) to the metrics dict.  A
+    model whose metrics are fixed at compile time passes them as a constant
+    dict instead of a callable and takes the default scorer: compilation
+    happens once, before any fork, so every process must report that same
+    dict.
+    """
 
     def __init__(self, label: str, events: Sequence[ScenarioEvent],
-                 finalize: Optional[Callable[[], dict[str, float]]] = None,
+                 payload: Union[dict, Callable[[], Any], None] = None,
+                 score: Optional[Callable[[list], dict[str, float]]] = None,
                  restore: Optional[Callable[[], None]] = None) -> None:
         self.label = label
         self.events = list(events)
-        self._finalize = finalize
+        self._payload = payload
+        self._score = score
         self._restore = restore
-        #: Sharded-execution hooks (multi-process runs only).  Models whose
-        #: finalize reads *runtime* counters set both: ``shard_payload()``
-        #: returns the shard-local raw observations and
-        #: ``shard_merge(payloads)`` recomputes the metrics dict from all
-        #: shards' payloads with the exact single-process formulas.  Models
-        #: whose finalize is a pure function of compile-time state (the
-        #: common case — compilation happens once, before the fork) need
-        #: neither: their per-shard metrics are verified identical and used
-        #: as-is.
-        self.shard_payload: Optional[Callable[[], Any]] = None
-        self.shard_merge: Optional[Callable[[list], dict[str, float]]] = None
+
+    def shard_payload(self) -> Any:
+        """This process's observations, as shipped to the scorer."""
+        payload = self._payload
+        return payload() if callable(payload) else dict(payload or {})
+
+    def score(self, payloads: list) -> dict[str, float]:
+        """Metrics from the pooled payloads of every process."""
+        if self._score is not None:
+            return self._score(payloads)
+        if any(payload != payloads[0] for payload in payloads[1:]):
+            raise ScenarioError(
+                f"model {self.label!r} produced diverging per-shard metrics "
+                f"and defines no scorer to pool them")
+        return payloads[0]
 
     def metrics(self) -> dict[str, float]:
-        """Model-specific metrics, collected after the run."""
-        return dict(self._finalize()) if self._finalize is not None else {}
+        """Model-specific metrics of this process alone, after the run."""
+        return self.score([self.shard_payload()])
 
     def restore(self) -> None:
         """Undo any handler instrumentation the model installed."""
@@ -207,7 +227,7 @@ class ChurnModel(ScenarioModel):
             join_at.append(when)
             events.append(ScenarioEvent(
                 when, "join", f"node {index} joins",
-                lambda i=index: experiment.join_node(i)))
+                lambda i=index: experiment.join_node(i), node=index))
 
         if self.churn_fraction > 0:
             exempt = set(_resolve_indices(experiment, self.exempt, "exempt"))
@@ -229,16 +249,17 @@ class ChurnModel(ScenarioModel):
                 crashes += 1
                 events.append(ScenarioEvent(
                     at, "crash", f"node {index} churns out",
-                    lambda i=index: experiment.crash_node(i)))
+                    lambda i=index: experiment.crash_node(i), node=index))
                 if self.rejoin:
                     events.append(ScenarioEvent(
                         at + self.downtime, "recover", f"node {index} rejoins",
-                        lambda i=index: experiment.recover_node(i, rejoin=True)))
+                        lambda i=index: experiment.recover_node(i, rejoin=True),
+                        node=index))
 
         label = self.label or self.default_label()
         return CompiledModel(label, events,
-                             finalize=lambda: {"joins": float(len(experiment.nodes)),
-                                               "churn_cycles": float(crashes)})
+                             {"joins": float(len(experiment.nodes)),
+                              "churn_cycles": float(crashes)})
 
 
 @dataclass(frozen=True)
@@ -272,15 +293,15 @@ class CrashModel(ScenarioModel):
         for index in chosen:
             events.append(ScenarioEvent(
                 self.at, "crash", f"node {index} fail-stops",
-                lambda i=index: experiment.crash_node(i)))
+                lambda i=index: experiment.crash_node(i), node=index))
             if self.recover_after is not None:
                 events.append(ScenarioEvent(
                     self.at + self.recover_after, "recover",
                     f"node {index} recovers",
-                    lambda i=index: experiment.recover_node(i, rejoin=True)))
+                    lambda i=index: experiment.recover_node(i, rejoin=True),
+                    node=index))
         label = self.label or self.default_label()
-        return CompiledModel(label, events,
-                             finalize=lambda: {"victims": float(len(chosen))})
+        return CompiledModel(label, events, {"victims": float(len(chosen))})
 
 
 @dataclass(frozen=True)
@@ -363,7 +384,7 @@ class FlashCrowdModel(ScenarioModel):
             events.append(ScenarioEvent(
                 index * self.core_spacing, "join",
                 f"node {index} joins (core)",
-                lambda i=index: experiment.join_node(i)))
+                lambda i=index: experiment.join_node(i), node=index))
         when = self.at
         last = self.at
         for index in range(self.core, num_nodes):
@@ -371,18 +392,15 @@ class FlashCrowdModel(ScenarioModel):
             last = when
             events.append(ScenarioEvent(
                 when, "join", f"node {index} joins (crowd)",
-                lambda i=index: experiment.join_node(i)))
+                lambda i=index: experiment.join_node(i), node=index))
             if self.stay is not None:
                 events.append(ScenarioEvent(
                     when + self.stay, "crash", f"node {index} departs (crowd)",
-                    lambda i=index: experiment.crash_node(i)))
+                    lambda i=index: experiment.crash_node(i), node=index))
         crowd = num_nodes - self.core
         label = self.label or self.default_label()
-        return CompiledModel(label, events,
-                             finalize=lambda: {
-                                 "crowd": float(crowd),
-                                 "burst_seconds": last - self.at,
-                             })
+        return CompiledModel(label, events, {"crowd": float(crowd),
+                                             "burst_seconds": last - self.at})
 
 
 @dataclass(frozen=True)
@@ -454,16 +472,17 @@ class CorrelatedCrashModel(ScenarioModel):
         for index in victims:
             events.append(ScenarioEvent(
                 self.at, "crash", f"node {index} fails with its rack",
-                lambda i=index: experiment.crash_node(i)))
+                lambda i=index: experiment.crash_node(i), node=index))
             if self.recover_after is not None:
                 events.append(ScenarioEvent(
                     self.at + self.recover_after, "recover",
                     f"node {index} recovers with its rack",
-                    lambda i=index: experiment.recover_node(i, rejoin=True)))
+                    lambda i=index: experiment.recover_node(i, rejoin=True),
+                    node=index))
         label = self.label or self.default_label()
         return CompiledModel(label, events,
-                             finalize=lambda: {"racks": float(self.racks),
-                                               "victims": float(len(victims))})
+                             {"racks": float(self.racks),
+                              "victims": float(len(victims))})
 
 
 @dataclass(frozen=True)
@@ -535,8 +554,8 @@ class FlappingPartitionModel(ScenarioModel):
         label = self.label or self.default_label()
         return CompiledModel(
             label, events,
-            finalize=lambda: {"cycles": float(self.cycles),
-                              "cut_seconds": self.cycles * self.duty * self.period})
+            {"cycles": float(self.cycles),
+             "cut_seconds": self.cycles * self.duty * self.period})
 
 
 @dataclass(frozen=True)
@@ -613,8 +632,8 @@ class DegradeModel(ScenarioModel):
                     lambda u=u, v=v: experiment.restore_link(u, v)))
         label = self.label or self.default_label()
         return CompiledModel(label, events,
-                             finalize=lambda: {"hosts": float(len(chosen)),
-                                               "links": float(len(self.links))})
+                             {"hosts": float(len(chosen)),
+                              "links": float(len(self.links))})
 
 
 @dataclass(frozen=True)
@@ -650,43 +669,31 @@ class GroupModel(ScenarioModel):
 
         def _create() -> None:
             node = experiment.nodes[source]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.alive and node.initialized:
                 node.macedon_create_group(self.group)
 
         def _join(index: int) -> None:
             nonlocal joined
             node = experiment.nodes[index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.alive and node.initialized:
                 node.macedon_join(self.group)
                 joined += 1
 
         events = [ScenarioEvent(
             self.at, "group",
-            f"node {source} creates group {self.group}", _create)]
+            f"node {source} creates group {self.group}", _create, node=source)]
         for offset, index in enumerate(members):
             events.append(ScenarioEvent(
                 self.at + (offset + 1) * self.spacing, "group",
                 f"node {index} joins group {self.group}",
-                lambda i=index: _join(i)))
+                lambda i=index: _join(i), node=index))
         label = self.label or self.default_label()
-        compiled = CompiledModel(label, events,
-                                 finalize=lambda: {"members": float(len(members)),
-                                                   "joined": float(joined)})
-        # Sharded runs: ``joined`` counts only this shard's owned members
-        # (everyone else's join fires on their owner shard), so the merge is
-        # a straight sum; ``members`` is compile-time.
-        compiled.shard_payload = compiled.metrics
-        compiled.shard_merge = lambda payloads: {
-            "members": payloads[0]["members"],
-            "joined": float(sum(p["joined"] for p in payloads)),
-        }
-        return compiled
+        # Each member's join fires in the process that owns it, so the
+        # per-process counts pool by summing; ``members`` is compile-time.
+        return CompiledModel(
+            label, events, payload=lambda: joined,
+            score=lambda counts: {"members": float(len(members)),
+                                  "joined": float(sum(counts))})
 
 
 class WorkloadObservations:
@@ -701,8 +708,8 @@ class WorkloadObservations:
         self.per_receiver: dict[int, list[float]] = {}
         self.delivered_seqnos: set[int] = set()
         self._seen: set[tuple[int, int]] = set()
-        #: (receiver, seqno, latency) per first delivery — the unit sharded
-        #: runs merge on: receivers are shard-owned, so (receiver, seqno) is
+        #: (receiver, seqno, latency) per first delivery — the unit the
+        #: scorers pool: receivers are shard-owned, so (receiver, seqno) is
         #: globally unique and sorting on it gives every shard count K the
         #: same canonical latency order.
         self.records: list[tuple[int, int, float]] = []
@@ -734,8 +741,8 @@ class KvObservations:
     def __init__(self) -> None:
         self.sent = 0
         self.skipped = 0          # ops whose client was down at issue time
-        #: One tuple per quorum-completed operation, the unit sharded runs
-        #: merge on: ``(seqno, client_addr, kind_code, key, version,
+        #: One tuple per quorum-completed operation, the unit the scorer
+        #: pools: ``(seqno, client_addr, kind_code, key, version,
         #: issued_at, completed_at, acks)`` with kind_code 0=put, 1=get.
         #: Seqnos are driver-unique and each op completes on the shard that
         #: owns its client, so sorting on seqno gives every shard count the
@@ -877,12 +884,6 @@ class WorkloadModel(ScenarioModel):
 
         def _send(seqno: int, sender_index: int, dest_key: Optional[int]) -> None:
             sender = experiment.nodes[sender_index]
-            # Sharded runs: the probe fires (and is counted, sent or
-            # skipped) only on the shard that owns the sender — everywhere
-            # else the node is a dormant replica whose state is meaningless.
-            if not experiment.owns_node(sender):
-                experiment.shard_skipped_events += 1
-                return
             if sender.crashed or not sender.initialized:
                 observations.skipped += 1
                 return
@@ -908,22 +909,12 @@ class WorkloadModel(ScenarioModel):
             events.append(ScenarioEvent(
                 self.start + seqno * self.gap, self.kind,
                 f"{self.kind} probe {seqno} from node {sender_index}",
-                lambda s=seqno, i=sender_index, k=dest_key: _send(s, i, k)))
+                lambda s=seqno, i=sender_index, k=dest_key: _send(s, i, k),
+                node=sender_index))
 
         from .metrics import mean, percentile  # local import avoids a cycle
 
-        def _finalize() -> dict[str, float]:
-            return {
-                "sent": float(observations.sent),
-                "skipped": float(observations.skipped),
-                "deliveries": float(observations.deliveries),
-                "duplicates": float(observations.duplicates),
-                "success_ratio": observations.success_ratio,
-                "latency_mean": mean(observations.latencies),
-                "latency_p95": percentile(observations.latencies, 0.95),
-            }
-
-        def _shard_payload() -> dict[str, Any]:
+        def _payload() -> dict[str, Any]:
             return {
                 "sent": observations.sent,
                 "skipped": observations.skipped,
@@ -931,15 +922,16 @@ class WorkloadModel(ScenarioModel):
                 "records": observations.records,
             }
 
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            # Recompute every metric from the pooled raw observations with
-            # the exact _finalize formulas.  Records are sorted on the
-            # globally unique (receiver, seqno) key, so the latency order —
-            # and therefore the float accumulation in mean() — is the same
-            # canonical order for every shard count.
+        def _score(payloads: list) -> dict[str, float]:
             sent = sum(p["sent"] for p in payloads)
-            records = sorted((record for p in payloads for record in
-                              p["records"]), key=lambda r: (r[0], r[1]))
+            records = [record for p in payloads for record in p["records"]]
+            if len(payloads) > 1:
+                # One process saw every delivery in arrival order.  Several
+                # each saw their own receivers': sort on the globally unique
+                # (receiver, seqno) key, so the latency order — and therefore
+                # the float accumulation in mean() — is the same canonical
+                # order for every shard count.
+                records.sort(key=lambda r: (r[0], r[1]))
             latencies = [latency for _receiver, _seqno, latency in records]
             delivered_seqnos = {seqno for _receiver, seqno, _latency in records}
             return {
@@ -953,11 +945,9 @@ class WorkloadModel(ScenarioModel):
             }
 
         label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
+        compiled = CompiledModel(label, events, payload=_payload,
+                                 score=_score, restore=_restore)
         compiled.observations = observations  # type: ignore[attr-defined]
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
         return compiled
 
     # ------------------------------------------------------------- kind="kv"
@@ -966,7 +956,7 @@ class WorkloadModel(ScenarioModel):
         from ..apps.kv import KvStore
         from .metrics import (mean, percentile, phantom_reads,
                               quorum_staleness, replica_coverage,
-                              requests_per_second)
+                              requests_per_second, zipf_cdf)
 
         if self.keys < 1:
             raise ScenarioError("kv workload needs keys >= 1")
@@ -996,11 +986,6 @@ class WorkloadModel(ScenarioModel):
 
         def _issue(seqno: int, node_index: int, key: int, version: int) -> None:
             node = experiment.nodes[node_index]
-            # Sharded runs: each op fires (and is counted) only on the shard
-            # that owns its client node.
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.crashed or not node.initialized:
                 observations.skipped += 1
                 return
@@ -1012,9 +997,6 @@ class WorkloadModel(ScenarioModel):
 
         def _repair(node_index: int) -> None:
             node = experiment.nodes[node_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if not node.crashed and node.initialized:
                 stores[node_index].repair()
 
@@ -1023,14 +1005,7 @@ class WorkloadModel(ScenarioModel):
         # overlay hash space; popularity is Zipf over their ranks.
         key_space = experiment.nodes[0].lowest_agent.key_space
         key_ids = [rng.randrange(key_space.size) for _ in range(self.keys)]
-        weights = [1.0 / (rank + 1) ** self.zipf_s for rank in range(self.keys)]
-        total_weight = sum(weights)
-        zipf_cdf: list[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total_weight
-            zipf_cdf.append(acc)
-        zipf_cdf[-1] = 1.0
+        key_cdf = zipf_cdf(self.keys, self.zipf_s)
 
         client_pool = min(self.clients, num_nodes) if self.clients > 0 \
             else num_nodes
@@ -1038,7 +1013,7 @@ class WorkloadModel(ScenarioModel):
         events: list[ScenarioEvent] = []
         for seqno in range(self.packets):
             node_index = rng.randrange(client_pool)
-            key = key_ids[bisect.bisect_left(zipf_cdf, rng.random())]
+            key = key_ids[bisect.bisect_left(key_cdf, rng.random())]
             is_read = rng.random() < self.read_fraction
             # Versions double as values: the op's driver-unique seqno, which
             # makes every read a complete consistency observation.
@@ -1050,7 +1025,7 @@ class WorkloadModel(ScenarioModel):
                 self.start + seqno * self.gap, "kv",
                 f"kv {op} {seqno} key {key} from node {node_index}",
                 lambda s=seqno, i=node_index, k=key, v=version:
-                    _issue(s, i, k, v)))
+                    _issue(s, i, k, v), node=node_index))
         if self.repair_gap > 0:
             sweep_at = self.start + self.repair_gap
             while sweep_at < horizon:
@@ -1058,7 +1033,7 @@ class WorkloadModel(ScenarioModel):
                     events.append(ScenarioEvent(
                         sweep_at, "kv-repair",
                         f"node {node_index} anti-entropy sweep",
-                        lambda i=node_index: _repair(i)))
+                        lambda i=node_index: _repair(i), node=node_index))
                 sweep_at += self.repair_gap
 
         window = max(horizon - self.start, 1e-9)
@@ -1074,9 +1049,23 @@ class WorkloadModel(ScenarioModel):
                     result.append(dict(stores[index].store))
             return result
 
-        def _compute(sent: int, skipped: int, records: list,
-                     live_stores: list) -> dict[str, float]:
-            records = sorted(records)
+        def _payload() -> dict[str, Any]:
+            return {
+                "sent": observations.sent,
+                "skipped": observations.skipped,
+                "records": observations.records,
+                "stores": _live_stores(),
+            }
+
+        def _score(payloads: list) -> dict[str, float]:
+            # Each client (and each store) is owned by exactly one process,
+            # so pooling is a disjoint union; sorting records on the globally
+            # unique seqno gives every shard count the identical canonical
+            # accumulation order.
+            sent = sum(p["sent"] for p in payloads)
+            records = sorted(record for p in payloads
+                             for record in p["records"])
+            live_stores = [store for p in payloads for store in p["stores"]]
             latencies = [r[6] - r[5] for r in records]
             puts = [r for r in records if r[2] == 0]
             gets = [r for r in records if r[2] == 1]
@@ -1087,7 +1076,7 @@ class WorkloadModel(ScenarioModel):
                     targets[key] = version
             return {
                 "sent": float(sent),
-                "skipped": float(skipped),
+                "skipped": float(sum(p["skipped"] for p in payloads)),
                 "completed": float(len(records)),
                 "puts": float(len(puts)),
                 "gets": float(len(gets)),
@@ -1103,40 +1092,15 @@ class WorkloadModel(ScenarioModel):
                     live_stores, targets, self.replicas),
             }
 
-        def _finalize() -> dict[str, float]:
-            return _compute(observations.sent, observations.skipped,
-                            observations.records, _live_stores())
-
-        def _shard_payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "records": observations.records,
-                "stores": _live_stores(),
-            }
-
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            # Each client (and each store) is owned by exactly one shard, so
-            # pooling is a disjoint union; _compute re-sorts records on the
-            # globally unique seqno, giving every shard count the identical
-            # canonical accumulation order.
-            return _compute(
-                sum(p["sent"] for p in payloads),
-                sum(p["skipped"] for p in payloads),
-                [record for p in payloads for record in p["records"]],
-                [store for p in payloads for store in p["stores"]])
-
         label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
+        compiled = CompiledModel(label, events, payload=_payload,
+                                 score=_score, restore=_restore)
         compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
             observations=observations, issued_writes=issued_writes,
             stores=stores, nodes=list(experiment.nodes),
             replicas=self.replicas, write_quorum=self.write_quorum,
             read_quorum=self.read_quorum, repair_gap=self.repair_gap,
             start=self.start)
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
         return compiled
 
     # --------------------------------------------------------- kind="pubsub"
@@ -1174,25 +1138,16 @@ class WorkloadModel(ScenarioModel):
 
         def _create(topic: int, creator_index: int) -> None:
             node = experiment.nodes[creator_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.alive and node.initialized:
                 apps[creator_index].create_topic(topic)
 
         def _subscribe(topic: int, member_index: int) -> None:
             node = experiment.nodes[member_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.alive and node.initialized:
                 apps[member_index].subscribe(topic)
 
         def _publish(seqno: int, publisher_index: int, topic: int) -> None:
             node = experiment.nodes[publisher_index]
-            if not experiment.owns_node(node):
-                experiment.shard_skipped_events += 1
-                return
             if node.crashed or not node.initialized:
                 observations.skipped += 1
                 return
@@ -1221,12 +1176,12 @@ class WorkloadModel(ScenarioModel):
             events.append(ScenarioEvent(
                 self.start, "pubsub",
                 f"node {creator_index} creates topic {topic}",
-                lambda t=topic: _create(t, creator_index)))
+                lambda t=topic: _create(t, creator_index), node=creator_index))
             for offset, member in enumerate(members):
                 events.append(ScenarioEvent(
                     self.start + (offset + 1) * spacing, "pubsub",
                     f"node {member} subscribes to topic {topic}",
-                    lambda t=topic, m=member: _subscribe(t, m)))
+                    lambda t=topic, m=member: _subscribe(t, m), node=member))
 
         expected = 0
         for seqno in range(self.packets):
@@ -1244,25 +1199,32 @@ class WorkloadModel(ScenarioModel):
                 f"publish {seqno} on topic {topic} "
                 f"from node {publisher_index}",
                 lambda s=seqno, p=publisher_index, t=topic:
-                    _publish(s, p, t)))
+                    _publish(s, p, t), node=publisher_index))
 
         window = max(horizon - self.start, 1e-9)
 
-        def _sync_duplicates() -> int:
-            return sum(app.duplicates for node, app
-                       in zip(experiment.nodes, apps)
-                       if experiment.owns_node(node))
+        def _payload() -> dict[str, Any]:
+            return {
+                "sent": observations.sent,
+                "skipped": observations.skipped,
+                "duplicates": sum(app.duplicates for node, app
+                                  in zip(experiment.nodes, apps)
+                                  if experiment.owns_node(node)),
+                "records": observations.records,
+            }
 
-        def _compute(sent: int, skipped: int, duplicates: int,
-                     records: list) -> dict[str, float]:
-            records = sorted(records, key=lambda r: (r[0], r[1]))
+        def _score(payloads: list) -> dict[str, float]:
+            sent = sum(p["sent"] for p in payloads)
+            records = sorted((record for p in payloads
+                              for record in p["records"]),
+                             key=lambda r: (r[0], r[1]))
             latencies = [latency for _receiver, _seqno, latency in records]
             delivered = {seqno for _receiver, seqno, _latency in records}
             return {
                 "sent": float(sent),
-                "skipped": float(skipped),
+                "skipped": float(sum(p["skipped"] for p in payloads)),
                 "deliveries": float(len(records)),
-                "duplicates": float(duplicates),
+                "duplicates": float(sum(p["duplicates"] for p in payloads)),
                 "expected": float(expected),
                 "coverage": (len(records) / expected) if expected else 0.0,
                 "success_ratio": (len(delivered) / sent) if sent else 0.0,
@@ -1271,31 +1233,10 @@ class WorkloadModel(ScenarioModel):
                 "publishes_per_sec": requests_per_second(sent, window),
             }
 
-        def _finalize() -> dict[str, float]:
-            return _compute(observations.sent, observations.skipped,
-                            _sync_duplicates(), observations.records)
-
-        def _shard_payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "duplicates": _sync_duplicates(),
-                "records": observations.records,
-            }
-
-        def _shard_merge(payloads: list) -> dict[str, float]:
-            return _compute(
-                sum(p["sent"] for p in payloads),
-                sum(p["skipped"] for p in payloads),
-                sum(p["duplicates"] for p in payloads),
-                [record for p in payloads for record in p["records"]])
-
         label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, finalize=_finalize,
-                                 restore=_restore)
+        compiled = CompiledModel(label, events, payload=_payload,
+                                 score=_score, restore=_restore)
         compiled.observations = observations  # type: ignore[attr-defined]
-        compiled.shard_payload = _shard_payload
-        compiled.shard_merge = _shard_merge
         return compiled
 
 
@@ -1419,28 +1360,111 @@ class ScenarioSpec:
     def run(self, *, shards: int = 1) -> ScenarioResult:
         """Execute the scenario and collect metrics, series, and event log.
 
-        ``shards > 1`` delegates to :meth:`run_sharded`, the multi-process
-        conservative-lockstep kernel; ``shards=1`` is the original
-        single-process path (use :meth:`run_sharded` explicitly to push a
-        one-shard run through the worker pipeline, e.g. for the byte-identity
-        gate in the benchmarks).
+        Runs in this process and hands back the live experiment on the
+        result.  ``shards > 1`` delegates to :meth:`run_sharded`, the
+        multi-process conservative-lockstep kernel (call that explicitly to
+        push a one-shard run through the worker pipeline, e.g. for the
+        byte-identity gate in the benchmarks).
         """
         if shards != 1:
             return self.run_sharded(shards)
         experiment = self.build()
+        result = self._assemble(experiment, [self._run_process(experiment)])
+        result.experiment = experiment
+        return result
+
+    def run_sharded(self, shards: int) -> ScenarioResult:
+        """Execute the scenario on the multi-process sharded kernel.
+
+        The experiment is built once here in the parent (models compiled,
+        agents resolved — so dynamically generated protocol modules exist in
+        every worker), then one worker per shard is forked and runs its own
+        event heap inside conservative lockstep windows, exchanging
+        cross-shard packets at barriers (:mod:`repro.runtime.sharded`).
+
+        Every worker executes the same per-process body as :meth:`run` and
+        ships its raw observations home, where they are pooled and scored by
+        the same formulas.  A one-shard plan is a single window with no
+        cross-shard traffic, so ``shards=1`` reproduces :meth:`run`
+        byte-identically; with K workers the scorers pool in a canonical
+        order, so repeated runs — and, for fault-free scenarios, different
+        K — give identical metrics.  Sample series need a global view and
+        are rejected for K > 1.  The returned result carries
+        ``experiment=None`` (the parent's copy never ran).
+        """
+        from ..runtime.sharded import ShardCoordinator, plan_shards
+
+        experiment = self.build()
+        plan = plan_shards(experiment.topology, self.num_nodes, shards)
+        if plan.num_shards > 1 and self.samples:
+            raise ScenarioError(
+                "sample series need a global experiment view and are not "
+                "supported with shards > 1")
+        shard_of_address = {node.address: plan.shard_of_node[index]
+                            for index, node in enumerate(experiment.nodes)}
+        coordinator = ShardCoordinator(plan, start=0.0,
+                                       duration=self.duration,
+                                       shard_of_address=shard_of_address)
+        reports = coordinator.run(
+            lambda shard_id, endpoint, barriers: self._run_process(
+                experiment, shard_id, plan, endpoint, barriers))
+        return self._assemble(experiment, reports, shard_info={
+            "requested_shards": shards,
+            "num_shards": plan.num_shards,
+            "lookahead": plan.lookahead,
+            "barriers": len(coordinator.barriers),
+            "cross_shard_packets": sum(report["cross_shard_packets"]
+                                       for report in reports),
+        })
+
+    def _run_process(self, experiment, shard_id: int = 0, plan=None,
+                     endpoint=None, barriers=()) -> dict:
+        """One process's share of a run: attach observability, schedule the
+        sample series, advance the clock to ``duration``, unwind the models
+        and report what this process observed, unscored.
+
+        Without a *plan* the process is the whole run (:meth:`run`): it owns
+        every node and advances its simulator directly.  With one it is
+        worker *shard_id* of :meth:`run_sharded` and advances in lockstep
+        windows, trading cross-shard packets over *endpoint* at *barriers*.
+        """
         simulator = experiment.simulator
+        emulator = experiment.emulator
+        in_worker = plan is not None
+        mode = "sharded" if in_worker and plan.num_shards > 1 else "sim"
 
         obs_registry = obs_causal = None
         if self.obs is not None:
             from ..obs import CausalLog, base_registry
             obs_registry = base_registry()
-            if experiment.tracer.sink is not None:
-                experiment.tracer.sink.update_meta(
-                    mode="sim", name=self.name, seed=self.seed)
+            tracer = experiment.tracer
+            if tracer.sink is not None:
+                if mode == "sharded":
+                    # One writer per file: each forked worker spills its
+                    # own shard-suffixed JSONL (run_trace.py merges them).
+                    tracer.sink.path = f"{tracer.sink.path}.shard{shard_id}"
+                tracer.sink.update_meta(
+                    mode=mode, name=self.name, seed=self.seed,
+                    **({"shard": shard_id} if in_worker else {}))
             if self.obs.causal:
-                obs_causal = CausalLog(experiment.tracer, simulator,
-                                       registry=obs_registry)
-                obs_causal.install(experiment.emulator)
+                # Install order matters: the delivery wrapper must be in
+                # place before enter_shard captures the callback identity
+                # for the egress filter; the send tap must come after it
+                # swaps in the sharded send.  Workers get disjoint id spaces.
+                obs_causal = CausalLog(
+                    tracer, simulator, registry=obs_registry,
+                    origin=shard_id + 1 if in_worker else 0)
+                emulator.install_delivery_wrapper(obs_causal.wrap_delivery)
+        driver = None
+        owned = experiment.nodes
+        if in_worker:
+            from ..runtime.sharded import ShardedDriver
+            driver = ShardedDriver(simulator, shard_id=shard_id, plan=plan,
+                                   endpoint=endpoint, registry=obs_registry)
+            experiment.enter_shard(shard_id, plan, driver.capture)
+            owned = [experiment.nodes[i] for i in plan.owned_nodes(shard_id)]
+        if obs_causal is not None:
+            emulator.install_send_tap(obs_causal.tag)
 
         series: dict[str, list[tuple[float, float]]] = {}
         for sample in self.samples:
@@ -1454,182 +1478,51 @@ class ScenarioSpec:
                     label=f"sample:{sample.name}")
                 when += sample.interval
 
-        experiment.run(self.duration)
+        if in_worker:
+            driver.run_windows(barriers, emulator.inject_delivery)
+        else:
+            experiment.run(self.duration)
 
         # Reverse apply order: each restore() re-installs what the model saw
         # when it was applied, so unwinding must pop the chain LIFO.
         for compiled in reversed(experiment.compiled_models):
             compiled.restore()
 
-        metrics: dict[str, float] = {}
-        labels: dict[str, int] = {}
-        for compiled in experiment.compiled_models:
-            label = compiled.label
-            labels[label] = labels.get(label, 0) + 1
-            if labels[label] > 1:
-                label = f"{label}{labels[label]}"
-            for key, value in compiled.metrics().items():
-                metrics[f"{label}.{key}"] = value
-
-        stats = experiment.emulator.stats
-        metrics.update({
-            "net.packets_sent": float(stats.packets_sent),
-            "net.packets_delivered": float(stats.packets_delivered),
-            "net.packets_dropped": float(stats.packets_dropped),
-            "net.bytes_delivered": float(stats.bytes_delivered),
-            "sim.events_processed": float(simulator.events_processed),
-            "nodes.alive": float(sum(node.alive for node in experiment.nodes)),
-            "nodes.crashes": float(sum(node.crash_count
-                                       for node in experiment.nodes)),
-            "nodes.recoveries": float(sum(node.recover_count
-                                          for node in experiment.nodes)),
-        })
-
-        events = [(event.time, event.kind, event.detail)
-                  for compiled in experiment.compiled_models
-                  for event in compiled.events]
-        events.sort(key=lambda item: item[0])
-        obs_snapshot = None
+        # Model events sit on every shard's heap, so the pops this shard
+        # skipped are subtracted: the sum over shards would otherwise grow
+        # by (K-1) x model events and depend on the shard count.
+        events_processed = (simulator.events_processed
+                            - experiment.shard_skipped_events)
+        exported = driver.packets_exported if in_worker else 0
+        stats = emulator.stats
+        obs_payload = None
         if obs_registry is not None:
-            from ..obs import artifact, fill_sim, write_obs_snapshot
+            from ..obs import fill_sim
             fill_sim(obs_registry, experiment,
-                     events_processed=simulator.events_processed,
-                     owned_nodes=experiment.nodes, causal=obs_causal)
-            obs_snapshot = artifact(obs_registry, mode="sim", name=self.name,
-                                    seed=self.seed, duration=self.duration)
-            sink = experiment.tracer.sink
-            if sink is not None:
-                sink.close()
-            if self.obs.snapshot_path:
-                write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
-        return ScenarioResult(name=self.name, seed=self.seed,
-                              duration=self.duration, metrics=metrics,
-                              series=series, events=events,
-                              experiment=experiment, obs=obs_snapshot)
+                     events_processed=events_processed, owned_nodes=owned,
+                     causal=obs_causal, cross_shard_packets=exported)
+            if experiment.tracer.sink is not None:
+                experiment.tracer.sink.close()
+            obs_payload = obs_registry.snapshot()
+        return {
+            "obs": obs_payload,
+            "models": [compiled.shard_payload()
+                       for compiled in experiment.compiled_models],
+            "net": (stats.packets_sent, stats.packets_delivered,
+                    stats.packets_dropped, stats.bytes_delivered),
+            "events_processed": events_processed,
+            "alive": sum(node.alive for node in owned),
+            "crashes": sum(node.crash_count for node in owned),
+            "recoveries": sum(node.recover_count for node in owned),
+            "series": series,
+            "cross_shard_packets": exported,
+        }
 
-    def run_sharded(self, shards: int) -> ScenarioResult:
-        """Execute the scenario on the multi-process sharded kernel.
-
-        The experiment is built once here in the parent (models compiled,
-        agents resolved — so dynamically generated protocol modules exist in
-        every worker), then one worker per shard is forked and runs its own
-        event heap inside conservative lockstep windows, exchanging
-        cross-shard packets at barriers (:mod:`repro.runtime.sharded`).
-
-        ``shards=1`` reproduces :meth:`run` byte-identically (single window,
-        no cross-shard traffic, metrics computed by the worker with the
-        single-process code path).  ``shards=K`` merges per-shard payloads
-        with canonical-order formulas, so repeated runs — and, for
-        fault-free scenarios, different K — give identical metrics; sample
-        series need a global view and are rejected for K > 1.  The returned
-        result carries ``experiment=None`` (the parent's copy never ran).
-        """
-        from ..runtime.sharded import (ShardCoordinator, ShardedDriver,
-                                       plan_shards)
-
-        experiment = self.build()
-        plan = plan_shards(experiment.topology, self.num_nodes, shards)
-        if plan.num_shards > 1 and self.samples:
-            raise ScenarioError(
-                "sample series need a global experiment view and are not "
-                "supported with shards > 1")
-        shard_of_address = {node.address: plan.shard_of_node[index]
-                            for index, node in enumerate(experiment.nodes)}
-        coordinator = ShardCoordinator(plan, start=0.0,
-                                       duration=self.duration,
-                                       shard_of_address=shard_of_address)
-        simulator = experiment.simulator
-        single = plan.num_shards == 1
-
-        def worker(shard_id, endpoint, barriers):
-            obs_registry = obs_causal = None
-            if self.obs is not None:
-                from ..obs import CausalLog, base_registry
-                obs_registry = base_registry()
-                tracer = experiment.tracer
-                if tracer.sink is not None:
-                    if not single:
-                        # One writer per file: each forked worker spills its
-                        # own shard-suffixed JSONL (run_trace.py merges them).
-                        tracer.sink.path = \
-                            f"{tracer.sink.path}.shard{shard_id}"
-                    tracer.sink.update_meta(
-                        mode="sim" if single else "sharded",
-                        name=self.name, seed=self.seed, shard=shard_id)
-                if self.obs.causal:
-                    # Install order matters: the delivery wrapper must be in
-                    # place before enter_shard captures the callback identity
-                    # for the egress filter; the send tap must come after it
-                    # swaps in the sharded send.
-                    obs_causal = CausalLog(tracer, simulator,
-                                           registry=obs_registry,
-                                           origin=shard_id + 1)
-                    experiment.emulator.install_delivery_wrapper(
-                        obs_causal.wrap_delivery)
-            driver = ShardedDriver(simulator, shard_id=shard_id, plan=plan,
-                                   endpoint=endpoint, registry=obs_registry)
-            experiment.enter_shard(shard_id, plan, driver.capture)
-            if obs_causal is not None:
-                experiment.emulator.install_send_tap(obs_causal.tag)
-            series: dict[str, list[tuple[float, float]]] = {}
-            if single:
-                # Identical sample scheduling to run(): same schedule()
-                # calls, same sequence numbers, so the one-shard run stays
-                # byte-identical.
-                for sample in self.samples:
-                    points = series.setdefault(sample.name, [])
-                    when = sample.start
-                    while when <= self.duration + 1e-9:
-                        simulator.schedule_at(
-                            when,
-                            lambda s=sample, p=points: p.append(
-                                (simulator.now, float(s.fn(experiment)))),
-                            label=f"sample:{sample.name}")
-                        when += sample.interval
-            driver.run_windows(barriers,
-                               experiment.emulator.inject_delivery)
-            for compiled in reversed(experiment.compiled_models):
-                compiled.restore()
-            models = []
-            for compiled in experiment.compiled_models:
-                if not single and compiled.shard_payload is not None:
-                    models.append(compiled.shard_payload())
-                else:
-                    models.append(compiled.metrics())
-            stats = experiment.emulator.stats
-            owned = [experiment.nodes[i]
-                     for i in plan.owned_nodes(shard_id)]
-            obs_payload = None
-            if obs_registry is not None:
-                from ..obs import fill_sim
-                fill_sim(obs_registry, experiment,
-                         events_processed=(simulator.events_processed
-                                           - experiment.shard_skipped_events),
-                         owned_nodes=owned, causal=obs_causal,
-                         cross_shard_packets=driver.packets_exported)
-                if experiment.tracer.sink is not None:
-                    experiment.tracer.sink.close()
-                obs_payload = obs_registry.snapshot()
-            return {
-                "obs": obs_payload,
-                "models": models,
-                "net": (stats.packets_sent, stats.packets_delivered,
-                        stats.packets_dropped, stats.bytes_delivered),
-                # Subtract the owner-gated no-op dispatches: model events are
-                # on every shard's heap, so without the correction the sum
-                # across shards would grow by (K-1) x model events and
-                # ``sim.events_processed`` would depend on the shard count.
-                "events_processed": (simulator.events_processed
-                                     - experiment.shard_skipped_events),
-                "alive": sum(node.alive for node in owned),
-                "crashes": sum(node.crash_count for node in owned),
-                "recoveries": sum(node.recover_count for node in owned),
-                "series": series,
-                "cross_shard_packets": driver.packets_exported,
-            }
-
-        payloads = coordinator.run(worker)
-
+    def _assemble(self, experiment, reports: list[dict],
+                  shard_info: Optional[dict] = None) -> ScenarioResult:
+        """One result from the reports of every process that ran the
+        scenario: each model scored over the pooled payloads, totals summed,
+        observability snapshots merged."""
         metrics: dict[str, float] = {}
         labels: dict[str, int] = {}
         for index, compiled in enumerate(experiment.compiled_models):
@@ -1637,65 +1530,42 @@ class ScenarioSpec:
             labels[label] = labels.get(label, 0) + 1
             if labels[label] > 1:
                 label = f"{label}{labels[label]}"
-            entries = [payload["models"][index] for payload in payloads]
-            if single:
-                model_metrics = entries[0]
-            elif compiled.shard_merge is not None:
-                model_metrics = compiled.shard_merge(entries)
-            else:
-                # No merge hook: only valid if the model's finalize is a
-                # pure function of compile-time state, in which case every
-                # shard reported the same dict.
-                if any(entry != entries[0] for entry in entries[1:]):
-                    raise ScenarioError(
-                        f"model {label!r} produced diverging per-shard "
-                        f"metrics and defines no shard_merge hook")
-                model_metrics = entries[0]
-            for key, value in model_metrics.items():
+            scored = compiled.score([report["models"][index]
+                                     for report in reports])
+            for key, value in scored.items():
                 metrics[f"{label}.{key}"] = value
 
         metrics.update({
-            "net.packets_sent": float(sum(p["net"][0] for p in payloads)),
-            "net.packets_delivered": float(sum(p["net"][1]
-                                               for p in payloads)),
-            "net.packets_dropped": float(sum(p["net"][2] for p in payloads)),
-            "net.bytes_delivered": float(sum(p["net"][3] for p in payloads)),
-            "sim.events_processed": float(sum(p["events_processed"]
-                                              for p in payloads)),
-            "nodes.alive": float(sum(p["alive"] for p in payloads)),
-            "nodes.crashes": float(sum(p["crashes"] for p in payloads)),
-            "nodes.recoveries": float(sum(p["recoveries"]
-                                          for p in payloads)),
+            "net.packets_sent": float(sum(r["net"][0] for r in reports)),
+            "net.packets_delivered": float(sum(r["net"][1] for r in reports)),
+            "net.packets_dropped": float(sum(r["net"][2] for r in reports)),
+            "net.bytes_delivered": float(sum(r["net"][3] for r in reports)),
+            "sim.events_processed": float(sum(r["events_processed"]
+                                              for r in reports)),
+            "nodes.alive": float(sum(r["alive"] for r in reports)),
+            "nodes.crashes": float(sum(r["crashes"] for r in reports)),
+            "nodes.recoveries": float(sum(r["recoveries"] for r in reports)),
         })
 
-        series = payloads[0]["series"] if single else {}
         events = [(event.time, event.kind, event.detail)
                   for compiled in experiment.compiled_models
                   for event in compiled.events]
         events.sort(key=lambda item: item[0])
-        shard_info = {
-            "requested_shards": shards,
-            "num_shards": plan.num_shards,
-            "lookahead": plan.lookahead,
-            "barriers": len(coordinator.barriers),
-            "cross_shard_packets": sum(p["cross_shard_packets"]
-                                       for p in payloads),
-        }
         obs_snapshot = None
         if self.obs is not None:
             from ..obs import artifact, base_registry, write_obs_snapshot
             registry = base_registry()
-            for payload in payloads:
-                if payload["obs"] is not None:
-                    registry.merge(payload["obs"])
+            for report in reports:
+                registry.merge(report["obs"])
+            num_shards = shard_info["num_shards"] if shard_info else 1
             obs_snapshot = artifact(
-                registry, mode="sim" if single else "sharded",
+                registry, mode="sharded" if num_shards > 1 else "sim",
                 name=self.name, seed=self.seed, duration=self.duration,
-                extra={"shards": plan.num_shards})
+                extra={"shards": num_shards} if shard_info else None)
             if self.obs.snapshot_path:
                 write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
+        # Sample series exist only where one process saw the whole run.
         return ScenarioResult(name=self.name, seed=self.seed,
                               duration=self.duration, metrics=metrics,
-                              series=series, events=events,
-                              experiment=None, shard_info=shard_info,
-                              obs=obs_snapshot)
+                              series=reports[0]["series"], events=events,
+                              shard_info=shard_info, obs=obs_snapshot)

@@ -44,7 +44,7 @@ from queue import Empty
 from typing import Any, Optional
 
 from ..eval.metrics import (correct_successor_fraction, mean, percentile,
-                            phantom_reads, replica_coverage)
+                            phantom_reads, replica_coverage, zipf_cdf)
 from ..eval.scenario import ScenarioResult
 
 #: Stream id stamped on workload probes so application traffic of the
@@ -385,21 +385,13 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             key_space = node.highest_agent.key_space
             key_ids = [keys_rng.randrange(key_space.size)
                        for _ in range(config.kv_keys)]
-            weights = [1.0 / (rank + 1) ** config.kv_zipf_s
-                       for rank in range(config.kv_keys)]
-            total_weight = sum(weights)
-            zipf_cdf: list[float] = []
-            acc = 0.0
-            for weight in weights:
-                acc += weight / total_weight
-                zipf_cdf.append(acc)
-            zipf_cdf[-1] = 1.0
+            key_cdf = zipf_cdf(config.kv_keys, config.kv_zipf_s)
 
             def send_op(seqno: int) -> None:
                 nonlocal sent
                 sent += 1
                 sent_records.append((seqno, round(driver.now, 3)))
-                key = key_ids[bisect.bisect_left(zipf_cdf, rng.random())]
+                key = key_ids[bisect.bisect_left(key_cdf, rng.random())]
                 if rng.random() < config.kv_read_fraction:
                     kv_app.get(key, seqno)
                 else:

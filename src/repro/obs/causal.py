@@ -70,17 +70,6 @@ class CausalLog:
         else:
             self._c_traces = self._c_hops = self._h_hop_latency = None
 
-    def install(self, emulator: Any) -> None:
-        """Attach to a single-process emulator (both wrappers at once).
-
-        Sharded workers must split this: the delivery wrapper goes in
-        *before* ``enter_shard`` (the cross-shard egress closure captures
-        the delivery callback by identity) and the send tap *after* it
-        (``enter_shard`` swaps ``send`` for the sharded variant).
-        """
-        emulator.install_delivery_wrapper(self.wrap_delivery)
-        emulator.install_send_tap(self.tag)
-
     # ------------------------------------------------------------------ taps
     def tag(self, packet: Any) -> None:
         """Send tap: stamp the packet with its trace identity."""

@@ -20,7 +20,7 @@ from repro.eval import (
     spec_loc,
     stretch_samples,
 )
-from repro.eval.metrics import StretchSample
+from repro.eval.metrics import StretchSample, zipf_cdf
 from repro.network import NetworkEmulator, transit_stub_topology
 from repro.protocols import randtree_agent
 from repro.runtime import Simulator
@@ -52,6 +52,16 @@ def test_mean_and_percentile():
     assert percentile([1, 2, 3, 4, 5], 0.0) == 1
     assert percentile([1, 2, 3, 4, 5], 1.0) == 5
     assert percentile([1, 2, 3, 4, 5], 0.5) == 3
+
+
+def test_zipf_cdf_is_a_cdf_and_uniform_at_zero_skew():
+    cdf = zipf_cdf(64, 1.1)
+    assert len(cdf) == 64
+    assert all(low <= high for low, high in zip(cdf, cdf[1:]))
+    assert cdf[-1] == 1.0                   # exactly: a draw never overruns
+    assert cdf[0] > 1 / 64                  # rank 0 is the popular key
+    assert zipf_cdf(4, 0.0) == [0.25, 0.5, 0.75, 1.0]
+    assert zipf_cdf(1, 3.0) == [1.0]
 
 
 def test_group_by_site():

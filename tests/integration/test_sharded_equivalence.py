@@ -18,6 +18,9 @@ are compared against each other, never against the single-process run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import networkx as nx
 import pytest
 
 from repro import protocols
@@ -45,6 +48,26 @@ def make_seeded():
     return spec.with_seed(7)
 
 
+def make_kv_repair():
+    """Fault-free quorum KV with anti-entropy sweeps: the pooled kv scorer
+    plus the per-node repair events' skip accounting."""
+    spec = make_seeded()
+    return replace(spec, duration=24.0, models=(
+        spec.models[0],
+        WorkloadModel(kind="kv", start=12.0, packets=16, gap=0.4, keys=8,
+                      repair_gap=4.0)))
+
+
+def make_pubsub_fanout():
+    """Pub/sub with sampled subscriber sets and a random publisher per
+    publication: the pooled pubsub scorer over receivers on every shard."""
+    spec = make_stressed_scribe()
+    return replace(spec, duration=32.0, models=(
+        spec.models[0],
+        WorkloadModel(kind="pubsub", source=-1, start=15.0, packets=8,
+                      gap=0.5, topics=3, fanout=7)))
+
+
 def fingerprint(result) -> dict[str, str]:
     return {key: repr(value) for key, value in sorted(result.metrics.items())}
 
@@ -64,6 +87,8 @@ def test_one_shard_pipeline_is_byte_identical(single_run):
     piped = make_seeded().run_sharded(1)
     assert fingerprint(piped) == fingerprint(single_run)
     assert piped.shard_info["num_shards"] == 1
+    for make in (make_kv_repair, make_pubsub_fanout):
+        assert fingerprint(make().run_sharded(1)) == fingerprint(make().run())
 
 
 @pytest.mark.determinism
@@ -76,13 +101,16 @@ def test_sharded_run_is_repeat_stable(sharded_4):
 def test_results_do_not_depend_on_shard_count(sharded_4):
     two = make_seeded().run_sharded(2)
     assert fingerprint(two) == fingerprint(sharded_4)
+    for make in (make_kv_repair, make_pubsub_fanout):
+        assert fingerprint(make().run_sharded(2)) \
+            == fingerprint(make().run_sharded(4))
 
 
 def make_stressed_scribe():
     """Scribe-over-Pastry with group choreography and a healed partition:
-    exercises the two event families with special sharded accounting —
-    node-gated group joins (owner-skip counted per callsite) and replicated
-    emulator-level partition/heal events (counted once, on shard 0)."""
+    exercises both event families of the sharded dispatcher — group joins
+    that name a node (run and counted on its owner shard) and network-wide
+    partition/heal events (run on every shard, counted once, on shard 0)."""
     spec = ScenarioSpec(
         name="sharded-equivalence-scribe",
         agents=lambda: protocols.scribe_stack("pastry"),
@@ -109,6 +137,21 @@ def test_group_and_partition_events_are_shard_count_independent():
     four = fingerprint(make_stressed_scribe().run_sharded(4))
     assert two == four
     assert make_stressed_scribe().run_sharded(1).shard_info["num_shards"] == 1
+
+
+@pytest.mark.determinism
+def test_link_cut_events_are_shard_count_independent():
+    """Link cuts are network-wide like host partitions: every shard applies
+    them to its own replica and they count once, whatever K is."""
+    spec = make_seeded()
+    graph = spec.build().topology.graph
+    bridges = {frozenset(edge) for edge in nx.bridges(graph)}
+    links = tuple(edge for edge in sorted(graph.edges())
+                  if frozenset(edge) not in bridges)[:3]
+    assert len(links) == 3
+    spec = replace(spec, models=spec.models + (
+        PartitionModel(links=links, at=10.0, heal_after=5.0),))
+    assert fingerprint(spec.run_sharded(2)) == fingerprint(spec.run_sharded(4))
 
 
 def test_sharded_run_did_real_cross_shard_work(sharded_4, single_run):
