@@ -9,10 +9,12 @@ event queue.
 
 ``send()`` is the hottest function in the repository after the event loop
 itself, so the per-hop work is precomputed: the first packet between a pair
-of attachment routers resolves the route into a :class:`_ResolvedRoute` — the
-:class:`DirectedLink` objects in hop order plus the shared path tuple — and
-every subsequent packet replays that plan with zero dict lookups per hop, no
-path copy, and no label formatting.  See docs/PERFORMANCE.md.
+of attachment routers has the router build a
+:class:`~repro.network.router.RoutePlan` — the :class:`DirectedLink` objects
+in hop order plus the shared path tuple — and every subsequent packet reads
+that plan straight out of the router's cache and replays it with zero dict
+lookups per hop, no path copy, and no label formatting.  There is one route
+cache, the router's, so a fault prunes it once.  See docs/PERFORMANCE.md.
 
 The emulator also doubles as the source of the *global knowledge* the paper's
 evaluation framework extracts from ModelNet/ns: direct IP latency between any
@@ -29,7 +31,7 @@ from ..runtime.engine import Simulator
 from .addressing import AddressAllocator, AddressError, HostAddress
 from .links import DirectedLink
 from .packet import Packet
-from .router import Router, RoutingError
+from .router import RoutePlan, Router, RoutingError
 from .topology import BANDWIDTH_ATTR, LATENCY_ATTR, Topology, TopologyError
 
 ReceiveCallback = Callable[[Packet], None]
@@ -72,18 +74,6 @@ class Host:
         self.attached = True
 
 
-class _ResolvedRoute:
-    """A route plan with the per-hop links resolved to objects."""
-
-    __slots__ = ("links", "path", "hop_count")
-
-    def __init__(self, links: tuple[DirectedLink, ...],
-                 path: tuple[int, ...]) -> None:
-        self.links = links
-        self.path = path
-        self.hop_count = len(links)
-
-
 class NetworkEmulator:
     """Hop-by-hop packet emulator over a :class:`Topology`."""
 
@@ -99,14 +89,16 @@ class NetworkEmulator:
             raise ValueError("random_loss_rate must be in [0, 1]")
         self.simulator = simulator
         self.topology = topology
-        self.router = Router(topology)
         self.random_loss_rate = random_loss_rate
         self._rng = simulator.fork_rng("network-emulator")
         self._allocator = AddressAllocator()
         self._hosts: dict[int, Host] = {}
         self._links: dict[tuple[int, int], DirectedLink] = {}
-        # Resolved (src router, dst router) -> _ResolvedRoute plans.
-        self._routes: dict[tuple[int, int], _ResolvedRoute] = {}
+        self.router = Router(topology, self._links)
+        # The router's (src router, dst router) -> RoutePlan cache, the only
+        # route cache there is: send() reads hits straight from the dict and
+        # calls Router.plan once per miss.
+        self._plans = self.router._plan_cache
         # O(1)-amortised auto-attachment: nodes already hosting someone, and a
         # cursor over ``topology.clients`` marking how far allocation got.
         self._used_attachments: set[int] = set()
@@ -133,10 +125,9 @@ class NetworkEmulator:
         self._schedule_fast = simulator.schedule_fast
         self._deliver_callback = self._deliver
         self._build_links()
-        # Keep our resolved plans and link table in sync even when callers
+        # Edges added to the graph get their links even when callers
         # invalidate at the router level rather than through us.
-        self.router.add_invalidation_listener(self._on_router_invalidated)
-        self.router.add_edge_invalidation_listener(self._on_edge_disabled)
+        self.router.add_invalidation_listener(self._build_links)
 
     # ------------------------------------------------------------------ setup
     def _build_links(self) -> None:
@@ -229,38 +220,26 @@ class NetworkEmulator:
     def disable_link(self, u: int, v: int) -> None:
         """Cut the undirected topology edge (u, v).
 
-        Both :class:`DirectedLink` directions are flagged, the router drops
-        exactly the Dijkstra trees and plans that crossed the edge (targeted
-        invalidation), and this emulator's resolved route plans are pruned the
-        same way via the edge-invalidation listener.  Packets already resolved
+        Both :class:`DirectedLink` directions are flagged and the router drops
+        exactly the plans that crossed the edge.  Packets already resolved
         and scheduled keep flying; packets planned after the cut route around
         it, or are dropped if no path remains.
         """
         self.router.disable_edge(u, v)
-        link = self._links.get((u, v))
-        if link is not None:
-            link.disable()
-        link = self._links.get((v, u))
-        if link is not None:
-            link.disable()
+        for direction in ((u, v), (v, u)):
+            link = self._links.get(direction)
+            if link is not None:
+                link.disable()
 
     def enable_link(self, u: int, v: int) -> None:
-        """Heal a previously cut edge (full route-plan invalidation)."""
+        """Heal a previously cut edge: the router drops only the plans the
+        restored edge could shorten.  A direction that is still blackholed by
+        :meth:`disable_link_direction` stays down."""
         self.router.enable_edge(u, v)
-        link = self._links.get((u, v))
-        if link is not None:
-            link.enable()
-        link = self._links.get((v, u))
-        if link is not None:
-            link.enable()
-
-    def _on_edge_disabled(self, u: int, v: int) -> None:
-        """Prune resolved route plans that traversed the now-disabled edge."""
-        uses_edge = Router._plan_uses_edge  # works on anything with .path
-        stale = [key for key, route in self._routes.items()
-                 if uses_edge(route, u, v)]
-        for key in stale:
-            del self._routes[key]
+        for direction in ((u, v), (v, u)):
+            link = self._links.get(direction)
+            if link is not None and direction not in self._directed_cuts:
+                link.enable()
 
     def partition_hosts(self, groups: "list[list[int]]") -> None:
         """Install a host-level partition: a packet whose source and
@@ -306,11 +285,13 @@ class NetworkEmulator:
         self._recompute_faults_active()
 
     def enable_link_direction(self, u: int, v: int) -> None:
-        """Heal a one-directional cut.  Idempotent."""
+        """Heal a one-directional cut; the link itself stays down while the
+        whole edge is cut by :meth:`disable_link`.  Idempotent."""
         if (u, v) not in self._directed_cuts:
             return
         self._directed_cuts.discard((u, v))
-        self._links[(u, v)].enable()
+        if (min(u, v), max(u, v)) not in self.router.disabled_edges():
+            self._links[(u, v)].enable()
         self._recompute_faults_active()
 
     def degrade_edge(self, u: int, v: int, *, bandwidth_factor: float = 1.0,
@@ -348,14 +329,13 @@ class NetworkEmulator:
             self._links[direction].degrade(bandwidth_factor=bandwidth_factor,
                                            latency_factor=latency_factor)
         # Router last: it writes the graph latency attribute and prunes
-        # exactly the SSSP trees/plans (ours included, via the edge
-        # listener) that crossed the now-slower edge.
+        # exactly the plans that crossed the now-slower edge.
         self.router.reweigh_edge(u, v, base_latency * latency_factor)
 
     def restore_edge(self, u: int, v: int) -> None:
-        """Undo :meth:`degrade_edge`.  A restored edge may shorten any route,
-        so the router performs a full invalidation (as :meth:`enable_link`
-        does).  Idempotent for edges that are not degraded."""
+        """Undo :meth:`degrade_edge`.  The router drops only the plans the
+        faster edge could shorten (as :meth:`enable_link` does).  Idempotent
+        for edges that are not degraded."""
         key = (min(u, v), max(u, v))
         original = self._degraded_edges.pop(key, None)
         if original is None:
@@ -384,32 +364,20 @@ class NetworkEmulator:
             self.restore_edge(u, v)
 
     # ------------------------------------------------------------------ routes
-    def _route(self, src_node: int, dst_node: int) -> _ResolvedRoute:
-        """The resolved (links + path) plan between two attachment routers."""
-        key = (src_node, dst_node)
-        route = self._routes.get(key)
-        if route is None:
-            plan = self.router.plan(src_node, dst_node)
-            links = self._links
-            route = _ResolvedRoute(tuple(links[edge] for edge in plan.edges),
-                                   plan.path)
-            self._routes[key] = route
-        return route
+    def _route(self, src_node: int, dst_node: int) -> RoutePlan:
+        """The plan (links + path) between two attachment routers."""
+        return (self._plans.get((src_node, dst_node))
+                or self.router.plan(src_node, dst_node))
 
     def invalidate(self) -> None:
-        """Drop cached routes after a topology mutation.
+        """Drop cached routes after edges were added to or removed from the
+        topology graph (faults go through the targeted hooks instead).
 
-        Clears the emulator's resolved route plans and the router's Dijkstra
-        and plan caches, then registers links for any edges added to the
-        topology graph (existing links keep their queue state and counters).
-        Calling ``router.invalidate()`` directly is equivalent — the emulator
-        listens for it.
+        Clears the router's caches, then registers links for any edges added
+        to the graph (existing links keep their queue state and counters).  Calling ``router.invalidate()`` directly is
+        equivalent — the emulator listens for it.
         """
         self.router.invalidate()
-
-    def _on_router_invalidated(self) -> None:
-        self._routes.clear()
-        self._build_links()
 
     # ------------------------------------------------------------------ send
     def send(self, packet: Packet, payload_tag: Optional[str] = None) -> bool:
@@ -468,10 +436,10 @@ class NetworkEmulator:
             dst_host.dropped += 1
             return False
 
-        route = self._routes.get((src_host.node, dst_host.node))
+        route = self._plans.get((src_host.node, dst_host.node))
         if route is None:
             try:
-                route = self._route(src_host.node, dst_host.node)
+                route = self.router.plan(src_host.node, dst_host.node)
             except RoutingError:
                 # Link cuts severed every underlay path: the packet is lost,
                 # not an error — overlays are expected to ride this out.
@@ -655,10 +623,10 @@ class NetworkEmulator:
                 dst_host.dropped += 1
                 return False
 
-        route = self._routes.get((src_host.node, dst_host.node))
+        route = self._plans.get((src_host.node, dst_host.node))
         if route is None:
             try:
-                route = self._route(src_host.node, dst_host.node)
+                route = self.router.plan(src_host.node, dst_host.node)
             except RoutingError:
                 stats.packets_dropped += 1
                 dst_host.dropped += 1

@@ -2,38 +2,38 @@
 
 The emulator routes every packet along the latency-weighted shortest path
 between the source and destination attachment routers, the same policy a
-ModelNet core applies.  Routes are computed lazily (single-source Dijkstra per
-distinct source router) and cached, which keeps large topologies affordable.
-
-On top of the per-source Dijkstra cache sits a per-(src, dst) **route plan**
-cache: one :class:`RoutePlan` holding the resolved node path, directed edge
-list, end-to-end propagation latency, hop count, and bottleneck bandwidth.
+ModelNet core applies.  Routes are computed lazily and cached as one
+:class:`RoutePlan` per (src, dst) pair: the resolved node path, directed edge
+list, the emulator's per-hop link objects, end-to-end propagation latency, hop
+count, and bottleneck bandwidth.
 Every query method (:meth:`Router.path`, :meth:`Router.latency`,
 :meth:`Router.hop_count`, :meth:`Router.bottleneck_bandwidth`) reads the plan,
 so repeated queries for the same pair — the per-packet common case — cost one
-dict lookup instead of re-walking Dijkstra output.
+dict lookup.  A missing plan costs a Dijkstra search from its source that
+crosses a bridge of the underlay only towards the destination.
 
 The router is also the component the evaluation framework queries for *global*
 information — direct IP latency between any two hosts and the underlay path a
 packet takes — which the paper highlights as necessary for metrics such as
 latency stretch, relative delay penalty, and link stress.
 
-Fault injection (the scenario engine's link-cut and partition models) goes
-through :meth:`Router.disable_edge` / :meth:`Router.enable_edge`.  Disabling
-an edge performs **targeted** invalidation instead of a full rebuild: only
-single-source Dijkstra entries whose shortest-path tree uses the edge, and
-only cached plans whose path traverses it, are dropped — every other cached
-plan is provably still optimal, because removing an edge can only lengthen
-paths that used it.  Re-enabling an edge is the opposite situation (a new
-edge can shorten *any* path), so it falls back to a full invalidation; heals
-are rare next to the per-packet plan lookups the targeted path protects.
+Fault injection (the scenario engine's link-cut, partition and degrade
+models) goes through :meth:`Router.disable_edge` / :meth:`Router.enable_edge`
+/ :meth:`Router.reweigh_edge`, and each drops **only the plans the edge can
+have changed**: one that went away or got *slower* the plans that traverse it,
+one that came back or got *faster* the plans a path through it could match.
+:meth:`Router.invalidate` is for real topology mutation (edges added to or
+removed from the graph) only.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
+import networkx
+
+from .links import DirectedLink
 from .topology import BANDWIDTH_ATTR, LATENCY_ATTR, Topology
 
 
@@ -45,17 +45,22 @@ class RoutePlan:
     """Resolved route between one (src, dst) router pair.
 
     ``latency`` is the Dijkstra distance (not a re-summation of edge weights),
-    so it is bit-identical to what the shortest-path search reported.  The
-    bottleneck bandwidth is computed lazily on first access — most plans are
-    built by the packet send path, which never reads it.
+    so it is bit-identical to what the shortest-path search reported.
+    ``links`` are the emulator's :class:`DirectedLink` objects in hop order
+    (empty for a router built without a link table), which is what lets a
+    warm ``send()`` walk the route with no per-hop lookup.  The bottleneck
+    bandwidth is computed lazily on first access — most plans are built by
+    the packet send path, which never reads it.
     """
 
-    __slots__ = ("path", "edges", "latency", "hop_count", "_bottleneck")
+    __slots__ = ("path", "edges", "links", "latency", "hop_count",
+                 "_bottleneck")
 
     def __init__(self, path: tuple[int, ...], edges: tuple[tuple[int, int], ...],
-                 latency: float) -> None:
+                 latency: float, links: tuple[DirectedLink, ...] = ()) -> None:
         self.path = path
         self.edges = edges
+        self.links = links
         self.latency = latency
         self.hop_count = len(edges)
         self._bottleneck: Optional[float] = None
@@ -64,24 +69,29 @@ class RoutePlan:
 class Router:
     """Latency-weighted shortest-path routing with per-source caching."""
 
-    def __init__(self, topology: Topology) -> None:
+    def __init__(self, topology: Topology,
+                 links: Optional[Mapping[tuple[int, int], DirectedLink]] = None,
+                 ) -> None:
         self._topology = topology
         self._graph = topology.graph
+        # The emulator's (u, v) -> DirectedLink table, shared by reference;
+        # every plan resolves its ``links`` from it when it is built.
+        self._links = links
         # Flat adjacency (node -> [(neighbour, latency), ...]) built lazily
-        # from the graph; Dijkstra over this is several times faster than
-        # going through networkx per-edge attribute access.
+        # from the graph after every edge event; Dijkstra over this is several
+        # times faster than going through networkx per-edge attribute access.
         self._adjacency: Optional[dict[int, list[tuple[int, float]]]] = None
-        # Cache of single-source Dijkstra results: source -> (dist, pred).
+        # Dijkstra results since the last edge event: source -> (dist, pred)
+        # over at least the nodes its plans were asked for.
         self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, Optional[int]]]] = {}
+        # Bridges of the enabled graph (see _bridge_sides).
+        self._sides: Optional[tuple[dict[int, int], dict]] = None
         # Cache of resolved plans: (src, dst) -> RoutePlan.
         self._plan_cache: dict[tuple[int, int], RoutePlan] = {}
-        # Callbacks fired by invalidate(); components that cache resolved
-        # routes derived from this router (the emulator) register here so a
-        # router-level invalidation cannot leave them holding stale plans.
+        # Callbacks fired by invalidate(): the emulator registers here so a
+        # router-level invalidation also gives edges new to the graph their
+        # DirectedLink state before the next plan resolves its links.
         self._invalidation_listeners: list[Callable[[], None]] = []
-        # Callbacks fired by disable_edge() with the (u, v) edge, so plan
-        # caches one layer up can prune only the affected entries.
-        self._edge_listeners: list[Callable[[int, int], None]] = []
         # Currently disabled undirected edges, stored in both orders so the
         # adjacency filter is one set lookup per directed edge.
         self._disabled_edges: set[tuple[int, int]] = set()
@@ -92,25 +102,42 @@ class Router:
 
     # ----------------------------------------------------------------- paths
     def _adj(self) -> dict[int, list[tuple[int, float]]]:
+        """Enabled (neighbour, latency) pairs per node, in graph order."""
         adjacency = self._adjacency
         if adjacency is None:
             disabled = self._disabled_edges
-            if disabled:
-                adjacency = self._adjacency = {
-                    node: [(neighbour, data[LATENCY_ATTR])
-                           for neighbour, data in neighbours.items()
-                           if (node, neighbour) not in disabled]
-                    for node, neighbours in self._graph.adj.items()
-                }
-            else:
-                adjacency = self._adjacency = {
-                    node: [(neighbour, data[LATENCY_ATTR])
-                           for neighbour, data in neighbours.items()]
-                    for node, neighbours in self._graph.adj.items()
-                }
+            adjacency = self._adjacency = {
+                node: [(neighbour, data[LATENCY_ATTR])
+                       for neighbour, data in neighbours.items()
+                       if (node, neighbour) not in disabled]
+                for node, neighbours in self._graph.adj.items()}
         return adjacency
 
-    def _dijkstra(self, source: int) -> tuple[dict[int, float], dict[int, Optional[int]]]:
+    def _bridge_sides(self) -> tuple[dict[int, int], dict]:
+        """DFS entry times and, for each bridge of the enabled graph in both
+        directions, ``(v, u) -> (lo, hi, inside)``: crossing v -> u leads
+        only to nodes whose entry time t has ``(lo <= t <= hi) == inside``
+        (a bridge is a tree edge of every DFS, and one side of it is exactly
+        the DFS subtree of its later-entered end)."""
+        enabled = networkx.restricted_view(self._graph, (), self._disabled_edges)
+        entry: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for _, node, kind in networkx.dfs_labeled_edges(enabled):
+            if kind == "forward":
+                entry[node] = len(entry)
+            elif kind == "reverse":
+                last[node] = len(entry) - 1
+        sides = {}
+        for parent, child in networkx.bridges(enabled):
+            if entry[parent] > entry[child]:
+                parent, child = child, parent
+            sides[parent, child] = (entry[child], last[child], True)
+            sides[child, parent] = (entry[child], last[child], False)
+        self._sides = entry, sides
+        return self._sides
+
+    def _dijkstra(self, source: int, target: Optional[int] = None,
+                  ) -> tuple[dict[int, float], dict[int, Optional[int]]]:
         """Single-source shortest paths over the flat adjacency.
 
         Replicates networkx's ``_dijkstra_multisource`` exactly — same float
@@ -120,10 +147,20 @@ class Router:
         revisions obtained through networkx.  That equivalence is what keeps
         fixed-seed experiment metrics stable across the fast path, and is
         pinned by tests/network/test_topology_router.py.
+
+        With a *target*, a bridge is crossed only towards the target, so the
+        search covers just the bridge-free pieces between the two (on a
+        transit-stub underlay: two stub domains and the transit core) and
+        returns, for the nodes it covers, exactly the entries of the full
+        search: what lies behind another bridge never relays, and leaving
+        its pushes out keeps the order of all others.
         """
         adjacency = self._adj()
         if source not in adjacency:
             raise RoutingError(f"source {source} not in topology")
+        entry, sides = ({}, {}) if target not in adjacency else \
+            self._sides or self._bridge_sides()
+        goal, side_of = entry.get(target), sides.get
         dist: dict[int, float] = {}
         pred: dict[int, Optional[int]] = {source: None}
         seen: dict[int, float] = {source: 0}
@@ -138,6 +175,11 @@ class Router:
             for u, edge_latency in adjacency[v]:
                 if u in dist:
                     continue
+                if sides:
+                    side = side_of((v, u))
+                    if side is not None and \
+                            (side[0] <= goal <= side[1]) != side[2]:
+                        continue
                 vu_dist = d + edge_latency
                 seen_u = seen_get(u)
                 if seen_u is None or vu_dist < seen_u:
@@ -147,26 +189,30 @@ class Router:
                     pred[u] = v
         return dist, pred
 
-    def _sssp(self, source: int) -> tuple[dict[int, float], dict[int, Optional[int]]]:
-        cached = self._sssp_cache.get(source)
-        if cached is None:
-            cached = self._dijkstra(source)
-            self._sssp_cache[source] = cached
-        return cached
+    def _sssp(self, source: int, target: Optional[int] = None,
+              ) -> tuple[dict[int, float], dict[int, Optional[int]]]:
+        """The cached Dijkstra entry of *source*, grown by a search towards
+        *target* (without one: over the whole graph) if it lacks it."""
+        tree = self._sssp_cache.get(source)
+        if tree is None:
+            tree = self._sssp_cache[source] = self._dijkstra(source, target)
+        elif target not in tree[0]:
+            for known, found in zip(tree, self._dijkstra(source, target)):
+                known.update(found)
+        return tree
 
     def plan(self, src_node: int, dst_node: int) -> RoutePlan:
         """The cached :class:`RoutePlan` from *src_node* to *dst_node*."""
         key = (src_node, dst_node)
         cached = self._plan_cache.get(key)
         if cached is None:
-            cached = self._build_plan(src_node, dst_node)
-            self._plan_cache[key] = cached
+            cached = self._plan_cache[key] = self._build_plan(src_node, dst_node)
         return cached
 
     def _build_plan(self, src_node: int, dst_node: int) -> RoutePlan:
         if src_node == dst_node:
             return RoutePlan((src_node,), (), 0.0)
-        dist, pred = self._sssp(src_node)
+        dist, pred = self._sssp(src_node, dst_node)
         latency = dist.get(dst_node)
         if latency is None:
             raise RoutingError(f"no route from {src_node} to {dst_node}")
@@ -178,7 +224,9 @@ class Router:
         nodes.reverse()
         path = tuple(nodes)
         edges = tuple(zip(path[:-1], path[1:]))
-        return RoutePlan(path, edges, latency)
+        links = self._links
+        return RoutePlan(path, edges, latency,
+                         tuple([links[edge] for edge in edges]) if links else ())
 
     def path(self, src_node: int, dst_node: int) -> list[int]:
         """Topology path (list of router ids) from *src_node* to *dst_node*."""
@@ -254,121 +302,103 @@ class Router:
         return best
 
     # ------------------------------------------------------------ fault hooks
-    @staticmethod
-    def _plan_uses_edge(plan: RoutePlan, u: int, v: int) -> bool:
-        """Whether *plan*'s path traverses the undirected edge (u, v)."""
-        path = plan.path
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            if (a == u and b == v) or (a == v and b == u):
-                return True
-        return False
+    def _edge_changed(self) -> None:
+        """An edge came or went: forget what was derived from the old set."""
+        self._adjacency = None
+        self._sssp_cache.clear()
+        # Now rather than on the next miss: a fault then costs the same
+        # whether or not the packets that follow it need a new plan.
+        self._bridge_sides()
+
+    def _drop_users(self, u: int, v: int) -> None:
+        """Edge (u, v) went away or got slower: drop the plans whose path
+        traverses it.  Every other plan is kept: removing or lengthening an
+        edge never shortens a route that avoids it, and a fresh Dijkstra
+        still makes the same choice at every node of a kept path."""
+        plans = self._plan_cache
+        for key in [k for k, plan in plans.items()
+                    if (u, v) in plan.edges or (v, u) in plan.edges]:
+            del plans[key]
+
+    def _drop_beneficiaries(self, u: int, v: int, weight: float) -> None:
+        """Edge (u, v) came back or got faster, now weighing *weight*: drop
+        the plans a path through it could match.
+
+        That is judged from the two endpoint trees on the updated graph; the
+        relative slack absorbs the float rounding of summing the same path
+        from the other end.  A kept plan is strictly shorter than anything
+        through the edge, so is every prefix of it, and a fresh Dijkstra
+        still makes the same choice at every node of its path, ties included.
+        """
+        plans = self._plan_cache
+        inf = float("inf")
+        from_u, from_v = self._sssp(u)[0].get, self._sssp(v)[0].get
+        for (src, dst), plan in list(plans.items()):
+            through = min(from_u(src, inf) + from_v(dst, inf),
+                          from_v(src, inf) + from_u(dst, inf)) + weight
+            if through <= plan.latency * (1 + 1e-9):
+                del plans[src, dst]
 
     def disable_edge(self, u: int, v: int) -> None:
-        """Cut the undirected edge (u, v) with targeted cache invalidation.
-
-        Only cached state that can have become stale is dropped:
-
-        * single-source Dijkstra entries whose shortest-path *tree* uses the
-          edge (``pred[v] is u`` or ``pred[u] is v``) — any route derived from
-          them might have crossed the cut;
-        * cached plans whose resolved path traverses the edge.
-
-        Plans that avoid the edge remain shortest paths (removing an edge
-        never shortens an alternative route), so they are kept — this is the
-        "targeted invalidation, not full rebuild" contract the emulator's
-        per-packet plan cache relies on during churny scenarios.
-        Registered edge listeners are notified so downstream caches (the
-        emulator's resolved-link plans) can prune the same way.  Idempotent.
-        """
+        """Cut the undirected edge (u, v); see :meth:`_drop_users` for what
+        is invalidated.  Idempotent."""
         if not self._graph.has_edge(u, v):
             raise RoutingError(f"cannot disable edge ({u}, {v}): not in topology")
         if (u, v) in self._disabled_edges:
             return
-        self._disabled_edges.add((u, v))
-        self._disabled_edges.add((v, u))
-        adjacency = self._adjacency
-        if adjacency is not None:
-            adjacency[u] = [pair for pair in adjacency.get(u, ()) if pair[0] != v]
-            adjacency[v] = [pair for pair in adjacency.get(v, ()) if pair[0] != u]
-        for source in [s for s, (dist, pred) in self._sssp_cache.items()
-                       if pred.get(v) == u or pred.get(u) == v]:
-            del self._sssp_cache[source]
-        for key in [k for k, plan in self._plan_cache.items()
-                    if self._plan_uses_edge(plan, u, v)]:
-            del self._plan_cache[key]
-        for callback in self._edge_listeners:
-            callback(u, v)
+        self._disabled_edges.update(((u, v), (v, u)))
+        self._edge_changed()
+        self._drop_users(u, v)
+
+    def enable_edge(self, u: int, v: int) -> None:
+        """Heal a previously cut edge; see :meth:`_drop_beneficiaries` for
+        what is invalidated.  Idempotent for edges not currently disabled."""
+        if (u, v) not in self._disabled_edges:
+            return
+        self._disabled_edges.difference_update(((u, v), (v, u)))
+        self._edge_changed()
+        self._drop_beneficiaries(u, v, self._graph[u][v][LATENCY_ATTR])
 
     def reweigh_edge(self, u: int, v: int, latency: float,
                      *, may_shorten: bool = False) -> None:
         """Change the undirected edge (u, v)'s routing weight at runtime.
 
-        This is the routing half of link degradation.  With ``may_shorten``
-        False (the edge got *slower*), invalidation is targeted exactly like
-        :meth:`disable_edge`: a shortest-path tree that does not use the edge
-        stays optimal when the edge lengthens, so only Dijkstra entries whose
-        tree crosses it and plans whose path traverses it are dropped — and
-        edge listeners are notified so the emulator prunes its resolved plans
-        the same way.  With ``may_shorten`` True (restoration), the edge may
-        now shorten *any* path, so this falls back to a full
-        :meth:`invalidate`, mirroring :meth:`enable_edge`.
+        This is the routing half of link degradation and restoration.  Every
+        plan that uses the edge is dropped (:meth:`_drop_users`): its latency
+        is stale, and so is its cached bottleneck when only the bandwidth
+        changed.  ``may_shorten`` must be True unless the new
+        weight is no smaller than the old one; it additionally drops what the
+        faster edge could improve (:meth:`_drop_beneficiaries`).  A currently
+        disabled edge routes nothing, so only its weight is recorded.
         """
         if not self._graph.has_edge(u, v):
             raise RoutingError(f"cannot reweigh edge ({u}, {v}): not in topology")
         self._graph[u][v][LATENCY_ATTR] = latency
+        if (u, v) in self._disabled_edges:
+            return
+        self._adjacency = None          # same bridges, new weights
+        self._sssp_cache.clear()
+        self._drop_users(u, v)
         if may_shorten:
-            self.invalidate()
-            return
-        adjacency = self._adjacency
-        if adjacency is not None:
-            adjacency[u] = [(n, latency if n == v else w)
-                            for n, w in adjacency.get(u, ())]
-            adjacency[v] = [(n, latency if n == u else w)
-                            for n, w in adjacency.get(v, ())]
-        for source in [s for s, (dist, pred) in self._sssp_cache.items()
-                       if pred.get(v) == u or pred.get(u) == v]:
-            del self._sssp_cache[source]
-        for key in [k for k, plan in self._plan_cache.items()
-                    if self._plan_uses_edge(plan, u, v)]:
-            del self._plan_cache[key]
-        for callback in self._edge_listeners:
-            callback(u, v)
-
-    def enable_edge(self, u: int, v: int) -> None:
-        """Heal a previously cut edge.
-
-        A restored edge can shorten any cached route, so this performs a full
-        :meth:`invalidate` (which also notifies full-invalidation listeners).
-        Idempotent for edges that are not currently disabled.
-        """
-        if (u, v) not in self._disabled_edges:
-            return
-        self._disabled_edges.discard((u, v))
-        self._disabled_edges.discard((v, u))
-        self.invalidate()
+            self._drop_beneficiaries(u, v, latency)
 
     def disabled_edges(self) -> set[tuple[int, int]]:
         """The currently cut edges, one canonical (min, max) tuple per edge."""
         return {(min(u, v), max(u, v)) for u, v in self._disabled_edges}
-
-    def add_edge_invalidation_listener(
-            self, callback: Callable[[int, int], None]) -> None:
-        """Register *callback*\\(u, v) to run whenever an edge is disabled."""
-        self._edge_listeners.append(callback)
 
     def add_invalidation_listener(self, callback: Callable[[], None]) -> None:
         """Register *callback* to run whenever :meth:`invalidate` is called."""
         self._invalidation_listeners.append(callback)
 
     def invalidate(self) -> None:
-        """Drop cached routes and plans (call after mutating the topology).
+        """Drop cached routes and plans (call after adding or removing graph
+        edges; faults go through the targeted hooks above).
 
         Also notifies registered listeners, so invalidating the router of a
         live :class:`~repro.network.emulator.NetworkEmulator` refreshes the
-        emulator's resolved route plans and link table too.
+        emulator's link table too.
         """
-        self._adjacency = None
+        self._adjacency = self._sides = None
         self._sssp_cache.clear()
         self._plan_cache.clear()
         for callback in self._invalidation_listeners:

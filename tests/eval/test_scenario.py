@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.eval import (
@@ -148,6 +149,39 @@ def test_concurrent_workloads_get_distinct_streams():
     assert experiment.workload_streams == {base, base + 1}
     with pytest.raises(ScenarioError):
         experiment.apply_model(WorkloadModel(kind="route", stream_id=base))
+
+
+def test_partition_model_heals_three_links_without_full_invalidation(monkeypatch):
+    experiment = ring_experiment(num_nodes=4, seed=9)
+    experiment.init_all()
+    experiment.run(30.0)
+    graph = experiment.topology.graph
+    bridges = {frozenset(edge) for edge in nx.bridges(graph)}
+    links = tuple(edge for edge in sorted(graph.edges())
+                  if frozenset(edge) not in bridges)[:3]
+    assert len(links) == 3
+    router = experiment.emulator.router
+    healed = []
+    enable_edge = router.enable_edge
+
+    def recording_enable(u, v):
+        healed.append((experiment.simulator.now, (u, v)))
+        enable_edge(u, v)
+
+    def forbidden():
+        raise AssertionError("a link heal fell back to Router.invalidate()")
+
+    monkeypatch.setattr(router, "enable_edge", recording_enable)
+    monkeypatch.setattr(router, "invalidate", forbidden)
+    start = experiment.simulator.now
+    workload = experiment.apply_model(
+        WorkloadModel(kind="route", source=-1, packets=20, gap=0.5))
+    experiment.apply_model(PartitionModel(at=2.0, heal_after=4.0, links=links))
+    experiment.run(20.0)
+    assert [edge for _, edge in healed] == list(links)
+    assert {time for time, _ in healed} == {start + 6.0}   # one instant
+    assert not router.disabled_edges()
+    assert workload.observations.success_ratio == 1.0
 
 
 # ----------------------------------------------------- experiment thin wrappers

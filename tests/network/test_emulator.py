@@ -189,8 +189,8 @@ def test_emulator_invalidate_drops_route_plans():
 
 
 def test_router_level_invalidate_also_refreshes_emulator_routes():
-    """router.invalidate() on an emulator-owned router must not leave the
-    emulator holding stale resolved plans or a link table missing new edges."""
+    """router.invalidate() on an emulator-owned router must empty the one
+    plan cache send() reads and give edges new to the graph their links."""
     from repro.network.topology import BANDWIDTH_ATTR, LATENCY_ATTR
 
     simulator = Simulator(seed=10)
@@ -200,17 +200,21 @@ def test_router_level_invalidate_also_refreshes_emulator_routes():
     b = emulator.attach_host()
     node_a = emulator._host(a.address).node
     node_b = emulator._host(b.address).node
-    # Warm the emulator's resolved-route cache.
+    # Warm the plan cache.
     assert emulator.send(Packet(src=a.address, dst=b.address, payload=None, size=10))
+    assert (node_a, node_b) in emulator.router._plan_cache
     topology.graph.add_edge(node_a, node_b,
                             **{LATENCY_ATTR: 1e-6, BANDWIDTH_ATTR: 1e9})
     emulator.router.invalidate()  # router-level call, not emulator.invalidate()
+    assert not emulator.router._plan_cache
     delivered = []
     emulator.set_receive_callback(b.address, delivered.append)
     second = Packet(src=a.address, dst=b.address, payload=None, size=10)
     assert emulator.send(second)
     simulator.run()
     assert second.hops == 1  # took the new direct edge, not the stale plan
+    assert emulator.router._plan_cache[node_a, node_b].links == \
+        (emulator._links[node_a, node_b],)
 
 
 def test_send_inline_hop_loop_matches_try_transit():

@@ -109,26 +109,74 @@ def test_disable_link_reroutes_and_enable_restores():
     assert emulator._links[(u, v)].enabled
 
 
-def test_disable_link_invalidation_is_targeted():
+def warm_two_pairs():
+    """An emulator with plans a->b and c->d warm, and an edge of the a->b
+    path that has a detour and that c->d does not use."""
     simulator, emulator, addresses = build(num_hosts=6, seed=3)
     a, b, c, d = addresses[:4]
-    # Warm two plans.
     emulator.send(Packet(src=a, dst=b, payload=None, size=10))
     emulator.send(Packet(src=c, dst=d, payload=None, size=10))
-    nodes = {addr: emulator._host(addr).node for addr in (a, b, c, d)}
     path_ab = emulator.ip_path(a, b)
     path_cd = emulator.ip_path(c, d)
-    # Pick an edge on a->b that c->d does not use.
     edges_cd = set(zip(path_cd[:-1], path_cd[1:])) | set(zip(path_cd[1:], path_cd[:-1]))
-    cut = next((u, v) for u, v in zip(path_ab[:-1], path_ab[1:])
-               if (u, v) not in edges_cd)
-    untouched_key = (nodes[c], nodes[d])
-    cut_key = (nodes[a], nodes[b])
-    assert untouched_key in emulator._routes and cut_key in emulator._routes
-    emulator.disable_link(*cut)
-    assert untouched_key in emulator._routes     # targeted: survivor kept
-    assert cut_key not in emulator._routes       # traversing plan pruned
+    bridges = set(nx.bridges(emulator.topology.graph))
+    edge = next((u, v) for u, v in zip(path_ab[:-1], path_ab[1:])
+                if (u, v) not in edges_cd
+                and (u, v) not in bridges and (v, u) not in bridges)
+    key_ab = (path_ab[0], path_ab[-1])
+    key_cd = (path_cd[0], path_cd[-1])
+    plans = emulator.router._plan_cache
+    assert key_ab in plans and key_cd in plans
+    return simulator, emulator, (a, b), key_ab, key_cd, edge
+
+
+def forbid_full_invalidation(emulator, monkeypatch):
+    def fail():
+        raise AssertionError("Router.invalidate() called by a fault hook")
+    monkeypatch.setattr(emulator.router, "invalidate", fail)
+
+
+def test_disable_link_invalidation_is_targeted():
+    simulator, emulator, _, key_ab, key_cd, edge = warm_two_pairs()
+    plans = emulator.router._plan_cache
+    emulator.disable_link(*edge)
+    assert key_cd in plans                       # targeted: survivor kept
+    assert key_ab not in plans                   # traversing plan pruned
     simulator.run()
+
+
+@pytest.mark.parametrize("fault, undo", [
+    (lambda emulator, edge: emulator.disable_link(*edge),
+     lambda emulator, edge: emulator.enable_link(*edge)),
+    (lambda emulator, edge: emulator.degrade_edge(*edge, latency_factor=1000.0),
+     lambda emulator, edge: emulator.restore_edge(*edge)),
+], ids=["enable_link", "restore_edge"])
+def test_undoing_a_link_fault_is_targeted(fault, undo, monkeypatch):
+    simulator, emulator, (a, b), key_ab, key_cd, edge = warm_two_pairs()
+    forbid_full_invalidation(emulator, monkeypatch)
+    plans = emulator.router._plan_cache
+    original = emulator.ip_path(a, b)
+    fault(emulator, edge)
+    untouched = plans[key_cd]
+    assert emulator.ip_path(a, b) != original    # detour while the fault lasts
+    undo(emulator, edge)
+    assert plans[key_cd] is untouched            # same object: never rebuilt
+    assert key_ab not in plans                   # the undo can shorten it
+    assert emulator.ip_path(a, b) == original    # and it re-plans to the original
+    simulator.run()
+
+
+def test_bandwidth_only_degrade_and_restore_drop_the_stale_bottleneck(monkeypatch):
+    _, emulator, (a, b), _, _, edge = warm_two_pairs()
+    forbid_full_invalidation(emulator, monkeypatch)
+    original = emulator.ip_path(a, b)
+    healthy = emulator.bottleneck_bandwidth(a, b)
+    emulator.degrade_edge(*edge, bandwidth_factor=1e-6)
+    assert emulator.bottleneck_bandwidth(a, b) == pytest.approx(
+        emulator._links[edge].bandwidth)
+    emulator.restore_edge(*edge)                 # the weight does not change
+    assert emulator.bottleneck_bandwidth(a, b) == healthy
+    assert emulator.ip_path(a, b) == original
 
 
 def test_cutting_the_only_path_drops_packets():
@@ -213,6 +261,45 @@ def test_directed_cut_is_idempotent_and_validated():
     assert not emulator._faults_active
 
 
+def test_full_cut_and_heal_keeps_a_one_way_blackhole_down():
+    """disable_link_direction -> disable_link -> enable_link must not heal
+    the direction that is still in _directed_cuts."""
+    simulator, emulator, (a, b, *_) = build()
+    path = emulator.ip_path(a, b)
+    u, v = path[0], path[1]
+    emulator.disable_link_direction(u, v)
+    assert not emulator.send(Packet(src=a, dst=b, payload=None, size=10))
+    emulator.disable_link(u, v)
+    emulator.enable_link(u, v)
+    assert emulator._directed_cuts == {(u, v)}
+    assert not emulator._links[(u, v)].enabled
+    assert emulator._links[(v, u)].enabled
+    assert not emulator.send(Packet(src=a, dst=b, payload=None, size=10))
+    assert emulator.send(Packet(src=b, dst=a, payload=None, size=10))
+    emulator.enable_link_direction(u, v)
+    assert emulator.send(Packet(src=a, dst=b, payload=None, size=10))
+    simulator.run()
+
+
+def test_healing_a_direction_keeps_a_fully_cut_edge_down():
+    """disable_link_direction -> disable_link -> enable_link_direction must
+    leave both links down until the undirected cut heals too."""
+    simulator, emulator, (a, b, *_) = build()
+    path = emulator.ip_path(a, b)
+    u, v = path[0], path[1]
+    emulator.disable_link_direction(u, v)
+    emulator.disable_link(u, v)
+    emulator.enable_link_direction(u, v)
+    assert not emulator._directed_cuts
+    assert not emulator._links[(u, v)].enabled
+    assert not emulator._links[(v, u)].enabled
+    assert not emulator.send(Packet(src=a, dst=b, payload=None, size=10))
+    emulator.enable_link(u, v)
+    assert emulator._links[(u, v)].enabled and emulator._links[(v, u)].enabled
+    assert emulator.send(Packet(src=a, dst=b, payload=None, size=10))
+    simulator.run()
+
+
 # ------------------------------------------------------------ edge degradation
 def test_degrade_edge_restores_byte_identical_weights():
     _, emulator, (a, b, *_) = build()
@@ -249,22 +336,11 @@ def test_degrade_edge_reroutes_around_slow_edge():
 
 
 def test_degrade_edge_invalidation_is_targeted():
-    simulator, emulator, addresses = build(num_hosts=6, seed=3)
-    a, b, c, d = addresses[:4]
-    emulator.send(Packet(src=a, dst=b, payload=None, size=10))
-    emulator.send(Packet(src=c, dst=d, payload=None, size=10))
-    nodes = {addr: emulator._host(addr).node for addr in (a, b, c, d)}
-    path_ab = emulator.ip_path(a, b)
-    path_cd = emulator.ip_path(c, d)
-    edges_cd = set(zip(path_cd[:-1], path_cd[1:])) | set(zip(path_cd[1:], path_cd[:-1]))
-    slow = next((u, v) for u, v in zip(path_ab[:-1], path_ab[1:])
-                if (u, v) not in edges_cd)
-    untouched_key = (nodes[c], nodes[d])
-    slowed_key = (nodes[a], nodes[b])
-    assert untouched_key in emulator._routes and slowed_key in emulator._routes
-    emulator.degrade_edge(*slow, latency_factor=5.0)
-    assert untouched_key in emulator._routes     # targeted: survivor kept
-    assert slowed_key not in emulator._routes    # traversing plan pruned
+    simulator, emulator, _, key_ab, key_cd, edge = warm_two_pairs()
+    plans = emulator.router._plan_cache
+    emulator.degrade_edge(*edge, latency_factor=5.0)
+    assert key_cd in plans                       # targeted: survivor kept
+    assert key_ab not in plans                   # traversing plan pruned
     simulator.run()
 
 
