@@ -3,15 +3,18 @@
 
 The same registry-compiled agent that examples/chord_dht.py runs in
 simulation is booted here as 8 OS processes exchanging real UDP datagrams:
-a staggered join wave builds the ring, each node then routes lookups for
-random keys to their owners, and the harness aggregates per-process
-observations into the same metric shapes the scenario runner reports.
+a staggered join wave builds the ring, then the same ``WorkloadModel`` a
+simulated scenario would carry drives lookups for random keys from random
+nodes: every process draws the identical schedule, issues its own share,
+and the coordinator scores the pooled observations with the model's own
+scorer — the formula the scenario runner uses.
 
 Run with:  python examples/live_chord.py
 """
 
 from __future__ import annotations
 
+from repro.eval.workload import WorkloadModel
 from repro.live import LiveCluster, LiveClusterConfig
 
 NUM_NODES = 8
@@ -21,9 +24,11 @@ def main() -> None:
     config = LiveClusterConfig(
         nodes=NUM_NODES,
         protocol="chord",
-        workload="route",
+        # Lookups from a random node each; the live window replaces the
+        # model's start/gap timeline, every other knob carries over.
+        workload=WorkloadModel(kind="route", source=-1,
+                               packets=5 * NUM_NODES),
         duration=6.0,          # join wave + settle + lookup window, in wall s
-        packets=5 * NUM_NODES,  # lookups, spread round-robin across nodes
         join_spacing=0.2,
         fix_period=0.5,        # fast fix-fingers, as in the Figure-10 demo
         base_port=47300,
@@ -36,8 +41,10 @@ def main() -> None:
     metrics = outcome.metrics
     print("\nper node (address / FSM state / lookups sent / delivered-here):")
     for report in outcome.per_node:
+        observed = report["workload"]   # this process's observation payload
         print(f"  node {report['address']:>2}  {report['state']:<8} "
-              f"sent={report['sent']:<3} delivered={report['delivered']:<3} "
+              f"sent={len(observed['sent']):<3} "
+              f"delivered={len(observed['records']):<3} "
               f"wire={report['socket']['bytes_sent']}B out")
 
     print(f"\nlookup success ratio : "

@@ -38,6 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.eval.workload import WorkloadModel  # noqa: E402
 from repro.live import (KillNode, LiveCluster, LiveClusterConfig,  # noqa: E402
                         LiveClusterError)
 
@@ -132,13 +133,26 @@ def main(argv: list[str] | None = None) -> int:
     if packets is None:
         packets = (8 * args.nodes if args.workload in ("route", "kv")
                    else 16)
+    # The same model a ScenarioSpec would carry; the live window replaces
+    # its start/gap timeline.  Lookups, ops and publications come from a
+    # random node each; a multicast burst from node 0, which owns the group.
+    workload = WorkloadModel(
+        kind=args.workload,
+        source=0 if args.workload == "multicast" else -1,
+        packets=packets,
+        packet_bytes=args.payload_size,
+        keys=args.kv_keys,
+        read_fraction=args.kv_read_fraction,
+        replicas=args.kv_replicas,
+        write_quorum=args.kv_write_quorum,
+        read_quorum=args.kv_read_quorum,
+        topics=args.topics,
+    )
     config = LiveClusterConfig(
         nodes=args.nodes,
         protocol=args.protocol,
-        workload=args.workload,
+        workload=workload,
         duration=args.duration,
-        packets=packets,
-        payload_size=args.payload_size,
         join_spacing=args.join_spacing,
         settle=args.settle,
         seed=args.seed,
@@ -148,12 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         faults=tuple(sorted(args.kill, key=lambda fault: fault.at)),
         restart_budget=args.restart_budget,
         post_fault_settle=args.post_fault_settle,
-        kv_keys=args.kv_keys,
-        kv_read_fraction=args.kv_read_fraction,
-        kv_replicas=args.kv_replicas,
-        kv_write_quorum=args.kv_write_quorum,
-        kv_read_quorum=args.kv_read_quorum,
-        topics=args.topics,
     )
     try:
         outcome = LiveCluster(config).run()
@@ -180,8 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         document["per_node"] = outcome.per_node
     else:
         document["per_node"] = [
-            {key: report.get(key) for key in
-             ("address", "state", "incarnation", "sent", "delivered")}
+            {"address": report["address"], "state": report["state"],
+             "incarnation": report["incarnation"],
+             "sent": len(report["workload"]["sent"]),
+             "delivered": len(report["workload"]["records"])}
             for report in outcome.per_node
         ]
     print(json.dumps(document, indent=2))

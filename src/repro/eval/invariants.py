@@ -315,10 +315,11 @@ def live_no_duplicate_delivery(outcome) -> list[InvariantViolation]:
     """No live receiver ever saw the same workload seqno twice."""
     violations = []
     for report in outcome.per_node:
-        if report.get("duplicates"):
+        duplicates = report["workload"]["duplicates"]
+        if duplicates:
             violations.append(InvariantViolation(
                 "live_no_duplicate_delivery",
-                f"node {report['address']} saw {report['duplicates']} "
+                f"node {report['address']} saw {duplicates} "
                 f"duplicate (receiver, seqno) deliveries"))
     return violations
 

@@ -33,7 +33,9 @@ shapes the scenario fuzzer (:mod:`repro.eval.fuzz`) explores:
   put/get mix against :class:`~repro.apps.kv.KvStore` with quorum
   accounting), or topic pub/sub (``kind="pubsub"``: subscribe fanout plus
   publishes against :class:`~repro.apps.pubsub.PubSub`), all with
-  delivery/latency accounting.
+  delivery/latency accounting.  It lives in :mod:`repro.eval.workload` —
+  the workload plane the simulator, the shard workers and the live cluster
+  all drive — and is re-exported here.
 
 Event times are **offsets from the moment the model is applied**;
 :meth:`ScenarioSpec.run` applies every model at time zero, so offsets and
@@ -47,11 +49,9 @@ seeds and aggregates the resulting metrics.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence, Type, Union
 
-from ..apps.payload import AppPayload
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
 from ..network.topology import Topology
@@ -148,15 +148,16 @@ class ScenarioModel:
         raise NotImplementedError
 
 
+def resolve_index(count: int, index: int, what: str) -> int:
+    if not -count <= index < count:
+        raise ScenarioError(
+            f"{what} index {index} out of range for {count} nodes")
+    return index % count
+
+
 def _resolve_indices(experiment, indices: Sequence[int], what: str) -> list[int]:
     count = len(experiment.nodes)
-    out = []
-    for index in indices:
-        if not -count <= index < count:
-            raise ScenarioError(
-                f"{what} index {index} out of range for {count} nodes")
-        out.append(index % count)
-    return out
+    return [resolve_index(count, index, what) for index in indices]
 
 
 def _validate_partition_targets(experiment, groups, links, model: str) -> None:
@@ -696,548 +697,9 @@ class GroupModel(ScenarioModel):
                                   "joined": float(sum(counts))})
 
 
-class WorkloadObservations:
-    """Accumulated delivery/latency observations of one workload model."""
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.skipped = 0          # probes whose sender was down at send time
-        self.deliveries = 0       # total deliver upcalls (multicast: many/packet)
-        self.duplicates = 0       # same (receiver, seqno) seen twice
-        self.latencies: list[float] = []
-        self.per_receiver: dict[int, list[float]] = {}
-        self.delivered_seqnos: set[int] = set()
-        self._seen: set[tuple[int, int]] = set()
-        #: (receiver, seqno, latency) per first delivery — the unit the
-        #: scorers pool: receivers are shard-owned, so (receiver, seqno) is
-        #: globally unique and sorting on it gives every shard count K the
-        #: same canonical latency order.
-        self.records: list[tuple[int, int, float]] = []
-
-    def record(self, receiver: int, payload: AppPayload, now: float) -> None:
-        key = (receiver, payload.seqno)
-        if key in self._seen:
-            self.duplicates += 1
-            return
-        self._seen.add(key)
-        self.deliveries += 1
-        self.delivered_seqnos.add(payload.seqno)
-        latency = now - payload.sent_at
-        self.latencies.append(latency)
-        self.per_receiver.setdefault(receiver, []).append(latency)
-        self.records.append((receiver, payload.seqno, latency))
-
-    @property
-    def success_ratio(self) -> float:
-        """Distinct probes delivered anywhere, over probes actually sent."""
-        if self.sent == 0:
-            return 0.0
-        return len(self.delivered_seqnos) / self.sent
-
-
-class KvObservations:
-    """Accumulated client-operation observations of one KV workload."""
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.skipped = 0          # ops whose client was down at issue time
-        #: One tuple per quorum-completed operation, the unit the scorer
-        #: pools: ``(seqno, client_addr, kind_code, key, version,
-        #: issued_at, completed_at, acks)`` with kind_code 0=put, 1=get.
-        #: Seqnos are driver-unique and each op completes on the shard that
-        #: owns its client, so sorting on seqno gives every shard count the
-        #: same canonical order.
-        self.records: list[tuple] = []
-
-    def complete(self, client: int, record) -> None:
-        self.records.append((record.seqno, client,
-                             0 if record.kind == "put" else 1, record.key,
-                             record.version, record.issued_at,
-                             record.completed_at, record.acks))
-
-
-@dataclass
-class KvWorkloadState:
-    """Compile-time handles a KV workload exposes for invariant checking.
-
-    Attached to the compiled model as ``compiled.kv_state``; the runtime
-    invariants (:mod:`repro.eval.invariants`) read it after the run.
-    """
-
-    observations: KvObservations
-    issued_writes: set          # every (key, version) any client issued
-    stores: list                # per-node KvStore instances (index order)
-    nodes: list                 # the experiment's nodes (index order)
-    replicas: int
-    write_quorum: int
-    read_quorum: int
-    repair_gap: float
-    start: float
-
-
-@dataclass(frozen=True)
-class WorkloadModel(ScenarioModel):
-    """Measurement traffic injected while the scenario unfolds.
-
-    * ``kind="multicast"`` — a burst of ``packets`` multicast packets from
-      node ``source`` to ``group`` (the NICE/SplitStream measurement
-      pattern);
-    * ``kind="route"`` — key lookup probes: each probe routes a payload to a
-      uniformly random key from a random live node (``source=-1``) or a fixed
-      one, and succeeds if *any* node delivers it — the "lookup success under
-      churn" quantity;
-    * ``kind="kv"`` — a replicated key/value workload: every node hosts a
-      :class:`~repro.apps.kv.KvStore` (``replicas``-way replication, quorum
-      ``write_quorum``/``read_quorum``) and ``packets`` put/get operations
-      (``read_fraction`` reads, keys drawn Zipf(``zipf_s``) over ``keys``
-      hash-space keys) are issued from random clients (the first ``clients``
-      nodes; 0 = everyone).  ``source`` is ignored.  ``repair_gap > 0`` adds
-      periodic anti-entropy sweeps.  Reports quorum success, throughput,
-      latency, and the consistency metrics of :mod:`repro.eval.metrics`;
-    * ``kind="pubsub"`` — topic pub/sub: every node hosts a
-      :class:`~repro.apps.pubsub.PubSub`, ``topics`` topics are created and
-      subscribed to (``fanout`` random subscribers each; 0 = everyone), then
-      ``packets`` publications are multicast from ``source`` (or random
-      publishers with ``source=-1``).  Requires a group-capable overlay
-      (Scribe/SplitStream).
-
-    Deliver handlers are chained onto every node when the model is applied
-    and the previously registered handlers are invoked afterwards, then
-    restored when the scenario finishes — application instrumentation
-    survives being measured.
-    """
-
-    kind: str = "multicast"        # "multicast" | "route" | "kv" | "pubsub"
-    source: int = 0                # node index; -1 = random sender per probe
-    group: int = 1
-    start: float = 0.0
-    packets: int = 5
-    gap: float = 0.5
-    packet_bytes: int = 1000
-    # ---- kind="kv" knobs
-    keys: int = 64                 # distinct keys in the working set
-    zipf_s: float = 1.1            # key-popularity skew (0 = uniform)
-    read_fraction: float = 0.7     # fraction of ops that are gets
-    replicas: int = 3              # N-way replication
-    write_quorum: int = 2          # W acks complete a put
-    read_quorum: int = 2           # Q replies complete a get (max version wins)
-    clients: int = 0               # ops come from the first N nodes; 0 = all
-    repair_gap: float = 0.0        # anti-entropy period; 0 = disabled
-    # ---- kind="pubsub" knobs
-    topics: int = 4                # number of topics
-    fanout: int = 0                # subscribers per topic; 0 = every node
-    #: Stream identity stamped on payloads; 0 (the default) auto-assigns a
-    #: distinct id per applied workload so concurrent workloads never score
-    #: each other's probes.  Auto ids start at AUTO_STREAM_BASE, well clear
-    #: of the small ids application traffic conventionally uses (e.g. the
-    #: RandomRoute app hardcodes stream 1) — otherwise the recorder would
-    #: cross-score app payloads as probes.
-    stream_id: int = 0
-
-    #: First auto-assigned workload stream id.
-    AUTO_STREAM_BASE = 1000
-
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        if self.kind not in ("multicast", "route", "kv", "pubsub"):
-            raise ScenarioError(f"unknown workload kind {self.kind!r}")
-        used_streams = experiment.workload_streams
-        if self.stream_id:
-            if self.stream_id in used_streams:
-                raise ScenarioError(
-                    f"workload stream_id {self.stream_id} used twice; each "
-                    f"concurrent workload needs its own stream")
-            stream_id = self.stream_id
-        else:
-            stream_id = self.AUTO_STREAM_BASE
-            while stream_id in used_streams:
-                stream_id += 1
-        used_streams.add(stream_id)
-        if self.kind == "kv":
-            return self._instantiate_kv(experiment, rng, horizon, stream_id)
-        if self.kind == "pubsub":
-            return self._instantiate_pubsub(experiment, rng, horizon, stream_id)
-        observations = WorkloadObservations()
-        simulator = experiment.simulator
-
-        # Chain a latency recorder in front of whatever deliver handler the
-        # application registered; keep the originals for restore().
-        saved = [(node, node.handlers) for node in experiment.nodes]
-
-        def _chained(node, previous):
-            def _deliver(payload, size, mtype) -> None:
-                if isinstance(payload, AppPayload) and \
-                        payload.stream_id == stream_id:
-                    observations.record(node.address, payload, simulator.now)
-                if previous.deliver is not None:
-                    previous.deliver(payload, size, mtype)
-            return _deliver
-
-        for node, previous in saved:
-            node.handlers = replace(previous, deliver=_chained(node, previous))
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
-        key_space = experiment.nodes[0].lowest_agent.key_space
-        num_nodes = len(experiment.nodes)
-
-        def _send(seqno: int, sender_index: int, dest_key: Optional[int]) -> None:
-            sender = experiment.nodes[sender_index]
-            if sender.crashed or not sender.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            payload = AppPayload(seqno=seqno, sent_at=simulator.now,
-                                 source=sender.address, size=self.packet_bytes,
-                                 stream_id=stream_id)
-            if self.kind == "multicast":
-                sender.macedon_multicast(self.group, payload, self.packet_bytes)
-            else:
-                sender.macedon_route(dest_key, payload, self.packet_bytes)
-
-        # Pre-draw senders and target keys at compile time so the RNG stream
-        # does not depend on how events interleave at runtime.
-        events: list[ScenarioEvent] = []
-        for seqno in range(self.packets):
-            if self.source >= 0:
-                sender_index = _resolve_indices(experiment, (self.source,),
-                                                "workload source")[0]
-            else:
-                sender_index = rng.randrange(num_nodes)
-            dest_key = rng.randrange(key_space.size) if self.kind == "route" else None
-            events.append(ScenarioEvent(
-                self.start + seqno * self.gap, self.kind,
-                f"{self.kind} probe {seqno} from node {sender_index}",
-                lambda s=seqno, i=sender_index, k=dest_key: _send(s, i, k),
-                node=sender_index))
-
-        from .metrics import mean, percentile  # local import avoids a cycle
-
-        def _payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "duplicates": observations.duplicates,
-                "records": observations.records,
-            }
-
-        def _score(payloads: list) -> dict[str, float]:
-            sent = sum(p["sent"] for p in payloads)
-            records = [record for p in payloads for record in p["records"]]
-            if len(payloads) > 1:
-                # One process saw every delivery in arrival order.  Several
-                # each saw their own receivers': sort on the globally unique
-                # (receiver, seqno) key, so the latency order — and therefore
-                # the float accumulation in mean() — is the same canonical
-                # order for every shard count.
-                records.sort(key=lambda r: (r[0], r[1]))
-            latencies = [latency for _receiver, _seqno, latency in records]
-            delivered_seqnos = {seqno for _receiver, seqno, _latency in records}
-            return {
-                "sent": float(sent),
-                "skipped": float(sum(p["skipped"] for p in payloads)),
-                "deliveries": float(len(records)),
-                "duplicates": float(sum(p["duplicates"] for p in payloads)),
-                "success_ratio": (len(delivered_seqnos) / sent) if sent else 0.0,
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-            }
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, payload=_payload,
-                                 score=_score, restore=_restore)
-        compiled.observations = observations  # type: ignore[attr-defined]
-        return compiled
-
-    # ------------------------------------------------------------- kind="kv"
-    def _instantiate_kv(self, experiment, rng, horizon: float,
-                        stream_id: int) -> CompiledModel:
-        from ..apps.kv import KvStore
-        from .metrics import (mean, percentile, phantom_reads,
-                              quorum_staleness, replica_coverage,
-                              requests_per_second, zipf_cdf)
-
-        if self.keys < 1:
-            raise ScenarioError("kv workload needs keys >= 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ScenarioError("read_fraction must be within [0, 1]")
-        if self.zipf_s < 0:
-            raise ScenarioError("zipf_s must be >= 0")
-        num_nodes = len(experiment.nodes)
-        observations = KvObservations()
-
-        # Install a KvStore on every node; construction chains over whatever
-        # handlers the node already has, so keep those for restore().
-        saved = [(node, node.handlers) for node in experiment.nodes]
-        stores = []
-        for node in experiment.nodes:
-            store = KvStore(node, replicas=self.replicas,
-                            write_quorum=self.write_quorum,
-                            read_quorum=self.read_quorum,
-                            op_bytes=self.packet_bytes, stream_id=stream_id)
-            store.on_complete = (lambda record, client=node.address:
-                                 observations.complete(client, record))
-            stores.append(store)
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
-        def _issue(seqno: int, node_index: int, key: int, version: int) -> None:
-            node = experiment.nodes[node_index]
-            if node.crashed or not node.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            if version >= 0:
-                stores[node_index].put(key, version, seqno)
-            else:
-                stores[node_index].get(key, seqno)
-
-        def _repair(node_index: int) -> None:
-            node = experiment.nodes[node_index]
-            if not node.crashed and node.initialized:
-                stores[node_index].repair()
-
-        # Pre-draw the whole operation schedule at compile time so the RNG
-        # stream does not depend on runtime interleaving.  Keys live in the
-        # overlay hash space; popularity is Zipf over their ranks.
-        key_space = experiment.nodes[0].lowest_agent.key_space
-        key_ids = [rng.randrange(key_space.size) for _ in range(self.keys)]
-        key_cdf = zipf_cdf(self.keys, self.zipf_s)
-
-        client_pool = min(self.clients, num_nodes) if self.clients > 0 \
-            else num_nodes
-        issued_writes: set[tuple[int, int]] = set()
-        events: list[ScenarioEvent] = []
-        for seqno in range(self.packets):
-            node_index = rng.randrange(client_pool)
-            key = key_ids[bisect.bisect_left(key_cdf, rng.random())]
-            is_read = rng.random() < self.read_fraction
-            # Versions double as values: the op's driver-unique seqno, which
-            # makes every read a complete consistency observation.
-            version = -1 if is_read else seqno
-            if not is_read:
-                issued_writes.add((key, version))
-            op = "get" if is_read else "put"
-            events.append(ScenarioEvent(
-                self.start + seqno * self.gap, "kv",
-                f"kv {op} {seqno} key {key} from node {node_index}",
-                lambda s=seqno, i=node_index, k=key, v=version:
-                    _issue(s, i, k, v), node=node_index))
-        if self.repair_gap > 0:
-            sweep_at = self.start + self.repair_gap
-            while sweep_at < horizon:
-                for node_index in range(num_nodes):
-                    events.append(ScenarioEvent(
-                        sweep_at, "kv-repair",
-                        f"node {node_index} anti-entropy sweep",
-                        lambda i=node_index: _repair(i), node=node_index))
-                sweep_at += self.repair_gap
-
-        window = max(horizon - self.start, 1e-9)
-
-        def _live_stores() -> list[dict[int, int]]:
-            """key->version maps of every live *owned* node (all, unsharded)."""
-            result = []
-            for index, node in enumerate(experiment.nodes):
-                if not experiment.owns_node(node):
-                    continue
-                if node.alive and node.initialized:
-                    stores[index]._check_epoch()
-                    result.append(dict(stores[index].store))
-            return result
-
-        def _payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "records": observations.records,
-                "stores": _live_stores(),
-            }
-
-        def _score(payloads: list) -> dict[str, float]:
-            # Each client (and each store) is owned by exactly one process,
-            # so pooling is a disjoint union; sorting records on the globally
-            # unique seqno gives every shard count the identical canonical
-            # accumulation order.
-            sent = sum(p["sent"] for p in payloads)
-            records = sorted(record for p in payloads
-                             for record in p["records"])
-            live_stores = [store for p in payloads for store in p["stores"]]
-            latencies = [r[6] - r[5] for r in records]
-            puts = [r for r in records if r[2] == 0]
-            gets = [r for r in records if r[2] == 1]
-            writes = [(r[3], r[4], r[6]) for r in puts]
-            targets: dict[int, int] = {}
-            for key, version, _completed_at in writes:
-                if version > targets.get(key, -1):
-                    targets[key] = version
-            return {
-                "sent": float(sent),
-                "skipped": float(sum(p["skipped"] for p in payloads)),
-                "completed": float(len(records)),
-                "puts": float(len(puts)),
-                "gets": float(len(gets)),
-                "quorum_success": (len(records) / sent) if sent else 0.0,
-                "requests_per_sec": requests_per_second(len(records), window),
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-                "stale_reads": float(quorum_staleness(
-                    [(r[3], r[4], r[5]) for r in gets], writes)),
-                "phantom_reads": float(phantom_reads(
-                    [(r[3], r[4]) for r in gets], issued_writes)),
-                "replica_coverage": replica_coverage(
-                    live_stores, targets, self.replicas),
-            }
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, payload=_payload,
-                                 score=_score, restore=_restore)
-        compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
-            observations=observations, issued_writes=issued_writes,
-            stores=stores, nodes=list(experiment.nodes),
-            replicas=self.replicas, write_quorum=self.write_quorum,
-            read_quorum=self.read_quorum, repair_gap=self.repair_gap,
-            start=self.start)
-        return compiled
-
-    # --------------------------------------------------------- kind="pubsub"
-    def _instantiate_pubsub(self, experiment, rng, horizon: float,
-                            stream_id: int) -> CompiledModel:
-        from ..apps.pubsub import PubSub
-        from .metrics import mean, percentile, requests_per_second
-
-        if self.topics < 1:
-            raise ScenarioError("pubsub workload needs topics >= 1")
-        if self.fanout < 0:
-            raise ScenarioError("fanout must be >= 0 (0 = every node)")
-        num_nodes = len(experiment.nodes)
-        observations = WorkloadObservations()
-
-        saved = [(node, node.handlers) for node in experiment.nodes]
-        apps = [PubSub(node, stream_id=stream_id)
-                for node in experiment.nodes]
-
-        def _note(receiver: int):
-            def _on_delivery(delivery) -> None:
-                observations.deliveries += 1
-                observations.delivered_seqnos.add(delivery.seqno)
-                observations.latencies.append(delivery.latency)
-                observations.records.append(
-                    (receiver, delivery.seqno, delivery.latency))
-            return _on_delivery
-
-        for node, app in zip(experiment.nodes, apps):
-            app.on_delivery = _note(node.address)
-
-        def _restore() -> None:
-            for node, previous in saved:
-                node.handlers = previous
-
-        def _create(topic: int, creator_index: int) -> None:
-            node = experiment.nodes[creator_index]
-            if node.alive and node.initialized:
-                apps[creator_index].create_topic(topic)
-
-        def _subscribe(topic: int, member_index: int) -> None:
-            node = experiment.nodes[member_index]
-            if node.alive and node.initialized:
-                apps[member_index].subscribe(topic)
-
-        def _publish(seqno: int, publisher_index: int, topic: int) -> None:
-            node = experiment.nodes[publisher_index]
-            if node.crashed or not node.initialized:
-                observations.skipped += 1
-                return
-            observations.sent += 1
-            apps[publisher_index].publish(topic, seqno,
-                                          size=self.packet_bytes)
-
-        # Choreography: create every topic at ``start``, stagger the
-        # subscriber joins, then publish after the trees have had a moment
-        # to form.  All drawn at compile time for a stable RNG stream.
-        creator_index = _resolve_indices(
-            experiment, (max(self.source, 0),), "pubsub creator")[0]
-        spacing = 0.25
-        subscribers: list[list[int]] = []
-        for topic in range(self.topics):
-            if 0 < self.fanout < num_nodes:
-                members = sorted(rng.sample(range(num_nodes), self.fanout))
-            else:
-                members = list(range(num_nodes))
-            subscribers.append(members)
-        max_members = max(len(members) for members in subscribers)
-        publish_start = self.start + spacing * (max_members + 1) + 2.0
-
-        events: list[ScenarioEvent] = []
-        for topic, members in enumerate(subscribers):
-            events.append(ScenarioEvent(
-                self.start, "pubsub",
-                f"node {creator_index} creates topic {topic}",
-                lambda t=topic: _create(t, creator_index), node=creator_index))
-            for offset, member in enumerate(members):
-                events.append(ScenarioEvent(
-                    self.start + (offset + 1) * spacing, "pubsub",
-                    f"node {member} subscribes to topic {topic}",
-                    lambda t=topic, m=member: _subscribe(t, m), node=member))
-
-        expected = 0
-        for seqno in range(self.packets):
-            topic = rng.randrange(self.topics)
-            if self.source >= 0:
-                publisher_index = creator_index
-            else:
-                publisher_index = rng.randrange(num_nodes)
-            # Scribe never redelivers to the origin, so a subscribed
-            # publisher does not count toward its own publication.
-            expected += sum(1 for member in subscribers[topic]
-                            if member != publisher_index)
-            events.append(ScenarioEvent(
-                publish_start + seqno * self.gap, "pubsub",
-                f"publish {seqno} on topic {topic} "
-                f"from node {publisher_index}",
-                lambda s=seqno, p=publisher_index, t=topic:
-                    _publish(s, p, t), node=publisher_index))
-
-        window = max(horizon - self.start, 1e-9)
-
-        def _payload() -> dict[str, Any]:
-            return {
-                "sent": observations.sent,
-                "skipped": observations.skipped,
-                "duplicates": sum(app.duplicates for node, app
-                                  in zip(experiment.nodes, apps)
-                                  if experiment.owns_node(node)),
-                "records": observations.records,
-            }
-
-        def _score(payloads: list) -> dict[str, float]:
-            sent = sum(p["sent"] for p in payloads)
-            records = sorted((record for p in payloads
-                              for record in p["records"]),
-                             key=lambda r: (r[0], r[1]))
-            latencies = [latency for _receiver, _seqno, latency in records]
-            delivered = {seqno for _receiver, seqno, _latency in records}
-            return {
-                "sent": float(sent),
-                "skipped": float(sum(p["skipped"] for p in payloads)),
-                "deliveries": float(len(records)),
-                "duplicates": float(sum(p["duplicates"] for p in payloads)),
-                "expected": float(expected),
-                "coverage": (len(records) / expected) if expected else 0.0,
-                "success_ratio": (len(delivered) / sent) if sent else 0.0,
-                "latency_mean": mean(latencies),
-                "latency_p95": percentile(latencies, 0.95),
-                "publishes_per_sec": requests_per_second(sent, window),
-            }
-
-        label = self.label or self.default_label()
-        compiled = CompiledModel(label, events, payload=_payload,
-                                 score=_score, restore=_restore)
-        compiled.observations = observations  # type: ignore[attr-defined]
-        return compiled
+# The workload plane imports the base classes above, so it loads here.
+from .workload import (KvWorkloadState, WorkloadModel,  # noqa: E402,F401
+                       WorkloadObservations)
 
 
 # -------------------------------------------------------------------- samples

@@ -18,23 +18,29 @@ The facade adds no semantics: each dispatch is byte-identical to calling
 the underlying entry point directly (pinned by
 ``tests/eval/test_facade.py``), and the old entry points remain public.
 
-Live mode maps the spec onto a :class:`~repro.live.LiveClusterConfig`:
-the protocol comes from reverse-resolving the spec's agents factory
-against :data:`repro.eval.library.PROTOCOLS`, the workload from the
-spec's first :class:`~repro.eval.scenario.WorkloadModel`, and the fault
-models from :func:`repro.live.faults.compile_fault_models` — churn and
-crash models become real ``SIGKILL``/respawn schedules, partition and
-degrade models become socket fault-table rules, rescaled onto the live
-workload window.  A live deployment runs one seed in one piece, and the
-live schedule (join wave + settle) replaces the model's ``start``/``gap``
-timing — everything else carries over, including every KV quorum knob and
-the pub/sub topic count.  Keyword overrides pass through to
+Live mode maps the spec onto a :class:`~repro.live.LiveClusterConfig`
+(:func:`live_config`): the protocol comes from reverse-resolving the spec's
+agents factory against :data:`repro.eval.library.PROTOCOLS`, and the spec's
+first :class:`~repro.eval.workload.WorkloadModel` is handed over *whole* —
+every live process draws the same schedule from it
+(:meth:`~repro.eval.workload.WorkloadModel.draw`), issues and observes its
+own share through the simulator's per-node class
+(:class:`~repro.eval.workload.NodeWorkload`), ships the same observation
+payload home, and the coordinator scores the pool with the model's own
+:meth:`~repro.eval.workload.WorkloadModel.score`.  What is replaced is only
+the model's ``start``/``gap`` timeline, stretched onto the live workload
+window that follows the join wave and settle.  The fault models go through
+:func:`repro.live.faults.compile_fault_models` — churn and crash models
+become real ``SIGKILL``/respawn schedules, partition and degrade models
+become socket fault-table rules, rescaled onto the same window.  A live
+deployment runs one seed in one piece.  Keyword overrides pass through to
 :class:`~repro.live.LiveClusterConfig` (e.g. ``base_port=48000``), with
 ``faults=()`` available to opt out of fault compilation.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence, Union
 
 #: library protocol name -> registry spec name bootable by the live runtime.
@@ -47,10 +53,17 @@ _LIVE_PROTOCOLS = {
 }
 
 
-def _run_live(spec, overrides: dict):
+def live_config(spec, **overrides):
+    """The :class:`~repro.live.LiveClusterConfig` *spec* deploys as.
+
+    Raises :class:`~repro.eval.scenario.ScenarioError` when the spec has no
+    live protocol or no workload, :class:`~repro.live.LiveFaultError` when a
+    fault model has no live equivalent (an explicit ``faults=`` override,
+    including ``()``, skips fault compilation).
+    """
     from .eval.fuzz import protocol_name_of
     from .eval.scenario import ScenarioError, WorkloadModel
-    from .live import LiveCluster, LiveClusterConfig
+    from .live import LiveClusterConfig, compile_fault_models
 
     name = protocol_name_of(spec)
     live_name = _LIVE_PROTOCOLS.get(name)
@@ -63,47 +76,35 @@ def _run_live(spec, overrides: dict):
                  if isinstance(model, WorkloadModel)]
     if not workloads:
         raise ScenarioError(
-            "live mode needs a WorkloadModel in spec.models to know what "
-            "traffic to drive")
-    model = workloads[0]
-    kwargs = dict(
-        nodes=spec.num_nodes,
-        protocol=live_name,
-        workload=model.kind,
-        packets=model.packets,
-        payload_size=model.packet_bytes,
-        group=model.group,
-        seed=spec.seed,
-    )
-    if model.kind == "kv":
-        kwargs.update(kv_keys=model.keys,
-                      kv_zipf_s=model.zipf_s,
-                      kv_read_fraction=model.read_fraction,
-                      kv_replicas=model.replicas,
-                      kv_write_quorum=model.write_quorum,
-                      kv_read_quorum=model.read_quorum)
-    elif model.kind == "pubsub":
-        kwargs.update(topics=model.topics)
+            "spec.models has no WorkloadModel: live mode needs a "
+            "WorkloadModel to know what traffic to drive")
+    kwargs = dict(nodes=spec.num_nodes, protocol=live_name,
+                  workload=workloads[0], seed=spec.seed)
     kwargs.update(overrides)
     if "duration" not in kwargs:
         # Wall-clock seconds are not simulated seconds: cap the live horizon
         # so a 300s-simulated spec does not hold real sockets for 5 minutes,
         # but keep the workload window clear of the join wave.
-        config_probe = LiveClusterConfig(**dict(kwargs, duration=1e9))
+        unbounded = LiveClusterConfig(**dict(kwargs, duration=1e9))
         kwargs["duration"] = min(float(spec.duration),
-                                 config_probe.workload_start + 10.0)
+                                 unbounded.workload_start + 10.0)
+    config = LiveClusterConfig(**kwargs)
     if "faults" not in kwargs:
-        # Compile the spec's fault models onto the live schedule (an
-        # explicit faults= override, including (), wins).
-        from .live.faults import LiveFaultError, compile_fault_models
-        try:
-            kwargs["faults"] = compile_fault_models(
-                spec, LiveClusterConfig(**kwargs))
-        except LiveFaultError as exc:
-            raise ScenarioError(
-                f"spec has a fault model with no live equivalent: {exc}; "
-                f"pass faults=() to run the workload without it") from exc
-    return LiveCluster(LiveClusterConfig(**kwargs)).run()
+        config = replace(config, faults=compile_fault_models(spec, config))
+    return config
+
+
+def _run_live(spec, overrides: dict):
+    from .eval.scenario import ScenarioError
+    from .live import LiveCluster, LiveFaultError
+
+    try:
+        config = live_config(spec, **overrides)
+    except LiveFaultError as exc:
+        raise ScenarioError(
+            f"spec has a fault model with no live equivalent: {exc}; "
+            f"pass faults=() to run the workload without it") from exc
+    return LiveCluster(config).run()
 
 
 def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
@@ -146,7 +147,6 @@ def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
         if seeds != 1:
             raise ValueError(
                 "obs= attaches per-run artifacts; run one seed at a time")
-        from dataclasses import replace
         spec = replace(spec, obs=obs)
     if isinstance(seeds, int):
         if seeds < 1:

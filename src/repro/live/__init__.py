@@ -12,9 +12,10 @@ package is the live half of the reproduction:
   the socket-backed counterpart of the network emulator, framing the same
   ``Datagram``/``Segment`` envelopes over UDP datagrams between processes;
 * :class:`~repro.live.cluster.LiveCluster` — the multi-process harness that
-  boots N localhost nodes, drives a join wave plus a route or multicast
-  workload, and aggregates per-node observations into the same metric shapes
-  the scenario runner reports;
+  boots N localhost nodes, drives a join wave plus each node's share of a
+  :class:`~repro.eval.workload.WorkloadModel` (the scenario engine's own
+  draw / per-node share / payload), and scores the pooled observations with
+  the model's own scorer;
 * :mod:`~repro.live.faults` — the fault plane: scenario crash/churn/
   partition/degrade models compiled onto wall-clock as real ``SIGKILL``
   schedules (with supervised respawn) and socket fault-table rules.

@@ -5,12 +5,13 @@
 running one :class:`~repro.runtime.node.MacedonNode` with the *unchanged*
 registry-compiled protocol stack on a :class:`~repro.live.driver.LiveDriver`
 clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket, drives a
-staggered join wave plus a route, multicast, KV, or pub/sub workload, and
-aggregates every
-process's observations into the same metric shapes the scenario runner
-reports (``workload.success_ratio``, ``workload.latency_*``,
-``sim.events_processed``, …) so simulated and live runs of one specification
-are directly comparable — the paper's Figure-1 promise.
+staggered join wave plus the node's share of a
+:class:`~repro.eval.workload.WorkloadModel` — the same draw, the same
+per-node :class:`~repro.eval.workload.NodeWorkload`, the same observation
+payload the simulator uses — and the coordinator scores the pooled payloads
+with the model's own :meth:`~repro.eval.workload.WorkloadModel.score`, so
+simulated and live runs of one specification are read off one ruler — the
+paper's Figure-1 promise.
 
 Coordination is deliberately minimal: endpoints are a static address→port
 map computed up front, a process barrier aligns the zero of every node's
@@ -34,18 +35,20 @@ import heapq
 import itertools
 import multiprocessing
 import os
+import random
 import signal
 import socket as socket_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from queue import Empty
 from typing import Any, Optional
 
-from ..eval.metrics import (correct_successor_fraction, mean, percentile,
-                            phantom_reads, replica_coverage, zipf_cdf)
-from ..eval.scenario import ScenarioResult
+from ..eval.metrics import correct_successor_fraction
+from ..eval.scenario import ScenarioError, ScenarioResult
+from ..eval.workload import (NodeWorkload, WorkloadModel,
+                             WorkloadObservations, WorkloadPlan)
 
 #: Stream id stamped on workload probes so application traffic of the
 #: deployment under test is never miscounted (mirrors the scenario engine's
@@ -76,20 +79,11 @@ class LiveClusterConfig:
     settle: float = 1.0
     #: Seconds after the workload window for in-flight deliveries to land.
     drain: float = 1.0
-    workload: str = "route"           # "route" | "multicast" | "kv" | "pubsub"
-    packets: int = 64                 # total probes/sends/ops/publishes
-    payload_size: int = 1000
-    group: int = 4040                 # multicast group key
-    # ---- workload="kv" knobs (mirror WorkloadModel's)
-    kv_keys: int = 64
-    kv_zipf_s: float = 1.1
-    kv_read_fraction: float = 0.7
-    kv_replicas: int = 3
-    kv_write_quorum: int = 2
-    kv_read_quorum: int = 2
-    # ---- workload="pubsub" knobs; every node subscribes to every topic
-    #      (live fanout sampling would need cross-process agreement).
-    topics: int = 4
+    #: The measurement traffic, whole: every knob means what it means in
+    #: simulation.  Only the model's ``start``/``gap`` timeline is replaced,
+    #: stretched onto the live workload window (see :meth:`plan`).
+    workload: WorkloadModel = WorkloadModel(kind="route", source=-1,
+                                            packets=64)
     seed: int = 1
     host: str = "127.0.0.1"
     base_port: int = 47000
@@ -130,10 +124,13 @@ class LiveClusterConfig:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise LiveClusterError("a live cluster needs at least one node")
-        if self.workload not in ("route", "multicast", "kv", "pubsub"):
+        if not isinstance(self.workload, WorkloadModel):
             raise LiveClusterError(
-                f"unknown workload {self.workload!r} "
-                f"(route, multicast, kv, or pubsub)")
+                f"workload must be a WorkloadModel, not {self.workload!r}")
+        try:
+            self.workload.validate()
+        except ScenarioError as exc:
+            raise LiveClusterError(str(exc)) from exc
         if self.workload_start >= self.duration:
             raise LiveClusterError(
                 f"duration {self.duration}s leaves no workload window: the "
@@ -163,22 +160,28 @@ class LiveClusterConfig:
         return {_FIRST_ADDRESS + index: (self.host, self.base_port + index)
                 for index in range(self.nodes)}
 
-    def probes_for(self, index: int) -> int:
-        """Round-robin split of the workload packets across nodes."""
-        if self.workload == "multicast":
-            return self.packets if index == 0 else 0
-        base, extra = divmod(self.packets, self.nodes)
-        return base + (1 if index < extra else 0)
+    def plan(self, key_space_size: int) -> WorkloadPlan:
+        """The workload's schedule on this deployment's clock.
 
-    def seqno_base(self, index: int) -> int:
-        """First global sequence number of node *index*'s probes.
-
-        Seqnos are globally unique across the deployment (as in the scenario
-        engine, where one counter spans all probes), so the coordinator can
-        compute distinct-probes-delivered-anywhere without a seqno collision
-        between two senders masking a loss.
+        Drawn from a seed-only RNG, so every node process and the
+        coordinator hold the identical plan without exchanging a byte (which
+        node subscribes where, who issues which op).  The model's own
+        timeline ``[first op, last op]``, padded by one ``gap`` at each end,
+        is stretched onto ``[workload_start, duration]`` — P evenly spaced
+        probes land on the ``(k + 1) / (P + 1)`` slots of the window.
         """
-        return sum(self.probes_for(i) for i in range(index))
+        model = self.workload
+        plan = model.draw(self.nodes, key_space_size,
+                          random.Random(f"{self.seed}:live-workload"),
+                          horizon=model.start + model.packets * model.gap)
+        times = [op.time for op in plan.ops]
+        first = min(times, default=0.0)
+        span = max(times, default=0.0) - first + 2 * model.gap
+        window = self.duration - self.workload_start
+        return replace(plan, window=window, ops=[
+            op._replace(time=self.workload_start + window * (
+                (op.time - first + model.gap) / span if span else 0.5))
+            for op in plan.ops])
 
 
 @dataclass
@@ -220,7 +223,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
     from ..runtime.node import MacedonNode
     from ..runtime.messages import WireCodec
     from ..transport.udp import SocketUdpNetwork
-    from ..apps.payload import AppPayload
     from .driver import LiveDriver
 
     address = _FIRST_ADDRESS + index
@@ -281,19 +283,14 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             node.recover()
         _apply_protocol_knobs(node, config)
 
-        # Delivery accounting mirrors the scenario engine's
-        # WorkloadObservations: duplicate (this receiver, seqno) pairs are
-        # counted separately, never scored, and the coordinator unions the
-        # distinct delivered seqnos across nodes for the success ratio.
-        sent = 0
-        duplicates = 0
-        delivered_seqnos: set[int] = set()
-        latencies: list[float] = []
-        #: (seqno, cluster time) per probe actually sent — the coordinator
-        #: scores against the union of these, so probes a dead incarnation
-        #: never sent are not charged and post-fault probes are dateable.
-        sent_records: list[tuple[int, float]] = []
-        kv_app = ps_app = None
+        # The node's share of the workload plane: the same per-node class
+        # the simulator builds N of, recording into the same observations.
+        # Probes are stamped and timed on the wall clock — two processes'
+        # driver clocks share no zero finer than the start barrier.
+        model = config.workload
+        observations = WorkloadObservations()
+        share = NodeWorkload(node, model, LIVE_WORKLOAD_STREAM, observations,
+                             time.time)
 
         if config.obs is not None:
             # Answer coordinator stats polls over the control channel while
@@ -311,8 +308,8 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                     "address": address,
                     "events_processed": driver.events_processed,
                     "errors": driver.error_count,
-                    "sent": sent,
-                    "delivered": len(delivered_seqnos),
+                    "sent": observations.sent,
+                    "delivered": observations.deliveries,
                     "socket": network.stats(),
                 }
                 network.send_raw(
@@ -320,29 +317,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                     (reply_to[0], int(reply_to[1])))
 
             network.set_control_callback(on_control)
-
-        if config.workload in ("route", "multicast"):
-            def on_deliver(payload, size, mtype) -> None:
-                nonlocal duplicates
-                if isinstance(payload, AppPayload) \
-                        and payload.stream_id == LIVE_WORKLOAD_STREAM:
-                    if payload.seqno in delivered_seqnos:
-                        duplicates += 1
-                        return
-                    delivered_seqnos.add(payload.seqno)
-                    latencies.append(time.time() - payload.sent_at)
-
-            node.macedon_register_handlers(deliver=on_deliver)
-        elif config.workload == "kv":
-            from ..apps.kv import KvStore
-            kv_app = KvStore(node, replicas=config.kv_replicas,
-                             write_quorum=config.kv_write_quorum,
-                             read_quorum=config.kv_read_quorum,
-                             op_bytes=config.payload_size,
-                             stream_id=LIVE_WORKLOAD_STREAM)
-        else:
-            from ..apps.pubsub import PubSub
-            ps_app = PubSub(node, stream_id=LIVE_WORKLOAD_STREAM)
 
         # --- join wave (bootstrap at t=0, the rest staggered); a respawn
         #     re-joins almost immediately — its downtime already happened.
@@ -355,128 +329,35 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                             label="live-rejoin")
 
         # --- workload ------------------------------------------------------
-        probes = config.probes_for(index)
-        seqno_base = config.seqno_base(index)
-        rng = driver.fork_rng(f"live-workload:{address}")
-        window = config.duration - config.workload_start
-
-        kv_issued_writes: list[tuple[int, int]] = []
-
-        def send_probe(seqno: int) -> None:
-            nonlocal sent
-            sent += 1
-            sent_records.append((seqno, round(driver.now, 3)))
-            payload = AppPayload(seqno=seqno, sent_at=time.time(),
-                                 source=address, size=config.payload_size,
-                                 stream_id=LIVE_WORKLOAD_STREAM)
-            if config.workload == "route":
-                target = rng.randrange(node.highest_agent.key_space.size)
-                node.macedon_route(target, payload, config.payload_size)
-            else:
-                node.macedon_multicast(config.group, payload,
-                                       config.payload_size)
-
-        if config.workload == "kv":
-            # The key working set must be identical on every node, so it
-            # comes from a shared-label RNG fork (same seed everywhere);
-            # which keys this node's ops hit stays on the per-node stream.
-            import bisect
-            keys_rng = driver.fork_rng("live-kv-keys")
-            key_space = node.highest_agent.key_space
-            key_ids = [keys_rng.randrange(key_space.size)
-                       for _ in range(config.kv_keys)]
-            key_cdf = zipf_cdf(config.kv_keys, config.kv_zipf_s)
-
-            def send_op(seqno: int) -> None:
-                nonlocal sent
-                sent += 1
-                sent_records.append((seqno, round(driver.now, 3)))
-                key = key_ids[bisect.bisect_left(key_cdf, rng.random())]
-                if rng.random() < config.kv_read_fraction:
-                    kv_app.get(key, seqno)
-                else:
-                    # Versions double as values: the globally unique seqno.
-                    kv_issued_writes.append((key, seqno))
-                    kv_app.put(key, seqno, seqno)
-
-            send = send_op
-        elif config.workload == "pubsub":
+        if model.kind == "multicast":
             group_setup = max(0.0, config.workload_start - config.settle)
-            if incarnation == 0:
-                for topic in range(config.topics):
-                    if index == 0:
-                        driver.schedule_at(group_setup, ps_app.create_topic,
-                                           topic, label="live-create-topic")
-                    driver.schedule_at(group_setup + 0.2 + 0.01 * index,
-                                       ps_app.subscribe, topic,
-                                       label="live-subscribe")
+            if incarnation:
+                driver.schedule(0.4, node.macedon_join, model.group,
+                                label="live-rejoin-group")
+            elif index == max(model.source, 0):
+                driver.schedule_at(group_setup, node.macedon_create_group,
+                                   model.group, label="live-create-group")
             else:
-                # The topics already exist; a reborn subscriber re-registers.
-                for topic in range(config.topics):
-                    driver.schedule(0.4 + 0.01 * topic, ps_app.subscribe,
-                                    topic, label="live-resubscribe")
-
-            def send_publish(seqno: int) -> None:
-                nonlocal sent
-                sent += 1
-                sent_records.append((seqno, round(driver.now, 3)))
-                ps_app.publish(seqno % config.topics, seqno,
-                               size=config.payload_size)
-
-            send = send_publish
-        else:
-            if config.workload == "multicast":
-                group_setup = max(0.0, config.workload_start - config.settle)
-                if incarnation == 0 and index == 0:
-                    driver.schedule_at(group_setup, node.macedon_create_group,
-                                       config.group, label="live-create-group")
-                elif incarnation == 0:
-                    driver.schedule_at(group_setup + 0.2, node.macedon_join,
-                                       config.group, label="live-join-group")
-                else:
-                    driver.schedule(0.4, node.macedon_join, config.group,
-                                    label="live-rejoin-group")
-            send = send_probe
-        skipped = 0
-        if probes:
-            gap = window / (probes + 1)
-            for offset in range(probes):
-                when = config.workload_start + (offset + 1) * gap
-                if when <= driver.now + 0.01:
-                    # This incarnation was born after the probe's slot; the
-                    # dead incarnation may or may not have sent it, but its
-                    # record is gone either way — count, don't resend.
-                    skipped += 1
-                    continue
-                driver.schedule_at(when, send, seqno_base + offset,
-                                   label="live-probe")
+                driver.schedule_at(group_setup + 0.2, node.macedon_join,
+                                   model.group, label="live-join-group")
+        for op in config.plan(stack[0].KEY_SPACE.size).ops:
+            if op.node != index:
+                continue
+            verb = getattr(share, op.verb)
+            if op.time > driver.now + 0.01:
+                driver.schedule_at(op.time, verb, *op.args,
+                                   label=f"live-{op.verb}")
+            elif op.verb == "subscribe":
+                # The topics already exist, but this membership died with
+                # the old process: a reborn subscriber re-registers.
+                driver.schedule(0.4, verb, *op.args, label="live-resubscribe")
+            # Any other slot this incarnation was born after belonged to
+            # the dead one, which may or may not have issued it — its record
+            # is gone either way, so the coordinator books it as skipped.
 
         await driver.run_for(max(0.0, config.total_runtime - driver.now))
 
         # --- report --------------------------------------------------------
-        kv_extra = ps_extra = None
-        if config.workload == "kv":
-            # A KV "delivery" is one completed client op; seqnos are globally
-            # unique, so the per-node completed sets union cleanly upstream.
-            for record in kv_app.completed:
-                delivered_seqnos.add(record.seqno)
-                latencies.append(record.latency)
-            kv_app._check_epoch()
-            kv_extra = {
-                "records": [(record.seqno, 0 if record.kind == "put" else 1,
-                             record.key, record.version, record.acks)
-                            for record in sorted(kv_app.completed,
-                                                 key=lambda r: r.seqno)],
-                "issued_writes": kv_issued_writes,
-                "store": sorted(kv_app.store.items()),
-            }
-        elif config.workload == "pubsub":
-            duplicates = ps_app.duplicates
-            for delivery in ps_app.deliveries:
-                delivered_seqnos.add(delivery.seqno)
-                latencies.append(delivery.latency)
-            ps_extra = {"deliveries": len(ps_app.deliveries)}
-
         transport_totals = {"messages_sent": 0, "messages_delivered": 0,
                             "segments_sent": 0, "segments_received": 0,
                             "retransmissions": 0, "drops": 0}
@@ -488,13 +369,7 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             "state": node.highest_agent.state,
             "incarnation": incarnation,
             "epoch": node.transport_host.epoch,
-            "sent": sent,
-            "skipped": skipped,
-            "sent_records": sent_records,
-            "delivered": len(delivered_seqnos),
-            "delivered_seqnos": sorted(delivered_seqnos),
-            "duplicates": duplicates,
-            "latencies": latencies[:1000],
+            "workload": observations.payload(),
             "events_processed": driver.events_processed,
             "callback_errors": [repr(exc) for exc in driver.errors][:5],
             "callback_error_count": driver.error_count,
@@ -510,10 +385,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                 report["causal"] = {"traces": causal.traces,
                                     "hops": causal.hop_count,
                                     "records": causal.hops}
-        if kv_extra is not None:
-            report["kv"] = kv_extra
-        if ps_extra is not None:
-            report["pubsub"] = ps_extra
         highest = node.highest_agent
         if hasattr(highest, "successor"):
             report["ring"] = {"my_key": highest.my_key,
@@ -613,8 +484,9 @@ class LiveCluster:
         # any process starts, and fork children inherit the warm registry.
         from ..codegen.registry import get_registry
         from ..transport.udp import SocketUdpNetwork
-        get_registry().load_stack(config.protocol,
-                                  dict(config.base_overrides or {}))
+        stack = get_registry().load_stack(config.protocol,
+                                          dict(config.base_overrides or {}))
+        plan = config.plan(stack[0].KEY_SPACE.size)
 
         ctx = self._context()
         supervise = bool(config.faults)
@@ -843,7 +715,7 @@ class LiveCluster:
             "respawns": sum(s["restarts"] for s in state.values()),
             "down": sum(1 for s in state.values() if s["down"]),
         }
-        outcome = self._aggregate(per_node, supervisor=supervisor,
+        outcome = self._aggregate(per_node, plan, supervisor=supervisor,
                                   wall_samples=wall_samples)
 
         if config.fail_on_driver_errors:
@@ -938,13 +810,7 @@ class LiveCluster:
             "down": True,
             "incarnation": node_state["incarnation"],
             "epoch": node_state["incarnation"],
-            "sent": 0,
-            "skipped": 0,
-            "sent_records": [],
-            "delivered": 0,
-            "delivered_seqnos": [],
-            "duplicates": 0,
-            "latencies": [],
+            "workload": WorkloadObservations().payload(),
             "events_processed": 0,
             "callback_errors": [],
             "callback_error_count": 0,
@@ -960,42 +826,27 @@ class LiveCluster:
         }
 
     # ------------------------------------------------------------ aggregation
-    def _aggregate(self, per_node: list[dict],
+    def _aggregate(self, per_node: list[dict], plan: WorkloadPlan,
                    supervisor: Optional[dict] = None,
                    wall_samples: Optional[list] = None) -> LiveClusterResult:
-        """Score exactly as the scenario engine's WorkloadObservations does:
-        ``deliveries`` counts deduped (receiver, seqno) upcalls, and
-        ``success_ratio`` is distinct probes delivered *anywhere* over
-        probes *accounted as sent* (the union of surviving incarnations'
-        send records — a probe whose sender died before its slot is not a
-        loss, it was never sent) — so a live run and a simulated run of one
-        spec are read off the same ruler."""
+        """Pool every process's observation payload and score it with the
+        workload model's own formula — the one the simulator uses — then add
+        what only a deployment has: process, transport and socket totals,
+        and the post-fault ratio."""
         config = self.config
-        sent = sum(report["sent"] for report in per_node)
-        deliveries = sum(report["delivered"] for report in per_node)
-        delivered_anywhere: set[int] = set()
-        accounted: set[int] = set()
-        latencies: list[float] = []
-        for report in per_node:
-            delivered_anywhere.update(report["delivered_seqnos"])
-            accounted.update(seqno for seqno, _
-                             in report.get("sent_records", ()))
-            latencies.extend(report["latencies"])
-        if accounted:
-            success_ratio = (len(delivered_anywhere & accounted)
-                             / len(accounted))
-        else:
-            success_ratio = len(delivered_anywhere) / sent if sent else 0.0
+        model = config.workload
+        payloads = [report["workload"] for report in per_node]
         metrics: dict[str, float] = {
-            "workload.sent": float(sent),
-            "workload.skipped": float(sum(
-                report.get("skipped", 0) for report in per_node)),
-            "workload.deliveries": float(deliveries),
-            "workload.duplicates": float(sum(
-                report["duplicates"] for report in per_node)),
-            "workload.success_ratio": success_ratio,
-            "workload.latency_mean": mean(latencies),
-            "workload.latency_p95": percentile(latencies, 0.95),
+            f"workload.{key}": value
+            for key, value in model.score(plan, payloads).items()}
+        # Staleness needs a strictly-before clock, which the per-process
+        # store clocks do not give us; the version-space checks (phantom
+        # reads, coverage) are sound across processes and stay.
+        metrics.pop("workload.stale_reads", None)
+        # Every scheduled op nobody is known to have issued: its node was
+        # down, not yet re-joined, or died with the record of sending it.
+        metrics["workload.skipped"] = model.packets - metrics["workload.sent"]
+        metrics.update({
             "nodes.count": float(config.nodes),
             "nodes.joined": float(sum(
                 1 for report in per_node
@@ -1016,7 +867,7 @@ class LiveCluster:
             "socket.reassembly_timeouts": float(sum(
                 report["socket"].get("reassembly_timeouts", 0)
                 for report in per_node)),
-        }
+        })
         if supervisor is not None:
             metrics["nodes.killed"] = float(supervisor["killed"])
             metrics["nodes.respawns"] = float(supervisor["respawns"])
@@ -1025,49 +876,14 @@ class LiveCluster:
             from .faults import fault_horizon
             recovered_at = (fault_horizon(config.faults)
                             + config.post_fault_settle)
-            late = {seqno for report in per_node
-                    for seqno, at in report.get("sent_records", ())
-                    if at >= recovered_at}
+            late = {seqno for payload in payloads
+                    for seqno, at in payload["sent"] if at >= recovered_at}
+            #: The ratio's sample size: a gate on the ratio alone passes or
+            #: fails on a handful of probes without saying so.
+            metrics["workload.post_fault_probes"] = float(len(late))
             if late:
                 metrics["workload.post_fault_success_ratio"] = \
-                    len(delivered_anywhere & late) / len(late)
-        if config.workload == "kv":
-            # success_ratio already reads as quorum success (distinct
-            # completed ops over ops issued); add the consistency metrics
-            # that are sound across processes.  Staleness needs a
-            # strictly-before clock, which wall clocks across processes do
-            # not give us, so live reports the version-space checks only.
-            records = []
-            issued_writes: set[tuple[int, int]] = set()
-            stores = []
-            for report in per_node:
-                if "kv" not in report:
-                    continue   # a down node's store is gone with it
-                records.extend(report["kv"]["records"])
-                issued_writes.update(
-                    (key, version)
-                    for key, version in report["kv"]["issued_writes"])
-                stores.append(dict(report["kv"]["store"]))
-            reads = [(key, version) for _, kind, key, version, _ in records
-                     if kind == 1]
-            metrics["workload.completed"] = float(len(records))
-            metrics["workload.puts"] = float(sum(
-                1 for _, kind, *_ in records if kind == 0))
-            metrics["workload.gets"] = float(len(reads))
-            metrics["workload.quorum_success"] = \
-                metrics["workload.success_ratio"]
-            metrics["workload.phantom_reads"] = float(
-                phantom_reads(reads, issued_writes))
-            latest_writes: dict[int, int] = {}
-            for key, version in issued_writes:
-                latest_writes[key] = max(latest_writes.get(key, -1), version)
-            metrics["workload.replica_coverage"] = replica_coverage(
-                stores, latest_writes, config.kv_replicas)
-        elif config.workload == "pubsub":
-            expected = sent * max(config.nodes - 1, 0)
-            metrics["workload.expected"] = float(expected)
-            metrics["workload.coverage"] = \
-                deliveries / expected if expected else 0.0
+                    len(model.delivered(payloads) & late) / len(late)
         alive_reports = [report for report in per_node
                          if not report.get("down")]
         rings = [report["ring"] for report in alive_reports
@@ -1089,7 +905,7 @@ class LiveCluster:
                 nodes_alive=len(alive_reports))
             obs_snapshot = artifact(
                 registry, mode="live",
-                name=f"live-{config.protocol}-{config.workload}",
+                name=f"live-{config.protocol}-{model.kind}",
                 seed=config.seed, duration=config.duration)
             obs_snapshot["wallclock"] = wall_samples or []
             if config.obs.snapshot_path:
@@ -1099,7 +915,7 @@ class LiveCluster:
                                  meta={"mode": "live",
                                        "seed": config.seed})
         result = ScenarioResult(
-            name=f"live-{config.protocol}-{config.workload}",
+            name=f"live-{config.protocol}-{model.kind}",
             seed=config.seed,
             duration=config.duration,
             metrics=metrics,

@@ -289,26 +289,12 @@ def live_runnable(spec) -> Tuple[bool, Optional[str]]:
     wall-clock — the tag the fuzzer stamps on generated specs so the
     differential harness can consume fuzzer artifacts.
     """
-    from ..eval.scenario import WorkloadModel
-    from ..facade import _LIVE_PROTOCOLS
-    from ..eval.fuzz import protocol_name_of
-    from .cluster import LiveClusterConfig, LiveClusterError
+    from ..eval.scenario import ScenarioError
+    from ..facade import live_config
+    from .cluster import LiveClusterError
 
     try:
-        name = protocol_name_of(spec)
-    except Exception as exc:   # noqa: BLE001 - unknown factory shapes
-        return False, f"protocol not resolvable: {exc}"
-    if name not in _LIVE_PROTOCOLS:
-        return False, (f"protocol {name!r} has no live deployment "
-                       f"(not a compiled .mac specification)")
-    if not any(isinstance(model, WorkloadModel) for model in spec.models):
-        return False, "no WorkloadModel to drive live traffic"
-    try:
-        probe = LiveClusterConfig(
-            nodes=spec.num_nodes, protocol=_LIVE_PROTOCOLS[name],
-            seed=spec.seed,
-            duration=spec.num_nodes * 0.15 + 1.0 + 10.0)
-        compile_fault_models(spec, probe)
-    except (LiveFaultError, LiveClusterError) as exc:
+        live_config(spec)
+    except (ScenarioError, LiveFaultError, LiveClusterError) as exc:
         return False, str(exc)
     return True, None

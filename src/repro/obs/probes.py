@@ -85,36 +85,25 @@ def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
     return snapshot
 
 
-def workload_tallies(compiled_models: Iterable[Any]) \
-        -> tuple[int, int, int, int, list[float]]:
-    """(sent, delivered, duplicates, skipped, latencies) across all models.
-
-    Route/multicast/pub-sub workloads expose
-    :class:`~repro.eval.scenario.WorkloadObservations`-shaped objects;
-    KV workloads hang a :class:`~repro.eval.scenario.KvObservations` off
-    ``compiled.kv_state`` whose records carry issue/completion timestamps.
+def workload_tallies(registry: MetricsRegistry,
+                     payloads: Iterable[dict]) -> None:
+    """Fold workload observation payloads
+    (:meth:`WorkloadObservations.payload
+    <repro.eval.workload.WorkloadObservations.payload>`) into the
+    ``workload.*`` instruments — the one shape a workload's observations
+    leave any process in, in every mode.
     """
-    sent = delivered = duplicates = skipped = 0
-    latencies: list[float] = []
-    for compiled in compiled_models:
-        observations = getattr(compiled, "observations", None)
-        if observations is None:
-            kv_state = getattr(compiled, "kv_state", None)
-            observations = getattr(kv_state, "observations", None)
-        if observations is None:
-            continue
-        sent += getattr(observations, "sent", 0)
-        skipped += getattr(observations, "skipped", 0)
-        duplicates += getattr(observations, "duplicates", 0)
-        if hasattr(observations, "latencies"):
-            latencies.extend(observations.latencies)
-            delivered += getattr(observations, "deliveries",
-                                 len(observations.latencies))
-        else:
-            records = getattr(observations, "records", ())
-            delivered += len(records)
-            latencies.extend(record[6] - record[5] for record in records)
-    return sent, delivered, duplicates, skipped, latencies
+    latency = registry.histogram("workload.latency")
+    for payload in payloads:
+        records = payload["records"]
+        registry.counter("workload.sent").inc(len(payload["sent"]))
+        registry.counter("workload.delivered").inc(len(records))
+        registry.counter("workload.duplicates").inc(payload["duplicates"])
+        registry.counter("workload.skipped").inc(payload["skipped"])
+        # Delivery records end in their latency; a kv record carries
+        # (issued_at, completed_at) at [5:7] instead.
+        latency.observe_many(record[6] - record[5] if len(record) > 3
+                             else record[2] for record in records)
 
 
 def fill_sim(registry: MetricsRegistry, experiment: Any, *,
@@ -136,13 +125,9 @@ def fill_sim(registry: MetricsRegistry, experiment: Any, *,
     counter("net.packets_dropped").inc(stats.packets_dropped)
     counter("net.bytes_delivered").inc(stats.bytes_delivered)
 
-    sent, delivered, duplicates, skipped, latencies = \
-        workload_tallies(experiment.compiled_models)
-    counter("workload.sent").inc(sent)
-    counter("workload.delivered").inc(delivered)
-    counter("workload.duplicates").inc(duplicates)
-    counter("workload.skipped").inc(skipped)
-    registry.histogram("workload.latency").observe_many(latencies)
+    workload_tallies(registry, (
+        compiled.shard_payload() for compiled in experiment.compiled_models
+        if hasattr(compiled, "observations")))
 
     tracer = experiment.tracer
     counter("trace.records").inc(sum(tracer.counts.values()))
@@ -165,9 +150,10 @@ def fill_live(registry: MetricsRegistry, per_node: Iterable[dict], *,
     coordinator can write the ``repro.trace/1`` artifact.
     """
     counter = registry.counter
-    latency_histogram = registry.histogram("workload.latency")
     hop_latency = registry.histogram("causal.hop_latency")
     hop_records: list[dict] = []
+    per_node = list(per_node)
+    workload_tallies(registry, (report["workload"] for report in per_node))
     for report in per_node:
         socket_stats = report.get("socket") or {}
         counter("engine.events_processed").inc(
@@ -181,10 +167,6 @@ def fill_live(registry: MetricsRegistry, per_node: Iterable[dict], *,
             + int(socket_stats.get("fault_drops", 0)))
         counter("net.bytes_delivered").inc(
             int(socket_stats.get("bytes_received", 0)))
-        counter("workload.sent").inc(int(report.get("sent", 0)))
-        counter("workload.delivered").inc(int(report.get("delivered", 0)))
-        counter("workload.duplicates").inc(int(report.get("duplicates", 0)))
-        counter("workload.skipped").inc(int(report.get("skipped", 0)))
         counter("errors.callback_errors").inc(
             int(report.get("callback_error_count", 0)))
         counter("errors.decode_errors").inc(
@@ -199,7 +181,6 @@ def fill_live(registry: MetricsRegistry, per_node: Iterable[dict], *,
         causal_stats = report.get("causal") or {}
         counter("causal.traces").inc(int(causal_stats.get("traces", 0)))
         counter("causal.hops").inc(int(causal_stats.get("hops", 0)))
-        latency_histogram.observe_many(report.get("latencies", ()))
         for record in causal_stats.get("records", ()):
             hop_latency.observe(record["data"]["latency"])
             hop_records.append(record)

@@ -89,6 +89,40 @@ def test_default_tolerances_gate_fabricated_data_exactly():
     assert by_metric["workload.duplicates"].abs == 0.0
 
 
+def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
+    """A kv run reports ``workload.success_ratio`` (its quorum success) in
+    every mode, because one scorer writes both sides: the default ruler's
+    required metric is no longer structurally missing from kv diffs."""
+    from repro.eval.library import resolve_protocol
+    from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
+
+    model = WorkloadModel(kind="kv", start=25.0, packets=12, gap=1.0, keys=8,
+                          read_fraction=0.5)
+    result = ScenarioSpec(
+        name="diff-kv", agents=resolve_protocol("chord"), num_nodes=6,
+        duration=50.0, seed=5,
+        models=(ChurnModel(join="staggered", join_spacing=0.5), model)).run()
+    sim_metrics = result.metrics
+    assert sim_metrics["workload.success_ratio"] \
+        == sim_metrics["workload.quorum_success"] > 0.9
+
+    # The live coordinator scores its processes' payloads with the same
+    # call; feed it this run's observations as two processes would ship them.
+    compiled = result.experiment.compiled_models[-1]
+    payload = compiled.shard_payload()
+    halves = [dict(payload, records=payload["records"][0::2], stores=[]),
+              dict(payload, records=payload["records"][1::2], sent=[],
+                   skipped=0)]
+    live_metrics = {f"workload.{key}": value for key, value
+                    in model.score(compiled.plan, halves).items()}
+
+    report = compare([sim_metrics], [live_metrics], spec_name="diff-kv")
+    assert "workload.success_ratio" not in report.missing
+    assert report.ok, report.summary()
+    assert {"workload.success_ratio", "workload.quorum_success",
+            "workload.phantom_reads"} <= {diff.metric for diff in report.diffs}
+
+
 def test_run_diff_executes_both_modes_and_tags_violations(monkeypatch):
     @dataclass(frozen=True)
     class FakeSpec:

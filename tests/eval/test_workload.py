@@ -1,0 +1,173 @@
+"""The shared workload plane, without a socket: draw, live plan, score.
+
+One :class:`WorkloadModel` is drawn, issued, observed and scored by the same
+code under the simulator, the shard workers and the live cluster.  These
+tests pin the parts that make that true and need no process or network:
+the live plan is the model's own draw re-timed onto the live window, and
+the scorer is a pure function of the pooled payloads.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.eval.library import resolve_protocol
+from repro.eval.scenario import ChurnModel, ScenarioSpec
+from repro.eval.workload import WorkloadModel, WorkloadPlan
+from repro.live import LiveClusterConfig
+
+KEY_SPACE = 2 ** 32
+
+
+def live(model, **overrides):
+    defaults = dict(nodes=5, duration=8.0, seed=3, workload=model)
+    defaults.update(overrides)
+    return LiveClusterConfig(**defaults)
+
+
+# ------------------------------------------------------------------ the plan
+@pytest.mark.parametrize("model", [
+    WorkloadModel(kind="route", source=-1, packets=12),
+    WorkloadModel(kind="multicast", packets=6),
+    WorkloadModel(kind="kv", packets=20, keys=8, clients=2, repair_gap=1.5),
+    WorkloadModel(kind="pubsub", source=-1, packets=9, topics=3, fanout=3),
+])
+def test_live_plan_is_the_models_draw_retimed_onto_the_window(model):
+    config = live(model)
+    plan = config.plan(KEY_SPACE)
+    # Every process (and the coordinator) computes it from the config alone.
+    assert plan == live(model).plan(KEY_SPACE)
+    if model.kind != "multicast":   # a fixed-source burst draws nothing
+        assert plan != live(model, seed=4).plan(KEY_SPACE)
+
+    drawn = model.draw(config.nodes, KEY_SPACE,
+                       random.Random(f"{config.seed}:live-workload"),
+                       horizon=model.start + model.packets * model.gap)
+    # Who does what is the simulated schedule, untouched ...
+    assert [op[1:] for op in plan.ops] == [op[1:] for op in drawn.ops]
+    assert (plan.issued_writes, plan.expected) \
+        == (drawn.issued_writes, drawn.expected)
+    # ... only when changes: order kept, strictly inside the live window.
+    order = sorted(range(len(drawn.ops)), key=lambda i: drawn.ops[i].time)
+    assert order == sorted(order, key=lambda i: plan.ops[i].time)
+    for op in plan.ops:
+        assert config.workload_start < op.time < config.duration
+    assert plan.window == config.duration - config.workload_start
+    # The indices partition the plan: each op runs in exactly one process.
+    shares = [[op for op in plan.ops if op.node == index]
+              for index in range(config.nodes)]
+    assert sum(len(share) for share in shares) == len(plan.ops)
+
+
+def test_route_probes_land_on_evenly_spaced_slots():
+    packets = 7
+    config = live(WorkloadModel(kind="route", source=-1, packets=packets,
+                                start=30.0, gap=2.0))
+    window = config.duration - config.workload_start
+    times = [op.time for op in config.plan(KEY_SPACE).ops]
+    assert times == pytest.approx(
+        [config.workload_start + window * (k + 1) / (packets + 1)
+         for k in range(packets)])
+
+
+def test_live_honours_clients_fanout_source_and_repair():
+    nodes = 5
+    kv = live(WorkloadModel(kind="kv", packets=30, clients=2,
+                            repair_gap=1.0, gap=0.5)).plan(KEY_SPACE)
+    assert {op.node for op in kv.ops if op.verb in ("put", "get")} == {0, 1}
+    sweeps = [op for op in kv.ops if op.verb == "repair"]
+    assert sweeps and {op.node for op in sweeps} == set(range(nodes))
+    assert kv.issued_writes == {(op.args[1], op.args[0])
+                                for op in kv.ops if op.verb == "put"}
+
+    pubsub = live(WorkloadModel(kind="pubsub", source=1, packets=8,
+                                topics=2, fanout=3)).plan(KEY_SPACE)
+    for topic in range(2):
+        members = [op.node for op in pubsub.ops
+                   if op.verb == "subscribe" and op.args == (topic,)]
+        assert len(members) == len(set(members)) == 3
+    assert {op.node for op in pubsub.ops
+            if op.verb in ("create_topic", "publish")} == {1}
+    # Three subscribers a topic, minus the publisher where it is one.
+    subscribed = {(op.args[0], op.node) for op in pubsub.ops
+                  if op.verb == "subscribe"}
+    assert pubsub.expected == sum(
+        3 - ((op.args[1], 1) in subscribed)
+        for op in pubsub.ops if op.verb == "publish")
+
+    route = live(WorkloadModel(kind="route", source=1,
+                               packets=6)).plan(KEY_SPACE)
+    assert {op.node for op in route.ops} == {1}
+
+
+# ---------------------------------------------------------------- the scorer
+def run_sim(protocol, model, seed=5):
+    spec = ScenarioSpec(
+        name="workload-plane", agents=resolve_protocol(protocol),
+        num_nodes=6, duration=60.0, seed=seed,
+        models=(ChurnModel(join="staggered", join_spacing=0.5), model))
+    result = spec.run()
+    return result, result.experiment.compiled_models[-1]
+
+
+def split(payload, parts):
+    """Deal one payload's observations across *parts* processes."""
+    out = [{"sent": [], "skipped": 0, "duplicates": 0, "records": [],
+            "stores": []} for _ in range(parts)]
+    for key in ("sent", "records", "stores"):
+        for position, item in enumerate(payload[key]):
+            out[position % parts][key].append(item)
+    out[-1]["skipped"] = payload["skipped"]
+    out[0]["duplicates"] = payload["duplicates"]
+    return out
+
+
+@pytest.mark.parametrize("protocol, model", [
+    ("chord", WorkloadModel(kind="route", source=-1, start=25.0, packets=12,
+                            gap=1.0)),
+    ("chord", WorkloadModel(kind="kv", start=25.0, packets=16, gap=1.0,
+                            keys=8, read_fraction=0.5)),
+    ("scribe-pastry", WorkloadModel(kind="pubsub", source=-1, start=20.0,
+                                    packets=8, gap=1.0, topics=2)),
+])
+def test_score_is_one_pure_formula_over_pooled_payloads(protocol, model):
+    result, compiled = run_sim(protocol, model)
+    payload = compiled.shard_payload()
+    assert payload["records"], "the run observed something to score"
+
+    # The simulator's metrics are the scorer applied to its one payload.
+    scored = model.score(compiled.plan, [payload])
+    assert compiled.metrics() == scored
+    assert {f"workload.{key}": value for key, value in scored.items()}.items() \
+        <= result.metrics.items()
+
+    # Any partition of the observations, in any order, scores identically.
+    two = split(payload, 2)
+    pooled = model.score(compiled.plan, two)
+    assert model.score(compiled.plan, two[::-1]) == pooled
+    three = split(payload, 3)
+    random.Random(1).shuffle(three)
+    assert model.score(compiled.plan, three) == pooled
+    # One process reports probes in arrival order, several in canonical
+    # order: the same numbers, up to float accumulation in the mean.
+    assert pooled == pytest.approx(scored)
+
+
+def test_a_dead_incarnations_probe_is_neither_sent_nor_lost():
+    model = WorkloadModel(kind="route", source=-1, packets=4)
+    plan = WorkloadPlan([], window=1.0)
+    survivors = {"sent": [(0, 1.0), (1, 2.0)], "skipped": 0,
+                 "duplicates": 0, "stores": [],
+                 # seqno 3 was sent by a process that was killed before it
+                 # could report; its delivery is seen, its send record not.
+                 "records": [(2, 0, 0.01), (3, 1, 0.02), (2, 3, 0.01)]}
+    scored = model.score(plan, [survivors])
+    assert scored["sent"] == 2.0
+    assert scored["deliveries"] == 3.0
+    assert scored["success_ratio"] == 1.0
+
+    lossy = dict(survivors, records=[(2, 0, 0.01), (2, 3, 0.01)])
+    assert model.score(plan, [lossy])["success_ratio"] == 0.5
+    assert model.score(plan, [dict(lossy, sent=[])])["success_ratio"] == 0.0

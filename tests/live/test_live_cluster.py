@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.eval.workload import WorkloadModel
 from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 
 pytestmark = pytest.mark.live
@@ -18,12 +19,20 @@ def test_config_validation():
     with pytest.raises(LiveClusterError, match="at least one node"):
         LiveClusterConfig(nodes=0)
     with pytest.raises(LiveClusterError, match="unknown workload"):
-        LiveClusterConfig(workload="teleport")
+        LiveClusterConfig(workload=WorkloadModel(kind="teleport"))
+    with pytest.raises(LiveClusterError, match="must be a WorkloadModel"):
+        LiveClusterConfig(workload="route")
+    with pytest.raises(LiveClusterError, match="keys >= 1"):
+        LiveClusterConfig(workload=WorkloadModel(kind="kv", keys=0))
     with pytest.raises(LiveClusterError, match="no workload window"):
         LiveClusterConfig(nodes=16, duration=2.0, join_spacing=0.5)
-    config = LiveClusterConfig(nodes=3, duration=5.0, packets=8)
+    config = LiveClusterConfig(
+        nodes=3, duration=5.0,
+        workload=WorkloadModel(kind="route", source=-1, packets=8))
     assert config.workload_start == pytest.approx(3 * 0.15 + 1.0)
-    assert [config.probes_for(i) for i in range(3)] == [3, 3, 2]
+    ops = config.plan(2 ** 32).ops
+    assert [op.args[0] for op in ops] == list(range(8))
+    assert {op.node for op in ops} <= {0, 1, 2}
     assert sorted(config.endpoints()) == [1, 2, 3]
 
 
@@ -35,7 +44,9 @@ def test_unknown_protocol_fails_before_spawning_processes():
 
 def test_four_node_chord_cluster_routes_over_real_sockets():
     config = LiveClusterConfig(nodes=4, duration=4.0, join_spacing=0.1,
-                               settle=0.8, packets=16, seed=5,
+                               settle=0.8, seed=5,
+                               workload=WorkloadModel(kind="route", source=-1,
+                                                      packets=16),
                                base_port=49140)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
@@ -60,7 +71,8 @@ def test_four_node_chord_cluster_routes_over_real_sockets():
 
 def test_live_kv_quorum_over_real_sockets():
     config = LiveClusterConfig(nodes=4, duration=5.0, join_spacing=0.1,
-                               settle=0.8, workload="kv", packets=24,
+                               settle=0.8,
+                               workload=WorkloadModel(kind="kv", packets=24),
                                seed=7, base_port=49180)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
@@ -76,9 +88,10 @@ def test_live_kv_quorum_over_real_sockets():
 
 def test_live_pubsub_full_coverage():
     config = LiveClusterConfig(nodes=4, duration=6.0, join_spacing=0.1,
-                               settle=1.2, workload="pubsub", packets=12,
-                               topics=3, protocol="scribe", seed=7,
-                               base_port=49200)
+                               settle=1.2,
+                               workload=WorkloadModel(kind="pubsub", source=-1,
+                                                      packets=12, topics=3),
+                               protocol="scribe", seed=7, base_port=49200)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
     assert metrics["workload.sent"] == 12.0

@@ -25,7 +25,9 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
                          causal=True,
                          snapshot_path=str(tmp_path / "live-obs.json"))
     config = LiveClusterConfig(nodes=4, duration=5.0, join_spacing=0.1,
-                               settle=0.8, packets=16, seed=5,
+                               settle=0.8, seed=5,
+                               workload=WorkloadModel(kind="route", source=-1,
+                                                      packets=16),
                                base_port=49300, obs=obs_live)
     outcome = LiveCluster(config).run()
     live_snapshot = outcome.result.obs
@@ -71,7 +73,9 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
 
 def test_live_obs_off_reports_no_trace_sections():
     config = LiveClusterConfig(nodes=3, duration=4.0, join_spacing=0.1,
-                               settle=0.8, packets=8, seed=3,
+                               settle=0.8, seed=3,
+                               workload=WorkloadModel(kind="route", source=-1,
+                                                      packets=8),
                                base_port=49340)
     outcome = LiveCluster(config).run()
     assert outcome.result.obs is None
