@@ -10,24 +10,48 @@ run it everywhere" workflow.
 Transition bodies are Python (the embedded action language), written against
 the MACEDON primitive library.  :func:`rewrite_action_code` retargets bare
 primitive and state-variable names onto ``self`` and event-context names onto
-the transition's ``__ctx`` argument using token-level rewriting, so strings
-and comments are never touched and the emitted code keeps the author's
-formatting.
+the transition's ``__ctx`` argument by splicing a prefix in at the parser's
+own name positions, so strings and comments are never touched and the
+emitted code keeps the author's formatting.
+
+What the specification fixes is resolved here, not per event: dispatch is one
+emitted handler per ``(kind, event)`` (:mod:`repro.runtime.handlers`); a
+``recv`` body that only reads the message gets its context names as locals,
+with no ``TransitionContext``; literal message and field names are checked.
 """
 
 from __future__ import annotations
 
-import io
-import keyword
+import ast
 import re
 import textwrap
-import tokenize
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..dsl.ast import ProtocolSpec, TransitionDecl
 from ..dsl.errors import CodegenError
+from ..runtime.agent import StateVarSpec, TransitionSpec
+from ..runtime.handlers import emit_handlers
+from ..runtime.messages import (FieldSpec, MessageCatalog, MessageError,
+                                MessageType)
+from ..runtime.neighbors import NeighborFieldSpec, NeighborType
 from .primitives import AGENT_PRIMITIVES, CONTEXT_NAMES
+
+#: Context names a ``recv`` body may use and still be bound statically, each
+#: with the statement binding it, as a local, from the message (``field``
+#: only ever sees literals the generator checked: the field dict's own get).
+_RECV_BINDINGS = {
+    "msg": "msg = __msg",
+    "source": "source = __msg.source",
+    "source_key": ("source_key = None if __msg.source is None "
+                   "else self.key_space.hash(__msg.source)"),
+    "payload": "payload = __msg.payload",
+    "payload_size": "payload_size = __msg.payload_size",
+    "field": "field = __msg.fields.get",
+}
+#: Primitives whose first argument names one of this protocol's messages and
+#: whose keywords, beyond these options, are that message's fields.
+_SEND_PRIMITIVES = {"send_msg", "route_msg", "routeip_msg", "wrap_msg"}
+_SEND_OPTIONS = {"priority", "payload", "payload_size", "tag"}
 
 _ROUTINE_DEF_RE = re.compile(r"^\s*def\s+([A-Za-z_][A-Za-z_0-9]*)\s*\(", re.MULTILINE)
 
@@ -52,12 +76,19 @@ def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
     return f"repro._generated.{protocol_name}"
 
 
-@dataclass
-class _Replacement:
-    row: int          # 1-based line number within the body
-    col_start: int
-    col_end: int
-    text: str
+def _nodes(body: str, context: str) -> list[ast.AST]:
+    """Every AST node of an action-code block, except inside f-strings (a
+    string is never entered, so never rewritten)."""
+    try:
+        todo, nodes = [ast.parse(body)], []
+    except SyntaxError as exc:
+        raise CodegenError(f"cannot parse action code ({context}): {exc}") from exc
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, ast.JoinedStr):
+            nodes.append(node)
+            todo.extend(ast.iter_child_nodes(node))
+    return nodes
 
 
 def rewrite_action_code(code: str, self_names: Iterable[str],
@@ -66,57 +97,27 @@ def rewrite_action_code(code: str, self_names: Iterable[str],
     """Rewrite a transition/routine body onto runtime objects.
 
     ``self_names`` are rewritten to ``self.<name>``; ``ctx_names`` to
-    ``__ctx.<name>``.  Names used as attribute accesses (``x.delay``) or as
-    keyword arguments (``f(response=1)``) are left alone.
+    ``__ctx.<name>``.  Attribute accesses (``x.delay``) and keyword arguments
+    (``f(response=1)``) are not names to the parser, so they are left alone.
     """
     body = normalize_action_code(code)
-    self_set = frozenset(self_names)
-    ctx_set = frozenset(ctx_names)
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(body).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError) as exc:
-        raise CodegenError(f"cannot tokenize action code ({context}): {exc}") from exc
+    return _retarget(body, _nodes(body, context), frozenset(self_names),
+                     frozenset(ctx_names))
 
-    replacements: list[_Replacement] = []
-    significant: list[tokenize.TokenInfo] = [
-        token for token in tokens
-        if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-                              tokenize.DEDENT, tokenize.COMMENT,
-                              tokenize.ENCODING, tokenize.ENDMARKER)
-    ]
-    for index, token in enumerate(significant):
-        if token.type != tokenize.NAME:
-            continue
-        name = token.string
-        if keyword.iskeyword(name):
-            continue
-        if name not in self_set and name not in ctx_set:
-            continue
-        previous = significant[index - 1] if index > 0 else None
-        nxt = significant[index + 1] if index + 1 < len(significant) else None
-        # Attribute access: obj.name — leave alone.
-        if previous is not None and previous.type == tokenize.OP and previous.string == ".":
-            continue
-        # Keyword argument: f(name=value) — leave alone.
-        if (nxt is not None and nxt.type == tokenize.OP and nxt.string == "="
-                and previous is not None and previous.type == tokenize.OP
-                and previous.string in "(,"):
-            continue
-        prefix = "self." if name in self_set else "__ctx."
-        replacements.append(_Replacement(row=token.start[0], col_start=token.start[1],
-                                         col_end=token.end[1], text=f"{prefix}{name}"))
 
-    if not replacements:
-        return body
-    lines = body.splitlines()
-    # Apply right-to-left within each line so earlier columns stay valid.
-    replacements.sort(key=lambda item: (item.row, item.col_start), reverse=True)
-    for replacement in replacements:
-        line = lines[replacement.row - 1]
-        lines[replacement.row - 1] = (
-            line[:replacement.col_start] + replacement.text + line[replacement.col_end:]
-        )
-    return "\n".join(lines)
+def _retarget(body: str, nodes: Iterable[ast.AST], self_set: frozenset[str],
+              ctx_set: frozenset[str]) -> str:
+    lines = [line.encode("utf-8") for line in body.splitlines()]
+    names = [(node.lineno, node.col_offset, node.id) for node in nodes
+             if isinstance(node, ast.Name)
+             and (node.id in self_set or node.id in ctx_set)]
+    # Right-to-left within each line so earlier columns (UTF-8 offsets, as
+    # the parser counts them) stay valid.
+    for row, column, name in sorted(names, reverse=True):
+        prefix = b"self." if name in self_set else b"__ctx."
+        line = lines[row - 1]
+        lines[row - 1] = line[:column] + prefix + line[column:]
+    return "\n".join(line.decode("utf-8") for line in lines)
 
 
 def normalize_action_code(code: str) -> str:
@@ -147,6 +148,17 @@ class CodeGenerator:
     def __init__(self, spec: ProtocolSpec) -> None:
         self.spec = spec
         self.constants = spec.constant_map()
+        self.catalog = MessageCatalog([
+            MessageType(message.name, tuple(
+                FieldSpec(field.name, field.type_name, field.is_list)
+                for field in message.fields), message.transport)
+            for message in spec.messages])
+        self.transitions = [
+            TransitionSpec(kind=decl.kind, name=decl.name,
+                           state_expr=decl.state_expr,
+                           method=self._transition_method_name(index, decl),
+                           locking=decl.locking)
+            for index, decl in enumerate(spec.transitions)]
 
     # ------------------------------------------------------------------ naming
     def _transition_method_name(self, index: int, transition: TransitionDecl) -> str:
@@ -190,6 +202,7 @@ class CodeGenerator:
             "from repro.runtime.agent import (\n"
             "    Agent,\n"
             "    StateVarSpec,\n"
+            "    TransitionContext,\n"
             "    TransitionSpec,\n"
             "    NBR_TYPE_PARENT,\n"
             "    NBR_TYPE_CHILDREN,\n"
@@ -214,10 +227,12 @@ class CodeGenerator:
         lines.append(f"    STATES = {tuple(spec.states)!r}")
         lines.append(self._neighbor_types_attr())
         lines.append(self._transports_attr())
-        lines.append(self._messages_attr())
-        lines.append(self._state_vars_attr())
-        lines.append(self._transitions_attr())
-        lines.append(self._transition_index_attr())
+        lines.append(self._declarations("MESSAGE_TYPES", self.catalog))
+        lines.append(self._declarations("STATE_VARS", (
+            StateVarSpec(var.name, var.kind, var.type_name, var.default,
+                         var.fail_detect, var.period)
+            for var in spec.state_vars)))
+        lines.append(self._declarations("TRANSITIONS", self.transitions))
         lines.append("    KEY_SPACE = KeySpace()")
         lines.append("")
         return "\n".join(lines)
@@ -235,89 +250,23 @@ class CodeGenerator:
                         f"neighbor type {decl.name!r}: max size constant does not "
                         f"resolve to an integer", filename=self.spec.source_file,
                         line=decl.line)
-            field_parts = []
-            for field in decl.fields:
-                type_name = "list" if field.is_list else field.type_name
-                field_parts.append(f"NeighborFieldSpec({field.name!r}, {type_name!r})")
-            fields = ", ".join(field_parts)
-            field_tuple = f"({fields},)" if fields else "()"
-            entries.append(
-                f"        {decl.name!r}: NeighborType({decl.name!r}, {max_size}, "
-                f"{field_tuple}),"
-            )
+            fields = tuple(NeighborFieldSpec(
+                field.name, "list" if field.is_list else field.type_name)
+                for field in decl.fields)
+            entries.append(f"        {decl.name!r}: "
+                           f"{NeighborType(decl.name, max_size, fields)!r},")
         return "    NEIGHBOR_TYPES = {\n" + "\n".join(entries) + "\n    }"
 
     def _transports_attr(self) -> str:
-        if not self.spec.transports:
-            return "    TRANSPORT_DECLS = ()"
-        entries = ", ".join(f"({decl.kind!r}, {decl.name!r})"
-                            for decl in self.spec.transports)
-        return f"    TRANSPORT_DECLS = ({entries},)"
+        declared = tuple((decl.kind, decl.name) for decl in self.spec.transports)
+        return f"    TRANSPORT_DECLS = {declared!r}"
 
-    def _messages_attr(self) -> str:
-        if not self.spec.messages:
-            return "    MESSAGE_TYPES = ()"
-        entries = []
-        for message in self.spec.messages:
-            fields = ", ".join(
-                f"FieldSpec({field.name!r}, {field.type_name!r}, "
-                f"is_list={field.is_list!r})"
-                for field in message.fields
-            )
-            field_tuple = f"({fields},)" if fields else "()"
-            entries.append(
-                f"        MessageType({message.name!r}, {field_tuple}, "
-                f"{message.transport!r}),"
-            )
-        return "    MESSAGE_TYPES = (\n" + "\n".join(entries) + "\n    )"
-
-    def _state_vars_attr(self) -> str:
-        if not self.spec.state_vars:
-            return "    STATE_VARS = ()"
-        entries = []
-        for var in self.spec.state_vars:
-            entries.append(
-                "        StateVarSpec(name={name!r}, kind={kind!r}, "
-                "type_name={type_name!r}, default={default!r}, "
-                "fail_detect={fail_detect!r}, period={period!r}),".format(
-                    name=var.name, kind=var.kind, type_name=var.type_name,
-                    default=var.default, fail_detect=var.fail_detect,
-                    period=var.period)
-            )
-        return "    STATE_VARS = (\n" + "\n".join(entries) + "\n    )"
-
-    def _transitions_attr(self) -> str:
-        if not self.spec.transitions:
-            return "    TRANSITIONS = ()"
-        entries = []
-        for index, transition in enumerate(self.spec.transitions):
-            method = self._transition_method_name(index, transition)
-            entries.append(
-                f"        TransitionSpec(kind={transition.kind!r}, "
-                f"name={transition.name!r}, state_expr={transition.state_expr!r}, "
-                f"method={method!r}, locking={transition.locking!r}),"
-            )
-        return "    TRANSITIONS = (\n" + "\n".join(entries) + "\n    )"
-
-    def _transition_index_attr(self) -> str:
-        """Emit the dispatch table: (kind, event name) -> transition positions.
-
-        The runtime binds each position's method once per agent instance and
-        dispatches deliveries/timer fires/API calls with a single dict lookup
-        instead of a per-event ``getattr``/string scan over every transition
-        (see ``Agent._compile_transitions``).  Buckets keep declaration order,
-        so state-expression tie-breaking is unchanged.
-        """
-        if not self.spec.transitions:
-            return "    TRANSITION_INDEX = {}"
-        index: dict[tuple[str, str], list[int]] = {}
-        for position, transition in enumerate(self.spec.transitions):
-            index.setdefault((transition.kind, transition.name), []).append(position)
-        entries = [
-            f"        ({kind!r}, {name!r}): {tuple(positions)!r},"
-            for (kind, name), positions in index.items()
-        ]
-        return "    TRANSITION_INDEX = {\n" + "\n".join(entries) + "\n    }"
+    @staticmethod
+    def _declarations(name: str, items: Iterable) -> str:
+        """``NAME = (...)``: the runtime's own declaration objects, one per
+        line, each written as its (evaluable) repr."""
+        entries = "".join(f"        {item!r},\n" for item in items)
+        return f"    {name} = (\n{entries}    )" if entries else f"    {name} = ()"
 
     def _routines(self) -> str:
         if not self.spec.routines:
@@ -325,25 +274,94 @@ class CodeGenerator:
         blocks = []
         for routine in self.spec.routines:
             code = normalize_action_code(routine.code)
+            context = f"{self.spec.name}.mac line {routine.line}: routines"
+            self._check_names(routine, _nodes(code, context))
             blocks.append(_indent(code, 4))
         return "\n    # ---- user routines ----\n" + "\n\n".join(blocks) + "\n"
+
+    def _check_names(self, decl, nodes: list[ast.AST],
+                     message: Optional[str] = None) -> bool:
+        """The runtime's message- and field-name checks, at compile time.
+
+        A send primitive (bare, or on ``self`` as routines write it) with a
+        literal message name must name a declared message and pass only its
+        fields; ``field("x")`` in a ``recv``/``forward`` transition of
+        *message* must name one of its fields.  Computed names stay a runtime
+        check.  Returns whether every ``field`` use was such a literal.
+        """
+        unchecked_fields = 0
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id == "field":
+                unchecked_fields += 1
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            first = node.args[0] if node.args else None
+            name = first.value if isinstance(first, ast.Constant) \
+                and isinstance(first.value, str) else None
+            on_self = isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name) and func.value.id == "self"
+            called = func.id if isinstance(func, ast.Name) \
+                else func.attr if on_self else None
+            try:
+                if called == "field" and not on_self:
+                    if name is not None and len(node.args) == 1 \
+                            and not node.keywords:
+                        if message is not None:
+                            self.catalog.get(message).validate_fields((name,))
+                        unchecked_fields -= 1
+                elif called in _SEND_PRIMITIVES and name is not None:
+                    self.catalog.get(name).validate_fields(
+                        {keyword.arg for keyword in node.keywords if keyword.arg}
+                        - _SEND_OPTIONS)
+            except MessageError as exc:
+                # decl.code starts right behind the "{" on decl.code_line.
+                blank = len(decl.code) - len(decl.code.lstrip("\n"))
+                raise CodegenError(
+                    f"{called}: {exc}", filename=self.spec.source_file,
+                    line=decl.code_line + blank + node.lineno - 1) from exc
+        return not unchecked_fields
 
     def _transition_methods(self) -> str:
         self_names = self._self_names()
         blocks = []
-        for index, transition in enumerate(self.spec.transitions):
-            method = self._transition_method_name(index, transition)
-            context = (f"{self.spec.name}.mac line {transition.line}: "
-                       f"{transition.state_expr} {transition.kind} {transition.name}")
-            body = rewrite_action_code(transition.code, self_names, context=context)
-            docstring = (f'"""{transition.state_expr} {transition.kind} '
-                         f'{transition.name}  [locking {transition.locking}] '
-                         f'(line {transition.line})."""')
+        static = set()
+        for decl, transition in zip(self.spec.transitions, self.transitions):
+            context = (f"{self.spec.name}.mac line {decl.line}: "
+                       f"{decl.state_expr} {decl.kind} {decl.name}")
+            body = normalize_action_code(decl.code)
+            nodes = _nodes(body, context)
+            literal_fields = self._check_names(
+                decl, nodes,
+                decl.name if decl.kind in ("recv", "forward") else None)
+            used = {node.id for node in nodes if isinstance(node, ast.Name)} \
+                & CONTEXT_NAMES - self_names
+            # Static binding: a recv body that only reads the message takes
+            # the Message and binds the names it uses as locals; a timer body
+            # that names no context takes nothing.  Anything else (quash,
+            # result, every api transition, field(expr)) keeps the ctx object.
+            signature, prologue, ctx_names = "(self, __ctx)", "", CONTEXT_NAMES
+            if decl.kind == "recv" and used <= _RECV_BINDINGS.keys() \
+                    and literal_fields:
+                signature, ctx_names = "(self, __msg)", frozenset()
+                prologue = "".join(f"        {_RECV_BINDINGS[name]}\n"
+                                   for name in sorted(used))
+            elif decl.kind == "timer" and not used:
+                signature, ctx_names = "(self)", frozenset()
+            if not ctx_names:
+                static.add(transition.method)
+            docstring = (f'"""{decl.state_expr} {decl.kind} '
+                         f'{decl.name}  [locking {decl.locking}] '
+                         f'(line {decl.line})."""')
             blocks.append(
-                f"    def {method}(self, __ctx):\n"
-                f"        {docstring}\n"
-                + _indent(body, 8)
+                f"    def {transition.method}{signature}:\n"
+                f"        {docstring}\n" + prologue
+                + _indent(_retarget(body, nodes, self_names, ctx_names), 8)
             )
+        if self.transitions:
+            blocks.append("    # ---- event handlers (repro.runtime.handlers) ----\n"
+                          + _indent(emit_handlers(self.transitions,
+                                                  self.spec.states, static), 4))
         return "\n\n".join(blocks)
 
 

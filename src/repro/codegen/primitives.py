@@ -10,8 +10,8 @@ implement them:
 * **agent primitives and declared state** become ``self.<name>`` (they are
   methods/attributes of :class:`repro.runtime.agent.Agent` or of the generated
   subclass);
-* **event-context names** become ``__ctx.<name>`` (attributes of the
-  :class:`repro.runtime.agent.TransitionContext` passed to every transition).
+* **event-context names** become ``__ctx.<name>`` (attributes of a
+  :class:`repro.runtime.agent.TransitionContext`) or, bound statically, locals.
 
 Anything else — locals, builtins, helper routines the user prefixed with
 ``self.`` explicitly — is left untouched.

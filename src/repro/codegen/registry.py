@@ -200,15 +200,7 @@ class ProtocolRegistry:
 
 def _respecify_base(spec: ProtocolSpec, base: str) -> ProtocolSpec:
     """A copy of *spec* with its ``uses`` header replaced."""
-    clone = ProtocolSpec(
-        name=spec.name, base=base, addressing=spec.addressing, trace=spec.trace,
-        constants=list(spec.constants), states=list(spec.states),
-        neighbor_types=list(spec.neighbor_types), transports=list(spec.transports),
-        messages=list(spec.messages), state_vars=list(spec.state_vars),
-        transitions=list(spec.transitions), routines=list(spec.routines),
-        source_file=spec.source_file, source_text=spec.source_text,
-    )
-    return clone
+    return dataclass_replace(spec, base=base)
 
 
 #: Process-wide registry over the bundled specifications.

@@ -88,6 +88,7 @@ class TransitionDecl:
     code: str
     locking: str = "write"
     line: int = 0
+    code_line: int = 0               # line of the "{" that opens ``code``
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ class RoutineDecl:
 
     code: str
     line: int = 0
+    code_line: int = 0
 
 
 @dataclass

@@ -289,9 +289,10 @@ class _Parser:
         locking = "write"
         if self.lexer.accept_punct("["):
             locking = self._parse_transition_options()
-        code, _ = self.lexer.read_raw_block()
+        code, code_line = self.lexer.read_raw_block()
         return TransitionDecl(state_expr=state_expr, kind=kind, name=name,
-                              code=code, locking=locking, line=line)
+                              code=code, locking=locking, line=line,
+                              code_line=code_line)
 
     def _parse_state_expression(self) -> str:
         parts: list[str] = []
@@ -332,8 +333,9 @@ class _Parser:
 
     def _parse_routines(self, spec: ProtocolSpec) -> None:
         line = self.lexer.peek().line
-        code, _ = self.lexer.read_raw_block()
-        spec.routines.append(RoutineDecl(code=code, line=line))
+        code, code_line = self.lexer.read_raw_block()
+        spec.routines.append(RoutineDecl(code=code, line=line,
+                                         code_line=code_line))
 
 
 def _join_state_expr(parts: list[str]) -> str:

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Optional, Sequence
 
+from .handlers import HANDLER_PARAMS, emit_handlers, handler_name
 from .keys import KeySpace
 from .locks import InstanceLock
 from .messages import Message, MessageCatalog, MessageType, WrappedMessage
 from .neighbors import NeighborSet, NeighborType
-from .stateexpr import StateExpr, parse_state_expr
 from .timers import TimerSpec, TimerTable
 from .tracing import TraceLevel
 
@@ -96,56 +96,38 @@ _SCALAR_DEFAULTS = {
 
 
 # ----------------------------------------------------------------------- context
+@dataclass(slots=True)
 class TransitionContext:
     """Everything a transition may read about the event that triggered it.
 
     The code generator rewrites context names appearing in transition bodies
     (``source``, ``msg``, ``dest_key``, ``payload`` …) into attribute accesses
-    on this object.
-
-    One context is built per dispatched event, so it is a ``__slots__`` class
-    with an explicit constructor — the attribute set is closed (it mirrors
-    :data:`repro.codegen.primitives.CONTEXT_NAMES` plus ``api``).
+    on this object, unless it can bind them statically (then none is built).
+    The attribute set is closed: it mirrors
+    :data:`repro.codegen.primitives.CONTEXT_NAMES` plus ``api``.
     """
 
-    __slots__ = ("api", "source", "source_key", "msg", "dest", "dest_key",
-                 "group", "payload", "payload_size", "priority", "bootstrap",
-                 "next_hop", "next_hop_key", "quash", "error_addr",
-                 "neighbors", "nbr_type", "op", "arg", "timer_name", "result")
-
-    def __init__(self, api: Optional[str] = None, source: Optional[int] = None,
-                 source_key: Optional[int] = None, msg: Optional[Message] = None,
-                 dest: Optional[int] = None, dest_key: Optional[int] = None,
-                 group: Optional[int] = None, payload: Any = None,
-                 payload_size: int = 0, priority: int = -1,
-                 bootstrap: Optional[int] = None, next_hop: Optional[int] = None,
-                 next_hop_key: Optional[int] = None, quash: bool = False,
-                 error_addr: Optional[int] = None,
-                 neighbors: Optional[list[int]] = None,
-                 nbr_type: Optional[int] = None, op: Optional[Any] = None,
-                 arg: Any = None, timer_name: Optional[str] = None,
-                 result: Any = None) -> None:
-        self.api = api
-        self.source = source
-        self.source_key = source_key
-        self.msg = msg
-        self.dest = dest
-        self.dest_key = dest_key
-        self.group = group
-        self.payload = payload
-        self.payload_size = payload_size
-        self.priority = priority
-        self.bootstrap = bootstrap
-        self.next_hop = next_hop
-        self.next_hop_key = next_hop_key
-        self.quash = quash
-        self.error_addr = error_addr
-        self.neighbors = neighbors
-        self.nbr_type = nbr_type
-        self.op = op
-        self.arg = arg
-        self.timer_name = timer_name
-        self.result = result
+    api: Optional[str] = None
+    source: Optional[int] = None
+    source_key: Optional[int] = None
+    msg: Optional[Message] = None
+    dest: Optional[int] = None
+    dest_key: Optional[int] = None
+    group: Optional[int] = None
+    payload: Any = None
+    payload_size: int = 0
+    priority: int = -1
+    bootstrap: Optional[int] = None
+    next_hop: Optional[int] = None
+    next_hop_key: Optional[int] = None
+    quash: bool = False
+    error_addr: Optional[int] = None
+    neighbors: Optional[list[int]] = None
+    nbr_type: Optional[int] = None
+    op: Optional[Any] = None
+    arg: Any = None
+    timer_name: Optional[str] = None
+    result: Any = None
 
     def field(self, name: str) -> Any:
         """The paper's ``field()`` accessor on the triggering message."""
@@ -175,6 +157,51 @@ class Agent:
     #: default keeps __setattr__'s guard check a plain attribute read (no
     #: getattr-with-default) during construction.
     _constructed: bool = False
+    #: Per-class tables, bound by __init_subclass__: kind -> event -> handler;
+    #: the catalog; declared transport names; message name -> (type, transport
+    #: when priority < 0 else None = host default, size is fixed + payload).
+    _handlers: dict[str, dict[str, Callable[..., bool]]] = {
+        kind: {} for kind in HANDLER_PARAMS}
+    _catalog = MessageCatalog()
+    _transport_names: tuple[str, ...] = ()
+    _send_plans: dict[str, tuple[MessageType, Optional[str], bool]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Bind what the class's declarations fix for every instance.
+
+        A generated class arrives with its handlers written into it by the
+        code generator; a hand-written one that only declares ``TRANSITIONS``
+        gets them here from the same emitter, in context-object mode.
+        """
+        super().__init_subclass__(**kwargs)
+        handlers = cls._handlers = {kind: {} for kind in HANDLER_PARAMS}
+        emitted: dict[str, Any] = {}
+        for spec in cls.TRANSITIONS:
+            name = handler_name(spec.kind, spec.name)
+            if not hasattr(cls, name):
+                if not emitted:
+                    exec(emit_handlers(cls.TRANSITIONS, cls.STATES),  # noqa: S102
+                         globals(), emitted)
+                setattr(cls, name, emitted[name])
+            handlers[spec.kind][spec.name] = getattr(cls, name)
+        for spec in cls.TRANSITIONS:
+            # Each exists and is reached from exactly its own handler (else:
+            # stale generated module, or TRANSITIONS changed behind handlers).
+            reached_from = [(kind, event) for kind, table in handlers.items()
+                            for event, handler in table.items()
+                            if spec.method in handler.__code__.co_names]
+            if not hasattr(cls, spec.method) \
+                    or reached_from != [(spec.kind, spec.name)]:
+                raise AgentError(
+                    f"{cls.PROTOCOL}: transition {spec.method!r} is missing or "
+                    f"reached from handlers {reached_from}, not only its own")
+        cls._catalog = MessageCatalog(list(cls.MESSAGE_TYPES))
+        names = cls._transport_names = tuple(
+            name for _, name in cls.TRANSPORT_DECLS)
+        cls._send_plans = {
+            mtype.name: (mtype, mtype.transport or (names[0] if names else None),
+                         mtype.is_fixed_size)
+            for mtype in cls.MESSAGE_TYPES}
 
     def __init__(self, node: "MacedonNode") -> None:  # noqa: F821 (forward ref)
         # The class-level _constructed=False default bypasses the
@@ -185,23 +212,18 @@ class Agent:
         self.key_space = self.KEY_SPACE
         self.my_key: int = self.key_space.hash(self.my_addr)
         self.lock = InstanceLock(strict=node.strict_locking)
+        #: The lock's reusable scopes: a handler enters the one `locking` names.
+        self._read_scope = self.lock.lock_read()
+        self._write_scope = self.lock.lock_write()
         self.lower: Optional[Agent] = None
         self.upper: Optional[Agent] = None
         self.bootstrap_addr: Optional[int] = None
         self.bootstrap_key: Optional[int] = None
         self._state = "init"
         self._rng = node.simulator.fork_rng(f"{self.PROTOCOL}:{node.address}")
-        self._catalog = MessageCatalog(list(self.MESSAGE_TYPES))
         self._timers = TimerTable(node.simulator, self._on_timer_expired)
         self._state_var_names: set[str] = set()
         self._fail_detect_sets: list[NeighborSet] = []
-        self._compiled_transitions: list[tuple[TransitionSpec, StateExpr]] = []
-        #: (kind, name) -> [(spec, compiled state expr, bound method), ...]
-        #: in declaration order — the dispatch table the hot path consults
-        #: instead of scanning every transition with string compares.
-        self._transition_table: dict[tuple[str, str],
-                                     list[tuple[TransitionSpec, StateExpr,
-                                                Callable[..., Any]]]] = {}
         self._group_members: dict[int, set[int]] = {}
         self.initialized = False
         #: Trace gates, precomputed so hot paths skip the tracer call (and
@@ -229,13 +251,10 @@ class Agent:
         else:
             self._trace_med = self.TRACE >= TraceLevel.MED
             self._trace_high = self.TRACE >= TraceLevel.HIGH
-        self._transport_names: tuple[str, ...] = tuple(
-            name for _, name in self.TRANSPORT_DECLS)
 
         for name, value in self.CONSTANTS.items():
             setattr(self, name, value)
         self._init_state_vars()
-        self._compile_transitions()
         object.__setattr__(self, "_constructed", True)
 
     # ------------------------------------------------------------------- setup
@@ -270,28 +289,6 @@ class Agent:
             object.__setattr__(self, spec.name, value)
             if spec.kind in ("var",):
                 self._state_var_names.add(spec.name)
-
-    def _compile_transitions(self) -> None:
-        table = self._transition_table
-        for spec in self.TRANSITIONS:
-            expr = parse_state_expr(spec.state_expr, self.STATES)
-            method = getattr(self, spec.method, None)
-            if method is None:
-                raise AgentError(
-                    f"{self.PROTOCOL}: transition references missing method {spec.method!r}"
-                )
-            self._compiled_transitions.append((spec, expr))
-            # Bind the method once here; within one (kind, name) bucket the
-            # declaration order is preserved, so the table dispatches exactly
-            # the transition the old linear scan would have found.
-            table.setdefault((spec.kind, spec.name), []).append(
-                (spec, expr, method))
-        index = getattr(type(self), "TRANSITION_INDEX", None)
-        if index is not None and len(index) != len(table):
-            raise AgentError(
-                f"{self.PROTOCOL}: generated TRANSITION_INDEX disagrees with "
-                f"TRANSITIONS (stale generated module?)"
-            )
 
     # ----------------------------------------------------- write-lock guarding
     def __setattr__(self, name: str, value: Any) -> None:
@@ -330,6 +327,8 @@ class Agent:
         return self.key_space.hash(value)
 
     # ------------------------------------------------------------------ events
+    # Every message, timer and API event crosses exactly one of these three
+    # entry points: look up the handler bound for the event name, call it.
     def api_call(self, name: str, ctx: Optional[TransitionContext] = None) -> Any:
         """Invoke an API transition on this agent (from the app or an upper layer)."""
         ctx = ctx or TransitionContext()
@@ -339,8 +338,7 @@ class Agent:
             if ctx.bootstrap is not None:
                 self.bootstrap_key = self.key_space.hash(ctx.bootstrap)
             self.initialized = True
-        handled = self._dispatch("api", name, ctx)
-        if not handled:
+        if not self._handle("api", name, ctx):
             return self._default_api(name, ctx)
         return ctx.result
 
@@ -358,44 +356,28 @@ class Agent:
         return None
 
     def _on_timer_expired(self, timer_name: str) -> None:
-        ctx = TransitionContext(timer_name=timer_name)
-        self._dispatch("timer", timer_name, ctx)
+        self._handle("timer", timer_name)
 
     def receive_message(self, message: Message, direction: str = "recv") -> bool:
         """Dispatch a received (or to-be-forwarded) protocol message."""
-        ctx = TransitionContext(msg=message, source=message.source,
-                                payload=message.payload,
-                                payload_size=message.payload_size)
-        if message.source is not None:
-            ctx.source_key = self.key_space.hash(message.source)
-        return self._dispatch(direction, message.name, ctx)
+        if direction != "recv":   # forward handlers take the event context
+            return self._handle(direction, message.type.name,
+                                self._message_ctx(message))
+        handler = self._handlers["recv"].get(message.type.name)
+        return handler is not None and handler(self, message)
 
-    def _dispatch(self, kind: str, name: str, ctx: TransitionContext) -> bool:
-        """Find and execute the transition for (kind, name, current state).
+    def _handle(self, kind: str, name: str, *event: Any) -> bool:
+        """Run the handler for *kind* event *name*, if one is declared."""
+        handler = self._handlers[kind].get(name)
+        return handler is not None and handler(self, *event)
 
-        One dict lookup into the dispatch table built at construction, then a
-        state-expression check over the (almost always singleton) bucket —
-        no per-delivery ``getattr`` and no string matching over the whole
-        transition list.
-        """
-        candidates = self._transition_table.get((kind, name))
-        if not candidates:
-            return False
-        state = self._state
-        for spec, expr, method in candidates:
-            if not expr.matches(state):
-                continue
-            if self._trace_med:   # "transition" records at TraceLevel.MED
-                self.trace("transition", f"{kind}:{name}", state=state,
-                           locking=spec.locking)
-            with self.lock.acquire(spec.locking):
-                method(ctx)
-            return True
-        return False
-
-    def has_transition(self, kind: str, name: str) -> bool:
-        return any(spec.kind == kind and spec.name == name
-                   for spec, _ in self._compiled_transitions)
+    def _message_ctx(self, message: Message) -> TransitionContext:
+        """Event context of *message*, for bodies not bound statically."""
+        source = message.source
+        return TransitionContext(
+            msg=message, source=source, payload=message.payload,
+            payload_size=message.payload_size,
+            source_key=None if source is None else self.key_space.hash(source))
 
     # ------------------------------------------------------------- primitives
     # These are the library routines transition bodies call (after the code
@@ -493,28 +475,24 @@ class Agent:
         transports); layered protocols use :meth:`route_msg` /
         :meth:`routeip_msg` instead.
         """
-        message_type = self._catalog.get(name)
+        plan = self._send_plans.get(name)
+        if plan is None:
+            self._catalog.get(name)   # raises the detailed MessageError
+        message_type, transport_name, fixed = plan
         dest = int(dest)
-        message = Message(type=message_type, fields=fields, payload=payload,
-                          payload_size=payload_size, priority=priority,
-                          source=self.my_addr, dest=dest, protocol=self.PROTOCOL)
-        transport_name = self._select_transport(message_type, priority)
-        payload_tag = tag
-        if payload_tag is None and payload is not None:
-            payload_tag = getattr(payload, "tag", None)
-        if self._trace_med:   # "message_send" records at TraceLevel.MED
-            self.trace("message_send", name, dest=dest, size=message.size)
-        self.node.send_wire_message(transport_name, dest, message, payload_tag)
-
-    def _select_transport(self, message_type: MessageType, priority: int) -> str:
+        message = Message(message_type, fields, payload, payload_size, priority,
+                          self.my_addr, dest, None, self.PROTOCOL)
         declared = self._transport_names
         if priority is not None and priority >= 0 and declared:
-            return declared[min(priority, len(declared) - 1)]
-        if message_type.transport:
-            return message_type.transport
-        if declared:
-            return declared[0]
-        return self.node.transport_host.DEFAULT_TRANSPORT
+            transport_name = declared[min(priority, len(declared) - 1)]
+        size = message_type.fixed_size + payload_size if fixed else message.size
+        if tag is None and payload is not None:
+            tag = getattr(payload, "tag", None)
+        if self._trace_med:   # "message_send" records at TraceLevel.MED
+            self.trace("message_send", name, dest=dest, size=size)
+        host = self.node.transport_host
+        host.send(transport_name or host.DEFAULT_TRANSPORT, dest, message, size,
+                  tag)
 
     def wrap_msg(self, name: str, *, payload: Any = None, payload_size: int = 0,
                  **fields: Any) -> WrappedMessage:
@@ -628,8 +606,7 @@ class Agent:
             addresses = [int(address) for address in neighbors]
         if self.upper is not None:
             ctx = TransitionContext(neighbors=addresses, nbr_type=nbr_type)
-            handled = self.upper._dispatch("api", "notify", ctx)
-            if not handled:
+            if not self.upper._handle("api", "notify", ctx):
                 self.upper.upcall_notify(addresses, nbr_type)
         else:
             self.node.app_notify(self, addresses, nbr_type)
@@ -638,8 +615,7 @@ class Agent:
         """Extensible upcall to the layer above (the generic handler)."""
         if self.upper is not None:
             ctx = TransitionContext(op=op, arg=arg)
-            handled = self.upper._dispatch("api", "upcall_ext", ctx)
-            if handled:
+            if self.upper._handle("api", "upcall_ext", ctx):
                 return ctx.result
             return self.upper.upcall_ext(op, arg)
         return self.node.app_upcall(self, op, arg)
@@ -666,8 +642,7 @@ class Agent:
                                     payload=message.payload,
                                     payload_size=message.payload_size,
                                     next_hop=next_hop, next_hop_key=next_hop_key)
-            handled = self._dispatch("forward", message.name, ctx)
-            if handled:
+            if self._handle("forward", message.name, ctx):
                 return (not ctx.quash, ctx.next_hop_key
                         if ctx.next_hop_key != next_hop_key else None)
             return (True, None)
@@ -690,8 +665,7 @@ class Agent:
         for neighbor_set in self._fail_detect_sets:
             if neighbor_set.query(address):
                 ctx = TransitionContext(error_addr=int(address))
-                handled = self._dispatch("api", "error", ctx)
-                if not handled:
+                if not self._handle("api", "error", ctx):
                     # Default repair: silently drop the dead peer.
                     with self.lock.acquire("write"):
                         neighbor_set.remove(address)

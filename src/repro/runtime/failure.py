@@ -129,7 +129,7 @@ class FailureDetector:
 
     def heard_from(self, peer: int) -> None:
         """Record that any traffic arrived from *peer*."""
-        self._last_heard[int(peer)] = self.simulator.now
+        self._last_heard[peer] = self.simulator._now
 
     def monitored_peers(self) -> list[int]:
         return sorted(self._monitored)

@@ -98,9 +98,8 @@ class FieldSpec:
             return 4 + len(str(value or "").encode("utf-8"))
         return base
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        suffix = " list" if self.is_list else ""
-        return f"FieldSpec({self.name!r}, {self.type_name!r}{suffix})"
+    def __repr__(self) -> str:   # evaluable: the code generator emits it
+        return f"FieldSpec({self.name!r}, {self.type_name!r}, is_list={self.is_list!r})"
 
 
 class MessageType:
@@ -113,7 +112,7 @@ class MessageType:
     spec-compile time — rather than silently charging a default at send time.
     """
 
-    __slots__ = ("name", "fields", "transport", "fixed_size",
+    __slots__ = ("name", "fields", "transport", "fixed_size", "is_fixed_size",
                  "_var_specs", "_names", "_wire")
 
     def __init__(self, name: str, fields: tuple = (),
@@ -137,6 +136,8 @@ class MessageType:
                 fixed += base
         #: Wire size shared by every instance: header plus all scalar fields.
         self.fixed_size = fixed
+        #: Whether that is all of it: wire size == fixed_size + payload_size.
+        self.is_fixed_size = not var_specs
         self._var_specs = tuple(var_specs)
         self._names = frozenset(spec.name for spec in self.fields)
         #: Lazily compiled field pack/unpack plan (see :class:`WireCodec`).
@@ -147,13 +148,12 @@ class MessageType:
 
     def validate_fields(self, values: Mapping[str, Any]) -> None:
         names = self._names
-        for key in values:
-            if key not in names:
-                unknown = sorted(set(values) - names)
-                raise MessageError(
-                    f"message {self.name!r} has no field(s) {unknown} "
-                    f"(declared: {sorted(names)})"
-                )
+        if not names.issuperset(values):   # one C-level pass: runs per send
+            unknown = sorted(set(values) - names)
+            raise MessageError(
+                f"message {self.name!r} has no field(s) {unknown} "
+                f"(declared: {sorted(names)})"
+            )
 
     def size_of(self, values: Mapping[str, Any], payload_size: int = 0) -> int:
         total = self.fixed_size + payload_size
@@ -173,9 +173,9 @@ class MessageType:
                 total += 4 + len(str(value or "").encode("utf-8"))
         return total
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"MessageType({self.name!r}, {len(self.fields)} fields, "
-                f"transport={self.transport!r})")
+    def __repr__(self) -> str:   # evaluable: the code generator emits it
+        fields = "".join(f"{spec!r}, " for spec in self.fields).rstrip(" ")
+        return f"MessageType({self.name!r}, ({fields}), {self.transport!r})"
 
 
 _message_ids = itertools.count(1)

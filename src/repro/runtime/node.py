@@ -103,9 +103,6 @@ class MacedonNode:
         for kind_name, instance_name in declarations:
             kind = TransportKind.parse(kind_name)
             self.transport_host.declare(kind, instance_name)
-        # The heartbeat path needs some transport even if the protocol binds
-        # every declared instance to specific messages.
-        self._heartbeat_transport = declarations[0][1]
 
     @property
     def heartbeat_transport(self) -> str:
@@ -248,12 +245,6 @@ class MacedonNode:
         return self.stack.highest.api_call("leave", TransitionContext(group=int(group)))
 
     # ------------------------------------------------------------------ the wire
-    def send_wire_message(self, transport_name: str, dest: int, message: Message,
-                          payload_tag: Optional[str] = None) -> None:
-        """Transmit a lowest-layer protocol message via the named transport."""
-        self.transport_host.send(transport_name, dest, message, message.size,
-                                 payload_tag)
-
     def _on_transport_deliver(self, src: int, payload: Any, size: int,
                               transport_name: str) -> None:
         self.failure_detector.heard_from(src)

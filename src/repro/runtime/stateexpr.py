@@ -8,8 +8,9 @@ Transitions in a mac file are scoped by a state expression, e.g.::
 
 An expression is ``any``, a single state name, an alternation ``a|b|c``
 (optionally parenthesised), or a negation ``!(...)`` / ``!name`` of the above.
-This module parses such expressions once and evaluates them against the
-current FSM state on every dispatch.
+This module parses such expressions, when the specification is compiled (the
+validator checks them, :mod:`repro.runtime.handlers` turns each into the
+``if`` test of a generated handler) — never per event.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ class StateExprError(ValueError):
     """Raised for malformed state expressions or unknown state names."""
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[()|!])")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAMES = rf"{_NAME}(?:\s*\|\s*{_NAME})*"
+#: ``[!] a|b|c`` with the alternation optionally inside one pair of parentheses.
+_EXPR_RE = re.compile(rf"(!?)\s*(?:\(\s*({_NAMES})\s*\)|({_NAMES}))$")
 
 
 @dataclass(frozen=True)
@@ -46,21 +50,6 @@ class StateExpr:
         return self.source
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise StateExprError(f"unexpected character in state expression: {remainder[0]!r}")
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
-
-
 def parse_state_expr(text: str,
                      known_states: Optional[Sequence[str]] = None) -> StateExpr:
     """Parse a state expression, optionally validating names against *known_states*.
@@ -69,55 +58,15 @@ def parse_state_expr(text: str,
     protocol), as is ``any``.
     """
     source = text.strip()
-    if not source:
-        raise StateExprError("empty state expression")
-    tokens = _tokenize(source)
-    if not tokens:
-        raise StateExprError(f"empty state expression: {text!r}")
+    match = _EXPR_RE.match(source)
+    if match is None:
+        raise StateExprError(
+            f"malformed state expression {text!r}: expected 'any', a state "
+            f"name or 'a|b|c', optionally parenthesised and/or negated with '!'")
+    negated = bool(match.group(1))
+    names = re.findall(_NAME, match.group(2) or match.group(3))
 
-    negated = False
-    index = 0
-    if tokens[index] == "!":
-        negated = True
-        index += 1
-
-    # Optional single level of parentheses around the alternation.
-    parenthesised = False
-    if index < len(tokens) and tokens[index] == "(":
-        parenthesised = True
-        index += 1
-
-    names: list[str] = []
-    expect_name = True
-    while index < len(tokens):
-        token = tokens[index]
-        if token == ")":
-            if not parenthesised:
-                raise StateExprError(f"unbalanced ')' in {text!r}")
-            parenthesised = False
-            index += 1
-            break
-        if expect_name:
-            if token in ("|", "(", "!", ")"):
-                raise StateExprError(f"expected a state name in {text!r}")
-            names.append(token)
-            expect_name = False
-        else:
-            if token != "|":
-                raise StateExprError(f"expected '|' between state names in {text!r}")
-            expect_name = True
-        index += 1
-
-    if parenthesised:
-        raise StateExprError(f"missing ')' in {text!r}")
-    if index != len(tokens):
-        raise StateExprError(f"trailing tokens in state expression {text!r}")
-    if expect_name:
-        raise StateExprError(f"dangling '|' in state expression {text!r}")
-    if not names:
-        raise StateExprError(f"no state names in {text!r}")
-
-    if len(names) == 1 and names[0] == "any":
+    if names == ["any"]:
         if negated:
             raise StateExprError("'!any' is not a useful state expression")
         return StateExpr(source=source, states=frozenset(), negated=False, match_any=True)

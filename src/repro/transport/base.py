@@ -180,18 +180,14 @@ class Transport(abc.ABC):
         protocol = self._protocol_label
         if protocol is None:
             protocol = self._protocol_label = f"{self.kind.value.lower()}:{self.name}"
-        packet = Packet(
-            src=self.local_address,
-            dst=dst,
-            payload=segment,
-            size=size,
-            protocol=protocol,
-        )
-        accepted = self.emulator.send(packet, payload_tag=payload_tag)
-        self.stats.segments_sent += 1
-        self.stats.bytes_sent += size
+        accepted = self.emulator.send(
+            Packet(self.local_address, dst, segment, size, protocol),
+            payload_tag)
+        stats = self.stats
+        stats.segments_sent += 1
+        stats.bytes_sent += size
         if not accepted:
-            self.stats.drops += 1
+            stats.drops += 1
         return accepted
 
     # --------------------------------------------------------------- interface

@@ -91,16 +91,6 @@ class _InFlight:
         self.retransmitted = retransmitted
 
 
-class _QueuedSegment:
-    __slots__ = ("segment", "size", "payload_tag")
-
-    def __init__(self, segment: Segment, size: int,
-                 payload_tag: Optional[str]) -> None:
-        self.segment = segment
-        self.size = size
-        self.payload_tag = payload_tag
-
-
 class ReliableConnection:
     """One direction of reliable delivery between this host and one peer."""
 
@@ -117,7 +107,8 @@ class ReliableConnection:
         # Sender state.
         self.next_seq = 0
         self.send_base = 0
-        self.queue: deque[_QueuedSegment] = deque()
+        #: (segment, size, payload_tag) waiting for room in the window.
+        self.queue: deque[tuple[Segment, int, Optional[str]]] = deque()
         self.in_flight: dict[int, _InFlight] = {}
         self.dup_acks = 0
         self.srtt: Optional[float] = None
@@ -137,11 +128,18 @@ class ReliableConnection:
 
     # ------------------------------------------------------------------ sender
     def enqueue(self, segment: Segment, size: int, payload_tag: Optional[str]) -> None:
-        self.queue.append(_QueuedSegment(segment, size, payload_tag))
+        if not self.queue and len(self.in_flight) < int(self.policy.window()):
+            # Uncongested (every control message): what _pump does with a
+            # one-item queue, without the round trip through the deque.
+            segment.seq = self.next_seq
+            self.next_seq += 1
+            self._transmit(segment, size, payload_tag)
+            return
+        self.queue.append((segment, size, payload_tag))
         self._pump()
 
     def queued_bytes(self) -> int:
-        return sum(item.size for item in self.queue)
+        return sum(size for _, size, _ in self.queue)
 
     def _pump(self) -> None:
         """Transmit queued segments while the window allows."""
@@ -152,32 +150,33 @@ class ReliableConnection:
         # pump loop, so it is evaluated once per pump.
         window = int(self.policy.window())
         while queue and len(self.in_flight) < window:
-            item = queue.popleft()
-            item.segment.seq = self.next_seq
+            segment, size, payload_tag = queue.popleft()
+            segment.seq = self.next_seq
             self.next_seq += 1
-            self._transmit(item.segment, item.size, item.payload_tag)
-
-    def _stamp(self, segment: Segment) -> Segment:
-        """Stamp the destination incarnation at transmission time.
-
-        Re-stamped on every (re)transmission, not at enqueue: the sender may
-        learn the peer restarted (via a challenge ACK) while a segment sits
-        in the queue or awaits retransmission.
-        """
-        segment.dest_epoch = self.peer_epoch if self.peer_epoch is not None else 0
-        return segment
+            self._transmit(segment, size, payload_tag)
 
     def _transmit(self, segment: Segment, size: int,
-                  payload_tag: Optional[str], retransmit: bool = False) -> None:
-        now = self.transport.simulator.now
-        self.in_flight[segment.seq] = _InFlight(segment=segment, size=size,
-                                                sent_at=now,
-                                                retransmitted=retransmit)
-        self.transport._send_packet(self.peer, self._stamp(segment), size,
-                                    payload_tag)
-        if retransmit:
-            self.transport.stats.retransmissions += 1
-        self._arm_timer()
+                  payload_tag: Optional[str]) -> None:
+        """First transmission: record in flight, stamp, send, re-arm the RTO."""
+        transport = self.transport
+        simulator = transport.simulator
+        self.in_flight[segment.seq] = _InFlight(segment, size, simulator._now)
+        # The destination incarnation is stamped at (re)transmission, not at
+        # enqueue: the sender may learn the peer restarted (via a challenge
+        # ACK) while a segment sits in the queue or awaits retransmission.
+        segment.dest_epoch = self.peer_epoch or 0
+        transport._send_packet(self.peer, segment, size, payload_tag)
+        # _arm_timer() with in_flight known to be non-empty.
+        if self._timer_armed:
+            simulator.cancel_gen(self._timer_cell)
+        self._timer_armed = True
+        simulator.schedule_gen(self.rto, self._on_timeout, self._timer_cell)
+
+    def _retransmit(self, entry: _InFlight) -> None:
+        entry.retransmitted = True
+        entry.segment.dest_epoch = self.peer_epoch or 0
+        self.transport._send_packet(self.peer, entry.segment, entry.size, None)
+        self.transport.stats.retransmissions += 1
 
     def _arm_timer(self) -> None:
         simulator = self.transport.simulator
@@ -230,26 +229,19 @@ class ReliableConnection:
             return
         self.policy.on_timeout()
         self.rto = min(self.rto * 2.0, self.MAX_RTO)
-        oldest_seq = min(self.in_flight)
-        entry = self.in_flight[oldest_seq]
-        entry.retransmitted = True
-        entry.sent_at = self.transport.simulator.now
-        self.transport._send_packet(self.peer, self._stamp(entry.segment),
-                                    entry.size, None)
-        self.transport.stats.retransmissions += 1
+        entry = self.in_flight[min(self.in_flight)]
+        entry.sent_at = self.transport.simulator._now
+        self._retransmit(entry)
         self._arm_timer()
 
     def handle_ack(self, ack: int) -> None:
         """Process a cumulative ACK (next sequence number the peer expects)."""
-        if ack <= self.send_base:
+        send_base = self.send_base
+        if ack <= send_base:
             self.dup_acks += 1
-            if self.dup_acks >= 3 and self.send_base in self.in_flight:
+            if self.dup_acks >= 3 and send_base in self.in_flight:
                 self.policy.on_fast_retransmit()
-                entry = self.in_flight[self.send_base]
-                entry.retransmitted = True
-                self.transport._send_packet(self.peer, self._stamp(entry.segment),
-                                            entry.size, None)
-                self.transport.stats.retransmissions += 1
+                self._retransmit(self.in_flight[send_base])
                 self.dup_acks = 0
             return
         self.dup_acks = 0
@@ -259,8 +251,11 @@ class ReliableConnection:
         # In-flight sequence numbers are contiguous in [send_base, next_seq),
         # so the acked prefix is exactly range(send_base, ack) — walking it
         # (ascending, the dict's insertion order) pops the same entries in
-        # the same order as scanning the whole dict, without the list copy.
-        for seq in range(self.send_base, min(ack, self.next_seq)):
+        # the same order as scanning the whole dict, without the list copy
+        # (for exactly one segment, the uncongested case, without the range).
+        acked = (send_base,) if ack == send_base + 1 \
+            else range(send_base, min(ack, self.next_seq))
+        for seq in acked:
             entry = in_flight.pop(seq, None)
             if entry is not None:
                 newly_acked += 1
@@ -269,7 +264,8 @@ class ReliableConnection:
         self.send_base = ack
         self.policy.on_ack(newly_acked)
         self._arm_timer()
-        self._pump()
+        if self.queue:
+            self._pump()
 
     def _update_rtt(self, sample: float) -> None:
         if self.srtt is None:
@@ -282,21 +278,30 @@ class ReliableConnection:
 
     # ---------------------------------------------------------------- receiver
     def handle_data(self, segment: Segment) -> None:
-        if segment.seq >= self.expected_seq and segment.seq not in self.out_of_order:
-            self.out_of_order[segment.seq] = segment
-        # Advance over any contiguous run starting at expected_seq.
-        while self.expected_seq in self.out_of_order:
-            ready = self.out_of_order.pop(self.expected_seq)
-            self.expected_seq += 1
-            self._assemble(ready)
+        seq = segment.seq
+        out_of_order = self.out_of_order
+        if seq == self.expected_seq and not out_of_order:
+            # In order with nothing buffered: the insert/pop below would
+            # hand back this very segment.
+            self.expected_seq = seq + 1
+            self._assemble(segment)
+        else:
+            if seq >= self.expected_seq and seq not in out_of_order:
+                out_of_order[seq] = segment
+            # Advance over any contiguous run starting at expected_seq.
+            while self.expected_seq in out_of_order:
+                ready = out_of_order.pop(self.expected_seq)
+                self.expected_seq += 1
+                self._assemble(ready)
         self._send_ack()
 
     def _send_ack(self) -> None:
-        ack_segment = Segment(transport=self.transport.name, kind="ACK",
-                              seq=0, ack=self.expected_seq,
-                              epoch=self.transport.epoch)
-        self.transport._send_packet(self.peer, self._stamp(ack_segment),
-                                    self.ACK_SIZE, None)
+        transport = self.transport
+        transport._send_packet(    # Segment built positionally, as in send()
+            self.peer,
+            Segment(transport.name, "ACK", 0, None, 0, self.expected_seq,
+                    0, 0, 1, transport.epoch, self.peer_epoch or 0),
+            self.ACK_SIZE, None)
 
     def send_challenge_ack(self) -> None:
         """Tell the peer our current incarnation (its segment targeted a dead
@@ -340,11 +345,14 @@ class ReliableTransport(Transport):
     def send(self, dst: int, payload: Any, size: int,
              payload_tag: Optional[str] = None) -> None:
         self.stats.messages_sent += 1
-        connection = self._connection(dst)
+        connection = self._connections.get(dst) or self._connection(dst)
         if size <= self.MSS:
-            segment = Segment(transport=self.name, kind="DATA", seq=0,
-                              payload=payload, size=size, epoch=self.epoch)
-            connection.enqueue(segment, max(size, 1), payload_tag)
+            # Positional: transport, kind, seq, payload, size, ack, msg_id,
+            # chunk, chunks, epoch(, dest_epoch).
+            connection.enqueue(
+                Segment(self.name, "DATA", 0, payload, size, -1, 0, 0, 1,
+                        self.epoch),
+                size if size > 0 else 1, payload_tag)
             return
         msg_id = self.next_msg_id()
         chunks = (size + self.MSS - 1) // self.MSS
@@ -352,17 +360,14 @@ class ReliableTransport(Transport):
         for index in range(chunks):
             chunk_size = min(self.MSS, remaining)
             remaining -= chunk_size
-            segment = Segment(
-                transport=self.name, kind="DATA", seq=0,
-                payload=payload if index == 0 else None,
-                size=chunk_size, msg_id=msg_id, chunk=index, chunks=chunks,
-                epoch=self.epoch,
-            )
-            connection.enqueue(segment, chunk_size, payload_tag)
+            connection.enqueue(
+                Segment(self.name, "DATA", 0, payload if index == 0 else None,
+                        chunk_size, -1, msg_id, index, chunks, self.epoch),
+                chunk_size, payload_tag)
 
     def handle_segment(self, src: int, segment: Segment) -> None:
         self.stats.segments_received += 1
-        connection = self._connection(src)
+        connection = self._connections.get(src) or self._connection(src)
         epoch = segment.epoch
         if connection.peer_epoch is None:
             connection.peer_epoch = epoch

@@ -73,18 +73,23 @@ def test_compiled_class_attributes():
     assert agent_class.TRANSITIONS[2].locking == "read"
 
 
-def test_generated_transition_index_matches_transitions():
-    # The emitted dispatch table must cover exactly the declared (kind, name)
-    # events and point at the right TRANSITIONS positions, in declaration
-    # order — it is what the runtime dispatches deliveries through.
+def test_generated_handlers_match_transitions():
+    # The emitted handlers must cover exactly the declared (kind, name)
+    # events, and each must reach exactly its own bucket's transition
+    # methods, in declaration order — they are what the runtime dispatches
+    # deliveries, timer fires and API calls through.
     agent_class = compile_mac(SIMPLE, "tiny.mac")
-    index = agent_class.TRANSITION_INDEX
-    assert set(index) == {("api", "init"), ("recv", "hello"),
-                          ("timer", "tick")}
-    for (kind, name), positions in index.items():
-        assert positions == tuple(
-            i for i, t in enumerate(agent_class.TRANSITIONS)
-            if (t.kind, t.name) == (kind, name))
+    handlers = agent_class._handlers
+    assert {(kind, name) for kind, events in handlers.items()
+            for name in events} == {("api", "init"), ("recv", "hello"),
+                                    ("timer", "tick")}
+    for kind, events in handlers.items():
+        for name, handler in events.items():
+            assert handler is getattr(agent_class, f"_handle_{kind}_{name}")
+            assert [t.method for t in agent_class.TRANSITIONS
+                    if t.method in handler.__code__.co_names] == [
+                t.method for t in agent_class.TRANSITIONS
+                if (t.kind, t.name) == (kind, name)]
 
 
 def test_registry_lists_all_bundled_protocols():

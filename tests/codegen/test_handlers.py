@@ -1,0 +1,296 @@
+"""The generated dispatcher: one handler per ``(kind, event)``.
+
+* the handler-selection oracle — over every bundled spec, every bucket and
+  every state, the handler runs exactly the first declared transition whose
+  state expression matches (``parse_state_expr(...).matches`` is this test's
+  oracle; the runtime no longer calls it);
+* parity of everything dispatch owes its callers: ``LockStats``,
+  ``LockingViolation``, the MED ``"transition"`` trace record, the
+  ``receive_message`` / ``send_msg`` override hooks the paper baselines use,
+  and hand-written ``TRANSITIONS`` classes (context-object mode).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.codegen import ProtocolRegistry, compile_mac
+from repro.network import NetworkEmulator, transit_stub_topology
+from repro.runtime import LockingViolation, MacedonNode, Simulator, Tracer
+from repro.runtime.agent import (Agent, AgentError, TransitionContext,
+                                 TransitionSpec)
+from repro.runtime.messages import FieldSpec, Message, MessageType
+from repro.runtime.stateexpr import parse_state_expr
+
+BUNDLED = ("ammo", "bullet", "chord", "nice", "overcast", "pastry",
+           "randtree", "scribe", "splitstream")
+
+
+# ----------------------------------------------------------------- the oracle
+def buckets(agent_class):
+    grouped: dict = {}
+    for spec in agent_class.TRANSITIONS:
+        grouped.setdefault((spec.kind, spec.name), []).append(spec)
+    return grouped
+
+
+def recording_probe(agent_class):
+    """A subclass whose every transition method only records its own name
+    (handlers call through ``self``, so the overrides are what runs)."""
+    def recorder(method):
+        return lambda self, *event: self.ran.append(method)
+
+    probe_class = type("Probe", (agent_class,), {
+        spec.method: recorder(spec.method)
+        for spec in agent_class.TRANSITIONS})
+    probe = probe_class.__new__(probe_class)      # no node needed
+    probe.key_space = agent_class.KEY_SPACE
+    probe._trace_med = False
+    probe._read_scope = probe._write_scope = _NoLock()
+    return probe
+
+
+class _NoLock:
+    def __enter__(self):
+        return None
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("protocol", BUNDLED)
+def test_handler_runs_the_first_matching_transition(protocol):
+    agent_class = ProtocolRegistry().load_protocol(protocol)
+    assert set(ProtocolRegistry().available()) == set(BUNDLED)
+    probe = recording_probe(agent_class)
+    types = {mtype.name: mtype for mtype in agent_class.MESSAGE_TYPES}
+    checked = 0
+    for (kind, event), specs in buckets(agent_class).items():
+        handler = agent_class._handlers[kind][event]
+        for state in agent_class.STATES + ("init",):
+            expected = next(
+                (spec.method for spec in specs
+                 if parse_state_expr(spec.state_expr,
+                                     agent_class.STATES).matches(state)), None)
+            probe._state, probe.ran = state, []
+            if kind == "recv":
+                handled = handler(probe, Message(types[event]))
+            elif kind == "timer":
+                handled = handler(probe)
+            else:
+                handled = handler(probe, TransitionContext())
+            assert probe.ran == ([expected] if expected else []), \
+                (kind, event, state)
+            assert handled is (expected is not None)
+            checked += 1
+    assert checked == len(buckets(agent_class)) * (len(agent_class.STATES) + 1)
+
+
+def test_stale_or_missing_transition_is_refused_at_class_creation():
+    base = compile_mac(PARITY, "parity.mac")
+    with pytest.raises(AgentError, match="reached from handlers"):
+        # TRANSITIONS extended behind the generated handlers' back.
+        type("Stale", (base,), {
+            "extra": lambda self, ctx: None,
+            "TRANSITIONS": base.TRANSITIONS + (
+                TransitionSpec("recv", "ping", "init", "extra"),)})
+    with pytest.raises(AgentError, match="missing"):
+        type("Missing", (Agent,), {
+            "TRANSITIONS": (TransitionSpec("timer", "t", "any", "nowhere"),)})
+
+
+# ---------------------------------------------------------------- tiny parity
+PARITY = """
+protocol parity
+addressing ip
+trace_med
+states { ready; busy; }
+transports { UDP U; }
+messages { U ping { int n; } U pong { int n; } U poke { } }
+state_variables { int pings; int pongs; int ticks; timer tick 1.0; }
+transitions {
+    any API init {
+        state_change("ready")
+        timer_sched(tick)
+    }
+    ready recv ping {
+        pings = pings + 1
+        send_msg("pong", source, n=field("n"))
+    }
+    busy recv ping { pings = pings + 100 }
+    !(init) recv pong [locking read;] { upcall_deliver(msg, 0, "pong") }
+    ready API route [locking read;] { send_msg("ping", dest_key, n=payload_size) }
+    ready recv poke [locking read;] { pongs = pongs + 1 }
+    ready|busy timer tick [locking read;] { upcall_deliver(None, 0, "tick") }
+}
+"""
+
+
+def build(agent_class, n=2, **node_kwargs):
+    simulator = Simulator(seed=3)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(max(n, 2), seed=3))
+    tracer = Tracer()
+    nodes = [MacedonNode(simulator, emulator, [agent_class], tracer=tracer,
+                         **node_kwargs) for _ in range(n)]
+    for node in nodes:
+        node.macedon_init(nodes[0].address)
+    return simulator, tracer, nodes
+
+
+def test_lock_stats_and_transition_trace_parity():
+    simulator, tracer, (a, b) = build(compile_mac(PARITY, "parity.mac"))
+    # The app answers the first pong by routing again from inside the
+    # read-locked pong transition: a nested (read) acquisition on a.
+    again = []
+    a.macedon_register_handlers(deliver=lambda payload, size, mtype: (
+        mtype == "pong" and not again
+        and (again.append(1), a.macedon_route(b.address, None, 2))))
+    a.macedon_route(b.address, None, 1)
+    simulator.run(until=0.9)            # before the first tick
+    stats_a, stats_b = a.lowest_agent.lock.stats, b.lowest_agent.lock.stats
+    # a: init (w), route (r), pong (r) with route nested in it (r), pong (r).
+    assert (stats_a.write_acquisitions, stats_a.read_acquisitions,
+            stats_a.nested_acquisitions) == (1, 4, 1)
+    assert stats_a.read_fraction() == 4 / 5
+    # b: init (w) and two pings (w).
+    assert (stats_b.write_acquisitions, stats_b.read_acquisitions,
+            stats_b.nested_acquisitions) == (3, 0, 0)
+    assert b.lowest_agent.pings == 2
+    records = [(r.node, r.detail, r.data) for r in tracer.records("transition")]
+    assert records == [
+        (a.address, "api:init", {"state": "init", "locking": "write"}),
+        (b.address, "api:init", {"state": "init", "locking": "write"}),
+        (a.address, "api:route", {"state": "ready", "locking": "read"}),
+        (b.address, "recv:ping", {"state": "ready", "locking": "write"}),
+        (a.address, "recv:pong", {"state": "ready", "locking": "read"}),
+        (a.address, "api:route", {"state": "ready", "locking": "read"}),
+        (b.address, "recv:ping", {"state": "ready", "locking": "write"}),
+        (a.address, "recv:pong", {"state": "ready", "locking": "read"}),
+    ]
+    simulator.run(until=1.5)            # the read-locked tick, on both
+    assert stats_a.read_acquisitions == 5 and stats_b.read_acquisitions == 1
+
+
+def test_write_primitive_in_read_transition_is_a_violation():
+    simulator, _, (a, b) = build(compile_mac(PARITY, "parity.mac"))
+    a.lowest_agent.send_msg("poke", b.address)
+    with pytest.raises(LockingViolation):
+        simulator.run(until=0.5)
+    simulator, _, (a, b) = build(compile_mac(PARITY, "parity.mac"),
+                                 strict_locking=False)
+    a.lowest_agent.send_msg("poke", b.address)
+    simulator.run(until=0.5)
+    assert b.lowest_agent.pongs == 1
+    assert b.lowest_agent.lock.stats.violations == 1
+
+
+def test_baseline_style_overrides_see_every_message():
+    base = compile_mac(PARITY, "parity.mac")
+
+    class Hooked(base):
+        """lsd-style ``receive_message`` and FreePastry-style ``send_msg``."""
+
+        def __init__(self, node):
+            super().__init__(node)
+            self.received, self.sent = [], []
+
+        def receive_message(self, message, direction="recv"):
+            self.received.append((message.name, dict(message.fields)))
+            return super().receive_message(message, direction)
+
+        def send_msg(self, name, dest, *, priority=-1, payload=None,
+                     payload_size=0, tag=None, **fields):
+            self.sent.append((name, fields))
+            super().send_msg(name, dest, priority=priority, payload=payload,
+                             payload_size=payload_size, tag=tag, **fields)
+
+    simulator, _, (a, b) = build(Hooked)
+    a.macedon_route(b.address, None, 5)
+    simulator.run(until=0.9)
+    assert a.lowest_agent.sent == [("ping", {"n": 5})]
+    assert b.lowest_agent.received == [("ping", {"n": 5})]
+    assert b.lowest_agent.sent == [("pong", {"n": 5})]
+    assert a.lowest_agent.received == [("pong", {"n": 5})]
+
+
+# ----------------------------------------------------------- hand-written agent
+class Lower(Agent):
+    """Hand-written lowest layer: routes a payload one hop, offering it to the
+    layer above (``forward``) before it leaves."""
+
+    PROTOCOL = "lower"
+    STATES = ("up",)
+    TRANSPORT_DECLS = (("UDP", "U"),)
+    MESSAGE_TYPES = (MessageType("hop", ()),)
+    TRANSITIONS = (
+        TransitionSpec("api", "init", "any", "t_init"),
+        TransitionSpec("api", "route", "up", "t_route", "read"),
+        TransitionSpec("recv", "hop", "up", "t_hop", "read"),
+    )
+
+    def t_init(self, ctx):
+        self.state_change("up")
+
+    def t_route(self, ctx):
+        allow, _ = self.upcall_forward(ctx.payload, ctx.payload_size, "hop",
+                                       ctx.dest_key, None)
+        ctx.result = allow
+        if allow:
+            self.send_msg("hop", ctx.dest_key, payload=ctx.payload,
+                          payload_size=ctx.payload_size)
+
+    def t_hop(self, ctx):
+        self.upcall_deliver(ctx.payload, ctx.payload_size, "hop",
+                            source=ctx.source)
+
+
+class Upper(Agent):
+    """Hand-written upper layer whose ``forward`` transition quashes odd
+    notes and whose ``recv`` transition counts what arrives."""
+
+    PROTOCOL = "upper"
+    BASE_PROTOCOL = "lower"
+    STATES = ("up",)
+    MESSAGE_TYPES = (MessageType("note", (FieldSpec("v", "int"),)),)
+    TRANSITIONS = (
+        TransitionSpec("api", "init", "any", "t_init"),
+        TransitionSpec("forward", "note", "up", "t_forward_note", "read"),
+        TransitionSpec("recv", "note", "init", "t_never"),
+        TransitionSpec("recv", "note", "up", "t_note"),
+    )
+
+    def __init__(self, node):
+        super().__init__(node)
+        self.total = 0
+        self.offered = []
+
+    def t_init(self, ctx):
+        self.state_change("up")
+
+    def t_forward_note(self, ctx):
+        self.offered.append((ctx.field("v"), ctx.next_hop))
+        ctx.quash = ctx.field("v") % 2 == 1
+
+    def t_never(self, ctx):
+        raise AssertionError("scoped to init, dispatched in up")
+
+    def t_note(self, ctx):
+        assert ctx.source_key is not None and ctx.msg.name == "note"
+        self.total += ctx.field("v")
+
+
+def test_hand_written_transitions_get_ctx_mode_handlers():
+    assert Upper._handle_recv_note.__code__.co_names.count("_message_ctx") == 1
+    simulator = Simulator(seed=4)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(2, seed=4))
+    a, b = (MacedonNode(simulator, emulator, [Lower, Upper]) for _ in range(2))
+    a.macedon_init(a.address)
+    b.macedon_init(a.address)
+    upper = a.agent("upper")
+    for v in (2, 3, 4):
+        upper.route_msg("note", b.address, v=v)
+    simulator.run(until=1.0)
+    # The forward transition saw all three and quashed the odd one.
+    assert upper.offered == [(2, b.address), (3, b.address), (4, b.address)]
+    assert b.agent("upper").total == 6
+    assert a.agent("lower").lock.stats.read_acquisitions == 3

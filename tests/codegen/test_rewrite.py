@@ -75,3 +75,21 @@ def test_empty_body_becomes_pass():
 def test_untokenizable_body_raises():
     with pytest.raises(CodegenError):
         rewrite_action_code("def broken(:\n", SELF_NAMES, context="test")
+
+
+def test_columns_are_right_behind_non_ascii_text():
+    # The parser counts columns in UTF-8 bytes; the splice must too.
+    out = rewrite_action_code('note = "é — ü"; counter = papa  # ünïcode', SELF_NAMES)
+    assert out == 'note = "é — ü"; self.counter = self.papa  # ünïcode'
+
+
+def test_f_strings_are_strings():
+    out = rewrite_action_code('debug(f"{counter} of {MAX}", counter)',
+                              SELF_NAMES | {"debug"})
+    assert out == 'self.debug(f"{counter} of {MAX}", self.counter)'
+
+
+def test_unparseable_body_names_its_mac_context():
+    with pytest.raises(CodegenError, match=r"cannot parse action code \(x.mac line 7"):
+        rewrite_action_code("if counter\n    pass", SELF_NAMES,
+                            context="x.mac line 7: any recv ping")
