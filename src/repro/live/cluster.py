@@ -49,6 +49,7 @@ from ..eval.metrics import correct_successor_fraction
 from ..eval.scenario import ScenarioError, ScenarioResult
 from ..eval.workload import (NodeWorkload, WorkloadModel,
                              WorkloadObservations, WorkloadPlan)
+from ..transport.udp import SocketUdpNetwork
 
 #: Stream id stamped on workload probes so application traffic of the
 #: deployment under test is never miscounted (mirrors the scenario engine's
@@ -58,6 +59,21 @@ LIVE_WORKLOAD_STREAM = 7001
 #: Lowest overlay address; 0 is avoided because the specs treat a zero
 #: address as "unset" (``if candidate:`` guards).
 _FIRST_ADDRESS = 1
+
+#: Seconds after the workload window for in-flight deliveries to land before
+#: the processes shut down.
+DRAIN = 1.0
+
+#: Exponential-backoff schedule for respawning a node that died
+#: *unexpectedly* (a deliberate kill's downtime comes from its directive):
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 8.0
+
+#: The :class:`~repro.transport.base.TransportStats` counters a node report
+#: sums over its transports.
+_TRANSPORT_TOTALS = ("messages_sent", "messages_delivered", "segments_sent",
+                     "segments_received", "retransmissions", "drops")
 
 
 class LiveClusterError(RuntimeError):
@@ -72,13 +88,11 @@ class LiveClusterConfig:
     protocol: str = "chord"
     base_overrides: Optional[dict] = None
     #: Measurement horizon in wall-clock seconds: the workload finishes by
-    #: this offset; processes shut down ``drain`` seconds later.
+    #: this offset; processes shut down :data:`DRAIN` seconds later.
     duration: float = 10.0
     join_spacing: float = 0.15
     #: Seconds between the last join and the first workload packet.
     settle: float = 1.0
-    #: Seconds after the workload window for in-flight deliveries to land.
-    drain: float = 1.0
     #: The measurement traffic, whole: every knob means what it means in
     #: simulation.  Only the model's ``start``/``gap`` timeline is replaced,
     #: stretched onto the live workload window (see :meth:`plan`).
@@ -102,18 +116,9 @@ class LiveClusterConfig:
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
     restart_budget: int = 3
-    #: Exponential-backoff schedule for respawning a node that died
-    #: *unexpectedly* (a deliberate kill's downtime comes from its
-    #: directive): ``min(backoff_cap, backoff_base * 2**restarts)``.
-    backoff_base: float = 0.5
-    backoff_cap: float = 8.0
     #: Recovery window after the last fault transition; probes sent past
     #: ``fault_horizon + post_fault_settle`` score the post-fault ratio.
     post_fault_settle: float = 2.0
-    #: Raise (→ non-zero exit) when any node's LiveDriver recorded
-    #: callback exceptions — a live run that "passed" while swallowing
-    #: transition errors is a lie.
-    fail_on_driver_errors: bool = True
     #: Optional :class:`repro.obs.ObsConfig`: attaches the observability
     #: layer — per-node causal wire tracing, mid-run wall-clock stats
     #: polling over the control channel, and a ``repro.obs/1`` snapshot
@@ -151,7 +156,7 @@ class LiveClusterConfig:
 
     @property
     def total_runtime(self) -> float:
-        return self.duration + self.drain
+        return self.duration + DRAIN
 
     def addresses(self) -> list[int]:
         return [_FIRST_ADDRESS + index for index in range(self.nodes)]
@@ -222,7 +227,6 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
     from ..codegen.registry import get_registry
     from ..runtime.node import MacedonNode
     from ..runtime.messages import WireCodec
-    from ..transport.udp import SocketUdpNetwork
     from .driver import LiveDriver
 
     address = _FIRST_ADDRESS + index
@@ -358,11 +362,9 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         await driver.run_for(max(0.0, config.total_runtime - driver.now))
 
         # --- report --------------------------------------------------------
-        transport_totals = {"messages_sent": 0, "messages_delivered": 0,
-                            "segments_sent": 0, "segments_received": 0,
-                            "retransmissions": 0, "drops": 0}
+        transport_totals = dict.fromkeys(_TRANSPORT_TOTALS, 0)
         for stats in node.transport_host.stats().values():
-            for key in transport_totals:
+            for key in _TRANSPORT_TOTALS:
                 transport_totals[key] += getattr(stats, key)
         report: dict[str, Any] = {
             "address": address,
@@ -483,7 +485,6 @@ class LiveCluster:
         # Compile the stack up front: it validates the protocol name before
         # any process starts, and fork children inherit the warm registry.
         from ..codegen.registry import get_registry
-        from ..transport.udp import SocketUdpNetwork
         stack = get_registry().load_stack(config.protocol,
                                           dict(config.base_overrides or {}))
         plan = config.plan(stack[0].KEY_SPACE.size)
@@ -675,9 +676,8 @@ class LiveCluster:
                             f"{node_state['proc'].exitcode})")
                     if node_state["restarts"] < config.restart_budget:
                         node_state["pending_respawn"] = True
-                        delay = min(config.backoff_cap,
-                                    config.backoff_base
-                                    * (2 ** node_state["restarts"]))
+                        delay = min(BACKOFF_CAP,
+                                    BACKOFF_BASE * 2 ** node_state["restarts"])
                         push_action(now + delay, "respawn", index)
                     else:
                         node_state["down"] = True
@@ -718,18 +718,19 @@ class LiveCluster:
         outcome = self._aggregate(per_node, plan, supervisor=supervisor,
                                   wall_samples=wall_samples)
 
-        if config.fail_on_driver_errors:
-            noisy = [(report["address"], report["callback_error_count"],
-                      report["callback_errors"])
-                     for report in per_node
-                     if report.get("callback_error_count")]
-            if noisy:
-                detail = "; ".join(
-                    f"node {address}: {count} error(s), first {errors[0]}"
-                    for address, count, errors in noisy)
-                raise LiveClusterError(
-                    f"live drivers recorded callback exceptions on "
-                    f"{len(noisy)} node(s) — {detail}")
+        # A live run that "passed" while a node's LiveDriver swallowed
+        # transition errors is a lie: raise (→ non-zero exit).
+        noisy = [(report["address"], report["callback_error_count"],
+                  report["callback_errors"])
+                 for report in per_node
+                 if report.get("callback_error_count")]
+        if noisy:
+            detail = "; ".join(
+                f"node {address}: {count} error(s), first {errors[0]}"
+                for address, count, errors in noisy)
+            raise LiveClusterError(
+                f"live drivers recorded callback exceptions on "
+                f"{len(noisy)} node(s) — {detail}")
         return outcome
 
     # --------------------------------------------------------- fault helpers
@@ -750,8 +751,8 @@ class LiveCluster:
             node_state["pending_respawn"] = True
             # The directive's downtime, stretched by the capped exponential
             # backoff when this node has already burned restarts.
-            delay = min(self.config.backoff_cap,
-                        fault.respawn_after * (2 ** node_state["restarts"]))
+            delay = min(BACKOFF_CAP,
+                        fault.respawn_after * 2 ** node_state["restarts"])
             push_action(now + delay, "respawn", fault.index)
         else:
             node_state["down"] = True
@@ -814,15 +815,8 @@ class LiveCluster:
             "events_processed": 0,
             "callback_errors": [],
             "callback_error_count": 0,
-            "transport": {"messages_sent": 0, "messages_delivered": 0,
-                          "segments_sent": 0, "segments_received": 0,
-                          "retransmissions": 0, "drops": 0},
-            "socket": {"frames_sent": 0, "frames_received": 0,
-                       "bytes_sent": 0, "bytes_received": 0,
-                       "send_drops": 0, "decode_errors": 0,
-                       "fault_drops": 0, "fragments_sent": 0,
-                       "fragments_received": 0, "reassembly_timeouts": 0,
-                       "control_frames": 0},
+            "transport": dict.fromkeys(_TRANSPORT_TOTALS, 0),
+            "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0),
         }
 
     # ------------------------------------------------------------ aggregation

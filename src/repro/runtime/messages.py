@@ -1,4 +1,4 @@
-"""Typed protocol messages.
+"""Typed protocol messages: what one costs in simulation, what it is on a socket.
 
 A ``mac`` specification declares its messages, each bound to a transport
 instance (lowest layer) or service class (higher layers)::
@@ -8,32 +8,21 @@ instance (lowest layer) or service class (higher layers)::
         HIGHEST join_reply { int response; }
     }
 
-The runtime turns each declaration into a :class:`MessageType` with typed
-fields.  Field types drive the on-the-wire size model so the emulator charges
-realistic bytes for control traffic, and the generated code accesses fields
-either as attributes (``msg.response``) or through the paper's ``field()``
-primitive.
+The runtime turns each declaration into a :class:`MessageType`, whose fields
+compile — once, at spec-compile time, where an unknown field type is rejected
+— into one *plan*.  The size model the emulator charges
+(:attr:`~MessageType.fixed_size`, :meth:`~MessageType.size_of`) and the field
+encoder and decoder :class:`WireCodec` puts on a live socket all walk that
+plan, so a message's encoded length equals its priced length by construction.
+The byte-level tables (field types, payload tags, frame kinds) are laid out
+in docs/LIVE.md, "Wire format".  Simulated sends never serialize; generated
+code reads fields as attributes (``msg.response``) or through the paper's
+``field()`` primitive.
 
 Message construction is protocol-plane hot-path work — one instance per send
-on every node — so the classes here are compiled once per type and slotted:
-
-* :class:`MessageType` resolves its size model at spec-compile time: the
-  fixed wire size (header + every scalar field) is precomputed, and only
-  list/string fields — the ones whose size depends on the value — are
-  visited per send.  Unknown field types are rejected *here*, when the spec
-  compiles, not silently defaulted at send time.
-* :class:`Message` is a ``__slots__`` envelope with a lazy ``msg_id`` (the
-  process-wide counter is only consumed if somebody reads it) and a size
-  memoised on first read.
-
-The size model is no longer only a model: :class:`WireCodec` (bottom of this
-module) turns it into a real byte-level encoding — struct-packed scalars,
-length-prefixed lists and strings, recursively encoded wrapped messages —
-whose encoded length **equals** the precomputed wire size, so the bytes a
-live datagram carries are exactly the bytes the emulator charges in
-simulation.  The codec is compiled lazily per message type and is used only
-by the live-execution runtime (:mod:`repro.live`); simulated sends never
-serialize.
+on every node — so :class:`Message` is a ``__slots__`` envelope with a lazy
+``msg_id`` (the process-wide counter is only consumed if somebody reads it)
+and a size memoised on first read.
 """
 
 from __future__ import annotations
@@ -41,29 +30,123 @@ from __future__ import annotations
 import itertools
 import struct
 import zlib
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Iterator, Mapping, Optional
 
-#: Serialized size, in bytes, of each supported fixed-width field type.
-#: Strings are variable-width (4-byte length prefix + UTF-8 bytes) and are
-#: sized by the var-field path, never by this table.
-FIELD_TYPE_SIZES: dict[str, int] = {
-    "int": 4,
-    "long": 8,
-    "double": 8,
-    "float": 4,
-    "bool": 1,
-    "key": 4,
-    "ipaddr": 4,
-    "string": 4,   # length prefix; the UTF-8 bytes are charged per value
-    "neighbor": 8,
+from .keys import hash_key
+
+#: struct format character of each field type: the one table the size model,
+#: the encoder and the decoder read.  ``string`` has none — it is a 4-byte
+#: length prefix plus UTF-8 bytes, priced and packed per value.
+FIELD_FORMATS: dict[str, Optional[str]] = {
+    "int": "i", "long": "q", "double": "d", "float": "f", "bool": "?",
+    "key": "I", "ipaddr": "I", "string": None, "neighbor": "Q",
 }
 
-#: Fixed per-message envelope overhead (type tag, source, protocol id).
-MESSAGE_HEADER_BYTES = 16
+_U32 = struct.Struct("!I")   # list counts and the length prefix of a block
+
+#: Serialized size, in bytes, of each field type (of a string: its length
+#: prefix; the UTF-8 bytes are charged per value).
+FIELD_TYPE_SIZES: dict[str, int] = {
+    name: struct.calcsize("!" + fmt) if fmt else _U32.size
+    for name, fmt in FIELD_FORMATS.items()}
+
+#: Message envelope: version, payload tag, priority, protocol id,
+#: message-type id, payload size.
+_MESSAGE_HEADER = struct.Struct("!BBhIII")
+
+#: Fixed per-message overhead the size model charges: the envelope's width.
+MESSAGE_HEADER_BYTES = _MESSAGE_HEADER.size
+
+#: Wrapped-message envelope: payload tag, protocol id, message-type id,
+#: payload size (u16 — bounded by the live datagram cap), original source.
+#: 15 bytes, so a wrapped message encodes within the MESSAGE_HEADER_BYTES its
+#: size model charges.
+_WRAPPED_HEADER = struct.Struct("!BIIHI")
+
+WIRE_VERSION = 1
+
+#: Largest encodable message.  This used to be the single-UDP-datagram
+#: ceiling of live mode (60 000 bytes); the live socket layer now fragments
+#: and reassembles oversized frames (:data:`repro.transport.udp.
+#: FRAGMENT_THRESHOLD`), so the cap is only a runaway-allocation guard —
+#: large payloads degrade to multiple datagrams instead of raising.
+MAX_WIRE_SIZE = 16_000_000
+
+# Payload tags of the classes the codec handles arm by arm; the regular ones
+# are rows of the two tables below.  Together: the codec's closed set.
+_P_NONE = 0
+_P_MESSAGE = 1
+_P_WRAPPED = 2
+_P_BYTES = 4
+_P_STR = 5
+_P_HEARTBEAT = 9
+
+#: Primitive payloads → (tag, struct format), in the order an ``isinstance``
+#: scan must try them (``bool`` is an ``int``, and never encodes as one).
+PRIMITIVE_PAYLOADS = {bool: (8, "?"), int: (6, "q"), float: (7, "d")}
+
+#: Record payloads — the dataclasses of :mod:`repro.apps.payload`, by name
+#: because that package imports this module — → (tag, struct format of the
+#: fields in declaration order).
+RECORD_PAYLOADS = {
+    "AppPayload": (3, "qdQqq"),
+    "KvPayload": (10, "BIqqdQQqq"),
+    "TopicPayload": (11, "IqdQqq"),
+}
+
+_FLAG = struct.Struct("!?")   # the heartbeat's content: is it the pong?
 
 
 class MessageError(ValueError):
     """Raised for unknown message types, field types, or malformed access."""
+
+
+class WireError(MessageError):
+    """Raised when a value cannot be encoded to (or decoded from) the wire."""
+
+
+def wire_id(name: str) -> int:
+    """Stable 32-bit identifier of a protocol or message-type name."""
+    return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
+
+
+def _mask(fmt: str) -> int:
+    """All-ones of an unsigned format's width, 0 for any other format.
+
+    Encode masks unsigned values to their width (ring keys are already in
+    range; masking makes encode total); signed overflow raises instead.
+    """
+    return (1 << 8 * struct.calcsize("!" + fmt)) - 1 if fmt.isupper() else 0
+
+
+def _block(data: bytes) -> bytes:
+    """*data* behind its 4-byte length prefix."""
+    return _U32.pack(len(data)) + data
+
+
+def _read_block(data: bytes, offset: int, text: bool) -> tuple[Any, int]:
+    """Inverse of :func:`_block`: ``(bytes, or str if text, end offset)``.
+
+    A corrupt or truncated datagram — a length prefix pointing past the end
+    of the buffer, text that is not UTF-8 — must raise (and be counted as
+    line noise by the socket layer), never hand a short or mangled value to
+    the protocol stack.
+    """
+    (length,) = _U32.unpack_from(data, offset)
+    offset += 4
+    end = offset + length
+    if end > len(data):
+        raise WireError(
+            f"truncated wire data: need {length} bytes at offset {offset}, "
+            f"buffer has {len(data)}")
+    if not text:
+        return bytes(data[offset:end]), end
+    try:
+        return str(data[offset:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"corrupt wire data: string at offset {offset} is "
+                        f"not UTF-8: {exc}") from exc
 
 
 class FieldSpec:
@@ -78,25 +161,9 @@ class FieldSpec:
         self.is_list = is_list
 
     def size_of(self, value: Any) -> int:
-        try:
-            base = FIELD_TYPE_SIZES[self.type_name]
-        except KeyError:
-            raise MessageError(
-                f"field {self.name!r} has unknown type {self.type_name!r} "
-                f"(known: {sorted(FIELD_TYPE_SIZES)})"
-            ) from None
-        if self.is_list:
-            if self.type_name == "string":
-                return 4 + sum(4 + len(str(item).encode("utf-8"))
-                               for item in (value or ()))
-            try:
-                length = len(value)
-            except TypeError:
-                length = 0
-            return 4 + base * length
-        if self.type_name == "string":
-            return 4 + len(str(value or "").encode("utf-8"))
-        return base
+        """Wire bytes *value* takes in this field."""
+        return MessageType("", (self,)).size_of({self.name: value}) \
+            - MESSAGE_HEADER_BYTES
 
     def __repr__(self) -> str:   # evaluable: the code generator emits it
         return f"FieldSpec({self.name!r}, {self.type_name!r}, is_list={self.is_list!r})"
@@ -105,43 +172,49 @@ class FieldSpec:
 class MessageType:
     """A declared message type: name, fields, and default transport binding.
 
-    The wire-size model is compiled once, at construction: scalar fields sum
-    into :attr:`fixed_size` and only value-dependent fields (lists, strings)
-    remain in the per-send loop.  A field with a type the size model does not
-    know is a specification bug and raises :class:`MessageError` here — at
-    spec-compile time — rather than silently charging a default at send time.
+    The fields compile once, at construction, into a plan with two kinds of
+    op.  A run of consecutive fixed-width fields collapses into one tuple
+    ``(format, names, masks)`` — one struct for all of them, summed with the
+    header into :attr:`fixed_size`; a value-dependent field (a list: u32
+    count, then the items; a string: a length-prefixed UTF-8 block) stays
+    its :class:`FieldSpec`, and is all :meth:`size_of` visits per send.  A
+    field with a type the plan does not know is a specification bug and
+    raises :class:`MessageError` here — at spec-compile time — rather than
+    silently charging a default at send time.
     """
 
     __slots__ = ("name", "fields", "transport", "fixed_size", "is_fixed_size",
-                 "_var_specs", "_names", "_wire")
+                 "_plan", "_names")
 
     def __init__(self, name: str, fields: tuple = (),
                  transport: Optional[str] = None) -> None:
         self.name = name
         self.fields: tuple[FieldSpec, ...] = tuple(fields)
         self.transport = transport
-        fixed = MESSAGE_HEADER_BYTES
-        var_specs = []
+        plan: list = []
         for spec in self.fields:
-            base = FIELD_TYPE_SIZES.get(spec.type_name)
-            if base is None:
+            if spec.type_name not in FIELD_FORMATS:
                 raise MessageError(
                     f"message {name!r} field {spec.name!r} has unknown type "
-                    f"{spec.type_name!r} (known: {sorted(FIELD_TYPE_SIZES)})"
+                    f"{spec.type_name!r} (known: {sorted(FIELD_FORMATS)})"
                 )
-            if spec.is_list or spec.type_name == "string":
-                var_specs.append((spec.name, spec.is_list, base,
-                                  spec.type_name == "string"))
+            fmt = FIELD_FORMATS[spec.type_name]
+            if spec.is_list or fmt is None:
+                plan.append(spec)
+            elif plan and type(plan[-1]) is tuple:
+                run_fmt, names, masks = plan[-1]
+                plan[-1] = (run_fmt + fmt, names + (spec.name,),
+                            masks + (_mask(fmt),))
             else:
-                fixed += base
+                plan.append((fmt, (spec.name,), (_mask(fmt),)))
+        self._plan = tuple(plan)
+        runs = [op for op in plan if type(op) is tuple]
         #: Wire size shared by every instance: header plus all scalar fields.
-        self.fixed_size = fixed
+        self.fixed_size = MESSAGE_HEADER_BYTES + sum(
+            struct.calcsize("!" + run_fmt) for run_fmt, _, _ in runs)
         #: Whether that is all of it: wire size == fixed_size + payload_size.
-        self.is_fixed_size = not var_specs
-        self._var_specs = tuple(var_specs)
+        self.is_fixed_size = len(runs) == len(plan)
         self._names = frozenset(spec.name for spec in self.fields)
-        #: Lazily compiled field pack/unpack plan (see :class:`WireCodec`).
-        self._wire: Optional[tuple] = None
 
     def field_names(self) -> list[str]:
         return [spec.name for spec in self.fields]
@@ -157,20 +230,21 @@ class MessageType:
 
     def size_of(self, values: Mapping[str, Any], payload_size: int = 0) -> int:
         total = self.fixed_size + payload_size
-        for name, is_list, base, is_string in self._var_specs:
-            value = values.get(name)
-            if is_list:
-                if is_string:
-                    total += 4 + sum(4 + len(str(item).encode("utf-8"))
-                                     for item in (value or ()))
-                    continue
+        for op in self._plan:
+            if type(op) is tuple:
+                continue   # a run: already in fixed_size
+            value = values.get(op.name)
+            if not op.is_list:
+                total += 4 + len(str(value or "").encode("utf-8"))
+            elif op.type_name == "string":
+                total += 4 + sum(4 + len(str(item).encode("utf-8"))
+                                 for item in (value or ()))
+            else:
                 try:
                     length = len(value)
                 except TypeError:
                     length = 0
-                total += 4 + base * length
-            else:   # variable-width string scalar: length prefix + UTF-8
-                total += 4 + len(str(value or "").encode("utf-8"))
+                total += 4 + FIELD_TYPE_SIZES[op.type_name] * length
         return total
 
     def __repr__(self) -> str:   # evaluable: the code generator emits it
@@ -300,6 +374,14 @@ class WrappedMessage:
                 f"fields={self.fields!r})")
 
 
+@dataclass
+class _Heartbeat:
+    """Runtime-level heartbeat request/response payload (never reaches agents)."""
+
+    kind: str  # "ping" or "pong"
+    size: int = 8
+
+
 class MessageCatalog:
     """The set of message types declared by one protocol."""
 
@@ -335,134 +417,17 @@ class MessageCatalog:
 
 
 # ======================================================================== wire
-class WireError(MessageError):
-    """Raised when a value cannot be encoded to (or decoded from) the wire."""
+class _Structs(dict):
+    """Format → compiled :class:`struct.Struct`, built on first use.
 
-
-#: struct format character per fixed-width field type.  The packed widths are
-#: exactly :data:`FIELD_TYPE_SIZES`, which is what makes encoded length equal
-#: the precomputed size model (asserted at import below).
-_SCALAR_FORMATS: dict[str, str] = {
-    "int": "i",
-    "long": "q",
-    "double": "d",
-    "float": "f",
-    "bool": "?",
-    "key": "I",
-    "ipaddr": "I",
-    "neighbor": "Q",
-}
-
-for _type_name, _fmt in _SCALAR_FORMATS.items():
-    assert struct.calcsize("!" + _fmt) == FIELD_TYPE_SIZES[_type_name], _type_name
-
-#: 32-bit unsigned types are masked (ring keys are already in range; masking
-#: makes encode total); signed types raise WireError on overflow instead.
-_MASKS = {"I": 0xFFFFFFFF, "Q": 0xFFFFFFFFFFFFFFFF}
-
-_SCALAR_DEFAULTS_BY_FMT = {"i": 0, "q": 0, "d": 0.0, "f": 0.0, "?": False,
-                           "I": 0, "Q": 0}
-
-#: Message envelope: version, payload type tag, priority, protocol id,
-#: message-type id, payload size.  Its packed width IS the size model's
-#: MESSAGE_HEADER_BYTES (the "type tag, source, protocol id" overhead).
-_MESSAGE_HEADER = struct.Struct("!BBhIII")
-assert _MESSAGE_HEADER.size == MESSAGE_HEADER_BYTES
-
-#: Wrapped-message envelope: payload type tag, protocol id, message-type id,
-#: payload size (u16 — bounded by the live datagram cap), original source.
-#: 15 bytes <= MESSAGE_HEADER_BYTES, so a wrapped message encodes within the
-#: header budget its size model charges.
-_WRAPPED_HEADER = struct.Struct("!BIIHI")
-assert _WRAPPED_HEADER.size <= MESSAGE_HEADER_BYTES
-
-_U32 = struct.Struct("!I")
-_APP_PAYLOAD = struct.Struct("!qdQqq")   # seqno, sent_at, source, size, stream_id
-# op, key, version, seqno, sent_at, source, replier, size, stream_id
-_KV_PAYLOAD = struct.Struct("!BIqqdQQqq")
-# topic, seqno, sent_at, source, size, stream_id
-_TOPIC_PAYLOAD = struct.Struct("!IqdQqq")
-
-WIRE_VERSION = 1
-
-#: Largest encodable message.  This used to be the single-UDP-datagram
-#: ceiling of live mode (60 000 bytes); the live socket layer now fragments
-#: and reassembles oversized frames (:data:`repro.transport.udp.
-#: FRAGMENT_THRESHOLD`), so the cap is only a runaway-allocation guard —
-#: large payloads degrade to multiple datagrams instead of raising.
-MAX_WIRE_SIZE = 16_000_000
-
-# Payload type tags (the codec's closed set of payload classes).
-_P_NONE = 0
-_P_MESSAGE = 1
-_P_WRAPPED = 2
-_P_APP = 3
-_P_BYTES = 4
-_P_STR = 5
-_P_INT = 6
-_P_FLOAT = 7
-_P_BOOL = 8
-_P_HEARTBEAT = 9
-_P_KV = 10
-_P_TOPIC = 11
-
-
-def wire_id(name: str) -> int:
-    """Stable 32-bit identifier of a protocol or message-type name."""
-    return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
-
-
-def _checked_slice(data: bytes, offset: int, length: int) -> bytes:
-    """``data[offset:offset+length]``, loud when the buffer is short.
-
-    A corrupt or truncated datagram whose length prefix points past the end
-    must raise (and be counted as line noise by the socket layer), never
-    silently yield a short value into the protocol stack.
+    One per codec, never on a :class:`MessageType`: the registry shares its
+    types between every run in the process and the sharded kernel pickles
+    them by value with each cross-shard packet, and a Struct does not pickle.
     """
-    end = offset + length
-    if end > len(data):
-        raise WireError(
-            f"truncated wire data: need {length} bytes at offset {offset}, "
-            f"buffer has {len(data)}")
-    return data[offset:end]
 
-
-def _compile_wire_plan(message_type: MessageType) -> tuple:
-    """Compile a message type's fields into a pack/unpack plan.
-
-    Consecutive fixed-width fields collapse into one :class:`struct.Struct`;
-    lists and strings stay as per-value ops.  Ops are ``("scalars", Struct,
-    names, formats)``, ``("list", name, Struct, default)``, ``("slist",
-    name)``, or ``("string", name)``.
-    """
-    ops: list[tuple] = []
-    run_names: list[str] = []
-    run_fmt: list[str] = []
-
-    def flush() -> None:
-        if run_names:
-            ops.append(("scalars", struct.Struct("!" + "".join(run_fmt)),
-                        tuple(run_names), tuple(run_fmt)))
-            run_names.clear()
-            run_fmt.clear()
-
-    for spec in message_type.fields:
-        if spec.is_list:
-            flush()
-            if spec.type_name == "string":
-                ops.append(("slist", spec.name))
-            else:
-                fmt = _SCALAR_FORMATS[spec.type_name]
-                ops.append(("list", spec.name, struct.Struct("!" + fmt),
-                            _SCALAR_DEFAULTS_BY_FMT[fmt]))
-        elif spec.type_name == "string":
-            flush()
-            ops.append(("string", spec.name))
-        else:
-            run_names.append(spec.name)
-            run_fmt.append(_SCALAR_FORMATS[spec.type_name])
-    flush()
-    return tuple(ops)
+    def __missing__(self, fmt: str) -> struct.Struct:
+        packer = self[fmt] = struct.Struct("!" + fmt)
+        return packer
 
 
 class WireCodec:
@@ -473,7 +438,7 @@ class WireCodec:
     this codec *materialises* it — for every supported payload shape the
     encoded length equals the priced length, so a live datagram occupies
     exactly the bytes the emulator would have charged.  Synthetic payload
-    bytes (an ``AppPayload`` declared larger than its struct, or a ``None``
+    bytes (a record payload declared larger than its struct, or a ``None``
     payload with a declared size) are zero-padded onto the wire, exactly like
     the paper's generated traffic.
 
@@ -503,12 +468,22 @@ class WireCodec:
                 types[type_id] = message_type
             self._protocols[proto_id] = (protocol, types)
             self._names[protocol] = proto_id
-        # Lazily imported payload classes (imports would cycle at module
-        # scope: node/apps import this module).
-        self._app_payload: Optional[type] = None
-        self._heartbeat: Optional[type] = None
-        self._kv_payload: Optional[type] = None
-        self._topic_payload: Optional[type] = None
+        self._structs = _Structs()
+        # The record classes are resolved when a codec is built, not at
+        # module scope: their package imports this module.
+        from ..apps import payload as records
+        #: payload class -> (tag, Struct, field names — None for a primitive
+        #: — and their masks), in the order an ``isinstance`` scan tries them.
+        rows = {cls: (tag, self._structs[fmt], None, None)
+                for cls, (tag, fmt) in PRIMITIVE_PAYLOADS.items()}
+        for name, (tag, fmt) in RECORD_PAYLOADS.items():
+            cls = getattr(records, name)
+            rows[cls] = (tag, self._structs[fmt],
+                         tuple(field.name for field in dataclass_fields(cls)),
+                         tuple(map(_mask, fmt)))
+        self._payload_rows: dict[type, tuple] = rows
+        self._payload_tags = {tag: (cls, packer)
+                              for cls, (tag, packer, _, _) in rows.items()}
 
     @classmethod
     def for_agents(cls, agent_classes) -> "WireCodec":
@@ -538,131 +513,103 @@ class WireCodec:
                 f"(codec knows: {sorted(t.name for t in types.values())})")
         return protocol, message_type
 
-    def _payload_classes(self) -> tuple[type, type]:
-        if self._app_payload is None:
-            from ..apps.payload import AppPayload, KvPayload, TopicPayload
-            from .node import _Heartbeat
-            self._app_payload = AppPayload
-            self._heartbeat = _Heartbeat
-            self._kv_payload = KvPayload
-            self._topic_payload = TopicPayload
-        return self._app_payload, self._heartbeat
+    def _protocol_id(self, kind: str, item) -> int:
+        proto_id = self._names.get(item.protocol)
+        if proto_id is None:
+            raise WireError(
+                f"{kind} {item.name!r} belongs to protocol {item.protocol!r}, "
+                f"which this codec was not built for "
+                f"(knows: {self.protocols()})")
+        return proto_id
 
-    # ---------------------------------------------------------------- fields
-    @staticmethod
-    def _encode_fields(message_type: MessageType, values: Mapping[str, Any],
-                       out: list) -> None:
-        plan = message_type._wire
-        if plan is None:
-            plan = message_type._wire = _compile_wire_plan(message_type)
+    # -------------------------------------------------------------- messages
+    # A message and a wrapped message differ in their headers only; behind it
+    # both are fields + payload + zero padding up to the declared payload_size.
+    def _encode_body(self, header: bytes, message_type: MessageType,
+                     values: Mapping[str, Any], content: bytes,
+                     payload_size: int) -> bytes:
+        out = [header]
         try:
-            for op in plan:
-                kind = op[0]
-                if kind == "scalars":
-                    _, packer, names, formats = op
+            for op in message_type._plan:
+                if type(op) is tuple:
+                    fmt, names, masks = op
                     row = []
-                    for name, fmt in zip(names, formats):
+                    for name, mask in zip(names, masks):
                         value = values.get(name)
-                        if value is None:
-                            value = _SCALAR_DEFAULTS_BY_FMT[fmt]
-                        mask = _MASKS.get(fmt)
-                        if mask is not None:
+                        if value is None:   # unset fields travel as zero
+                            value = 0
+                        elif mask:
                             value = int(value) & mask
                         row.append(value)
-                    out.append(packer.pack(*row))
-                elif kind == "list":
-                    _, name, packer, default = op
-                    items = values.get(name) or ()
+                    out.append(self._structs[fmt].pack(*row))
+                elif not op.is_list:
+                    out.append(_block(
+                        str(values.get(op.name) or "").encode("utf-8")))
+                else:
+                    items = values.get(op.name) or ()
                     out.append(_U32.pack(len(items)))
-                    pack = packer.pack
-                    for item in items:
-                        out.append(pack(default if item is None else item))
-                elif kind == "string":
-                    data = str(values.get(op[1]) or "").encode("utf-8")
-                    out.append(_U32.pack(len(data)))
-                    out.append(data)
-                else:   # "slist"
-                    items = values.get(op[1]) or ()
-                    out.append(_U32.pack(len(items)))
-                    for item in items:
-                        data = str(item).encode("utf-8")
-                        out.append(_U32.pack(len(data)))
-                        out.append(data)
+                    fmt = FIELD_FORMATS[op.type_name]
+                    if fmt is None:
+                        for item in items:
+                            out.append(_block(str(item).encode("utf-8")))
+                    else:
+                        pack = self._structs[fmt].pack
+                        for item in items:
+                            out.append(pack(0 if item is None else item))
         except (struct.error, TypeError, ValueError) as exc:
             raise WireError(
                 f"cannot encode message {message_type.name!r} fields "
                 f"{dict(values)!r}: {exc}") from exc
+        out.append(content)
+        if len(content) < payload_size:
+            out.append(b"\x00" * (payload_size - len(content)))
+        return b"".join(out)
 
-    @staticmethod
-    def _decode_fields(message_type: MessageType, data: bytes,
-                       offset: int) -> tuple[dict[str, Any], int]:
-        plan = message_type._wire
-        if plan is None:
-            plan = message_type._wire = _compile_wire_plan(message_type)
+    def _decode_body(self, message_type: MessageType, data: bytes, offset: int,
+                     ptype: int, payload_size: int) -> tuple[dict, Any, int]:
         fields: dict[str, Any] = {}
         try:
-            for op in plan:
-                kind = op[0]
-                if kind == "scalars":
-                    _, packer, names, _formats = op
-                    row = packer.unpack_from(data, offset)
-                    offset += packer.size
-                    for name, value in zip(names, row):
+            for op in message_type._plan:
+                if type(op) is tuple:
+                    packer = self._structs[op[0]]
+                    for name, value in zip(op[1],
+                                           packer.unpack_from(data, offset)):
                         fields[name] = value
-                elif kind == "list":
-                    _, name, packer, _default = op
+                    offset += packer.size
+                elif not op.is_list:
+                    fields[op.name], offset = _read_block(data, offset, True)
+                else:
                     (count,) = _U32.unpack_from(data, offset)
                     offset += 4
-                    items = []
-                    unpack = packer.unpack_from
-                    width = packer.size
-                    for _ in range(count):
-                        items.append(unpack(data, offset)[0])
-                        offset += width
-                    fields[name] = items
-                elif kind == "string":
-                    (length,) = _U32.unpack_from(data, offset)
-                    offset += 4
-                    fields[op[1]] = _checked_slice(data, offset,
-                                                   length).decode("utf-8")
-                    offset += length
-                else:   # "slist"
-                    (count,) = _U32.unpack_from(data, offset)
-                    offset += 4
-                    items = []
-                    for _ in range(count):
-                        (length,) = _U32.unpack_from(data, offset)
-                        offset += 4
-                        items.append(_checked_slice(data, offset,
-                                                    length).decode("utf-8"))
-                        offset += length
-                    fields[op[1]] = items
+                    items = fields[op.name] = []
+                    fmt = FIELD_FORMATS[op.type_name]
+                    if fmt is None:
+                        for _ in range(count):
+                            item, offset = _read_block(data, offset, True)
+                            items.append(item)
+                    else:
+                        packer = self._structs[fmt]
+                        for _ in range(count):
+                            items.append(packer.unpack_from(data, offset)[0])
+                            offset += packer.size
         except struct.error as exc:
             raise WireError(
                 f"truncated wire data for message {message_type.name!r}: {exc}"
             ) from exc
-        return fields, offset
+        payload, end = self._decode_payload_content(ptype, data, offset)
+        return fields, payload, max(end, offset + payload_size)   # skip padding
 
-    # -------------------------------------------------------------- messages
     def encode_message(self, message: Message) -> bytes:
         """Encode a protocol message; ``len(result) == message.size`` for
         every supported payload that fits its declared ``payload_size``."""
-        proto_id = self._names.get(message.protocol)
-        if proto_id is None:
-            raise WireError(
-                f"message {message.name!r} belongs to protocol "
-                f"{message.protocol!r}, which this codec was not built for "
-                f"(knows: {self.protocols()})")
+        proto_id = self._protocol_id("message", message)
         ptype, content = self._encode_payload_content(message.payload)
         payload_size = int(message.payload_size)
-        out: list = [_MESSAGE_HEADER.pack(
-            WIRE_VERSION, ptype, message.priority, proto_id,
-            wire_id(message.type.name), payload_size)]
-        self._encode_fields(message.type, message.fields, out)
-        out.append(content)
-        if len(content) < payload_size:
-            out.append(b"\x00" * (payload_size - len(content)))
-        encoded = b"".join(out)
+        encoded = self._encode_body(
+            _MESSAGE_HEADER.pack(WIRE_VERSION, ptype, message.priority,
+                                 proto_id, wire_id(message.type.name),
+                                 payload_size),
+            message.type, message.fields, content, payload_size)
         if len(encoded) > MAX_WIRE_SIZE:
             raise WireError(
                 f"message {message.name!r} encodes to {len(encoded)} bytes, "
@@ -680,22 +627,16 @@ class WireCodec:
         if version != WIRE_VERSION:
             raise WireError(f"wire version {version} != {WIRE_VERSION}")
         protocol, message_type = self._message_type(proto_id, type_id)
-        fields, offset = self._decode_fields(message_type, data,
-                                             offset + _MESSAGE_HEADER.size)
-        payload, consumed = self._decode_payload_content(ptype, data, offset)
-        offset += max(consumed, payload_size)   # skip synthetic padding
+        fields, payload, offset = self._decode_body(
+            message_type, data, offset + _MESSAGE_HEADER.size, ptype,
+            payload_size)
         message = Message(type=message_type, fields=fields, payload=payload,
                           payload_size=payload_size, priority=priority,
                           protocol=protocol)
         return message, offset
 
     def _encode_wrapped(self, wrapped: WrappedMessage) -> bytes:
-        proto_id = self._names.get(wrapped.protocol)
-        if proto_id is None:
-            raise WireError(
-                f"wrapped message {wrapped.name!r} belongs to protocol "
-                f"{wrapped.protocol!r}, which this codec was not built for "
-                f"(knows: {self.protocols()})")
+        proto_id = self._protocol_id("wrapped message", wrapped)
         _, message_type = self._message_type(proto_id, wire_id(wrapped.name))
         payload_size = int(wrapped.payload_size)
         if payload_size > 0xFFFF:
@@ -704,14 +645,11 @@ class WireCodec:
                 f"{payload_size}-byte payload; live mode caps wrapped "
                 f"payloads at 65535 bytes")
         ptype, content = self._encode_payload_content(wrapped.payload)
-        out: list = [_WRAPPED_HEADER.pack(
-            ptype, proto_id, wire_id(wrapped.name), payload_size,
-            (wrapped.source or 0) & 0xFFFFFFFF)]
-        self._encode_fields(message_type, wrapped.fields, out)
-        out.append(content)
-        if len(content) < payload_size:
-            out.append(b"\x00" * (payload_size - len(content)))
-        return b"".join(out)
+        return self._encode_body(
+            _WRAPPED_HEADER.pack(ptype, proto_id, wire_id(wrapped.name),
+                                 payload_size,
+                                 (wrapped.source or 0) & 0xFFFFFFFF),
+            message_type, wrapped.fields, content, payload_size)
 
     def _decode_wrapped(self, data: bytes,
                         offset: int) -> tuple[WrappedMessage, int]:
@@ -721,12 +659,10 @@ class WireCodec:
         except struct.error as exc:
             raise WireError(f"truncated wrapped-message header: {exc}") from exc
         protocol, message_type = self._message_type(proto_id, type_id)
-        fields, offset = self._decode_fields(message_type, data,
-                                             offset + _WRAPPED_HEADER.size)
-        payload, consumed = self._decode_payload_content(ptype, data, offset)
-        offset += max(consumed, payload_size)
+        fields, payload, offset = self._decode_body(
+            message_type, data, offset + _WRAPPED_HEADER.size, ptype,
+            payload_size)
         source = source or None
-        from .keys import hash_key
         wrapped = WrappedMessage(
             protocol=protocol, name=message_type.name, fields=fields,
             payload=payload, payload_size=payload_size, source=source,
@@ -743,96 +679,48 @@ class WireCodec:
         if isinstance(payload, WrappedMessage):
             return _P_WRAPPED, self._encode_wrapped(payload)
         if isinstance(payload, (bytes, bytearray, memoryview)):
-            data = bytes(payload)
-            return _P_BYTES, _U32.pack(len(data)) + data
+            return _P_BYTES, _block(bytes(payload))
         if isinstance(payload, str):
-            data = payload.encode("utf-8")
-            return _P_STR, _U32.pack(len(data)) + data
-        if isinstance(payload, bool):
-            return _P_BOOL, struct.pack("!?", payload)
-        if isinstance(payload, int):
-            return _P_INT, struct.pack("!q", payload)
-        if isinstance(payload, float):
-            return _P_FLOAT, struct.pack("!d", payload)
-        app_payload, heartbeat = self._payload_classes()
-        if isinstance(payload, app_payload):
-            return _P_APP, _APP_PAYLOAD.pack(
-                payload.seqno, payload.sent_at, payload.source & 0xFFFFFFFFFFFFFFFF,
-                payload.size, payload.stream_id)
-        if isinstance(payload, heartbeat):
-            return _P_HEARTBEAT, struct.pack(
-                "!?", payload.kind == "pong")
-        if isinstance(payload, self._kv_payload):
-            return _P_KV, _KV_PAYLOAD.pack(
-                payload.op & 0xFF, payload.key & 0xFFFFFFFF, payload.version,
-                payload.seqno, payload.sent_at,
-                payload.source & 0xFFFFFFFFFFFFFFFF,
-                payload.replier & 0xFFFFFFFFFFFFFFFF,
-                payload.size, payload.stream_id)
-        if isinstance(payload, self._topic_payload):
-            return _P_TOPIC, _TOPIC_PAYLOAD.pack(
-                payload.topic & 0xFFFFFFFF, payload.seqno, payload.sent_at,
-                payload.source & 0xFFFFFFFFFFFFFFFF,
-                payload.size, payload.stream_id)
-        raise WireError(
-            f"cannot encode payload of type {type(payload).__name__}; the "
-            f"live wire supports None, bytes, str, int, float, bool, "
-            f"AppPayload, KvPayload, TopicPayload, Message, and "
-            f"WrappedMessage payloads")
+            return _P_STR, _block(payload.encode("utf-8"))
+        if isinstance(payload, _Heartbeat):
+            return _P_HEARTBEAT, _FLAG.pack(payload.kind == "pong")
+        for cls, (tag, packer, names, masks) in self._payload_rows.items():
+            if isinstance(payload, cls):
+                break
+        else:
+            raise WireError(
+                f"cannot encode payload of type {type(payload).__name__}; "
+                f"the live wire supports None, bytes, str, int, float, bool, "
+                f"Message, WrappedMessage and the records "
+                f"{sorted(RECORD_PAYLOADS)}")
+        if names is None:
+            return tag, packer.pack(payload)
+        values = []
+        for name, mask in zip(names, masks):
+            value = getattr(payload, name)
+            values.append(value & mask if mask else value)
+        return tag, packer.pack(*values)
 
     def _decode_payload_content(self, ptype: int, data: bytes,
                                 offset: int) -> tuple[Any, int]:
-        """Decode one payload; returns ``(payload, bytes_consumed)``."""
-        start = offset
+        """Decode one payload's content; returns ``(payload, end_offset)``."""
         if ptype == _P_NONE:
-            return None, 0
+            return None, offset
         if ptype == _P_MESSAGE:
-            message, end = self.decode_message(data, offset)
-            return message, end - start
+            return self.decode_message(data, offset)
         if ptype == _P_WRAPPED:
-            wrapped, end = self._decode_wrapped(data, offset)
-            return wrapped, end - start
+            return self._decode_wrapped(data, offset)
         try:
-            if ptype == _P_BYTES:
-                (length,) = _U32.unpack_from(data, offset)
-                return bytes(_checked_slice(data, offset + 4, length)), 4 + length
-            if ptype == _P_STR:
-                (length,) = _U32.unpack_from(data, offset)
-                return (_checked_slice(data, offset + 4,
-                                       length).decode("utf-8"),
-                        4 + length)
-            if ptype == _P_BOOL:
-                return struct.unpack_from("!?", data, offset)[0], 1
-            if ptype == _P_INT:
-                return struct.unpack_from("!q", data, offset)[0], 8
-            if ptype == _P_FLOAT:
-                return struct.unpack_from("!d", data, offset)[0], 8
-            if ptype == _P_APP:
-                seqno, sent_at, source, size, stream_id = \
-                    _APP_PAYLOAD.unpack_from(data, offset)
-                app_payload, _ = self._payload_classes()
-                return (app_payload(seqno=seqno, sent_at=sent_at, source=source,
-                                    size=size, stream_id=stream_id),
-                        _APP_PAYLOAD.size)
+            if ptype == _P_BYTES or ptype == _P_STR:
+                return _read_block(data, offset, ptype == _P_STR)
             if ptype == _P_HEARTBEAT:
-                (is_pong,) = struct.unpack_from("!?", data, offset)
-                _, heartbeat = self._payload_classes()
-                return heartbeat(kind="pong" if is_pong else "ping"), 1
-            if ptype == _P_KV:
-                (op, key, version, seqno, sent_at, source, replier, size,
-                 stream_id) = _KV_PAYLOAD.unpack_from(data, offset)
-                self._payload_classes()
-                return (self._kv_payload(
-                    op=op, key=key, version=version, seqno=seqno,
-                    sent_at=sent_at, source=source, replier=replier,
-                    size=size, stream_id=stream_id), _KV_PAYLOAD.size)
-            if ptype == _P_TOPIC:
-                topic, seqno, sent_at, source, size, stream_id = \
-                    _TOPIC_PAYLOAD.unpack_from(data, offset)
-                self._payload_classes()
-                return (self._topic_payload(
-                    topic=topic, seqno=seqno, sent_at=sent_at, source=source,
-                    size=size, stream_id=stream_id), _TOPIC_PAYLOAD.size)
+                (is_pong,) = _FLAG.unpack_from(data, offset)
+                return _Heartbeat(kind="pong" if is_pong else "ping"), offset + 1
+            row = self._payload_tags.get(ptype)
+            if row is not None:
+                cls, packer = row
+                return (cls(*packer.unpack_from(data, offset)),
+                        offset + packer.size)
         except struct.error as exc:
             raise WireError(f"truncated payload (type {ptype}): {exc}") from exc
         raise WireError(f"unknown payload type tag {ptype} on the wire")
@@ -846,6 +734,4 @@ class WireCodec:
         """Inverse of :meth:`encode_payload`; returns ``(payload, end_offset)``."""
         if offset >= len(data):
             raise WireError("truncated payload block: missing type tag")
-        payload, consumed = self._decode_payload_content(data[offset], data,
-                                                         offset + 1)
-        return payload, offset + 1 + consumed
+        return self._decode_payload_content(data[offset], data, offset + 1)

@@ -26,7 +26,6 @@ the paper's central claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Type
 
 from ..api.handlers import Handlers
@@ -36,17 +35,9 @@ from ..transport.demux import TransportHost
 from .agent import Agent, TransitionContext
 from .engine import Simulator
 from .failure import FailureDetector, FailureDetectorConfig
-from .messages import Message
+from .messages import Message, _Heartbeat
 from .stack import ProtocolStack
 from .tracing import Tracer
-
-
-@dataclass
-class _Heartbeat:
-    """Runtime-level heartbeat request/response payload (never reaches agents)."""
-
-    kind: str  # "ping" or "pong"
-    size: int = 8
 
 
 class MacedonNode:

@@ -226,6 +226,12 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
     #: sub-cap frame stays byte-identical to the untraced build.
     _FRAME_TRACE = 6
     _TRACE = struct.Struct("!QHd")
+    #: The counters :meth:`stats` reports, each a plain int attribute (the
+    #: per-packet paths increment them in place).
+    STATS = ("frames_sent", "frames_received", "bytes_sent", "bytes_received",
+             "send_drops", "decode_errors", "fault_drops", "fragments_sent",
+             "fragments_received", "reassembly_timeouts", "control_frames",
+             "traced_frames")
 
     def __init__(self, local_address: int,
                  endpoints: Mapping[int, tuple[str, int]],
@@ -247,18 +253,8 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self._frag_id = 0
         #: (src, frag_id) -> partial reassembly state with a GC deadline.
         self._pending_fragments: dict[tuple[int, int], dict] = {}
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.send_drops = 0
-        self.decode_errors = 0
-        self.fault_drops = 0
-        self.fragments_sent = 0
-        self.fragments_received = 0
-        self.reassembly_timeouts = 0
-        self.control_frames = 0
-        self.traced_frames = 0
+        for name in self.STATS:
+            setattr(self, name, 0)
         #: Optional :class:`repro.obs.LiveCausalLog`; one attribute read on
         #: the send path is the entire disabled-mode cost.
         self._causal = None
@@ -719,20 +715,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self._causal = causal
 
     def stats(self) -> dict[str, int]:
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "send_drops": self.send_drops,
-            "decode_errors": self.decode_errors,
-            "fault_drops": self.fault_drops,
-            "fragments_sent": self.fragments_sent,
-            "fragments_received": self.fragments_received,
-            "reassembly_timeouts": self.reassembly_timeouts,
-            "control_frames": self.control_frames,
-            "traced_frames": self.traced_frames,
-        }
+        return {name: getattr(self, name) for name in self.STATS}
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         endpoint = self.endpoints.get(self.local_address)

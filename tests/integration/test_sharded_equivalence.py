@@ -154,6 +154,23 @@ def test_link_cut_events_are_shard_count_independent():
     assert fingerprint(spec.run_sharded(2)) == fingerprint(spec.run_sharded(4))
 
 
+@pytest.mark.determinism
+def test_sharded_run_after_the_stack_has_been_on_the_wire(sharded_4):
+    """The live codec and the sharded kernel share the registry's message
+    types: encoding one message of each must not stop a later sharded run
+    from pickling them (no reliance on which test file ran first)."""
+    from repro.runtime.messages import Message, WireCodec
+
+    stack = make_seeded().agents()
+    codec = WireCodec.for_agents(stack)
+    for agent_class in stack:
+        for message_type in agent_class.MESSAGE_TYPES:
+            encoded = codec.encode_message(Message(
+                type=message_type, protocol=agent_class.PROTOCOL))
+            assert codec.decode_message(encoded)[0].type is message_type
+    assert fingerprint(make_seeded().run_sharded(2)) == fingerprint(sharded_4)
+
+
 def test_sharded_run_did_real_cross_shard_work(sharded_4, single_run):
     info = sharded_4.shard_info
     assert info["num_shards"] == 4

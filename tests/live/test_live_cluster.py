@@ -36,6 +36,26 @@ def test_config_validation():
     assert sorted(config.endpoints()) == [1, 2, 3]
 
 
+def test_down_report_has_the_keys_of_a_live_report():
+    """A node that stayed down contributes zeros under exactly the counter
+    names a running node reports (the hand-copied list once lacked
+    ``traced_frames``)."""
+    from dataclasses import fields
+
+    from repro.runtime.messages import WireCodec
+    from repro.transport.base import TransportStats
+    from repro.transport.udp import SocketUdpNetwork
+
+    config = LiveClusterConfig(nodes=2)
+    down = LiveCluster(config)._down_report(0, {"incarnation": 1})
+    network = SocketUdpNetwork(1, config.endpoints(), WireCodec({}))
+    assert down["socket"].keys() == network.stats().keys()
+    assert down["transport"].keys() \
+        <= {field.name for field in fields(TransportStats)}
+    assert not any(down["socket"].values()) \
+        and not any(down["transport"].values())
+
+
 def test_unknown_protocol_fails_before_spawning_processes():
     with pytest.raises(Exception, match="chrod|no specification"):
         LiveCluster(LiveClusterConfig(nodes=2, duration=5.0,

@@ -10,6 +10,7 @@ simulation.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -120,6 +121,29 @@ def test_max_width_scalars_round_trip(protocol):
             assert len(encoded) == message.size
             decoded, _ = codec.decode_message(encoded)
             assert decoded.fields == fields
+
+
+@pytest.mark.parametrize("protocol", ["chord", "scribe"])
+def test_a_message_that_has_been_on_the_wire_still_pickles(protocol):
+    """The sharded kernel pickles messages — and, by value, the registry's
+    shared message types — with every cross-shard packet, so using a codec
+    must leave nothing unpicklable behind on a type (it once cached its
+    ``struct.Struct`` plan there: sharded runs died after any codec test)."""
+    stack, codec = _stack_and_codec(protocol)
+    rng = random.Random(f"pickle:{protocol}")
+    for agent_class in stack:
+        for message_type in agent_class.MESSAGE_TYPES:
+            message = Message(type=message_type,
+                              fields=_fill_fields(message_type, rng),
+                              payload=b"tail", payload_size=16,
+                              protocol=agent_class.PROTOCOL)
+            encoded = codec.encode_message(message)
+            codec.decode_message(encoded)
+            copy = pickle.loads(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+            assert copy.type.name == message_type.name
+            assert copy.fields == message.fields
+            assert copy.size == message.size == len(encoded)
+            assert codec.encode_message(copy) == encoded
 
 
 def test_wrapped_message_nests_at_model_size():
@@ -305,6 +329,39 @@ def test_corrupt_length_prefixes_raise_instead_of_truncating():
         note_codec.decode_message(bytes(good))
 
 
+def test_corrupt_text_is_a_wire_error_wherever_it_sits():
+    """A string field, a string-list item and a ``str`` payload all decode
+    through one length-prefixed-block helper: a prefix pointing past the
+    buffer and bytes that are not UTF-8 both surface as the documented
+    :class:`WireError` (the latter used to escape as UnicodeDecodeError)."""
+    note = MessageType("note", (FieldSpec("text", "string"),
+                                FieldSpec("tags", "string", is_list=True)))
+    codec = WireCodec({"notes": MessageCatalog([note])})
+    encoded = codec.encode_message(Message(
+        type=note, fields={"text": "hello", "tags": ["ab", "cd"]},
+        payload="tail", payload_size=8, protocol="notes"))
+    # text: prefix at 16, bytes at 20; tags: count at 25, then two items
+    # (prefix at 29, bytes at 33; prefix at 35, bytes at 39); payload: prefix
+    # at 41, bytes at 45.
+    assert encoded[20:25] == b"hello" and encoded[39:41] == b"cd"
+    assert encoded[45:49] == b"tail"
+    for prefix_at in (16, 35, 41):
+        short = bytearray(encoded)
+        short[prefix_at:prefix_at + 4] = (9_999).to_bytes(4, "big")
+        with pytest.raises(WireError, match="truncated"):
+            codec.decode_message(bytes(short))
+        mangled = bytearray(encoded)
+        mangled[prefix_at + 4] = 0xFF   # never valid in UTF-8
+        with pytest.raises(WireError, match="not UTF-8"):
+            codec.decode_message(bytes(mangled))
+    block = bytearray(codec.encode_payload("tail"))
+    block[-1] = 0xFF
+    with pytest.raises(WireError, match="not UTF-8"):
+        codec.decode_payload(bytes(block))
+    with pytest.raises(WireError, match="truncated"):
+        codec.decode_payload(bytes(block[:-1]))
+
+
 def test_wire_ids_are_stable_and_distinct_across_bundle():
     """Protocol/message ids are pure functions of the name and collide for
     no bundled specification (both endpoints derive them independently)."""
@@ -356,10 +413,15 @@ def test_kv_and_topic_payloads_round_trip_at_model_size():
 def test_kv_and_topic_payload_blob_sizes_pinned():
     """The packed struct widths are wire format: changing them breaks mixed
     sim/live fleets, so the exact byte counts are pinned here."""
-    from repro.runtime.messages import _KV_PAYLOAD, _TOPIC_PAYLOAD
+    from repro.apps.payload import KvPayload, TopicPayload
 
-    assert _KV_PAYLOAD.size == 61
-    assert _TOPIC_PAYLOAD.size == 44
+    _, codec = _stack_and_codec("chord")
+    for payload, width in [
+        (KvPayload(op=0, key=0, version=0, seqno=0, sent_at=0.0, source=0), 61),
+        (TopicPayload(topic=0, seqno=0, sent_at=0.0, source=0), 44),
+        (AppPayload(seqno=0, sent_at=0.0, source=0), 40),
+    ]:
+        assert len(codec.encode_payload(payload)) - 1 == width   # minus tag
 
 
 def test_ring_ipdata_round_trips_with_kv_payload():
