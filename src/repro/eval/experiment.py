@@ -238,7 +238,7 @@ class OverlayExperiment:
     def enable_link_direction(self, u: int, v: int) -> None:
         self.emulator.enable_link_direction(u, v)
 
-    def degrade_link(self, u: int, v: int, *, bandwidth_factor: float = 1.0,
+    def degrade_link(self, u: int, v: int, bandwidth_factor: float = 1.0,
                      latency_factor: float = 1.0) -> None:
         """Degrade one underlay edge (bottleneck-link fault injection)."""
         self.emulator.degrade_edge(u, v, bandwidth_factor=bandwidth_factor,
@@ -247,7 +247,7 @@ class OverlayExperiment:
     def restore_link(self, u: int, v: int) -> None:
         self.emulator.restore_edge(u, v)
 
-    def degrade_node(self, node, *, bandwidth_factor: float = 1.0,
+    def degrade_node(self, node, bandwidth_factor: float = 1.0,
                      latency_factor: float = 1.0) -> None:
         """Degrade a node's access links (slow-node fault injection)."""
         self.emulator.degrade_host(self._resolve_node(node).address,

@@ -50,7 +50,9 @@ seeds and aggregates the resulting metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence, Type, Union
+from functools import partial
+from typing import (Any, Callable, NamedTuple, Optional, Sequence, Type,
+                    Union)
 
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
@@ -136,6 +138,13 @@ class ScenarioModel:
 
     ``label`` names the model's metrics in :class:`ScenarioResult`
     (``<label>.<metric>``); each subclass has a sensible default.
+
+    A fault model describes its faults once, as data: :meth:`draw` returns
+    :class:`Fault` rows and whoever executes them — :meth:`instantiate` on an
+    :class:`~repro.eval.experiment.OverlayExperiment`, or the live
+    supervisor through :mod:`repro.live.faults` — looks the verbs up on its
+    own executor.  Models that observe the run (:class:`GroupModel`,
+    :class:`WorkloadModel`) override :meth:`instantiate` instead.
     """
 
     label: str = ""
@@ -143,9 +152,39 @@ class ScenarioModel:
     def default_label(self) -> str:
         return type(self).__name__.removesuffix("Model").lower()
 
+    def draw(self, num_nodes: int, rng, horizon: float,
+             experiment: "OverlayExperiment" = None,  # noqa: F821
+             ) -> "tuple[list[Fault], dict[str, float]]":
+        """This model's faults and its compile-time metrics — a pure
+        function of ``(model, num_nodes, rng, horizon)``.  *experiment* is
+        consulted only by what names the underlay (link validation, racks);
+        a model that needs it and gets ``None`` raises
+        :class:`ScenarioError` saying so."""
+        raise ScenarioError(
+            f"{type(self).__name__} defines no draw: it cannot be described "
+            f"as fault rows")
+
     def instantiate(self, experiment: "OverlayExperiment",  # noqa: F821
                     rng, horizon: float) -> CompiledModel:
-        raise NotImplementedError
+        """The drawn rows as timeline events on *experiment*, each fault's
+        undo right behind its begin."""
+        faults, metrics = self.draw(len(experiment.nodes), rng, horizon,
+                                    experiment)
+        events: list[ScenarioEvent] = []
+        for fault in faults:
+            kind, undo, undo_kind, undo_arity = FAULT_VERBS[fault.verb]
+            events.append(ScenarioEvent(
+                fault.at, kind, fault.detail,
+                partial(getattr(experiment, fault.verb), *fault.args),
+                node=fault.node))
+            if fault.until is not None:
+                events.append(ScenarioEvent(
+                    fault.until, undo_kind, fault.undo_detail,
+                    partial(getattr(experiment, undo),
+                            *fault.args[:undo_arity]),
+                    node=fault.node))
+        return CompiledModel(self.label or self.default_label(), events,
+                             metrics)
 
 
 def resolve_index(count: int, index: int, what: str) -> int:
@@ -155,32 +194,123 @@ def resolve_index(count: int, index: int, what: str) -> int:
     return index % count
 
 
-def _resolve_indices(experiment, indices: Sequence[int], what: str) -> list[int]:
-    count = len(experiment.nodes)
+def resolve_indices(count: int, indices: Sequence[int], what: str) -> list[int]:
     return [resolve_index(count, index, what) for index in indices]
 
 
-def _validate_partition_targets(experiment, groups, links, model: str) -> None:
-    """Reject unknown hosts/edges when the model compiles, not mid-run.
+# ---------------------------------------------------------------- fault rows
+class Fault(NamedTuple):
+    """One drawn fault: ``getattr(executor, verb)(*args)`` at offset ``at``
+    and, when ``until`` is set, the verb's undo (:data:`FAULT_VERBS`) then.
+
+    ``node`` is the index of the single node the fault acts on, ``None`` for
+    a network-wide one (see :attr:`ScenarioEvent.node`).
+    """
+
+    at: float
+    verb: str
+    args: tuple
+    detail: str
+    until: Optional[float] = None
+    undo_detail: str = ""
+    node: Optional[int] = None
+
+
+#: The fault vocabulary: ``verb -> (event kind, undo verb, undo event kind,
+#: leading args the undo takes)``.  Every verb and undo verb is a method of
+#: :class:`~repro.eval.experiment.OverlayExperiment`; the live executor maps
+#: the verbs it can carry out onto its own directives
+#: (:data:`repro.live.faults.LIVE_VERBS`).  docs/SCENARIOS.md "Fault verbs"
+#: is a view of this table.
+FAULT_VERBS: dict[str, tuple] = {
+    "join_node": ("join", None, None, 0),
+    "crash_node": ("crash", "recover_node", "recover", 1),
+    "partition": ("partition", "heal_partition", "heal", 0),
+    "disable_link": ("link-cut", "enable_link", "link-heal", 2),
+    "disable_link_direction": ("link-cut", "enable_link_direction",
+                               "link-heal", 2),
+    "degrade_node": ("degrade", "restore_node", "restore", 1),
+    "degrade_link": ("degrade", "restore_link", "restore", 2),
+}
+
+
+def _sample_victims(num_nodes: int, exempt: Sequence[int], fraction: float,
+                    rng) -> list[int]:
+    """A sorted sample of *fraction* of the non-exempt membership."""
+    spared = set(resolve_indices(num_nodes, exempt, "exempt"))
+    candidates = [i for i in range(num_nodes) if i not in spared]
+    count = min(len(candidates), round(fraction * len(candidates)))
+    return sorted(rng.sample(candidates, count))
+
+
+def _crashes(victims: Sequence[int], at: float,
+             recover_after: Optional[float], why: str,
+             back: str) -> list[Fault]:
+    """Fail-stop every victim at *at*; with *recover_after* set each comes
+    back that many seconds later (factory-reset, re-joined via the
+    bootstrap)."""
+    until = None if recover_after is None else at + recover_after
+    return [Fault(at, "crash_node", (index,), f"node {index} {why}",
+                  until, f"node {index} {back}", node=index)
+            for index in victims]
+
+
+def _join(index: int, at: float, suffix: str = "") -> Fault:
+    return Fault(at, "join_node", (index,), f"node {index} joins{suffix}",
+                 node=index)
+
+
+def _check_targets(model: str, num_nodes: int, groups, links, experiment,
+                   without: str) -> tuple:
+    """Reject unknown hosts/edges when the model is drawn, not mid-run, and
+    return *groups* with every member as a plain node index.
 
     A bad group member or a link absent from the topology used to surface
     only when the partition event fired (as an AddressError/RoutingError
     deep inside the emulator, long after ``build()`` returned); fuzzed and
     hand-written specs alike want the whole list of offenders up front.
+    Links name edges of the emulated underlay, so a draw without one
+    (*experiment* is ``None``) cannot carry them: *without* says what the
+    model is left with.
     """
-    count = len(experiment.nodes)
     bad_members = sorted({index for group in groups for index in group
-                          if not -count <= index < count})
+                          if not -num_nodes <= index < num_nodes})
     if bad_members:
         raise ScenarioError(
-            f"{model} group members out of range for {count} nodes: "
+            f"{model} group members out of range for {num_nodes} nodes: "
             f"{bad_members}")
-    graph = experiment.topology.graph
-    bad_links = [(u, v) for u, v in links if not graph.has_edge(u, v)]
+    if links and experiment is None:
+        raise ScenarioError(
+            f"{model} links need the emulated underlay; without one "
+            f"{without}")
+    bad_links = [(u, v) for u, v in links
+                 if not experiment.topology.graph.has_edge(u, v)]
     if bad_links:
         raise ScenarioError(
             f"{model} links not in topology "
             f"{experiment.topology.name!r}: {bad_links}")
+    return tuple(tuple(index % num_nodes for index in group)
+                 for group in groups)
+
+
+def _cuts(groups, links, at: float, until: Optional[float],
+          directed: bool = False, prefix: str = "",
+          noun: str = "host groups") -> list[Fault]:
+    """One host-group partition (if any *groups*) plus one cut per link, all
+    installed at *at* and healed at *until* (``None`` = never).  *directed*
+    blackholes only the ``u -> v`` direction of each link."""
+    faults = []
+    if groups:
+        faults.append(Fault(
+            at, "partition", (groups,),
+            f"{prefix}partition into {len(groups)} {noun}",
+            until, f"{prefix}partition heals"))
+    verb = "disable_link_direction" if directed else "disable_link"
+    for u, v in links:
+        edge = f"direction ({u} -> {v})" if directed else f"link ({u}, {v})"
+        faults.append(Fault(at, verb, (u, v), f"{prefix}{edge} cut",
+                            until, f"{prefix}{edge} heals"))
+    return faults
 
 
 @dataclass(frozen=True)
@@ -211,32 +341,25 @@ class ChurnModel(ScenarioModel):
     rejoin: bool = True
     exempt: tuple[int, ...] = (0,)   # node indices never churned (bootstrap)
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if self.join not in ("immediate", "staggered", "poisson"):
             raise ScenarioError(f"unknown join mode {self.join!r}")
-        events: list[ScenarioEvent] = []
-        crashes = 0
-
+        faults: list[Fault] = []
         when = self.start
         join_at: list[float] = []
-        for index in range(len(experiment.nodes)):
+        for index in range(num_nodes):
             if index > 0:
                 if self.join == "staggered":
                     when = self.start + index * self.join_spacing
                 elif self.join == "poisson":
                     when += rng.expovariate(self.join_rate)
             join_at.append(when)
-            events.append(ScenarioEvent(
-                when, "join", f"node {index} joins",
-                lambda i=index: experiment.join_node(i), node=index))
+            faults.append(_join(index, when))
 
+        victims = []
         if self.churn_fraction > 0:
-            exempt = set(_resolve_indices(experiment, self.exempt, "exempt"))
-            candidates = [i for i in range(len(experiment.nodes))
-                          if i not in exempt]
-            count = min(len(candidates),
-                        round(self.churn_fraction * len(candidates)))
-            victims = sorted(rng.sample(candidates, count))
+            victims = _sample_victims(num_nodes, self.exempt,
+                                      self.churn_fraction, rng)
             end = self.churn_end if self.churn_end is not None else horizon
             window_end = max(self.churn_start,
                              end - (self.downtime if self.rejoin else 0.0))
@@ -247,20 +370,11 @@ class ChurnModel(ScenarioModel):
                 # delivered zero downtime.
                 window_start = max(self.churn_start, join_at[index])
                 at = rng.uniform(window_start, max(window_start, window_end))
-                crashes += 1
-                events.append(ScenarioEvent(
-                    at, "crash", f"node {index} churns out",
-                    lambda i=index: experiment.crash_node(i), node=index))
-                if self.rejoin:
-                    events.append(ScenarioEvent(
-                        at + self.downtime, "recover", f"node {index} rejoins",
-                        lambda i=index: experiment.recover_node(i, rejoin=True),
-                        node=index))
-
-        label = self.label or self.default_label()
-        return CompiledModel(label, events,
-                             {"joins": float(len(experiment.nodes)),
-                              "churn_cycles": float(crashes)})
+                faults += _crashes((index,), at,
+                                   self.downtime if self.rejoin else None,
+                                   "churns out", "rejoins")
+        return faults, {"joins": float(num_nodes),
+                        "churn_cycles": float(len(victims))}
 
 
 @dataclass(frozen=True)
@@ -279,30 +393,17 @@ class CrashModel(ScenarioModel):
     recover_after: Optional[float] = None
     exempt: tuple[int, ...] = (0,)
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if self.victims and self.fraction:
             raise ScenarioError("give CrashModel victims or fraction, not both")
         if self.victims:
-            chosen = _resolve_indices(experiment, self.victims, "victim")
+            chosen = resolve_indices(num_nodes, self.victims, "victim")
         else:
-            exempt = set(_resolve_indices(experiment, self.exempt, "exempt"))
-            candidates = [i for i in range(len(experiment.nodes))
-                          if i not in exempt]
-            count = min(len(candidates), round(self.fraction * len(candidates)))
-            chosen = sorted(rng.sample(candidates, count))
-        events: list[ScenarioEvent] = []
-        for index in chosen:
-            events.append(ScenarioEvent(
-                self.at, "crash", f"node {index} fail-stops",
-                lambda i=index: experiment.crash_node(i), node=index))
-            if self.recover_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.recover_after, "recover",
-                    f"node {index} recovers",
-                    lambda i=index: experiment.recover_node(i, rejoin=True),
-                    node=index))
-        label = self.label or self.default_label()
-        return CompiledModel(label, events, {"victims": float(len(chosen))})
+            chosen = _sample_victims(num_nodes, self.exempt, self.fraction,
+                                     rng)
+        return (_crashes(chosen, self.at, self.recover_after, "fail-stops",
+                         "recovers"),
+                {"victims": float(len(chosen))})
 
 
 @dataclass(frozen=True)
@@ -324,32 +425,14 @@ class PartitionModel(ScenarioModel):
     groups: tuple[tuple[int, ...], ...] = ()
     links: tuple[tuple[int, int], ...] = ()
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if not self.groups and not self.links:
             raise ScenarioError("PartitionModel needs groups or links to cut")
-        _validate_partition_targets(experiment, self.groups, self.links,
-                                    "PartitionModel")
-        events: list[ScenarioEvent] = []
-        if self.groups:
-            events.append(ScenarioEvent(
-                self.at, "partition",
-                f"partition into {len(self.groups)} host groups",
-                lambda: experiment.partition([list(g) for g in self.groups])))
-            if self.heal_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.heal_after, "heal", "partition heals",
-                    experiment.heal_partition))
-        for (u, v) in self.links:
-            events.append(ScenarioEvent(
-                self.at, "link-cut", f"link ({u}, {v}) cut",
-                lambda u=u, v=v: experiment.disable_link(u, v)))
-            if self.heal_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.heal_after, "link-heal",
-                    f"link ({u}, {v}) heals",
-                    lambda u=u, v=v: experiment.enable_link(u, v)))
-        label = self.label or self.default_label()
-        return CompiledModel(label, events)
+        groups = _check_targets("PartitionModel", num_nodes, self.groups,
+                                self.links, experiment,
+                                "a partition cuts host groups only")
+        until = None if self.heal_after is None else self.at + self.heal_after
+        return _cuts(groups, self.links, self.at, until), {}
 
 
 @dataclass(frozen=True)
@@ -370,8 +453,7 @@ class FlashCrowdModel(ScenarioModel):
     burst_rate: float = 20.0         # crowd joins per second
     stay: Optional[float] = None
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        num_nodes = len(experiment.nodes)
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if not 1 <= self.core <= num_nodes:
             raise ScenarioError(
                 f"FlashCrowdModel core {self.core} out of range for "
@@ -380,28 +462,22 @@ class FlashCrowdModel(ScenarioModel):
             raise ScenarioError("FlashCrowdModel burst_rate must be positive")
         if self.stay is not None and self.stay <= 0:
             raise ScenarioError("FlashCrowdModel stay must be positive")
-        events: list[ScenarioEvent] = []
-        for index in range(self.core):
-            events.append(ScenarioEvent(
-                index * self.core_spacing, "join",
-                f"node {index} joins (core)",
-                lambda i=index: experiment.join_node(i), node=index))
+        if self.stay is not None and experiment is None:
+            raise ScenarioError(
+                "flash-crowd mass departure is sim-only (a join wave can "
+                "stand in for the crowd's arrival, but departures would "
+                "need per-node leave scheduling)")
+        faults = [_join(index, index * self.core_spacing, " (core)")
+                  for index in range(self.core)]
         when = self.at
-        last = self.at
         for index in range(self.core, num_nodes):
             when += rng.expovariate(self.burst_rate)
-            last = when
-            events.append(ScenarioEvent(
-                when, "join", f"node {index} joins (crowd)",
-                lambda i=index: experiment.join_node(i), node=index))
+            faults.append(_join(index, when, " (crowd)"))
             if self.stay is not None:
-                events.append(ScenarioEvent(
-                    when + self.stay, "crash", f"node {index} departs (crowd)",
-                    lambda i=index: experiment.crash_node(i), node=index))
-        crowd = num_nodes - self.core
-        label = self.label or self.default_label()
-        return CompiledModel(label, events, {"crowd": float(crowd),
-                                             "burst_seconds": last - self.at})
+                faults += _crashes((index,), when + self.stay, None,
+                                   "departs (crowd)", "")
+        return faults, {"crowd": float(num_nodes - self.core),
+                        "burst_seconds": when - self.at}
 
 
 @dataclass(frozen=True)
@@ -451,8 +527,12 @@ class CorrelatedCrashModel(ScenarioModel):
                     break
         return domain_of
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        exempt = set(_resolve_indices(experiment, self.exempt, "exempt"))
+    def draw(self, num_nodes, rng, horizon, experiment=None):
+        if experiment is None:
+            raise ScenarioError(
+                "rack-correlated crashes need the emulated topology's "
+                "attachment groups; nodes without an underlay have none")
+        exempt = set(resolve_indices(num_nodes, self.exempt, "exempt"))
         domain_of = self.failure_domains(experiment)
         by_rack: dict[int, list[int]] = {}
         for index, node in enumerate(experiment.nodes):
@@ -469,21 +549,10 @@ class CorrelatedCrashModel(ScenarioModel):
                 f"non-exempt members")
         chosen = rng.sample(sorted(by_rack), self.racks)
         victims = sorted(index for rack in chosen for index in by_rack[rack])
-        events: list[ScenarioEvent] = []
-        for index in victims:
-            events.append(ScenarioEvent(
-                self.at, "crash", f"node {index} fails with its rack",
-                lambda i=index: experiment.crash_node(i), node=index))
-            if self.recover_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.recover_after, "recover",
-                    f"node {index} recovers with its rack",
-                    lambda i=index: experiment.recover_node(i, rejoin=True),
-                    node=index))
-        label = self.label or self.default_label()
-        return CompiledModel(label, events,
-                             {"racks": float(self.racks),
-                              "victims": float(len(victims))})
+        return (_crashes(victims, self.at, self.recover_after,
+                         "fails with its rack", "recovers with its rack"),
+                {"racks": float(self.racks),
+                 "victims": float(len(victims))})
 
 
 @dataclass(frozen=True)
@@ -507,7 +576,7 @@ class FlappingPartitionModel(ScenarioModel):
     links: tuple[tuple[int, int], ...] = ()
     directed: bool = False
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if not self.groups and not self.links:
             raise ScenarioError(
                 "FlappingPartitionModel needs groups or links to cut")
@@ -519,44 +588,17 @@ class FlappingPartitionModel(ScenarioModel):
             raise ScenarioError(
                 "FlappingPartitionModel needs period > 0, 0 < duty < 1 "
                 "and cycles >= 1")
-        _validate_partition_targets(experiment, self.groups, self.links,
-                                    "FlappingPartitionModel")
-        events: list[ScenarioEvent] = []
+        groups = _check_targets("FlappingPartitionModel", num_nodes,
+                                self.groups, self.links, experiment,
+                                "a partition flaps host groups only")
+        faults: list[Fault] = []
         for cycle in range(self.cycles):
             cut_at = self.at + cycle * self.period
-            heal_at = cut_at + self.duty * self.period
-            if self.groups:
-                events.append(ScenarioEvent(
-                    cut_at, "partition",
-                    f"flap {cycle}: partition into {len(self.groups)} groups",
-                    lambda: experiment.partition(
-                        [list(g) for g in self.groups])))
-                events.append(ScenarioEvent(
-                    heal_at, "heal", f"flap {cycle}: partition heals",
-                    experiment.heal_partition))
-            for (u, v) in self.links:
-                if self.directed:
-                    events.append(ScenarioEvent(
-                        cut_at, "link-cut",
-                        f"flap {cycle}: direction ({u} -> {v}) cut",
-                        lambda u=u, v=v: experiment.disable_link_direction(u, v)))
-                    events.append(ScenarioEvent(
-                        heal_at, "link-heal",
-                        f"flap {cycle}: direction ({u} -> {v}) heals",
-                        lambda u=u, v=v: experiment.enable_link_direction(u, v)))
-                else:
-                    events.append(ScenarioEvent(
-                        cut_at, "link-cut", f"flap {cycle}: link ({u}, {v}) cut",
-                        lambda u=u, v=v: experiment.disable_link(u, v)))
-                    events.append(ScenarioEvent(
-                        heal_at, "link-heal",
-                        f"flap {cycle}: link ({u}, {v}) heals",
-                        lambda u=u, v=v: experiment.enable_link(u, v)))
-        label = self.label or self.default_label()
-        return CompiledModel(
-            label, events,
-            {"cycles": float(self.cycles),
-             "cut_seconds": self.cycles * self.duty * self.period})
+            faults += _cuts(groups, self.links, cut_at,
+                            cut_at + self.duty * self.period, self.directed,
+                            f"flap {cycle}: ", "groups")
+        return faults, {"cycles": float(self.cycles),
+                        "cut_seconds": self.cycles * self.duty * self.period}
 
 
 @dataclass(frozen=True)
@@ -582,7 +624,7 @@ class DegradeModel(ScenarioModel):
     latency_factor: float = 1.0
     exempt: tuple[int, ...] = (0,)
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+    def draw(self, num_nodes, rng, horizon, experiment=None):
         if self.hosts and self.host_fraction:
             raise ScenarioError(
                 "give DegradeModel hosts or host_fraction, not both")
@@ -595,46 +637,31 @@ class DegradeModel(ScenarioModel):
                 "latency_factor >= 1 (degradation only slows things down)")
         if self.bandwidth_factor == 1.0 and self.latency_factor == 1.0:
             raise ScenarioError("DegradeModel with both factors 1.0 is a no-op")
-        _validate_partition_targets(experiment, (), self.links, "DegradeModel")
+        _check_targets("DegradeModel", num_nodes, (), self.links, experiment,
+                       "degradation reaches host access links only")
         if self.hosts:
-            chosen = sorted(set(_resolve_indices(experiment, self.hosts,
-                                                 "degraded host")))
+            chosen = sorted(set(resolve_indices(num_nodes, self.hosts,
+                                                "degraded host")))
         elif self.host_fraction:
-            exempt = set(_resolve_indices(experiment, self.exempt, "exempt"))
-            candidates = [i for i in range(len(experiment.nodes))
-                          if i not in exempt]
-            count = min(len(candidates),
-                        round(self.host_fraction * len(candidates)))
-            chosen = sorted(rng.sample(candidates, count))
+            chosen = _sample_victims(num_nodes, self.exempt,
+                                     self.host_fraction, rng)
         else:
             chosen = []
-        events: list[ScenarioEvent] = []
-        for index in chosen:
-            events.append(ScenarioEvent(
-                self.at, "degrade", f"node {index} access links degrade",
-                lambda i=index: experiment.degrade_node(
-                    i, bandwidth_factor=self.bandwidth_factor,
-                    latency_factor=self.latency_factor)))
-            if self.restore_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.restore_after, "restore",
-                    f"node {index} access links restore",
-                    lambda i=index: experiment.restore_node(i)))
-        for (u, v) in self.links:
-            events.append(ScenarioEvent(
-                self.at, "degrade", f"link ({u}, {v}) degrades",
-                lambda u=u, v=v: experiment.degrade_link(
-                    u, v, bandwidth_factor=self.bandwidth_factor,
-                    latency_factor=self.latency_factor)))
-            if self.restore_after is not None:
-                events.append(ScenarioEvent(
-                    self.at + self.restore_after, "restore",
-                    f"link ({u}, {v}) restores",
-                    lambda u=u, v=v: experiment.restore_link(u, v)))
-        label = self.label or self.default_label()
-        return CompiledModel(label, events,
-                             {"hosts": float(len(chosen)),
-                              "links": float(len(self.links))})
+        until = (None if self.restore_after is None
+                 else self.at + self.restore_after)
+        factors = (self.bandwidth_factor, self.latency_factor)
+        # Degrading a node rewrites underlay edges, which every process of a
+        # sharded run holds its own replica of: network-wide, not node-owned.
+        faults = [Fault(self.at, "degrade_node", (index, *factors),
+                        f"node {index} access links degrade",
+                        until, f"node {index} access links restore")
+                  for index in chosen]
+        faults += [Fault(self.at, "degrade_link", (u, v, *factors),
+                         f"link ({u}, {v}) degrades",
+                         until, f"link ({u}, {v}) restores")
+                   for u, v in self.links]
+        return faults, {"hosts": float(len(chosen)),
+                        "links": float(len(self.links))}
 
 
 @dataclass(frozen=True)
@@ -656,16 +683,14 @@ class GroupModel(ScenarioModel):
     members: tuple[int, ...] = ()    # empty = everyone except source
 
     def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        source = _resolve_indices(experiment, (self.source,),
-                                  "group source")[0]
+        count = len(experiment.nodes)
+        source = resolve_index(count, self.source, "group source")
         if self.members:
             members = [index for index in
-                       _resolve_indices(experiment, self.members,
-                                        "group member")
+                       resolve_indices(count, self.members, "group member")
                        if index != source]
         else:
-            members = [index for index in range(len(experiment.nodes))
-                       if index != source]
+            members = [index for index in range(count) if index != source]
         joined = 0
 
         def _create() -> None:

@@ -1,10 +1,10 @@
 """Live fault directives: the scenario fault vocabulary on wall-clock.
 
-The scenario engine compiles :class:`~repro.eval.scenario.ScenarioModel`
-fault models onto the simulator timeline; this module compiles the same
-models onto a :class:`~repro.live.cluster.LiveClusterConfig` wall-clock
-schedule as *live fault directives* — small frozen dataclasses the cluster
-coordinator executes for real:
+A :class:`~repro.eval.scenario.ScenarioModel` fault model describes its
+faults once, as the rows its ``draw`` returns.  The scenario engine executes
+them on the simulator timeline; this module executes the same draw on a
+:class:`~repro.live.cluster.LiveClusterConfig` wall-clock schedule, as *live
+fault directives* — small frozen dataclasses the coordinator carries out:
 
 * :class:`KillNode` — a real ``SIGKILL`` of the node's OS process, with an
   optional supervised respawn (the respawned process re-enters through the
@@ -18,23 +18,27 @@ coordinator executes for real:
 
 Times are offsets from the cluster's barrier-aligned clock zero.  Because a
 live run compresses a multi-minute simulated timeline into a few wall-clock
-seconds, :func:`compile_fault_models` rescales model times linearly onto the
-live workload window (join wave and settle excluded) and floors the rescaled
-downtimes so a respawn is a real outage, not a scheduling artifact.  Victim
-sampling draws from ``random.Random(f"{seed}:live-faults")`` — reproducible
-per seed, though not the same victims the simulator samples (the
-differential harness compares metric distributions, not event logs).
+seconds, :func:`compile_fault_models` *rescales* each model before drawing
+it — instants linearly onto the live workload window (join wave and settle
+excluded), spans by the same factor with floors so a respawn is a real
+outage, not a scheduling artifact — and then maps the drawn rows *by verb*
+(:data:`LIVE_VERBS`).  This module knows no model class: a new fault model
+is live-runnable as soon as its ``draw`` emits verbs listed there.  The draw
+uses ``random.Random(f"{seed}:live-faults")`` — reproducible per seed,
+though not the same victims the simulator samples (the differential harness
+compares metric distributions, not event logs).
 
-Models that need the emulated underlay (link-level cuts and degradation,
-rack-correlated crashes) have no live mapping and raise
-:class:`LiveFaultError`; :func:`live_runnable` turns that into the tag the
-fuzzer stamps on generated specs.
+A model that needs the emulated underlay (link-level cuts and degradation,
+rack-correlated crashes) says so itself when drawn without one, and a spec
+the simulator rejects is rejected here in the same words
+(:class:`LiveFaultError`); :func:`live_runnable` turns that into the tag
+the fuzzer stamps on generated specs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 #: One simulated latency-factor unit maps to this many seconds of added
@@ -130,154 +134,100 @@ def fault_horizon(faults) -> float:
     return max((fault.end for fault in faults), default=0.0)
 
 
-def _sample_indices(num_nodes: int, exempt, fraction: float,
-                    rng: random.Random) -> list[int]:
-    exempt_set = set(exempt)
-    candidates = [i for i in range(num_nodes) if i not in exempt_set]
-    count = min(len(candidates), round(fraction * len(candidates)))
-    return sorted(rng.sample(candidates, count))
+def _degrade(at: float, index: int, bandwidth_factor: float,
+             latency_factor: float, span: Optional[float]) -> DegradeFault:
+    delay = min(MAX_DEGRADE_DELAY, (latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
+    loss = min(MAX_DEGRADE_LOSS, max(0.0, 1.0 - bandwidth_factor))
+    return DegradeFault(at, (index,), round(delay, 4), round(loss, 4), span)
 
 
-def _check_indices(indices, num_nodes: int, what: str) -> list[int]:
-    out = []
-    for index in indices:
-        index = int(index)
-        if not 0 <= index < num_nodes:
-            raise LiveFaultError(
-                f"{what} index {index} out of range for {num_nodes} nodes")
-        out.append(index)
-    return out
+#: What the live executor does for each fault verb it can carry out
+#: (:data:`repro.eval.scenario.FAULT_VERBS` is the vocabulary):
+#: ``verb -> directive(at, *args, span)``.  ``join_node`` rows are dropped;
+#: a row with any other verb is a :class:`LiveFaultError`.
+LIVE_VERBS = {"crash_node": KillNode, "partition": PartitionFault,
+              "degrade_node": _degrade}
+
+#: Model fields holding an instant of the simulated timeline.
+_INSTANTS = ("at", "churn_start", "churn_end")
+#: Model fields holding a span of simulated seconds -> its live floor.
+_SPAN_FLOORS = {"downtime": MIN_DOWNTIME, "recover_after": MIN_DOWNTIME,
+                "heal_after": MIN_HEAL_SPAN, "restore_after": MIN_HEAL_SPAN,
+                "period": 2 * MIN_HEAL_SPAN}
 
 
 def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
-    """Compile *spec*'s fault models onto *config*'s wall-clock schedule.
-
-    Model times (sim seconds in ``[0, spec.duration]``) map linearly onto
-    the live workload window ``[config.workload_start, config.duration]``;
-    spans (downtime, heal delays) scale by the same factor with floors (see
-    module docstring).  Join scheduling is *not* compiled — the live join
-    wave replaces it, exactly as the facade replaces the workload model's
-    ``start``/``gap`` timing.
+    """Compile *spec*'s fault models onto *config*'s wall-clock schedule:
+    rescale each model, draw it with its own ``draw``, map the rows by verb
+    (module docstring).  Sim seconds in ``[0, spec.duration]`` map onto the
+    live workload window ``[config.workload_start, config.duration]``, and
+    the join schedule becomes the live join wave — exactly as the facade
+    replaces the workload model's ``start``/``gap`` timing.
 
     Raises :class:`LiveFaultError` for models with no live equivalent.
     """
-    from ..eval.scenario import (ChurnModel, CorrelatedCrashModel,
-                                 CrashModel, DegradeModel,
-                                 FlappingPartitionModel, FlashCrowdModel,
-                                 GroupModel, PartitionModel, WorkloadModel)
+    from ..eval.scenario import GroupModel, ScenarioError, WorkloadModel
 
     rng = random.Random(f"{config.seed}:live-faults")
-    num_nodes = config.nodes
-    window = config.duration - config.workload_start
-    scale = window / float(spec.duration)
+    scale = (config.duration - config.workload_start) / float(spec.duration)
 
     def map_at(t: float) -> float:
         t = min(max(float(t), 0.0), float(spec.duration))
         return round(min(config.workload_start + t * scale,
                          config.duration - 0.25), 3)
 
-    def map_span(span: float, floor: float) -> float:
-        return round(max(floor, float(span) * scale), 3)
+    #: The live join wave in a join model's own fields.
+    join_wave = {"join": "staggered", "start": 0.0,
+                 "join_spacing": config.join_spacing}
 
+    def rescaled(model):
+        changes = {}
+        for name, value in vars(model).items():
+            if value is None:
+                continue
+            if name in _INSTANTS:
+                changes[name] = map_at(value)
+            elif name in _SPAN_FLOORS:
+                changes[name] = round(max(_SPAN_FLOORS[name],
+                                          float(value) * scale), 3)
+            elif name in join_wave:
+                changes[name] = join_wave[name]
+        return replace(model, **changes)
+
+    horizon = map_at(spec.duration)
     faults: list[LiveFault] = []
     for model in spec.models:
         if isinstance(model, (WorkloadModel, GroupModel)):
             continue   # the live workload/group choreography covers these
-        if isinstance(model, ChurnModel):
-            if model.churn_fraction <= 0:
-                continue   # pure join schedule: replaced by the join wave
-            victims = _sample_indices(num_nodes, model.exempt,
-                                      model.churn_fraction, rng)
-            downtime = (map_span(model.downtime, MIN_DOWNTIME)
-                        if model.rejoin else None)
-            start = map_at(model.churn_start)
-            end_src = (model.churn_end if model.churn_end is not None
-                       else spec.duration)
-            end = max(start, map_at(end_src) - (downtime or 0.0))
-            for index in victims:
-                at = round(rng.uniform(start, end), 3)
-                faults.append(KillNode(at=at, index=index,
-                                       respawn_after=downtime))
-        elif isinstance(model, CrashModel):
-            if model.victims:
-                victims = _check_indices(model.victims, num_nodes,
-                                         "crash victim")
+        try:
+            # Drawn once as written (scratch stream) for the model's own
+            # checks: rescaling would floor ``period=0.0`` into validity.
+            model.draw(config.nodes, random.Random(0), spec.duration)
+            rows, _metrics = rescaled(model).draw(config.nodes, rng, horizon)
+        except ScenarioError as exc:
+            raise LiveFaultError(str(exc)) from exc
+        for row in rows:
+            if row.verb == "join_node":
+                continue   # the live join wave replaces every join schedule
+            if row.verb not in LIVE_VERBS:
+                raise LiveFaultError(
+                    f"no live mapping for fault verb {row.verb!r} "
+                    f"({type(model).__name__}: {row.detail})")
+            at = round(row.at, 3)
+            if at > horizon:
+                continue   # e.g. flap cycles past the live horizon never fire
+            # No field floor reaches a flap's cut, ``duty * period``.
+            span = None if row.until is None else max(
+                MIN_HEAL_SPAN, round(row.until - row.at, 3))
+            fault = LIVE_VERBS[row.verb](at, *row.args, span)
+            previous = faults[-1] if faults else None
+            if type(previous) is type(fault) is DegradeFault and \
+                    replace(previous, indices=fault.indices) == fault:
+                # One model's degraded hosts share one standing rule.
+                faults[-1] = replace(
+                    previous, indices=previous.indices + fault.indices)
             else:
-                victims = _sample_indices(num_nodes, model.exempt,
-                                          model.fraction, rng)
-            respawn = (map_span(model.recover_after, MIN_DOWNTIME)
-                       if model.recover_after is not None else None)
-            at = map_at(model.at)
-            for index in victims:
-                faults.append(KillNode(at=at, index=index,
-                                       respawn_after=respawn))
-        elif isinstance(model, PartitionModel):
-            if model.links:
-                raise LiveFaultError(
-                    "link-level partition cuts need the emulated underlay; "
-                    "live mode supports host groups only")
-            groups = tuple(tuple(_check_indices(group, num_nodes,
-                                                "partition member"))
-                           for group in model.groups)
-            heal = (map_span(model.heal_after, MIN_HEAL_SPAN)
-                    if model.heal_after is not None else None)
-            faults.append(PartitionFault(at=map_at(model.at), groups=groups,
-                                         heal_after=heal))
-        elif isinstance(model, FlappingPartitionModel):
-            if model.links:
-                raise LiveFaultError(
-                    "flapping link cuts need the emulated underlay; live "
-                    "mode flaps host groups only")
-            groups = tuple(tuple(_check_indices(group, num_nodes,
-                                                "partition member"))
-                           for group in model.groups)
-            period = map_span(model.period, 2 * MIN_HEAL_SPAN)
-            cut_span = max(MIN_HEAL_SPAN, model.duty * period)
-            first = map_at(model.at)
-            for cycle in range(model.cycles):
-                at = round(first + cycle * period, 3)
-                if at >= config.duration - 0.25:
-                    break   # cycles past the live horizon never fire
-                faults.append(PartitionFault(at=at, groups=groups,
-                                             heal_after=cut_span))
-        elif isinstance(model, DegradeModel):
-            if model.links:
-                raise LiveFaultError(
-                    "link-level degradation needs the emulated underlay; "
-                    "live mode degrades host access links only")
-            if model.hosts:
-                chosen = _check_indices(model.hosts, num_nodes,
-                                        "degraded host")
-            else:
-                chosen = _sample_indices(num_nodes, model.exempt,
-                                         model.host_fraction, rng)
-            if not chosen:
-                continue
-            delay = min(MAX_DEGRADE_DELAY,
-                        (model.latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
-            loss = min(MAX_DEGRADE_LOSS,
-                       max(0.0, 1.0 - model.bandwidth_factor))
-            restore = (map_span(model.restore_after, MIN_HEAL_SPAN)
-                       if model.restore_after is not None else None)
-            faults.append(DegradeFault(at=map_at(model.at),
-                                       indices=tuple(chosen),
-                                       delay=round(delay, 4),
-                                       loss=round(loss, 4),
-                                       restore_after=restore))
-        elif isinstance(model, FlashCrowdModel):
-            if model.stay is not None:
-                raise LiveFaultError(
-                    "flash-crowd mass departure is sim-only (the live join "
-                    "wave replaces the crowd's arrival, but departures "
-                    "would need per-node leave scheduling)")
-            continue   # the live join wave replaces the burst schedule
-        elif isinstance(model, CorrelatedCrashModel):
-            raise LiveFaultError(
-                "rack-correlated crashes need the emulated topology's "
-                "attachment groups; live localhost nodes have none")
-        else:
-            raise LiveFaultError(
-                f"no live mapping for {type(model).__name__}")
+                faults.append(fault)
     return tuple(sorted(faults, key=lambda fault: (fault.at, repr(fault))))
 
 

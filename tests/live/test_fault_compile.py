@@ -7,8 +7,8 @@ import pytest
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
-                                 FlashCrowdModel, PartitionModel, ScenarioSpec,
-                                 WorkloadModel)
+                                 FlashCrowdModel, PartitionModel,
+                                 ScenarioError, ScenarioSpec, WorkloadModel)
 from repro.live import (DegradeFault, KillNode, LiveClusterConfig,
                         LiveFaultError, PartitionFault, compile_fault_models,
                         fault_horizon, live_runnable)
@@ -122,7 +122,7 @@ def test_degrade_maps_factors_with_caps():
 
     capped = compile_fault_models(
         _spec(DegradeModel(at=40.0, hosts=(3,), latency_factor=100.0,
-                           bandwidth_factor=0.0)),
+                           bandwidth_factor=0.01)),
         _config())
     assert capped[0].delay == pytest.approx(0.25)
     assert capped[0].loss == pytest.approx(0.75)
@@ -161,3 +161,37 @@ def test_live_runnable_tags():
     ok, reason = live_runnable(
         _spec(workload, CorrelatedCrashModel(at=40.0, racks=4)))
     assert not ok and "emulated topology" in reason
+
+
+#: Specs the simulator rejects.  Before both drivers ran the model's own
+#: ``draw``, every one of these compiled and ran live.
+REJECTED_EVERYWHERE = {
+    "zero-bandwidth": DegradeModel(hosts=(3,), bandwidth_factor=0.0),
+    "no-op-degrade": DegradeModel(hosts=(3,)),
+    "victims-and-fraction": CrashModel(victims=(2,), fraction=0.5),
+    "hosts-and-fraction": DegradeModel(hosts=(1,), host_fraction=0.5,
+                                       bandwidth_factor=0.5),
+    "nothing-to-cut": PartitionModel(),
+    "zero-period": FlappingPartitionModel(period=0.0, groups=((0, 1),)),
+    "duty-over-one": FlappingPartitionModel(duty=1.5, groups=((0, 1),)),
+    "unknown-join": ChurnModel(join="bogus", churn_fraction=0.4),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED_EVERYWHERE)
+def test_a_spec_the_simulator_rejects_is_rejected_live_in_the_same_words(name):
+    spec = _spec(REJECTED_EVERYWHERE[name])
+    with pytest.raises(ScenarioError) as sim:
+        spec.build()
+    with pytest.raises(LiveFaultError) as live:
+        compile_fault_models(spec, _config())
+    assert str(live.value) == str(sim.value)
+
+
+def test_negative_victim_index_counts_from_the_end_in_both_modes():
+    spec = _spec(CrashModel(at=60.0, victims=(-1,)))
+    experiment = spec.build()
+    assert [event.node for event in experiment.compiled_models[0].events] \
+        == [spec.num_nodes - 1]
+    (kill,) = compile_fault_models(spec, _config())
+    assert kill == KillNode(at=kill.at, index=_config().nodes - 1)
