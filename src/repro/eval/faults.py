@@ -1,11 +1,9 @@
 """The fault plane: one description of a fault under every executor.
 
-A fault model describes its faults once, as data.  :meth:`draw` is a pure
+A fault model describes its faults once, as data: its ``draw`` is a pure
 function of ``(model, num_nodes, rng, horizon)`` returning :class:`Fault`
-rows ``(at, verb, args, detail, until, undo_detail, node)`` — call
-``getattr(executor, verb)(*args)`` at ``at`` and the verb's undo at
-``until`` — over the one vocabulary :data:`FAULT_VERBS`.  The simulator
-executes the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
+rows over the one vocabulary :data:`FAULT_VERBS`.  The simulator executes
+the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
 (:meth:`~repro.eval.scenario.ScenarioModel.instantiate`); the live
 supervisor rescales the model, calls the same ``draw`` and maps the rows by
 verb onto its directives (:mod:`repro.live.faults`).  A new fault model is
@@ -105,13 +103,12 @@ def _check_targets(model: str, num_nodes: int, groups, links, experiment,
     """Reject unknown hosts/edges when the model is drawn, not mid-run, and
     return *groups* with every member as a plain node index.
 
-    A bad group member or a link absent from the topology used to surface
-    only when the partition event fired (as an AddressError/RoutingError
-    deep inside the emulator, long after ``build()`` returned); fuzzed and
-    hand-written specs alike want the whole list of offenders up front.
-    Links name edges of the emulated underlay, so a draw without one
-    (*experiment* is ``None``) cannot carry them: *without* says what the
-    model is left with.
+    Left to the run, a bad group member or a link absent from the topology
+    surfaces when the event fires, as an AddressError/RoutingError deep
+    inside the emulator; fuzzed and hand-written specs alike want the whole
+    list of offenders up front.  Links name edges of the emulated underlay,
+    so a draw without one (*experiment* is ``None``) cannot carry them:
+    *without* says what the model is left with.
     """
     bad_members = sorted({index for group in groups for index in group
                           if not -num_nodes <= index < num_nodes})
@@ -342,19 +339,11 @@ class CorrelatedCrashModel(ScenarioModel):
     @staticmethod
     def failure_domains(experiment) -> dict[int, int]:
         """Map each topology attachment router to a failure-domain id."""
-        import networkx as nx
-
-        from ..network.topology import ROLE_ATTR
+        from ..runtime.sharded.partition import stub_domains
 
         graph = experiment.topology.graph
-        stub_nodes = [node for node, data in graph.nodes(data=True)
-                      if data.get(ROLE_ATTR) == "stub"]
         domain_of: dict[int, int] = {}
-        components = sorted(
-            (sorted(component) for component in
-             nx.connected_components(graph.subgraph(stub_nodes))),
-            key=lambda members: members[0])
-        for domain, members in enumerate(components):
+        for domain, members in enumerate(stub_domains(experiment.topology)):
             for member in members:
                 domain_of[member] = domain
         # Client attachment points inherit the domain of the access router

@@ -128,12 +128,9 @@ class ScenarioModel:
     ``label`` names the model's metrics in :class:`ScenarioResult`
     (``<label>.<metric>``); each subclass has a sensible default.
 
-    A fault model describes its faults once, as data: :meth:`draw` returns
-    :class:`Fault` rows and whoever executes them — :meth:`instantiate` on an
-    :class:`~repro.eval.experiment.OverlayExperiment`, or the live
-    supervisor through :mod:`repro.live.faults` — looks the verbs up on its
-    own executor.  Models that observe the run (:class:`GroupModel`,
-    :class:`WorkloadModel`) override :meth:`instantiate` instead.
+    A fault model (:mod:`repro.eval.faults`) defines :meth:`draw`; a model
+    that observes the run (:class:`GroupModel`, :class:`WorkloadModel`)
+    overrides :meth:`instantiate` instead.
     """
 
     label: str = ""
@@ -142,8 +139,7 @@ class ScenarioModel:
         return type(self).__name__.removesuffix("Model").lower()
 
     def draw(self, num_nodes: int, rng, horizon: float,
-             experiment: "OverlayExperiment" = None,  # noqa: F821
-             ) -> "tuple[list[Fault], dict[str, float]]":
+             experiment=None) -> "tuple[list[Fault], dict[str, float]]":
         """This model's faults and its compile-time metrics — a pure
         function of ``(model, num_nodes, rng, horizon)``.  *experiment* is
         consulted only by what names the underlay (link validation, racks);
@@ -245,8 +241,7 @@ class GroupModel(ScenarioModel):
                                   "joined": float(sum(counts))})
 
 
-# The fault and workload planes import the base classes above, so they load
-# here.
+# The fault and workload planes import the base classes above: load here.
 from .faults import (FAULT_VERBS, ChurnModel, CorrelatedCrashModel,  # noqa: E402,F401
                      CrashModel, DegradeModel, Fault, FlappingPartitionModel,
                      FlashCrowdModel, PartitionModel)
@@ -463,12 +458,12 @@ class ScenarioSpec:
             if self.obs.causal:
                 # Install order matters: the delivery wrapper must be in
                 # place before enter_shard captures the callback identity
-                # for the egress filter; the send tap must come after it
-                # swaps in the sharded send.  Workers get disjoint id spaces.
+                # for the egress filter.  Workers get disjoint id spaces.
                 obs_causal = CausalLog(
                     tracer, simulator, registry=obs_registry,
                     origin=shard_id + 1 if in_worker else 0)
                 emulator.install_delivery_wrapper(obs_causal.wrap_delivery)
+                emulator.install_send_tap(obs_causal.tag)
         driver = None
         owned = experiment.nodes
         if in_worker:
@@ -477,8 +472,6 @@ class ScenarioSpec:
                                    endpoint=endpoint, registry=obs_registry)
             experiment.enter_shard(shard_id, plan, driver.capture)
             owned = [experiment.nodes[i] for i in plan.owned_nodes(shard_id)]
-        if obs_causal is not None:
-            emulator.install_send_tap(obs_causal.tag)
 
         series: dict[str, list[tuple[float, float]]] = {}
         for sample in self.samples:

@@ -59,7 +59,7 @@ MIN_HEAL_SPAN = 0.5
 
 
 class LiveFaultError(RuntimeError):
-    """A scenario fault model has no live (real-socket) equivalent."""
+    """A scenario fault model is malformed or has no live equivalent."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def _degrade(at: float, index: int, bandwidth_factor: float,
 
 
 #: What the live executor does for each fault verb it can carry out
-#: (:data:`repro.eval.scenario.FAULT_VERBS` is the vocabulary):
+#: (:data:`repro.eval.faults.FAULT_VERBS` is the vocabulary):
 #: ``verb -> directive(at, *args, span)``.  ``join_node`` rows are dropped;
 #: a row with any other verb is a :class:`LiveFaultError`.
 LIVE_VERBS = {"crash_node": KillNode, "partition": PartitionFault,
@@ -176,7 +176,7 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
         return round(min(config.workload_start + t * scale,
                          config.duration - 0.25), 3)
 
-    #: The live join wave in a join model's own fields.
+    # The live join wave in a join model's own fields.
     join_wave = {"join": "staggered", "start": 0.0,
                  "join_spacing": config.join_spacing}
 
@@ -219,15 +219,7 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
             # No field floor reaches a flap's cut, ``duty * period``.
             span = None if row.until is None else max(
                 MIN_HEAL_SPAN, round(row.until - row.at, 3))
-            fault = LIVE_VERBS[row.verb](at, *row.args, span)
-            previous = faults[-1] if faults else None
-            if type(previous) is type(fault) is DegradeFault and \
-                    replace(previous, indices=fault.indices) == fault:
-                # One model's degraded hosts share one standing rule.
-                faults[-1] = replace(
-                    previous, indices=previous.indices + fault.indices)
-            else:
-                faults.append(fault)
+            faults.append(LIVE_VERBS[row.verb](at, *row.args, span))
     return tuple(sorted(faults, key=lambda fault: (fault.at, repr(fault))))
 
 

@@ -91,6 +91,9 @@ class NetworkEmulator:
         self.topology = topology
         self.random_loss_rate = random_loss_rate
         self._rng = simulator.fork_rng("network-emulator")
+        #: Per-source-host loss streams inside a shard worker (see
+        #: :meth:`send`); ``None`` outside one.
+        self._loss_rngs: Optional[dict] = None
         self._allocator = AddressAllocator()
         self._hosts: dict[int, Host] = {}
         self._links: dict[tuple[int, int], DirectedLink] = {}
@@ -386,6 +389,22 @@ class NetworkEmulator:
         Returns ``True`` if the packet was accepted and will be delivered,
         ``False`` if it was dropped (queue overflow or random loss).  Delivery
         happens asynchronously via the simulator.
+
+        **In a shard worker** (:meth:`install_cross_shard_egress` ran) the
+        link physics is traffic-independent, because a shard sees only its
+        own nodes' sends and two properties of this send depend on the
+        *global* interleaving of sends.  Per-link ``next_free`` occupancy
+        would be shard-local queue state and delays would drift with the
+        partition, so a worker models transmission + propagation but no
+        queueing wait (and therefore no queue-overflow drops): a packet's
+        delay is a pure function of its route and size.  And the shared loss
+        RNG is consumed in global send order, so in a worker each *source
+        host* draws from its own stream, forked as ``loss-<address>``: a
+        host's send sequence does not depend on the partition.  Both make
+        fixed-seed sharded results identical for every shard count K > 1
+        (and stable across repeats), at the cost of not reproducing the
+        single-process run's contention effects — docs/PERFORMANCE.md,
+        "Sharded execution", spells out the trade.
         """
         hosts = self._hosts
         src_host = hosts.get(packet.src)
@@ -431,10 +450,19 @@ class NetworkEmulator:
                         dst_host.dropped += 1
                         return False
 
-        if self.random_loss_rate and self._rng.random() < self.random_loss_rate:
-            stats.packets_dropped += 1
-            dst_host.dropped += 1
-            return False
+        loss_rngs = self._loss_rngs
+        if self.random_loss_rate:
+            if loss_rngs is None:
+                rng = self._rng
+            else:
+                rng = loss_rngs.get(packet.src)
+                if rng is None:
+                    rng = self.simulator.fork_rng(f"loss-{packet.src}")
+                    loss_rngs[packet.src] = rng
+            if rng.random() < self.random_loss_rate:
+                stats.packets_dropped += 1
+                dst_host.dropped += 1
+                return False
 
         route = self._plans.get((src_host.node, dst_host.node))
         if route is None:
@@ -449,30 +477,41 @@ class NetworkEmulator:
         packet.path = route.path
         wire_size = packet.wire_size
         total_delay = 0.0
-        for link in route.links:
-            # Inlined DirectedLink.try_transit — one method call per hop is
-            # measurable at 100k+ packets/sec, and this loop must stay
-            # float-op-for-float-op identical to it (same delay accumulation
-            # order) so fixed-seed metrics do not drift.
-            hop_now = now + total_delay
-            queue_delay = link.next_free - hop_now
-            if queue_delay < 0.0:
-                queue_delay = 0.0
-            if queue_delay > link.max_queue_delay:
-                link.drops += 1
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-            transmission = wire_size / link.bandwidth
-            link.next_free = hop_now + queue_delay + transmission
-            link.packets += 1
-            link.bytes += wire_size
-            if payload_tag is not None:
-                payloads = link.overlay_payloads
-                payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
-            # Queue state is advanced at submission time; this approximates
-            # store-and-forward pipelining well enough for our metrics.
-            total_delay += queue_delay + transmission + link.latency
+        if loss_rngs is not None:
+            # Shard worker: the contention-free hop loop.
+            for link in route.links:
+                link.packets += 1
+                link.bytes += wire_size
+                if payload_tag is not None:
+                    payloads = link.overlay_payloads
+                    payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
+                total_delay += wire_size / link.bandwidth + link.latency
+        else:
+            for link in route.links:
+                # Inlined DirectedLink.try_transit — one method call per hop
+                # is measurable at 100k+ packets/sec, and this loop must stay
+                # float-op-for-float-op identical to it (same delay
+                # accumulation order) so fixed-seed metrics do not drift.
+                hop_now = now + total_delay
+                queue_delay = link.next_free - hop_now
+                if queue_delay < 0.0:
+                    queue_delay = 0.0
+                if queue_delay > link.max_queue_delay:
+                    link.drops += 1
+                    stats.packets_dropped += 1
+                    dst_host.dropped += 1
+                    return False
+                transmission = wire_size / link.bandwidth
+                link.next_free = hop_now + queue_delay + transmission
+                link.packets += 1
+                link.bytes += wire_size
+                if payload_tag is not None:
+                    payloads = link.overlay_payloads
+                    payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
+                # Queue state is advanced at submission time; this
+                # approximates store-and-forward pipelining well enough for
+                # our metrics.
+                total_delay += queue_delay + transmission + link.latency
         packet.hops = route.hop_count
         self._schedule_fast(total_delay, self._deliver_callback, packet)
         return True
@@ -492,9 +531,8 @@ class NetworkEmulator:
         it to the shard mailbox instead of the local event queue.  Local
         deliveries keep the original one-call fast path.
 
-        This also swaps :meth:`send` for :meth:`_send_sharded`, the
-        contention-free sharded variant — see its docstring for the fidelity
-        trade that buys shard-count-independent results.
+        This also gives :meth:`send` its per-source-host loss streams, which
+        is how it knows it runs in a shard worker (see its docstring).
         """
         inner = self._schedule_fast
         deliver = self._deliver_callback
@@ -510,10 +548,7 @@ class NetworkEmulator:
             inner(delay, callback, packet)
 
         self._schedule_fast = egress
-        # All transports resolve ``self.emulator.send`` per call, so an
-        # instance attribute shadows the class method for the whole worker.
         self._loss_rngs = {}
-        self.send = self._send_sharded  # type: ignore[method-assign]
 
     def install_delivery_wrapper(
             self, wrap: Callable[[Callable[[Packet], None]],
@@ -537,10 +572,8 @@ class NetworkEmulator:
     def install_send_tap(self, tap: Callable[[Packet], None]) -> None:
         """Run ``tap(packet)`` before every send (observability).
 
-        Wraps whatever :meth:`send` currently is by instance-attribute
-        shadowing — the mechanism :meth:`install_cross_shard_egress` uses —
-        so in a shard worker this must be installed *after* ``enter_shard``
-        swapped in the sharded send, or the swap would discard the tap.
+        All transports resolve ``self.emulator.send`` per call, so an
+        instance attribute shadows the class method from here on.
         """
         inner = self.send
 
@@ -550,100 +583,6 @@ class NetworkEmulator:
             return inner(packet, payload_tag)
 
         self.send = send_with_tap  # type: ignore[method-assign]
-
-    def _send_sharded(self, packet: Packet,
-                      payload_tag: Optional[str] = None) -> bool:
-        """:meth:`send` for shard workers: traffic-independent link physics.
-
-        Two properties of the single-process send make results depend on the
-        *global* interleaving of sends, which no shard can observe:
-
-        * **queue coupling** — per-link ``next_free`` occupancy, advanced by
-          every packet crossing the link.  A shard only sees its own nodes'
-          sends, so shared transit links would carry shard-local queue state
-          and delays would drift with the partition.  The sharded send models
-          transmission + propagation but no queueing wait (and therefore no
-          queue-overflow drops): each packet's delay is a pure function of
-          its route and size.
-        * **random loss** — the single shared loss RNG is consumed in global
-          send order.  Here each *source host* draws from its own stream,
-          forked deterministically as ``loss-<address>``; a host's send
-          sequence does not depend on the partition, so neither do its loss
-          draws.
-
-        Both make fixed-seed sharded results identical for every shard count
-        K > 1 (and stable across repeats), at the cost of not reproducing the
-        single-process run's contention effects — docs/PERFORMANCE.md,
-        "Sharded execution", spells out the trade.  This must otherwise stay
-        branch-for-branch identical to :meth:`send`.
-        """
-        hosts = self._hosts
-        src_host = hosts.get(packet.src)
-        dst_host = hosts.get(packet.dst)
-        if src_host is None or dst_host is None:
-            missing = packet.src if src_host is None else packet.dst
-            raise AddressError(f"unknown host address {missing}")
-        now = self.simulator._now
-        packet.created_at = now
-        stats = self.stats
-        stats.packets_sent += 1
-
-        if self._faults_active:
-            if not (src_host.attached and dst_host.attached):
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-            partition = self._partition_of
-            if partition is not None and \
-                    partition.get(packet.src, 0) != partition.get(packet.dst, 0):
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-            if self._directed_cuts:
-                try:
-                    route = self._route(src_host.node, dst_host.node)
-                except RoutingError:
-                    stats.packets_dropped += 1
-                    dst_host.dropped += 1
-                    return False
-                for link in route.links:
-                    if not link.enabled:
-                        link.drops += 1
-                        stats.packets_dropped += 1
-                        dst_host.dropped += 1
-                        return False
-
-        if self.random_loss_rate:
-            rng = self._loss_rngs.get(packet.src)
-            if rng is None:
-                rng = self.simulator.fork_rng(f"loss-{packet.src}")
-                self._loss_rngs[packet.src] = rng
-            if rng.random() < self.random_loss_rate:
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-
-        route = self._plans.get((src_host.node, dst_host.node))
-        if route is None:
-            try:
-                route = self.router.plan(src_host.node, dst_host.node)
-            except RoutingError:
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-        packet.path = route.path
-        wire_size = packet.wire_size
-        total_delay = 0.0
-        for link in route.links:
-            link.packets += 1
-            link.bytes += wire_size
-            if payload_tag is not None:
-                payloads = link.overlay_payloads
-                payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
-            total_delay += wire_size / link.bandwidth + link.latency
-        packet.hops = route.hop_count
-        self._schedule_fast(total_delay, self._deliver_callback, packet)
-        return True
 
     def inject_delivery(self, delay: float, packet: Packet) -> None:
         """Schedule a delivery for a packet that arrived from another shard.

@@ -74,9 +74,9 @@ class ShardPlan:
 def stub_domains(topology: Topology) -> list[frozenset[int]]:
     """Stub domains of *topology*: connected components of the stub subgraph.
 
-    Mirrors ``CorrelatedCrashModel.failure_domains`` — deterministic order
-    (components sorted by their sorted member lists).  Empty for topologies
-    without stub-role routers.
+    Also the racks of ``CorrelatedCrashModel.failure_domains`` —
+    deterministic order (components sorted by their sorted member lists).
+    Empty for topologies without stub-role routers.
     """
     graph = topology.graph
     stubs = {node for node, data in graph.nodes(data=True)

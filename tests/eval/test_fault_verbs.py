@@ -1,0 +1,104 @@
+"""The fault vocabulary stays in step with its executors and its docs.
+
+``FAULT_VERBS`` is one table read by two executors: the simulator looks every
+verb and undo verb up on :class:`OverlayExperiment`, the live compiler maps
+the verbs it can carry out through ``LIVE_VERBS``.  These tests fail when a
+row names a method the experiment does not have (or passes it arguments it
+does not take), when the live compiler maps a verb the table does not list,
+and when docs/SCENARIOS.md "Fault verbs" no longer shows the table.
+"""
+
+from __future__ import annotations
+
+import inspect
+import random
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+from repro.eval.experiment import OverlayExperiment
+from repro.eval.faults import FAULT_VERBS, Fault
+from repro.eval.library import STUB_UPLINK_EDGES, resolve_protocol
+from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
+                                 DegradeModel, FlappingPartitionModel,
+                                 FlashCrowdModel, PartitionModel,
+                                 ScenarioModel, ScenarioSpec)
+from repro.live import LiveClusterConfig, LiveFaultError, compile_fault_models
+from repro.live.faults import LIVE_VERBS
+
+DOC = Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
+
+#: One spec whose models, between them, draw every verb of the table.
+EVERY_VERB = ScenarioSpec(
+    name="every-verb", agents=resolve_protocol("chord"), num_nodes=8,
+    duration=120.0, seed=1, models=(
+        ChurnModel(churn_fraction=0.3),
+        FlashCrowdModel(core=2, stay=20.0),
+        CrashModel(at=10.0, victims=(1,), recover_after=5.0),
+        CorrelatedCrashModel(recover_after=5.0),
+        PartitionModel(at=5.0, heal_after=5.0, groups=((1, 2),),
+                       links=STUB_UPLINK_EDGES[:1]),
+        FlappingPartitionModel(links=STUB_UPLINK_EDGES[:1], directed=True),
+        DegradeModel(hosts=(3,), links=STUB_UPLINK_EDGES[:1],
+                     bandwidth_factor=0.5, restore_after=5.0)))
+
+
+def _binds(method_name: str, args: tuple) -> None:
+    """*args* are valid positional arguments of the experiment method."""
+    method = getattr(OverlayExperiment, method_name)
+    inspect.signature(method).bind(None, *args)
+
+
+def test_every_verb_is_an_experiment_method_taking_the_drawn_arguments():
+    experiment = EVERY_VERB.build()
+    drawn = set()
+    for model in EVERY_VERB.models:
+        faults, _metrics = model.draw(EVERY_VERB.num_nodes, random.Random(1),
+                                      EVERY_VERB.duration, experiment)
+        for fault in faults:
+            _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[fault.verb]
+            _binds(fault.verb, fault.args)
+            if undo is not None:
+                _binds(undo, fault.args[:undo_arity])
+            drawn.add(fault.verb)
+    assert drawn == set(FAULT_VERBS)
+
+
+def test_the_live_compiler_maps_only_verbs_of_the_table():
+    assert set(LIVE_VERBS) <= set(FAULT_VERBS)
+
+
+def test_a_row_the_live_compiler_cannot_map_is_an_error_naming_the_verb():
+    @dataclass(frozen=True)
+    class LinkCutter(ScenarioModel):
+        def draw(self, num_nodes, rng, horizon, experiment=None):
+            return [Fault(1.0, "disable_link", (10, 0), "a cut")], {}
+
+    spec = ScenarioSpec(name="unmapped", agents=resolve_protocol("chord"),
+                        num_nodes=4, duration=60.0, models=(LinkCutter(),))
+    with pytest.raises(LiveFaultError, match="disable_link"):
+        compile_fault_models(spec, LiveClusterConfig(nodes=4, duration=7.0))
+
+
+def test_scenarios_md_shows_the_verb_table():
+    section = DOC.read_text().split("## Fault verbs")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0]] = cells
+    sample_args = {"crash_node": (1,), "partition": (((0, 1),),),
+                   "degrade_node": (1, 0.5, 2.0)}
+    for verb, (kind, undo, undo_kind, _arity) in FAULT_VERBS.items():
+        assert f"`{verb}`" in rows, f"{verb} missing from {DOC.name}"
+        cells = rows[f"`{verb}`"]
+        assert cells[1:4] == [f"`{kind}`",
+                              f"`{undo}`" if undo else "—",
+                              f"`{undo_kind}`" if undo else "—"]
+        if verb in LIVE_VERBS:
+            directive = LIVE_VERBS[verb](1.0, *sample_args[verb], None)
+            assert f"`{type(directive).__name__}`" in cells[4]
+        elif verb != "join_node":
+            assert "needs the emulated underlay" in cells[4]
+    assert len(rows) == len(FAULT_VERBS)

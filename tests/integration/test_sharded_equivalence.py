@@ -155,6 +155,20 @@ def test_link_cut_events_are_shard_count_independent():
 
 
 @pytest.mark.determinism
+def test_random_loss_is_shard_count_independent():
+    """In a shard worker every source host draws its losses from its own
+    stream, so which packets are lost cannot depend on the partition."""
+    spec = replace(make_seeded(), num_nodes=24, duration=60.0,
+                   random_loss_rate=0.02, models=(
+                       ChurnModel(join="staggered", join_spacing=0.1),
+                       WorkloadModel(kind="route", source=-1, start=15.0,
+                                     packets=40, gap=1.0))).with_seed(5)
+    two = spec.run_sharded(2)
+    assert fingerprint(two) == fingerprint(spec.run_sharded(4))
+    assert two.metrics["net.packets_dropped"] > 0
+
+
+@pytest.mark.determinism
 def test_sharded_run_after_the_stack_has_been_on_the_wire(sharded_4):
     """The live codec and the sharded kernel share the registry's message
     types: encoding one message of each must not stop a later sharded run
