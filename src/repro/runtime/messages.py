@@ -11,9 +11,9 @@ instance (lowest layer) or service class (higher layers)::
 The runtime turns each declaration into a :class:`MessageType`, whose fields
 compile — once, at spec-compile time, where an unknown field type is rejected
 — into one *plan*.  The size model the emulator charges
-(:attr:`~MessageType.fixed_size`, :meth:`~MessageType.size_of`) and the field
-encoder and decoder :class:`WireCodec` puts on a live socket all walk that
-plan, so a message's encoded length equals its priced length by construction.
+(:attr:`~MessageType.fixed_size`, :meth:`~MessageType.size_of`) walks it, and
+:class:`WireCodec` compiles it into the encoder and decoder a live socket
+runs, so a message's encoded length equals its priced length by construction.
 The byte-level tables (field types, payload tags, frame kinds) are laid out
 in docs/LIVE.md, "Wire format".  Simulated sends never serialize; generated
 code reads fields as attributes (``msg.response``) or through the paper's
@@ -120,13 +120,8 @@ def _mask(fmt: str) -> int:
     return (1 << 8 * struct.calcsize("!" + fmt)) - 1 if fmt.isupper() else 0
 
 
-def _block(data: bytes) -> bytes:
-    """*data* behind its 4-byte length prefix."""
-    return _U32.pack(len(data)) + data
-
-
 def _read_block(data: bytes, offset: int, text: bool) -> tuple[Any, int]:
-    """Inverse of :func:`_block`: ``(bytes, or str if text, end offset)``.
+    """A length-prefixed block: ``(bytes, or str if text, end offset)``.
 
     A corrupt or truncated datagram — a length prefix pointing past the end
     of the buffer, text that is not UTF-8 — must raise (and be counted as
@@ -417,17 +412,96 @@ class MessageCatalog:
 
 
 # ======================================================================== wire
-class _Structs(dict):
-    """Format → compiled :class:`struct.Struct`, built on first use.
+#: Everything a bad value can make an encoder raise; re-raised as WireError.
+_ENCODE_ERRORS = (struct.error, TypeError, ValueError, OverflowError)
 
-    One per codec, never on a :class:`MessageType`: the registry shares its
-    types between every run in the process and the sharded kernel pickles
-    them by value with each cross-shard packet, and a Struct does not pickle.
+
+def emit_codec(protocol: str, message_type: MessageType) -> str:
+    """Python source of one message type's encoder and decoder, from its plan.
+
+    ``encode`` appends the type's bytes to a list of parts — behind a message
+    header, or with a *source* behind a wrapped one: the header and the
+    leading run of fixed-width fields go through *one* struct, each field's
+    coercion is written out (an unset field travels as zero, an unsigned one
+    masks to its width, a signed one is left to overflow), and lists and
+    strings are loops of their own.  ``decode`` reads the fields back out of
+    ``data`` from ``offset``.  Neither catches: the codec turns what they
+    raise into :class:`WireError`.  docs/LIVE.md, "What the codec compiles",
+    shows the text for ``chord.lookup``.
     """
+    structs, encode, decode = [], [], []   # lines of the text, by section
+    head_at, lead_fmt, lead_args = 0, "", ""
+    for index, op in enumerate(message_type._plan):
+        fmt = op[0] if type(op) is tuple else FIELD_FORMATS[op.type_name]
+        if fmt is not None:
+            structs.append(f"s{index} = Struct('!{fmt}')")
+        if type(op) is tuple:
+            _, names, masks = op
+            args = [f"v{index}_{k}" for k in range(len(names))]
+            for arg, field, mask in zip(args, names, masks):
+                encode += [f"{arg} = get({field!r})",
+                           f"{arg} = 0 if {arg} is None else int({arg}) & {mask:#x}"
+                           if mask else f"if {arg} is None: {arg} = 0"]
+            if index:
+                encode.append(f"parts.append(s{index}.pack({', '.join(args)}))")
+            else:   # the header's struct takes this run in
+                head_at, lead_fmt = len(encode), fmt
+                lead_args = "".join(f", {arg}" for arg in args)
+            decode += [("fields.update(" if decode else "fields = dict(")
+                       + f"zip({names!r}, s{index}.unpack_from(data, offset)))",
+                       f"offset += {struct.calcsize('!' + fmt)}"]
+            continue
+        if fmt is None:   # a string, or each string of a list: a block
+            put = ["text = str({}).encode('utf-8')",
+                   "parts += (u32(len(text)), text)"]
+            take = ["item, offset = read_block(data, offset, True)"]
+        else:
+            put = [f"parts.append(s{index}.pack(0 if item is None else item))"]
+            take = [f"item = s{index}.unpack_from(data, offset)[0]",
+                    f"offset += {FIELD_TYPE_SIZES[op.type_name]}"]
+        decode = decode or ["fields = {}"]
+        if op.is_list:
+            encode += [f"items = get({op.name!r}) or ()",
+                       "parts.append(u32(len(items)))", "for item in items:",
+                       *("    " + line.format("item") for line in put)]
+            decode += ["(count,) = u32_from(data, offset)", "offset += 4",
+                       f"fields[{op.name!r}] = items = []",
+                       "for _ in range(count):",
+                       *("    " + line for line in take),
+                       "    items.append(item)"]
+        else:
+            encode += [line.format(f"get({op.name!r}) or ''") for line in put]
+            decode += [*take, f"fields[{op.name!r}] = item"]
+    ids = f"{wire_id(protocol):#x}, {wire_id(message_type.name):#x}"
+    heads = (_MESSAGE_HEADER.format + lead_fmt, _WRAPPED_HEADER.format + lead_fmt)
+    encode[head_at:head_at] = [
+        "if source is None:",
+        f"    parts.append(head.pack({WIRE_VERSION}, ptype, priority, {ids}, "
+        f"payload_size{lead_args}))",
+        "else:",
+        f"    parts.append(wrapped_head.pack(ptype, {ids}, payload_size, "
+        f"source{lead_args}))"]
+    return "\n".join([
+        *structs,
+        f"head, wrapped_head = Struct({heads[0]!r}), Struct({heads[1]!r})", "",
+        "def encode(parts, fields, ptype, payload_size, priority, source):",
+        "    get = fields.get",
+        *("    " + line for line in encode), "",
+        "def decode(data, offset):",
+        *("    " + line for line in decode or ["fields = {}"]),
+        "    return fields, offset", ""])
 
-    def __missing__(self, fmt: str) -> struct.Struct:
-        packer = self[fmt] = struct.Struct("!" + fmt)
-        return packer
+
+def _joined(parts: list, framing: int) -> bytes:
+    """*parts* as one bytes object — the one copy encoding makes — refused
+    when what it carries behind *framing* bytes is over the ceiling."""
+    data = b"".join(parts)
+    if len(data) - framing > MAX_WIRE_SIZE:
+        raise WireError(
+            f"encoded to {len(data) - framing} bytes, over the "
+            f"{MAX_WIRE_SIZE}-byte codec ceiling (a runaway payload? "
+            f"live mode fragments datagrams, but not this big)")
+    return data
 
 
 class WireCodec:
@@ -447,43 +521,59 @@ class WireCodec:
     messages) and is symmetric: both ends of a connection must be built from
     the same specifications, which the live cluster guarantees by compiling
     the same registry stack in every process.
+
+    Building one *compiles*: each type's :func:`emit_codec` text is ``exec``'d
+    once, so a frame runs its type's own encoder or decoder and nothing walks
+    a plan.  The functions stay on the codec, never on a :class:`MessageType`:
+    the registry shares its types between every run in the process and the
+    sharded kernel pickles them by value with each cross-shard packet.
     """
 
     def __init__(self, catalogs: Mapping[str, MessageCatalog]) -> None:
-        self._protocols: dict[int, tuple[str, dict[int, MessageType]]] = {}
-        self._names: dict[str, int] = {}
+        self._protocols: dict[int, str] = {}
+        #: (protocol, type name) -> the type's compiled encoder.
+        self._encoders: dict[tuple[str, str], Any] = {}
+        #: (protocol id, type id) -> (protocol, type, its compiled decoder).
+        self._decoders: dict[tuple[int, int], tuple] = {}
         for protocol, catalog in catalogs.items():
             proto_id = wire_id(protocol)
             if proto_id in self._protocols:
-                other = self._protocols[proto_id][0]
-                raise WireError(
-                    f"protocol id collision between {protocol!r} and {other!r}")
-            types: dict[int, MessageType] = {}
+                raise WireError(f"protocol id collision between {protocol!r} "
+                                f"and {self._protocols[proto_id]!r}")
+            self._protocols[proto_id] = protocol
             for message_type in catalog:
-                type_id = wire_id(message_type.name)
-                if type_id in types:
+                key = proto_id, wire_id(message_type.name)
+                if key in self._decoders:
                     raise WireError(
                         f"message id collision in protocol {protocol!r}: "
-                        f"{message_type.name!r} vs {types[type_id].name!r}")
-                types[type_id] = message_type
-            self._protocols[proto_id] = (protocol, types)
-            self._names[protocol] = proto_id
-        self._structs = _Structs()
+                        f"{message_type.name!r} vs {self._decoders[key][1].name!r}")
+                scope = {"Struct": struct.Struct, "read_block": _read_block,
+                         "u32": _U32.pack, "u32_from": _U32.unpack_from}
+                exec(emit_codec(protocol, message_type), scope)
+                self._encoders[protocol, message_type.name] = scope["encode"]
+                self._decoders[key] = protocol, message_type, scope["decode"]
         # The record classes are resolved when a codec is built, not at
         # module scope: their package imports this module.
         from ..apps import payload as records
-        #: payload class -> (tag, Struct, field names — None for a primitive
-        #: — and their masks), in the order an ``isinstance`` scan tries them.
-        rows = {cls: (tag, self._structs[fmt], None, None)
-                for cls, (tag, fmt) in PRIMITIVE_PAYLOADS.items()}
+        #: payload class -> (tag, Struct, the function packing one), in the
+        #: order an ``isinstance`` scan tries them.  A record's packer is
+        #: compiled like a message's: one ``pack`` over its attributes, the
+        #: unsigned ones masked.
+        rows = {}
+        for cls, (tag, fmt) in PRIMITIVE_PAYLOADS.items():
+            packer = struct.Struct("!" + fmt)
+            rows[cls] = (tag, packer, packer.pack)
         for name, (tag, fmt) in RECORD_PAYLOADS.items():
-            cls = getattr(records, name)
-            rows[cls] = (tag, self._structs[fmt],
-                         tuple(field.name for field in dataclass_fields(cls)),
-                         tuple(map(_mask, fmt)))
+            cls, packer = getattr(records, name), struct.Struct("!" + fmt)
+            args = ", ".join(
+                f"p.{field.name} & {_mask(char):#x}" if _mask(char)
+                else f"p.{field.name}"
+                for field, char in zip(dataclass_fields(cls), fmt))
+            rows[cls] = (tag, packer,
+                         eval(f"lambda p: pack({args})", {"pack": packer.pack}))
         self._payload_rows: dict[type, tuple] = rows
         self._payload_tags = {tag: (cls, packer)
-                              for cls, (tag, packer, _, _) in rows.items()}
+                              for cls, (tag, packer, _) in rows.items()}
 
     @classmethod
     def for_agents(cls, agent_classes) -> "WireCodec":
@@ -495,127 +585,66 @@ class WireCodec:
         return cls(catalogs)
 
     def protocols(self) -> list[str]:
-        return sorted(self._names)
-
-    # ---------------------------------------------------------------- lookup
-    def _message_type(self, proto_id: int, type_id: int) -> tuple[str, MessageType]:
-        entry = self._protocols.get(proto_id)
-        if entry is None:
-            raise WireError(
-                f"unknown protocol id {proto_id:#x} on the wire "
-                f"(codec knows: {self.protocols()}); both endpoints must be "
-                f"built from the same specifications")
-        protocol, types = entry
-        message_type = types.get(type_id)
-        if message_type is None:
-            raise WireError(
-                f"unknown message id {type_id:#x} for protocol {protocol!r} "
-                f"(codec knows: {sorted(t.name for t in types.values())})")
-        return protocol, message_type
-
-    def _protocol_id(self, kind: str, item) -> int:
-        proto_id = self._names.get(item.protocol)
-        if proto_id is None:
-            raise WireError(
-                f"{kind} {item.name!r} belongs to protocol {item.protocol!r}, "
-                f"which this codec was not built for "
-                f"(knows: {self.protocols()})")
-        return proto_id
+        return sorted(self._protocols.values())
 
     # -------------------------------------------------------------- messages
     # A message and a wrapped message differ in their headers only; behind it
     # both are fields + payload + zero padding up to the declared payload_size.
-    def _encode_body(self, header: bytes, message_type: MessageType,
-                     values: Mapping[str, Any], content: bytes,
-                     payload_size: int) -> bytes:
-        out = [header]
-        try:
-            for op in message_type._plan:
-                if type(op) is tuple:
-                    fmt, names, masks = op
-                    row = []
-                    for name, mask in zip(names, masks):
-                        value = values.get(name)
-                        if value is None:   # unset fields travel as zero
-                            value = 0
-                        elif mask:
-                            value = int(value) & mask
-                        row.append(value)
-                    out.append(self._structs[fmt].pack(*row))
-                elif not op.is_list:
-                    out.append(_block(
-                        str(values.get(op.name) or "").encode("utf-8")))
-                else:
-                    items = values.get(op.name) or ()
-                    out.append(_U32.pack(len(items)))
-                    fmt = FIELD_FORMATS[op.type_name]
-                    if fmt is None:
-                        for item in items:
-                            out.append(_block(str(item).encode("utf-8")))
-                    else:
-                        pack = self._structs[fmt].pack
-                        for item in items:
-                            out.append(pack(0 if item is None else item))
-        except (struct.error, TypeError, ValueError) as exc:
+    def _encode_typed(self, parts: list, item, name: str, priority: int,
+                      source: Optional[int] = None) -> None:
+        """Append a message — with a *source*, a wrapped one — to *parts*."""
+        encode = self._encoders.get((item.protocol, name))
+        if encode is None:
             raise WireError(
-                f"cannot encode message {message_type.name!r} fields "
-                f"{dict(values)!r}: {exc}") from exc
-        out.append(content)
-        if len(content) < payload_size:
-            out.append(b"\x00" * (payload_size - len(content)))
-        return b"".join(out)
+                f"message {name!r} of protocol {item.protocol!r} is one this "
+                f"codec was not built for (knows: {self.protocols()})")
+        payload_size = int(item.payload_size)
+        content: list = []
+        ptype = _P_NONE if item.payload is None \
+            else self._encode_content(content, item.payload)
+        try:
+            encode(parts, item.fields, ptype, payload_size, priority, source)
+        except _ENCODE_ERRORS as exc:   # a wrapped payload_size is a u16
+            raise WireError(
+                f"cannot encode message {name!r}, fields {dict(item.fields)!r}, "
+                f"payload_size {payload_size}: {exc}") from exc
+        length = sum(map(len, content)) if content else 0
+        parts += content
+        if length < payload_size:   # synthetic payload bytes travel as zeros
+            parts.append(bytes(payload_size - length))
 
-    def _decode_body(self, message_type: MessageType, data: bytes, offset: int,
-                     ptype: int, payload_size: int) -> tuple[dict, Any, int]:
-        fields: dict[str, Any] = {}
-        try:
-            for op in message_type._plan:
-                if type(op) is tuple:
-                    packer = self._structs[op[0]]
-                    for name, value in zip(op[1],
-                                           packer.unpack_from(data, offset)):
-                        fields[name] = value
-                    offset += packer.size
-                elif not op.is_list:
-                    fields[op.name], offset = _read_block(data, offset, True)
-                else:
-                    (count,) = _U32.unpack_from(data, offset)
-                    offset += 4
-                    items = fields[op.name] = []
-                    fmt = FIELD_FORMATS[op.type_name]
-                    if fmt is None:
-                        for _ in range(count):
-                            item, offset = _read_block(data, offset, True)
-                            items.append(item)
-                    else:
-                        packer = self._structs[fmt]
-                        for _ in range(count):
-                            items.append(packer.unpack_from(data, offset)[0])
-                            offset += packer.size
-        except struct.error as exc:
+    def _decode_typed(self, data: bytes, offset: int, proto_id: int,
+                      type_id: int, ptype: int, payload_size: int) -> tuple:
+        """What follows either header: protocol, type, fields, payload, end."""
+        entry = self._decoders.get((proto_id, type_id))
+        if entry is None:
             raise WireError(
-                f"truncated wire data for message {message_type.name!r}: {exc}"
-            ) from exc
-        payload, end = self._decode_payload_content(ptype, data, offset)
-        return fields, payload, max(end, offset + payload_size)   # skip padding
+                f"unknown message id {type_id:#x} for protocol id {proto_id:#x} "
+                f"({self._protocols.get(proto_id)!r}) on the wire; both "
+                f"endpoints must be built from the same specifications")
+        protocol, message_type, decode = entry
+        try:
+            fields, offset = decode(data, offset)
+        except struct.error as exc:
+            raise WireError(f"truncated wire data for message "
+                            f"{message_type.name!r}: {exc}") from exc
+        payload, end = self._decode_content(ptype, data, offset) if ptype \
+            else (None, offset)
+        if end < offset + payload_size:   # skip the zero padding
+            end = offset + payload_size
+            if end > len(data):
+                raise WireError(
+                    f"truncated wire data: message {message_type.name!r} "
+                    f"declares a {payload_size}-byte payload at offset "
+                    f"{offset}, buffer has {len(data)}")
+        return protocol, message_type, fields, payload, end
 
     def encode_message(self, message: Message) -> bytes:
         """Encode a protocol message; ``len(result) == message.size`` for
         every supported payload that fits its declared ``payload_size``."""
-        proto_id = self._protocol_id("message", message)
-        ptype, content = self._encode_payload_content(message.payload)
-        payload_size = int(message.payload_size)
-        encoded = self._encode_body(
-            _MESSAGE_HEADER.pack(WIRE_VERSION, ptype, message.priority,
-                                 proto_id, wire_id(message.type.name),
-                                 payload_size),
-            message.type, message.fields, content, payload_size)
-        if len(encoded) > MAX_WIRE_SIZE:
-            raise WireError(
-                f"message {message.name!r} encodes to {len(encoded)} bytes, "
-                f"over the {MAX_WIRE_SIZE}-byte codec ceiling (a runaway "
-                f"payload? live mode fragments datagrams, but not this big)")
-        return encoded
+        parts: list = []
+        self._encode_typed(parts, message, message.type.name, message.priority)
+        return _joined(parts, 0)
 
     def decode_message(self, data: bytes, offset: int = 0) -> tuple[Message, int]:
         """Decode one message; returns ``(message, end_offset)``."""
@@ -626,30 +655,13 @@ class WireCodec:
             raise WireError(f"truncated message header: {exc}") from exc
         if version != WIRE_VERSION:
             raise WireError(f"wire version {version} != {WIRE_VERSION}")
-        protocol, message_type = self._message_type(proto_id, type_id)
-        fields, payload, offset = self._decode_body(
-            message_type, data, offset + _MESSAGE_HEADER.size, ptype,
+        protocol, message_type, fields, payload, end = self._decode_typed(
+            data, offset + _MESSAGE_HEADER.size, proto_id, type_id, ptype,
             payload_size)
         message = Message(type=message_type, fields=fields, payload=payload,
                           payload_size=payload_size, priority=priority,
                           protocol=protocol)
-        return message, offset
-
-    def _encode_wrapped(self, wrapped: WrappedMessage) -> bytes:
-        proto_id = self._protocol_id("wrapped message", wrapped)
-        _, message_type = self._message_type(proto_id, wire_id(wrapped.name))
-        payload_size = int(wrapped.payload_size)
-        if payload_size > 0xFFFF:
-            raise WireError(
-                f"wrapped message {wrapped.name!r} declares a "
-                f"{payload_size}-byte payload; live mode caps wrapped "
-                f"payloads at 65535 bytes")
-        ptype, content = self._encode_payload_content(wrapped.payload)
-        return self._encode_body(
-            _WRAPPED_HEADER.pack(ptype, proto_id, wire_id(wrapped.name),
-                                 payload_size,
-                                 (wrapped.source or 0) & 0xFFFFFFFF),
-            message_type, wrapped.fields, content, payload_size)
+        return message, end
 
     def _decode_wrapped(self, data: bytes,
                         offset: int) -> tuple[WrappedMessage, int]:
@@ -658,9 +670,8 @@ class WireCodec:
                 _WRAPPED_HEADER.unpack_from(data, offset)
         except struct.error as exc:
             raise WireError(f"truncated wrapped-message header: {exc}") from exc
-        protocol, message_type = self._message_type(proto_id, type_id)
-        fields, payload, offset = self._decode_body(
-            message_type, data, offset + _WRAPPED_HEADER.size, ptype,
+        protocol, message_type, fields, payload, end = self._decode_typed(
+            data, offset + _WRAPPED_HEADER.size, proto_id, type_id, ptype,
             payload_size)
         source = source or None
         wrapped = WrappedMessage(
@@ -668,41 +679,44 @@ class WireCodec:
             payload=payload, payload_size=payload_size, source=source,
             source_key=hash_key(source) if source is not None else None,
             size=message_type.size_of(fields, payload_size))
-        return wrapped, offset
+        return wrapped, end
 
     # -------------------------------------------------------------- payloads
-    def _encode_payload_content(self, payload: Any) -> tuple[int, bytes]:
+    def _encode_content(self, parts: list, payload: Any) -> int:
+        """Append one payload's content to *parts*; returns its tag."""
         if payload is None:
-            return _P_NONE, b""
+            return _P_NONE
         if isinstance(payload, Message):
-            return _P_MESSAGE, self.encode_message(payload)
+            self._encode_typed(parts, payload, payload.type.name, payload.priority)
+            return _P_MESSAGE
         if isinstance(payload, WrappedMessage):
-            return _P_WRAPPED, self._encode_wrapped(payload)
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            return _P_BYTES, _block(bytes(payload))
-        if isinstance(payload, str):
-            return _P_STR, _block(payload.encode("utf-8"))
+            self._encode_typed(parts, payload, payload.name, 0,
+                               (payload.source or 0) & 0xFFFFFFFF)
+            return _P_WRAPPED
+        if isinstance(payload, (bytes, bytearray, memoryview, str)):
+            text = isinstance(payload, str)
+            data = payload.encode("utf-8") if text else bytes(payload)
+            parts += (_U32.pack(len(data)), data)
+            return _P_STR if text else _P_BYTES
         if isinstance(payload, _Heartbeat):
-            return _P_HEARTBEAT, _FLAG.pack(payload.kind == "pong")
-        for cls, (tag, packer, names, masks) in self._payload_rows.items():
+            parts.append(_FLAG.pack(payload.kind == "pong"))
+            return _P_HEARTBEAT
+        for cls, (tag, _, pack) in self._payload_rows.items():
             if isinstance(payload, cls):
-                break
-        else:
-            raise WireError(
-                f"cannot encode payload of type {type(payload).__name__}; "
-                f"the live wire supports None, bytes, str, int, float, bool, "
-                f"Message, WrappedMessage and the records "
-                f"{sorted(RECORD_PAYLOADS)}")
-        if names is None:
-            return tag, packer.pack(payload)
-        values = []
-        for name, mask in zip(names, masks):
-            value = getattr(payload, name)
-            values.append(value & mask if mask else value)
-        return tag, packer.pack(*values)
+                try:
+                    parts.append(pack(payload))
+                except _ENCODE_ERRORS as exc:
+                    raise WireError(f"cannot encode payload {cls.__name__} "
+                                    f"{payload!r}: {exc}") from exc
+                return tag
+        raise WireError(
+            f"cannot encode payload of type {type(payload).__name__}; "
+            f"the live wire supports None, bytes, str, int, float, bool, "
+            f"Message, WrappedMessage and the records "
+            f"{sorted(RECORD_PAYLOADS)}")
 
-    def _decode_payload_content(self, ptype: int, data: bytes,
-                                offset: int) -> tuple[Any, int]:
+    def _decode_content(self, ptype: int, data: bytes,
+                        offset: int) -> tuple[Any, int]:
         """Decode one payload's content; returns ``(payload, end_offset)``."""
         if ptype == _P_NONE:
             return None, offset
@@ -725,13 +739,15 @@ class WireCodec:
             raise WireError(f"truncated payload (type {ptype}): {exc}") from exc
         raise WireError(f"unknown payload type tag {ptype} on the wire")
 
-    def encode_payload(self, payload: Any) -> bytes:
-        """Standalone payload block: a type tag byte plus the content."""
-        ptype, content = self._encode_payload_content(payload)
-        return bytes([ptype]) + content
+    def encode_payload(self, payload: Any, prefix: bytes = b"") -> bytes:
+        """Standalone payload block — a type tag byte plus the content —
+        behind *prefix* (a socket's frame header): one join builds the frame."""
+        parts = [prefix, b""]   # the tag is known once the content is in
+        parts[1] = bytes((self._encode_content(parts, payload),))
+        return _joined(parts, len(prefix) + 1)
 
     def decode_payload(self, data: bytes, offset: int = 0) -> tuple[Any, int]:
         """Inverse of :meth:`encode_payload`; returns ``(payload, end_offset)``."""
         if offset >= len(data):
             raise WireError("truncated payload block: missing type tag")
-        return self._decode_payload_content(data[offset], data, offset + 1)
+        return self._decode_content(data[offset], data, offset + 1)

@@ -217,6 +217,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
     #: the full Segment envelope (its ~45 bytes of framing play the role of
     #: the emulator's fixed HEADER_BYTES overhead).
     _SEGMENT = struct.Struct("!BqqQIIIII")
+    _SIZE = struct.Struct("!I")              # a datagram's declared size
     #: magic, frame kind, src address, fragment id, index, count — each
     #: fragment datagram carries one slice of an oversized frame.
     _FRAGMENT = struct.Struct("!BBIIHH")
@@ -251,6 +252,10 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         #: on both send and receive, installed via :meth:`apply_fault_op`.
         self.faults = SocketFaults(local_address)
         self._frag_id = 0
+        #: (frame kind, transport name) -> the bytes every such frame of this
+        #: socket starts with; received name bytes -> the name.
+        self._prefixes: dict[tuple[int, str], bytes] = {}
+        self._transport_names: dict[bytes, str] = {}
         #: (src, frag_id) -> partial reassembly state with a GC deadline.
         self._pending_fragments: dict[tuple[int, int], dict] = {}
         for name in self.STATS:
@@ -326,33 +331,23 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             self.fault_drops += 1
             return True
         payload = packet.payload
-        codec = self.codec
         if type(payload) is Datagram:
-            frame = b"".join((
-                self._HEADER.pack(self.MAGIC, self._FRAME_DATAGRAM,
-                                  self.local_address),
-                bytes([len(payload.transport)]),
-                payload.transport.encode("ascii"),
-                struct.pack("!I", payload.size),
-                codec.encode_payload(payload.payload),
-            ))
+            prefix = self._prefix(self._FRAME_DATAGRAM, payload.transport) \
+                + self._SIZE.pack(payload.size)
+            payload = payload.payload
         elif isinstance(payload, Segment):
-            frame = b"".join((
-                self._HEADER.pack(self.MAGIC, self._FRAME_SEGMENT,
-                                  self.local_address),
-                bytes([len(payload.transport)]),
-                payload.transport.encode("ascii"),
-                self._SEGMENT.pack(
+            prefix = self._prefix(self._FRAME_SEGMENT, payload.transport) \
+                + self._SEGMENT.pack(
                     1 if payload.kind == "ACK" else 0, payload.seq,
                     payload.ack, payload.msg_id, payload.chunk,
                     payload.chunks, payload.epoch, payload.dest_epoch,
-                    payload.size),
-                codec.encode_payload(payload.payload),
-            ))
+                    payload.size)
+            payload = payload.payload
         else:
-            frame = (self._HEADER.pack(self.MAGIC, self._FRAME_RAW,
+            prefix = self._HEADER.pack(self.MAGIC, self._FRAME_RAW,
                                        self.local_address)
-                     + codec.encode_payload(payload))
+        # The codec joins the frame once, behind the prefix it is handed.
+        frame = self.codec.encode_payload(payload, prefix)
         causal = self._causal
         if causal is not None:
             ctx = causal.ctx
@@ -378,6 +373,22 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self.bytes_sent += len(frame)
         return True
 
+    def _prefix(self, frame_kind: int, transport: str) -> bytes:
+        """Header + transport name of this socket's *frame_kind* frames:
+        constant per name, so packed (and the name checked) once."""
+        prefix = self._prefixes.get((frame_kind, transport))
+        if prefix is None:
+            try:
+                name = transport.encode("ascii")
+                prefix = self._prefixes[frame_kind, transport] = (
+                    self._HEADER.pack(self.MAGIC, frame_kind,
+                                      self.local_address)
+                    + bytes([len(name)]) + name)
+            except ValueError as exc:   # not ASCII, or over 255 bytes
+                raise WireError(f"transport name {transport!r} does not fit "
+                                f"a frame: {exc}") from exc
+        return prefix
+
     def _send_fragmented(self, frame: bytes, endpoint) -> bool:
         """Split an oversized frame into fragment datagrams.
 
@@ -395,11 +406,12 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             self.send_drops += 1
             return False
         self._frag_id = frag_id = (self._frag_id + 1) & 0xFFFFFFFF
+        view = memoryview(frame)   # a slice of it copies nothing
         for index in range(count):
-            datagram = (self._FRAGMENT.pack(
-                self.MAGIC, self._FRAME_FRAGMENT, self.local_address,
-                frag_id, index, count)
-                + frame[index * budget:(index + 1) * budget])
+            datagram = b"".join((
+                self._FRAGMENT.pack(self.MAGIC, self._FRAME_FRAGMENT,
+                                    self.local_address, frag_id, index, count),
+                view[index * budget:(index + 1) * budget]))
             try:
                 self._transport.sendto(datagram, endpoint)
             except OSError as exc:   # pragma: no cover - kernel buffer, etc.
@@ -445,18 +457,22 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                 self._loop.call_later(verdict, self._frame_received,
                                       data, addr)
                 return
-        self._frame_received(data, addr)
+        self._frame_received(data, addr, frame_kind, src)
 
-    def _frame_received(self, data: bytes, addr) -> None:
+    def _frame_received(self, data: bytes, addr,
+                        frame_kind: Optional[int] = None, src: int = 0) -> None:
+        """Decode one frame and deliver it.  A delayed datagram and a traced
+        frame's inner frame arrive without their header parsed."""
         if not self.attached or self._receive is None:
             return   # crashed while a delayed datagram was in flight
         try:
-            magic, frame_kind, src = self._HEADER.unpack_from(data, 0)
+            if frame_kind is None:
+                _, frame_kind, src = self._HEADER.unpack_from(data, 0)
             if frame_kind == self._FRAME_FRAGMENT:
                 data = self._reassemble(data, addr)
                 if data is None:
                     return
-                magic, frame_kind, src = self._HEADER.unpack_from(data, 0)
+                _, frame_kind, src = self._HEADER.unpack_from(data, 0)
             if frame_kind == self._FRAME_TRACE:
                 # Unwrap the causal piggyback and process the inner frame.
                 # A receiver without a causal log still interoperates: it
@@ -481,21 +497,24 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                 return
             offset = self._HEADER.size
             if frame_kind == self._FRAME_RAW:
-                payload, _ = self.codec.decode_payload(data, offset)
+                payload, end = self.codec.decode_payload(data, offset)
                 size = 0
             else:
-                name_len = data[offset]
-                offset += 1
-                transport_name = data[offset:offset + name_len].decode("ascii")
-                offset += name_len
+                offset += 1 + data[offset]
+                name = data[self._HEADER.size + 1:offset]
+                transport_name = self._transport_names.get(name)
+                if transport_name is None:
+                    transport_name = name.decode("ascii")
+                    if len(self._transport_names) < 256:   # names off the wire
+                        self._transport_names[name] = transport_name
                 if frame_kind == self._FRAME_DATAGRAM:
-                    (size,) = struct.unpack_from("!I", data, offset)
-                    inner, _ = self.codec.decode_payload(data, offset + 4)
+                    (size,) = self._SIZE.unpack_from(data, offset)
+                    inner, end = self.codec.decode_payload(data, offset + 4)
                     payload = Datagram(transport_name, inner, size)
                 elif frame_kind == self._FRAME_SEGMENT:
                     (kind_flag, seq, ack, msg_id, chunk, chunks, epoch,
                      dest_epoch, size) = self._SEGMENT.unpack_from(data, offset)
-                    inner, _ = self.codec.decode_payload(
+                    inner, end = self.codec.decode_payload(
                         data, offset + self._SEGMENT.size)
                     payload = Segment(
                         transport=transport_name,
@@ -505,6 +524,8 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                         dest_epoch=dest_epoch)
                 else:
                     raise WireError(f"unknown frame kind {frame_kind}")
+            if end != len(data):   # a frame ends where its datagram ends
+                raise WireError(f"{len(data) - end} bytes behind the frame")
         except (WireError, struct.error, IndexError, UnicodeDecodeError) as exc:
             # A malformed datagram (version skew, stray traffic on the port)
             # must not kill a live node: count it and drop, like line noise.
@@ -512,8 +533,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             logger.warning("dropping undecodable datagram from %s: %s",
                            addr, exc)
             return
-        packet = Packet(src=src, dst=self.local_address, payload=payload,
-                        size=size, protocol="live")
+        packet = Packet(src, self.local_address, payload, size, "live")
         try:
             self._receive(packet)
         except Exception:   # noqa: BLE001 - one bad packet must not stop the node
@@ -544,7 +564,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             raise WireError(
                 f"fragment count changed mid-reassembly ({entry['count']} "
                 f"vs {count}) for id {frag_id}")
-        entry["chunks"][index] = data[self._FRAGMENT.size:]
+        entry["chunks"][index] = memoryview(data)[self._FRAGMENT.size:]
         if len(entry["chunks"]) < entry["count"]:
             return None
         del self._pending_fragments[key]

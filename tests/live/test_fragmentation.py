@@ -15,7 +15,7 @@ import pytest
 
 from repro.network.packet import Packet
 from repro.protocols import chord_agent
-from repro.runtime.messages import WireCodec
+from repro.runtime.messages import Message, WireCodec
 from repro.transport.base import Datagram
 from repro.transport.udp import (FRAGMENT_THRESHOLD, FRAGMENT_TIMEOUT,
                                  SocketUdpNetwork)
@@ -153,3 +153,81 @@ def test_fragment_count_mismatch_is_line_noise_not_a_crash():
     right.datagram_received(forged, ("127.0.0.1", 1111))
     assert received == []
     assert right.decode_errors == 1
+
+
+def test_a_frame_ends_where_its_datagram_ends():
+    """A datagram cut inside a message's zero padding, and one with junk
+    behind a whole frame, are line noise — each one decode error, nothing
+    delivered (both used to decode as if intact)."""
+    left, right, received = _pair()
+    data_type = {t.name: t for t in chord_agent().MESSAGE_TYPES}["data"]
+    message = Message(type=data_type, fields={"target": 1, "hops": 2},
+                      payload=None, payload_size=1000, protocol="chord")
+    left._transport.sent.clear()
+    assert left.send(Packet(src=1, dst=2, size=message.size,
+                            payload=Datagram("CTRL", message, message.size)))
+    (frame, _), = left._transport.sent
+    right.datagram_received(frame[:-500], ("127.0.0.1", 1111))
+    assert right.decode_errors == 1
+    right.datagram_received(frame + b"junk", ("127.0.0.1", 1111))
+    assert right.decode_errors == 2
+    assert received == []
+    right.datagram_received(frame, ("127.0.0.1", 1111))
+    assert right.decode_errors == 2 and len(received) == 1
+    assert received[0].payload.payload.payload_size == 1000
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_a_bytes_like_payload_fragments_and_arrives_as_bytes(kind):
+    """The frame is joined from parts and sliced through a memoryview; a
+    payload that is itself a bytearray or a memoryview must cross that, and
+    reassembly, equal to the same bytes."""
+    left, right, received = _pair()
+    payload = bytes(i * 7 & 0xFF for i in range(FRAGMENT_THRESHOLD + 25_000))
+    wire = _send_bytes(left, kind(payload))
+    assert len(wire) == 2 and left.fragments_sent == 2
+    # The same datagrams as the bytes payload's, but for the fragment id.
+    assert [datagram[:6] + datagram[10:] for datagram in wire] == [
+        datagram[:6] + datagram[10:] for datagram in _send_bytes(left, payload)]
+    for datagram in wire:
+        right.datagram_received(datagram, ("127.0.0.1", 1111))
+    assert len(received) == 1 and right.decode_errors == 0
+    assert type(received[0].payload.payload) is bytes
+    assert received[0].payload.payload == payload
+
+
+class _FakeLoop:
+    """Records ``call_later`` instead of waiting."""
+
+    def __init__(self):
+        self.later: list[tuple] = []
+
+    def call_later(self, delay, callback, *args):
+        self.later.append((delay, callback, args))
+
+
+def test_unseen_transport_name_and_delayed_delivery():
+    """The receive side resolves a transport name it has never seen (and
+    never sent on), then the same name again; and a datagram held back by a
+    ``delay_from`` rule is decoded when the loop releases it, from the raw
+    datagram (its header is parsed again then)."""
+    left, right, received = _pair()
+    for _ in range(2):
+        assert left.send(Packet(src=1, dst=2, size=5,
+                                payload=Datagram("NEVER_SENT_HERE", b"hello", 5)))
+    first, second = [data for data, _ in left._transport.sent]
+    right.datagram_received(first, ("127.0.0.1", 1111))
+    right.datagram_received(second, ("127.0.0.1", 1111))
+    assert [p.payload.transport for p in received] == ["NEVER_SENT_HERE"] * 2
+    assert [p.payload.payload for p in received] == [b"hello"] * 2
+
+    right._loop = _FakeLoop()
+    right.faults.delay_from[1] = 0.25
+    right.datagram_received(first, ("127.0.0.1", 1111))
+    assert len(received) == 2            # held back, not delivered
+    (delay, callback, args), = right._loop.later
+    assert delay == 0.25
+    callback(*args)
+    assert len(received) == 3 and received[2].src == 1
+    assert received[2].payload.transport == "NEVER_SENT_HERE"
+    assert right.decode_errors == 0

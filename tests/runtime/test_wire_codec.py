@@ -12,16 +12,23 @@ from __future__ import annotations
 
 import pickle
 import random
+import struct
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.payload import AppPayload
 from repro.codegen.registry import get_registry
+from repro.network.packet import Packet
 from repro.protocols import BUNDLED_PROTOCOLS
-from repro.runtime.messages import (FIELD_TYPE_SIZES, MESSAGE_HEADER_BYTES,
-                                    FieldSpec, Message, MessageCatalog,
-                                    MessageType, WireCodec, WireError,
-                                    WrappedMessage, wire_id)
+from repro.runtime.messages import (FIELD_FORMATS, FIELD_TYPE_SIZES,
+                                    MESSAGE_HEADER_BYTES, FieldSpec, Message,
+                                    MessageCatalog, MessageType, WireCodec,
+                                    WireError, WrappedMessage, emit_codec,
+                                    wire_id)
+from repro.transport.base import Datagram
+from repro.transport.udp import SocketUdpNetwork
 
 #: Value generators per field type; each returns (edge values, random value).
 _EDGE_VALUES = {
@@ -301,6 +308,24 @@ def test_codec_errors_are_loud_and_typed():
         codec.encode_message(Message(type=chord_types["data"], fields={},
                                      payload=None, payload_size=20_000_000,
                                      protocol="chord"))
+    # A payload of a supported class whose *value* does not fit its struct
+    # (these used to escape as a bare struct.error).
+    for payload, named in [
+            (2**70, "int"),
+            (AppPayload(seqno=2**70, sent_at=0.0, source=1), "AppPayload"),
+            (AppPayload(seqno=None, sent_at=0.0, source=1), "AppPayload")]:
+        with pytest.raises(WireError, match=f"cannot encode payload {named}"):
+            codec.encode_payload(payload)
+    # A transport name that does not fit a frame's u8-length ASCII slot is
+    # refused when the socket builds the frame prefix (it used to surface
+    # as ValueError / UnicodeEncodeError from inside send).
+    network = SocketUdpNetwork(1, {1: ("127.0.0.1", 1), 2: ("127.0.0.1", 2)},
+                               codec)
+    network.connection_made(object())   # never reached: the prefix fails first
+    for name in ("N" * 256, "CTRLé"):
+        with pytest.raises(WireError, match="transport name"):
+            network.send(Packet(src=1, dst=2, payload=Datagram(name, None, 0),
+                                size=0))
 
 
 def test_corrupt_length_prefixes_raise_instead_of_truncating():
@@ -318,6 +343,16 @@ def test_corrupt_length_prefixes_raise_instead_of_truncating():
     encoded[prefix_at:prefix_at + 4] = (10_000).to_bytes(4, "big")
     with pytest.raises(WireError, match="truncated"):
         codec.decode_message(bytes(encoded))
+    # Zero padding is part of the message: a datagram cut inside it is as
+    # truncated as one cut inside a field (it used to decode, reporting an
+    # end offset past the buffer).  Bytes *behind* a whole message are the
+    # socket's to refuse — the codec cannot know where a datagram ends.
+    padded = codec.encode_message(Message(
+        type=chord_types["data"], fields={"target": 1, "hops": 2},
+        payload=None, payload_size=1000, protocol="chord"))
+    assert codec.decode_message(padded)[1] == len(padded)
+    with pytest.raises(WireError, match="truncated"):
+        codec.decode_message(padded[:len(padded) - 500])
 
     note = MessageType("note", (FieldSpec("text", "string"),))
     note_codec = WireCodec({"notes": MessageCatalog([note])})
@@ -444,3 +479,157 @@ def test_ring_ipdata_round_trips_with_kv_payload():
     decoded, _ = codec.decode_message(encoded)
     assert decoded.type.name == "ipdata"
     assert decoded.payload == payload
+
+
+# ------------------------------------------------ what compilation could break
+def _reference_encode(protocol: str, message: Message) -> bytes:
+    """The wire format field by field, straight from FIELD_FORMATS: no plan,
+    no run, no fused struct.  Scalars: unset is zero, unsigned masks to its
+    width; list items: unset is zero; strings: ``str()`` of anything."""
+    def one(fmt, value, mask):
+        if fmt is None:
+            data = str(value).encode("utf-8")
+            return struct.pack("!I", len(data)) + data
+        if value is None:
+            value = 0
+        elif mask and fmt.isupper():
+            value = int(value) & ((1 << 8 * struct.calcsize("!" + fmt)) - 1)
+        return struct.pack("!" + fmt, value)
+
+    out = struct.pack("!BBhIII", 1, 0, message.priority, wire_id(protocol),
+                      wire_id(message.type.name), 0)
+    for spec in message.type.fields:
+        fmt, value = FIELD_FORMATS[spec.type_name], message.fields.get(spec.name)
+        if spec.is_list:
+            out += struct.pack("!I", len(value or ()))
+            out += b"".join(one(fmt, item, False) for item in value or ())
+        else:
+            out += one(fmt, (value or "") if fmt is None else value, True)
+    return out
+
+
+_INTS = {"int": st.integers(-(2**31), 2**31 - 1),
+         "long": st.integers(-(2**63), 2**63 - 1),
+         "key": st.integers(0, 2**32 - 1), "ipaddr": st.integers(0, 2**32 - 1),
+         "neighbor": st.integers(0, 2**64 - 1)}
+
+
+def _values(type_name: str, scalar: bool):
+    """Values of one field type; a scalar may also be unset, and an unsigned
+    scalar out of its width (it masks)."""
+    if type_name in _INTS:
+        values = _INTS[type_name]
+        if scalar and FIELD_FORMATS[type_name].isupper():
+            values |= st.integers(-(2**70), 2**70)
+    elif type_name == "string":
+        values = st.text(max_size=12) | st.integers(0, 99)   # str() of anything
+    else:
+        values = {"bool": st.booleans(),
+                  "float": st.floats(width=32, allow_nan=False),
+                  "double": st.floats(allow_nan=False)}[type_name]
+    return values | st.none() if scalar or type_name != "string" else values
+
+
+@st.composite
+def _typed_messages(draw):
+    """A message type over a random field list — every field type, scalar and
+    list, in any order, so runs split, lead and trail — and values for it."""
+    declared = draw(st.lists(st.tuples(st.sampled_from(sorted(FIELD_FORMATS)),
+                                       st.booleans()), max_size=9))
+    message_type = MessageType("fuzzed", tuple(
+        FieldSpec(f"f{i}", type_name, is_list)
+        for i, (type_name, is_list) in enumerate(declared)))
+    fields = {}
+    for spec in message_type.fields:
+        if draw(st.booleans()) or draw(st.booleans()):   # 1 in 4 left out
+            fields[spec.name] = draw(
+                st.lists(_values(spec.type_name, False), max_size=4)
+                | st.none() if spec.is_list else _values(spec.type_name, True))
+    return Message(type=message_type, fields=fields, protocol="fuzz",
+                   priority=draw(st.integers(-1, 3)))
+
+
+def _as_decoded(spec: FieldSpec, value):
+    """What the far side reads for *value* (the coercions of docs/LIVE.md)."""
+    fmt = FIELD_FORMATS[spec.type_name]
+    if spec.is_list:
+        return [str(item) if fmt is None else 0 if item is None else item
+                for item in value or ()]
+    if fmt is None:
+        return str(value or "")
+    if value is None:
+        return 0
+    return value & ((1 << 8 * FIELD_TYPE_SIZES[spec.type_name]) - 1) \
+        if fmt.isupper() else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_typed_messages())
+def test_compiled_codec_matches_a_field_by_field_reference(message):
+    """Whatever the plan fused or looped, the compiled encoder's bytes are the
+    format applied one field at a time, as long as the size model says, and
+    the compiled decoder reads every field back."""
+    codec = WireCodec({"fuzz": MessageCatalog([message.type])})
+    encoded = codec.encode_message(message)
+    assert encoded == _reference_encode("fuzz", message)
+    assert len(encoded) == message.size
+    decoded, end = codec.decode_message(encoded)
+    assert end == len(encoded) and decoded.type is message.type
+    assert decoded.fields == {
+        spec.name: _as_decoded(spec, message.fields.get(spec.name))
+        for spec in message.type.fields}
+
+
+def test_a_fixed_size_type_compiles_to_one_pack_per_header_and_no_loop():
+    """What "compiled" means, structurally: all of a fixed-size type's fields
+    ride the header's struct — the encoder packs once (behind a message
+    header, or behind a wrapped one) and neither function loops."""
+    stack, _ = _stack_and_codec("chord")
+    lookup = {t.name: t for t in stack[0].MESSAGE_TYPES}["lookup"]
+    assert lookup.is_fixed_size
+    source = emit_codec("chord", lookup)
+    encoder = source.split("def encode(")[1].split("def decode(")[0]
+    branches = encoder.split("    else:\n")
+    assert [branch.count("pack(") for branch in branches] == [1, 1]
+    assert "head.pack(" in branches[0] and "wrapped_head.pack(" in branches[1]
+    assert "for " not in source and "while " not in source
+    assert "Struct('!BBhIII" in source and "Struct('!BIIHI" in source
+
+
+def test_live_md_shows_the_generated_codec_verbatim():
+    """docs/LIVE.md "What the codec compiles" is a view of the emitter: its
+    code block is the text the codec compiles for ``chord.lookup``."""
+    stack, _ = _stack_and_codec("chord")
+    lookup = {t.name: t for t in stack[0].MESSAGE_TYPES}["lookup"]
+    text = (Path(__file__).parents[2] / "docs" / "LIVE.md").read_text("utf-8")
+    section = text.split("\n### What the codec compiles\n", 1)[1]
+    shown = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert shown == emit_codec("chord", lookup)
+
+
+def test_message_in_wrapped_in_message_round_trips():
+    """Depth 3 through all three nesting arms: a message whose payload is a
+    wrapped message whose payload is a message (the compiled encoders call
+    back into the codec for their payload, never into ``encode_payload``)."""
+    stack, codec = _stack_and_codec("scribe")
+    pastry, scribe = stack
+    pdata = {t.name: t for t in pastry.MESSAGE_TYPES}["pdata"]
+    join = {t.name: t for t in scribe.MESSAGE_TYPES}["join"]
+    core = Message(type=pdata, fields={}, payload=b"core", payload_size=32,
+                   priority=2, protocol="pastry")
+    middle = WrappedMessage(protocol="scribe", name="join",
+                            fields={"gid": 7, "member": 3}, payload=core,
+                            payload_size=core.size, source=9,
+                            size=join.size_of({"gid": 7, "member": 3},
+                                              core.size))
+    outer = Message(type=pdata, fields={}, payload=middle,
+                    payload_size=middle.size, protocol="pastry")
+    encoded = codec.encode_message(outer)
+    assert len(encoded) == outer.size
+    decoded, end = codec.decode_message(encoded)
+    assert end == len(encoded)
+    inner = decoded.payload.payload
+    assert decoded.payload.fields == {"gid": 7, "member": 3}
+    assert decoded.payload.source == 9
+    assert inner.type is pdata and inner.priority == 2
+    assert inner.payload == b"core" and inner.payload_size == 32
