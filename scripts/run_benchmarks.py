@@ -305,9 +305,8 @@ def bench_scale(num_nodes: int = 200, duration: float = 180.0,
 
     * **chord** — *num_nodes* registry-compiled Chord nodes joining under a
       staggered schedule with a random-key route-probe workload over the last
-      quarter of *duration*.  The recorded ``success_ratio`` documents what
-      the bundled spec actually achieves at this scale (ring convergence is
-      slow at hundreds of nodes — see ROADMAP open items); it must be
+      quarter of *duration*.  The recorded ``success_ratio`` (1.0 at 200
+      nodes; tests/integration/test_scale_fidelity.py holds it) must be
       byte-stable per seed like every other fidelity metric.
     * **scribe** — *scribe_nodes* Scribe-over-Pastry nodes building one group
       and multicasting a short burst.  Pastry's announce/gossip full-
@@ -414,11 +413,11 @@ def bench_shard(num_nodes: int = 1000, duration: float = 60.0,
     Speedup is machine-dependent: it needs at least as many idle cores as
     shards (a 1-core host serialises the workers and the barrier protocol is
     pure overhead — see the recorded host provenance).  The *determinism*
-    booleans are not: ``shard1_identical`` asserts that ``shards=1``
-    reproduced the single-process metrics byte-identically, and each K > 1
-    run records whether its metrics matched the other shard counts
-    (``identical_across_counts``); ``--check`` gates on ``shard1_identical``
-    regardless of machine.
+    booleans are not: every run records whether it reproduced the
+    single-process metrics byte-identically
+    (``identical_to_single_process`` — there is one link physics, so K never
+    matters), ``shard1_identical`` is that boolean of the ``shards=1`` run,
+    and ``--check`` gates on it regardless of machine.
     """
     from repro.eval.scenario import GroupModel
     from repro.protocols import scribe_stack
@@ -484,7 +483,6 @@ def bench_shard(num_nodes: int = 1000, duration: float = 60.0,
 
         runs = []
         shard1_identical = None
-        multi_fp = None
         for count in shard_counts:
             start = time.perf_counter()
             sharded = seeded.run_sharded(count)
@@ -507,13 +505,9 @@ def bench_shard(num_nodes: int = 1000, duration: float = 60.0,
                 "speedup_vs_single": round((events / seconds) / single_rate,
                                            3),
             }
+            run["identical_to_single_process"] = fp == single_fp
             if info["num_shards"] == 1:
                 shard1_identical = fp == single_fp
-                run["identical_to_single_process"] = shard1_identical
-            else:
-                if multi_fp is None:
-                    multi_fp = fp
-                run["identical_across_counts"] = fp == multi_fp
             runs.append(run)
         return {
             "nodes": spec.num_nodes,
@@ -548,11 +542,8 @@ def bench_app(kv_nodes: int = 200, kv_duration: float = 180.0,
       replication, W=2/Q=2 quorums, 70% reads) over *kv_nodes*
       registry-compiled Chord nodes.  ``quorum_success``/``phantom_reads``/
       ``replica_coverage`` are fixed-seed fidelity metrics and must stay
-      byte-stable across refactors, like the core fingerprint.  At 200
-      nodes quorum success is convergence-limited (~0.57), the same gap
-      the scale bench records as route success 0.618 — a quorum op needs
-      several successful routes over the partially-converged ring
-      (ROADMAP: protocol fidelity at scale), not an application bug;
+      byte-stable across refactors, like the core fingerprint (at 200
+      nodes every quorum op succeeds);
     * **pubsub** — topic pub/sub over Scribe-over-Pastry: 4 topics, every
       node subscribed, a publication burst from the group owner.
       ``coverage`` is the per-seed-stable fidelity metric.

@@ -169,8 +169,8 @@ class OverlayExperiment:
         """Install sharded-execution context (called in a forked worker).
 
         Marks this process's owned nodes (see :meth:`owns_node`) and diverts
-        deliveries bound for other shards' hosts into *capture* —
-        ``capture(arrival_time, dst_shard, dst_address, packet)``, the shard
+        the events of packets bound for other shards' hosts into *capture* —
+        ``capture(event_time, dst_shard, dst_address, item)``, the shard
         driver's mailbox buffer.  A one-shard plan installs nothing: every
         node stays owned and no packet leaves the process.
         """

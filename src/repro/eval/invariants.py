@@ -6,7 +6,7 @@ that must hold at the end of *any* scenario, however adversarial.  The
 fuzzer (:mod:`repro.eval.fuzz`) asserts them over randomly generated specs;
 tests assert them over the curated library.
 
-Seven invariants:
+Eight invariants:
 
 * **no_duplicate_delivery** — no workload probe is delivered twice to the
   same receiver: the ``(stream, seqno)`` pair is unique per delivery
@@ -26,6 +26,11 @@ Seven invariants:
   existing :func:`~repro.eval.metrics.correct_successor_fraction` observer.
   Skipped when the scenario leaves no settle window or the protocol has no
   ring shape.
+* **no_drop_on_idle_link** — a link whose queue dropped a packet has
+  carried at least one full queue of bytes (``max_queue_delay × bandwidth``):
+  drop-tail loss needs a backlog, and a backlog is made of packets that
+  crossed the link.  History-free, and what an emulator that advances a
+  queue with arrivals that have not happened yet violates first.
 * **kv_no_phantom_reads** — a KV workload's quorum reads never return a
   version that no client ever wrote to that key: replication may lag or
   lose data, but it can never fabricate or cross-wire it.  Unconditional.
@@ -168,7 +173,7 @@ def last_disruption(result: ScenarioResult) -> float:
 
 
 def ring_eventually_correct(result: ScenarioResult, *,
-                            threshold: float = 0.7,
+                            threshold: float = 0.95,
                             settle: float = 40.0) -> list[InvariantViolation]:
     """Live successor pointers converge to the global ring after the faults.
 
@@ -199,6 +204,17 @@ def ring_eventually_correct(result: ScenarioResult, *,
             f"{len(live)} live nodes, {result.duration - last_disruption(result):.0f} s "
             f"after the last disruption")]
     return []
+
+
+def no_drop_on_idle_link(result: ScenarioResult) -> list[InvariantViolation]:
+    """Every link that dropped from queue overflow carried a queue's worth."""
+    return [InvariantViolation(
+        "no_drop_on_idle_link",
+        f"link {key} dropped {link.drops} packets from queue overflow after "
+        f"carrying {link.bytes} B, less than the {link.queue_bytes:.0f} B "
+        f"its queue holds")
+        for key, link in result.experiment.emulator.link_stats().items()
+        if link.drops and link.bytes < link.queue_bytes]
 
 
 def _kv_states(result: ScenarioResult) -> list:
@@ -403,13 +419,13 @@ def check_live_invariants(outcome) -> list[InvariantViolation]:
 #: The invariants check_invariants runs, in report order.
 INVARIANTS: tuple[str, ...] = ("no_duplicate_delivery", "no_lost_acks",
                                "epoch_monotonicity", "ring_eventually_correct",
-                               "kv_no_phantom_reads",
+                               "no_drop_on_idle_link", "kv_no_phantom_reads",
                                "kv_read_your_quorum_writes",
                                "kv_write_durability")
 
 
 def check_invariants(result: ScenarioResult, *,
-                     ring_threshold: float = 0.7,
+                     ring_threshold: float = 0.95,
                      ring_settle: float = 40.0,
                      include_ring: bool = True) -> list[InvariantViolation]:
     """Run every invariant against *result*; return all violations found."""
@@ -420,6 +436,7 @@ def check_invariants(result: ScenarioResult, *,
     if include_ring:
         violations.extend(ring_eventually_correct(
             result, threshold=ring_threshold, settle=ring_settle))
+    violations.extend(no_drop_on_idle_link(result))
     violations.extend(kv_no_phantom_reads(result))
     violations.extend(kv_read_your_quorum_writes(result))
     violations.extend(kv_write_durability(result))

@@ -401,10 +401,18 @@ class ScenarioSpec:
         are rejected for K > 1.  The returned result carries
         ``experiment=None`` (the parent's copy never ran).
         """
-        from ..runtime.sharded import ShardCoordinator, plan_shards
+        from ..runtime.sharded import (ShardCoordinator, ShardPlanError,
+                                       plan_shards)
 
         experiment = self.build()
-        plan = plan_shards(experiment.topology, self.num_nodes, shards)
+        degraded = tuple(link for model in self.models
+                         if isinstance(model, DegradeModel)
+                         for link in model.links)
+        try:
+            plan = plan_shards(experiment.topology, self.num_nodes, shards,
+                               degraded)
+        except ShardPlanError as exc:
+            raise ScenarioError(f"cannot shard {self.name!r}: {exc}") from exc
         if plan.num_shards > 1 and self.samples:
             raise ScenarioError(
                 "sample series need a global experiment view and are not "
@@ -456,9 +464,7 @@ class ScenarioSpec:
                     mode=mode, name=self.name, seed=self.seed,
                     **({"shard": shard_id} if in_worker else {}))
             if self.obs.causal:
-                # Install order matters: the delivery wrapper must be in
-                # place before enter_shard captures the callback identity
-                # for the egress filter.  Workers get disjoint id spaces.
+                # Workers get disjoint id spaces.
                 obs_causal = CausalLog(
                     tracer, simulator, registry=obs_registry,
                     origin=shard_id + 1 if in_worker else 0)
@@ -486,7 +492,7 @@ class ScenarioSpec:
                 when += sample.interval
 
         if in_worker:
-            driver.run_windows(barriers, emulator.inject_delivery)
+            driver.run_windows(barriers, emulator.inject_arrival)
         else:
             experiment.run(self.duration)
 

@@ -6,15 +6,15 @@ Public surface:
   :func:`~repro.network.topology.transit_stub_topology`,
   :func:`~repro.network.topology.multi_site_topology`,
   :func:`~repro.network.topology.dumbbell_topology`;
-* :class:`~repro.network.emulator.NetworkEmulator` — hop-by-hop packet
-  delivery with queueing, congestion, and loss;
+* :class:`~repro.network.emulator.NetworkEmulator` — packet delivery
+  with queueing, congestion, and loss;
 * :class:`~repro.network.router.Router` — global shortest-path routing and
   latency queries used by the evaluation framework.
 """
 
 from .addressing import AddressAllocator, AddressError, HostAddress, format_address, parse_address
 from .emulator import EmulatorStats, NetworkEmulator
-from .links import DirectedLink, LinkStats
+from .links import DirectedLink
 from .packet import HEADER_BYTES, Packet
 from .router import Router, RoutingError
 from .topology import (
@@ -36,7 +36,6 @@ __all__ = [
     "EmulatorStats",
     "NetworkEmulator",
     "DirectedLink",
-    "LinkStats",
     "HEADER_BYTES",
     "Packet",
     "Router",

@@ -2,19 +2,36 @@
 
 The emulator owns the topology, the global router, and the per-link queue
 state.  Hosts register a receive callback; a packet submitted with
-:meth:`NetworkEmulator.send` is walked hop-by-hop along the shortest underlay
-path, accumulating transmission, queueing, and propagation delay at every
-link, and is delivered (or dropped) at the destination via the simulator's
-event queue.
+:meth:`NetworkEmulator.send` follows the shortest underlay path, pays
+transmission and propagation delay on every link and queueing delay wherever
+a queue can form, and is delivered (or dropped) through the simulator's event
+queue.
 
-``send()`` is the hottest function in the repository after the event loop
-itself, so the per-hop work is precomputed: the first packet between a pair
-of attachment routers has the router build a
-:class:`~repro.network.router.RoutePlan` — the :class:`DirectedLink` objects
-in hop order plus the shared path tuple — and every subsequent packet reads
-that plan straight out of the router's cache and replays it with zero dict
-lookups per hop, no path copy, and no label formatting.  There is one route
-cache, the router's, so a fault prunes it once.  See docs/PERFORMANCE.md.
+**One link physics, evaluated in arrival order.**  A link's queue is only
+ever touched by a packet that is standing at it (ModelNet's pipes, the ns
+lineage's queue-plus-delay links) — never at submission time with an arrival
+time that has not happened yet.  Which links queue:
+
+* **the sender's uplink** (hop 0) — inside ``send``; the packet is there now;
+* **the destination's downlink** (the last hop) and every **narrow** link in
+  between (no faster than the fastest client access link of the topology,
+  e.g. ``dumbbell_topology``'s middle link, or currently degraded; every link
+  of a topology without ``client`` nodes) — inside the event scheduled for
+  the instant the packet would reach that link's far end were the link idle.
+  A busy link costs one more event, for the wait;
+* **core links do not**: a link faster than anything a host can feed carries
+  many access links' traffic at a few percent utilisation, so its queueing is
+  noise next to one access link's transmission time.  Their delays are two
+  constants cached on the route plan (``Σ 1/bandwidth``, ``Σ latency``).
+
+``send`` therefore does constant work per packet — one plan lookup, one
+uplink queue, one event — and so does a delivery.  Packets are ordered at a
+queue point by the instant they would *clear* it, so one may overtake another
+that reached the link less than one transmission time earlier.  The traffic
+counters (``packets`` / ``bytes`` / ``overlay_payloads``) are kept per plan,
+for the packets the uplink admitted, and folded into the links by
+:meth:`link_stats` and when the router retires a plan; ``drops`` is counted
+at the link.  See docs/PERFORMANCE.md, "The data path".
 
 The emulator also doubles as the source of the *global knowledge* the paper's
 evaluation framework extracts from ModelNet/ns: direct IP latency between any
@@ -46,18 +63,11 @@ class EmulatorStats:
     packets_dropped: int = 0
     bytes_delivered: int = 0
 
-    @property
-    def loss_rate(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_dropped / self.packets_sent
-
 
 class Host:
     """A host attached to the emulated network."""
 
-    __slots__ = ("address", "node", "receive", "delivered", "dropped",
-                 "attached")
+    __slots__ = ("address", "node", "receive", "attached", "loss_rng")
 
     def __init__(self, address: HostAddress,
                  receive: Optional[ReceiveCallback] = None) -> None:
@@ -66,16 +76,17 @@ class Host:
         #: send path reads one attribute instead of two.
         self.node = address.topology_node
         self.receive = receive
-        #: Per-host delivery counters, handy in tests.
-        self.delivered = 0
-        self.dropped = 0
         #: False while the host is detached (fail-stop crash); packets to or
         #: from a detached host are dropped instead of raising.
         self.attached = True
+        #: This host's random-loss stream, forked on its first lossy send: a
+        #: host's losses depend on what it sent, not on who else was sending
+        #: (nor, in a sharded run, on which process the others are in).
+        self.loss_rng = None
 
 
 class NetworkEmulator:
-    """Hop-by-hop packet emulator over a :class:`Topology`."""
+    """Packet emulator over a :class:`Topology`."""
 
     def __init__(
         self,
@@ -90,10 +101,6 @@ class NetworkEmulator:
         self.simulator = simulator
         self.topology = topology
         self.random_loss_rate = random_loss_rate
-        self._rng = simulator.fork_rng("network-emulator")
-        #: Per-source-host loss streams inside a shard worker (see
-        #: :meth:`send`); ``None`` outside one.
-        self._loss_rngs: Optional[dict] = None
         self._allocator = AddressAllocator()
         self._hosts: dict[int, Host] = {}
         self._links: dict[tuple[int, int], DirectedLink] = {}
@@ -307,9 +314,8 @@ class NetworkEmulator:
         same *targeted* invalidation :meth:`disable_link` uses (lengthening
         an edge never invalidates a plan that avoids it).  Factors apply to
         the edge's original values, so repeated degrades do not compound.
-        No per-packet filtering is involved: the per-hop transit loop reads
-        the mutated link fields directly, and the no-fault hot path is
-        untouched.
+        No per-packet filtering is involved: every plan over the edge is
+        rebuilt from the mutated link fields.
         """
         if not 0.0 < bandwidth_factor <= 1.0:
             raise ValueError("bandwidth_factor must be in (0, 1] "
@@ -367,11 +373,6 @@ class NetworkEmulator:
             self.restore_edge(u, v)
 
     # ------------------------------------------------------------------ routes
-    def _route(self, src_node: int, dst_node: int) -> RoutePlan:
-        """The plan (links + path) between two attachment routers."""
-        return (self._plans.get((src_node, dst_node))
-                or self.router.plan(src_node, dst_node))
-
     def invalidate(self) -> None:
         """Drop cached routes after edges were added to or removed from the
         topology graph (faults go through the targeted hooks instead).
@@ -386,25 +387,11 @@ class NetworkEmulator:
     def send(self, packet: Packet, payload_tag: Optional[str] = None) -> bool:
         """Inject *packet* into the network.
 
-        Returns ``True`` if the packet was accepted and will be delivered,
-        ``False`` if it was dropped (queue overflow or random loss).  Delivery
-        happens asynchronously via the simulator.
-
-        **In a shard worker** (:meth:`install_cross_shard_egress` ran) the
-        link physics is traffic-independent, because a shard sees only its
-        own nodes' sends and two properties of this send depend on the
-        *global* interleaving of sends.  Per-link ``next_free`` occupancy
-        would be shard-local queue state and delays would drift with the
-        partition, so a worker models transmission + propagation but no
-        queueing wait (and therefore no queue-overflow drops): a packet's
-        delay is a pure function of its route and size.  And the shared loss
-        RNG is consumed in global send order, so in a worker each *source
-        host* draws from its own stream, forked as ``loss-<address>``: a
-        host's send sequence does not depend on the partition.  Both make
-        fixed-seed sharded results identical for every shard count K > 1
-        (and stable across repeats), at the cost of not reproducing the
-        single-process run's contention effects — docs/PERFORMANCE.md,
-        "Sharded execution", spells out the trade.
+        Returns ``True`` if the sender's uplink accepted the packet, ``False``
+        if it was dropped here (a fault, random loss, no route, or the uplink's
+        queue is full).  An accepted packet is delivered asynchronously via
+        the simulator — unless a queue further along its route is full when
+        it gets there (:meth:`_deliver`).
         """
         hosts = self._hosts
         src_host = hosts.get(packet.src)
@@ -416,53 +403,7 @@ class NetworkEmulator:
         # descriptor call per packet).
         now = self.simulator._now
         packet.created_at = now
-        stats = self.stats
-        stats.packets_sent += 1
-
-        if self._faults_active:
-            # Crash/partition checks live behind one flag so the fault-free
-            # hot path costs a single predictable branch per packet.
-            if not (src_host.attached and dst_host.attached):
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-            partition = self._partition_of
-            if partition is not None and \
-                    partition.get(packet.src, 0) != partition.get(packet.dst, 0):
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
-            if self._directed_cuts:
-                # Asymmetric cuts are invisible to routing, so the route is
-                # resolved early (cache-hit for the re-resolution below; no
-                # RNG is consumed, keeping the loss draw sequence intact) and
-                # the packet blackholed if any hop's direction is dead.
-                try:
-                    route = self._route(src_host.node, dst_host.node)
-                except RoutingError:
-                    stats.packets_dropped += 1
-                    dst_host.dropped += 1
-                    return False
-                for link in route.links:
-                    if not link.enabled:
-                        link.drops += 1
-                        stats.packets_dropped += 1
-                        dst_host.dropped += 1
-                        return False
-
-        loss_rngs = self._loss_rngs
-        if self.random_loss_rate:
-            if loss_rngs is None:
-                rng = self._rng
-            else:
-                rng = loss_rngs.get(packet.src)
-                if rng is None:
-                    rng = self.simulator.fork_rng(f"loss-{packet.src}")
-                    loss_rngs[packet.src] = rng
-            if rng.random() < self.random_loss_rate:
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
+        self.stats.packets_sent += 1
 
         route = self._plans.get((src_host.node, dst_host.node))
         if route is None:
@@ -471,101 +412,147 @@ class NetworkEmulator:
             except RoutingError:
                 # Link cuts severed every underlay path: the packet is lost,
                 # not an error — overlays are expected to ride this out.
-                stats.packets_dropped += 1
-                dst_host.dropped += 1
-                return False
+                return self._drop()
+
+        if self._faults_active:
+            # Crash/partition checks live behind one flag so the fault-free
+            # hot path costs a single predictable branch per packet.
+            if not (src_host.attached and dst_host.attached):
+                return self._drop()
+            partition = self._partition_of
+            if partition is not None and \
+                    partition.get(packet.src, 0) != partition.get(packet.dst, 0):
+                return self._drop()
+            if self._directed_cuts:
+                # Asymmetric cuts are invisible to routing: the packet is
+                # blackholed if any hop's direction is dead.
+                for link in route.links:
+                    if not link.enabled:
+                        return self._drop()
+
+        if self.random_loss_rate:
+            rng = src_host.loss_rng
+            if rng is None:
+                rng = src_host.loss_rng = self.simulator.fork_rng(
+                    f"loss-{packet.src}")
+            if rng.random() < self.random_loss_rate:
+                return self._drop()
+
         packet.path = route.path
         wire_size = packet.wire_size
-        total_delay = 0.0
-        if loss_rngs is not None:
-            # Shard worker: the contention-free hop loop.
-            for link in route.links:
-                link.packets += 1
-                link.bytes += wire_size
-                if payload_tag is not None:
-                    payloads = link.overlay_payloads
-                    payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
-                total_delay += wire_size / link.bandwidth + link.latency
+        uplink = route.uplink
+        if uplink is None:                  # both hosts on one router
+            wait = 0.0
         else:
-            for link in route.links:
-                # Inlined DirectedLink.try_transit — one method call per hop
-                # is measurable at 100k+ packets/sec, and this loop must stay
-                # float-op-for-float-op identical to it (same delay
-                # accumulation order) so fixed-seed metrics do not drift.
-                hop_now = now + total_delay
-                queue_delay = link.next_free - hop_now
-                if queue_delay < 0.0:
-                    queue_delay = 0.0
-                if queue_delay > link.max_queue_delay:
-                    link.drops += 1
-                    stats.packets_dropped += 1
-                    dst_host.dropped += 1
-                    return False
-                transmission = wire_size / link.bandwidth
-                link.next_free = hop_now + queue_delay + transmission
-                link.packets += 1
-                link.bytes += wire_size
-                if payload_tag is not None:
-                    payloads = link.overlay_payloads
-                    payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
-                # Queue state is advanced at submission time; this
-                # approximates store-and-forward pipelining well enough for
-                # our metrics.
-                total_delay += queue_delay + transmission + link.latency
-        packet.hops = route.hop_count
-        self._schedule_fast(total_delay, self._deliver_callback, packet)
+            # The one queue this packet is standing at right now.
+            wait = uplink.enqueue(now, wire_size / uplink.bandwidth)
+            if wait < 0.0:
+                return self._drop()
+        route.packets += 1
+        route.bytes += wire_size
+        if payload_tag is not None:
+            payloads = route.payloads
+            if payloads is None:
+                payloads = route.payloads = {}
+            payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
+        # One event: the far end of the first queue point ahead (of the route,
+        # when there is none), every link up to there taken as idle.
+        self._schedule_fast(
+            wait + route.head_latency + wire_size * route.head_inv_bandwidth,
+            self._deliver_callback, packet, route.stage)
+        return True
+
+    def _drop(self) -> bool:
+        """Count a lost packet (and be ``send``'s or ``_deliver``'s ``False``)."""
+        self.stats.packets_dropped += 1
+        return False
+
+    def _deliver(self, packet: Packet, stage: Optional[tuple] = None) -> bool:
+        """The event of a packet in flight; ``True`` if it reached its host.
+
+        With a *stage* (``RoutePlan.stage``) the packet stands at the far end
+        of that queue point — there now if the link was idle when the packet
+        reached it, which is what this decides, in the order packets clear
+        the link.  A busy link costs the packet its wait as one more event, a
+        full queue drops it, and past the last point it is at its
+        destination.
+        """
+        if stage is not None:
+            link, latency, inv_bandwidth, stage = stage
+            wire_size = packet.wire_size
+            transmission = wire_size / link.bandwidth
+            wait = link.enqueue(
+                self.simulator._now - transmission - link.latency, transmission)
+            if wait or stage is not None:
+                if wait < 0.0:
+                    return self._drop()
+                self._schedule_fast(
+                    wait + latency + wire_size * inv_bandwidth,
+                    self._deliver_callback, packet, stage)
+                return False
+        host = self._hosts[packet.dst]
+        if not host.attached:           # detached while the packet flew
+            return self._drop()
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += packet.size
+        receive = host.receive
+        if receive is not None:
+            receive(packet)
         return True
 
     def install_cross_shard_egress(
             self, shard_of_address: dict[int, int], shard_id: int,
-            capture: Callable[[float, int, int, Packet], None]) -> None:
-        """Divert deliveries to hosts owned by other shards into *capture*.
+            capture: Callable[[float, int, int, tuple], None]) -> None:
+        """Divert packets bound for hosts of other shards into *capture*.
 
-        The send path schedules every delivery through the ``_schedule_fast``
-        bound-method cache; swapping that attribute intercepts packets at
-        *send* time — the only safe point, because by delivery time the
-        destination shard may already have simulated past the arrival.  A
-        diverted packet costs its full per-hop route walk first, so link
-        counters and the computed delay come from the owning shard;
-        ``capture(arrival_time, dst_shard, dst_address, packet)`` then hands
-        it to the shard mailbox instead of the local event queue.  Local
-        deliveries keep the original one-call fast path.
-
-        This also gives :meth:`send` its per-source-host loss streams, which
-        is how it knows it runs in a shard worker (see its docstring).
+        A packet leaves its sender's process as the event ``send`` would have
+        scheduled — ``capture(event_time, dst_shard, dst_address, item)`` —
+        and :meth:`inject_arrival` on the destination's owner runs it, so
+        every queue is evaluated by the process that owns it: the uplink with
+        its sender, each later queue point with the hosts downstream of it
+        (``plan_shards`` keeps those on one shard).  Links travel as their
+        ``(u, v)`` keys.  Only ``send`` schedules a packet event for a host
+        this process does not own.
         """
         inner = self._schedule_fast
-        deliver = self._deliver_callback
         simulator = self.simulator
 
-        def egress(delay: float, callback, packet) -> None:
-            if callback is deliver:
-                dst_shard = shard_of_address.get(packet.dst, shard_id)
-                if dst_shard != shard_id:
-                    capture(simulator._now + delay, dst_shard,
-                            packet.dst, packet)
-                    return
-            inner(delay, callback, packet)
+        def egress(delay: float, callback, packet, stage) -> None:
+            dst_shard = shard_of_address.get(packet.dst, shard_id)
+            if dst_shard == shard_id:
+                return inner(delay, callback, packet, stage)
+            points = []
+            while stage is not None:
+                link, latency, inv_bandwidth, stage = stage
+                points.append(((link.src, link.dst), latency, inv_bandwidth))
+            capture(simulator._now + delay, dst_shard, packet.dst,
+                    (packet, points))
 
         self._schedule_fast = egress
-        self._loss_rngs = {}
+
+    def inject_arrival(self, delay: float, item: tuple) -> None:
+        """Schedule the event of a packet another shard's ``send`` exported
+        (see :meth:`install_cross_shard_egress`).  The barrier merge already
+        fixed the deterministic injection order."""
+        packet, points = item
+        stage = None
+        for key, latency, inv_bandwidth in reversed(points):
+            stage = (self._links[key], latency, inv_bandwidth, stage)
+        self.simulator.schedule_fast(delay, self._deliver_callback, packet,
+                                     stage)
 
     def install_delivery_wrapper(
-            self, wrap: Callable[[Callable[[Packet], None]],
-                                 Callable[[Packet], None]]) -> None:
-        """Swap the delivery callback for ``wrap(current)`` (observability).
+            self, wrap: Callable[[Callable[..., bool]],
+                                 Callable[..., bool]]) -> None:
+        """Swap the packet-event callback for ``wrap(current)`` (observability).
 
-        Uses the same bound-method-cache swap as the sharded egress hook:
-        the send paths schedule ``self._deliver_callback`` read per call, so
-        replacing the attribute reroutes every future delivery — including
-        packets re-entering via :meth:`inject_delivery` — at zero cost to
-        the uninstrumented run.
-
-        Ordering matters in shard workers: this must run *before*
-        :meth:`install_cross_shard_egress`, whose egress closure captures
-        the delivery callback by identity to tell deliveries apart from
-        other fast events.  A wrapper installed after it would make
-        cross-shard packets miss the export check and deliver locally.
+        ``send`` and :meth:`_deliver` read ``self._deliver_callback`` per
+        call, so replacing the attribute reroutes every future packet event —
+        including packets re-entering via :meth:`inject_arrival` — at zero
+        cost to the uninstrumented run.  The wrapper is called once per event
+        with :meth:`_deliver`'s arguments and must return its result: whether
+        this event handed the packet to its host.
         """
         self._deliver_callback = wrap(self._deliver_callback)
 
@@ -584,30 +571,6 @@ class NetworkEmulator:
 
         self.send = send_with_tap  # type: ignore[method-assign]
 
-    def inject_delivery(self, delay: float, packet: Packet) -> None:
-        """Schedule a delivery for a packet that arrived from another shard.
-
-        The barrier merge already fixed the deterministic injection order;
-        this just re-enters the normal delivery path, so destination-side
-        stats (``packets_delivered``, ``bytes_delivered`` — the WireCodec
-        size model travels inside the packet) match the single-process run.
-        """
-        self.simulator.schedule_fast(delay, self._deliver_callback, packet)
-
-    def _deliver(self, packet: Packet) -> None:
-        host = self._hosts.get(packet.dst)
-        if host is None or not host.attached:
-            # Host detached while the packet was in flight.
-            self.stats.packets_dropped += 1
-            return
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += packet.size
-        host.delivered += 1
-        receive = host.receive
-        if receive is not None:
-            receive(packet)
-
     # --------------------------------------------------------- global queries
     def ip_latency(self, src: int, dst: int) -> float:
         """One-way propagation latency between two *host addresses* (seconds)."""
@@ -621,29 +584,10 @@ class NetworkEmulator:
         return self.router.bottleneck_bandwidth(self._host(src).node,
                                                 self._host(dst).node)
 
-    def link_stats(self) -> dict[tuple[int, int], "LinkStatsView"]:
-        """Per-directed-link traffic counters (for link-stress metrics)."""
-        return {key: LinkStatsView(link) for key, link in self._links.items()}
-
-
-class LinkStatsView:
-    """Read-only view over one link's counters."""
-
-    def __init__(self, link: DirectedLink) -> None:
-        self._link = link
-
-    @property
-    def packets(self) -> int:
-        return self._link.packets
-
-    @property
-    def bytes(self) -> int:
-        return self._link.bytes
-
-    @property
-    def drops(self) -> int:
-        return self._link.drops
-
-    @property
-    def max_stress(self) -> int:
-        return self._link.max_stress
+    def link_stats(self) -> dict[tuple[int, int], DirectedLink]:
+        """The links by ``(u, v)``, their traffic counters brought up to date
+        (``packets`` / ``bytes`` / ``drops`` / ``max_stress``, for link-stress
+        metrics): folds in what the live plans have counted.  Read-only."""
+        for plan in self._plans.values():
+            plan.fold()
+        return dict(self._links)

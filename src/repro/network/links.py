@@ -1,91 +1,38 @@
 """Per-link state for the packet-level emulator.
 
-Each directed link models three things the paper's ModelNet substrate
-provides and that hand-crafted overlay simulators usually omit:
+A directed link is what ModelNet calls a pipe and the ns lineage a queue
+object plus a delay object: a transmitter that serves one packet at a time
+at ``bandwidth`` bytes per second behind a FIFO drop-tail queue, followed by
+``latency`` seconds of propagation.  A packet that reaches the link pays
 
+* **queueing delay** — the wait until the transmitter is free;
 * **transmission delay** — ``wire_size / bandwidth``;
-* **queueing delay** — packets wait for the link to drain (FIFO, drop-tail);
-* **loss** — a packet that would have to wait longer than the queue can hold
-  is dropped.
+* **propagation delay** — ``latency``;
 
-The implementation keeps, per link, the time at which the link next becomes
-free; the queueing delay seen by an arriving packet is the gap between that
-time and "now".  This fluid approximation of a FIFO queue is accurate for the
-metrics the evaluation framework reports (latency, delivered bandwidth, link
-stress) and is what lets thousands of nodes run on one machine.
+and is **dropped** when its wait would exceed ``max_queue_delay`` seconds of
+backlog.  The whole queue is one number, :attr:`DirectedLink.next_free` (the
+instant the transmitter finishes what it has accepted), and one method,
+:meth:`DirectedLink.enqueue`, is the only code that moves it.  The emulator
+calls that method **in the order packets reach the link**: for the sender's
+uplink inside ``send`` (the packet is there *now*), for every other queue
+inside the simulator event of the packet standing at that link.  A queue is
+never advanced with the arrival time of a packet that is still upstream —
+see :mod:`repro.network.emulator` for which links queue at all.
 
-Links sit on the per-packet, per-hop hot path, so :class:`DirectedLink` is a
-flat ``__slots__`` object with its traffic counters stored directly on the
-link (no nested stats object to dereference per hop), and the common no-drop
-case goes through :meth:`DirectedLink.try_transit`, which signals a drop by
-returning a negative sentinel instead of raising (:class:`LinkDropped` costs
-an exception per drop and a ``try`` frame per hop on paths that do not drop).
-``link.stats`` remains available as a live view for tests and metrics code.
+Traffic counters (``packets`` / ``bytes`` / ``overlay_payloads``) are not
+touched per hop: the emulator counts per route plan and folds the plan into
+its links when somebody reads them (``NetworkEmulator.link_stats``) or the
+router retires the plan.  ``drops`` is counted here, where the drop happens.
 
-Fault injection (the scenario engine's partition/link-cut models) flips the
-:attr:`DirectedLink.enabled` flag via :meth:`DirectedLink.disable` /
-:meth:`DirectedLink.enable`.  The flag is *not* consulted inside the per-hop
-transit loop — that loop must stay branch-free — because enforcement happens
-one layer up: the router excludes disabled edges from its adjacency and every
-cached route plan that traversed the edge is invalidated at disable time (see
-``Router.disable_edge``), so no new packet can be planned across a dead link.
-Packets already resolved onto the wire before the cut still arrive, which is
-the physically sensible semantics (bits in flight are not recalled).
+Fault injection flips :attr:`DirectedLink.enabled` (cuts; enforced by the
+router, which plans around disabled edges, and by ``send`` for one-directional
+blackholes) or scales the service rate (:meth:`DirectedLink.degrade`; the
+emulator has the router rebuild every plan that crosses the edge, so the
+constants a plan caches are never stale).  Packets already on the wire when a
+fault lands still arrive: bits in flight are not recalled.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-
-class LinkDropped(Exception):
-    """Internal signal: the packet was dropped at this link."""
-
-
-class LinkStats:
-    """Live view over one link's counters.
-
-    Kept for API compatibility (``link.stats.packets`` etc.); the counters
-    themselves live flat on :class:`DirectedLink` so the per-hop hot path
-    touches one object, not two.
-    """
-
-    __slots__ = ("_link",)
-
-    def __init__(self, link: "DirectedLink") -> None:
-        self._link = link
-
-    @property
-    def packets(self) -> int:
-        return self._link.packets
-
-    @property
-    def bytes(self) -> int:
-        return self._link.bytes
-
-    @property
-    def drops(self) -> int:
-        return self._link.drops
-
-    @property
-    def overlay_payloads(self) -> dict[str, int]:
-        """Duplicate transmissions of the same overlay payload (link stress numerator)."""
-        return self._link.overlay_payloads
-
-    def record_payload(self, tag: Optional[str]) -> None:
-        if tag is not None:
-            payloads = self._link.overlay_payloads
-            payloads[tag] = payloads.get(tag, 0) + 1
-
-    @property
-    def max_stress(self) -> int:
-        """Maximum number of times any single overlay payload crossed this link."""
-        return self._link.max_stress
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        link = self._link
-        return (f"LinkStats(packets={link.packets}, bytes={link.bytes}, "
-                f"drops={link.drops})")
 
 
 class DirectedLink:
@@ -93,7 +40,7 @@ class DirectedLink:
 
     __slots__ = ("src", "dst", "latency", "bandwidth", "max_queue_delay",
                  "next_free", "packets", "bytes", "drops", "overlay_payloads",
-                 "enabled", "base_latency", "base_bandwidth")
+                 "enabled", "base_latency", "base_bandwidth", "min_bandwidth")
 
     def __init__(self, src: int, dst: int, latency: float, bandwidth: float,
                  max_queue_delay: float = 0.5, next_free: float = 0.0) -> None:
@@ -102,29 +49,47 @@ class DirectedLink:
         self.latency = latency
         self.bandwidth = bandwidth
         #: Undegraded values, kept so :meth:`restore` undoes any number of
-        #: stacked :meth:`degrade` calls exactly.  The per-hop transit loop
-        #: reads only ``latency``/``bandwidth``, so degradation adds nothing
-        #: to the hot path.
+        #: stacked :meth:`degrade` calls exactly.
         self.base_latency = latency
         self.base_bandwidth = bandwidth
+        #: Slowest rate the link has ever had (see :attr:`queue_bytes`).
+        self.min_bandwidth = bandwidth
         #: Maximum queueing delay (seconds of backlog) before drop-tail loss.
         self.max_queue_delay = max_queue_delay
         #: Simulated time at which the transmitter becomes free.
         self.next_free = next_free
-        # Traffic counters the evaluation framework reads (via ``stats``).
+        # Traffic routed over this link, as of the last fold of the plans
+        # that cross it (read through ``NetworkEmulator.link_stats``).
         self.packets = 0
         self.bytes = 0
-        self.drops = 0
         self.overlay_payloads: dict[str, int] = {}
+        #: Packets this link's queue refused (counted when it happens).
+        self.drops = 0
         #: Fault-injection state.  Enforced at the routing layer (disabled
         #: edges never appear in a route plan), recorded here so link views
         #: and scenario assertions can observe which links are cut.
         self.enabled = True
 
-    @property
-    def stats(self) -> LinkStats:
-        """Live view over this link's counters."""
-        return LinkStats(self)
+    def enqueue(self, arrival: float, transmission: float) -> float:
+        """Queue a packet that reached this link at *arrival* and takes
+        *transmission* seconds to serialise; return its queueing wait, or a
+        negative value (and count the drop) when the backlog ahead of it
+        exceeds ``max_queue_delay``.
+
+        Calls must come in arrival order (the emulator makes them from the
+        event of the packet standing here): the wait is then the backlog
+        that really is ahead of the packet, and the service intervals
+        ``[arrival + wait, arrival + wait + transmission)`` never overlap.
+        """
+        wait = self.next_free - arrival
+        if wait <= 0.0:
+            self.next_free = arrival + transmission
+            return 0.0
+        if wait > self.max_queue_delay:
+            self.drops += 1
+            return -1.0
+        self.next_free += transmission
+        return wait
 
     # ------------------------------------------------------------ fault hooks
     def disable(self) -> None:
@@ -149,11 +114,12 @@ class DirectedLink:
         Factors are applied to the *base* values, so repeated degrades do not
         compound: ``degrade(bandwidth_factor=0.5)`` twice still leaves the
         link at half its original bandwidth.  Routing-layer consequences
-        (stale latency-weighted plans) are the caller's job — see
+        (stale plans) are the caller's job — see
         ``NetworkEmulator.degrade_edge``.
         """
         self.latency = self.base_latency * latency_factor
         self.bandwidth = self.base_bandwidth * bandwidth_factor
+        self.min_bandwidth = min(self.min_bandwidth, self.bandwidth)
 
     def restore(self) -> None:
         """Undo :meth:`degrade`: back to the construction-time service rate."""
@@ -167,52 +133,15 @@ class DirectedLink:
 
     @property
     def max_stress(self) -> int:
-        """Maximum number of times any single overlay payload crossed this link."""
-        if not self.overlay_payloads:
-            return 0
-        return max(self.overlay_payloads.values())
+        """Most times any single overlay payload was routed over this link
+        (the link-stress numerator)."""
+        return max(self.overlay_payloads.values(), default=0)
 
-    def try_transit(self, now: float, wire_size: int,
-                    payload_tag: Optional[str] = None) -> float:
-        """Total time for a packet of *wire_size* bytes to cross this link.
-
-        Updates the link's queue state and statistics.  Returns a negative
-        value (and records the drop) if the packet would overflow the queue —
-        the fast-path equivalent of :meth:`transit_time` raising
-        :class:`LinkDropped`.
-
-        NetworkEmulator.send inlines this logic; the two must stay
-        float-op-for-float-op identical.
-        """
-        queue_delay = self.next_free - now
-        if queue_delay < 0.0:
-            queue_delay = 0.0
-        if queue_delay > self.max_queue_delay:
-            self.drops += 1
-            return -1.0
-        transmission = wire_size / self.bandwidth
-        self.next_free = now + queue_delay + transmission
-        self.packets += 1
-        self.bytes += wire_size
-        if payload_tag is not None:
-            payloads = self.overlay_payloads
-            payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
-        return queue_delay + transmission + self.latency
-
-    def transit_time(self, now: float, wire_size: int,
-                     payload_tag: Optional[str] = None) -> float:
-        """Exception-raising form of :meth:`try_transit`.
-
-        Raises :class:`LinkDropped` if the packet would overflow the queue.
-        """
-        total = self.try_transit(now, wire_size, payload_tag)
-        if total < 0.0:
-            raise LinkDropped()
-        return total
-
-    def utilization(self, now: float) -> float:
-        """Instantaneous backlog on this link, in seconds of transmission time."""
-        return max(0.0, self.next_free - now)
+    @property
+    def queue_bytes(self) -> float:
+        """Backlog the queue has held whenever it dropped, at least:
+        ``max_queue_delay`` of transmission at the slowest rate it has had."""
+        return self.max_queue_delay * self.min_bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DirectedLink({self.src}->{self.dst}, latency={self.latency}, "

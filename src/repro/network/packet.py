@@ -7,7 +7,7 @@ a hop-by-hop emulator such as ModelNet.
 
 ``Packet`` is allocated once per simulated packet, so it is a flat
 ``__slots__`` class; ``wire_size`` is precomputed at construction because the
-emulator reads it once per hop.
+emulator reads it at every queue.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ class Packet:
     """A network-layer packet in flight between two hosts."""
 
     __slots__ = ("src", "dst", "payload", "size", "protocol", "created_at",
-                 "packet_id", "hops", "path", "wire_size", "trace_id",
-                 "trace_hop")
+                 "packet_id", "path", "wire_size", "trace_id", "trace_hop")
 
     def __init__(self, src: int, dst: int, payload: Any, size: int,
                  protocol: str = "udp", created_at: float = 0.0,
-                 packet_id: Optional[int] = None, hops: int = 0,
+                 packet_id: Optional[int] = None,
                  path: Optional[tuple[int, ...]] = None,
                  trace_id: Optional[int] = None, trace_hop: int = 0) -> None:
         if size < 0:
@@ -42,8 +41,7 @@ class Packet:
         self.protocol = protocol
         self.created_at = created_at
         self.packet_id = packet_id if packet_id is not None else next(_packet_ids)
-        self.hops = hops
-        #: Filled in by the emulator: topology path the packet followed.
+        #: Filled in by the emulator: topology path the packet follows.
         self.path = path
         #: Bytes the packet occupies on a link (payload plus headers).
         self.wire_size = size + HEADER_BYTES
@@ -54,8 +52,13 @@ class Packet:
         self.trace_id = trace_id
         self.trace_hop = trace_hop
 
+    @property
+    def hops(self) -> int:
+        """Links on the packet's path (0 until the emulator routed it)."""
+        return len(self.path) - 1 if self.path else 0
+
     def copy_for_retransmit(self) -> "Packet":
-        """A fresh packet (new id, zero hops) carrying the same payload."""
+        """A fresh packet (new id, not yet routed) carrying the same payload."""
         return Packet(
             src=self.src,
             dst=self.dst,

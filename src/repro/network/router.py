@@ -47,23 +47,67 @@ class RoutePlan:
     ``latency`` is the Dijkstra distance (not a re-summation of edge weights),
     so it is bit-identical to what the shortest-path search reported.
     ``links`` are the emulator's :class:`DirectedLink` objects in hop order
-    (empty for a router built without a link table), which is what lets a
-    warm ``send()`` walk the route with no per-hop lookup.  The bottleneck
-    bandwidth is computed lazily on first access — most plans are built by
-    the packet send path, which never reads it.
+    (empty for a router built without a link table).
+
+    What ``send`` reads is the route cut at its **queue points** — the hops
+    after the first at which a queue can form: the last one always, and any
+    hop in between no faster than *narrow* or currently degraded.  The
+    contention-free hops between cuts collapse into ``Σ latency`` and
+    ``Σ 1/bandwidth``: ``head_latency`` / ``head_inv_bandwidth`` lead from
+    the sender (through ``uplink``, hop 0) to the far end of the first queue
+    point — of the route, when there is none — and ``stage`` is that point
+    as ``(link, latency, inv_bandwidth, onward)``: the constants leading on
+    to the far end of the next point, and that point's stage (``None`` after
+    the last).  A plan over an edge whose rate changes is rebuilt
+    (``Router.reweigh_edge``), so the constants are never stale.
+
+    ``packets`` / ``bytes`` / ``payloads`` count the traffic routed over the
+    plan; :meth:`fold` moves them onto the links.
     """
 
     __slots__ = ("path", "edges", "links", "latency", "hop_count",
-                 "_bottleneck")
+                 "_bottleneck", "uplink", "head_latency", "head_inv_bandwidth",
+                 "stage", "packets", "bytes", "payloads")
 
     def __init__(self, path: tuple[int, ...], edges: tuple[tuple[int, int], ...],
-                 latency: float, links: tuple[DirectedLink, ...] = ()) -> None:
+                 latency: float, links: tuple[DirectedLink, ...] = (),
+                 narrow: float = float("inf")) -> None:
         self.path = path
         self.edges = edges
         self.links = links
         self.latency = latency
         self.hop_count = len(edges)
         self._bottleneck: Optional[float] = None
+        self.packets = self.bytes = 0
+        self.payloads: Optional[dict[str, int]] = None
+        self.uplink = links[0] if links else None
+        # Walk back from the destination: the constants gathered since the
+        # last cut belong to the stage of the queue point in front of them.
+        stage = None
+        reach = inv = 0.0
+        for link in reversed(links[1:]):
+            if stage is None or link.bandwidth <= narrow \
+                    or link.bandwidth < link.base_bandwidth:
+                stage = (link, reach, inv, stage)
+                reach = inv = 0.0
+            reach += link.latency
+            inv += 1.0 / link.bandwidth
+        self.stage = stage
+        self.head_latency = reach + links[0].latency if links else 0.0
+        self.head_inv_bandwidth = inv + 1.0 / links[0].bandwidth if links else 0.0
+
+    def fold(self) -> None:
+        """Move this plan's traffic counters onto the links it crosses."""
+        if self.packets:
+            for link in self.links:
+                link.packets += self.packets
+                link.bytes += self.bytes
+                if self.payloads:
+                    payloads = link.overlay_payloads
+                    for tag, count in self.payloads.items():
+                        payloads[tag] = payloads.get(tag, 0) + count
+            self.packets = self.bytes = 0
+            self.payloads = None
 
 
 class Router:
@@ -86,6 +130,10 @@ class Router:
         self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, Optional[int]]]] = {}
         # Bridges of the enabled graph (see _bridge_sides).
         self._sides: Optional[tuple[dict[int, int], dict]] = None
+        # Bandwidth at or under which a link in the middle of a route is a
+        # queue point (see RoutePlan): a link no faster than a host can feed
+        # is where a backlog can physically form.
+        self._narrow = topology.access_bandwidth()
         # Cache of resolved plans: (src, dst) -> RoutePlan.
         self._plan_cache: dict[tuple[int, int], RoutePlan] = {}
         # Callbacks fired by invalidate(): the emulator registers here so a
@@ -225,8 +273,10 @@ class Router:
         path = tuple(nodes)
         edges = tuple(zip(path[:-1], path[1:]))
         links = self._links
+        if not links:
+            return RoutePlan(path, edges, latency)
         return RoutePlan(path, edges, latency,
-                         tuple([links[edge] for edge in edges]) if links else ())
+                         tuple([links[edge] for edge in edges]), self._narrow)
 
     def path(self, src_node: int, dst_node: int) -> list[int]:
         """Topology path (list of router ids) from *src_node* to *dst_node*."""
@@ -318,7 +368,7 @@ class Router:
         plans = self._plan_cache
         for key in [k for k, plan in plans.items()
                     if (u, v) in plan.edges or (v, u) in plan.edges]:
-            del plans[key]
+            plans.pop(key).fold()
 
     def _drop_beneficiaries(self, u: int, v: int, weight: float) -> None:
         """Edge (u, v) came back or got faster, now weighing *weight*: drop
@@ -337,7 +387,7 @@ class Router:
             through = min(from_u(src, inf) + from_v(dst, inf),
                           from_v(src, inf) + from_u(dst, inf)) + weight
             if through <= plan.latency * (1 + 1e-9):
-                del plans[src, dst]
+                plans.pop((src, dst)).fold()
 
     def disable_edge(self, u: int, v: int) -> None:
         """Cut the undirected edge (u, v); see :meth:`_drop_users` for what
@@ -365,8 +415,8 @@ class Router:
 
         This is the routing half of link degradation and restoration.  Every
         plan that uses the edge is dropped (:meth:`_drop_users`): its latency
-        is stale, and so is its cached bottleneck when only the bandwidth
-        changed.  ``may_shorten`` must be True unless the new
+        is stale, and so are its cached bottleneck and queue-point constants
+        when only the bandwidth changed.  ``may_shorten`` must be True unless the new
         weight is no smaller than the old one; it additionally drops what the
         faster edge could improve (:meth:`_drop_beneficiaries`).  A currently
         disabled edge routes nothing, so only its weight is recorded.
@@ -399,7 +449,10 @@ class Router:
         emulator's link table too.
         """
         self._adjacency = self._sides = None
+        self._narrow = self._topology.access_bandwidth()
         self._sssp_cache.clear()
+        for plan in self._plan_cache.values():
+            plan.fold()
         self._plan_cache.clear()
         for callback in self._invalidation_listeners:
             callback()

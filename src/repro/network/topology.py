@@ -98,6 +98,15 @@ class Topology:
     def num_clients(self) -> int:
         return len(self.clients)
 
+    def access_bandwidth(self) -> float:
+        """Bandwidth of the fastest client access link (``inf`` without
+        clients): a link elsewhere on a route that is no faster is one a host
+        can fill, so the emulator queues there (*narrow* links)."""
+        clients = set(self.clients)
+        return max((data[BANDWIDTH_ATTR]
+                    for u, v, data in self.graph.edges(data=True)
+                    if u in clients or v in clients), default=float("inf"))
+
     def validate(self) -> None:
         """Sanity-check link annotations and connectivity."""
         if not nx.is_connected(self.graph):

@@ -86,35 +86,38 @@ class CausalLog:
                 self._c_traces.inc()
 
     def wrap_delivery(self, deliver: Any) -> Any:
-        """Wrap the emulator's delivery callback: record the hop, set ctx."""
+        """Wrap the emulator's packet-event callback: set ctx while it runs
+        and, if the event handed the packet to its host, record the hop."""
         log = self
         tracer = self._tracer
         clock = self._clock
         max_hop = self._max_hop
 
-        def deliver_traced(packet: Any) -> Any:
+        def deliver_traced(packet: Any, stage: Any = None) -> bool:
             trace_id = packet.trace_id
             if trace_id is None:
-                return deliver(packet)
+                return deliver(packet, stage)
             hop = packet.trace_hop
-            now = clock.now
-            latency = now - packet.created_at
-            log.hop_count += 1
-            if log._c_hops is not None:
-                log._c_hops.inc()
-                log._h_hop_latency.observe(latency)
-            if hop > max_hop.get(trace_id, -1):
-                max_hop[trace_id] = hop
-            tracer.record(TraceLevel.HIGH, now, packet.dst, packet.protocol,
-                          "route_hop", f"trace {trace_id} hop {hop}",
-                          trace_id=trace_id, hop=hop, src=packet.src,
-                          latency=latency)
             prev = log.ctx
             log.ctx = (trace_id, hop)
             try:
-                return deliver(packet)
+                delivered = deliver(packet, stage)
             finally:
                 log.ctx = prev
+            if delivered:
+                now = clock.now
+                latency = now - packet.created_at
+                log.hop_count += 1
+                if log._c_hops is not None:
+                    log._c_hops.inc()
+                    log._h_hop_latency.observe(latency)
+                if hop > max_hop.get(trace_id, -1):
+                    max_hop[trace_id] = hop
+                tracer.record(TraceLevel.HIGH, now, packet.dst,
+                              packet.protocol, "route_hop",
+                              f"trace {trace_id} hop {hop}", trace_id=trace_id,
+                              hop=hop, src=packet.src, latency=latency)
+            return delivered
 
         return deliver_traced
 

@@ -27,13 +27,14 @@ across K — see docs/PERFORMANCE.md, "Sharded execution".
 """
 
 from .driver import ShardCoordinator, ShardedDriver, ShardWorkerError
-from .partition import ShardPlan, plan_shards, stub_domains
+from .partition import ShardPlan, ShardPlanError, plan_shards, stub_domains
 
 __all__ = [
     "ShardCoordinator",
     "ShardedDriver",
     "ShardWorkerError",
     "ShardPlan",
+    "ShardPlanError",
     "plan_shards",
     "stub_domains",
 ]

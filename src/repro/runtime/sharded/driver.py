@@ -103,8 +103,9 @@ class ShardedDriver(SimDriver):
 
         At each barrier the current outbox is shipped to the coordinator and
         the merged inbox injected via *inject*\\(delay, packet) — the caller
-        supplies the delivery scheduling (the emulator's ``_deliver`` path),
-        keeping this loop free of network-layer knowledge.  An arrival in the
+        supplies the scheduling (``NetworkEmulator.inject_arrival``; what
+        travels as *packet* is the emulator's own export item), keeping this
+        loop free of network-layer knowledge.  An arrival in the
         simulated past means the lookahead guarantee was violated (it cannot
         happen while window width <= minimum cross-shard latency) and raises
         :class:`ShardWorkerError` rather than corrupting causality.

@@ -145,21 +145,6 @@ def split_packets(payload: bytes) -> list[tuple[float, int, int, int, bytes]]:
     return entries
 
 
-def merge_arrivals(
-    batches: list[list[tuple[float, int, int, int, Any]]],
-) -> list[tuple[float, int, int, int, Any]]:
-    """Deterministic barrier merge: sort on ``(arrival, src_shard, seq)``.
-
-    ``seq`` is a per-(src shard -> dst shard) counter, so the triple is
-    unique and the sort never compares packets; the merged order is a pure
-    function of the packets exchanged, independent of pipe readiness or
-    worker scheduling.
-    """
-    merged = [entry for batch in batches for entry in batch]
-    merged.sort(key=lambda entry: (entry[0], entry[1], entry[3]))
-    return merged
-
-
 # ------------------------------------------------------------ object payloads
 def pack_object(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)

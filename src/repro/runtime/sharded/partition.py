@@ -15,14 +15,23 @@ Topologies without stub routers (multi-site, dumbbell) fall back to grouping
 clients by access router, and a topology with fewer domains than requested
 shards cleanly degrades to ``effective shards = num_domains``.
 
+A packet leaves its sender's shard as the event of its first queue point
+after the uplink (see :mod:`repro.network.emulator`) and every queue from
+there on is evaluated by the shard of its destination, so each queue must
+have one owner: the hosts downstream of a **narrow** link in the middle of a
+route (one no faster than a client access link, where the emulator queues —
+``dumbbell_topology``'s middle link) are never split across shards;
+:func:`plan_shards` refuses a topology whose domains would split them.
+
 The *lookahead* is the conservative window width: the minimum underlay
-latency between any two hosts on different shards.  A packet sent during the
-window ``(B - W, B]`` arrives no earlier than ``send_time + W > B``, so no
-destination shard has simulated past its arrival when the barrier at ``B``
-exchanges it.  Queueing and transmission delays only add to path latency, so
-the pure propagation distance is a valid lower bound.  A multiplicative
-safety margin absorbs the float difference between the emulator's per-hop
-delay accumulation and Dijkstra's summed distance.
+latency from a host to anything another shard owns — a host, or the far end
+of a narrow link.  A packet sent during the window ``(B - W, B]`` has its
+exported event no earlier than ``send_time + W > B``, so no destination shard
+has simulated past it when the barrier at ``B`` exchanges it.  Queueing and
+transmission delays only add to path latency, so the pure propagation
+distance is a valid lower bound.  A multiplicative safety margin absorbs the
+float difference between the route plan's summed latencies and Dijkstra's
+distance.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...network.router import Router
-from ...network.topology import ROLE_ATTR, Topology
+from ...network.topology import BANDWIDTH_ATTR, ROLE_ATTR, Topology
 
-#: The emulator accumulates per-hop delays in send order while the planner
-#: sums edge latencies in Dijkstra order; both are float sums of the same
-#: terms and can differ by an ulp.  Shrinking the window by one part per
+#: A route plan sums its hops' latencies from the destination backwards, the
+#: planner in Dijkstra order; both are float sums of the same terms and can
+#: differ by an ulp.  Shrinking the window by one part per
 #: billion keeps the conservative guarantee strict.
 LOOKAHEAD_SAFETY = 1.0 - 1e-9
 
@@ -159,9 +168,41 @@ def _assign_domains(domain_clients: list[int], num_shards: int) -> list[int]:
     return shard_of_domain
 
 
+def _narrow_link_owners(topology: Topology, router: Router,
+                        shard_of_host: dict[int, int],
+                        degraded: tuple) -> dict[int, int]:
+    """The shard that owns each mid-route queue, keyed by the queueing link's
+    far-end node: the one shard of every host reached through it.  Such links
+    are the topology's narrow ones plus the *degraded* edges (those a fault
+    model of the run will slow down, which queue while they are).
+
+    Raises :class:`ShardPlanError` naming the link when those hosts sit on
+    more than one shard.  Only a topology that has such links (a handful of
+    hosts around a bottleneck) pays for the all-pairs route walk.
+    """
+    narrow, clients = topology.access_bandwidth(), set(topology.clients)
+    edges = {(u, v) for u, v, data in topology.graph.edges(data=True)
+             if data[BANDWIDTH_ATTR] <= narrow
+             and u not in clients and v not in clients}
+    edges.update(degraded)
+    edges |= {(v, u) for u, v in edges}
+    owners: dict[int, int] = {}
+    for src in shard_of_host if edges else ():
+        for dst, shard in shard_of_host.items():
+            for u, v in router.plan(src, dst).edges[1:]:
+                if (u, v) in edges and owners.setdefault(v, shard) != shard:
+                    raise ShardPlanError(
+                        f"narrow link ({u}, {v}) of topology "
+                        f"{topology.name!r} queues packets for hosts on "
+                        f"shards {owners[v]} and {shard}; its queue needs "
+                        f"one owner (use fewer shards)")
+    return owners
+
+
 def _cross_shard_lookahead(topology: Topology, shard_of_host: dict[int, int],
-                           num_shards: int) -> float:
-    """Minimum underlay latency between hosts on different shards.
+                           num_shards: int, degraded: tuple) -> float:
+    """Minimum underlay latency from a host to what another shard owns (its
+    hosts and the far ends of the narrow links that lead to them).
 
     Delegates to :meth:`repro.network.router.Router.min_cross_latency` (one
     multi-source Dijkstra per shard over the latency-weighted graph) — a few
@@ -169,10 +210,14 @@ def _cross_shard_lookahead(topology: Topology, shard_of_host: dict[int, int],
     """
     if num_shards <= 1:
         return float("inf")
+    router = Router(topology)
     groups: list[list[int]] = [[] for _ in range(num_shards)]
-    for host, shard in shard_of_host.items():
-        groups[shard].append(host)
-    best = Router(topology).min_cross_latency(groups)
+    for owned in (shard_of_host,
+                  _narrow_link_owners(topology, router, shard_of_host,
+                                      degraded)):
+        for node, shard in owned.items():
+            groups[shard].append(node)
+    best = router.min_cross_latency(groups)
     if best == float("inf"):
         # No cross-shard host pair is reachable (e.g. every used host landed
         # on one shard): no cross-shard traffic is possible, so the window
@@ -185,16 +230,18 @@ def _cross_shard_lookahead(topology: Topology, shard_of_host: dict[int, int],
     return best * LOOKAHEAD_SAFETY
 
 
-def plan_shards(topology: Topology, num_nodes: int,
-                shards: int) -> ShardPlan:
+def plan_shards(topology: Topology, num_nodes: int, shards: int,
+                degraded: tuple[tuple[int, int], ...] = ()) -> ShardPlan:
     """Partition the first *num_nodes* client hosts of *topology* across
     *shards* worker processes.
 
     Every host is assigned to exactly one shard, stub domains are never
-    split, and clients follow their access router's domain.  Requesting more
-    shards than the topology has domains degrades to one shard per domain;
-    requesting one shard yields the trivial plan (infinite lookahead, no
-    cross-shard traffic).
+    split, clients follow their access router's domain, and neither the
+    topology's narrow links nor the *degraded* ones (edges the run's fault
+    models will slow down) lead to hosts of more than one shard.  Requesting
+    more shards than the topology has domains degrades to one shard per
+    domain; requesting one shard yields the trivial plan (infinite lookahead,
+    no cross-shard traffic).
     """
     if shards < 1:
         raise ShardPlanError(f"shards must be >= 1, got {shards}")
@@ -218,7 +265,7 @@ def plan_shards(topology: Topology, num_nodes: int,
     used_shard_of_host = {client: shard_of_host[client]
                           for client in used_clients}
     lookahead = _cross_shard_lookahead(topology, used_shard_of_host,
-                                       num_shards)
+                                       num_shards, degraded)
     return ShardPlan(
         requested_shards=shards,
         num_shards=num_shards,

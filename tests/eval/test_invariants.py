@@ -134,6 +134,43 @@ def test_ring_invariant_vacuous_for_ringless_protocols():
     assert ring_eventually_correct(result) == []
 
 
+def test_no_drop_on_idle_link_detects_a_non_causal_queue():
+    """Replay, by hand, what the emulator did before its queues were causal:
+    advance a transit link's queue *at submission time* with arrival times of
+    packets that are still upstream, in submission order.  The packet that
+    reaches the link first is submitted second, waits for one that is not
+    there yet, and is dropped by a 1.25 GB/s link that has carried 40 B."""
+    from repro.eval.invariants import no_drop_on_idle_link
+
+    result = run_spec(ADVERSARIAL)
+    assert no_drop_on_idle_link(result) == []
+    emulator = result.experiment.emulator
+    key, link = max(emulator._links.items(),
+                    key=lambda item: item[1].bandwidth)
+    now = result.experiment.simulator.now
+    transmission = 40 / link.bandwidth
+    assert link.enqueue(now + 0.6, transmission) == 0.0    # far sender first
+    assert link.enqueue(now + 0.001, transmission) < 0.0   # near one "waits"
+    violations = no_drop_on_idle_link(result)
+    assert [v.invariant for v in violations] == ["no_drop_on_idle_link"]
+    assert str(key) in violations[0].detail
+    assert violations == [v for v in check_invariants(result)
+                          if v.invariant == "no_drop_on_idle_link"]
+
+
+def test_no_drop_on_idle_link_accepts_drop_tail_loss_on_a_full_queue():
+    """An overloaded access link drops and passes: it carried its queue."""
+    from repro.eval.invariants import no_drop_on_idle_link
+    from repro.network.packet import Packet
+
+    result = run_spec(ADVERSARIAL)
+    emulator = result.experiment.emulator
+    a, b = (node.address for node in result.experiment.nodes[:2])
+    accepted = [emulator.send(Packet(a, b, None, 1400)) for _ in range(600)]
+    assert False in accepted
+    assert no_drop_on_idle_link(result) == []
+
+
 def test_check_invariants_aggregates_everything():
     result = run_spec(ADVERSARIAL)
     result.experiment.nodes[1].transport_host.epoch += 3

@@ -3,8 +3,8 @@
 The contract (ISSUE: observability): a run with ``obs=None`` executes the
 exact historical code paths — same RNG draws, same event ordering, same
 metrics — and a run with obs *enabled* observes without perturbing.  Both
-halves are pinned here against baselines captured at the commit that
-introduced ``repro.obs`` (i.e. from HEAD~ of that change):
+halves are pinned here against baselines captured with observability off
+(first at HEAD~ of the change that introduced ``repro.obs``):
 
 * a low-level engine/emulator fingerprint (fixed seed, 64 hosts, 2 000
   packets) byte-compares delivery, latency-sum and link-stress numbers;
@@ -29,35 +29,37 @@ from repro.network.topology import transit_stub_topology
 from repro.runtime.engine import Simulator
 from repro.runtime.failure import FailureDetectorConfig
 
-# Captured on the commit preceding the observability layer (obs=None must
-# keep reproducing these bytes forever).
+# Captured on the commit preceding the observability layer and re-captured,
+# obs off, when the link physics became causal (ISSUE 21; old -> new in
+# docs/PERFORMANCE.md "Re-pinned baselines"): obs=None must keep reproducing
+# these bytes until the simulated physics is changed on purpose again.
 FINGERPRINT_BASELINE = {
     "packets_sent": 2000,
-    "packets_delivered": 1984,
-    "packets_dropped": 16,
-    "bytes_delivered": 1498160,
+    "packets_delivered": 1978,
+    "packets_dropped": 22,
+    "bytes_delivered": 1491960,
     "events_processed": 3984,
     "final_time": "10.084881915227912",
-    "latency_count": 1984,
-    "latency_sum": "155.36922941464437",
-    "max_link_stress": 62,
+    "latency_count": 1978,
+    "latency_sum": "151.83162321439826",
+    "max_link_stress": 61,
 }
 
 CHURN_BASELINES = {
     1: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "467864.0",
-        "net.packets_delivered": "21166.0",
+        "net.bytes_delivered": "468008.0",
+        "net.packets_delivered": "21172.0",
         "net.packets_dropped": "28.0",
-        "net.packets_sent": "21199.0",
+        "net.packets_sent": "21205.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "25865.0",
+        "sim.events_processed": "31009.0",
         "workload.deliveries": "57.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.35329278469506986",
+        "workload.latency_mean": "0.35095862231936953",
         "workload.latency_p95": "0.18418123074656023",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
@@ -66,18 +68,18 @@ CHURN_BASELINES = {
     2: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "463168.0",
-        "net.packets_delivered": "21048.0",
+        "net.bytes_delivered": "465020.0",
+        "net.packets_delivered": "21049.0",
         "net.packets_dropped": "29.0",
-        "net.packets_sent": "21082.0",
+        "net.packets_sent": "21084.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "25746.0",
+        "sim.events_processed": "30880.0",
         "workload.deliveries": "56.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.2096161860059603",
-        "workload.latency_p95": "0.15263670109663252",
+        "workload.latency_mean": "0.20844719626367178",
+        "workload.latency_p95": "0.14872943884070366",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
         "workload.success_ratio": "0.9491525423728814",

@@ -1,19 +1,17 @@
-"""Determinism contract of the sharded kernel (PR 7).
+"""Determinism contract of the sharded kernel: K never matters.
 
-Three guarantees, each load-bearing for trusting sharded results:
+There is one link physics and every queue has one owner (the sender owns its
+uplink, the destination's shard every queue point after it), so a run is the
+same run however many processes it is cut into:
 
 * ``shards=1`` pushed through the worker pipeline is byte-identical
   (repr-exact metrics) to the plain single-process run — the pipeline adds
-  no physics of its own.
+  no physics of its own;
 * ``shards=K`` is stable across repeats — forking, barrier exchange, and
-  packet merging introduce no process-local nondeterminism.
-* ``shards=K`` results do not depend on K — the contention-free sharded
-  link model makes per-packet delay a pure function of the route, so the
-  partition choice cannot leak into the physics.
-
-The sharded link model intentionally differs from the single-process
-queueing model (see docs/PERFORMANCE.md, "Sharded execution"), so K>1 runs
-are compared against each other, never against the single-process run.
+  packet merging introduce no process-local nondeterminism;
+* ``shards=K`` equals the single-process run for every K, random loss
+  included (each source host draws its losses from its own stream in every
+  mode).
 """
 
 from __future__ import annotations
@@ -98,12 +96,13 @@ def test_sharded_run_is_repeat_stable(sharded_4):
 
 
 @pytest.mark.determinism
-def test_results_do_not_depend_on_shard_count(sharded_4):
+def test_results_do_not_depend_on_shard_count(single_run, sharded_4):
     two = make_seeded().run_sharded(2)
-    assert fingerprint(two) == fingerprint(sharded_4)
+    assert fingerprint(two) == fingerprint(sharded_4) \
+        == fingerprint(single_run)
     for make in (make_kv_repair, make_pubsub_fanout):
         assert fingerprint(make().run_sharded(2)) \
-            == fingerprint(make().run_sharded(4))
+            == fingerprint(make().run_sharded(4)) == fingerprint(make().run())
 
 
 def make_stressed_scribe():
@@ -135,7 +134,7 @@ def make_stressed_scribe():
 def test_group_and_partition_events_are_shard_count_independent():
     two = fingerprint(make_stressed_scribe().run_sharded(2))
     four = fingerprint(make_stressed_scribe().run_sharded(4))
-    assert two == four
+    assert two == four == fingerprint(make_stressed_scribe().run())
     assert make_stressed_scribe().run_sharded(1).shard_info["num_shards"] == 1
 
 
@@ -156,16 +155,60 @@ def test_link_cut_events_are_shard_count_independent():
 
 @pytest.mark.determinism
 def test_random_loss_is_shard_count_independent():
-    """In a shard worker every source host draws its losses from its own
-    stream, so which packets are lost cannot depend on the partition."""
+    """Every source host draws its losses from its own stream, in every
+    mode, so which packets are lost cannot depend on the partition — nor on
+    whether there is one: the lossy run is one run at shards 1, 2 and 4 and
+    in a single process."""
     spec = replace(make_seeded(), num_nodes=24, duration=60.0,
                    random_loss_rate=0.02, models=(
                        ChurnModel(join="staggered", join_spacing=0.1),
                        WorkloadModel(kind="route", source=-1, start=15.0,
                                      packets=40, gap=1.0))).with_seed(5)
     two = spec.run_sharded(2)
-    assert fingerprint(two) == fingerprint(spec.run_sharded(4))
+    assert fingerprint(two) == fingerprint(spec.run_sharded(4)) \
+        == fingerprint(spec.run_sharded(1)) == fingerprint(spec.run())
     assert two.metrics["net.packets_dropped"] > 0
+
+
+@pytest.mark.determinism
+def test_a_narrow_mid_route_link_is_queued_by_its_downstream_shard():
+    """On a dumbbell the two sides land on two shards and every crossing
+    packet is exported at the bottleneck's queue, which the destination's
+    shard owns: same run as in one process, and refused (as a ScenarioError
+    naming the link) when the hosts behind the bottleneck would be split."""
+    from repro.eval.scenario import ScenarioError
+    from repro.network.topology import dumbbell_topology
+
+    spec = replace(make_seeded(), num_nodes=12, duration=40.0,
+                   topology=dumbbell_topology(clients_per_side=6,
+                                              bottleneck_bandwidth=20_000.0),
+                   models=(ChurnModel(join="staggered", join_spacing=0.1),
+                           WorkloadModel(kind="route", source=-1, start=15.0,
+                                         packets=40, gap=0.5)))
+    two = spec.run_sharded(2)
+    assert two.shard_info["num_shards"] == 2
+    assert two.shard_info["cross_shard_packets"] > 0
+    assert fingerprint(two) == fingerprint(spec.run())
+
+    graph = spec.topology.graph
+    moved = spec.topology.clients[-1]
+    graph.add_node(99, role="transit")
+    graph.add_edge(1, 99, latency=0.002, bandwidth=125_000_000.0)
+    graph.add_edge(moved, 99, **graph[moved][1])
+    graph.remove_edge(moved, 1)
+    with pytest.raises(ScenarioError, match=r"narrow link \(0, 1\)"):
+        spec.run_sharded(3)
+    # A core link that a fault model will degrade queues while it is slow:
+    # the same rule applies to it for the whole run.
+    from repro.eval.scenario import DegradeModel
+    seeded = make_seeded()
+    uplink = next((u, v) for u, v, data in seeded.build().topology.graph.edges(
+        data=True) if data["bandwidth"] > 1e9)
+    slowed = replace(seeded, models=seeded.models + (
+        DegradeModel(at=5.0, links=(uplink,), bandwidth_factor=0.01),))
+    with pytest.raises(ScenarioError, match="narrow link"):
+        slowed.run_sharded(4)
+    assert fingerprint(slowed.run_sharded(1)) == fingerprint(slowed.run())
 
 
 @pytest.mark.determinism

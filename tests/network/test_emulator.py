@@ -6,7 +6,7 @@ import pytest
 
 from repro.network.addressing import AddressError, format_address, parse_address
 from repro.network.emulator import NetworkEmulator
-from repro.network.links import DirectedLink, LinkDropped
+from repro.network.links import DirectedLink
 from repro.network.packet import HEADER_BYTES, Packet
 from repro.network.topology import dumbbell_topology, transit_stub_topology
 from repro.runtime.engine import Simulator
@@ -110,16 +110,17 @@ def test_link_stress_accounting():
 def test_directed_link_queue_and_drop():
     link = DirectedLink(src=0, dst=1, latency=0.01, bandwidth=1000.0,
                         max_queue_delay=0.15)
-    first = link.transit_time(0.0, 100)
-    assert first == pytest.approx(0.01 + 0.1)
+    assert link.enqueue(0.0, 0.1) == 0.0
     # Second packet queues behind the first (0.1 s backlog, still accepted).
-    second = link.transit_time(0.0, 100)
-    assert second > first
+    assert link.enqueue(0.0, 0.1) == pytest.approx(0.1)
+    assert link.next_free == pytest.approx(0.2)
     # Third packet would see 0.2 s of backlog, beyond the queue bound.
-    with pytest.raises(LinkDropped):
-        link.transit_time(0.0, 100)
-    assert link.stats.drops == 1
-    assert link.stats.packets == 2
+    assert link.enqueue(0.0, 0.1) < 0.0
+    assert link.drops == 1
+    assert link.next_free == pytest.approx(0.2)
+    # Once the transmitter has drained, a packet starts where it arrives.
+    assert link.enqueue(0.5, 0.1) == 0.0
+    assert link.next_free == pytest.approx(0.6)
 
 
 def test_packet_wire_size_and_retransmit_copy():
@@ -217,79 +218,89 @@ def test_router_level_invalidate_also_refreshes_emulator_routes():
         (emulator._links[node_a, node_b],)
 
 
-def test_send_inline_hop_loop_matches_try_transit():
-    """send() inlines DirectedLink.try_transit; replaying the same hops
-    through try_transit on a twin emulator must give bit-identical delays,
-    queue state, and counters."""
-    def build():
-        simulator = Simulator(seed=11)
-        emulator = NetworkEmulator(simulator, transit_stub_topology(4, seed=11))
-        a = emulator.attach_host()
-        b = emulator.attach_host()
-        return simulator, emulator, a, b
+def test_uplink_and_queue_points_go_through_the_one_link_method():
+    """There is one queue formula, ``DirectedLink.enqueue``: ``send`` calls it
+    for the uplink at the send instant, the packet's events for the narrow
+    middle link and the downlink with the instant the packet reached them —
+    and nothing else ever moves a link's ``next_free``."""
+    simulator = Simulator(seed=12)
+    topology = dumbbell_topology(clients_per_side=1,
+                                 bottleneck_bandwidth=10_000.0)
+    emulator = NetworkEmulator(simulator, topology, max_queue_delay=0.2)
+    a = emulator.attach_host(topology.clients[0])
+    b = emulator.attach_host(topology.clients[1])
+    path = emulator.ip_path(a.address, b.address)
+    hops = list(zip(path[:-1], path[1:]))
+    assert len(hops) == 3
+    calls = []
+    inner = DirectedLink.enqueue
 
-    sim1, emu1, a1, b1 = build()
-    sim2, emu2, a2, b2 = build()
+    def recording(link, arrival, transmission):
+        wait = inner(link, arrival, transmission)
+        calls.append(((link.src, link.dst), simulator.now, arrival, wait))
+        return wait
 
-    arrivals = []
-    emu1.set_receive_callback(b1.address, lambda p: arrivals.append(sim1.now))
-    packet = Packet(src=a1.address, dst=b1.address, payload=None, size=333)
-    assert emu1.send(packet, payload_tag="twin")
-    sim1.run()
+    DirectedLink.enqueue = recording
+    try:
+        accepted = [emulator.send(Packet(src=a.address, dst=b.address,
+                                         payload=None, size=1400),
+                                  payload_tag="twin")
+                    for _ in range(50)]
+        assert all(accepted)            # the 1.25 MB/s uplink takes them all
+        assert [key for key, *_ in calls] == [hops[0]] * 50
+        assert all(now == 0.0 == arrival for _, now, arrival, _ in calls)
+        simulator.run()
+    finally:
+        DirectedLink.enqueue = inner
 
-    # Replay the identical hop sequence through try_transit on the twin.
-    path = emu2.ip_path(a2.address, b2.address)
-    total = 0.0
-    for u, v in zip(path[:-1], path[1:]):
-        total += emu2._links[(u, v)].transit_time(0.0 + total, packet.wire_size,
-                                                  "twin")
-    assert arrivals == [total]
-    for u, v in zip(path[:-1], path[1:]):
-        link1, link2 = emu1._links[(u, v)], emu2._links[(u, v)]
-        assert link1.next_free == link2.next_free
-        assert (link1.packets, link1.bytes, link1.drops) == \
-               (link2.packets, link2.bytes, link2.drops)
-        assert link1.overlay_payloads == link2.overlay_payloads
-
-
-def test_send_inline_drop_path_matches_try_transit():
-    """Queue-overflow drops must happen at the same hop with the same
-    counters in both the inline loop and try_transit."""
-    from repro.network.topology import dumbbell_topology
-
-    def build():
-        simulator = Simulator(seed=12)
-        topology = dumbbell_topology(clients_per_side=1,
-                                     bottleneck_bandwidth=10_000.0)
-        emulator = NetworkEmulator(simulator, topology, max_queue_delay=0.2)
-        a = emulator.attach_host(topology.clients[0])
-        b = emulator.attach_host(topology.clients[1])
-        return simulator, emulator, a, b
-
-    sim1, emu1, a1, b1 = build()
-    sim2, emu2, a2, b2 = build()
-
-    results1 = [emu1.send(Packet(src=a1.address, dst=b1.address,
-                                 payload=None, size=1400))
-                for _ in range(50)]
-
-    path = emu2.ip_path(a2.address, b2.address)
     wire = 1400 + HEADER_BYTES
-    results2 = []
-    for _ in range(50):
-        total = 0.0
-        accepted = True
-        for u, v in zip(path[:-1], path[1:]):
-            try:
-                total += emu2._links[(u, v)].transit_time(0.0 + total, wire)
-            except LinkDropped:
-                accepted = False
-                break
-        results2.append(accepted)
-    assert results1 == results2
-    assert False in results1  # the workload actually overflowed the queue
-    for u, v in zip(path[:-1], path[1:]):
-        link1, link2 = emu1._links[(u, v)], emu2._links[(u, v)]
-        assert (link1.packets, link1.bytes, link1.drops) == \
-               (link2.packets, link2.bytes, link2.drops)
-        assert link1.next_free == link2.next_free
+    by_link = {hop: [c for c in calls if c[0] == hop] for hop in hops}
+    assert [len(by_link[hop]) for hop in hops] == [50, 50, 2]
+    # The middle link (144 ms per packet, 200 ms of queue) keeps two packets.
+    middle = emulator._links[hops[1]]
+    assert middle.drops == 48 and emulator.stats.packets_dropped == 48
+    assert emulator.stats.packets_delivered == 2
+    for key, now, arrival, wait in by_link[hops[1]] + by_link[hops[2]]:
+        link = emulator._links[key]
+        # Evaluated inside the event at the link's far end, had it been idle.
+        assert now == pytest.approx(arrival + wire / link.bandwidth
+                                    + link.latency)
+    arrivals = [arrival for _, _, arrival, _ in by_link[hops[1]]]
+    assert arrivals == sorted(arrivals)
+    # The queue state is exactly what those calls left behind.
+    twin = {hop: DirectedLink(*hop, emulator._links[hop].latency,
+                              emulator._links[hop].bandwidth,
+                              max_queue_delay=0.2) for hop in hops}
+    for key, _, arrival, wait in calls:
+        assert twin[key].enqueue(arrival, wire / twin[key].bandwidth) == wait
+    views = emulator.link_stats()
+    for hop in hops:
+        assert emulator._links[hop].next_free == twin[hop].next_free
+        # Traffic counters: what the uplink admitted onto the plan.
+        assert (views[hop].packets, views[hop].bytes, views[hop].max_stress) \
+            == (50, 50 * wire, 50)
+    assert [views[hop].drops for hop in hops] == [0, 48, 0]
+
+
+def test_core_links_are_contention_free():
+    """On a transit-stub underlay only the access links at the two ends
+    queue: the links in between add their transmission and propagation
+    delay and keep no state."""
+    simulator = Simulator(seed=11)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(4, seed=11))
+    a = emulator.attach_host()
+    b = emulator.attach_host()
+    arrivals = []
+    emulator.set_receive_callback(b.address, lambda p: arrivals.append(simulator.now))
+    packet = Packet(src=a.address, dst=b.address, payload=None, size=333)
+    for _ in range(3):
+        assert emulator.send(packet.copy_for_retransmit())
+    simulator.run()
+    path = emulator.ip_path(a.address, b.address)
+    links = [emulator._links[hop] for hop in zip(path[:-1], path[1:])]
+    assert len(links) > 2
+    assert [link.next_free > 0.0 for link in links] == \
+        [True] + [False] * (len(links) - 2) + [True]
+    idle = sum(link.latency + packet.wire_size / link.bandwidth for link in links)
+    access = packet.wire_size / links[0].bandwidth
+    assert arrivals == pytest.approx([idle, idle + access, idle + 2 * access])

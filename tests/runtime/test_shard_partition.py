@@ -118,6 +118,40 @@ def test_dumbbell_degrades_to_two_shards():
     assert 0.0 < plan.lookahead < float("inf")
 
 
+def test_dumbbell_window_ends_at_the_narrow_links_far_end():
+    """A packet crossing the dumbbell leaves its shard as the event of the
+    middle link's queue, at that link's far end: 1 ms of access plus 20 ms
+    of bottleneck away, sooner than the 22 ms to the nearest foreign host.
+    The window must not be wider than what the planner can vouch for."""
+    plan = plan_shards(dumbbell_topology(clients_per_side=3), 6, 2)
+    assert plan.lookahead <= 0.021
+
+
+def _forked_dumbbell():
+    """A dumbbell whose right side fans out into two access routers *behind*
+    the narrow link: 0 =narrow= 1, 1 - 2, 1 - 3, clients on 0, 2 and 3."""
+    topo = dumbbell_topology(clients_per_side=2)
+    graph = topo.graph
+    right = [c for c in topo.clients if graph.has_edge(c, 1)]
+    for router, client in zip((100, 101), right):
+        graph.add_node(router, **{ROLE_ATTR: "transit"})
+        graph.add_edge(1, router, latency=0.002, bandwidth=125_000_000.0)
+        access = graph[client][1]
+        graph.remove_edge(client, 1)
+        graph.add_edge(client, router, **access)
+    return topo
+
+
+def test_hosts_behind_a_narrow_link_are_never_split():
+    """The queue of a narrow mid-route link is evaluated by the shard of the
+    hosts it leads to, so those hosts must share one: a plan that would split
+    them is refused with the link's name, fewer shards still work."""
+    topo = _forked_dumbbell()
+    with pytest.raises(ShardPlanError, match=r"narrow link \(0, 1\)"):
+        plan_shards(topo, 4, 3)
+    assert plan_shards(topo, 4, 1).num_shards == 1
+
+
 def test_rejects_bad_arguments(topology):
     with pytest.raises(ShardPlanError):
         plan_shards(topology, 48, 0)
