@@ -128,8 +128,8 @@ class NetworkEmulator:
         # Degraded undirected edges: canonical (min, max) -> original
         # (latency, bandwidth), so restore_edge is exact.
         self._degraded_edges: dict[tuple[int, int], tuple[float, float]] = {}
-        # Hosts degraded via degrade_host: address -> edges it degraded.
-        self._degraded_hosts: dict[int, list[tuple[int, int]]] = {}
+        # Hosts degraded via degrade_host, oldest first: address -> (edges, factors).
+        self._degraded_hosts: dict[int, tuple[list[tuple[int, int]], dict]] = {}
         # Bound-method caches for the per-packet path (skips one descriptor
         # lookup per send and per delivery).
         self._schedule_fast = simulator.schedule_fast
@@ -300,7 +300,7 @@ class NetworkEmulator:
         if (u, v) not in self._directed_cuts:
             return
         self._directed_cuts.discard((u, v))
-        if (min(u, v), max(u, v)) not in self.router.disabled_edges():
+        if not self.router.edge_disabled(u, v):
             self._links[(u, v)].enable()
         self._recompute_faults_active()
 
@@ -326,20 +326,19 @@ class NetworkEmulator:
         if not self.topology.graph.has_edge(u, v):
             raise RoutingError(
                 f"cannot degrade edge ({u}, {v}): not in topology")
-        key = (min(u, v), max(u, v))
-        if key not in self._degraded_edges:
-            data = self.topology.graph[u][v]
-            self._degraded_edges[key] = (data[LATENCY_ATTR],
-                                         data[BANDWIDTH_ATTR])
-        base_latency, base_bandwidth = self._degraded_edges[key]
-        self.topology.graph[u][v][BANDWIDTH_ATTR] = \
-            base_bandwidth * bandwidth_factor
+        data = self.topology.graph[u][v]
+        base_latency, base_bandwidth = self._degraded_edges.setdefault(
+            (min(u, v), max(u, v)), (data[LATENCY_ATTR], data[BANDWIDTH_ATTR]))
+        data[BANDWIDTH_ATTR] = base_bandwidth * bandwidth_factor
         for direction in ((u, v), (v, u)):
             self._links[direction].degrade(bandwidth_factor=bandwidth_factor,
                                            latency_factor=latency_factor)
         # Router last: it writes the graph latency attribute and prunes
-        # exactly the plans that crossed the now-slower edge.
-        self.router.reweigh_edge(u, v, base_latency * latency_factor)
+        # exactly the plans the edge can have changed (a re-degrade by a
+        # smaller factor makes it faster).
+        latency = base_latency * latency_factor
+        self.router.reweigh_edge(u, v, latency,
+                                 may_shorten=latency < data[LATENCY_ATTR])
 
     def restore_edge(self, u: int, v: int) -> None:
         """Undo :meth:`degrade_edge`.  The router drops only the plans the
@@ -362,15 +361,23 @@ class NetworkEmulator:
         host = self._host(address)
         edges = [(host.node, neighbour)
                  for neighbour in self.topology.graph.neighbors(host.node)]
+        factors = {"bandwidth_factor": bandwidth_factor,
+                   "latency_factor": latency_factor}
         for u, v in edges:
-            self.degrade_edge(u, v, bandwidth_factor=bandwidth_factor,
-                              latency_factor=latency_factor)
-        self._degraded_hosts[address] = edges
+            self.degrade_edge(u, v, **factors)
+        self._degraded_hosts.pop(address, None)     # most recent goes last
+        self._degraded_hosts[address] = edges, factors
 
     def restore_host(self, address: int) -> None:
-        """Undo :meth:`degrade_host`.  Idempotent."""
-        for u, v in self._degraded_hosts.pop(address, ()):  # type: ignore[arg-type]
-            self.restore_edge(u, v)
+        """Undo :meth:`degrade_host`; an edge another degraded host lists too
+        stays degraded, by the most recent such host's factors.  Idempotent."""
+        for u, v in self._degraded_hosts.pop(address, ((), None))[0]:
+            others = [factors for edges, factors in self._degraded_hosts.values()
+                      if (u, v) in edges or (v, u) in edges]
+            if others:
+                self.degrade_edge(u, v, **others[-1])
+            else:
+                self.restore_edge(u, v)
 
     # ------------------------------------------------------------------ routes
     def invalidate(self) -> None:

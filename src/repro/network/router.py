@@ -31,8 +31,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Mapping, Optional
 
-import networkx
-
 from .links import DirectedLink
 from .topology import BANDWIDTH_ATTR, LATENCY_ATTR, Topology
 
@@ -121,9 +119,9 @@ class Router:
         # The emulator's (u, v) -> DirectedLink table, shared by reference;
         # every plan resolves its ``links`` from it when it is built.
         self._links = links
-        # Flat adjacency (node -> [(neighbour, latency), ...]) built lazily
-        # from the graph after every edge event; Dijkstra over this is several
-        # times faster than going through networkx per-edge attribute access.
+        # Flat adjacency (node -> [(neighbour, latency), ...]) built lazily from
+        # the graph and patched at both ends of every edge event; Dijkstra over
+        # it is several times faster than networkx per-edge attribute access.
         self._adjacency: Optional[dict[int, list[tuple[int, float]]]] = None
         # Dijkstra results since the last edge event: source -> (dist, pred)
         # over at least the nodes its plans were asked for.
@@ -149,38 +147,53 @@ class Router:
         return self._topology
 
     # ----------------------------------------------------------------- paths
+    def _neighbours(self, node: int) -> list[tuple[int, float]]:
+        """Enabled (neighbour, latency) pairs of *node*, in graph order."""
+        return [(neighbour, data[LATENCY_ATTR])
+                for neighbour, data in self._graph.adj[node].items()
+                if (node, neighbour) not in self._disabled_edges]
+
     def _adj(self) -> dict[int, list[tuple[int, float]]]:
-        """Enabled (neighbour, latency) pairs per node, in graph order."""
-        adjacency = self._adjacency
-        if adjacency is None:
-            disabled = self._disabled_edges
-            adjacency = self._adjacency = {
-                node: [(neighbour, data[LATENCY_ATTR])
-                       for neighbour, data in neighbours.items()
-                       if (node, neighbour) not in disabled]
-                for node, neighbours in self._graph.adj.items()}
-        return adjacency
+        """:meth:`_neighbours` of every node."""
+        if self._adjacency is None:
+            self._adjacency = {node: self._neighbours(node)
+                               for node in self._graph.adj}
+        return self._adjacency
 
     def _bridge_sides(self) -> tuple[dict[int, int], dict]:
         """DFS entry times and, for each bridge of the enabled graph in both
         directions, ``(v, u) -> (lo, hi, inside)``: crossing v -> u leads
         only to nodes whose entry time t has ``(lo <= t <= hi) == inside``
         (a bridge is a tree edge of every DFS, and one side of it is exactly
-        the DFS subtree of its later-entered end)."""
-        enabled = networkx.restricted_view(self._graph, (), self._disabled_edges)
+        the DFS subtree of its later-entered end; it is a bridge when nothing
+        in that subtree reaches, ``low``, as far back as the other end)."""
+        adjacency = self._adj()
         entry: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for _, node, kind in networkx.dfs_labeled_edges(enabled):
-            if kind == "forward":
-                entry[node] = len(entry)
-            elif kind == "reverse":
-                last[node] = len(entry) - 1
+        low: dict[int, int] = {}
         sides = {}
-        for parent, child in networkx.bridges(enabled):
-            if entry[parent] > entry[child]:
-                parent, child = child, parent
-            sides[parent, child] = (entry[child], last[child], True)
-            sides[child, parent] = (entry[child], last[child], False)
+        for root in adjacency:
+            if root in entry:
+                continue
+            entry[root] = low[root] = len(entry)
+            stack = [(root, None, iter(adjacency[root]))]
+            while stack:
+                node, parent, neighbours = stack[-1]
+                for other, _ in neighbours:
+                    if other not in entry:
+                        entry[other] = low[other] = len(entry)
+                        stack.append((other, node, iter(adjacency[other])))
+                        break
+                    if other != parent and entry[other] < low[node]:
+                        low[node] = entry[other]
+                else:           # subtree done: it is entry[node]..len(entry)-1
+                    stack.pop()
+                    if parent is not None:
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
+                        if low[node] > entry[parent]:
+                            side = entry[node], len(entry) - 1
+                            sides[parent, node] = (*side, True)
+                            sides[node, parent] = (*side, False)
         self._sides = entry, sides
         return self._sides
 
@@ -286,10 +299,6 @@ class Router:
         """One-way propagation latency of the shortest path, in seconds."""
         return self.plan(src_node, dst_node).latency
 
-    def path_edges(self, src_node: int, dst_node: int) -> list[tuple[int, int]]:
-        """The directed edges traversed along the path."""
-        return list(self.plan(src_node, dst_node).edges)
-
     def bottleneck_bandwidth(self, src_node: int, dst_node: int) -> float:
         """Minimum link bandwidth along the path (bytes/second)."""
         plan = self.plan(src_node, dst_node)
@@ -352,13 +361,12 @@ class Router:
         return best
 
     # ------------------------------------------------------------ fault hooks
-    def _edge_changed(self) -> None:
-        """An edge came or went: forget what was derived from the old set."""
-        self._adjacency = None
+    def _edge_changed(self, u: int, v: int) -> None:
+        """Edge (u, v) changed: re-read its two adjacency lists, drop the trees."""
+        if self._adjacency is not None:
+            for node in (u, v):
+                self._adjacency[node] = self._neighbours(node)
         self._sssp_cache.clear()
-        # Now rather than on the next miss: a fault then costs the same
-        # whether or not the packets that follow it need a new plan.
-        self._bridge_sides()
 
     def _drop_users(self, u: int, v: int) -> None:
         """Edge (u, v) went away or got slower: drop the plans whose path
@@ -397,16 +405,22 @@ class Router:
         if (u, v) in self._disabled_edges:
             return
         self._disabled_edges.update(((u, v), (v, u)))
-        self._edge_changed()
+        self._edge_changed(u, v)
+        # Now rather than on the next miss: a fault then costs the same
+        # whether or not the packets that follow it need a new plan.
+        self._bridge_sides()
         self._drop_users(u, v)
 
     def enable_edge(self, u: int, v: int) -> None:
         """Heal a previously cut edge; see :meth:`_drop_beneficiaries` for
         what is invalidated.  Idempotent for edges not currently disabled."""
+        if not self._graph.has_edge(u, v):
+            raise RoutingError(f"cannot enable edge ({u}, {v}): not in topology")
         if (u, v) not in self._disabled_edges:
             return
         self._disabled_edges.difference_update(((u, v), (v, u)))
-        self._edge_changed()
+        self._edge_changed(u, v)
+        self._bridge_sides()            # at once, as in disable_edge
         self._drop_beneficiaries(u, v, self._graph[u][v][LATENCY_ATTR])
 
     def reweigh_edge(self, u: int, v: int, latency: float,
@@ -426,11 +440,14 @@ class Router:
         self._graph[u][v][LATENCY_ATTR] = latency
         if (u, v) in self._disabled_edges:
             return
-        self._adjacency = None          # same bridges, new weights
-        self._sssp_cache.clear()
+        self._edge_changed(u, v)        # same bridges, new weights
         self._drop_users(u, v)
         if may_shorten:
             self._drop_beneficiaries(u, v, latency)
+
+    def edge_disabled(self, u: int, v: int) -> bool:
+        """Whether the undirected edge (u, v) is currently cut."""
+        return (u, v) in self._disabled_edges
 
     def disabled_edges(self) -> set[tuple[int, int]]:
         """The currently cut edges, one canonical (min, max) tuple per edge."""

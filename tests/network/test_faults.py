@@ -7,7 +7,7 @@ import pytest
 
 from repro.network.emulator import NetworkEmulator
 from repro.network.packet import Packet
-from repro.network.router import RoutingError
+from repro.network.router import Router, RoutingError
 from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, ROLE_ATTR,
                                     Topology, TopologyError,
                                     transit_stub_topology)
@@ -376,3 +376,97 @@ def test_degrade_host_slows_access_links_and_restores():
     for edge, latency in originals.items():
         assert emulator._links[edge].latency == latency
     assert not emulator._faults_active
+
+
+def two_hosts_on_one_router():
+    """More hosts than client slots: the fifth reuses the first's router."""
+    _, emulator, (a, _, c, _) = build()
+    b = emulator.attach_host().address
+    assert emulator._host(a).node == emulator._host(b).node
+    return emulator, a, b, c
+
+
+def test_restore_host_keeps_a_co_located_host_degraded():
+    emulator, a, b, c = two_hosts_on_one_router()
+    healthy = emulator.ip_latency(b, c)
+    emulator.degrade_host(a, latency_factor=4.0)
+    emulator.degrade_host(b, latency_factor=4.0)
+    degraded = emulator.ip_latency(b, c)
+    assert degraded > healthy
+    emulator.restore_host(a)
+    assert b in emulator._degraded_hosts
+    assert emulator.ip_latency(b, c) == degraded     # b is still slow
+    emulator.restore_host(a)                         # idempotent
+    assert emulator.ip_latency(b, c) == degraded
+    emulator.restore_host(b)
+    assert emulator.ip_latency(b, c) == healthy
+    assert not emulator._degraded_edges and not emulator._degraded_hosts
+
+
+@pytest.mark.parametrize("first, second", [(2.0, 4.0), (4.0, 2.0)])
+def test_co_located_hosts_with_different_factors(first, second):
+    """The shared access edges carry the factors of whichever degraded host
+    is left, and every plan follows them — also when that makes them faster."""
+    emulator, a, b, c = two_hosts_on_one_router()
+    node = emulator._host(a).node
+    access = [(node, nbr) for nbr in emulator.topology.graph.neighbors(node)]
+    base = {edge: emulator._links[edge].latency for edge in access}
+
+    def check(factor):
+        for edge, latency in base.items():
+            assert emulator._links[edge].latency == latency * factor
+            assert emulator._links[edge].bandwidth == \
+                emulator._links[edge].base_bandwidth / factor
+        for src, dst in ((a, c), (c, b)):
+            src, dst = emulator._host(src).node, emulator._host(dst).node
+            fresh = Router(emulator.topology).plan(src, dst)
+            plan = emulator.router.plan(src, dst)
+            assert (plan.path, plan.latency) == (fresh.path, fresh.latency)
+            assert emulator.router.bottleneck_bandwidth(src, dst) == min(
+                emulator.topology.graph[u][v][BANDWIDTH_ATTR]
+                for u, v in plan.edges)
+
+    check(1.0)
+    emulator.degrade_host(a, latency_factor=first, bandwidth_factor=1 / first)
+    check(first)
+    emulator.degrade_host(b, latency_factor=second, bandwidth_factor=1 / second)
+    check(second)                  # the most recent degrade wins
+    emulator.restore_host(b)
+    check(first)                   # a's own factors, not b's and not healthy
+    emulator.restore_host(a)
+    check(1.0)
+    assert not emulator._degraded_edges
+
+
+def test_re_degrading_an_edge_by_a_smaller_factor_shortens_routes_again():
+    _, emulator, (a, b, *_) = build(num_hosts=6, seed=2)
+    before = emulator.ip_path(a, b)
+    u, v = before[1], before[2]
+    emulator.degrade_edge(u, v, latency_factor=1000.0)
+    assert emulator.ip_path(a, b) != before
+    emulator.degrade_edge(u, v, latency_factor=1.0, bandwidth_factor=0.5)
+    assert emulator.ip_path(a, b) == before
+
+
+def test_enable_unknown_edge_raises_and_an_uncut_edge_is_a_no_op(monkeypatch):
+    _, emulator, (a, b, *_) = build()
+    with pytest.raises(RoutingError):
+        emulator.enable_link(10_000, 10_001)
+    with pytest.raises(RoutingError):
+        emulator.router.enable_edge(10_000, 10_001)
+    path = emulator.ip_path(a, b)
+    plans = dict(emulator.router._plan_cache)
+    forbid_full_invalidation(emulator, monkeypatch)
+    emulator.enable_link(path[0], path[1])           # real edge, never cut
+    assert emulator.router._plan_cache == plans
+    assert not emulator.router.disabled_edges()
+    assert not emulator.router.edge_disabled(path[0], path[1])
+
+
+def test_healing_a_direction_asks_the_router_about_one_edge(monkeypatch):
+    _, emulator, (a, b, *_) = build()
+    u, v = emulator.ip_path(a, b)[:2]
+    emulator.disable_link_direction(u, v)
+    monkeypatch.setattr(emulator.router, "disabled_edges", None)
+    emulator.enable_link_direction(u, v)
+    assert emulator._links[(u, v)].enabled

@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.network.router as router_module
 from repro.network.emulator import NetworkEmulator
 from repro.network.router import Router, RoutingError
 from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, Topology,
@@ -125,3 +127,138 @@ def test_a_healed_edge_that_only_ties_still_drops_the_plan():
     assert router.plan(0, 2).path == (0, 1, 2)
     router.enable_edge(0, 2)
     assert router.plan(0, 2).path == Router(topology).plan(0, 2).path == (0, 2)
+
+
+# ------------------------------------------------------------ the bridge pass
+def unit_topology(graph: nx.Graph) -> Topology:
+    nx.set_edge_attributes(graph, 1.0, LATENCY_ATTR)
+    nx.set_edge_attributes(graph, 1.0, BANDWIDTH_ATTR)
+    return Topology(graph=graph, clients=[])
+
+
+def random_graph(kind: str, size: int, rng: random.Random) -> nx.Graph:
+    """*kind* picks the shape the bridge pass has to get right: nothing but
+    bridges, no bridge at all, a mix, or several components."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(size))
+    if kind == "islands":       # two unrelated pieces and an isolated node
+        left = random_graph("mixed", size, rng)
+        right = random_graph(rng.choice(("tree", "cycle")), size, rng)
+        graph = nx.disjoint_union(left, right)
+        graph.add_node(2 * size)
+    if kind in ("tree", "mixed"):
+        graph.add_edges_from((node, rng.randrange(node)) for node in range(1, size))
+    if kind == "cycle":
+        graph.add_edges_from((node, (node + 1) % size) for node in range(size))
+    if kind in ("mixed", "sparse"):     # sparse: usually not connected
+        graph.add_edges_from(
+            rng.sample(range(size), 2) for _ in range(rng.randrange(size)))
+    # Entry order must not follow the labels, nor the roots come first.
+    labels = list(graph)
+    rng.shuffle(labels)
+    shuffled = nx.Graph()
+    shuffled.add_nodes_from(labels)
+    edges = [(labels[u], labels[v]) for u, v in graph.edges()]
+    rng.shuffle(edges)
+    shuffled.add_edges_from(edges)
+    return shuffled
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("tree", "cycle", "mixed", "sparse", "islands")),
+       size=st.integers(min_value=3, max_value=12), seed=index,
+       cuts=st.integers(min_value=0, max_value=4))
+def test_bridge_pass_matches_networkx_and_its_intervals_are_the_far_sides(
+        kind, size, seed, cuts):
+    rng = random.Random(seed)
+    graph = random_graph(kind, size, rng)
+    router = Router(unit_topology(graph))
+    for u, v in rng.sample(sorted(graph.edges()),
+                           min(cuts, graph.number_of_edges())):
+        router.disable_edge(u, v)
+    entry, sides = router._bridge_sides()
+    assert not cuts or (entry, sides) == router._sides    # paid by the cut
+    assert sorted(entry.values()) == list(range(len(graph)))   # every component
+    enabled = nx.restricted_view(graph, (), router._disabled_edges)
+    bridges = set(nx.bridges(enabled))
+    assert set(sides) == bridges | {(u, v) for v, u in bridges}
+    if kind == "tree":
+        assert len(bridges) == enabled.number_of_edges()
+    elif kind == "cycle" and not cuts:
+        assert not bridges
+    for (v, u), (lo, hi, inside) in sides.items():
+        beyond = nx.node_connected_component(
+            nx.restricted_view(enabled, (), [(v, u)]), u)
+        # Within the bridge's own component: no search leaves it anyway.
+        assert {node for node in nx.node_connected_component(enabled, v)
+                if (lo <= entry[node] <= hi) == inside} == beyond, (v, u)
+    # What the intervals are for: a search towards a target finds, for the
+    # nodes it covers, the entries of the search that crosses every bridge.
+    for source in graph:
+        full = router._dijkstra(source)
+        for target in graph:
+            dist, pred = router._dijkstra(source, target)
+            assert dist.get(target) == full[0].get(target)
+            assert all(full[0][node] == dist[node] and full[1][node] == pred[node]
+                       for node in dist)
+
+
+def test_a_path_of_5000_routers_plans_end_to_end_without_recursion():
+    router = Router(unit_topology(nx.path_graph(5_000)))
+    plan = router.plan(0, 4_999)
+    assert plan.hop_count == 4_999 and plan.latency == 4_999.0
+    assert len(router._sides[1]) == 2 * 4_999
+    router.disable_edge(2_499, 2_500)
+    with pytest.raises(RoutingError):
+        router.plan(0, 4_999)
+    router.enable_edge(2_499, 2_500)
+    assert router.plan(4_999, 0).path == tuple(range(4_999, -1, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=50), steps=steps,
+       cold=st.booleans())
+def test_patched_adjacency_is_the_freshly_built_one(seed, steps, cold):
+    """Same lists in the same order — the order Dijkstra breaks ties by —
+    after every edge event, whether or not the dict existed before it."""
+    emulator = build(seed, integer_weights=False)
+    router, graph = emulator.router, emulator.topology.graph
+    edges = sorted(graph.edges())
+    if not cold:
+        router._adj()
+    for kind, first, second, _, _ in steps:
+        u, v = edges[first % len(edges)]
+        if kind == "disable":
+            router.disable_edge(u, v)
+        elif kind == "enable":
+            cut = sorted(router.disabled_edges()) or edges
+            router.enable_edge(*cut[first % len(cut)])
+        elif kind == "reweigh":
+            new = graph[u][v][LATENCY_ATTR] * FACTORS[second % len(FACTORS)]
+            router.reweigh_edge(u, v, new, may_shorten=True)
+        else:
+            continue
+        fresh = fresh_router(emulator)
+        assert router._adj() == fresh._adj()
+        assert list(router._adj()) == list(fresh._adj())
+        # None until the first real cut or plan, never stale after one.
+        assert router._sides in (None, fresh._bridge_sides())
+
+
+def test_a_cut_and_a_heal_never_enter_networkx(monkeypatch):
+    emulator = build(seed=3, integer_weights=False)
+    edge = sorted(emulator.topology.graph.edges())[0]
+    emulator.router.plan(0, 21)
+
+    def networkx_pass(*args, **kwargs):
+        raise AssertionError("networkx graph pass inside an edge event")
+    for name in ("bridges", "dfs_labeled_edges", "restricted_view"):
+        monkeypatch.setattr(nx, name, networkx_pass)
+    emulator.disable_link(*edge)
+    emulator.router.plan(0, 21)
+    emulator.enable_link(*edge)
+    emulator.degrade_edge(*edge, latency_factor=2.0)
+    emulator.restore_edge(*edge)
+    assert emulator.router.plan(0, 21).path == \
+        Router(emulator.topology).plan(0, 21).path
+    assert not hasattr(router_module, "networkx")
