@@ -3,9 +3,10 @@
 Every benchmark regenerates one table or figure of the MACEDON paper's
 evaluation.  The experiments are scaled down from the paper's ModelNet runs
 (hundreds to a thousand emulated hosts, hundreds of seconds) to sizes that run
-in seconds on one machine; EXPERIMENTS.md records both the paper's numbers and
-the numbers measured here, and the assertions in each benchmark check the
-qualitative shape rather than absolute values.
+in seconds on one machine; each benchmark's docstring states the paper's
+setting next to the scaled one, docs/PERFORMANCE.md "Re-pinned baselines"
+records the numbers measured here, and the assertions in each benchmark check
+the qualitative shape rather than absolute values.
 """
 
 from __future__ import annotations

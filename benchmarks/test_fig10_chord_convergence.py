@@ -7,8 +7,9 @@ with a 20-second timer, and MIT's lsd with its dynamically adjusted timer.
 The qualitative result: the aggressive 1-second static timer converges fastest,
 lsd's dynamic strategy is in between, and the 20-second timer is slowest.
 
-Scaled down here to 60 nodes and ~80 seconds (EXPERIMENTS.md records the
-mapping); the ordering of the three curves is what is asserted.  Each variant
+Scaled down here to 60 nodes and ~80 seconds (docs/PERFORMANCE.md "Re-pinned
+baselines" records the measured curve points); the ordering of the three
+curves is what is asserted.  Each variant
 is one declarative :class:`ScenarioSpec` — a staggered-join churn model plus
 a sampled convergence series — so the same spec extends to churn/crash
 variants by adding models.

@@ -22,8 +22,8 @@ and delivery stays high because the protocols repair themselves.
 from __future__ import annotations
 
 from repro.eval import ScenarioRunner, check_invariants, library_spec
+from repro.eval.metrics import ring_successor_correctness
 from repro.eval.reports import format_table
-from repro.protocols.ring import ring_successor_correctness
 
 SEEDS = (1, 2, 3)
 
@@ -48,8 +48,7 @@ def test_flash_crowd_chord_converges_and_serves_lookups(once):
     for result in summary.results:
         # No invariant violations, and the ring absorbed the crowd.
         assert check_invariants(result) == []
-        assert ring_successor_correctness(result.experiment.nodes,
-                                          "chord") >= 0.8
+        assert ring_successor_correctness(result.experiment.nodes) >= 0.8
 
 
 def test_scribe_multicast_survives_flapping_directed_cuts(once):

@@ -20,9 +20,9 @@ Qualitative assertions (absolute numbers live in ``BENCH_core.json`` via
 from __future__ import annotations
 
 from repro.eval import ChurnModel, ScenarioRunner, ScenarioSpec, WorkloadModel
+from repro.eval.metrics import ring_successor_correctness
 from repro.eval.reports import format_table
 from repro.protocols import chord_agent
-from repro.protocols.ring import ring_successor_correctness
 from repro.runtime.failure import FailureDetectorConfig
 
 NUM_NODES = 20
@@ -85,5 +85,4 @@ def test_scenario_lookup_success_under_churn(once):
     assert churny.metric("nodes.crashes").minimum >= 1
     # The ring repairs itself by the end of every seeded run.
     for result in churny.results:
-        assert ring_successor_correctness(result.experiment.nodes,
-                                          "chord") >= 0.8
+        assert ring_successor_correctness(result.experiment.nodes) >= 0.8

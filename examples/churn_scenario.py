@@ -20,9 +20,9 @@ from repro.eval import (
     ScenarioSpec,
     WorkloadModel,
 )
+from repro.eval.metrics import ring_successor_correctness
 from repro.eval.reports import format_series
 from repro.protocols import chord_agent
-from repro.protocols.ring import ring_successor_correctness
 from repro.runtime.failure import FailureDetectorConfig
 
 SPEC = ScenarioSpec(
@@ -47,7 +47,7 @@ SPEC = ScenarioSpec(
         WorkloadModel(kind="route", source=-1, start=40.0, packets=120, gap=1.5),
     ),
     samples=(SampleSeries("succ_correctness", 10.0,
-                          lambda exp: ring_successor_correctness(exp.nodes, "chord")),),
+                          lambda exp: ring_successor_correctness(exp.nodes)),),
 )
 
 

@@ -13,6 +13,9 @@ Usage::
     PYTHONPATH=src python scripts/run_fuzz.py --replay artifacts/fuzz/fuzz-<seed>.json
     PYTHONPATH=src python scripts/run_fuzz.py --library   # curated specs only
 
+Every case, generated or curated, runs a protocol compiled from a bundled
+``.mac`` specification (:data:`repro.eval.library.PROTOCOLS`).
+
 Exit status is non-zero when any invariant is violated *or any case crashes
 with an unhandled exception* (or, with --replay, when the artifact still
 reproduces), so CI can gate on it directly — a crashed campaign can never
@@ -92,7 +95,8 @@ def main() -> int:
     parser.add_argument("--replay", type=Path, default=None,
                         help="replay one artifact instead of fuzzing")
     parser.add_argument("--library", action="store_true",
-                        help="run the curated scenario library instead of "
+                        help="run the ten curated library scenarios (Chord, "
+                             "plus one Scribe-over-Pastry) instead of "
                              "generated specs")
     parser.add_argument("--jobs", type=int, default=1,
                         help="forked worker processes running cases in "

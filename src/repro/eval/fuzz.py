@@ -71,9 +71,14 @@ MODEL_TYPES: dict[str, type] = {
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Bounds of the scenario grammar."""
+    """Bounds of the scenario grammar.
 
-    protocols: tuple[str, ...] = ("ringdht", "chord")
+    ``protocols`` names :data:`~repro.eval.library.PROTOCOLS` rows, so every
+    case runs a protocol generated from a ``.mac`` specification; the default
+    is Chord, the bundled protocol ``ring_eventually_correct`` can judge.
+    """
+
+    protocols: tuple[str, ...] = ("chord",)
     min_nodes: int = 6
     max_nodes: int = 12
     min_duration: float = 150.0

@@ -22,8 +22,8 @@ Eight invariants:
   a peer epoch from the future.
 * **ring_eventually_correct** — for successor-ring protocols (agents that
   expose a ``successor`` pointer), the live membership's successor pointers
-  converge to the global ring after the last fault, scored with the
-  existing :func:`~repro.eval.metrics.correct_successor_fraction` observer.
+  converge to the global ring after the last fault, scored by
+  :func:`~repro.eval.metrics.ring_successor_correctness`.
   Skipped when the scenario leaves no settle window or the protocol has no
   ring shape.
 * **no_drop_on_idle_link** — a link whose queue dropped a packet has
@@ -58,8 +58,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..transport.reliable import ReliableTransport
-from .metrics import (correct_successor_fraction, phantom_reads,
-                      quorum_staleness)
+from .metrics import (phantom_reads, quorum_staleness,
+                      ring_successor_correctness)
 from .scenario import ScenarioResult
 
 #: Event kinds that perturb the overlay (everything except measurement
@@ -189,14 +189,9 @@ def ring_eventually_correct(result: ScenarioResult, *,
             if node.alive and node.initialized]
     if len(live) < 2:
         return []
-    agents = [node.lowest_agent for node in live]
-    if any(not hasattr(agent, "successor") for agent in agents):
+    if any(not hasattr(node.lowest_agent, "successor") for node in live):
         return []
-    key_space = agents[0].key_space
-    ring = [(key_space.hash(node.address), node.address) for node in live]
-    successors = {node.address: agent.successor
-                  for node, agent in zip(live, agents)}
-    fraction = correct_successor_fraction(ring, successors)
+    fraction = ring_successor_correctness(live)
     if fraction < threshold:
         return [InvariantViolation(
             "ring_eventually_correct",

@@ -14,10 +14,13 @@ Entries are plain :class:`~repro.eval.scenario.ScenarioSpec` builders::
     spec = library_spec("flash-crowd")        # seed 0
     summary = ScenarioRunner(spec, seeds=[1, 2, 3]).run()
 
-The :data:`PROTOCOLS` table also serves as the fuzzer's protocol registry:
-names map to zero-argument callables returning an agent-class stack, which is
-exactly the lazy form :class:`~repro.eval.scenario.ScenarioSpec` accepts for
-its ``agents`` field (so specs stay picklable/serialisable by name).
+The :data:`PROTOCOLS` table is the one protocol registry of the evaluation
+plane — library, fuzzer, ``repro.run`` in every mode: a name maps to a
+:class:`RegistryStack`, a zero-argument callable returning the generated
+agent-class stack, which is exactly the lazy form
+:class:`~repro.eval.scenario.ScenarioSpec` accepts for its ``agents`` field (so
+specs stay picklable/serialisable by name) and which also names what a live
+node compiles.  Every entry runs a protocol generated from ``specs/*.mac``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Type
 
+from ..codegen.registry import get_registry
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
 from .scenario import (
@@ -39,26 +43,29 @@ from .scenario import (
     WorkloadModel,
 )
 
-#: Protocol registry: name -> zero-arg agent-stack factory.  The ring DHT and
-#: Chord expose a ``successor`` pointer, so the ring-convergence invariant is
-#: live for them; Pastry and Scribe-over-Pastry exercise the prefix-routing
-#: family where only the transport/delivery invariants apply.
-PROTOCOLS: "dict[str, Callable[[], Sequence[Type[Agent]]]]" = {}
+
+@dataclass(frozen=True)
+class RegistryStack:
+    """A ``spec.agents`` factory: the registry's stack *name*
+    (:meth:`~repro.codegen.registry.ProtocolRegistry.load_stack`).  The
+    simulator calls it; ``repro.run(mode="live")`` hands the same name to
+    every node process."""
+
+    name: str
+
+    def __call__(self) -> list[Type[Agent]]:
+        return get_registry().load_stack(self.name)
 
 
-def _register_protocols() -> None:
-    from .. import protocols
-    from ..protocols.ring import ring_agent
-
-    PROTOCOLS.update({
-        "ringdht": lambda: [ring_agent()],
-        "chord": lambda: [protocols.chord_agent()],
-        "pastry": lambda: [protocols.pastry_agent()],
-        "scribe-pastry": lambda: protocols.scribe_stack("pastry"),
-    })
-
-
-_register_protocols()
+#: Protocol registry: name -> agent-stack factory.  Chord exposes a
+#: ``successor`` pointer, so the ring-convergence invariant is live for it;
+#: Pastry and Scribe-over-Pastry (Scribe's declared base) exercise the
+#: prefix-routing family where only the transport/delivery invariants apply.
+PROTOCOLS: "dict[str, Callable[[], Sequence[Type[Agent]]]]" = {
+    "chord": RegistryStack("chord"),
+    "pastry": RegistryStack("pastry"),
+    "scribe-pastry": RegistryStack("scribe"),
+}
 
 
 def resolve_protocol(name: str) -> Callable[[], Sequence[Type[Agent]]]:
@@ -133,7 +140,7 @@ def _flash_crowd_departure() -> ScenarioSpec:
     # The same burst, but the crowd leaves again after 30 s — the mass-
     # departure half of a flash crowd, which stresses failure detection.
     return _base_spec(
-        "flash-crowd-departure", "ringdht", num_nodes=12, duration=150.0,
+        "flash-crowd-departure", "chord", num_nodes=12, duration=150.0,
         models=(
             FlashCrowdModel(core=4, core_spacing=0.5, at=25.0, burst_rate=10.0,
                             stay=30.0),
@@ -146,7 +153,7 @@ def _rack_failure() -> ScenarioSpec:
     # Two of the three failure domains power-cycle at once (a correlated
     # crash, not independent churn) and come back 25 s later.
     return _base_spec(
-        "rack-failure", "ringdht", num_nodes=12, duration=140.0,
+        "rack-failure", "chord", num_nodes=12, duration=140.0,
         models=(
             ChurnModel(join="staggered", join_spacing=0.5, churn_fraction=0.0),
             CorrelatedCrashModel(at=30.0, racks=2, recover_after=25.0),
@@ -160,7 +167,7 @@ def _flapping_partition() -> ScenarioSpec:
     # healed, so the failure detector keeps being almost-right.  Last heal at
     # 30 + 2*16 + 8 = 70 s.
     return _base_spec(
-        "flapping-partition", "ringdht", num_nodes=10, duration=140.0,
+        "flapping-partition", "chord", num_nodes=10, duration=140.0,
         models=(
             ChurnModel(join="staggered", join_spacing=0.5, churn_fraction=0.0),
             FlappingPartitionModel(at=30.0, period=16.0, duty=0.5, cycles=3,
@@ -189,7 +196,7 @@ def _bottleneck_links() -> ScenarioSpec:
     # Uplink congestion: the two stub-domain uplinks drop to 5% bandwidth and
     # 4x latency for 40 s, then recover.
     return _base_spec(
-        "bottleneck-links", "ringdht", num_nodes=10, duration=130.0,
+        "bottleneck-links", "chord", num_nodes=10, duration=130.0,
         models=(
             ChurnModel(join="staggered", join_spacing=0.5, churn_fraction=0.0),
             DegradeModel(at=25.0, restore_after=40.0, links=STUB_UPLINK_EDGES,
@@ -218,7 +225,7 @@ def _churn_storm() -> ScenarioSpec:
     # Half the membership fail-stops and rejoins inside a 45 s window, on a
     # lossy network — the paper's churn experiment pushed to the edge.
     return _base_spec(
-        "churn-storm", "ringdht", num_nodes=12, duration=150.0,
+        "churn-storm", "chord", num_nodes=12, duration=150.0,
         loss=0.01,
         models=(
             ChurnModel(join="staggered", join_spacing=0.5, churn_fraction=0.5,
@@ -232,7 +239,7 @@ def _partition_under_churn() -> ScenarioSpec:
     # Churn and a 20 s host partition overlap, so some nodes crash while
     # partitioned and recover into a healed network (and vice versa).
     return _base_spec(
-        "partition-under-churn", "ringdht", num_nodes=12, duration=150.0,
+        "partition-under-churn", "chord", num_nodes=12, duration=150.0,
         models=(
             ChurnModel(join="staggered", join_spacing=0.5, churn_fraction=0.34,
                        churn_start=25.0, churn_end=65.0, downtime=10.0),
@@ -265,28 +272,28 @@ LIBRARY: tuple[LibraryEntry, ...] = (
     LibraryEntry("flash-crowd", "chord",
                  "Poisson burst of joins against a small warm core",
                  _flash_crowd),
-    LibraryEntry("flash-crowd-departure", "ringdht",
+    LibraryEntry("flash-crowd-departure", "chord",
                  "flash crowd arrives, stays 30 s, then mass-departs",
                  _flash_crowd_departure),
-    LibraryEntry("rack-failure", "ringdht",
+    LibraryEntry("rack-failure", "chord",
                  "two failure domains power-cycle simultaneously",
                  _rack_failure),
-    LibraryEntry("flapping-partition", "ringdht",
+    LibraryEntry("flapping-partition", "chord",
                  "host partition cuts and heals three times",
                  _flapping_partition),
     LibraryEntry("asymmetric-partition", "chord",
                  "one-directional uplink blackholes, flapping",
                  _asymmetric_partition),
-    LibraryEntry("bottleneck-links", "ringdht",
+    LibraryEntry("bottleneck-links", "chord",
                  "stub uplinks at 5% bandwidth / 4x latency for 40 s",
                  _bottleneck_links),
     LibraryEntry("slow-nodes", "chord",
                  "30% of nodes straggle at 8x latency for 40 s",
                  _slow_nodes),
-    LibraryEntry("churn-storm", "ringdht",
+    LibraryEntry("churn-storm", "chord",
                  "half the membership churns in 45 s on a lossy network",
                  _churn_storm),
-    LibraryEntry("partition-under-churn", "ringdht",
+    LibraryEntry("partition-under-churn", "chord",
                  "churn overlapping a 20 s partition",
                  _partition_under_churn),
     LibraryEntry("scribe-flapping", "scribe-pastry",

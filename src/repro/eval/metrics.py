@@ -191,6 +191,19 @@ def correct_successor_fraction(ring: Sequence[tuple[int, int]],
     return correct / total
 
 
+def ring_successor_correctness(nodes: Iterable[MacedonNode]) -> float:
+    """:func:`correct_successor_fraction` over the live nodes of a simulated
+    ring (Figure 10's correct-route-entries metric for the successor pointer
+    of each live node's lowest-layer agent); 0.0 when no node is live."""
+    live = [node for node in nodes if node.alive and node.initialized]
+    if not live:
+        return 0.0
+    key_space = live[0].lowest_agent.key_space
+    return correct_successor_fraction(
+        [(key_space.hash(node.address), node.address) for node in live],
+        {node.address: node.lowest_agent.successor for node in live})
+
+
 # -------------------------------------------------------- application (KV) metrics
 def zipf_cdf(keys: int, s: float) -> list[float]:
     """Cumulative popularity of *keys* ranks under Zipf(*s*): rank ``r`` has

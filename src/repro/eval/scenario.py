@@ -53,6 +53,13 @@ class ScenarioError(ValueError):
 
 
 # --------------------------------------------------------------------- events
+def check_event_time(kind: str, time: float) -> None:
+    """An event before the moment its model is applied is malformed, in the
+    same words under every executor."""
+    if time < 0:
+        raise ScenarioError(f"{kind} event scheduled {time} s in the past")
+
+
 @dataclass(frozen=True)
 class ScenarioEvent:
     """One compiled timeline entry: when, what, and the thunk that does it."""
@@ -67,9 +74,7 @@ class ScenarioEvent:
     node: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ScenarioError(
-                f"{self.kind} event scheduled {self.time} s in the past")
+        check_event_time(self.kind, self.time)
 
 
 class CompiledModel:

@@ -19,8 +19,8 @@ the underlying entry point directly (pinned by
 ``tests/eval/test_facade.py``), and the old entry points remain public.
 
 Live mode maps the spec onto a :class:`~repro.live.LiveClusterConfig`
-(:func:`live_config`): the protocol comes from reverse-resolving the spec's
-agents factory against :data:`repro.eval.library.PROTOCOLS`, and the spec's
+(:func:`live_config`): the protocol is the registry stack the spec's agents
+factory names (a :data:`repro.eval.library.PROTOCOLS` row), and the spec's
 first :class:`~repro.eval.workload.WorkloadModel` is handed over *whole* —
 every live process draws the same schedule from it
 (:meth:`~repro.eval.workload.WorkloadModel.draw`), issues and observes its
@@ -43,42 +43,34 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence, Union
 
-#: library protocol name -> registry spec name bootable by the live runtime.
-#: ``ringdht`` is absent by design: it is a hand-written agent, not a
-#: ``.mac`` specification the live registry can compile.
-_LIVE_PROTOCOLS = {
-    "chord": "chord",
-    "pastry": "pastry",
-    "scribe-pastry": "scribe",
-}
-
 
 def live_config(spec, **overrides):
     """The :class:`~repro.live.LiveClusterConfig` *spec* deploys as.
 
-    Raises :class:`~repro.eval.scenario.ScenarioError` when the spec has no
-    live protocol or no workload, :class:`~repro.live.LiveFaultError` when a
-    fault model has no live equivalent (an explicit ``faults=`` override,
-    including ``()``, skips fault compilation).
+    Raises :class:`~repro.eval.scenario.ScenarioError` when the spec's agents
+    are not a :data:`~repro.eval.library.PROTOCOLS` row or it has no workload,
+    :class:`~repro.live.LiveFaultError` when a fault model has no live
+    equivalent (an explicit ``faults=`` override, including ``()``, skips
+    fault compilation).
     """
-    from .eval.fuzz import protocol_name_of
+    from .eval.library import PROTOCOLS, RegistryStack
     from .eval.scenario import ScenarioError, WorkloadModel
     from .live import LiveClusterConfig, compile_fault_models
 
-    name = protocol_name_of(spec)
-    live_name = _LIVE_PROTOCOLS.get(name)
-    if live_name is None:
+    stack = spec.agents
+    if not (isinstance(stack, RegistryStack)
+            and stack in PROTOCOLS.values()):
         raise ScenarioError(
-            f"protocol {name!r} has no live deployment (it is not a "
-            f"compiled .mac specification); live protocols: "
-            f"{sorted(_LIVE_PROTOCOLS)}")
+            f"spec.agents has no live deployment: a node process compiles "
+            f"its stack by registry name, so live mode needs a row of "
+            f"repro.eval.library.PROTOCOLS ({sorted(PROTOCOLS)})")
     workloads = [model for model in spec.models
                  if isinstance(model, WorkloadModel)]
     if not workloads:
         raise ScenarioError(
             "spec.models has no WorkloadModel: live mode needs a "
             "WorkloadModel to know what traffic to drive")
-    kwargs = dict(nodes=spec.num_nodes, protocol=live_name,
+    kwargs = dict(nodes=spec.num_nodes, protocol=stack.name,
                   workload=workloads[0], seed=spec.seed)
     kwargs.update(overrides)
     if "duration" not in kwargs:

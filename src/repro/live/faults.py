@@ -166,12 +166,15 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
 
     Raises :class:`LiveFaultError` for models with no live equivalent.
     """
-    from ..eval.scenario import GroupModel, ScenarioError, WorkloadModel
+    from ..eval.scenario import (FAULT_VERBS, GroupModel, ScenarioError,
+                                 WorkloadModel, check_event_time)
 
     rng = random.Random(f"{config.seed}:live-faults")
     scale = (config.duration - config.workload_start) / float(spec.duration)
 
     def map_at(t: float) -> float:
+        # Clamped: a churn window's edge before 0 (the draw opens the window
+        # at the join) and anything past the end.  A row before 0 is refused.
         t = min(max(float(t), 0.0), float(spec.duration))
         return round(min(config.workload_start + t * scale,
                          config.duration - 0.25), 3)
@@ -201,8 +204,13 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
             continue   # the live workload/group choreography covers these
         try:
             # Drawn once as written (scratch stream) for the model's own
-            # checks: rescaling would floor ``period=0.0`` into validity.
-            model.draw(config.nodes, random.Random(0), spec.duration)
+            # checks and the simulator's on the rows: rescaling would floor
+            # a zero period or negative span, and clamp ``at=-5.0``, to valid.
+            for row in model.draw(config.nodes, random.Random(0),
+                                  spec.duration)[0]:
+                check_event_time(FAULT_VERBS[row.verb][0], row.at)
+                if row.until is not None:
+                    check_event_time(FAULT_VERBS[row.verb][2], row.until)
             rows, _metrics = rescaled(model).draw(config.nodes, rng, horizon)
         except ScenarioError as exc:
             raise LiveFaultError(str(exc)) from exc
@@ -226,10 +234,10 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
 def live_runnable(spec) -> Tuple[bool, Optional[str]]:
     """Is *spec* runnable as a live deployment?  Returns ``(ok, reason)``.
 
-    A spec is live-runnable when its protocol is one the live registry can
-    boot, it carries a workload, and every fault model compiles onto
-    wall-clock — the tag the fuzzer stamps on generated specs so the
-    differential harness can consume fuzzer artifacts.
+    A spec is live-runnable when its agents are a registry stack (any
+    ``PROTOCOLS`` row), it carries a workload, and every fault model
+    compiles onto wall-clock — the tag the fuzzer stamps on generated specs
+    so the differential harness can consume fuzzer artifacts.
     """
     from ..eval.scenario import ScenarioError
     from ..facade import live_config

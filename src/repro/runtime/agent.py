@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Optional, Sequence
 
-from .handlers import HANDLER_PARAMS, emit_handlers, handler_name
+from .handlers import HANDLER_PARAMS, handler_name
 from .keys import KeySpace
 from .locks import InstanceLock
 from .messages import Message, MessageCatalog, MessageType, WrappedMessage
@@ -138,7 +138,7 @@ class TransitionContext:
 
 # ------------------------------------------------------------------------- agent
 class Agent:
-    """Base class of all generated protocol agents (and hand-written ones)."""
+    """Base class of all generated protocol agents."""
 
     # ---- class attributes overridden by generated subclasses -----------------
     PROTOCOL: str = "agent"
@@ -169,21 +169,16 @@ class Agent:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         """Bind what the class's declarations fix for every instance.
 
-        A generated class arrives with its handlers written into it by the
-        code generator; a hand-written one that only declares ``TRANSITIONS``
-        gets them here from the same emitter, in context-object mode.
+        The code generator writes one handler per ``(kind, event)`` into the
+        class next to its ``TRANSITIONS``; a class that declares
+        ``TRANSITIONS`` without them is refused below.
         """
         super().__init_subclass__(**kwargs)
         handlers = cls._handlers = {kind: {} for kind in HANDLER_PARAMS}
-        emitted: dict[str, Any] = {}
         for spec in cls.TRANSITIONS:
-            name = handler_name(spec.kind, spec.name)
-            if not hasattr(cls, name):
-                if not emitted:
-                    exec(emit_handlers(cls.TRANSITIONS, cls.STATES),  # noqa: S102
-                         globals(), emitted)
-                setattr(cls, name, emitted[name])
-            handlers[spec.kind][spec.name] = getattr(cls, name)
+            handler = getattr(cls, handler_name(spec.kind, spec.name), None)
+            if handler is not None:
+                handlers[spec.kind][spec.name] = handler
         for spec in cls.TRANSITIONS:
             # Each exists and is reached from exactly its own handler (else:
             # stale generated module, or TRANSITIONS changed behind handlers).

@@ -1,12 +1,12 @@
 """The handler emitter: one straight-line dispatcher per ``(kind, event)``.
 
 The generator knows statically which states a transition is scoped to and
-which lock class it takes, so dispatch is *emitted*, not interpreted.  One
-emitter serves both kinds of agent: the code generator writes its output into
-the generated class (``static`` names the transitions that take the message,
-or nothing for a timer, instead of a ``TransitionContext``), and a
-hand-written agent that declares ``TRANSITIONS`` gets the same handlers, in
-context-object mode, when its class is created (``Agent.__init_subclass__``).
+which lock class it takes, so dispatch is *emitted*, not interpreted.  The
+code generator is the emitter's only caller: it writes the output into the
+generated class, next to the transition methods (``static`` names the
+transitions that take the message, or nothing for a timer, instead of a
+``TransitionContext``), and ``Agent.__init_subclass__`` only binds and checks
+what it finds there.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _guard(state_expr: str, states: Sequence[str]) -> str:
 
 
 def emit_handlers(transitions: Iterable, states: Sequence[str],
-                  static: Collection[str] = ()) -> str:
+                  static: Collection[str]) -> str:
     """Python source of one handler method per ``(kind, name)`` bucket.
 
     A handler tests the bucket's state expressions in declaration order and,

@@ -7,10 +7,15 @@
 * parity of everything dispatch owes its callers: ``LockStats``,
   ``LockingViolation``, the MED ``"transition"`` trace record, the
   ``receive_message`` / ``send_msg`` override hooks the paper baselines use,
-  and hand-written ``TRANSITIONS`` classes (context-object mode).
+  a layered pair with a ``forward`` transition, and the refusal of a class
+  that declares ``TRANSITIONS`` without generated handlers.
 """
 
 from __future__ import annotations
+
+import re
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from repro.network import NetworkEmulator, transit_stub_topology
 from repro.runtime import LockingViolation, MacedonNode, Simulator, Tracer
 from repro.runtime.agent import (Agent, AgentError, TransitionContext,
                                  TransitionSpec)
-from repro.runtime.messages import FieldSpec, Message, MessageType
+from repro.runtime.messages import Message
 from repro.runtime.stateexpr import parse_state_expr
 
 BUNDLED = ("ammo", "bullet", "chord", "nice", "overcast", "pastry",
@@ -213,84 +218,92 @@ def test_baseline_style_overrides_see_every_message():
     assert a.lowest_agent.received == [("pong", {"n": 5})]
 
 
-# ----------------------------------------------------------- hand-written agent
-class Lower(Agent):
-    """Hand-written lowest layer: routes a payload one hop, offering it to the
-    layer above (``forward``) before it leaves."""
-
-    PROTOCOL = "lower"
-    STATES = ("up",)
-    TRANSPORT_DECLS = (("UDP", "U"),)
-    MESSAGE_TYPES = (MessageType("hop", ()),)
-    TRANSITIONS = (
-        TransitionSpec("api", "init", "any", "t_init"),
-        TransitionSpec("api", "route", "up", "t_route", "read"),
-        TransitionSpec("recv", "hop", "up", "t_hop", "read"),
-    )
-
-    def t_init(self, ctx):
-        self.state_change("up")
-
-    def t_route(self, ctx):
-        allow, _ = self.upcall_forward(ctx.payload, ctx.payload_size, "hop",
-                                       ctx.dest_key, None)
-        ctx.result = allow
+# ------------------------------------------------------------- a layered pair
+LOWER = """
+protocol lower
+addressing ip
+states { up; }
+transports { UDP U; }
+messages { U hop { } }
+transitions {
+    any API init { state_change("up") }
+    up API route [locking read;] {
+        # Offer the payload to the layer above (forward) before it leaves.
+        allow, _ = upcall_forward(payload, payload_size, "hop", dest_key, None)
+        result = allow
         if allow:
-            self.send_msg("hop", ctx.dest_key, payload=ctx.payload,
-                          payload_size=ctx.payload_size)
+            send_msg("hop", dest_key, payload=payload, payload_size=payload_size)
+    }
+    up recv hop [locking read;] {
+        upcall_deliver(payload, payload_size, "hop", source=source)
+    }
+}
+"""
 
-    def t_hop(self, ctx):
-        self.upcall_deliver(ctx.payload, ctx.payload_size, "hop",
-                            source=ctx.source)
-
-
-class Upper(Agent):
-    """Hand-written upper layer whose ``forward`` transition quashes odd
-    notes and whose ``recv`` transition counts what arrives."""
-
-    PROTOCOL = "upper"
-    BASE_PROTOCOL = "lower"
-    STATES = ("up",)
-    MESSAGE_TYPES = (MessageType("note", (FieldSpec("v", "int"),)),)
-    TRANSITIONS = (
-        TransitionSpec("api", "init", "any", "t_init"),
-        TransitionSpec("forward", "note", "up", "t_forward_note", "read"),
-        TransitionSpec("recv", "note", "init", "t_never"),
-        TransitionSpec("recv", "note", "up", "t_note"),
-    )
-
-    def __init__(self, node):
-        super().__init__(node)
-        self.total = 0
-        self.offered = []
-
-    def t_init(self, ctx):
-        self.state_change("up")
-
-    def t_forward_note(self, ctx):
-        self.offered.append((ctx.field("v"), ctx.next_hop))
-        ctx.quash = ctx.field("v") % 2 == 1
-
-    def t_never(self, ctx):
-        raise AssertionError("scoped to init, dispatched in up")
-
-    def t_note(self, ctx):
-        assert ctx.source_key is not None and ctx.msg.name == "note"
-        self.total += ctx.field("v")
+UPPER = """
+protocol upper uses lower
+addressing ip
+states { up; }
+messages { note { int v; } }
+state_variables { int total; list offered; }
+transitions {
+    any API init { state_change("up") }
+    up forward note [locking read;] {
+        # Sees every note on its way out and quashes the odd ones.
+        offered.append((field("v"), next_hop))
+        quash = field("v") % 2 == 1
+    }
+    init recv note { raise AssertionError("scoped to init, dispatched in up") }
+    up recv note {
+        assert source_key is not None and msg.name == "note"
+        total = total + field("v")
+    }
+}
+"""
 
 
-def test_hand_written_transitions_get_ctx_mode_handlers():
-    assert Upper._handle_recv_note.__code__.co_names.count("_message_ctx") == 1
+def test_layered_forward_quash_state_scoped_recv_and_read_locks():
+    lower, upper = (compile_mac(LOWER, "lower.mac"),
+                    compile_mac(UPPER, "upper.mac"))
     simulator = Simulator(seed=4)
     emulator = NetworkEmulator(simulator, transit_stub_topology(2, seed=4))
-    a, b = (MacedonNode(simulator, emulator, [Lower, Upper]) for _ in range(2))
+    a, b = (MacedonNode(simulator, emulator, [lower, upper]) for _ in range(2))
     a.macedon_init(a.address)
     b.macedon_init(a.address)
-    upper = a.agent("upper")
+    sender = a.agent("upper")
     for v in (2, 3, 4):
-        upper.route_msg("note", b.address, v=v)
+        sender.route_msg("note", b.address, v=v)
     simulator.run(until=1.0)
     # The forward transition saw all three and quashed the odd one.
-    assert upper.offered == [(2, b.address), (3, b.address), (4, b.address)]
+    assert sender.offered == [(2, b.address), (3, b.address), (4, b.address)]
     assert b.agent("upper").total == 6
     assert a.agent("lower").lock.stats.read_acquisitions == 3
+
+
+def test_transitions_without_handlers_are_refused_at_class_creation():
+    """Only the code generator writes handlers: a class that declares
+    ``TRANSITIONS`` by hand gets no emitted dispatcher, it gets told."""
+    with pytest.raises(AgentError, match=r"'t_init' is missing or reached "
+                                         r"from handlers \[\]"):
+        type("ByHand", (Agent,), {
+            "PROTOCOL": "byhand",
+            "TRANSITIONS": (TransitionSpec("api", "init", "any", "t_init"),),
+            "t_init": lambda self, ctx: None})
+
+
+def test_no_hand_written_transition_table_under_src():
+    """Protocols are ``.mac`` specifications: a ``TRANSITIONS`` table or a
+    ``TransitionSpec(...)`` in ``src/`` belongs to the runtime's declaration
+    of them or to the generator that writes them, nowhere else."""
+    root = Path(__file__).resolve().parents[2]
+    tracked = subprocess.run(
+        ["git", "ls-files", "src/*.py"], cwd=root, check=True,
+        capture_output=True, text=True).stdout.split()
+    assert len(tracked) > 50
+    offenders = [
+        name for name in tracked
+        if name != "src/repro/runtime/agent.py"
+        and not name.startswith("src/repro/codegen/")
+        and re.search(r"TransitionSpec\(|TRANSITIONS =",
+                      (root / name).read_text(encoding="utf-8"))]
+    assert offenders == []

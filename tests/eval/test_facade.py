@@ -8,10 +8,12 @@ underlying entry point directly produces, so callers can migrate to
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro
-from repro.eval.library import resolve_protocol
+from repro.eval.library import RegistryStack, resolve_protocol
 from repro.eval.runner import ScenarioRunner
 from repro.eval.scenario import (ChurnModel, ScenarioError, ScenarioSpec,
                                  WorkloadModel)
@@ -97,12 +99,17 @@ def test_facade_rejects_bad_arguments():
 
 
 def test_facade_live_mapping_rejects_uncompiled_protocols():
+    # Agent classes built in this process, not a PROTOCOLS row: a node
+    # process would have no registry name to compile.
     spec = ScenarioSpec(
-        name="facade-ring", agents=resolve_protocol("ringdht"),
+        name="facade-classes", agents=resolve_protocol("chord")(),
         num_nodes=4, duration=30.0, seed=1,
         models=(WorkloadModel(kind="route", packets=4, start=20.0),))
     with pytest.raises(ScenarioError, match="no live deployment"):
         repro.run(spec, mode="live")
+    # Nor is a registry stack the table does not list.
+    with pytest.raises(ScenarioError, match="no live deployment"):
+        repro.run(replace(spec, agents=RegistryStack("bullet")), mode="live")
 
 
 def test_facade_live_mapping_needs_a_workload():

@@ -28,33 +28,31 @@ from repro.eval.library import (
     resolve_protocol,
 )
 from repro.eval.scenario import ScenarioResult, WorkloadModel
-from repro.protocols.ring import RingDhtAgent
+from repro.protocols import chord_agent
 
 
-class DoubleDeliverAgent(RingDhtAgent):
-    """Ring agent with a seeded duplicate-delivery bug, for fuzzer tests."""
+class DoubleDeliverAgent(chord_agent()):
+    """Generated Chord with a seeded duplicate-delivery bug, for fuzzer tests."""
 
-    def _route_data(self, target, payload, payload_size, hops):
-        if self._owns(target):
-            self.upcall_deliver(payload, payload_size, "data")
-            self.upcall_deliver(payload, payload_size, "data")
-            return
-        super()._route_data(target, payload, payload_size, hops)
+    def route_data(self, target, payload, size, hops):
+        if self.owns_key(target):
+            self.upcall_deliver(payload, size, "data")
+        super().route_data(target, payload, size, hops)
 
 
 @pytest.fixture
 def buggy_protocol():
-    PROTOCOLS["ringdht-dupbug"] = lambda: [DoubleDeliverAgent]
+    PROTOCOLS["chord-dupbug"] = lambda: [DoubleDeliverAgent]
     try:
-        yield "ringdht-dupbug"
+        yield "chord-dupbug"
     finally:
-        del PROTOCOLS["ringdht-dupbug"]
+        del PROTOCOLS["chord-dupbug"]
 
 
 #: Small bounds keep fuzz tests fast; min_duration must still clear the
 #: settle-window validation.
 def small_config(**overrides) -> FuzzConfig:
-    defaults = dict(protocols=("ringdht",), min_nodes=4, max_nodes=6,
+    defaults = dict(protocols=("chord",), min_nodes=4, max_nodes=6,
                     min_duration=150.0, max_duration=160.0,
                     max_fault_models=1, max_shrink_runs=8)
     defaults.update(overrides)
@@ -111,7 +109,7 @@ def test_library_specs_roundtrip_through_dict():
 
 def test_unregistered_agents_do_not_serialise():
     spec = library_spec("flash-crowd").__class__(
-        name="adhoc", agents=[RingDhtAgent], num_nodes=4, duration=60.0)
+        name="adhoc", agents=[chord_agent()], num_nodes=4, duration=60.0)
     with pytest.raises(ScenarioError, match="not a registered protocol"):
         spec_to_dict(spec)
 
@@ -215,8 +213,11 @@ def test_library_entries_build_valid_specs():
 def test_library_lookup_errors_name_the_choices():
     with pytest.raises(ScenarioError, match="flash-crowd"):
         library_entry("no-such-scenario")
-    with pytest.raises(ScenarioError, match="ringdht"):
+    with pytest.raises(ScenarioError, match="scribe-pastry"):
         resolve_protocol("no-such-protocol")
+    # The hand-written ring stand-in is gone, and no alias maps its name.
+    with pytest.raises(ScenarioError, match="unknown protocol 'ringdht'"):
+        resolve_protocol("ringdht")
 
 
 def test_library_spec_runs_deterministically():

@@ -16,7 +16,7 @@ from repro.eval import (
     ring_eventually_correct,
 )
 from repro.eval.invariants import last_disruption
-from repro.protocols.ring import RingDhtAgent, ring_agent
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
@@ -27,7 +27,7 @@ FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
 def run_spec(models, *, agents=None, num_nodes: int = 6, seed: int = 1,
              duration: float = 110.0):
     return ScenarioSpec(
-        name="invariants", agents=agents or [ring_agent()],
+        name="invariants", agents=agents or [chord_agent()],
         num_nodes=num_nodes, duration=duration, seed=seed,
         failure_config=FAST_FAILURE, models=tuple(models)).run()
 
@@ -54,13 +54,11 @@ def test_last_disruption_ignores_unfired_and_measurement_events():
 
 
 def test_duplicate_delivery_detected():
-    class DoubleDeliverAgent(RingDhtAgent):
-        def _route_data(self, target, payload, payload_size, hops):
-            if self._owns(target):
-                self.upcall_deliver(payload, payload_size, "data")
-                self.upcall_deliver(payload, payload_size, "data")
-                return
-            super()._route_data(target, payload, payload_size, hops)
+    class DoubleDeliverAgent(chord_agent()):
+        def route_data(self, target, payload, size, hops):
+            if self.owns_key(target):
+                self.upcall_deliver(payload, size, "data")
+            super().route_data(target, payload, size, hops)
 
     result = run_spec(ADVERSARIAL, agents=[DoubleDeliverAgent])
     violations = no_duplicate_delivery(result)
@@ -125,10 +123,7 @@ def test_ring_invariant_vacuous_without_settle_window():
 
 
 def test_ring_invariant_vacuous_for_ringless_protocols():
-    class NoRingAgent(RingDhtAgent):
-        pass
-
-    result = run_spec(ADVERSARIAL, agents=[NoRingAgent])
+    result = run_spec(ADVERSARIAL)
     for node in result.experiment.nodes:
         del node.lowest_agent.successor   # instance attr; spec var machinery
     assert ring_eventually_correct(result) == []

@@ -18,8 +18,9 @@ from repro.eval import (
     SummaryStats,
     WorkloadModel,
 )
+from repro.eval.metrics import ring_successor_correctness
 from repro.network.topology import TopologyError, transit_stub_topology
-from repro.protocols.ring import ring_agent, ring_successor_correctness
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 #: Aggressive failure detection keeps test scenarios short.
@@ -31,7 +32,7 @@ FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
 def ring_experiment(num_nodes: int = 8, seed: int = 1,
                     duration: float = 120.0) -> OverlayExperiment:
     return OverlayExperiment(
-        [ring_agent()],
+        [chord_agent()],
         ExperimentConfig(num_nodes=num_nodes, seed=seed,
                          convergence_time=duration,
                          failure_config=FAST_FAILURE))
@@ -87,7 +88,7 @@ def test_churn_crashes_never_precede_the_victims_join():
 
 def test_scenario_restores_chained_handlers_in_reverse_order():
     spec = ScenarioSpec(
-        name="two-workloads", agents=[ring_agent()], num_nodes=4,
+        name="two-workloads", agents=[chord_agent()], num_nodes=4,
         duration=40.0, failure_config=FAST_FAILURE,
         models=(ChurnModel(join="immediate"),
                 WorkloadModel(kind="route", source=-1, start=20.0, packets=3),
@@ -194,7 +195,7 @@ def test_init_all_is_synchronous_for_immediate_joins():
 def test_experiment_rejects_more_nodes_than_attachment_points():
     topology = transit_stub_topology(4, seed=1)
     with pytest.raises(TopologyError) as excinfo:
-        OverlayExperiment([ring_agent()],
+        OverlayExperiment([chord_agent()],
                           ExperimentConfig(num_nodes=10, topology=topology))
     message = str(excinfo.value)
     assert "num_nodes=10" in message and "4 client attachment points" in message
@@ -229,7 +230,7 @@ def test_workload_chains_and_probe_restores_deliver_handlers():
 
 def test_configure_hook_reapplied_after_recovery():
     spec = ScenarioSpec(
-        name="retune", agents=[ring_agent()], num_nodes=4, duration=60.0,
+        name="retune", agents=[chord_agent()], num_nodes=4, duration=60.0,
         failure_config=FAST_FAILURE,
         models=(ChurnModel(join="immediate"),
                 CrashModel(at=10.0, victims=(2,), recover_after=15.0)),
@@ -248,7 +249,7 @@ def churn_crash_partition_spec(seed: int = 1) -> ScenarioSpec:
     """The acceptance scenario: churn + crash + partition + workload."""
     return ScenarioSpec(
         name="acceptance",
-        agents=[ring_agent()],
+        agents=[chord_agent()],
         num_nodes=10,
         duration=150.0,
         seed=seed,
@@ -303,7 +304,7 @@ def test_combined_scenario_diverges_across_seeds():
 # ----------------------------------------------------------------------- runner
 def test_runner_aggregates_metrics_across_seeds():
     spec = ScenarioSpec(
-        name="runner", agents=[ring_agent()], num_nodes=6, duration=60.0,
+        name="runner", agents=[chord_agent()], num_nodes=6, duration=60.0,
         failure_config=FAST_FAILURE,
         models=(ChurnModel(join="staggered", join_spacing=0.25),
                 WorkloadModel(kind="route", source=-1, start=20.0,

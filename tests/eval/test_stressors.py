@@ -20,7 +20,7 @@ from repro.eval import (
     ScenarioSpec,
     WorkloadModel,
 )
-from repro.protocols.ring import ring_agent
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
@@ -31,7 +31,7 @@ FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
 def ring_experiment(num_nodes: int = 8, seed: int = 1,
                     duration: float = 120.0) -> OverlayExperiment:
     return OverlayExperiment(
-        [ring_agent()],
+        [chord_agent()],
         ExperimentConfig(num_nodes=num_nodes, seed=seed,
                          convergence_time=duration,
                          failure_config=FAST_FAILURE))
@@ -39,7 +39,7 @@ def ring_experiment(num_nodes: int = 8, seed: int = 1,
 
 def ring_spec(name: str, models, *, num_nodes: int = 8, seed: int = 1,
               duration: float = 120.0) -> ScenarioSpec:
-    return ScenarioSpec(name=name, agents=[ring_agent()],
+    return ScenarioSpec(name=name, agents=[chord_agent()],
                         num_nodes=num_nodes, duration=duration, seed=seed,
                         failure_config=FAST_FAILURE, models=tuple(models))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval.library import resolve_protocol
@@ -152,7 +154,9 @@ def test_live_runnable_tags():
     ok, reason = live_runnable(_spec(workload))
     assert ok and reason is None
 
-    ok, reason = live_runnable(_spec(workload, protocol="ringdht"))
+    # Agent classes rather than a PROTOCOLS row: nothing names the stack.
+    ok, reason = live_runnable(
+        replace(_spec(workload), agents=resolve_protocol("chord")()))
     assert not ok and "no live deployment" in reason
 
     ok, reason = live_runnable(_spec())
@@ -186,6 +190,42 @@ def test_a_spec_the_simulator_rejects_is_rejected_live_in_the_same_words(name):
     with pytest.raises(LiveFaultError) as live:
         compile_fault_models(spec, _config())
     assert str(live.value) == str(sim.value)
+
+
+def test_a_negative_instant_is_refused_live_exactly_when_the_simulator_refuses_it():
+    workload = WorkloadModel(kind="route", source=-1, start=40.0, packets=8,
+                             gap=2.0)
+    # ``at`` reaches the drawn rows as written, whatever the rescaling onto
+    # the live window would make of it: refused, in the simulator's words.
+    spec = _spec(CrashModel(at=-5.0, victims=(2,), recover_after=10.0),
+                 workload)
+    with pytest.raises(ScenarioError) as sim:
+        spec.build()
+    assert str(sim.value) == "crash event scheduled -5.0 s in the past"
+    with pytest.raises(LiveFaultError) as live:
+        compile_fault_models(spec, _config())
+    assert str(live.value) == str(sim.value)
+    assert live_runnable(spec) == (False, str(sim.value))
+    # So does a fault's undo, which no span floor may lift back above zero.
+    spec = _spec(CrashModel(at=2.0, victims=(2,), recover_after=-5.0),
+                 workload)
+    with pytest.raises(ScenarioError) as sim:
+        spec.build()
+    assert str(sim.value) == "recover event scheduled -3.0 s in the past"
+    with pytest.raises(LiveFaultError) as live:
+        compile_fault_models(spec, _config())
+    assert str(live.value) == str(sim.value)
+    # The edges of a churn window do not: the draw opens each victim's window
+    # at its join, so the simulator accepts both and live must too.
+    for window in ({"churn_start": -30.0, "churn_end": 60.0},
+                   {"churn_end": -10.0}):
+        spec = _spec(ChurnModel(churn_fraction=0.4, downtime=8.0, **window),
+                     workload)
+        spec.build()
+        kills = compile_fault_models(spec, _config())
+        assert len(kills) == 2
+        assert all(kill.at >= _config().workload_start for kill in kills)
+        assert live_runnable(spec) == (True, None)
 
 
 def test_negative_victim_index_counts_from_the_end_in_both_modes():

@@ -15,7 +15,7 @@ and pin the three properties that matter:
 from __future__ import annotations
 
 from repro.eval import CrashModel, ExperimentConfig, OverlayExperiment
-from repro.protocols.ring import ring_agent
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 F = 10.0   # failure timeout (paper's f)
@@ -26,7 +26,7 @@ CHECK = 1.0
 def build_pair():
     """Bootstrap + one joined peer, mutually monitored via the ring set."""
     experiment = OverlayExperiment(
-        [ring_agent()],
+        [chord_agent()],
         ExperimentConfig(num_nodes=2, seed=3, convergence_time=300.0,
                          failure_config=FailureDetectorConfig(
                              failure_timeout=F, heartbeat_timeout=G,
@@ -44,8 +44,8 @@ def build_pair():
 def quiet_protocol_traffic(experiment) -> None:
     """Cancel ring maintenance so only runtime heartbeats remain."""
     for node in experiment.nodes:
-        node.lowest_agent.timer_cancel("stabilize")
-        node.lowest_agent.timer_cancel("join_retry")
+        for timer in ("stabilize", "fix_fingers", "join_retry"):
+            node.lowest_agent.timer_cancel(timer)
     # Drain anything already queued or in flight.
     experiment.run(5.0)
 
@@ -77,7 +77,7 @@ def test_error_upcall_fires_at_f_and_prunes_neighbors():
     assert detector.stats.failures_declared == 1
     assert detector.monitored_peers() == []
     agent = a.lowest_agent
-    # The ring agent's error transition removed the dead peer and fell back
+    # Chord's error transition removed the dead peer and fell back
     # to a singleton ring.
     assert not agent.ring_set.query(b.address)
     assert agent.successor == a.address

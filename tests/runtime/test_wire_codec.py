@@ -460,12 +460,12 @@ def test_kv_and_topic_payload_blob_sizes_pinned():
 
 
 def test_ring_ipdata_round_trips_with_kv_payload():
-    """The hand-written ring's routeIP message (``ipdata``) carries KV
-    replies between live processes; it must encode at model size too."""
+    """Chord's routeIP message (``ipdata``) carries KV replies between
+    live processes; it must encode at model size too."""
     from repro.apps.payload import KV_PUT_ACK, KvPayload
-    from repro.protocols.ring import ring_agent
+    from repro.protocols import chord_agent
 
-    agent_class = ring_agent()
+    agent_class = chord_agent()
     codec = WireCodec.for_agents([agent_class])
     ipdata = {t.name: t for t in agent_class.MESSAGE_TYPES}["ipdata"]
     payload = KvPayload(op=KV_PUT_ACK, key=77, version=12, seqno=34,
