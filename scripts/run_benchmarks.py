@@ -31,20 +31,11 @@ Four workloads are measured:
   invariant checking, so the stressed fault paths (burst joins, directed
   cuts, fault-branch routing) are performance-tracked and their fidelity
   metrics pinned per seed;
-* **shard** — the multi-process sharded kernel
-  (:mod:`repro.runtime.sharded`): a 1,000-node Chord overlay and a
-  Scribe-over-Pastry multicast run single-process and at ``shards`` in
-  {1, 4, 8}, recording aggregate events/s, speedup, barrier counts, and —
-  the machine-independent property — whether ``shards=1`` reproduced the
-  single-process metrics byte-identically and ``shards=K`` matched across
-  K.  Speedup needs >= K idle cores; the determinism booleans do not.
-
 Every entry also records **host provenance** (CPU model, core count,
 1-minute load average, Python version), so an entry whose absolute rates
 sank from a noisy or smaller runner is auditable instead of mysterious.
-Any unhandled exception out of a benchmark (including a forked shard
-worker's, which re-raises here) aborts with a non-zero exit status — a
-crashed run can never record or green-wash an entry.
+Any unhandled exception out of a benchmark aborts with a non-zero exit
+status — a crashed run can never record or green-wash an entry.
 
 A deterministic *fingerprint* workload (fixed seed, fixed traffic schedule)
 is also run; its delivery/latency metrics must be byte-identical across
@@ -70,6 +61,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import platform
 import random
 import subprocess
@@ -88,7 +80,6 @@ from repro.network.topology import transit_stub_topology  # noqa: E402
 from repro.protocols import chord_agent  # noqa: E402
 from repro.runtime.engine import Simulator  # noqa: E402
 from repro.runtime.failure import FailureDetectorConfig  # noqa: E402
-from repro.runtime.sharded.mailbox import host_provenance  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -108,10 +99,6 @@ BENCH_DEFAULTS = {
     "scale_nodes": 200,
     "scale_duration": 180,
     "scale_scribe_nodes": 200,
-    "shard_nodes": 1000,
-    "shard_duration": 60,
-    "shard_scribe_nodes": 150,
-    "shard_scribe_duration": 90,
     "app_kv_nodes": 200,
     "app_kv_duration": 180,
     "app_pubsub_nodes": 100,
@@ -130,9 +117,7 @@ def load_bench_config() -> dict:
         for key in ("kernel_events", "emulator_hosts", "emulator_packets",
                     "neighbors_per_host", "scenario_nodes",
                     "scenario_duration", "scale_nodes", "scale_duration",
-                    "scale_scribe_nodes", "shard_nodes", "shard_duration",
-                    "shard_scribe_nodes", "shard_scribe_duration",
-                    "app_kv_nodes", "app_kv_duration", "app_pubsub_nodes",
+                    "scale_scribe_nodes", "app_kv_nodes", "app_kv_duration", "app_pubsub_nodes",
                     "app_pubsub_duration"):
             if key in section:
                 config[key] = section.getint(key)
@@ -393,140 +378,6 @@ def bench_scale(num_nodes: int = 200, duration: float = 180.0,
         "success_ratio": repr(metrics["success_ratio"]),
     }
     return {"chord": chord, "scribe": scribe}
-
-
-# -------------------------------------------------------------------- shard
-def bench_shard(num_nodes: int = 1000, duration: float = 60.0,
-                scribe_nodes: int = 150, scribe_duration: float = 90.0,
-                shard_counts: tuple[int, ...] = (1, 4, 8),
-                seed: int = 1) -> dict:
-    """The multi-process sharded kernel at scale (docs/PERFORMANCE.md,
-    "Sharded execution").
-
-    Two workloads — *num_nodes* registry-compiled Chord under route probes,
-    and a *scribe_nodes* Scribe-over-Pastry group multicast — each run once
-    single-process and once per shard count in *shard_counts* via
-    :meth:`ScenarioSpec.run_sharded`.  Per run: wall-clock, aggregate
-    events/s across the shard workers, and the speedup of that aggregate
-    rate over the single-process run.
-
-    Speedup is machine-dependent: it needs at least as many idle cores as
-    shards (a 1-core host serialises the workers and the barrier protocol is
-    pure overhead — see the recorded host provenance).  The *determinism*
-    booleans are not: every run records whether it reproduced the
-    single-process metrics byte-identically
-    (``identical_to_single_process`` — there is one link physics, so K never
-    matters), ``shard1_identical`` is that boolean of the ``shards=1`` run,
-    and ``--check`` gates on it regardless of machine.
-    """
-    from repro.eval.scenario import GroupModel
-    from repro.protocols import scribe_stack
-
-    failure_config = FailureDetectorConfig(failure_timeout=10.0,
-                                           heartbeat_timeout=4.0,
-                                           check_interval=1.0)
-
-    # Same shape as the scale bench's Chord workload: staggered joins over
-    # the first 30% of the run, route probes over the last quarter.
-    probe_gap = 0.25
-    chord_spec = ScenarioSpec(
-        name="bench-shard-chord",
-        agents=lambda: [chord_agent()],
-        num_nodes=num_nodes,
-        duration=duration,
-        failure_config=failure_config,
-        models=(
-            ChurnModel(join="staggered",
-                       join_spacing=(duration * 0.3) / num_nodes,
-                       churn_fraction=0.0),
-            WorkloadModel(kind="route", source=-1, start=duration * 0.75,
-                          packets=int(duration * 0.2 / probe_gap),
-                          gap=probe_gap),
-        ))
-
-    # Scribe-over-Pastry: join wave, then every node joins one group, then a
-    # short multicast burst near the end.  Phase fractions keep the schedule
-    # valid at smoke sizes too.
-    group = 7
-    scribe_spec = ScenarioSpec(
-        name="bench-shard-scribe",
-        agents=lambda: scribe_stack("pastry"),
-        num_nodes=scribe_nodes,
-        duration=scribe_duration,
-        failure_config=failure_config,
-        models=(
-            ChurnModel(join="staggered",
-                       join_spacing=min(0.15,
-                                        scribe_duration * 0.25 / scribe_nodes),
-                       churn_fraction=0.0),
-            GroupModel(group=group, source=0, at=scribe_duration * 0.39,
-                       spacing=min(0.25,
-                                   scribe_duration * 0.42 / scribe_nodes)),
-            WorkloadModel(kind="multicast", source=0, group=group,
-                          start=scribe_duration * 0.87,
-                          packets=max(4, int(scribe_duration * 0.09)),
-                          gap=1.0),
-        ))
-
-    def fingerprint(result) -> dict:
-        return {key: repr(value)
-                for key, value in sorted(result.metrics.items())}
-
-    def measure(spec: ScenarioSpec) -> dict:
-        seeded = spec.with_seed(seed)
-        start = time.perf_counter()
-        single = seeded.run()
-        single_seconds = time.perf_counter() - start
-        single_events = single.metrics["sim.events_processed"]
-        single_rate = single_events / single_seconds
-        single_fp = fingerprint(single)
-
-        runs = []
-        shard1_identical = None
-        for count in shard_counts:
-            start = time.perf_counter()
-            sharded = seeded.run_sharded(count)
-            seconds = time.perf_counter() - start
-            events = sharded.metrics["sim.events_processed"]
-            fp = fingerprint(sharded)
-            info = sharded.shard_info
-            lookahead = info["lookahead"]
-            run = {
-                "shards": count,
-                "effective_shards": info["num_shards"],
-                # A one-shard plan has no cross-shard pair, so its window is
-                # unbounded; record null rather than emit non-JSON Infinity.
-                "lookahead": lookahead if lookahead != float("inf") else None,
-                "barriers": info["barriers"],
-                "cross_shard_packets": info["cross_shard_packets"],
-                "seconds": round(seconds, 6),
-                "events_processed": int(events),
-                "events_per_sec": round(events / seconds),
-                "speedup_vs_single": round((events / seconds) / single_rate,
-                                           3),
-            }
-            run["identical_to_single_process"] = fp == single_fp
-            if info["num_shards"] == 1:
-                shard1_identical = fp == single_fp
-            runs.append(run)
-        return {
-            "nodes": spec.num_nodes,
-            "duration": spec.duration,
-            "seed": seed,
-            "single": {
-                "seconds": round(single_seconds, 6),
-                "events_processed": int(single_events),
-                "events_per_sec": round(single_rate),
-            },
-            "runs": runs,
-            "shard1_identical": bool(shard1_identical),
-        }
-
-    return {
-        "shard_counts": list(shard_counts),
-        "chord": measure(chord_spec),
-        "scribe": measure(scribe_spec),
-    }
 
 
 # ---------------------------------------------------------------------- app
@@ -872,30 +723,6 @@ def check_against(entry: dict, reference: dict | None, position: int) -> int:
             skipped.append((f"app {bench}",
                             "run at different sizes than the reference "
                             "(smoke budget); rate not compared"))
-    # Shard rates compare like scale rates: only at identical workload
-    # shapes and shard counts (smoke runs use a small shard budget).
-    for proto in ("chord", "scribe"):
-        entry_bench = _nested_get(entry, "shard", proto)
-        reference_bench = _nested_get(reference, "shard", proto)
-        if entry_bench is None or reference_bench is None:
-            skipped.append((f"shard {proto}", "not recorded in both entries"))
-            continue
-        if any(entry_bench.get(key) != reference_bench.get(key)
-               for key in ("nodes", "duration")):
-            skipped.append((f"shard {proto}",
-                            "run at different sizes than the reference "
-                            "(smoke budget); rate not compared"))
-            continue
-        reference_runs = {run.get("shards"): run
-                          for run in reference_bench.get("runs", [])}
-        for run in entry_bench.get("runs", []):
-            recorded_run = reference_runs.get(run.get("shards"))
-            if recorded_run is None:
-                continue
-            checks.append((f"shard {proto} x{run['shards']} events/s",
-                           run["events_per_sec"],
-                           recorded_run["events_per_sec"]))
-
     floor = 1.0 - CHECK_REGRESSION_TOLERANCE
     failed = False
     print(f"\n--check vs entry #{position} "
@@ -903,18 +730,6 @@ def check_against(entry: dict, reference: dict | None, position: int) -> int:
           f"{reference.get('git_rev', '?')}):")
     for name, reason in skipped:
         print(f"  {name}: {reason}")
-    # Machine-independent determinism gate: a sharded run with shards=1 must
-    # have reproduced the single-process metrics byte-identically.  Unlike
-    # the rates this compares the *entry against itself*, so it holds on any
-    # runner, smoke included.
-    for proto in ("chord", "scribe"):
-        identical = _nested_get(entry, "shard", proto, "shard1_identical")
-        if identical is None:
-            continue
-        verdict = "OK" if identical else "FINGERPRINT MISMATCH"
-        print(f"  shard {proto} shards=1 == single-process: {verdict}")
-        if not identical:
-            failed = True
     for name, measured, recorded in checks:
         ratio = measured / recorded if recorded else float("inf")
         verdict = "OK" if ratio >= floor else "REGRESSION"
@@ -931,6 +746,36 @@ def check_against(entry: dict, reference: dict | None, position: int) -> int:
 
 
 # -------------------------------------------------------------------- output
+def host_provenance() -> dict:
+    """CPU model, core count, load average, and Python version of this host.
+
+    Recorded alongside every benchmark entry so absolute-rate swings can be
+    attributed to runner hardware or contention rather than code changes.
+    """
+    cpu_model = None
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            for line in handle:
+                if line.lower().startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    if cpu_model is None:
+        cpu_model = platform.processor() or platform.machine() or "unknown"
+    try:
+        load_1m = os.getloadavg()[0]
+    except OSError:
+        load_1m = None
+    return {
+        "cpu_model": cpu_model,
+        "cores": os.cpu_count(),
+        "load_1m": load_1m,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+    }
+
+
 def git_rev() -> str:
     try:
         return subprocess.run(
@@ -992,18 +837,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale-scribe-nodes", type=int,
                         default=config["scale_scribe_nodes"],
                         help="Scribe-over-Pastry overlay size of the scale bench")
-    parser.add_argument("--shard-nodes", type=int,
-                        default=config["shard_nodes"],
-                        help="Chord overlay size of the sharded-kernel bench")
-    parser.add_argument("--shard-duration", type=float,
-                        default=config["shard_duration"],
-                        help="simulated seconds of the sharded Chord bench")
-    parser.add_argument("--shard-scribe-nodes", type=int,
-                        default=config["shard_scribe_nodes"],
-                        help="Scribe overlay size of the sharded-kernel bench")
-    parser.add_argument("--shard-scribe-duration", type=float,
-                        default=config["shard_scribe_duration"],
-                        help="simulated seconds of the sharded Scribe bench")
     parser.add_argument("--app-kv-nodes", type=int,
                         default=config["app_kv_nodes"],
                         help="Chord overlay size of the app KV bench")
@@ -1016,9 +849,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--app-pubsub-duration", type=float,
                         default=config["app_pubsub_duration"],
                         help="simulated seconds of the app pub/sub bench")
-    parser.add_argument("--shard-counts", type=str, default="1,4,8",
-                        help="comma-separated shard counts to bench "
-                             "(default 1,4,8)")
     parser.add_argument("--quick", action="store_true",
                         help="small sizes for a smoke run")
     parser.add_argument("--smoke", action="store_true",
@@ -1045,14 +875,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scale_nodes = 200
         args.scale_duration = 30.0
         args.scale_scribe_nodes = 100
-        # Shard smoke: small populations, shards {1, 4} — enough to exercise
-        # the fork/barrier machinery and the shards=1 identity gate without
-        # the full-size wall-clock.
-        args.shard_nodes = 120
-        args.shard_duration = 20.0
-        args.shard_scribe_nodes = 60
-        args.shard_scribe_duration = 60.0
-        args.shard_counts = "1,4"
         # App smoke: small overlays, full choreography (joins, replication
         # or tree building, then the measured workload burst).
         args.app_kv_nodes = 60
@@ -1099,14 +921,6 @@ def main(argv: list[str] | None = None) -> int:
                         _nested_get(reference, "scale", "chord", "duration"),
                     "scale_scribe_nodes":
                         _nested_get(reference, "scale", "scribe", "nodes"),
-                    "shard_nodes":
-                        _nested_get(reference, "shard", "chord", "nodes"),
-                    "shard_duration":
-                        _nested_get(reference, "shard", "chord", "duration"),
-                    "shard_scribe_nodes":
-                        _nested_get(reference, "shard", "scribe", "nodes"),
-                    "shard_scribe_duration":
-                        _nested_get(reference, "shard", "scribe", "duration"),
                     "app_kv_nodes":
                         _nested_get(reference, "app", "kv", "nodes"),
                     "app_kv_duration":
@@ -1130,15 +944,6 @@ def main(argv: list[str] | None = None) -> int:
             for name, size in checked_sizes.items():
                 setattr(args, name, size)
 
-    try:
-        shard_counts = tuple(int(part) for part
-                             in args.shard_counts.split(",") if part.strip())
-    except ValueError:
-        parser.error(f"--shard-counts must be comma-separated integers, "
-                     f"got {args.shard_counts!r}")
-    if not shard_counts or any(count < 1 for count in shard_counts):
-        parser.error("--shard-counts needs at least one count >= 1")
-
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "label": args.label,
@@ -1151,10 +956,6 @@ def main(argv: list[str] | None = None) -> int:
                                                args.scenario_duration),
         "scale": bench_scale(args.scale_nodes, args.scale_duration,
                              args.scale_scribe_nodes),
-        "shard": bench_shard(args.shard_nodes, args.shard_duration,
-                             args.shard_scribe_nodes,
-                             args.shard_scribe_duration,
-                             shard_counts),
         "app": bench_app(args.app_kv_nodes, args.app_kv_duration,
                          args.app_pubsub_nodes, args.app_pubsub_duration),
         "adversarial": bench_adversarial(),

@@ -63,14 +63,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nodes", type=int, default=50)
     parser.add_argument("--duration", type=float, default=240.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--shards", type=int, default=1,
-                        help="run on the sharded kernel (default 1)")
     parser.add_argument("--min-success", type=float, default=0.9,
                         help="exit 1 if kv quorum success is below this")
     args = parser.parse_args(argv)
 
     spec = build_spec(args.nodes, args.duration, args.seed)
-    result = repro.run(spec, shards=args.shards)
+    result = repro.run(spec)
     workload = {key: value for key, value in result.metrics.items()
                 if key.startswith("workload.")}
     print(json.dumps({"name": spec.name, "nodes": args.nodes,

@@ -23,7 +23,6 @@ One front door runs any scenario in any mode (see :mod:`repro.facade`)::
 
     import repro
     result = repro.run(spec)                  # single-process simulation
-    result = repro.run(spec, shards=4)        # sharded parallel kernel
     summary = repro.run(spec, seeds=5)        # multi-seed replication
     live = repro.run(spec, mode="live")       # real processes, real UDP
 """

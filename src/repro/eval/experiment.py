@@ -95,18 +95,6 @@ class OverlayExperiment:
         #: stack from the original classes and would otherwise silently
         #: revert per-node protocol tuning on rejoined nodes.
         self.configure_hook: Optional[Callable[["OverlayExperiment"], None]] = None
-        #: Sharded execution (set by :meth:`enter_shard` inside a worker):
-        #: addresses of the nodes this shard owns, or ``None`` when the
-        #: experiment runs whole (single process, or a one-shard plan).
-        self._shard_owned: Optional[set[int]] = None
-        self._shard_id = 0
-        self._shard_plan = None
-        #: Scenario events this shard popped without counting (model events
-        #: are scheduled pre-fork on every shard's heap, so each skip is one
-        #: event the single-process run would not have executed here; the
-        #: worker subtracts them to report a shard-count-independent
-        #: ``sim.events_processed``).
-        self.shard_skipped_events = 0
 
     # ----------------------------------------------------------------- plumbing
     def node(self, address: int) -> MacedonNode:
@@ -148,43 +136,6 @@ class OverlayExperiment:
 
     def alive_nodes(self) -> list[MacedonNode]:
         return [node for node in self.nodes if node.alive]
-
-    # ------------------------------------------------------- sharded execution
-    def owns_node(self, node: MacedonNode) -> bool:
-        """Whether this process owns *node* (always true outside sharded runs).
-
-        Inside a shard worker, nodes owned by other shards are dormant
-        replicas: they exist (so addresses, topology attachment, and deliver
-        handlers resolve) but must never be initialised, crashed, recovered,
-        or made to send — their lifecycle plays out on their owner shard and
-        reaches this one only as network packets.  The scenario dispatcher
-        (:meth:`_apply_model_event`) enforces that for every model event;
-        the only other readers are payload builders that report per-node
-        state once, from the owner.
-        """
-        owned = self._shard_owned
-        return owned is None or node.address in owned
-
-    def enter_shard(self, shard_id: int, plan, capture) -> None:
-        """Install sharded-execution context (called in a forked worker).
-
-        Marks this process's owned nodes (see :meth:`owns_node`) and diverts
-        the events of packets bound for other shards' hosts into *capture* —
-        ``capture(event_time, dst_shard, dst_address, item)``, the shard
-        driver's mailbox buffer.  A one-shard plan installs nothing: every
-        node stays owned and no packet leaves the process.
-        """
-        self._shard_id = shard_id
-        self._shard_plan = plan
-        self.shard_skipped_events = 0
-        if plan.num_shards <= 1:
-            return
-        self._shard_owned = {self.nodes[index].address
-                             for index in plan.owned_nodes(shard_id)}
-        shard_of_address = {node.address: plan.shard_of_node[index]
-                            for index, node in enumerate(self.nodes)}
-        self.emulator.install_cross_shard_egress(shard_of_address, shard_id,
-                                                 capture)
 
     # ------------------------------------------------------ scenario primitives
     def join_node(self, node, bootstrap: Optional[int] = None) -> None:
@@ -271,32 +222,11 @@ class OverlayExperiment:
         self.compiled_models.append(compiled)
         for event in compiled.events:
             if immediate and event.time <= 0.0:
-                self._apply_model_event(event)
-            else:
-                self.simulator.schedule(event.time, self._apply_model_event,
-                                        event, label=f"scenario:{event.kind}")
-        return compiled
-
-    def _apply_model_event(self, event) -> None:
-        """Dispatch one scenario event — the one place that knows about shards.
-
-        An event that acts on a single node (``event.node`` is its index)
-        runs only where that node is owned.  A network-wide event
-        (``event.node is None``) runs in every process, because each worker
-        mutates its own network replica, and counts on shard 0.  Every other
-        pop is booked as skipped, so the merged ``sim.events_processed`` does
-        not depend on the shard count.  Outside a multi-shard worker every
-        node is owned and the shard id is 0: nothing is ever skipped.
-        """
-        if event.node is None:
-            counted = self._shard_id == 0
-            event.apply()
-        else:
-            counted = self.owns_node(self.nodes[event.node])
-            if counted:
                 event.apply()
-        if not counted:
-            self.shard_skipped_events += 1
+            else:
+                self.simulator.schedule(event.time, event.apply,
+                                        label=f"scenario:{event.kind}")
+        return compiled
 
     # -------------------------------------------------------------- measurement
     def init_all(self, *, staggered: float = 0.0) -> None:

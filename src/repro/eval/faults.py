@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from ..network.topology import stub_domains
 from .scenario import ScenarioError, ScenarioModel, resolve_indices
 
 
@@ -339,8 +340,6 @@ class CorrelatedCrashModel(ScenarioModel):
     @staticmethod
     def failure_domains(experiment) -> dict[int, int]:
         """Map each topology attachment router to a failure-domain id."""
-        from ..runtime.sharded.partition import stub_domains
-
         graph = experiment.topology.graph
         domain_of: dict[int, int] = {}
         for domain, members in enumerate(stub_domains(experiment.topology)):
@@ -479,8 +478,8 @@ class DegradeModel(ScenarioModel):
         until = (None if self.restore_after is None
                  else self.at + self.restore_after)
         factors = (self.bandwidth_factor, self.latency_factor)
-        # Degrading a node rewrites underlay edges, which every process of a
-        # sharded run holds its own replica of: network-wide, not node-owned.
+        # Degrading a node rewrites underlay edges: network-wide, not
+        # node-owned.
         faults = [Fault(self.at, "degrade_node", (index, *factors),
                         f"node {index} access links degrade",
                         until, f"node {index} access links restore")

@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence
 from ..runtime.failure import FailureDetectorConfig
 from .invariants import InvariantViolation, check_invariants
 from .library import FAST_FAILURE, PROTOCOLS, STUB_UPLINK_EDGES, resolve_protocol
+from .runner import fork_map
 from .scenario import (
     ChurnModel,
     CorrelatedCrashModel,
@@ -530,7 +531,6 @@ def fuzz(count: int, seed: int, *,
 
     outcomes = None
     if jobs > 1:
-        from ..runtime.sharded.mailbox import fork_map
         outcomes = fork_map(execute, case_seeds, jobs=jobs, label="fuzz case")
 
     report = FuzzReport()

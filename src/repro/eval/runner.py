@@ -11,6 +11,10 @@ percentiles — which is what the benchmarks record in ``BENCH_core.json``.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import struct
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,35 +82,115 @@ class ScenarioSummary:
             title=f"scenario {self.name!r} over seeds {self.seeds}")
 
 
+class ForkWorkerError(RuntimeError):
+    """A forked worker process raised an unhandled exception."""
+
+
+def fork_map(fn, items, *, jobs: int, label: str = "worker") -> list:
+    """Map *fn* over *items* in forked child processes, *jobs* at a time.
+
+    The fork-based sibling of ``multiprocessing.Pool.map`` for callables and
+    items that are not picklable (scenario specs carry lambdas): children
+    inherit everything by fork and only the *results* travel back through a
+    pipe.  Results are returned in item order.  A child that raises ships the
+    traceback text back and :func:`fork_map` re-raises it in the parent as
+    :class:`ForkWorkerError` — an unhandled worker exception is never
+    silently swallowed.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    pending = list(enumerate(items))
+    active: list[tuple[int, int, int]] = []  # (pid, index, read_fd), FIFO
+
+    def launch(index: int, item) -> None:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            status = 0
+            try:
+                try:
+                    blob = pickle.dumps(("ok", fn(item)),
+                                        pickle.HIGHEST_PROTOCOL)
+                except BaseException:
+                    blob = pickle.dumps(("error", traceback.format_exc()))
+                    status = 1
+                view = memoryview(struct.pack("!Q", len(blob)) + blob)
+                while view:
+                    view = view[os.write(write_fd, view):]
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        active.append((pid, index, read_fd))
+
+    def reap_oldest() -> None:
+        # Drain the pipe to EOF *before* waitpid: a child whose result
+        # exceeds the pipe buffer blocks in write until we read, so waiting
+        # on its exit first would deadlock.  Children finishing out of order
+        # merely queue behind the oldest pipe; no cycle, no deadlock.
+        pid, index, read_fd = active.pop(0)
+        chunks = []
+        while True:
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+        os.close(read_fd)
+        os.waitpid(pid, 0)
+        data = b"".join(chunks)
+        if len(data) < 8:
+            raise ForkWorkerError(
+                f"{label} for item {index} died without reporting a result")
+        (length,) = struct.unpack("!Q", data[:8])
+        kind, value = pickle.loads(data[8:8 + length])
+        if kind == "error":
+            raise ForkWorkerError(
+                f"{label} for item {index} raised:\n{value}")
+        results[index] = value
+
+    try:
+        while pending or active:
+            while pending and len(active) < jobs:
+                index, item = pending.pop(0)
+                launch(index, item)
+            if active:
+                reap_oldest()
+    finally:
+        for pid, _index, read_fd in active:
+            try:
+                os.close(read_fd)
+            except OSError:
+                pass
+            try:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            except (OSError, ChildProcessError):
+                pass
+    return results
+
+
 class ScenarioRunner:
     """Execute one :class:`ScenarioSpec` across multiple seeds.
 
-    ``shards`` runs every seed on the multi-process sharded kernel
-    (:meth:`ScenarioSpec.run_sharded`); ``jobs`` runs the seeds themselves in
-    parallel worker processes — seeds are independent replications, so this
-    is embarrassingly parallel.  The two compose (each seed worker forks its
-    own shard workers), though on a machine with C cores ``jobs * shards``
-    beyond C buys nothing.
+    ``jobs`` runs the seeds in parallel worker processes (:func:`fork_map`) —
+    seeds are independent replications, so this is embarrassingly parallel.
     """
 
     def __init__(self, spec: ScenarioSpec,
                  seeds: Optional[Sequence[int]] = None, *,
-                 shards: int = 1, jobs: int = 1) -> None:
+                 jobs: int = 1) -> None:
         self.spec = spec
         self.seeds = list(seeds) if seeds is not None else list(DEFAULT_SEEDS)
         if not self.seeds:
             raise ValueError("ScenarioRunner needs at least one seed")
-        if shards < 1 or jobs < 1:
-            raise ValueError("shards and jobs must be >= 1")
-        self.shards = shards
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
         self.jobs = jobs
 
     def _run_seed(self, seed: int) -> ScenarioResult:
-        seeded = self.spec.with_seed(seed)
-        # Only pass the knob when sharding was requested: spec stand-ins in
-        # tests (and any out-of-tree ScenarioSpec ducks) predate it.
-        result = seeded.run(shards=self.shards) if self.shards != 1 \
-            else seeded.run()
+        result = self.spec.with_seed(seed).run()
         if self.jobs > 1:
             # The live experiment holds the simulator and closures — not
             # picklable, and aggregation never reads it; drop it before the
@@ -115,12 +199,8 @@ class ScenarioRunner:
         return result
 
     def run(self) -> ScenarioSummary:
-        if self.jobs > 1:
-            from ..runtime.sharded.mailbox import fork_map
-            results = fork_map(self._run_seed, self.seeds, jobs=self.jobs,
-                               label="seed worker")
-        else:
-            results = [self._run_seed(seed) for seed in self.seeds]
+        results = fork_map(self._run_seed, self.seeds, jobs=self.jobs,
+                           label="seed worker")
         # Aggregate over the *union* of metric keys: fuzzed and adversarial
         # scenarios routinely produce seed-dependent metric sets (a model
         # that only fires under some seeds), and intersecting would silently

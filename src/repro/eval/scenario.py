@@ -24,8 +24,8 @@ shapes the scenario fuzzer (:mod:`repro.eval.fuzz`) explores:
   accounting), or topic pub/sub (``kind="pubsub"``: subscribe fanout plus
   publishes against :class:`~repro.apps.pubsub.PubSub`), all with
   delivery/latency accounting.  It lives in :mod:`repro.eval.workload` —
-  the workload plane the simulator, the shard workers and the live cluster
-  all drive — and is re-exported here.
+  the workload plane the simulator and the live cluster both drive — and is
+  re-exported here.
 
 Event times are **offsets from the moment the model is applied**;
 :meth:`ScenarioSpec.run` applies every model at time zero, so offsets and
@@ -69,8 +69,7 @@ class ScenarioEvent:
     detail: str
     apply: Callable[[], None]
     #: Index of the single node the event acts on; ``None`` for a
-    #: network-wide event.  Sharded runs execute a node event only on the
-    #: shard that owns the node and a network-wide one on every shard.
+    #: network-wide event.
     node: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -83,11 +82,10 @@ class CompiledModel:
 
     ``payload`` returns this process's raw, picklable observations and
     ``score`` is a pure function from the payloads of every process that ran
-    the scenario (one in-process, K when sharded) to the metrics dict.  A
-    model whose metrics are fixed at compile time passes them as a constant
-    dict instead of a callable and takes the default scorer: compilation
-    happens once, before any fork, so every process must report that same
-    dict.
+    the scenario (one in the simulator, N in a live cluster) to the metrics
+    dict.  A model whose metrics are fixed at compile time passes them as a
+    constant dict instead of a callable and takes the default scorer, under
+    which every process must report that same dict.
     """
 
     def __init__(self, label: str, events: Sequence[ScenarioEvent],
@@ -111,7 +109,7 @@ class CompiledModel:
             return self._score(payloads)
         if any(payload != payloads[0] for payload in payloads[1:]):
             raise ScenarioError(
-                f"model {self.label!r} produced diverging per-shard metrics "
+                f"model {self.label!r} produced diverging per-process metrics "
                 f"and defines no scorer to pool them")
         return payloads[0]
 
@@ -287,11 +285,6 @@ class ScenarioResult:
     events: list[tuple[float, str, str]]
     #: The live experiment, for ad-hoc inspection (not used in aggregation).
     experiment: Any = None
-    #: Sharded-run diagnostics (``run_sharded`` only): effective shard count,
-    #: lookahead window, barrier count, cross-shard packet total.  Kept out
-    #: of ``metrics`` because these are partition-dependent by nature while
-    #: metrics must be identical for every shard count.
-    shard_info: Optional[dict] = None
     #: The ``repro.obs/1`` snapshot when the spec opted into observability
     #: (``ScenarioSpec.obs``); ``None`` otherwise.  Kept separate from
     #: ``metrics``, whose key set and values are pinned byte-identical for
@@ -371,118 +364,31 @@ class ScenarioSpec:
         return experiment
 
     # --------------------------------------------------------------------- run
-    def run(self, *, shards: int = 1) -> ScenarioResult:
+    def run(self) -> ScenarioResult:
         """Execute the scenario and collect metrics, series, and event log.
 
-        Runs in this process and hands back the live experiment on the
-        result.  ``shards > 1`` delegates to :meth:`run_sharded`, the
-        multi-process conservative-lockstep kernel (call that explicitly to
-        push a one-shard run through the worker pipeline, e.g. for the
-        byte-identity gate in the benchmarks).
+        Builds the experiment, attaches observability, schedules the sample
+        series, advances the clock to ``duration``, unwinds the models and
+        scores each over what it observed.  Runs in this process and hands
+        back the live experiment on the result.
         """
-        if shards != 1:
-            return self.run_sharded(shards)
         experiment = self.build()
-        result = self._assemble(experiment, [self._run_process(experiment)])
-        result.experiment = experiment
-        return result
-
-    def run_sharded(self, shards: int) -> ScenarioResult:
-        """Execute the scenario on the multi-process sharded kernel.
-
-        The experiment is built once here in the parent (models compiled,
-        agents resolved — so dynamically generated protocol modules exist in
-        every worker), then one worker per shard is forked and runs its own
-        event heap inside conservative lockstep windows, exchanging
-        cross-shard packets at barriers (:mod:`repro.runtime.sharded`).
-
-        Every worker executes the same per-process body as :meth:`run` and
-        ships its raw observations home, where they are pooled and scored by
-        the same formulas.  A one-shard plan is a single window with no
-        cross-shard traffic, so ``shards=1`` reproduces :meth:`run`
-        byte-identically; with K workers the scorers pool in a canonical
-        order, so repeated runs — and, for fault-free scenarios, different
-        K — give identical metrics.  Sample series need a global view and
-        are rejected for K > 1.  The returned result carries
-        ``experiment=None`` (the parent's copy never ran).
-        """
-        from ..runtime.sharded import (ShardCoordinator, ShardPlanError,
-                                       plan_shards)
-
-        experiment = self.build()
-        degraded = tuple(link for model in self.models
-                         if isinstance(model, DegradeModel)
-                         for link in model.links)
-        try:
-            plan = plan_shards(experiment.topology, self.num_nodes, shards,
-                               degraded)
-        except ShardPlanError as exc:
-            raise ScenarioError(f"cannot shard {self.name!r}: {exc}") from exc
-        if plan.num_shards > 1 and self.samples:
-            raise ScenarioError(
-                "sample series need a global experiment view and are not "
-                "supported with shards > 1")
-        shard_of_address = {node.address: plan.shard_of_node[index]
-                            for index, node in enumerate(experiment.nodes)}
-        coordinator = ShardCoordinator(plan, start=0.0,
-                                       duration=self.duration,
-                                       shard_of_address=shard_of_address)
-        reports = coordinator.run(
-            lambda shard_id, endpoint, barriers: self._run_process(
-                experiment, shard_id, plan, endpoint, barriers))
-        return self._assemble(experiment, reports, shard_info={
-            "requested_shards": shards,
-            "num_shards": plan.num_shards,
-            "lookahead": plan.lookahead,
-            "barriers": len(coordinator.barriers),
-            "cross_shard_packets": sum(report["cross_shard_packets"]
-                                       for report in reports),
-        })
-
-    def _run_process(self, experiment, shard_id: int = 0, plan=None,
-                     endpoint=None, barriers=()) -> dict:
-        """One process's share of a run: attach observability, schedule the
-        sample series, advance the clock to ``duration``, unwind the models
-        and report what this process observed, unscored.
-
-        Without a *plan* the process is the whole run (:meth:`run`): it owns
-        every node and advances its simulator directly.  With one it is
-        worker *shard_id* of :meth:`run_sharded` and advances in lockstep
-        windows, trading cross-shard packets over *endpoint* at *barriers*.
-        """
         simulator = experiment.simulator
         emulator = experiment.emulator
-        in_worker = plan is not None
-        mode = "sharded" if in_worker and plan.num_shards > 1 else "sim"
+        tracer = experiment.tracer
 
         obs_registry = obs_causal = None
         if self.obs is not None:
             from ..obs import CausalLog, base_registry
             obs_registry = base_registry()
-            tracer = experiment.tracer
             if tracer.sink is not None:
-                if mode == "sharded":
-                    # One writer per file: each forked worker spills its
-                    # own shard-suffixed JSONL (run_trace.py merges them).
-                    tracer.sink.path = f"{tracer.sink.path}.shard{shard_id}"
-                tracer.sink.update_meta(
-                    mode=mode, name=self.name, seed=self.seed,
-                    **({"shard": shard_id} if in_worker else {}))
+                tracer.sink.update_meta(mode="sim", name=self.name,
+                                        seed=self.seed)
             if self.obs.causal:
-                # Workers get disjoint id spaces.
-                obs_causal = CausalLog(
-                    tracer, simulator, registry=obs_registry,
-                    origin=shard_id + 1 if in_worker else 0)
+                obs_causal = CausalLog(tracer, simulator,
+                                       registry=obs_registry)
                 emulator.install_delivery_wrapper(obs_causal.wrap_delivery)
                 emulator.install_send_tap(obs_causal.tag)
-        driver = None
-        owned = experiment.nodes
-        if in_worker:
-            from ..runtime.sharded import ShardedDriver
-            driver = ShardedDriver(simulator, shard_id=shard_id, plan=plan,
-                                   endpoint=endpoint, registry=obs_registry)
-            experiment.enter_shard(shard_id, plan, driver.capture)
-            owned = [experiment.nodes[i] for i in plan.owned_nodes(shard_id)]
 
         series: dict[str, list[tuple[float, float]]] = {}
         for sample in self.samples:
@@ -496,94 +402,53 @@ class ScenarioSpec:
                     label=f"sample:{sample.name}")
                 when += sample.interval
 
-        if in_worker:
-            driver.run_windows(barriers, emulator.inject_arrival)
-        else:
-            experiment.run(self.duration)
+        experiment.run(self.duration)
 
         # Reverse apply order: each restore() re-installs what the model saw
         # when it was applied, so unwinding must pop the chain LIFO.
         for compiled in reversed(experiment.compiled_models):
             compiled.restore()
 
-        # Model events sit on every shard's heap, so the pops this shard
-        # skipped are subtracted: the sum over shards would otherwise grow
-        # by (K-1) x model events and depend on the shard count.
-        events_processed = (simulator.events_processed
-                            - experiment.shard_skipped_events)
-        exported = driver.packets_exported if in_worker else 0
-        stats = emulator.stats
-        obs_payload = None
+        obs_snapshot = None
         if obs_registry is not None:
-            from ..obs import fill_sim
-            fill_sim(obs_registry, experiment,
-                     events_processed=events_processed, owned_nodes=owned,
-                     causal=obs_causal, cross_shard_packets=exported)
-            if experiment.tracer.sink is not None:
-                experiment.tracer.sink.close()
-            obs_payload = obs_registry.snapshot()
-        return {
-            "obs": obs_payload,
-            "models": [compiled.shard_payload()
-                       for compiled in experiment.compiled_models],
-            "net": (stats.packets_sent, stats.packets_delivered,
-                    stats.packets_dropped, stats.bytes_delivered),
-            "events_processed": events_processed,
-            "alive": sum(node.alive for node in owned),
-            "crashes": sum(node.crash_count for node in owned),
-            "recoveries": sum(node.recover_count for node in owned),
-            "series": series,
-            "cross_shard_packets": exported,
-        }
+            from ..obs import artifact, fill_sim, write_obs_snapshot
+            fill_sim(obs_registry, experiment, causal=obs_causal)
+            if tracer.sink is not None:
+                tracer.sink.close()
+            obs_snapshot = artifact(obs_registry, mode="sim", name=self.name,
+                                    seed=self.seed, duration=self.duration)
+            if self.obs.snapshot_path:
+                write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
 
-    def _assemble(self, experiment, reports: list[dict],
-                  shard_info: Optional[dict] = None) -> ScenarioResult:
-        """One result from the reports of every process that ran the
-        scenario: each model scored over the pooled payloads, totals summed,
-        observability snapshots merged."""
         metrics: dict[str, float] = {}
         labels: dict[str, int] = {}
-        for index, compiled in enumerate(experiment.compiled_models):
+        for compiled in experiment.compiled_models:
             label = compiled.label
             labels[label] = labels.get(label, 0) + 1
             if labels[label] > 1:
                 label = f"{label}{labels[label]}"
-            scored = compiled.score([report["models"][index]
-                                     for report in reports])
-            for key, value in scored.items():
+            for key, value in compiled.metrics().items():
                 metrics[f"{label}.{key}"] = value
 
+        stats = emulator.stats
+        nodes = experiment.nodes
         metrics.update({
-            "net.packets_sent": float(sum(r["net"][0] for r in reports)),
-            "net.packets_delivered": float(sum(r["net"][1] for r in reports)),
-            "net.packets_dropped": float(sum(r["net"][2] for r in reports)),
-            "net.bytes_delivered": float(sum(r["net"][3] for r in reports)),
-            "sim.events_processed": float(sum(r["events_processed"]
-                                              for r in reports)),
-            "nodes.alive": float(sum(r["alive"] for r in reports)),
-            "nodes.crashes": float(sum(r["crashes"] for r in reports)),
-            "nodes.recoveries": float(sum(r["recoveries"] for r in reports)),
+            "net.packets_sent": float(stats.packets_sent),
+            "net.packets_delivered": float(stats.packets_delivered),
+            "net.packets_dropped": float(stats.packets_dropped),
+            "net.bytes_delivered": float(stats.bytes_delivered),
+            "sim.events_processed": float(simulator.events_processed),
+            "nodes.alive": float(sum(node.alive for node in nodes)),
+            "nodes.crashes": float(sum(node.crash_count for node in nodes)),
+            "nodes.recoveries": float(sum(node.recover_count
+                                          for node in nodes)),
         })
 
         events = [(event.time, event.kind, event.detail)
                   for compiled in experiment.compiled_models
                   for event in compiled.events]
         events.sort(key=lambda item: item[0])
-        obs_snapshot = None
-        if self.obs is not None:
-            from ..obs import artifact, base_registry, write_obs_snapshot
-            registry = base_registry()
-            for report in reports:
-                registry.merge(report["obs"])
-            num_shards = shard_info["num_shards"] if shard_info else 1
-            obs_snapshot = artifact(
-                registry, mode="sharded" if num_shards > 1 else "sim",
-                name=self.name, seed=self.seed, duration=self.duration,
-                extra={"shards": num_shards} if shard_info else None)
-            if self.obs.snapshot_path:
-                write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
-        # Sample series exist only where one process saw the whole run.
         return ScenarioResult(name=self.name, seed=self.seed,
                               duration=self.duration, metrics=metrics,
-                              series=reports[0]["series"], events=events,
-                              shard_info=shard_info, obs=obs_snapshot)
+                              series=series, events=events,
+                              experiment=experiment, obs=obs_snapshot)

@@ -1,9 +1,9 @@
 """The workload plane: one measurement workload under every driver.
 
 A :class:`WorkloadModel` is evaluated the same way whether its nodes live in
-one simulator, in K shard workers or in N operating-system processes,
-because the only thing that differs between those drivers is *where the
-nodes are*.  The model is therefore split along that line:
+one simulator or in N operating-system processes, because the only thing
+that differs between those drivers is *where the nodes are*.  The model is
+therefore split along that line:
 
 * **draw** — :meth:`WorkloadModel.draw` is a pure function of
   ``(model, num_nodes, key_space_size, rng, horizon)``: the whole schedule
@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from ..apps.kv import KvStore
 from ..apps.payload import AppPayload
@@ -137,19 +137,18 @@ class WorkloadObservations:
             return 0.0
         return len(self.delivered_seqnos) / len(self.sent_records)
 
-    def payload(self, owns: Callable[[Any], bool] = lambda node: True) -> dict:
-        """This process's raw observations, as shipped to the scorer.
-        *owns* selects the nodes whose end-of-run app state (pub/sub
-        duplicate counts, live kv stores) this process reports."""
-        shares = [share for share in self.shares if owns(share.node)]
+    def payload(self) -> dict:
+        """This process's raw observations, as shipped to the scorer, with
+        the end-of-run app state (pub/sub duplicate counts, live kv stores)
+        of the nodes reporting here."""
         return {
             "sent": self.sent_records,
             "skipped": self.skipped,
             "duplicates": self.duplicates + sum(
-                share.app.duplicates for share in shares
+                share.app.duplicates for share in self.shares
                 if isinstance(share.app, PubSub)),
             "records": self.records,
-            "stores": [store for share in shares
+            "stores": [store for share in self.shares
                        if (store := share.live_store()) is not None],
         }
 
@@ -571,7 +570,7 @@ class WorkloadModel(ScenarioModel):
 
         compiled = CompiledModel(
             self.label or self.default_label(), events,
-            payload=lambda: observations.payload(experiment.owns_node),
+            payload=observations.payload,
             score=partial(self.score, plan), restore=_restore)
         compiled.plan = plan                  # type: ignore[attr-defined]
         compiled.observations = observations  # type: ignore[attr-defined]

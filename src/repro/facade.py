@@ -1,16 +1,14 @@
 """``repro.run`` — one front door for every execution mode.
 
-The scenario engine grew four entry points as the paper's evaluation grew:
+The scenario engine grew three entry points as the paper's evaluation grew:
 :meth:`~repro.eval.scenario.ScenarioSpec.run` (single-process simulation),
-:meth:`~repro.eval.scenario.ScenarioSpec.run_sharded` (the multi-process
-conservative-lockstep kernel), :class:`~repro.eval.runner.ScenarioRunner`
-(multi-seed replication), and :class:`~repro.live.LiveCluster` (real
+:class:`~repro.eval.runner.ScenarioRunner` (multi-seed replication, seeds in
+parallel worker processes), and :class:`~repro.live.LiveCluster` (real
 processes over real sockets).  They all execute the *same* declarative
 :class:`~repro.eval.scenario.ScenarioSpec`; this module folds them behind
 one function so a spec written once runs anywhere::
 
     result  = repro.run(spec)                       # spec.run()
-    result  = repro.run(spec, shards=4)             # spec.run_sharded(4)
     summary = repro.run(spec, seeds=5, jobs=4)      # ScenarioRunner(...)
     live    = repro.run(spec, mode="live")          # LiveCluster(...)
 
@@ -100,7 +98,7 @@ def _run_live(spec, overrides: dict):
 
 
 def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
-        shards: int = 1, mode: str = "sim", obs=None, **live_overrides):
+        mode: str = "sim", obs=None, **live_overrides):
     """Execute *spec* and return its results, whatever the mode.
 
     :param spec: a :class:`~repro.eval.scenario.ScenarioSpec`.
@@ -110,7 +108,6 @@ def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
         sequence runs exactly those seeds.  Multi-seed runs return a
         :class:`~repro.eval.runner.ScenarioSummary`.
     :param jobs: parallel worker processes across seeds (multi-seed only).
-    :param shards: simulation kernel shards per run (``run_sharded``).
     :param mode: ``"sim"`` (default) or ``"live"`` — real processes over
         UDP sockets, returning a :class:`~repro.live.LiveClusterResult`.
     :param obs: an :class:`~repro.obs.ObsConfig` to attach observability
@@ -125,10 +122,10 @@ def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
     if mode not in ("sim", "live"):
         raise ValueError(f"unknown mode {mode!r} (sim or live)")
     if mode == "live":
-        if shards != 1 or jobs != 1 or seeds != 1:
+        if jobs != 1 or seeds != 1:
             raise ValueError(
-                "live mode boots one real deployment: seeds, jobs, and "
-                "shards do not apply (override the config instead)")
+                "live mode boots one real deployment: seeds and jobs do "
+                "not apply (override the config instead)")
         if obs is not None:
             live_overrides = dict(live_overrides, obs=obs)
         return _run_live(spec, live_overrides)
@@ -144,9 +141,9 @@ def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
         if seeds == 1:
-            return spec.run(shards=shards)
+            return spec.run()
         seed_list = [spec.seed + offset for offset in range(seeds)]
     else:
         seed_list = list(seeds)
     from .eval.runner import ScenarioRunner
-    return ScenarioRunner(spec, seed_list, shards=shards, jobs=jobs).run()
+    return ScenarioRunner(spec, seed_list, jobs=jobs).run()

@@ -25,14 +25,12 @@ See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 
 from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError, LiveClusterResult
 from .driver import LiveDriver
-from .faults import (DegradeFault, KillNode, LinkCut, LiveFaultError,
-                     PartitionFault, compile_fault_models, fault_horizon,
-                     live_runnable)
+from .faults import (DegradeFault, KillNode, LiveFaultError, PartitionFault,
+                     compile_fault_models, fault_horizon, live_runnable)
 
 __all__ = [
     "DegradeFault",
     "KillNode",
-    "LinkCut",
     "LiveCluster",
     "LiveClusterConfig",
     "LiveClusterError",

@@ -65,8 +65,9 @@ _FIRST_ADDRESS = 1
 DRAIN = 1.0
 
 #: Exponential-backoff schedule for respawning a node that died
-#: *unexpectedly* (a deliberate kill's downtime comes from its directive):
-#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.
+#: *unexpectedly*: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.  A
+#: deliberate kill waits its directive's downtime plus at most
+#: ``BACKOFF_CAP`` of stretch.
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 8.0
 
@@ -110,8 +111,8 @@ class LiveClusterConfig:
     #: Seconds each process gets to import, compile, and bind its socket.
     startup_timeout: float = 60.0
     # ---- fault plane (see repro.live.faults)
-    #: Live fault directives (KillNode / PartitionFault / LinkCut /
-    #: DegradeFault), offsets from the barrier-aligned clock zero.
+    #: Live fault directives (KillNode / PartitionFault / DegradeFault),
+    #: offsets from the barrier-aligned clock zero.
     faults: tuple = ()
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
@@ -441,7 +442,7 @@ class LiveCluster:
         so its heal/restore can retire it from the replay set a respawned
         node receives.
         """
-        from .faults import DegradeFault, KillNode, LinkCut, PartitionFault
+        from .faults import DegradeFault, KillNode, PartitionFault
 
         for fault in self.config.faults:
             if isinstance(fault, KillNode):
@@ -455,16 +456,6 @@ class LiveCluster:
                 if fault.heal_after is not None:
                     push_action(fault.end, "control",
                                 ("partition", {"op": "heal-partition"}))
-            elif isinstance(fault, LinkCut):
-                pairs = [[_FIRST_ADDRESS + u, _FIRST_ADDRESS + v]
-                         for u, v in fault.pairs]
-                key = ("cut", tuple(tuple(pair) for pair in pairs))
-                push_action(fault.at, "control",
-                            (key, {"op": "cut", "pairs": pairs,
-                                   "one_way": bool(fault.one_way)}))
-                if fault.heal_after is not None:
-                    push_action(fault.end, "control",
-                                (key, {"op": "heal", "pairs": pairs}))
             elif isinstance(fault, DegradeFault):
                 targets = [_FIRST_ADDRESS + i for i in fault.indices]
                 key = ("degrade", tuple(targets))
@@ -581,7 +572,7 @@ class LiveCluster:
                         self._do_kill(payload, state, push_action, now)
                     elif kind == "control":
                         key, op = payload
-                        if op["op"] in ("partition", "cut", "degrade"):
+                        if op["op"] in ("partition", "degrade"):
                             active_ops[key] = op
                         else:
                             active_ops.pop(key, None)
@@ -749,10 +740,11 @@ class LiveCluster:
         if (fault.respawn_after is not None
                 and node_state["restarts"] < self.config.restart_budget):
             node_state["pending_respawn"] = True
-            # The directive's downtime, stretched by the capped exponential
-            # backoff when this node has already burned restarts.
-            delay = min(BACKOFF_CAP,
-                        fault.respawn_after * 2 ** node_state["restarts"])
+            # The directive's downtime, stretched by an exponential backoff
+            # when this node has already burned restarts.  The cap bounds
+            # the stretch only: the directive's own downtime never shrinks.
+            stretch = fault.respawn_after * (2 ** node_state["restarts"] - 1)
+            delay = fault.respawn_after + min(BACKOFF_CAP, stretch)
             push_action(now + delay, "respawn", fault.index)
         else:
             node_state["down"] = True

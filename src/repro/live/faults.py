@@ -12,7 +12,6 @@ fault directives* — small frozen dataclasses the coordinator carries out:
 * :class:`PartitionFault` — host-group partition rules installed in every
   node's :class:`~repro.transport.udp.SocketFaults` table over the
   coordinator control channel;
-* :class:`LinkCut` — targeted (optionally one-way) cuts between node pairs;
 * :class:`DegradeFault` — per-peer delay/loss rules standing in for the
   emulator's bandwidth/latency degradation.
 
@@ -91,21 +90,6 @@ class PartitionFault:
 
 
 @dataclass(frozen=True)
-class LinkCut:
-    """Cut traffic between node-index pairs (``one_way``: only the
-    ``u -> v`` direction), healed ``heal_after`` seconds later."""
-
-    at: float
-    pairs: Tuple[Tuple[int, int], ...]
-    one_way: bool = False
-    heal_after: Optional[float] = None
-
-    @property
-    def end(self) -> float:
-        return self.at + (self.heal_after or 0.0)
-
-
-@dataclass(frozen=True)
 class DegradeFault:
     """Degrade the access links of the given node indices: arrivals from
     (and to) them gain *delay* seconds and *loss* drop probability."""
@@ -121,7 +105,7 @@ class DegradeFault:
         return self.at + (self.restore_after or 0.0)
 
 
-LiveFault = Union[KillNode, PartitionFault, LinkCut, DegradeFault]
+LiveFault = Union[KillNode, PartitionFault, DegradeFault]
 
 
 def fault_horizon(faults) -> float:

@@ -80,8 +80,7 @@ class Host:
         #: from a detached host are dropped instead of raising.
         self.attached = True
         #: This host's random-loss stream, forked on its first lossy send: a
-        #: host's losses depend on what it sent, not on who else was sending
-        #: (nor, in a sharded run, on which process the others are in).
+        #: host's losses depend on what it sent, not on who else was sending.
         self.loss_rng = None
 
 
@@ -508,56 +507,14 @@ class NetworkEmulator:
             receive(packet)
         return True
 
-    def install_cross_shard_egress(
-            self, shard_of_address: dict[int, int], shard_id: int,
-            capture: Callable[[float, int, int, tuple], None]) -> None:
-        """Divert packets bound for hosts of other shards into *capture*.
-
-        A packet leaves its sender's process as the event ``send`` would have
-        scheduled — ``capture(event_time, dst_shard, dst_address, item)`` —
-        and :meth:`inject_arrival` on the destination's owner runs it, so
-        every queue is evaluated by the process that owns it: the uplink with
-        its sender, each later queue point with the hosts downstream of it
-        (``plan_shards`` keeps those on one shard).  Links travel as their
-        ``(u, v)`` keys.  Only ``send`` schedules a packet event for a host
-        this process does not own.
-        """
-        inner = self._schedule_fast
-        simulator = self.simulator
-
-        def egress(delay: float, callback, packet, stage) -> None:
-            dst_shard = shard_of_address.get(packet.dst, shard_id)
-            if dst_shard == shard_id:
-                return inner(delay, callback, packet, stage)
-            points = []
-            while stage is not None:
-                link, latency, inv_bandwidth, stage = stage
-                points.append(((link.src, link.dst), latency, inv_bandwidth))
-            capture(simulator._now + delay, dst_shard, packet.dst,
-                    (packet, points))
-
-        self._schedule_fast = egress
-
-    def inject_arrival(self, delay: float, item: tuple) -> None:
-        """Schedule the event of a packet another shard's ``send`` exported
-        (see :meth:`install_cross_shard_egress`).  The barrier merge already
-        fixed the deterministic injection order."""
-        packet, points = item
-        stage = None
-        for key, latency, inv_bandwidth in reversed(points):
-            stage = (self._links[key], latency, inv_bandwidth, stage)
-        self.simulator.schedule_fast(delay, self._deliver_callback, packet,
-                                     stage)
-
     def install_delivery_wrapper(
             self, wrap: Callable[[Callable[..., bool]],
                                  Callable[..., bool]]) -> None:
         """Swap the packet-event callback for ``wrap(current)`` (observability).
 
         ``send`` and :meth:`_deliver` read ``self._deliver_callback`` per
-        call, so replacing the attribute reroutes every future packet event —
-        including packets re-entering via :meth:`inject_arrival` — at zero
-        cost to the uninstrumented run.  The wrapper is called once per event
+        call, so replacing the attribute reroutes every future packet event at
+        zero cost to the uninstrumented run.  The wrapper is called once per event
         with :meth:`_deliver`'s arguments and must return its result: whether
         this event handed the packet to its host.
         """

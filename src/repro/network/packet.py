@@ -47,8 +47,7 @@ class Packet:
         self.wire_size = size + HEADER_BYTES
         #: Causal tracing (``repro.obs``): id of the request this packet
         #: belongs to and its hop index along the route.  ``None`` unless a
-        #: causal tap tagged the packet; carried intact through the sharded
-        #: kernel's cross-shard pickle.
+        #: causal tap tagged the packet.
         self.trace_id = trace_id
         self.trace_hop = trace_hop
 

@@ -317,49 +317,6 @@ class Router:
         """Number of links on the latency-shortest path."""
         return self.plan(src_node, dst_node).hop_count
 
-    def min_cross_latency(self, groups: "list[list[int]]") -> float:
-        """Minimum shortest-path latency between nodes of *different* groups.
-
-        The sharded kernel's lookahead: the conservative lockstep window must
-        not exceed the fastest possible cross-shard packet, and propagation
-        latency lower-bounds every delivery delay (queueing and transmission
-        only add).  One multi-source Dijkstra per group — all of the group's
-        nodes start at distance zero — with an early exit once the fringe
-        distance exceeds the best cross answer found so far.  Returns ``inf``
-        when no cross-group pair is reachable.
-        """
-        group_of: dict[int, int] = {}
-        for index, members in enumerate(groups):
-            for node in members:
-                group_of[node] = index
-        adjacency = self._adj()
-        best = float("inf")
-        for index, members in enumerate(groups):
-            sources = [node for node in members if node in adjacency]
-            if not sources:
-                continue
-            dist: dict[int, float] = {}
-            fringe: list[tuple[float, int]] = []
-            for source in sources:
-                dist[source] = 0.0
-                heappush(fringe, (0.0, source))
-            while fringe:
-                d, v = heappop(fringe)
-                if d >= best:
-                    break
-                if d > dist.get(v, float("inf")):
-                    continue
-                other = group_of.get(v)
-                if other is not None and other != index:
-                    best = d
-                    break
-                for u, edge_latency in adjacency.get(v, ()):
-                    vu_dist = d + edge_latency
-                    if vu_dist < dist.get(u, float("inf")):
-                        dist[u] = vu_dist
-                        heappush(fringe, (vu_dist, u))
-        return best
-
     # ------------------------------------------------------------ fault hooks
     def _edge_changed(self, u: int, v: int) -> None:
         """Edge (u, v) changed: re-read its two adjacency lists, drop the trees."""

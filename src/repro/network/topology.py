@@ -121,6 +121,21 @@ class Topology:
             raise TopologyError(f"clients {missing} not present in graph")
 
 
+def stub_domains(topology: Topology) -> list[frozenset[int]]:
+    """Stub domains of *topology*: connected components of the stub subgraph.
+
+    The racks of ``CorrelatedCrashModel.failure_domains``, in deterministic
+    order (components sorted by their sorted member lists).  Empty for
+    topologies without stub-role routers.
+    """
+    graph = topology.graph
+    stubs = [node for node, data in graph.nodes(data=True)
+             if data.get(ROLE_ATTR) == "stub"]
+    components = sorted(sorted(component) for component
+                        in nx.connected_components(graph.subgraph(stubs)))
+    return [frozenset(component) for component in components]
+
+
 def _add_link(graph: nx.Graph, u: int, v: int, profile: LinkProfile,
               rng: random.Random) -> None:
     graph.add_edge(u, v, **{

@@ -11,12 +11,9 @@ the handler before returning to the event loop — so a thread/process-local
 
 Two implementations of the same idea:
 
-* :class:`CausalLog` (sim, sharded) — tags
-  :class:`~repro.network.packet.Packet` objects via the emulator's send
-  tap and wraps its delivery callback.  The trace fields are ``__slots__``
-  on the packet, so the sharded kernel's cross-shard pickle carries them
-  between workers for free; per-shard id spaces are disjoint
-  (``origin << 48``).
+* :class:`CausalLog` (sim) — tags :class:`~repro.network.packet.Packet`
+  objects via the emulator's send tap and wraps its delivery callback; the
+  trace fields are ``__slots__`` on the packet and ids count from 1.
 * :class:`LiveCausalLog` (live) — ids are minted per node
   (``address << 40``), and the id/hop/send-timestamp triple rides a
   ``TRACE`` wire frame wrapped around the original frame (see
@@ -47,15 +44,12 @@ class CausalLog:
     :param clock: anything with a ``now`` attribute (the simulator).
     :param registry: optional metrics registry; ``causal.*`` instruments
         are updated live when present.
-    :param origin: disambiguates id spaces across shard workers
-        (``shard_id + 1`` there, ``0`` single-process).
     """
 
     def __init__(self, tracer: Tracer, clock: Any, *,
-                 registry: Optional[Any] = None, origin: int = 0) -> None:
+                 registry: Optional[Any] = None) -> None:
         self._tracer = tracer
         self._clock = clock
-        self._base = origin << 48
         self._next = 0
         #: The trace being handled right now: ``(trace_id, hop)`` while a
         #: traced delivery is on the stack, else ``None``.
@@ -79,7 +73,7 @@ class CausalLog:
             packet.trace_hop = ctx[1] + 1
         else:
             self._next += 1
-            packet.trace_id = self._base | self._next
+            packet.trace_id = self._next
             packet.trace_hop = 0
             self.traces += 1
             if self._c_traces is not None:

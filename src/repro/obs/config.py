@@ -9,8 +9,8 @@ streaming trace sink, per-run category-level overrides, and causal
 message tracing.
 
 The config is a frozen dataclass so it rides inside the frozen
-:class:`~repro.eval.scenario.ScenarioSpec` and pickles across the sharded
-kernel's fork and the live cluster's spawn unchanged.
+:class:`~repro.eval.scenario.ScenarioSpec` and pickles across the live
+cluster's spawn unchanged.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class ObsConfig:
 
     :param trace_path: write every accepted trace record to this JSONL file
         (schema ``repro.trace/1``).  The in-memory ring stays bounded at
-        ``max_records``; the file gets everything.  Sharded runs append a
-        ``.shard<K>`` suffix per worker (one writer per file).
+        ``max_records``; the file gets everything.
     :param category_levels: per-run overrides for
         :attr:`~repro.runtime.tracing.Tracer.CATEGORY_LEVELS`, e.g.
         ``{"timer": "low"}`` records timer activity from every agent whose

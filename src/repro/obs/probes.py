@@ -1,17 +1,16 @@
 """The canonical instrument namespace and per-mode fill helpers.
 
-Every execution mode — single-process sim, the sharded kernel, the live
-cluster — snapshots through :func:`base_registry`, which pre-creates the
-full instrument set.  That makes the ``repro.obs/1`` key set *structural*:
-a counter that cannot tick in some mode (``errors.decode_errors`` in sim,
-``shard.windows`` in live) is still present at zero, so snapshots from
-different modes of the same spec always carry identical keys and can be
-diffed field-by-field (the drift harness's requirement).
+Every execution mode — the simulator and the live cluster — snapshots
+through :func:`base_registry`, which pre-creates the full instrument set.
+That makes the ``repro.obs/1`` key set *structural*: a counter that cannot
+tick in some mode (``errors.decode_errors`` in sim) is still present at
+zero, so snapshots from different modes of the same spec always carry
+identical keys and can be diffed field-by-field (the drift harness's
+requirement).
 
 The fill helpers translate each mode's native accounting into the shared
-namespace at end of run; hot-path instruments (``causal.*``,
-``shard.windows``/``shard.batch_size``) are instead updated live by the
-probe sites themselves.
+namespace at end of run; hot-path instruments (``causal.*``) are instead
+updated live by the probe sites themselves.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ LATENCY_BOUNDS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 HOP_LATENCY_BOUNDS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
 #: Route length in overlay hops (a direct A->B delivery is 1).
 ROUTE_HOP_BOUNDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
-#: Cross-shard packets exchanged per barrier window.
-BATCH_BOUNDS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 
 COUNTERS = (
     "engine.events_processed",
@@ -46,8 +43,6 @@ COUNTERS = (
     "errors.fault_drops",
     "trace.records",
     "trace.dropped",
-    "shard.windows",
-    "shard.cross_shard_packets",
     "causal.traces",
     "causal.hops",
 )
@@ -58,7 +53,6 @@ HISTOGRAMS = {
     "workload.latency": LATENCY_BOUNDS,
     "causal.hop_latency": HOP_LATENCY_BOUNDS,
     "causal.route_hops": ROUTE_HOP_BOUNDS,
-    "shard.batch_size": BATCH_BOUNDS,
 }
 
 
@@ -75,13 +69,11 @@ def base_registry() -> MetricsRegistry:
 
 
 def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
-             duration: float, extra: Optional[dict] = None) -> dict:
+             duration: float) -> dict:
     """Wrap a registry snapshot as a ``repro.obs/1`` document."""
     snapshot = {"schema": OBS_SCHEMA, "mode": mode, "name": name,
                 "seed": seed, "duration": duration}
     snapshot.update(registry.snapshot())
-    if extra:
-        snapshot.update(extra)
     return snapshot
 
 
@@ -107,19 +99,12 @@ def workload_tallies(registry: MetricsRegistry,
 
 
 def fill_sim(registry: MetricsRegistry, experiment: Any, *,
-             events_processed: int, owned_nodes: Iterable[Any],
-             causal: Optional[Any] = None,
-             cross_shard_packets: int = 0) -> None:
-    """Fold one (shard-local or single-process) sim run into *registry*.
-
-    In a sharded run each worker calls this on its private registry with
-    its owned nodes and corrected event count; the parent merges the
-    shipped snapshots, and the additive semantics line up with the
-    metrics-dict merge formulas.
-    """
+             causal: Optional[Any] = None) -> None:
+    """Fold one finished sim run into *registry*."""
     counter = registry.counter
     stats = experiment.emulator.stats
-    counter("engine.events_processed").inc(events_processed)
+    counter("engine.events_processed").inc(
+        experiment.simulator.events_processed)
     counter("net.packets_sent").inc(stats.packets_sent)
     counter("net.packets_delivered").inc(stats.packets_delivered)
     counter("net.packets_dropped").inc(stats.packets_dropped)
@@ -132,11 +117,10 @@ def fill_sim(registry: MetricsRegistry, experiment: Any, *,
     tracer = experiment.tracer
     counter("trace.records").inc(sum(tracer.counts.values()))
     counter("trace.dropped").inc(tracer.dropped)
-    counter("shard.cross_shard_packets").inc(cross_shard_packets)
 
-    owned = list(owned_nodes)
-    registry.gauge("nodes.alive").add(sum(node.alive for node in owned))
-    registry.gauge("nodes.total").add(len(owned))
+    nodes = experiment.nodes
+    registry.gauge("nodes.alive").add(sum(node.alive for node in nodes))
+    registry.gauge("nodes.total").add(len(nodes))
 
     if causal is not None:
         causal.finish(registry)

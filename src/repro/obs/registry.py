@@ -1,9 +1,9 @@
 """Low-overhead metrics primitives: counters, gauges, fixed-bucket histograms.
 
 The registry is the driver-agnostic probe surface of the observability
-layer: the simulation engine, the network emulator, the wire transports,
-the sharded kernel, and the live cluster all report through the same three
-instrument types, and every execution mode snapshots to the same
+layer: the simulation engine, the network emulator, the wire transports and
+the live cluster all report through the same three instrument types, and
+every execution mode snapshots to the same
 ``repro.obs/1`` artifact shape (see :mod:`repro.obs.probes` for the
 canonical instrument namespace and :mod:`repro.obs.trace` for the artifact
 writer).
@@ -17,11 +17,6 @@ Design constraints, in order:
 * **Cheap when on.**  ``Counter.inc`` is one integer add; ``Histogram``
   uses precomputed fixed bounds and :func:`bisect.bisect_right` — no
   per-observation allocation.
-* **Mergeable.**  Sharded workers each fill a private registry and ship
-  ``snapshot()`` payloads through the existing result pipe; the parent
-  folds them with :meth:`MetricsRegistry.merge` (counters and gauges add,
-  histograms add bucket-wise).  The live coordinator does the same with
-  per-node reports.
 """
 
 from __future__ import annotations
@@ -43,12 +38,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value.
-
-    Merging adds, which is the useful semantic for the gauges we keep
-    (``nodes.alive`` summed over shard-owned partitions is the cluster
-    total); a mean-style merge can be layered on top if ever needed.
-    """
+    """A point-in-time value."""
 
     __slots__ = ("value",)
 
@@ -113,30 +103,9 @@ class Histogram:
             "max": self.max,
         }
 
-    def merge(self, payload: dict) -> None:
-        if tuple(payload["bounds"]) != self.bounds:
-            raise ValueError(
-                f"histogram bounds mismatch: {payload['bounds']!r} vs "
-                f"{list(self.bounds)!r}")
-        for index, count in enumerate(payload["counts"]):
-            self.counts[index] += count
-        self.count += payload["count"]
-        self.sum += payload["sum"]
-        for key in ("min", "max"):
-            theirs = payload.get(key)
-            if theirs is None:
-                continue
-            ours = getattr(self, key)
-            if ours is None:
-                setattr(self, key, theirs)
-            elif key == "min":
-                self.min = min(ours, theirs)
-            else:
-                self.max = max(ours, theirs)
-
 
 class MetricsRegistry:
-    """Named instruments, snapshottable and mergeable.
+    """Named instruments, snapshottable.
 
     Instruments are get-or-create so probe sites never need registration
     order; the canonical namespace (:func:`repro.obs.probes.base_registry`)
@@ -172,12 +141,8 @@ class MetricsRegistry:
         return histogram
 
     def snapshot(self) -> dict:
-        """Plain-data view: ``{"counters": .., "gauges": .., "histograms": ..}``.
-
-        The payload is JSON- and pickle-safe, and is exactly what
-        :meth:`merge` accepts — sharded workers return it through the
-        result pipe unchanged.
-        """
+        """Plain-data view: ``{"counters": .., "gauges": .., "histograms": ..}``,
+        JSON- and pickle-safe."""
         return {
             "counters": {name: counter.value
                          for name, counter in sorted(self._counters.items())},
@@ -187,12 +152,3 @@ class MetricsRegistry:
                            for name, histogram
                            in sorted(self._histograms.items())},
         }
-
-    def merge(self, payload: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one."""
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).add(value)
-        for name, data in payload.get("histograms", {}).items():
-            self.histogram(name, data["bounds"]).merge(data)

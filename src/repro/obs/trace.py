@@ -39,10 +39,8 @@ _COMPACT = {"separators": (",", ":"), "default": repr}
 class TraceSink:
     """Streaming JSONL writer for trace records.
 
-    Opened lazily on first write so a sink configured in a parent process
-    and forked into shard workers never leaves a half-written file behind
-    in the parent; workers retarget :attr:`path` (``.shard<K>`` suffix)
-    before their first record.
+    Opened lazily on first write, so metadata set after construction
+    (:meth:`update_meta`) still lands in the header line.
     """
 
     def __init__(self, path: str, *, meta: Optional[dict] = None) -> None:

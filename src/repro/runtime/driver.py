@@ -10,7 +10,7 @@ fire-and-forget ``schedule_fast``, generation-cancellable ``schedule_gen`` /
 ``cancel_gen``), deterministic RNG forking, and ``spawn`` for runtimes that
 host coroutines.
 
-Three implementations exist:
+Two implementations exist:
 
 * the discrete-event :class:`~repro.runtime.engine.Simulator` itself (today's
   path, registered below as a virtual subclass so ``isinstance`` checks hold
@@ -18,11 +18,7 @@ Three implementations exist:
 * :class:`repro.live.driver.LiveDriver`, which maps the same surface onto a
   wall-clock asyncio event loop and real elapsed time, so the *unchanged*
   generated agents and transports run over real sockets between OS processes
-  (see docs/LIVE.md);
-* :class:`repro.runtime.sharded.driver.ShardedDriver`, which wraps one
-  shard's simulator inside the multi-process conservative-lockstep kernel —
-  same scheduling surface per worker, cross-shard packets exchanged at
-  window barriers (see docs/PERFORMANCE.md, "Sharded execution").
+  (see docs/LIVE.md).
 
 :class:`SimDriver` is a thin explicit wrapper around a ``Simulator`` for call
 sites that want to name the abstraction; because the simulator already

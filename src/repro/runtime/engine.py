@@ -357,23 +357,6 @@ class Simulator:
         """Run until no events remain (bounded by *max_events*)."""
         return self.run(until=None, max_events=max_events)
 
-    def run_windows(self, barriers: Iterable[float],
-                    on_barrier: Callable[[float, int], None]) -> float:
-        """Window-bounded execution: run to each barrier time in turn.
-
-        After every bounded :meth:`run` the *on_barrier*\\(barrier, index)
-        hook fires with the clock parked exactly at the barrier; the hook may
-        schedule new events (the sharded kernel injects cross-shard arrivals
-        here) but must not call :meth:`run` re-entrantly.  The barrier list is
-        supplied by the caller so cooperating simulators in different
-        processes can share one float-identical schedule
-        (:func:`repro.runtime.sharded.driver.barrier_schedule`).
-        """
-        for index, barrier in enumerate(barriers):
-            self.run(until=barrier)
-            on_barrier(barrier, index)
-        return self._now
-
     # -------------------------------------------------------------- utilities
     def drain_labels(self) -> Iterable[str]:
         """Labels of pending (non-cancelled) events — useful in tests.

@@ -525,8 +525,8 @@ class WireCodec:
     Building one *compiles*: each type's :func:`emit_codec` text is ``exec``'d
     once, so a frame runs its type's own encoder or decoder and nothing walks
     a plan.  The functions stay on the codec, never on a :class:`MessageType`:
-    the registry shares its types between every run in the process and the
-    sharded kernel pickles them by value with each cross-shard packet.
+    the registry shares its types between every run in the process, and a
+    message pickles its type by value.
     """
 
     def __init__(self, catalogs: Mapping[str, MessageCatalog]) -> None:

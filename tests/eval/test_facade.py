@@ -52,12 +52,6 @@ def test_facade_default_matches_spec_run():
     assert via_facade.events == direct.events
 
 
-def test_facade_shards_matches_run_sharded():
-    direct = route_spec().run_sharded(2)
-    via_facade = repro.run(route_spec(), shards=2)
-    assert repr(via_facade.metrics) == repr(direct.metrics)
-
-
 def test_facade_multi_seed_matches_scenario_runner():
     direct = ScenarioRunner(route_spec(), [3, 4, 5]).run()
     via_facade = repro.run(route_spec(), seeds=3)
@@ -74,17 +68,29 @@ def test_facade_explicit_seed_sequence():
     assert repr(via_facade.aggregate) == repr(direct.aggregate)
 
 
-def test_facade_kv_spec_sim_and_sharded_identical():
-    """The acceptance shape: one KV spec, unmodified, through both sim
-    paths of the facade."""
+def test_facade_forked_seeds_match_the_serial_runner():
+    direct = ScenarioRunner(route_spec(), [3, 4]).run()
+    forked = repro.run(route_spec(), seeds=[3, 4], jobs=2)
+    assert repr(forked.aggregate) == repr(direct.aggregate)
+    for mine, theirs in zip(forked.results, direct.results):
+        assert repr(mine.metrics) == repr(theirs.metrics)
+        assert mine.experiment is None
+
+
+def test_shards_is_an_unknown_keyword_of_every_sim_entry_point():
+    with pytest.raises(TypeError, match="shards"):
+        route_spec().run(shards=2)
+    with pytest.raises(TypeError, match="shards"):
+        ScenarioRunner(route_spec(), [3], shards=2)
+    assert not hasattr(route_spec(), "run_sharded")
+
+
+def test_facade_kv_spec_matches_spec_run():
+    """The acceptance shape: one KV spec, unmodified, through the facade."""
     direct = kv_spec().run()
     via_facade = repro.run(kv_spec())
     assert repr(via_facade.metrics) == repr(direct.metrics)
     assert via_facade.metrics["workload.quorum_success"] > 0.9
-
-    sharded_direct = kv_spec().run_sharded(4)
-    sharded_facade = repro.run(kv_spec(), shards=4)
-    assert repr(sharded_facade.metrics) == repr(sharded_direct.metrics)
 
 
 def test_facade_rejects_bad_arguments():
@@ -94,8 +100,10 @@ def test_facade_rejects_bad_arguments():
         repro.run(route_spec(), seeds=0)
     with pytest.raises(ValueError, match="unknown options for sim mode"):
         repro.run(route_spec(), base_port=48000)
+    with pytest.raises(ValueError, match="unknown options for sim mode"):
+        repro.run(route_spec(), shards=2)
     with pytest.raises(ValueError, match="live mode boots one"):
-        repro.run(route_spec(), mode="live", shards=4)
+        repro.run(route_spec(), mode="live", jobs=4)
 
 
 def test_facade_live_mapping_rejects_uncompiled_protocols():

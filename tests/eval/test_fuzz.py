@@ -267,5 +267,3 @@ def test_runner_forked_jobs_match_serial():
 def test_runner_rejects_bad_parallelism_arguments():
     with pytest.raises(ValueError):
         ScenarioRunner(_FakeSeededSpec(), seeds=[1], jobs=0)
-    with pytest.raises(ValueError):
-        ScenarioRunner(_FakeSeededSpec(), seeds=[1], shards=0)

@@ -3,7 +3,7 @@
 The byte-identity contract of the *disabled* path is pinned separately in
 test_obs_pin.py; this module covers the enabled path — the metrics
 registry, the canonical namespace, snapshot/trace artifact round-trips,
-sharded key parity, facade plumbing, and route reconstruction.
+facade plumbing, and route reconstruction.
 """
 
 from __future__ import annotations
@@ -58,31 +58,9 @@ def test_histogram_bounds_validation():
     Histogram((1.0, 2.0, 3.0))   # ascending is fine
 
 
-def test_registry_merge_is_additive():
-    left, right = base_registry(), base_registry()
-    left.counter("net.packets_sent").inc(3)
-    right.counter("net.packets_sent").inc(4)
-    left.gauge("nodes.alive").add(2)
-    right.gauge("nodes.alive").add(5)
-    left.histogram("workload.latency").observe(0.02)
-    right.histogram("workload.latency").observe(3.0)
-    left.merge(right.snapshot())
-    snapshot = left.snapshot()
-    assert snapshot["counters"]["net.packets_sent"] == 7
-    assert snapshot["gauges"]["nodes.alive"] == 7.0
-    assert snapshot["histograms"]["workload.latency"]["count"] == 2
-    assert snapshot["histograms"]["workload.latency"]["max"] == 3.0
-
-
-def test_histogram_merge_rejects_mismatched_bounds():
-    histogram = Histogram((1.0, 2.0))
-    with pytest.raises(ValueError, match="bounds mismatch"):
-        histogram.merge(Histogram((1.0, 3.0)).snapshot())
-
-
 def test_base_registry_precreates_the_full_namespace():
     snapshot = base_registry().snapshot()
-    assert snapshot["counters"]["shard.windows"] == 0
+    assert snapshot["counters"]["errors.decode_errors"] == 0
     assert snapshot["counters"]["errors.reassembly_timeouts"] == 0
     assert snapshot["gauges"]["nodes.total"] == 0.0
     assert snapshot["histograms"]["causal.route_hops"]["count"] == 0
@@ -99,6 +77,7 @@ def test_sim_run_attaches_validated_snapshot(tmp_path):
     assert result.obs["name"] == "obs-test"
     assert result.obs["counters"]["workload.sent"] == 12
     assert result.obs["counters"]["net.packets_sent"] > 0
+    assert result.obs["gauges"]["nodes.total"] == 8.0
     # The file round-trips through schema validation.
     assert load_obs_snapshot(str(snapshot_path)) == result.obs
 
@@ -122,6 +101,21 @@ def test_causal_tracing_reconstructs_routes(tmp_path):
     # Every reconstructed route landed in the hop-count histogram.
     assert result.obs["histograms"]["causal.route_hops"]["count"] \
         == len(routes)
+
+
+def test_sim_snapshot_keys_are_the_canonical_namespace():
+    result = traced_spec(causal=True).run()
+    canonical = base_registry().snapshot()
+    for section in ("counters", "gauges", "histograms"):
+        assert set(result.obs[section]) == set(canonical[section])
+
+
+def test_a_traced_run_writes_one_stream_to_the_named_path(tmp_path):
+    traced_spec(causal=True, trace_path=str(tmp_path / "trace.jsonl")).run()
+    assert [path.name for path in tmp_path.iterdir()] == ["trace.jsonl"]
+    header, records = load_trace(str(tmp_path / "trace.jsonl"))
+    assert header["mode"] == "sim" and header["name"] == "obs-test"
+    assert records
 
 
 def test_trace_level_overrides_flow_into_the_run(tmp_path):
@@ -148,28 +142,6 @@ def test_category_override_can_silence_a_noisy_category(tmp_path):
     assert baseline.experiment.tracer.count("transition") > 0
     assert silenced.experiment.tracer.count("transition") == 0
     assert silenced.experiment.tracer.count("message_send") > 0
-
-
-# ------------------------------------------------------------------- sharded
-def test_sharded_snapshot_has_identical_keys_and_shard_counters(tmp_path):
-    spec = traced_spec(causal=True,
-                       trace_path=str(tmp_path / "trace.jsonl"))
-    sim = spec.run()
-    sharded = spec.run_sharded(2)
-    assert sharded.obs["mode"] == "sharded"
-    assert sharded.obs["shards"] == 2
-    for section in ("counters", "gauges", "histograms"):
-        assert set(sharded.obs[section]) == set(sim.obs[section])
-    assert sharded.obs["counters"]["shard.windows"] > 0
-    assert sharded.obs["counters"]["shard.cross_shard_packets"] > 0
-    assert sharded.obs["gauges"]["nodes.total"] == 8.0
-    # Each forked worker spilled its own shard-suffixed stream.
-    shard_files = sorted(path.name for path in tmp_path.iterdir())
-    assert shard_files == ["trace.jsonl", "trace.jsonl.shard0",
-                           "trace.jsonl.shard1"]
-    header, records = load_trace(str(tmp_path / "trace.jsonl.shard0"))
-    assert header["mode"] == "sharded" and header["shard"] == 0
-    assert records
 
 
 # -------------------------------------------------------------------- facade

@@ -4,6 +4,8 @@ validation."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval import (
@@ -20,7 +22,8 @@ from repro.eval import (
     ScenarioSpec,
     WorkloadModel,
 )
-from repro.protocols import chord_agent
+from repro.network.topology import BANDWIDTH_ATTR, dumbbell_topology
+from repro.protocols import chord_agent, scribe_stack
 from repro.runtime.failure import FailureDetectorConfig
 
 FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
@@ -273,7 +276,35 @@ def CrashModelAt(victim: int, at: float, recover_at: float):
 
 
 # --------------------------------------------------------------- determinism
+def route_40_spec() -> ScenarioSpec:
+    return ring_spec(
+        "d-route40", [ChurnModel(join="staggered", join_spacing=0.1),
+                      WorkloadModel(kind="route", source=-1, start=15.0,
+                                    packets=5, gap=0.25)],
+        num_nodes=40, seed=7, duration=20.0)
+
+
+def degraded_uplink_spec() -> ScenarioSpec:
+    """A core link slowed a hundredfold queues every packet crossing it."""
+    spec = route_40_spec()
+    uplink = next((u, v) for u, v, data
+                  in spec.build().topology.graph.edges(data=True)
+                  if data[BANDWIDTH_ATTR] > 1e9)
+    return replace(spec, models=spec.models + (
+        DegradeModel(at=5.0, links=(uplink,), bandwidth_factor=0.01),))
+
+
 STRESSOR_SPECS = {
+    "route-40": route_40_spec,
+    "degraded-uplink": degraded_uplink_spec,
+    # Every packet between the two sides queues at the narrow bottleneck.
+    "dumbbell-bottleneck": lambda: replace(ring_spec(
+        "d-dumbbell", [ChurnModel(join="staggered", join_spacing=0.1),
+                       WorkloadModel(kind="route", source=-1, start=15.0,
+                                     packets=40, gap=0.5)],
+        num_nodes=12, seed=7, duration=40.0),
+        topology=dumbbell_topology(clients_per_side=6,
+                                   bottleneck_bandwidth=20_000.0)),
     "flash-crowd": lambda: ring_spec(
         "d-flash", [FlashCrowdModel(core=3, at=20.0, burst_rate=8.0,
                                     stay=25.0),
@@ -312,6 +343,38 @@ STRESSOR_SPECS = {
     "group": lambda: ring_spec(
         "d-group", [ChurnModel(join="staggered", join_spacing=0.5),
                     GroupModel(group=2, source=1, at=10.0)]),
+    "link-cut": lambda: ring_spec(
+        "d-cut", [ChurnModel(join="staggered", join_spacing=0.5),
+                  PartitionModel(at=20.0, heal_after=10.0,
+                                 links=((10, 0), (14, 0))),
+                  WorkloadModel(kind="route", source=-1, start=15.0,
+                                packets=15, gap=2.0)]),
+    # Each source host draws its losses from its own stream.
+    "random-loss": lambda: replace(ring_spec(
+        "d-loss", [ChurnModel(join="staggered", join_spacing=0.1),
+                   WorkloadModel(kind="route", source=-1, start=15.0,
+                                 packets=40, gap=1.0)],
+        num_nodes=24, seed=5, duration=60.0), random_loss_rate=0.02),
+    "kv-repair": lambda: ring_spec(
+        "d-kv", [ChurnModel(join="staggered", join_spacing=0.1),
+                 WorkloadModel(kind="kv", start=12.0, packets=16, gap=0.4,
+                               keys=8, repair_gap=4.0)],
+        num_nodes=40, seed=7, duration=24.0),
+    "scribe-partition": lambda: replace(ring_spec(
+        "d-scribe", [ChurnModel(join="staggered", join_spacing=0.15),
+                     GroupModel(group=7, source=0, at=18.0, spacing=0.25),
+                     PartitionModel(groups=((1, 2, 3),), at=20.0,
+                                    heal_after=6.0),
+                     WorkloadModel(kind="multicast", source=0, group=7,
+                                   start=38.0, packets=4, gap=1.0)],
+        num_nodes=30, seed=3, duration=45.0),
+        agents=lambda: scribe_stack("pastry")),
+    "pubsub-fanout": lambda: replace(ring_spec(
+        "d-pubsub", [ChurnModel(join="staggered", join_spacing=0.15),
+                     WorkloadModel(kind="pubsub", source=-1, start=15.0,
+                                   packets=8, gap=0.5, topics=3, fanout=7)],
+        num_nodes=30, seed=3, duration=32.0),
+        agents=lambda: scribe_stack("pastry")),
 }
 
 
@@ -324,3 +387,7 @@ def test_stressor_fixed_seed_runs_are_byte_identical(name):
     assert first.metrics == second.metrics
     assert first.events == second.events
     assert first.series == second.series
+    if name == "random-loss":
+        assert first.metrics["net.packets_dropped"] > 0
+    if name == "route-40":
+        assert first.metrics["nodes.alive"] == 40.0

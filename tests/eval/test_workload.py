@@ -1,7 +1,7 @@
 """The shared workload plane, without a socket: draw, live plan, score.
 
 One :class:`WorkloadModel` is drawn, issued, observed and scored by the same
-code under the simulator, the shard workers and the live cluster.  These
+code under the simulator and the live cluster.  These
 tests pin the parts that make that true and need no process or network:
 the live plan is the model's own draw re-timed onto the live window, and
 the scorer is a pure function of the pooled payloads.

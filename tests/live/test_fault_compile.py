@@ -235,3 +235,21 @@ def test_negative_victim_index_counts_from_the_end_in_both_modes():
         == [spec.num_nodes - 1]
     (kill,) = compile_fault_models(spec, _config())
     assert kill == KillNode(at=kill.at, index=_config().nodes - 1)
+
+
+def test_a_kill_respawns_after_its_whole_downtime():
+    """The backoff cap bounds the stretch a repeat kill adds, never the
+    directive's own downtime, which ``fault_horizon`` counts in full."""
+    from repro.live.cluster import BACKOFF_CAP, LiveCluster
+
+    kill = KillNode(at=2.0, index=1, respawn_after=12.0)
+    assert 12.0 > BACKOFF_CAP
+    for restarts, delay in ((0, 12.0), (1, 12.0 + BACKOFF_CAP)):
+        pushed = []
+        state = {1: {"down": False, "pending_respawn": False, "proc": None,
+                     "killed": 0, "restarts": restarts}}
+        LiveCluster(_config())._do_kill(
+            kill, state, lambda *action: pushed.append(action), now=2.0)
+        assert pushed == [(2.0 + delay, "respawn", 1)]
+        assert state[1]["pending_respawn"] and state[1]["killed"] == 1
+    assert fault_horizon([kill]) == 14.0

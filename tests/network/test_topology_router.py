@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.router import Router, RoutingError
 from repro.network.topology import (
     LATENCY_ATTR,
+    ROLE_ATTR,
     TopologyError,
     dumbbell_topology,
     multi_site_topology,
+    stub_domains,
     transit_stub_topology,
 )
 
@@ -57,6 +60,48 @@ def test_dumbbell_topology():
     topology = dumbbell_topology(clients_per_side=3)
     assert topology.num_clients == 6
     assert topology.graph.has_edge(0, 1)
+
+
+def test_stub_domains_are_stub_routers_only():
+    topology = transit_stub_topology(48, seed=3)
+    graph = topology.graph
+    domains = stub_domains(topology)
+    for domain in domains:
+        for router in domain:
+            assert graph.nodes[router][ROLE_ATTR] == "stub"
+    # Every transit-stub client hangs off one of them.
+    members = set().union(*domains)
+    for client in topology.clients:
+        assert members & set(graph.neighbors(client))
+
+
+def test_stub_domains_partition_the_stub_routers_in_a_fixed_order():
+    topology = transit_stub_topology(48, seed=3)
+    domains = stub_domains(topology)
+    stubs = {node for node, data in topology.graph.nodes(data=True)
+             if data[ROLE_ATTR] == "stub"}
+    assert sum(len(domain) for domain in domains) == len(stubs)
+    assert set().union(*domains) == stubs
+    assert [min(domain) for domain in domains] \
+        == sorted(min(domain) for domain in domains)
+    assert stub_domains(transit_stub_topology(48, seed=3)) == domains
+
+
+def test_stub_domains_are_the_connected_stub_components():
+    topology = transit_stub_topology(48, seed=3)
+    graph = topology.graph
+    domains = stub_domains(topology)
+    domain_of = {router: index for index, domain in enumerate(domains)
+                 for router in domain}
+    for u, v in graph.edges():
+        if u in domain_of and v in domain_of:
+            assert domain_of[u] == domain_of[v]
+    for domain in domains:
+        assert nx.is_connected(graph.subgraph(domain))
+
+
+def test_stub_domains_empty_without_stub_routers():
+    assert stub_domains(multi_site_topology([4, 4, 4])) == []
 
 
 def test_router_paths_and_latency():

@@ -132,10 +132,10 @@ def test_max_width_scalars_round_trip(protocol):
 
 @pytest.mark.parametrize("protocol", ["chord", "scribe"])
 def test_a_message_that_has_been_on_the_wire_still_pickles(protocol):
-    """The sharded kernel pickles messages — and, by value, the registry's
-    shared message types — with every cross-shard packet, so using a codec
-    must leave nothing unpicklable behind on a type (it once cached its
-    ``struct.Struct`` plan there: sharded runs died after any codec test)."""
+    """A message pickles with its type by value, and the registry shares
+    its types between every run in the process, so using a codec must leave
+    nothing unpicklable behind on a type (it once cached its
+    ``struct.Struct`` plan there, and every later pickle died)."""
     stack, codec = _stack_and_codec(protocol)
     rng = random.Random(f"pickle:{protocol}")
     for agent_class in stack:
@@ -151,6 +151,32 @@ def test_a_message_that_has_been_on_the_wire_still_pickles(protocol):
             assert copy.fields == message.fields
             assert copy.size == message.size == len(encoded)
             assert codec.encode_message(copy) == encoded
+
+
+def test_a_sim_run_is_unchanged_by_a_codec_over_its_stack():
+    """The simulator and the live codec share the registry's message types:
+    compiling a codec and putting one message of each type on the wire
+    must leave the next simulated run exactly as it was."""
+    from repro.eval.library import resolve_protocol
+    from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
+
+    spec = ScenarioSpec(
+        name="after-the-wire", agents=resolve_protocol("chord"),
+        num_nodes=12, duration=30.0, seed=7,
+        models=(ChurnModel(join="staggered", join_spacing=0.1),
+                WorkloadModel(kind="route", source=-1, start=15.0,
+                              packets=8, gap=0.5)))
+    before = spec.run()
+    stack = spec.agents()
+    codec = WireCodec.for_agents(stack)
+    for agent_class in stack:
+        for message_type in agent_class.MESSAGE_TYPES:
+            encoded = codec.encode_message(Message(
+                type=message_type, protocol=agent_class.PROTOCOL))
+            assert codec.decode_message(encoded)[0].type is message_type
+    after = spec.run()
+    assert repr(after.metrics) == repr(before.metrics)
+    assert after.events == before.events
 
 
 def test_wrapped_message_nests_at_model_size():
