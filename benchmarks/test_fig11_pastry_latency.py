@@ -9,36 +9,41 @@ RMI overhead) and it cannot be run beyond ~100 participants.
 Scaled down here: fewer node counts, shorter convergence and measurement
 windows.  The assertions check the paper's shape — MACEDON much faster at
 every population, and the FreePastry baseline refusing to exceed its
-population cap.
+population cap.  Each run is one :class:`ScenarioSpec`: a staggered join,
+then a route workload carrying the same packet rate as every node sending
+one packet each ``INTERVAL`` seconds — ``n`` nodes' streams interleaved as
+one probe every ``INTERVAL / n`` seconds from a random node.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps import RandomRouteWorkload
 from repro.baselines import FreePastryAgent, FreePastryCapacityError, reset_freepastry_population
-from repro.eval import ExperimentConfig, OverlayExperiment, mean
+from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, mean
 from repro.eval.reports import format_table
 from repro.protocols import pastry_agent
 
 NODE_COUNTS = [10, 25, 50, 75]
 CONVERGENCE = 80.0
 MEASURE = 30.0
+SETTLE = 10.0
+INTERVAL = 1000 * 8 / 10_000      # 1000-byte packets at 10 Kbps per node
 
 
-def measure(agent_class, num_nodes: int, seed: int) -> float:
-    experiment = OverlayExperiment(
-        [agent_class], ExperimentConfig(num_nodes=num_nodes, seed=seed,
-                                        convergence_time=CONVERGENCE))
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
-    workload = RandomRouteWorkload(experiment.nodes, rate_bps=10_000,
-                                   packet_bytes=1000, seed=seed)
-    workload.start(MEASURE)
-    experiment.run(MEASURE + 10.0)
-    workload.stop()
-    return workload.average_latency()
+def measure(agent_factory, num_nodes: int, seed: int) -> float:
+    spec = ScenarioSpec(
+        name=f"fig11-{num_nodes}",
+        agents=lambda: [agent_factory()],
+        num_nodes=num_nodes,
+        duration=CONVERGENCE + MEASURE + SETTLE,
+        seed=seed,
+        models=(ChurnModel(join="staggered", join_spacing=0.2),
+                WorkloadModel(kind="route", source=-1, start=CONVERGENCE,
+                              packets=num_nodes * int(MEASURE // INTERVAL),
+                              gap=INTERVAL / num_nodes)),
+    )
+    return spec.run().metrics["workload.latency_mean"]
 
 
 def test_fig11_pastry_vs_freepastry_latency(once):
@@ -47,9 +52,9 @@ def test_fig11_pastry_vs_freepastry_latency(once):
         freepastry = {}
         for count in NODE_COUNTS:
             reset_freepastry_population()
-            macedon[count] = measure(pastry_agent(), count, seed=110 + count)
+            macedon[count] = measure(pastry_agent, count, seed=110 + count)
             reset_freepastry_population()
-            freepastry[count] = measure(FreePastryAgent(), count, seed=110 + count)
+            freepastry[count] = measure(FreePastryAgent, count, seed=110 + count)
         return macedon, freepastry
 
     macedon, freepastry = once(run)
@@ -72,5 +77,5 @@ def test_fig11_pastry_vs_freepastry_latency(once):
     # FreePastry cannot be pushed past its memory ceiling (~100 participants).
     reset_freepastry_population()
     with pytest.raises(FreePastryCapacityError):
-        measure(FreePastryAgent(), 120, seed=999)
+        measure(FreePastryAgent, 120, seed=999)
     reset_freepastry_population()

@@ -9,55 +9,74 @@ re-resolution traffic and multi-hop detours eat into goodput).
 Scaled down here (fewer nodes, lower rate, shorter run); the assertions check
 the shape: both configurations deliver most of the source rate, and the
 no-eviction policy delivers at least as much as the short-lifetime policy.
+Each policy is one :class:`ScenarioSpec`: ``configure`` sets the cache
+lifetime, a :class:`GroupModel` builds the forest and a multicast
+:class:`WorkloadModel` streams into it.
+
+``cache_lifetime`` does not move this figure today: both policies deliver
+the same bandwidth, because the bundled Pastry settles into full membership
+and every route is one overlay hop, so there is no detour for an evicted
+cache entry to cause.  The ordering becomes a real test once Pastry routes
+by prefix table and leaf set (ROADMAP direction 3(a)).
 """
 
 from __future__ import annotations
 
-from repro.apps import StreamReceiver, StreamingSource, bandwidth_timeseries
-from repro.eval import ExperimentConfig, OverlayExperiment, mean
+from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel, mean
 from repro.eval.reports import format_series
 from repro.protocols import splitstream_stack
 
 NUM_NODES = 40
+SOURCE = 1
 RATE_BPS = 120_000          # scaled from the paper's 600 Kbps
 PACKET_BYTES = 1000
+PACKETS_PER_SECOND = RATE_BPS // (PACKET_BYTES * 8)     # 15
+GAP = 1.0 / PACKETS_PER_SECOND
 CONVERGENCE = 120.0
-STREAM_SECONDS = 60.0
+STREAM_START = CONVERGENCE + 50.0
+STREAM_SECONDS = 60
 BUCKET = 10.0
 GROUP = 4242
 
 
+def bandwidth_series(records, source_address: int) -> list[tuple[float, float]]:
+    """Average received bandwidth per receiver (bps) in each ``BUCKET`` of
+    the stream.  Packet *seqno* left the source ``seqno * GAP`` seconds into
+    the stream, so its arrival is that plus the recorded latency."""
+    received = [0] * int(STREAM_SECONDS // BUCKET)
+    for receiver, seqno, latency in records:
+        bucket = int((seqno * GAP + latency) // BUCKET)
+        if receiver != source_address and bucket < len(received):
+            received[bucket] += PACKET_BYTES
+    return [(index * BUCKET, count * 8 / BUCKET / (NUM_NODES - 1))
+            for index, count in enumerate(received)]
+
+
 def run_policy(cache_lifetime: float, seed: int):
-    experiment = OverlayExperiment(
-        splitstream_stack(), ExperimentConfig(num_nodes=NUM_NODES, seed=seed,
-                                              convergence_time=CONVERGENCE))
-    for node in experiment.nodes:
-        node.agent("pastry").cache_lifetime = cache_lifetime
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
+    def configure(experiment) -> None:
+        for node in experiment.nodes:
+            node.agent("pastry").cache_lifetime = cache_lifetime
 
-    source = experiment.nodes[1]
-    source.macedon_create_group(GROUP)
-    experiment.run(10.0)
-    receivers = []
-    for node in experiment.nodes:
-        if node is source:
-            continue
-        receivers.append(StreamReceiver(node))
-        node.macedon_join(GROUP)
-    experiment.run(40.0)
-
-    stream_start = experiment.simulator.now
-    streamer = StreamingSource(source, GROUP, rate_bps=RATE_BPS,
-                               packet_bytes=PACKET_BYTES)
-    streamer.start(duration=STREAM_SECONDS)
-    experiment.run(STREAM_SECONDS + 15.0)
-    streamer.stop()
-
-    series = bandwidth_timeseries(receivers, start=stream_start,
-                                  end=stream_start + STREAM_SECONDS, bucket=BUCKET)
-    average = mean([value for _, value in series])
-    return series, average
+    spec = ScenarioSpec(
+        name=f"fig12-cache-{cache_lifetime}",
+        agents=splitstream_stack,
+        num_nodes=NUM_NODES,
+        duration=STREAM_START + STREAM_SECONDS + 15.0,
+        seed=seed,
+        configure=configure,
+        models=(ChurnModel(join="staggered", join_spacing=0.2),
+                GroupModel(group=GROUP, source=SOURCE, at=CONVERGENCE),
+                WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,
+                              start=STREAM_START,
+                              packets=STREAM_SECONDS * PACKETS_PER_SECOND,
+                              gap=GAP,
+                              packet_bytes=PACKET_BYTES)),
+    )
+    experiment = spec.run().experiment
+    workload = experiment.compiled_models[-1]
+    series = bandwidth_series(workload.observations.records,
+                              experiment.nodes[SOURCE].address)
+    return series, mean([value for _, value in series])
 
 
 def test_fig12_splitstream_bandwidth_cache_policies(once):

@@ -4,40 +4,46 @@
 Pastry to Chord by changing a single line in its MACEDON specification."
 This benchmark builds Scribe over both substrates from the same specification
 (overriding only the ``uses`` header) and verifies multicast delivery works on
-both, reporting delivery rate and mean latency side by side.
+both, reporting delivery rate and mean latency side by side.  Both runs are
+the same :class:`ScenarioSpec` but for the stack: a staggered join, a
+:class:`GroupModel` and a 10 packets/s multicast :class:`WorkloadModel`.
 """
 
 from __future__ import annotations
 
-from repro.apps import StreamReceiver, StreamingSource
-from repro.eval import ExperimentConfig, OverlayExperiment, mean
+from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel, mean
 from repro.eval.reports import format_table
 from repro.protocols import scribe_stack
 
 NUM_NODES = 30
 GROUP = 77
+SOURCE = 1
+CONVERGENCE = 100.0
+STREAM_START = CONVERGENCE + 45.0
 
 
 def run_over(base: str, seed: int):
-    experiment = OverlayExperiment(
-        scribe_stack(base=base),
-        ExperimentConfig(num_nodes=NUM_NODES, seed=seed, convergence_time=100.0))
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
-    source = experiment.nodes[1]
-    source.macedon_create_group(GROUP)
-    experiment.run(5.0)
-    receivers = [StreamReceiver(node) for node in experiment.nodes if node is not source]
-    for node in experiment.nodes:
-        if node is not source:
-            node.macedon_join(GROUP)
-    experiment.run(40.0)
-    streamer = StreamingSource(source, GROUP, rate_bps=80_000, packet_bytes=1000)
-    streamer.start(duration=20.0)
-    experiment.run(40.0)
-    sent = streamer.stats.packets_sent
-    delivery = mean([r.packets_received / sent for r in receivers]) if sent else 0.0
-    latency = mean([r.average_latency() for r in receivers if r.deliveries])
+    spec = ScenarioSpec(
+        name=f"scribe-over-{base}",
+        agents=lambda: scribe_stack(base=base),
+        num_nodes=NUM_NODES,
+        duration=STREAM_START + 40.0,
+        seed=seed,
+        models=(ChurnModel(join="staggered", join_spacing=0.2),
+                GroupModel(group=GROUP, source=SOURCE, at=CONVERGENCE),
+                WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,
+                              start=STREAM_START, packets=200, gap=0.1)),
+    )
+    result = spec.run()
+    observations = result.experiment.compiled_models[-1].observations
+    sent = result.metrics["workload.sent"]
+    source = result.experiment.nodes[SOURCE].address
+    # A receiver that got nothing has no entry, and counts as 0.
+    received = [observations.per_receiver.get(node.address, [])
+                for node in result.experiment.nodes if node.address != source]
+    delivery = mean([len(latencies) / sent for latencies in received]) \
+        if sent else 0.0
+    latency = mean([mean(latencies) for latencies in received if latencies])
     return delivery, latency
 
 

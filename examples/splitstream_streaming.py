@@ -4,58 +4,59 @@
 This is a miniature version of the paper's Figure-12 experiment: build a
 SplitStream forest, stream fixed-size packets from one source, and report the
 average bandwidth each receiver saw — once with the Pastry location cache kept
-forever and once with a short cache lifetime.
+forever and once with a short cache lifetime.  Each run is one
+``ScenarioSpec``: a staggered join, a ``GroupModel`` that builds the forest
+and a multicast ``WorkloadModel`` that streams into it.
 
 Run with:  python examples/splitstream_streaming.py
 """
 
 from __future__ import annotations
 
-from repro.apps import StreamReceiver, StreamingSource, bandwidth_timeseries
-from repro.eval import ExperimentConfig, OverlayExperiment, mean
-from repro.eval.reports import format_series
+from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel
 from repro.protocols import splitstream_stack
 
 NUM_NODES = 25
+SOURCE = 1
 GROUP = 99
 RATE_BPS = 100_000
-STREAM_SECONDS = 30.0
+PACKET_BYTES = 1000
+STREAM_SECONDS = 30
+CONVERGENCE = 100.0
 
 
 def run(cache_lifetime: float) -> float:
-    experiment = OverlayExperiment(
-        splitstream_stack(),
-        ExperimentConfig(num_nodes=NUM_NODES, seed=5, convergence_time=100.0),
+    def configure(experiment) -> None:
+        for node in experiment.nodes:
+            node.agent("pastry").cache_lifetime = cache_lifetime
+
+    packets_per_second = RATE_BPS / (PACKET_BYTES * 8)
+    stream_start = CONVERGENCE + 35.0
+    spec = ScenarioSpec(
+        name=f"splitstream-cache-{cache_lifetime}",
+        agents=splitstream_stack,
+        num_nodes=NUM_NODES,
+        duration=stream_start + STREAM_SECONDS + 10.0,
+        seed=5,
+        configure=configure,
+        models=(ChurnModel(join="staggered", join_spacing=0.2),
+                GroupModel(group=GROUP, source=SOURCE, at=CONVERGENCE),
+                WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,
+                              start=stream_start,
+                              packets=int(STREAM_SECONDS * packets_per_second),
+                              gap=1.0 / packets_per_second,
+                              packet_bytes=PACKET_BYTES)),
     )
-    for node in experiment.nodes:
-        node.agent("pastry").cache_lifetime = cache_lifetime
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
-
-    source = experiment.nodes[1]
-    source.macedon_create_group(GROUP)
-    experiment.run(5.0)
-    receivers = []
-    for node in experiment.nodes:
-        if node is source:
-            continue
-        receivers.append(StreamReceiver(node))
-        node.macedon_join(GROUP)
-    experiment.run(30.0)
-
-    start = experiment.simulator.now
-    streamer = StreamingSource(source, GROUP, rate_bps=RATE_BPS, packet_bytes=1000)
-    streamer.start(duration=STREAM_SECONDS)
-    experiment.run(STREAM_SECONDS + 10.0)
-
-    series = bandwidth_timeseries(receivers, start=start,
-                                  end=start + STREAM_SECONDS, bucket=5.0)
+    result = spec.run()
+    source = result.experiment.nodes[SOURCE].address
+    records = result.experiment.compiled_models[-1].observations.records
+    received = sum(1 for receiver, _seqno, _latency in records
+                   if receiver != source)
+    average = received * PACKET_BYTES * 8 / STREAM_SECONDS / (NUM_NODES - 1)
     label = "no eviction" if cache_lifetime <= 0 else f"{cache_lifetime:.0f}s lifetime"
-    print(format_series(f"SplitStream per-node bandwidth ({label})", series,
-                        x_label="time s", y_label="bps"))
-    average = mean([value for _, value in series])
-    print(f"  -> average {average / 1000:.1f} kbps of a {RATE_BPS / 1000:.0f} kbps "
-          f"source ({streamer.stats.packets_sent} packets sent)\n")
+    print(f"SplitStream ({label}): average {average / 1000:.1f} kbps per node "
+          f"of a {RATE_BPS / 1000:.0f} kbps source "
+          f"({result.metrics['workload.sent']:.0f} packets sent)")
     return average
 
 

@@ -14,8 +14,8 @@ The package is organised as the paper's system is:
   Scribe, SplitStream, Overcast, NICE, Bullet, AMMO, RandTree);
 * :mod:`repro.baselines` — independently written comparison implementations
   (lsd-style Chord, FreePastry-style Pastry);
-* :mod:`repro.apps` — reusable applications (replicated KV, topic pub/sub,
-  streaming, random routing) built on :class:`repro.apps.AppBase`;
+* :mod:`repro.apps` — reusable applications (replicated KV, topic pub/sub)
+  built on :class:`repro.apps.AppBase`;
 * :mod:`repro.eval` — metrics and the experiment harness reproducing the
   paper's evaluation.
 

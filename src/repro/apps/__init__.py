@@ -1,19 +1,18 @@
-"""Reusable MACEDON applications.
+"""The application layer over the ``macedon_*`` boundary.
 
-The probe applications the paper's evaluation drives its overlays with — a
-constant-rate streaming source (SplitStream/Scribe experiments) and a
-random-destination routing workload (the Pastry latency experiment) — plus
-the real application layer on top of them: a replicated key/value store
-(:class:`KvStore`) and topic pub/sub (:class:`PubSub`), both written against
-:class:`AppBase`, the typed hook surface every app here subclasses.
+A replicated key/value store (:class:`KvStore`) and topic pub/sub
+(:class:`PubSub`), both written against :class:`AppBase`, the typed hook
+surface every app here subclasses, plus the payloads they and the
+measurement probes carry.  Measurement traffic — the route probes and
+multicast streams of the paper's figures — is not an app: it is a
+:class:`~repro.eval.workload.WorkloadModel`, which hosts these apps for its
+``kv`` and ``pubsub`` kinds.
 """
 
 from .base import AppBase
 from .kv import KvOpRecord, KvStore
 from .payload import AppPayload, KvPayload, TopicPayload
 from .pubsub import PubSub, TopicDelivery
-from .random_route import RandomRouteWorkload, RouteSample
-from .streaming import StreamReceiver, StreamingSource, bandwidth_timeseries
 
 __all__ = [
     "AppBase",
@@ -22,11 +21,6 @@ __all__ = [
     "KvPayload",
     "KvStore",
     "PubSub",
-    "RandomRouteWorkload",
-    "RouteSample",
-    "StreamReceiver",
-    "StreamingSource",
     "TopicDelivery",
     "TopicPayload",
-    "bandwidth_timeseries",
 ]

@@ -106,14 +106,6 @@ class OverlayExperiment:
             return node
         return self.nodes[node]
 
-    @property
-    def lowest_protocol(self) -> str:
-        return self.agent_classes[0].PROTOCOL
-
-    @property
-    def highest_protocol(self) -> str:
-        return self.agent_classes[-1].PROTOCOL
-
     def run(self, duration: float) -> float:
         """Advance the simulation by *duration* seconds."""
         return self.simulator.run(until=self.simulator.now + duration)
@@ -133,9 +125,6 @@ class OverlayExperiment:
             state = "crashed" if node.crashed else node.lowest_agent.state
             histogram[state] = histogram.get(state, 0) + 1
         return histogram
-
-    def alive_nodes(self) -> list[MacedonNode]:
-        return [node for node in self.nodes if node.alive]
 
     # ------------------------------------------------------ scenario primitives
     def join_node(self, node, bootstrap: Optional[int] = None) -> None:
@@ -270,21 +259,3 @@ class OverlayExperiment:
         return {address: sum(values) / len(values)
                 for address, values in observations.per_receiver.items()
                 if values and address != source.address}
-
-    def sample_over_time(self, sample: Callable[[], float], *, interval: float,
-                         duration: float) -> list[tuple[float, float]]:
-        """Evaluate ``sample()`` every *interval* seconds for *duration* seconds.
-
-        Used for the Figure-10 convergence curves (routing-table snapshots
-        every two seconds while nodes join).
-        """
-        results: list[tuple[float, float]] = []
-        start = self.simulator.now
-        elapsed = 0.0
-        while elapsed <= duration:
-            results.append((elapsed, sample()))
-            if elapsed >= duration:
-                break
-            self.run(interval)
-            elapsed = self.simulator.now - start
-        return results

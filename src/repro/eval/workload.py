@@ -337,9 +337,8 @@ class WorkloadModel(ScenarioModel):
     #: Stream identity stamped on payloads; 0 (the default) auto-assigns a
     #: distinct id per applied workload so concurrent workloads never score
     #: each other's probes.  Auto ids start at AUTO_STREAM_BASE, well clear
-    #: of the small ids application traffic conventionally uses (e.g. the
-    #: RandomRoute app hardcodes stream 1) — otherwise the recorder would
-    #: cross-score app payloads as probes.
+    #: of the small ids application traffic conventionally uses — otherwise
+    #: the recorder would cross-score app payloads as probes.
     stream_id: int = 0
 
     #: First auto-assigned workload stream id.

@@ -87,7 +87,6 @@ class LiveClusterConfig:
 
     nodes: int = 8
     protocol: str = "chord"
-    base_overrides: Optional[dict] = None
     #: Measurement horizon in wall-clock seconds: the workload finishes by
     #: this offset; processes shut down :data:`DRAIN` seconds later.
     duration: float = 10.0
@@ -236,8 +235,7 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         # A reborn bootstrap node must re-join *someone else's* ring; its
         # usual self-bootstrap would found a fresh one-node overlay.
         bootstrap = _FIRST_ADDRESS + 1
-    stack = get_registry().load_stack(config.protocol,
-                                     dict(config.base_overrides or {}))
+    stack = get_registry().load_stack(config.protocol)
     codec = WireCodec.for_agents(stack)
     network = SocketUdpNetwork(address, config.endpoints(), codec)
     await network.open()
@@ -476,8 +474,7 @@ class LiveCluster:
         # Compile the stack up front: it validates the protocol name before
         # any process starts, and fork children inherit the warm registry.
         from ..codegen.registry import get_registry
-        stack = get_registry().load_stack(config.protocol,
-                                          dict(config.base_overrides or {}))
+        stack = get_registry().load_stack(config.protocol)
         plan = config.plan(stack[0].KEY_SPACE.size)
 
         ctx = self._context()

@@ -84,7 +84,6 @@ class LiveDriver(Driver):
         self.rng = random.Random(seed)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
-        self._stopping: Optional[asyncio.Event] = None
         #: Callbacks dispatched so far — the live analogue of the simulator's
         #: ``events_processed``, reported in cluster metrics.
         self.events_processed = 0
@@ -105,7 +104,6 @@ class LiveDriver(Driver):
         """
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._t0 = self._loop.time() - now
-        self._stopping = asyncio.Event()
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
@@ -214,25 +212,14 @@ class LiveDriver(Driver):
         handle.cancel()
 
     # ------------------------------------------------------------------- loop
-    def spawn(self, coro: Any) -> "asyncio.Task":
-        return self._require_loop().create_task(coro)
-
-    def stop(self) -> None:
-        """Ask :meth:`run_for` to return early."""
-        if self._stopping is not None:
-            self._stopping.set()
-
     async def run_for(self, seconds: float) -> float:
-        """Let the loop run events for *seconds* (or until :meth:`stop`).
+        """Let the loop run events for *seconds*.
 
         The live analogue of ``Simulator.run(until=...)``; returns the
         driver-clock time when the wait ended.
         """
         self._require_loop()
-        try:
-            await asyncio.wait_for(self._stopping.wait(), timeout=seconds)
-        except asyncio.TimeoutError:
-            pass
+        await asyncio.sleep(seconds)
         return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -70,14 +70,6 @@ class TopologyProfile:
         default_factory=lambda: LinkProfile((0.0005, 0.0030), 1_250_000.0)
     )
 
-    def scaled_client_bandwidth(self, bandwidth: float) -> "TopologyProfile":
-        """A copy of this profile with a different client access bandwidth."""
-        return TopologyProfile(
-            transit_link=self.transit_link,
-            stub_link=self.stub_link,
-            client_link=LinkProfile(self.client_link.latency_range, bandwidth),
-        )
-
 
 @dataclass
 class Topology:

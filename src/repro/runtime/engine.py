@@ -353,10 +353,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
-        """Run until no events remain (bounded by *max_events*)."""
-        return self.run(until=None, max_events=max_events)
-
     # -------------------------------------------------------------- utilities
     def drain_labels(self) -> Iterable[str]:
         """Labels of pending (non-cancelled) events — useful in tests.

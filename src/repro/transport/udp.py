@@ -126,12 +126,12 @@ class SocketFaults:
     emulator's partition/degrade hooks.
 
     Rules are keyed by *peer overlay address* and applied where a real
-    network would apply them: outbound cuts drop the datagram after the
-    transport stack handed it over (the send still "succeeds" — the bytes
-    die in the network, not on the host), inbound cuts, loss, and delay act
-    on arriving datagrams before any decoding.  Partition membership,
-    directed cuts, and degradation rules are tracked separately so healing
-    one fault never heals another that targets the same peer.
+    network would apply them: a partition drops an outbound datagram after
+    the transport stack handed it over (the send still "succeeds" — the
+    bytes die in the network, not on the host); partition, loss, and delay
+    act on arriving datagrams before any decoding.  Partition membership
+    and degradation rules are tracked separately so healing one fault never
+    heals another that targets the same peer.
 
     The table is installed over the coordinator control channel (see
     :meth:`SocketUdpNetwork.apply_fault_op`); every operation is idempotent,
@@ -147,17 +147,14 @@ class SocketFaults:
         self.rng = rng if rng is not None \
             else random.Random(local_address * 0x9E3779B1)
         self.partitioned: set[int] = set()   # peers cut both ways
-        self.cut_to: set[int] = set()        # outbound one-way cuts
-        self.cut_from: set[int] = set()      # inbound one-way cuts
         self.delay_from: dict[int, float] = {}
         self.loss_from: dict[int, float] = {}
 
     def active(self) -> bool:
-        return bool(self.partitioned or self.cut_to or self.cut_from
-                    or self.delay_from or self.loss_from)
+        return bool(self.partitioned or self.delay_from or self.loss_from)
 
     def drops_outbound(self, dst: int) -> bool:
-        return dst in self.partitioned or dst in self.cut_to
+        return dst in self.partitioned
 
     def inbound(self, src: int):
         """Verdict for an arriving datagram from *src*.
@@ -165,7 +162,7 @@ class SocketFaults:
         ``"drop"`` discards it, a positive float delays delivery by that
         many seconds, ``None`` delivers immediately.
         """
-        if src in self.partitioned or src in self.cut_from:
+        if src in self.partitioned:
             return "drop"
         loss = self.loss_from.get(src)
         if loss and self.rng.random() < loss:
@@ -175,8 +172,6 @@ class SocketFaults:
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return (f"SocketFaults(addr={self.local_address}, "
                 f"partitioned={sorted(self.partitioned)}, "
-                f"cut_to={sorted(self.cut_to)}, "
-                f"cut_from={sorted(self.cut_from)}, "
                 f"delayed={sorted(self.delay_from)}, "
                 f"lossy={sorted(self.loss_from)})")
 
@@ -248,7 +243,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: False while "crashed": sends dropped, arrivals ignored.
         self.attached = True
-        #: Injected network faults (partition/cut/degrade rules); consulted
+        #: Injected network faults (partition/degrade rules); consulted
         #: on both send and receive, installed via :meth:`apply_fault_op`.
         self.faults = SocketFaults(local_address)
         self._frag_id = 0
@@ -626,11 +621,6 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
           emulator's ``partition_hosts`` rule).  Replaces any previous
           partition.
         * ``{"op": "heal-partition"}`` — clear partition rules only.
-        * ``{"op": "cut", "pairs": [[a, b]], "one_way": true}`` — cut the
-          ``a -> b`` direction of each pair (both directions when
-          ``one_way`` is false/absent).
-        * ``{"op": "heal", "pairs": [[a, b]]}`` — remove both directions of
-          each pair from the cut sets.
         * ``{"op": "degrade", "targets": [a], "delay": 0.05, "loss": 0.3}``
           — degrade the access link of each target: arrivals *from* a
           target are delayed/lossy everywhere, and a targeted node applies
@@ -653,27 +643,6 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                 faults.partitioned = peers - mine
         elif kind == "heal-partition":
             faults.partitioned = set()
-        elif kind == "cut":
-            one_way = bool(op.get("one_way"))
-            for u, v in op.get("pairs", ()):
-                if self.local_address == u:
-                    faults.cut_to.add(v)
-                    if not one_way:
-                        faults.cut_from.add(v)
-                if self.local_address == v:
-                    faults.cut_from.add(u)
-                    if not one_way:
-                        faults.cut_to.add(u)
-        elif kind == "heal":
-            # Healing is generous: both directions of the pair reopen even
-            # if the cut was one-way.
-            for u, v in op.get("pairs", ()):
-                if self.local_address == u:
-                    faults.cut_to.discard(v)
-                    faults.cut_from.discard(v)
-                if self.local_address == v:
-                    faults.cut_to.discard(u)
-                    faults.cut_from.discard(u)
         elif kind == "degrade":
             targets = set(op.get("targets", ()))
             delay = float(op.get("delay", 0.0))

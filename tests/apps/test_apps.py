@@ -1,101 +1,10 @@
-"""Tests for the streaming and random-route test applications."""
+"""Tests for the application payloads."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.apps import (
-    AppPayload,
-    RandomRouteWorkload,
-    StreamReceiver,
-    StreamingSource,
-    bandwidth_timeseries,
-)
-from repro.eval import ExperimentConfig, OverlayExperiment
-from repro.protocols import chord_agent, randtree_agent
+from repro.apps import AppPayload
 
 
 def test_app_payload_tag_stable():
     payload = AppPayload(seqno=3, sent_at=1.0, source=42, stream_id=7)
     assert payload.tag == "app:7:42:3"
-
-
-def build_tree_experiment():
-    experiment = OverlayExperiment([randtree_agent()],
-                                   ExperimentConfig(num_nodes=12, seed=61,
-                                                    convergence_time=60.0))
-    experiment.init_all()
-    experiment.converge()
-    return experiment
-
-
-def test_streaming_source_rate_and_delivery():
-    experiment = build_tree_experiment()
-    source = experiment.bootstrap
-    receivers = [StreamReceiver(node) for node in experiment.nodes[1:]]
-    streamer = StreamingSource(source, group=1, rate_bps=80_000, packet_bytes=1000)
-    start = experiment.simulator.now
-    streamer.start(duration=10.0)
-    experiment.run(20.0)
-    # 80 kbps of 1000-byte packets = 10 packets/second for 10 seconds.
-    assert streamer.stats.packets_sent == pytest.approx(100, abs=2)
-    for receiver in receivers:
-        assert receiver.packets_received >= 0.9 * streamer.stats.packets_sent
-        assert receiver.average_latency() > 0
-        assert receiver.loss_rate(streamer.stats.packets_sent) <= 0.1
-    series = bandwidth_timeseries(receivers, start=start, end=start + 10.0, bucket=2.0)
-    assert len(series) == 5
-    assert all(value > 0 for _, value in series[1:])
-
-
-def test_streaming_source_stop_and_validation():
-    experiment = build_tree_experiment()
-    with pytest.raises(ValueError):
-        StreamingSource(experiment.bootstrap, 1, rate_bps=0)
-    streamer = StreamingSource(experiment.bootstrap, 1, rate_bps=10_000)
-    streamer.start()
-    experiment.run(1.0)
-    streamer.stop()
-    sent = streamer.stats.packets_sent
-    experiment.run(5.0)
-    assert streamer.stats.packets_sent == sent
-
-
-def test_stream_receiver_deduplicates_and_filters():
-    experiment = build_tree_experiment()
-    node = experiment.nodes[1]
-    receiver = StreamReceiver(node, stream_id=5)
-    payload = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=5)
-    node.app_deliver(node.lowest_agent, payload, 100, 0)
-    node.app_deliver(node.lowest_agent, payload, 100, 0)            # duplicate
-    other = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=6)  # other stream
-    node.app_deliver(node.lowest_agent, other, 100, 0)
-    node.app_deliver(node.lowest_agent, "not-a-payload", 100, 0)
-    assert receiver.packets_received == 1
-
-
-def test_bandwidth_timeseries_validation():
-    with pytest.raises(ValueError):
-        bandwidth_timeseries([], start=0, end=10, bucket=0)
-
-
-def test_random_route_workload_on_chord():
-    experiment = OverlayExperiment([chord_agent()],
-                                   ExperimentConfig(num_nodes=15, seed=62,
-                                                    convergence_time=90.0))
-    experiment.init_all()
-    experiment.converge()
-    workload = RandomRouteWorkload(experiment.nodes, rate_bps=20_000,
-                                   packet_bytes=1000, seed=1)
-    workload.start(duration=10.0)
-    experiment.run(25.0)
-    workload.stop()
-    assert workload.packets_sent > 100
-    assert workload.delivery_rate() > 0.9
-    assert workload.average_latency() > 0
-    assert sum(workload.per_receiver_counts().values()) == len(workload.samples)
-
-
-def test_random_route_workload_requires_nodes():
-    with pytest.raises(ValueError):
-        RandomRouteWorkload([])

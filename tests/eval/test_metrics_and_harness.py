@@ -112,10 +112,6 @@ def test_overlay_experiment_end_to_end():
                                                    packets=3)
     assert len(latencies) >= 8
     assert all(value > 0 for value in latencies.values())
-    series = experiment.sample_over_time(lambda: float(experiment.simulator.now),
-                                         interval=1.0, duration=5.0)
-    assert len(series) == 6
-    assert series[0][0] == 0.0
 
 
 def test_overlay_experiment_rejects_bad_config():

@@ -3,8 +3,9 @@
 One :class:`WorkloadModel` is drawn, issued, observed and scored by the same
 code under the simulator and the live cluster.  These
 tests pin the parts that make that true and need no process or network:
-the live plan is the model's own draw re-timed onto the live window, and
-the scorer is a pure function of the pooled payloads.
+the live plan is the model's own draw re-timed onto the live window, the
+scorer is a pure function of the pooled payloads, and one node's share
+dedups its own stream while chaining every upcall to the application.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import random
 
 import pytest
 
+from repro.apps import AppPayload
+from repro.eval import ExperimentConfig, OverlayExperiment
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import ChurnModel, ScenarioSpec
-from repro.eval.workload import WorkloadModel, WorkloadPlan
+from repro.eval.workload import (NodeWorkload, WorkloadModel,
+                                 WorkloadObservations, WorkloadPlan)
 from repro.live import LiveClusterConfig
+from repro.protocols import randtree_agent
 
 KEY_SPACE = 2 ** 32
 
@@ -171,3 +176,49 @@ def test_a_dead_incarnations_probe_is_neither_sent_nor_lost():
     lossy = dict(survivors, records=[(2, 0, 0.01), (2, 3, 0.01)])
     assert model.score(plan, [lossy])["success_ratio"] == 0.5
     assert model.score(plan, [dict(lossy, sent=[])])["success_ratio"] == 0.0
+
+
+# ------------------------------------------------------- issue and observe
+def test_multicast_stream_reaches_every_receiver():
+    """10 packets/s for 10 s down a converged 12-node RandTree."""
+    spec = ScenarioSpec(
+        name="stream", agents=lambda: [randtree_agent()], num_nodes=12,
+        duration=80.0, seed=61,
+        models=(ChurnModel(join="immediate"),
+                WorkloadModel(kind="multicast", source=0, group=1,
+                              start=60.0, packets=100, gap=0.1)))
+    result = spec.run()
+    assert result.metrics["workload.sent"] == 100
+    per_receiver = result.experiment.compiled_models[-1] \
+        .observations.per_receiver
+    for node in result.experiment.nodes[1:]:
+        latencies = per_receiver.get(node.address, [])
+        assert len(latencies) >= 90
+        assert all(latency > 0 for latency in latencies)
+
+
+def test_node_share_dedups_its_stream_and_chains_the_rest():
+    experiment = OverlayExperiment([randtree_agent()],
+                                   ExperimentConfig(num_nodes=2, seed=61))
+    node = experiment.nodes[1]
+    previous = []
+    node.macedon_register_handlers(
+        deliver=lambda payload, size, mtype: previous.append(payload))
+    observations = WorkloadObservations()
+    share = NodeWorkload(node, WorkloadModel(), 5, observations,
+                         clock=lambda: 1.0)
+
+    payload = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=5)
+    other = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=6)
+    node.app_deliver(node.lowest_agent, payload, 100, 0)
+    node.app_deliver(node.lowest_agent, payload, 100, 0)           # duplicate
+    node.app_deliver(node.lowest_agent, other, 100, 0)             # other stream
+    node.app_deliver(node.lowest_agent, "not-a-payload", 100, 0)
+    assert observations.deliveries == 1
+    assert observations.duplicates == 1
+    assert observations.per_receiver == {node.address: [1.0]}
+    # The application's own handler still sees every upcall.
+    assert previous == [payload, payload, other, "not-a-payload"]
+    share.restore()
+    node.app_deliver(node.lowest_agent, payload, 100, 0)
+    assert observations.deliveries == 1 and observations.duplicates == 1

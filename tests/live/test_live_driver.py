@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.live.driver import LiveDriver
-from repro.runtime.driver import Driver, SimDriver
+from repro.runtime.driver import Driver
 from repro.runtime.engine import Simulator
 from repro.runtime.timers import ProtocolTimer, TimerSpec
 
@@ -20,22 +20,7 @@ def run(coro):
 
 def test_simulator_and_drivers_satisfy_the_contract():
     assert isinstance(Simulator(), Driver)
-    assert isinstance(SimDriver(), Driver)
     assert isinstance(LiveDriver(), Driver)
-
-
-def test_sim_driver_delegates_to_its_simulator():
-    driver = SimDriver(seed=3)
-    fired = []
-    driver.schedule_fast(1.0, fired.append, "a")
-    handle = driver.schedule(2.0, fired.append, "b", label="later")
-    driver.run(until=5.0)
-    assert fired == ["a", "b"]
-    assert driver.now == 5.0
-    assert handle.label == "later"
-    assert driver.fork_rng("x").random() == Simulator(3).fork_rng("x").random()
-    with pytest.raises(NotImplementedError):
-        driver.spawn(None)
 
 
 def test_live_schedule_and_cancel():
@@ -119,17 +104,6 @@ def test_live_negative_delay_clamps_and_errors_are_contained():
     assert driver.error_count == 1
     assert len(driver.errors) == 1
     assert "one bad transition" in repr(driver.errors[0])
-
-
-def test_live_stop_ends_run_for_early():
-    async def scenario():
-        driver = LiveDriver()
-        driver.start()
-        driver.schedule(0.01, driver.stop)
-        ended_at = await driver.run_for(10.0)
-        return ended_at
-
-    assert run(scenario()) < 1.0
 
 
 def test_live_rng_streams_match_simulator_forks():

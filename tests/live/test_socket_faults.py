@@ -34,15 +34,6 @@ def test_fault_table_verdicts():
     assert faults.inbound(3) is None
 
     faults.partitioned = set()
-    faults.cut_to = {3}
-    assert faults.drops_outbound(3)
-    assert faults.inbound(3) is None        # one-way: inbound still open
-    faults.cut_from = {4}
-    assert not faults.drops_outbound(4)
-    assert faults.inbound(4) == "drop"
-
-    faults.cut_to = set()
-    faults.cut_from = set()
     faults.delay_from[2] = 0.05
     assert faults.inbound(2) == pytest.approx(0.05)
     faults.loss_from[3] = 1.0                # certain loss
@@ -78,26 +69,6 @@ def test_partition_op_isolates_by_group():
     # Re-partitioning replaces, never accumulates (idempotent re-sends).
     network.apply_fault_op({"op": "partition", "groups": [[1, 2], [3, 4]]})
     assert network.faults.partitioned == {3, 4}
-
-
-def test_cut_and_heal_ops_are_directional():
-    u_side = _network(address=1)
-    v_side = _network(address=3)
-    op = {"op": "cut", "pairs": [[1, 3]], "one_way": True}
-    u_side.apply_fault_op(op)
-    v_side.apply_fault_op(op)
-    assert u_side.faults.cut_to == {3} and u_side.faults.cut_from == set()
-    assert v_side.faults.cut_from == {1} and v_side.faults.cut_to == set()
-
-    both = {"op": "cut", "pairs": [[1, 3]]}
-    u_side.apply_fault_op(both)
-    assert u_side.faults.cut_to == {3} and u_side.faults.cut_from == {3}
-
-    heal = {"op": "heal", "pairs": [[1, 3]]}
-    u_side.apply_fault_op(heal)
-    v_side.apply_fault_op(heal)
-    assert not u_side.faults.active()
-    assert not v_side.faults.active()
 
 
 def test_degrade_op_covers_both_directions_of_the_access_link():
@@ -155,10 +126,10 @@ class _FakeTransport:
         self.sent.append((bytes(data), endpoint))
 
 
-def test_outbound_cut_swallows_the_datagram_but_reports_success():
+def test_outbound_partition_swallows_the_datagram_but_reports_success():
     network = _network(address=1)
     network._transport = _FakeTransport()
-    network.apply_fault_op({"op": "cut", "pairs": [[1, 2]]})
+    network.apply_fault_op({"op": "partition", "groups": [[1], [2]]})
     packet = Packet(src=1, dst=2, payload=Datagram("CTRL", b"x", 1), size=1)
     # The transport stack sees a successful send — the bytes die in the
     # "network", exactly like an emulator-partitioned link.
