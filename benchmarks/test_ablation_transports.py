@@ -8,8 +8,9 @@ Two of the design choices DESIGN.md calls out:
   congested bottleneck when control shares the bulk transport versus when it
   uses its own instance.  Both configurations run until every control
   message has arrived: on the shared transport the last one waits behind all
-  280 kB of bulk data, which takes minutes of simulated time to cross the
-  125 kB/s bottleneck.
+  280 kB of bulk data, about 2.3 s of wire time on the 125 kB/s bottleneck,
+  plus the repair of the queue's drops (NewReno recovers a window's losses
+  in one round trip each, without a timeout).
 * **Read vs. write locking of transitions** — control transitions serialize
   exclusively, data transitions share the lock.  We measure the read fraction
   of lock acquisitions for a streaming workload, the quantity that determines
@@ -30,7 +31,7 @@ from repro.transport import TransportKind, TransportHost
 
 CONTROL_MESSAGES = 10
 #: A bound on the run, never reached when the transports work: the shared
-#: transport's last control message arrives a little after 320 s.
+#: transport's last control message arrives a few seconds in.
 HORIZON = 2000.0
 
 
@@ -91,8 +92,10 @@ def test_ablation_priority_transports(once):
                        [("control on bulk TCP", f"{shared * 1000:.1f}"),
                         ("dedicated control transport", f"{separate * 1000:.1f}")],
                        title="Ablation — priority-segregated transports"))
-    # Every control message arrived in both configurations ...
-    assert math.isfinite(shared) and math.isfinite(separate)
+    # Every control message arrived in both configurations, the shared one
+    # within seconds: bulk TCP recovers from the bottleneck's drops without
+    # backing off to MAX_RTO ...
+    assert math.isfinite(separate) and shared < 5.0
     # ... and a dedicated transport avoids head-of-line blocking behind the
     # bulk queue.
     assert separate < shared

@@ -85,12 +85,13 @@ class FuzzConfig:
     min_duration: float = 150.0
     max_duration: float = 220.0
     #: Fault-free seconds guaranteed at the end of every generated scenario.
-    #: Sized to the transport's worst case, not taste: a connection that
-    #: lived through a long cut backs off to MAX_RTO (30 s), so a rejoining
-    #: node can legitimately need two retransmission cycles plus a ring walk
-    #: before its join completes — convergence measurably takes up to ~70 s
-    #: after the last disruption.  Anything shorter reports slow (but
-    #: correct) convergence as a ring violation.
+    #: It was sized to a transport that stayed wedged after a heal: a
+    #: connection that lived through a long cut backed off to MAX_RTO (30 s)
+    #: and waited out two such timers before a rejoin completed.  Since a
+    #: backed-off connection retransmits as soon as the peer is heard from,
+    #: a ring converges within seconds of the last heal, but the value stays:
+    #: it is drawn into every generated case (``fault_end``, KV start), so
+    #: changing it changes the cases a seed produces.
     settle: float = 80.0
     #: Fault models layered on top of the join model (0..max per spec).
     max_fault_models: int = 2

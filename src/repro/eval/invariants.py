@@ -14,8 +14,9 @@ Eight invariants:
   transport or dispatch state leaked across a fault).
 * **no_lost_acks** — after the run quiesces, no reliable connection on a
   live node is stranded: unacknowledged in-flight segments imply an armed
-  retransmission timer, and queued-but-untransmitted segments imply an open
-  window being consumed (the send pump never stalls with work pending).
+  retransmission timer, queued-but-untransmitted segments imply an open
+  window being consumed (the send pump never stalls with work pending), and
+  a held ACK implies its transport's flush timer is armed.
 * **epoch_monotonicity** — transport incarnation numbers track the node
   lifecycle exactly: a live node's transport epoch equals its crash count,
   a crashed node's equals its recover count, and no connection has observed
@@ -103,7 +104,8 @@ def no_lost_acks(result: ScenarioResult) -> list[InvariantViolation]:
     Unacked in-flight data without an armed retransmission timer would never
     be retransmitted (the segment — and its ack — is lost forever); queued
     data with an empty window would never be transmitted at all (the pump
-    always fills at least one window slot).
+    always fills at least one window slot); a held ACK whose transport has
+    no flush timer armed would never be sent.
     """
     violations = []
     for node in result.experiment.nodes:
@@ -125,6 +127,13 @@ def no_lost_acks(result: ScenarioResult) -> list[InvariantViolation]:
                         "no_lost_acks",
                         f"{where}: {len(connection.queue)} queued segments "
                         f"but an empty window (send pump stalled)"))
+                if connection._ack_held_since is not None \
+                        and connection not in transport._held_acks:
+                    violations.append(InvariantViolation(
+                        "no_lost_acks",
+                        f"{where}: ACK held since "
+                        f"{connection._ack_held_since} with no flush timer "
+                        f"armed for it"))
     return violations
 
 

@@ -61,23 +61,31 @@ class Segment:
     """What a reliable transport puts inside a network packet.
 
     A ``__slots__`` class with a hand-written constructor rather than a
-    dataclass: one is allocated per DATA segment and per ACK, which makes it
-    protocol-plane hot-path state (see docs/PERFORMANCE.md).
+    dataclass: one is allocated per DATA segment and per pure ACK, which
+    makes it protocol-plane hot-path state (see docs/PERFORMANCE.md).
     """
 
     __slots__ = ("transport", "kind", "seq", "payload", "size", "ack",
-                 "msg_id", "chunk", "chunks", "epoch", "dest_epoch")
+                 "msg_id", "chunk", "chunks", "epoch", "dest_epoch",
+                 "ack_delay")
 
     def __init__(self, transport: str, kind: str = "DATA", seq: int = 0,
                  payload: Any = None, size: int = 0, ack: int = -1,
                  msg_id: int = 0, chunk: int = 0, chunks: int = 1,
-                 epoch: int = 0, dest_epoch: int = 0) -> None:
+                 epoch: int = 0, dest_epoch: int = 0,
+                 ack_delay: float = 0.0) -> None:
         self.transport = transport
         self.kind = kind       # "DATA" or "ACK"
         self.seq = seq
         self.payload = payload
         self.size = size
+        #: Cumulative ACK (next sequence number expected from the receiver
+        #: of this segment).  Always set on an ACK; on DATA it is -1 unless
+        #: the segment piggybacks an ACK the sender was holding.
         self.ack = ack
+        #: Seconds the receiver held ``ack`` before sending it (RFC 9002's
+        #: ``ack_delay``): the sender subtracts it from its RTT sample.
+        self.ack_delay = ack_delay
         #: Identifier of the logical message this segment belongs to (for
         #: reassembly); ``chunk``/``chunks`` index it within that message.
         self.msg_id = msg_id

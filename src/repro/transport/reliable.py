@@ -3,8 +3,15 @@
 Both reliable kinds share everything except the window policy:
 
 * segmentation of logical messages into MSS-sized segments;
-* cumulative acknowledgements with duplicate-ACK fast retransmit;
-* retransmission timers with exponential backoff and SRTT/RTTVAR estimation;
+* cumulative acknowledgements, held up to ``ACK_DELAY`` so that reverse data
+  carries them or one ACK covers two segments (RFC 1122 §4.2.3.2), sent at
+  once on a gap, a gap fill or a duplicate;
+* duplicate-ACK fast retransmit with NewReno recovery (RFC 6582): one window
+  reduction per window of losses, each further hole retransmitted on the
+  partial ACK that exposes it;
+* retransmission timers with exponential backoff, SRTT/RTTVAR estimation
+  corrected for the peer's ACK hold (RFC 9002's ``ack_delay``), and the
+  backoff reverted as soon as the peer is heard from again (after RFC 6069);
 * in-order delivery and reassembly of logical messages at the receiver;
 * per-connection send queues, which is what gives the paper's priority
   transports their meaning — a blocked low-priority connection does not stall
@@ -97,6 +104,10 @@ class ReliableConnection:
     INITIAL_RTO = 1.0
     MIN_RTO = 0.2
     MAX_RTO = 30.0
+    #: Longest a receiver holds a cumulative ACK (RFC 1122 allows 0.5 s; the
+    #: BSD fast timer, 0.2 s).  Every RTO includes it as margin, as QUIC's
+    #: includes ``max_ack_delay`` (RFC 9002 §6.2).
+    ACK_DELAY = 0.1
     ACK_SIZE = 4
 
     def __init__(self, transport: "ReliableTransport", peer: int,
@@ -111,9 +122,15 @@ class ReliableConnection:
         self.queue: deque[tuple[Segment, int, Optional[str]]] = deque()
         self.in_flight: dict[int, _InFlight] = {}
         self.dup_acks = 0
+        #: NewReno's ``recover`` (RFC 6582): the highest sequence number sent
+        #: when the last fast retransmit or timeout happened.  An ACK at or
+        #: below it is partial, and duplicate ACKs below it halve nothing.
+        self.recover = -1
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.rto = self.INITIAL_RTO
+        #: Timeouts since ``rto`` was last computed from the estimate.
+        self.backoffs = 0
         # Retransmission timer, re-armed on every transmit and every ACK: it
         # rides the kernel's generation-counter entries (schedule_gen) so the
         # constant re-arming allocates no EventHandle/_Event/label per packet.
@@ -121,6 +138,10 @@ class ReliableConnection:
         self._timer_armed = False
         # Receiver state.
         self.expected_seq = 0
+        #: Since when the ACK of ``expected_seq`` has been held (None: no ACK
+        #: held).  The first DATA sent to the peer carries it, or the
+        #: transport's flush sends it within ``ACK_DELAY``.
+        self._ack_held_since: Optional[float] = None
         self.out_of_order: dict[int, Segment] = {}
         self._assembly: dict[int, dict[str, Any]] = {}
         #: Last incarnation seen from the peer; None until the first segment.
@@ -160,11 +181,18 @@ class ReliableConnection:
         """First transmission: record in flight, stamp, send, re-arm the RTO."""
         transport = self.transport
         simulator = transport.simulator
-        self.in_flight[segment.seq] = _InFlight(segment, size, simulator._now)
+        now = simulator._now
+        self.in_flight[segment.seq] = _InFlight(segment, size, now)
         # The destination incarnation is stamped at (re)transmission, not at
         # enqueue: the sender may learn the peer restarted (via a challenge
         # ACK) while a segment sits in the queue or awaits retransmission.
         segment.dest_epoch = self.peer_epoch or 0
+        held = self._ack_held_since
+        if held is not None:
+            # Piggyback the held ACK; the transport's flush skips it now.
+            self._ack_held_since = None
+            segment.ack = self.expected_seq
+            segment.ack_delay = now - held
         transport._send_packet(self.peer, segment, size, payload_tag)
         # _arm_timer() with in_flight known to be non-empty.
         if self._timer_armed:
@@ -193,6 +221,7 @@ class ReliableConnection:
         if self._timer_armed:
             self._timer_armed = False
             self.transport.simulator.cancel_gen(self._timer_cell)
+        self._ack_held_since = None
         self.queue.clear()
         self.in_flight.clear()
         self.out_of_order.clear()
@@ -217,8 +246,11 @@ class ReliableConnection:
         self.next_seq = 0
         self.send_base = 0
         self.dup_acks = 0
+        self.recover = -1
         self.rto = self.INITIAL_RTO
+        self.backoffs = 0
         self.expected_seq = 0
+        self._ack_held_since = None
         self.out_of_order.clear()
         self._assembly.clear()
         self._pump()
@@ -229,20 +261,39 @@ class ReliableConnection:
             return
         self.policy.on_timeout()
         self.rto = min(self.rto * 2.0, self.MAX_RTO)
+        self.backoffs += 1
+        # Everything sent so far is suspect: the ACKs that follow the repair
+        # are partial (each exposes the next hole) until they pass it.
+        self.recover = self.next_seq - 1
         entry = self.in_flight[min(self.in_flight)]
         entry.sent_at = self.transport.simulator._now
         self._retransmit(entry)
         self._arm_timer()
 
-    def handle_ack(self, ack: int) -> None:
-        """Process a cumulative ACK (next sequence number the peer expects)."""
+    def revert_backoff(self) -> None:
+        """The peer was just heard from, so the path works again: drop the
+        timeout back-off and retransmit the oldest segment now rather than
+        when a backed-off timer (up to ``MAX_RTO``) fires.  The transport
+        heuristic of RFC 6069, with any arriving segment as the signal."""
+        self._reset_rto()
+        entry = self.in_flight.get(self.send_base)
+        if entry is not None:
+            self._retransmit(entry)
+            self._arm_timer()
+
+    def handle_ack(self, ack: int, ack_delay: float) -> None:
+        """Process a cumulative ACK (next sequence number the peer expects),
+        which the peer held for *ack_delay* seconds before sending."""
         send_base = self.send_base
         if ack <= send_base:
             self.dup_acks += 1
-            if self.dup_acks >= 3 and send_base in self.in_flight:
+            if self.dup_acks >= 3 and send_base > self.recover \
+                    and send_base in self.in_flight:
+                # One fast retransmit, and one window reduction, per window
+                # of losses: partial ACKs repair the other holes.
+                self.recover = self.next_seq - 1
                 self.policy.on_fast_retransmit()
                 self._retransmit(self.in_flight[send_base])
-                self.dup_acks = 0
             return
         self.dup_acks = 0
         newly_acked = 0
@@ -260,9 +311,16 @@ class ReliableConnection:
             if entry is not None:
                 newly_acked += 1
                 if not entry.retransmitted:
-                    self._update_rtt(now - entry.sent_at)
+                    self._update_rtt(now - entry.sent_at - ack_delay)
         self.send_base = ack
+        if self.backoffs:
+            self._reset_rto()   # no clean sample, but the path works
         self.policy.on_ack(newly_acked)
+        if ack <= self.recover:
+            # A partial ACK: the segment it asks for was lost too.
+            entry = in_flight.get(ack)
+            if entry is not None:
+                self._retransmit(entry)
         self._arm_timer()
         if self.queue:
             self._pump()
@@ -274,7 +332,15 @@ class ReliableConnection:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(max(self.srtt + 4.0 * self.rttvar, self.MIN_RTO), self.MAX_RTO)
+        self._reset_rto()
+
+    def _reset_rto(self) -> None:
+        """The un-backed-off RTO: RFC 6298's, plus the peer's ACK hold."""
+        self.backoffs = 0
+        srtt = self.srtt
+        self.rto = self.INITIAL_RTO if srtt is None else min(
+            max(srtt + 4.0 * self.rttvar, self.MIN_RTO) + self.ACK_DELAY,
+            self.MAX_RTO)
 
     # ---------------------------------------------------------------- receiver
     def handle_data(self, segment: Segment) -> None:
@@ -284,23 +350,43 @@ class ReliableConnection:
             # In order with nothing buffered: the insert/pop below would
             # hand back this very segment.
             self.expected_seq = seq + 1
-            self._assemble(segment)
-        else:
-            if seq >= self.expected_seq and seq not in out_of_order:
-                out_of_order[seq] = segment
-            # Advance over any contiguous run starting at expected_seq.
-            while self.expected_seq in out_of_order:
-                ready = out_of_order.pop(self.expected_seq)
-                self.expected_seq += 1
-                self._assemble(ready)
+            transport = self.transport
+            held = self._ack_held_since
+            # Hold the ACK *before* the upcall, so that a reply it sends to
+            # the peer carries it.  A second segment restarts the hold at
+            # zero (the ACK now answers it), and the ACK leaves at once.
+            self._ack_held_since = transport.simulator._now
+            if held is None:
+                transport._hold_ack(self)
+                self._assemble(segment)
+            else:
+                self._assemble(segment)
+                if self._ack_held_since is not None:
+                    self._send_ack()
+            return
+        # A gap, a gap fill or a duplicate: ACK at once.  An ACK held from
+        # before leaves with its hold time, since it still answers the
+        # segment that started the hold (a held ACK means nothing is
+        # buffered, so this segment cannot have advanced expected_seq).
+        if seq >= self.expected_seq and seq not in out_of_order:
+            out_of_order[seq] = segment
+        # Advance over any contiguous run starting at expected_seq.
+        while self.expected_seq in out_of_order:
+            ready = out_of_order.pop(self.expected_seq)
+            self.expected_seq += 1
+            self._assemble(ready)
         self._send_ack()
 
     def _send_ack(self) -> None:
+        """A pure ACK of ``expected_seq``, carrying how long it was held."""
         transport = self.transport
+        held = self._ack_held_since
+        self._ack_held_since = None
         transport._send_packet(    # Segment built positionally, as in send()
             self.peer,
             Segment(transport.name, "ACK", 0, None, 0, self.expected_seq,
-                    0, 0, 1, transport.epoch, self.peer_epoch or 0),
+                    0, 0, 1, transport.epoch, self.peer_epoch or 0,
+                    0.0 if held is None else transport.simulator._now - held),
             self.ACK_SIZE, None)
 
     def send_challenge_ack(self) -> None:
@@ -330,10 +416,30 @@ class ReliableTransport(Transport):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._connections: dict[int, ReliableConnection] = {}
+        #: Connections that started holding an ACK since the last flush (one
+        #: may appear twice, or have sent its ACK since), and the one timer
+        #: that flushes them: BSD's fast timer, armed exactly while the list
+        #: is non-empty, so a hold costs no event of its own.
+        self._held_acks: list[ReliableConnection] = []
+        self._flush_cell = [0]
 
     @abc.abstractmethod
     def _make_policy(self) -> WindowPolicy:
         """Window policy for a new connection."""
+
+    def _hold_ack(self, connection: ReliableConnection) -> None:
+        held = self._held_acks
+        if not held:
+            self.simulator.schedule_gen(ReliableConnection.ACK_DELAY,
+                                        self._flush_acks, self._flush_cell)
+        held.append(connection)
+
+    def _flush_acks(self) -> None:
+        """Send every ACK still held: each was held at most ``ACK_DELAY``."""
+        held, self._held_acks = self._held_acks, []
+        for connection in held:
+            if connection._ack_held_since is not None:
+                connection._send_ack()
 
     def _connection(self, peer: int) -> ReliableConnection:
         connection = self._connections.get(peer)
@@ -385,12 +491,21 @@ class ReliableTransport(Transport):
             connection.send_challenge_ack()
             return
         if segment.kind == "ACK":
-            connection.handle_ack(segment.ack)
+            connection.handle_ack(segment.ack, segment.ack_delay)
         else:
+            if segment.ack > connection.send_base:
+                # A piggybacked ACK counts only when it advances: reverse
+                # data is never a duplicate ACK.
+                connection.handle_ack(segment.ack, segment.ack_delay)
             connection.handle_data(segment)
+        if connection.backoffs:
+            connection.revert_backoff()
 
     def close(self) -> None:
-        """Cancel every connection's retransmission timer and drop queues."""
+        """Cancel every timer (retransmission and ACK flush), drop queues."""
+        if self._held_acks:
+            self.simulator.cancel_gen(self._flush_cell)
+            self._held_acks = []
         for connection in self._connections.values():
             connection.close()
         self._connections.clear()

@@ -208,10 +208,10 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
     _FRAME_RAW = 3
     _FRAME_FRAGMENT = 4
     _FRAME_CONTROL = 5
-    #: kind flag, seq, ack, msg_id, chunk, chunks, epoch, dest_epoch, size —
-    #: the full Segment envelope (its ~45 bytes of framing play the role of
-    #: the emulator's fixed HEADER_BYTES overhead).
-    _SEGMENT = struct.Struct("!BqqQIIIII")
+    #: kind flag, seq, ack, msg_id, chunk, chunks, epoch, dest_epoch, size,
+    #: ack_delay — the full Segment envelope (its ~53 bytes of framing play
+    #: the role of the emulator's fixed HEADER_BYTES overhead).
+    _SEGMENT = struct.Struct("!BqqQIIIIId")
     _SIZE = struct.Struct("!I")              # a datagram's declared size
     #: magic, frame kind, src address, fragment id, index, count — each
     #: fragment datagram carries one slice of an oversized frame.
@@ -336,7 +336,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                     1 if payload.kind == "ACK" else 0, payload.seq,
                     payload.ack, payload.msg_id, payload.chunk,
                     payload.chunks, payload.epoch, payload.dest_epoch,
-                    payload.size)
+                    payload.size, payload.ack_delay)
             payload = payload.payload
         else:
             prefix = self._HEADER.pack(self.MAGIC, self._FRAME_RAW,
@@ -508,7 +508,8 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                     payload = Datagram(transport_name, inner, size)
                 elif frame_kind == self._FRAME_SEGMENT:
                     (kind_flag, seq, ack, msg_id, chunk, chunks, epoch,
-                     dest_epoch, size) = self._SEGMENT.unpack_from(data, offset)
+                     dest_epoch, size, ack_delay) = self._SEGMENT.unpack_from(
+                         data, offset)
                     inner, end = self.codec.decode_payload(
                         data, offset + self._SEGMENT.size)
                     payload = Segment(
@@ -516,7 +517,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                         kind="ACK" if kind_flag else "DATA", seq=seq,
                         payload=inner, size=size, ack=ack, msg_id=msg_id,
                         chunk=chunk, chunks=chunks, epoch=epoch,
-                        dest_epoch=dest_epoch)
+                        dest_epoch=dest_epoch, ack_delay=ack_delay)
                 else:
                     raise WireError(f"unknown frame kind {frame_kind}")
             if end != len(data):   # a frame ends where its datagram ends

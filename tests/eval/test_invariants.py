@@ -95,6 +95,10 @@ def test_no_lost_acks_detects_disarmed_retransmission_timer():
                 violations = no_lost_acks(result)
                 assert violations
                 assert "no retransmission timer" in str(violations[0])
+                # Forge a stranded ACK: held, but not on the flush list.
+                connection._ack_held_since = 1.0
+                transport._held_acks = []
+                assert "no flush timer" in str(no_lost_acks(result)[-1])
                 return
     pytest.fail("no reliable connection found to tamper with")
 

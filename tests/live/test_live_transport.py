@@ -7,9 +7,14 @@ import socket
 
 import pytest
 
+from repro.network.emulator import NetworkEmulator
+from repro.network.topology import transit_stub_topology
 from repro.protocols import chord_agent
+from repro.runtime.engine import Simulator
 from repro.runtime.messages import Message, WireCodec, WireError
-from repro.transport.base import Datagram, Segment
+from repro.transport.base import Datagram, Segment, TransportKind
+from repro.transport.demux import TransportHost
+from repro.transport.reliable import ReliableConnection
 from repro.transport.udp import SocketUdpNetwork
 
 pytestmark = pytest.mark.live
@@ -94,21 +99,109 @@ def test_datagram_frame_round_trips(codec):
 def test_segment_frame_preserves_reliable_envelope(codec):
     message = _chord_message()
     segment = Segment(transport="CTRL", kind="DATA", seq=17, payload=message,
-                      size=message.size, ack=-1, msg_id=5, chunk=1, chunks=3,
-                      epoch=2, dest_epoch=1)
-    ack = Segment(transport="CTRL", kind="ACK", seq=0, ack=18, epoch=2)
+                      size=message.size, ack=4, msg_id=5, chunk=1, chunks=3,
+                      epoch=2, dest_epoch=1, ack_delay=0.0371)
+    ack = Segment(transport="CTRL", kind="ACK", seq=0, ack=18, epoch=2,
+                  ack_delay=0.1)
 
     _, _, received = asyncio.run(
         _exchange(codec, [(segment, message.size), (ack, 0)]))
     assert len(received) == 2
     data_seg = received[0].payload
     assert isinstance(data_seg, Segment)
-    assert (data_seg.kind, data_seg.seq, data_seg.ack) == ("DATA", 17, -1)
+    assert (data_seg.kind, data_seg.seq, data_seg.ack) == ("DATA", 17, 4)
     assert (data_seg.msg_id, data_seg.chunk, data_seg.chunks) == (5, 1, 3)
     assert (data_seg.epoch, data_seg.dest_epoch) == (2, 1)
+    assert data_seg.ack_delay == 0.0371
     assert data_seg.payload.fields == message.fields
     ack_seg = received[1].payload
     assert (ack_seg.kind, ack_seg.ack, ack_seg.epoch) == ("ACK", 18, 2)
+    assert ack_seg.ack_delay == 0.1
+
+
+class _TimedPipe:
+    """The in-memory pipe of ``bench/workloads.py``, with a fixed latency on
+    a simulator clock so that the transport timers run as in the sim."""
+
+    def __init__(self, simulator, peer, endpoint) -> None:
+        self.simulator, self.peer, self.endpoint = simulator, peer, endpoint
+
+    def sendto(self, data: bytes, endpoint=None) -> None:
+        self.simulator.schedule(0.01, self.peer.datagram_received, data,
+                                self.endpoint)
+
+    def close(self) -> None:
+        pass
+
+
+class _SpiedSocket(SocketUdpNetwork):
+    """Keeps every envelope it sends and every one it delivers."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.sent: list = []
+        self.arrived: list = []
+
+    def send(self, packet, payload_tag=None) -> bool:
+        self.sent.append(packet.payload)
+        return super().send(packet, payload_tag)
+
+    def set_receive_callback(self, address, receive) -> None:
+        def spy(packet) -> None:
+            self.arrived.append(packet.payload)
+            receive(packet)
+        super().set_receive_callback(address, spy)
+
+
+def _tcp_ping_pong(simulator, networks, rounds: int) -> None:
+    """Each side answers from its upcall: ``rounds`` pings, as many pongs."""
+    (a, network_a), (b, network_b) = networks.items()
+    host_a = TransportHost(simulator, network_a, a)
+    host_b = TransportHost(simulator, network_b, b)
+    for host in (host_a, host_b):
+        host.declare(TransportKind.TCP, "T")
+
+    def pong(src, payload, size, name) -> None:
+        host_b.send("T", a, "pong" + payload[4:], 40)
+
+    def ping(src, payload, size, name) -> None:
+        count = int(payload[4:]) + 1
+        if count < rounds:
+            host_a.send("T", b, f"ping{count}", 40)
+
+    host_b.set_deliver_upcall(pong)
+    host_a.set_deliver_upcall(ping)
+    host_a.send("T", b, "ping0", 40)
+    simulator.run(until=5.0)
+
+
+def test_tcp_ping_pong_sends_the_frames_the_sim_sends(codec):
+    """Held and piggybacked ACKs behave the same over the live framing as
+    over the emulator, and ``ack_delay`` crosses the wire intact."""
+    rounds = 8
+    simulator = Simulator(seed=3)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(2, seed=3))
+    _tcp_ping_pong(simulator, {emulator.attach_host().address: emulator
+                               for _ in range(2)}, rounds)
+
+    simulator = Simulator(seed=3)
+    endpoints = {1: ("127.0.0.1", 1), 2: ("127.0.0.1", 2)}
+    near, far = (_SpiedSocket(address, endpoints, codec)
+                 for address in endpoints)
+    near.connection_made(_TimedPipe(simulator, far, endpoints[1]))
+    far.connection_made(_TimedPipe(simulator, near, endpoints[2]))
+    _tcp_ping_pong(simulator, {1: near, 2: far}, rounds)
+
+    # Every ping and pong carries an ACK; the last pong's goes alone.
+    assert near.frames_sent + far.frames_sent \
+        == emulator.stats.packets_sent == 2 * rounds + 1
+    assert near.decode_errors == far.decode_errors == 0
+    for sender, receiver in ((near, far), (far, near)):
+        assert [(s.kind, s.seq, s.ack, s.ack_delay) for s in sender.sent] \
+            == [(s.kind, s.seq, s.ack, s.ack_delay) for s in receiver.arrived]
+    last = near.sent[-1]
+    assert last.kind == "ACK"
+    assert 0.0 < last.ack_delay <= ReliableConnection.ACK_DELAY
 
 
 def test_unknown_destination_and_detached_host_drop(codec):

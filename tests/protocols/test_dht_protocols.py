@@ -89,6 +89,32 @@ def test_chord_routes_reach_key_owner(chord_overlay):
         assert delivered.get(owner_of(key)), f"key {key} not delivered at owner"
 
 
+def test_chord_rejoin_before_eviction_finds_its_true_successor():
+    """A node back at its old address before anyone evicted it: the ring
+    still names it as its predecessor's successor, so the join answer must
+    skip it rather than make the joiner its own successor."""
+    simulator, _, nodes = _build([chord_agent()], 12, seed=23, run_for=60.0)
+    ordered = sorted((node.lowest_agent.my_key, node.address) for node in nodes)
+    victim = nodes[5]
+    index = ordered.index((victim.lowest_agent.my_key, victim.address))
+    expected = ordered[(index + 1) % len(ordered)][1]
+    victim.crash()
+    simulator.run(until=simulator.now + 1.0)
+    victim.recover(nodes[0].address)
+    joined_with = []
+
+    def poll() -> None:
+        agent = victim.lowest_agent
+        if agent.state == "joined":
+            joined_with.append(agent.successor)
+        else:
+            simulator.schedule(0.001, poll)
+
+    poll()
+    simulator.run(until=simulator.now + 10.0)
+    assert joined_with == [expected]
+
+
 def test_pastry_all_nodes_join_and_know_peers(pastry_overlay):
     _, _, nodes = pastry_overlay
     assert all(node.lowest_agent.state == "joined" for node in nodes)

@@ -9,10 +9,12 @@ message-in-message and as a bare payload block, and every frame
 :class:`SocketUdpNetwork.send` emits for it (Datagram, Segment, raw,
 fragments) is captured.  ``CORPUS_SHA256`` is the digest of all of those
 bytes as the code *before* the one-plan-per-message-type codec produced
-them: that refactor was meant to move no byte on the wire, so the digest may
-never change.  Every corpus message must also decode back to the same type,
-fields and payload, through the codec and through a receiving socket; one
-last message pins the coercions encode applies (masking, ``None``, ``str()``).
+them (that refactor was meant to move no byte on the wire), re-pinned once
+when segment frames gained ``ack_delay``; a change that claims to move no
+byte may not edit it.  Every corpus message must also decode back to the
+same type, fields and payload, through the codec and through a receiving
+socket; one last message pins the coercions encode applies (masking,
+``None``, ``str()``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from repro.runtime.node import _Heartbeat
 from repro.transport.base import Datagram, Segment
 from repro.transport.udp import FRAGMENT_THRESHOLD, SocketUdpNetwork
 
-#: sha256 over the corpus, computed on the commit before the codec refactor.
-CORPUS_SHA256 = "90fb954889772c25fb8f4d0098948b8f6b5998aa0e9efe5d94585328649ad1b9"
+#: sha256 over the corpus, computed on the commit before the codec refactor
+#: and re-pinned once when segment frames gained ``ack_delay``.
+CORPUS_SHA256 = "1b396b4aae6dbe6f6b64f5f0a02d3bf3733c89239ba0394d009ee4b86f98814c"
 
 #: Every field type, as a scalar and as a list (no bundled spec uses strings).
 EVERYTHING = MessageType("everything", tuple(
@@ -194,8 +197,9 @@ def corpus_digest() -> tuple[str, int]:
                         Segment("BULK", "DATA", seq=count, payload=message,
                                 size=message.size, ack=count - 1,
                                 msg_id=count * 7, chunk=1, chunks=3,
-                                epoch=2, dest_epoch=1),
-                        Segment("BULK", "ACK", ack=count, epoch=3),
+                                epoch=2, dest_epoch=1, ack_delay=0.0625),
+                        Segment("BULK", "ACK", ack=count, epoch=3,
+                                ack_delay=count / 1024),
                         message):
                     assert near.send(Packet(src=1, dst=2, payload=envelope,
                                             size=message.size))

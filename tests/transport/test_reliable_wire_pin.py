@@ -5,13 +5,15 @@ with a fixed one-way latency on which a chosen transmission of a chosen
 segment can be dropped, delayed past its successors (reordered) or delivered
 twice.  Every segment handed to the
 wire is recorded as ``(time, src, dst, kind, seq, ack, size, epoch,
-dest_epoch)`` together with the order messages were delivered in and the
-final :class:`TransportStats` of both hosts.  ``WIRE_SHA256`` is the digest of
-that record as the code *before* the transport fast paths produced it: a fast
-path (direct send when the window has room, in-order delivery without the
-reorder buffer, single-segment ACK without the range walk) must be
+dest_epoch, ack_delay)`` together with the order messages were delivered in
+and the final :class:`TransportStats` of both hosts.  ``WIRE_SHA256`` is the
+digest of that record as the code *before* the transport fast paths produced
+it, re-pinned once when ACKs became held and piggybacked and loss recovery
+became NewReno (docs/PERFORMANCE.md "Re-pinned baselines (delayed ACKs)"): a
+fast path (direct send when the window has room, in-order delivery without
+the reorder buffer, single-segment ACK without the range walk) must be
 event-for-event and float-op-for-float-op the slow path's result, so the
-digest may never change.
+digest may not change again until the wire behaviour is changed on purpose.
 
 The remaining tests assert that each fast path is actually taken in the
 uncongested case, i.e. that the pin above is exercising the slow paths
@@ -30,8 +32,9 @@ from repro.transport import reliable
 from repro.transport.base import Segment, TransportKind
 from repro.transport.demux import TransportHost
 
-#: sha256 of :func:`wire_record`, computed on the commit before the fast paths.
-WIRE_SHA256 = "f6d337eccae02b416d3a6e34f64722ddc61f58360af48a43dddca45d008d4c81"
+#: sha256 of :func:`wire_record`, computed on the commit before the fast paths
+#: and re-pinned once for held, piggybacked ACKs and NewReno recovery.
+WIRE_SHA256 = "efd8f7601d4c6c8ea300d29143c1b99afdfd880873411c8e590f2dd9616bbff8"
 
 A, B = 1, 2
 
@@ -43,6 +46,7 @@ class ScriptedWire:
     of a DATA segment or the ``ack`` of an ACK, ``nth`` counts earlier
     transmissions of that same segment — to ``"drop"``, ``"late"`` (arrives
     after the segments sent just behind it) or ``"dup"`` (arrives twice).
+    Everything sent inside ``cut = (start, end)`` is dropped.
     """
 
     LATENCY = 0.010
@@ -50,6 +54,7 @@ class ScriptedWire:
     def __init__(self, simulator: Simulator, script: dict[tuple, str]) -> None:
         self.simulator = simulator
         self.script = script
+        self.cut = (0.0, 0.0)
         self.callbacks: dict = {}
         self.log: list[tuple] = []
         self._seen: dict[tuple, int] = {}
@@ -63,9 +68,12 @@ class ScriptedWire:
                segment.seq if segment.kind == "DATA" else segment.ack)
         nth = self._seen[key] = self._seen.get(key, -1) + 1
         action = self.script.get(key + (nth,), "ok")
+        if self.cut[0] <= self.simulator.now < self.cut[1]:
+            action = "drop"
         self.log.append((repr(self.simulator.now), packet.src, packet.dst,
                          segment.kind, segment.seq, segment.ack, packet.size,
-                         segment.epoch, segment.dest_epoch, action))
+                         segment.epoch, segment.dest_epoch, segment.ack_delay,
+                         action))
         if action == "drop":
             return True
         delays = {"ok": (1.0,), "late": (4.5,), "dup": (1.0, 1.5)}[action]
