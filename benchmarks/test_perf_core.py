@@ -28,9 +28,7 @@ EMULATOR_FLOOR_PACKETS_PER_SEC = 10_000
 @pytest.mark.bench
 def test_kernel_events_per_sec_floor():
     result = bench_kernel(num_events=50_000)
-    assert result["has_schedule_fast"]
     assert result["events_per_sec"] > KERNEL_FLOOR_EVENTS_PER_SEC
-    assert result["events_with_handles_per_sec"] > KERNEL_FLOOR_EVENTS_PER_SEC
 
 
 @pytest.mark.bench

@@ -3,9 +3,8 @@
 
 Four workloads are measured:
 
-* **kernel** — events/second through :class:`repro.runtime.engine.Simulator`,
-  both the handle-returning ``schedule()`` path and (when available) the
-  fire-and-forget ``schedule_fast()`` path;
+* **kernel** — events/second through :class:`repro.runtime.engine.Simulator`
+  ``schedule()``;
 * **emulator** — packets/second through a ~600-node transit-stub
   :class:`repro.network.emulator.NetworkEmulator`, i.e. the full
   ``send() -> per-link transit -> deliver`` pipeline that every figure
@@ -130,9 +129,8 @@ def load_bench_config() -> dict:
 def bench_kernel(num_events: int = 200_000) -> dict:
     """Events/second through the discrete-event kernel.
 
-    Schedules *num_events* no-op callbacks at pseudo-random offsets and drains
-    the queue.  Measured twice: once through ``schedule()`` (handle per event)
-    and once through ``schedule_fast()`` when the kernel provides it.
+    Schedules *num_events* no-op callbacks through ``schedule()`` at
+    pseudo-random offsets and drains the queue.
     """
     rng = random.Random(12345)
     delays = [rng.random() * 100.0 for _ in range(num_events)]
@@ -140,25 +138,17 @@ def bench_kernel(num_events: int = 200_000) -> dict:
     def noop() -> None:
         pass
 
-    def timed(schedule_one) -> float:
-        simulator = Simulator(seed=1)
-        sched = schedule_one(simulator)
-        start = time.perf_counter()
-        for delay in delays:
-            sched(delay, noop)
-        simulator.run()
-        return time.perf_counter() - start
-
-    handle_seconds = timed(lambda sim: sim.schedule)
-    fast = getattr(Simulator, "schedule_fast", None)
-    fast_seconds = timed(lambda sim: sim.schedule_fast) if fast else handle_seconds
+    simulator = Simulator(seed=1)
+    schedule = simulator.schedule
+    start = time.perf_counter()
+    for delay in delays:
+        schedule(delay, noop)
+    simulator.run()
+    seconds = time.perf_counter() - start
     return {
         "events": num_events,
-        "seconds": round(fast_seconds, 6),
-        "events_per_sec": round(num_events / fast_seconds),
-        "handle_seconds": round(handle_seconds, 6),
-        "events_with_handles_per_sec": round(num_events / handle_seconds),
-        "has_schedule_fast": fast is not None,
+        "seconds": round(seconds, 6),
+        "events_per_sec": round(num_events / seconds),
     }
 
 

@@ -16,6 +16,7 @@ routing algorithm but models those runtime costs explicitly:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..protocols import pastry_agent
@@ -62,11 +63,10 @@ class _FreePastryFactory:
                              tag: Optional[str] = None, **fields) -> None:
                     """Delay every transmission by the RMI marshalling overhead."""
                     overhead = self.RMI_OVERHEAD + self.RMI_RECEIVE_OVERHEAD
-                    self.simulator.schedule(
-                        overhead, super().send_msg, name, dest,
-                        priority=priority, payload=payload,
-                        payload_size=payload_size, tag=tag,
-                        label="freepastry-rmi", **fields)
+                    self.simulator.schedule(overhead, partial(
+                        super().send_msg, name, dest, priority=priority,
+                        payload=payload, payload_size=payload_size, tag=tag,
+                        **fields))
 
             cls._cached = FreePastryAgentImpl
         return cls._cached

@@ -213,8 +213,7 @@ class OverlayExperiment:
             if immediate and event.time <= 0.0:
                 event.apply()
             else:
-                self.simulator.schedule(event.time, event.apply,
-                                        label=f"scenario:{event.kind}")
+                self.simulator.schedule(event.time, event.apply)
         return compiled
 
     # -------------------------------------------------------------- measurement

@@ -95,7 +95,7 @@ class FuzzConfig:
     settle: float = 80.0
     #: Fault models layered on top of the join model (0..max per spec).
     max_fault_models: int = 2
-    ring_threshold: float = 0.7
+    ring_threshold: float = 0.95
     #: Shrinking budget: candidate re-runs before giving up on minimality.
     max_shrink_runs: int = 40
 

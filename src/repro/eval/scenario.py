@@ -270,6 +270,9 @@ class SampleSeries:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ScenarioError("sample interval must be positive")
+        if self.start < 0:
+            raise ScenarioError(f"sample series {self.name!r} starts "
+                                f"{self.start} s in the past")
 
 
 # --------------------------------------------------------------------- result
@@ -398,8 +401,7 @@ class ScenarioSpec:
                 simulator.schedule_at(
                     when,
                     lambda s=sample, p=points: p.append(
-                        (simulator.now, float(s.fn(experiment)))),
-                    label=f"sample:{sample.name}")
+                        (simulator.now, float(s.fn(experiment)))))
                 when += sample.interval
 
         experiment.run(self.duration)

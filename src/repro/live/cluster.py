@@ -325,35 +325,31 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         #     re-joins almost immediately — its downtime already happened.
         if incarnation == 0:
             join_at = 0.0 if index == 0 else index * config.join_spacing
-            driver.schedule_at(join_at, node.macedon_init, bootstrap,
-                               label="live-join")
+            driver.schedule_at(join_at, node.macedon_init, bootstrap)
         else:
-            driver.schedule(0.05, node.macedon_init, bootstrap,
-                            label="live-rejoin")
+            driver.schedule(0.05, node.macedon_init, bootstrap)
 
         # --- workload ------------------------------------------------------
         if model.kind == "multicast":
             group_setup = max(0.0, config.workload_start - config.settle)
             if incarnation:
-                driver.schedule(0.4, node.macedon_join, model.group,
-                                label="live-rejoin-group")
+                driver.schedule(0.4, node.macedon_join, model.group)
             elif index == max(model.source, 0):
                 driver.schedule_at(group_setup, node.macedon_create_group,
-                                   model.group, label="live-create-group")
+                                   model.group)
             else:
                 driver.schedule_at(group_setup + 0.2, node.macedon_join,
-                                   model.group, label="live-join-group")
+                                   model.group)
         for op in config.plan(stack[0].KEY_SPACE.size).ops:
             if op.node != index:
                 continue
             verb = getattr(share, op.verb)
             if op.time > driver.now + 0.01:
-                driver.schedule_at(op.time, verb, *op.args,
-                                   label=f"live-{op.verb}")
+                driver.schedule_at(op.time, verb, *op.args)
             elif op.verb == "subscribe":
                 # The topics already exist, but this membership died with
                 # the old process: a reborn subscriber re-registers.
-                driver.schedule(0.4, verb, *op.args, label="live-resubscribe")
+                driver.schedule(0.4, verb, *op.args)
             # Any other slot this incarnation was born after belonged to
             # the dead one, which may or may not have issued it — its record
             # is gone either way, so the coordinator books it as skipped.

@@ -5,8 +5,9 @@ contract against a real event loop, so every consumer of the simulator's
 scheduling API — :class:`~repro.runtime.timers.ProtocolTimer`,
 :class:`~repro.transport.reliable.ReliableConnection`'s RTO, the failure
 detector's sweep, generated transition bodies — runs unchanged in live mode:
-``schedule_gen`` maps to ``loop.call_later`` with the same generation-token
-discard rule, ``now`` is wall-clock seconds since the driver started, and
+``schedule`` maps to ``loop.call_later``, ``schedule_gen`` to the same with
+the simulator's generation-token discard rule (the only way to cancel, as in
+the simulator), ``now`` is wall-clock seconds since the driver started, and
 ``fork_rng`` derives per-subsystem RNG streams from the seed exactly as the
 simulator does (a live node's random choices are reproducible even though its
 packet timing is not).
@@ -38,35 +39,6 @@ logger = logging.getLogger(__name__)
 #: retained exception pins its traceback frames), so the list is a ring;
 #: :attr:`LiveDriver.error_count` keeps the running total.
 MAX_RETAINED_ERRORS = 64
-
-
-class LiveHandle:
-    """Cancellable handle for :meth:`LiveDriver.schedule` events.
-
-    Mirrors :class:`~repro.runtime.engine.EventHandle`: idempotent
-    ``cancel()``, a ``cancelled`` flag, the absolute ``time`` the event is
-    due, and a lazily resolved ``label``.
-    """
-
-    __slots__ = ("_timer", "_label", "time", "cancelled", "fired")
-
-    def __init__(self, time: float, label: Any) -> None:
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._label = label
-        self.time = time
-        self.cancelled = False
-        self.fired = False
-
-    @property
-    def label(self) -> str:
-        label = self._label
-        return label() if callable(label) else label
-
-    def cancel(self) -> None:
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            if self._timer is not None:
-                self._timer.cancel()
 
 
 class LiveDriver(Driver):
@@ -143,22 +115,6 @@ class LiveDriver(Driver):
             self.errors.append(exc)
             logger.exception("live event callback %r failed", callback)
 
-    def _dispatch_handle(self, handle: LiveHandle, callback: Callable[..., Any],
-                         args: tuple, kwargs: Optional[dict]) -> None:
-        if handle.cancelled:
-            return
-        handle.fired = True
-        self.events_processed += 1
-        try:
-            if kwargs:
-                callback(*args, **kwargs)
-            else:
-                callback(*args)
-        except Exception as exc:  # noqa: BLE001
-            self.error_count += 1
-            self.errors.append(exc)
-            logger.exception("live event callback %r failed", callback)
-
     def _dispatch_gen(self, callback: Callable[[], Any], cell: list,
                       token: int) -> None:
         # Same discard rule as the simulator: a stale token means cancel_gen
@@ -174,22 +130,16 @@ class LiveDriver(Driver):
             logger.exception("live timer callback %r failed", callback)
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
-                 label: Any = "", **kwargs: Any) -> LiveHandle:
-        loop = self._require_loop()
-        if delay < 0:
-            delay = 0.0
-        handle = LiveHandle(self.now + delay, label)
-        handle._timer = loop.call_later(delay, self._dispatch_handle, handle,
-                                        callback, args, kwargs or None)
-        return handle
-
-    def schedule_fast(self, delay: float, callback: Callable[..., Any],
-                      *args: Any) -> None:
+    def schedule(self, delay: float, callback: Callable[..., Any],
+                 *args: Any) -> None:
         loop = self._require_loop()
         if delay < 0:
             delay = 0.0
         loop.call_later(delay, self._dispatch, callback, args)
+
+    def schedule_at(self, when: float, callback: Callable[..., Any],
+                    *args: Any) -> None:
+        self.schedule(when - self.now, callback, *args)
 
     def schedule_gen(self, delay: float, callback: Callable[[], Any],
                      cell: list) -> None:
@@ -202,14 +152,6 @@ class LiveDriver(Driver):
         # The armed call_later still fires, sees the bumped generation, and
         # discards itself — exactly the simulator's stale-entry rule.
         cell[0] += 1
-
-    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any,
-                    label: Any = "", **kwargs: Any) -> LiveHandle:
-        return self.schedule(when - self.now, callback, *args,
-                             label=label, **kwargs)
-
-    def cancel(self, handle: LiveHandle) -> None:
-        handle.cancel()
 
     # ------------------------------------------------------------------- loop
     async def run_for(self, seconds: float) -> float:

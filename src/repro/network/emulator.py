@@ -131,7 +131,7 @@ class NetworkEmulator:
         self._degraded_hosts: dict[int, tuple[list[tuple[int, int]], dict]] = {}
         # Bound-method caches for the per-packet path (skips one descriptor
         # lookup per send and per delivery).
-        self._schedule_fast = simulator.schedule_fast
+        self._schedule = simulator.schedule
         self._deliver_callback = self._deliver
         self._build_links()
         # Edges added to the graph get their links even when callers
@@ -463,7 +463,7 @@ class NetworkEmulator:
             payloads[payload_tag] = payloads.get(payload_tag, 0) + 1
         # One event: the far end of the first queue point ahead (of the route,
         # when there is none), every link up to there taken as idle.
-        self._schedule_fast(
+        self._schedule(
             wait + route.head_latency + wire_size * route.head_inv_bandwidth,
             self._deliver_callback, packet, route.stage)
         return True
@@ -492,7 +492,7 @@ class NetworkEmulator:
             if wait or stage is not None:
                 if wait < 0.0:
                     return self._drop()
-                self._schedule_fast(
+                self._schedule(
                     wait + latency + wire_size * inv_bandwidth,
                     self._deliver_callback, packet, stage)
                 return False

@@ -12,24 +12,20 @@ emulator reads it at every queue.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 #: Fixed per-packet header overhead (IP + transport headers), in bytes.
 HEADER_BYTES = 40
-
-_packet_ids = itertools.count(1)
 
 
 class Packet:
     """A network-layer packet in flight between two hosts."""
 
     __slots__ = ("src", "dst", "payload", "size", "protocol", "created_at",
-                 "packet_id", "path", "wire_size", "trace_id", "trace_hop")
+                 "path", "wire_size", "trace_id", "trace_hop")
 
     def __init__(self, src: int, dst: int, payload: Any, size: int,
                  protocol: str = "udp", created_at: float = 0.0,
-                 packet_id: Optional[int] = None,
                  path: Optional[tuple[int, ...]] = None,
                  trace_id: Optional[int] = None, trace_hop: int = 0) -> None:
         if size < 0:
@@ -40,7 +36,6 @@ class Packet:
         self.size = size
         self.protocol = protocol
         self.created_at = created_at
-        self.packet_id = packet_id if packet_id is not None else next(_packet_ids)
         #: Filled in by the emulator: topology path the packet follows.
         self.path = path
         #: Bytes the packet occupies on a link (payload plus headers).
@@ -56,19 +51,8 @@ class Packet:
         """Links on the packet's path (0 until the emulator routed it)."""
         return len(self.path) - 1 if self.path else 0
 
-    def copy_for_retransmit(self) -> "Packet":
-        """A fresh packet (new id, not yet routed) carrying the same payload."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            payload=self.payload,
-            size=self.size,
-            protocol=self.protocol,
-            created_at=self.created_at,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet(#{self.packet_id} {self.src}->{self.dst} proto={self.protocol} "
+            f"Packet({self.src}->{self.dst} proto={self.protocol} "
             f"size={self.size})"
         )

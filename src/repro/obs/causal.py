@@ -24,8 +24,8 @@ Both emit ``route_hop`` records with identical ``data`` keys
 (``trace_id``, ``hop``, ``src``, ``latency``), which is what makes
 ``scripts/run_trace.py`` mode-agnostic.
 
-Retransmissions (``copy_for_retransmit``) and timer-driven sends start
-fresh traces by design: they are new causal roots, not forwards.
+Retransmissions and timer-driven sends start fresh traces by design: they
+are new causal roots, not forwards.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from .agent import (
     TransitionContext,
     TransitionSpec,
 )
-from .engine import EventHandle, SimulationError, Simulator
+from .engine import SimulationError, Simulator
 from .failure import FailureDetector, FailureDetectorConfig
 from .keys import KeySpace, hash_key
 from .locks import InstanceLock, LockingViolation
@@ -42,7 +42,6 @@ __all__ = [
     "StateVarSpec",
     "TransitionContext",
     "TransitionSpec",
-    "EventHandle",
     "SimulationError",
     "Simulator",
     "FailureDetector",

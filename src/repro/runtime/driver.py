@@ -4,10 +4,10 @@ MACEDON's headline claim is that a single specification is evaluated both in
 *simulation* and in *live deployment* over real networks.  The runtime code
 (agents, timers, transports, failure detection) therefore never talks to the
 :class:`~repro.runtime.engine.Simulator` by concrete type — it talks to the
-**driver contract** defined here: a clock (``now``), the three scheduling
-entry points the hot paths use (``schedule`` with a cancellable handle,
-fire-and-forget ``schedule_fast``, generation-cancellable ``schedule_gen`` /
-``cancel_gen``) and deterministic RNG forking.
+**driver contract** defined here: a clock (``now``), one way to schedule
+(``schedule`` / ``schedule_at``, fire-and-forget), one way to cancel
+(generation-cancellable ``schedule_gen`` / ``cancel_gen``) and deterministic
+RNG forking.
 
 Two implementations exist:
 
@@ -36,8 +36,8 @@ class Driver(abc.ABC):
     seconds since driver start under a live driver.  The scheduling methods
     mirror :class:`~repro.runtime.engine.Simulator` exactly — see its
     docstrings for the semantics the implementations must preserve (FIFO
-    ordering of same-instant events, the one-pending-entry-per-cell invariant
-    of ``schedule_gen``, idempotent handle cancellation).
+    ordering of same-instant events, the stale-generation discard rule of
+    ``schedule_gen``).
     """
 
     @property
@@ -46,14 +46,14 @@ class Driver(abc.ABC):
         """Current time in seconds (simulated or wall-clock since start)."""
 
     @abc.abstractmethod
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
-                 label: Any = "", **kwargs: Any):
-        """Run *callback* in ``delay`` seconds; returns a cancellable handle."""
+    def schedule(self, delay: float, callback: Callable[..., Any],
+                 *args: Any) -> None:
+        """Run ``callback(*args)`` in ``delay`` seconds; not cancellable."""
 
     @abc.abstractmethod
-    def schedule_fast(self, delay: float, callback: Callable[..., Any],
-                      *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, no kwargs, no label."""
+    def schedule_at(self, when: float, callback: Callable[..., Any],
+                    *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute time *when*."""
 
     @abc.abstractmethod
     def schedule_gen(self, delay: float, callback: Callable[[], Any],
@@ -62,15 +62,11 @@ class Driver(abc.ABC):
 
     @abc.abstractmethod
     def cancel_gen(self, cell: list) -> None:
-        """Cancel the single pending :meth:`schedule_gen` entry tied to *cell*."""
+        """Cancel the pending :meth:`schedule_gen` entry tied to *cell*."""
 
     @abc.abstractmethod
     def fork_rng(self, name: str) -> random.Random:
         """A new RNG deterministically derived from the driver seed and *name*."""
-
-    def cancel(self, handle: Any) -> None:
-        """Cancel a handle returned by :meth:`schedule`.  Idempotent."""
-        handle.cancel()
 
 
 # The simulator satisfies the contract structurally; register it as a virtual

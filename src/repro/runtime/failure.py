@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .engine import EventHandle, Simulator
+from .engine import Simulator
+from .timers import ProtocolTimer, TimerSpec
 
 
 @dataclass
@@ -71,7 +72,9 @@ class FailureDetector:
         self._on_failure = on_failure
         self._last_heard: dict[int, float] = {}
         self._monitored: dict[int, int] = {}  # peer -> reference count
-        self._handle: Optional[EventHandle] = None
+        self._sweep = ProtocolTimer(
+            TimerSpec("failure-detector", self.config.check_interval),
+            simulator, self._check)
         self.stats = FailureDetectorStats()
         self._running = False
 
@@ -84,9 +87,7 @@ class FailureDetector:
 
     def stop(self) -> None:
         self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        self._sweep.cancel()
 
     def reset(self) -> None:
         """Forget all monitored peers and liveness history.
@@ -100,11 +101,8 @@ class FailureDetector:
         self.stats.monitored_peers = 0
 
     def _schedule_check(self) -> None:
-        if not self._running:
-            return
-        self._handle = self.simulator.schedule(
-            self.config.check_interval, self._check, label="failure-detector"
-        )
+        if self._running:
+            self._sweep.schedule()
 
     # ------------------------------------------------------------- membership
     def monitor(self, peer: int) -> None:
@@ -135,7 +133,7 @@ class FailureDetector:
         return sorted(self._monitored)
 
     # ------------------------------------------------------------------ sweep
-    def _check(self) -> None:
+    def _check(self, _timer: str) -> None:
         now = self.simulator.now
         failed: list[int] = []
         for peer in list(self._monitored):

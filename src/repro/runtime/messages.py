@@ -20,14 +20,12 @@ code reads fields as attributes (``msg.response``) or through the paper's
 ``field()`` primitive.
 
 Message construction is protocol-plane hot-path work — one instance per send
-on every node — so :class:`Message` is a ``__slots__`` envelope with a lazy
-``msg_id`` (the process-wide counter is only consumed if somebody reads it)
-and a size memoised on first read.
+on every node — so :class:`Message` is a ``__slots__`` envelope with a size
+memoised on first read.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
 from dataclasses import dataclass, fields as dataclass_fields
@@ -247,9 +245,6 @@ class MessageType:
         return f"MessageType({self.name!r}, ({fields}), {self.transport!r})"
 
 
-_message_ids = itertools.count(1)
-
-
 class Message:
     """An instance of a message type travelling between two overlay nodes.
 
@@ -259,18 +254,16 @@ class Message:
     host address, matching the paper's implicit ``from`` variable.
 
     A slotted envelope: the wire size is memoised on first read (the type's
-    precomputed fixed size plus the value-dependent fields), and ``msg_id``
-    draws from the process-wide counter lazily, only if somebody asks.
+    precomputed fixed size plus the value-dependent fields).
     """
 
     __slots__ = ("type", "fields", "payload", "payload_size", "priority",
-                 "source", "dest", "dest_key", "protocol", "_msg_id", "_size")
+                 "source", "dest", "dest_key", "protocol", "_size")
 
     def __init__(self, type: MessageType, fields: Optional[dict[str, Any]] = None,
                  payload: Any = None, payload_size: int = 0, priority: int = -1,
                  source: Optional[int] = None, dest: Optional[int] = None,
-                 dest_key: Optional[int] = None, protocol: str = "",
-                 msg_id: Optional[int] = None) -> None:
+                 dest_key: Optional[int] = None, protocol: str = "") -> None:
         if fields is None:
             fields = {}
         else:
@@ -284,19 +277,11 @@ class Message:
         self.dest = dest
         self.dest_key = dest_key
         self.protocol = protocol
-        self._msg_id = msg_id
         self._size: Optional[int] = None
 
     @property
     def name(self) -> str:
         return self.type.name
-
-    @property
-    def msg_id(self) -> int:
-        msg_id = self._msg_id
-        if msg_id is None:
-            msg_id = self._msg_id = next(_message_ids)
-        return msg_id
 
     @property
     def size(self) -> int:

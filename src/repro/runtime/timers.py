@@ -39,12 +39,11 @@ class ProtocolTimer:
     """One named timer owned by an agent instance.
 
     Timers are the protocol plane's per-send churn: every periodic transition
-    reschedules its own timer, so the old one-``EventHandle``-per-fire scheme
-    allocated an ``_Event`` + handle + label string for every maintenance
-    beat of every node.  The fast path instead rides the kernel's
-    generation-counter entries (:meth:`Simulator.schedule_gen`): one shared
-    one-int *cell* per timer, bumped to cancel, with the ``_armed`` flag
-    maintaining the kernel's one-pending-entry-per-cell invariant.
+    reschedules its own timer.  A timer rides the kernel's generation-counter
+    entries (:meth:`Simulator.schedule_gen`, the only cancellable kind): one
+    shared one-int *cell* per timer, bumped to cancel, with the ``_armed``
+    flag keeping at most one live entry per cell.  The failure detector's
+    sweep is one of these too.
     """
 
     __slots__ = ("spec", "simulator", "_on_expire", "_cell", "_armed",

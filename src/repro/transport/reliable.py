@@ -132,8 +132,8 @@ class ReliableConnection:
         #: Timeouts since ``rto`` was last computed from the estimate.
         self.backoffs = 0
         # Retransmission timer, re-armed on every transmit and every ACK: it
-        # rides the kernel's generation-counter entries (schedule_gen) so the
-        # constant re-arming allocates no EventHandle/_Event/label per packet.
+        # rides the kernel's generation-counter entries (schedule_gen), the
+        # one cancellable kind, so re-arming allocates only the heap entry.
         self._timer_cell = [0]
         self._timer_armed = False
         # Receiver state.

@@ -125,6 +125,13 @@ def test_negative_event_time_rejected():
         experiment.apply_model(CrashModel(at=-5.0, victims=(1,)))
 
 
+def test_sample_series_rejects_a_start_in_the_past():
+    with pytest.raises(ScenarioError, match="in the past"):
+        SampleSeries("early", 1.0, lambda exp: 0.0, start=-1.0)
+    with pytest.raises(ScenarioError, match="positive"):
+        SampleSeries("never", 0.0, lambda exp: 0.0)
+
+
 def test_workload_model_rejects_unknown_kind():
     experiment = ring_experiment()
     with pytest.raises(ScenarioError):

@@ -9,6 +9,8 @@ samples, down to the last float bit.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.network.emulator import NetworkEmulator
@@ -50,13 +52,15 @@ def run_workload(seed: int) -> dict:
         if dst == src:
             dst = (dst + 1) % num_hosts
         size = rng.randint(50, 1200)
-        handle = simulator.schedule(index * 0.01, send_one,
-                                    addresses[src], addresses[dst], size,
-                                    f"payload-{index % 13}")
-        # Cancel a deterministic subset to exercise the live-event counter
-        # and cancelled-entry skipping in the run loop.
+        cell = [0]
+        simulator.schedule_gen(index * 0.01,
+                               partial(send_one, addresses[src], addresses[dst],
+                                       size, f"payload-{index % 13}"),
+                               cell)
+        # Cancel a deterministic subset to exercise pending() and
+        # stale-generation skipping in the run loop.
         if index % 17 == 0:
-            handle.cancel()
+            simulator.cancel_gen(cell)
             cancelled += 1
     simulator.run()
 

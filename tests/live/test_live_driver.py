@@ -23,23 +23,18 @@ def test_simulator_and_drivers_satisfy_the_contract():
     assert isinstance(LiveDriver(), Driver)
 
 
-def test_live_schedule_and_cancel():
+def test_live_schedule_and_schedule_at():
     async def scenario():
         driver = LiveDriver(seed=1)
         driver.start()
         fired = []
         driver.schedule(0.01, fired.append, "one")
-        handle = driver.schedule(0.02, fired.append, "cancelled",
-                                 label=lambda: "lazy")
-        driver.schedule_fast(0.03, fired.append, "fast")
-        assert handle.label == "lazy"
-        handle.cancel()
-        handle.cancel()   # idempotent
+        driver.schedule_at(0.03, fired.append, "at")
         await driver.run_for(0.1)
         return driver, fired
 
     driver, fired = run(scenario())
-    assert fired == ["one", "fast"]
+    assert fired == ["one", "at"]
     assert driver.events_processed == 2
     assert driver.now >= 0.03
 
@@ -93,9 +88,9 @@ def test_live_negative_delay_clamps_and_errors_are_contained():
         def boom():
             raise RuntimeError("one bad transition")
 
-        driver.schedule_fast(-5.0, fired.append, "clamped")
-        driver.schedule_fast(0.01, boom)
-        driver.schedule_fast(0.02, fired.append, "after")
+        driver.schedule(-5.0, fired.append, "clamped")
+        driver.schedule(0.01, boom)
+        driver.schedule(0.02, fired.append, "after")
         await driver.run_for(0.1)
         return driver, fired
 

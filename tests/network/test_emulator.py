@@ -82,16 +82,15 @@ def test_transmission_delay_scales_with_size():
     a = emulator.attach_host(topology.clients[0])
     b = emulator.attach_host(topology.clients[1])
     arrival = {}
-    emulator.set_receive_callback(b.address, lambda p: arrival.setdefault(p.packet_id, simulator.now))
-    small = Packet(src=a.address, dst=b.address, payload=None, size=100)
-    emulator.send(small)
+    emulator.set_receive_callback(
+        b.address, lambda p: arrival.setdefault(p.payload, simulator.now))
+    emulator.send(Packet(src=a.address, dst=b.address, payload="small", size=100))
     simulator.run()
-    small_time = simulator.now
-    big = Packet(src=a.address, dst=b.address, payload=None, size=10_000)
     start = simulator.now
-    emulator.send(big)
+    emulator.send(Packet(src=a.address, dst=b.address, payload="big", size=10_000))
     simulator.run()
-    assert (simulator.now - start) > small_time * 1.5
+    assert arrival["small"] > 0.0
+    assert (arrival["big"] - start) > arrival["small"] * 1.5
 
 
 def test_link_stress_accounting():
@@ -126,9 +125,12 @@ def test_directed_link_queue_and_drop():
 def test_packet_wire_size_and_retransmit_copy():
     packet = Packet(src=1, dst=2, payload="x", size=100)
     assert packet.wire_size == 100 + HEADER_BYTES
-    clone = packet.copy_for_retransmit()
-    assert clone.packet_id != packet.packet_id
-    assert clone.size == packet.size
+    packet.path = (1, 5, 2)
+    # A retransmission is a fresh packet with the same payload, not yet routed.
+    clone = Packet(src=packet.src, dst=packet.dst, payload=packet.payload,
+                   size=packet.size)
+    assert (clone.wire_size, clone.hops) == (packet.wire_size, 0)
+    assert packet.hops == 2
     with pytest.raises(ValueError):
         Packet(src=1, dst=2, payload=None, size=-5)
 
@@ -294,7 +296,8 @@ def test_core_links_are_contention_free():
     emulator.set_receive_callback(b.address, lambda p: arrivals.append(simulator.now))
     packet = Packet(src=a.address, dst=b.address, payload=None, size=333)
     for _ in range(3):
-        assert emulator.send(packet.copy_for_retransmit())
+        assert emulator.send(Packet(src=a.address, dst=b.address,
+                                    payload=None, size=333))
     simulator.run()
     path = emulator.ip_path(a.address, b.address)
     links = [emulator._links[hop] for hop in zip(path[:-1], path[1:])]

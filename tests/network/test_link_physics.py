@@ -48,10 +48,10 @@ def test_idle_links_neither_delay_nor_drop():
         dst = rng.choice(addresses)
         if dst != src:
             emulator.send(Packet(src, dst, None, 20))
-        simulator.schedule_fast(rng.expovariate(22.0), tick, src)
+        simulator.schedule(rng.expovariate(22.0), tick, src)
 
     for address in addresses:
-        simulator.schedule_fast(rng.expovariate(22.0), tick, address)
+        simulator.schedule(rng.expovariate(22.0), tick, address)
     simulator.run(until=30.0)
 
     stats = emulator.stats

@@ -189,6 +189,31 @@ def test_heartbeats_keep_silent_but_alive_peer():
     assert a.lowest_agent.buddies.query(b.address)
 
 
+def test_failure_detector_sweep_is_one_timer_until_stopped():
+    agent_class = compile_mac(ECHO)
+    simulator = Simulator(seed=10)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(2, seed=10))
+    config = FailureDetectorConfig(failure_timeout=5.0, heartbeat_timeout=2.0,
+                                   check_interval=1.0)
+    node = MacedonNode(simulator, emulator, [agent_class], failure_config=config)
+    node.macedon_init(node.address)
+    # Echo has no timers and sends nothing: the sweep is the only event.
+    assert simulator.pending() == 1
+    simulator.run(until=3.5)
+    assert simulator.pending() == 1
+    node.failure_detector.stop()
+    assert simulator.pending() == 0
+    node.failure_detector.start()
+    assert simulator.pending() == 1
+    node.crash()
+    assert simulator.pending() == 0
+    node.recover(bootstrap=node.address)
+    assert simulator.pending() == 1
+    simulator.run(until=8.5)
+    assert simulator.pending() == 1
+    assert simulator.events_processed == 8   # one sweep a second, no more
+
+
 def test_app_handlers_receive_upcalls():
     agent_class = compile_mac(ECHO)
     simulator = Simulator(seed=8)

@@ -51,11 +51,12 @@ def test_negative_delay_rejected():
 def test_cancel_prevents_execution():
     simulator = Simulator()
     fired = []
-    handle = simulator.schedule(1.0, fired.append, 1)
-    handle.cancel()
+    cell = [0]
+    simulator.schedule_gen(1.0, lambda: fired.append(1), cell)
+    simulator.cancel_gen(cell)
     simulator.run()
     assert fired == []
-    assert handle.cancelled
+    assert simulator.events_processed == 0
 
 
 def test_run_until_stops_at_boundary_and_advances_clock():
@@ -143,22 +144,25 @@ def test_events_always_fire_in_nondecreasing_time_order(delays):
     assert len(times) == len(delays)
 
 
-def test_schedule_fast_interleaves_with_schedule_in_insertion_order():
+def test_schedule_interleaves_with_schedule_gen_in_insertion_order():
     simulator = Simulator()
     order = []
+    cell = [0]
     simulator.schedule(1.0, order.append, "a")
-    simulator.schedule_fast(1.0, order.append, "b")
+    simulator.schedule_gen(1.0, lambda: order.append("b"), cell)
     simulator.schedule(1.0, order.append, "c")
-    simulator.schedule_fast(0.5, order.append, "first")
+    simulator.schedule(0.5, order.append, "first")
     simulator.run()
     assert order == ["first", "a", "b", "c"]
 
 
-def test_schedule_fast_rejects_negative_delay_and_counts_as_pending():
+def test_schedule_rejects_negative_delay_and_counts_as_pending():
     simulator = Simulator()
     with pytest.raises(SimulationError):
-        simulator.schedule_fast(-0.5, lambda: None)
-    simulator.schedule_fast(1.0, lambda: None)
+        simulator.schedule(-0.5, lambda: None)
+    with pytest.raises(SimulationError):
+        simulator.schedule_at(-0.5, lambda: None)
+    simulator.schedule(1.0, lambda: None)
     assert simulator.pending() == 1
     simulator.run()
     assert simulator.pending() == 0
@@ -166,27 +170,14 @@ def test_schedule_fast_rejects_negative_delay_and_counts_as_pending():
 
 def test_pending_counter_tracks_schedule_cancel_and_fire():
     simulator = Simulator()
-    handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(5)]
+    cells = [[0] for _ in range(5)]
+    for i, cell in enumerate(cells):
+        simulator.schedule_gen(float(i + 1), lambda: None, cell)
+    simulator.schedule(10.0, lambda: None)
+    assert simulator.pending() == 6
+    simulator.cancel_gen(cells[0])
     assert simulator.pending() == 5
-    handles[0].cancel()
-    handles[0].cancel()  # idempotent: must not double-decrement
-    assert simulator.pending() == 4
     simulator.run(until=3.0)
-    assert simulator.pending() == 2
+    assert simulator.pending() == 3
     simulator.run()
     assert simulator.pending() == 0
-
-
-def test_lazy_label_callable_resolved_on_read():
-    simulator = Simulator()
-    calls = []
-
-    def expensive_label():
-        calls.append(1)
-        return "lazy"
-
-    handle = simulator.schedule(1.0, lambda: None, label=expensive_label)
-    assert not calls  # not formatted at schedule time
-    assert handle.label == "lazy"
-    assert "lazy" in simulator.drain_labels()
-    assert len(calls) == 2  # once per read, never at schedule time

@@ -83,12 +83,6 @@ def test_wrapped_message_roundtrip(join_reply):
     assert message.protocol == "scribe"
 
 
-def test_message_ids_unique(join_reply):
-    a = Message(type=join_reply, fields={"response": 1})
-    b = Message(type=join_reply, fields={"response": 2})
-    assert a.msg_id != b.msg_id
-
-
 def test_unknown_field_type_rejected_at_spec_compile_time():
     # A typo'd field type must fail when the MessageType is built (i.e. when
     # the generated module imports), not silently charge a default size on

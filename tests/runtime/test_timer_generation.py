@@ -1,11 +1,11 @@
 """Generation-counter cancellation semantics of the fast timer path.
 
-PR 4 moved protocol timers and transport retransmission timers off
-handle-per-fire ``schedule()`` onto ``schedule_gen()``: a flat heap entry
-capturing a generation token, cancelled by bumping the owner's generation
-cell.  These tests pin the semantics the fast path must preserve: a
-cancelled entry never fires, never counts as a processed event, and the
-live-event counter stays exact through arbitrary cancel/reschedule churn.
+``schedule_gen()`` is the kernel's only cancellable entry: a flat heap
+entry capturing a generation token, cancelled by bumping the owner's
+generation cell.  Protocol timers, transport retransmission timers and the
+failure detector's sweep all ride it.  These tests pin its semantics: a
+cancelled entry never fires, never counts as a processed event, and
+``pending()`` stays exact through arbitrary cancel/reschedule churn.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def test_schedule_gen_fires_live_entry():
     assert simulator.events_processed == 1
 
 
-def test_cancel_gen_discards_entry_like_a_cancelled_handle():
+def test_cancel_gen_discards_entry():
     simulator = Simulator()
     fired = []
     cell = [0]
@@ -38,8 +38,7 @@ def test_cancel_gen_discards_entry_like_a_cancelled_handle():
     assert simulator.pending() == 0
     simulator.run()
     assert fired == []
-    # A generation-cancelled entry is discarded exactly like a cancelled
-    # EventHandle event: it does not count as a processed event.
+    # A generation-cancelled entry does not count as a processed event.
     assert simulator.events_processed == 0
 
 
@@ -61,12 +60,12 @@ def test_schedule_gen_orders_with_other_entry_widths():
     simulator = Simulator()
     order = []
     cell = [0]
-    simulator.schedule(1.0, order.append, "handle")
+    simulator.schedule(1.0, order.append, "first")
     simulator.schedule_gen(1.0, lambda: order.append("gen"), cell)
-    simulator.schedule_fast(1.0, order.append, "fast")
+    simulator.schedule(1.0, order.append, "last")
     simulator.run()
-    # Same time => insertion (seq) order across all three entry widths.
-    assert order == ["handle", "gen", "fast"]
+    # Same time => insertion (seq) order across both entry widths.
+    assert order == ["first", "gen", "last"]
 
 
 def test_schedule_gen_rejects_negative_delay():
@@ -113,7 +112,7 @@ def test_cancel_is_idempotent():
     simulator, timer, fired = make_timer()
     timer.schedule()
     timer.cancel()
-    timer.cancel()   # must not corrupt the live-event counter
+    timer.cancel()   # a second cancel is a no-op
     assert simulator.pending() == 0
     simulator.run()
     assert fired == []
