@@ -30,7 +30,6 @@ def main() -> None:
                                packets=5 * NUM_NODES),
         duration=6.0,          # join wave + settle + lookup window, in wall s
         join_spacing=0.2,
-        fix_period=0.5,        # fast fix-fingers, as in the Figure-10 demo
         base_port=47300,
     )
     print(f"booting {config.nodes} chord processes on "

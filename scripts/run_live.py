@@ -7,12 +7,14 @@ UDP datagrams (see docs/LIVE.md), driven through a staggered join wave and a
 route, multicast, replicated-KV, or pub/sub workload, and scored with the
 same metric shapes the scenario runner reports.
 
-``--kill INDEX:AT[:RESPAWN_AFTER]`` injects real faults: the coordinator
-SIGKILLs node INDEX's process AT seconds after the cluster clock zero and
-(with RESPAWN_AFTER) respawns it under the supervisor's restart-epoch
-machinery.  ``--min-post-fault-success`` then gates on the ratio for probes
-sent after the last fault plus the settle window — the "kill a node
-mid-run, recover, still route" check CI runs.
+``--kill INDEX:AT[:RESPAWN_AFTER]`` injects real faults: one ``crash_node``
+fault row the coordinator runs as it runs any drawn row — it SIGKILLs node
+INDEX's process AT seconds after the cluster clock zero and (with
+RESPAWN_AFTER) recovers it that many seconds later under the supervisor's
+restart-epoch machinery.  A row naming a node outside the cluster is refused
+before any process starts.  ``--min-post-fault-success`` then gates on the
+ratio for probes sent after the last fault plus the settle window — the
+"kill a node mid-run, recover, still route" check CI runs.
 
 Usage::
 
@@ -38,12 +40,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.eval.faults import Fault  # noqa: E402
 from repro.eval.workload import WorkloadModel  # noqa: E402
-from repro.live import (KillNode, LiveCluster, LiveClusterConfig,  # noqa: E402
+from repro.live import (LiveCluster, LiveClusterConfig,  # noqa: E402
                         LiveClusterError)
 
 
-def parse_kill(text: str) -> KillNode:
+def parse_kill(text: str) -> Fault:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(
@@ -56,7 +59,9 @@ def parse_kill(text: str) -> KillNode:
         raise argparse.ArgumentTypeError(
             f"--kill wants numbers in INDEX:AT[:RESPAWN_AFTER], "
             f"got {text!r}") from exc
-    return KillNode(at=at, index=index, respawn_after=respawn)
+    return Fault(at, "crash_node", (index,), f"node {index} killed",
+                 None if respawn is None else at + respawn,
+                 f"node {index} recovers", node=index)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,17 +94,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base-port", type=int, default=47000,
                         help="first UDP port; node i binds base+i "
                              "(default 47000)")
-    parser.add_argument("--fix-period", type=float, default=0.5,
-                        help="chord fix-fingers period in seconds; 0 keeps "
-                             "the specification default (default 0.5)")
     parser.add_argument("--startup-timeout", type=float, default=60.0,
                         help="seconds each process gets to import, compile, "
                              "and reach the start barrier (default 60)")
     parser.add_argument("--kill", type=parse_kill, action="append",
                         default=[], metavar="INDEX:AT[:RESPAWN_AFTER]",
-                        help="SIGKILL node INDEX at AT seconds; with "
-                             "RESPAWN_AFTER, the supervisor respawns it "
-                             "that many seconds later (repeatable)")
+                        help="crash node INDEX (SIGKILL) at AT seconds; "
+                             "with RESPAWN_AFTER, recover it that many "
+                             "seconds later (repeatable)")
     parser.add_argument("--restart-budget", type=int, default=3,
                         help="supervised respawns per node before it is "
                              "accounted down (default 3)")
@@ -148,26 +150,25 @@ def main(argv: list[str] | None = None) -> int:
         read_quorum=args.kv_read_quorum,
         topics=args.topics,
     )
-    config = LiveClusterConfig(
-        nodes=args.nodes,
-        protocol=args.protocol,
-        workload=workload,
-        duration=args.duration,
-        join_spacing=args.join_spacing,
-        settle=args.settle,
-        seed=args.seed,
-        base_port=args.base_port,
-        fix_period=args.fix_period or None,
-        startup_timeout=args.startup_timeout,
-        faults=tuple(sorted(args.kill, key=lambda fault: fault.at)),
-        restart_budget=args.restart_budget,
-        post_fault_settle=args.post_fault_settle,
-    )
     try:
+        config = LiveClusterConfig(
+            nodes=args.nodes,
+            protocol=args.protocol,
+            workload=workload,
+            duration=args.duration,
+            join_spacing=args.join_spacing,
+            settle=args.settle,
+            seed=args.seed,
+            base_port=args.base_port,
+            startup_timeout=args.startup_timeout,
+            faults=tuple(sorted(args.kill, key=lambda row: row.at)),
+            restart_budget=args.restart_budget,
+            post_fault_settle=args.post_fault_settle,
+        )
         outcome = LiveCluster(config).run()
     except LiveClusterError as exc:
-        # Startup diagnostics, driver callback errors, dead workers: the
-        # message already names the culprit — no traceback needed.
+        # A bad fault row, startup diagnostics, driver callback errors, dead
+        # workers: the message already names the culprit — no traceback.
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
 
@@ -179,8 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         "nodes": args.nodes,
         "duration": args.duration,
         "packets": packets,
-        "kills": [[fault.index, fault.at, fault.respawn_after]
-                  for fault in config.faults],
+        "kills": [[row.args[0], row.at,
+                   None if row.until is None else row.until - row.at]
+                  for row in config.faults],
         "metrics": outcome.metrics,
         "invariant_violations": [str(violation) for violation in violations],
     }

@@ -5,9 +5,9 @@ function of ``(model, num_nodes, rng, horizon)`` returning :class:`Fault`
 rows over the one vocabulary :data:`FAULT_VERBS`.  The simulator executes
 the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
 (:meth:`~repro.eval.scenario.ScenarioModel.instantiate`); the live
-supervisor rescales the model, calls the same ``draw`` and maps the rows by
-verb onto its directives (:mod:`repro.live.faults`).  A new fault model is
-one class with one ``draw``; no driver changes.
+supervisor rescales the model, calls the same ``draw`` and runs the rows by
+verb on a :class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`).
+A new fault model is one class with one ``draw``; no driver changes.
 
 The models cover the paper's fault vocabulary plus the adversarial shapes
 the scenario fuzzer (:mod:`repro.eval.fuzz`) explores:
@@ -57,10 +57,9 @@ class Fault(NamedTuple):
 
 #: The fault vocabulary: ``verb -> (event kind, undo verb, undo event kind,
 #: leading args the undo takes)``.  Every verb and undo verb is a method of
-#: :class:`~repro.eval.experiment.OverlayExperiment`; the live executor maps
-#: the verbs it can carry out onto its own directives
-#: (:data:`repro.live.faults.LIVE_VERBS`).  docs/SCENARIOS.md "Fault verbs"
-#: is a view of this table.
+#: :class:`~repro.eval.experiment.OverlayExperiment`; a
+#: :class:`~repro.live.cluster.LiveCluster` has the ones a deployment can
+#: carry out.  docs/SCENARIOS.md "Fault verbs" is a view of this table.
 FAULT_VERBS: dict[str, tuple] = {
     "join_node": ("join", None, None, 0),
     "crash_node": ("crash", "recover_node", "recover", 1),

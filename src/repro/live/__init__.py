@@ -17,27 +17,25 @@ package is the live half of the reproduction:
   draw / per-node share / payload), and scores the pooled observations with
   the model's own scorer;
 * :mod:`~repro.live.faults` — the fault plane: scenario crash/churn/
-  partition/degrade models compiled onto wall-clock as real ``SIGKILL``
-  schedules (with supervised respawn) and socket fault-table rules.
+  partition/degrade models rescaled onto wall-clock and drawn as the rows
+  the cluster runs by verb — real ``SIGKILL`` signals (with supervised
+  respawn) and socket fault-table rules.
 
 See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 """
 
 from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError, LiveClusterResult
 from .driver import LiveDriver
-from .faults import (DegradeFault, KillNode, LiveFaultError, PartitionFault,
-                     compile_fault_models, fault_horizon, live_runnable)
+from .faults import (LiveFaultError, compile_fault_models, fault_horizon,
+                     live_runnable)
 
 __all__ = [
-    "DegradeFault",
-    "KillNode",
     "LiveCluster",
     "LiveClusterConfig",
     "LiveClusterError",
     "LiveClusterResult",
     "LiveDriver",
     "LiveFaultError",
-    "PartitionFault",
     "compile_fault_models",
     "fault_horizon",
     "live_runnable",

@@ -19,14 +19,14 @@ wall clock, and results come back over a queue.  In the *data* path there is
 still no runtime coordinator — once the barrier drops, the only
 communication between nodes is protocol traffic over their UDP sockets.  The
 coordinator re-enters only as the *fault* plane: when the config carries
-:mod:`~repro.live.faults` directives it becomes a supervisor that delivers
-real ``SIGKILL``\\ s on schedule, respawns victims under a capped exponential
-backoff and a per-node restart budget (the respawned process re-enters
-through the transport restart-epoch machinery, resuming the shared cluster
-clock mid-timeline), and installs partition/cut/degrade rules into every
-node's socket fault table over an out-of-band control channel.  A node that
-exhausts its budget is accounted as *down* — graceful degradation, not a
-run failure.
+fault rows (:mod:`~repro.live.faults`) it becomes a supervisor that runs
+each row by verb, as the simulator does — real ``SIGKILL``\\ s, respawns
+under a capped exponential backoff and a per-node restart budget (the
+respawned process re-enters through the transport restart-epoch machinery,
+resuming the shared cluster clock mid-timeline), and partition/degrade
+rules sent one way into every node's socket fault table over an
+out-of-band control channel.  A node that exhausts its budget is accounted
+as *down* — graceful degradation, not a run failure.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ from dataclasses import dataclass, field, replace
 from queue import Empty
 from typing import Any, Optional
 
+from ..eval.faults import FAULT_VERBS
 from ..eval.metrics import correct_successor_fraction
 from ..eval.scenario import ScenarioError, ScenarioResult
 from ..eval.workload import (NodeWorkload, WorkloadModel,
                              WorkloadObservations, WorkloadPlan)
 from ..transport.udp import SocketUdpNetwork
+from .faults import (DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS,
+                     fault_horizon)
 
 #: Stream id stamped on workload probes so application traffic of the
 #: deployment under test is never miscounted (mirrors the scenario engine's
@@ -66,10 +69,18 @@ DRAIN = 1.0
 
 #: Exponential-backoff schedule for respawning a node that died
 #: *unexpectedly*: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.  A
-#: deliberate kill waits its directive's downtime plus at most
-#: ``BACKOFF_CAP`` of stretch.
+#: crashed node's recovery waits at most ``BACKOFF_CAP`` of stretch.
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 8.0
+
+#: Fix-fingers period set on any live agent exposing the knob: a live run
+#: lasts seconds, so fingers are repaired twice as often as Chord's 1 s
+#: specification default.
+FIX_PERIOD = 0.5
+
+#: Coordinator actions the run waits for even once every node it expects
+#: has reported: each changes which nodes it expects.
+_AWAITED = ("crash_node", "recover_node", "_respawn")
 
 #: The :class:`~repro.transport.base.TransportStats` counters a node report
 #: sums over its transports.
@@ -101,17 +112,14 @@ class LiveClusterConfig:
     seed: int = 1
     host: str = "127.0.0.1"
     base_port: int = 47000
-    #: Chord's fix-fingers period, applied to any agent exposing the knob
-    #: (None leaves the specification default).
-    fix_period: Optional[float] = 0.5
     #: multiprocessing start method; None picks "fork" where available
     #: (children inherit the compiled registry) and "spawn" elsewhere.
     start_method: Optional[str] = None
     #: Seconds each process gets to import, compile, and bind its socket.
     startup_timeout: float = 60.0
     # ---- fault plane (see repro.live.faults)
-    #: Live fault directives (KillNode / PartitionFault / DegradeFault),
-    #: offsets from the barrier-aligned clock zero.
+    #: :class:`~repro.eval.faults.Fault` rows, run by verb on the
+    #: :class:`LiveCluster`; offsets from the barrier-aligned clock zero.
     faults: tuple = ()
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
@@ -121,7 +129,7 @@ class LiveClusterConfig:
     post_fault_settle: float = 2.0
     #: Optional :class:`repro.obs.ObsConfig`: attaches the observability
     #: layer — per-node causal wire tracing, mid-run wall-clock stats
-    #: polling over the control channel, and a ``repro.obs/1`` snapshot
+    #: samples shipped home in each report, and a ``repro.obs/1`` snapshot
     #: on the aggregate result.  ``None`` (the default) keeps wire bytes
     #: and the report schema identical to an untraced run.
     obs: Optional[Any] = None
@@ -144,10 +152,24 @@ class LiveClusterConfig:
                 f"{self.settle}s); raise --duration or lower --nodes")
         if self.restart_budget < 0:
             raise LiveClusterError("restart_budget cannot be negative")
-        for fault in self.faults:
-            if fault.at < 0:
+        for row in self.faults:
+            what = f"fault {row.verb}{row.args} at {row.at}s"
+            if row.verb not in FAULT_VERBS or not hasattr(LiveCluster,
+                                                          row.verb):
+                raise LiveClusterError(f"{what}: a live cluster has no such "
+                                       f"verb")
+            if row.at < 0:
                 raise LiveClusterError(
-                    f"fault scheduled before the cluster starts: {fault}")
+                    f"{what} is scheduled before the cluster starts")
+            if row.until is not None and row.until < row.at:
+                raise LiveClusterError(f"{what} is undone at {row.until}s, "
+                                       f"before it happens")
+            indices = ([i for group in row.args[0] for i in group]
+                       if row.verb == "partition" else row.args[:1])
+            bad = sorted({i for i in indices if not 0 <= i < self.nodes})
+            if bad:
+                raise LiveClusterError(f"{what} names node indices {bad} "
+                                       f"outside [0, {self.nodes})")
 
     # ------------------------------------------------------------- schedule
     @property
@@ -202,13 +224,6 @@ class LiveClusterResult:
 
 
 # ------------------------------------------------------------------- worker
-def _apply_protocol_knobs(node, config: LiveClusterConfig) -> None:
-    if config.fix_period is not None:
-        for agent in node.stack:
-            if hasattr(agent, "fix_period"):
-                setattr(agent, "fix_period", config.fix_period)
-
-
 async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
                      ready=None, incarnation: int = 0,
                      clock_zero: Optional[float] = None) -> dict:
@@ -284,7 +299,9 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             node.crash()
             node.crash_count = incarnation
             node.recover()
-        _apply_protocol_knobs(node, config)
+        for agent in node.stack:
+            if hasattr(agent, "fix_period"):
+                agent.fix_period = FIX_PERIOD
 
         # The node's share of the workload plane: the same per-node class
         # the simulator builds N of, recording into the same observations.
@@ -295,31 +312,27 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
         share = NodeWorkload(node, model, LIVE_WORKLOAD_STREAM, observations,
                              time.time)
 
+        # Wall-clock stats every quarter of the workload window (at least
+        # 1 s apart), shipped home in the report: nothing travels mid-run,
+        # and the samples of a killed incarnation die with it.
+        wallclock: list = []
         if config.obs is not None:
-            # Answer coordinator stats polls over the control channel while
-            # still dispatching every fault op through the default handler —
-            # the obs plane must not disable the fault plane.
-            def on_control(op: dict) -> None:
-                if op.get("op") != "obs-report":
-                    network.apply_fault_op(op)
-                    return
-                reply_to = op.get("reply_to")
-                if not reply_to:
-                    return
-                stats_op = {
-                    "op": "obs-stats",
+            def sample(at: float) -> None:
+                wallclock.append((at, {
                     "address": address,
                     "events_processed": driver.events_processed,
                     "errors": driver.error_count,
                     "sent": observations.sent,
                     "delivered": observations.deliveries,
                     "socket": network.stats(),
-                }
-                network.send_raw(
-                    SocketUdpNetwork.control_frame(stats_op, src=address),
-                    (reply_to[0], int(reply_to[1])))
+                }))
 
-            network.set_control_callback(on_control)
+            step = max(1.0, (config.duration - config.workload_start) / 4.0)
+            at = config.workload_start
+            while at < config.duration:
+                if at > driver.now:
+                    driver.schedule_at(at, sample, round(at, 3))
+                at += step
 
         # --- join wave (bootstrap at t=0, the rest staggered); a respawn
         #     re-joins almost immediately — its downtime already happened.
@@ -374,6 +387,7 @@ async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
             "socket": network.stats(),
         }
         if config.obs is not None:
+            report["wallclock"] = wallclock
             report["trace"] = {
                 "records": sum(node.tracer.counts.values()),
                 "dropped": node.tracer.dropped,
@@ -415,10 +429,34 @@ def _worker_entry(config: LiveClusterConfig, index: int, barrier,
 
 # -------------------------------------------------------------- coordinator
 class LiveCluster:
-    """Boot a :class:`LiveClusterConfig` across processes and aggregate."""
+    """Boot a :class:`LiveClusterConfig` across processes and aggregate.
+
+    The fault verbs are the :class:`~repro.eval.experiment.OverlayExperiment`
+    methods a deployment can carry out, with their names and arguments, so
+    a drawn :class:`~repro.eval.faults.Fault` row runs here as it runs in
+    simulation: the verb at ``at``, its ``FAULT_VERBS`` undo at ``until``.
+    The supervision state lives on the instance: one instance, one run.
+    """
 
     def __init__(self, config: LiveClusterConfig) -> None:
         self.config = config
+        #: Supervision state per node index.
+        self._state: dict[int, dict] = {
+            index: {"incarnation": 0, "restarts": 0, "killed": 0,
+                    "killed_at": None, "down": False,
+                    "pending_respawn": False, "proc": None}
+            for index in range(config.nodes)
+        }
+        #: Timed coordinator actions: ``(at, seq, callable, args)``.
+        self._actions: list = []
+        self._seq = itertools.count()
+        #: Scheduled offset of the action running now.
+        self._now = 0.0
+        #: Standing network-fault rules (key → op), replayed to respawned
+        #: nodes whose fresh fault tables would otherwise leak traffic
+        #: through an unhealed partition.
+        self._standing: dict = {}
+        self._processes: list = []
 
     def _context(self):
         method = self.config.start_method
@@ -427,42 +465,118 @@ class LiveCluster:
             method = "fork" if "fork" in methods else "spawn"
         return multiprocessing.get_context(method)
 
-    # ------------------------------------------------------------ fault plan
-    def _compile_actions(self, push_action) -> None:
-        """Turn the config's fault directives into timed coordinator actions.
+    # ------------------------------------------------------------ fault verbs
+    def crash_node(self, index: int) -> None:
+        """SIGKILL node *index*; it counts as down until recovered.
+        Crashing a dead node is a no-op."""
+        node = self._state[index]
+        if node["down"] or node["pending_respawn"]:
+            return
+        process = node["proc"]
+        if process is not None and process.is_alive():
+            try:
+                os.kill(process.pid, signal.SIGKILL)
+            except ProcessLookupError:   # pragma: no cover - exit race
+                pass
+            process.join(5.0)
+        node.update(down=True, killed=node["killed"] + 1, killed_at=self._now)
 
-        Kills become ``("kill", directive)``; network directives become
-        ``("control", (key, op))`` pairs — *key* identifies the standing rule
-        so its heal/restore can retire it from the replay set a respawned
-        node receives.
-        """
-        from .faults import DegradeFault, KillNode, PartitionFault
+    def recover_node(self, index: int) -> None:
+        """Respawn crashed node *index* within the restart budget, after
+        ``min(BACKOFF_CAP, downtime * (2**restarts - 1))`` more seconds: at
+        once the first time, later for a node that has burned restarts.  A
+        node that was not crashed is left alone."""
+        node = self._state[index]
+        if node["killed_at"] is None:
+            return
+        downtime, node["killed_at"] = self._now - node["killed_at"], None
+        if node["restarts"] < self.config.restart_budget:
+            node["pending_respawn"] = True
+            stretch = downtime * (2 ** node["restarts"] - 1)
+            self._push(self._now + min(BACKOFF_CAP, stretch), self._respawn,
+                       index)
 
-        for fault in self.config.faults:
-            if isinstance(fault, KillNode):
-                push_action(fault.at, "kill", fault)
-            elif isinstance(fault, PartitionFault):
-                groups = [[_FIRST_ADDRESS + i for i in group]
-                          for group in fault.groups]
-                push_action(fault.at, "control",
-                            ("partition", {"op": "partition",
-                                           "groups": groups}))
-                if fault.heal_after is not None:
-                    push_action(fault.end, "control",
-                                ("partition", {"op": "heal-partition"}))
-            elif isinstance(fault, DegradeFault):
-                targets = [_FIRST_ADDRESS + i for i in fault.indices]
-                key = ("degrade", tuple(targets))
-                push_action(fault.at, "control",
-                            (key, {"op": "degrade", "targets": targets,
-                                   "delay": fault.delay,
-                                   "loss": fault.loss}))
-                if fault.restore_after is not None:
-                    push_action(fault.end, "control",
-                                (key, {"op": "restore", "targets": targets}))
-            else:
-                raise LiveClusterError(
-                    f"unknown live fault directive {fault!r}")
+    def partition(self, groups) -> None:
+        """Host-group partition of node indices (the emulator's rule)."""
+        self._control("partition", {
+            "op": "partition",
+            "groups": [[_FIRST_ADDRESS + i for i in group]
+                       for group in groups]})
+
+    def heal_partition(self) -> None:
+        self._control("partition", {"op": "heal-partition"})
+
+    def degrade_node(self, index: int, bandwidth_factor: float,
+                     latency_factor: float) -> None:
+        """Degrade node *index*'s access link: the factors become capped
+        added delay and loss."""
+        delay = min(MAX_DEGRADE_DELAY,
+                    (latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
+        loss = min(MAX_DEGRADE_LOSS, max(0.0, 1.0 - bandwidth_factor))
+        address = _FIRST_ADDRESS + index
+        self._control(address, {"op": "degrade", "targets": [address],
+                                "delay": round(delay, 4),
+                                "loss": round(loss, 4)})
+
+    def restore_node(self, index: int) -> None:
+        address = _FIRST_ADDRESS + index
+        self._control(address, {"op": "restore", "targets": [address]})
+
+    # ---------------------------------------------------------- supervision
+    def _push(self, at: float, action, *args) -> None:
+        heapq.heappush(self._actions, (at, next(self._seq), action, args))
+
+    def _control(self, key, op: dict) -> None:
+        """Send *op* to every node.  A partition or degrade stands under
+        *key* until the heal or restore on the same key retires it."""
+        if op["op"] in ("partition", "degrade"):
+            self._standing[key] = op
+        else:
+            self._standing.pop(key, None)
+        self._send_control(op)
+
+    def _send_control(self, op: dict, addresses=None) -> None:
+        frame = SocketUdpNetwork.control_frame(op)
+        endpoints = self.config.endpoints()
+        for address in addresses if addresses is not None else endpoints:
+            for _ in range(2):   # UDP: fire twice, ops are idempotent
+                try:
+                    self._control_socket.sendto(frame, endpoints[address])
+                except OSError:   # pragma: no cover - endpoint gone
+                    pass
+
+    def _spawn(self, index: int) -> None:
+        incarnation = self._state[index]["incarnation"]
+        name = f"live-node-{_FIRST_ADDRESS + index}"
+        if incarnation:
+            name = f"{name}.{incarnation}"
+        cold = incarnation == 0
+        process = self._ctx.Process(
+            target=_worker_entry,
+            args=(self.config, index, self._barrier if cold else None,
+                  self._results, self._ready if cold else None,
+                  incarnation, None if cold else self._t0),
+            name=name, daemon=True)
+        process.start()
+        self._processes.append(process)
+        self._state[index]["proc"] = process
+
+    def _respawn(self, index: int) -> None:
+        node = self._state[index]
+        node.update(incarnation=node["incarnation"] + 1,
+                    restarts=node["restarts"] + 1, down=False,
+                    pending_respawn=False)
+        self._spawn(index)
+        if self._standing:
+            # The reborn socket needs the standing rules; send once it is
+            # plausibly bound, then again in case the first volley raced
+            # the bind.
+            self._push(self._now + 0.5, self._replay, index)
+            self._push(self._now + 1.5, self._replay, index)
+
+    def _replay(self, index: int) -> None:
+        for op in list(self._standing.values()):
+            self._send_control(op, [_FIRST_ADDRESS + index])
 
     # ------------------------------------------------------------------- run
     def run(self) -> LiveClusterResult:
@@ -473,153 +587,47 @@ class LiveCluster:
         stack = get_registry().load_stack(config.protocol)
         plan = config.plan(stack[0].KEY_SPACE.size)
 
-        ctx = self._context()
+        self._ctx = self._context()
         supervise = bool(config.faults)
         # The coordinator is the (nodes+1)-th barrier party, so it learns
         # "everyone booted" (and the cluster clock zero) without a report.
-        barrier = ctx.Barrier(config.nodes + 1)
-        ready = ctx.Array("b", config.nodes)
-        results_queue = ctx.Queue()
-        endpoints = config.endpoints()
-
-        state: dict[int, dict] = {
-            index: {"incarnation": 0, "restarts": 0, "killed": 0,
-                    "down": False, "pending_respawn": False, "proc": None}
-            for index in range(config.nodes)
-        }
-        all_processes: list = []
-
-        def spawn(index: int, incarnation: int,
-                  clock_zero: Optional[float]) -> None:
-            name = f"live-node-{_FIRST_ADDRESS + index}"
-            if incarnation:
-                name = f"{name}.{incarnation}"
-            process = ctx.Process(
-                target=_worker_entry,
-                args=(config, index,
-                      barrier if incarnation == 0 else None,
-                      results_queue,
-                      ready if incarnation == 0 else None,
-                      incarnation, clock_zero),
-                name=name, daemon=True)
-            process.start()
-            all_processes.append(process)
-            state[index]["proc"] = process
-
-        actions: list = []
-        action_seq = itertools.count()
-
-        def push_action(at: float, kind: str, payload) -> None:
-            heapq.heappush(actions, (at, next(action_seq), kind, payload))
-
-        self._compile_actions(push_action)
-        #: Standing network-fault rules (key → op), replayed to respawned
-        #: nodes whose fresh fault tables would otherwise leak traffic
-        #: through an unhealed partition.
-        active_ops: dict = {}
-        control_socket = socket_module.socket(socket_module.AF_INET,
-                                              socket_module.SOCK_DGRAM)
-        #: Wall-clock obs samples: [{"t": offset, "nodes": [stats_op, ...]}]
-        #: collected by polling every node over the control channel mid-run.
-        wall_samples: list[dict] = []
-        if config.obs is not None:
-            # The control socket doubles as the reply channel for stats
-            # polls, so it needs a concrete bound address.
-            control_socket.bind((config.host, 0))
-            poll_step = max(1.0,
-                            (config.duration - config.workload_start) / 4.0)
-            poll_at = config.workload_start
-            while poll_at < config.duration:
-                push_action(poll_at, "obs-poll", None)
-                poll_at += poll_step
-
-        def send_control(op: dict, addresses=None) -> None:
-            frame = SocketUdpNetwork.control_frame(op)
-            for address in (addresses if addresses is not None
-                            else list(endpoints)):
-                for _ in range(2):   # UDP: fire twice, ops are idempotent
-                    try:
-                        control_socket.sendto(frame, endpoints[address])
-                    except OSError:   # pragma: no cover - endpoint gone
-                        pass
-
+        self._barrier = self._ctx.Barrier(config.nodes + 1)
+        self._ready = self._ctx.Array("b", config.nodes)
+        self._results = results_queue = self._ctx.Queue()
+        for row in config.faults:
+            _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[row.verb]
+            self._push(row.at, getattr(self, row.verb), *row.args)
+            if row.until is not None:
+                self._push(row.until, getattr(self, undo),
+                           *row.args[:undo_arity])
+        self._control_socket = socket_module.socket(socket_module.AF_INET,
+                                                    socket_module.SOCK_DGRAM)
+        state, actions = self._state, self._actions
         reports: dict[int, dict] = {}
 
         try:
             for index in range(config.nodes):
-                spawn(index, 0, None)
+                self._spawn(index)
             try:
-                barrier.wait(config.startup_timeout)
+                self._barrier.wait(config.startup_timeout)
             except threading.BrokenBarrierError:
-                raise self._startup_failure(results_queue, reports, state,
-                                            ready) from None
-            t0 = time.time()
+                raise self._startup_failure(reports) from None
+            self._t0 = t0 = time.time()
             deadline = t0 + config.total_runtime + 30.0
 
             while True:
                 now = time.time() - t0
                 # 1. fire due fault-plane actions
                 while actions and actions[0][0] <= now:
-                    _, _, kind, payload = heapq.heappop(actions)
-                    if kind == "kill":
-                        self._do_kill(payload, state, push_action, now)
-                    elif kind == "control":
-                        key, op = payload
-                        if op["op"] in ("partition", "degrade"):
-                            active_ops[key] = op
-                        else:
-                            active_ops.pop(key, None)
-                        send_control(op)
-                    elif kind == "respawn":
-                        index = payload
-                        node_state = state[index]
-                        node_state["incarnation"] += 1
-                        node_state["restarts"] += 1
-                        node_state["pending_respawn"] = False
-                        spawn(index, node_state["incarnation"], t0)
-                        if active_ops:
-                            # The reborn socket needs the standing rules;
-                            # send once it is plausibly bound, then again in
-                            # case the first volley raced the bind.
-                            push_action(now + 0.5, "replay", index)
-                            push_action(now + 1.5, "replay", index)
-                    elif kind == "replay":
-                        for op in list(active_ops.values()):
-                            send_control(op, [_FIRST_ADDRESS + payload])
-                    elif kind == "obs-poll":
-                        reply_to = list(control_socket.getsockname())
-                        send_control({"op": "obs-report",
-                                      "reply_to": reply_to})
-                        replies: dict[int, dict] = {}
-                        control_socket.settimeout(0.25)
-                        try:
-                            while len(replies) < config.nodes:
-                                try:
-                                    data, _addr = control_socket.recvfrom(
-                                        65535)
-                                except socket_module.timeout:
-                                    break
-                                stats_op = \
-                                    SocketUdpNetwork.parse_control_frame(data)
-                                if (stats_op is None or
-                                        stats_op.get("op") != "obs-stats"):
-                                    continue
-                                # send_control fires twice; dedupe replies.
-                                replies[stats_op["address"]] = stats_op
-                        finally:
-                            control_socket.settimeout(None)
-                        wall_samples.append({
-                            "t": round(time.time() - t0, 3),
-                            "nodes": [replies[key]
-                                      for key in sorted(replies)],
-                        })
+                    self._now, _, action, args = heapq.heappop(actions)
+                    action(*args)
 
                 expected = [i for i in range(config.nodes)
                             if not state[i]["down"]]
                 if (all(i in reports for i in expected)
-                        and not any(kind in ("kill", "respawn")
-                                    for _, _, kind, _ in actions)):
-                    # Leftover control actions (a heal scheduled past the
+                        and not any(action.__name__ in _AWAITED
+                                    for _, _, action, _ in actions)):
+                    # Leftover network actions (a heal scheduled past the
                     # run's end) have nobody left to heal — don't wait.
                     break
                 remaining = deadline - time.time()
@@ -662,21 +670,21 @@ class LiveCluster:
                         node_state["pending_respawn"] = True
                         delay = min(BACKOFF_CAP,
                                     BACKOFF_BASE * 2 ** node_state["restarts"])
-                        push_action(now + delay, "respawn", index)
+                        self._push(now + delay, self._respawn, index)
                     else:
                         node_state["down"] = True
         finally:
-            control_socket.close()
+            self._control_socket.close()
             # Orphan cleanup covers every process ever started, including
             # respawned incarnations: join, then escalate to terminate and
             # finally kill — a coordinator exit must leave no node behind.
-            for process in all_processes:
+            for process in self._processes:
                 process.join(timeout=10.0)
-            for process in all_processes:
+            for process in self._processes:
                 if process.is_alive():   # pragma: no cover - stuck worker
                     process.terminate()
                     process.join(timeout=5.0)
-            for process in all_processes:
+            for process in self._processes:
                 if process.is_alive():   # pragma: no cover - unkillable
                     process.kill()
                     process.join(timeout=5.0)
@@ -699,8 +707,7 @@ class LiveCluster:
             "respawns": sum(s["restarts"] for s in state.values()),
             "down": sum(1 for s in state.values() if s["down"]),
         }
-        outcome = self._aggregate(per_node, plan, supervisor=supervisor,
-                                  wall_samples=wall_samples)
+        outcome = self._aggregate(per_node, plan, supervisor)
 
         # A live run that "passed" while a node's LiveDriver swallowed
         # transition errors is a lie: raise (→ non-zero exit).
@@ -717,33 +724,8 @@ class LiveCluster:
                 f"{len(noisy)} node(s) — {detail}")
         return outcome
 
-    # --------------------------------------------------------- fault helpers
-    def _do_kill(self, fault, state: dict, push_action, now: float) -> None:
-        node_state = state[fault.index]
-        if node_state["down"] or node_state["pending_respawn"]:
-            return   # already dead; a second kill is a no-op
-        process = node_state["proc"]
-        if process is not None and process.is_alive():
-            try:
-                os.kill(process.pid, signal.SIGKILL)
-            except ProcessLookupError:   # pragma: no cover - exit race
-                pass
-            process.join(5.0)
-        node_state["killed"] += 1
-        if (fault.respawn_after is not None
-                and node_state["restarts"] < self.config.restart_budget):
-            node_state["pending_respawn"] = True
-            # The directive's downtime, stretched by an exponential backoff
-            # when this node has already burned restarts.  The cap bounds
-            # the stretch only: the directive's own downtime never shrinks.
-            stretch = fault.respawn_after * (2 ** node_state["restarts"] - 1)
-            delay = fault.respawn_after + min(BACKOFF_CAP, stretch)
-            push_action(now + delay, "respawn", fault.index)
-        else:
-            node_state["down"] = True
-
-    def _startup_failure(self, results_queue, reports: dict, state: dict,
-                         ready) -> LiveClusterError:
+    # ------------------------------------------------------------- helpers
+    def _startup_failure(self, reports: dict) -> LiveClusterError:
         """Name the node(s) that broke the start barrier."""
         # A worker that merely observed the broken barrier is a casualty,
         # not the cause; only errors raised *before* the barrier (port bind,
@@ -755,7 +737,7 @@ class LiveCluster:
         while True:
             try:
                 while True:
-                    index, report = results_queue.get_nowait()
+                    index, report = self._results.get_nowait()
                     reports[index] = report
             except Empty:
                 pass
@@ -773,10 +755,10 @@ class LiveCluster:
             return LiveClusterError(
                 f"live cluster failed to start — {detail}")
         stuck = [index for index in range(self.config.nodes)
-                 if not ready[index]]
+                 if not self._ready[index]]
         parts = []
         for index in stuck:
-            process = state[index]["proc"]
+            process = self._state[index]["proc"]
             status = ("alive" if process.is_alive()
                       else f"exit code {process.exitcode}")
             parts.append(f"node {_FIRST_ADDRESS + index} "
@@ -806,8 +788,7 @@ class LiveCluster:
 
     # ------------------------------------------------------------ aggregation
     def _aggregate(self, per_node: list[dict], plan: WorkloadPlan,
-                   supervisor: Optional[dict] = None,
-                   wall_samples: Optional[list] = None) -> LiveClusterResult:
+                   supervisor: dict) -> LiveClusterResult:
         """Pool every process's observation payload and score it with the
         workload model's own formula — the one the simulator uses — then add
         what only a deployment has: process, transport and socket totals,
@@ -847,12 +828,10 @@ class LiveCluster:
                 report["socket"].get("reassembly_timeouts", 0)
                 for report in per_node)),
         })
-        if supervisor is not None:
-            metrics["nodes.killed"] = float(supervisor["killed"])
-            metrics["nodes.respawns"] = float(supervisor["respawns"])
-            metrics["nodes.down"] = float(supervisor["down"])
+        metrics["nodes.killed"] = float(supervisor["killed"])
+        metrics["nodes.respawns"] = float(supervisor["respawns"])
+        metrics["nodes.down"] = float(supervisor["down"])
         if config.faults:
-            from .faults import fault_horizon
             recovered_at = (fault_horizon(config.faults)
                             + config.post_fault_settle)
             late = {seqno for payload in payloads
@@ -886,7 +865,14 @@ class LiveCluster:
                 registry, mode="live",
                 name=f"live-{config.protocol}-{model.kind}",
                 seed=config.seed, duration=config.duration)
-            obs_snapshot["wallclock"] = wall_samples or []
+            # Each node's samples, regrouped by instant.
+            samples: dict[float, list] = {}
+            for report in per_node:
+                for at, stats in report.pop("wallclock", ()):
+                    samples.setdefault(at, []).append(stats)
+            obs_snapshot["wallclock"] = [
+                {"t": at, "nodes": nodes}
+                for at, nodes in sorted(samples.items())]
             if config.obs.snapshot_path:
                 write_obs_snapshot(config.obs.snapshot_path, obs_snapshot)
             if config.obs.trace_path:

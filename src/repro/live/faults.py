@@ -1,30 +1,23 @@
-"""Live fault directives: the scenario fault vocabulary on wall-clock.
+"""The scenario fault vocabulary on wall-clock.
 
 A :class:`~repro.eval.scenario.ScenarioModel` fault model describes its
-faults once, as the rows its ``draw`` returns.  The scenario engine executes
-them on the simulator timeline; this module executes the same draw on a
-:class:`~repro.live.cluster.LiveClusterConfig` wall-clock schedule, as *live
-fault directives* — small frozen dataclasses the coordinator carries out:
-
-* :class:`KillNode` — a real ``SIGKILL`` of the node's OS process, with an
-  optional supervised respawn (the respawned process re-enters through the
-  transport restart-epoch machinery);
-* :class:`PartitionFault` — host-group partition rules installed in every
-  node's :class:`~repro.transport.udp.SocketFaults` table over the
-  coordinator control channel;
-* :class:`DegradeFault` — per-peer delay/loss rules standing in for the
-  emulator's bandwidth/latency degradation.
+faults once, as the :class:`~repro.eval.faults.Fault` rows its ``draw``
+returns.  The scenario engine runs them on an
+:class:`~repro.eval.experiment.OverlayExperiment`; a live deployment runs
+the same rows on a :class:`~repro.live.cluster.LiveCluster`, which carries
+the verbs a deployment can carry out (``crash_node``, ``partition``,
+``degrade_node`` and their undos) under the experiment's names.
 
 Times are offsets from the cluster's barrier-aligned clock zero.  Because a
 live run compresses a multi-minute simulated timeline into a few wall-clock
 seconds, :func:`compile_fault_models` *rescales* each model before drawing
 it — instants linearly onto the live workload window (join wave and settle
 excluded), spans by the same factor with floors so a respawn is a real
-outage, not a scheduling artifact — and then maps the drawn rows *by verb*
-(:data:`LIVE_VERBS`).  This module knows no model class: a new fault model
-is live-runnable as soon as its ``draw`` emits verbs listed there.  The draw
-uses ``random.Random(f"{seed}:live-faults")`` — reproducible per seed,
-though not the same victims the simulator samples (the differential harness
+outage, not a scheduling artifact.  This module knows no model class: a new
+fault model is live-runnable as soon as its ``draw`` emits verbs
+:class:`~repro.live.cluster.LiveCluster` has.  The draw uses
+``random.Random(f"{seed}:live-faults")`` — reproducible per seed, though
+not the same victims the simulator samples (the differential harness
 compares metric distributions, not event logs).
 
 A model that needs the emulated underlay (link-level cuts and degradation,
@@ -37,8 +30,8 @@ the fuzzer stamps on generated specs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from dataclasses import replace
+from typing import Optional, Tuple
 
 #: One simulated latency-factor unit maps to this many seconds of added
 #: one-way delay on a degraded node's access link (localhost has no
@@ -61,53 +54,6 @@ class LiveFaultError(RuntimeError):
     """A scenario fault model is malformed or has no live equivalent."""
 
 
-@dataclass(frozen=True)
-class KillNode:
-    """SIGKILL node *index* at *at*; respawn ``respawn_after`` seconds later
-    (None = the node stays down for the rest of the run)."""
-
-    at: float
-    index: int
-    respawn_after: Optional[float] = None
-
-    @property
-    def end(self) -> float:
-        return self.at + (self.respawn_after or 0.0)
-
-
-@dataclass(frozen=True)
-class PartitionFault:
-    """Host-group partition (node indices) installed at *at*, healed
-    ``heal_after`` seconds later (None = never)."""
-
-    at: float
-    groups: Tuple[Tuple[int, ...], ...]
-    heal_after: Optional[float] = None
-
-    @property
-    def end(self) -> float:
-        return self.at + (self.heal_after or 0.0)
-
-
-@dataclass(frozen=True)
-class DegradeFault:
-    """Degrade the access links of the given node indices: arrivals from
-    (and to) them gain *delay* seconds and *loss* drop probability."""
-
-    at: float
-    indices: Tuple[int, ...]
-    delay: float = 0.0
-    loss: float = 0.0
-    restore_after: Optional[float] = None
-
-    @property
-    def end(self) -> float:
-        return self.at + (self.restore_after or 0.0)
-
-
-LiveFault = Union[KillNode, PartitionFault, DegradeFault]
-
-
 def fault_horizon(faults) -> float:
     """Offset of the last scheduled fault transition (0.0 for no faults).
 
@@ -115,22 +61,9 @@ def fault_horizon(faults) -> float:
     starts here; a kill with no respawn still ends at its kill time — the
     membership change is instantaneous even if the outage is permanent.
     """
-    return max((fault.end for fault in faults), default=0.0)
+    return max((row.at if row.until is None else row.until for row in faults),
+               default=0.0)
 
-
-def _degrade(at: float, index: int, bandwidth_factor: float,
-             latency_factor: float, span: Optional[float]) -> DegradeFault:
-    delay = min(MAX_DEGRADE_DELAY, (latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
-    loss = min(MAX_DEGRADE_LOSS, max(0.0, 1.0 - bandwidth_factor))
-    return DegradeFault(at, (index,), round(delay, 4), round(loss, 4), span)
-
-
-#: What the live executor does for each fault verb it can carry out
-#: (:data:`repro.eval.faults.FAULT_VERBS` is the vocabulary):
-#: ``verb -> directive(at, *args, span)``.  ``join_node`` rows are dropped;
-#: a row with any other verb is a :class:`LiveFaultError`.
-LIVE_VERBS = {"crash_node": KillNode, "partition": PartitionFault,
-              "degrade_node": _degrade}
 
 #: Model fields holding an instant of the simulated timeline.
 _INSTANTS = ("at", "churn_start", "churn_end")
@@ -140,18 +73,23 @@ _SPAN_FLOORS = {"downtime": MIN_DOWNTIME, "recover_after": MIN_DOWNTIME,
                 "period": 2 * MIN_HEAL_SPAN}
 
 
-def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
+def compile_fault_models(spec, config) -> tuple:
     """Compile *spec*'s fault models onto *config*'s wall-clock schedule:
-    rescale each model, draw it with its own ``draw``, map the rows by verb
-    (module docstring).  Sim seconds in ``[0, spec.duration]`` map onto the
-    live workload window ``[config.workload_start, config.duration]``, and
-    the join schedule becomes the live join wave — exactly as the facade
-    replaces the workload model's ``start``/``gap`` timing.
+    rescale each model and draw it with its own ``draw`` (module docstring).
+    Sim seconds in ``[0, spec.duration]`` map onto the live workload window
+    ``[config.workload_start, config.duration]``, and the join schedule
+    becomes the live join wave — exactly as the facade replaces the
+    workload model's ``start``/``gap`` timing.
+
+    Returns the rows a :class:`~repro.live.cluster.LiveCluster` runs:
+    ``join_node`` rows and rows past the live horizon dropped, every undo at
+    least :data:`MIN_HEAL_SPAN` behind its verb.
 
     Raises :class:`LiveFaultError` for models with no live equivalent.
     """
     from ..eval.scenario import (FAULT_VERBS, GroupModel, ScenarioError,
                                  WorkloadModel, check_event_time)
+    from .cluster import LiveCluster
 
     rng = random.Random(f"{config.seed}:live-faults")
     scale = (config.duration - config.workload_start) / float(spec.duration)
@@ -182,7 +120,7 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
         return replace(model, **changes)
 
     horizon = map_at(spec.duration)
-    faults: list[LiveFault] = []
+    faults = []
     for model in spec.models:
         if isinstance(model, (WorkloadModel, GroupModel)):
             continue   # the live workload/group choreography covers these
@@ -201,18 +139,18 @@ def compile_fault_models(spec, config) -> Tuple[LiveFault, ...]:
         for row in rows:
             if row.verb == "join_node":
                 continue   # the live join wave replaces every join schedule
-            if row.verb not in LIVE_VERBS:
+            if not hasattr(LiveCluster, row.verb):
                 raise LiveFaultError(
-                    f"no live mapping for fault verb {row.verb!r} "
+                    f"a live cluster has no fault verb {row.verb!r} "
                     f"({type(model).__name__}: {row.detail})")
             at = round(row.at, 3)
             if at > horizon:
                 continue   # e.g. flap cycles past the live horizon never fire
             # No field floor reaches a flap's cut, ``duty * period``.
-            span = None if row.until is None else max(
-                MIN_HEAL_SPAN, round(row.until - row.at, 3))
-            faults.append(LIVE_VERBS[row.verb](at, *row.args, span))
-    return tuple(sorted(faults, key=lambda fault: (fault.at, repr(fault))))
+            until = None if row.until is None else round(
+                at + max(MIN_HEAL_SPAN, round(row.until - row.at, 3)), 3)
+            faults.append(row._replace(at=at, until=until))
+    return tuple(sorted(faults, key=lambda row: (row.at, repr(row))))
 
 
 def live_runnable(spec) -> Tuple[bool, Optional[str]]:

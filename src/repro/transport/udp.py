@@ -125,13 +125,16 @@ class SocketFaults:
     """Network-fault table for one live socket: the live twin of the
     emulator's partition/degrade hooks.
 
-    Rules are keyed by *peer overlay address* and applied where a real
-    network would apply them: a partition drops an outbound datagram after
-    the transport stack handed it over (the send still "succeeds" — the
-    bytes die in the network, not on the host); partition, loss, and delay
-    act on arriving datagrams before any decoding.  Partition membership
-    and degradation rules are tracked separately so healing one fault never
-    heals another that targets the same peer.
+    Partition rules are keyed by *peer overlay address*, degradation by the
+    degraded node, and both apply where a real network would apply them: a
+    partition drops an outbound datagram after the transport stack handed
+    it over (the send still "succeeds" — the bytes die in the network, not
+    on the host); partition, loss, and delay act on arriving datagrams
+    before any decoding.  A degraded node's access link limps both ways, so
+    an arrival takes the rule of its source and this node's own: delays
+    add and losses compound, as two degraded links in series do.  Partition
+    membership and degradation are tracked separately so healing one fault
+    never heals another that targets the same peer.
 
     The table is installed over the coordinator control channel (see
     :meth:`SocketUdpNetwork.apply_fault_op`); every operation is idempotent,
@@ -147,11 +150,11 @@ class SocketFaults:
         self.rng = rng if rng is not None \
             else random.Random(local_address * 0x9E3779B1)
         self.partitioned: set[int] = set()   # peers cut both ways
-        self.delay_from: dict[int, float] = {}
-        self.loss_from: dict[int, float] = {}
+        #: degraded node address -> (added delay seconds, loss probability)
+        self.degraded: dict[int, tuple[float, float]] = {}
 
     def active(self) -> bool:
-        return bool(self.partitioned or self.delay_from or self.loss_from)
+        return bool(self.partitioned or self.degraded)
 
     def drops_outbound(self, dst: int) -> bool:
         return dst in self.partitioned
@@ -164,16 +167,20 @@ class SocketFaults:
         """
         if src in self.partitioned:
             return "drop"
-        loss = self.loss_from.get(src)
+        delay = loss = 0.0
+        for end in {src, self.local_address}:
+            rule = self.degraded.get(end)
+            if rule is not None:
+                delay += rule[0]
+                loss = 1.0 - (1.0 - loss) * (1.0 - rule[1])
         if loss and self.rng.random() < loss:
             return "drop"
-        return self.delay_from.get(src)
+        return delay or None
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return (f"SocketFaults(addr={self.local_address}, "
                 f"partitioned={sorted(self.partitioned)}, "
-                f"delayed={sorted(self.delay_from)}, "
-                f"lossy={sorted(self.loss_from)})")
+                f"degraded={self.degraded})")
 
 
 class SocketUdpNetwork(asyncio.DatagramProtocol):
@@ -582,18 +589,14 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
 
     # ------------------------------------------------------ control channel
     @classmethod
-    def control_frame(cls, op: dict, src: int = 0) -> bytes:
+    def control_frame(cls, op: dict) -> bytes:
         """Encode a fault-table operation as one control datagram.
 
         The coordinator (conventionally address 0, which no overlay node
         uses) sends these from a plain blocking socket; they need no codec.
         """
-        return (cls._HEADER.pack(cls.MAGIC, cls._FRAME_CONTROL, src)
+        return (cls._HEADER.pack(cls.MAGIC, cls._FRAME_CONTROL, 0)
                 + json.dumps(op, separators=(",", ":")).encode("utf-8"))
-
-    def set_control_callback(self, callback) -> None:
-        """Override the default control handler (:meth:`apply_fault_op`)."""
-        self._control_handler = callback
 
     def _handle_control(self, data: bytes, addr) -> None:
         self.control_frames += 1
@@ -601,11 +604,7 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             op = json.loads(data[self._HEADER.size:].decode("utf-8"))
             if not isinstance(op, dict):
                 raise WireError(f"control payload is not an object: {op!r}")
-            handler = getattr(self, "_control_handler", None)
-            if handler is not None:
-                handler(op)
-            else:
-                self.apply_fault_op(op)
+            self.apply_fault_op(op)
         except (WireError, ValueError, KeyError, TypeError) as exc:
             self.decode_errors += 1
             logger.warning("dropping bad control frame from %s: %s",
@@ -625,8 +624,9 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         * ``{"op": "degrade", "targets": [a], "delay": 0.05, "loss": 0.3}``
           — degrade the access link of each target: arrivals *from* a
           target are delayed/lossy everywhere, and a targeted node applies
-          the rules to every peer (so its inbound direction degrades too).
-        * ``{"op": "restore", "targets": [a]}`` — undo ``degrade``.
+          the rule to arrivals from every peer (its inbound direction).
+        * ``{"op": "restore", "targets": [a]}`` — undo ``degrade`` for
+          those targets only.
         """
         faults = self.faults
         kind = op.get("op")
@@ -645,53 +645,14 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         elif kind == "heal-partition":
             faults.partitioned = set()
         elif kind == "degrade":
-            targets = set(op.get("targets", ()))
-            delay = float(op.get("delay", 0.0))
-            loss = float(op.get("loss", 0.0))
-            affected = (set(self.endpoints) - {self.local_address}
-                        if self.local_address in targets else targets)
-            for peer in affected:
-                if delay > 0:
-                    faults.delay_from[peer] = delay
-                if loss > 0:
-                    faults.loss_from[peer] = loss
+            rule = (float(op.get("delay", 0.0)), float(op.get("loss", 0.0)))
+            for target in op.get("targets", ()):
+                faults.degraded[target] = rule
         elif kind == "restore":
-            targets = set(op.get("targets", ()))
-            if self.local_address in targets:
-                faults.delay_from.clear()
-                faults.loss_from.clear()
-            else:
-                for peer in targets:
-                    faults.delay_from.pop(peer, None)
-                    faults.loss_from.pop(peer, None)
+            for target in op.get("targets", ()):
+                faults.degraded.pop(target, None)
         else:
             raise WireError(f"unknown fault op {kind!r}")
-
-    @classmethod
-    def parse_control_frame(cls, data: bytes) -> Optional[dict]:
-        """Decode a control datagram back to its op dict, or ``None``.
-
-        The coordinator's side of the channel: node replies (e.g. the
-        ``obs-stats`` report) arrive on its plain blocking socket, outside
-        any :class:`SocketUdpNetwork` instance.
-        """
-        try:
-            magic, frame_kind, _src = cls._HEADER.unpack_from(data, 0)
-            if magic != cls.MAGIC or frame_kind != cls._FRAME_CONTROL:
-                return None
-            op = json.loads(data[cls._HEADER.size:].decode("utf-8"))
-        except (struct.error, ValueError, UnicodeDecodeError):
-            return None
-        return op if isinstance(op, dict) else None
-
-    def send_raw(self, frame: bytes, endpoint: tuple[str, int]) -> None:
-        """Transmit a pre-framed datagram (control replies)."""
-        if self._transport is None:
-            return
-        try:
-            self._transport.sendto(frame, endpoint)
-        except OSError as exc:   # pragma: no cover - kernel buffer, etc.
-            logger.warning("control reply to %s failed: %s", endpoint, exc)
 
     # --------------------------------------------------------- observability
     def enable_causal(self, causal) -> None:

@@ -1,11 +1,12 @@
 """The fault vocabulary stays in step with its executors and its docs.
 
 ``FAULT_VERBS`` is one table read by two executors: the simulator looks every
-verb and undo verb up on :class:`OverlayExperiment`, the live compiler maps
-the verbs it can carry out through ``LIVE_VERBS``.  These tests fail when a
-row names a method the experiment does not have (or passes it arguments it
-does not take), when the live compiler maps a verb the table does not list,
-and when docs/SCENARIOS.md "Fault verbs" no longer shows the table.
+verb and undo verb up on :class:`OverlayExperiment`, the live cluster on
+:class:`LiveCluster`, which carries the verbs a deployment can carry out.
+These tests fail when a row names a method an executor does not have (or
+passes it arguments it does not take), when the cluster carries a verb
+without its undo, and when docs/SCENARIOS.md "Fault verbs" no longer shows
+the table.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, PartitionModel,
                                  ScenarioModel, ScenarioSpec)
-from repro.live import LiveClusterConfig, LiveFaultError, compile_fault_models
-from repro.live.faults import LIVE_VERBS
+from repro.live import (LiveCluster, LiveClusterConfig, LiveFaultError,
+                        compile_fault_models)
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
 
@@ -44,9 +45,14 @@ EVERY_VERB = ScenarioSpec(
                      bandwidth_factor=0.5, restore_after=5.0)))
 
 
-def _binds(method_name: str, args: tuple) -> None:
-    """*args* are valid positional arguments of the experiment method."""
-    method = getattr(OverlayExperiment, method_name)
+#: The verbs of the table a live cluster carries out.
+LIVE = [verb for verb in FAULT_VERBS if hasattr(LiveCluster, verb)]
+
+
+def _binds(method_name: str, args: tuple,
+           executor: type = OverlayExperiment) -> None:
+    """*args* are valid positional arguments of the executor's method."""
+    method = getattr(executor, method_name)
     inspect.signature(method).bind(None, *args)
 
 
@@ -58,15 +64,23 @@ def test_every_verb_is_an_experiment_method_taking_the_drawn_arguments():
                                       EVERY_VERB.duration, experiment)
         for fault in faults:
             _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[fault.verb]
-            _binds(fault.verb, fault.args)
-            if undo is not None:
-                _binds(undo, fault.args[:undo_arity])
+            executors = [OverlayExperiment]
+            if fault.verb in LIVE:
+                executors.append(LiveCluster)
+            for executor in executors:
+                _binds(fault.verb, fault.args, executor)
+                if undo is not None:
+                    _binds(undo, fault.args[:undo_arity], executor)
             drawn.add(fault.verb)
     assert drawn == set(FAULT_VERBS)
 
 
-def test_the_live_compiler_maps_only_verbs_of_the_table():
-    assert set(LIVE_VERBS) <= set(FAULT_VERBS)
+def test_every_verb_the_live_cluster_carries_out_has_its_undo():
+    assert LIVE == ["crash_node", "partition", "degrade_node"]
+    for verb in LIVE:
+        undo = FAULT_VERBS[verb][1]
+        assert callable(getattr(LiveCluster, undo, None)), \
+            f"LiveCluster.{verb} has no undo {undo}"
 
 
 def test_a_row_the_live_compiler_cannot_map_is_an_error_naming_the_verb():
@@ -88,17 +102,14 @@ def test_scenarios_md_shows_the_verb_table():
         if line.startswith("| `"):
             cells = [cell.strip() for cell in line.strip("|").split("|")]
             rows[cells[0]] = cells
-    sample_args = {"crash_node": (1,), "partition": (((0, 1),),),
-                   "degrade_node": (1, 0.5, 2.0)}
     for verb, (kind, undo, undo_kind, _arity) in FAULT_VERBS.items():
         assert f"`{verb}`" in rows, f"{verb} missing from {DOC.name}"
         cells = rows[f"`{verb}`"]
         assert cells[1:4] == [f"`{kind}`",
                               f"`{undo}`" if undo else "—",
                               f"`{undo_kind}`" if undo else "—"]
-        if verb in LIVE_VERBS:
-            directive = LIVE_VERBS[verb](1.0, *sample_args[verb], None)
-            assert f"`{type(directive).__name__}`" in cells[4]
+        if verb in LIVE:
+            assert f"`LiveCluster.{verb}`" in cells[4]
         elif verb != "join_node":
             assert "needs the emulated underlay" in cells[4]
     assert len(rows) == len(FAULT_VERBS)

@@ -1,19 +1,22 @@
-"""Compiling scenario fault models onto the live wall-clock schedule."""
+"""Compiling scenario fault models onto the live wall-clock schedule, and
+the supervisor verbs that run the compiled rows (no process started)."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 
 import pytest
 
+from repro.eval.faults import Fault
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, PartitionModel,
                                  ScenarioError, ScenarioSpec, WorkloadModel)
-from repro.live import (DegradeFault, KillNode, LiveClusterConfig,
-                        LiveFaultError, PartitionFault, compile_fault_models,
-                        fault_horizon, live_runnable)
+from repro.live import (LiveCluster, LiveClusterConfig, LiveClusterError,
+                        LiveFaultError, compile_fault_models, fault_horizon,
+                        live_runnable)
 
 pytestmark = pytest.mark.live
 
@@ -31,6 +34,10 @@ def _config(**overrides):
     return LiveClusterConfig(**defaults)
 
 
+def _span(row):
+    return None if row.until is None else row.until - row.at
+
+
 def test_churn_compiles_to_kills_inside_the_workload_window():
     config = _config()
     spec = _spec(ChurnModel(churn_fraction=0.4, churn_start=30.0,
@@ -38,14 +45,13 @@ def test_churn_compiles_to_kills_inside_the_workload_window():
     faults = compile_fault_models(spec, config)
     assert len(faults) == 2            # 40% of the 5 non-exempt nodes
     for fault in faults:
-        assert isinstance(fault, KillNode)
-        assert fault.index != 0        # the bootstrap is exempt
+        assert fault.verb == "crash_node"
+        assert fault.args[0] != 0      # the bootstrap is exempt
         # Kill times land inside the rescaled [churn_start, churn_end]
         # window; the rescaled 8 s downtime is floored to a real outage.
         assert config.workload_start <= fault.at <= config.duration
-        assert fault.respawn_after == pytest.approx(1.0)
-    assert fault_horizon(faults) == max(f.at + f.respawn_after
-                                        for f in faults)
+        assert _span(fault) == pytest.approx(1.0)
+    assert fault_horizon(faults) == max(f.until for f in faults)
 
 
 def test_compilation_is_deterministic_per_seed():
@@ -61,18 +67,17 @@ def test_crash_maps_named_victims_and_recovery():
     faults = compile_fault_models(
         _spec(CrashModel(at=60.0, victims=(2, 4), recover_after=30.0)),
         _config())
-    assert [f.index for f in faults] == [2, 4]
+    assert [f.args for f in faults] == [(2,), (4,)]
     at = faults[0].at
     # t=60 of 120 sim seconds lands mid-window on the live clock.
     assert at == pytest.approx(1.9 + 60.0 * (7.0 - 1.9) / 120.0, abs=1e-3)
     assert all(f.at == at for f in faults)
     # 30 sim seconds rescale above the floor: scaled, not floored.
-    assert faults[0].respawn_after == pytest.approx(30.0 * 5.1 / 120.0,
-                                                    abs=1e-3)
+    assert _span(faults[0]) == pytest.approx(30.0 * 5.1 / 120.0, abs=1e-3)
 
     permanent = compile_fault_models(
         _spec(CrashModel(at=60.0, victims=(2,))), _config())
-    assert permanent[0].respawn_after is None
+    assert permanent[0].until is None
     assert fault_horizon(permanent) == permanent[0].at
 
     with pytest.raises(LiveFaultError, match="out of range"):
@@ -86,9 +91,9 @@ def test_partition_compiles_groups_but_not_link_cuts():
                              heal_after=2.0)),
         _config())
     (fault,) = faults
-    assert isinstance(fault, PartitionFault)
-    assert fault.groups == ((0, 1, 2), (3, 4, 5))
-    assert fault.heal_after == pytest.approx(0.5)   # floored heal span
+    assert fault.verb == "partition"
+    assert fault.args == (((0, 1, 2), (3, 4, 5)),)
+    assert _span(fault) == pytest.approx(0.5)   # floored heal span
 
     with pytest.raises(LiveFaultError, match="host groups only"):
         compile_fault_models(
@@ -103,12 +108,12 @@ def test_flapping_partition_emits_one_cut_per_surviving_cycle():
     # The floored 1 s period fits only 4 of the 10 cycles before the live
     # horizon; later cycles are dropped, not squeezed.
     assert len(faults) == 4
-    assert all(isinstance(f, PartitionFault) for f in faults)
+    assert all(f.verb == "partition" for f in faults)
     ats = [f.at for f in faults]
     assert ats == sorted(ats)
     gaps = [b - a for a, b in zip(ats, ats[1:])]
     assert all(gap == pytest.approx(1.0, abs=1e-3) for gap in gaps)
-    assert all(f.heal_after == pytest.approx(0.5) for f in faults)
+    assert all(_span(f) == pytest.approx(0.5) for f in faults)
 
 
 def test_degrade_maps_factors_with_caps():
@@ -117,23 +122,54 @@ def test_degrade_maps_factors_with_caps():
                            latency_factor=5.0, bandwidth_factor=0.5)),
         _config())
     (fault,) = faults
-    assert isinstance(fault, DegradeFault)
-    assert fault.indices == (3,)
-    assert fault.delay == pytest.approx(0.08)    # (5 - 1) * 0.02
-    assert fault.loss == pytest.approx(0.5)      # 1 - bandwidth_factor
+    assert fault.verb == "degrade_node"
+    assert fault.args == (3, 0.5, 5.0)
+    (op,) = _sent_ops(fault)
+    assert op["targets"] == [4]                  # node index 3's address
+    assert op["delay"] == pytest.approx(0.08)    # (5 - 1) * 0.02
+    assert op["loss"] == pytest.approx(0.5)      # 1 - bandwidth_factor
 
-    capped = compile_fault_models(
+    (capped,) = compile_fault_models(
         _spec(DegradeModel(at=40.0, hosts=(3,), latency_factor=100.0,
                            bandwidth_factor=0.01)),
         _config())
-    assert capped[0].delay == pytest.approx(0.25)
-    assert capped[0].loss == pytest.approx(0.75)
+    (op,) = _sent_ops(capped)
+    assert op["delay"] == pytest.approx(0.25)
+    assert op["loss"] == pytest.approx(0.75)
 
     with pytest.raises(LiveFaultError, match="access links only"):
         compile_fault_models(
             _spec(DegradeModel(at=40.0, links=((0, 1),),
                                bandwidth_factor=0.5)),
             _config())
+
+
+def _cluster(**overrides) -> LiveCluster:
+    """A cluster whose spawns and control sends are recorded, not made."""
+    cluster = LiveCluster(_config(**overrides))
+    cluster.sent, cluster.spawned = [], []
+    cluster._send_control = \
+        lambda op, addresses=None: cluster.sent.append((op, addresses))
+    cluster._spawn = cluster.spawned.append
+    return cluster
+
+
+def _drain(cluster) -> list:
+    """Fire every queued action in order, as ``run`` does; return them."""
+    fired = []
+    while cluster._actions:
+        cluster._now, _, action, args = heapq.heappop(cluster._actions)
+        action(*args)
+        fired.append((cluster._now, action.__name__, args))
+    return fired
+
+
+def _sent_ops(row) -> list:
+    """The fault-table ops a cluster sends to every node for *row*'s verb."""
+    cluster = _cluster()
+    getattr(cluster, row.verb)(*row.args)
+    assert all(addresses is None for _, addresses in cluster.sent)
+    return [op for op, _ in cluster.sent]
 
 
 def test_sim_only_models_raise_with_a_reason():
@@ -234,22 +270,119 @@ def test_negative_victim_index_counts_from_the_end_in_both_modes():
     assert [event.node for event in experiment.compiled_models[0].events] \
         == [spec.num_nodes - 1]
     (kill,) = compile_fault_models(spec, _config())
-    assert kill == KillNode(at=kill.at, index=_config().nodes - 1)
+    assert (kill.verb, kill.args, kill.until) \
+        == ("crash_node", (_config().nodes - 1,), None)
+
+
+# ------------------------------------------------------------ supervisor verbs
+def test_network_verbs_send_the_ops_and_their_undos_retire_them():
+    cluster = _cluster()
+    cluster.partition(((0, 1, 2), (3, 4, 5)))
+    cluster.degrade_node(1, 0.5, 5.0)
+    cluster.degrade_node(2, 1.0, 2.0)
+    assert [op for op, _ in cluster.sent] == [
+        {"op": "partition", "groups": [[1, 2, 3], [4, 5, 6]]},
+        {"op": "degrade", "targets": [2], "delay": 0.08, "loss": 0.5},
+        {"op": "degrade", "targets": [3], "delay": 0.02, "loss": 0.0}]
+    assert len(cluster._standing) == 3
+
+    cluster.sent.clear()
+    cluster.heal_partition()
+    cluster.restore_node(1)
+    assert [op for op, _ in cluster.sent] == [
+        {"op": "heal-partition"}, {"op": "restore", "targets": [2]}]
+    # Restoring node 1 leaves node 2's rule standing.
+    assert list(cluster._standing.values()) == [
+        {"op": "degrade", "targets": [3], "delay": 0.02, "loss": 0.0}]
+
+
+def test_a_respawn_gets_the_standing_rules_replayed():
+    cluster = _cluster()
+    cluster.partition(((0, 1), (2, 3, 4, 5)))
+    cluster.sent.clear()
+    cluster._now = 3.0
+    cluster.crash_node(2)
+    assert cluster._state[2]["down"]
+    cluster._now = 4.0
+    cluster.recover_node(2)
+    assert _drain(cluster) == [(4.0, "_respawn", (2,)),
+                               (4.5, "_replay", (2,)),
+                               (5.5, "_replay", (2,))]
+    assert cluster.spawned == [2]
+    assert cluster.sent == [(cluster._standing["partition"], [3])] * 2
+    node = cluster._state[2]
+    assert (node["incarnation"], node["restarts"], node["killed"]) == (1, 1, 1)
+    assert not node["down"] and not node["pending_respawn"]
+
+
+def test_crash_and_recover_are_no_ops_where_the_simulator_s_are():
+    cluster = _cluster()
+    cluster.recover_node(1)              # never crashed: nothing to recover
+    cluster.crash_node(1)
+    cluster.crash_node(1)                # already dead
+    assert cluster._state[1]["killed"] == 1
+    cluster.recover_node(1)
+    cluster.recover_node(1)              # already recovering
+    assert [name for _, name, _ in _drain(cluster)] == ["_respawn"]
+
+    spent = _cluster(restart_budget=0)
+    spent.crash_node(1)
+    spent.recover_node(1)                # the budget is spent: stays down
+    assert spent._actions == [] and spent._state[1]["down"]
 
 
 def test_a_kill_respawns_after_its_whole_downtime():
     """The backoff cap bounds the stretch a repeat kill adds, never the
-    directive's own downtime, which ``fault_horizon`` counts in full."""
-    from repro.live.cluster import BACKOFF_CAP, LiveCluster
+    row's own downtime, which ``fault_horizon`` counts in full."""
+    from repro.live.cluster import BACKOFF_CAP
 
-    kill = KillNode(at=2.0, index=1, respawn_after=12.0)
+    kill = Fault(2.0, "crash_node", (1,), "node 1 killed", 14.0)
     assert 12.0 > BACKOFF_CAP
     for restarts, delay in ((0, 12.0), (1, 12.0 + BACKOFF_CAP)):
-        pushed = []
-        state = {1: {"down": False, "pending_respawn": False, "proc": None,
-                     "killed": 0, "restarts": restarts}}
-        LiveCluster(_config())._do_kill(
-            kill, state, lambda *action: pushed.append(action), now=2.0)
-        assert pushed == [(2.0 + delay, "respawn", 1)]
-        assert state[1]["pending_respawn"] and state[1]["killed"] == 1
+        cluster = _cluster()
+        cluster._state[1]["restarts"] = restarts
+        cluster._now = kill.at
+        cluster.crash_node(*kill.args)
+        cluster._now = kill.until
+        cluster.recover_node(*kill.args)
+        assert [(at, action.__name__, args)
+                for at, _, action, args in cluster._actions] \
+            == [(2.0 + delay, "_respawn", (1,))]
+        assert cluster._state[1]["pending_respawn"]
+        assert cluster._state[1]["killed"] == 1
     assert fault_horizon([kill]) == 14.0
+
+
+def test_a_row_the_cluster_cannot_run_is_refused_before_any_process():
+    def refused(row, match, nodes=4):
+        with pytest.raises(LiveClusterError, match=match):
+            LiveClusterConfig(nodes=nodes, duration=5.0, faults=(row,))
+
+    refused(Fault(2.0, "crash_node", (9,), "x"), r"\[9\] outside \[0, 4\)")
+    refused(Fault(2.0, "crash_node", (-1,), "x"), r"\[-1\] outside")
+    refused(Fault(2.0, "degrade_node", (4, 0.5, 2.0), "x"), "outside")
+    refused(Fault(2.0, "partition", (((0, 1), (2, 7)),), "x"),
+            r"\[7\] outside")
+    refused(Fault(2.0, "disable_link", (0, 1), "x"), "no such verb")
+    refused(Fault(2.0, "join_node", (1,), "x"), "no such verb")
+    refused(Fault(2.0, "recover_node", (1,), "x"), "no such verb")
+    refused(Fault(3.0, "crash_node", (1,), "x", 2.0), "before it happens")
+    refused(Fault(-1.0, "crash_node", (1,), "x"), "before the cluster starts")
+    LiveClusterConfig(nodes=4, duration=5.0, faults=(
+        Fault(2.0, "partition", (((0, 1), (2, 3)),), "x", 3.0),))
+
+
+def test_run_live_refuses_an_out_of_range_kill_without_a_traceback(capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "scripts" / "run_live.py"
+    module_spec = importlib.util.spec_from_file_location("run_live", path)
+    run_live = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(run_live)
+    assert run_live.main(["--nodes", "4", "--duration", "4",
+                          "--kill", "9:2.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: fault crash_node(9,) at 2.0s names node "
+                          "indices [9] outside [0, 4)")
+    assert "Traceback" not in err

@@ -209,7 +209,7 @@ class _FakeLoop:
 def test_unseen_transport_name_and_delayed_delivery():
     """The receive side resolves a transport name it has never seen (and
     never sent on), then the same name again; and a datagram held back by a
-    ``delay_from`` rule is decoded when the loop releases it, from the raw
+    ``degrade`` rule is decoded when the loop releases it, from the raw
     datagram (its header is parsed again then)."""
     left, right, received = _pair()
     for _ in range(2):
@@ -222,7 +222,8 @@ def test_unseen_transport_name_and_delayed_delivery():
     assert [p.payload.payload for p in received] == [b"hello"] * 2
 
     right._loop = _FakeLoop()
-    right.faults.delay_from[1] = 0.25
+    right.apply_fault_op({"op": "degrade", "targets": [1], "delay": 0.25,
+                          "loss": 0.0})
     right.datagram_received(first, ("127.0.0.1", 1111))
     assert len(received) == 2            # held back, not delivered
     (delay, callback, args), = right._loop.later

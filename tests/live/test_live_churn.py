@@ -1,4 +1,5 @@
-"""Live fault injection end-to-end: real SIGKILLs, supervised respawns.
+"""Live fault injection end-to-end: real SIGKILLs, supervised respawns,
+partition and degrade rules in real sockets' fault tables.
 
 The in-test shapes stay small (4-5 nodes, a few seconds); the CI
 live-churn-smoke job runs the 8-node version via scripts/run_live.py.
@@ -10,8 +11,13 @@ import socket
 
 import pytest
 
+import repro
+from repro.eval.faults import Fault
+from repro.eval.invariants import check_live_invariants
+from repro.eval.library import resolve_protocol
+from repro.eval.scenario import DegradeModel, PartitionModel, ScenarioSpec
 from repro.eval.workload import WorkloadModel
-from repro.live import KillNode, LiveCluster, LiveClusterConfig, LiveClusterError
+from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 
 pytestmark = pytest.mark.live
 
@@ -29,7 +35,7 @@ def test_kill_and_supervised_respawn_recovers():
         nodes=5, duration=9.0, join_spacing=0.1, settle=0.8,
         workload=WorkloadModel(kind="route", source=-1, packets=45),
         seed=7, base_port=49500,
-        faults=(KillNode(at=3.0, index=2, respawn_after=1.0),),
+        faults=(Fault(3.0, "crash_node", (2,), "node 2 killed", 4.0),),
         post_fault_settle=3.0)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
@@ -60,7 +66,7 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
         nodes=4, duration=5.5, join_spacing=0.1, settle=0.8,
         workload=WorkloadModel(kind="route", source=-1, packets=16),
         seed=11, base_port=49520,
-        faults=(KillNode(at=2.5, index=3),))
+        faults=(Fault(2.5, "crash_node", (3,), "node 3 killed"),))
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
 
@@ -76,6 +82,26 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
     assert metrics["workload.success_ratio"] >= 0.2
     # Ring health is judged over the survivors, not the placeholder report.
     assert "ring.correct_successor_fraction" in metrics
+
+
+def test_partition_and_degrade_reach_real_sockets():
+    """A spec's partition and degrade models, compiled onto the live window,
+    go through the coordinator into every node's socket fault table."""
+    spec = ScenarioSpec(
+        name="partition-degrade-live", agents=resolve_protocol("chord"),
+        num_nodes=4, duration=60.0, seed=3,
+        models=(PartitionModel(at=20.0, heal_after=10.0,
+                               groups=((0, 1), (2, 3))),
+                DegradeModel(at=30.0, restore_after=15.0, hosts=(3,),
+                             bandwidth_factor=0.5, latency_factor=3.0),
+                WorkloadModel(kind="route", source=-1, packets=16)))
+    outcome = repro.run(spec, mode="live", base_port=49580, duration=5.0,
+                        join_spacing=0.1, settle=0.8)
+    metrics = outcome.metrics
+    assert metrics["socket.fault_drops"] > 0
+    assert check_live_invariants(outcome) == []
+    assert metrics["nodes.down"] == 0.0
+    assert metrics["nodes.killed"] == 0.0
 
 
 def test_startup_timeout_names_the_stuck_nodes():

@@ -34,9 +34,9 @@ def test_fault_table_verdicts():
     assert faults.inbound(3) is None
 
     faults.partitioned = set()
-    faults.delay_from[2] = 0.05
+    faults.degraded[2] = (0.05, 0.0)
     assert faults.inbound(2) == pytest.approx(0.05)
-    faults.loss_from[3] = 1.0                # certain loss
+    faults.degraded[3] = (0.0, 1.0)          # certain loss
     assert faults.inbound(3) == "drop"
 
 
@@ -45,8 +45,8 @@ def test_loss_rolls_are_reproducible_per_seeded_stream():
                for _ in range(1)]
     faults_a = SocketFaults(1, rng=random.Random(42))
     faults_b = SocketFaults(1, rng=random.Random(42))
-    faults_a.loss_from[2] = 0.5
-    faults_b.loss_from[2] = 0.5
+    faults_a.degraded[2] = (0.0, 0.5)
+    faults_b.degraded[2] = (0.0, 0.5)
     verdicts_a = [faults_a.inbound(2) for _ in range(32)]
     verdicts_b = [faults_b.inbound(2) for _ in range(32)]
     assert verdicts_a == verdicts_b
@@ -79,15 +79,54 @@ def test_degrade_op_covers_both_directions_of_the_access_link():
     target.apply_fault_op(op)
     # Everyone degrades arrivals *from* the target; the target degrades
     # arrivals from everyone (its whole access link limps).
-    assert bystander.faults.delay_from == {2: 0.05}
-    assert bystander.faults.loss_from == {2: 0.3}
-    assert set(target.faults.delay_from) == {1, 3, 4}
+    lossless = {"op": "degrade", "targets": [2], "delay": 0.05, "loss": 0.0}
+    for network in (bystander, target):
+        assert network.faults.degraded == {2: (0.05, 0.3)}
+        network.apply_fault_op(lossless)    # deterministic verdicts
+    assert bystander.faults.inbound(2) == pytest.approx(0.05)
+    assert bystander.faults.inbound(3) is None
+    assert [target.faults.inbound(peer) for peer in (1, 3, 4)] \
+        == [pytest.approx(0.05)] * 3
 
     restore = {"op": "restore", "targets": [2]}
     bystander.apply_fault_op(restore)
     target.apply_fault_op(restore)
     assert not bystander.faults.active()
     assert not target.faults.active()
+
+
+def _degrade(network, target, delay):
+    network.apply_fault_op({"op": "degrade", "targets": [target],
+                            "delay": delay, "loss": 0.0})
+
+
+def test_restoring_one_degraded_node_keeps_the_other_s_rule():
+    network = _network(address=1)
+    _degrade(network, 1, 0.05)
+    _degrade(network, 2, 0.08)
+    # Both ends degraded: two limping links in series, delays add.
+    assert network.faults.inbound(2) == pytest.approx(0.13)
+    assert network.faults.inbound(3) == pytest.approx(0.05)
+    network.apply_fault_op({"op": "restore", "targets": [1]})
+    assert network.faults.inbound(2) == pytest.approx(0.08)
+    assert network.faults.inbound(3) is None
+
+
+def test_restoring_a_peer_keeps_this_node_s_own_rule():
+    network = _network(address=1)
+    _degrade(network, 1, 0.05)
+    _degrade(network, 2, 0.08)
+    network.apply_fault_op({"op": "restore", "targets": [2]})
+    assert network.faults.inbound(2) == pytest.approx(0.05)
+    assert network.faults.inbound(3) == pytest.approx(0.05)
+
+
+def test_losses_of_both_ends_compound():
+    faults = SocketFaults(1, rng=random.Random(7))
+    faults.degraded = {1: (0.0, 0.5), 2: (0.0, 0.5)}
+    verdicts = [faults.inbound(2) for _ in range(4000)]
+    assert verdicts.count("drop") / len(verdicts) \
+        == pytest.approx(0.75, abs=0.03)
 
 
 def test_unknown_fault_op_raises():
