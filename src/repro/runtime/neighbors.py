@@ -68,6 +68,14 @@ class NeighborType:
     def field_names(self) -> list[str]:
         return [spec.name for spec in self.fields]
 
+    def check_fields(self, fields: dict[str, Any]) -> None:
+        """Raise :class:`NeighborError` if *fields* names an undeclared field."""
+        unknown = set(fields) - set(self.field_names())
+        if unknown:
+            raise NeighborError(
+                f"neighbor type {self.name!r} has no field(s) {sorted(unknown)}"
+            )
+
 
 class NeighborEntry:
     """One neighbor in a set: its address, overlay key, and declared fields."""
@@ -79,12 +87,7 @@ class NeighborEntry:
         #: Alias kept because the paper's sample transition uses ``ipaddr``.
         self.ipaddr = address
         self.key = key
-        declared = set(neighbor_type.field_names())
-        unknown = set(fields) - declared
-        if unknown:
-            raise NeighborError(
-                f"neighbor type {neighbor_type.name!r} has no field(s) {sorted(unknown)}"
-            )
+        neighbor_type.check_fields(fields)
         for spec in neighbor_type.fields:
             setattr(self, spec.name, fields.get(spec.name, spec.default()))
 
@@ -107,6 +110,11 @@ class NeighborSet:
 
     Insertion order is preserved (useful for FIFO-style eviction) and entries
     are keyed by host address, so membership tests are O(1).
+
+    :attr:`generation` goes up by one on every membership change (a new
+    address, a refresh that changes an entry's key, the removal of a present
+    address), so a protocol can memoise something it derives from the set —
+    Pastry's farthest leaf — and recompute only when the number has moved.
     """
 
     def __init__(self, name: str, neighbor_type: NeighborType,
@@ -116,6 +124,7 @@ class NeighborSet:
         self.type = neighbor_type
         self.fail_detect = fail_detect
         self._entries: dict[int, NeighborEntry] = {}
+        self.generation = 0
         self._rng = rng or random.Random(0)
         #: Observers notified on membership change (used by the failure
         #: detector and by the notify() upcall plumbing).
@@ -134,13 +143,17 @@ class NeighborSet:
         """Add (or refresh) a neighbor.  Returns its entry.
 
         Adding an address already present updates its fields in place rather
-        than duplicating it.  Exceeding the declared maximum size raises.
+        than duplicating it.  Exceeding the declared maximum size, or naming
+        an undeclared field, raises.
         """
         address = int(address)
         existing = self._entries.get(address)
         if existing is not None:
-            if key is not None:
+            if fields:
+                self.type.check_fields(fields)
+            if key is not None and key != existing.key:
                 existing.key = key
+                self.generation += 1
             for name, value in fields.items():
                 setattr(existing, name, value)
             return existing
@@ -151,6 +164,7 @@ class NeighborSet:
             )
         entry = NeighborEntry(self.type, address, key=key, **fields)
         self._entries[address] = entry
+        self.generation += 1
         self._notify("add", address)
         return entry
 
@@ -158,6 +172,7 @@ class NeighborSet:
         """Remove a neighbor if present; returns the removed entry or None."""
         entry = self._entries.pop(int(address), None)
         if entry is not None:
+            self.generation += 1
             self._notify("remove", int(address))
         return entry
 

@@ -11,7 +11,10 @@ halves are pinned here against baselines captured with observability off
 * a full churn scenario (joins, crashes, a route workload, the failure
   detector) byte-compares every scenario metric for two seeds;
 * the same churn scenario with full observability enabled must produce
-  the identical metrics dict — tracing is read-only.
+  the identical metrics dict — tracing is read-only;
+* a Scribe-over-Pastry pub/sub scenario with two crashes and recoveries
+  byte-compares every metric for two seeds, so host-side speed-ups of the
+  Pastry routines (the leaf-set memo) are held to moving nothing simulated.
 
 Floats are compared via ``repr`` so drift of even one ULP fails.
 """
@@ -21,7 +24,8 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.library import resolve_protocol
-from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
+from repro.eval.scenario import (ChurnModel, CrashModel, ScenarioSpec,
+                                 WorkloadModel)
 from repro.obs import ObsConfig
 from repro.network.emulator import NetworkEmulator
 from repro.network.packet import Packet
@@ -86,6 +90,58 @@ CHURN_BASELINES = {
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
         "workload.success_ratio": "0.9491525423728814",
+    },
+}
+
+# Captured on the commit before Pastry's leaf_update memoised its farthest
+# leaf: a Pastry routine change that claims to move no simulated event must
+# keep reproducing these bytes.
+PASTRY_BASELINES = {
+    1: {
+        "churn.churn_cycles": "0.0",
+        "churn.joins": "16.0",
+        "crash.victims": "2.0",
+        "net.bytes_delivered": "2184148.0",
+        "net.packets_delivered": "14825.0",
+        "net.packets_dropped": "174.0",
+        "net.packets_sent": "15007.0",
+        "nodes.alive": "16.0",
+        "nodes.crashes": "2.0",
+        "nodes.recoveries": "2.0",
+        "sim.events_processed": "23070.0",
+        "workload.coverage": "0.8927777777777778",
+        "workload.deliveries": "1607.0",
+        "workload.duplicates": "0.0",
+        "workload.expected": "1800.0",
+        "workload.latency_mean": "0.11020311344759669",
+        "workload.latency_p95": "0.15634775282949676",
+        "workload.publishes_per_sec": "1.45",
+        "workload.sent": "116.0",
+        "workload.skipped": "4.0",
+        "workload.success_ratio": "1.0",
+    },
+    2: {
+        "churn.churn_cycles": "0.0",
+        "churn.joins": "16.0",
+        "crash.victims": "2.0",
+        "net.bytes_delivered": "2182832.0",
+        "net.packets_delivered": "14813.0",
+        "net.packets_dropped": "184.0",
+        "net.packets_sent": "15006.0",
+        "nodes.alive": "16.0",
+        "nodes.crashes": "2.0",
+        "nodes.recoveries": "2.0",
+        "sim.events_processed": "22961.0",
+        "workload.coverage": "0.8944444444444445",
+        "workload.deliveries": "1610.0",
+        "workload.duplicates": "0.0",
+        "workload.expected": "1800.0",
+        "workload.latency_mean": "0.09458854698376534",
+        "workload.latency_p95": "0.12989205046715568",
+        "workload.publishes_per_sec": "1.45",
+        "workload.sent": "116.0",
+        "workload.skipped": "4.0",
+        "workload.success_ratio": "1.0",
     },
 }
 
@@ -159,6 +215,22 @@ def churn_spec(seed: int, obs: ObsConfig | None = None) -> ScenarioSpec:
         obs=obs)
 
 
+def pastry_spec(seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="obs-pin-scribe-pastry",
+        agents=resolve_protocol("scribe-pastry"),
+        num_nodes=16,
+        duration=90.0,
+        seed=seed,
+        failure_config=FailureDetectorConfig(failure_timeout=10.0,
+                                             heartbeat_timeout=4.0,
+                                             check_interval=1.0),
+        models=(ChurnModel(join="staggered", join_spacing=0.3),
+                CrashModel(at=40.0, victims=(5, 9), recover_after=20.0),
+                WorkloadModel(kind="pubsub", source=-1, start=10.0,
+                              packets=120, gap=0.5, topics=2, fanout=0)))
+
+
 def byte_metrics(result) -> dict[str, str]:
     return {key: repr(value) for key, value in sorted(result.metrics.items())}
 
@@ -170,6 +242,27 @@ def test_engine_fingerprint_is_byte_identical_to_pre_obs_baseline():
 @pytest.mark.parametrize("seed", sorted(CHURN_BASELINES))
 def test_churn_metrics_are_byte_identical_to_pre_obs_baseline(seed):
     assert byte_metrics(churn_spec(seed).run()) == CHURN_BASELINES[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PASTRY_BASELINES))
+def test_scribe_over_pastry_metrics_are_byte_identical_to_baseline(
+        seed, monkeypatch):
+    pastry = next(cls for cls in resolve_protocol("scribe-pastry")()
+                  if cls.PROTOCOL == "pastry")
+    method = next(spec.method for spec in pastry.TRANSITIONS
+                  if (spec.kind, spec.name) == ("api", "error"))
+    error = getattr(pastry, method)
+    leaves_removed = []
+
+    def counting_error(self, ctx):
+        before = len(self.leafset)
+        error(self, ctx)
+        leaves_removed.append(before - len(self.leafset))
+
+    monkeypatch.setattr(pastry, method, counting_error)
+    assert byte_metrics(pastry_spec(seed).run()) == PASTRY_BASELINES[seed]
+    # The crashes reached the leaf sets, so the memo's invalidation ran.
+    assert sum(leaves_removed) >= 1
 
 
 def test_enabling_observability_does_not_perturb_metrics(tmp_path):

@@ -53,6 +53,42 @@ def test_unknown_field_rejected(children):
         children.add(101, rtt=1.0)
 
 
+def test_unknown_field_rejected_on_refresh(children):
+    children.add(5, key=1, delay=0.5)
+    with pytest.raises(NeighborError):
+        children.add(5, key=2, delay=0.9, bogus=1)
+    entry = children.entry(5)
+    assert not hasattr(entry, "bogus")
+    # A refused refresh changes nothing, declared fields and key included.
+    assert (entry.key, entry.delay) == (1, 0.5)
+
+
+def test_generation_counts_membership_changes(children):
+    generations = [children.generation]
+
+    def changed() -> int:
+        generations.append(children.generation)
+        return generations[-1] - generations[-2]
+
+    children.add(5, key=1)
+    assert changed() == 1            # a new address
+    children.add(5, key=1, delay=0.3)
+    assert changed() == 0            # same-key refresh
+    children.add(5)
+    assert changed() == 0            # refresh that names no key
+    children.add(5, key=2)
+    assert changed() == 1            # key change
+    children.remove(99)
+    assert changed() == 0            # absent address
+    children.add(6)
+    children.add(7)
+    assert changed() == 2
+    children.remove(6)
+    assert changed() == 1            # present address
+    children.clear()
+    assert changed() == 2            # once per entry
+
+
 def test_max_size_enforced(children):
     for address in range(4):
         children.add(address)
