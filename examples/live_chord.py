@@ -3,35 +3,35 @@
 
 The same registry-compiled agent that examples/chord_dht.py runs in
 simulation is booted here as 8 OS processes exchanging real UDP datagrams:
-a staggered join wave builds the ring, then the same ``WorkloadModel`` a
-simulated scenario would carry drives lookups for random keys from random
-nodes: every process draws the identical schedule, issues its own share,
-and the coordinator scores the pooled observations with the model's own
-scorer — the formula the scenario runner uses.
+the ``ScenarioSpec`` below — a staggered join wave, then lookups for random
+keys from random nodes — runs as it would in simulation, a tenth of a wall
+second to the simulated second: every process draws the spec's schedule,
+issues its own share, and the coordinator scores the pooled observations
+with the workload model's own scorer — the formula the scenario runner
+uses.
 
 Run with:  python examples/live_chord.py
 """
 
 from __future__ import annotations
 
-from repro.eval.workload import WorkloadModel
+from repro.eval.library import resolve_protocol
+from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
 from repro.live import LiveCluster, LiveClusterConfig
 
 NUM_NODES = 8
 
 
 def main() -> None:
-    config = LiveClusterConfig(
-        nodes=NUM_NODES,
-        protocol="chord",
-        # Lookups from a random node each; the live window replaces the
-        # model's start/gap timeline, every other knob carries over.
-        workload=WorkloadModel(kind="route", source=-1,
-                               packets=5 * NUM_NODES),
-        duration=6.0,          # join wave + settle + lookup window, in wall s
-        join_spacing=0.2,
-        base_port=47300,
-    )
+    spec = ScenarioSpec(
+        name="live-chord", agents=resolve_protocol("chord"),
+        num_nodes=NUM_NODES, duration=60.0, seed=1,
+        models=(ChurnModel(join="staggered", join_spacing=2.0),
+                # Lookups from a random node each, once the ring has formed.
+                WorkloadModel(kind="route", source=-1, start=30.0,
+                              packets=5 * NUM_NODES, gap=0.7)))
+    # 60 simulated seconds in 6 wall seconds.
+    config = LiveClusterConfig(spec, time_scale=0.1, base_port=47300)
     print(f"booting {config.nodes} chord processes on "
           f"{config.host}:{config.base_port}-"
           f"{config.base_port + config.nodes - 1} …")

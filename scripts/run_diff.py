@@ -7,9 +7,10 @@ seeds, diffs the metric distributions against per-metric tolerances (see
 :mod:`repro.eval.diff`), checks the live invariants on every live outcome,
 and prints a machine-readable drift report (schema ``repro.diff/1``).
 
-The default spec is a small chord deployment with mid-run churn — the same
-fault model compiled two ways: the scenario engine crashes simulated nodes;
-the live coordinator SIGKILLs real processes and respawns them.  Pass
+The default spec is a small chord deployment with mid-run churn — one fault
+model's draw run two ways: the scenario engine crashes simulated nodes; the
+live coordinator SIGKILLs the same victims' processes at the same instants
+times ``time_scale`` and respawns them.  Pass
 ``--artifact`` to diff a fuzzer-generated spec instead (only live-runnable
 artifacts: ``repro.fuzz/1`` files tag themselves).
 

@@ -3,18 +3,20 @@
 
 The live half of the paper's evaluation story: the same ``.mac``-generated
 agents that run in simulation are booted as N OS processes exchanging real
-UDP datagrams (see docs/LIVE.md), driven through a staggered join wave and a
-route, multicast, replicated-KV, or pub/sub workload, and scored with the
-same metric shapes the scenario runner reports.
+UDP datagrams (see docs/LIVE.md).  The flags describe one ScenarioSpec in
+wall seconds — a staggered join wave, then a route, multicast,
+replicated-KV, or pub/sub workload over the rest of the run — which the
+cluster deploys at ``time_scale`` 1 and scores with the same metric shapes
+the scenario runner reports.
 
-``--kill INDEX:AT[:RESPAWN_AFTER]`` injects real faults: one ``crash_node``
-fault row the coordinator runs as it runs any drawn row — it SIGKILLs node
-INDEX's process AT seconds after the cluster clock zero and (with
-RESPAWN_AFTER) recovers it that many seconds later under the supervisor's
-restart-epoch machinery.  A row naming a node outside the cluster is refused
-before any process starts.  ``--min-post-fault-success`` then gates on the
-ratio for probes sent after the last fault plus the settle window — the
-"kill a node mid-run, recover, still route" check CI runs.
+``--kill INDEX:AT[:RESPAWN_AFTER]`` adds a ``CrashModel`` to that spec: the
+coordinator SIGKILLs node INDEX's process AT seconds after the cluster clock
+zero and (with RESPAWN_AFTER) recovers it that many seconds later under the
+supervisor's restart-epoch machinery.  A kill naming a node outside the
+cluster is refused, in the simulator's words, before any process starts.
+``--min-post-fault-success`` then gates on the ratio for probes sent after
+the last fault plus the settle window — the "kill a node mid-run, recover,
+still route" check CI runs.
 
 Usage::
 
@@ -40,13 +42,21 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.faults import Fault  # noqa: E402
-from repro.eval.workload import WorkloadModel  # noqa: E402
+from repro.eval.library import RegistryStack  # noqa: E402
+from repro.eval.scenario import (ChurnModel, CrashModel,  # noqa: E402
+                                 GroupModel, ScenarioError, ScenarioSpec,
+                                 WorkloadModel)
 from repro.live import (LiveCluster, LiveClusterConfig,  # noqa: E402
                         LiveClusterError)
 
+#: A pubsub workload creates its topics at ``start``, staggers every node's
+#: subscription this far apart, and publishes this long after the last one
+#: (``WorkloadModel._draw_pubsub``).
+SUBSCRIBE_SPACING = 0.25
+TREE_SETTLE = 2.0
 
-def parse_kill(text: str) -> Fault:
+
+def parse_kill(text: str) -> CrashModel:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(
@@ -59,9 +69,51 @@ def parse_kill(text: str) -> Fault:
         raise argparse.ArgumentTypeError(
             f"--kill wants numbers in INDEX:AT[:RESPAWN_AFTER], "
             f"got {text!r}") from exc
-    return Fault(at, "crash_node", (index,), f"node {index} killed",
-                 None if respawn is None else at + respawn,
-                 f"node {index} recovers", node=index)
+    return CrashModel(at=at, victims=(index,), recover_after=respawn)
+
+
+def build_spec(args, packets: int) -> ScenarioSpec:
+    """The flags as one ScenarioSpec in wall seconds: a staggered join wave,
+    then, after the settle, the workload's measured ops on the ``(k + 1) /
+    (P + 1)`` slots of the rest of the run, and a CrashModel per --kill."""
+    window = args.nodes * args.join_spacing + args.settle
+    models = [ChurnModel(join="staggered", join_spacing=args.join_spacing)]
+    if args.workload == "multicast":
+        # Node 0 creates the group as the join wave ends; everyone else
+        # joins within the first half of the settle.
+        models.append(GroupModel(group=1, source=0, at=window - args.settle,
+                                 spacing=args.settle / (2 * args.nodes)))
+    lead = (SUBSCRIBE_SPACING * (args.nodes + 1) + TREE_SETTLE
+            if args.workload == "pubsub" else 0.0)
+    gap = (args.duration - window - lead) / (packets + 1)
+    if gap <= 0:
+        raise ScenarioError(
+            f"duration {args.duration}s leaves no workload window: the join "
+            f"wave plus settle takes {window:.1f}s ({args.nodes} nodes x "
+            f"{args.join_spacing}s + {args.settle}s)"
+            + (f", and the subscriptions {lead:.2f}s more" if lead else "")
+            + "; raise --duration or lower --nodes")
+    # Lookups, ops and publications come from a random node each; a
+    # multicast burst from node 0, which owns the group.
+    models.append(WorkloadModel(
+        kind=args.workload,
+        source=0 if args.workload == "multicast" else -1,
+        start=window + gap,
+        packets=packets,
+        gap=gap,
+        packet_bytes=args.payload_size,
+        keys=args.kv_keys,
+        read_fraction=args.kv_read_fraction,
+        replicas=args.kv_replicas,
+        write_quorum=args.kv_write_quorum,
+        read_quorum=args.kv_read_quorum,
+        topics=args.topics,
+    ))
+    return ScenarioSpec(
+        name=f"live-{args.protocol}-{args.workload}",
+        agents=RegistryStack(args.protocol), num_nodes=args.nodes,
+        duration=args.duration, seed=args.seed,
+        models=tuple(models) + tuple(args.kill))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,38 +187,18 @@ def main(argv: list[str] | None = None) -> int:
     if packets is None:
         packets = (8 * args.nodes if args.workload in ("route", "kv")
                    else 16)
-    # The same model a ScenarioSpec would carry; the live window replaces
-    # its start/gap timeline.  Lookups, ops and publications come from a
-    # random node each; a multicast burst from node 0, which owns the group.
-    workload = WorkloadModel(
-        kind=args.workload,
-        source=0 if args.workload == "multicast" else -1,
-        packets=packets,
-        packet_bytes=args.payload_size,
-        keys=args.kv_keys,
-        read_fraction=args.kv_read_fraction,
-        replicas=args.kv_replicas,
-        write_quorum=args.kv_write_quorum,
-        read_quorum=args.kv_read_quorum,
-        topics=args.topics,
-    )
     try:
+        # The flags are wall seconds: the spec runs at time_scale 1.
         config = LiveClusterConfig(
-            nodes=args.nodes,
-            protocol=args.protocol,
-            workload=workload,
-            duration=args.duration,
-            join_spacing=args.join_spacing,
-            settle=args.settle,
-            seed=args.seed,
+            build_spec(args, packets),
+            time_scale=1.0,
             base_port=args.base_port,
             startup_timeout=args.startup_timeout,
-            faults=tuple(sorted(args.kill, key=lambda row: row.at)),
             restart_budget=args.restart_budget,
             post_fault_settle=args.post_fault_settle,
         )
         outcome = LiveCluster(config).run()
-    except LiveClusterError as exc:
+    except (LiveClusterError, ScenarioError) as exc:
         # A bad fault row, startup diagnostics, driver callback errors, dead
         # workers: the message already names the culprit — no traceback.
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -180,9 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         "nodes": args.nodes,
         "duration": args.duration,
         "packets": packets,
-        "kills": [[row.args[0], row.at,
-                   None if row.until is None else row.until - row.at]
-                  for row in config.faults],
+        "kills": [[kill.victims[0], kill.at, kill.recover_after]
+                  for kill in args.kill],
         "metrics": outcome.metrics,
         "invariant_violations": [str(violation) for violation in violations],
     }

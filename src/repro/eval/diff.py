@@ -9,10 +9,11 @@ distributions against declared per-metric tolerances, runs the live
 invariants on every live outcome, and returns a machine-readable
 :class:`DiffReport` (schema ``repro.diff/1``).
 
-What "agree" means here: a live run is not a replay of the simulation — the
-kernel schedules packets, victim sampling differs, and wall-clock compresses
-the timeline — so the harness compares *seed-averaged metric means*, not
-event logs.  Each :class:`Tolerance` declares how far the live mean may sit
+What "agree" means here: a live run draws the simulation's schedule — the
+same joins, ops and faults at the same instants times ``time_scale`` — but
+does not replay its packets: the kernel schedules them and protocol timers
+run unscaled on the compressed timeline — so the harness compares
+*seed-averaged metric means*, not event logs.  Each :class:`Tolerance` declares how far the live mean may sit
 from the sim mean before the divergence is drift worth failing on:
 ``abs`` bounds the absolute gap, ``rel`` (optional) additionally allows a
 fraction of the sim mean, and ``direction`` can restrict which side of the

@@ -131,9 +131,12 @@ class ScenarioModel:
     ``label`` names the model's metrics in :class:`ScenarioResult`
     (``<label>.<metric>``); each subclass has a sensible default.
 
-    A fault model (:mod:`repro.eval.faults`) defines :meth:`draw`; a model
-    that observes the run (:class:`GroupModel`, :class:`WorkloadModel`)
-    overrides :meth:`instantiate` instead.
+    Every model draws its schedule once, as data: a fault model
+    (:mod:`repro.eval.faults`) and :class:`GroupModel` with :meth:`draw`,
+    :class:`WorkloadModel` with its own ``draw``.  A model that observes the
+    run (:class:`GroupModel`, :class:`WorkloadModel`) also overrides
+    :meth:`instantiate`.  A live deployment runs the same draws
+    (:meth:`repro.live.cluster.LiveClusterConfig.draw`).
     """
 
     label: str = ""
@@ -195,7 +198,8 @@ class GroupModel(ScenarioModel):
     This is the setup a multicast :class:`WorkloadModel` needs on protocols
     like Scribe, expressed as a model so fuzzed and curated specs can drive
     tree protocols without hand-written choreography.  Joins are skipped for
-    nodes that are crashed or uninitialised when their join fires.
+    nodes that are crashed or uninitialised when their join fires.  A live
+    node process runs the rows :meth:`draw` gives its own node.
     """
 
     group: int = 1
@@ -204,44 +208,45 @@ class GroupModel(ScenarioModel):
     spacing: float = 0.25
     members: tuple[int, ...] = ()    # empty = everyone except source
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        count = len(experiment.nodes)
-        source = resolve_index(count, self.source, "group source")
+    def draw(self, num_nodes, rng, horizon, experiment=None):
+        """The create row, then one join row per member.  A row's verb is
+        the :class:`~repro.runtime.node.MacedonNode` method its node runs
+        with the row's arguments."""
+        source = resolve_index(num_nodes, self.source, "group source")
         if self.members:
             members = [index for index in
-                       resolve_indices(count, self.members, "group member")
+                       resolve_indices(num_nodes, self.members, "group member")
                        if index != source]
         else:
-            members = [index for index in range(count) if index != source]
+            members = [index for index in range(num_nodes) if index != source]
+        rows = [Fault(self.at, "macedon_create_group", (self.group,),
+                      f"node {source} creates group {self.group}",
+                      node=source)]
+        rows += [Fault(self.at + (offset + 1) * self.spacing, "macedon_join",
+                       (self.group,), f"node {index} joins group {self.group}",
+                       node=index)
+                 for offset, index in enumerate(members)]
+        return rows, {"members": float(len(members))}
+
+    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+        rows, metrics = self.draw(len(experiment.nodes), rng, horizon)
         joined = 0
 
-        def _create() -> None:
-            node = experiment.nodes[source]
-            if node.alive and node.initialized:
-                node.macedon_create_group(self.group)
-
-        def _join(index: int) -> None:
+        def _run(row) -> None:
             nonlocal joined
-            node = experiment.nodes[index]
+            node = experiment.nodes[row.node]
             if node.alive and node.initialized:
-                node.macedon_join(self.group)
-                joined += 1
+                getattr(node, row.verb)(*row.args)
+                joined += row.verb == "macedon_join"
 
-        events = [ScenarioEvent(
-            self.at, "group",
-            f"node {source} creates group {self.group}", _create, node=source)]
-        for offset, index in enumerate(members):
-            events.append(ScenarioEvent(
-                self.at + (offset + 1) * self.spacing, "group",
-                f"node {index} joins group {self.group}",
-                lambda i=index: _join(i), node=index))
-        label = self.label or self.default_label()
+        events = [ScenarioEvent(row.at, "group", row.detail,
+                                partial(_run, row), node=row.node)
+                  for row in rows]
         # Each member's join fires in the process that owns it, so the
         # per-process counts pool by summing; ``members`` is compile-time.
         return CompiledModel(
-            label, events, payload=lambda: joined,
-            score=lambda counts: {"members": float(len(members)),
-                                  "joined": float(sum(counts))})
+            self.label or self.default_label(), events, payload=lambda: joined,
+            score=lambda counts: dict(metrics, joined=float(sum(counts))))
 
 
 # The fault and workload planes import the base classes above: load here.

@@ -11,23 +11,23 @@ package is the live half of the reproduction:
 * :class:`~repro.transport.udp.SocketUdpNetwork` (in the transport package) —
   the socket-backed counterpart of the network emulator, framing the same
   ``Datagram``/``Segment`` envelopes over UDP datagrams between processes;
-* :class:`~repro.live.cluster.LiveCluster` — the multi-process harness that
-  boots N localhost nodes, drives a join wave plus each node's share of a
-  :class:`~repro.eval.workload.WorkloadModel` (the scenario engine's own
-  draw / per-node share / payload), and scores the pooled observations with
-  the model's own scorer;
-* :mod:`~repro.live.faults` — the fault plane: scenario crash/churn/
-  partition/degrade models rescaled onto wall-clock and drawn as the rows
-  the cluster runs by verb — real ``SIGKILL`` signals (with supervised
-  respawn) and socket fault-table rules.
+* :class:`~repro.live.cluster.LiveCluster` — a
+  :class:`~repro.eval.scenario.ScenarioSpec` on a wall clock: the
+  coordinator draws the spec's schedule as the simulator does, runs its
+  fault rows by verb and scores the pooled observations with the workload
+  model's own scorer;
+* :mod:`~repro.live.node` — one node process: the same draw, its own node's
+  joins, group rows and :class:`~repro.eval.workload.NodeWorkload` ops;
+* :mod:`~repro.live.faults` — what the fault plane adds on a wall clock:
+  the degrade-to-socket translation, the post-fault horizon, and the
+  live-runnable verdict.
 
 See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 """
 
 from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError, LiveClusterResult
 from .driver import LiveDriver
-from .faults import (LiveFaultError, compile_fault_models, fault_horizon,
-                     live_runnable)
+from .faults import LiveFaultError, fault_horizon, live_runnable
 
 __all__ = [
     "LiveCluster",
@@ -36,7 +36,6 @@ __all__ = [
     "LiveClusterResult",
     "LiveDriver",
     "LiveFaultError",
-    "compile_fault_models",
     "fault_horizon",
     "live_runnable",
 ]

@@ -1,32 +1,34 @@
 """Multi-process live deployments on localhost.
 
-:class:`LiveCluster` is the live counterpart of the scenario engine's
-:class:`~repro.eval.scenario.ScenarioSpec`: it boots N OS processes, each
-running one :class:`~repro.runtime.node.MacedonNode` with the *unchanged*
+A live deployment is a :class:`~repro.eval.scenario.ScenarioSpec` on a wall
+clock.  :class:`LiveCluster` boots one OS process per node of the spec
+(:mod:`repro.live.node`), each running one
+:class:`~repro.runtime.node.MacedonNode` with the *unchanged*
 registry-compiled protocol stack on a :class:`~repro.live.driver.LiveDriver`
-clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket, drives a
-staggered join wave plus the node's share of a
-:class:`~repro.eval.workload.WorkloadModel` — the same draw, the same
-per-node :class:`~repro.eval.workload.NodeWorkload`, the same observation
-payload the simulator uses — and the coordinator scores the pooled payloads
-with the model's own :meth:`~repro.eval.workload.WorkloadModel.score`, so
+clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket.  Every
+process, and the coordinator, draws the spec's schedule exactly as the
+simulator draws it (:meth:`LiveClusterConfig.draw`) and carries out its own
+share, ``time_scale`` wall seconds to the simulated second: a node process
+its node's joins, group rows and workload ops; the coordinator the fault
+rows, by verb, as :class:`~repro.eval.experiment.OverlayExperiment` runs
+them.  The coordinator scores the pooled observation payloads with the
+workload model's own :meth:`~repro.eval.workload.WorkloadModel.score`, so
 simulated and live runs of one specification are read off one ruler — the
 paper's Figure-1 promise.
 
 Coordination is deliberately minimal: endpoints are a static address→port
 map computed up front, a process barrier aligns the zero of every node's
 wall clock, and results come back over a queue.  In the *data* path there is
-still no runtime coordinator — once the barrier drops, the only
-communication between nodes is protocol traffic over their UDP sockets.  The
-coordinator re-enters only as the *fault* plane: when the config carries
-fault rows (:mod:`~repro.live.faults`) it becomes a supervisor that runs
-each row by verb, as the simulator does — real ``SIGKILL``\\ s, respawns
-under a capped exponential backoff and a per-node restart budget (the
-respawned process re-enters through the transport restart-epoch machinery,
-resuming the shared cluster clock mid-timeline), and partition/degrade
-rules sent one way into every node's socket fault table over an
-out-of-band control channel.  A node that exhausts its budget is accounted
-as *down* — graceful degradation, not a run failure.
+no runtime coordinator — once the barrier drops, the only communication
+between nodes is protocol traffic over their UDP sockets.  The coordinator
+re-enters only as the *fault* plane: when the spec draws fault rows it
+becomes a supervisor — real ``SIGKILL``\\ s, respawns under a capped
+exponential backoff and a per-node restart budget (the respawned process
+re-enters through the transport restart-epoch machinery, resuming the shared
+cluster clock mid-timeline), and partition/degrade rules sent one way into
+every node's socket fault table over an out-of-band control channel.  A node
+that exhausts its budget is accounted as *down* — graceful degradation, not
+a run failure.
 """
 
 from __future__ import annotations
@@ -40,32 +42,28 @@ import signal
 import socket as socket_module
 import threading
 import time
-import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from queue import Empty
-from typing import Any, Optional
+from typing import Optional
 
 from ..eval.faults import FAULT_VERBS
+from ..eval.library import PROTOCOLS, RegistryStack
 from ..eval.metrics import correct_successor_fraction
-from ..eval.scenario import ScenarioError, ScenarioResult
-from ..eval.workload import (NodeWorkload, WorkloadModel,
-                             WorkloadObservations, WorkloadPlan)
+from ..eval.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
+                             check_event_time)
+from ..eval.workload import WorkloadModel, WorkloadObservations, WorkloadPlan
 from ..transport.udp import SocketUdpNetwork
 from .faults import (DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS,
-                     fault_horizon)
+                     LiveFaultError, fault_horizon)
+from .node import FIRST_ADDRESS, NODE_VERBS, TRANSPORT_TOTALS, worker_entry
 
-#: Stream id stamped on workload probes so application traffic of the
-#: deployment under test is never miscounted (mirrors the scenario engine's
-#: auto-assigned workload streams).
-LIVE_WORKLOAD_STREAM = 7001
-
-#: Lowest overlay address; 0 is avoided because the specs treat a zero
-#: address as "unset" (``if candidate:`` guards).
-_FIRST_ADDRESS = 1
-
-#: Seconds after the workload window for in-flight deliveries to land before
+#: Seconds after the spec's horizon for in-flight deliveries to land before
 #: the processes shut down.
 DRAIN = 1.0
+
+#: Wall seconds a spec is fitted into when its config sets no ``time_scale``:
+#: a 300-second scenario does not hold real sockets for five minutes.
+WALL_BUDGET = 12.0
 
 #: Exponential-backoff schedule for respawning a node that died
 #: *unexpectedly*: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.  A
@@ -73,19 +71,9 @@ DRAIN = 1.0
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 8.0
 
-#: Fix-fingers period set on any live agent exposing the knob: a live run
-#: lasts seconds, so fingers are repaired twice as often as Chord's 1 s
-#: specification default.
-FIX_PERIOD = 0.5
-
 #: Coordinator actions the run waits for even once every node it expects
 #: has reported: each changes which nodes it expects.
 _AWAITED = ("crash_node", "recover_node", "_respawn")
-
-#: The :class:`~repro.transport.base.TransportStats` counters a node report
-#: sums over its transports.
-_TRANSPORT_TOTALS = ("messages_sent", "messages_delivered", "segments_sent",
-                     "segments_received", "retransmissions", "drops")
 
 
 class LiveClusterError(RuntimeError):
@@ -94,22 +82,16 @@ class LiveClusterError(RuntimeError):
 
 @dataclass(frozen=True)
 class LiveClusterConfig:
-    """One declarative live deployment (the live twin of a ScenarioSpec)."""
+    """A :class:`~repro.eval.scenario.ScenarioSpec`, whole, plus what only a
+    deployment has.  ``spec.obs`` attaches the observability layer as it
+    does in simulation."""
 
-    nodes: int = 8
-    protocol: str = "chord"
-    #: Measurement horizon in wall-clock seconds: the workload finishes by
-    #: this offset; processes shut down :data:`DRAIN` seconds later.
-    duration: float = 10.0
-    join_spacing: float = 0.15
-    #: Seconds between the last join and the first workload packet.
-    settle: float = 1.0
-    #: The measurement traffic, whole: every knob means what it means in
-    #: simulation.  Only the model's ``start``/``gap`` timeline is replaced,
-    #: stretched onto the live workload window (see :meth:`plan`).
-    workload: WorkloadModel = WorkloadModel(kind="route", source=-1,
-                                            packets=64)
-    seed: int = 1
+    spec: ScenarioSpec
+    #: Wall seconds per simulated second: every drawn join, op and fault
+    #: runs at ``time_scale`` times its offset.  ``None`` fits the spec into
+    #: :data:`WALL_BUDGET` seconds, never slower than real time.  Protocol
+    #: timers are not scaled: they are wall-clock timers.
+    time_scale: Optional[float] = None
     host: str = "127.0.0.1"
     base_port: int = 47000
     #: multiprocessing start method; None picks "fork" where available
@@ -117,98 +99,117 @@ class LiveClusterConfig:
     start_method: Optional[str] = None
     #: Seconds each process gets to import, compile, and bind its socket.
     startup_timeout: float = 60.0
-    # ---- fault plane (see repro.live.faults)
-    #: :class:`~repro.eval.faults.Fault` rows, run by verb on the
-    #: :class:`LiveCluster`; offsets from the barrier-aligned clock zero.
-    faults: tuple = ()
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
     restart_budget: int = 3
-    #: Recovery window after the last fault transition; probes sent past
-    #: ``fault_horizon + post_fault_settle`` score the post-fault ratio.
+    #: Wall seconds of recovery after the last fault transition; probes
+    #: sent past ``fault_horizon + post_fault_settle`` score the post-fault
+    #: ratio.
     post_fault_settle: float = 2.0
-    #: Optional :class:`repro.obs.ObsConfig`: attaches the observability
-    #: layer — per-node causal wire tracing, mid-run wall-clock stats
-    #: samples shipped home in each report, and a ``repro.obs/1`` snapshot
-    #: on the aggregate result.  ``None`` (the default) keeps wire bytes
-    #: and the report schema identical to an untraced run.
-    obs: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
+        spec = self.spec
+        if not (isinstance(spec.agents, RegistryStack)
+                and spec.agents in PROTOCOLS.values()):
+            raise ScenarioError(
+                f"spec.agents has no live deployment: a node process compiles "
+                f"its stack by registry name, so live mode needs a row of "
+                f"repro.eval.library.PROTOCOLS ({sorted(PROTOCOLS)})")
+        if not any(isinstance(model, WorkloadModel) for model in spec.models):
+            raise ScenarioError(
+                "spec.models has no WorkloadModel: live mode needs a "
+                "WorkloadModel to know what traffic to drive")
+        if spec.num_nodes < 1:
             raise LiveClusterError("a live cluster needs at least one node")
-        if not isinstance(self.workload, WorkloadModel):
-            raise LiveClusterError(
-                f"workload must be a WorkloadModel, not {self.workload!r}")
-        try:
-            self.workload.validate()
-        except ScenarioError as exc:
-            raise LiveClusterError(str(exc)) from exc
-        if self.workload_start >= self.duration:
-            raise LiveClusterError(
-                f"duration {self.duration}s leaves no workload window: the "
-                f"join wave plus settle takes {self.workload_start:.1f}s "
-                f"({self.nodes} nodes x {self.join_spacing}s + "
-                f"{self.settle}s); raise --duration or lower --nodes")
+        if spec.duration <= 0:
+            raise ScenarioError("scenario duration must be positive")
+        if self.time_scale is not None and self.time_scale <= 0:
+            raise LiveClusterError("time_scale must be positive")
         if self.restart_budget < 0:
             raise LiveClusterError("restart_budget cannot be negative")
-        for row in self.faults:
-            what = f"fault {row.verb}{row.args} at {row.at}s"
-            if row.verb not in FAULT_VERBS or not hasattr(LiveCluster,
-                                                          row.verb):
-                raise LiveClusterError(f"{what}: a live cluster has no such "
-                                       f"verb")
-            if row.at < 0:
-                raise LiveClusterError(
-                    f"{what} is scheduled before the cluster starts")
-            if row.until is not None and row.until < row.at:
-                raise LiveClusterError(f"{what} is undone at {row.until}s, "
-                                       f"before it happens")
-            indices = ([i for group in row.args[0] for i in group]
-                       if row.verb == "partition" else row.args[:1])
-            bad = sorted({i for i in indices if not 0 <= i < self.nodes})
-            if bad:
-                raise LiveClusterError(f"{what} names node indices {bad} "
-                                       f"outside [0, {self.nodes})")
 
     # ------------------------------------------------------------- schedule
     @property
-    def workload_start(self) -> float:
-        return self.nodes * self.join_spacing + self.settle
+    def nodes(self) -> int:
+        return self.spec.num_nodes
+
+    @property
+    def protocol(self) -> str:
+        return self.spec.agents.name
+
+    @property
+    def seed(self) -> int:
+        return self.spec.seed
+
+    @property
+    def workload(self) -> WorkloadModel:
+        """The measurement traffic: the spec's first WorkloadModel."""
+        return next(model for model in self.spec.models
+                    if isinstance(model, WorkloadModel))
+
+    @property
+    def scale(self) -> float:
+        if self.time_scale is not None:
+            return self.time_scale
+        return min(1.0, WALL_BUDGET / self.spec.duration)
+
+    @property
+    def duration(self) -> float:
+        """The spec's horizon, in wall seconds."""
+        return self.spec.duration * self.scale
 
     @property
     def total_runtime(self) -> float:
         return self.duration + DRAIN
 
-    def addresses(self) -> list[int]:
-        return [_FIRST_ADDRESS + index for index in range(self.nodes)]
-
     def endpoints(self) -> dict[int, tuple[str, int]]:
-        return {_FIRST_ADDRESS + index: (self.host, self.base_port + index)
+        return {FIRST_ADDRESS + index: (self.host, self.base_port + index)
                 for index in range(self.nodes)}
 
-    def plan(self, key_space_size: int) -> WorkloadPlan:
-        """The workload's schedule on this deployment's clock.
+    def draw(self) -> tuple[WorkloadPlan, list]:
+        """The spec's schedule on the wall clock.
 
-        Drawn from a seed-only RNG, so every node process and the
-        coordinator hold the identical plan without exchanging a byte (which
-        node subscribes where, who issues which op).  The model's own
-        timeline ``[first op, last op]``, padded by one ``gap`` at each end,
-        is stretched onto ``[workload_start, duration]`` — P evenly spaced
-        probes land on the ``(k + 1) / (P + 1)`` slots of the window.
+        Every model's own ``draw``, in spec order, from the stream the
+        simulator's ``experiment.scenario_rng`` is (``fork_rng("scenario")``
+        of the spec's seed) and without an underlay — so each process, and
+        the coordinator, holds the simulator's own schedule without
+        exchanging a byte, every offset times :attr:`scale`.  Returns the
+        first workload's plan (a later workload is drawn, to keep the
+        stream aligned, but not run) and the other models' rows.  A spec the
+        simulator rejects raises its :class:`ScenarioError`, in its words; a
+        row no live process can run raises
+        :class:`~repro.live.faults.LiveFaultError`.
         """
-        model = self.workload
-        plan = model.draw(self.nodes, key_space_size,
-                          random.Random(f"{self.seed}:live-workload"),
-                          horizon=model.start + model.packets * model.gap)
-        times = [op.time for op in plan.ops]
-        first = min(times, default=0.0)
-        span = max(times, default=0.0) - first + 2 * model.gap
-        window = self.duration - self.workload_start
-        return replace(plan, window=window, ops=[
-            op._replace(time=self.workload_start + window * (
-                (op.time - first + model.gap) / span if span else 0.5))
-            for op in plan.ops])
+        spec, scale = self.spec, self.scale
+        key_space = spec.resolve_agents()[0].KEY_SPACE.size
+        rng = random.Random(f"{spec.seed}:scenario")
+        plans, rows = [], []
+        for model in spec.models:
+            if isinstance(model, WorkloadModel):
+                plan = model.draw(spec.num_nodes, key_space, rng,
+                                  spec.duration)
+                for op in plan.ops:
+                    check_event_time(model.kind, op.time)
+                plans.append(plan)
+                continue
+            for row in model.draw(spec.num_nodes, rng, spec.duration)[0]:
+                if row.verb not in NODE_VERBS and not (
+                        row.verb in FAULT_VERBS
+                        and hasattr(LiveCluster, row.verb)):
+                    raise LiveFaultError(
+                        f"a live cluster has no fault verb {row.verb!r} "
+                        f"({type(model).__name__}: {row.detail})")
+                kinds = FAULT_VERBS.get(row.verb, ("group",))
+                check_event_time(kinds[0], row.at)
+                if row.until is not None:
+                    check_event_time(kinds[2], row.until)
+                rows.append(row._replace(
+                    at=row.at * scale,
+                    until=None if row.until is None else row.until * scale))
+        plan = plans[0]
+        plan.ops = [op._replace(time=op.time * scale) for op in plan.ops]
+        plan.window *= scale
+        return plan, rows
 
 
 @dataclass
@@ -221,210 +222,6 @@ class LiveClusterResult:
     @property
     def metrics(self) -> dict[str, float]:
         return self.result.metrics
-
-
-# ------------------------------------------------------------------- worker
-async def _node_main(config: LiveClusterConfig, index: int, barrier, *,
-                     ready=None, incarnation: int = 0,
-                     clock_zero: Optional[float] = None) -> dict:
-    """One node process: boot, join, run the workload, report.
-
-    ``incarnation`` 0 is the barrier-aligned cold boot.  A supervisor
-    respawn (``incarnation`` > 0) skips the barrier — the cluster is already
-    running — and instead resumes the shared cluster clock from
-    ``clock_zero``, rebuilding its protocol stack through the node's
-    fail-stop recovery path so the transport demux re-keys under the new
-    restart epoch (a peer's stale retransmission state cannot poison the
-    reborn node, and vice versa).
-    """
-    # Imports happen here (not at module top) so a "spawn" child pays them
-    # once, inside its own interpreter.
-    from ..codegen.registry import get_registry
-    from ..runtime.node import MacedonNode
-    from ..runtime.messages import WireCodec
-    from .driver import LiveDriver
-
-    address = _FIRST_ADDRESS + index
-    bootstrap = _FIRST_ADDRESS
-    if incarnation and index == 0 and config.nodes > 1:
-        # A reborn bootstrap node must re-join *someone else's* ring; its
-        # usual self-bootstrap would found a fresh one-node overlay.
-        bootstrap = _FIRST_ADDRESS + 1
-    stack = get_registry().load_stack(config.protocol)
-    codec = WireCodec.for_agents(stack)
-    network = SocketUdpNetwork(address, config.endpoints(), codec)
-    await network.open()
-    try:
-        import asyncio
-        loop = asyncio.get_running_loop()
-        driver = LiveDriver(seed=config.seed)
-        if incarnation == 0:
-            # Every socket must be bound before any node may send: the
-            # barrier also aligns the zero of every process's driver clock.
-            # The ready flag lets the coordinator name the stuck node when
-            # the barrier times out.
-            if ready is not None:
-                ready[index] = 1
-            try:
-                await loop.run_in_executor(
-                    None, lambda: barrier.wait(config.startup_timeout))
-            except Exception as exc:
-                raise LiveClusterError(
-                    f"node {address}: cluster start barrier broke "
-                    f"(a peer failed to boot?): {exc!r}") from exc
-            driver.start(loop)
-        else:
-            driver.start(loop, now=time.time() - clock_zero)
-
-        # Observability (repro.obs): a per-node tracer honouring the run's
-        # category overrides, plus — when causal tracing is on — the wire
-        # TRACE envelope.  Installed before the node so agent trace gates
-        # see the overrides at construction.
-        obs_tracer = causal = None
-        if config.obs is not None:
-            from ..obs import LiveCausalLog
-            from ..runtime.tracing import Tracer
-            obs_tracer = Tracer(config.obs.max_records,
-                                category_levels=config.obs.category_levels,
-                                level=config.obs.trace_level)
-            if config.obs.causal:
-                causal = LiveCausalLog(address)
-                network.enable_causal(causal)
-
-        node = MacedonNode(driver, network, stack, tracer=obs_tracer)
-        if incarnation:
-            # Rebuild through the fail-stop recovery path so the transport
-            # subsystem carries the real restart epoch, exactly as a
-            # simulated crash/recover does.
-            node.crash()
-            node.crash_count = incarnation
-            node.recover()
-        for agent in node.stack:
-            if hasattr(agent, "fix_period"):
-                agent.fix_period = FIX_PERIOD
-
-        # The node's share of the workload plane: the same per-node class
-        # the simulator builds N of, recording into the same observations.
-        # Probes are stamped and timed on the wall clock — two processes'
-        # driver clocks share no zero finer than the start barrier.
-        model = config.workload
-        observations = WorkloadObservations()
-        share = NodeWorkload(node, model, LIVE_WORKLOAD_STREAM, observations,
-                             time.time)
-
-        # Wall-clock stats every quarter of the workload window (at least
-        # 1 s apart), shipped home in the report: nothing travels mid-run,
-        # and the samples of a killed incarnation die with it.
-        wallclock: list = []
-        if config.obs is not None:
-            def sample(at: float) -> None:
-                wallclock.append((at, {
-                    "address": address,
-                    "events_processed": driver.events_processed,
-                    "errors": driver.error_count,
-                    "sent": observations.sent,
-                    "delivered": observations.deliveries,
-                    "socket": network.stats(),
-                }))
-
-            step = max(1.0, (config.duration - config.workload_start) / 4.0)
-            at = config.workload_start
-            while at < config.duration:
-                if at > driver.now:
-                    driver.schedule_at(at, sample, round(at, 3))
-                at += step
-
-        # --- join wave (bootstrap at t=0, the rest staggered); a respawn
-        #     re-joins almost immediately — its downtime already happened.
-        if incarnation == 0:
-            join_at = 0.0 if index == 0 else index * config.join_spacing
-            driver.schedule_at(join_at, node.macedon_init, bootstrap)
-        else:
-            driver.schedule(0.05, node.macedon_init, bootstrap)
-
-        # --- workload ------------------------------------------------------
-        if model.kind == "multicast":
-            group_setup = max(0.0, config.workload_start - config.settle)
-            if incarnation:
-                driver.schedule(0.4, node.macedon_join, model.group)
-            elif index == max(model.source, 0):
-                driver.schedule_at(group_setup, node.macedon_create_group,
-                                   model.group)
-            else:
-                driver.schedule_at(group_setup + 0.2, node.macedon_join,
-                                   model.group)
-        for op in config.plan(stack[0].KEY_SPACE.size).ops:
-            if op.node != index:
-                continue
-            verb = getattr(share, op.verb)
-            if op.time > driver.now + 0.01:
-                driver.schedule_at(op.time, verb, *op.args)
-            elif op.verb == "subscribe":
-                # The topics already exist, but this membership died with
-                # the old process: a reborn subscriber re-registers.
-                driver.schedule(0.4, verb, *op.args)
-            # Any other slot this incarnation was born after belonged to
-            # the dead one, which may or may not have issued it — its record
-            # is gone either way, so the coordinator books it as skipped.
-
-        await driver.run_for(max(0.0, config.total_runtime - driver.now))
-
-        # --- report --------------------------------------------------------
-        transport_totals = dict.fromkeys(_TRANSPORT_TOTALS, 0)
-        for stats in node.transport_host.stats().values():
-            for key in _TRANSPORT_TOTALS:
-                transport_totals[key] += getattr(stats, key)
-        report: dict[str, Any] = {
-            "address": address,
-            "state": node.highest_agent.state,
-            "incarnation": incarnation,
-            "epoch": node.transport_host.epoch,
-            "workload": observations.payload(),
-            "events_processed": driver.events_processed,
-            "callback_errors": [repr(exc) for exc in driver.errors][:5],
-            "callback_error_count": driver.error_count,
-            "transport": transport_totals,
-            "socket": network.stats(),
-        }
-        if config.obs is not None:
-            report["wallclock"] = wallclock
-            report["trace"] = {
-                "records": sum(node.tracer.counts.values()),
-                "dropped": node.tracer.dropped,
-            }
-            if causal is not None:
-                report["causal"] = {"traces": causal.traces,
-                                    "hops": causal.hop_count,
-                                    "records": causal.hops}
-        highest = node.highest_agent
-        if hasattr(highest, "successor"):
-            report["ring"] = {"my_key": highest.my_key,
-                              "successor": highest.successor}
-        return report
-    finally:
-        network.close()
-
-
-def _worker_entry(config: LiveClusterConfig, index: int, barrier,
-                  results, ready=None, incarnation: int = 0,
-                  clock_zero: Optional[float] = None) -> None:
-    import asyncio
-    try:
-        report = asyncio.run(_node_main(config, index, barrier, ready=ready,
-                                        incarnation=incarnation,
-                                        clock_zero=clock_zero))
-    except BaseException as exc:   # noqa: BLE001 - ship the failure home
-        if barrier is not None:
-            try:
-                barrier.abort()   # release peers still waiting to start
-            except Exception:
-                pass
-        results.put((index, {"address": _FIRST_ADDRESS + index,
-                             "incarnation": incarnation,
-                             "error": repr(exc),
-                             "traceback": traceback.format_exc()}))
-        return
-    results.put((index, report))
 
 
 # -------------------------------------------------------------- coordinator
@@ -452,6 +249,8 @@ class LiveCluster:
         self._seq = itertools.count()
         #: Scheduled offset of the action running now.
         self._now = 0.0
+        #: The fault rows this coordinator runs (:meth:`_schedule`).
+        self._faults: list = []
         #: Standing network-fault rules (key → op), replayed to respawned
         #: nodes whose fresh fault tables would otherwise leak traffic
         #: through an unhealed partition.
@@ -500,7 +299,7 @@ class LiveCluster:
         """Host-group partition of node indices (the emulator's rule)."""
         self._control("partition", {
             "op": "partition",
-            "groups": [[_FIRST_ADDRESS + i for i in group]
+            "groups": [[FIRST_ADDRESS + i for i in group]
                        for group in groups]})
 
     def heal_partition(self) -> None:
@@ -513,16 +312,34 @@ class LiveCluster:
         delay = min(MAX_DEGRADE_DELAY,
                     (latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
         loss = min(MAX_DEGRADE_LOSS, max(0.0, 1.0 - bandwidth_factor))
-        address = _FIRST_ADDRESS + index
+        address = FIRST_ADDRESS + index
         self._control(address, {"op": "degrade", "targets": [address],
                                 "delay": round(delay, 4),
                                 "loss": round(loss, 4)})
 
     def restore_node(self, index: int) -> None:
-        address = _FIRST_ADDRESS + index
+        address = FIRST_ADDRESS + index
         self._control(address, {"op": "restore", "targets": [address]})
 
     # ---------------------------------------------------------- supervision
+    def _schedule(self, rows) -> None:
+        """Queue this coordinator's share of the drawn *rows*: each fault
+        verb at ``at`` and its undo at ``until``, as
+        ``ScenarioModel.instantiate`` binds them.  What falls past the
+        spec's horizon is not queued: it never fires in simulation either."""
+        horizon = self.config.duration
+        for row in rows:
+            if row.verb in NODE_VERBS or row.at > horizon:
+                continue
+            if row.until is not None and row.until > horizon:
+                row = row._replace(until=None)
+            self._faults.append(row)
+            _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[row.verb]
+            self._push(row.at, getattr(self, row.verb), *row.args)
+            if row.until is not None:
+                self._push(row.until, getattr(self, undo),
+                           *row.args[:undo_arity])
+
     def _push(self, at: float, action, *args) -> None:
         heapq.heappush(self._actions, (at, next(self._seq), action, args))
 
@@ -547,12 +364,12 @@ class LiveCluster:
 
     def _spawn(self, index: int) -> None:
         incarnation = self._state[index]["incarnation"]
-        name = f"live-node-{_FIRST_ADDRESS + index}"
+        name = f"live-node-{FIRST_ADDRESS + index}"
         if incarnation:
             name = f"{name}.{incarnation}"
         cold = incarnation == 0
         process = self._ctx.Process(
-            target=_worker_entry,
+            target=worker_entry,
             args=(self.config, index, self._barrier if cold else None,
                   self._results, self._ready if cold else None,
                   incarnation, None if cold else self._t0),
@@ -576,30 +393,24 @@ class LiveCluster:
 
     def _replay(self, index: int) -> None:
         for op in list(self._standing.values()):
-            self._send_control(op, [_FIRST_ADDRESS + index])
+            self._send_control(op, [FIRST_ADDRESS + index])
 
     # ------------------------------------------------------------------- run
     def run(self) -> LiveClusterResult:
         config = self.config
-        # Compile the stack up front: it validates the protocol name before
-        # any process starts, and fork children inherit the warm registry.
-        from ..codegen.registry import get_registry
-        stack = get_registry().load_stack(config.protocol)
-        plan = config.plan(stack[0].KEY_SPACE.size)
+        # Drawn before any process starts: compiling the stack validates the
+        # protocol (and fork children inherit the warm registry), and a spec
+        # the simulator would refuse is refused here.
+        plan, rows = config.draw()
+        self._schedule(rows)
 
         self._ctx = self._context()
-        supervise = bool(config.faults)
+        supervise = bool(self._faults)
         # The coordinator is the (nodes+1)-th barrier party, so it learns
         # "everyone booted" (and the cluster clock zero) without a report.
         self._barrier = self._ctx.Barrier(config.nodes + 1)
         self._ready = self._ctx.Array("b", config.nodes)
         self._results = results_queue = self._ctx.Queue()
-        for row in config.faults:
-            _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[row.verb]
-            self._push(row.at, getattr(self, row.verb), *row.args)
-            if row.until is not None:
-                self._push(row.until, getattr(self, undo),
-                           *row.args[:undo_arity])
         self._control_socket = socket_module.socket(socket_module.AF_INET,
                                                     socket_module.SOCK_DGRAM)
         state, actions = self._state, self._actions
@@ -761,7 +572,7 @@ class LiveCluster:
             process = self._state[index]["proc"]
             status = ("alive" if process.is_alive()
                       else f"exit code {process.exitcode}")
-            parts.append(f"node {_FIRST_ADDRESS + index} "
+            parts.append(f"node {FIRST_ADDRESS + index} "
                          f"(pid {process.pid}, {status})")
         return LiveClusterError(
             f"cluster startup timed out after "
@@ -773,7 +584,7 @@ class LiveCluster:
         """Placeholder report for a node that stayed down (budget spent or
         killed with no respawn): zero contribution, visible in the count."""
         return {
-            "address": _FIRST_ADDRESS + index,
+            "address": FIRST_ADDRESS + index,
             "state": "down",
             "down": True,
             "incarnation": node_state["incarnation"],
@@ -782,7 +593,7 @@ class LiveCluster:
             "events_processed": 0,
             "callback_errors": [],
             "callback_error_count": 0,
-            "transport": dict.fromkeys(_TRANSPORT_TOTALS, 0),
+            "transport": dict.fromkeys(TRANSPORT_TOTALS, 0),
             "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0),
         }
 
@@ -831,8 +642,8 @@ class LiveCluster:
         metrics["nodes.killed"] = float(supervisor["killed"])
         metrics["nodes.respawns"] = float(supervisor["respawns"])
         metrics["nodes.down"] = float(supervisor["down"])
-        if config.faults:
-            recovered_at = (fault_horizon(config.faults)
+        if self._faults:
+            recovered_at = (fault_horizon(self._faults)
                             + config.post_fault_settle)
             late = {seqno for payload in payloads
                     for seqno, at in payload["sent"] if at >= recovered_at}
@@ -853,18 +664,18 @@ class LiveCluster:
                           for ring, report in zip(rings, alive_reports)}
             metrics["ring.correct_successor_fraction"] = \
                 correct_successor_fraction(membership, successors)
-        obs_snapshot = None
-        if config.obs is not None:
+        name = f"live-{config.protocol}-{model.kind}"
+        obs, obs_snapshot = config.spec.obs, None
+        if obs is not None:
             from ..obs import (artifact, base_registry, fill_live,
                                write_obs_snapshot, write_trace_file)
             registry = base_registry()
             hop_records = fill_live(
                 registry, per_node, nodes_total=config.nodes,
                 nodes_alive=len(alive_reports))
-            obs_snapshot = artifact(
-                registry, mode="live",
-                name=f"live-{config.protocol}-{model.kind}",
-                seed=config.seed, duration=config.duration)
+            obs_snapshot = artifact(registry, mode="live", name=name,
+                                    seed=config.seed,
+                                    duration=config.duration)
             # Each node's samples, regrouped by instant.
             samples: dict[float, list] = {}
             for report in per_node:
@@ -873,20 +684,13 @@ class LiveCluster:
             obs_snapshot["wallclock"] = [
                 {"t": at, "nodes": nodes}
                 for at, nodes in sorted(samples.items())]
-            if config.obs.snapshot_path:
-                write_obs_snapshot(config.obs.snapshot_path, obs_snapshot)
-            if config.obs.trace_path:
-                write_trace_file(config.obs.trace_path, hop_records,
-                                 meta={"mode": "live",
-                                       "seed": config.seed})
-        result = ScenarioResult(
-            name=f"live-{config.protocol}-{model.kind}",
-            seed=config.seed,
-            duration=config.duration,
-            metrics=metrics,
-            series={},
-            events=[],
-            experiment=None,
-            obs=obs_snapshot,
-        )
+            if obs.snapshot_path:
+                write_obs_snapshot(obs.snapshot_path, obs_snapshot)
+            if obs.trace_path:
+                write_trace_file(obs.trace_path, hop_records,
+                                 meta={"mode": "live", "seed": config.seed})
+        result = ScenarioResult(name=name, seed=config.seed,
+                                duration=config.duration, metrics=metrics,
+                                series={}, events=[], experiment=None,
+                                obs=obs_snapshot)
         return LiveClusterResult(result=result, per_node=per_node)

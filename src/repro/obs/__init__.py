@@ -1,7 +1,7 @@
 """Unified observability: metrics registry, trace artifacts, causal tracing.
 
 One opt-in knob (:class:`ObsConfig`, threaded through
-``ScenarioSpec.obs`` / ``repro.run(obs=...)`` / ``LiveClusterConfig.obs``)
+``ScenarioSpec.obs`` / ``repro.run(obs=...)``, in simulation and live)
 turns on the same three capabilities in every execution mode:
 
 * a :class:`MetricsRegistry` snapshotting to a versioned ``repro.obs/1``

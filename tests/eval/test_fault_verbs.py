@@ -24,9 +24,8 @@ from repro.eval.library import STUB_UPLINK_EDGES, resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, PartitionModel,
-                                 ScenarioModel, ScenarioSpec)
-from repro.live import (LiveCluster, LiveClusterConfig, LiveFaultError,
-                        compile_fault_models)
+                                 ScenarioModel, ScenarioSpec, WorkloadModel)
+from repro.live import LiveCluster, LiveClusterConfig, LiveFaultError
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
 
@@ -83,16 +82,17 @@ def test_every_verb_the_live_cluster_carries_out_has_its_undo():
             f"LiveCluster.{verb} has no undo {undo}"
 
 
-def test_a_row_the_live_compiler_cannot_map_is_an_error_naming_the_verb():
+def test_a_row_a_live_cluster_cannot_run_is_an_error_naming_the_verb():
     @dataclass(frozen=True)
     class LinkCutter(ScenarioModel):
         def draw(self, num_nodes, rng, horizon, experiment=None):
             return [Fault(1.0, "disable_link", (10, 0), "a cut")], {}
 
     spec = ScenarioSpec(name="unmapped", agents=resolve_protocol("chord"),
-                        num_nodes=4, duration=60.0, models=(LinkCutter(),))
+                        num_nodes=4, duration=60.0,
+                        models=(LinkCutter(), WorkloadModel(kind="route")))
     with pytest.raises(LiveFaultError, match="disable_link"):
-        compile_fault_models(spec, LiveClusterConfig(nodes=4, duration=7.0))
+        LiveClusterConfig(spec).draw()
 
 
 def test_scenarios_md_shows_the_verb_table():

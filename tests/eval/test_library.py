@@ -12,7 +12,7 @@ import pytest
 from repro.eval import ScenarioSpec, WorkloadModel, check_invariants
 from repro.eval.library import PROTOCOLS, library_spec
 from repro.eval.metrics import ring_successor_correctness
-from repro.facade import live_config
+from repro.live import LiveClusterConfig
 
 MOVED_TO_CHORD = ("flash-crowd-departure", "rack-failure",
                   "flapping-partition", "bottleneck-links", "churn-storm",
@@ -36,4 +36,4 @@ def test_every_registered_protocol_is_generated_and_live_deployable():
         spec = ScenarioSpec(
             name=f"deploy-{name}", agents=stack, num_nodes=4, duration=30.0,
             models=(WorkloadModel(kind="route", packets=4, start=20.0),))
-        assert live_config(spec).protocol == stack.name
+        assert LiveClusterConfig(spec).protocol == stack.name

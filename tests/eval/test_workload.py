@@ -3,7 +3,7 @@
 One :class:`WorkloadModel` is drawn, issued, observed and scored by the same
 code under the simulator and the live cluster.  These
 tests pin the parts that make that true and need no process or network:
-the live plan is the model's own draw re-timed onto the live window, the
+the live plan is the simulator's own draw times ``time_scale``, the
 scorer is a pure function of the pooled payloads, and one node's share
 dedups its own stream while chaining every upcall to the application.
 """
@@ -24,12 +24,15 @@ from repro.live import LiveClusterConfig
 from repro.protocols import randtree_agent
 
 KEY_SPACE = 2 ** 32
+SCALE = 0.1
 
 
-def live(model, **overrides):
-    defaults = dict(nodes=5, duration=8.0, seed=3, workload=model)
-    defaults.update(overrides)
-    return LiveClusterConfig(**defaults)
+def live(model, seed=3):
+    """The workload plan a live deployment of *model* on 5 nodes runs."""
+    spec = ScenarioSpec(name="plan", agents=resolve_protocol("chord"),
+                        num_nodes=5, duration=80.0, seed=seed,
+                        models=(model,))
+    return LiveClusterConfig(spec, time_scale=SCALE).draw()[0]
 
 
 # ------------------------------------------------------------------ the plan
@@ -39,48 +42,32 @@ def live(model, **overrides):
     WorkloadModel(kind="kv", packets=20, keys=8, clients=2, repair_gap=1.5),
     WorkloadModel(kind="pubsub", source=-1, packets=9, topics=3, fanout=3),
 ])
-def test_live_plan_is_the_models_draw_retimed_onto_the_window(model):
-    config = live(model)
-    plan = config.plan(KEY_SPACE)
+def test_live_plan_is_the_simulators_draw_on_the_wall_clock(model):
+    plan = live(model)
     # Every process (and the coordinator) computes it from the config alone.
-    assert plan == live(model).plan(KEY_SPACE)
+    assert plan == live(model)
     if model.kind != "multicast":   # a fixed-source burst draws nothing
-        assert plan != live(model, seed=4).plan(KEY_SPACE)
+        assert plan != live(model, seed=4)
 
-    drawn = model.draw(config.nodes, KEY_SPACE,
-                       random.Random(f"{config.seed}:live-workload"),
-                       horizon=model.start + model.packets * model.gap)
-    # Who does what is the simulated schedule, untouched ...
+    drawn = model.draw(5, KEY_SPACE, random.Random("3:scenario"), 80.0)
+    # Who does what is the simulated schedule, untouched; when is its
+    # offset times time_scale, and the throughput window shrinks with it.
     assert [op[1:] for op in plan.ops] == [op[1:] for op in drawn.ops]
+    assert [op.time for op in plan.ops] \
+        == [op.time * SCALE for op in drawn.ops]
     assert (plan.issued_writes, plan.expected) \
         == (drawn.issued_writes, drawn.expected)
-    # ... only when changes: order kept, strictly inside the live window.
-    order = sorted(range(len(drawn.ops)), key=lambda i: drawn.ops[i].time)
-    assert order == sorted(order, key=lambda i: plan.ops[i].time)
-    for op in plan.ops:
-        assert config.workload_start < op.time < config.duration
-    assert plan.window == config.duration - config.workload_start
+    assert plan.window == drawn.window * SCALE
     # The indices partition the plan: each op runs in exactly one process.
     shares = [[op for op in plan.ops if op.node == index]
-              for index in range(config.nodes)]
+              for index in range(5)]
     assert sum(len(share) for share in shares) == len(plan.ops)
-
-
-def test_route_probes_land_on_evenly_spaced_slots():
-    packets = 7
-    config = live(WorkloadModel(kind="route", source=-1, packets=packets,
-                                start=30.0, gap=2.0))
-    window = config.duration - config.workload_start
-    times = [op.time for op in config.plan(KEY_SPACE).ops]
-    assert times == pytest.approx(
-        [config.workload_start + window * (k + 1) / (packets + 1)
-         for k in range(packets)])
 
 
 def test_live_honours_clients_fanout_source_and_repair():
     nodes = 5
     kv = live(WorkloadModel(kind="kv", packets=30, clients=2,
-                            repair_gap=1.0, gap=0.5)).plan(KEY_SPACE)
+                            repair_gap=1.0, gap=0.5))
     assert {op.node for op in kv.ops if op.verb in ("put", "get")} == {0, 1}
     sweeps = [op for op in kv.ops if op.verb == "repair"]
     assert sweeps and {op.node for op in sweeps} == set(range(nodes))
@@ -88,7 +75,7 @@ def test_live_honours_clients_fanout_source_and_repair():
                                 for op in kv.ops if op.verb == "put"}
 
     pubsub = live(WorkloadModel(kind="pubsub", source=1, packets=8,
-                                topics=2, fanout=3)).plan(KEY_SPACE)
+                                topics=2, fanout=3))
     for topic in range(2):
         members = [op.node for op in pubsub.ops
                    if op.verb == "subscribe" and op.args == (topic,)]
@@ -102,8 +89,7 @@ def test_live_honours_clients_fanout_source_and_repair():
         3 - ((op.args[1], 1) in subscribed)
         for op in pubsub.ops if op.verb == "publish")
 
-    route = live(WorkloadModel(kind="route", source=1,
-                               packets=6)).plan(KEY_SPACE)
+    route = live(WorkloadModel(kind="route", source=1, packets=6))
     assert {op.node for op in route.ops} == {1}
 
 

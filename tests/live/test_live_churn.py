@@ -12,14 +12,21 @@ import socket
 import pytest
 
 import repro
-from repro.eval.faults import Fault
 from repro.eval.invariants import check_live_invariants
 from repro.eval.library import resolve_protocol
-from repro.eval.scenario import DegradeModel, PartitionModel, ScenarioSpec
-from repro.eval.workload import WorkloadModel
+from repro.eval.scenario import (ChurnModel, CrashModel, DegradeModel,
+                                 PartitionModel, ScenarioSpec, WorkloadModel)
 from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 
 pytestmark = pytest.mark.live
+
+
+def _spec(*models, nodes, duration, seed):
+    """A spec in wall seconds: joins 0.1 s apart, then *models*."""
+    return ScenarioSpec(name="live-churn", agents=resolve_protocol("chord"),
+                        num_nodes=nodes, duration=duration, seed=seed,
+                        models=(ChurnModel(join="staggered",
+                                           join_spacing=0.1),) + models)
 
 
 def test_kill_and_supervised_respawn_recovers():
@@ -32,11 +39,11 @@ def test_kill_and_supervised_respawn_recovers():
     rejoined node for 1.4-2.3 s, until successor repair catches up) and
     scores 11 probes at 11 distinct instants, not one instant's five."""
     config = LiveClusterConfig(
-        nodes=5, duration=9.0, join_spacing=0.1, settle=0.8,
-        workload=WorkloadModel(kind="route", source=-1, packets=45),
-        seed=7, base_port=49500,
-        faults=(Fault(3.0, "crash_node", (2,), "node 2 killed", 4.0),),
-        post_fault_settle=3.0)
+        _spec(WorkloadModel(kind="route", source=-1, start=1.5, packets=46,
+                            gap=0.16),
+              CrashModel(at=3.0, victims=(2,), recover_after=1.0),
+              nodes=5, duration=9.0, seed=7),
+        time_scale=1.0, base_port=49500, post_fault_settle=3.0)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
 
@@ -63,10 +70,11 @@ def test_kill_and_supervised_respawn_recovers():
 
 def test_kill_without_respawn_leaves_the_node_accounted_down():
     config = LiveClusterConfig(
-        nodes=4, duration=5.5, join_spacing=0.1, settle=0.8,
-        workload=WorkloadModel(kind="route", source=-1, packets=16),
-        seed=11, base_port=49520,
-        faults=(Fault(2.5, "crash_node", (3,), "node 3 killed"),))
+        _spec(WorkloadModel(kind="route", source=-1, start=1.4, packets=16,
+                            gap=0.25),
+              CrashModel(at=2.5, victims=(3,)),
+              nodes=4, duration=5.5, seed=11),
+        time_scale=1.0, base_port=49520)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
 
@@ -85,18 +93,21 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
 
 
 def test_partition_and_degrade_reach_real_sockets():
-    """A spec's partition and degrade models, compiled onto the live window,
-    go through the coordinator into every node's socket fault table."""
+    """A spec's partition and degrade models, at ``time_scale`` times their
+    simulated instants, go through the coordinator into every node's socket
+    fault table."""
     spec = ScenarioSpec(
         name="partition-degrade-live", agents=resolve_protocol("chord"),
         num_nodes=4, duration=60.0, seed=3,
-        models=(PartitionModel(at=20.0, heal_after=10.0,
+        models=(ChurnModel(join="staggered", join_spacing=1.2),
+                PartitionModel(at=20.0, heal_after=10.0,
                                groups=((0, 1), (2, 3))),
                 DegradeModel(at=30.0, restore_after=15.0, hosts=(3,),
                              bandwidth_factor=0.5, latency_factor=3.0),
-                WorkloadModel(kind="route", source=-1, packets=16)))
-    outcome = repro.run(spec, mode="live", base_port=49580, duration=5.0,
-                        join_spacing=0.1, settle=0.8)
+                WorkloadModel(kind="route", source=-1, start=15.0,
+                              packets=16, gap=2.5)))
+    outcome = repro.run(spec, mode="live", base_port=49580,
+                        time_scale=5.0 / 60.0)
     metrics = outcome.metrics
     assert metrics["socket.fault_drops"] > 0
     assert check_live_invariants(outcome) == []
@@ -107,8 +118,9 @@ def test_partition_and_degrade_reach_real_sockets():
 def test_startup_timeout_names_the_stuck_nodes():
     # Spawned (not forked) workers re-import the package, which takes far
     # longer than the deliberately absurd 50 ms barrier window.
-    config = LiveClusterConfig(nodes=3, duration=4.0, base_port=49540,
-                               start_method="spawn", startup_timeout=0.05)
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="route"), nodes=3, duration=4.0, seed=1),
+        base_port=49540, start_method="spawn", startup_timeout=0.05)
     with pytest.raises(LiveClusterError,
                        match="never reached the start barrier"):
         LiveCluster(config).run()
@@ -118,7 +130,10 @@ def test_port_conflict_is_a_boot_failure_naming_the_node():
     squatter = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     squatter.bind(("127.0.0.1", 49561))   # node index 1's port
     try:
-        config = LiveClusterConfig(nodes=3, duration=4.0, base_port=49560)
+        config = LiveClusterConfig(
+            _spec(WorkloadModel(kind="route"), nodes=3, duration=4.0,
+                  seed=1),
+            base_port=49560)
         with pytest.raises(LiveClusterError,
                            match="failed to start — node 2"):
             LiveCluster(config).run()

@@ -9,28 +9,38 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.workload import WorkloadModel
+from dataclasses import replace
+
+from repro.eval.library import RegistryStack, resolve_protocol
+from repro.eval.scenario import (ChurnModel, ScenarioError, ScenarioSpec,
+                                 WorkloadModel)
 from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 
 pytestmark = pytest.mark.live
 
 
+def _spec(*models, nodes=4, duration=4.0, seed=5, protocol="chord"):
+    """A spec in wall seconds: joins 0.1 s apart, then *models*."""
+    return ScenarioSpec(name="live-test", agents=resolve_protocol(protocol),
+                        num_nodes=nodes, duration=duration, seed=seed,
+                        models=(ChurnModel(join="staggered",
+                                           join_spacing=0.1),) + models)
+
+
 def test_config_validation():
+    route = WorkloadModel(kind="route", source=-1, packets=8)
     with pytest.raises(LiveClusterError, match="at least one node"):
-        LiveClusterConfig(nodes=0)
-    with pytest.raises(LiveClusterError, match="unknown workload"):
-        LiveClusterConfig(workload=WorkloadModel(kind="teleport"))
-    with pytest.raises(LiveClusterError, match="must be a WorkloadModel"):
-        LiveClusterConfig(workload="route")
-    with pytest.raises(LiveClusterError, match="keys >= 1"):
-        LiveClusterConfig(workload=WorkloadModel(kind="kv", keys=0))
-    with pytest.raises(LiveClusterError, match="no workload window"):
-        LiveClusterConfig(nodes=16, duration=2.0, join_spacing=0.5)
-    config = LiveClusterConfig(
-        nodes=3, duration=5.0,
-        workload=WorkloadModel(kind="route", source=-1, packets=8))
-    assert config.workload_start == pytest.approx(3 * 0.15 + 1.0)
-    ops = config.plan(2 ** 32).ops
+        LiveClusterConfig(_spec(route, nodes=0))
+    with pytest.raises(LiveClusterError, match="time_scale"):
+        LiveClusterConfig(_spec(route), time_scale=0.0)
+    with pytest.raises(ScenarioError, match="no WorkloadModel"):
+        LiveClusterConfig(_spec())
+    with pytest.raises(ScenarioError, match="unknown workload"):
+        LiveClusterConfig(_spec(WorkloadModel(kind="teleport"))).draw()
+    with pytest.raises(ScenarioError, match="keys >= 1"):
+        LiveClusterConfig(_spec(WorkloadModel(kind="kv", keys=0))).draw()
+    config = LiveClusterConfig(_spec(route, nodes=3), time_scale=1.0)
+    ops = config.draw()[0].ops
     assert [op.args[0] for op in ops] == list(range(8))
     assert {op.node for op in ops} <= {0, 1, 2}
     assert sorted(config.endpoints()) == [1, 2, 3]
@@ -46,7 +56,7 @@ def test_down_report_has_the_keys_of_a_live_report():
     from repro.transport.base import TransportStats
     from repro.transport.udp import SocketUdpNetwork
 
-    config = LiveClusterConfig(nodes=2)
+    config = LiveClusterConfig(_spec(WorkloadModel(kind="route"), nodes=2))
     down = LiveCluster(config)._down_report(0, {"incarnation": 1})
     network = SocketUdpNetwork(1, config.endpoints(), WireCodec({}))
     assert down["socket"].keys() == network.stats().keys()
@@ -57,17 +67,17 @@ def test_down_report_has_the_keys_of_a_live_report():
 
 
 def test_unknown_protocol_fails_before_spawning_processes():
-    with pytest.raises(Exception, match="chrod|no specification"):
-        LiveCluster(LiveClusterConfig(nodes=2, duration=5.0,
-                                      protocol="chrod")).run()
+    spec = replace(_spec(WorkloadModel(kind="route")),
+                   agents=RegistryStack("chrod"))
+    with pytest.raises(ScenarioError, match="no live deployment"):
+        LiveCluster(LiveClusterConfig(spec)).run()
 
 
 def test_four_node_chord_cluster_routes_over_real_sockets():
-    config = LiveClusterConfig(nodes=4, duration=4.0, join_spacing=0.1,
-                               settle=0.8, seed=5,
-                               workload=WorkloadModel(kind="route", source=-1,
-                                                      packets=16),
-                               base_port=49140)
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="route", source=-1, start=1.4, packets=16,
+                            gap=0.15)),
+        time_scale=1.0, base_port=49140)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
 
@@ -90,10 +100,10 @@ def test_four_node_chord_cluster_routes_over_real_sockets():
 
 
 def test_live_kv_quorum_over_real_sockets():
-    config = LiveClusterConfig(nodes=4, duration=5.0, join_spacing=0.1,
-                               settle=0.8,
-                               workload=WorkloadModel(kind="kv", packets=24),
-                               seed=7, base_port=49180)
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="kv", start=1.4, packets=24, gap=0.15),
+              duration=5.0, seed=7),
+        time_scale=1.0, base_port=49180)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
     assert metrics["nodes.joined"] == 4.0
@@ -107,11 +117,12 @@ def test_live_kv_quorum_over_real_sockets():
 
 
 def test_live_pubsub_full_coverage():
-    config = LiveClusterConfig(nodes=4, duration=6.0, join_spacing=0.1,
-                               settle=1.2,
-                               workload=WorkloadModel(kind="pubsub", source=-1,
-                                                      packets=12, topics=3),
-                               protocol="scribe", seed=7, base_port=49200)
+    # Topics at 1.2 s, subscriptions 0.25 s apart, publications from 4.45 s.
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="pubsub", source=-1, start=1.2, packets=12,
+                            gap=0.1, topics=3),
+              duration=6.0, seed=7, protocol="scribe-pastry"),
+        time_scale=1.0, base_port=49200)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
     assert metrics["workload.sent"] == 12.0
@@ -125,8 +136,6 @@ def test_same_kv_spec_runs_live_via_facade():
     """The acceptance shape: the simulation KV ScenarioSpec, unmodified,
     through ``repro.run(spec, mode="live")``."""
     import repro
-    from repro.eval.library import resolve_protocol
-    from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
 
     spec = ScenarioSpec(
         name="facade-kv-live",
@@ -138,8 +147,9 @@ def test_same_kv_spec_runs_live_via_facade():
                 WorkloadModel(kind="kv", start=40.0, packets=16, gap=1.0,
                               keys=16, read_fraction=0.5)),
     )
+    # 80 simulated seconds in 5 wall seconds.
     outcome = repro.run(spec, mode="live", base_port=49220,
-                        join_spacing=0.1, settle=0.8, duration=5.0)
+                        time_scale=5.0 / 80.0)
     metrics = outcome.metrics
     assert metrics["workload.sent"] == 16.0
     assert metrics["workload.quorum_success"] >= 0.9

@@ -20,15 +20,24 @@ from repro.obs import (ObsConfig, load_obs_snapshot, load_trace,
 pytestmark = pytest.mark.live
 
 
+def _spec(*models, nodes, duration, seed, obs=None):
+    """A spec in wall seconds: joins 0.1 s apart, then *models*."""
+    return ScenarioSpec(name="obs-live", agents=resolve_protocol("chord"),
+                        num_nodes=nodes, duration=duration, seed=seed,
+                        obs=obs,
+                        models=(ChurnModel(join="staggered",
+                                           join_spacing=0.1),) + models)
+
+
 def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
     obs_live = ObsConfig(trace_path=str(tmp_path / "live-trace.jsonl"),
                          causal=True,
                          snapshot_path=str(tmp_path / "live-obs.json"))
-    config = LiveClusterConfig(nodes=4, duration=5.0, join_spacing=0.1,
-                               settle=0.8, seed=5,
-                               workload=WorkloadModel(kind="route", source=-1,
-                                                      packets=16),
-                               base_port=49300, obs=obs_live)
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="route", source=-1, start=1.4, packets=16,
+                            gap=0.2),
+              nodes=4, duration=5.0, seed=5, obs=obs_live),
+        time_scale=1.0, base_port=49300)
     outcome = LiveCluster(config).run()
     live_snapshot = outcome.result.obs
     assert live_snapshot is not None
@@ -72,11 +81,11 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
 
 
 def test_live_obs_off_reports_no_trace_sections():
-    config = LiveClusterConfig(nodes=3, duration=4.0, join_spacing=0.1,
-                               settle=0.8, seed=3,
-                               workload=WorkloadModel(kind="route", source=-1,
-                                                      packets=8),
-                               base_port=49340)
+    config = LiveClusterConfig(
+        _spec(WorkloadModel(kind="route", source=-1, start=1.3, packets=8,
+                            gap=0.3),
+              nodes=3, duration=4.0, seed=3),
+        time_scale=1.0, base_port=49340)
     outcome = LiveCluster(config).run()
     assert outcome.result.obs is None
     for report in outcome.per_node:
