@@ -20,6 +20,12 @@ mechanism for message priority: if one TCP instance is blocked draining
 low-priority traffic, high-priority messages on a different instance are not
 head-of-line blocked behind it.  The runtime preserves those semantics: each
 transport instance has its own send queue and connection state.
+
+Of the bundled specs, ``chord.mac`` declares ``TCP CTRL`` and ``UDP
+BEST_EFFORT``: its timer-driven, idempotent maintenance rides the datagram
+instance, and a lookup picks its instance per send
+(``send_msg(priority=…)`` indexes the declarations).  The other specs
+declare one ``TCP CTRL``.  Heartbeats use a spec's first declaration.
 """
 
 from __future__ import annotations

@@ -38,8 +38,10 @@ from repro.runtime.failure import FailureDetectorConfig
 # docs/PERFORMANCE.md "Re-pinned baselines"), and CHURN_BASELINES once more
 # when reliable-transport ACKs became held and piggybacked and a rejoining
 # Chord node stopped being told it is its own successor ("Re-pinned
-# baselines (delayed ACKs)"): obs=None must keep reproducing these bytes
-# until the simulated behaviour is changed on purpose again.
+# baselines (delayed ACKs)"), and again when Chord's maintenance moved to
+# its best-effort transport ("Re-pinned baselines (best-effort
+# maintenance)"): obs=None must keep reproducing these bytes until the
+# simulated behaviour is changed on purpose again.
 FINGERPRINT_BASELINE = {
     "packets_sent": 2000,
     "packets_delivered": 1978,
@@ -56,40 +58,40 @@ CHURN_BASELINES = {
     1: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "455212.0",
-        "net.packets_delivered": "17202.0",
-        "net.packets_dropped": "24.0",
-        "net.packets_sent": "17233.0",
+        "net.bytes_delivered": "431156.0",
+        "net.packets_delivered": "10733.0",
+        "net.packets_dropped": "71.0",
+        "net.packets_sent": "10810.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "26116.0",
-        "workload.deliveries": "57.0",
+        "sim.events_processed": "15640.0",
+        "workload.deliveries": "56.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.23789918227687715",
-        "workload.latency_p95": "0.18418123074656023",
+        "workload.latency_mean": "0.09361585062856699",
+        "workload.latency_p95": "0.15980221935545558",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
-        "workload.success_ratio": "0.9661016949152542",
+        "workload.success_ratio": "0.9491525423728814",
     },
     2: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "452992.0",
-        "net.packets_delivered": "17130.0",
-        "net.packets_dropped": "28.0",
-        "net.packets_sent": "17163.0",
+        "net.bytes_delivered": "425992.0",
+        "net.packets_delivered": "10616.0",
+        "net.packets_dropped": "95.0",
+        "net.packets_sent": "10718.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "25852.0",
-        "workload.deliveries": "56.0",
+        "sim.events_processed": "15521.0",
+        "workload.deliveries": "55.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.09796333839804428",
+        "workload.latency_mean": "0.0844211439550677",
         "workload.latency_p95": "0.14872943884070366",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
-        "workload.success_ratio": "0.9491525423728814",
+        "workload.success_ratio": "0.9322033898305084",
     },
 }
 

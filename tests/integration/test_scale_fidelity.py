@@ -1,12 +1,13 @@
-"""Large-N fidelity that the emulator's non-causal queues were hiding.
+"""Large-N fidelity of generated Chord over the causal link physics.
 
-Carried three re-anchors long as "Chord successors stay stale after a
-200-node join wave — route success 0.618": it was the emulator dropping a
-quarter of the maintenance traffic on idle links (ROADMAP, "Chord fidelity (a)
-is an emulator bug").  With queues evaluated in arrival order a crash-free
-ring of generated Chord converges and stays converged, so this is a tier-1
-test now: a regression in the link physics shows up here as lost probes,
-dropped packets or failure declarations nobody earned.
+A crash-free 200-node ring converges after its join wave and stays
+converged: every route probe arrives, no packet is dropped and no peer is
+declared failed.  Link queues are evaluated in arrival order
+(docs/PERFORMANCE.md, "The data path"); a regression in the link physics
+shows up here as lost probes, dropped packets or failure declarations
+nobody earned.  Chord's maintenance is best-effort, so a maintenance
+datagram the links drop is never retransmitted: the zero-drop assertion
+covers it.
 """
 
 from __future__ import annotations

@@ -8,14 +8,16 @@ from repro.eval.metrics import average_correct_route_entries
 from repro.network import NetworkEmulator, transit_stub_topology
 from repro.protocols import chord_agent, pastry_agent
 from repro.runtime import MacedonNode, Simulator
+from repro.runtime.failure import FailureDetectorConfig
 
 NUM = 25
 
 
-def _build(agent_classes, num, *, seed, run_for):
+def _build(agent_classes, num, *, seed, run_for, failure_config=None):
     simulator = Simulator(seed=seed)
     emulator = NetworkEmulator(simulator, transit_stub_topology(num, seed=seed))
-    nodes = [MacedonNode(simulator, emulator, agent_classes) for _ in range(num)]
+    nodes = [MacedonNode(simulator, emulator, agent_classes,
+                         failure_config=failure_config) for _ in range(num)]
     for node in nodes:
         node.macedon_init(nodes[0].address)
     simulator.run(until=run_for)
@@ -113,6 +115,37 @@ def test_chord_rejoin_before_eviction_finds_its_true_successor():
     poll()
     simulator.run(until=simulator.now + 10.0)
     assert joined_with == [expected]
+
+
+def test_chord_joiner_that_loses_its_successor_at_once_skips_to_the_next():
+    """A rejoined node whose answered successor crashes before its first
+    ``state_reply``: the join answer carried the answerer's successor chain,
+    so the failure declaration promotes the next node of the ring instead of
+    leaving the joiner alone to walk back one node per stabilize round."""
+    config = FailureDetectorConfig(failure_timeout=4.0, heartbeat_timeout=2.0,
+                                   check_interval=0.5)
+    stabilize = 0.5
+    simulator, _, nodes = _build([chord_agent()], 16, seed=103, run_for=60.0,
+                                 failure_config=config)
+    ordered = sorted((node.lowest_agent.my_key, node.address) for node in nodes)
+    by_address = {node.address: node for node in nodes}
+    joiner = nodes[5]
+    index = ordered.index((joiner.lowest_agent.my_key, joiner.address))
+    answered = ordered[(index + 1) % len(ordered)][1]
+    expected = ordered[(index + 2) % len(ordered)][1]
+    joiner.crash()
+    simulator.run(until=simulator.now + 1.0)
+    joiner.recover(nodes[0].address)
+    while joiner.lowest_agent.state != "joined":
+        simulator.run(until=simulator.now + 0.001)
+    assert joiner.lowest_agent.successor == answered
+    assert joiner.lowest_agent.succ_list[:2] == [answered, expected]
+    by_address[answered].crash()
+    crashed_at = simulator.now
+    simulator.run(until=crashed_at + stabilize)
+    assert joiner.lowest_agent.successor == answered   # no reply came back
+    simulator.run(until=crashed_at + config.failure_timeout + 2 * stabilize)
+    assert joiner.lowest_agent.successor == expected
 
 
 def test_pastry_all_nodes_join_and_know_peers(pastry_overlay):

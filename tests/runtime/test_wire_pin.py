@@ -37,9 +37,10 @@ from repro.runtime.node import _Heartbeat
 from repro.transport.base import Datagram, Segment
 from repro.transport.udp import FRAGMENT_THRESHOLD, SocketUdpNetwork
 
-#: sha256 over the corpus, computed on the commit before the codec refactor
-#: and re-pinned once when segment frames gained ``ack_delay``.
-CORPUS_SHA256 = "1b396b4aae6dbe6f6b64f5f0a02d3bf3733c89239ba0394d009ee4b86f98814c"
+#: sha256 over the corpus, computed on the commit before the codec refactor,
+#: re-pinned when segment frames gained ``ack_delay`` and again when Chord's
+#: ``lookup_reply`` gained ``succs``.
+CORPUS_SHA256 = "8eeef51552da0e68709ff08f4ea41e7148141c0421bcf19b986de75b57fddd8e"
 
 #: Every field type, as a scalar and as a list (no bundled spec uses strings).
 EVERYTHING = MessageType("everything", tuple(
