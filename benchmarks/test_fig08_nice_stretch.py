@@ -5,12 +5,14 @@ observed per-site stretch against the published values (roughly 1–4, higher
 for distant sites).  Here the 8-site topology is reconstructed with inter-site
 latencies in the published range and the same measurement is taken: overlay
 multicast latency from the source divided by direct IP latency, averaged per
-site.
+site.  The run is one :class:`ScenarioSpec`: every member joins at t = 0,
+and after ``CONVERGENCE`` seconds node 0 multicasts a short probe burst.
 """
 
 from __future__ import annotations
 
-from repro.eval import ExperimentConfig, OverlayExperiment, group_by_site, mean, stretch_samples
+from repro.eval import (ChurnModel, ScenarioSpec, WorkloadModel, group_by_site, mean,
+                        stretch_samples)
 from repro.eval.reports import format_table
 from repro.network import multi_site_topology
 from repro.protocols import nice_agent
@@ -21,20 +23,30 @@ NICE_SIGCOMM_STRETCH = [1.3, 1.6, 1.9, 2.1, 2.4, 2.8, 3.2, 3.8]
 
 MEMBERS_PER_SITE = 8
 NUM_SITES = 8
+CONVERGENCE = 180.0
+PACKETS, GAP, SETTLE = 5, 0.5, 20.0
 
 
 def build_and_measure():
     topology = multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=81,
                                    name="nice-8-sites")
-    experiment = OverlayExperiment(
-        [nice_agent()],
-        ExperimentConfig(num_nodes=MEMBERS_PER_SITE * NUM_SITES, seed=81,
-                         topology=topology, convergence_time=180.0),
+    spec = ScenarioSpec(
+        name="fig08-nice-stretch",
+        agents=lambda: [nice_agent()],
+        num_nodes=MEMBERS_PER_SITE * NUM_SITES,
+        duration=CONVERGENCE + PACKETS * GAP + SETTLE,
+        seed=81,
+        topology=topology,
+        models=(ChurnModel(join="immediate"),
+                WorkloadModel(kind="multicast", source=0, group=1,
+                              start=CONVERGENCE, packets=PACKETS, gap=GAP)),
     )
-    experiment.init_all()
-    experiment.converge()
+    experiment = spec.run().experiment
     source = experiment.nodes[0]
-    latencies = experiment.multicast_latency_probe(source, group=1, packets=5)
+    per_receiver = experiment.compiled_models[-1].observations.per_receiver
+    latencies = {address: mean(values)
+                 for address, values in per_receiver.items()
+                 if address != source.address}
     samples = stretch_samples(experiment.emulator, source.address, latencies)
     stretch_by_receiver = {s.receiver: s.stretch for s in samples}
     site_of = {}

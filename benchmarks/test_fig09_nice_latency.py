@@ -2,12 +2,13 @@
 
 Same run as Figure 8, different y-axis: the absolute overlay latency from the
 source to members of each site, which the paper reports as roughly 10–40 ms
-across the eight sites.
+across the eight sites.  The run is the same shape of
+:class:`ScenarioSpec` as Figure 8's, on its own seed.
 """
 
 from __future__ import annotations
 
-from repro.eval import ExperimentConfig, OverlayExperiment, group_by_site, mean
+from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, group_by_site, mean
 from repro.eval.reports import format_table
 from repro.network import multi_site_topology
 from repro.protocols import nice_agent
@@ -18,20 +19,30 @@ NICE_SIGCOMM_LATENCY_MS = [12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 38.0, 42.0]
 
 MEMBERS_PER_SITE = 8
 NUM_SITES = 8
+CONVERGENCE = 180.0
+PACKETS, GAP, SETTLE = 5, 0.5, 20.0
 
 
 def build_and_measure():
     topology = multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=91,
                                    name="nice-8-sites-latency")
-    experiment = OverlayExperiment(
-        [nice_agent()],
-        ExperimentConfig(num_nodes=MEMBERS_PER_SITE * NUM_SITES, seed=91,
-                         topology=topology, convergence_time=180.0),
+    spec = ScenarioSpec(
+        name="fig09-nice-latency",
+        agents=lambda: [nice_agent()],
+        num_nodes=MEMBERS_PER_SITE * NUM_SITES,
+        duration=CONVERGENCE + PACKETS * GAP + SETTLE,
+        seed=91,
+        topology=topology,
+        models=(ChurnModel(join="immediate"),
+                WorkloadModel(kind="multicast", source=0, group=1,
+                              start=CONVERGENCE, packets=PACKETS, gap=GAP)),
     )
-    experiment.init_all()
-    experiment.converge()
+    experiment = spec.run().experiment
     source = experiment.nodes[0]
-    latencies = experiment.multicast_latency_probe(source, group=1, packets=5)
+    per_receiver = experiment.compiled_models[-1].observations.per_receiver
+    latencies = {address: mean(values)
+                 for address, values in per_receiver.items()
+                 if address != source.address}
     site_of = {node.address: topology.client_sites.get(node.host.topology_node, 0)
                for node in experiment.nodes}
     per_site = group_by_site(latencies, site_of)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FreePastryAgent, FreePastryCapacityError, reset_freepastry_population
+from repro.baselines import FreePastryAgent, FreePastryCapacityError
 from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, mean
 from repro.eval.reports import format_table
 from repro.protocols import pastry_agent
@@ -51,9 +51,7 @@ def test_fig11_pastry_vs_freepastry_latency(once):
         macedon = {}
         freepastry = {}
         for count in NODE_COUNTS:
-            reset_freepastry_population()
             macedon[count] = measure(pastry_agent, count, seed=110 + count)
-            reset_freepastry_population()
             freepastry[count] = measure(FreePastryAgent, count, seed=110 + count)
         return macedon, freepastry
 
@@ -75,7 +73,5 @@ def test_fig11_pastry_vs_freepastry_latency(once):
     assert overall_ratio > 2.0
 
     # FreePastry cannot be pushed past its memory ceiling (~100 participants).
-    reset_freepastry_population()
     with pytest.raises(FreePastryCapacityError):
         measure(FreePastryAgent, 120, seed=999)
-    reset_freepastry_population()

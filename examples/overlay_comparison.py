@@ -12,8 +12,10 @@ Run with:  python examples/overlay_comparison.py
 from __future__ import annotations
 
 from repro.eval import (
-    ExperimentConfig,
-    OverlayExperiment,
+    ChurnModel,
+    GroupModel,
+    ScenarioSpec,
+    WorkloadModel,
     link_stress,
     mean,
     relative_delay_penalty,
@@ -27,18 +29,21 @@ GROUP = 1
 
 
 def evaluate(name: str, stack) -> tuple[str, float, float, float]:
-    experiment = OverlayExperiment(
-        stack, ExperimentConfig(num_nodes=NUM_NODES, seed=3, convergence_time=120.0))
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
+    # Staggered joins, then (for group-based overlays; tree overlays ignore
+    # it) a session every other node joins, then a multicast probe burst.
+    spec = ScenarioSpec(
+        name=name, agents=stack, num_nodes=NUM_NODES, seed=3,
+        duration=165.0 + 4 * 0.5 + 20.0,
+        models=(ChurnModel(join="staggered", join_spacing=0.2),
+                GroupModel(group=GROUP, source=0, at=120.0, spacing=0.2),
+                WorkloadModel(kind="multicast", source=0, group=GROUP,
+                              start=165.0, packets=4)))
+    experiment = spec.run().experiment
     source = experiment.nodes[0]
-    # Group-based overlays need an explicit session; tree overlays ignore it.
-    source.macedon_create_group(GROUP)
-    experiment.run(5.0)
-    for node in experiment.nodes[1:]:
-        node.macedon_join(GROUP)
-    experiment.run(40.0)
-    latencies = experiment.multicast_latency_probe(source, GROUP, packets=4)
+    per_receiver = experiment.compiled_models[-1].observations.per_receiver
+    latencies = {address: mean(values)
+                 for address, values in per_receiver.items()
+                 if address != source.address}
     samples = stretch_samples(experiment.emulator, source.address, latencies)
     rdp = relative_delay_penalty(samples)
     latency_ms = mean(list(latencies.values())) * 1000

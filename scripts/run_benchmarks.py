@@ -288,8 +288,7 @@ def bench_scale(num_nodes: int = 200, duration: float = 180.0,
       membership anti-entropy makes this the expensive half (O(members) work
       per gossip message); its events/s quantifies that known open item.
     """
-    from repro.eval.experiment import ExperimentConfig, OverlayExperiment
-    from repro.eval.scenario import WorkloadModel
+    from repro.eval.scenario import GroupModel
     from repro.protocols import scribe_stack
 
     failure_config = FailureDetectorConfig(failure_timeout=10.0,
@@ -334,38 +333,36 @@ def bench_scale(num_nodes: int = 200, duration: float = 180.0,
     spacing = 0.1 if scribe_nodes >= 150 else 0.05
     group = 4040
     packets, gap = 5, 0.5
+    group_at = scribe_nodes * spacing + 10.0        # join wave + settle
+    probe_at = group_at + 25.0
+    scribe_spec = ScenarioSpec(
+        name="bench-scale-scribe",
+        agents=scribe_stack,
+        num_nodes=scribe_nodes,
+        duration=probe_at + packets * gap + 15.0,
+        seed=seed,
+        failure_config=failure_config,
+        models=(
+            ChurnModel(join="staggered", join_spacing=spacing),
+            GroupModel(group=group, source=1, at=group_at, spacing=spacing),
+            WorkloadModel(kind="multicast", source=1, group=group,
+                          start=probe_at, packets=packets, gap=gap),
+        ),
+    )
     start = time.perf_counter()
-    experiment = OverlayExperiment(scribe_stack(), ExperimentConfig(
-        num_nodes=scribe_nodes, seed=seed,
-        convergence_time=scribe_nodes * spacing + 120.0,
-        failure_config=failure_config))
-    experiment.init_all(staggered=spacing)
-    experiment.run(scribe_nodes * spacing + 10.0)   # join wave + settle
-    source = experiment.nodes[1]
-    source.macedon_create_group(group)
-    experiment.run(5.0)
-    for node in experiment.nodes:
-        if node is not source:
-            node.macedon_join(group)
-    experiment.run(20.0)
-    compiled = experiment.apply_model(
-        WorkloadModel(kind="multicast", source=1, group=group,
-                      packets=packets, gap=gap))
-    experiment.run(packets * gap + 15.0)
-    compiled.restore()
-    metrics = compiled.metrics()
+    result = scribe_spec.run()
     scribe_seconds = time.perf_counter() - start
-    scribe_events = experiment.simulator.events_processed
+    scribe_events = result.metrics["sim.events_processed"]
     scribe = {
         "nodes": scribe_nodes,
-        "sim_seconds": round(experiment.simulator.now, 6),
+        "sim_seconds": round(result.experiment.simulator.now, 6),
         "seed": seed,
         "seconds": round(scribe_seconds, 6),
         "events_processed": int(scribe_events),
         "events_per_sec": round(scribe_events / scribe_seconds),
         "packets": packets,
-        "deliveries": int(metrics["deliveries"]),
-        "success_ratio": repr(metrics["success_ratio"]),
+        "deliveries": int(result.metrics["workload.deliveries"]),
+        "success_ratio": repr(result.metrics["workload.success_ratio"]),
     }
     return {"chord": chord, "scribe": scribe}
 

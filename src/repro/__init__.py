@@ -9,7 +9,8 @@ The package is organised as the paper's system is:
   timers, locking, failure detection, tracing;
 * :mod:`repro.network` — the emulated network substrate (the ModelNet role);
 * :mod:`repro.transport` — TCP/UDP/SWP transport service classes;
-* :mod:`repro.api` — the overlay-generic MACEDON API;
+* :mod:`repro.api` — the overlay-generic MACEDON API's handler types (the
+  calls are :class:`~repro.runtime.node.MacedonNode`'s ``macedon_*`` methods);
 * :mod:`repro.protocols` — the bundled overlay specifications (Chord, Pastry,
   Scribe, SplitStream, Overcast, NICE, Bullet, AMMO, RandTree);
 * :mod:`repro.baselines` — independently written comparison implementations
@@ -27,7 +28,6 @@ One front door runs any scenario in any mode (see :mod:`repro.facade`)::
     live = repro.run(spec, mode="live")       # real processes, real UDP
 """
 
-from .api import MacedonAPI
 from .codegen import compile_mac, get_registry, load_protocol, load_stack
 from .facade import run
 from .network import NetworkEmulator, multi_site_topology, transit_stub_topology
@@ -36,7 +36,6 @@ from .runtime import MacedonNode, Simulator, Tracer
 __version__ = "1.0.0"
 
 __all__ = [
-    "MacedonAPI",
     "run",
     "compile_mac",
     "get_registry",

@@ -1,19 +1,10 @@
-"""The overlay-generic MACEDON API."""
+"""The overlay-generic MACEDON API's application-side handler types.
+
+The API calls themselves (Figure 3 of the paper) are the ``macedon_*``
+methods of :class:`~repro.runtime.node.MacedonNode`, under the paper's names.
+"""
 
 from .handlers import DeliverHandler, ForwardHandler, Handlers, NotifyHandler, UpcallHandler
-from .macedon import (
-    MacedonAPI,
-    macedon_anycast,
-    macedon_collect,
-    macedon_create_group,
-    macedon_init,
-    macedon_join,
-    macedon_leave,
-    macedon_multicast,
-    macedon_register_handlers,
-    macedon_route,
-    macedon_routeIP,
-)
 
 __all__ = [
     "DeliverHandler",
@@ -21,15 +12,4 @@ __all__ = [
     "Handlers",
     "NotifyHandler",
     "UpcallHandler",
-    "MacedonAPI",
-    "macedon_anycast",
-    "macedon_collect",
-    "macedon_create_group",
-    "macedon_init",
-    "macedon_join",
-    "macedon_leave",
-    "macedon_multicast",
-    "macedon_register_handlers",
-    "macedon_route",
-    "macedon_routeIP",
 ]

@@ -9,12 +9,11 @@
   comparison.
 """
 
-from .freepastry import FreePastryAgent, FreePastryCapacityError, reset_freepastry_population
+from .freepastry import FreePastryAgent, FreePastryCapacityError
 from .lsd_chord import LsdChordAgent
 
 __all__ = [
     "FreePastryAgent",
     "FreePastryCapacityError",
-    "reset_freepastry_population",
     "LsdChordAgent",
 ]

@@ -8,10 +8,11 @@ routing algorithm but models those runtime costs explicitly:
 * every message transmission pays a fixed marshalling/dispatch delay
   (:attr:`FreePastryAgent.RMI_OVERHEAD` seconds), charged before the packet
   enters the network — the RMI serialization + remote dispatch cost;
-* the process-wide participant count is capped
-  (:attr:`FreePastryAgent.MAX_POPULATION`); constructing more nodes raises
-  :class:`FreePastryCapacityError`, reproducing the "insufficient memory
-  beyond 100 participants" wall.
+* a run's participant count — the hosts attached to its network — is
+  capped (:attr:`FreePastryAgent.MAX_POPULATION`); a node beyond it raises
+  :class:`FreePastryCapacityError` when its agent is built, reproducing the
+  "insufficient memory beyond 100 participants" wall.  A recovered node
+  keeps its host, so crash/recover cycles never count twice.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ class _FreePastryFactory:
                 RMI_RECEIVE_OVERHEAD = 0.050
                 #: Largest population the baseline supports before exhausting memory.
                 MAX_POPULATION = 100
-                #: Process-wide instance counter.
-                population = 0
 
                 def __init__(self, node) -> None:
-                    type(self).population += 1
-                    if type(self).population > self.MAX_POPULATION:
+                    if len(node.emulator.hosts) > self.MAX_POPULATION:
                         raise FreePastryCapacityError(
                             f"FreePastry baseline cannot run more than "
                             f"{self.MAX_POPULATION} participants (out of memory)"
@@ -76,8 +74,3 @@ def FreePastryAgent():
     """Return the FreePastry baseline agent class."""
     return _FreePastryFactory.get()
 
-
-def reset_freepastry_population() -> None:
-    """Reset the process-wide participant counter (between experiments/tests)."""
-    agent_class = _FreePastryFactory.get()
-    agent_class.population = 0

@@ -4,9 +4,12 @@ A fault model describes its faults once, as data: its ``draw`` is a pure
 function of ``(model, num_nodes, rng, horizon)`` returning :class:`Fault`
 rows over the one vocabulary :data:`FAULT_VERBS`.  The simulator executes
 the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
-(:meth:`~repro.eval.scenario.ScenarioModel.instantiate`); the live
-supervisor rescales the model, calls the same ``draw`` and runs the rows by
-verb on a :class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`).
+(:meth:`~repro.eval.scenario.ScenarioModel.instantiate`).  A live deployment
+calls the same ``draw`` on the same RNG stream and scales the drawn offsets
+to wall time (:meth:`~repro.live.cluster.LiveClusterConfig.draw`); the
+supervisor runs the fault rows by verb on a
+:class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`), and
+each node process runs its own join and group rows.
 A new fault model is one class with one ``draw``; no driver changes.
 
 The models cover the paper's fault vocabulary plus the adversarial shapes
@@ -30,7 +33,7 @@ the scenario fuzzer (:mod:`repro.eval.fuzz`) explores:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from ..network.topology import stub_domains
@@ -178,6 +181,12 @@ class ChurnModel(ScenarioModel):
     rejoin: bool = True
     exempt: tuple[int, ...] = (0,)   # node indices never churned (bootstrap)
 
+    def weakened(self):
+        if self.churn_fraction <= 0.1:
+            return []
+        return [replace(self,
+                        churn_fraction=round(self.churn_fraction / 2, 3))]
+
     def draw(self, num_nodes, rng, horizon, experiment=None):
         if self.join not in ("immediate", "staggered", "poisson"):
             raise ScenarioError(f"unknown join mode {self.join!r}")
@@ -290,6 +299,15 @@ class FlashCrowdModel(ScenarioModel):
     burst_rate: float = 20.0         # crowd joins per second
     stay: Optional[float] = None
 
+    def weakened(self):
+        variants = []
+        if self.stay is not None:
+            variants.append(replace(self, stay=None))
+        if self.burst_rate > 2.0:
+            variants.append(replace(self,
+                                    burst_rate=round(self.burst_rate / 2, 3)))
+        return variants
+
     def draw(self, num_nodes, rng, horizon, experiment=None):
         if not 1 <= self.core <= num_nodes:
             raise ScenarioError(
@@ -354,6 +372,9 @@ class CorrelatedCrashModel(ScenarioModel):
                     break
         return domain_of
 
+    def weakened(self):
+        return [replace(self, racks=self.racks // 2)] if self.racks > 1 else []
+
     def draw(self, num_nodes, rng, horizon, experiment=None):
         if experiment is None:
             raise ScenarioError(
@@ -403,6 +424,14 @@ class FlappingPartitionModel(ScenarioModel):
     links: tuple[tuple[int, int], ...] = ()
     directed: bool = False
 
+    def weakened(self):
+        variants = []
+        if self.cycles > 1:
+            variants.append(replace(self, cycles=self.cycles // 2))
+        if len(self.links) > 1:
+            variants.append(replace(self, links=self.links[:1]))
+        return variants
+
     def draw(self, num_nodes, rng, horizon, experiment=None):
         if not self.groups and not self.links:
             raise ScenarioError(
@@ -450,6 +479,18 @@ class DegradeModel(ScenarioModel):
     bandwidth_factor: float = 1.0
     latency_factor: float = 1.0
     exempt: tuple[int, ...] = (0,)
+
+    def weakened(self):
+        variants = []
+        if self.latency_factor > 2.0:
+            variants.append(replace(self, latency_factor=round(
+                1.0 + (self.latency_factor - 1.0) / 2, 3)))
+        if self.bandwidth_factor < 1.0:
+            variants.append(replace(self, bandwidth_factor=round(
+                min(1.0, self.bandwidth_factor * 2), 3)))
+        if len(self.links) > 1:
+            variants.append(replace(self, links=self.links[:1]))
+        return variants
 
     def draw(self, num_nodes, rng, horizon, experiment=None):
         if self.hosts and self.host_fraction:

@@ -325,49 +325,6 @@ def _violated_names(violations: Sequence[InvariantViolation]) -> frozenset:
     return frozenset(violation.invariant for violation in violations)
 
 
-def _weakened_models(model: ScenarioModel) -> "list[ScenarioModel]":
-    """Lower-intensity variants of one model, strongest reduction first."""
-    candidates: list[ScenarioModel] = []
-
-    def try_replace(**changes) -> None:
-        try:
-            candidates.append(replace(model, **changes))
-        except (ScenarioError, ValueError):
-            pass  # the weakening violated the model's own validation; skip it
-
-    # Floors on every halving keep the weakening chains finite; without them
-    # the shrinker burns its whole run budget on ever-smaller intensities.
-    if isinstance(model, ChurnModel) and model.churn_fraction > 0.1:
-        try_replace(churn_fraction=round(model.churn_fraction / 2, 3))
-    if isinstance(model, FlashCrowdModel):
-        if model.stay is not None:
-            try_replace(stay=None)
-        if model.burst_rate > 2.0:
-            try_replace(burst_rate=round(model.burst_rate / 2, 3))
-    if isinstance(model, CorrelatedCrashModel) and model.racks > 1:
-        try_replace(racks=model.racks // 2)
-    if isinstance(model, FlappingPartitionModel):
-        if model.cycles > 1:
-            try_replace(cycles=model.cycles // 2)
-        if len(model.links) > 1:
-            try_replace(links=model.links[:1])
-    if isinstance(model, DegradeModel):
-        if model.latency_factor > 2.0:
-            try_replace(latency_factor=round(
-                1.0 + (model.latency_factor - 1.0) / 2, 3))
-        if model.bandwidth_factor < 1.0:
-            try_replace(bandwidth_factor=round(
-                min(1.0, model.bandwidth_factor * 2), 3))
-        if len(model.links) > 1:
-            try_replace(links=model.links[:1])
-    if isinstance(model, WorkloadModel):
-        if model.packets > 10:
-            try_replace(packets=model.packets // 2)
-        if model.kind == "kv" and model.repair_gap:
-            try_replace(repair_gap=0.0)
-    return candidates
-
-
 def _shrink_candidates(spec: ScenarioSpec) -> "list[ScenarioSpec]":
     """Structurally smaller specs to try, most aggressive first."""
     candidates: list[ScenarioSpec] = []
@@ -385,7 +342,7 @@ def _shrink_candidates(spec: ScenarioSpec) -> "list[ScenarioSpec]":
         candidates.append(replace(spec, num_nodes=max(4, spec.num_nodes // 2)))
     # 3. Weaken individual models.
     for index, model in enumerate(spec.models):
-        for weakened in _weakened_models(model):
+        for weakened in model.weakened():
             models = (spec.models[:index] + (weakened,)
                       + spec.models[index + 1:])
             candidates.append(replace(spec, models=models))

@@ -144,6 +144,12 @@ class ScenarioModel:
     def default_label(self) -> str:
         return type(self).__name__.removesuffix("Model").lower()
 
+    def weakened(self) -> "list[ScenarioModel]":
+        """Lower-intensity variants of this model, strongest reduction
+        first — what the fuzzer's shrinker tries.  Every halving has a
+        floor, so weakening chains stay finite; none by default."""
+        return []
+
     def draw(self, num_nodes: int, rng, horizon: float,
              experiment=None) -> "tuple[list[Fault], dict[str, float]]":
         """This model's faults and its compile-time metrics — a pure
@@ -347,28 +353,15 @@ class ScenarioSpec:
 
     def build(self) -> "OverlayExperiment":  # noqa: F821
         """Construct the experiment and schedule every model onto it."""
-        from .experiment import ExperimentConfig, OverlayExperiment
+        from .experiment import OverlayExperiment
 
         if self.duration <= 0:
             raise ScenarioError("scenario duration must be positive")
-        topology = self.topology(self.seed) if callable(self.topology) \
-            else self.topology
-        config = ExperimentConfig(
-            num_nodes=self.num_nodes,
-            seed=self.seed,
-            topology=topology,
-            random_loss_rate=self.random_loss_rate,
-            strict_locking=self.strict_locking,
-            convergence_time=self.duration,
-            failure_config=self.failure_config,
-            obs=self.obs,
-        )
-        experiment = OverlayExperiment(self.resolve_agents(), config)
+        experiment = OverlayExperiment(self)
         if self.configure is not None:
-            experiment.configure_hook = self.configure
             self.configure(experiment)
         for model in self.models:
-            experiment.apply_model(model, horizon=self.duration)
+            experiment.apply_model(model)
         return experiment
 
     # --------------------------------------------------------------------- run

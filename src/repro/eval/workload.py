@@ -361,6 +361,14 @@ class WorkloadModel(ScenarioModel):
             if self.fanout < 0:
                 raise ScenarioError("fanout must be >= 0 (0 = every node)")
 
+    def weakened(self):
+        variants = []
+        if self.packets > 10:
+            variants.append(replace(self, packets=self.packets // 2))
+        if self.kind == "kv" and self.repair_gap:
+            variants.append(replace(self, repair_gap=0.0))
+        return variants
+
     # ------------------------------------------------------------------ draw
     def draw(self, num_nodes: int, key_space_size: int, rng,
              horizon: float) -> WorkloadPlan:

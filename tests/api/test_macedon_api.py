@@ -1,18 +1,9 @@
-"""Tests for the overlay-generic MACEDON API surface."""
+"""Tests for the overlay-generic MACEDON API surface (``MacedonNode``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import (
-    MacedonAPI,
-    macedon_create_group,
-    macedon_init,
-    macedon_join,
-    macedon_multicast,
-    macedon_register_handlers,
-    macedon_route,
-)
 from repro.api.handlers import Handlers
 from repro.network import NetworkEmulator, transit_stub_topology
 from repro.protocols import randtree_agent, scribe_stack
@@ -38,37 +29,34 @@ def test_handlers_dataclass():
     assert handlers.any_registered()
 
 
-def test_object_api_mirrors_node_operations():
+def test_randtree_multicast_reaches_every_other_node():
     simulator, nodes = build_nodes([randtree_agent()], 6)
-    apis = [MacedonAPI(node) for node in nodes]
     got = []
-    for api, node in zip(apis, nodes):
-        api.register_handlers(deliver=lambda p, s, t: got.append(s))
-        api.init(nodes[0].address)
+    for node in nodes:
+        node.macedon_register_handlers(deliver=lambda p, s, t: got.append(s))
+        node.macedon_init(nodes[0].address)
     simulator.run(until=60)
-    assert apis[0].address == nodes[0].address
-    assert apis[0].key == nodes[0].highest_agent.my_key
-    apis[0].multicast(1, Pkt(0), 500)
+    nodes[0].macedon_multicast(1, Pkt(0), 500)
     simulator.run(until=80)
     assert len(got) == len(nodes) - 1
     assert all(size == 500 for size in got)
 
 
-def test_c_style_api_functions_drive_scribe_session():
+def test_scribe_session_from_a_non_bootstrap_source():
     simulator, nodes = build_nodes(scribe_stack(), 12, seed=92)
     received = []
     for node in nodes:
-        macedon_register_handlers(node, deliver=lambda p, s, t: received.append(s))
-        macedon_init(node, nodes[0].address)
+        node.macedon_register_handlers(deliver=lambda p, s, t: received.append(s))
+        node.macedon_init(nodes[0].address)
     simulator.run(until=120)
     source = nodes[1]
-    macedon_create_group(source, 55)
+    source.macedon_create_group(55)
     simulator.run(until=125)
     for node in nodes:
         if node is not source:
-            macedon_join(node, 55)
+            node.macedon_join(55)
     simulator.run(until=160)
-    macedon_multicast(source, 55, Pkt(1), 800)
+    source.macedon_multicast(55, Pkt(1), 800)
     simulator.run(until=200)
     assert len(received) >= len(nodes) - 1
 
@@ -99,14 +87,14 @@ def test_application_switches_overlay_without_code_changes():
     assert over_scribe >= 9
 
 
-def test_route_via_functional_api():
+def test_randtree_route_delivers_at_the_root():
     simulator, nodes = build_nodes([randtree_agent()], 4, seed=95)
     for node in nodes:
-        macedon_init(node, nodes[0].address)
+        node.macedon_init(nodes[0].address)
     simulator.run(until=30)
     seen = []
     nodes[0].macedon_register_handlers(deliver=lambda p, s, t: seen.append(p))
     # randtree 'route' pushes toward the root, which delivers.
-    macedon_route(nodes[2], 0, Pkt(3), 100)
+    nodes[2].macedon_route(0, Pkt(3), 100)
     simulator.run(until=40)
     assert seen and seen[0] == Pkt(3)

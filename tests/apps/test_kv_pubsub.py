@@ -3,8 +3,8 @@
 The interesting KV behaviors are the degraded ones — a replica crashing
 mid-read, a crash/recover cycle wiping a replica's store (stale epoch), and
 partition-healed divergence mended by the anti-entropy sweep — so each gets
-a scripted experiment here, driven through the same OverlayExperiment the
-scenario engine uses.
+a scripted experiment here, built from a :class:`ScenarioSpec` like every
+other run.
 """
 
 from __future__ import annotations
@@ -12,19 +12,16 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import KvStore, PubSub
-from repro.eval import ExperimentConfig, OverlayExperiment
+from repro.eval import ChurnModel, ScenarioSpec
 from repro.eval.library import FAST_FAILURE
 from repro.protocols import chord_agent, scribe_stack
 
 
 def build_kv_experiment(num_nodes=10, seed=11, *, failure_config=None):
-    experiment = OverlayExperiment(
-        [chord_agent()],
-        ExperimentConfig(num_nodes=num_nodes, seed=seed,
-                         convergence_time=60.0,
-                         failure_config=failure_config))
-    experiment.init_all()
-    experiment.converge()
+    experiment = ScenarioSpec(
+        name="kv", agents=[chord_agent()], num_nodes=num_nodes, duration=60.0,
+        seed=seed, failure_config=failure_config,
+        models=(ChurnModel(join="immediate"),)).run().experiment
     stores = {node.address: KvStore(node, replicas=3, write_quorum=2,
                                     read_quorum=2)
               for node in experiment.nodes}
@@ -193,12 +190,10 @@ def test_kv_chains_foreign_payloads_to_previous_handler():
 
 
 def build_pubsub_experiment(num_nodes=12, seed=21):
-    experiment = OverlayExperiment(
-        [agent for agent in scribe_stack("pastry")],
-        ExperimentConfig(num_nodes=num_nodes, seed=seed,
-                         convergence_time=60.0))
-    experiment.init_all()
-    experiment.converge()
+    experiment = ScenarioSpec(
+        name="pubsub", agents=scribe_stack("pastry"), num_nodes=num_nodes,
+        duration=60.0, seed=seed,
+        models=(ChurnModel(join="immediate"),)).run().experiment
     apps = {node.address: PubSub(node) for node in experiment.nodes}
     return experiment, apps
 

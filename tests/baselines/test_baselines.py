@@ -4,22 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
-    FreePastryAgent,
-    FreePastryCapacityError,
-    LsdChordAgent,
-    reset_freepastry_population,
-)
-from repro.eval import ExperimentConfig, OverlayExperiment, average_correct_route_entries
+from repro.baselines import FreePastryAgent, FreePastryCapacityError, LsdChordAgent
+from repro.eval import ChurnModel, ScenarioSpec, average_correct_route_entries
 from repro.protocols import pastry_agent
 
 
 def test_lsd_chord_joins_and_adapts_timer():
-    experiment = OverlayExperiment([LsdChordAgent()],
-                                   ExperimentConfig(num_nodes=20, seed=71,
-                                                    convergence_time=120.0))
-    experiment.init_all(staggered=0.2)
-    experiment.converge()
+    spec = ScenarioSpec(name="lsd-chord", agents=[LsdChordAgent()],
+                        num_nodes=20, duration=120.0, seed=71,
+                        models=(ChurnModel(join="staggered", join_spacing=0.2),))
+    experiment = spec.run().experiment
     agents = [node.agent("lsd_chord") for node in experiment.nodes]
     assert all(agent.state == "joined" for agent in agents)
     # The adaptive policy actually adjusted periods, and periods stay in bounds.
@@ -30,37 +24,33 @@ def test_lsd_chord_joins_and_adapts_timer():
     assert average_correct_route_entries(experiment.nodes, "lsd_chord") > 20
 
 
-def test_freepastry_population_cap_and_reset():
-    reset_freepastry_population()
-    agent_class = FreePastryAgent()
-    assert agent_class.MAX_POPULATION == 100
-    experiment = OverlayExperiment([agent_class],
-                                   ExperimentConfig(num_nodes=10, seed=72,
-                                                    convergence_time=60.0))
-    assert agent_class.population == 10
-    reset_freepastry_population()
-    assert agent_class.population == 0
+def freepastry_run(num_nodes: int, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(name="freepastry", agents=[FreePastryAgent()],
+                        num_nodes=num_nodes, duration=10.0, seed=seed)
+
+
+def test_freepastry_cap_counts_one_runs_participants():
+    assert FreePastryAgent().MAX_POPULATION == 100
+    # Two runs in one process each stay under the cap on their own.
+    freepastry_run(60, seed=72).build()
+    freepastry_run(60, seed=72).build()
+
+
+def test_freepastry_recovered_node_is_not_a_new_participant():
+    # A recovered node keeps its host: it is not a 101st participant.
+    experiment = freepastry_run(100, seed=72).build()
+    experiment.crash_node(5)
+    experiment.recover_node(5)
+    assert experiment.nodes[5].alive
 
 
 def test_freepastry_slower_than_macedon_pastry_on_same_workload():
-    reset_freepastry_population()
-
-    def average_join_latency(cls, seed):
-        experiment = OverlayExperiment([cls], ExperimentConfig(num_nodes=12, seed=seed,
-                                                               convergence_time=90.0))
-        experiment.init_all()
-        experiment.converge()
-        latencies = experiment.multicast_latency_probe(
-            experiment.nodes[1], group=1, packets=2)
-        # Pastry has no multicast transition; fall back to a routed probe below.
-        return experiment
-
-    # Use direct per-message delay instead: send one route and time delivery.
-    def routed_latency(cls, seed):
-        experiment = OverlayExperiment([cls], ExperimentConfig(num_nodes=12, seed=seed,
-                                                               convergence_time=90.0))
-        experiment.init_all()
-        experiment.converge()
+    # Send one route and time its delivery.
+    def routed_latency(agent_class, seed):
+        spec = ScenarioSpec(name="routed", agents=[agent_class], num_nodes=12,
+                            duration=90.0, seed=seed,
+                            models=(ChurnModel(join="immediate"),))
+        experiment = spec.run().experiment
         target = experiment.nodes[5]
         arrival = {}
         target.macedon_register_handlers(
@@ -68,7 +58,6 @@ def test_freepastry_slower_than_macedon_pastry_on_same_workload():
         start = experiment.simulator.now
         experiment.nodes[9].macedon_route(target.lowest_agent.my_key, None, 500)
         experiment.run(20.0)
-        reset_freepastry_population()
         assert "t" in arrival
         return arrival["t"] - start
 
@@ -78,10 +67,6 @@ def test_freepastry_slower_than_macedon_pastry_on_same_workload():
 
 
 def test_freepastry_capacity_error_raised():
-    reset_freepastry_population()
     agent_class = FreePastryAgent()
     with pytest.raises(FreePastryCapacityError):
-        OverlayExperiment([agent_class],
-                          ExperimentConfig(num_nodes=agent_class.MAX_POPULATION + 5,
-                                           seed=74, convergence_time=10.0))
-    reset_freepastry_population()
+        freepastry_run(agent_class.MAX_POPULATION + 5, seed=74).build()

@@ -267,3 +267,75 @@ def test_runner_forked_jobs_match_serial():
 def test_runner_rejects_bad_parallelism_arguments():
     with pytest.raises(ValueError):
         ScenarioRunner(_FakeSeededSpec(), seeds=[1], jobs=0)
+
+
+#: ``_shrink_candidates`` of the spec in the test below, as changes: every
+#: non-workload model dropped, the population halved, then each model's
+#: weakenings in model order.
+PINNED_SHRINK = [
+    ("drop", 0), ("drop", 1), ("drop", 2), ("drop", 3), ("drop", 4),
+    ("drop", 5), ("drop", 6), ("drop", 7), ("drop", 8), ("drop", 9),
+    ("num_nodes", 6),
+    (0, {"churn_fraction": 0.2}),
+    (2, {"stay": None}),
+    (2, {"burst_rate": 4.0}),
+    (4, {"racks": 1}),
+    (6, {"cycles": 1}),
+    (6, {"links": ((10, 0),)}),
+    (7, {"latency_factor": 2.5}),
+    (7, {"bandwidth_factor": 0.6}),
+    (7, {"links": ((10, 0),)}),
+    (10, {"packets": 12}),
+    (10, {"repair_gap": 0.0}),
+]
+
+
+def _candidate_diffs(spec, candidates):
+    """Each shrink candidate as what it changed in *spec*."""
+    diffs = []
+    for candidate in candidates:
+        if candidate.num_nodes != spec.num_nodes:
+            diffs.append(("num_nodes", candidate.num_nodes))
+            continue
+        padded = candidate.models + (None,)
+        index = next(index for index, model in enumerate(spec.models)
+                     if padded[index] != model)
+        if len(candidate.models) < len(spec.models):
+            diffs.append(("drop", index))
+            continue
+        old, new = spec.models[index], candidate.models[index]
+        assert candidate.models[index + 1:] == spec.models[index + 1:]
+        diffs.append((index, {name: value for name, value in vars(new).items()
+                              if value != getattr(old, name)}))
+    return diffs
+
+
+def test_shrink_candidates_are_pinned_for_every_model_kind():
+    """Each model weakens itself, strongest reduction first; the list below
+    was captured from the type-switch shrinker this replaced."""
+    from repro.eval import (ChurnModel, CorrelatedCrashModel, CrashModel,
+                            DegradeModel, FlappingPartitionModel,
+                            FlashCrowdModel, GroupModel, PartitionModel,
+                            ScenarioSpec)
+    from repro.eval.fuzz import _shrink_candidates
+    from repro.eval.library import STUB_UPLINK_EDGES
+
+    spec = ScenarioSpec(
+        name="every-kind", agents=lambda: [chord_agent()], num_nodes=12,
+        duration=160.0,
+        models=(
+            ChurnModel(churn_fraction=0.4),
+            ChurnModel(churn_fraction=0.1),
+            FlashCrowdModel(stay=5.0, burst_rate=8.0),
+            CrashModel(at=20.0, victims=(3,)),
+            CorrelatedCrashModel(racks=3),
+            PartitionModel(at=30.0, groups=((1, 2),)),
+            FlappingPartitionModel(cycles=3, links=STUB_UPLINK_EDGES),
+            DegradeModel(links=STUB_UPLINK_EDGES, latency_factor=4.0,
+                         bandwidth_factor=0.3),
+            DegradeModel(links=STUB_UPLINK_EDGES[:1], latency_factor=2.0),
+            GroupModel(group=2),
+            WorkloadModel(kind="kv", packets=25, repair_gap=5.0),
+            WorkloadModel(kind="route", packets=10, repair_gap=5.0),
+        ))
+    assert _candidate_diffs(spec, _shrink_candidates(spec)) == PINNED_SHRINK

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.eval import (
-    ExperimentConfig,
-    OverlayExperiment,
+    ChurnModel,
+    ScenarioSpec,
+    WorkloadModel,
     correct_chord_fingers,
     expansion_factor,
     format_series,
@@ -102,21 +103,28 @@ def test_format_table_and_series_alignment():
 
 
 def test_overlay_experiment_end_to_end():
-    experiment = OverlayExperiment([randtree_agent()],
-                                   ExperimentConfig(num_nodes=10, seed=5,
-                                                    convergence_time=60.0))
-    experiment.init_all()
-    experiment.converge()
+    spec = ScenarioSpec(
+        name="harness", agents=[randtree_agent()], num_nodes=10,
+        duration=60.0 + 3 * 0.5 + 20.0, seed=5,
+        models=(ChurnModel(join="immediate"),
+                WorkloadModel(kind="multicast", group=1, start=60.0,
+                              packets=3)))
+    experiment = spec.build()
+    experiment.run(60.0)
     assert experiment.states().get("joined") == 10
-    latencies = experiment.multicast_latency_probe(experiment.bootstrap, group=1,
-                                                   packets=3)
+    experiment.run(spec.duration - 60.0)
+    per_receiver = experiment.compiled_models[-1].observations.per_receiver
+    latencies = {address: mean(values)
+                 for address, values in per_receiver.items()
+                 if address != experiment.bootstrap.address}
     assert len(latencies) >= 8
     assert all(value > 0 for value in latencies.values())
 
 
 def test_overlay_experiment_rejects_bad_config():
     with pytest.raises(ValueError):
-        OverlayExperiment([randtree_agent()], ExperimentConfig(num_nodes=0))
+        ScenarioSpec(name="empty", agents=[randtree_agent()], num_nodes=0,
+                     duration=10.0).build()
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3,

@@ -8,7 +8,6 @@ import pytest
 from repro.eval import (
     ChurnModel,
     CrashModel,
-    ExperimentConfig,
     OverlayExperiment,
     PartitionModel,
     SampleSeries,
@@ -29,13 +28,23 @@ FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
                                      check_interval=1.0)
 
 
+def ring_spec(num_nodes: int = 8, seed: int = 1, duration: float = 120.0,
+              models=()) -> ScenarioSpec:
+    return ScenarioSpec(name="ring", agents=[chord_agent()],
+                        num_nodes=num_nodes, duration=duration, seed=seed,
+                        failure_config=FAST_FAILURE, models=tuple(models))
+
+
 def ring_experiment(num_nodes: int = 8, seed: int = 1,
                     duration: float = 120.0) -> OverlayExperiment:
-    return OverlayExperiment(
-        [chord_agent()],
-        ExperimentConfig(num_nodes=num_nodes, seed=seed,
-                         convergence_time=duration,
-                         failure_config=FAST_FAILURE))
+    return ring_spec(num_nodes, seed, duration).build()
+
+
+def joined_ring(num_nodes: int, seed: int, models=()) -> OverlayExperiment:
+    """A ring whose nodes all join at t = 0, built with *models*."""
+    return ring_spec(num_nodes, seed,
+                     models=(ChurnModel(join="immediate"),) + tuple(models)
+                     ).build()
 
 
 # ----------------------------------------------------------------- model compile
@@ -139,14 +148,13 @@ def test_workload_model_rejects_unknown_kind():
 
 
 def test_concurrent_workloads_get_distinct_streams():
-    experiment = ring_experiment(num_nodes=4, seed=9)
-    experiment.init_all()
-    experiment.run(30.0)
-    first = experiment.apply_model(
-        WorkloadModel(kind="route", source=-1, packets=5, gap=0.5))
-    second = experiment.apply_model(
-        WorkloadModel(kind="route", source=-1, packets=8, gap=0.5))
-    experiment.run(20.0)
+    experiment = joined_ring(4, seed=9, models=(
+        WorkloadModel(kind="route", source=-1, start=30.0, packets=5,
+                      gap=0.5),
+        WorkloadModel(kind="route", source=-1, start=30.0, packets=8,
+                      gap=0.5)))
+    experiment.run(50.0)
+    first, second = experiment.compiled_models[1:]
     # Each model scored only its own probes despite overlapping seqnos.
     assert first.observations.sent == 5
     assert second.observations.sent == 8
@@ -160,8 +168,7 @@ def test_concurrent_workloads_get_distinct_streams():
 
 
 def test_partition_model_heals_three_links_without_full_invalidation(monkeypatch):
-    experiment = ring_experiment(num_nodes=4, seed=9)
-    experiment.init_all()
+    experiment = joined_ring(4, seed=9)
     experiment.run(30.0)
     graph = experiment.topology.graph
     bridges = {frozenset(edge) for edge in nx.bridges(graph)}
@@ -192,25 +199,18 @@ def test_partition_model_heals_three_links_without_full_invalidation(monkeypatch
     assert workload.observations.success_ratio == 1.0
 
 
-# ----------------------------------------------------- experiment thin wrappers
-def test_init_all_is_synchronous_for_immediate_joins():
-    experiment = ring_experiment(num_nodes=4)
-    experiment.init_all()
-    assert all(node.initialized for node in experiment.nodes)
-
-
+# ---------------------------------------------------------------- experiment
 def test_experiment_rejects_more_nodes_than_attachment_points():
     topology = transit_stub_topology(4, seed=1)
     with pytest.raises(TopologyError) as excinfo:
-        OverlayExperiment([chord_agent()],
-                          ExperimentConfig(num_nodes=10, topology=topology))
+        ScenarioSpec(name="crowded", agents=[chord_agent()], num_nodes=10,
+                     duration=10.0, topology=topology).build()
     message = str(excinfo.value)
     assert "num_nodes=10" in message and "4 client attachment points" in message
 
 
-def test_workload_chains_and_probe_restores_deliver_handlers():
-    experiment = ring_experiment(num_nodes=4, seed=5)
-    experiment.init_all()
+def test_workload_chains_and_restores_deliver_handlers():
+    experiment = joined_ring(4, seed=5)
     experiment.run(30.0)
     seen = []
     original = lambda payload, size, mtype: seen.append(payload)  # noqa: E731
@@ -229,13 +229,8 @@ def test_workload_chains_and_probe_restores_deliver_handlers():
     compiled.restore()
     assert [node.handlers for node in experiment.nodes] == originals
 
-    # The probe wrapper restores handlers by itself (the old clobbering bug).
-    experiment.multicast_latency_probe(experiment.nodes[1], group=7, packets=2,
-                                       settle=5.0)
-    assert [node.handlers for node in experiment.nodes] == originals
 
-
-def test_configure_hook_reapplied_after_recovery():
+def test_configure_reapplied_after_recovery():
     spec = ScenarioSpec(
         name="retune", agents=[chord_agent()], num_nodes=4, duration=60.0,
         failure_config=FAST_FAILURE,
@@ -247,7 +242,7 @@ def test_configure_hook_reapplied_after_recovery():
     result = spec.run()
     node = result.experiment.nodes[2]
     assert node.crash_count == 1 and node.alive
-    # Recovery rebuilt the agent stack; the hook must have re-tuned it.
+    # Recovery rebuilt the agent stack; configure must have re-tuned it.
     assert getattr(node.lowest_agent, "tuned", False)
 
 

@@ -12,7 +12,6 @@ from repro.eval import (
     ChurnModel,
     CorrelatedCrashModel,
     DegradeModel,
-    ExperimentConfig,
     FlappingPartitionModel,
     FlashCrowdModel,
     GroupModel,
@@ -31,20 +30,17 @@ FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
                                      check_interval=1.0)
 
 
-def ring_experiment(num_nodes: int = 8, seed: int = 1,
-                    duration: float = 120.0) -> OverlayExperiment:
-    return OverlayExperiment(
-        [chord_agent()],
-        ExperimentConfig(num_nodes=num_nodes, seed=seed,
-                         convergence_time=duration,
-                         failure_config=FAST_FAILURE))
-
-
 def ring_spec(name: str, models, *, num_nodes: int = 8, seed: int = 1,
               duration: float = 120.0) -> ScenarioSpec:
     return ScenarioSpec(name=name, agents=[chord_agent()],
                         num_nodes=num_nodes, duration=duration, seed=seed,
                         failure_config=FAST_FAILURE, models=tuple(models))
+
+
+def ring_experiment(num_nodes: int = 8, seed: int = 1,
+                    duration: float = 120.0) -> OverlayExperiment:
+    return ring_spec("compile", (), num_nodes=num_nodes, seed=seed,
+                     duration=duration).build()
 
 
 # ------------------------------------------------------------------ flash crowd

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.apps import AppPayload
-from repro.eval import ExperimentConfig, OverlayExperiment
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import ChurnModel, ScenarioSpec
 from repro.eval.workload import (NodeWorkload, WorkloadModel,
@@ -184,8 +183,8 @@ def test_multicast_stream_reaches_every_receiver():
 
 
 def test_node_share_dedups_its_stream_and_chains_the_rest():
-    experiment = OverlayExperiment([randtree_agent()],
-                                   ExperimentConfig(num_nodes=2, seed=61))
+    experiment = ScenarioSpec(name="share", agents=[randtree_agent()],
+                              num_nodes=2, duration=1.0, seed=61).build()
     node = experiment.nodes[1]
     previous = []
     node.macedon_register_handlers(

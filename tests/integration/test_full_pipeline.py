@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen import compile_mac, get_registry
-from repro.eval import ExperimentConfig, OverlayExperiment, link_stress
+from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, link_stress, mean
 from repro.eval.metrics import stretch_samples
 from repro.network import NetworkEmulator, multi_site_topology, transit_stub_topology
 from repro.protocols import overcast_agent, scribe_stack
@@ -78,14 +78,18 @@ def test_generated_code_matches_registry_loaded_class():
 
 def test_stretch_and_link_stress_from_real_overlay_run():
     topology = multi_site_topology([4] * 4, seed=102)
-    experiment = OverlayExperiment([overcast_agent()],
-                                   ExperimentConfig(num_nodes=16, seed=102,
-                                                    topology=topology,
-                                                    convergence_time=120.0))
-    experiment.init_all()
-    experiment.converge()
+    spec = ScenarioSpec(
+        name="overcast-stretch", agents=[overcast_agent()], num_nodes=16,
+        duration=120.0 + 3 * 0.5 + 20.0, seed=102, topology=topology,
+        models=(ChurnModel(join="immediate"),
+                WorkloadModel(kind="multicast", group=1, start=120.0,
+                              packets=3)))
+    experiment = spec.run().experiment
     source = experiment.bootstrap
-    latencies = experiment.multicast_latency_probe(source, group=1, packets=3)
+    per_receiver = experiment.compiled_models[-1].observations.per_receiver
+    latencies = {address: mean(values)
+                 for address, values in per_receiver.items()
+                 if address != source.address}
     samples = stretch_samples(experiment.emulator, source.address, latencies)
     assert samples
     assert all(sample.stretch >= 0.99 for sample in samples)

@@ -14,7 +14,7 @@ and pin the three properties that matter:
 
 from __future__ import annotations
 
-from repro.eval import CrashModel, ExperimentConfig, OverlayExperiment
+from repro.eval import ChurnModel, CrashModel, ScenarioSpec
 from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
@@ -25,13 +25,11 @@ CHECK = 1.0
 
 def build_pair():
     """Bootstrap + one joined peer, mutually monitored via the ring set."""
-    experiment = OverlayExperiment(
-        [chord_agent()],
-        ExperimentConfig(num_nodes=2, seed=3, convergence_time=300.0,
-                         failure_config=FailureDetectorConfig(
-                             failure_timeout=F, heartbeat_timeout=G,
-                             check_interval=CHECK)))
-    experiment.init_all()
+    experiment = ScenarioSpec(
+        name="pair", agents=[chord_agent()], num_nodes=2, duration=300.0,
+        seed=3, failure_config=FailureDetectorConfig(
+            failure_timeout=F, heartbeat_timeout=G, check_interval=CHECK),
+        models=(ChurnModel(join="immediate"),)).build()
     experiment.run(20.0)
     a, b = experiment.nodes
     assert a.lowest_agent.successor == b.address
