@@ -7,8 +7,7 @@ the ``ScenarioSpec`` below — a staggered join wave, then lookups for random
 keys from random nodes — runs as it would in simulation, a tenth of a wall
 second to the simulated second: every process draws the spec's schedule,
 issues its own share, and the coordinator scores the pooled observations
-with the workload model's own scorer — the formula the scenario runner
-uses.
+with the scenario runner's own scorer into the same ``ScenarioResult``.
 
 Run with:  python examples/live_chord.py
 """
@@ -32,15 +31,16 @@ def main() -> None:
                               packets=5 * NUM_NODES, gap=0.7)))
     # 60 simulated seconds in 6 wall seconds.
     config = LiveClusterConfig(spec, time_scale=0.1, base_port=47300)
-    print(f"booting {config.nodes} chord processes on "
+    print(f"booting {NUM_NODES} chord processes on "
           f"{config.host}:{config.base_port}-"
-          f"{config.base_port + config.nodes - 1} …")
+          f"{config.base_port + NUM_NODES - 1} …")
     outcome = LiveCluster(config).run()
 
     metrics = outcome.metrics
     print("\nper node (address / FSM state / lookups sent / delivered-here):")
     for report in outcome.per_node:
-        observed = report["workload"]   # this process's observation payload
+        # This process's observation payload, under the workload's label.
+        observed = report["models"]["workload"]
         print(f"  node {report['address']:>2}  {report['state']:<8} "
               f"sent={len(observed['sent']):<3} "
               f"delivered={len(observed['records']):<3} "

@@ -4,7 +4,7 @@
 Runs one :class:`~repro.eval.scenario.ScenarioSpec` through
 ``repro.run(mode="sim")`` and ``repro.run(mode="live")`` across a set of
 seeds, diffs the metric distributions against per-metric tolerances (see
-:mod:`repro.eval.diff`), checks the live invariants on every live outcome,
+:mod:`repro.eval.diff`), checks the invariants on every live result,
 and prints a machine-readable drift report (schema ``repro.diff/1``).
 
 The default spec is a small chord deployment with mid-run churn — one fault

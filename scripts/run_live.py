@@ -204,11 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
 
-    from repro.eval.invariants import check_live_invariants
-    violations = check_live_invariants(outcome)
+    from repro.eval.invariants import check_invariants
+    violations = check_invariants(outcome)
 
     document = {
-        "name": outcome.result.name,
+        "name": outcome.name,
         "nodes": args.nodes,
         "duration": args.duration,
         "packets": packets,
@@ -220,13 +220,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.per_node:
         document["per_node"] = outcome.per_node
     else:
-        document["per_node"] = [
-            {"address": report["address"], "state": report["state"],
-             "incarnation": report["incarnation"],
-             "sent": len(report["workload"]["sent"]),
-             "delivered": len(report["workload"]["records"])}
-            for report in outcome.per_node
-        ]
+        document["per_node"] = []
+        for report in outcome.per_node:
+            # A node that stayed down reports no observations.
+            observed = report["models"].get("workload")
+            document["per_node"].append({
+                "address": report["address"], "state": report["state"],
+                "incarnation": report["incarnation"],
+                "sent": len(observed["sent"]) if observed else 0,
+                "delivered": len(observed["records"]) if observed else 0})
     print(json.dumps(document, indent=2))
 
     failed = False

@@ -5,9 +5,9 @@ same protocol in simulation and in live deployment.  This module turns that
 claim into a checkable artifact: :func:`run_diff` executes one
 :class:`~repro.eval.scenario.ScenarioSpec` through ``repro.run(mode="sim")``
 and ``repro.run(mode="live")`` across a set of seeds, compares the metric
-distributions against declared per-metric tolerances, runs the live
-invariants on every live outcome, and returns a machine-readable
-:class:`DiffReport` (schema ``repro.diff/1``).
+distributions against declared per-metric tolerances, runs the invariants
+on every live result, and returns a machine-readable :class:`DiffReport`
+(schema ``repro.diff/1``).
 
 What "agree" means here: a live run draws the simulation's schedule — the
 same joins, ops and faults at the same instants times ``time_scale`` — but
@@ -18,8 +18,9 @@ from the sim mean before the divergence is drift worth failing on:
 ``abs`` bounds the absolute gap, ``rel`` (optional) additionally allows a
 fraction of the sim mean, and ``direction`` can restrict which side of the
 sim value is a violation (live latency being *lower* than simulated latency
-is not a bug).  Metrics missing from either side are skipped unless the
-tolerance marks them ``required``.
+is not a bug).  A metric missing from either side does not vote: the report
+lists it under ``unvoted``, and fails on it only when the tolerance marks it
+``required``.
 
 The comparison is deliberately asymmetric in what it trusts: invariant
 violations on the live side are failures regardless of tolerances — a
@@ -28,7 +29,7 @@ duplicate delivery "within tolerance" is still a duplicate delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 ARTIFACT_SCHEMA = "repro.diff/1"
@@ -90,16 +91,7 @@ class MetricDiff:
     live_values: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "sim_mean": self.sim_mean,
-            "live_mean": self.live_mean,
-            "delta": self.delta,
-            "allowance": self.allowance,
-            "ok": self.ok,
-            "sim_values": list(self.sim_values),
-            "live_values": list(self.live_values),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -111,6 +103,9 @@ class DiffReport:
     diffs: list = field(default_factory=list)
     #: Tolerances marked required whose metric one side never produced.
     missing: list = field(default_factory=list)
+    #: ``(metric, side)`` of every tolerance that did not vote: its metric
+    #: had values only on ``side`` ("sim" or "live"), or on "neither".
+    unvoted: list = field(default_factory=list)
     #: Stringified live InvariantViolations, tagged with their seed.
     violations: list = field(default_factory=list)
 
@@ -130,6 +125,8 @@ class DiffReport:
             "ok": self.ok,
             "diffs": [diff.to_dict() for diff in self.diffs],
             "missing": list(self.missing),
+            "unvoted": [{"metric": metric, "values_on": side}
+                        for metric, side in self.unvoted],
             "violations": list(self.violations),
         }
 
@@ -143,8 +140,13 @@ class DiffReport:
                 f"  [{marker}] {diff.metric}: sim={diff.sim_mean:.4f} "
                 f"live={diff.live_mean:.4f} delta={diff.delta:+.4f} "
                 f"(allowed ±{diff.allowance:.4f})")
-        for metric in self.missing:
-            lines.append(f"  [FAIL] {metric}: required metric missing")
+        for metric, side in self.unvoted:
+            if metric in self.missing:
+                lines.append(f"  [FAIL] {metric}: required metric missing "
+                             f"(values on {side})")
+            else:
+                lines.append(f"  [skip] {metric}: did not vote "
+                             f"(values on {side})")
         for violation in self.violations:
             lines.append(f"  [FAIL] invariant: {violation}")
         return "\n".join(lines)
@@ -173,6 +175,9 @@ def compare(sim_metrics: Sequence[dict], live_metrics: Sequence[dict],
                             for metrics in live_metrics
                             if tolerance.metric in metrics)
         if not sim_values or not live_values:
+            side = ("sim" if sim_values else "live" if live_values
+                    else "neither")
+            report.unvoted.append((tolerance.metric, side))
             if tolerance.required:
                 report.missing.append(tolerance.metric)
             continue
@@ -197,14 +202,14 @@ def run_diff(spec, *, seeds: Sequence[int] = (1,),
     """Run *spec* in both modes across *seeds* and diff the results.
 
     Each seed gets one simulation run and one live deployment of the
-    re-seeded spec; live invariant violations from any seed fail the
+    re-seeded spec; an invariant violation in any seed's live run fails the
     report.  ``live_overrides`` pass through to the live config (a CI
     runner will at least want ``base_port`` to keep parallel jobs apart).
     """
     from dataclasses import replace
 
     from .. import facade
-    from .invariants import check_live_invariants
+    from .invariants import check_invariants
 
     sim_metrics: list[dict] = []
     live_metrics: list[dict] = []
@@ -216,10 +221,11 @@ def run_diff(spec, *, seeds: Sequence[int] = (1,),
         live_result = facade.run(seeded, mode="live",
                                  **dict(live_overrides or {}))
         live_metrics.append(dict(live_result.metrics))
-        for violation in check_live_invariants(live_result):
+        for violation in check_invariants(live_result):
             report.violations.append(f"seed {seed}: {violation}")
     compared = compare(sim_metrics, live_metrics, tolerances,
                        spec_name=spec.name, seeds=seeds)
     report.diffs = compared.diffs
     report.missing = compared.missing
+    report.unvoted = compared.unvoted
     return report

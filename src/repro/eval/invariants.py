@@ -4,14 +4,22 @@ The scenario engine makes every run a pure function of ``(spec, seed)``;
 this module supplies the other half of a bug-finding machine: properties
 that must hold at the end of *any* scenario, however adversarial.  The
 fuzzer (:mod:`repro.eval.fuzz`) asserts them over randomly generated specs;
-tests assert them over the curated library.
+tests assert them over the curated library; the differential harness
+(:mod:`repro.eval.diff`) over live deployments.
 
-Eight invariants:
+A simulated and a live run produce the same :class:`ScenarioResult`, so one
+set of checks reads both.  What a check needs decides where it applies: the
+scored ``<label>.*`` metrics exist in every mode, the node process reports
+(``result.per_node``) only live, and the simulated ``result.experiment``
+only in simulation — a check whose input a run lacks is vacuous there.
+
+Nine invariants:
 
 * **no_duplicate_delivery** — no workload probe is delivered twice to the
   same receiver: the ``(stream, seqno)`` pair is unique per delivery
   (reliable transports reassemble and deduplicate; a duplicate means
-  transport or dispatch state leaked across a fault).
+  transport or dispatch state leaked across a fault).  Read off each
+  workload's scored ``duplicates``.
 * **no_lost_acks** — after the run quiesces, no reliable connection on a
   live node is stranded: unacknowledged in-flight segments imply an armed
   retransmission timer, queued-but-untransmitted segments imply an open
@@ -20,7 +28,10 @@ Eight invariants:
 * **epoch_monotonicity** — transport incarnation numbers track the node
   lifecycle exactly: a live node's transport epoch equals its crash count,
   a crashed node's equals its recover count, and no connection has observed
-  a peer epoch from the future.
+  a peer epoch from the future.  Live, a node process's epoch equals its
+  supervisor incarnation: every respawn re-keys the transport demux.
+* **no_decode_errors** — live only: both ends speak our codec, so no frame
+  any node received failed to decode.
 * **ring_eventually_correct** — for successor-ring protocols (agents that
   expose a ``successor`` pointer), the live membership's successor pointers
   converge to the global ring after the last fault, scored by
@@ -34,7 +45,8 @@ Eight invariants:
   queue with arrivals that have not happened yet violates first.
 * **kv_no_phantom_reads** — a KV workload's quorum reads never return a
   version that no client ever wrote to that key: replication may lag or
-  lose data, but it can never fabricate or cross-wire it.  Unconditional.
+  lose data, but it can never fabricate or cross-wire it.  Unconditional;
+  read off the scored ``phantom_reads``.
 * **kv_read_your_quorum_writes** — with ``R + W > N`` and stable, settled
   membership, a read issued after a write completed returns a version at
   least that new.  Checked only when the scenario's last disruptive event
@@ -45,23 +57,16 @@ Eight invariants:
   least one acking replica never crashed, and adoption is monotone.
   Vacuous when crashes reach the quorum size (the workload's
   ``replica_coverage`` metric still reports the degradation).
-
-Live deployments get a parallel set (:func:`check_live_invariants`) phrased
-over :class:`~repro.live.cluster.LiveClusterResult` reports — the subset of
-these properties that survives the projection through the results queue —
-so the differential harness checks the same properties on both sides of a
-sim-vs-live comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..transport.reliable import ReliableTransport
-from .metrics import (phantom_reads, quorum_staleness,
-                      ring_successor_correctness)
-from .scenario import ScenarioResult
+from .metrics import ring_successor_correctness
+from .scenario import ScenarioResult, metric_labels
 
 #: Event kinds that perturb the overlay (everything except measurement
 #: traffic); ring convergence is only checkable after the last of these.
@@ -85,17 +90,26 @@ class InvariantViolation:
 Invariant = Callable[[ScenarioResult], "list[InvariantViolation]"]
 
 
+def _nodes(result: ScenarioResult) -> list:
+    """The simulated nodes; none for a live run."""
+    return [] if result.experiment is None else result.experiment.nodes
+
+
+def _scored(result: ScenarioResult, metric: str) -> list[tuple[str, float]]:
+    """``(label, value)`` of every model that scored *metric* non-zero."""
+    suffix = f".{metric}"
+    return [(key.removesuffix(suffix), value)
+            for key, value in result.metrics.items()
+            if key.endswith(suffix) and value]
+
+
 def no_duplicate_delivery(result: ScenarioResult) -> list[InvariantViolation]:
     """Every workload's ``(receiver, seqno)`` deliveries are unique."""
-    violations = []
-    for compiled in result.experiment.compiled_models:
-        observations = getattr(compiled, "observations", None)
-        if observations is not None and observations.duplicates:
-            violations.append(InvariantViolation(
-                "no_duplicate_delivery",
-                f"workload {compiled.label!r} saw {observations.duplicates} "
-                f"duplicate (receiver, seqno) deliveries"))
-    return violations
+    return [InvariantViolation(
+        "no_duplicate_delivery",
+        f"workload {label!r} saw {count:.0f} duplicate (receiver, seqno) "
+        f"deliveries")
+        for label, count in _scored(result, "duplicates")]
 
 
 def no_lost_acks(result: ScenarioResult) -> list[InvariantViolation]:
@@ -108,7 +122,7 @@ def no_lost_acks(result: ScenarioResult) -> list[InvariantViolation]:
     no flush timer armed would never be sent.
     """
     violations = []
-    for node in result.experiment.nodes:
+    for node in _nodes(result):
         if node.crashed:
             continue
         for transport in node.transport_host._transports.values():
@@ -139,8 +153,13 @@ def no_lost_acks(result: ScenarioResult) -> list[InvariantViolation]:
 
 def epoch_monotonicity(result: ScenarioResult) -> list[InvariantViolation]:
     """Transport incarnations track node lifecycles; nobody sees the future."""
-    violations = []
-    nodes = result.experiment.nodes
+    violations = [InvariantViolation(
+        "epoch_monotonicity",
+        f"node {report['address']}: transport epoch {report['epoch']} != "
+        f"incarnation {report['incarnation']}")
+        for report in result.per_node or ()
+        if not report.get("down") and report["epoch"] != report["incarnation"]]
+    nodes = _nodes(result)
     crash_counts = {node.address: node.crash_count for node in nodes}
     for node in nodes:
         host = node.transport_host
@@ -191,10 +210,9 @@ def ring_eventually_correct(result: ScenarioResult, *,
     ``settle`` fault-free seconds before the end; returns no violations
     otherwise (the property is vacuous, not violated).
     """
-    experiment = result.experiment
     if result.duration - last_disruption(result) < settle:
         return []
-    live = [node for node in experiment.nodes
+    live = [node for node in _nodes(result)
             if node.alive and node.initialized]
     if len(live) < 2:
         return []
@@ -212,6 +230,8 @@ def ring_eventually_correct(result: ScenarioResult, *,
 
 def no_drop_on_idle_link(result: ScenarioResult) -> list[InvariantViolation]:
     """Every link that dropped from queue overflow carried a queue's worth."""
+    if result.experiment is None:
+        return []
     return [InvariantViolation(
         "no_drop_on_idle_link",
         f"link {key} dropped {link.drops} packets from queue overflow after "
@@ -222,19 +242,14 @@ def no_drop_on_idle_link(result: ScenarioResult) -> list[InvariantViolation]:
 
 
 def _kv_states(result: ScenarioResult) -> list:
-    """Every KV workload state the run's compiled models exposed."""
+    """``(label, state)`` of every KV workload of a simulated run."""
     if result.experiment is None:
         return []
-    return [state for compiled in result.experiment.compiled_models
-            if (state := getattr(compiled, "kv_state", None)) is not None]
-
-
-def _kv_records(state) -> tuple[list, list]:
-    """(completed puts, completed gets) from one KV workload's records."""
-    records = sorted(state.observations.records)
-    puts = [r for r in records if r[2] == 0]
-    gets = [r for r in records if r[2] == 1]
-    return puts, gets
+    compiled_models = result.experiment.compiled_models
+    labels = metric_labels(compiled.label for compiled in compiled_models)
+    return [(label, compiled.kv_state)
+            for label, compiled in zip(labels, compiled_models)
+            if hasattr(compiled, "kv_state")]
 
 
 def kv_no_phantom_reads(result: ScenarioResult) -> list[InvariantViolation]:
@@ -244,17 +259,12 @@ def kv_no_phantom_reads(result: ScenarioResult) -> list[InvariantViolation]:
     never issued against a key means the store fabricated or cross-wired
     data — a bug under any fault schedule, so this is unconditional.
     """
-    violations = []
-    for state in _kv_states(result):
-        _puts, gets = _kv_records(state)
-        count = phantom_reads([(r[3], r[4]) for r in gets],
-                              state.issued_writes)
-        if count:
-            violations.append(InvariantViolation(
-                "kv_no_phantom_reads",
-                f"{count} of {len(gets)} quorum reads returned a "
-                f"(key, version) no client ever wrote"))
-    return violations
+    return [InvariantViolation(
+        "kv_no_phantom_reads",
+        f"{count:.0f} of {result.metrics[f'{label}.gets']:.0f} quorum reads "
+        f"of workload {label!r} returned a (key, version) no client ever "
+        f"wrote")
+        for label, count in _scored(result, "phantom_reads")]
 
 
 def kv_read_your_quorum_writes(result: ScenarioResult, *,
@@ -267,19 +277,15 @@ def kv_read_your_quorum_writes(result: ScenarioResult, *,
     ``settle`` seconds before the workload started; vacuous otherwise.
     """
     violations = []
-    for state in _kv_states(result):
-        if last_disruption(result) + settle > state.start:
-            continue
-        puts, gets = _kv_records(state)
-        stale = quorum_staleness([(r[3], r[4], r[5]) for r in gets],
-                                 [(r[3], r[4], r[6]) for r in puts])
-        if stale:
+    for label, state in _kv_states(result):
+        stale = result.metrics[f"{label}.stale_reads"]
+        if stale and last_disruption(result) + settle <= state.start:
             violations.append(InvariantViolation(
                 "kv_read_your_quorum_writes",
-                f"{stale} of {len(gets)} reads missed a write that "
-                f"completed before they were issued, with stable membership "
-                f"(W={state.write_quorum}, Q={state.read_quorum}, "
-                f"N={state.replicas})"))
+                f"{stale:.0f} of {result.metrics[f'{label}.gets']:.0f} reads "
+                f"missed a write that completed before they were issued, "
+                f"with stable membership (W={state.write_quorum}, "
+                f"Q={state.read_quorum}, N={state.replicas})"))
     return violations
 
 
@@ -292,25 +298,19 @@ def kv_write_durability(result: ScenarioResult) -> list[InvariantViolation]:
     fail-stop storage is genuinely allowed to lose the data then.
     """
     violations = []
-    if result.experiment is None:
-        return violations
-    total_crashes = sum(node.crash_count
-                        for node in result.experiment.nodes)
-    for state in _kv_states(result):
+    total_crashes = sum(node.crash_count for node in _nodes(result))
+    for _label, state in _kv_states(result):
         if total_crashes >= state.write_quorum:
             continue
-        puts, _gets = _kv_records(state)
+        # The payload's stores are the replica maps of the nodes now up.
+        payload = state.observations.payload()
         targets: dict[int, int] = {}
-        for record in puts:
-            if record[4] > targets.get(record[3], -1):
+        for record in payload["records"]:
+            if record[2] == 0 and record[4] > targets.get(record[3], -1):
                 targets[record[3]] = record[4]
-        live_stores = []
-        for node, store in zip(state.nodes, state.stores):
-            if node.alive and node.initialized:
-                store._check_epoch()
-                live_stores.append(store.store)
         lost = [(key, version) for key, version in sorted(targets.items())
-                if not any(s.get(key, -1) >= version for s in live_stores)]
+                if not any(store.get(key, -1) >= version
+                           for store in payload["stores"])]
         if lost:
             violations.append(InvariantViolation(
                 "kv_write_durability",
@@ -321,108 +321,20 @@ def kv_write_durability(result: ScenarioResult) -> list[InvariantViolation]:
     return violations
 
 
-# --------------------------------------------------------- live deployments
-#
-# A live run has no Experiment to introspect — its nodes lived in other OS
-# processes — so the live invariants are phrased over what crosses the
-# results queue: the per-node reports and the aggregated metrics of a
-# :class:`~repro.live.cluster.LiveClusterResult`.  They are the subset of
-# the simulator's properties that survive that projection, which is exactly
-# what the differential harness needs: the *same* properties, checked on
-# both sides of a sim-vs-live comparison.
-
-def live_no_duplicate_delivery(outcome) -> list[InvariantViolation]:
-    """No live receiver ever saw the same workload seqno twice."""
-    violations = []
-    for report in outcome.per_node:
-        duplicates = report["workload"]["duplicates"]
-        if duplicates:
-            violations.append(InvariantViolation(
-                "live_no_duplicate_delivery",
-                f"node {report['address']} saw {duplicates} "
-                f"duplicate (receiver, seqno) deliveries"))
-    return violations
-
-
-def live_no_callback_errors(outcome) -> list[InvariantViolation]:
-    """No LiveDriver swallowed a transition/timer exception."""
-    violations = []
-    for report in outcome.per_node:
-        count = report.get("callback_error_count", 0)
-        if count:
-            first = (report.get("callback_errors") or ["?"])[0]
-            violations.append(InvariantViolation(
-                "live_no_callback_errors",
-                f"node {report['address']} recorded {count} callback "
-                f"exception(s), first: {first}"))
-    return violations
-
-
-def live_epoch_tracks_incarnation(outcome) -> list[InvariantViolation]:
-    """A node's transport epoch equals its supervisor incarnation.
-
-    The live analogue of :func:`epoch_monotonicity`: every respawn must
-    re-key the transport demux, or a peer's stale retransmission state can
-    poison the reborn node.
-    """
-    violations = []
-    for report in outcome.per_node:
-        if report.get("down") or "epoch" not in report:
-            continue
-        if report["epoch"] != report.get("incarnation", 0):
-            violations.append(InvariantViolation(
-                "live_epoch_tracks_incarnation",
-                f"node {report['address']}: transport epoch "
-                f"{report['epoch']} != incarnation "
-                f"{report.get('incarnation', 0)}"))
-    return violations
-
-
-def live_no_decode_errors(outcome) -> list[InvariantViolation]:
-    """Both ends speak our codec: no frame ever failed to decode."""
-    violations = []
-    for report in outcome.per_node:
-        errors = report.get("socket", {}).get("decode_errors", 0)
-        if errors:
-            violations.append(InvariantViolation(
-                "live_no_decode_errors",
-                f"node {report['address']} failed to decode {errors} "
-                f"frame(s) — codec mismatch or corruption on localhost"))
-    return violations
-
-
-def live_kv_no_phantom_reads(outcome) -> list[InvariantViolation]:
-    """No live quorum read returned a version nobody wrote (KV runs only)."""
-    count = outcome.metrics.get("workload.phantom_reads", 0.0)
-    if count:
-        return [InvariantViolation(
-            "live_kv_no_phantom_reads",
-            f"{count:.0f} quorum reads returned a (key, version) no client "
-            f"ever wrote")]
-    return []
-
-
-#: The live invariants check_live_invariants runs, in report order.
-LIVE_INVARIANTS: tuple[str, ...] = (
-    "live_no_duplicate_delivery", "live_no_callback_errors",
-    "live_epoch_tracks_incarnation", "live_no_decode_errors",
-    "live_kv_no_phantom_reads")
-
-
-def check_live_invariants(outcome) -> list[InvariantViolation]:
-    """Run every live invariant against a LiveClusterResult."""
-    violations = []
-    violations.extend(live_no_duplicate_delivery(outcome))
-    violations.extend(live_no_callback_errors(outcome))
-    violations.extend(live_epoch_tracks_incarnation(outcome))
-    violations.extend(live_no_decode_errors(outcome))
-    violations.extend(live_kv_no_phantom_reads(outcome))
-    return violations
+def no_decode_errors(result: ScenarioResult) -> list[InvariantViolation]:
+    """Both ends speak our codec: no live node failed to decode a frame."""
+    return [InvariantViolation(
+        "no_decode_errors",
+        f"node {report['address']} failed to decode {errors} frame(s) — "
+        f"codec mismatch or corruption on localhost")
+        for report in result.per_node or ()
+        if (errors := report["socket"]["decode_errors"])]
 
 
 #: The invariants check_invariants runs, in report order.
 INVARIANTS: tuple[str, ...] = ("no_duplicate_delivery", "no_lost_acks",
-                               "epoch_monotonicity", "ring_eventually_correct",
+                               "epoch_monotonicity", "no_decode_errors",
+                               "ring_eventually_correct",
                                "no_drop_on_idle_link", "kv_no_phantom_reads",
                                "kv_read_your_quorum_writes",
                                "kv_write_durability")
@@ -432,11 +344,13 @@ def check_invariants(result: ScenarioResult, *,
                      ring_threshold: float = 0.95,
                      ring_settle: float = 40.0,
                      include_ring: bool = True) -> list[InvariantViolation]:
-    """Run every invariant against *result*; return all violations found."""
+    """Run every invariant against *result*, simulated or live; return all
+    violations found."""
     violations = []
     violations.extend(no_duplicate_delivery(result))
     violations.extend(no_lost_acks(result))
     violations.extend(epoch_monotonicity(result))
+    violations.extend(no_decode_errors(result))
     if include_ring:
         violations.extend(ring_eventually_correct(
             result, threshold=ring_threshold, settle=ring_settle))

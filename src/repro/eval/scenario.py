@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Optional, Sequence, Type, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Type, Union
 
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
@@ -84,8 +84,8 @@ class CompiledModel:
     ``score`` is a pure function from the payloads of every process that ran
     the scenario (one in the simulator, N in a live cluster) to the metrics
     dict.  A model whose metrics are fixed at compile time passes them as a
-    constant dict instead of a callable and takes the default scorer, under
-    which every process must report that same dict.
+    constant dict instead of a callable and takes the default scorer: its
+    own dict, which any process that reports the model must report too.
     """
 
     def __init__(self, label: str, events: Sequence[ScenarioEvent],
@@ -107,11 +107,12 @@ class CompiledModel:
         """Metrics from the pooled payloads of every process."""
         if self._score is not None:
             return self._score(payloads)
-        if any(payload != payloads[0] for payload in payloads[1:]):
+        own = self.shard_payload()
+        if any(payload != own for payload in payloads):
             raise ScenarioError(
                 f"model {self.label!r} produced diverging per-process metrics "
                 f"and defines no scorer to pool them")
-        return payloads[0]
+        return own
 
     def metrics(self) -> dict[str, float]:
         """Model-specific metrics of this process alone, after the run."""
@@ -121,6 +122,38 @@ class CompiledModel:
         """Undo any handler instrumentation the model installed."""
         if self._restore is not None:
             self._restore()
+
+
+def metric_labels(labels: Iterable[str]) -> list[str]:
+    """The prefix each model's metrics go under (``<label>.<metric>``): its
+    label, with its count appended from the second use on (``workload``,
+    ``workload2``)."""
+    seen: dict[str, int] = {}
+    unique = []
+    for label in labels:
+        seen[label] = count = seen.get(label, 0) + 1
+        unique.append(label if count == 1 else f"{label}{count}")
+    return unique
+
+
+def score_models(compiled_models: Sequence[CompiledModel],
+                 reports: Sequence[dict]) -> dict[str, float]:
+    """Every model's metrics as ``<label>.<metric>``, in apply order: the
+    one scorer of a run, whichever driver ran it.
+
+    *reports* are the run's per-process reports — one from the simulator,
+    one per node process live — each mapping a model's label to that
+    process's payload under ``"models"``.  A model no report carries (a
+    fault model, whose draw fixes its metrics) scores on its own payload.
+    """
+    metrics: dict[str, float] = {}
+    labels = metric_labels(compiled.label for compiled in compiled_models)
+    for label, compiled in zip(labels, compiled_models):
+        payloads = [report["models"][label] for report in reports
+                    if label in report["models"]]
+        for key, value in compiled.score(payloads).items():
+            metrics[f"{label}.{key}"] = value
+    return metrics
 
 
 # --------------------------------------------------------------------- models
@@ -248,11 +281,16 @@ class GroupModel(ScenarioModel):
         events = [ScenarioEvent(row.at, "group", row.detail,
                                 partial(_run, row), node=row.node)
                   for row in rows]
-        # Each member's join fires in the process that owns it, so the
-        # per-process counts pool by summing; ``members`` is compile-time.
         return CompiledModel(
             self.label or self.default_label(), events, payload=lambda: joined,
-            score=lambda counts: dict(metrics, joined=float(sum(counts))))
+            score=partial(self.score, metrics))
+
+    @staticmethod
+    def score(metrics: dict, counts: list) -> dict[str, float]:
+        """The drawn *metrics* plus ``joined``.  Each member's join fires in
+        the process that owns it, so the per-process counts pool by
+        summing."""
+        return dict(metrics, joined=float(sum(counts)))
 
 
 # The fault and workload planes import the base classes above: load here.
@@ -289,7 +327,7 @@ class SampleSeries:
 # --------------------------------------------------------------------- result
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced."""
+    """Everything one scenario run produced, in simulation or live."""
 
     name: str
     seed: int
@@ -297,13 +335,17 @@ class ScenarioResult:
     metrics: dict[str, float]
     series: dict[str, list[tuple[float, float]]]
     events: list[tuple[float, str, str]]
-    #: The live experiment, for ad-hoc inspection (not used in aggregation).
+    #: The simulated experiment, for ad-hoc inspection (not used in
+    #: aggregation); ``None`` for a live run.
     experiment: Any = None
     #: The ``repro.obs/1`` snapshot when the spec opted into observability
     #: (``ScenarioSpec.obs``); ``None`` otherwise.  Kept separate from
     #: ``metrics``, whose key set and values are pinned byte-identical for
     #: the obs-disabled path.
     obs: Optional[dict] = None
+    #: A live run's node process reports, in index order
+    #: (:mod:`repro.live.node`); ``None`` for a simulated run.
+    per_node: Optional[list] = None
 
 
 AgentClasses = Union[Sequence[Type[Agent]], Callable[[], Sequence[Type[Agent]]]]
@@ -409,10 +451,32 @@ class ScenarioSpec:
         for compiled in reversed(experiment.compiled_models):
             compiled.restore()
 
+        # The whole run is one process, so it files one report.
+        compiled_models = experiment.compiled_models
+        labels = metric_labels(compiled.label for compiled in compiled_models)
+        stats = emulator.stats
+        report = {
+            "models": {label: compiled.shard_payload() for label, compiled
+                       in zip(labels, compiled_models)},
+            "events_processed": simulator.events_processed,
+            "net": {"packets_sent": stats.packets_sent,
+                    "packets_delivered": stats.packets_delivered,
+                    "packets_dropped": stats.packets_dropped,
+                    "bytes_delivered": stats.bytes_delivered},
+            "trace": {"records": sum(tracer.counts.values()),
+                      "dropped": tracer.dropped},
+        }
+        nodes = experiment.nodes
+
         obs_snapshot = None
         if obs_registry is not None:
-            from ..obs import artifact, fill_sim, write_obs_snapshot
-            fill_sim(obs_registry, experiment, causal=obs_causal)
+            from ..obs import artifact, fill, write_obs_snapshot
+            fill(obs_registry, [report],
+                 [label for label, compiled in zip(labels, compiled_models)
+                  if hasattr(compiled, "observations")],
+                 nodes_total=len(nodes),
+                 nodes_alive=sum(node.alive for node in nodes),
+                 causal=obs_causal)
             if tracer.sink is not None:
                 tracer.sink.close()
             obs_snapshot = artifact(obs_registry, mode="sim", name=self.name,
@@ -420,23 +484,10 @@ class ScenarioSpec:
             if self.obs.snapshot_path:
                 write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
 
-        metrics: dict[str, float] = {}
-        labels: dict[str, int] = {}
-        for compiled in experiment.compiled_models:
-            label = compiled.label
-            labels[label] = labels.get(label, 0) + 1
-            if labels[label] > 1:
-                label = f"{label}{labels[label]}"
-            for key, value in compiled.metrics().items():
-                metrics[f"{label}.{key}"] = value
-
-        stats = emulator.stats
-        nodes = experiment.nodes
+        metrics = score_models(compiled_models, [report])
+        metrics.update({f"net.{key}": float(value)
+                        for key, value in report["net"].items()})
         metrics.update({
-            "net.packets_sent": float(stats.packets_sent),
-            "net.packets_delivered": float(stats.packets_delivered),
-            "net.packets_dropped": float(stats.packets_dropped),
-            "net.bytes_delivered": float(stats.bytes_delivered),
             "sim.events_processed": float(simulator.events_processed),
             "nodes.alive": float(sum(node.alive for node in nodes)),
             "nodes.crashes": float(sum(node.crash_count for node in nodes)),
@@ -445,7 +496,7 @@ class ScenarioSpec:
         })
 
         events = [(event.time, event.kind, event.detail)
-                  for compiled in experiment.compiled_models
+                  for compiled in compiled_models
                   for event in compiled.events]
         events.sort(key=lambda item: item[0])
         return ScenarioResult(name=self.name, seed=self.seed,

@@ -78,9 +78,7 @@ class WorkloadObservations:
         self.skipped = 0          # ops whose node was down at issue time
         self.deliveries = 0       # first deliveries / completed ops
         self.duplicates = 0       # same (receiver, seqno) seen twice
-        self.latencies: list[float] = []
         self.per_receiver: dict[int, list[float]] = {}
-        self.delivered_seqnos: set[int] = set()
         self._seen: set[tuple[int, int]] = set()
         #: The unit the scorer pools.  Probes and publications:
         #: ``(receiver, seqno, latency)`` per first delivery — receivers are
@@ -108,34 +106,23 @@ class WorkloadObservations:
         self._seen.add(key)
         latency = now - payload.sent_at
         self.per_receiver.setdefault(receiver, []).append(latency)
-        self._first(payload.seqno, latency, (receiver, payload.seqno, latency))
+        self._first((receiver, payload.seqno, latency))
 
     def note(self, receiver: int, delivery) -> None:
         """A publication reached subscriber *receiver*.  The app already
         dedups, so nothing enters ``_seen``: a second set of every
         (receiver, seqno) pair is measurable resident memory."""
-        self._first(delivery.seqno, delivery.latency,
-                    (receiver, delivery.seqno, delivery.latency))
+        self._first((receiver, delivery.seqno, delivery.latency))
 
     def complete(self, client: int, record) -> None:
         """A kv op issued by *client* reached its quorum."""
-        self._first(record.seqno, record.completed_at - record.issued_at,
-                    (record.seqno, client, 0 if record.kind == "put" else 1,
+        self._first((record.seqno, client, 0 if record.kind == "put" else 1,
                      record.key, record.version, record.issued_at,
                      record.completed_at, record.acks))
 
-    def _first(self, seqno: int, latency: float, row: tuple) -> None:
+    def _first(self, row: tuple) -> None:
         self.deliveries += 1
-        self.delivered_seqnos.add(seqno)
-        self.latencies.append(latency)
         self.records.append(row)
-
-    @property
-    def success_ratio(self) -> float:
-        """Distinct ops delivered anywhere, over ops actually sent."""
-        if not self.sent_records:
-            return 0.0
-        return len(self.delivered_seqnos) / len(self.sent_records)
 
     def payload(self) -> dict:
         """This process's raw observations, as shipped to the scorer, with
@@ -273,13 +260,10 @@ class KvWorkloadState:
     """
 
     observations: WorkloadObservations
-    issued_writes: set          # every (key, version) any client issued
     stores: list                # per-node KvStore instances (index order)
-    nodes: list                 # the experiment's nodes (index order)
     replicas: int
     write_quorum: int
     read_quorum: int
-    repair_gap: float
     start: float
 
 
@@ -537,25 +521,30 @@ class WorkloadModel(ScenarioModel):
         return metrics
 
     # ----------------------------------------------------------- simulation
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        nodes = experiment.nodes
-        simulator = experiment.simulator
-        # Drawn (and so validated) before anything is claimed or installed.
-        plan = self.draw(len(nodes), nodes[0].lowest_agent.key_space.size,
-                         rng, horizon)
-        used_streams = experiment.workload_streams
+    def claim_stream(self, used: set) -> int:
+        """Claim this workload's stream id in *used*, the ids the run's
+        other workloads hold: ``stream_id``, or the first free one from
+        :attr:`AUTO_STREAM_BASE`."""
         if self.stream_id:
-            if self.stream_id in used_streams:
+            if self.stream_id in used:
                 raise ScenarioError(
                     f"workload stream_id {self.stream_id} used twice; each "
                     f"concurrent workload needs its own stream")
             stream_id = self.stream_id
         else:
             stream_id = self.AUTO_STREAM_BASE
-            while stream_id in used_streams:
+            while stream_id in used:
                 stream_id += 1
-        used_streams.add(stream_id)
+        used.add(stream_id)
+        return stream_id
 
+    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
+        nodes = experiment.nodes
+        simulator = experiment.simulator
+        # Drawn (and so validated) before anything is claimed or installed.
+        plan = self.draw(len(nodes), nodes[0].lowest_agent.key_space.size,
+                         rng, horizon)
+        stream_id = self.claim_stream(experiment.workload_streams)
         observations = WorkloadObservations()
 
         def clock() -> float:
@@ -583,9 +572,8 @@ class WorkloadModel(ScenarioModel):
         compiled.observations = observations  # type: ignore[attr-defined]
         if self.kind == "kv":
             compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
-                observations=observations, issued_writes=plan.issued_writes,
-                stores=[share.app for share in shares], nodes=list(nodes),
+                observations=observations,
+                stores=[share.app for share in shares],
                 replicas=self.replicas, write_quorum=self.write_quorum,
-                read_quorum=self.read_quorum, repair_gap=self.repair_gap,
-                start=self.start)
+                read_quorum=self.read_quorum, start=self.start)
         return compiled

@@ -45,7 +45,9 @@ def run(spec, *, seeds: Union[int, Sequence[int]] = 1, jobs: int = 1,
         :class:`~repro.eval.runner.ScenarioSummary`.
     :param jobs: parallel worker processes across seeds (multi-seed only).
     :param mode: ``"sim"`` (default) or ``"live"`` — real processes over
-        UDP sockets, returning a :class:`~repro.live.LiveClusterResult`.
+        UDP sockets, returning the same
+        :class:`~repro.eval.scenario.ScenarioResult`, scored by the same
+        code, with the node process reports on ``per_node``.
     :param obs: an :class:`~repro.obs.ObsConfig` to attach observability
         (metrics snapshot, trace export, causal tracing) to this run in
         any mode; equivalent to setting ``spec.obs``.  Single-run only:

@@ -14,10 +14,11 @@ package is the live half of the reproduction:
 * :class:`~repro.live.cluster.LiveCluster` — a
   :class:`~repro.eval.scenario.ScenarioSpec` on a wall clock: the
   coordinator draws the spec's schedule as the simulator does, runs its
-  fault rows by verb and scores the pooled observations with the workload
-  model's own scorer;
+  fault rows by verb and scores every model with the simulator's own scorer
+  into a :class:`~repro.eval.scenario.ScenarioResult`;
 * :mod:`~repro.live.node` — one node process: the same draw, its own node's
-  joins, group rows and :class:`~repro.eval.workload.NodeWorkload` ops;
+  joins, group rows and :class:`~repro.eval.workload.NodeWorkload` ops, and
+  one payload home per observing model;
 * :mod:`~repro.live.faults` — what the fault plane adds on a wall clock:
   the degrade-to-socket translation, the post-fault horizon, and the
   live-runnable verdict.
@@ -25,7 +26,7 @@ package is the live half of the reproduction:
 See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 """
 
-from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError, LiveClusterResult
+from .cluster import LiveCluster, LiveClusterConfig, LiveClusterError
 from .driver import LiveDriver
 from .faults import LiveFaultError, fault_horizon, live_runnable
 
@@ -33,7 +34,6 @@ __all__ = [
     "LiveCluster",
     "LiveClusterConfig",
     "LiveClusterError",
-    "LiveClusterResult",
     "LiveDriver",
     "LiveFaultError",
     "fault_horizon",

@@ -11,10 +11,11 @@ simulator draws it (:meth:`LiveClusterConfig.draw`) and carries out its own
 share, ``time_scale`` wall seconds to the simulated second: a node process
 its node's joins, group rows and workload ops; the coordinator the fault
 rows, by verb, as :class:`~repro.eval.experiment.OverlayExperiment` runs
-them.  The coordinator scores the pooled observation payloads with the
-workload model's own :meth:`~repro.eval.workload.WorkloadModel.score`, so
-simulated and live runs of one specification are read off one ruler — the
-paper's Figure-1 promise.
+them.  Every node process ships one payload per observing model, and the
+coordinator scores the pooled payloads with the simulator's own
+:func:`~repro.eval.scenario.score_models` into the simulator's
+:class:`~repro.eval.scenario.ScenarioResult`, so simulated and live runs of
+one specification are read off one ruler — the paper's Figure-1 promise.
 
 Coordination is deliberately minimal: endpoints are a static address→port
 map computed up front, a process barrier aligns the zero of every node's
@@ -42,16 +43,19 @@ import signal
 import socket as socket_module
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
+from functools import partial
 from queue import Empty
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..eval.faults import FAULT_VERBS
 from ..eval.library import PROTOCOLS, RegistryStack
 from ..eval.metrics import correct_successor_fraction
-from ..eval.scenario import (ScenarioError, ScenarioResult, ScenarioSpec,
-                             check_event_time)
-from ..eval.workload import WorkloadModel, WorkloadObservations, WorkloadPlan
+from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioModel,
+                             ScenarioResult, ScenarioSpec, check_event_time,
+                             metric_labels, score_models)
+from ..eval.workload import WorkloadModel, WorkloadPlan
 from ..transport.udp import SocketUdpNetwork
 from .faults import (DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS,
                      LiveFaultError, fault_horizon)
@@ -78,6 +82,18 @@ _AWAITED = ("crash_node", "recover_node", "_respawn")
 
 class LiveClusterError(RuntimeError):
     """Raised when a live deployment fails to boot, run, or report."""
+
+
+class Drawn(NamedTuple):
+    """One model's draw on the wall clock, under its metric label: a
+    workload's ``plan``, or another model's ``rows`` and the ``metrics``
+    its draw fixes."""
+
+    label: str
+    model: ScenarioModel
+    plan: Optional[WorkloadPlan]
+    rows: list
+    metrics: dict
 
 
 @dataclass(frozen=True)
@@ -130,24 +146,6 @@ class LiveClusterConfig:
 
     # ------------------------------------------------------------- schedule
     @property
-    def nodes(self) -> int:
-        return self.spec.num_nodes
-
-    @property
-    def protocol(self) -> str:
-        return self.spec.agents.name
-
-    @property
-    def seed(self) -> int:
-        return self.spec.seed
-
-    @property
-    def workload(self) -> WorkloadModel:
-        """The measurement traffic: the spec's first WorkloadModel."""
-        return next(model for model in self.spec.models
-                    if isinstance(model, WorkloadModel))
-
-    @property
     def scale(self) -> float:
         if self.time_scale is not None:
             return self.time_scale
@@ -164,18 +162,17 @@ class LiveClusterConfig:
 
     def endpoints(self) -> dict[int, tuple[str, int]]:
         return {FIRST_ADDRESS + index: (self.host, self.base_port + index)
-                for index in range(self.nodes)}
+                for index in range(self.spec.num_nodes)}
 
-    def draw(self) -> tuple[WorkloadPlan, list]:
-        """The spec's schedule on the wall clock.
+    def draw(self) -> list[Drawn]:
+        """The spec's schedule on the wall clock, one :class:`Drawn` per
+        model.
 
         Every model's own ``draw``, in spec order, from the stream the
         simulator's ``experiment.scenario_rng`` is (``fork_rng("scenario")``
         of the spec's seed) and without an underlay — so each process, and
         the coordinator, holds the simulator's own schedule without
-        exchanging a byte, every offset times :attr:`scale`.  Returns the
-        first workload's plan (a later workload is drawn, to keep the
-        stream aligned, but not run) and the other models' rows.  A spec the
+        exchanging a byte, every offset times :attr:`scale`.  A spec the
         simulator rejects raises its :class:`ScenarioError`, in its words; a
         row no live process can run raises
         :class:`~repro.live.faults.LiveFaultError`.
@@ -183,16 +180,22 @@ class LiveClusterConfig:
         spec, scale = self.spec, self.scale
         key_space = spec.resolve_agents()[0].KEY_SPACE.size
         rng = random.Random(f"{spec.seed}:scenario")
-        plans, rows = [], []
-        for model in spec.models:
+        drawn = []
+        for label, model in zip(
+                metric_labels(model.label or model.default_label()
+                              for model in spec.models), spec.models):
             if isinstance(model, WorkloadModel):
                 plan = model.draw(spec.num_nodes, key_space, rng,
                                   spec.duration)
                 for op in plan.ops:
                     check_event_time(model.kind, op.time)
-                plans.append(plan)
+                plan.ops = [op._replace(time=op.time * scale)
+                            for op in plan.ops]
+                plan.window *= scale
+                drawn.append(Drawn(label, model, plan, [], {}))
                 continue
-            for row in model.draw(spec.num_nodes, rng, spec.duration)[0]:
+            rows, metrics = model.draw(spec.num_nodes, rng, spec.duration)
+            for row in rows:
                 if row.verb not in NODE_VERBS and not (
                         row.verb in FAULT_VERBS
                         and hasattr(LiveCluster, row.verb)):
@@ -203,25 +206,11 @@ class LiveClusterConfig:
                 check_event_time(kinds[0], row.at)
                 if row.until is not None:
                     check_event_time(kinds[2], row.until)
-                rows.append(row._replace(
-                    at=row.at * scale,
-                    until=None if row.until is None else row.until * scale))
-        plan = plans[0]
-        plan.ops = [op._replace(time=op.time * scale) for op in plan.ops]
-        plan.window *= scale
-        return plan, rows
-
-
-@dataclass
-class LiveClusterResult:
-    """Aggregate result plus the raw per-process reports."""
-
-    result: ScenarioResult
-    per_node: list[dict] = field(default_factory=list)
-
-    @property
-    def metrics(self) -> dict[str, float]:
-        return self.result.metrics
+            drawn.append(Drawn(label, model, None, [row._replace(
+                at=row.at * scale,
+                until=None if row.until is None else row.until * scale)
+                for row in rows], metrics))
+        return drawn
 
 
 # -------------------------------------------------------------- coordinator
@@ -242,7 +231,7 @@ class LiveCluster:
             index: {"incarnation": 0, "restarts": 0, "killed": 0,
                     "killed_at": None, "down": False,
                     "pending_respawn": False, "proc": None}
-            for index in range(config.nodes)
+            for index in range(config.spec.num_nodes)
         }
         #: Timed coordinator actions: ``(at, seq, callable, args)``.
         self._actions: list = []
@@ -257,13 +246,6 @@ class LiveCluster:
         self._standing: dict = {}
         self._processes: list = []
 
-    def _context(self):
-        method = self.config.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        return multiprocessing.get_context(method)
-
     # ------------------------------------------------------------ fault verbs
     def crash_node(self, index: int) -> None:
         """SIGKILL node *index*; it counts as down until recovered.
@@ -273,10 +255,8 @@ class LiveCluster:
             return
         process = node["proc"]
         if process is not None and process.is_alive():
-            try:
+            with suppress(ProcessLookupError):   # exit race
                 os.kill(process.pid, signal.SIGKILL)
-            except ProcessLookupError:   # pragma: no cover - exit race
-                pass
             process.join(5.0)
         node.update(down=True, killed=node["killed"] + 1, killed_at=self._now)
 
@@ -357,10 +337,8 @@ class LiveCluster:
         endpoints = self.config.endpoints()
         for address in addresses if addresses is not None else endpoints:
             for _ in range(2):   # UDP: fire twice, ops are idempotent
-                try:
+                with suppress(OSError):   # endpoint gone
                     self._control_socket.sendto(frame, endpoints[address])
-                except OSError:   # pragma: no cover - endpoint gone
-                    pass
 
     def _spawn(self, index: int) -> None:
         incarnation = self._state[index]["incarnation"]
@@ -396,20 +374,22 @@ class LiveCluster:
             self._send_control(op, [FIRST_ADDRESS + index])
 
     # ------------------------------------------------------------------- run
-    def run(self) -> LiveClusterResult:
+    def run(self) -> ScenarioResult:
         config = self.config
+        nodes = config.spec.num_nodes
         # Drawn before any process starts: compiling the stack validates the
         # protocol (and fork children inherit the warm registry), and a spec
         # the simulator would refuse is refused here.
-        plan, rows = config.draw()
-        self._schedule(rows)
+        drawn = config.draw()
+        self._schedule([row for model in drawn for row in model.rows])
 
-        self._ctx = self._context()
-        supervise = bool(self._faults)
+        self._ctx = multiprocessing.get_context(config.start_method or (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"))
         # The coordinator is the (nodes+1)-th barrier party, so it learns
         # "everyone booted" (and the cluster clock zero) without a report.
-        self._barrier = self._ctx.Barrier(config.nodes + 1)
-        self._ready = self._ctx.Array("b", config.nodes)
+        self._barrier = self._ctx.Barrier(nodes + 1)
+        self._ready = self._ctx.Array("b", nodes)
         self._results = results_queue = self._ctx.Queue()
         self._control_socket = socket_module.socket(socket_module.AF_INET,
                                                     socket_module.SOCK_DGRAM)
@@ -417,7 +397,7 @@ class LiveCluster:
         reports: dict[int, dict] = {}
 
         try:
-            for index in range(config.nodes):
+            for index in range(nodes):
                 self._spawn(index)
             try:
                 self._barrier.wait(config.startup_timeout)
@@ -433,8 +413,7 @@ class LiveCluster:
                     self._now, _, action, args = heapq.heappop(actions)
                     action(*args)
 
-                expected = [i for i in range(config.nodes)
-                            if not state[i]["down"]]
+                expected = [i for i in range(nodes) if not state[i]["down"]]
                 if (all(i in reports for i in expected)
                         and not any(action.__name__ in _AWAITED
                                     for _, _, action, _ in actions)):
@@ -448,20 +427,15 @@ class LiveCluster:
                         f"live cluster timed out waiting for node reports "
                         f"(missing indices: {missing})")
 
-                # 2. drain the results queue (bounded by the next action)
+                # 2. take a report (waiting no longer than the next action)
                 next_action_in = actions[0][0] - now if actions else 2.0
                 timeout = max(0.05, min(remaining, next_action_in, 0.5))
-                drained = False
                 try:
                     index, report = results_queue.get(timeout=timeout)
-                    reports[index] = report
-                    drained = True
-                    while True:
-                        index, report = results_queue.get_nowait()
-                        reports[index] = report
                 except Empty:
                     pass
-                if drained:
+                else:
+                    reports[index] = report
                     continue
 
                 # 3. supervise: a worker that died without reporting either
@@ -472,7 +446,7 @@ class LiveCluster:
                     if (index in reports or node_state["pending_respawn"]
                             or node_state["proc"].is_alive()):
                         continue
-                    if not supervise:
+                    if not self._faults:
                         raise LiveClusterError(
                             f"live node process died without reporting "
                             f"(index {index}, exit code "
@@ -491,93 +465,75 @@ class LiveCluster:
             # finally kill — a coordinator exit must leave no node behind.
             for process in self._processes:
                 process.join(timeout=10.0)
-            for process in self._processes:
-                if process.is_alive():   # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=5.0)
-            for process in self._processes:
-                if process.is_alive():   # pragma: no cover - unkillable
-                    process.kill()
-                    process.join(timeout=5.0)
-
-        failures = {index: report for index, report in reports.items()
-                    if "error" in report}
-        if failures:
-            detail = "; ".join(
-                f"node {report['address']}: {report['error']}"
-                for _, report in sorted(failures.items()))
-            tb = next(iter(failures.values())).get("traceback", "")
-            raise LiveClusterError(
-                f"{len(failures)}/{config.nodes} live nodes failed — "
-                f"{detail}\nfirst traceback:\n{tb}")
+                for stop in (process.terminate, process.kill):
+                    if process.is_alive():   # pragma: no cover - stuck
+                        stop()
+                        process.join(timeout=5.0)
 
         per_node = [reports.get(index) or self._down_report(index, state[index])
-                    for index in range(config.nodes)]
-        supervisor = {
-            "killed": sum(s["killed"] for s in state.values()),
-            "respawns": sum(s["restarts"] for s in state.values()),
-            "down": sum(1 for s in state.values() if s["down"]),
-        }
-        outcome = self._aggregate(per_node, plan, supervisor)
+                    for index in range(nodes)]
+        self._verdict(per_node)
+        return self._aggregate(drawn, per_node)
 
-        # A live run that "passed" while a node's LiveDriver swallowed
-        # transition errors is a lie: raise (→ non-zero exit).
-        noisy = [(report["address"], report["callback_error_count"],
-                  report["callback_errors"])
-                 for report in per_node
+    def _verdict(self, per_node: list[dict]) -> None:
+        """Fail the run on any node that failed, or that "passed" while its
+        LiveDriver swallowed transition errors (→ non-zero exit)."""
+        failures = [report for report in per_node if "error" in report]
+        if failures:
+            detail = "; ".join(f"node {report['address']}: {report['error']}"
+                               for report in failures)
+            raise LiveClusterError(
+                f"{len(failures)}/{len(per_node)} live nodes failed — "
+                f"{detail}\nfirst traceback:\n"
+                f"{failures[0].get('traceback', '')}")
+        noisy = [report for report in per_node
                  if report.get("callback_error_count")]
         if noisy:
             detail = "; ".join(
-                f"node {address}: {count} error(s), first {errors[0]}"
-                for address, count, errors in noisy)
+                f"node {report['address']}: {report['callback_error_count']} "
+                f"error(s), first {report['callback_errors'][0]}"
+                for report in noisy)
             raise LiveClusterError(
                 f"live drivers recorded callback exceptions on "
                 f"{len(noisy)} node(s) — {detail}")
-        return outcome
 
     # ------------------------------------------------------------- helpers
     def _startup_failure(self, reports: dict) -> LiveClusterError:
-        """Name the node(s) that broke the start barrier."""
-        # A worker that merely observed the broken barrier is a casualty,
-        # not the cause; only errors raised *before* the barrier (port bind,
-        # import failure) explain the breakage.  The causing report may
-        # still be in flight through the queue feeder when the barrier
-        # breaks, so poll briefly before settling for the stuck diagnostic.
-        booted_errors: dict[int, dict] = {}
+        """Name the node(s) that broke the start barrier: the ones whose
+        boot failed (port bind, import), else the ones still short of it."""
+        # Before the barrier drops every report is a failure; a worker that
+        # merely observed the broken barrier is a casualty, not the cause.
+        # The causing report may still be in flight through the queue feeder
+        # when the barrier breaks, so poll briefly before settling for the
+        # stuck diagnostic.
         deadline = time.time() + 2.0
         while True:
-            try:
+            with suppress(Empty):
                 while True:
                     index, report = self._results.get_nowait()
                     reports[index] = report
-            except Empty:
-                pass
-            booted_errors = {
-                index: report for index, report in reports.items()
-                if "error" in report
-                and "barrier broke" not in report["error"]}
-            if booted_errors or time.time() >= deadline:
+            causes = [report for _, report in sorted(reports.items())
+                      if "barrier broke" not in report["error"]]
+            if causes or time.time() >= deadline:
                 break
             time.sleep(0.05)
-        if booted_errors:
-            detail = "; ".join(
-                f"node {report['address']}: {report['error']}"
-                for _, report in sorted(booted_errors.items()))
+        if causes:
             return LiveClusterError(
-                f"live cluster failed to start — {detail}")
-        stuck = [index for index in range(self.config.nodes)
+                "live cluster failed to start — " + "; ".join(
+                    f"node {report['address']}: {report['error']}"
+                    for report in causes))
+        stuck = [(index, self._state[index]["proc"])
+                 for index in range(self.config.spec.num_nodes)
                  if not self._ready[index]]
-        parts = []
-        for index in stuck:
-            process = self._state[index]["proc"]
-            status = ("alive" if process.is_alive()
-                      else f"exit code {process.exitcode}")
-            parts.append(f"node {FIRST_ADDRESS + index} "
-                         f"(pid {process.pid}, {status})")
+        parts = ", ".join(
+            f"node {FIRST_ADDRESS + index} (pid {process.pid}, "
+            + ("alive" if process.is_alive()
+               else f"exit code {process.exitcode}") + ")"
+            for index, process in stuck)
         return LiveClusterError(
             f"cluster startup timed out after "
             f"{self.config.startup_timeout:.0f}s: {len(stuck)} node(s) "
-            f"never reached the start barrier — {', '.join(parts)}; "
+            f"never reached the start barrier — {parts}; "
             f"still importing/compiling, or stuck binding a port?")
 
     def _down_report(self, index: int, node_state: dict) -> dict:
@@ -588,37 +544,55 @@ class LiveCluster:
             "state": "down",
             "down": True,
             "incarnation": node_state["incarnation"],
-            "epoch": node_state["incarnation"],
-            "workload": WorkloadObservations().payload(),
+            "models": {},
             "events_processed": 0,
-            "callback_errors": [],
             "callback_error_count": 0,
             "transport": dict.fromkeys(TRANSPORT_TOTALS, 0),
             "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0),
         }
 
     # ------------------------------------------------------------ aggregation
-    def _aggregate(self, per_node: list[dict], plan: WorkloadPlan,
-                   supervisor: dict) -> LiveClusterResult:
-        """Pool every process's observation payload and score it with the
-        workload model's own formula — the one the simulator uses — then add
-        what only a deployment has: process, transport and socket totals,
-        and the post-fault ratio."""
-        config = self.config
-        model = config.workload
-        payloads = [report["workload"] for report in per_node]
-        metrics: dict[str, float] = {
-            f"workload.{key}": value
-            for key, value in model.score(plan, payloads).items()}
-        # Staleness needs a strictly-before clock, which the per-process
-        # store clocks do not give us; the version-space checks (phantom
-        # reads, coverage) are sound across processes and stay.
-        metrics.pop("workload.stale_reads", None)
-        # Every scheduled op nobody is known to have issued: its node was
-        # down, not yet re-joined, or died with the record of sending it.
-        metrics["workload.skipped"] = model.packets - metrics["workload.sent"]
+    def _aggregate(self, drawn: list[Drawn],
+                   per_node: list[dict]) -> ScenarioResult:
+        """Score every model with the simulator's own scorer — a workload
+        and a group model over the payloads their processes shipped, a fault
+        model on what the coordinator drew — then add what only a
+        deployment has: process, transport and socket totals, the
+        supervisor's counts, the post-fault ratio and the ring."""
+        config, spec = self.config, self.config.spec
+        compiled = []
+        for label, model, plan, _rows, fixed in drawn:
+            # A workload or group model pools its processes' payloads; a
+            # fault model scores on the metrics its draw fixed.
+            score = getattr(model, "score", None)
+            compiled.append(CompiledModel(label, (), fixed, score and partial(
+                score, fixed if plan is None else plan)))
+        metrics = score_models(compiled, per_node)
+        workloads = [model for model in drawn if model.plan is not None]
+        recovered_at = fault_horizon(self._faults) + config.post_fault_settle
+        for label, workload, *_ in workloads:
+            # Staleness needs a strictly-before clock, which the per-process
+            # store clocks do not give us; the version-space checks (phantom
+            # reads, coverage) are sound across processes and stay.
+            metrics.pop(f"{label}.stale_reads", None)
+            # Every scheduled op nobody is known to have issued: its node
+            # was down, not yet re-joined, or died with the record of
+            # sending it.
+            metrics[f"{label}.skipped"] = \
+                workload.packets - metrics[f"{label}.sent"]
+            if self._faults:
+                payloads = [report["models"][label] for report in per_node
+                            if label in report["models"]]
+                late = {seqno for payload in payloads
+                        for seqno, at in payload["sent"] if at >= recovered_at}
+                #: The ratio's sample size: a gate on the ratio alone passes
+                #: or fails on a handful of probes without saying so.
+                metrics[f"{label}.post_fault_probes"] = float(len(late))
+                if late:
+                    metrics[f"{label}.post_fault_success_ratio"] = \
+                        len(workload.delivered(payloads) & late) / len(late)
         metrics.update({
-            "nodes.count": float(config.nodes),
+            "nodes.count": float(spec.num_nodes),
             "nodes.joined": float(sum(
                 1 for report in per_node
                 if report["state"] not in ("init", "down"))),
@@ -626,56 +600,36 @@ class LiveCluster:
                 report["callback_error_count"] for report in per_node)),
             "sim.events_processed": float(sum(
                 report["events_processed"] for report in per_node)),
-            "transport.messages_sent": float(sum(
-                report["transport"]["messages_sent"] for report in per_node)),
-            "transport.retransmissions": float(sum(
-                report["transport"]["retransmissions"] for report in per_node)),
-            "socket.decode_errors": float(sum(
-                report["socket"]["decode_errors"] for report in per_node)),
-            "socket.fault_drops": float(sum(
-                report["socket"].get("fault_drops", 0)
-                for report in per_node)),
-            "socket.reassembly_timeouts": float(sum(
-                report["socket"].get("reassembly_timeouts", 0)
-                for report in per_node)),
         })
-        metrics["nodes.killed"] = float(supervisor["killed"])
-        metrics["nodes.respawns"] = float(supervisor["respawns"])
-        metrics["nodes.down"] = float(supervisor["down"])
-        if self._faults:
-            recovered_at = (fault_horizon(self._faults)
-                            + config.post_fault_settle)
-            late = {seqno for payload in payloads
-                    for seqno, at in payload["sent"] if at >= recovered_at}
-            #: The ratio's sample size: a gate on the ratio alone passes or
-            #: fails on a handful of probes without saying so.
-            metrics["workload.post_fault_probes"] = float(len(late))
-            if late:
-                metrics["workload.post_fault_success_ratio"] = \
-                    len(model.delivered(payloads) & late) / len(late)
-        alive_reports = [report for report in per_node
-                         if not report.get("down")]
-        rings = [report["ring"] for report in alive_reports
-                 if "ring" in report]
-        if len(rings) == len(alive_reports) and rings:
-            membership = [(ring["my_key"], report["address"])
-                          for ring, report in zip(rings, alive_reports)]
-            successors = {report["address"]: ring["successor"]
-                          for ring, report in zip(rings, alive_reports)}
+        for name, key in (("killed", "killed"), ("respawns", "restarts"),
+                          ("down", "down")):
+            metrics[f"nodes.{name}"] = float(sum(
+                node[key] for node in self._state.values()))
+        for key in ("messages_sent", "retransmissions"):
+            metrics[f"transport.{key}"] = float(sum(
+                report["transport"][key] for report in per_node))
+        for key in ("decode_errors", "fault_drops", "reassembly_timeouts"):
+            metrics[f"socket.{key}"] = float(sum(
+                report["socket"][key] for report in per_node))
+        alive = [report for report in per_node if not report.get("down")]
+        if alive and all("ring" in report for report in alive):
             metrics["ring.correct_successor_fraction"] = \
-                correct_successor_fraction(membership, successors)
-        name = f"live-{config.protocol}-{model.kind}"
-        obs, obs_snapshot = config.spec.obs, None
+                correct_successor_fraction(
+                    [(report["ring"]["my_key"], report["address"])
+                     for report in alive],
+                    {report["address"]: report["ring"]["successor"]
+                     for report in alive})
+        name = f"live-{spec.agents.name}-{workloads[0].model.kind}"
+        obs, obs_snapshot = spec.obs, None
         if obs is not None:
-            from ..obs import (artifact, base_registry, fill_live,
+            from ..obs import (artifact, base_registry, fill,
                                write_obs_snapshot, write_trace_file)
             registry = base_registry()
-            hop_records = fill_live(
-                registry, per_node, nodes_total=config.nodes,
-                nodes_alive=len(alive_reports))
+            hop_records = fill(
+                registry, per_node, [model.label for model in workloads],
+                nodes_total=spec.num_nodes, nodes_alive=len(alive))
             obs_snapshot = artifact(registry, mode="live", name=name,
-                                    seed=config.seed,
-                                    duration=config.duration)
+                                    seed=spec.seed, duration=config.duration)
             # Each node's samples, regrouped by instant.
             samples: dict[float, list] = {}
             for report in per_node:
@@ -688,9 +642,8 @@ class LiveCluster:
                 write_obs_snapshot(obs.snapshot_path, obs_snapshot)
             if obs.trace_path:
                 write_trace_file(obs.trace_path, hop_records,
-                                 meta={"mode": "live", "seed": config.seed})
-        result = ScenarioResult(name=name, seed=config.seed,
-                                duration=config.duration, metrics=metrics,
-                                series={}, events=[], experiment=None,
-                                obs=obs_snapshot)
-        return LiveClusterResult(result=result, per_node=per_node)
+                                 meta={"mode": "live", "seed": spec.seed})
+        return ScenarioResult(name=name, seed=spec.seed,
+                              duration=config.duration, metrics=metrics,
+                              series={}, events=[], obs=obs_snapshot,
+                              per_node=per_node)

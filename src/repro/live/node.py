@@ -7,11 +7,14 @@ zero) and draws the spec's schedule
 (:meth:`~repro.live.cluster.LiveClusterConfig.draw`), the same draw every
 other process and the coordinator hold.  It schedules its own node's share
 on its :class:`~repro.live.driver.LiveDriver`: the join and group rows naming
-its index on the :class:`~repro.runtime.node.MacedonNode`, and the workload
-ops naming its index on the one :class:`~repro.eval.workload.NodeWorkload`
-it builds — the class the simulator builds one of per node.  At the end it
-ships a report home over the results queue: its observation payload, FSM
-state, transport and socket counters and, for ring protocols, its successor.
+its index on the :class:`~repro.runtime.node.MacedonNode`, and each
+workload's ops naming its index on the
+:class:`~repro.eval.workload.NodeWorkload` it builds for it — the class the
+simulator builds one of per node.  At the end it ships a report home over
+the results queue: one payload per observing model under the model's label
+(a workload's observations, a group model's join count), its FSM state,
+transport, network and socket counters and, for ring protocols, its
+successor.
 """
 
 from __future__ import annotations
@@ -21,13 +24,9 @@ import traceback
 from functools import partial
 from typing import Any, Optional
 
+from ..eval.scenario import GroupModel
 from ..eval.workload import NodeWorkload, WorkloadObservations
 from ..transport.udp import SocketUdpNetwork
-
-#: Stream id stamped on workload probes so application traffic of the
-#: deployment under test is never miscounted (mirrors the scenario engine's
-#: auto-assigned workload streams).
-LIVE_WORKLOAD_STREAM = 7001
 
 #: Lowest overlay address; 0 is avoided because the specs treat a zero
 #: address as "unset" (``if candidate:`` guards).
@@ -79,18 +78,18 @@ async def node_main(config, index: int, barrier, *, ready=None,
 
     address = FIRST_ADDRESS + index
     bootstrap = FIRST_ADDRESS
-    if incarnation and index == 0 and config.nodes > 1:
+    if incarnation and index == 0 and config.spec.num_nodes > 1:
         # A reborn bootstrap node must re-join *someone else's* ring; its
         # usual self-bootstrap would found a fresh one-node overlay.
         bootstrap = FIRST_ADDRESS + 1
     stack = config.spec.resolve_agents()
-    plan, rows = config.draw()
+    drawn = config.draw()
     network = SocketUdpNetwork(address, config.endpoints(),
                                WireCodec.for_agents(stack))
     await network.open()
     try:
         loop = asyncio.get_running_loop()
-        driver = LiveDriver(seed=config.seed)
+        driver = LiveDriver(seed=config.spec.seed)
         if incarnation == 0:
             # Every socket must be bound before any node may send: the
             # barrier also aligns the zero of every process's driver clock.
@@ -137,13 +136,39 @@ async def node_main(config, index: int, barrier, *, ready=None,
             if hasattr(agent, "fix_period"):
                 agent.fix_period = FIX_PERIOD
 
-        # The node's share of the workload plane: the same per-node class
-        # the simulator builds N of, recording into the same observations.
-        # Probes are stamped and timed on the wall clock — two processes'
-        # driver clocks share no zero finer than the start barrier.
-        observations = WorkloadObservations()
-        share = NodeWorkload(node, config.workload, LIVE_WORKLOAD_STREAM,
-                             observations, time.time)
+        # --- this node's share of the drawn schedule, on the wall clock,
+        # and of what the models observe.  A workload's share is the same
+        # per-node class the simulator builds N of, recording into the same
+        # observations; probes are stamped and timed on the wall clock — two
+        # processes' driver clocks share no zero finer than the start
+        # barrier.  A group model counts the joins its rows ran here.
+        observed: dict[str, WorkloadObservations] = {}
+        joined: dict[str, int] = {}
+        streams: set[int] = set()
+        mine = []
+
+        def run_row(label, row) -> None:
+            if row.verb == "join_node":
+                node.macedon_init(bootstrap)
+            elif node.alive and node.initialized:   # as GroupModel's rows
+                getattr(node, row.verb)(*row.args)
+                if label in joined:
+                    joined[label] += row.verb == "macedon_join"
+
+        for label, model, plan, rows, _metrics in drawn:
+            if plan is not None:
+                observed[label] = WorkloadObservations()
+                share = NodeWorkload(node, model, model.claim_stream(streams),
+                                     observed[label], time.time)
+                mine += [(op.time, op.verb,
+                          partial(getattr(share, op.verb), *op.args))
+                         for op in plan.ops if op.node == index]
+                continue
+            if isinstance(model, GroupModel):
+                joined[label] = 0
+            mine += [(row.at, row.verb, partial(run_row, label, row))
+                     for row in rows
+                     if row.node == index and row.verb in NODE_VERBS]
 
         # Wall-clock stats every quarter of the run (at least 1 s apart),
         # shipped home in the report: nothing travels mid-run, and the
@@ -155,8 +180,9 @@ async def node_main(config, index: int, barrier, *, ready=None,
                     "address": address,
                     "events_processed": driver.events_processed,
                     "errors": driver.error_count,
-                    "sent": observations.sent,
-                    "delivered": observations.deliveries,
+                    "sent": sum(seen.sent for seen in observed.values()),
+                    "delivered": sum(seen.deliveries
+                                     for seen in observed.values()),
                     "socket": network.stats(),
                 }))
 
@@ -167,17 +193,6 @@ async def node_main(config, index: int, barrier, *, ready=None,
                     driver.schedule_at(at, sample, round(at, 3))
                 at += step
 
-        # --- this node's share of the drawn schedule, on the wall clock.
-        def run_row(row) -> None:
-            if row.verb == "join_node":
-                node.macedon_init(bootstrap)
-            elif node.alive and node.initialized:   # as GroupModel's rows
-                getattr(node, row.verb)(*row.args)
-
-        mine = [(row.at, row.verb, partial(run_row, row)) for row in rows
-                if row.node == index and row.verb in NODE_VERBS]
-        mine += [(op.time, op.verb, partial(getattr(share, op.verb), *op.args))
-                 for op in plan.ops if op.node == index]
         for at, verb, call in mine:
             if not incarnation or at > driver.now + 0.01:
                 driver.schedule_at(at, call)
@@ -191,17 +206,24 @@ async def node_main(config, index: int, barrier, *, ready=None,
         for stats in node.transport_host.stats().values():
             for key in TRANSPORT_TOTALS:
                 transport_totals[key] += getattr(stats, key)
+        socket_stats = network.stats()
         report: dict[str, Any] = {
             "address": address,
             "state": node.highest_agent.state,
             "incarnation": incarnation,
             "epoch": node.transport_host.epoch,
-            "workload": observations.payload(),
+            "models": {**joined, **{label: seen.payload()
+                                    for label, seen in observed.items()}},
             "events_processed": driver.events_processed,
             "callback_errors": [repr(exc) for exc in driver.errors][:5],
             "callback_error_count": driver.error_count,
             "transport": transport_totals,
-            "socket": network.stats(),
+            "net": {"packets_sent": socket_stats["frames_sent"],
+                    "packets_delivered": socket_stats["frames_received"],
+                    "packets_dropped": socket_stats["send_drops"]
+                    + socket_stats["fault_drops"],
+                    "bytes_delivered": socket_stats["bytes_received"]},
+            "socket": socket_stats,
         }
         if obs is not None:
             report["wallclock"] = wallclock

@@ -21,7 +21,7 @@ bit; see ``docs/OBSERVABILITY.md``.
 
 from .causal import CausalLog, LiveCausalLog
 from .config import ObsConfig, build_tracer
-from .probes import artifact, base_registry, fill_live, fill_sim
+from .probes import artifact, base_registry, fill
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (OBS_SCHEMA, TRACE_SCHEMA, TraceSink, load_obs_snapshot,
                     load_trace, reconstruct_routes, validate_obs_snapshot,
@@ -41,8 +41,7 @@ __all__ = [
     "artifact",
     "base_registry",
     "build_tracer",
-    "fill_live",
-    "fill_sim",
+    "fill",
     "load_obs_snapshot",
     "load_trace",
     "reconstruct_routes",

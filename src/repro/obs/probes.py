@@ -8,14 +8,15 @@ zero, so snapshots from different modes of the same spec always carry
 identical keys and can be diffed field-by-field (the drift harness's
 requirement).
 
-The fill helpers translate each mode's native accounting into the shared
-namespace at end of run; hot-path instruments (``causal.*``) are instead
-updated live by the probe sites themselves.
+:func:`fill` translates the per-process reports of a run, in either mode,
+into the shared namespace at end of run; the simulator's hot-path
+instruments (``causal.*``) are instead updated live by the probe sites
+themselves.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .registry import MetricsRegistry
 from .trace import OBS_SCHEMA
@@ -77,100 +78,61 @@ def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
     return snapshot
 
 
-def workload_tallies(registry: MetricsRegistry,
-                     payloads: Iterable[dict]) -> None:
-    """Fold workload observation payloads
-    (:meth:`WorkloadObservations.payload
-    <repro.eval.workload.WorkloadObservations.payload>`) into the
-    ``workload.*`` instruments — the one shape a workload's observations
-    leave any process in, in every mode.
+def fill(registry: MetricsRegistry, reports: Iterable[dict],
+         workloads: Sequence[str], *, nodes_total: int, nodes_alive: int,
+         causal: Optional[Any] = None) -> list[dict]:
+    """Fold a finished run's per-process reports into *registry* — the one
+    report of a simulated run, or every live node's.
+
+    A report counts what its process saw: ``events_processed``, ``net``
+    packets, ``trace`` records and, live, ``socket`` errors, driver
+    callback errors and ``causal`` hops; ``models`` maps each label in
+    *workloads* to that workload's observation payload
+    (:meth:`~repro.eval.workload.WorkloadObservations.payload`).  A sim
+    run's :class:`~repro.obs.causal.CausalLog` counted its hops in place and
+    is passed as *causal*.  Returns the reports' causal ``route_hop``
+    records, time-sorted, for the ``repro.trace/1`` artifact.
     """
+    counter = registry.counter
     latency = registry.histogram("workload.latency")
-    for payload in payloads:
-        records = payload["records"]
-        registry.counter("workload.sent").inc(len(payload["sent"]))
-        registry.counter("workload.delivered").inc(len(records))
-        registry.counter("workload.duplicates").inc(payload["duplicates"])
-        registry.counter("workload.skipped").inc(payload["skipped"])
-        # Delivery records end in their latency; a kv record carries
-        # (issued_at, completed_at) at [5:7] instead.
-        latency.observe_many(record[6] - record[5] if len(record) > 3
-                             else record[2] for record in records)
-
-
-def fill_sim(registry: MetricsRegistry, experiment: Any, *,
-             causal: Optional[Any] = None) -> None:
-    """Fold one finished sim run into *registry*."""
-    counter = registry.counter
-    stats = experiment.emulator.stats
-    counter("engine.events_processed").inc(
-        experiment.simulator.events_processed)
-    counter("net.packets_sent").inc(stats.packets_sent)
-    counter("net.packets_delivered").inc(stats.packets_delivered)
-    counter("net.packets_dropped").inc(stats.packets_dropped)
-    counter("net.bytes_delivered").inc(stats.bytes_delivered)
-
-    workload_tallies(registry, (
-        compiled.shard_payload() for compiled in experiment.compiled_models
-        if hasattr(compiled, "observations")))
-
-    tracer = experiment.tracer
-    counter("trace.records").inc(sum(tracer.counts.values()))
-    counter("trace.dropped").inc(tracer.dropped)
-
-    nodes = experiment.nodes
-    registry.gauge("nodes.alive").add(sum(node.alive for node in nodes))
-    registry.gauge("nodes.total").add(len(nodes))
-
-    if causal is not None:
-        causal.finish(registry)
-
-
-def fill_live(registry: MetricsRegistry, per_node: Iterable[dict], *,
-              nodes_total: int, nodes_alive: int) -> list[dict]:
-    """Fold live per-node reports into *registry*.
-
-    Returns the merged, time-sorted causal ``route_hop`` records so the
-    coordinator can write the ``repro.trace/1`` artifact.
-    """
-    counter = registry.counter
     hop_latency = registry.histogram("causal.hop_latency")
     hop_records: list[dict] = []
-    per_node = list(per_node)
-    workload_tallies(registry, (report["workload"] for report in per_node))
-    for report in per_node:
-        socket_stats = report.get("socket") or {}
-        counter("engine.events_processed").inc(
-            int(report.get("events_processed", 0)))
-        counter("net.packets_sent").inc(
-            int(socket_stats.get("frames_sent", 0)))
-        counter("net.packets_delivered").inc(
-            int(socket_stats.get("frames_received", 0)))
-        counter("net.packets_dropped").inc(
-            int(socket_stats.get("send_drops", 0))
-            + int(socket_stats.get("fault_drops", 0)))
-        counter("net.bytes_delivered").inc(
-            int(socket_stats.get("bytes_received", 0)))
+    for report in reports:
+        counter("engine.events_processed").inc(report["events_processed"])
+        for key, value in report.get("net", {}).items():
+            counter(f"net.{key}").inc(value)
+        for label in workloads:
+            payload = report["models"].get(label)
+            if payload is None:
+                continue
+            records = payload["records"]
+            counter("workload.sent").inc(len(payload["sent"]))
+            counter("workload.delivered").inc(len(records))
+            counter("workload.duplicates").inc(payload["duplicates"])
+            counter("workload.skipped").inc(payload["skipped"])
+            # Delivery records end in their latency; a kv record carries
+            # (issued_at, completed_at) at [5:7] instead.
+            latency.observe_many(record[6] - record[5] if len(record) > 3
+                                 else record[2] for record in records)
+        socket_stats = report.get("socket", {})
         counter("errors.callback_errors").inc(
-            int(report.get("callback_error_count", 0)))
-        counter("errors.decode_errors").inc(
-            int(socket_stats.get("decode_errors", 0)))
-        counter("errors.reassembly_timeouts").inc(
-            int(socket_stats.get("reassembly_timeouts", 0)))
-        counter("errors.fault_drops").inc(
-            int(socket_stats.get("fault_drops", 0)))
-        trace_stats = report.get("trace") or {}
-        counter("trace.records").inc(int(trace_stats.get("records", 0)))
-        counter("trace.dropped").inc(int(trace_stats.get("dropped", 0)))
-        causal_stats = report.get("causal") or {}
-        counter("causal.traces").inc(int(causal_stats.get("traces", 0)))
-        counter("causal.hops").inc(int(causal_stats.get("hops", 0)))
+            report.get("callback_error_count", 0))
+        for key in ("decode_errors", "reassembly_timeouts", "fault_drops"):
+            counter(f"errors.{key}").inc(socket_stats.get(key, 0))
+        trace_stats = report.get("trace", {})
+        counter("trace.records").inc(trace_stats.get("records", 0))
+        counter("trace.dropped").inc(trace_stats.get("dropped", 0))
+        causal_stats = report.get("causal", {})
+        counter("causal.traces").inc(causal_stats.get("traces", 0))
+        counter("causal.hops").inc(causal_stats.get("hops", 0))
         for record in causal_stats.get("records", ()):
             hop_latency.observe(record["data"]["latency"])
             hop_records.append(record)
     registry.gauge("nodes.alive").set(nodes_alive)
     registry.gauge("nodes.total").set(nodes_total)
 
+    if causal is not None:
+        causal.finish(registry)
     hop_records.sort(key=lambda record: record["t"])
     max_hop: dict[int, int] = {}
     for record in hop_records:

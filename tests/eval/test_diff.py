@@ -53,16 +53,30 @@ def test_compare_skips_absent_metrics_unless_required():
                   Tolerance("b", abs=0.1, required=True))
     report = compare([{"b": 1.0}], [{"b": 1.0}], tolerances)
     assert report.ok and [d.metric for d in report.diffs] == ["b"]
+    # A skipped tolerance is still named: an OK that compared fewer metrics
+    # than it declares says so.
+    assert report.unvoted == [("a", "neither")]
+    assert "[skip] a: did not vote (values on neither)" in report.summary()
 
     report = compare([{"a": 1.0}], [{"a": 1.0}], tolerances)
     assert not report.ok and report.missing == ["b"]
+    assert report.unvoted == [("b", "neither")]
+
+    # A metric only one mode emits (the live ring fraction) never votes.
+    report = compare([{"b": 1.0}], [{"a": 0.5, "b": 1.0}], tolerances)
+    assert report.ok and report.unvoted == [("a", "live")]
+    assert report.to_dict()["unvoted"] == [{"metric": "a",
+                                            "values_on": "live"}]
+    report = compare([{"a": 0.5, "b": 1.0}], [{"b": 1.0}], tolerances)
+    assert report.unvoted == [("a", "sim")]
+    assert "[skip] a: did not vote (values on sim)" in report.summary()
 
     # Only the runs that emitted a metric vote on it: seed 2's live run had
     # no post-fault probes, so seed 1 alone decides.
     report = compare([{"a": 0.9}, {"a": 0.9}],
                      [{"a": 0.85}, {}],
                      (Tolerance("a", abs=0.1),))
-    assert report.ok
+    assert report.ok and report.unvoted == []
     assert report.diffs[0].live_values == (0.85,)
 
 
@@ -94,7 +108,8 @@ def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
     every mode, because one scorer writes both sides: the default ruler's
     required metric is no longer structurally missing from kv diffs."""
     from repro.eval.library import resolve_protocol
-    from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
+    from repro.eval.scenario import (ChurnModel, ScenarioSpec, WorkloadModel,
+                                     score_models)
 
     model = WorkloadModel(kind="kv", start=25.0, packets=12, gap=1.0, keys=8,
                           read_fraction=0.5)
@@ -106,15 +121,17 @@ def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
     assert sim_metrics["workload.success_ratio"] \
         == sim_metrics["workload.quorum_success"] > 0.9
 
-    # The live coordinator scores its processes' payloads with the same
+    # The live coordinator scores its processes' reports with the same
     # call; feed it this run's observations as two processes would ship them.
-    compiled = result.experiment.compiled_models[-1]
-    payload = compiled.shard_payload()
+    compiled = result.experiment.compiled_models
+    payload = compiled[-1].shard_payload()
     halves = [dict(payload, records=payload["records"][0::2], stores=[]),
               dict(payload, records=payload["records"][1::2], sent=[],
                    skipped=0)]
-    live_metrics = {f"workload.{key}": value for key, value
-                    in model.score(compiled.plan, halves).items()}
+    live_metrics = score_models(
+        compiled, [{"models": {"workload": half}} for half in halves])
+    # Pooling is a disjoint union: the halves score what the whole did.
+    assert live_metrics.items() <= sim_metrics.items()
 
     report = compare([sim_metrics], [live_metrics], spec_name="diff-kv")
     assert "workload.success_ratio" not in report.missing
@@ -139,8 +156,8 @@ def test_run_diff_executes_both_modes_and_tags_violations(monkeypatch):
     import repro.eval.invariants as invariants
     import repro.facade as facade
     monkeypatch.setattr(facade, "run", fake_run)
-    monkeypatch.setattr(invariants, "check_live_invariants",
-                        lambda outcome: ["duplicate delivery on node 3"])
+    monkeypatch.setattr(invariants, "check_invariants",
+                        lambda result: ["duplicate delivery on node 3"])
 
     report = run_diff(FakeSpec(name="fake", seed=0), seeds=(1, 2),
                       tolerances=(Tolerance("workload.success_ratio",

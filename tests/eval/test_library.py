@@ -36,4 +36,4 @@ def test_every_registered_protocol_is_generated_and_live_deployable():
         spec = ScenarioSpec(
             name=f"deploy-{name}", agents=stack, num_nodes=4, duration=30.0,
             models=(WorkloadModel(kind="route", packets=4, start=20.0),))
-        assert LiveClusterConfig(spec).protocol == stack.name
+        assert LiveClusterConfig(spec).spec.agents.name == stack.name

@@ -158,8 +158,8 @@ def test_concurrent_workloads_get_distinct_streams():
     # Each model scored only its own probes despite overlapping seqnos.
     assert first.observations.sent == 5
     assert second.observations.sent == 8
-    assert first.observations.success_ratio == 1.0
-    assert second.observations.success_ratio == 1.0
+    assert first.metrics()["success_ratio"] == 1.0
+    assert second.metrics()["success_ratio"] == 1.0
     # Auto ids start above app-conventional stream numbers.
     base = WorkloadModel.AUTO_STREAM_BASE
     assert experiment.workload_streams == {base, base + 1}
@@ -196,7 +196,7 @@ def test_partition_model_heals_three_links_without_full_invalidation(monkeypatch
     assert [edge for _, edge in healed] == list(links)
     assert {time for time, _ in healed} == {start + 6.0}   # one instant
     assert not router.disabled_edges()
-    assert workload.observations.success_ratio == 1.0
+    assert workload.metrics()["success_ratio"] == 1.0
 
 
 # ---------------------------------------------------------------- experiment
@@ -223,7 +223,7 @@ def test_workload_chains_and_restores_deliver_handlers():
     experiment.run(30.0)
     observations = compiled.observations
     assert observations.sent == 10
-    assert observations.success_ratio == 1.0
+    assert compiled.metrics()["success_ratio"] == 1.0
     # Chaining: the application's own handler still fired for every delivery.
     assert len(seen) == observations.deliveries
     compiled.restore()

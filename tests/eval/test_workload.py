@@ -31,7 +31,8 @@ def live(model, seed=3):
     spec = ScenarioSpec(name="plan", agents=resolve_protocol("chord"),
                         num_nodes=5, duration=80.0, seed=seed,
                         models=(model,))
-    return LiveClusterConfig(spec, time_scale=SCALE).draw()[0]
+    (drawn,) = LiveClusterConfig(spec, time_scale=SCALE).draw()
+    return drawn.plan
 
 
 # ------------------------------------------------------------------ the plan

@@ -12,7 +12,7 @@ import socket
 import pytest
 
 import repro
-from repro.eval.invariants import check_live_invariants
+from repro.eval.invariants import check_invariants
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import (ChurnModel, CrashModel, DegradeModel,
                                  PartitionModel, ScenarioSpec, WorkloadModel)
@@ -84,7 +84,7 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
     assert metrics["nodes.joined"] == 3.0
     down = outcome.per_node[3]
     assert down["state"] == "down"
-    assert down["workload"]["sent"] == []
+    assert down["models"] == {}
     # Some of the survivors' workload still routes (the dead node's keys
     # fail until the ring heals; this asserts accounting, not recovery).
     assert metrics["workload.success_ratio"] >= 0.2
@@ -110,7 +110,7 @@ def test_partition_and_degrade_reach_real_sockets():
                         time_scale=5.0 / 60.0)
     metrics = outcome.metrics
     assert metrics["socket.fault_drops"] > 0
-    assert check_live_invariants(outcome) == []
+    assert check_invariants(outcome) == []
     assert metrics["nodes.down"] == 0.0
     assert metrics["nodes.killed"] == 0.0
 

@@ -40,7 +40,7 @@ def test_config_validation():
     with pytest.raises(ScenarioError, match="keys >= 1"):
         LiveClusterConfig(_spec(WorkloadModel(kind="kv", keys=0))).draw()
     config = LiveClusterConfig(_spec(route, nodes=3), time_scale=1.0)
-    ops = config.draw()[0].ops
+    ops = config.draw()[-1].plan.ops
     assert [op.args[0] for op in ops] == list(range(8))
     assert {op.node for op in ops} <= {0, 1, 2}
     assert sorted(config.endpoints()) == [1, 2, 3]
@@ -64,6 +64,30 @@ def test_down_report_has_the_keys_of_a_live_report():
         <= {field.name for field in fields(TransportStats)}
     assert not any(down["socket"].values()) \
         and not any(down["transport"].values())
+
+
+def test_verdict_names_the_node_whose_driver_swallowed_errors():
+    """A node that ran to the end but recorded callback exceptions fails the
+    run, named; so does a node that failed outright.  Reports go straight
+    into the coordinator's verdict, no process started."""
+    cluster = LiveCluster(LiveClusterConfig(
+        _spec(WorkloadModel(kind="route"), nodes=3)))
+    reports = [cluster._down_report(index, {"incarnation": 0})
+               for index in range(3)]
+    cluster._verdict(reports)   # quiet nodes pass
+
+    reports[1].update(callback_error_count=2,
+                      callback_errors=["KeyError('successor')"])
+    with pytest.raises(LiveClusterError,
+                       match=r"on 1 node\(s\) — node 2: 2 error\(s\), "
+                             r"first KeyError\('successor'\)"):
+        cluster._verdict(reports)
+
+    reports[2] = {"address": 3, "incarnation": 0, "error": "OSError(98)",
+                  "traceback": "Traceback ..."}
+    with pytest.raises(LiveClusterError,
+                       match=r"1/3 live nodes failed — node 3: OSError"):
+        cluster._verdict(reports)
 
 
 def test_unknown_protocol_fails_before_spawning_processes():
@@ -100,20 +124,31 @@ def test_four_node_chord_cluster_routes_over_real_sockets():
 
 
 def test_live_kv_quorum_over_real_sockets():
+    """Also the key-parity contract: one scorer keys both modes, so every
+    ``<label>.<metric>`` the simulated run of the spec reports — the labelled
+    workload's and the churn model's — is in the live result, except the
+    staleness a live run cannot judge across process clocks."""
     config = LiveClusterConfig(
-        _spec(WorkloadModel(kind="kv", start=1.4, packets=24, gap=0.15),
+        _spec(WorkloadModel(kind="kv", start=1.4, packets=24, gap=0.15,
+                            label="kv"),
               duration=5.0, seed=7),
         time_scale=1.0, base_port=49180)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
     assert metrics["nodes.joined"] == 4.0
-    assert metrics["workload.sent"] == 24.0
-    assert metrics["workload.quorum_success"] >= 0.9
-    assert metrics["workload.phantom_reads"] == 0.0
-    assert metrics["workload.puts"] + metrics["workload.gets"] \
-        == metrics["workload.completed"]
-    assert metrics["workload.replica_coverage"] >= 0.9
+    assert metrics["kv.sent"] == 24.0
+    assert metrics["kv.quorum_success"] >= 0.9
+    assert metrics["kv.phantom_reads"] == 0.0
+    assert metrics["kv.puts"] + metrics["kv.gets"] == metrics["kv.completed"]
+    assert metrics["kv.replica_coverage"] >= 0.9
     assert metrics["nodes.callback_errors"] == 0.0
+
+    simulated = config.spec.run().metrics
+    scored = {key for key in simulated
+              if key.split(".")[0] in ("churn", "kv")}
+    assert {"churn.joins", "kv.stale_reads"} <= scored
+    assert scored - {"kv.stale_reads"} <= set(metrics)
+    assert "kv.stale_reads" not in metrics
 
 
 def test_live_pubsub_full_coverage():
@@ -155,5 +190,5 @@ def test_same_kv_spec_runs_live_via_facade():
     assert metrics["workload.quorum_success"] >= 0.9
     assert metrics["workload.phantom_reads"] == 0.0
     # The live config inherited the spec's quorum knobs and population.
-    assert outcome.result.name == "live-chord-kv"
+    assert outcome.name == "live-chord-kv"
     assert metrics["nodes.count"] == 4.0

@@ -34,10 +34,15 @@ def _spec(*models, protocol="chord", num_nodes=6, duration=120.0, seed=3):
                         models=models)
 
 
+def _drawn_rows(config):
+    """Every row *config* draws, model after model."""
+    return [row for model in config.draw() for row in model.rows]
+
+
 def _rows(*models, **fields):
     """The fault rows a deployment of a spec with *models* draws."""
-    rows = LiveClusterConfig(_spec(*models, **fields),
-                             time_scale=SCALE).draw()[1]
+    rows = _drawn_rows(LiveClusterConfig(_spec(*models, **fields),
+                                         time_scale=SCALE))
     return [row for row in rows if row.verb not in NODE_VERBS]
 
 
@@ -79,9 +84,10 @@ def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
     sim = [(event.time * SCALE, event.detail, event.node)
            for compiled in spec.build().compiled_models
            for event in compiled.events]
-    plan, rows = LiveClusterConfig(spec, time_scale=SCALE).draw()
-    live = [(op.time, op.detail, op.node) for op in plan.ops]
-    for row in rows:
+    config = LiveClusterConfig(spec, time_scale=SCALE)
+    live = [(op.time, op.detail, op.node) for model in config.draw()
+            if model.plan is not None for op in model.plan.ops]
+    for row in _drawn_rows(config):
         live.append((row.at, row.detail, row.node))
         if row.until is not None:
             live.append((row.until, row.undo_detail, row.node))
@@ -94,7 +100,7 @@ def test_every_drawn_row_runs_in_exactly_one_process(name):
     coordinator queues the fault rows at their wall times, undo included,
     and leaves out what falls past the horizon, as the simulator does."""
     config = LiveClusterConfig(SPECS[name], time_scale=SCALE)
-    _plan, rows = config.draw()
+    rows = _drawn_rows(config)
     assert all((row.verb in NODE_VERBS) != hasattr(LiveCluster, row.verb)
                for row in rows)
     assert all(row.node is not None for row in rows
@@ -174,7 +180,7 @@ def test_flapping_cycles_past_the_horizon_are_drawn_but_never_queued():
         _spec(FlappingPartitionModel(at=30.0, period=20.0, duty=0.5,
                                      cycles=10, groups=((0, 1, 2),))),
         time_scale=SCALE)
-    rows = [row for row in config.draw()[1] if row.verb == "partition"]
+    rows = [row for row in _drawn_rows(config) if row.verb == "partition"]
     assert len(rows) == 10
     ats = [row.at for row in rows]
     assert [b - a for a, b in zip(ats, ats[1:])] \
@@ -241,7 +247,8 @@ def test_sim_only_models_raise_with_a_reason():
     with pytest.raises(ScenarioError, match="sim-only"):
         _rows(FlashCrowdModel(core=2, at=30.0, stay=20.0))
     # Without the mass departure the crowd's joins are node rows.
-    rows = LiveClusterConfig(_spec(FlashCrowdModel(core=2, at=30.0))).draw()[1]
+    rows = _drawn_rows(LiveClusterConfig(_spec(FlashCrowdModel(core=2,
+                                                               at=30.0))))
     assert sorted(row.node for row in rows) == list(range(6))
     assert {row.verb for row in rows} == {"join_node"}
 

@@ -39,7 +39,7 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
               nodes=4, duration=5.0, seed=5, obs=obs_live),
         time_scale=1.0, base_port=49300)
     outcome = LiveCluster(config).run()
-    live_snapshot = outcome.result.obs
+    live_snapshot = outcome.obs
     assert live_snapshot is not None
     validate_obs_snapshot(live_snapshot)
     assert live_snapshot["mode"] == "live"
@@ -87,6 +87,6 @@ def test_live_obs_off_reports_no_trace_sections():
               nodes=3, duration=4.0, seed=3),
         time_scale=1.0, base_port=49340)
     outcome = LiveCluster(config).run()
-    assert outcome.result.obs is None
+    assert outcome.obs is None
     for report in outcome.per_node:
         assert "causal" not in report
