@@ -34,10 +34,10 @@ from repro.protocols import chord_agent
 class DoubleDeliverAgent(chord_agent()):
     """Generated Chord with a seeded duplicate-delivery bug, for fuzzer tests."""
 
-    def route_data(self, target, payload, size, hops):
+    def route_data(self, target, payload, size, hops, sender=None):
         if self.owns_key(target):
             self.upcall_deliver(payload, size, "data")
-        super().route_data(target, payload, size, hops)
+        super().route_data(target, payload, size, hops, sender)
 
 
 @pytest.fixture

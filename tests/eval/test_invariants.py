@@ -55,10 +55,10 @@ def test_last_disruption_ignores_unfired_and_measurement_events():
 
 def test_duplicate_delivery_detected():
     class DoubleDeliverAgent(chord_agent()):
-        def route_data(self, target, payload, size, hops):
+        def route_data(self, target, payload, size, hops, sender=None):
             if self.owns_key(target):
                 self.upcall_deliver(payload, size, "data")
-            super().route_data(target, payload, size, hops)
+            super().route_data(target, payload, size, hops, sender)
 
     result = run_spec(ADVERSARIAL, agents=[DoubleDeliverAgent])
     violations = no_duplicate_delivery(result)

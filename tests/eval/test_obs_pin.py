@@ -40,8 +40,10 @@ from repro.runtime.failure import FailureDetectorConfig
 # Chord node stopped being told it is its own successor ("Re-pinned
 # baselines (delayed ACKs)"), and again when Chord's maintenance moved to
 # its best-effort transport ("Re-pinned baselines (best-effort
-# maintenance)"): obs=None must keep reproducing these bytes until the
-# simulated behaviour is changed on purpose again.
+# maintenance)"), and when Chord began answering from its successor chain
+# and folded the notify into get_state ("Re-pinned baselines (successor
+# chain)"): obs=None must keep reproducing these bytes until the simulated
+# behaviour is changed on purpose again.
 FINGERPRINT_BASELINE = {
     "packets_sent": 2000,
     "packets_delivered": 1978,
@@ -58,40 +60,40 @@ CHURN_BASELINES = {
     1: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "431156.0",
-        "net.packets_delivered": "10733.0",
-        "net.packets_dropped": "71.0",
-        "net.packets_sent": "10810.0",
+        "net.bytes_delivered": "270932.0",
+        "net.packets_delivered": "6316.0",
+        "net.packets_dropped": "36.0",
+        "net.packets_sent": "6354.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "15640.0",
-        "workload.deliveries": "56.0",
+        "sim.events_processed": "11141.0",
+        "workload.deliveries": "58.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.09361585062856699",
-        "workload.latency_p95": "0.15980221935545558",
+        "workload.latency_mean": "0.06411647075372759",
+        "workload.latency_p95": "0.1285341131686124",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
-        "workload.success_ratio": "0.9491525423728814",
+        "workload.success_ratio": "0.9830508474576272",
     },
     2: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "425992.0",
-        "net.packets_delivered": "10616.0",
-        "net.packets_dropped": "95.0",
-        "net.packets_sent": "10718.0",
+        "net.bytes_delivered": "277216.0",
+        "net.packets_delivered": "6290.0",
+        "net.packets_dropped": "53.0",
+        "net.packets_sent": "6347.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
-        "sim.events_processed": "15521.0",
-        "workload.deliveries": "55.0",
+        "sim.events_processed": "11141.0",
+        "workload.deliveries": "56.0",
         "workload.duplicates": "0.0",
-        "workload.latency_mean": "0.0844211439550677",
-        "workload.latency_p95": "0.14872943884070366",
+        "workload.latency_mean": "0.06799961926568322",
+        "workload.latency_p95": "0.13366041834381548",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
-        "workload.success_ratio": "0.9322033898305084",
+        "workload.success_ratio": "0.9491525423728814",
     },
 }
 

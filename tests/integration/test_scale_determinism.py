@@ -33,7 +33,7 @@ spec = ScenarioSpec(
     name="scale-determinism",
     agents=lambda: [chord_agent()],
     num_nodes=200,
-    duration=25.0,
+    duration=30.0,
     failure_config=FailureDetectorConfig(failure_timeout=10.0,
                                          heartbeat_timeout=4.0,
                                          check_interval=1.0),
