@@ -4,8 +4,7 @@ The paper's robustness claim is that generated overlays keep working through
 joins, failures, and recovery; the adversarial library pushes past the
 benign-churn benchmark into the stress patterns real deployments see —
 flash crowds and flapping one-directional partitions.  Two library entries
-are exercised here, the same two ``scripts/run_benchmarks.py`` records in
-``BENCH_core.json``:
+are exercised here:
 
 * **flash-crowd** — registry-compiled Chord absorbs a Poisson burst of
   arrivals against a small warm core, with route probes running through the

@@ -7,8 +7,8 @@ lookups while 10% of the membership fail-stops and rejoins (plus a no-churn
 control), executed by the scenario engine across three seeds and aggregated
 by :class:`ScenarioRunner`.
 
-Qualitative assertions (absolute numbers live in ``BENCH_core.json`` via
-``scripts/run_benchmarks.py``):
+Qualitative assertions (churn-path performance is timed by the
+``chord_kv_churn`` workload of ``bench/``):
 
 * without churn, a converged ring serves essentially every lookup;
 * under 10% churn, success degrades but stays above 60% — repairs (failure

@@ -11,9 +11,8 @@ Usage::
     PYTHONPATH=src python scripts/run_kv_smoke.py --min-success 0.9
 
 Prints one JSON document and exits non-zero below ``--min-success`` or on
-any phantom read.  Deliberately separate from the bench ``--check`` gate:
-this scores application correctness under churn, not throughput, and never
-touches BENCH_core.json.
+any phantom read.  Deliberately separate from the benchmark (``bench/``):
+this scores application correctness under churn, not throughput.
 """
 
 from __future__ import annotations

@@ -28,8 +28,7 @@ Prints one JSON document (aggregate metrics plus per-node summaries) and
 exits non-zero if the workload success ratio lands below ``--min-success``,
 the post-fault ratio below ``--min-post-fault-success``, any live invariant
 is violated, or any node's driver swallowed callback exceptions — which is
-how CI's live smoke jobs gate deployability without touching the benchmark
-history (this script never writes BENCH_core.json).
+how CI's live smoke jobs gate deployability, apart from the benchmark.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ paper's figures are means over repeated ModelNet runs.  The
 :class:`ScenarioRunner` replays a spec across a list of seeds (fresh
 simulator, topology, and RNG streams per seed) and aggregates every numeric
 metric into :class:`SummaryStats` — mean, standard deviation, extrema, and
-percentiles — which is what the benchmarks record in ``BENCH_core.json``.
+percentiles — which is what the figure benchmarks assert on.
 """
 
 from __future__ import annotations

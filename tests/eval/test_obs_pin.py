@@ -7,7 +7,8 @@ halves are pinned here against baselines captured with observability off
 (first at HEAD~ of the change that introduced ``repro.obs``):
 
 * a low-level engine/emulator fingerprint (fixed seed, 64 hosts, 2 000
-  packets) byte-compares delivery, latency-sum and link-stress numbers;
+  packets) byte-compares delivery, latency-sum and link-stress numbers,
+  and repeats exactly when run twice in one process;
 * a full churn scenario (joins, crashes, a route workload, the failure
   detector) byte-compares every scenario metric for two seeds;
 * the same churn scenario with full observability enabled must produce
@@ -152,7 +153,7 @@ PASTRY_BASELINES = {
 
 def engine_fingerprint(seed: int = 7, num_hosts: int = 64,
                        num_packets: int = 2_000) -> dict:
-    """Mirror of ``scripts/run_benchmarks.py::metrics_fingerprint``."""
+    """The one copy of the fingerprint workload."""
     simulator = Simulator(seed=seed)
     topology = transit_stub_topology(num_hosts, seed=seed)
     emulator = NetworkEmulator(simulator, topology, random_loss_rate=0.01)
@@ -241,6 +242,13 @@ def byte_metrics(result) -> dict[str, str]:
 
 def test_engine_fingerprint_is_byte_identical_to_pre_obs_baseline():
     assert engine_fingerprint() == FINGERPRINT_BASELINE
+
+
+@pytest.mark.determinism
+def test_fingerprint_workload_is_deterministic():
+    """A second run in the same process repeats the first byte for byte, so
+    no process-local state (packet ids, caches) leaks between runs."""
+    assert engine_fingerprint() == engine_fingerprint()
 
 
 @pytest.mark.parametrize("seed", sorted(CHURN_BASELINES))
