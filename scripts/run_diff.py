@@ -9,8 +9,9 @@ and prints a machine-readable drift report (schema ``repro.diff/1``).
 
 The default spec is a small chord deployment with mid-run churn — one fault
 model's draw run two ways: the scenario engine crashes simulated nodes; the
-live coordinator SIGKILLs the same victims' processes at the same instants
-times ``time_scale`` and respawns them.  Pass
+live coordinator SIGKILLs the same victims' processes at the same spec
+instants and respawns them, with protocol timers and the failure detector on
+the same spec clock.  Pass
 ``--artifact`` to diff a fuzzer-generated spec instead (only live-runnable
 artifacts: ``repro.fuzz/1`` files tag themselves).
 
@@ -20,8 +21,9 @@ Usage::
     PYTHONPATH=src python scripts/run_diff.py --artifact fuzz-000123.json \
         --out drift.json
 
-Exits non-zero on drift beyond tolerance, a missing required metric, or any
-live invariant violation — the CI ``diff-smoke`` gate.
+Exits non-zero on drift beyond tolerance, a missing required metric, a
+metric only one mode emitted, or any live invariant violation — the CI
+``diff-smoke`` gate.
 """
 
 from __future__ import annotations

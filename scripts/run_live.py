@@ -4,10 +4,10 @@
 The live half of the paper's evaluation story: the same ``.mac``-generated
 agents that run in simulation are booted as N OS processes exchanging real
 UDP datagrams (see docs/LIVE.md).  The flags describe one ScenarioSpec in
-wall seconds — a staggered join wave, then a route, multicast,
+spec seconds — a staggered join wave, then a route, multicast,
 replicated-KV, or pub/sub workload over the rest of the run — which the
-cluster deploys at ``time_scale`` 1 and scores with the same metric shapes
-the scenario runner reports.
+cluster deploys at ``time_scale`` 1, so a spec second is a wall second, and
+scores with the same metric shapes the scenario runner reports.
 
 ``--kill INDEX:AT[:RESPAWN_AFTER]`` adds a ``CrashModel`` to that spec: the
 coordinator SIGKILLs node INDEX's process AT seconds after the cluster clock
@@ -72,7 +72,7 @@ def parse_kill(text: str) -> CrashModel:
 
 
 def build_spec(args, packets: int) -> ScenarioSpec:
-    """The flags as one ScenarioSpec in wall seconds: a staggered join wave,
+    """The flags as one ScenarioSpec: a staggered join wave,
     then, after the settle, the workload's measured ops on the ``(k + 1) /
     (P + 1)`` slots of the rest of the run, and a CrashModel per --kill."""
     window = args.nodes * args.join_spacing + args.settle
@@ -112,7 +112,8 @@ def build_spec(args, packets: int) -> ScenarioSpec:
         name=f"live-{args.protocol}-{args.workload}",
         agents=RegistryStack(args.protocol), num_nodes=args.nodes,
         duration=args.duration, seed=args.seed,
-        models=tuple(models) + tuple(args.kill))
+        models=tuple(models) + tuple(args.kill),
+        post_fault_settle=args.post_fault_settle)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                         default="route",
                         help="measurement workload (default route)")
     parser.add_argument("--duration", type=float, default=10.0,
-                        help="measurement horizon in wall seconds; the join "
+                        help="measurement horizon in seconds; the join "
                              "wave, settle, and workload all fit inside it "
                              "(default 10)")
     parser.add_argument("--packets", type=int, default=None,
@@ -187,14 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         packets = (8 * args.nodes if args.workload in ("route", "kv")
                    else 16)
     try:
-        # The flags are wall seconds: the spec runs at time_scale 1.
+        # A spec second is a wall second.
         config = LiveClusterConfig(
             build_spec(args, packets),
             time_scale=1.0,
             base_port=args.base_port,
             startup_timeout=args.startup_timeout,
             restart_budget=args.restart_budget,
-            post_fault_settle=args.post_fault_settle,
         )
         outcome = LiveCluster(config).run()
     except (LiveClusterError, ScenarioError) as exc:

@@ -10,16 +10,19 @@ on every live result, and returns a machine-readable :class:`DiffReport`
 (schema ``repro.diff/1``).
 
 What "agree" means here: a live run draws the simulation's schedule — the
-same joins, ops and faults at the same instants times ``time_scale`` — but
-does not replay its packets: the kernel schedules them and protocol timers
-run unscaled on the compressed timeline — so the harness compares
-*seed-averaged metric means*, not event logs.  Each :class:`Tolerance` declares how far the live mean may sit
+same joins, ops and faults at the same spec instants, with protocol timers
+and the failure detector on the same spec clock, ``time_scale`` wall seconds
+to the spec second — but does not replay its packets: the kernel schedules
+them — so the harness compares *seed-averaged metric means*, not event
+logs.  Each :class:`Tolerance` declares how far the live mean may sit
 from the sim mean before the divergence is drift worth failing on:
 ``abs`` bounds the absolute gap, ``rel`` (optional) additionally allows a
 fraction of the sim mean, and ``direction`` can restrict which side of the
 sim value is a violation (live latency being *lower* than simulated latency
-is not a bug).  A metric missing from either side does not vote: the report
-lists it under ``unvoted``, and fails on it only when the tolerance marks it
+is not a bug).  A metric missing from a side does not vote: the report lists
+it under ``unvoted``.  Values on one side only fail the report, since one
+scorer writes both sides; a metric neither side emits (a route workload has
+no ``quorum_success``) fails only when the tolerance marks it
 ``required``.
 
 The comparison is deliberately asymmetric in what it trusts: invariant
@@ -63,7 +66,7 @@ class Tolerance:
 
 
 #: Default ruler for the library protocols: loose enough for a compressed
-#: wall-clock timeline and kernel-scheduled packet orders, tight enough
+#: timeline and kernel-scheduled packet orders, tight enough
 #: that a broken live transport (or a sim-only protocol bug) trips it.
 DEFAULT_TOLERANCES: tuple[Tolerance, ...] = (
     Tolerance("workload.success_ratio", abs=0.15, required=True),
@@ -114,8 +117,14 @@ class DiffReport:
         return [diff for diff in self.diffs if not diff.ok]
 
     @property
+    def one_sided(self) -> list:
+        """Metrics with values on exactly one side."""
+        return [metric for metric, side in self.unvoted if side != "neither"]
+
+    @property
     def ok(self) -> bool:
-        return not self.drifted and not self.missing and not self.violations
+        return not (self.drifted or self.missing or self.one_sided
+                    or self.violations)
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +153,8 @@ class DiffReport:
             if metric in self.missing:
                 lines.append(f"  [FAIL] {metric}: required metric missing "
                              f"(values on {side})")
+            elif side != "neither":
+                lines.append(f"  [FAIL] {metric}: values on {side} only")
             else:
                 lines.append(f"  [skip] {metric}: did not vote "
                              f"(values on {side})")

@@ -5,8 +5,8 @@ function of ``(model, num_nodes, rng, horizon)`` returning :class:`Fault`
 rows over the one vocabulary :data:`FAULT_VERBS`.  The simulator executes
 the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
 (:meth:`~repro.eval.scenario.ScenarioModel.instantiate`).  A live deployment
-calls the same ``draw`` on the same RNG stream and scales the drawn offsets
-to wall time (:meth:`~repro.live.cluster.LiveClusterConfig.draw`); the
+calls the same ``draw`` on the same RNG stream and keeps the drawn offsets
+(:meth:`~repro.live.cluster.LiveClusterConfig.draw`); the
 supervisor runs the fault rows by verb on a
 :class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`), and
 each node process runs its own join and group rows.
@@ -73,6 +73,24 @@ FAULT_VERBS: dict[str, tuple] = {
     "degrade_node": ("degrade", "restore_node", "restore", 1),
     "degrade_link": ("degrade", "restore_link", "restore", 2),
 }
+
+
+def fired_faults(rows, horizon: float) -> list[Fault]:
+    """The fault rows among *rows* (not joins, not group rows) as either
+    driver runs them by *horizon*: a row due after it never fires, and an
+    undo due after it never comes."""
+    return [row if row.until is None or row.until <= horizon
+            else row._replace(until=None)
+            for row in rows
+            if row.verb in FAULT_VERBS and row.verb != "join_node"
+            and row.at <= horizon]
+
+
+def fault_horizon(faults) -> float:
+    """Offset of the last fault transition among *faults* (0.0 for none);
+    a kill with no recovery ends at its kill time."""
+    return max((row.at if row.until is None else row.until for row in faults),
+               default=0.0)
 
 
 def _sample_victims(num_nodes: int, exempt: Sequence[int], fraction: float,

@@ -35,7 +35,7 @@ Nine invariants:
 * **ring_eventually_correct** — for successor-ring protocols (agents that
   expose a ``successor`` pointer), the live membership's successor pointers
   converge to the global ring after the last fault, scored by
-  :func:`~repro.eval.metrics.ring_successor_correctness`.
+  :func:`~repro.eval.metrics.correct_successor_fraction` over the ring rows.
   Skipped when the scenario leaves no settle window or the protocol has no
   ring shape.
 * **no_drop_on_idle_link** — a link whose queue dropped a packet has
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..transport.reliable import ReliableTransport
-from .metrics import ring_successor_correctness
+from .metrics import correct_successor_fraction, ring_rows
 from .scenario import ScenarioResult, metric_labels
 
 #: Event kinds that perturb the overlay (everything except measurement
@@ -212,18 +212,16 @@ def ring_eventually_correct(result: ScenarioResult, *,
     """
     if result.duration - last_disruption(result) < settle:
         return []
-    live = [node for node in _nodes(result)
-            if node.alive and node.initialized]
-    if len(live) < 2:
+    rows = ring_rows(_nodes(result))
+    if len(rows) < 2:
         return []
-    if any(not hasattr(node.lowest_agent, "successor") for node in live):
-        return []
-    fraction = ring_successor_correctness(live)
+    fraction = correct_successor_fraction(rows)
     if fraction < threshold:
         return [InvariantViolation(
             "ring_eventually_correct",
             f"correct-successor fraction {fraction:.3f} < {threshold} over "
-            f"{len(live)} live nodes, {result.duration - last_disruption(result):.0f} s "
+            f"{len(rows)} live nodes, "
+            f"{result.duration - last_disruption(result):.0f} s "
             f"after the last disruption")]
     return []
 

@@ -160,48 +160,39 @@ def average_correct_route_entries(nodes: Sequence[MacedonNode],
     return total / max(1, len(nodes))
 
 
-def correct_successor_fraction(ring: Sequence[tuple[int, int]],
-                               successors: dict[int, int]) -> float:
-    """Fraction of nodes whose successor pointer is ring-correct.
+def ring_rows(nodes: Iterable[MacedonNode]) -> list[tuple[int, int, int]]:
+    """``(key, address, successor)`` of every joined, up node whose
+    lowest-layer agent keeps a successor pointer: what a ring is scored on.
+    The simulator files the rows of all its nodes, a live node process the
+    row of its own."""
+    rows = []
+    for node in nodes:
+        agent = node.lowest_agent
+        if node.alive and node.initialized and hasattr(agent, "successor"):
+            rows.append((agent.my_key, node.address, agent.successor))
+    return rows
 
-    ``ring`` is the global membership as (key, address) pairs; ``successors``
-    maps each address to the successor address that node currently believes
-    in.  The correct successor of a node is the member with the next key
-    clockwise.  Works from any observation source — simulated agents or the
-    per-node reports a live cluster collects (global knowledge lives at the
-    coordinator there, exactly as ModelNet's does in the paper).
-    """
-    ordered = sorted(set(ring))
+
+def correct_successor_fraction(rows: Sequence[tuple[int, int, int]]) -> float:
+    """Fraction of *rows* (:func:`ring_rows`) whose successor pointer is
+    ring-correct: the member with the next key clockwise among the rows.
+    The rows are the global membership, so global knowledge lives with the
+    scorer, in a live run exactly as ModelNet's does in the paper.  A
+    singleton ring's correct successor is itself, so a stale pointer still
+    scores 0; no rows score 0.0."""
+    ordered = sorted(set(rows))
     if not ordered:
         return 0.0
-    # A singleton ring falls through to the general rule: the sole member's
-    # correct successor is itself, so a stale pointer still scores 0.
-    correct = 0
-    total = 0
-    for index, (_key, address) in enumerate(ordered):
-        reported = successors.get(address)
-        if reported is None:
-            continue
-        total += 1
-        expected = ordered[(index + 1) % len(ordered)][1]
-        if reported == expected:
-            correct += 1
-    if total == 0:
-        return 0.0
-    return correct / total
+    correct = sum(successor == ordered[(index + 1) % len(ordered)][1]
+                  for index, (_key, _address, successor) in enumerate(ordered))
+    return correct / len(ordered)
 
 
 def ring_successor_correctness(nodes: Iterable[MacedonNode]) -> float:
-    """:func:`correct_successor_fraction` over the live nodes of a simulated
-    ring (Figure 10's correct-route-entries metric for the successor pointer
-    of each live node's lowest-layer agent); 0.0 when no node is live."""
-    live = [node for node in nodes if node.alive and node.initialized]
-    if not live:
-        return 0.0
-    key_space = live[0].lowest_agent.key_space
-    return correct_successor_fraction(
-        [(key_space.hash(node.address), node.address) for node in live],
-        {node.address: node.lowest_agent.successor for node in live})
+    """:func:`correct_successor_fraction` over the joined nodes of a
+    simulated ring (Figure 10's correct-route-entries metric for the
+    successor pointer); 0.0 when no node is up."""
+    return correct_successor_fraction(ring_rows(nodes))
 
 
 # -------------------------------------------------------- application (KV) metrics

@@ -46,6 +46,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Type, Union
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
 from ..network.topology import Topology
+from .metrics import correct_successor_fraction, ring_rows
 
 
 class ScenarioError(ValueError):
@@ -86,17 +87,22 @@ class CompiledModel:
     dict.  A model whose metrics are fixed at compile time passes them as a
     constant dict instead of a callable and takes the default scorer: its
     own dict, which any process that reports the model must report too.
+    ``faults`` are the rows of its draw that fire by the horizon.
     """
 
     def __init__(self, label: str, events: Sequence[ScenarioEvent],
                  payload: Union[dict, Callable[[], Any], None] = None,
                  score: Optional[Callable[[list], dict[str, float]]] = None,
-                 restore: Optional[Callable[[], None]] = None) -> None:
+                 restore: Optional[Callable[[], None]] = None, *,
+                 model: Optional["ScenarioModel"] = None,
+                 faults: Sequence = ()) -> None:
         self.label = label
         self.events = list(events)
         self._payload = payload
         self._score = score
         self._restore = restore
+        self.model = model
+        self.faults = list(faults)
 
     def shard_payload(self) -> Any:
         """This process's observations, as shipped to the scorer."""
@@ -153,6 +159,38 @@ def score_models(compiled_models: Sequence[CompiledModel],
                     if label in report["models"]]
         for key, value in compiled.score(payloads).items():
             metrics[f"{label}.{key}"] = value
+    return metrics
+
+
+def score_recovery(compiled_models: Sequence[CompiledModel],
+                   reports: Sequence[dict],
+                   settle: float) -> dict[str, float]:
+    """What a run scores beyond its models, whichever driver ran it: each
+    workload's ``post_fault_probes`` (ops sent *settle* seconds or more
+    after the last fault transition) and the share of them that completed,
+    ``post_fault_success_ratio``; and ``ring.correct_successor_fraction``
+    over the reports' ``"ring"`` rows (:func:`~.metrics.ring_rows`)."""
+    metrics: dict[str, float] = {}
+    faults = [row for compiled in compiled_models for row in compiled.faults]
+    if faults:
+        recovered_at = fault_horizon(faults) + settle
+        labels = metric_labels(compiled.label for compiled in compiled_models)
+        for label, compiled in zip(labels, compiled_models):
+            if not isinstance(compiled.model, WorkloadModel):
+                continue
+            payloads = [report["models"][label] for report in reports
+                        if label in report["models"]]
+            late = {seqno for payload in payloads
+                    for seqno, at in payload["sent"] if at >= recovered_at}
+            # The sample size: a ratio over a handful of probes is a coin.
+            metrics[f"{label}.post_fault_probes"] = float(len(late))
+            if late:
+                metrics[f"{label}.post_fault_success_ratio"] = len(
+                    compiled.model.delivered(payloads) & late) / len(late)
+    rows = [row for report in reports for row in report.get("ring", ())]
+    if rows:
+        metrics["ring.correct_successor_fraction"] = \
+            correct_successor_fraction(rows)
     return metrics
 
 
@@ -214,7 +252,8 @@ class ScenarioModel:
                             *fault.args[:undo_arity]),
                     node=fault.node))
         return CompiledModel(self.label or self.default_label(), events,
-                             metrics)
+                             metrics, model=self,
+                             faults=fired_faults(faults, horizon))
 
 
 def resolve_index(count: int, index: int, what: str) -> int:
@@ -283,7 +322,7 @@ class GroupModel(ScenarioModel):
                   for row in rows]
         return CompiledModel(
             self.label or self.default_label(), events, payload=lambda: joined,
-            score=partial(self.score, metrics))
+            score=partial(self.score, metrics), model=self)
 
     @staticmethod
     def score(metrics: dict, counts: list) -> dict[str, float]:
@@ -296,7 +335,8 @@ class GroupModel(ScenarioModel):
 # The fault and workload planes import the base classes above: load here.
 from .faults import (FAULT_VERBS, ChurnModel, CorrelatedCrashModel,  # noqa: E402,F401
                      CrashModel, DegradeModel, Fault, FlappingPartitionModel,
-                     FlashCrowdModel, PartitionModel)
+                     FlashCrowdModel, PartitionModel, fault_horizon,
+                     fired_faults)
 from .workload import (KvWorkloadState, WorkloadModel,  # noqa: E402,F401
                        WorkloadObservations)
 
@@ -383,6 +423,9 @@ class ScenarioSpec:
     #: tracing.  ``None`` — the default — runs the historical code paths
     #: untouched.
     obs: Optional[Any] = None
+    #: Seconds after the last fault transition from which ops score
+    #: ``<label>.post_fault_success_ratio`` (:func:`score_recovery`).
+    post_fault_settle: float = 2.0
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """This spec, re-seeded (the multi-seed runner's replication knob)."""
@@ -465,6 +508,7 @@ class ScenarioSpec:
                     "bytes_delivered": stats.bytes_delivered},
             "trace": {"records": sum(tracer.counts.values()),
                       "dropped": tracer.dropped},
+            "ring": ring_rows(experiment.nodes),
         }
         nodes = experiment.nodes
 
@@ -485,6 +529,8 @@ class ScenarioSpec:
                 write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
 
         metrics = score_models(compiled_models, [report])
+        metrics.update(score_recovery(compiled_models, [report],
+                                      self.post_fault_settle))
         metrics.update({f"net.{key}": float(value)
                         for key, value in report["net"].items()})
         metrics.update({

@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..apps.kv import KvStore
 from ..apps.payload import AppPayload
@@ -144,19 +144,17 @@ class NodeWorkload:
     """One node's share of a workload: its app, the verbs, the accounting.
 
     The only place that constructs :class:`KvStore` / :class:`PubSub` or
-    chains the probe recorder.  *clock* stamps probes and times their
-    arrival (simulated now, or wall time across live processes, whose
-    driver clocks share no zero); send records use the node's driver clock.
+    chains the probe recorder.  Probes are stamped, timed and booked on the
+    node's driver clock: simulated time, or a live node's spec seconds from
+    the zero every process of the cluster shares.
     """
 
     def __init__(self, node, model: "WorkloadModel", stream_id: int,
-                 observations: WorkloadObservations,
-                 clock: Callable[[], float]) -> None:
+                 observations: WorkloadObservations) -> None:
         self.node = node
         self.model = model
         self.stream_id = stream_id
         self.observations = observations
-        self.clock = clock
         #: Installing chains over whatever handlers the node already has —
         #: application instrumentation survives being measured — so keep
         #: those for :meth:`restore`.
@@ -192,7 +190,8 @@ class NodeWorkload:
     def _deliver(self, payload, size, mtype) -> None:
         if isinstance(payload, AppPayload) and \
                 payload.stream_id == self.stream_id:
-            self.observations.record(self.node.address, payload, self.clock())
+            self.observations.record(self.node.address, payload,
+                                     self.node.simulator.now)
         if self.previous.deliver is not None:
             self.previous.deliver(payload, size, mtype)
 
@@ -216,7 +215,7 @@ class NodeWorkload:
         if not self._issue(seqno):
             return
         node, size = self.node, self.model.packet_bytes
-        payload = AppPayload(seqno=seqno, sent_at=self.clock(),
+        payload = AppPayload(seqno=seqno, sent_at=node.simulator.now,
                              source=node.address, size=size,
                              stream_id=self.stream_id)
         if dest_key is None:
@@ -540,17 +539,12 @@ class WorkloadModel(ScenarioModel):
 
     def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
         nodes = experiment.nodes
-        simulator = experiment.simulator
         # Drawn (and so validated) before anything is claimed or installed.
         plan = self.draw(len(nodes), nodes[0].lowest_agent.key_space.size,
                          rng, horizon)
         stream_id = self.claim_stream(experiment.workload_streams)
         observations = WorkloadObservations()
-
-        def clock() -> float:
-            return simulator.now
-
-        shares = [NodeWorkload(node, self, stream_id, observations, clock)
+        shares = [NodeWorkload(node, self, stream_id, observations)
                   for node in nodes]
         events = [ScenarioEvent(
             op.time, "kv-repair" if op.verb == "repair" else self.kind,
@@ -567,7 +561,7 @@ class WorkloadModel(ScenarioModel):
         compiled = CompiledModel(
             self.label or self.default_label(), events,
             payload=observations.payload,
-            score=partial(self.score, plan), restore=_restore)
+            score=partial(self.score, plan), restore=_restore, model=self)
         compiled.plan = plan                  # type: ignore[attr-defined]
         compiled.observations = observations  # type: ignore[attr-defined]
         if self.kind == "kv":

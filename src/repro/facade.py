@@ -20,9 +20,10 @@ Live mode deploys the spec itself, ``LiveClusterConfig(spec, **overrides)``:
 the protocol is the registry stack the spec's agents factory names (a
 :data:`repro.eval.library.PROTOCOLS` row), and every node process and the
 coordinator draw the spec's schedule — joins, group rows, workload ops,
-fault rows — exactly as the simulator draws it, and run it ``time_scale``
-wall seconds to the simulated second (by default the spec is fitted into a
-dozen wall seconds).  A live deployment runs one seed in one piece.  Keyword
+fault rows — exactly as the simulator draws it.  The schedule, protocol
+timers and the failure detector all keep spec seconds, each run in
+``time_scale`` wall seconds (by default the spec is fitted into a dozen wall
+seconds).  A live deployment runs one seed in one piece.  Keyword
 overrides are the deployment's own knobs (``base_port=48000``,
 ``time_scale=0.05``, ...).
 """

@@ -1,35 +1,26 @@
 """Multi-process live deployments on localhost.
 
-A live deployment is a :class:`~repro.eval.scenario.ScenarioSpec` on a wall
-clock.  :class:`LiveCluster` boots one OS process per node of the spec
-(:mod:`repro.live.node`), each running one
-:class:`~repro.runtime.node.MacedonNode` with the *unchanged*
-registry-compiled protocol stack on a :class:`~repro.live.driver.LiveDriver`
-clock and a :class:`~repro.transport.udp.SocketUdpNetwork` socket.  Every
-process, and the coordinator, draws the spec's schedule exactly as the
-simulator draws it (:meth:`LiveClusterConfig.draw`) and carries out its own
-share, ``time_scale`` wall seconds to the simulated second: a node process
-its node's joins, group rows and workload ops; the coordinator the fault
-rows, by verb, as :class:`~repro.eval.experiment.OverlayExperiment` runs
-them.  Every node process ships one payload per observing model, and the
-coordinator scores the pooled payloads with the simulator's own
-:func:`~repro.eval.scenario.score_models` into the simulator's
-:class:`~repro.eval.scenario.ScenarioResult`, so simulated and live runs of
-one specification are read off one ruler — the paper's Figure-1 promise.
+A live deployment is a :class:`~repro.eval.scenario.ScenarioSpec` on a
+scaled clock.  :class:`LiveCluster` boots one OS process per node of the spec
+(:mod:`repro.live.node`), each running the *unchanged* registry-compiled
+stack on a :class:`~repro.live.driver.LiveDriver` and a
+:class:`~repro.transport.udp.SocketUdpNetwork` socket.  Every process, and
+the coordinator, draws the spec's schedule as the simulator draws it
+(:meth:`LiveClusterConfig.draw`) and runs its own share in spec seconds: a
+node process its node's joins, group rows and workload ops; the coordinator
+the fault rows, by verb, as :class:`~repro.eval.experiment.OverlayExperiment`
+runs them.  The coordinator scores the node reports with the simulator's own
+scorers into the simulator's :class:`~repro.eval.scenario.ScenarioResult`:
+one ruler for both modes, the paper's Figure-1 promise.
 
-Coordination is deliberately minimal: endpoints are a static address→port
-map computed up front, a process barrier aligns the zero of every node's
-wall clock, and results come back over a queue.  In the *data* path there is
-no runtime coordinator — once the barrier drops, the only communication
-between nodes is protocol traffic over their UDP sockets.  The coordinator
-re-enters only as the *fault* plane: when the spec draws fault rows it
-becomes a supervisor — real ``SIGKILL``\\ s, respawns under a capped
-exponential backoff and a per-node restart budget (the respawned process
-re-enters through the transport restart-epoch machinery, resuming the shared
-cluster clock mid-timeline), and partition/degrade rules sent one way into
-every node's socket fault table over an out-of-band control channel.  A node
-that exhausts its budget is accounted as *down* — graceful degradation, not
-a run failure.
+Coordination is minimal: a static address→port map, a start barrier whose
+action fixes the cluster's zero on the host's monotonic clock, and a results
+queue.  Once the barrier drops, nodes talk only protocol traffic.  When the
+spec draws fault rows the coordinator becomes a supervisor: real
+``SIGKILL``\ s, respawns under a per-node restart budget (a reborn process
+re-enters through the transport restart epoch, on the shared zero), and
+partition/degrade rules sent one way into every node's socket fault table.
+A node that exhausts its budget is accounted *down*, not a run failure.
 """
 
 from __future__ import annotations
@@ -49,34 +40,33 @@ from functools import partial
 from queue import Empty
 from typing import NamedTuple, Optional
 
-from ..eval.faults import FAULT_VERBS
+from ..eval.faults import FAULT_VERBS, fired_faults
 from ..eval.library import PROTOCOLS, RegistryStack
-from ..eval.metrics import correct_successor_fraction
 from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioModel,
                              ScenarioResult, ScenarioSpec, check_event_time,
-                             metric_labels, score_models)
+                             metric_labels, score_models, score_recovery)
 from ..eval.workload import WorkloadModel, WorkloadPlan
 from ..transport.udp import SocketUdpNetwork
 from .faults import (DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS,
-                     LiveFaultError, fault_horizon)
+                     LiveFaultError)
 from .node import FIRST_ADDRESS, NODE_VERBS, TRANSPORT_TOTALS, worker_entry
-
-#: Seconds after the spec's horizon for in-flight deliveries to land before
-#: the processes shut down.
-DRAIN = 1.0
 
 #: Wall seconds a spec is fitted into when its config sets no ``time_scale``:
 #: a 300-second scenario does not hold real sockets for five minutes.
 WALL_BUDGET = 12.0
 
-#: Exponential-backoff schedule for respawning a node that died
-#: *unexpectedly*: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.  A
+#: Exponential-backoff schedule, in spec seconds, for respawning a node that
+#: died *unexpectedly*: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**restarts)``.  A
 #: crashed node's recovery waits at most ``BACKOFF_CAP`` of stretch.
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 8.0
 
-#: Coordinator actions the run waits for even once every node it expects
-#: has reported: each changes which nodes it expects.
+#: Wall seconds the coordinator waits between looks at its queue and clock,
+#: and for node reports once the spec's horizon has passed.
+POLL = 0.01
+REPORT_TIMEOUT = 30.0
+
+#: Actions the run waits for after the last report: each changes who reports.
 _AWAITED = ("crash_node", "recover_node", "_respawn")
 
 
@@ -85,9 +75,8 @@ class LiveClusterError(RuntimeError):
 
 
 class Drawn(NamedTuple):
-    """One model's draw on the wall clock, under its metric label: a
-    workload's ``plan``, or another model's ``rows`` and the ``metrics``
-    its draw fixes."""
+    """One model's draw, under its metric label: a workload's ``plan``, or
+    another model's ``rows`` and the ``metrics`` its draw fixes."""
 
     label: str
     model: ScenarioModel
@@ -103,10 +92,10 @@ class LiveClusterConfig:
     does in simulation."""
 
     spec: ScenarioSpec
-    #: Wall seconds per simulated second: every drawn join, op and fault
-    #: runs at ``time_scale`` times its offset.  ``None`` fits the spec into
-    #: :data:`WALL_BUDGET` seconds, never slower than real time.  Protocol
-    #: timers are not scaled: they are wall-clock timers.
+    #: Wall seconds per spec second, which everything above the socket
+    #: keeps (rows, protocol timers, RTO, failure detector).  ``None`` fits
+    #: the spec into :data:`WALL_BUDGET` seconds, never slower than real
+    #: time.
     time_scale: Optional[float] = None
     host: str = "127.0.0.1"
     base_port: int = 47000
@@ -118,10 +107,6 @@ class LiveClusterConfig:
     #: How many supervised respawns any one node gets before it is
     #: accounted as permanently down (graceful degradation).
     restart_budget: int = 3
-    #: Wall seconds of recovery after the last fault transition; probes
-    #: sent past ``fault_horizon + post_fault_settle`` score the post-fault
-    #: ratio.
-    post_fault_settle: float = 2.0
 
     def __post_init__(self) -> None:
         spec = self.spec
@@ -151,33 +136,22 @@ class LiveClusterConfig:
             return self.time_scale
         return min(1.0, WALL_BUDGET / self.spec.duration)
 
-    @property
-    def duration(self) -> float:
-        """The spec's horizon, in wall seconds."""
-        return self.spec.duration * self.scale
-
-    @property
-    def total_runtime(self) -> float:
-        return self.duration + DRAIN
-
     def endpoints(self) -> dict[int, tuple[str, int]]:
         return {FIRST_ADDRESS + index: (self.host, self.base_port + index)
                 for index in range(self.spec.num_nodes)}
 
     def draw(self) -> list[Drawn]:
-        """The spec's schedule on the wall clock, one :class:`Drawn` per
-        model.
+        """The spec's schedule, one :class:`Drawn` per model.
 
         Every model's own ``draw``, in spec order, from the stream the
         simulator's ``experiment.scenario_rng`` is (``fork_rng("scenario")``
         of the spec's seed) and without an underlay — so each process, and
-        the coordinator, holds the simulator's own schedule without
-        exchanging a byte, every offset times :attr:`scale`.  A spec the
-        simulator rejects raises its :class:`ScenarioError`, in its words; a
-        row no live process can run raises
-        :class:`~repro.live.faults.LiveFaultError`.
+        the coordinator, holds the simulator's own rows and plans, untouched,
+        without exchanging a byte.  A spec the simulator rejects raises its
+        :class:`ScenarioError`, in its words; a row no live process can run
+        raises :class:`~repro.live.faults.LiveFaultError`.
         """
-        spec, scale = self.spec, self.scale
+        spec = self.spec
         key_space = spec.resolve_agents()[0].KEY_SPACE.size
         rng = random.Random(f"{spec.seed}:scenario")
         drawn = []
@@ -189,9 +163,6 @@ class LiveClusterConfig:
                                   spec.duration)
                 for op in plan.ops:
                     check_event_time(model.kind, op.time)
-                plan.ops = [op._replace(time=op.time * scale)
-                            for op in plan.ops]
-                plan.window *= scale
                 drawn.append(Drawn(label, model, plan, [], {}))
                 continue
             rows, metrics = model.draw(spec.num_nodes, rng, spec.duration)
@@ -206,10 +177,7 @@ class LiveClusterConfig:
                 check_event_time(kinds[0], row.at)
                 if row.until is not None:
                     check_event_time(kinds[2], row.until)
-            drawn.append(Drawn(label, model, None, [row._replace(
-                at=row.at * scale,
-                until=None if row.until is None else row.until * scale)
-                for row in rows], metrics))
+            drawn.append(Drawn(label, model, None, rows, metrics))
         return drawn
 
 
@@ -233,17 +201,17 @@ class LiveCluster:
                     "pending_respawn": False, "proc": None}
             for index in range(config.spec.num_nodes)
         }
-        #: Timed coordinator actions: ``(at, seq, callable, args)``.
+        #: Timed actions, ``(at, seq, callable, args)`` in spec seconds.
         self._actions: list = []
         self._seq = itertools.count()
         #: Scheduled offset of the action running now.
         self._now = 0.0
         #: The fault rows this coordinator runs (:meth:`_schedule`).
         self._faults: list = []
-        #: Standing network-fault rules (key → op), replayed to respawned
-        #: nodes whose fresh fault tables would otherwise leak traffic
-        #: through an unhealed partition.
+        #: Standing network-fault rules (key → op), and the respawned nodes
+        #: that have not had them yet (:meth:`_replay`).
         self._standing: dict = {}
+        self._reborn: set = set()
         self._processes: list = []
 
     # ------------------------------------------------------------ fault verbs
@@ -303,17 +271,11 @@ class LiveCluster:
 
     # ---------------------------------------------------------- supervision
     def _schedule(self, rows) -> None:
-        """Queue this coordinator's share of the drawn *rows*: each fault
-        verb at ``at`` and its undo at ``until``, as
-        ``ScenarioModel.instantiate`` binds them.  What falls past the
-        spec's horizon is not queued: it never fires in simulation either."""
-        horizon = self.config.duration
-        for row in rows:
-            if row.verb in NODE_VERBS or row.at > horizon:
-                continue
-            if row.until is not None and row.until > horizon:
-                row = row._replace(until=None)
-            self._faults.append(row)
+        """Queue the fault rows among *rows* that fire by the spec's horizon
+        (:func:`~repro.eval.faults.fired_faults`): each verb at ``at`` and
+        its undo at ``until``, as ``ScenarioModel.instantiate`` binds them."""
+        self._faults = fired_faults(rows, self.config.spec.duration)
+        for row in self._faults:
             _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[row.verb]
             self._push(row.at, getattr(self, row.verb), *row.args)
             if row.until is not None:
@@ -345,12 +307,10 @@ class LiveCluster:
         name = f"live-node-{FIRST_ADDRESS + index}"
         if incarnation:
             name = f"{name}.{incarnation}"
-        cold = incarnation == 0
         process = self._ctx.Process(
             target=worker_entry,
-            args=(self.config, index, self._barrier if cold else None,
-                  self._results, self._ready if cold else None,
-                  incarnation, None if cold else self._t0),
+            args=(self.config, index, None if incarnation else self._barrier,
+                  self._results, self._ready, self._zero, incarnation),
             name=name, daemon=True)
         process.start()
         self._processes.append(process)
@@ -361,17 +321,23 @@ class LiveCluster:
         node.update(incarnation=node["incarnation"] + 1,
                     restarts=node["restarts"] + 1, down=False,
                     pending_respawn=False)
+        self._ready[index] = 0
         self._spawn(index)
-        if self._standing:
-            # The reborn socket needs the standing rules; send once it is
-            # plausibly bound, then again in case the first volley raced
-            # the bind.
-            self._push(self._now + 0.5, self._replay, index)
-            self._push(self._now + 1.5, self._replay, index)
+        self._reborn.add(index)
 
-    def _replay(self, index: int) -> None:
-        for op in list(self._standing.values()):
-            self._send_control(op, [FIRST_ADDRESS + index])
+    def _replay(self) -> None:
+        """Send the standing rules to each reborn node once its socket is
+        bound (its ``ready`` flag): a fresh fault table would otherwise leak
+        traffic through an unhealed partition."""
+        for index in [index for index in self._reborn if self._ready[index]]:
+            self._reborn.discard(index)
+            for op in list(self._standing.values()):
+                self._send_control(op, [FIRST_ADDRESS + index])
+
+    def _clock(self) -> float:
+        """The cluster's spec-second clock, as every node's driver reads it:
+        the one place the coordinator converts wall time."""
+        return (time.monotonic() - self._zero.value) / self.config.scale
 
     # ------------------------------------------------------------------- run
     def run(self) -> ScenarioResult:
@@ -387,8 +353,11 @@ class LiveCluster:
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"))
         # The coordinator is the (nodes+1)-th barrier party, so it learns
-        # "everyone booted" (and the cluster clock zero) without a report.
-        self._barrier = self._ctx.Barrier(nodes + 1)
+        # "everyone booted" without a report; the barrier's action fixes the
+        # cluster clock's zero as the last party arrives.
+        self._zero = self._ctx.Value("d", 0.0)
+        self._barrier = self._ctx.Barrier(
+            nodes + 1, action=partial(_set_zero, self._zero))
         self._ready = self._ctx.Array("b", nodes)
         self._results = results_queue = self._ctx.Queue()
         self._control_socket = socket_module.socket(socket_module.AF_INET,
@@ -403,15 +372,15 @@ class LiveCluster:
                 self._barrier.wait(config.startup_timeout)
             except threading.BrokenBarrierError:
                 raise self._startup_failure(reports) from None
-            self._t0 = t0 = time.time()
-            deadline = t0 + config.total_runtime + 30.0
+            deadline = None
 
             while True:
-                now = time.time() - t0
+                now = self._clock()
                 # 1. fire due fault-plane actions
                 while actions and actions[0][0] <= now:
                     self._now, _, action, args = heapq.heappop(actions)
                     action(*args)
+                self._replay()
 
                 expected = [i for i in range(nodes) if not state[i]["down"]]
                 if (all(i in reports for i in expected)
@@ -420,27 +389,25 @@ class LiveCluster:
                     # Leftover network actions (a heal scheduled past the
                     # run's end) have nobody left to heal — don't wait.
                     break
-                remaining = deadline - time.time()
-                if remaining <= 0:
+                if deadline is None and now > config.spec.duration:
+                    deadline = time.monotonic() + REPORT_TIMEOUT
+                if deadline is not None and time.monotonic() > deadline:
                     missing = sorted(set(expected) - set(reports))
                     raise LiveClusterError(
                         f"live cluster timed out waiting for node reports "
                         f"(missing indices: {missing})")
 
-                # 2. take a report (waiting no longer than the next action)
-                next_action_in = actions[0][0] - now if actions else 2.0
-                timeout = max(0.05, min(remaining, next_action_in, 0.5))
+                # 2. take a report
                 try:
-                    index, report = results_queue.get(timeout=timeout)
+                    index, report = results_queue.get(timeout=POLL)
                 except Empty:
                     pass
                 else:
                     reports[index] = report
                     continue
 
-                # 3. supervise: a worker that died without reporting either
-                # respawns (within budget) or is accounted down; without a
-                # fault plan, keep the original fail-fast contract.
+                # 3. supervise: a worker dead without a report respawns within
+                # budget or is down; with no fault plan, fail fast.
                 for index in expected:
                     node_state = state[index]
                     if (index in reports or node_state["pending_respawn"]
@@ -501,11 +468,8 @@ class LiveCluster:
     def _startup_failure(self, reports: dict) -> LiveClusterError:
         """Name the node(s) that broke the start barrier: the ones whose
         boot failed (port bind, import), else the ones still short of it."""
-        # Before the barrier drops every report is a failure; a worker that
-        # merely observed the broken barrier is a casualty, not the cause.
-        # The causing report may still be in flight through the queue feeder
-        # when the barrier breaks, so poll briefly before settling for the
-        # stuck diagnostic.
+        # A worker that merely saw the barrier break is a casualty; the
+        # cause's report may still be in the queue feeder, so poll briefly.
         deadline = time.time() + 2.0
         while True:
             with suppress(Empty):
@@ -539,37 +503,32 @@ class LiveCluster:
     def _down_report(self, index: int, node_state: dict) -> dict:
         """Placeholder report for a node that stayed down (budget spent or
         killed with no respawn): zero contribution, visible in the count."""
-        return {
-            "address": FIRST_ADDRESS + index,
-            "state": "down",
-            "down": True,
-            "incarnation": node_state["incarnation"],
-            "models": {},
-            "events_processed": 0,
-            "callback_error_count": 0,
-            "transport": dict.fromkeys(TRANSPORT_TOTALS, 0),
-            "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0),
-        }
+        return {"address": FIRST_ADDRESS + index, "state": "down",
+                "down": True, "incarnation": node_state["incarnation"],
+                "models": {}, "events_processed": 0,
+                "callback_error_count": 0,
+                "transport": dict.fromkeys(TRANSPORT_TOTALS, 0),
+                "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0)}
 
     # ------------------------------------------------------------ aggregation
     def _aggregate(self, drawn: list[Drawn],
                    per_node: list[dict]) -> ScenarioResult:
-        """Score every model with the simulator's own scorer — a workload
-        and a group model over the payloads their processes shipped, a fault
-        model on what the coordinator drew — then add what only a
-        deployment has: process, transport and socket totals, the
-        supervisor's counts, the post-fault ratio and the ring."""
-        config, spec = self.config, self.config.spec
+        """Score the run with the simulator's own scorers — a workload or
+        group model over its processes' payloads, a fault model on what its
+        draw fixed — then add what only a deployment has: process, transport
+        and socket totals and the supervisor's counts."""
+        spec = self.config.spec
         compiled = []
-        for label, model, plan, _rows, fixed in drawn:
-            # A workload or group model pools its processes' payloads; a
-            # fault model scores on the metrics its draw fixed.
+        for label, model, plan, rows, fixed in drawn:
             score = getattr(model, "score", None)
-            compiled.append(CompiledModel(label, (), fixed, score and partial(
-                score, fixed if plan is None else plan)))
+            compiled.append(CompiledModel(
+                label, (), fixed, score and partial(
+                    score, fixed if plan is None else plan),
+                model=model, faults=fired_faults(rows, spec.duration)))
         metrics = score_models(compiled, per_node)
+        metrics.update(score_recovery(compiled, per_node,
+                                      spec.post_fault_settle))
         workloads = [model for model in drawn if model.plan is not None]
-        recovered_at = fault_horizon(self._faults) + config.post_fault_settle
         for label, workload, *_ in workloads:
             # Staleness needs a strictly-before clock, which the per-process
             # store clocks do not give us; the version-space checks (phantom
@@ -580,17 +539,6 @@ class LiveCluster:
             # sending it.
             metrics[f"{label}.skipped"] = \
                 workload.packets - metrics[f"{label}.sent"]
-            if self._faults:
-                payloads = [report["models"][label] for report in per_node
-                            if label in report["models"]]
-                late = {seqno for payload in payloads
-                        for seqno, at in payload["sent"] if at >= recovered_at}
-                #: The ratio's sample size: a gate on the ratio alone passes
-                #: or fails on a handful of probes without saying so.
-                metrics[f"{label}.post_fault_probes"] = float(len(late))
-                if late:
-                    metrics[f"{label}.post_fault_success_ratio"] = \
-                        len(workload.delivered(payloads) & late) / len(late)
         metrics.update({
             "nodes.count": float(spec.num_nodes),
             "nodes.joined": float(sum(
@@ -611,14 +559,6 @@ class LiveCluster:
         for key in ("decode_errors", "fault_drops", "reassembly_timeouts"):
             metrics[f"socket.{key}"] = float(sum(
                 report["socket"][key] for report in per_node))
-        alive = [report for report in per_node if not report.get("down")]
-        if alive and all("ring" in report for report in alive):
-            metrics["ring.correct_successor_fraction"] = \
-                correct_successor_fraction(
-                    [(report["ring"]["my_key"], report["address"])
-                     for report in alive],
-                    {report["address"]: report["ring"]["successor"]
-                     for report in alive})
         name = f"live-{spec.agents.name}-{workloads[0].model.kind}"
         obs, obs_snapshot = spec.obs, None
         if obs is not None:
@@ -627,9 +567,10 @@ class LiveCluster:
             registry = base_registry()
             hop_records = fill(
                 registry, per_node, [model.label for model in workloads],
-                nodes_total=spec.num_nodes, nodes_alive=len(alive))
+                nodes_total=spec.num_nodes,
+                nodes_alive=sum(not report.get("down") for report in per_node))
             obs_snapshot = artifact(registry, mode="live", name=name,
-                                    seed=spec.seed, duration=config.duration)
+                                    seed=spec.seed, duration=spec.duration)
             # Each node's samples, regrouped by instant.
             samples: dict[float, list] = {}
             for report in per_node:
@@ -644,6 +585,13 @@ class LiveCluster:
                 write_trace_file(obs.trace_path, hop_records,
                                  meta={"mode": "live", "seed": spec.seed})
         return ScenarioResult(name=name, seed=spec.seed,
-                              duration=config.duration, metrics=metrics,
+                              duration=spec.duration, metrics=metrics,
                               series={}, events=[], obs=obs_snapshot,
                               per_node=per_node)
+
+
+def _set_zero(zero) -> None:
+    """The start barrier's action: the cluster clock's zero is the instant
+    the last party arrives, on the monotonic clock every event loop on the
+    host reads."""
+    zero.value = time.monotonic()

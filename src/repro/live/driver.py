@@ -7,10 +7,16 @@ scheduling API — :class:`~repro.runtime.timers.ProtocolTimer`,
 detector's sweep, generated transition bodies — runs unchanged in live mode:
 ``schedule`` maps to ``loop.call_later``, ``schedule_gen`` to the same with
 the simulator's generation-token discard rule (the only way to cancel, as in
-the simulator), ``now`` is wall-clock seconds since the driver started, and
-``fork_rng`` derives per-subsystem RNG streams from the seed exactly as the
-simulator does (a live node's random choices are reproducible even though its
-packet timing is not).
+the simulator), and ``fork_rng`` derives per-subsystem RNG streams from the
+seed exactly as the simulator does (a live node's random choices are
+reproducible even though its packet timing is not).
+
+The driver keeps time in *spec seconds*: ``now`` is the wall time elapsed
+since the cluster's zero divided by ``time_scale``, and every delay handed to
+``schedule``/``schedule_at``/``schedule_gen`` is multiplied by it.  Protocol
+timers, RTO, the failure detector and a spec's drawn rows therefore all run
+on the spec's clock, and this is the one place a node converts between spec
+and wall seconds.
 
 Differences from the simulated clock, by necessity:
 
@@ -42,20 +48,23 @@ MAX_RETAINED_ERRORS = 64
 
 
 class LiveDriver(Driver):
-    """The wall-clock implementation of the driver contract.
+    """The event-loop implementation of the driver contract.
 
     Parameters
     ----------
     seed:
         Seed for :meth:`fork_rng`, giving live nodes the same reproducible
         per-subsystem randomness streams as their simulated counterparts.
+    time_scale:
+        Wall seconds per spec second.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, time_scale: float = 1.0) -> None:
         self._seed = seed
+        self.time_scale = time_scale
         self.rng = random.Random(seed)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
+        self._zero = 0.0
         #: Callbacks dispatched so far — the live analogue of the simulator's
         #: ``events_processed``, reported in cluster metrics.
         self.events_processed = 0
@@ -66,16 +75,18 @@ class LiveDriver(Driver):
 
     # ------------------------------------------------------------------- time
     def start(self, loop: Optional[asyncio.AbstractEventLoop] = None, *,
-              now: float = 0.0) -> None:
+              zero: Optional[float] = None) -> None:
         """Bind to *loop* (default: the running loop) and set the clock.
 
-        ``now`` is the driver-clock reading at this instant — 0.0 for a
-        node booting at the cluster's barrier-aligned zero, or the elapsed
-        cluster time for a supervisor-respawned node, whose clock must
-        resume mid-timeline so cluster-relative schedules stay aligned.
+        ``zero`` is the cluster's zero on the loop's clock (the host's
+        monotonic clock, which every process on the host shares); ``None``
+        starts the clock now.  A node booting at the start barrier and a
+        supervisor-respawned one read the same zero, so a respawned node
+        resumes mid-timeline and a probe stamped in one process is timed in
+        another on one clock.
         """
         self._loop = loop if loop is not None else asyncio.get_running_loop()
-        self._t0 = self._loop.time() - now
+        self._zero = self._loop.time() if zero is None else zero
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
@@ -90,7 +101,7 @@ class LiveDriver(Driver):
     def now(self) -> float:
         if self._loop is None:
             return 0.0
-        return self._loop.time() - self._t0
+        return (self._loop.time() - self._zero) / self.time_scale
 
     @property
     def _now(self) -> float:
@@ -135,7 +146,8 @@ class LiveDriver(Driver):
         loop = self._require_loop()
         if delay < 0:
             delay = 0.0
-        loop.call_later(delay, self._dispatch, callback, args)
+        loop.call_later(delay * self.time_scale, self._dispatch, callback,
+                        args)
 
     def schedule_at(self, when: float, callback: Callable[..., Any],
                     *args: Any) -> None:
@@ -146,7 +158,8 @@ class LiveDriver(Driver):
         loop = self._require_loop()
         if delay < 0:
             delay = 0.0
-        loop.call_later(delay, self._dispatch_gen, callback, cell, cell[0])
+        loop.call_later(delay * self.time_scale, self._dispatch_gen, callback,
+                        cell, cell[0])
 
     def cancel_gen(self, cell: list) -> None:
         # The armed call_later still fires, sees the bumped generation, and
@@ -155,13 +168,13 @@ class LiveDriver(Driver):
 
     # ------------------------------------------------------------------- loop
     async def run_for(self, seconds: float) -> float:
-        """Let the loop run events for *seconds*.
+        """Let the loop run events for *seconds* of driver time.
 
         The live analogue of ``Simulator.run(until=...)``; returns the
         driver-clock time when the wait ended.
         """
         self._require_loop()
-        await asyncio.sleep(seconds)
+        await asyncio.sleep(max(0.0, seconds) * self.time_scale)
         return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,13 +5,14 @@ faults once, as the :class:`~repro.eval.faults.Fault` rows its ``draw``
 returns.  The simulator runs them on an
 :class:`~repro.eval.experiment.OverlayExperiment`; a live deployment draws
 the same rows from the same RNG stream
-(:meth:`~repro.live.cluster.LiveClusterConfig.draw`) and runs them
-``time_scale`` wall seconds to the simulated second on a
+(:meth:`~repro.live.cluster.LiveClusterConfig.draw`) and runs them at their
+own offsets, in spec seconds, on a
 :class:`~repro.live.cluster.LiveCluster`, which carries the verbs a
-deployment can carry out under the experiment's names.  This module holds
-the rest: how a degraded access link's factors become socket delay and
-loss, where the post-fault window opens, and whether a spec can be deployed
-at all.
+deployment can carry out under the experiment's names.  Both score the
+post-fault window on the same rows
+(:func:`~repro.eval.scenario.score_recovery`).  This module holds the rest:
+how a degraded access link's factors become socket delay and loss, and
+whether a spec can be deployed at all.
 
 A model that needs the emulated underlay (link-level cuts and degradation,
 rack-correlated crashes) says so itself when drawn without one, so a spec
@@ -40,17 +41,6 @@ MAX_DEGRADE_LOSS = 0.75
 
 class LiveFaultError(ScenarioError):
     """A spec draws a fault row no live process can carry out."""
-
-
-def fault_horizon(faults) -> float:
-    """Offset of the last scheduled fault transition (0.0 for no faults).
-
-    Post-fault accounting (the "recovers after the settle window" gate)
-    starts here; a kill with no respawn still ends at its kill time — the
-    membership change is instantaneous even if the outage is permanent.
-    """
-    return max((row.at if row.until is None else row.until for row in faults),
-               default=0.0)
 
 
 def live_runnable(spec) -> Tuple[bool, Optional[str]]:

@@ -2,28 +2,29 @@
 
 :func:`worker_entry` is what :class:`~repro.live.cluster.LiveCluster` starts
 in every process.  The process compiles its registry stack, binds its
-socket, waits on the cluster's start barrier (which aligns every node's clock
-zero) and draws the spec's schedule
+socket, waits on the cluster's start barrier (whose action fixes the
+cluster's clock zero) and draws the spec's schedule
 (:meth:`~repro.live.cluster.LiveClusterConfig.draw`), the same draw every
 other process and the coordinator hold.  It schedules its own node's share
-on its :class:`~repro.live.driver.LiveDriver`: the join and group rows naming
+in spec seconds on its :class:`~repro.live.driver.LiveDriver`, which runs
+them ``time_scale`` wall seconds each: the join and group rows naming
 its index on the :class:`~repro.runtime.node.MacedonNode`, and each
 workload's ops naming its index on the
 :class:`~repro.eval.workload.NodeWorkload` it builds for it — the class the
 simulator builds one of per node.  At the end it ships a report home over
 the results queue: one payload per observing model under the model's label
 (a workload's observations, a group model's join count), its FSM state,
-transport, network and socket counters and, for ring protocols, its
-successor.
+transport, network and socket counters and, for ring protocols, its ring row
+(:func:`~repro.eval.metrics.ring_rows`).
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 from functools import partial
-from typing import Any, Optional
+from typing import Any
 
+from ..eval.metrics import ring_rows
 from ..eval.scenario import GroupModel
 from ..eval.workload import NodeWorkload, WorkloadObservations
 from ..transport.udp import SocketUdpNetwork
@@ -32,17 +33,12 @@ from ..transport.udp import SocketUdpNetwork
 #: address as "unset" (``if candidate:`` guards).
 FIRST_ADDRESS = 1
 
-#: Fix-fingers period set on any live agent exposing the knob: a live run
-#: lasts seconds, so fingers are repaired twice as often as Chord's 1 s
-#: specification default.
-FIX_PERIOD = 0.5
-
 #: The drawn verbs a node process runs on its own node: its joins and its
 #: group rows.  Every other drawn verb is a :class:`LiveCluster` fault verb.
 NODE_VERBS = ("join_node", "macedon_create_group", "macedon_join")
 
-#: Seconds after a respawn at which a reborn process re-enters what its dead
-#: incarnation had joined: the overlay, then its groups and topics.  Any
+#: Spec seconds after a respawn at which a reborn process re-enters what its
+#: dead incarnation had joined: the overlay, then its groups and topics.  Any
 #: other slot it was born after belonged to the dead incarnation, which may
 #: or may not have run it; its record is gone either way, so the coordinator
 #: books a missed op as skipped.
@@ -54,18 +50,17 @@ TRANSPORT_TOTALS = ("messages_sent", "messages_delivered", "segments_sent",
                     "segments_received", "retransmissions", "drops")
 
 
-async def node_main(config, index: int, barrier, *, ready=None,
-                    incarnation: int = 0,
-                    clock_zero: Optional[float] = None) -> dict:
+async def node_main(config, index: int, barrier, ready, zero, *,
+                    incarnation: int = 0) -> dict:
     """Run node *index* of ``config.spec`` and return its report.
 
     ``incarnation`` 0 is the barrier-aligned cold boot.  A supervisor
     respawn (``incarnation`` > 0) skips the barrier — the cluster is already
-    running — and instead resumes the shared cluster clock from
-    ``clock_zero``, rebuilding its protocol stack through the node's
-    fail-stop recovery path so the transport demux re-keys under the new
-    restart epoch (a peer's stale retransmission state cannot poison the
-    reborn node, and vice versa).
+    running — and resumes the cluster clock from the shared ``zero``,
+    rebuilding its protocol stack through the node's fail-stop recovery
+    path so the transport demux re-keys under the new restart epoch (a
+    peer's stale retransmission state cannot poison the reborn node, and
+    vice versa).  Either raises its ``ready`` flag once its socket is bound.
     """
     # Imports happen here (not at module top) so a "spawn" child pays them
     # once, inside its own interpreter.
@@ -89,14 +84,14 @@ async def node_main(config, index: int, barrier, *, ready=None,
     await network.open()
     try:
         loop = asyncio.get_running_loop()
-        driver = LiveDriver(seed=config.spec.seed)
+        driver = LiveDriver(seed=config.spec.seed,
+                            time_scale=config.scale)
+        # The ready flag lets the coordinator name the stuck node when the
+        # start barrier times out, and replay the standing fault rules to a
+        # reborn socket.
+        ready[index] = 1
         if incarnation == 0:
-            # Every socket must be bound before any node may send: the
-            # barrier also aligns the zero of every process's driver clock.
-            # The ready flag lets the coordinator name the stuck node when
-            # the barrier times out.
-            if ready is not None:
-                ready[index] = 1
+            # Every socket must be bound before any node may send.
             try:
                 await loop.run_in_executor(
                     None, lambda: barrier.wait(config.startup_timeout))
@@ -104,9 +99,7 @@ async def node_main(config, index: int, barrier, *, ready=None,
                 raise LiveClusterError(
                     f"node {address}: cluster start barrier broke "
                     f"(a peer failed to boot?): {exc!r}") from exc
-            driver.start(loop)
-        else:
-            driver.start(loop, now=time.time() - clock_zero)
+        driver.start(loop, zero=zero.value)
 
         # Observability (repro.obs): a per-node tracer honouring the run's
         # category overrides, plus — when causal tracing is on — the wire
@@ -124,7 +117,8 @@ async def node_main(config, index: int, barrier, *, ready=None,
                 causal = LiveCausalLog(address)
                 network.enable_causal(causal)
 
-        node = MacedonNode(driver, network, stack, tracer=obs_tracer)
+        node = MacedonNode(driver, network, stack, tracer=obs_tracer,
+                           failure_config=config.spec.failure_config)
         if incarnation:
             # Rebuild through the fail-stop recovery path so the transport
             # subsystem carries the real restart epoch, exactly as a
@@ -132,16 +126,12 @@ async def node_main(config, index: int, barrier, *, ready=None,
             node.crash()
             node.crash_count = incarnation
             node.recover()
-        for agent in node.stack:
-            if hasattr(agent, "fix_period"):
-                agent.fix_period = FIX_PERIOD
 
-        # --- this node's share of the drawn schedule, on the wall clock,
-        # and of what the models observe.  A workload's share is the same
-        # per-node class the simulator builds N of, recording into the same
-        # observations; probes are stamped and timed on the wall clock — two
-        # processes' driver clocks share no zero finer than the start
-        # barrier.  A group model counts the joins its rows ran here.
+        # --- this node's share of the drawn schedule and of what the models
+        # observe.  A workload's share is the same per-node class the
+        # simulator builds N of, recording into the same observations on
+        # the driver clock, whose zero every process shares.  A group model
+        # counts the joins its rows ran here.
         observed: dict[str, WorkloadObservations] = {}
         joined: dict[str, int] = {}
         streams: set[int] = set()
@@ -159,7 +149,7 @@ async def node_main(config, index: int, barrier, *, ready=None,
             if plan is not None:
                 observed[label] = WorkloadObservations()
                 share = NodeWorkload(node, model, model.claim_stream(streams),
-                                     observed[label], time.time)
+                                     observed[label])
                 mine += [(op.time, op.verb,
                           partial(getattr(share, op.verb), *op.args))
                          for op in plan.ops if op.node == index]
@@ -170,9 +160,9 @@ async def node_main(config, index: int, barrier, *, ready=None,
                      for row in rows
                      if row.node == index and row.verb in NODE_VERBS]
 
-        # Wall-clock stats every quarter of the run (at least 1 s apart),
-        # shipped home in the report: nothing travels mid-run, and the
-        # samples of a killed incarnation die with it.
+        # Stats every quarter of the run (at least 1 spec-s apart), shipped
+        # home in the report: nothing travels mid-run, and the samples of a
+        # killed incarnation die with it.
         wallclock: list = []
         if obs is not None:
             def sample(at: float) -> None:
@@ -186,9 +176,10 @@ async def node_main(config, index: int, barrier, *, ready=None,
                     "socket": network.stats(),
                 }))
 
-            step = max(1.0, config.duration / 4.0)
+            duration = config.spec.duration
+            step = max(1.0, duration / 4.0)
             at = step
-            while at < config.duration:
+            while at < duration:
                 if at > driver.now:
                     driver.schedule_at(at, sample, round(at, 3))
                 at += step
@@ -199,7 +190,7 @@ async def node_main(config, index: int, barrier, *, ready=None,
             elif verb in REJOIN:
                 driver.schedule(REJOIN[verb], call)
 
-        await driver.run_for(max(0.0, config.total_runtime - driver.now))
+        await driver.run_for(config.spec.duration - driver.now)
 
         # --- report --------------------------------------------------------
         transport_totals = dict.fromkeys(TRANSPORT_TOTALS, 0)
@@ -235,25 +226,20 @@ async def node_main(config, index: int, barrier, *, ready=None,
                 report["causal"] = {"traces": causal.traces,
                                     "hops": causal.hop_count,
                                     "records": causal.hops}
-        highest = node.highest_agent
-        if hasattr(highest, "successor"):
-            report["ring"] = {"my_key": highest.my_key,
-                              "successor": highest.successor}
+        report["ring"] = ring_rows([node])
         return report
     finally:
         network.close()
 
 
-def worker_entry(config, index: int, barrier, results, ready=None,
-                 incarnation: int = 0,
-                 clock_zero: Optional[float] = None) -> None:
+def worker_entry(config, index: int, barrier, results, ready, zero,
+                 incarnation: int = 0) -> None:
     """Process target: run :func:`node_main` and put its report (or the
     failure) on *results*."""
     import asyncio
     try:
-        report = asyncio.run(node_main(config, index, barrier, ready=ready,
-                                       incarnation=incarnation,
-                                       clock_zero=clock_zero))
+        report = asyncio.run(node_main(config, index, barrier, ready, zero,
+                                       incarnation=incarnation))
     except BaseException as exc:   # noqa: BLE001 - ship the failure home
         if barrier is not None:
             try:

@@ -62,14 +62,18 @@ def test_compare_skips_absent_metrics_unless_required():
     assert not report.ok and report.missing == ["b"]
     assert report.unvoted == [("b", "neither")]
 
-    # A metric only one mode emits (the live ring fraction) never votes.
+    # A metric only one mode emits never votes, and fails the report: one
+    # scorer writes both sides, so a one-sided metric is a scoring gap.
     report = compare([{"b": 1.0}], [{"a": 0.5, "b": 1.0}], tolerances)
-    assert report.ok and report.unvoted == [("a", "live")]
+    assert not report.ok and report.unvoted == [("a", "live")]
+    assert report.one_sided == ["a"] and not report.drifted
     assert report.to_dict()["unvoted"] == [{"metric": "a",
                                             "values_on": "live"}]
+    assert report.to_dict()["ok"] is False
     report = compare([{"a": 0.5, "b": 1.0}], [{"b": 1.0}], tolerances)
-    assert report.unvoted == [("a", "sim")]
-    assert "[skip] a: did not vote (values on sim)" in report.summary()
+    assert not report.ok and report.unvoted == [("a", "sim")]
+    assert "[FAIL] a: values on sim only" in report.summary()
+    assert "DRIFT" in report.summary()
 
     # Only the runs that emitted a metric vote on it: seed 2's live run had
     # no post-fault probes, so seed 1 alone decides.
@@ -108,8 +112,9 @@ def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
     every mode, because one scorer writes both sides: the default ruler's
     required metric is no longer structurally missing from kv diffs."""
     from repro.eval.library import resolve_protocol
+    from repro.eval.metrics import ring_rows
     from repro.eval.scenario import (ChurnModel, ScenarioSpec, WorkloadModel,
-                                     score_models)
+                                     score_models, score_recovery)
 
     model = WorkloadModel(kind="kv", start=25.0, packets=12, gap=1.0, keys=8,
                           read_fraction=0.5)
@@ -122,14 +127,20 @@ def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
         == sim_metrics["workload.quorum_success"] > 0.9
 
     # The live coordinator scores its processes' reports with the same
-    # call; feed it this run's observations as two processes would ship them.
+    # calls; feed it this run's observations and ring rows as two processes
+    # would ship them.
     compiled = result.experiment.compiled_models
     payload = compiled[-1].shard_payload()
-    halves = [dict(payload, records=payload["records"][0::2], stores=[]),
-              dict(payload, records=payload["records"][1::2], sent=[],
-                   skipped=0)]
-    live_metrics = score_models(
-        compiled, [{"models": {"workload": half}} for half in halves])
+    rows = ring_rows(result.experiment.nodes)
+    halves = [{"models": {"workload": dict(
+                  payload, records=payload["records"][0::2], stores=[])},
+               "ring": rows[0::2]},
+              {"models": {"workload": dict(
+                  payload, records=payload["records"][1::2], sent=[],
+                  skipped=0)},
+               "ring": rows[1::2]}]
+    live_metrics = score_models(compiled, halves)
+    live_metrics.update(score_recovery(compiled, halves, 2.0))
     # Pooling is a disjoint union: the halves score what the whole did.
     assert live_metrics.items() <= sim_metrics.items()
 
@@ -137,7 +148,8 @@ def test_kv_spec_meets_the_required_success_ratio_on_both_sides():
     assert "workload.success_ratio" not in report.missing
     assert report.ok, report.summary()
     assert {"workload.success_ratio", "workload.quorum_success",
-            "workload.phantom_reads"} <= {diff.metric for diff in report.diffs}
+            "workload.phantom_reads", "ring.correct_successor_fraction"} \
+        <= {diff.metric for diff in report.diffs}
 
 
 def test_run_diff_executes_both_modes_and_tags_violations(monkeypatch):

@@ -44,7 +44,9 @@ from repro.runtime.failure import FailureDetectorConfig
 # maintenance)"), and when Chord began answering from its successor chain
 # and folded the notify into get_state ("Re-pinned baselines (successor
 # chain)"): obs=None must keep reproducing these bytes until the simulated
-# behaviour is changed on purpose again.
+# behaviour is changed on purpose again.  The ring and post-fault keys were
+# added, every other value unchanged, when the simulator began scoring them
+# as live runs do (no simulated event moved).
 FINGERPRINT_BASELINE = {
     "packets_sent": 2000,
     "packets_delivered": 1978,
@@ -68,11 +70,14 @@ CHURN_BASELINES = {
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
+        "ring.correct_successor_fraction": "1.0",
         "sim.events_processed": "11141.0",
         "workload.deliveries": "58.0",
         "workload.duplicates": "0.0",
         "workload.latency_mean": "0.06411647075372759",
         "workload.latency_p95": "0.1285341131686124",
+        "workload.post_fault_probes": "12.0",
+        "workload.post_fault_success_ratio": "1.0",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
         "workload.success_ratio": "0.9830508474576272",
@@ -87,11 +92,14 @@ CHURN_BASELINES = {
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
+        "ring.correct_successor_fraction": "1.0",
         "sim.events_processed": "11141.0",
         "workload.deliveries": "56.0",
         "workload.duplicates": "0.0",
         "workload.latency_mean": "0.06799961926568322",
         "workload.latency_p95": "0.13366041834381548",
+        "workload.post_fault_probes": "32.0",
+        "workload.post_fault_success_ratio": "0.96875",
         "workload.sent": "59.0",
         "workload.skipped": "1.0",
         "workload.success_ratio": "0.9491525423728814",
@@ -120,6 +128,8 @@ PASTRY_BASELINES = {
         "workload.expected": "1800.0",
         "workload.latency_mean": "0.11020311344759669",
         "workload.latency_p95": "0.15634775282949676",
+        "workload.post_fault_probes": "28.0",
+        "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",
         "workload.sent": "116.0",
         "workload.skipped": "4.0",
@@ -143,6 +153,8 @@ PASTRY_BASELINES = {
         "workload.expected": "1800.0",
         "workload.latency_mean": "0.09458854698376534",
         "workload.latency_p95": "0.12989205046715568",
+        "workload.post_fault_probes": "28.0",
+        "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",
         "workload.sent": "116.0",
         "workload.skipped": "4.0",

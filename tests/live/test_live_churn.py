@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.eval.invariants import check_invariants
-from repro.eval.library import resolve_protocol
+from repro.eval.library import FAST_FAILURE, resolve_protocol
 from repro.eval.scenario import (ChurnModel, CrashModel, DegradeModel,
                                  PartitionModel, ScenarioSpec, WorkloadModel)
 from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
@@ -21,12 +21,13 @@ from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 pytestmark = pytest.mark.live
 
 
-def _spec(*models, nodes, duration, seed):
-    """A spec in wall seconds: joins 0.1 s apart, then *models*."""
+def _spec(*models, nodes, duration, seed, **fields):
+    """A spec run at ``time_scale`` 1: joins 0.1 s apart, then *models*."""
     return ScenarioSpec(name="live-churn", agents=resolve_protocol("chord"),
                         num_nodes=nodes, duration=duration, seed=seed,
                         models=(ChurnModel(join="staggered",
-                                           join_spacing=0.1),) + models)
+                                           join_spacing=0.1),) + models,
+                        **fields)
 
 
 def test_kill_and_supervised_respawn_recovers():
@@ -34,16 +35,17 @@ def test_kill_and_supervised_respawn_recovers():
     the restart-epoch machinery, and routing that recovers after the settle
     window.
 
-    Sized so the post-fault statistic means something: the window opens 3 s
-    after the respawn at t = 4 s (Chord keeps mis-forwarding around a
-    rejoined node for 1.4-2.3 s, until successor repair catches up) and
-    scores 11 probes at 11 distinct instants, not one instant's five."""
+    Sized so the post-fault statistic means something: the window opens 1 s
+    after the respawn at t = 4 s (with its timers on the spec clock, Chord
+    mis-forwards around a rejoined node for under a second, until successor
+    repair catches up) and scores 24 probes at 24 distinct instants, not
+    one instant's five."""
     config = LiveClusterConfig(
         _spec(WorkloadModel(kind="route", source=-1, start=1.5, packets=46,
                             gap=0.16),
               CrashModel(at=3.0, victims=(2,), recover_after=1.0),
-              nodes=5, duration=9.0, seed=7),
-        time_scale=1.0, base_port=49500, post_fault_settle=3.0)
+              nodes=5, duration=9.0, seed=7, post_fault_settle=1.0),
+        time_scale=1.0, base_port=49500)
     outcome = LiveCluster(config).run()
     metrics = outcome.metrics
 
@@ -92,10 +94,29 @@ def test_kill_without_respawn_leaves_the_node_accounted_down():
     assert "ring.correct_successor_fraction" in metrics
 
 
+def test_failure_detection_fires_on_the_spec_clock():
+    """``FAST_FAILURE`` declares a silent peer dead after 10 spec seconds,
+    one wall second at ``time_scale`` 0.1: the survivors of a kill with no
+    respawn repair their ring well before the horizon, as in simulation.  A
+    detector on wall seconds would not fire inside this 6-second run."""
+    spec = _spec(WorkloadModel(kind="route", source=-1, start=5.0,
+                               packets=20, gap=2.0),
+                 CrashModel(at=15.0, victims=(2,)),
+                 nodes=4, duration=60.0, seed=11,
+                 failure_config=FAST_FAILURE)
+    outcome = LiveCluster(LiveClusterConfig(spec, time_scale=0.1,
+                                            base_port=49600)).run()
+    metrics = outcome.metrics
+    assert metrics["nodes.down"] == 1.0
+    assert metrics["ring.correct_successor_fraction"] == 1.0
+    assert spec.run().metrics["ring.correct_successor_fraction"] == 1.0
+    assert metrics["nodes.callback_errors"] == 0.0
+
+
 def test_partition_and_degrade_reach_real_sockets():
-    """A spec's partition and degrade models, at ``time_scale`` times their
-    simulated instants, go through the coordinator into every node's socket
-    fault table."""
+    """A spec's partition and degrade models, at their spec instants on a
+    ``time_scale`` clock, go through the coordinator into every node's
+    socket fault table."""
     spec = ScenarioSpec(
         name="partition-degrade-live", agents=resolve_protocol("chord"),
         num_nodes=4, duration=60.0, seed=3,

@@ -105,3 +105,52 @@ def test_live_rng_streams_match_simulator_forks():
     live = LiveDriver(seed=42)
     sim = Simulator(seed=42)
     assert live.fork_rng("chord:7").random() == sim.fork_rng("chord:7").random()
+
+
+def test_a_scaled_driver_keeps_spec_seconds():
+    """At ``time_scale`` 0.1 the clock runs 10 spec seconds to the wall
+    second and a delay of one spec second waits a tenth of a wall second;
+    the generation discard rule is unchanged."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        driver = LiveDriver(time_scale=0.1)
+        driver.start()
+        started = loop.time()
+        fired = []
+        driver.schedule(1.0, lambda: fired.append(("one", loop.time())))
+        cell = [0]
+        driver.schedule_gen(0.5, lambda: fired.append(("stale", 0)), cell)
+        driver.cancel_gen(cell)
+        driver.schedule_gen(0.5, lambda: fired.append(("gen", loop.time())),
+                            cell)
+        await driver.run_for(0.2)
+        ticked = driver.now, (loop.time() - started) * 10
+        await driver.run_for(1.3)
+        return started, fired, ticked, driver
+
+    started, fired, (now, tenfold_wall), driver = run(scenario())
+    assert now == pytest.approx(tenfold_wall, abs=1e-3)
+    assert [name for name, _ in fired] == ["gen", "one"]
+    (_, gen_at), (_, one_at) = fired
+    assert 0.05 - 1e-3 <= gen_at - started < one_at - started
+    assert 0.1 - 1e-3 <= one_at - started < 0.5
+    assert driver.events_processed == 2
+    assert driver.now >= 1.5
+
+
+def test_a_driver_started_on_a_shared_zero_resumes_mid_timeline():
+    """A respawned node reads the cluster's zero, not its own start."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        driver = LiveDriver(time_scale=0.1)
+        driver.start(zero=loop.time() - 0.2)      # two spec-s ago
+        resumed = driver.now
+        fired = []
+        driver.schedule_at(2.5, lambda: fired.append(driver.now))
+        await driver.run_for(1.0)
+        return resumed, fired
+
+    resumed, fired = run(scenario())
+    assert resumed == pytest.approx(2.0, abs=0.05)
+    assert len(fired) == 1 and fired[0] >= 2.5 - 0.01
+

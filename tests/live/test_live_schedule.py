@@ -9,14 +9,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.eval.faults import FAULT_VERBS, Fault
+from repro.eval.faults import FAULT_VERBS, Fault, fault_horizon
 from repro.eval.library import library_spec, resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, GroupModel, PartitionModel,
                                  ScenarioError, ScenarioSpec, WorkloadModel)
 from repro.live import (LiveCluster, LiveClusterConfig, LiveFaultError,
-                        fault_horizon, live_runnable)
+                        live_runnable)
 from repro.live.node import NODE_VERBS
 
 pytestmark = pytest.mark.live
@@ -79,9 +79,10 @@ SPECS = {
 def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
         name):
     """Every event the simulator compiles from the spec is a row or op the
-    live processes hold, at ``time_scale`` times its simulated offset."""
+    live processes hold, at its simulated offset: the draw keeps spec
+    seconds whatever the ``time_scale``."""
     spec = SPECS[name]
-    sim = [(event.time * SCALE, event.detail, event.node)
+    sim = [(event.time, event.detail, event.node)
            for compiled in spec.build().compiled_models
            for event in compiled.events]
     config = LiveClusterConfig(spec, time_scale=SCALE)
@@ -97,7 +98,7 @@ def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
 @pytest.mark.parametrize("name", SPECS)
 def test_every_drawn_row_runs_in_exactly_one_process(name):
     """A node process takes the join and group rows of its own index; the
-    coordinator queues the fault rows at their wall times, undo included,
+    coordinator queues the fault rows at their spec times, undo included,
     and leaves out what falls past the horizon, as the simulator does."""
     config = LiveClusterConfig(SPECS[name], time_scale=SCALE)
     rows = _drawn_rows(config)
@@ -109,10 +110,10 @@ def test_every_drawn_row_runs_in_exactly_one_process(name):
     cluster._schedule(rows)
     expected = []
     for row in rows:
-        if row.verb in NODE_VERBS or row.at > config.duration:
+        if row.verb in NODE_VERBS or row.at > config.spec.duration:
             continue
         expected.append((row.at, row.verb, row.args))
-        if row.until is not None and row.until <= config.duration:
+        if row.until is not None and row.until <= config.spec.duration:
             _kind, undo, _undo_kind, arity = FAULT_VERBS[row.verb]
             expected.append((row.until, undo, row.args[:arity]))
     assert sorted((at, action.__name__, args)
@@ -131,30 +132,30 @@ def test_the_draw_is_deterministic_per_seed():
 def test_an_unset_time_scale_fits_the_spec_into_the_wall_budget():
     from repro.live.cluster import WALL_BUDGET
 
-    assert LiveClusterConfig(_spec(duration=120.0)).duration \
+    assert LiveClusterConfig(_spec(duration=120.0)).scale * 120.0 \
         == pytest.approx(WALL_BUDGET)
     assert LiveClusterConfig(_spec(duration=5.0)).scale == 1.0
-    assert LiveClusterConfig(_spec(), time_scale=0.5).duration == 60.0
+    assert LiveClusterConfig(_spec(), time_scale=0.5).scale == 0.5
 
 
 # ------------------------------------------------------------- fault rows
-def test_churn_kills_land_in_the_scaled_churn_window():
+def test_churn_kills_land_in_the_churn_window():
     faults = _rows(ChurnModel(churn_fraction=0.4, churn_start=30.0,
                               churn_end=60.0, downtime=8.0))
     assert len(faults) == 2            # 40% of the 5 non-exempt nodes
     for fault in faults:
         assert fault.verb == "crash_node"
         assert fault.args[0] != 0      # the bootstrap is exempt
-        assert 30.0 * SCALE <= fault.at <= 60.0 * SCALE
-        assert _span(fault) == pytest.approx(8.0 * SCALE)   # no floor
+        assert 30.0 <= fault.at <= 60.0
+        assert _span(fault) == pytest.approx(8.0)   # no floor
     assert fault_horizon(faults) == max(f.until for f in faults)
 
 
 def test_crash_maps_named_victims_and_recovery():
     faults = _rows(CrashModel(at=60.0, victims=(2, 4), recover_after=30.0))
     assert [f.args for f in faults] == [(2,), (4,)]
-    assert all(f.at == 60.0 * SCALE for f in faults)
-    assert _span(faults[0]) == pytest.approx(30.0 * SCALE)
+    assert all(f.at == 60.0 for f in faults)
+    assert _span(faults[0]) == pytest.approx(30.0)
 
     (permanent,) = _rows(CrashModel(at=60.0, victims=(2,)))
     assert permanent.until is None
@@ -169,7 +170,7 @@ def test_partition_keeps_its_groups_but_link_cuts_need_the_underlay():
                                     heal_after=2.0))
     assert fault.verb == "partition"
     assert fault.args == (((0, 1, 2), (3, 4, 5)),)
-    assert _span(fault) == pytest.approx(2.0 * SCALE)
+    assert _span(fault) == pytest.approx(2.0)
 
     with pytest.raises(ScenarioError, match="host groups only"):
         _rows(PartitionModel(at=40.0, links=((0, 3),)))
@@ -184,7 +185,7 @@ def test_flapping_cycles_past_the_horizon_are_drawn_but_never_queued():
     assert len(rows) == 10
     ats = [row.at for row in rows]
     assert [b - a for a, b in zip(ats, ats[1:])] \
-        == pytest.approx([20.0 * SCALE] * 9)
+        == pytest.approx([20.0] * 9)
     cluster = _cluster(config)
     cluster._schedule(rows)
     # Cuts at 30, 50, 70, 90, 110 s fit the 120 s horizon; the last heal
@@ -217,6 +218,7 @@ def _cluster(config=None, **fields) -> LiveCluster:
     """A cluster whose spawns and control sends are recorded, not made."""
     cluster = LiveCluster(config or LiveClusterConfig(_spec(), **fields))
     cluster.sent, cluster.spawned = [], []
+    cluster._ready = [0] * cluster.config.spec.num_nodes
     cluster._send_control = \
         lambda op, addresses=None: cluster.sent.append((op, addresses))
     cluster._spawn = cluster.spawned.append
@@ -348,6 +350,8 @@ def test_network_verbs_send_the_ops_and_their_undos_retire_them():
 
 
 def test_a_respawn_gets_the_standing_rules_replayed():
+    """Once its process has bound the reborn socket (its ready flag), and
+    only then, on supervision's time rather than the spec's."""
     cluster = _cluster()
     cluster.partition(((0, 1), (2, 3, 4, 5)))
     cluster.sent.clear()
@@ -356,11 +360,15 @@ def test_a_respawn_gets_the_standing_rules_replayed():
     assert cluster._state[2]["down"]
     cluster._now = 4.0
     cluster.recover_node(2)
-    assert _drain(cluster) == [(4.0, "_respawn", (2,)),
-                               (4.5, "_replay", (2,)),
-                               (5.5, "_replay", (2,))]
+    assert _drain(cluster) == [(4.0, "_respawn", (2,))]
     assert cluster.spawned == [2]
-    assert cluster.sent == [(cluster._standing["partition"], [3])] * 2
+    cluster._replay()
+    assert cluster.sent == []          # not bound yet
+    cluster._ready[2] = 1
+    cluster._replay()
+    cluster._replay()                  # once per rebirth
+    # ``_send_control`` itself fires each frame twice.
+    assert cluster.sent == [(cluster._standing["partition"], [3])]
     node = cluster._state[2]
     assert (node["incarnation"], node["restarts"], node["killed"]) == (1, 1, 1)
     assert not node["down"] and not node["pending_respawn"]
