@@ -8,7 +8,7 @@ from .generator import (
     normalize_action_code,
     rewrite_action_code,
 )
-from .primitives import AGENT_PRIMITIVES, CONTEXT_NAMES
+from .primitives import AGENT_PRIMITIVES
 from .registry import (
     ProtocolRegistry,
     compile_mac,
@@ -28,7 +28,6 @@ __all__ = [
     "normalize_action_code",
     "rewrite_action_code",
     "AGENT_PRIMITIVES",
-    "CONTEXT_NAMES",
     "ProtocolRegistry",
     "compile_mac",
     "compile_source",

@@ -9,15 +9,18 @@ run it everywhere" workflow.
 
 Transition bodies are Python (the embedded action language), written against
 the MACEDON primitive library.  :func:`rewrite_action_code` retargets bare
-primitive and state-variable names onto ``self`` and event-context names onto
-the transition's ``__ctx`` argument by splicing a prefix in at the parser's
-own name positions, so strings and comments are never touched and the
-emitted code keeps the author's formatting.
+primitive and state-variable names onto ``self`` by splicing a prefix in at
+the parser's own name positions, so strings and comments are never touched
+and the emitted code keeps the author's formatting.
 
 What the specification fixes is resolved here, not per event: dispatch is one
 emitted handler per ``(kind, event)`` (:mod:`repro.runtime.handlers`); a
-``recv`` body that only reads the message gets its context names as locals,
-with no ``TransitionContext``; literal message and field names are checked.
+transition takes its event's parameters (``API_PARAMS`` / ``HANDLER_PARAMS``)
+and returns the names its body writes back (``result``; ``quash`` and
+``next_hop_key``); a ``recv``/``forward`` body gets the message's names as
+locals.  An event-context name the event does not bind, a ``return`` in a
+body, and literal message and field names that the spec does not declare are
+each a :class:`CodegenError`.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from typing import Iterable, Optional
 from ..dsl.ast import ProtocolSpec, TransitionDecl
 from ..dsl.errors import CodegenError
 from ..runtime.agent import StateVarSpec, TransitionSpec
-from ..runtime.handlers import emit_handlers
+from ..runtime.handlers import (API_PARAMS, HANDLER_PARAMS, emit_handlers,
+                                event_params)
 from ..runtime.messages import (FieldSpec, MessageCatalog, MessageError,
                                 MessageType)
 from ..runtime.neighbors import NeighborFieldSpec, NeighborType
-from .primitives import AGENT_PRIMITIVES, CONTEXT_NAMES
+from .primitives import AGENT_PRIMITIVES
 
-#: Context names a ``recv`` body may use and still be bound statically, each
-#: with the statement binding it, as a local, from the message (``field``
-#: only ever sees literals the generator checked: the field dict's own get).
+#: Names a ``recv``/``forward`` body may read about its message, each with the
+#: statement binding it, as a local, from ``__msg`` (``field`` is the field
+#: dict's own get when every name it sees is a literal the generator checked).
 _RECV_BINDINGS = {
     "msg": "msg = __msg",
     "source": "source = __msg.source",
@@ -48,6 +52,12 @@ _RECV_BINDINGS = {
     "payload_size": "payload_size = __msg.payload_size",
     "field": "field = __msg.fields.get",
 }
+#: Names a body writes back, per kind: its transition returns them.
+_WRITE_BACK = {"api": ("result",), "forward": ("quash", "next_hop_key")}
+#: Every event-context name; a body may name only its own event's.
+_CONTEXT_NAMES = frozenset().union(
+    _RECV_BINDINGS, HANDLER_PARAMS["forward"], *API_PARAMS.values(),
+    *_WRITE_BACK.values())
 #: Primitives whose first argument names one of this protocol's messages and
 #: whose keywords, beyond these options, are that message's fields.
 _SEND_PRIMITIVES = {"send_msg", "route_msg", "routeip_msg", "wrap_msg"}
@@ -92,31 +102,28 @@ def _nodes(body: str, context: str) -> list[ast.AST]:
 
 
 def rewrite_action_code(code: str, self_names: Iterable[str],
-                        ctx_names: Iterable[str] = CONTEXT_NAMES,
                         *, context: str = "") -> str:
     """Rewrite a transition/routine body onto runtime objects.
 
-    ``self_names`` are rewritten to ``self.<name>``; ``ctx_names`` to
-    ``__ctx.<name>``.  Attribute accesses (``x.delay``) and keyword arguments
-    (``f(response=1)``) are not names to the parser, so they are left alone.
+    ``self_names`` are rewritten to ``self.<name>``; every other name (event
+    parameters, locals, builtins) is left alone.  Attribute accesses
+    (``x.delay``) and keyword arguments (``f(response=1)``) are not names to
+    the parser, so they are left alone too.
     """
     body = normalize_action_code(code)
-    return _retarget(body, _nodes(body, context), frozenset(self_names),
-                     frozenset(ctx_names))
+    return _retarget(body, _nodes(body, context), frozenset(self_names))
 
 
-def _retarget(body: str, nodes: Iterable[ast.AST], self_set: frozenset[str],
-              ctx_set: frozenset[str]) -> str:
+def _retarget(body: str, nodes: Iterable[ast.AST],
+              self_set: frozenset[str]) -> str:
     lines = [line.encode("utf-8") for line in body.splitlines()]
-    names = [(node.lineno, node.col_offset, node.id) for node in nodes
-             if isinstance(node, ast.Name)
-             and (node.id in self_set or node.id in ctx_set)]
+    names = [(node.lineno, node.col_offset) for node in nodes
+             if isinstance(node, ast.Name) and node.id in self_set]
     # Right-to-left within each line so earlier columns (UTF-8 offsets, as
     # the parser counts them) stay valid.
-    for row, column, name in sorted(names, reverse=True):
-        prefix = b"self." if name in self_set else b"__ctx."
+    for row, column in sorted(names, reverse=True):
         line = lines[row - 1]
-        lines[row - 1] = line[:column] + prefix + line[column:]
+        lines[row - 1] = line[:column] + b"self." + line[column:]
     return "\n".join(line.decode("utf-8") for line in lines)
 
 
@@ -202,8 +209,8 @@ class CodeGenerator:
             "from repro.runtime.agent import (\n"
             "    Agent,\n"
             "    StateVarSpec,\n"
-            "    TransitionContext,\n"
             "    TransitionSpec,\n"
+            "    UNHANDLED,\n"
             "    NBR_TYPE_PARENT,\n"
             "    NBR_TYPE_CHILDREN,\n"
             "    NBR_TYPE_SIBLINGS,\n"
@@ -315,17 +322,19 @@ class CodeGenerator:
                         {keyword.arg for keyword in node.keywords if keyword.arg}
                         - _SEND_OPTIONS)
             except MessageError as exc:
-                # decl.code starts right behind the "{" on decl.code_line.
-                blank = len(decl.code) - len(decl.code.lstrip("\n"))
-                raise CodegenError(
-                    f"{called}: {exc}", filename=self.spec.source_file,
-                    line=decl.code_line + blank + node.lineno - 1) from exc
+                raise self._error(decl, node, f"{called}: {exc}") from exc
         return not unchecked_fields
+
+    def _error(self, decl, node: ast.AST, text: str) -> CodegenError:
+        """*text* as a CodegenError at *node*'s line of the ``.mac`` file."""
+        # decl.code starts right behind the "{" on decl.code_line.
+        blank = len(decl.code) - len(decl.code.lstrip("\n"))
+        return CodegenError(text, filename=self.spec.source_file,
+                            line=decl.code_line + blank + node.lineno - 1)
 
     def _transition_methods(self) -> str:
         self_names = self._self_names()
         blocks = []
-        static = set()
         for decl, transition in zip(self.spec.transitions, self.transitions):
             context = (f"{self.spec.name}.mac line {decl.line}: "
                        f"{decl.state_expr} {decl.kind} {decl.name}")
@@ -334,35 +343,58 @@ class CodeGenerator:
             literal_fields = self._check_names(
                 decl, nodes,
                 decl.name if decl.kind in ("recv", "forward") else None)
-            used = {node.id for node in nodes if isinstance(node, ast.Name)} \
-                & CONTEXT_NAMES - self_names
-            # Static binding: a recv body that only reads the message takes
-            # the Message and binds the names it uses as locals; a timer body
-            # that names no context takes nothing.  Anything else (quash,
-            # result, every api transition, field(expr)) keeps the ctx object.
-            signature, prologue, ctx_names = "(self, __ctx)", "", CONTEXT_NAMES
-            if decl.kind == "recv" and used <= _RECV_BINDINGS.keys() \
-                    and literal_fields:
-                signature, ctx_names = "(self, __msg)", frozenset()
-                prologue = "".join(f"        {_RECV_BINDINGS[name]}\n"
-                                   for name in sorted(used))
-            elif decl.kind == "timer" and not used:
-                signature, ctx_names = "(self)", frozenset()
-            if not ctx_names:
-                static.add(transition.method)
+            params = event_params(decl.kind, decl.name)
+            named = self._event_names(decl, nodes, self_names, params)
+            bindings = _RECV_BINDINGS if literal_fields \
+                else {**_RECV_BINDINGS, "field": "field = __msg.field"}
+            prologue = [bindings[name] for name in sorted(named)
+                        if name in bindings and "__msg" in params]
+            epilogue = []
+            if decl.kind == "forward":
+                prologue.append("quash = False")
+                epilogue.append("return quash, next_hop_key")
+            elif "result" in named:
+                prologue.append("result = None")
+                epilogue.append("return result")
             docstring = (f'"""{decl.state_expr} {decl.kind} '
                          f'{decl.name}  [locking {decl.locking}] '
                          f'(line {decl.line})."""')
             blocks.append(
-                f"    def {transition.method}{signature}:\n"
-                f"        {docstring}\n" + prologue
-                + _indent(_retarget(body, nodes, self_names, ctx_names), 8)
-            )
+                f"    def {transition.method}(self"
+                f"{''.join(', ' + param for param in params)}):\n"
+                f"        {docstring}\n"
+                + "".join(f"        {line}\n" for line in prologue)
+                + _indent(_retarget(body, nodes, self_names), 8)
+                + "".join(f"\n        {line}" for line in epilogue))
         if self.transitions:
             blocks.append("    # ---- event handlers (repro.runtime.handlers) ----\n"
                           + _indent(emit_handlers(self.transitions,
-                                                  self.spec.states, static), 4))
+                                                  self.spec.states), 4))
         return "\n\n".join(blocks)
+
+    def _event_names(self, decl, nodes: list[ast.AST], self_names: frozenset[str],
+                     params: tuple[str, ...]) -> set[str]:
+        """The event-context names *decl*'s body uses, each checked to be one
+        its event binds or writes back; a ``return`` (which would skip the
+        write-back; helpers that return belong in ``routines``) is refused."""
+        allowed = {*params, *_WRITE_BACK.get(decl.kind, ())}
+        if "__msg" in params:
+            allowed.update(_RECV_BINDINGS)
+        named = set()
+        for node in sorted(nodes, key=lambda node: (
+                getattr(node, "lineno", 0), getattr(node, "col_offset", 0))):
+            if isinstance(node, ast.Return):
+                raise self._error(decl, node, f"{decl.kind} {decl.name}: a "
+                                  f"transition body must not return")
+            if isinstance(node, ast.Name) and node.id in _CONTEXT_NAMES \
+                    and node.id not in self_names:
+                if node.id not in allowed:
+                    raise self._error(decl, node, (
+                        f"{decl.kind} {decl.name}: {node.id!r} is not bound "
+                        f"by this event (it binds "
+                        f"{', '.join(sorted(allowed)) or 'nothing'})"))
+                named.add(node.id)
+        return named
 
 
 def generate_source(spec: ProtocolSpec) -> str:

@@ -1,20 +1,17 @@
-"""Name tables used when translating transition bodies.
+"""The name table used when translating transition bodies.
 
 A transition body in a mac file is written against the MACEDON action library
 — bare calls such as ``neighbor_add(papa, source)`` or ``state_change(joined)``
 — plus the protocol's own state variables and constants, and a small set of
 event-context names (``source``, ``msg``, ``dest_key``, …).  The code
-generator rewrites each of these name classes onto the runtime objects that
-implement them:
+generator rewrites the **agent primitives** below and the **declared state**
+to ``self.<name>`` (methods/attributes of :class:`repro.runtime.agent.Agent`
+or of the generated subclass).
 
-* **agent primitives and declared state** become ``self.<name>`` (they are
-  methods/attributes of :class:`repro.runtime.agent.Agent` or of the generated
-  subclass);
-* **event-context names** become ``__ctx.<name>`` (attributes of a
-  :class:`repro.runtime.agent.TransitionContext`) or, bound statically, locals.
-
-Anything else — locals, builtins, helper routines the user prefixed with
-``self.`` explicitly — is left untouched.
+Event-context names are not rewritten: they are the transition's parameters,
+or locals bound from its message (``repro.runtime.handlers.API_PARAMS`` and
+``HANDLER_PARAMS`` name them).  Anything else — locals, builtins, helper
+routines the user prefixed with ``self.`` explicitly — is left untouched.
 """
 
 from __future__ import annotations
@@ -42,14 +39,3 @@ AGENT_PRIMITIVES: frozenset[str] = frozenset({
     # tracing / locking / plumbing
     "trace", "debug", "lock", "node", "simulator", "lower", "upper",
 })
-
-#: Names rewritten to ``__ctx.<name>``: the event context of the transition.
-CONTEXT_NAMES: frozenset[str] = frozenset({
-    "api", "source", "source_key", "msg", "dest", "dest_key", "group",
-    "payload", "payload_size", "priority", "bootstrap", "next_hop",
-    "next_hop_key", "quash", "error_addr", "neighbors", "nbr_type", "op",
-    "arg", "timer_name", "result", "field",
-})
-
-#: Sanity guard: a name must not be claimed by both tables.
-assert not (AGENT_PRIMITIVES & CONTEXT_NAMES), "primitive/context name collision"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..runtime.agent import API_NAMES
+from ..runtime.handlers import API_NAMES
 from ..runtime.stateexpr import StateExprError, parse_state_expr
 from .ast import ProtocolSpec
 from .errors import MacValidationError

@@ -9,7 +9,6 @@ from .agent import (
     NBR_TYPE_PEERS,
     NBR_TYPE_SIBLINGS,
     StateVarSpec,
-    TransitionContext,
     TransitionSpec,
 )
 from .engine import SimulationError, Simulator
@@ -40,7 +39,6 @@ __all__ = [
     "NBR_TYPE_PEERS",
     "NBR_TYPE_SIBLINGS",
     "StateVarSpec",
-    "TransitionContext",
     "TransitionSpec",
     "SimulationError",
     "Simulator",

@@ -13,10 +13,10 @@ specifications, never in their runtime machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from .handlers import HANDLER_PARAMS, handler_name
+from .handlers import API_NAMES, HANDLER_PARAMS, UNHANDLED, handler_name
 from .keys import KeySpace
 from .locks import InstanceLock
 from .messages import Message, MessageCatalog, MessageType, WrappedMessage
@@ -29,13 +29,6 @@ NBR_TYPE_PARENT = 1
 NBR_TYPE_CHILDREN = 2
 NBR_TYPE_SIBLINGS = 3
 NBR_TYPE_PEERS = 4
-
-#: API transition names accepted by the grammar.
-API_NAMES = (
-    "init", "route", "routeIP", "multicast", "anycast", "collect",
-    "create_group", "join", "leave", "notify", "error",
-    "upcall_ext", "downcall_ext",
-)
 
 
 class AgentError(RuntimeError):
@@ -93,47 +86,6 @@ _SCALAR_DEFAULTS = {
     "int": 0, "long": 0, "double": 0.0, "float": 0.0, "bool": False,
     "key": 0, "ipaddr": 0, "string": "",
 }
-
-
-# ----------------------------------------------------------------------- context
-@dataclass(slots=True)
-class TransitionContext:
-    """Everything a transition may read about the event that triggered it.
-
-    The code generator rewrites context names appearing in transition bodies
-    (``source``, ``msg``, ``dest_key``, ``payload`` …) into attribute accesses
-    on this object, unless it can bind them statically (then none is built).
-    The attribute set is closed: it mirrors
-    :data:`repro.codegen.primitives.CONTEXT_NAMES` plus ``api``.
-    """
-
-    api: Optional[str] = None
-    source: Optional[int] = None
-    source_key: Optional[int] = None
-    msg: Optional[Message] = None
-    dest: Optional[int] = None
-    dest_key: Optional[int] = None
-    group: Optional[int] = None
-    payload: Any = None
-    payload_size: int = 0
-    priority: int = -1
-    bootstrap: Optional[int] = None
-    next_hop: Optional[int] = None
-    next_hop_key: Optional[int] = None
-    quash: bool = False
-    error_addr: Optional[int] = None
-    neighbors: Optional[list[int]] = None
-    nbr_type: Optional[int] = None
-    op: Optional[Any] = None
-    arg: Any = None
-    timer_name: Optional[str] = None
-    result: Any = None
-
-    def field(self, name: str) -> Any:
-        """The paper's ``field()`` accessor on the triggering message."""
-        if self.msg is None:
-            raise AgentError("field() used in a transition with no message")
-        return self.msg.field(name)
 
 
 # ------------------------------------------------------------------------- agent
@@ -324,20 +276,18 @@ class Agent:
     # ------------------------------------------------------------------ events
     # Every message, timer and API event crosses exactly one of these three
     # entry points: look up the handler bound for the event name, call it.
-    def api_call(self, name: str, ctx: Optional[TransitionContext] = None) -> Any:
-        """Invoke an API transition on this agent (from the app or an upper layer)."""
-        ctx = ctx or TransitionContext()
-        ctx.api = name
+    def api_call(self, name: str, *args: Any) -> Any:
+        """Invoke an API transition on this agent (from the app or an upper
+        layer) with the values ``API_PARAMS[name]`` names."""
         if name == "init":
-            self.bootstrap_addr = ctx.bootstrap
-            if ctx.bootstrap is not None:
-                self.bootstrap_key = self.key_space.hash(ctx.bootstrap)
+            self.bootstrap_addr = bootstrap = args[0]
+            if bootstrap is not None:
+                self.bootstrap_key = self.key_space.hash(bootstrap)
             self.initialized = True
-        if not self._handle("api", name, ctx):
-            return self._default_api(name, ctx)
-        return ctx.result
+        result = self._handle("api", name, *args)
+        return self._default_api(name, *args) if result is UNHANDLED else result
 
-    def _default_api(self, name: str, ctx: TransitionContext) -> Any:
+    def _default_api(self, name: str, *args: Any) -> Any:
         """Behaviour when a protocol declares no transition for an API call.
 
         Data-path and group calls fall through to the layer below (so an
@@ -347,32 +297,24 @@ class Agent:
         passthrough = {"route", "routeIP", "multicast", "anycast", "collect",
                        "create_group", "join", "leave", "downcall_ext"}
         if name in passthrough and self.lower is not None:
-            return self.lower.api_call(name, ctx)
+            return self.lower.api_call(name, *args)
         return None
 
     def _on_timer_expired(self, timer_name: str) -> None:
         self._handle("timer", timer_name)
 
     def receive_message(self, message: Message, direction: str = "recv") -> bool:
-        """Dispatch a received (or to-be-forwarded) protocol message."""
-        if direction != "recv":   # forward handlers take the event context
-            return self._handle(direction, message.type.name,
-                                self._message_ctx(message))
+        """Dispatch a received protocol message.  *direction* is always
+        ``"recv"``: a ``forward`` event arrives through
+        :meth:`handle_lower_forward`."""
         handler = self._handlers["recv"].get(message.type.name)
-        return handler is not None and handler(self, message)
+        return handler is not None and handler(self, message) is not UNHANDLED
 
-    def _handle(self, kind: str, name: str, *event: Any) -> bool:
-        """Run the handler for *kind* event *name*, if one is declared."""
+    def _handle(self, kind: str, name: str, *event: Any) -> Any:
+        """Run the handler for *kind* event *name*: what its transition
+        returned, or ``UNHANDLED`` when none is declared or none ran."""
         handler = self._handlers[kind].get(name)
-        return handler is not None and handler(self, *event)
-
-    def _message_ctx(self, message: Message) -> TransitionContext:
-        """Event context of *message*, for bodies not bound statically."""
-        source = message.source
-        return TransitionContext(
-            msg=message, source=source, payload=message.payload,
-            payload_size=message.payload_size,
-            source_key=None if source is None else self.key_space.hash(source))
+        return UNHANDLED if handler is None else handler(self, *event)
 
     # ------------------------------------------------------------- primitives
     # These are the library routines transition bodies call (after the code
@@ -522,47 +464,40 @@ class Agent:
 
     def downcall_route(self, dest_key: int, payload: Any, size: int,
                        priority: int = -1) -> Any:
-        ctx = TransitionContext(dest_key=int(dest_key), payload=payload,
-                                payload_size=size, priority=priority)
-        return self._require_lower().api_call("route", ctx)
+        return self._require_lower().api_call("route", int(dest_key), payload,
+                                              size, priority)
 
     def downcall_routeip(self, dest_ip: int, payload: Any, size: int,
                          priority: int = -1) -> Any:
-        ctx = TransitionContext(dest=int(dest_ip), payload=payload,
-                                payload_size=size, priority=priority)
-        return self._require_lower().api_call("routeIP", ctx)
+        return self._require_lower().api_call("routeIP", int(dest_ip), payload,
+                                              size, priority)
 
     def downcall_multicast(self, group: int, payload: Any, size: int,
                            priority: int = -1) -> Any:
-        ctx = TransitionContext(group=int(group), payload=payload,
-                                payload_size=size, priority=priority)
-        return self._require_lower().api_call("multicast", ctx)
+        return self._require_lower().api_call("multicast", int(group), payload,
+                                              size, priority)
 
     def downcall_anycast(self, group: int, payload: Any, size: int,
                          priority: int = -1) -> Any:
-        ctx = TransitionContext(group=int(group), payload=payload,
-                                payload_size=size, priority=priority)
-        return self._require_lower().api_call("anycast", ctx)
+        return self._require_lower().api_call("anycast", int(group), payload,
+                                              size, priority)
 
     def downcall_collect(self, group: int, payload: Any, size: int,
                          priority: int = -1) -> Any:
-        ctx = TransitionContext(group=int(group), payload=payload,
-                                payload_size=size, priority=priority)
-        return self._require_lower().api_call("collect", ctx)
+        return self._require_lower().api_call("collect", int(group), payload,
+                                              size, priority)
 
     def downcall_create_group(self, group: int) -> Any:
-        return self._require_lower().api_call(
-            "create_group", TransitionContext(group=int(group)))
+        return self._require_lower().api_call("create_group", int(group))
 
     def downcall_join(self, group: int) -> Any:
-        return self._require_lower().api_call("join", TransitionContext(group=int(group)))
+        return self._require_lower().api_call("join", int(group))
 
     def downcall_leave(self, group: int) -> Any:
-        return self._require_lower().api_call("leave", TransitionContext(group=int(group)))
+        return self._require_lower().api_call("leave", int(group))
 
     def downcall_ext(self, op: Any, arg: Any = None) -> Any:
-        ctx = TransitionContext(op=op, arg=arg)
-        return self._require_lower().api_call("downcall_ext", ctx)
+        return self._require_lower().api_call("downcall_ext", op, arg)
 
     # -- upcalls (into the layer above / the application) --------------------------
     def upcall_deliver(self, payload: Any, size: int, mtype: Any = None,
@@ -600,8 +535,8 @@ class Agent:
         else:
             addresses = [int(address) for address in neighbors]
         if self.upper is not None:
-            ctx = TransitionContext(neighbors=addresses, nbr_type=nbr_type)
-            if not self.upper._handle("api", "notify", ctx):
+            if self.upper._handle("api", "notify", addresses,
+                                  nbr_type) is UNHANDLED:
                 self.upper.upcall_notify(addresses, nbr_type)
         else:
             self.node.app_notify(self, addresses, nbr_type)
@@ -609,10 +544,9 @@ class Agent:
     def upcall_ext(self, op: Any, arg: Any = None) -> Any:
         """Extensible upcall to the layer above (the generic handler)."""
         if self.upper is not None:
-            ctx = TransitionContext(op=op, arg=arg)
-            if self.upper._handle("api", "upcall_ext", ctx):
-                return ctx.result
-            return self.upper.upcall_ext(op, arg)
+            result = self.upper._handle("api", "upcall_ext", op, arg)
+            return self.upper.upcall_ext(op, arg) if result is UNHANDLED \
+                else result
         return self.node.app_upcall(self, op, arg)
 
     # -- handling upcalls arriving from the layer below ----------------------------
@@ -633,14 +567,12 @@ class Agent:
         if isinstance(payload, WrappedMessage) and payload.protocol == self.PROTOCOL:
             message = payload.as_message(self._catalog.get(payload.name))
             message.source = payload.source if payload.source is not None else source
-            ctx = TransitionContext(msg=message, source=message.source,
-                                    payload=message.payload,
-                                    payload_size=message.payload_size,
-                                    next_hop=next_hop, next_hop_key=next_hop_key)
-            if self._handle("forward", message.name, ctx):
-                return (not ctx.quash, ctx.next_hop_key
-                        if ctx.next_hop_key != next_hop_key else None)
-            return (True, None)
+            outcome = self._handle("forward", message.name, message, next_hop,
+                                   next_hop_key)
+            if outcome is UNHANDLED:
+                return (True, None)
+            quash, key = outcome
+            return (not quash, key if key != next_hop_key else None)
         return self.upcall_forward(payload, size, mtype, next_hop, next_hop_key,
                                    source=source)
 
@@ -659,8 +591,7 @@ class Agent:
         """Invoked by the node's failure detector when a monitored peer dies."""
         for neighbor_set in self._fail_detect_sets:
             if neighbor_set.query(address):
-                ctx = TransitionContext(error_addr=int(address))
-                if not self._handle("api", "error", ctx):
+                if self._handle("api", "error", int(address)) is UNHANDLED:
                     # Default repair: silently drop the dead peer.
                     with self.lock.acquire("write"):
                         neighbor_set.remove(address)

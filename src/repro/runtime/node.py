@@ -32,7 +32,7 @@ from ..api.handlers import Handlers
 from ..network.emulator import NetworkEmulator
 from ..transport.base import TransportKind
 from ..transport.demux import TransportHost
-from .agent import Agent, TransitionContext
+from .agent import Agent
 from .engine import Simulator
 from .failure import FailureDetector, FailureDetectorConfig
 from .messages import Message, _Heartbeat
@@ -177,7 +177,7 @@ class MacedonNode:
                 f"macedon_init on crashed node {self.address}; call recover() first")
         self.failure_detector.start()
         for agent in self.stack:
-            agent.api_call("init", TransitionContext(bootstrap=int(bootstrap)))
+            agent.api_call("init", int(bootstrap))
         self.initialized = True
 
     def macedon_register_handlers(self, deliver=None, forward=None,
@@ -201,39 +201,37 @@ class MacedonNode:
 
     def macedon_route(self, dest_key: int, payload: Any, size: int,
                       priority: int = -1) -> Any:
-        return self.stack.highest.api_call("route", TransitionContext(
-            dest_key=int(dest_key), payload=payload, payload_size=size,
-            priority=priority))
+        return self.stack.highest.api_call("route", int(dest_key), payload,
+                                           size, priority)
 
     def macedon_routeIP(self, dest: int, payload: Any, size: int,
                         priority: int = -1) -> Any:
-        return self.stack.highest.api_call("routeIP", TransitionContext(
-            dest=int(dest), payload=payload, payload_size=size, priority=priority))
+        return self.stack.highest.api_call("routeIP", int(dest), payload, size,
+                                           priority)
 
     def macedon_multicast(self, group: int, payload: Any, size: int,
                           priority: int = -1) -> Any:
-        return self.stack.highest.api_call("multicast", TransitionContext(
-            group=int(group), payload=payload, payload_size=size, priority=priority))
+        return self.stack.highest.api_call("multicast", int(group), payload,
+                                           size, priority)
 
     def macedon_anycast(self, group: int, payload: Any, size: int,
                         priority: int = -1) -> Any:
-        return self.stack.highest.api_call("anycast", TransitionContext(
-            group=int(group), payload=payload, payload_size=size, priority=priority))
+        return self.stack.highest.api_call("anycast", int(group), payload,
+                                           size, priority)
 
     def macedon_collect(self, group: int, payload: Any, size: int,
                         priority: int = -1) -> Any:
-        return self.stack.highest.api_call("collect", TransitionContext(
-            group=int(group), payload=payload, payload_size=size, priority=priority))
+        return self.stack.highest.api_call("collect", int(group), payload,
+                                           size, priority)
 
     def macedon_create_group(self, group: int) -> Any:
-        return self.stack.highest.api_call("create_group",
-                                           TransitionContext(group=int(group)))
+        return self.stack.highest.api_call("create_group", int(group))
 
     def macedon_join(self, group: int) -> Any:
-        return self.stack.highest.api_call("join", TransitionContext(group=int(group)))
+        return self.stack.highest.api_call("join", int(group))
 
     def macedon_leave(self, group: int) -> Any:
-        return self.stack.highest.api_call("leave", TransitionContext(group=int(group)))
+        return self.stack.highest.api_call("leave", int(group))
 
     # ------------------------------------------------------------------ the wire
     def _on_transport_deliver(self, src: int, payload: Any, size: int,

@@ -1,13 +1,17 @@
-"""Literal message and field names are checked when the spec is compiled,
-against its ``messages { }`` block — not when the transition first fires."""
+"""Literal message and field names, and the event-context names a body
+uses, are checked when the spec is compiled — against its ``messages { }``
+block and its event's parameters — not when the transition first fires."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
 from repro.codegen import ProtocolRegistry, compile_mac, generate_source
 from repro.dsl import load_spec_text
 from repro.dsl.errors import CodegenError
+from repro.runtime.messages import Message, MessageError
 
 SPEC = """protocol checked
 addressing ip
@@ -17,7 +21,7 @@ messages {
     U ping { int n; }
     U pong { int n; int echo; }
 }
-state_variables { int seen; }
+state_variables { int seen; timer tick 1.0; }
 transitions {
     any API init { state_change("ready") }
     ready recv ping {
@@ -25,6 +29,8 @@ transitions {
         %(recv_ping)s
     }
     ready recv pong { seen = field("echo") }
+    ready API multicast { %(api_multicast)s }
+    ready timer tick { %(timer_tick)s }
 }
 routines {
     def reply(self, dest):
@@ -33,7 +39,9 @@ routines {
 """
 
 GOOD = {"recv_ping": 'send_msg("pong", source, n=1, echo=field("n"))',
-        "routine": 'self.send_msg("pong", dest, n=0, priority=0, tag="t")'}
+        "routine": 'self.send_msg("pong", dest, n=0, priority=0, tag="t")',
+        "api_multicast": 'send_msg("ping", group, n=payload_size)',
+        "timer_tick": "seen = seen + 1"}
 
 
 def compile_with(**parts):
@@ -62,6 +70,18 @@ def test_good_spec_compiles():
     # the same checks reach routines, where the primitive is on self
     ({"routine": 'self.wrap_msg("pong", nn=1)'}, 'self.wrap_msg',
      "wrap_msg: message 'pong' has no field(s) ['nn']"),
+    # a context name another event binds: multicast has a group, no dest_key
+    ({"api_multicast": 'send_msg("ping", dest_key, n=1)'}, 'dest_key',
+     "api multicast: 'dest_key' is not bound by this event"),
+    # a timer binds nothing
+    ({"timer_tick": "seen = source"}, "seen = source",
+     "timer tick: 'source' is not bound by this event"),
+    # only a forward transition writes quash back
+    ({"recv_ping": "quash = True"}, "quash",
+     "recv ping: 'quash' is not bound by this event"),
+    # a return would skip the write-back
+    ({"recv_ping": "return"}, "return",
+     "recv ping: a transition body must not return"),
 ])
 def test_bad_literal_is_a_codegen_error_with_file_and_line(parts, text,
                                                            complaint):
@@ -75,15 +95,24 @@ def test_bad_literal_is_a_codegen_error_with_file_and_line(parts, text,
 
 def test_non_literal_names_stay_a_runtime_check():
     # A computed message name, a computed field() name and **fields are left
-    # alone by the generator; the transition keeps its context object, whose
-    # field() checks the name when the transition fires.
+    # alone by the generator; the transition still takes the message, and its
+    # field is the message's own checked accessor, which refuses an unknown
+    # name when the transition fires.
     text = SPEC % {**GOOD, "recv_ping":
-                   'name = "po" + "ng"\n'
+                   'field("m" + "")\n'
+                   '        name = "po" + "ng"\n'
                    '        send_msg(name, source, **{"n": field("n" + "")})'}
-    source = generate_source(load_spec_text(text, filename="checked.mac"))
-    assert "self._t01_recv_ping(self._message_ctx(message))" in source
-    assert '__ctx.field("n" + "")' in source
-    compile_mac(text, "checked.mac")
+    generate_source(load_spec_text(text, filename="checked.mac"))
+    agent_class = compile_mac(text, "checked.mac")
+    transition = agent_class._t01_recv_ping
+    assert list(inspect.signature(transition).parameters) == [
+        "self", "_CheckedAgent__msg"]          # __msg, mangled in the class
+    probe = agent_class.__new__(agent_class)    # no node needed
+    probe.seen = 0
+    ping = {mtype.name: mtype for mtype in agent_class.MESSAGE_TYPES}["ping"]
+    with pytest.raises(MessageError, match="message 'ping' has no field 'm'"):
+        transition(probe, Message(ping, {"n": 1}))
+    assert probe.seen == 1
 
 
 def test_all_bundled_specs_compile_unchanged():

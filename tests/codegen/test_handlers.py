@@ -1,5 +1,6 @@
 """The generated dispatcher: one handler per ``(kind, event)``.
 
+* every generated transition takes exactly its event's parameters;
 * the handler-selection oracle — over every bundled spec, every bucket and
   every state, the handler runs exactly the first declared transition whose
   state expression matches (``parse_state_expr(...).matches`` is this test's
@@ -13,6 +14,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import re
 import subprocess
 from pathlib import Path
@@ -22,8 +25,8 @@ import pytest
 from repro.codegen import ProtocolRegistry, compile_mac
 from repro.network import NetworkEmulator, transit_stub_topology
 from repro.runtime import LockingViolation, MacedonNode, Simulator, Tracer
-from repro.runtime.agent import (Agent, AgentError, TransitionContext,
-                                 TransitionSpec)
+from repro.runtime.agent import Agent, AgentError, TransitionSpec
+from repro.runtime.handlers import UNHANDLED, event_params
 from repro.runtime.messages import Message
 from repro.runtime.stateexpr import parse_state_expr
 
@@ -78,17 +81,37 @@ def test_handler_runs_the_first_matching_transition(protocol):
                  if parse_state_expr(spec.state_expr,
                                      agent_class.STATES).matches(state)), None)
             probe._state, probe.ran = state, []
-            if kind == "recv":
-                handled = handler(probe, Message(types[event]))
-            elif kind == "timer":
-                handled = handler(probe)
-            else:
-                handled = handler(probe, TransitionContext())
+            # A message for recv/forward, None for every other parameter.
+            event_args = [None] * len(event_params(kind, event))
+            if kind in ("recv", "forward"):
+                event_args[0] = Message(types[event])
+            handled = handler(probe, *event_args)
             assert probe.ran == ([expected] if expected else []), \
                 (kind, event, state)
-            assert handled is (expected is not None)
+            assert (handled is not UNHANDLED) is (expected is not None)
             checked += 1
     assert checked == len(buckets(agent_class)) * (len(agent_class.STATES) + 1)
+
+
+@pytest.mark.parametrize("protocol, base", [
+    *((name, None) for name in BUNDLED), ("scribe", "chord")])
+def test_transitions_take_their_events_parameters(protocol, base):
+    registry = ProtocolRegistry()
+    agent_class = registry.load_protocol(protocol, base=base)
+    for spec in agent_class.TRANSITIONS:
+        params = list(inspect.signature(getattr(agent_class, spec.method))
+                      .parameters)
+        # Unmangle __msg (a private name inside the generated class body).
+        params = [re.sub(r"^_[A-Za-z0-9]+(__msg)$", r"\1", name)
+                  for name in params]
+        assert params == ["self", *event_params(spec.kind, spec.name)], \
+            spec.method
+    # No private name but the message parameter in the generated module.
+    nodes = list(ast.walk(ast.parse(registry.generated_source(protocol,
+                                                               base=base))))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)} \
+        | {node.arg for node in nodes if isinstance(node, ast.arg)}
+    assert {name for name in names if name.startswith("__")} <= {"__msg"}
 
 
 def test_stale_or_missing_transition_is_refused_at_class_creation():
@@ -96,7 +119,7 @@ def test_stale_or_missing_transition_is_refused_at_class_creation():
     with pytest.raises(AgentError, match="reached from handlers"):
         # TRANSITIONS extended behind the generated handlers' back.
         type("Stale", (base,), {
-            "extra": lambda self, ctx: None,
+            "extra": lambda self, message: None,
             "TRANSITIONS": base.TRANSITIONS + (
                 TransitionSpec("recv", "ping", "init", "extra"),)})
     with pytest.raises(AgentError, match="missing"):
@@ -278,6 +301,11 @@ def test_layered_forward_quash_state_scoped_recv_and_read_locks():
     assert sender.offered == [(2, b.address), (3, b.address), (4, b.address)]
     assert b.agent("upper").total == 6
     assert a.agent("lower").lock.stats.read_acquisitions == 3
+    # The lower layer's route transition writes `result` back: whether the
+    # layer above let the payload out, which macedon_route returns.
+    for v, allowed in ((5, False), (6, True)):
+        note = sender.wrap_msg("note", v=v)
+        assert a.macedon_route(b.address, note, note.size) is allowed
 
 
 def test_transitions_without_handlers_are_refused_at_class_creation():
@@ -288,7 +316,7 @@ def test_transitions_without_handlers_are_refused_at_class_creation():
         type("ByHand", (Agent,), {
             "PROTOCOL": "byhand",
             "TRANSITIONS": (TransitionSpec("api", "init", "any", "t_init"),),
-            "t_init": lambda self, ctx: None})
+            "t_init": lambda self, bootstrap: None})
 
 
 def test_no_hand_written_transition_table_under_src():

@@ -13,7 +13,7 @@ SELF_NAMES = {"neighbor_add", "state_change", "papa", "counter", "MAX"}
 def test_primitives_and_state_vars_get_self_prefix():
     out = rewrite_action_code("neighbor_add(papa, source)\nstate_change('joined')",
                               SELF_NAMES)
-    assert "self.neighbor_add(self.papa, __ctx.source)" in out
+    assert "self.neighbor_add(self.papa, source)" in out
     assert "self.state_change('joined')" in out
 
 
@@ -35,12 +35,10 @@ def test_attribute_access_not_rewritten():
     assert "self.papa.delay" in out
 
 
-def test_context_names_rewritten():
-    out = rewrite_action_code("if field('x') == source:\n    quash = True",
-                              SELF_NAMES)
-    assert "__ctx.field('x')" in out
-    assert "__ctx.source" in out
-    assert "__ctx.quash = True" in out
+def test_context_names_stay_bare():
+    # Event-context names are the transition's parameters and locals.
+    code = "if field('x') == source:\n    quash = True"
+    assert rewrite_action_code(code, SELF_NAMES) == code
 
 
 def test_strings_and_comments_untouched():

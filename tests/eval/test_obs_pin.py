@@ -278,9 +278,9 @@ def test_scribe_over_pastry_metrics_are_byte_identical_to_baseline(
     error = getattr(pastry, method)
     leaves_removed = []
 
-    def counting_error(self, ctx):
+    def counting_error(self, error_addr):
         before = len(self.leafset)
-        error(self, ctx)
+        error(self, error_addr)
         leaves_removed.append(before - len(self.leafset))
 
     monkeypatch.setattr(pastry, method, counting_error)

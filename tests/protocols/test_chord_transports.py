@@ -105,9 +105,9 @@ def test_crashed_successor_drives_error_through_the_heartbeat_detector(
     error = getattr(chord, method)
     errors = []
 
-    def recording_error(self, ctx):
-        errors.append((self.simulator.now, self.my_addr, ctx.error_addr))
-        return error(self, ctx)
+    def recording_error(self, error_addr):
+        errors.append((self.simulator.now, self.my_addr, error_addr))
+        return error(self, error_addr)
 
     monkeypatch.setattr(chord, method, recording_error)
     simulator, nodes = _ring(12, seed=32, run_for=30.0)

@@ -17,7 +17,6 @@ import pytest
 from repro.network import NetworkEmulator, transit_stub_topology
 from repro.protocols import pastry_agent
 from repro.runtime import MacedonNode, Simulator
-from repro.runtime.agent import TransitionContext
 from repro.runtime.keys import KeySpace
 from repro.runtime.neighbors import NeighborSet
 
@@ -87,7 +86,7 @@ def test_leaf_update_matches_the_scanning_reference(agent):
             # Mostly a current leaf; sometimes a peer that is not one.
             addr = (rng.choice(reference.addresses()) if roll < 0.9
                     else rng.choice(addresses))
-            agent.api_call("error", TransitionContext(error_addr=addr))
+            agent.api_call("error", addr)
             if reference.remove(addr) is not None:
                 outcomes["removed"] += 1
         assert leaves(agent.leafset) == leaves(reference)

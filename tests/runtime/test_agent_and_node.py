@@ -13,7 +13,6 @@ from repro.runtime import (
     Simulator,
     Tracer,
 )
-from repro.runtime.agent import TransitionContext
 from repro.runtime.stack import StackError
 
 ECHO = """
