@@ -16,7 +16,7 @@ The package is organised as the paper's system is:
 * :mod:`repro.baselines` — independently written comparison implementations
   (lsd-style Chord, FreePastry-style Pastry);
 * :mod:`repro.apps` — reusable applications (replicated KV, topic pub/sub)
-  built on :class:`repro.apps.AppBase`;
+  attached as their node's deliver handler;
 * :mod:`repro.eval` — metrics and the experiment harness reproducing the
   paper's evaluation.
 

@@ -31,7 +31,3 @@ class Handlers:
     forward: Optional[ForwardHandler] = None
     notify: Optional[NotifyHandler] = None
     upcall: Optional[UpcallHandler] = None
-
-    def any_registered(self) -> bool:
-        return any(handler is not None
-                   for handler in (self.deliver, self.forward, self.notify, self.upcall))

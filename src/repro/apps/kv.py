@@ -29,12 +29,10 @@ the generic ring — and in simulation or live over sockets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from ..api.handlers import Handlers
 from ..runtime.node import MacedonNode
-from .base import AppBase
 from .payload import (KV_GET, KV_GET_READ, KV_GET_REPLY, KV_PUT, KV_PUT_ACK,
                       KV_PUT_REPLICATE, KV_REPAIR, KvPayload)
 
@@ -71,13 +69,16 @@ class _Pending:
     repliers: set = field(default_factory=set)
 
 
-class KvStore(AppBase):
-    """The replicated KV store role of one overlay node (client + server)."""
+class KvStore:
+    """The replicated KV store role of one overlay node (client + server).
+
+    Construction makes :meth:`on_deliver` the node's deliver handler; the
+    handlers the node had before stay in :attr:`previous` and receive every
+    payload that is not this store's."""
 
     def __init__(self, node: MacedonNode, *, replicas: int = 3,
                  write_quorum: int = 2, read_quorum: int = 2,
-                 op_bytes: int = 100, stream_id: int = 0,
-                 chain: Optional[Handlers] = None) -> None:
+                 op_bytes: int = 100, stream_id: int = 0) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if not 1 <= write_quorum <= replicas or not 1 <= read_quorum <= replicas:
@@ -93,12 +94,12 @@ class KvStore(AppBase):
         self.store: dict[int, int] = {}
         #: seqno -> in-flight client operation (seqnos are driver-unique).
         self.pending: dict[int, _Pending] = {}
-        self.completed: list[KvOpRecord] = []
-        self.ops_issued = 0
         #: Called with each :class:`KvOpRecord` the moment its quorum lands.
         self.on_complete: Optional[Callable[[KvOpRecord], None]] = None
+        self.node = node
         self._epoch = node.crash_count
-        super().__init__(node, chain=chain)
+        self.previous = node.handlers
+        node.handlers = replace(self.previous, deliver=self.on_deliver)
 
     # ------------------------------------------------------------- fail-stop
     def _check_epoch(self) -> None:
@@ -116,22 +117,22 @@ class KvStore(AppBase):
     def put(self, key: int, version: int, seqno: int) -> None:
         """Write ``key := version``; completes after ``write_quorum`` acks."""
         self._check_epoch()
-        self.ops_issued += 1
+        now = self.node.simulator.now
         self.pending[seqno] = _Pending(kind="put", key=key, version=version,
-                                       issued_at=self.now)
+                                       issued_at=now)
         payload = KvPayload(op=KV_PUT, key=key, version=version, seqno=seqno,
-                            sent_at=self.now, source=self.address,
+                            sent_at=now, source=self.node.address,
                             size=self.op_bytes, stream_id=self.stream_id)
         self.node.macedon_route(key, payload, self.op_bytes)
 
     def get(self, key: int, seqno: int) -> None:
         """Read ``key``; completes after ``read_quorum`` replies (max wins)."""
         self._check_epoch()
-        self.ops_issued += 1
+        now = self.node.simulator.now
         self.pending[seqno] = _Pending(kind="get", key=key, version=-1,
-                                       issued_at=self.now)
+                                       issued_at=now)
         payload = KvPayload(op=KV_GET, key=key, version=-1, seqno=seqno,
-                            sent_at=self.now, source=self.address,
+                            sent_at=now, source=self.node.address,
                             size=self.op_bytes, stream_id=self.stream_id)
         self.node.macedon_route(key, payload, self.op_bytes)
 
@@ -143,9 +144,10 @@ class KvStore(AppBase):
         migrates to the nodes now responsible for it.
         """
         self._check_epoch()
+        now = self.node.simulator.now
         for key, version in sorted(self.store.items()):
             payload = KvPayload(op=KV_REPAIR, key=key, version=version,
-                                seqno=0, sent_at=self.now, source=NO_CLIENT,
+                                seqno=0, sent_at=now, source=NO_CLIENT,
                                 size=self.op_bytes, stream_id=self.stream_id)
             self.node.macedon_route(key, payload, self.op_bytes)
 
@@ -159,7 +161,7 @@ class KvStore(AppBase):
         uses.  Crashed neighbors simply drop the replicate (fail-stop).
         """
         targets: list[int] = []
-        seen = {self.address}
+        seen = {self.node.address}
 
         def add(address) -> None:
             if isinstance(address, int) and address > 0 and address not in seen:
@@ -183,7 +185,7 @@ class KvStore(AppBase):
         return False
 
     def _reply(self, dest: int, payload: KvPayload) -> None:
-        if dest == self.address:
+        if dest == self.node.address:
             # Client and root are the same node: deliver locally instead of
             # relying on loopback transport.
             self.on_deliver(payload, payload.size, "ipdata")
@@ -194,7 +196,8 @@ class KvStore(AppBase):
     def on_deliver(self, payload, size, mtype) -> None:
         if not isinstance(payload, KvPayload) or \
                 payload.stream_id != self.stream_id:
-            self.chain_deliver(payload, size, mtype)
+            if self.previous.deliver is not None:
+                self.previous.deliver(payload, size, mtype)
             return
         self._check_epoch()
         handler = {
@@ -214,7 +217,7 @@ class KvStore(AppBase):
         replicate = KvPayload(op=KV_PUT_REPLICATE, key=payload.key,
                               version=payload.version, seqno=payload.seqno,
                               sent_at=payload.sent_at, source=source,
-                              replier=self.address, size=payload.size,
+                              replier=self.node.address, size=payload.size,
                               stream_id=self.stream_id)
         for target in self.replica_targets():
             self._reply(target, replicate)
@@ -225,7 +228,7 @@ class KvStore(AppBase):
         self._reply(payload.source, KvPayload(
             op=KV_PUT_ACK, key=payload.key, version=payload.version,
             seqno=payload.seqno, sent_at=payload.sent_at,
-            source=payload.source, replier=self.address,
+            source=payload.source, replier=self.node.address,
             size=payload.size, stream_id=self.stream_id))
         self._replicate(payload, payload.source)
 
@@ -236,7 +239,7 @@ class KvStore(AppBase):
             self._reply(payload.source, KvPayload(
                 op=KV_PUT_ACK, key=payload.key, version=payload.version,
                 seqno=payload.seqno, sent_at=payload.sent_at,
-                source=payload.source, replier=self.address,
+                source=payload.source, replier=self.node.address,
                 size=payload.size, stream_id=self.stream_id))
 
     def _on_get(self, payload: KvPayload) -> None:
@@ -245,11 +248,11 @@ class KvStore(AppBase):
             op=KV_GET_REPLY, key=payload.key,
             version=self.store.get(payload.key, -1), seqno=payload.seqno,
             sent_at=payload.sent_at, source=payload.source,
-            replier=self.address, size=payload.size,
+            replier=self.node.address, size=payload.size,
             stream_id=self.stream_id))
         read = KvPayload(op=KV_GET_READ, key=payload.key, version=-1,
                          seqno=payload.seqno, sent_at=payload.sent_at,
-                         source=payload.source, replier=self.address,
+                         source=payload.source, replier=self.node.address,
                          size=payload.size, stream_id=self.stream_id)
         for target in self.replica_targets():
             self._reply(target, read)
@@ -260,7 +263,7 @@ class KvStore(AppBase):
             op=KV_GET_REPLY, key=payload.key,
             version=self.store.get(payload.key, -1), seqno=payload.seqno,
             sent_at=payload.sent_at, source=payload.source,
-            replier=self.address, size=payload.size,
+            replier=self.node.address, size=payload.size,
             stream_id=self.stream_id))
 
     def _on_repair(self, payload: KvPayload) -> None:
@@ -282,9 +285,9 @@ class KvStore(AppBase):
         del self.pending[seqno]
         record = KvOpRecord(kind=pending.kind, key=pending.key, seqno=seqno,
                             version=pending.version,
-                            issued_at=pending.issued_at, completed_at=self.now,
+                            issued_at=pending.issued_at,
+                            completed_at=self.node.simulator.now,
                             acks=len(pending.repliers))
-        self.completed.append(record)
         if self.on_complete is not None:
             self.on_complete(record)
 

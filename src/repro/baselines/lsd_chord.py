@@ -45,11 +45,11 @@ class _LsdChordFactory:
                     super().__init__(node)
                     self.fix_adjustments = 0
 
-                def receive_message(self, message: Message, direction: str = "recv") -> bool:
+                def receive_message(self, message: Message) -> bool:
                     if message.name == "lookup_reply" and \
                             message.fields.get("purpose") == self.CONSTANTS["PURPOSE_FIX"]:
                         self._adapt_fix_period(message)
-                    return super().receive_message(message, direction)
+                    return super().receive_message(message)
 
                 def _adapt_fix_period(self, message: Message) -> None:
                     """Halve the period when a repair changed an entry, double it otherwise."""

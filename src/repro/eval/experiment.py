@@ -54,7 +54,7 @@ class OverlayExperiment:
             self.tracer = Tracer()
         self.nodes: list[MacedonNode] = [
             MacedonNode(self.simulator, self.emulator, self.agent_classes,
-                        tracer=self.tracer, strict_locking=spec.strict_locking,
+                        tracer=self.tracer,
                         failure_config=spec.failure_config)
             for _ in range(spec.num_nodes)
         ]

@@ -266,7 +266,6 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
         "duration": spec.duration,
         "seed": spec.seed,
         "random_loss_rate": spec.random_loss_rate,
-        "strict_locking": spec.strict_locking,
         "failure_config": (asdict(spec.failure_config)
                            if spec.failure_config else None),
         "models": [dict(asdict(model), model=type(model).__name__)
@@ -306,7 +305,6 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
         duration=data["duration"],
         seed=data["seed"],
         random_loss_rate=data.get("random_loss_rate", 0.0),
-        strict_locking=data.get("strict_locking", True),
         failure_config=FailureDetectorConfig(**failure) if failure else None,
         models=tuple(model_from_dict(item) for item in data["models"]),
     )

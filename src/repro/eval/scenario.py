@@ -409,7 +409,6 @@ class ScenarioSpec:
     seed: int = 0
     topology: Union[Topology, Callable[[int], Topology], None] = None
     random_loss_rate: float = 0.0
-    strict_locking: bool = True
     failure_config: Optional[FailureDetectorConfig] = None
     models: tuple[ScenarioModel, ...] = ()
     samples: tuple[SampleSeries, ...] = ()

@@ -17,7 +17,7 @@ Coordination is minimal: a static address→port map, a start barrier whose
 action fixes the cluster's zero on the host's monotonic clock, and a results
 queue.  Once the barrier drops, nodes talk only protocol traffic.  When the
 spec draws fault rows the coordinator becomes a supervisor: real
-``SIGKILL``\ s, respawns under a per-node restart budget (a reborn process
+``SIGKILL`` signals, respawns under a per-node restart budget (a reborn process
 re-enters through the transport restart epoch, on the shared zero), and
 partition/degrade rules sent one way into every node's socket fault table.
 A node that exhausts its budget is accounted *down*, not a run failure.

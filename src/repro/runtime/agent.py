@@ -158,7 +158,7 @@ class Agent:
         self.my_addr: int = node.address
         self.key_space = self.KEY_SPACE
         self.my_key: int = self.key_space.hash(self.my_addr)
-        self.lock = InstanceLock(strict=node.strict_locking)
+        self.lock = InstanceLock()
         #: The lock's reusable scopes: a handler enters the one `locking` names.
         self._read_scope = self.lock.lock_read()
         self._write_scope = self.lock.lock_write()
@@ -175,29 +175,22 @@ class Agent:
         self.initialized = False
         #: Trace gates, precomputed so hot paths skip the tracer call (and
         #: its argument formatting) entirely when the record would be
-        #: filtered anyway.  The thresholds mirror
-        #: :attr:`repro.runtime.tracing.Tracer.CATEGORY_LEVELS` — unless
-        #: this run's tracer carries per-run category overrides
-        #: (``repro.obs``), in which case the gate opens if *any* category
-        #: behind it is enabled at this agent's level; ``Tracer.record``
-        #: still filters exactly per category.
-        tracer = getattr(node, "tracer", None)
-        if tracer is not None and tracer.has_overrides:
-            floor = tracer.level_floor
-            if floor is not None and floor > self.TRACE:
-                # Per-run verbosity raise: an *instance* attribute, so the
-                # (cached) generated class keeps its spec-declared level.
-                self.TRACE = floor
-            trace, threshold = self.TRACE, tracer.threshold
-            self._trace_med = any(
-                trace >= threshold(category)
-                for category in ("transition", "message_send", "message_recv"))
-            self._trace_high = any(
-                trace >= threshold(category)
-                for category in ("timer", "neighbor", "debug"))
-        else:
-            self._trace_med = self.TRACE >= TraceLevel.MED
-            self._trace_high = self.TRACE >= TraceLevel.HIGH
+        #: filtered anyway.  A gate opens if *any* category behind it is
+        #: enabled at this agent's level under the run's tracer policy;
+        #: ``Tracer.record`` still filters exactly per category.
+        tracer = node.tracer
+        floor = tracer.level_floor
+        if floor is not None and floor > self.TRACE:
+            # Per-run verbosity raise: an *instance* attribute, so the
+            # (cached) generated class keeps its spec-declared level.
+            self.TRACE = floor
+        trace, threshold = self.TRACE, tracer.threshold
+        self._trace_med = any(
+            trace >= threshold(category)
+            for category in ("transition", "message_send", "message_recv"))
+        self._trace_high = any(
+            trace >= threshold(category)
+            for category in ("timer", "neighbor", "debug"))
 
         for name, value in self.CONSTANTS.items():
             setattr(self, name, value)
@@ -303,10 +296,9 @@ class Agent:
     def _on_timer_expired(self, timer_name: str) -> None:
         self._handle("timer", timer_name)
 
-    def receive_message(self, message: Message, direction: str = "recv") -> bool:
-        """Dispatch a received protocol message.  *direction* is always
-        ``"recv"``: a ``forward`` event arrives through
-        :meth:`handle_lower_forward`."""
+    def receive_message(self, message: Message) -> bool:
+        """Dispatch a received protocol message (a ``forward`` event arrives
+        through :meth:`handle_lower_forward`)."""
         handler = self._handlers["recv"].get(message.type.name)
         return handler is not None and handler(self, message) is not UNHANDLED
 
@@ -501,14 +493,13 @@ class Agent:
 
     # -- upcalls (into the layer above / the application) --------------------------
     def upcall_deliver(self, payload: Any, size: int, mtype: Any = None,
-                       source: Optional[int] = None,
-                       source_key: Optional[int] = None) -> None:
+                       source: Optional[int] = None) -> None:
         """Deliver *payload* to the layer above (or the application)."""
         if self.upper is not None:
             self.upper.handle_lower_deliver(payload, size, mtype,
-                                            source=source, source_key=source_key)
-        else:
-            self.node.app_deliver(self, payload, size, mtype)
+                                            source=source)
+        elif self.node.handlers.deliver is not None:
+            self.node.handlers.deliver(payload, size, mtype)
 
     def upcall_forward(self, payload: Any, size: int, mtype: Any,
                        next_hop: Optional[int], next_hop_key: Optional[int],
@@ -523,8 +514,11 @@ class Agent:
             return self.upper.handle_lower_forward(payload, size, mtype,
                                                    next_hop, next_hop_key,
                                                    source=source)
-        return self.node.app_forward(self, payload, size, mtype,
-                                     next_hop, next_hop_key)
+        forward = self.node.handlers.forward
+        if forward is None:
+            return (True, None)
+        return (bool(forward(payload, size, mtype, next_hop, next_hop_key)),
+                None)
 
     def upcall_notify(self, neighbors: Any, nbr_type: int = 0) -> None:
         """Tell the layer above that a neighbor set changed."""
@@ -538,8 +532,8 @@ class Agent:
             if self.upper._handle("api", "notify", addresses,
                                   nbr_type) is UNHANDLED:
                 self.upper.upcall_notify(addresses, nbr_type)
-        else:
-            self.node.app_notify(self, addresses, nbr_type)
+        elif self.node.handlers.notify is not None:
+            self.node.handlers.notify(nbr_type, addresses)
 
     def upcall_ext(self, op: Any, arg: Any = None) -> Any:
         """Extensible upcall to the layer above (the generic handler)."""
@@ -547,19 +541,19 @@ class Agent:
             result = self.upper._handle("api", "upcall_ext", op, arg)
             return self.upper.upcall_ext(op, arg) if result is UNHANDLED \
                 else result
-        return self.node.app_upcall(self, op, arg)
+        upcall = self.node.handlers.upcall
+        return None if upcall is None else upcall(op, arg)
 
     # -- handling upcalls arriving from the layer below ----------------------------
     def handle_lower_deliver(self, payload: Any, size: int, mtype: Any,
-                             source: Optional[int] = None,
-                             source_key: Optional[int] = None) -> None:
+                             source: Optional[int] = None) -> None:
         if isinstance(payload, WrappedMessage) and payload.protocol == self.PROTOCOL:
             message = payload.as_message(self._catalog.get(payload.name))
             message.source = payload.source if payload.source is not None else source
-            self.receive_message(message, direction="recv")
+            self.receive_message(message)
             return
         # Not ours: keep passing it up the stack.
-        self.upcall_deliver(payload, size, mtype, source=source, source_key=source_key)
+        self.upcall_deliver(payload, size, mtype, source=source)
 
     def handle_lower_forward(self, payload: Any, size: int, mtype: Any,
                              next_hop: Optional[int], next_hop_key: Optional[int],

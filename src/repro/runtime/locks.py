@@ -38,7 +38,7 @@ class LockStats:
     write_acquisitions: int = 0
     #: Number of nested acquisitions (a transition invoking another transition).
     nested_acquisitions: int = 0
-    #: Writes attempted while only a read lock was held (strict mode raises).
+    #: Writes attempted while only a read lock was held (each one raised).
     violations: int = 0
 
     @property
@@ -55,17 +55,11 @@ class LockStats:
 class InstanceLock:
     """The per-protocol-instance read/write lock of the MACEDON runtime.
 
-    Parameters
-    ----------
-    strict:
-        When True (the default), a write primitive invoked from a read-locked
-        transition raises :class:`LockingViolation`.  When False the event is
-        only counted — useful when intentionally benchmarking a mis-declared
-        protocol.
+    A write primitive invoked from a read-locked transition raises
+    :class:`LockingViolation`.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self.stats = LockStats()
         self._mode_stack: list[str] = []
         # One reusable scope per mode: every transition dispatch enters a
@@ -98,10 +92,8 @@ class InstanceLock:
         mode = self._mode_stack[-1] if self._mode_stack else None
         if mode == "read":
             self.stats.violations += 1
-            if self.strict:
-                raise LockingViolation(
-                    f"{what} attempted inside a transition declared 'locking read'"
-                )
+            raise LockingViolation(
+                f"{what} attempted inside a transition declared 'locking read'")
 
     # Explicit primitives the paper exposes for intra-transition locking.
     def lock_write(self) -> "_LockScope":

@@ -7,7 +7,8 @@ One :class:`MacedonNode` couples, for one emulated host:
   protocol declared);
 * a :class:`~repro.runtime.stack.ProtocolStack` of agents;
 * a failure detector feeding ``error`` API transitions;
-* the application's registered upcall handlers.
+* the application's registered upcall handlers (:attr:`MacedonNode.handlers`,
+  which the highest agent calls directly).
 
 It also implements the runtime side of the MACEDON API: ``macedon_init`` and
 the data/control calls are forwarded to the highest agent in the stack.
@@ -51,13 +52,11 @@ class MacedonNode:
         *,
         tracer: Optional[Tracer] = None,
         topology_node: Optional[int] = None,
-        strict_locking: bool = True,
         failure_config: Optional[FailureDetectorConfig] = None,
     ) -> None:
         self.simulator = simulator
         self.emulator = emulator
         self.tracer = tracer if tracer is not None else Tracer()
-        self.strict_locking = strict_locking
         self.handlers = Handlers()
         self._agent_classes = list(agent_classes)
         self._failure_config = failure_config
@@ -182,20 +181,7 @@ class MacedonNode:
 
     def macedon_register_handlers(self, deliver=None, forward=None,
                                   notify=None, upcall=None) -> None:
-        """Install the application's upcall handlers.
-
-        Accepts either the four callables or, as a shim for the historical
-        tuple wiring, a ready-made :class:`Handlers` instance positionally:
-        ``macedon_register_handlers(Handlers(...))``.  New applications
-        should subclass :class:`repro.apps.AppBase` instead.
-        """
-        if isinstance(deliver, Handlers):
-            if forward is not None or notify is not None or upcall is not None:
-                raise TypeError(
-                    "pass either a Handlers instance or individual handlers, "
-                    "not both")
-            self.handlers = deliver
-            return
+        """Install the application's upcall handlers (Figure 3)."""
         self.handlers = Handlers(deliver=deliver, forward=forward,
                                  notify=notify, upcall=upcall)
 
@@ -253,7 +239,7 @@ class MacedonNode:
         agent = self.stack.find_for_message(message.protocol) or self.stack.lowest
         if agent._trace_med:   # "message_recv" records at TraceLevel.MED
             agent.trace("message_recv", message.name, source=src, size=size)
-        agent.receive_message(message, direction="recv")
+        agent.receive_message(message)
 
     # -------------------------------------------------------------- failure path
     def _send_heartbeat(self, peer: int) -> None:
@@ -263,27 +249,6 @@ class MacedonNode:
     def _on_peer_failure(self, peer: int) -> None:
         for agent in self.stack:
             agent.peer_failed(peer)
-
-    # --------------------------------------------------------- application upcalls
-    def app_deliver(self, agent: Agent, payload: Any, size: int, mtype: Any) -> None:
-        if self.handlers.deliver is not None:
-            self.handlers.deliver(payload, size, mtype)
-
-    def app_forward(self, agent: Agent, payload: Any, size: int, mtype: Any,
-                    next_hop: Optional[int], next_hop_key: Optional[int]):
-        if self.handlers.forward is not None:
-            allow = self.handlers.forward(payload, size, mtype, next_hop, next_hop_key)
-            return (bool(allow), None)
-        return (True, None)
-
-    def app_notify(self, agent: Agent, neighbors: list[int], nbr_type: int) -> None:
-        if self.handlers.notify is not None:
-            self.handlers.notify(nbr_type, neighbors)
-
-    def app_upcall(self, agent: Agent, op: Any, arg: Any) -> Any:
-        if self.handlers.upcall is not None:
-            return self.handlers.upcall(op, arg)
-        return None
 
     # ------------------------------------------------------------------ helpers
     def agent(self, protocol: str) -> Agent:

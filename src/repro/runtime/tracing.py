@@ -10,9 +10,9 @@ Two extension points serve the observability layer (:mod:`repro.obs`):
 
 * **per-run category overrides** — a tracer built with ``category_levels``
   overrides replaces the class-level :attr:`Tracer.CATEGORY_LEVELS` policy
-  for this run only (the class constant is never mutated).  Agents consult
-  :meth:`Tracer.threshold` when :attr:`Tracer.has_overrides` is set, so the
-  default construction path stays byte-identical to the historical gates.
+  for this run only (the class constant is never mutated).  Agents derive
+  their trace gates from :meth:`Tracer.threshold`, which gives the default
+  gates when nothing is overridden.
 * **streaming export** — an optional ``sink`` (see
   :class:`repro.obs.trace.TraceSink`) receives every accepted record as it
   is produced, so a bounded in-memory ring can spill a complete
@@ -121,17 +121,6 @@ class Tracer:
             # The shared class dict, read-only by convention: the default
             # path must not pay a per-tracer policy copy.
             self.category_levels = self.CATEGORY_LEVELS
-        self._has_overrides = bool(category_levels) \
-            or self.level_floor is not None
-
-    @property
-    def has_overrides(self) -> bool:
-        """Whether this tracer's category policy differs from the default.
-
-        Agents precompute their trace gates from :attr:`CATEGORY_LEVELS`;
-        when this is set they derive the gates from :meth:`threshold`
-        instead (see :class:`repro.runtime.agent.Agent`)."""
-        return self._has_overrides
 
     def threshold(self, category: str) -> TraceLevel:
         """Minimum level at which *category* is recorded by this tracer."""

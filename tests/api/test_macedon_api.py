@@ -24,9 +24,10 @@ def build_nodes(stack, count, seed=91):
 
 def test_handlers_dataclass():
     handlers = Handlers()
-    assert not handlers.any_registered()
-    handlers = Handlers(deliver=lambda p, s, t: None)
-    assert handlers.any_registered()
+    assert (handlers.deliver, handlers.forward, handlers.notify,
+            handlers.upcall) == (None, None, None, None)
+    deliver = lambda p, s, t: None  # noqa: E731
+    assert Handlers(deliver=deliver).deliver is deliver
 
 
 def test_randtree_multicast_reaches_every_other_node():

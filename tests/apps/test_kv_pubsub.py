@@ -28,6 +28,13 @@ def build_kv_experiment(num_nodes=10, seed=11, *, failure_config=None):
     return experiment, stores
 
 
+def completions(store):
+    """The ops *store* completes from now on, collected as they land."""
+    records = []
+    store.on_complete = records.append
+    return records
+
+
 def holders_of(stores, key):
     return sorted(address for address, store in stores.items()
                   if key in store.store)
@@ -57,18 +64,19 @@ def test_quorum_validation():
 def test_put_then_get_reads_written_version():
     experiment, stores = build_kv_experiment()
     client = stores[experiment.nodes[0].address]
+    completed = completions(client)
     key = 12345
     client.put(key, version=7, seqno=1)
     experiment.run(5.0)
-    assert [record.kind for record in client.completed] == ["put"]
-    assert client.completed[0].acks >= 2
+    assert [record.kind for record in completed] == ["put"]
+    assert completed[0].acks >= 2
     # The write landed on a full replica set.
     assert len(holders_of(stores, key)) == 3
 
     client.get(key, seqno=2)
     experiment.run(5.0)
-    assert [record.kind for record in client.completed] == ["put", "get"]
-    read = client.completed[-1]
+    assert [record.kind for record in completed] == ["put", "get"]
+    read = completed[-1]
     assert read.version == 7
     assert read.acks >= 2
 
@@ -78,6 +86,7 @@ def test_read_completes_with_replica_crashed_mid_read():
     cost the quorum or the version."""
     experiment, stores = build_kv_experiment(failure_config=FAST_FAILURE)
     client = stores[experiment.nodes[0].address]
+    completed = completions(client)
     key = 777
     client.put(key, version=9, seqno=1)
     experiment.run(5.0)
@@ -91,7 +100,7 @@ def test_read_completes_with_replica_crashed_mid_read():
 
     client.get(key, seqno=2)
     experiment.run(5.0)
-    read = client.completed[-1]
+    read = completed[-1]
     assert read.kind == "get"
     assert read.version == 9
     # Root + surviving replica answered; the corpse did not.
@@ -104,6 +113,7 @@ def test_stale_epoch_replica_recovers_empty_and_read_still_correct():
     max still returns the real version from the survivors."""
     experiment, stores = build_kv_experiment(failure_config=FAST_FAILURE)
     client = stores[experiment.nodes[0].address]
+    completed = completions(client)
     key = 4242
     client.put(key, version=5, seqno=1)
     experiment.run(5.0)
@@ -123,7 +133,7 @@ def test_stale_epoch_replica_recovers_empty_and_read_still_correct():
 
     client.get(key, seqno=2)
     experiment.run(5.0)
-    read = client.completed[-1]
+    read = completed[-1]
     assert read.kind == "get"
     assert read.version == 5
 
@@ -135,6 +145,7 @@ def test_partition_healed_divergence_mended_by_repair():
     experiment, stores = build_kv_experiment(num_nodes=10, seed=11,
                                              failure_config=FAST_FAILURE)
     client = stores[experiment.nodes[0].address]
+    completed = completions(client)
     key = 31337
     client.put(key, version=1, seqno=1)
     experiment.run(5.0)
@@ -151,7 +162,7 @@ def test_partition_healed_divergence_mended_by_repair():
     experiment.partition([majority, [indices[straggler]]])
     client.put(key, version=2, seqno=2)
     experiment.run(30.0)
-    assert client.completed[-1].kind == "put"
+    assert completed[-1].kind == "put"
     # Divergence: the cut-off replica still serves the old version.
     assert stores[straggler].store[key] == 1
 
@@ -163,7 +174,7 @@ def test_partition_healed_divergence_mended_by_repair():
 
     client.get(key, seqno=3)
     experiment.run(5.0)
-    assert client.completed[-1].version == 2
+    assert completed[-1].version == 2
     # Anti-entropy re-established a full replica set at the newest version
     # (membership may have shifted across the partition, so the set need not
     # be the original holders; a stale ex-replica keeping v1 is harmless
@@ -181,12 +192,12 @@ def test_kv_chains_foreign_payloads_to_previous_handler():
     # so re-create the layering explicitly on a fresh node pair.
     node.macedon_register_handlers(
         deliver=lambda payload, size, mtype: seen.append(payload))
-    store = KvStore(node)
+    completed = completions(KvStore(node))
     experiment.nodes[0].macedon_route(node.highest_agent.my_key,
                                       "plain-text", 64)
     experiment.run(5.0)
     assert "plain-text" in seen
-    assert store.completed == []
+    assert completed == []
 
 
 def build_pubsub_experiment(num_nodes=12, seed=21):
@@ -195,11 +206,15 @@ def build_pubsub_experiment(num_nodes=12, seed=21):
         duration=60.0, seed=seed,
         models=(ChurnModel(join="immediate"),)).run().experiment
     apps = {node.address: PubSub(node) for node in experiment.nodes}
-    return experiment, apps
+    # Each app's first deliveries, collected as they land.
+    delivered = {address: [] for address in apps}
+    for address, app in apps.items():
+        app.on_delivery = delivered[address].append
+    return experiment, apps, delivered
 
 
 def test_pubsub_topic_delivery_and_dedup():
-    experiment, apps = build_pubsub_experiment()
+    experiment, apps, delivered = build_pubsub_experiment()
     addresses = [node.address for node in experiment.nodes]
     publisher = apps[addresses[0]]
     members = addresses[1:7]
@@ -215,22 +230,23 @@ def test_pubsub_topic_delivery_and_dedup():
     experiment.run(10.0)
 
     for address in members:
-        delivered = {delivery.seqno for delivery in apps[address].deliveries}
-        assert delivered == {0, 1, 2, 3, 4}, address
+        seqnos = {delivery.seqno for delivery in delivered[address]}
+        assert seqnos == {0, 1, 2, 3, 4}, address
         assert apps[address].duplicates == 0
-        for delivery in apps[address].deliveries:
+        for delivery in delivered[address]:
             assert delivery.topic == 3
             assert delivery.source == addresses[0]
             assert delivery.latency > 0
     # Scribe never redelivers to the origin.
-    assert publisher.deliveries == []
+    assert delivered[addresses[0]] == []
     # Non-members heard nothing.
     for address in addresses[7:]:
-        assert apps[address].deliveries == []
+        assert delivered[address] == []
 
 
 def test_pubsub_unsubscribe_stops_delivery():
-    experiment, apps = build_pubsub_experiment(num_nodes=8, seed=9)
+    experiment, apps, delivered = build_pubsub_experiment(num_nodes=8,
+                                                          seed=9)
     addresses = [node.address for node in experiment.nodes]
     publisher = apps[addresses[0]]
     publisher.create_topic(0)
@@ -242,11 +258,11 @@ def test_pubsub_unsubscribe_stops_delivery():
     publisher.publish(0, 100)
     experiment.run(5.0)
     leaver = apps[addresses[1]]
-    assert [delivery.seqno for delivery in leaver.deliveries] == [100]
+    assert [delivery.seqno for delivery in delivered[addresses[1]]] == [100]
     leaver.unsubscribe(0)
     experiment.run(5.0)
     publisher.publish(0, 101)
     experiment.run(5.0)
-    assert [delivery.seqno for delivery in leaver.deliveries] == [100]
-    assert {delivery.seqno for delivery in apps[addresses[2]].deliveries} \
+    assert [delivery.seqno for delivery in delivered[addresses[1]]] == [100]
+    assert {delivery.seqno for delivery in delivered[addresses[2]]} \
         == {100, 101}

@@ -204,11 +204,6 @@ def test_write_primitive_in_read_transition_is_a_violation():
     a.lowest_agent.send_msg("poke", b.address)
     with pytest.raises(LockingViolation):
         simulator.run(until=0.5)
-    simulator, _, (a, b) = build(compile_mac(PARITY, "parity.mac"),
-                                 strict_locking=False)
-    a.lowest_agent.send_msg("poke", b.address)
-    simulator.run(until=0.5)
-    assert b.lowest_agent.pongs == 1
     assert b.lowest_agent.lock.stats.violations == 1
 
 
@@ -222,9 +217,9 @@ def test_baseline_style_overrides_see_every_message():
             super().__init__(node)
             self.received, self.sent = [], []
 
-        def receive_message(self, message, direction="recv"):
+        def receive_message(self, message):
             self.received.append((message.name, dict(message.fields)))
-            return super().receive_message(message, direction)
+            return super().receive_message(message)
 
         def send_msg(self, name, dest, *, priority=-1, payload=None,
                      payload_size=0, tag=None, **fields):

@@ -28,15 +28,13 @@ def tracer() -> Tracer:
     return Tracer()
 
 
-def build_overlay(agent_classes, num_nodes, *, seed=1, run_for=90.0,
-                  strict_locking=True):
+def build_overlay(agent_classes, num_nodes, *, seed=1, run_for=90.0):
     """Construct, initialise, and converge a small overlay; returns (sim, emu, nodes)."""
     simulator = Simulator(seed=seed)
     topology = transit_stub_topology(num_nodes, seed=seed)
     emulator = NetworkEmulator(simulator, topology)
     tracer = Tracer()
-    nodes = [MacedonNode(simulator, emulator, agent_classes, tracer=tracer,
-                         strict_locking=strict_locking)
+    nodes = [MacedonNode(simulator, emulator, agent_classes, tracer=tracer)
              for _ in range(num_nodes)]
     for node in nodes:
         node.macedon_init(nodes[0].address)

@@ -126,7 +126,10 @@ def test_trace_level_overrides_flow_into_the_run(tmp_path):
     result = traced_spec(trace_path=str(trace_path),
                          trace_level="med").run()
     tracer = result.experiment.tracer
-    assert tracer.has_overrides
+    # The floor opens every agent's MED gate and leaves its HIGH gate shut.
+    assert all(node.lowest_agent._trace_med
+               and not node.lowest_agent._trace_high
+               for node in result.experiment.nodes)
     assert tracer.count("transition") > 0
     assert tracer.count("message_send") > 0
     assert tracer.count("timer") == 0           # timer still needs HIGH

@@ -19,7 +19,7 @@ from repro.eval import (
 )
 from repro.eval.metrics import ring_successor_correctness
 from repro.network.topology import TopologyError, transit_stub_topology
-from repro.protocols import chord_agent
+from repro.protocols import chord_agent, scribe_stack
 from repro.runtime.failure import FailureDetectorConfig
 
 #: Aggressive failure detection keeps test scenarios short.
@@ -209,8 +209,15 @@ def test_experiment_rejects_more_nodes_than_attachment_points():
     assert "num_nodes=10" in message and "4 client attachment points" in message
 
 
-def test_workload_chains_and_restores_deliver_handlers():
-    experiment = joined_ring(4, seed=5)
+@pytest.mark.parametrize("kind", ["route", "kv", "pubsub"])
+def test_workload_chains_and_restores_deliver_handlers(kind):
+    if kind == "pubsub":
+        experiment = ScenarioSpec(
+            name="topics", agents=scribe_stack("pastry"), num_nodes=4,
+            duration=120.0, seed=5, failure_config=FAST_FAILURE,
+            models=(ChurnModel(join="immediate"),)).build()
+    else:
+        experiment = joined_ring(4, seed=5)
     experiment.run(30.0)
     seen = []
     original = lambda payload, size, mtype: seen.append(payload)  # noqa: E731
@@ -219,15 +226,26 @@ def test_workload_chains_and_restores_deliver_handlers():
     originals = [node.handlers for node in experiment.nodes]
 
     compiled = experiment.apply_model(
-        WorkloadModel(kind="route", source=-1, packets=10, gap=0.5))
+        WorkloadModel(kind=kind, source=-1, packets=10, gap=0.5, topics=1))
     experiment.run(30.0)
     observations = compiled.observations
     assert observations.sent == 10
-    assert compiled.metrics()["success_ratio"] == 1.0
-    # Chaining: the application's own handler still fired for every delivery.
-    assert len(seen) == observations.deliveries
+    assert observations.deliveries > 0
+    if kind == "route":
+        assert compiled.metrics()["success_ratio"] == 1.0
+        # The recorder hands every delivery on, probes included.
+        assert len(seen) == observations.deliveries
+    else:
+        # The app consumes its own payloads ...
+        assert seen == []
+    # ... and hands a foreign one to the handler it chained over.
+    first, last = experiment.nodes[0], experiment.nodes[-1]
+    first.macedon_routeIP(last.address, "foreign", 64)
+    experiment.run(5.0)
+    assert seen[-1] == "foreign"
     compiled.restore()
-    assert [node.handlers for node in experiment.nodes] == originals
+    assert all(node.handlers is handlers
+               for node, handlers in zip(experiment.nodes, originals))
 
 
 def test_configure_reapplied_after_recovery():

@@ -191,15 +191,16 @@ def test_node_share_dedups_its_stream_and_chains_the_rest():
 
     payload = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=5)
     other = AppPayload(seqno=1, sent_at=0.0, source=9, stream_id=6)
-    node.app_deliver(node.lowest_agent, payload, 100, 0)
-    node.app_deliver(node.lowest_agent, payload, 100, 0)           # duplicate
-    node.app_deliver(node.lowest_agent, other, 100, 0)             # other stream
-    node.app_deliver(node.lowest_agent, "not-a-payload", 100, 0)
+    deliver = node.highest_agent.upcall_deliver
+    deliver(payload, 100, 0)
+    deliver(payload, 100, 0)                    # duplicate
+    deliver(other, 100, 0)                      # other stream
+    deliver("not-a-payload", 100, 0)
     assert observations.deliveries == 1
     assert observations.duplicates == 1
     assert observations.per_receiver == {node.address: [1.0]}
     # The application's own handler still sees every upcall.
     assert previous == [payload, payload, other, "not-a-payload"]
     share.restore()
-    node.app_deliver(node.lowest_agent, payload, 100, 0)
+    deliver(payload, 100, 0)
     assert observations.deliveries == 1 and observations.duplicates == 1

@@ -96,22 +96,12 @@ def test_transition_scoped_by_state_not_dispatched_before_init():
 
 
 def test_locking_violation_detected_in_strict_mode():
-    simulator, (a, b) = build_pair(BADLOCK, strict_locking=True)
+    simulator, (a, b) = build_pair(BADLOCK)
     a.macedon_init(a.address)
     b.macedon_init(a.address)
     a.lowest_agent.send_msg("poke", b.address)
     with pytest.raises(LockingViolation):
         simulator.run(until=5)
-
-
-def test_locking_violation_tolerated_in_lenient_mode():
-    simulator, (a, b) = build_pair(BADLOCK, strict_locking=False)
-    a.macedon_init(a.address)
-    b.macedon_init(a.address)
-    a.lowest_agent.send_msg("poke", b.address)
-    simulator.run(until=5)
-    assert b.lowest_agent.count == 1
-    assert b.lowest_agent.lock.stats.violations == 1
 
 
 def test_layering_stack_and_upcall_downcall():

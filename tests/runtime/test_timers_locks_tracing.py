@@ -103,17 +103,10 @@ def test_lock_modes_and_stats():
 
 
 def test_write_inside_read_raises_in_strict_mode():
-    lock = InstanceLock(strict=True)
+    lock = InstanceLock()
     with lock.acquire("read"):
         with pytest.raises(LockingViolation):
             lock.assert_writable("state_change")
-    assert lock.stats.violations == 1
-
-
-def test_write_inside_read_counted_in_lenient_mode():
-    lock = InstanceLock(strict=False)
-    with lock.acquire("read"):
-        lock.assert_writable("state_change")
     assert lock.stats.violations == 1
 
 

@@ -12,7 +12,10 @@ import json
 
 import pytest
 
+from repro.network import NetworkEmulator, transit_stub_topology
 from repro.obs import TraceSink
+from repro.protocols import randtree_agent
+from repro.runtime import MacedonNode, Simulator
 from repro.runtime.tracing import TraceLevel, Tracer
 
 
@@ -81,9 +84,18 @@ def test_clear_resets_records_counts_and_drops():
 
 
 # ---------------------------------------------------------------- overrides
+def agent_gates(tracer: Tracer, declared: TraceLevel) -> tuple[bool, bool]:
+    """The ``(_trace_med, _trace_high)`` gates of an agent declared at
+    *declared* on a node traced by *tracer*."""
+    simulator = Simulator(seed=1)
+    emulator = NetworkEmulator(simulator, transit_stub_topology(2, seed=1))
+    probe = type("Probe", (randtree_agent(),), {"TRACE": declared})
+    agent = MacedonNode(simulator, emulator, [probe], tracer=tracer).lowest_agent
+    return agent._trace_med, agent._trace_high
+
+
 def test_per_run_category_overrides():
     tracer = Tracer(category_levels={"timer": "low", "debug": TraceLevel.OFF})
-    assert tracer.has_overrides
     tracer.record(TraceLevel.LOW, 0.0, 1, "p", "timer", "now kept")
     tracer.record(TraceLevel.HIGH, 1.0, 1, "p", "debug", "now filtered")
     assert tracer.count("timer") == 1
@@ -92,6 +104,8 @@ def test_per_run_category_overrides():
     # Unmentioned categories keep their class defaults.
     assert tracer.threshold("transition") \
         == Tracer.CATEGORY_LEVELS["transition"]
+    # "timer" at LOW opens the HIGH gate of a LOW agent.
+    assert agent_gates(tracer, TraceLevel.LOW) == (False, True)
 
 
 def test_overrides_never_mutate_the_class_constant():
@@ -100,9 +114,11 @@ def test_overrides_never_mutate_the_class_constant():
     assert Tracer.CATEGORY_LEVELS == before
     # And a default tracer built afterwards still uses the defaults.
     tracer = Tracer()
-    assert not tracer.has_overrides
     tracer.record(TraceLevel.LOW, 0.0, 1, "p", "timer", "filtered")
     assert tracer.count("timer") == 0
+    assert [agent_gates(tracer, level) for level in TraceLevel] == [
+        (level >= TraceLevel.MED, level >= TraceLevel.HIGH)
+        for level in TraceLevel]
 
 
 def test_unknown_override_category_rejected():
