@@ -12,9 +12,11 @@ Two of the design choices DESIGN.md calls out:
   plus the repair of the queue's drops (NewReno recovers a window's losses
   in one round trip each, without a timeout).
 * **Read vs. write locking of transitions** — control transitions serialize
-  exclusively, data transitions share the lock.  We measure the read fraction
-  of lock acquisitions for a streaming workload, the quantity that determines
-  how much parallelism a multi-threaded deployment could extract.
+  exclusively, data transitions (``locking read``, proved read-only by the
+  code generator) share the lock.  We measure the read fraction of the
+  transitions run under a streaming workload, from the ``locking`` field of
+  their MED ``"transition"`` trace records: the quantity that determines how
+  much parallelism a multi-threaded deployment could extract.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 
 from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, mean
 from repro.eval.reports import format_table
+from repro.obs import ObsConfig
 from repro.network import dumbbell_topology
 from repro.protocols import randtree_agent
 from repro.runtime import Simulator
@@ -112,11 +115,19 @@ def test_ablation_locking_read_fraction(once):
             models=(ChurnModel(join="immediate"),
                     WorkloadModel(kind="multicast", source=0, group=1,
                                   start=60.0, packets=200, gap=0.1)),
+            # Transition records only: the other MED categories stay off.
+            obs=ObsConfig(trace_level="med", category_levels={
+                "message_send": "off", "message_recv": "off"}),
         )
         experiment = spec.run().experiment
         per_receiver = experiment.compiled_models[-1].observations.per_receiver
-        fractions = [node.lowest_agent.lock.stats.read_fraction()
-                     for node in experiment.nodes]
+        tracer = experiment.tracer
+        assert tracer.dropped == 0
+        locking: dict = {node.address: [] for node in experiment.nodes}
+        for record in tracer.records("transition"):
+            locking[record.node].append(record.data["locking"])
+        fractions = [modes.count("read") / len(modes) if modes else 0.0
+                     for modes in locking.values()]
         delivered = mean([len(per_receiver.get(node.address, []))
                           for node in experiment.nodes[1:]])
         return mean(fractions), delivered

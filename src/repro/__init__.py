@@ -4,9 +4,10 @@ and designing overlay networks (NSDI 2004), rebuilt as a Python library.
 The package is organised as the paper's system is:
 
 * :mod:`repro.dsl` — the mac specification language;
-* :mod:`repro.codegen` — the code generator (mac → Python agents);
+* :mod:`repro.codegen` — the code generator (mac → Python agents), which
+  also proves each ``locking read`` transition read-only;
 * :mod:`repro.runtime` — the shared engine: event kernel, agents, layering,
-  timers, locking, failure detection, tracing;
+  timers, failure detection, tracing;
 * :mod:`repro.network` — the emulated network substrate (the ModelNet role);
 * :mod:`repro.transport` — TCP/UDP/SWP transport service classes;
 * :mod:`repro.api` — the overlay-generic MACEDON API's handler types (the

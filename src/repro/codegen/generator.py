@@ -19,18 +19,20 @@ transition takes its event's parameters (``API_PARAMS`` / ``HANDLER_PARAMS``)
 and returns the names its body writes back (``result``; ``quash`` and
 ``next_hop_key``); a ``recv``/``forward`` body gets the message's names as
 locals.  An event-context name the event does not bind, a ``return`` in a
-body, and literal message and field names that the spec does not declare are
-each a :class:`CodegenError`.
+body, literal message and field names that the spec does not declare, and a
+``locking read`` transition that could write node state are each a
+:class:`CodegenError`.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import textwrap
 from typing import Iterable, Optional
 
-from ..dsl.ast import ProtocolSpec, TransitionDecl
+from ..dsl.ast import ProtocolSpec, RoutineDecl, TransitionDecl
 from ..dsl.errors import CodegenError
 from ..runtime.agent import StateVarSpec, TransitionSpec
 from ..runtime.handlers import (API_PARAMS, HANDLER_PARAMS, emit_handlers,
@@ -38,7 +40,7 @@ from ..runtime.handlers import (API_PARAMS, HANDLER_PARAMS, emit_handlers,
 from ..runtime.messages import (FieldSpec, MessageCatalog, MessageError,
                                 MessageType)
 from ..runtime.neighbors import NeighborFieldSpec, NeighborType
-from .primitives import AGENT_PRIMITIVES
+from .primitives import AGENT_PRIMITIVES, READ_ONLY_CALLS, WRITE_PRIMITIVES
 
 #: Names a ``recv``/``forward`` body may read about its message, each with the
 #: statement binding it, as a local, from ``__msg`` (``field`` is the field
@@ -87,18 +89,35 @@ def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
 
 
 def _nodes(body: str, context: str) -> list[ast.AST]:
-    """Every AST node of an action-code block, except inside f-strings (a
-    string is never entered, so never rewritten)."""
+    """Every AST node of an action-code block; an f-string is listed but not
+    entered (a string is never rewritten)."""
     try:
         todo, nodes = [ast.parse(body)], []
     except SyntaxError as exc:
         raise CodegenError(f"cannot parse action code ({context}): {exc}") from exc
     while todo:
         node = todo.pop()
+        nodes.append(node)
         if not isinstance(node, ast.JoinedStr):
-            nodes.append(node)
             todo.extend(ast.iter_child_nodes(node))
     return nodes
+
+
+def _agent_name(node: ast.AST, bare: frozenset[str]) -> Optional[str]:
+    """The agent attribute *node* names: ``self.<name>``, or a name in *bare*
+    (the names a transition body is rewritten onto); else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    if isinstance(node, ast.Name) and node.id in bare:
+        return node.id
+    return None
+
+
+def _in_order(nodes: Iterable[ast.AST]) -> list[ast.AST]:
+    """*nodes* in source order."""
+    return sorted(nodes, key=lambda node: (getattr(node, "lineno", 0),
+                                           getattr(node, "col_offset", 0)))
 
 
 def rewrite_action_code(code: str, self_names: Iterable[str],
@@ -275,14 +294,35 @@ class CodeGenerator:
         entries = "".join(f"        {item!r},\n" for item in items)
         return f"    {name} = (\n{entries}    )" if entries else f"    {name} = ()"
 
-    def _routines(self) -> str:
-        if not self.spec.routines:
-            return ""
+    @functools.cached_property
+    def _routine_blocks(self) -> list[tuple[RoutineDecl, str, list[ast.AST]]]:
+        """Each routines block with its normalised code and that code's nodes."""
         blocks = []
         for routine in self.spec.routines:
             code = normalize_action_code(routine.code)
             context = f"{self.spec.name}.mac line {routine.line}: routines"
-            self._check_names(routine, _nodes(code, context))
+            blocks.append((routine, code, _nodes(code, context)))
+        return blocks
+
+    @functools.cached_property
+    def _routine_bodies(self) -> dict[str, tuple[RoutineDecl, list[ast.AST]]]:
+        """Routine method name -> its routines block and the nodes of its def."""
+        bodies = {}
+        for routine, _, nodes in self._routine_blocks:
+            for top in nodes:
+                if isinstance(top, ast.FunctionDef) and top.col_offset == 0:
+                    bodies[top.name] = (routine, [
+                        node for node in nodes
+                        if top.lineno <= getattr(node, "lineno", 0)
+                        <= top.end_lineno])
+        return bodies
+
+    def _routines(self) -> str:
+        if not self.spec.routines:
+            return ""
+        blocks = []
+        for routine, code, nodes in self._routine_blocks:
+            self._check_names(routine, nodes)
             blocks.append(_indent(code, 4))
         return "\n    # ---- user routines ----\n" + "\n\n".join(blocks) + "\n"
 
@@ -345,6 +385,8 @@ class CodeGenerator:
                 decl.name if decl.kind in ("recv", "forward") else None)
             params = event_params(decl.kind, decl.name)
             named = self._event_names(decl, nodes, self_names, params)
+            if decl.locking == "read":
+                self._check_read_only(decl, nodes, self_names)
             bindings = _RECV_BINDINGS if literal_fields \
                 else {**_RECV_BINDINGS, "field": "field = __msg.field"}
             prologue = [bindings[name] for name in sorted(named)
@@ -381,8 +423,7 @@ class CodeGenerator:
         if "__msg" in params:
             allowed.update(_RECV_BINDINGS)
         named = set()
-        for node in sorted(nodes, key=lambda node: (
-                getattr(node, "lineno", 0), getattr(node, "col_offset", 0))):
+        for node in _in_order(nodes):
             if isinstance(node, ast.Return):
                 raise self._error(decl, node, f"{decl.kind} {decl.name}: a "
                                   f"transition body must not return")
@@ -395,6 +436,74 @@ class CodeGenerator:
                         f"{', '.join(sorted(allowed)) or 'nothing'})"))
                 named.add(node.id)
         return named
+
+    def _check_read_only(self, decl, nodes: list[ast.AST],
+                         self_names: frozenset[str]) -> None:
+        """Refuse a ``locking read`` transition that could write node state.
+
+        Its body, and every routine it reaches (by naming it, or ``self.<it>``
+        in a routine), is checked node by node (:meth:`_write_in`); the
+        error is at the ``.mac`` line of the first offending node, in the
+        transition or in the routine.
+        """
+        routines = self._routine_bodies
+        seen: set[str] = set()
+
+        def check(owner, body: list[ast.AST], bare: frozenset[str],
+                  via: tuple[str, ...]) -> None:
+            strings = [inner for node in body if isinstance(node, ast.JoinedStr)
+                       for inner in ast.walk(node)]
+            for node in _in_order([*body, *strings]):
+                refusal = self._write_in(node, bare)
+                if refusal:
+                    inside = f" (in routine {' → '.join(via)})" if via else ""
+                    raise self._error(owner, node, f"{decl.kind} {decl.name} "
+                                      f"[locking read]: {refusal}{inside}")
+                name = _agent_name(node, bare)
+                if name in routines and name not in seen:
+                    seen.add(name)
+                    check(*routines[name], frozenset(), via + (name,))
+
+        check(decl, nodes, self_names, ())
+
+    def _write_in(self, node: ast.AST, bare: frozenset[str]) -> Optional[str]:
+        """What *node* does that a read-only body may not, or None.
+
+        Refused: a store to an agent name (a state variable above all), a
+        store or delete through any subscript or attribute (a local can
+        alias state), a call to a write primitive, and any call that is not
+        to another primitive, a routine, ``field`` (in a transition body,
+        where *bare* holds the names it is rewritten onto), or a name in
+        ``READ_ONLY_CALLS`` (any receiver): what is not classified is not
+        guessed at.
+        """
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Subscript)) \
+                and not isinstance(node.ctx, ast.Load):
+            name = _agent_name(node, bare)
+            if name is None and isinstance(node, ast.Name):
+                return None         # a local
+            target = ast.unparse(node) if name is None else (
+                f"state variable {name!r}"
+                if name in self.spec.state_var_names() else repr(name))
+            verb = "assigns" if isinstance(node.ctx, ast.Store) else "deletes"
+            return f"{verb} {target}"
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        called = _agent_name(func, bare)
+        if called in WRITE_PRIMITIVES:
+            return f"calls write primitive {called}"
+        if called is None and isinstance(func, ast.Name):
+            if func.id in READ_ONLY_CALLS or (func.id == "field" and bare):
+                return None
+        elif called is None and isinstance(func, ast.Attribute):
+            if func.attr in READ_ONLY_CALLS:
+                return None
+            return f"calls {ast.unparse(func)}(), which is not a read-only method"
+        elif called in self._routine_bodies or called in AGENT_PRIMITIVES:
+            return None
+        return (f"calls {ast.unparse(func)}(), which the read-only check "
+                f"cannot classify")
 
 
 def generate_source(spec: ProtocolSpec) -> str:

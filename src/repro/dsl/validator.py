@@ -147,7 +147,7 @@ def _check_transports_and_messages(spec: ProtocolSpec) -> None:
 def _check_state_vars(spec: ProtocolSpec) -> None:
     neighbor_type_names = {decl.name for decl in spec.neighbor_types}
     seen = set()
-    reserved = {"state", "node", "lower", "upper", "lock", "my_addr", "my_key",
+    reserved = {"state", "node", "lower", "upper", "my_addr", "my_key",
                 "simulator", "key_space", "bootstrap_addr", "bootstrap_key"}
     for var in spec.state_vars:
         _check_identifier(spec, var.name, "state variable", var.line)

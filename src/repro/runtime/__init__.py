@@ -14,7 +14,6 @@ from .agent import (
 from .engine import SimulationError, Simulator
 from .failure import FailureDetector, FailureDetectorConfig
 from .keys import KeySpace, hash_key
-from .locks import InstanceLock, LockingViolation
 from .messages import (
     FieldSpec,
     Message,
@@ -46,8 +45,6 @@ __all__ = [
     "FailureDetectorConfig",
     "KeySpace",
     "hash_key",
-    "InstanceLock",
-    "LockingViolation",
     "FieldSpec",
     "Message",
     "MessageCatalog",

@@ -4,10 +4,10 @@ A *mac* specification compiles (via :mod:`repro.codegen`) into a subclass of
 :class:`Agent`.  The subclass carries the protocol's declarations as class
 attributes (states, neighbor types, messages, transports, state variables,
 timers, transitions) and one method per transition.  Everything else — event
-dispatch, FSM state scoping, read/write locking, neighbor management, the
-timer subsystem, message transmission, layering upcalls/downcalls, tracing,
-failure-detection hooks — lives here and is shared by every protocol, which is
-exactly the paper's argument for fairness: protocols differ only in their
+dispatch, FSM state scoping, neighbor management, the timer subsystem,
+message transmission, layering upcalls/downcalls, tracing, failure-detection
+hooks — lives here and is shared by every protocol, which is exactly the
+paper's argument for fairness: protocols differ only in their
 specifications, never in their runtime machinery.
 """
 
@@ -18,7 +18,6 @@ from typing import Any, Callable, Optional
 
 from .handlers import API_NAMES, HANDLER_PARAMS, UNHANDLED, handler_name
 from .keys import KeySpace
-from .locks import InstanceLock
 from .messages import Message, MessageCatalog, MessageType, WrappedMessage
 from .neighbors import NeighborSet, NeighborType
 from .timers import TimerSpec, TimerTable
@@ -105,10 +104,6 @@ class Agent:
     STATE_VARS: tuple[StateVarSpec, ...] = ()
     TRANSITIONS: tuple[TransitionSpec, ...] = ()
     KEY_SPACE: KeySpace = KeySpace()
-    #: Shadowed by an instance attribute at the end of __init__; the class
-    #: default keeps __setattr__'s guard check a plain attribute read (no
-    #: getattr-with-default) during construction.
-    _constructed: bool = False
     #: Per-class tables, bound by __init_subclass__: kind -> event -> handler;
     #: the catalog; declared transport names; message name -> (type, transport
     #: when priority < 0 else None = host default, size is fixed + payload).
@@ -151,17 +146,11 @@ class Agent:
             for mtype in cls.MESSAGE_TYPES}
 
     def __init__(self, node: "MacedonNode") -> None:  # noqa: F821 (forward ref)
-        # The class-level _constructed=False default bypasses the
-        # state-variable write guard during construction.
         self.node = node
         self.simulator = node.simulator
         self.my_addr: int = node.address
         self.key_space = self.KEY_SPACE
         self.my_key: int = self.key_space.hash(self.my_addr)
-        self.lock = InstanceLock()
-        #: The lock's reusable scopes: a handler enters the one `locking` names.
-        self._read_scope = self.lock.lock_read()
-        self._write_scope = self.lock.lock_write()
         self.lower: Optional[Agent] = None
         self.upper: Optional[Agent] = None
         self.bootstrap_addr: Optional[int] = None
@@ -169,7 +158,6 @@ class Agent:
         self._state = "init"
         self._rng = node.simulator.fork_rng(f"{self.PROTOCOL}:{node.address}")
         self._timers = TimerTable(node.simulator, self._on_timer_expired)
-        self._state_var_names: set[str] = set()
         self._fail_detect_sets: list[NeighborSet] = []
         self._group_members: dict[int, set[int]] = {}
         self.initialized = False
@@ -195,7 +183,6 @@ class Agent:
         for name, value in self.CONSTANTS.items():
             setattr(self, name, value)
         self._init_state_vars()
-        object.__setattr__(self, "_constructed", True)
 
     # ------------------------------------------------------------------- setup
     def _init_state_vars(self) -> None:
@@ -226,15 +213,7 @@ class Agent:
                 if default is None:
                     default = _SCALAR_DEFAULTS.get(spec.type_name, None)
                 value = default
-            object.__setattr__(self, spec.name, value)
-            if spec.kind in ("var",):
-                self._state_var_names.add(spec.name)
-
-    # ----------------------------------------------------- write-lock guarding
-    def __setattr__(self, name: str, value: Any) -> None:
-        if self._constructed and name in self._state_var_names:
-            self.lock.assert_writable(f"assignment to state variable {name!r}")
-        object.__setattr__(self, name, value)
+            setattr(self, spec.name, value)
 
     # ---------------------------------------------------------------- identity
     @property
@@ -313,18 +292,16 @@ class Agent:
     # generator prefixes them with ``self.``).
 
     def state_change(self, new_state: str) -> None:
-        """Move the FSM to *new_state* (a control action: requires write lock)."""
+        """Move the FSM to *new_state* (a control action)."""
         if new_state not in self.STATES and new_state != "init":
             raise AgentError(f"{self.PROTOCOL}: unknown state {new_state!r}")
-        self.lock.assert_writable("state_change")
         old = self._state
-        object.__setattr__(self, "_state", new_state)
+        self._state = new_state
         self.trace("state_change", f"{old}->{new_state}")
 
     # -- neighbor management ---------------------------------------------------
     def neighbor_add(self, neighbor_set: NeighborSet, address: int,
                      key: Optional[int] = None, **fields: Any):
-        self.lock.assert_writable("neighbor_add")
         if key is None and self.ADDRESSING == "hash":
             key = self.key_space.hash(address)
         entry = neighbor_set.add(address, key=key, **fields)
@@ -333,14 +310,12 @@ class Agent:
         return entry
 
     def neighbor_remove(self, neighbor_set: NeighborSet, address: int):
-        self.lock.assert_writable("neighbor_remove")
         entry = neighbor_set.remove(address)
         if self._trace_high:
             self.trace("neighbor", f"remove {address} from {neighbor_set.name}")
         return entry
 
     def neighbor_clear(self, neighbor_set: NeighborSet) -> None:
-        self.lock.assert_writable("neighbor_clear")
         neighbor_set.clear()
 
     @staticmethod
@@ -587,8 +562,7 @@ class Agent:
             if neighbor_set.query(address):
                 if self._handle("api", "error", int(address)) is UNHANDLED:
                     # Default repair: silently drop the dead peer.
-                    with self.lock.acquire("write"):
-                        neighbor_set.remove(address)
+                    neighbor_set.remove(address)
 
     # -- tracing ---------------------------------------------------------------------
     def trace(self, category: str, detail: str, **data: Any) -> None:

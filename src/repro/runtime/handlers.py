@@ -1,10 +1,10 @@
 """The handler emitter and the event-parameter table.
 
-The generator knows statically which states a transition is scoped to and
-which lock class it takes, so dispatch is *emitted*, not interpreted.  The
-code generator is the emitter's only caller: it writes the output into the
-generated class, next to the transition methods, and
-``Agent.__init_subclass__`` only binds and checks what it finds there.
+The generator knows statically which states a transition is scoped to, so
+dispatch is *emitted*, not interpreted.  The code generator is the emitter's
+only caller: it writes the output into the generated class, next to the
+transition methods, and ``Agent.__init_subclass__`` only binds and checks
+what it finds there.
 
 Every event hands its transition plain parameters, named by one table:
 :data:`API_PARAMS` for an ``api`` event (the arguments of the paper's API
@@ -77,10 +77,10 @@ def emit_handlers(transitions: Iterable, states: Sequence[str]) -> str:
     """Python source of one handler method per ``(kind, name)`` bucket.
 
     A handler tests the bucket's state expressions in declaration order and,
-    for the first that holds, writes the MED ``"transition"`` trace record,
-    enters the lock scope its ``locking`` names and calls the transition
-    method through ``self`` (so a subclass overriding it is honoured) with
-    the event's parameters; it returns what the transition returned, or
+    for the first that holds, writes the MED ``"transition"`` trace record
+    (with the transition's ``locking``) and calls the transition method
+    through ``self`` (so a subclass overriding it is honoured) with the
+    event's parameters; it returns what the transition returned, or
     :data:`UNHANDLED` if no state expression held.
     """
     handlers: dict[tuple[str, str], list[str]] = {}
@@ -94,7 +94,6 @@ def emit_handlers(transitions: Iterable, states: Sequence[str]) -> str:
             "        if self._trace_med:",
             f"            self.trace('transition', {t.kind + ':' + t.name!r}, "
             f"state=state, locking={t.locking!r})",
-            f"        with self._{t.locking}_scope:",
-            f"            return self.{t.method}({params})"]
+            f"        return self.{t.method}({params})"]
     return "\n\n".join("\n".join(lines + ["    return UNHANDLED"])
                        for lines in handlers.values())

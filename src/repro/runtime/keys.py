@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 #: Default width of the hash address space, matching the paper's MACEDON Chord.
@@ -137,12 +137,11 @@ class KeySpace:
             raise ValueError(
                 f"key width {self.bits} is not a multiple of digit width {self.digit_bits}"
             )
-        # Frozen dataclass: cache the (hot) derived size via object.__setattr__.
-        object.__setattr__(self, "_size", 1 << self.bits)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return self._size
+        """``2 ** bits``; cached in the instance (hot on every routing step)."""
+        return 1 << self.bits
 
     @property
     def num_digits(self) -> int:
@@ -159,14 +158,14 @@ class KeySpace:
             return hash_bytes(str(value).encode("utf-8"), self.bits)
 
     def distance(self, a: int, b: int) -> int:
-        return (b - a) % self._size
+        return (b - a) % self.size
 
     def between(self, value: int, start: int, end: int, *,
                 inclusive_start: bool = False, inclusive_end: bool = False) -> bool:
         # Inlined in_interval() over the cached size: this predicate runs on
         # every routing decision of every DHT hop.  Keep the logic in exact
         # lockstep with in_interval() above.
-        size = self._size
+        size = self.size
         value %= size
         start %= size
         end %= size

@@ -10,9 +10,10 @@ Two extension points serve the observability layer (:mod:`repro.obs`):
 
 * **per-run category overrides** — a tracer built with ``category_levels``
   overrides replaces the class-level :attr:`Tracer.CATEGORY_LEVELS` policy
-  for this run only (the class constant is never mutated).  Agents derive
-  their trace gates from :meth:`Tracer.threshold`, which gives the default
-  gates when nothing is overridden.
+  for this run only (the class constant is a read-only mapping; every
+  tracer reads its own copy).  Agents derive their trace gates from
+  :meth:`Tracer.threshold`, which gives the default gates when nothing is
+  overridden.
 * **streaming export** — an optional ``sink`` (see
   :class:`repro.obs.trace.TraceSink`) receives every accepted record as it
   is produced, so a bounded in-memory ring can spill a complete
@@ -28,6 +29,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Union
 
 
@@ -70,8 +72,8 @@ class Tracer:
 
     #: Minimum level at which each category is recorded.  ``route_hop`` is
     #: emitted by the causal tracer (:mod:`repro.obs.causal`) and records
-    #: whenever tracing is on at all.
-    CATEGORY_LEVELS = {
+    #: whenever tracing is on at all.  Read-only: no run can change it.
+    CATEGORY_LEVELS: Mapping[str, TraceLevel] = MappingProxyType({
         "state_change": TraceLevel.LOW,
         "error": TraceLevel.LOW,
         "route_hop": TraceLevel.LOW,
@@ -81,7 +83,7 @@ class Tracer:
         "timer": TraceLevel.HIGH,
         "neighbor": TraceLevel.HIGH,
         "debug": TraceLevel.HIGH,
-    }
+    })
 
     def __init__(self, max_records: int = 200_000, *,
                  category_levels: Optional[Mapping[str, Union[str, TraceLevel]]]
@@ -103,24 +105,19 @@ class Tracer:
             None if level is None
             else level if isinstance(level, TraceLevel)
             else TraceLevel.parse(str(level)))
-        if category_levels:
-            levels = dict(self.CATEGORY_LEVELS)
-            for category, override in category_levels.items():
-                if category not in levels:
-                    raise ValueError(
-                        f"unknown trace category {category!r} "
-                        f"(categories: {sorted(levels)})")
-                parsed = (override if isinstance(override, TraceLevel)
-                          else TraceLevel.parse(str(override)))
-                # An "off" override disables the category outright: its
-                # threshold moves above every possible record level.
-                levels[category] = (TraceLevel.HIGH + 1
-                                    if parsed == TraceLevel.OFF else parsed)
-            self.category_levels: Mapping[str, TraceLevel] = levels
-        else:
-            # The shared class dict, read-only by convention: the default
-            # path must not pay a per-tracer policy copy.
-            self.category_levels = self.CATEGORY_LEVELS
+        #: This run's policy: a copy of the class's, with the overrides.
+        self.category_levels: dict[str, TraceLevel] = dict(self.CATEGORY_LEVELS)
+        for category, override in (category_levels or {}).items():
+            if category not in self.category_levels:
+                raise ValueError(
+                    f"unknown trace category {category!r} "
+                    f"(categories: {sorted(self.category_levels)})")
+            parsed = (override if isinstance(override, TraceLevel)
+                      else TraceLevel.parse(str(override)))
+            # An "off" override disables the category outright: its
+            # threshold moves above every possible record level.
+            self.category_levels[category] = (
+                TraceLevel.HIGH + 1 if parsed == TraceLevel.OFF else parsed)
 
     def threshold(self, category: str) -> TraceLevel:
         """Minimum level at which *category* is recorded by this tracer."""

@@ -5,8 +5,8 @@
   every state, the handler runs exactly the first declared transition whose
   state expression matches (``parse_state_expr(...).matches`` is this test's
   oracle; the runtime no longer calls it);
-* parity of everything dispatch owes its callers: ``LockStats``,
-  ``LockingViolation``, the MED ``"transition"`` trace record, the
+* parity of everything dispatch owes its callers: the MED ``"transition"``
+  trace record (with the transition's ``locking``), the
   ``receive_message`` / ``send_msg`` override hooks the paper baselines use,
   a layered pair with a ``forward`` transition, and the refusal of a class
   that declares ``TRANSITIONS`` without generated handlers.
@@ -24,7 +24,8 @@ import pytest
 
 from repro.codegen import ProtocolRegistry, compile_mac
 from repro.network import NetworkEmulator, transit_stub_topology
-from repro.runtime import LockingViolation, MacedonNode, Simulator, Tracer
+from repro.dsl.errors import CodegenError
+from repro.runtime import MacedonNode, Simulator, Tracer
 from repro.runtime.agent import Agent, AgentError, TransitionSpec
 from repro.runtime.handlers import UNHANDLED, event_params
 from repro.runtime.messages import Message
@@ -54,16 +55,7 @@ def recording_probe(agent_class):
     probe = probe_class.__new__(probe_class)      # no node needed
     probe.key_space = agent_class.KEY_SPACE
     probe._trace_med = False
-    probe._read_scope = probe._write_scope = _NoLock()
     return probe
-
-
-class _NoLock:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 @pytest.mark.parametrize("protocol", BUNDLED)
@@ -134,7 +126,7 @@ addressing ip
 trace_med
 states { ready; busy; }
 transports { UDP U; }
-messages { U ping { int n; } U pong { int n; } U poke { } }
+messages { U ping { int n; } U pong { int n; } }
 state_variables { int pings; int pongs; int ticks; timer tick 1.0; }
 transitions {
     any API init {
@@ -148,7 +140,6 @@ transitions {
     busy recv ping { pings = pings + 100 }
     !(init) recv pong [locking read;] { upcall_deliver(msg, 0, "pong") }
     ready API route [locking read;] { send_msg("ping", dest_key, n=payload_size) }
-    ready recv poke [locking read;] { pongs = pongs + 1 }
     ready|busy timer tick [locking read;] { upcall_deliver(None, 0, "tick") }
 }
 """
@@ -165,24 +156,16 @@ def build(agent_class, n=2, **node_kwargs):
     return simulator, tracer, nodes
 
 
-def test_lock_stats_and_transition_trace_parity():
+def test_transition_trace_parity():
     simulator, tracer, (a, b) = build(compile_mac(PARITY, "parity.mac"))
     # The app answers the first pong by routing again from inside the
-    # read-locked pong transition: a nested (read) acquisition on a.
+    # read-locked pong transition: a nested transition on a.
     again = []
     a.macedon_register_handlers(deliver=lambda payload, size, mtype: (
         mtype == "pong" and not again
         and (again.append(1), a.macedon_route(b.address, None, 2))))
     a.macedon_route(b.address, None, 1)
     simulator.run(until=0.9)            # before the first tick
-    stats_a, stats_b = a.lowest_agent.lock.stats, b.lowest_agent.lock.stats
-    # a: init (w), route (r), pong (r) with route nested in it (r), pong (r).
-    assert (stats_a.write_acquisitions, stats_a.read_acquisitions,
-            stats_a.nested_acquisitions) == (1, 4, 1)
-    assert stats_a.read_fraction() == 4 / 5
-    # b: init (w) and two pings (w).
-    assert (stats_b.write_acquisitions, stats_b.read_acquisitions,
-            stats_b.nested_acquisitions) == (3, 0, 0)
     assert b.lowest_agent.pings == 2
     records = [(r.node, r.detail, r.data) for r in tracer.records("transition")]
     assert records == [
@@ -196,15 +179,24 @@ def test_lock_stats_and_transition_trace_parity():
         (a.address, "recv:pong", {"state": "ready", "locking": "read"}),
     ]
     simulator.run(until=1.5)            # the read-locked tick, on both
-    assert stats_a.read_acquisitions == 5 and stats_b.read_acquisitions == 1
+    ticks = [(r.node, r.data) for r in tracer.records("transition")
+             if r.detail == "timer:tick"]
+    assert ticks == [(a.address, {"state": "ready", "locking": "read"}),
+                     (b.address, {"state": "ready", "locking": "read"})]
 
 
 def test_write_primitive_in_read_transition_is_a_violation():
-    simulator, _, (a, b) = build(compile_mac(PARITY, "parity.mac"))
-    a.lowest_agent.send_msg("poke", b.address)
-    with pytest.raises(LockingViolation):
-        simulator.run(until=0.5)
-    assert b.lowest_agent.lock.stats.violations == 1
+    # PARITY plus a read-locked transition that counts into state.
+    poke = PARITY.replace("U pong { int n; } }",
+                          "U pong { int n; } U poke { } }").replace(
+        "\n}\n", "\n    ready recv poke [locking read;] { pongs = pongs + 1 }"
+        "\n}\n")
+    with pytest.raises(CodegenError, match=r"recv poke \[locking read\]: "
+                                           r"assigns state variable 'pongs'"
+                       ) as caught:
+        compile_mac(poke, "parity.mac")
+    lines = poke.splitlines()
+    assert lines[caught.value.line - 1].strip().startswith("ready recv poke")
 
 
 def test_baseline_style_overrides_see_every_message():
@@ -266,7 +258,7 @@ messages { note { int v; } }
 state_variables { int total; list offered; }
 transitions {
     any API init { state_change("up") }
-    up forward note [locking read;] {
+    up forward note {
         # Sees every note on its way out and quashes the odd ones.
         offered.append((field("v"), next_hop))
         quash = field("v") % 2 == 1
@@ -280,7 +272,7 @@ transitions {
 """
 
 
-def test_layered_forward_quash_state_scoped_recv_and_read_locks():
+def test_layered_forward_quash_and_state_scoped_recv():
     lower, upper = (compile_mac(LOWER, "lower.mac"),
                     compile_mac(UPPER, "upper.mac"))
     simulator = Simulator(seed=4)
@@ -295,7 +287,6 @@ def test_layered_forward_quash_state_scoped_recv_and_read_locks():
     # The forward transition saw all three and quashed the odd one.
     assert sender.offered == [(2, b.address), (3, b.address), (4, b.address)]
     assert b.agent("upper").total == 6
-    assert a.agent("lower").lock.stats.read_acquisitions == 3
     # The lower layer's route transition writes `result` back: whether the
     # layer above let the payload out, which macedon_route returns.
     for v, allowed in ((5, False), (6, True)):

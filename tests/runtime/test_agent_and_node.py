@@ -5,14 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.codegen import compile_mac
+from repro.dsl.errors import CodegenError
 from repro.network import NetworkEmulator, transit_stub_topology
-from repro.runtime import (
-    FailureDetectorConfig,
-    LockingViolation,
-    MacedonNode,
-    Simulator,
-    Tracer,
-)
+from repro.runtime import FailureDetectorConfig, MacedonNode, Simulator, Tracer
 from repro.runtime.stack import StackError
 
 ECHO = """
@@ -95,13 +90,11 @@ def test_transition_scoped_by_state_not_dispatched_before_init():
     assert b.lowest_agent.pings == 0
 
 
-def test_locking_violation_detected_in_strict_mode():
-    simulator, (a, b) = build_pair(BADLOCK)
-    a.macedon_init(a.address)
-    b.macedon_init(a.address)
-    a.lowest_agent.send_msg("poke", b.address)
-    with pytest.raises(LockingViolation):
-        simulator.run(until=5)
+def test_locking_violation_is_a_codegen_error():
+    with pytest.raises(CodegenError, match="assigns state variable 'count'") \
+            as caught:
+        compile_mac(BADLOCK, "badlock.mac")
+    assert (caught.value.filename, caught.value.line) == ("badlock.mac", 10)
 
 
 def test_layering_stack_and_upcall_downcall():
@@ -147,8 +140,7 @@ def test_failure_detection_triggers_error_transition():
     a.macedon_init(a.address)
     b.macedon_init(a.address)
     # a monitors b through its fail_detect neighbor set.
-    with a.lowest_agent.lock.acquire("write"):
-        a.lowest_agent.neighbor_add(a.lowest_agent.buddies, b.address)
+    a.lowest_agent.neighbor_add(a.lowest_agent.buddies, b.address)
     assert b.address in a.failure_detector.monitored_peers()
     # Kill b: it stops receiving anything, so it cannot answer heartbeats and
     # after the failure timeout a's error transition fires.
@@ -170,8 +162,7 @@ def test_heartbeats_keep_silent_but_alive_peer():
     b = MacedonNode(simulator, emulator, [agent_class], failure_config=config)
     a.macedon_init(a.address)
     b.macedon_init(a.address)
-    with a.lowest_agent.lock.acquire("write"):
-        a.lowest_agent.neighbor_add(a.lowest_agent.buddies, b.address)
+    a.lowest_agent.neighbor_add(a.lowest_agent.buddies, b.address)
     simulator.run(until=60)
     # b answers heartbeats (the runtime does), so it is never declared failed.
     assert a.failure_detector.stats.failures_declared == 0

@@ -1,11 +1,10 @@
-"""Tests for the timer subsystem, instance locking, and tracing."""
+"""Tests for the timer subsystem and tracing."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.runtime.engine import Simulator
-from repro.runtime.locks import InstanceLock, LockingViolation
 from repro.runtime.timers import TimerError, TimerSpec, TimerTable
 from repro.runtime.tracing import TraceLevel, Tracer
 
@@ -87,51 +86,6 @@ def test_negative_delay_rejected():
     timer = table.declare(TimerSpec("x"))
     with pytest.raises(TimerError):
         timer.schedule(-1.0)
-
-
-# ------------------------------------------------------------------------- locks
-def test_lock_modes_and_stats():
-    lock = InstanceLock()
-    with lock.acquire("write"):
-        assert lock.current_mode == "write"
-        lock.assert_writable("test")
-    with lock.acquire("read"):
-        assert lock.current_mode == "read"
-    assert lock.stats.read_acquisitions == 1
-    assert lock.stats.write_acquisitions == 1
-    assert lock.stats.read_fraction() == pytest.approx(0.5)
-
-
-def test_write_inside_read_raises_in_strict_mode():
-    lock = InstanceLock()
-    with lock.acquire("read"):
-        with pytest.raises(LockingViolation):
-            lock.assert_writable("state_change")
-    assert lock.stats.violations == 1
-
-
-def test_nested_acquisitions_counted():
-    lock = InstanceLock()
-    with lock.acquire("write"):
-        with lock.acquire("read"):
-            pass
-    assert lock.stats.nested_acquisitions == 1
-
-
-def test_unknown_mode_rejected():
-    lock = InstanceLock()
-    with pytest.raises(ValueError):
-        with lock.acquire("exclusive"):
-            pass
-
-
-def test_explicit_lock_primitives():
-    lock = InstanceLock()
-    with lock.lock_write():
-        assert lock.current_mode == "write"
-    with lock.lock_read():
-        assert lock.current_mode == "read"
-    assert lock.current_mode is None
 
 
 # ----------------------------------------------------------------------- tracing

@@ -108,6 +108,12 @@ def test_per_run_category_overrides():
     assert agent_gates(tracer, TraceLevel.LOW) == (False, True)
 
 
+def test_the_class_policy_is_read_only():
+    with pytest.raises(TypeError):
+        Tracer.CATEGORY_LEVELS["timer"] = TraceLevel.LOW
+    assert Tracer.CATEGORY_LEVELS["timer"] == TraceLevel.HIGH
+
+
 def test_overrides_never_mutate_the_class_constant():
     before = dict(Tracer.CATEGORY_LEVELS)
     Tracer(category_levels={"timer": "low"})
