@@ -21,6 +21,7 @@ from functools import partial
 from typing import Optional
 
 from ..protocols import pastry_agent
+from ..runtime.messages import Message
 
 
 class FreePastryCapacityError(RuntimeError):
@@ -56,15 +57,14 @@ class _FreePastryFactory:
                         )
                     super().__init__(node)
 
-                def send_msg(self, name: str, dest: int, *, priority: int = -1,
-                             payload=None, payload_size: int = 0,
-                             tag: Optional[str] = None, **fields) -> None:
+                def send_msg(self, message: Message, dest: int, *,
+                             priority: int = -1,
+                             tag: Optional[str] = None) -> None:
                     """Delay every transmission by the RMI marshalling overhead."""
                     overhead = self.RMI_OVERHEAD + self.RMI_RECEIVE_OVERHEAD
                     self.simulator.schedule(overhead, partial(
-                        super().send_msg, name, dest, priority=priority,
-                        payload=payload, payload_size=payload_size, tag=tag,
-                        **fields))
+                        super().send_msg, message, dest, priority=priority,
+                        tag=tag))
 
             cls._cached = FreePastryAgentImpl
         return cls._cached

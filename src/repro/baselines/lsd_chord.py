@@ -47,15 +47,14 @@ class _LsdChordFactory:
 
                 def receive_message(self, message: Message) -> bool:
                     if message.name == "lookup_reply" and \
-                            message.fields.get("purpose") == self.CONSTANTS["PURPOSE_FIX"]:
+                            message.purpose == self.CONSTANTS["PURPOSE_FIX"]:
                         self._adapt_fix_period(message)
                     return super().receive_message(message)
 
                 def _adapt_fix_period(self, message: Message) -> None:
                     """Halve the period when a repair changed an entry, double it otherwise."""
-                    index = message.fields.get("idx")
-                    incoming = (message.fields.get("owner_key"),
-                                message.fields.get("owner"))
+                    index = message.idx
+                    incoming = (message.owner_key, message.owner)
                     current = self.finger_table().get(index)
                     period = self.fix_period or self.CONSTANTS["DEFAULT_FIX_PERIOD"]
                     if current == incoming:

@@ -9,19 +9,19 @@ run it everywhere" workflow.
 
 Transition bodies are Python (the embedded action language), written against
 the MACEDON primitive library.  :func:`rewrite_action_code` retargets bare
-primitive and state-variable names onto ``self`` by splicing a prefix in at
-the parser's own name positions, so strings and comments are never touched
-and the emitted code keeps the author's formatting.
+primitive and state-variable names onto ``self``, a send onto its message's
+class (``send_msg("x", d, f=1)`` → ``self.send_msg(XMsg(f=1), d)``) and
+``field("f")`` onto ``__msg.f``, splicing at the parser's own positions.
 
 What the specification fixes is resolved here, not per event: dispatch is one
 emitted handler per ``(kind, event)`` (:mod:`repro.runtime.handlers`); a
 transition takes its event's parameters (``API_PARAMS`` / ``HANDLER_PARAMS``)
 and returns the names its body writes back (``result``; ``quash`` and
 ``next_hop_key``); a ``recv``/``forward`` body gets the message's names as
-locals.  An event-context name the event does not bind, a ``return`` in a
-body, literal message and field names that the spec does not declare, and a
-``locking read`` transition that could write node state are each a
-:class:`CodegenError`.
+locals; each ``messages { }`` row is a slotted class.  An event-context
+name the event does not bind, a ``return`` in a body, literal message and
+field names that the spec does not declare, and a ``locking read``
+transition that could write node state are each a :class:`CodegenError`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import ast
 import functools
 import re
 import textwrap
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from ..dsl.ast import ProtocolSpec, RoutineDecl, TransitionDecl
@@ -38,13 +39,14 @@ from ..runtime.agent import StateVarSpec, TransitionSpec
 from ..runtime.handlers import (API_PARAMS, HANDLER_PARAMS, emit_handlers,
                                 event_params)
 from ..runtime.messages import (FieldSpec, MessageCatalog, MessageError,
-                                MessageType)
+                                MessageType, emit_message_class,
+                                message_class_name)
 from ..runtime.neighbors import NeighborFieldSpec, NeighborType
 from .primitives import AGENT_PRIMITIVES, READ_ONLY_CALLS, WRITE_PRIMITIVES
 
 #: Names a ``recv``/``forward`` body may read about its message, each with the
-#: statement binding it, as a local, from ``__msg`` (``field`` is the field
-#: dict's own get when every name it sees is a literal the generator checked).
+#: statement binding it, as a local, from ``__msg`` (``field`` only when a name
+#: it is given is computed: a literal one is read as ``__msg.<name>``).
 _RECV_BINDINGS = {
     "msg": "msg = __msg",
     "source": "source = __msg.source",
@@ -52,7 +54,7 @@ _RECV_BINDINGS = {
                    "else self.key_space.hash(__msg.source)"),
     "payload": "payload = __msg.payload",
     "payload_size": "payload_size = __msg.payload_size",
-    "field": "field = __msg.fields.get",
+    "field": "field = __msg.field",
 }
 #: Names a body writes back, per kind: its transition returns them.
 _WRITE_BACK = {"api": ("result",), "forward": ("quash", "next_hop_key")}
@@ -64,6 +66,7 @@ _CONTEXT_NAMES = frozenset().union(
 #: whose keywords, beyond these options, are that message's fields.
 _SEND_PRIMITIVES = {"send_msg", "route_msg", "routeip_msg", "wrap_msg"}
 _SEND_OPTIONS = {"priority", "payload", "payload_size", "tag"}
+_CALL_OPTIONS = {"priority", "tag"}   # the send keeps these; not the message
 
 _ROUTINE_DEF_RE = re.compile(r"^\s*def\s+([A-Za-z_][A-Za-z_0-9]*)\s*\(", re.MULTILINE)
 
@@ -124,26 +127,74 @@ def rewrite_action_code(code: str, self_names: Iterable[str],
                         *, context: str = "") -> str:
     """Rewrite a transition/routine body onto runtime objects.
 
-    ``self_names`` are rewritten to ``self.<name>``; every other name (event
-    parameters, locals, builtins) is left alone.  Attribute accesses
-    (``x.delay``) and keyword arguments (``f(response=1)``) are not names to
-    the parser, so they are left alone too.
+    ``self_names`` are rewritten to ``self.<name>`` (and a send onto its
+    message's class); every other name (event parameters, locals, builtins)
+    is left alone, and so are attributes (``x.delay``) and keyword arguments
+    (``f(response=1)``), which are not names to the parser.
     """
     body = normalize_action_code(code)
     return _retarget(body, _nodes(body, context), frozenset(self_names))
 
 
-def _retarget(body: str, nodes: Iterable[ast.AST],
-              self_set: frozenset[str]) -> str:
-    lines = [line.encode("utf-8") for line in body.splitlines()]
-    names = [(node.lineno, node.col_offset) for node in nodes
-             if isinstance(node, ast.Name) and node.id in self_set]
-    # Right-to-left within each line so earlier columns (UTF-8 offsets, as
-    # the parser counts them) stay valid.
-    for row, column in sorted(names, reverse=True):
-        line = lines[row - 1]
-        lines[row - 1] = line[:column] + b"self." + line[column:]
-    return "\n".join(line.decode("utf-8") for line in lines)
+def _literal(node: Optional[ast.AST]) -> Optional[str]:
+    """The string *node* is a literal of, else None."""
+    return node.value if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else None
+
+
+def _literal_field(node: ast.AST) -> bool:
+    """Whether *node* is ``field("<literal>")``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "field" and len(node.args) == 1 \
+        and not node.keywords and _literal(node.args[0]) is not None
+
+
+def _retarget(body: str, nodes: Iterable[ast.AST], bare: frozenset[str],
+              recv: bool = False) -> str:
+    """*body* with each name in *bare* on ``self``, each send primitive
+    constructing its message — a literal name's class, else (a computed
+    name, ``**`` fields) ``self.build_message`` — and, in a *recv* body,
+    each literal ``field("x")`` read as ``__msg.x``."""
+    text = body.encode("utf-8")
+    starts = [0, *accumulate(map(len, text.splitlines(keepends=True)))]
+
+    def span(node: ast.AST) -> tuple[int, int]:   # byte offsets, as parsed
+        return (starts[node.lineno - 1] + node.col_offset,
+                starts[node.end_lineno - 1] + node.end_col_offset)
+
+    edits = []   # (begin, end, node): that span of the text is rewritten
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id in bare:   # an insertion
+            edits.append((span(node)[0], span(node)[0], node))
+        elif recv and _literal_field(node) or isinstance(node, ast.Call) \
+                and node.args and _agent_name(node.func, bare) in _SEND_PRIMITIVES:
+            edits.append((*span(node), node))
+    edits.sort(key=lambda edit: (edit[0], -edit[1]))   # outermost first
+
+    def render(begin: int, end: int) -> str:
+        out, at = [], begin
+        for start, stop, node in edits:
+            if start >= at and stop <= end:
+                out += (text[at:start].decode("utf-8"), rewrite(node))
+                at = stop
+        return "".join(out) + text[at:end].decode("utf-8")
+
+    def rewrite(node: ast.AST) -> str:
+        if isinstance(node, ast.Name):
+            return "self."
+        if _literal_field(node):
+            return f"__msg.{node.args[0].value}"
+        first, *rest = node.args
+        moved = [kw for kw in node.keywords if kw.arg not in _CALL_OPTIONS]
+        fields = [render(*span(kw)) for kw in moved]
+        message = f"{message_class_name(first.value)}({', '.join(fields)})" \
+            if _literal(first) and all(kw.arg for kw in moved) else \
+            f"self.build_message({', '.join([render(*span(first)), *fields])})"
+        kept = rest + [kw for kw in node.keywords if kw.arg in _CALL_OPTIONS]
+        return (f"{render(*span(node.func))}("
+                f"{', '.join([message, *(render(*span(arg)) for arg in kept)])})")
+
+    return render(0, len(text))
 
 
 def normalize_action_code(code: str) -> str:
@@ -206,7 +257,10 @@ class CodeGenerator:
         parts: list[str] = []
         parts.append(self._header())
         parts.append(self._imports())
-        parts.append(f"class {class_name}(Agent):")
+        parts.append("\n\n".join(
+            emit_message_class(message_type, repr(message_type))
+            for message_type in self.catalog))
+        parts.append(f"\nclass {class_name}(Agent):")
         parts.append(f'    """MACEDON agent generated from {spec.name}.mac."""\n')
         parts.append(self._class_attributes())
         parts.append(self._routines())
@@ -226,17 +280,11 @@ class CodeGenerator:
     def _imports(self) -> str:
         return (
             "from repro.runtime.agent import (\n"
-            "    Agent,\n"
-            "    StateVarSpec,\n"
-            "    TransitionSpec,\n"
-            "    UNHANDLED,\n"
-            "    NBR_TYPE_PARENT,\n"
-            "    NBR_TYPE_CHILDREN,\n"
-            "    NBR_TYPE_SIBLINGS,\n"
-            "    NBR_TYPE_PEERS,\n"
-            ")\n"
+            "    Agent, StateVarSpec, TransitionSpec, UNHANDLED, NBR_TYPE_PARENT,\n"
+            "    NBR_TYPE_CHILDREN, NBR_TYPE_SIBLINGS, NBR_TYPE_PEERS)\n"
             "from repro.runtime.keys import KeySpace\n"
-            "from repro.runtime.messages import FieldSpec, MessageType, WrappedMessage\n"
+            "from repro.runtime.messages import (\n"
+            "    FieldSpec, Message, MessageType, WrappedMessage)\n"
             "from repro.runtime.neighbors import NeighborFieldSpec, NeighborType\n"
             "from repro.runtime.tracing import TraceLevel\n"
             "\n"
@@ -253,7 +301,9 @@ class CodeGenerator:
         lines.append(f"    STATES = {tuple(spec.states)!r}")
         lines.append(self._neighbor_types_attr())
         lines.append(self._transports_attr())
-        lines.append(self._declarations("MESSAGE_TYPES", self.catalog))
+        lines.append(self._declarations("MESSAGE_TYPES", (
+            f"{message_class_name(message_type.name)}.type"
+            for message_type in self.catalog), str))
         lines.append(self._declarations("STATE_VARS", (
             StateVarSpec(var.name, var.kind, var.type_name, var.default,
                          var.fail_detect, var.period)
@@ -288,10 +338,10 @@ class CodeGenerator:
         return f"    TRANSPORT_DECLS = {declared!r}"
 
     @staticmethod
-    def _declarations(name: str, items: Iterable) -> str:
+    def _declarations(name: str, items: Iterable, text=repr) -> str:
         """``NAME = (...)``: the runtime's own declaration objects, one per
         line, each written as its (evaluable) repr."""
-        entries = "".join(f"        {item!r},\n" for item in items)
+        entries = "".join(f"        {text(item)},\n" for item in items)
         return f"    {name} = (\n{entries}    )" if entries else f"    {name} = ()"
 
     @functools.cached_property
@@ -323,7 +373,7 @@ class CodeGenerator:
         blocks = []
         for routine, code, nodes in self._routine_blocks:
             self._check_names(routine, nodes)
-            blocks.append(_indent(code, 4))
+            blocks.append(_indent(_retarget(code, nodes, frozenset()), 4))
         return "\n    # ---- user routines ----\n" + "\n\n".join(blocks) + "\n"
 
     def _check_names(self, decl, nodes: list[ast.AST],
@@ -336,34 +386,25 @@ class CodeGenerator:
         *message* must name one of its fields.  Computed names stay a runtime
         check.  Returns whether every ``field`` use was such a literal.
         """
-        unchecked_fields = 0
+        unchecked = 0
         for node in nodes:
-            if isinstance(node, ast.Name) and node.id == "field":
-                unchecked_fields += 1
-            if not isinstance(node, ast.Call):
+            unchecked += isinstance(node, ast.Name) and node.id == "field"
+            called = _agent_name(node.func, _SEND_PRIMITIVES) \
+                if isinstance(node, ast.Call) and node.args else None
+            if _literal_field(node):
+                unchecked -= 1
+                called, owner, names = "field", message, (node.args[0].value,)
+            elif called in _SEND_PRIMITIVES:
+                owner, names = _literal(node.args[0]), {
+                    kw.arg for kw in node.keywords if kw.arg} - _SEND_OPTIONS
+            else:
                 continue
-            func = node.func
-            first = node.args[0] if node.args else None
-            name = first.value if isinstance(first, ast.Constant) \
-                and isinstance(first.value, str) else None
-            on_self = isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name) and func.value.id == "self"
-            called = func.id if isinstance(func, ast.Name) \
-                else func.attr if on_self else None
             try:
-                if called == "field" and not on_self:
-                    if name is not None and len(node.args) == 1 \
-                            and not node.keywords:
-                        if message is not None:
-                            self.catalog.get(message).validate_fields((name,))
-                        unchecked_fields -= 1
-                elif called in _SEND_PRIMITIVES and name is not None:
-                    self.catalog.get(name).validate_fields(
-                        {keyword.arg for keyword in node.keywords if keyword.arg}
-                        - _SEND_OPTIONS)
+                if owner is not None:
+                    self.catalog.get(owner).validate_fields(names)
             except MessageError as exc:
                 raise self._error(decl, node, f"{called}: {exc}") from exc
-        return not unchecked_fields
+        return not unchecked
 
     def _error(self, decl, node: ast.AST, text: str) -> CodegenError:
         """*text* as a CodegenError at *node*'s line of the ``.mac`` file."""
@@ -387,10 +428,10 @@ class CodeGenerator:
             named = self._event_names(decl, nodes, self_names, params)
             if decl.locking == "read":
                 self._check_read_only(decl, nodes, self_names)
-            bindings = _RECV_BINDINGS if literal_fields \
-                else {**_RECV_BINDINGS, "field": "field = __msg.field"}
-            prologue = [bindings[name] for name in sorted(named)
-                        if name in bindings and "__msg" in params]
+            recv = "__msg" in params
+            prologue = [_RECV_BINDINGS[name] for name in sorted(named)
+                        if name in _RECV_BINDINGS and recv
+                        and not (name == "field" and literal_fields)]
             epilogue = []
             if decl.kind == "forward":
                 prologue.append("quash = False")
@@ -406,7 +447,7 @@ class CodeGenerator:
                 f"{''.join(', ' + param for param in params)}):\n"
                 f"        {docstring}\n"
                 + "".join(f"        {line}\n" for line in prologue)
-                + _indent(_retarget(body, nodes, self_names), 8)
+                + _indent(_retarget(body, nodes, self_names, recv), 8)
                 + "".join(f"\n        {line}" for line in epilogue))
         if self.transitions:
             blocks.append("    # ---- event handlers (repro.runtime.handlers) ----\n"

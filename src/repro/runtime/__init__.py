@@ -20,7 +20,6 @@ from .messages import (
     MessageCatalog,
     MessageError,
     MessageType,
-    WrappedMessage,
 )
 from .neighbors import NeighborEntry, NeighborError, NeighborFieldSpec, NeighborSet, NeighborType
 from .node import MacedonNode
@@ -50,7 +49,6 @@ __all__ = [
     "MessageCatalog",
     "MessageError",
     "MessageType",
-    "WrappedMessage",
     "NeighborEntry",
     "NeighborError",
     "NeighborFieldSpec",

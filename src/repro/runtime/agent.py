@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from .handlers import API_NAMES, HANDLER_PARAMS, UNHANDLED, handler_name
 from .keys import KeySpace
-from .messages import Message, MessageCatalog, MessageType, WrappedMessage
+from .messages import Message, MessageCatalog, MessageType
 from .neighbors import NeighborSet, NeighborType
 from .timers import TimerSpec, TimerTable
 from .tracing import TraceLevel
@@ -105,13 +105,11 @@ class Agent:
     TRANSITIONS: tuple[TransitionSpec, ...] = ()
     KEY_SPACE: KeySpace = KeySpace()
     #: Per-class tables, bound by __init_subclass__: kind -> event -> handler;
-    #: the catalog; declared transport names; message name -> (type, transport
-    #: when priority < 0 else None = host default, size is fixed + payload).
+    #: declared transport names, the first the default one.
     _handlers: dict[str, dict[str, Callable[..., bool]]] = {
         kind: {} for kind in HANDLER_PARAMS}
-    _catalog = MessageCatalog()
     _transport_names: tuple[str, ...] = ()
-    _send_plans: dict[str, tuple[MessageType, Optional[str], bool]] = {}
+    _default_transport: Optional[str] = None
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         """Bind what the class's declarations fix for every instance.
@@ -137,13 +135,9 @@ class Agent:
                 raise AgentError(
                     f"{cls.PROTOCOL}: transition {spec.method!r} is missing or "
                     f"reached from handlers {reached_from}, not only its own")
-        cls._catalog = MessageCatalog(list(cls.MESSAGE_TYPES))
         names = cls._transport_names = tuple(
             name for _, name in cls.TRANSPORT_DECLS)
-        cls._send_plans = {
-            mtype.name: (mtype, mtype.transport or (names[0] if names else None),
-                         mtype.is_fixed_size)
-            for mtype in cls.MESSAGE_TYPES}
+        cls._default_transport = names[0] if names else None
 
     def __init__(self, node: "MacedonNode") -> None:  # noqa: F821 (forward ref)
         self.node = node
@@ -370,56 +364,56 @@ class Agent:
         return timer
 
     # -- message transmission ----------------------------------------------------
-    def send_msg(self, name: str, dest: int, *, priority: int = -1,
-                 payload: Any = None, payload_size: int = 0,
-                 tag: Optional[str] = None, **fields: Any) -> None:
-        """Transmit one of this protocol's declared messages directly to *dest*.
+    def send_msg(self, message: Message, dest: int, *, priority: int = -1,
+                 tag: Optional[str] = None) -> None:
+        """Transmit one of this protocol's messages directly to *dest*.
 
         Only meaningful on the lowest layer of a stack (the layer that owns
         transports); layered protocols use :meth:`route_msg` /
         :meth:`routeip_msg` instead.
         """
-        plan = self._send_plans.get(name)
-        if plan is None:
-            self._catalog.get(name)   # raises the detailed MessageError
-        message_type, transport_name, fixed = plan
         dest = int(dest)
-        message = Message(message_type, fields, payload, payload_size, priority,
-                          self.my_addr, dest, None, self.PROTOCOL)
+        message.priority, message.source = priority, self.my_addr
+        message.protocol = self.PROTOCOL
         declared = self._transport_names
         if priority is not None and priority >= 0 and declared:
             transport_name = declared[min(priority, len(declared) - 1)]
-        size = message_type.fixed_size + payload_size if fixed else message.size
-        if tag is None and payload is not None:
-            tag = getattr(payload, "tag", None)
+        else:
+            transport_name = message.type.transport or self._default_transport
+        size = message.size
+        if tag is None and message.payload is not None:
+            tag = getattr(message.payload, "tag", None)
         if self._trace_med:   # "message_send" records at TraceLevel.MED
-            self.trace("message_send", name, dest=dest, size=size)
+            self.trace("message_send", message.type.name, dest=dest, size=size)
         host = self.node.transport_host
         host.send(transport_name or host.DEFAULT_TRANSPORT, dest, message, size,
                   tag)
 
-    def wrap_msg(self, name: str, *, payload: Any = None, payload_size: int = 0,
-                 **fields: Any) -> WrappedMessage:
-        """Wrap one of this protocol's messages for transport by a lower layer."""
-        message_type = self._catalog.get(name)
-        size = message_type.size_of(fields, payload_size)
-        return WrappedMessage(protocol=self.PROTOCOL, name=name, fields=dict(fields),
-                              payload=payload, payload_size=payload_size,
-                              source=self.my_addr, source_key=self.my_key, size=size)
+    def build_message(self, name: str, *, payload: Any = None,
+                      payload_size: int = 0, **fields: Any) -> Message:
+        """A message named at run time (a rare path: no bundled spec takes
+        it); an undeclared name or field is a MessageError."""
+        return Message(MessageCatalog(list(self.MESSAGE_TYPES)).get(name),
+                       fields, payload, payload_size)
 
-    def route_msg(self, name: str, dest_key: int, *, priority: int = -1,
-                  payload: Any = None, payload_size: int = 0, **fields: Any) -> None:
+    def wrap_msg(self, message: Message) -> Message:
+        """*message* as this protocol's routed message: carried by a lower
+        layer, with this node as its source."""
+        message.source, message.protocol, message.routed = \
+            self.my_addr, self.PROTOCOL, True
+        return message
+
+    def route_msg(self, message: Message, dest_key: int, *,
+                  priority: int = -1) -> None:
         """Send one of this protocol's messages via the lower layer's ``route``."""
-        wrapped = self.wrap_msg(name, payload=payload, payload_size=payload_size,
-                                **fields)
-        self.downcall_route(dest_key, wrapped, wrapped.size, priority)
+        self.downcall_route(dest_key, self.wrap_msg(message), message.size,
+                            priority)
 
-    def routeip_msg(self, name: str, dest_ip: int, *, priority: int = -1,
-                    payload: Any = None, payload_size: int = 0, **fields: Any) -> None:
+    def routeip_msg(self, message: Message, dest_ip: int, *,
+                    priority: int = -1) -> None:
         """Send one of this protocol's messages via the lower layer's ``routeIP``."""
-        wrapped = self.wrap_msg(name, payload=payload, payload_size=payload_size,
-                                **fields)
-        self.downcall_routeip(dest_ip, wrapped, wrapped.size, priority)
+        self.downcall_routeip(dest_ip, self.wrap_msg(message), message.size,
+                              priority)
 
     # -- downcalls (into the layer below) -----------------------------------------
     def _require_lower(self) -> "Agent":
@@ -520,12 +514,12 @@ class Agent:
         return None if upcall is None else upcall(op, arg)
 
     # -- handling upcalls arriving from the layer below ----------------------------
+    # A routed message stays one instance all the way; each agent it reaches
+    # gets its own copy, as if it had come off its own wire.
     def handle_lower_deliver(self, payload: Any, size: int, mtype: Any,
                              source: Optional[int] = None) -> None:
-        if isinstance(payload, WrappedMessage) and payload.protocol == self.PROTOCOL:
-            message = payload.as_message(self._catalog.get(payload.name))
-            message.source = payload.source if payload.source is not None else source
-            self.receive_message(message)
+        if isinstance(payload, Message) and payload.protocol == self.PROTOCOL:
+            self.receive_message(payload.copy(source))
             return
         # Not ours: keep passing it up the stack.
         self.upcall_deliver(payload, size, mtype, source=source)
@@ -533,9 +527,8 @@ class Agent:
     def handle_lower_forward(self, payload: Any, size: int, mtype: Any,
                              next_hop: Optional[int], next_hop_key: Optional[int],
                              source: Optional[int] = None) -> tuple[bool, Optional[int]]:
-        if isinstance(payload, WrappedMessage) and payload.protocol == self.PROTOCOL:
-            message = payload.as_message(self._catalog.get(payload.name))
-            message.source = payload.source if payload.source is not None else source
+        if isinstance(payload, Message) and payload.protocol == self.PROTOCOL:
+            message = payload.copy(source)
             outcome = self._handle("forward", message.name, message, next_hop,
                                    next_hop_key)
             if outcome is UNHANDLED:

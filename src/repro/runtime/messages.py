@@ -8,20 +8,14 @@ instance (lowest layer) or service class (higher layers)::
         HIGHEST join_reply { int response; }
     }
 
-The runtime turns each declaration into a :class:`MessageType`, whose fields
-compile — once, at spec-compile time, where an unknown field type is rejected
-— into one *plan*.  The size model the emulator charges
-(:attr:`~MessageType.fixed_size`, :meth:`~MessageType.size_of`) walks it, and
-:class:`WireCodec` compiles it into the encoder and decoder a live socket
-runs, so a message's encoded length equals its priced length by construction.
-The byte-level tables (field types, payload tags, frame kinds) are laid out
-in docs/LIVE.md, "Wire format".  Simulated sends never serialize; generated
-code reads fields as attributes (``msg.response``) or through the paper's
-``field()`` primitive.
-
-Message construction is protocol-plane hot-path work — one instance per send
-on every node — so :class:`Message` is a ``__slots__`` envelope with a size
-memoised on first read.
+Each declaration becomes a :class:`MessageType`, whose fields compile once,
+at spec-compile time, into a *plan*, and the plan into code: the type's own
+slotted :class:`Message` subclass (:func:`emit_message_class`, which the code
+generator emits and generated sends construct; its ``size`` is what the
+emulator charges), and the encoder and decoder a live socket runs
+(:func:`emit_codec`), so a message's encoded length equals its priced length
+by construction.  docs/LIVE.md, "Wire format", lays out the bytes.
+Simulated sends never serialize.
 """
 
 from __future__ import annotations
@@ -29,9 +23,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Iterator, Mapping, Optional
-
-from .keys import hash_key
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, NamedTuple, Optional
 
 #: struct format character of each field type: the one table the size model,
 #: the encoder and the decoder read.  ``string`` has none — it is a 4-byte
@@ -142,24 +135,13 @@ def _read_block(data: bytes, offset: int, text: bool) -> tuple[Any, int]:
                         f"not UTF-8: {exc}") from exc
 
 
-class FieldSpec:
-    """One declared field of a message type."""
+class FieldSpec(NamedTuple):
+    """One declared field of a message type (its repr is evaluable: the code
+    generator emits it); a list field's ``type_name`` is its item type."""
 
-    __slots__ = ("name", "type_name", "is_list")
-
-    def __init__(self, name: str, type_name: str, is_list: bool = False) -> None:
-        self.name = name
-        self.type_name = type_name
-        #: For list-typed fields ("neighbor list", "int list"), the element type.
-        self.is_list = is_list
-
-    def size_of(self, value: Any) -> int:
-        """Wire bytes *value* takes in this field."""
-        return MessageType("", (self,)).size_of({self.name: value}) \
-            - MESSAGE_HEADER_BYTES
-
-    def __repr__(self) -> str:   # evaluable: the code generator emits it
-        return f"FieldSpec({self.name!r}, {self.type_name!r}, is_list={self.is_list!r})"
+    name: str
+    type_name: str
+    is_list: bool = False
 
 
 class MessageType:
@@ -170,14 +152,13 @@ class MessageType:
     ``(format, names, masks)`` — one struct for all of them, summed with the
     header into :attr:`fixed_size`; a value-dependent field (a list: u32
     count, then the items; a string: a length-prefixed UTF-8 block) stays
-    its :class:`FieldSpec`, and is all :meth:`size_of` visits per send.  A
-    field with a type the plan does not know is a specification bug and
-    raises :class:`MessageError` here — at spec-compile time — rather than
-    silently charging a default at send time.
+    its :class:`FieldSpec`.  :func:`emit_message_class` and
+    :func:`emit_codec` write the plan out as code.  An unknown field type,
+    or a name a message uses itself, raises :class:`MessageError` here.
     """
 
     __slots__ = ("name", "fields", "transport", "fixed_size", "is_fixed_size",
-                 "_plan", "_names")
+                 "_plan", "_cls")
 
     def __init__(self, name: str, fields: tuple = (),
                  transport: Optional[str] = None) -> None:
@@ -191,6 +172,9 @@ class MessageType:
                     f"message {name!r} field {spec.name!r} has unknown type "
                     f"{spec.type_name!r} (known: {sorted(FIELD_FORMATS)})"
                 )
+            if spec.name in _RESERVED:
+                raise MessageError(f"message {name!r} field {spec.name!r} "
+                                   f"collides with a message attribute")
             fmt = FIELD_FORMATS[spec.type_name]
             if spec.is_list or fmt is None:
                 plan.append(spec)
@@ -207,151 +191,153 @@ class MessageType:
             struct.calcsize("!" + run_fmt) for run_fmt, _, _ in runs)
         #: Whether that is all of it: wire size == fixed_size + payload_size.
         self.is_fixed_size = len(runs) == len(plan)
-        self._names = frozenset(spec.name for spec in self.fields)
+        self._cls: Optional[type] = None   # set by Message.__init_subclass__
 
-    def field_names(self) -> list[str]:
-        return [spec.name for spec in self.fields]
-
-    def validate_fields(self, values: Mapping[str, Any]) -> None:
-        names = self._names
-        if not names.issuperset(values):   # one C-level pass: runs per send
-            unknown = sorted(set(values) - names)
+    def validate_fields(self, values) -> None:
+        """Refuse any name in *values* this type does not declare."""
+        names = {spec.name for spec in self.fields}
+        if not names.issuperset(values):
             raise MessageError(
-                f"message {self.name!r} has no field(s) {unknown} "
-                f"(declared: {sorted(names)})"
-            )
+                f"message {self.name!r} has no field(s) "
+                f"{sorted(set(values) - names)} (declared: {sorted(names)})")
 
-    def size_of(self, values: Mapping[str, Any], payload_size: int = 0) -> int:
-        total = self.fixed_size + payload_size
-        for op in self._plan:
-            if type(op) is tuple:
-                continue   # a run: already in fixed_size
-            value = values.get(op.name)
-            if not op.is_list:
-                total += 4 + len(str(value or "").encode("utf-8"))
-            elif op.type_name == "string":
-                total += 4 + sum(4 + len(str(item).encode("utf-8"))
-                                 for item in (value or ()))
-            else:
-                try:
-                    length = len(value)
-                except TypeError:
-                    length = 0
-                total += 4 + FIELD_TYPE_SIZES[op.type_name] * length
-        return total
+    @property
+    def cls(self) -> type:
+        """This type's :class:`Message` subclass: the generated one, else
+        one compiled now from the same text (a type built at run time)."""
+        if self._cls is None:
+            exec(emit_message_class(self, "_type"),
+                 {"Message": Message, "_type": self})
+        return self._cls
+
+    def __reduce__(self):   # by value, never the class: rebuilt on demand
+        return MessageType, (self.name, self.fields, self.transport)
 
     def __repr__(self) -> str:   # evaluable: the code generator emits it
-        fields = "".join(f"{spec!r}, " for spec in self.fields).rstrip(" ")
-        return f"MessageType({self.name!r}, ({fields}), {self.transport!r})"
+        return f"MessageType({self.name!r}, {self.fields!r}, {self.transport!r})"
+
+
+def message_class_name(name: str) -> str:
+    """Class name of a message type, e.g. ``lookup_reply`` → ``LookupReplyMsg``."""
+    return "".join(part.capitalize() for part in name.split("_")) + "Msg"
+
+
+def emit_message_class(message_type: MessageType, type_expr: str) -> str:
+    """Python source of *message_type*'s class, its type object *type_expr*:
+    the fields are its ``__slots__`` and constructor parameters (unset:
+    ``None``), the envelope starts empty (``send_msg`` fills it), and
+    ``size`` adds the bytes of each list or string to the fixed size."""
+    names = [spec.name for spec in message_type.fields]
+    size = f"{message_type.fixed_size} + self.payload_size"
+    for spec in message_type.fields:
+        value, width = f"self.{spec.name}", FIELD_TYPE_SIZES[spec.type_name]
+        if spec.is_list and FIELD_FORMATS[spec.type_name]:
+            size += f" + 4 + {width} * len({value} or ())"
+        elif spec.is_list:
+            size += (f" + 4 + sum(4 + len(str(item).encode('utf-8')) "
+                     f"for item in {value} or ())")
+        elif spec.type_name == "string":
+            size += f" + 4 + len(str({value} or '').encode('utf-8'))"
+    return "\n".join([
+        f"class {message_class_name(message_type.name)}(Message):",
+        f"    __slots__ = {tuple(names)!r}",
+        f"    type = {type_expr}",
+        f"    fixed_size = {message_type.fixed_size}",
+        f"    is_fixed_size = {message_type.is_fixed_size}",
+        "",
+        f"    def __new__(cls, {''.join(name + '=None, ' for name in names)}"
+        f"*, payload=None, payload_size=0):",
+        "        self = object.__new__(cls)",
+        *(f"        self.{name} = {name}" for name in names),
+        "        self.payload, self.payload_size = payload, payload_size",
+        "        self.priority, self.source = -1, None",
+        "        self.protocol, self.routed = '', False",
+        "        return self",
+        "",
+        "    @property",
+        "    def size(self):",
+        f"        return {size}", ""])
+
+
+#: The slots every message has beside its fields, in constructor order.
+_ENVELOPE = ("payload", "payload_size", "priority", "source", "protocol",
+             "routed")
 
 
 class Message:
-    """An instance of a message type travelling between two overlay nodes.
+    """A message travelling between two overlay nodes: an instance of its
+    type's own subclass (:func:`emit_message_class`), fields as slots.
 
-    ``fields`` holds the declared field values; ``payload`` carries opaque
-    application data (or a wrapped higher-layer message) of ``payload_size``
-    bytes.  ``source`` is filled by the runtime on reception with the sender's
-    host address, matching the paper's implicit ``from`` variable.
-
-    A slotted envelope: the wire size is memoised on first read (the type's
-    precomputed fixed size plus the value-dependent fields).
+    ``payload`` carries application data (or a routed higher-layer message)
+    of ``payload_size`` bytes; ``source`` is the sender's address (the
+    paper's ``from``), or, for a *routed* message (``route_msg``: framed as
+    a wrapped message), its originator's.  ``Message(type=t, fields={...})``
+    builds ``t``'s class for a caller holding ``t`` at run time; an
+    undeclared field is a :class:`MessageError`.
     """
 
-    __slots__ = ("type", "fields", "payload", "payload_size", "priority",
-                 "source", "dest", "dest_key", "protocol", "_size")
+    __slots__ = _ENVELOPE
+    type: MessageType   # a class constant of each subclass, as is its size
 
-    def __init__(self, type: MessageType, fields: Optional[dict[str, Any]] = None,
-                 payload: Any = None, payload_size: int = 0, priority: int = -1,
-                 source: Optional[int] = None, dest: Optional[int] = None,
-                 dest_key: Optional[int] = None, protocol: str = "") -> None:
-        if fields is None:
-            fields = {}
-        else:
+    def __new__(cls, type: MessageType, fields: Optional[Mapping] = None,
+                payload: Any = None, payload_size: int = 0, priority: int = -1,
+                source: Optional[int] = None, protocol: str = "",
+                routed: bool = False) -> "Message":
+        try:
+            message = type.cls(**fields or {}, payload=payload,
+                               payload_size=payload_size)
+        except TypeError:   # a name the class does not take: say which
             type.validate_fields(fields)
-        self.type = type
-        self.fields = fields
-        self.payload = payload
-        self.payload_size = payload_size
-        self.priority = priority
-        self.source = source
-        self.dest = dest
-        self.dest_key = dest_key
-        self.protocol = protocol
-        self._size: Optional[int] = None
+            raise
+        message.priority, message.source = priority, source
+        message.protocol, message.routed = protocol, routed
+        return message
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.type._cls = cls
 
     @property
     def name(self) -> str:
         return self.type.name
 
     @property
-    def size(self) -> int:
-        size = self._size
-        if size is None:
-            size = self._size = self.type.size_of(self.fields, self.payload_size)
-        return size
+    def fields(self) -> Mapping[str, Any]:
+        """The declared fields (an unset one is None), read-only."""
+        return MappingProxyType({name: getattr(self, name)
+                                 for name in self.__slots__})
 
     def field(self, name: str) -> Any:
-        """The paper's ``field()`` accessor."""
-        if name not in self.type._names:
+        """The paper's ``field()`` accessor, for a name computed at run time."""
+        if name not in self.__slots__:
             raise MessageError(f"message {self.name!r} has no field {name!r}")
-        return self.fields.get(name)
+        return getattr(self, name)
 
-    def __getattr__(self, name: str) -> Any:
-        # Only called when normal attribute lookup fails: treat it as a field
-        # access so generated code can write ``msg.response``.
-        fields = object.__getattribute__(self, "fields")
-        if name in fields:
-            return fields[name]
-        msg_type = object.__getattribute__(self, "type")
-        if name in msg_type._names:
-            return None
-        raise AttributeError(name)
+    def copy(self, source: Optional[int] = None) -> "Message":
+        """A slot-for-slot copy — what each agent a routed message reaches
+        gets — its source, when this one has none, *source*."""
+        twin = object.__new__(type(self))
+        for name in _ENVELOPE + self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        if twin.source is None:
+            twin.source = source
+        return twin
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Message({self.name!r}, fields={self.fields!r}, "
-                f"source={self.source}, dest={self.dest})")
-
-
-class WrappedMessage:
-    """A higher-layer message carried as the payload of a lower-layer message.
-
-    This is how protocol layering crosses the wire: Scribe's ``join`` control
-    message, for example, travels as the payload of a Pastry route message and
-    is unwrapped by the Scribe agent on the receiving stack.
-    """
-
-    __slots__ = ("protocol", "name", "fields", "payload", "payload_size",
-                 "source", "source_key", "size")
-
-    def __init__(self, protocol: str, name: str, fields: dict[str, Any],
-                 payload: Any = None, payload_size: int = 0,
-                 source: Optional[int] = None, source_key: Optional[int] = None,
-                 size: int = 0) -> None:
-        self.protocol = protocol
-        self.name = name
-        self.fields = fields
-        self.payload = payload
-        self.payload_size = payload_size
-        self.source = source
-        self.source_key = source_key
-        self.size = size
-
-    def as_message(self, message_type: MessageType) -> Message:
-        # Copy the field dict: a fanned-out wrapped message (multicast) is
-        # shared across deliveries, and each receiving agent gets its own
-        # mutable view, exactly as if it had come off its own wire.
-        return Message(
-            type=message_type,
-            fields=dict(self.fields),
-            payload=self.payload,
-            payload_size=self.payload_size,
-            source=self.source,
-            protocol=self.protocol,
-        )
+    def __reduce__(self):   # through the generic constructor, type by value
+        return Message, (self.type, dict(self.fields),
+                         *(getattr(self, name) for name in _ENVELOPE))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"WrappedMessage({self.protocol!r}, {self.name!r}, "
-                f"fields={self.fields!r})")
+        return f"Message({self.name!r}, {dict(self.fields)!r}, source={self.source})"
+
+
+#: A routed message is a :class:`Message` (``routed`` set); specs that ask
+#: ``isinstance(payload, WrappedMessage)`` still can.
+WrappedMessage = Message
+
+#: Names a field cannot take: the class's own, and its constructor's.
+_RESERVED = frozenset({*dir(Message), "type", "size", "fixed_size",
+                       "is_fixed_size", "cls", "self", "object"})
 
 
 @dataclass
@@ -389,9 +375,6 @@ class MessageCatalog:
     def __iter__(self) -> Iterator[MessageType]:
         return iter(self._types.values())
 
-    def __len__(self) -> int:
-        return len(self._types)
-
     def names(self) -> list[str]:
         return sorted(self._types)
 
@@ -404,17 +387,14 @@ _ENCODE_ERRORS = (struct.error, TypeError, ValueError, OverflowError)
 def emit_codec(protocol: str, message_type: MessageType) -> str:
     """Python source of one message type's encoder and decoder, from its plan.
 
-    ``encode`` appends the type's bytes to a list of parts — behind a message
-    header, or with a *source* behind a wrapped one: the header and the
-    leading run of fixed-width fields go through *one* struct, each field's
-    coercion is written out (an unset field travels as zero, an unsigned one
-    masks to its width, a signed one is left to overflow), and lists and
-    strings are loops of their own.  ``decode`` reads the fields back out of
-    ``data`` from ``offset``.  Neither catches: the codec turns what they
-    raise into :class:`WireError`.  docs/LIVE.md, "What the codec compiles",
-    shows the text for ``chord.lookup``.
+    ``encode`` appends message *m*'s bytes to a list of parts — behind a
+    message header, or with a *source* behind a wrapped one — reading its
+    slots; ``decode`` reads the fields back out of ``data`` from ``offset``
+    into the type's class ``cls``.  Neither catches: the codec turns what
+    they raise into :class:`WireError`.  docs/LIVE.md, "What the codec
+    compiles", shows the text for ``chord.lookup`` and what each line does.
     """
-    structs, encode, decode = [], [], []   # lines of the text, by section
+    structs, encode, decode, values = [], [], [], []   # lines of the text
     head_at, lead_fmt, lead_args = 0, "", ""
     for index, op in enumerate(message_type._plan):
         fmt = op[0] if type(op) is tuple else FIELD_FORMATS[op.type_name]
@@ -424,7 +404,7 @@ def emit_codec(protocol: str, message_type: MessageType) -> str:
             _, names, masks = op
             args = [f"v{index}_{k}" for k in range(len(names))]
             for arg, field, mask in zip(args, names, masks):
-                encode += [f"{arg} = get({field!r})",
+                encode += [f"{arg} = m.{field}",
                            f"{arg} = 0 if {arg} is None else int({arg}) & {mask:#x}"
                            if mask else f"if {arg} is None: {arg} = 0"]
             if index:
@@ -432,9 +412,9 @@ def emit_codec(protocol: str, message_type: MessageType) -> str:
             else:   # the header's struct takes this run in
                 head_at, lead_fmt = len(encode), fmt
                 lead_args = "".join(f", {arg}" for arg in args)
-            decode += [("fields.update(" if decode else "fields = dict(")
-                       + f"zip({names!r}, s{index}.unpack_from(data, offset)))",
+            decode += [f"r{index} = s{index}.unpack_from(data, offset)",
                        f"offset += {struct.calcsize('!' + fmt)}"]
+            values.append(f"*r{index}")
             continue
         if fmt is None:   # a string, or each string of a list: a block
             put = ["text = str({}).encode('utf-8')",
@@ -444,19 +424,18 @@ def emit_codec(protocol: str, message_type: MessageType) -> str:
             put = [f"parts.append(s{index}.pack(0 if item is None else item))"]
             take = [f"item = s{index}.unpack_from(data, offset)[0]",
                     f"offset += {FIELD_TYPE_SIZES[op.type_name]}"]
-        decode = decode or ["fields = {}"]
         if op.is_list:
-            encode += [f"items = get({op.name!r}) or ()",
+            encode += [f"items = m.{op.name} or ()",
                        "parts.append(u32(len(items)))", "for item in items:",
                        *("    " + line.format("item") for line in put)]
             decode += ["(count,) = u32_from(data, offset)", "offset += 4",
-                       f"fields[{op.name!r}] = items = []",
-                       "for _ in range(count):",
+                       f"v{index} = []", "for _ in range(count):",
                        *("    " + line for line in take),
-                       "    items.append(item)"]
+                       f"    v{index}.append(item)"]
         else:
-            encode += [line.format(f"get({op.name!r}) or ''") for line in put]
-            decode += [*take, f"fields[{op.name!r}] = item"]
+            encode += [line.format(f"m.{op.name} or ''") for line in put]
+            decode += [*take, f"v{index} = item"]
+        values.append(f"v{index}")
     ids = f"{wire_id(protocol):#x}, {wire_id(message_type.name):#x}"
     heads = (_MESSAGE_HEADER.format + lead_fmt, _WRAPPED_HEADER.format + lead_fmt)
     encode[head_at:head_at] = [
@@ -469,12 +448,11 @@ def emit_codec(protocol: str, message_type: MessageType) -> str:
     return "\n".join([
         *structs,
         f"head, wrapped_head = Struct({heads[0]!r}), Struct({heads[1]!r})", "",
-        "def encode(parts, fields, ptype, payload_size, priority, source):",
-        "    get = fields.get",
+        "def encode(parts, m, ptype, payload_size, priority, source):",
         *("    " + line for line in encode), "",
         "def decode(data, offset):",
-        *("    " + line for line in decode or ["fields = {}"]),
-        "    return fields, offset", ""])
+        *("    " + line for line in decode),
+        f"    return cls({', '.join(values)}), offset", ""])
 
 
 def _joined(parts: list, framing: int) -> bytes:
@@ -493,7 +471,7 @@ class WireCodec:
     """Byte-level codec for the message types of one protocol stack.
 
     Shared verbatim between the two execution modes: in simulation the size
-    model (``MessageType.size_of``) *prices* each message, and in live mode
+    model (each message class's ``size``) *prices* each message, and in live mode
     this codec *materialises* it — for every supported payload shape the
     encoded length equals the priced length, so a live datagram occupies
     exactly the bytes the emulator would have charged.  Synthetic payload
@@ -533,7 +511,8 @@ class WireCodec:
                         f"message id collision in protocol {protocol!r}: "
                         f"{message_type.name!r} vs {self._decoders[key][1].name!r}")
                 scope = {"Struct": struct.Struct, "read_block": _read_block,
-                         "u32": _U32.pack, "u32_from": _U32.unpack_from}
+                         "u32": _U32.pack, "u32_from": _U32.unpack_from,
+                         "cls": message_type.cls}
                 exec(emit_codec(protocol, message_type), scope)
                 self._encoders[protocol, message_type.name] = scope["encode"]
                 self._decoders[key] = protocol, message_type, scope["decode"]
@@ -563,32 +542,28 @@ class WireCodec:
     @classmethod
     def for_agents(cls, agent_classes) -> "WireCodec":
         """Build a codec covering every protocol of a stack (lowest first)."""
-        catalogs: dict[str, MessageCatalog] = {}
-        for agent_class in agent_classes:
-            catalogs[agent_class.PROTOCOL] = MessageCatalog(
-                list(agent_class.MESSAGE_TYPES))
-        return cls(catalogs)
-
-    def protocols(self) -> list[str]:
-        return sorted(self._protocols.values())
+        return cls({agent_class.PROTOCOL: MessageCatalog(
+            list(agent_class.MESSAGE_TYPES)) for agent_class in agent_classes})
 
     # -------------------------------------------------------------- messages
     # A message and a wrapped message differ in their headers only; behind it
     # both are fields + payload + zero padding up to the declared payload_size.
-    def _encode_typed(self, parts: list, item, name: str, priority: int,
+    def _encode_typed(self, parts: list, item: Message,
                       source: Optional[int] = None) -> None:
         """Append a message — with a *source*, a wrapped one — to *parts*."""
+        name = item.type.name
         encode = self._encoders.get((item.protocol, name))
         if encode is None:
             raise WireError(
                 f"message {name!r} of protocol {item.protocol!r} is one this "
-                f"codec was not built for (knows: {self.protocols()})")
+                f"codec was not built for (knows: "
+                f"{sorted(self._protocols.values())})")
         payload_size = int(item.payload_size)
         content: list = []
         ptype = _P_NONE if item.payload is None \
             else self._encode_content(content, item.payload)
         try:
-            encode(parts, item.fields, ptype, payload_size, priority, source)
+            encode(parts, item, ptype, payload_size, item.priority, source)
         except _ENCODE_ERRORS as exc:   # a wrapped payload_size is a u16
             raise WireError(
                 f"cannot encode message {name!r}, fields {dict(item.fields)!r}, "
@@ -599,8 +574,9 @@ class WireCodec:
             parts.append(bytes(payload_size - length))
 
     def _decode_typed(self, data: bytes, offset: int, proto_id: int,
-                      type_id: int, ptype: int, payload_size: int) -> tuple:
-        """What follows either header: protocol, type, fields, payload, end."""
+                      type_id: int, ptype: int,
+                      payload_size: int) -> tuple[Message, int]:
+        """What follows either header: the message, and where it ends."""
         entry = self._decoders.get((proto_id, type_id))
         if entry is None:
             raise WireError(
@@ -609,7 +585,7 @@ class WireCodec:
                 f"endpoints must be built from the same specifications")
         protocol, message_type, decode = entry
         try:
-            fields, offset = decode(data, offset)
+            message, offset = decode(data, offset)
         except struct.error as exc:
             raise WireError(f"truncated wire data for message "
                             f"{message_type.name!r}: {exc}") from exc
@@ -622,13 +598,15 @@ class WireCodec:
                     f"truncated wire data: message {message_type.name!r} "
                     f"declares a {payload_size}-byte payload at offset "
                     f"{offset}, buffer has {len(data)}")
-        return protocol, message_type, fields, payload, end
+        message.payload, message.payload_size = payload, payload_size
+        message.protocol = protocol
+        return message, end
 
     def encode_message(self, message: Message) -> bytes:
         """Encode a protocol message; ``len(result) == message.size`` for
         every supported payload that fits its declared ``payload_size``."""
         parts: list = []
-        self._encode_typed(parts, message, message.type.name, message.priority)
+        self._encode_typed(parts, message)
         return _joined(parts, 0)
 
     def decode_message(self, data: bytes, offset: int = 0) -> tuple[Message, int]:
@@ -640,31 +618,23 @@ class WireCodec:
             raise WireError(f"truncated message header: {exc}") from exc
         if version != WIRE_VERSION:
             raise WireError(f"wire version {version} != {WIRE_VERSION}")
-        protocol, message_type, fields, payload, end = self._decode_typed(
+        message, end = self._decode_typed(
             data, offset + _MESSAGE_HEADER.size, proto_id, type_id, ptype,
             payload_size)
-        message = Message(type=message_type, fields=fields, payload=payload,
-                          payload_size=payload_size, priority=priority,
-                          protocol=protocol)
+        message.priority = priority
         return message, end
 
-    def _decode_wrapped(self, data: bytes,
-                        offset: int) -> tuple[WrappedMessage, int]:
+    def _decode_wrapped(self, data: bytes, offset: int) -> tuple[Message, int]:
         try:
             ptype, proto_id, type_id, payload_size, source = \
                 _WRAPPED_HEADER.unpack_from(data, offset)
         except struct.error as exc:
             raise WireError(f"truncated wrapped-message header: {exc}") from exc
-        protocol, message_type, fields, payload, end = self._decode_typed(
+        message, end = self._decode_typed(
             data, offset + _WRAPPED_HEADER.size, proto_id, type_id, ptype,
             payload_size)
-        source = source or None
-        wrapped = WrappedMessage(
-            protocol=protocol, name=message_type.name, fields=fields,
-            payload=payload, payload_size=payload_size, source=source,
-            source_key=hash_key(source) if source is not None else None,
-            size=message_type.size_of(fields, payload_size))
-        return wrapped, end
+        message.source, message.routed = source or None, True
+        return message, end
 
     # -------------------------------------------------------------- payloads
     def _encode_content(self, parts: list, payload: Any) -> int:
@@ -672,11 +642,10 @@ class WireCodec:
         if payload is None:
             return _P_NONE
         if isinstance(payload, Message):
-            self._encode_typed(parts, payload, payload.type.name, payload.priority)
-            return _P_MESSAGE
-        if isinstance(payload, WrappedMessage):
-            self._encode_typed(parts, payload, payload.name, 0,
-                               (payload.source or 0) & 0xFFFFFFFF)
+            if not payload.routed:
+                self._encode_typed(parts, payload)
+                return _P_MESSAGE
+            self._encode_typed(parts, payload, (payload.source or 0) & 0xFFFFFFFF)
             return _P_WRAPPED
         if isinstance(payload, (bytes, bytearray, memoryview, str)):
             text = isinstance(payload, str)
@@ -697,7 +666,7 @@ class WireCodec:
         raise WireError(
             f"cannot encode payload of type {type(payload).__name__}; "
             f"the live wire supports None, bytes, str, int, float, bool, "
-            f"Message, WrappedMessage and the records "
+            f"Message and the records "
             f"{sorted(RECORD_PAYLOADS)}")
 
     def _decode_content(self, ptype: int, data: bytes,

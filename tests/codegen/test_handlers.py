@@ -98,12 +98,14 @@ def test_transitions_take_their_events_parameters(protocol, base):
                   for name in params]
         assert params == ["self", *event_params(spec.kind, spec.name)], \
             spec.method
-    # No private name but the message parameter in the generated module.
+    # No private name but the message parameter in the generated module
+    # (a dunder such as a message class's ``__slots__`` is not private).
     nodes = list(ast.walk(ast.parse(registry.generated_source(protocol,
                                                                base=base))))
     names = {node.id for node in nodes if isinstance(node, ast.Name)} \
         | {node.arg for node in nodes if isinstance(node, ast.arg)}
-    assert {name for name in names if name.startswith("__")} <= {"__msg"}
+    assert {name for name in names if name.startswith("__")
+            and not name.endswith("__")} <= {"__msg"}
 
 
 def test_stale_or_missing_transition_is_refused_at_class_creation():
@@ -213,11 +215,9 @@ def test_baseline_style_overrides_see_every_message():
             self.received.append((message.name, dict(message.fields)))
             return super().receive_message(message)
 
-        def send_msg(self, name, dest, *, priority=-1, payload=None,
-                     payload_size=0, tag=None, **fields):
-            self.sent.append((name, fields))
-            super().send_msg(name, dest, priority=priority, payload=payload,
-                             payload_size=payload_size, tag=tag, **fields)
+        def send_msg(self, message, dest, *, priority=-1, tag=None):
+            self.sent.append((message.name, dict(message.fields)))
+            super().send_msg(message, dest, priority=priority, tag=tag)
 
     simulator, _, (a, b) = build(Hooked)
     a.macedon_route(b.address, None, 5)
@@ -282,7 +282,7 @@ def test_layered_forward_quash_and_state_scoped_recv():
     b.macedon_init(a.address)
     sender = a.agent("upper")
     for v in (2, 3, 4):
-        sender.route_msg("note", b.address, v=v)
+        sender.route_msg(sender.build_message("note", v=v), b.address)
     simulator.run(until=1.0)
     # The forward transition saw all three and quashed the odd one.
     assert sender.offered == [(2, b.address), (3, b.address), (4, b.address)]
@@ -290,7 +290,7 @@ def test_layered_forward_quash_and_state_scoped_recv():
     # The lower layer's route transition writes `result` back: whether the
     # layer above let the payload out, which macedon_route returns.
     for v, allowed in ((5, False), (6, True)):
-        note = sender.wrap_msg("note", v=v)
+        note = sender.wrap_msg(sender.build_message("note", v=v))
         assert a.macedon_route(b.address, note, note.size) is allowed
 
 

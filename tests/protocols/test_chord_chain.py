@@ -103,9 +103,9 @@ def ring(monkeypatch):
     sent = []
     send_msg = chord.send_msg
 
-    def logging_send_msg(self, name, dest, **kwargs):
-        sent.append((self.my_addr, name, dest, kwargs))
-        send_msg(self, name, dest, **kwargs)
+    def logging_send_msg(self, message, dest, **options):
+        sent.append((self.my_addr, message.name, dest, dict(message.fields)))
+        send_msg(self, message, dest, **options)
 
     monkeypatch.setattr(chord, "send_msg", logging_send_msg)
     return simulator, nodes, sent

@@ -85,7 +85,8 @@ def test_fsm_dispatch_and_message_exchange():
 def test_transition_scoped_by_state_not_dispatched_before_init():
     simulator, (a, b) = build_pair(ECHO)
     # Not initialised: agents are in "init" state so "ready recv ping" cannot fire.
-    a.lowest_agent.send_msg("ping", b.address, n=1)
+    agent = a.lowest_agent
+    agent.send_msg(agent.build_message("ping", n=1), b.address)
     simulator.run(until=5)
     assert b.lowest_agent.pings == 0
 

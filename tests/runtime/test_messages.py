@@ -10,7 +10,6 @@ from repro.runtime.messages import (
     MessageCatalog,
     MessageError,
     MessageType,
-    WrappedMessage,
     MESSAGE_HEADER_BYTES,
 )
 
@@ -71,16 +70,18 @@ def test_catalog_lookup_and_duplicates(join_reply):
     assert catalog.names() == ["join_reply"]
 
 
-def test_wrapped_message_roundtrip(join_reply):
-    wrapped = WrappedMessage(protocol="scribe", name="join_reply",
-                             fields={"response": 1}, payload="data",
-                             payload_size=10, source=42, source_key=7, size=60)
-    message = wrapped.as_message(join_reply)
+def test_routed_message_copies_slot_for_slot(join_reply):
+    routed = Message(type=join_reply, fields={"response": 1}, payload="data",
+                     payload_size=10, source=42, protocol="scribe",
+                     routed=True)
+    message = routed.copy()
+    assert message is not routed and type(message) is type(routed)
     assert message.response == 1
     assert message.payload == "data"
     assert message.payload_size == 10
     assert message.source == 42
-    assert message.protocol == "scribe"
+    assert message.protocol == "scribe" and message.routed
+    assert message.fields == routed.fields == {"response": 1, "siblings": None}
 
 
 def test_unknown_field_type_rejected_at_spec_compile_time():
@@ -93,18 +94,19 @@ def test_unknown_field_type_rejected_at_spec_compile_time():
         MessageType("probe", (FieldSpec("peers", "nieghbor", is_list=True),))
 
 
-def test_field_spec_size_of_unknown_type_raises():
-    with pytest.raises(MessageError, match="unknown type"):
-        FieldSpec("x", "quaternion").size_of(1)
+def test_field_named_like_a_message_attribute_is_rejected():
+    for name in ("size", "payload", "source", "type", "fields", "cls"):
+        with pytest.raises(MessageError, match="collides"):
+            MessageType("probe", (FieldSpec(name, "int"),))
 
 
 def test_fixed_size_precomputed_and_var_fields_counted_per_send(join_reply):
     # int (4) is folded into fixed_size with the 16-byte header; the ipaddr
     # list stays per-send.
     assert join_reply.fixed_size == MESSAGE_HEADER_BYTES + 4
-    assert join_reply.size_of({"response": 1, "siblings": []}) == \
+    assert Message(join_reply, {"response": 1, "siblings": []}).size == \
         join_reply.fixed_size + 4
-    assert join_reply.size_of({"response": 1, "siblings": [1, 2]}) == \
+    assert Message(join_reply, {"response": 1, "siblings": [1, 2]}).size == \
         join_reply.fixed_size + 4 + 2 * 4
 
 

@@ -3,7 +3,7 @@
 Every bundled specification's message types must round-trip through
 :class:`repro.runtime.messages.WireCodec` — including empty lists, max-width
 scalars, and nested wrapped messages — and the encoded byte length must equal
-the spec-compile-time wire-size model (``MessageType.size_of``), which is
+the spec-compile-time wire-size model (each message class's ``size``), which is
 what lets live datagrams occupy exactly the bytes the emulator charges in
 simulation.
 """
@@ -25,8 +25,7 @@ from repro.protocols import BUNDLED_PROTOCOLS
 from repro.runtime.messages import (FIELD_FORMATS, FIELD_TYPE_SIZES,
                                     MESSAGE_HEADER_BYTES, FieldSpec, Message,
                                     MessageCatalog, MessageType, WireCodec,
-                                    WireError, WrappedMessage, emit_codec,
-                                    wire_id)
+                                    WireError, emit_codec, wire_id)
 from repro.transport.base import Datagram
 from repro.transport.udp import SocketUdpNetwork
 
@@ -188,10 +187,8 @@ def test_wrapped_message_nests_at_model_size():
     pastry_types = {t.name: t for t in pastry.MESSAGE_TYPES}
     join_type = scribe_types["join"]
     inner_fields = {"gid": 77, "member": 4}
-    wrapped = WrappedMessage(
-        protocol="scribe", name="join", fields=dict(inner_fields),
-        payload=None, payload_size=0, source=42, source_key=9,
-        size=join_type.size_of(inner_fields, 0))
+    wrapped = Message(type=join_type, fields=inner_fields, source=42,
+                      protocol="scribe", routed=True)
     outer_type = pastry_types["pdata"]
     outer = Message(type=outer_type, fields={}, payload=wrapped,
                     payload_size=wrapped.size, protocol="pastry")
@@ -199,7 +196,7 @@ def test_wrapped_message_nests_at_model_size():
     assert len(encoded) == outer.size
     decoded, _ = codec.decode_message(encoded)
     inner = decoded.payload
-    assert isinstance(inner, WrappedMessage)
+    assert inner.routed and type(inner) is join_type.cls
     assert inner.protocol == "scribe" and inner.name == "join"
     assert inner.fields == inner_fields
     assert inner.source == 42
@@ -217,17 +214,15 @@ def test_doubly_nested_wrapped_message():
                     if not spec.is_list}
     inner_fields.update({spec.name: [1, 2] for spec in inner_type.fields
                          if spec.is_list})
-    inner = WrappedMessage(protocol="scribe", name="tdata",
-                           fields=inner_fields, payload=b"tail",
-                           payload_size=64, source=5,
-                           size=inner_type.size_of(inner_fields, 64))
+    inner = Message(type=inner_type, fields=inner_fields, payload=b"tail",
+                    payload_size=64, source=5, protocol="scribe", routed=True)
     mid_type = scribe_types["mdata"]
     mid_fields = {spec.name: 8 for spec in mid_type.fields if not spec.is_list}
     mid_fields.update({spec.name: [9] for spec in mid_type.fields
                        if spec.is_list})
-    middle = WrappedMessage(protocol="scribe", name="mdata", fields=mid_fields,
-                            payload=inner, payload_size=inner.size, source=6,
-                            size=mid_type.size_of(mid_fields, inner.size))
+    middle = Message(type=mid_type, fields=mid_fields, payload=inner,
+                     payload_size=inner.size, source=6, protocol="scribe",
+                     routed=True)
     pastry_types = {t.name: t for t in by_protocol["pastry"].MESSAGE_TYPES}
     outer = Message(type=pastry_types["pdata"], fields={}, payload=middle,
                     payload_size=middle.size, protocol="pastry")
@@ -643,11 +638,9 @@ def test_message_in_wrapped_in_message_round_trips():
     join = {t.name: t for t in scribe.MESSAGE_TYPES}["join"]
     core = Message(type=pdata, fields={}, payload=b"core", payload_size=32,
                    priority=2, protocol="pastry")
-    middle = WrappedMessage(protocol="scribe", name="join",
-                            fields={"gid": 7, "member": 3}, payload=core,
-                            payload_size=core.size, source=9,
-                            size=join.size_of({"gid": 7, "member": 3},
-                                              core.size))
+    middle = Message(type=join, fields={"gid": 7, "member": 3}, payload=core,
+                     payload_size=core.size, source=9, protocol="scribe",
+                     routed=True)
     outer = Message(type=pdata, fields={}, payload=middle,
                     payload_size=middle.size, protocol="pastry")
     encoded = codec.encode_message(outer)

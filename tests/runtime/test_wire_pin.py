@@ -32,7 +32,7 @@ from repro.runtime import messages
 from repro.runtime.messages import (FIELD_FORMATS, FIELD_TYPE_SIZES,
                                     PRIMITIVE_PAYLOADS, RECORD_PAYLOADS,
                                     FieldSpec, Message, MessageCatalog,
-                                    MessageType, WireCodec, WrappedMessage)
+                                    MessageType, WireCodec)
 from repro.runtime.node import _Heartbeat
 from repro.transport.base import Datagram, Segment
 from repro.transport.udp import FRAGMENT_THRESHOLD, SocketUdpNetwork
@@ -94,20 +94,21 @@ def _variants(message_type: MessageType, rng: random.Random) -> list[dict]:
     return [empty, {}, full]
 
 
-def _decoded_fields(message_type: MessageType, fields: dict) -> dict:
-    """What *fields* reads as on the far side: unset scalars are zero."""
-    return {spec.name: fields.get(
-        spec.name, [] if spec.is_list else _DEFAULTS.get(spec.type_name, 0))
-        for spec in message_type.fields}
+def _decoded_fields(message_type: MessageType, fields) -> dict:
+    """What *fields* reads as on the far side: unset scalars are zero (a
+    field left unset reads None on the message, like an absent key)."""
+    return {spec.name: ([] if spec.is_list
+                        else _DEFAULTS.get(spec.type_name, 0))
+            if fields.get(spec.name) is None else fields[spec.name]
+            for spec in message_type.fields}
 
 
 def _same(got, want, types: dict) -> bool:
     """Whether *got* is what *want* decodes to (messages have no ``==``)."""
-    if isinstance(want, (Message, WrappedMessage)):
+    if isinstance(want, Message):
         message_type = types[want.protocol, want.name]
         return (type(got) is type(want) and got.name == want.name
-                and (isinstance(got, WrappedMessage)
-                     or got.type is message_type)
+                and got.routed == want.routed and got.type is message_type
                 and got.protocol == want.protocol
                 and got.fields == _decoded_fields(message_type, want.fields)
                 and got.payload_size == want.payload_size
@@ -165,13 +166,11 @@ def corpus_digest() -> tuple[str, int]:
                                   payload=payload, payload_size=payload_size,
                                   priority=rng.choice([-1, 0, 1, 2]),
                                   protocol=protocol)
-                wrapped = WrappedMessage(
-                    protocol=protocol, name=message_type.name,
-                    fields=dict(fields), payload=payload,
-                    payload_size=min(payload_size, 0xFFFF),
-                    source=rng.randrange(1, 2**32))
-                wrapped.size = message_type.size_of(fields,
-                                                    wrapped.payload_size)
+                wrapped = Message(type=message_type, fields=dict(fields),
+                                  payload=payload,
+                                  payload_size=min(payload_size, 0xFFFF),
+                                  source=rng.randrange(1, 2**32),
+                                  protocol=protocol, routed=True)
                 in_wrapped = Message(type=carrier, payload=wrapped,
                                      payload_size=wrapped.size,
                                      protocol=carrier_protocol)
@@ -221,15 +220,16 @@ def corpus_digest() -> tuple[str, int]:
         assert (near.fragments_sent > 0) == (far.fragments_received > 0)
     # The coercions the encoder applies: an unsigned scalar masks to its
     # width, a None list item is zero, a string field takes str() of anything.
-    coerced = Message(type=EVERYTHING, protocol="everything", fields={
+    given = {
         "key_one": 2**32 + 5, "neighbor_one": -1, "ipaddr_one": 7.0,
         "bool_one": None, "int_list": [None, 3], "double_list": [None],
-        "string_one": 42, "string_list": [1, "x"]})
+        "string_one": 42, "string_list": [1, "x"]}
+    coerced = Message(type=EVERYTHING, protocol="everything", fields=given)
     encoded = codec.encode_message(coerced)
     digest.update(encoded)
     assert len(encoded) == coerced.size
     decoded = codec.decode_message(encoded)[0].fields
-    assert {name: decoded[name] for name in coerced.fields} == {
+    assert {name: decoded[name] for name in given} == {
         "key_one": 5, "neighbor_one": 2**64 - 1, "ipaddr_one": 7,
         "bool_one": False, "int_list": [0, 3], "double_list": [0.0],
         "string_one": "42", "string_list": ["1", "x"]}
