@@ -2,10 +2,10 @@
 """Report over ``repro.trace/1`` / ``repro.obs/1`` observability artifacts.
 
 Both execution modes produce the same artifact shapes (see
-docs/OBSERVABILITY.md): the simulator's streaming :class:`TraceSink` and
-the live coordinator's merged causal hop records write ``repro.trace/1``
-JSONL, and every mode snapshots its metrics registry as a ``repro.obs/1``
-document.  This script is therefore mode-agnostic: point it at any trace
+docs/OBSERVABILITY.md): one :class:`TraceSink` writes ``repro.trace/1``
+JSONL — the simulator's records as they happen, the live nodes' shipped
+records at the coordinator — with times in spec seconds, and every mode
+snapshots its metrics registry as a ``repro.obs/1`` document.  This script is therefore mode-agnostic: point it at any trace
 file and it prints per-category record counts, the top-talking nodes, the
 reconstructed per-request route paths (hop-count histogram plus per-hop
 latency distribution), and — with ``--obs`` — a summary of the metrics

@@ -284,7 +284,7 @@ class CodeGenerator:
             "    NBR_TYPE_CHILDREN, NBR_TYPE_SIBLINGS, NBR_TYPE_PEERS)\n"
             "from repro.runtime.keys import KeySpace\n"
             "from repro.runtime.messages import (\n"
-            "    FieldSpec, Message, MessageType, WrappedMessage)\n"
+            "    FieldSpec, Message, MessageType)\n"
             "from repro.runtime.neighbors import NeighborFieldSpec, NeighborType\n"
             "from repro.runtime.tracing import TraceLevel\n"
             "\n"

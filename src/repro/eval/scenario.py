@@ -470,8 +470,7 @@ class ScenarioSpec:
                 tracer.sink.update_meta(mode="sim", name=self.name,
                                         seed=self.seed)
             if self.obs.causal:
-                obs_causal = CausalLog(tracer, simulator,
-                                       registry=obs_registry)
+                obs_causal = CausalLog(tracer, simulator)
                 emulator.install_delivery_wrapper(obs_causal.wrap_delivery)
                 emulator.install_send_tap(obs_causal.tag)
 
@@ -509,6 +508,8 @@ class ScenarioSpec:
                       "dropped": tracer.dropped},
             "ring": ring_rows(experiment.nodes),
         }
+        if obs_causal is not None:
+            report["causal"] = obs_causal.report()
         nodes = experiment.nodes
 
         obs_snapshot = None
@@ -518,8 +519,7 @@ class ScenarioSpec:
                  [label for label, compiled in zip(labels, compiled_models)
                   if hasattr(compiled, "observations")],
                  nodes_total=len(nodes),
-                 nodes_alive=sum(node.alive for node in nodes),
-                 causal=obs_causal)
+                 nodes_alive=sum(node.alive for node in nodes))
             if tracer.sink is not None:
                 tracer.sink.close()
             obs_snapshot = artifact(obs_registry, mode="sim", name=self.name,

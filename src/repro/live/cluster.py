@@ -37,6 +37,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from queue import Empty
 from typing import NamedTuple, Optional
 
@@ -562,13 +563,12 @@ class LiveCluster:
         name = f"live-{spec.agents.name}-{workloads[0].model.kind}"
         obs, obs_snapshot = spec.obs, None
         if obs is not None:
-            from ..obs import (artifact, base_registry, fill,
-                               write_obs_snapshot, write_trace_file)
+            from ..obs import (TraceSink, artifact, base_registry, fill,
+                               write_obs_snapshot)
             registry = base_registry()
-            hop_records = fill(
-                registry, per_node, [model.label for model in workloads],
-                nodes_total=spec.num_nodes,
-                nodes_alive=sum(not report.get("down") for report in per_node))
+            fill(registry, per_node, [model.label for model in workloads],
+                 nodes_total=spec.num_nodes,
+                 nodes_alive=sum(not report.get("down") for report in per_node))
             obs_snapshot = artifact(registry, mode="live", name=name,
                                     seed=spec.seed, duration=spec.duration)
             # Each node's samples, regrouped by instant.
@@ -582,8 +582,15 @@ class LiveCluster:
             if obs.snapshot_path:
                 write_obs_snapshot(obs.snapshot_path, obs_snapshot)
             if obs.trace_path:
-                write_trace_file(obs.trace_path, hop_records,
-                                 meta={"mode": "live", "seed": spec.seed})
+                # Every node's shipped tracer records, one time-sorted stream.
+                sink = TraceSink(obs.trace_path, meta={
+                    "mode": "live", "name": name, "seed": spec.seed})
+                for record in sorted(
+                        (record for report in per_node
+                         for record in report.pop("trace_records", ())),
+                        key=attrgetter("time")):
+                    sink.write(record)
+                sink.close()
         return ScenarioResult(name=name, seed=spec.seed,
                               duration=spec.duration, metrics=metrics,
                               series={}, events=[], obs=obs_snapshot,

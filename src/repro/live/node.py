@@ -14,8 +14,10 @@ workload's ops naming its index on the
 simulator builds one of per node.  At the end it ships a report home over
 the results queue: one payload per observing model under the model's label
 (a workload's observations, a group model's join count), its FSM state,
-transport, network and socket counters and, for ring protocols, its ring row
-(:func:`~repro.eval.metrics.ring_rows`).
+transport, network and socket counters, for ring protocols its ring row
+(:func:`~repro.eval.metrics.ring_rows`) and, with ``spec.obs`` set, its
+stats samples, trace counts, causal section and (with a ``trace_path``)
+its tracer's records.
 """
 
 from __future__ import annotations
@@ -102,20 +104,25 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         driver.start(loop, zero=zero.value)
 
         # Observability (repro.obs): a per-node tracer honouring the run's
-        # category overrides, plus — when causal tracing is on — the wire
-        # TRACE envelope.  Installed before the node so agent trace gates
-        # see the overrides at construction.
+        # category overrides, plus — when causal tracing is on — the causal
+        # log on the socket's send tap and delivery step, on the driver's
+        # spec clock.  Installed before the node so agent trace gates see
+        # the overrides at construction.  Trace ids are unique per node
+        # and incarnation: a reborn node's cannot repeat the ones its dead
+        # incarnation left in its peers' reports.
         obs = config.spec.obs
         obs_tracer = causal = None
         if obs is not None:
-            from ..obs import LiveCausalLog
+            from ..obs import CausalLog
             from ..runtime.tracing import Tracer
             obs_tracer = Tracer(obs.max_records,
                                 category_levels=obs.category_levels,
                                 level=obs.trace_level)
             if obs.causal:
-                causal = LiveCausalLog(address)
-                network.enable_causal(causal)
+                causal = CausalLog(obs_tracer, driver, first_id=(
+                    (address & 0xFFFFFF) << 40 | (incarnation & 0xFF) << 32))
+                network.install_send_tap(causal.tag)
+                network.install_delivery_wrapper(causal.wrap_delivery)
 
         node = MacedonNode(driver, network, stack, tracer=obs_tracer,
                            failure_config=config.spec.failure_config)
@@ -219,13 +226,13 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         if obs is not None:
             report["wallclock"] = wallclock
             report["trace"] = {
-                "records": sum(node.tracer.counts.values()),
-                "dropped": node.tracer.dropped,
+                "records": sum(obs_tracer.counts.values()),
+                "dropped": obs_tracer.dropped,
             }
+            if obs.trace_path:
+                report["trace_records"] = list(obs_tracer)
             if causal is not None:
-                report["causal"] = {"traces": causal.traces,
-                                    "hops": causal.hop_count,
-                                    "records": causal.hops}
+                report["causal"] = causal.report()
         report["ring"] = ring_rows([node])
         return report
     finally:

@@ -84,7 +84,44 @@ class Host:
         self.loss_rng = None
 
 
-class NetworkEmulator:
+class NetworkHooks:
+    """The two observability hooks (:mod:`repro.obs`) of a network a node
+    sends through — the emulator, or a live node's socket: a send tap and a
+    wrapper around the delivery step, which a subclass keeps in
+    ``_deliver_callback`` and calls per packet."""
+
+    _deliver_callback: Callable[..., bool]
+
+    def install_delivery_wrapper(
+            self, wrap: Callable[[Callable[..., bool]],
+                                 Callable[..., bool]]) -> None:
+        """Swap the delivery step for ``wrap(current)``.
+
+        The network reads ``self._deliver_callback`` per packet event, so
+        replacing the attribute reroutes every future one at zero cost to
+        the uninstrumented run.  The wrapper is called with the step's
+        ``(packet, stage)`` and must return its result: whether this event
+        handed the packet to its host.
+        """
+        self._deliver_callback = wrap(self._deliver_callback)
+
+    def install_send_tap(self, tap: Callable[[Packet], None]) -> None:
+        """Run ``tap(packet)`` before every send.
+
+        All transports resolve ``self.emulator.send`` per call, so an
+        instance attribute shadows the class method from here on.
+        """
+        inner = self.send
+
+        def send_with_tap(packet: Packet,
+                          payload_tag: Optional[str] = None) -> bool:
+            tap(packet)
+            return inner(packet, payload_tag)
+
+        self.send = send_with_tap  # type: ignore[method-assign]
+
+
+class NetworkEmulator(NetworkHooks):
     """Packet emulator over a :class:`Topology`."""
 
     def __init__(
@@ -506,34 +543,6 @@ class NetworkEmulator:
         if receive is not None:
             receive(packet)
         return True
-
-    def install_delivery_wrapper(
-            self, wrap: Callable[[Callable[..., bool]],
-                                 Callable[..., bool]]) -> None:
-        """Swap the packet-event callback for ``wrap(current)`` (observability).
-
-        ``send`` and :meth:`_deliver` read ``self._deliver_callback`` per
-        call, so replacing the attribute reroutes every future packet event at
-        zero cost to the uninstrumented run.  The wrapper is called once per event
-        with :meth:`_deliver`'s arguments and must return its result: whether
-        this event handed the packet to its host.
-        """
-        self._deliver_callback = wrap(self._deliver_callback)
-
-    def install_send_tap(self, tap: Callable[[Packet], None]) -> None:
-        """Run ``tap(packet)`` before every send (observability).
-
-        All transports resolve ``self.emulator.send`` per call, so an
-        instance attribute shadows the class method from here on.
-        """
-        inner = self.send
-
-        def send_with_tap(packet: Packet,
-                          payload_tag: Optional[str] = None) -> bool:
-            tap(packet)
-            return inner(packet, payload_tag)
-
-        self.send = send_with_tap  # type: ignore[method-assign]
 
     # --------------------------------------------------------- global queries
     def ip_latency(self, src: int, dst: int) -> float:

@@ -10,29 +10,28 @@ turns on the same three capabilities in every execution mode:
 * streaming ``repro.trace/1`` JSONL export from the runtime
   :class:`~repro.runtime.tracing.Tracer`, with per-run category-level
   overrides;
-* causal message tracing (:class:`CausalLog` in sim,
-  :class:`LiveCausalLog` over a wire-frame piggyback in live) feeding
-  route-path reconstruction (:func:`reconstruct_routes`,
-  ``scripts/run_trace.py``).
+* causal message tracing (:class:`CausalLog`, one class whose trace
+  identity rides the packet in simulation and a ``TRACE`` frame live, on
+  the spec clock in both) feeding route-path reconstruction
+  (:func:`reconstruct_routes`, ``scripts/run_trace.py``).
 
 With ``obs`` unset the runtime takes its historical code paths bit for
 bit; see ``docs/OBSERVABILITY.md``.
 """
 
-from .causal import CausalLog, LiveCausalLog
+from .causal import CausalLog
 from .config import ObsConfig, build_tracer
 from .probes import artifact, base_registry, fill
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (OBS_SCHEMA, TRACE_SCHEMA, TraceSink, load_obs_snapshot,
                     load_trace, reconstruct_routes, validate_obs_snapshot,
-                    write_obs_snapshot, write_trace_file)
+                    write_obs_snapshot)
 
 __all__ = [
     "CausalLog",
     "Counter",
     "Gauge",
     "Histogram",
-    "LiveCausalLog",
     "MetricsRegistry",
     "OBS_SCHEMA",
     "ObsConfig",
@@ -47,5 +46,4 @@ __all__ = [
     "reconstruct_routes",
     "validate_obs_snapshot",
     "write_obs_snapshot",
-    "write_trace_file",
 ]

@@ -5,24 +5,27 @@ starts it gets a fresh trace id at hop 0, and every packet an agent sends
 *while handling a traced delivery* inherits the id with the hop count
 bumped.  That works without any protocol cooperation because delivery is
 synchronous in both runtimes — the simulator calls the agent's transition
-inline from the delivery event, and the live node's transport upcall runs
-the handler before returning to the event loop — so a thread/process-local
-"current trace" context set around the delivery covers every forward.
+inline from the delivery event, and the live node's socket runs the
+handler before returning to the event loop — so a process-local "current
+trace" context set around the delivery covers every forward.
 
-Two implementations of the same idea:
+One class, :class:`CausalLog`, with two carriers.  It hooks the network a
+node sends through — :class:`~repro.network.emulator.NetworkEmulator` in
+simulation, :class:`~repro.transport.udp.SocketUdpNetwork` live — by the
+same two calls, ``install_send_tap(log.tag)`` and
+``install_delivery_wrapper(log.wrap_delivery)``.  The trace identity is the
+:class:`~repro.network.packet.Packet`'s own ``trace_id`` / ``trace_hop`` /
+``created_at``: the emulator carries the packet object itself, the socket
+carries the three fields in a ``TRACE`` frame (docs/LIVE.md) and rebuilds
+them on the packet it delivers.  Times are spec seconds in both modes: the
+simulator's clock, or a live node's
+:class:`~repro.live.driver.LiveDriver`, whose zero every process shares.
 
-* :class:`CausalLog` (sim) — tags :class:`~repro.network.packet.Packet`
-  objects via the emulator's send tap and wraps its delivery callback; the
-  trace fields are ``__slots__`` on the packet and ids count from 1.
-* :class:`LiveCausalLog` (live) — ids are minted per node
-  (``address << 40``), and the id/hop/send-timestamp triple rides a
-  ``TRACE`` wire frame wrapped around the original frame (see
-  :class:`~repro.transport.udp.SocketUdpNetwork`).  Frames are untouched
-  when tracing is off.
-
-Both emit ``route_hop`` records with identical ``data`` keys
-(``trace_id``, ``hop``, ``src``, ``latency``), which is what makes
-``scripts/run_trace.py`` mode-agnostic.
+A hop is a ``route_hop`` record in the process's
+:class:`~repro.runtime.tracing.Tracer` (``data``: ``trace_id``, ``hop``,
+``src``, ``latency``), which is what makes ``scripts/run_trace.py``
+mode-agnostic; :meth:`CausalLog.report` is the process report's
+``causal`` section that :func:`repro.obs.probes.fill` folds.
 
 Retransmissions and timer-driven sends start fresh traces by design: they
 are new causal roots, not forwards.
@@ -30,39 +33,35 @@ are new causal roots, not forwards.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Optional
 
 from ..runtime.tracing import TraceLevel, Tracer
 
 
 class CausalLog:
-    """Simulation-side causal tracer.
+    """One process's causal tracer.
 
-    :param tracer: the experiment's shared tracer; hop records land there
-        (category ``route_hop``) and stream through its sink if attached.
-    :param clock: anything with a ``now`` attribute (the simulator).
-    :param registry: optional metrics registry; ``causal.*`` instruments
-        are updated live when present.
+    :param tracer: the process's tracer; hop records land there (category
+        ``route_hop``) and stream through its sink if attached.
+    :param clock: anything with a ``now`` attribute in spec seconds (the
+        simulator, a live node's driver).
+    :param first_id: trace ids count up from ``first_id + 1``; a live node
+        starts its own range so ids are unique across the cluster.
     """
 
     def __init__(self, tracer: Tracer, clock: Any, *,
-                 registry: Optional[Any] = None) -> None:
+                 first_id: int = 0) -> None:
         self._tracer = tracer
         self._clock = clock
-        self._next = 0
+        self._next = first_id
         #: The trace being handled right now: ``(trace_id, hop)`` while a
         #: traced delivery is on the stack, else ``None``.
         self.ctx: Optional[tuple[int, int]] = None
         self.traces = 0
-        self.hop_count = 0
-        self._max_hop: dict[int, int] = {}
-        if registry is not None:
-            self._c_traces = registry.counter("causal.traces")
-            self._c_hops = registry.counter("causal.hops")
-            self._h_hop_latency = registry.histogram("causal.hop_latency")
-        else:
-            self._c_traces = self._c_hops = self._h_hop_latency = None
+        #: Each delivered hop's latency, in delivery order.
+        self.hop_latencies: list[float] = []
+        #: trace id -> the highest hop delivered here.
+        self.max_hop: dict[int, int] = {}
 
     # ------------------------------------------------------------------ taps
     def tag(self, packet: Any) -> None:
@@ -76,16 +75,16 @@ class CausalLog:
             packet.trace_id = self._next
             packet.trace_hop = 0
             self.traces += 1
-            if self._c_traces is not None:
-                self._c_traces.inc()
+        packet.created_at = self._clock.now
 
     def wrap_delivery(self, deliver: Any) -> Any:
-        """Wrap the emulator's packet-event callback: set ctx while it runs
-        and, if the event handed the packet to its host, record the hop."""
+        """Wrap the network's delivery step: set ctx while it runs and, if it
+        handed the packet to its host, record the hop."""
         log = self
         tracer = self._tracer
         clock = self._clock
-        max_hop = self._max_hop
+        latencies = self.hop_latencies
+        max_hop = self.max_hop
 
         def deliver_traced(packet: Any, stage: Any = None) -> bool:
             trace_id = packet.trace_id
@@ -101,10 +100,7 @@ class CausalLog:
             if delivered:
                 now = clock.now
                 latency = now - packet.created_at
-                log.hop_count += 1
-                if log._c_hops is not None:
-                    log._c_hops.inc()
-                    log._h_hop_latency.observe(latency)
+                latencies.append(latency)
                 if hop > max_hop.get(trace_id, -1):
                     max_hop[trace_id] = hop
                 tracer.record(TraceLevel.HIGH, now, packet.dst,
@@ -115,50 +111,7 @@ class CausalLog:
 
         return deliver_traced
 
-    def finish(self, registry: Any) -> None:
-        """Flush end-of-run aggregates (route-length histogram)."""
-        route_hops = registry.histogram("causal.route_hops")
-        for hop in self._max_hop.values():
-            route_hops.observe(hop + 1)
-
-
-class LiveCausalLog:
-    """Live-node causal tracer, driven by the socket transport.
-
-    Hop records are collected locally (bounded) and shipped home in the
-    node's result report; the coordinator merges them into one
-    ``repro.trace/1`` file.
-    """
-
-    #: Per-node bound on retained hop records — a report travels through a
-    #: multiprocessing queue, so it must stay modest.  ``hop_count`` keeps
-    #: the true total.
-    MAX_HOP_RECORDS = 5000
-
-    def __init__(self, address: int,
-                 max_hop_records: int = MAX_HOP_RECORDS) -> None:
-        self._base = (address & 0xFFFFFF) << 40
-        self._next = 0
-        self._max = max_hop_records
-        self.ctx: Optional[tuple[int, int]] = None
-        self.traces = 0
-        self.hop_count = 0
-        self.hops: list[dict] = []
-
-    def new_trace(self) -> int:
-        self._next += 1
-        self.traces += 1
-        return self._base | self._next
-
-    def on_hop(self, trace_id: int, hop: int, src: int, sent_at: float,
-               node: int) -> None:
-        now = time.time()
-        self.hop_count += 1
-        if len(self.hops) < self._max:
-            self.hops.append({
-                "t": now, "node": node, "proto": "live", "cat": "route_hop",
-                "detail": f"trace {trace_id} hop {hop}",
-                # Same-machine wall clocks; clamp the microsecond races.
-                "data": {"trace_id": trace_id, "hop": hop, "src": src,
-                         "latency": max(0.0, now - sent_at)},
-            })
+    def report(self) -> dict:
+        """The process report's ``causal`` section."""
+        return {"traces": self.traces, "hops": len(self.hop_latencies),
+                "hop_latencies": self.hop_latencies, "max_hop": self.max_hop}

@@ -38,10 +38,12 @@ class ObsConfig:
         record at this level for this run.  Most generated specs declare
         ``trace_ off``, so this is the knob that actually turns their
         category tracing on without editing the spec.
-    :param max_records: bound for the tracer's in-memory ring.
-    :param causal: tag packets (sim) / wire frames (live) with a trace id
-        and hop count, and record per-hop ``route_hop`` trace records for
-        route-path reconstruction (``scripts/run_trace.py``).
+    :param max_records: bound for the tracer's in-memory ring — and so,
+        live, for the records each node ships into the trace file.
+    :param causal: tag every packet with a trace id, hop count and send
+        time (a live node's ride a ``TRACE`` frame), and record per-hop
+        ``route_hop`` trace records for route-path reconstruction
+        (``scripts/run_trace.py``).
     :param snapshot_path: write the ``repro.obs/1`` metrics snapshot here
         (it is also returned on the result object either way).
     """

@@ -9,14 +9,12 @@ identical keys and can be diffed field-by-field (the drift harness's
 requirement).
 
 :func:`fill` translates the per-process reports of a run, in either mode,
-into the shared namespace at end of run; the simulator's hot-path
-instruments (``causal.*``) are instead updated live by the probe sites
-themselves.
+into the shared namespace at end of run, the same way for both.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .registry import MetricsRegistry
 from .trace import OBS_SCHEMA
@@ -79,24 +77,23 @@ def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
 
 
 def fill(registry: MetricsRegistry, reports: Iterable[dict],
-         workloads: Sequence[str], *, nodes_total: int, nodes_alive: int,
-         causal: Optional[Any] = None) -> list[dict]:
+         workloads: Sequence[str], *, nodes_total: int,
+         nodes_alive: int) -> None:
     """Fold a finished run's per-process reports into *registry* — the one
     report of a simulated run, or every live node's.
 
     A report counts what its process saw: ``events_processed``, ``net``
-    packets, ``trace`` records and, live, ``socket`` errors, driver
-    callback errors and ``causal`` hops; ``models`` maps each label in
+    packets, ``trace`` records, its ``causal`` section
+    (:meth:`~repro.obs.causal.CausalLog.report`) and, live, ``socket``
+    errors and driver callback errors; ``models`` maps each label in
     *workloads* to that workload's observation payload
-    (:meth:`~repro.eval.workload.WorkloadObservations.payload`).  A sim
-    run's :class:`~repro.obs.causal.CausalLog` counted its hops in place and
-    is passed as *causal*.  Returns the reports' causal ``route_hop``
-    records, time-sorted, for the ``repro.trace/1`` artifact.
+    (:meth:`~repro.eval.workload.WorkloadObservations.payload`).  A trace's
+    route length is one more than its highest hop in any report.
     """
     counter = registry.counter
     latency = registry.histogram("workload.latency")
     hop_latency = registry.histogram("causal.hop_latency")
-    hop_records: list[dict] = []
+    max_hop: dict[int, int] = {}
     for report in reports:
         counter("engine.events_processed").inc(report["events_processed"])
         for key, value in report.get("net", {}).items():
@@ -122,24 +119,15 @@ def fill(registry: MetricsRegistry, reports: Iterable[dict],
         trace_stats = report.get("trace", {})
         counter("trace.records").inc(trace_stats.get("records", 0))
         counter("trace.dropped").inc(trace_stats.get("dropped", 0))
-        causal_stats = report.get("causal", {})
-        counter("causal.traces").inc(causal_stats.get("traces", 0))
-        counter("causal.hops").inc(causal_stats.get("hops", 0))
-        for record in causal_stats.get("records", ()):
-            hop_latency.observe(record["data"]["latency"])
-            hop_records.append(record)
+        causal = report.get("causal")
+        if causal is not None:
+            counter("causal.traces").inc(causal["traces"])
+            counter("causal.hops").inc(causal["hops"])
+            hop_latency.observe_many(causal["hop_latencies"])
+            for trace_id, hop in causal["max_hop"].items():
+                if hop > max_hop.get(trace_id, -1):
+                    max_hop[trace_id] = hop
     registry.gauge("nodes.alive").set(nodes_alive)
     registry.gauge("nodes.total").set(nodes_total)
-
-    if causal is not None:
-        causal.finish(registry)
-    hop_records.sort(key=lambda record: record["t"])
-    max_hop: dict[int, int] = {}
-    for record in hop_records:
-        data = record["data"]
-        if data["hop"] > max_hop.get(data["trace_id"], -1):
-            max_hop[data["trace_id"]] = data["hop"]
-    route_hops = registry.histogram("causal.route_hops")
-    for hop in max_hop.values():
-        route_hops.observe(hop + 1)
-    return hop_records
+    registry.histogram("causal.route_hops").observe_many(
+        hop + 1 for hop in max_hop.values())

@@ -11,9 +11,11 @@ conventions:
        "detail": "...", "data": {"trace_id": 7, "hop": 1, "src": 2,
                                  "latency": 0.041}}
 
-  The same shape is produced by the simulator's streaming
-  :class:`TraceSink` and by the live coordinator merging per-node causal
-  hop reports, so ``scripts/run_trace.py`` is mode-agnostic.
+  One :class:`TraceSink` writes it in both modes: the simulator streams
+  its tracer's records as they happen, and the live coordinator writes
+  the records every node's tracer shipped home (each ring bounded by
+  ``max_records``), sorted by time.  ``t`` is spec seconds in both, so
+  ``scripts/run_trace.py`` is mode-agnostic.
 
 * ``repro.obs/1`` — a single JSON document holding a
   :meth:`~repro.obs.registry.MetricsRegistry.snapshot` plus run identity
@@ -78,25 +80,6 @@ class TraceSink:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def write_trace_file(path: str, records: Iterable[dict],
-                     meta: Optional[dict] = None) -> int:
-    """Write pre-built record dicts as a ``repro.trace/1`` file.
-
-    Used by the live coordinator, whose causal hop records arrive as
-    plain tuples in node reports rather than through a :class:`TraceSink`.
-    Returns the number of records written.
-    """
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema": TRACE_SCHEMA}
-        header.update(meta or {})
-        fh.write(json.dumps(header, **_COMPACT) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, **_COMPACT) + "\n")
-            written += 1
-    return written
 
 
 def load_trace(path: str) -> tuple[dict, list[dict]]:

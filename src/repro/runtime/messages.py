@@ -331,10 +331,6 @@ class Message:
         return f"Message({self.name!r}, {dict(self.fields)!r}, source={self.source})"
 
 
-#: A routed message is a :class:`Message` (``routed`` set); specs that ask
-#: ``isinstance(payload, WrappedMessage)`` still can.
-WrappedMessage = Message
-
 #: Names a field cannot take: the class's own, and its constructor's.
 _RESERVED = frozenset({*dir(Message), "type", "size", "fixed_size",
                        "is_fixed_size", "cls", "self", "object"})

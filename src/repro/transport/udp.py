@@ -34,6 +34,7 @@ import time
 from typing import Any, Mapping, Optional
 
 from ..network.addressing import HostAddress
+from ..network.emulator import NetworkHooks
 from ..network.packet import Packet
 from ..runtime.messages import WireCodec, WireError
 from .base import Datagram, Segment, Transport, TransportKind
@@ -183,7 +184,7 @@ class SocketFaults:
                 f"degraded={self.degraded})")
 
 
-class SocketUdpNetwork(asyncio.DatagramProtocol):
+class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     """The network emulator's socket-backed counterpart for one live node.
 
     One instance owns one bound UDP socket and knows the ``(ip, port)``
@@ -198,7 +199,9 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
       into one UDP datagram and transmits it;
     * ``set_receive_callback(address, cb)`` — registers the demux upcall;
     * ``attach_host`` / ``detach_host`` / ``reattach_host`` — address
-      binding and the crash/recover mute switch.
+      binding and the crash/recover mute switch;
+    * ``install_send_tap`` / ``install_delivery_wrapper`` — the causal
+      log's hooks (:class:`~repro.network.emulator.NetworkHooks`).
 
     Because the same envelopes cross the wire, the *entire* transport stack —
     best-effort fast path, reliable AIMD/SWP windows, restart epochs with
@@ -223,10 +226,11 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
     #: magic, frame kind, src address, fragment id, index, count — each
     #: fragment datagram carries one slice of an oversized frame.
     _FRAGMENT = struct.Struct("!BBIIHH")
-    #: Causal tracing piggyback (``repro.obs``): trace id, hop count, and
-    #: wall-clock send time, wrapped *around* a complete ordinary frame.
-    #: Only emitted when a causal log is attached — with tracing off every
-    #: sub-cap frame stays byte-identical to the untraced build.
+    #: Causal tracing (``repro.obs``): a packet's ``trace_id``,
+    #: ``trace_hop`` and ``created_at`` (spec seconds), wrapped *around* a
+    #: complete ordinary frame.  Only a packet a causal send tap tagged gets
+    #: one — with tracing off every sub-cap frame stays byte-identical to
+    #: the untraced build.
     _FRAME_TRACE = 6
     _TRACE = struct.Struct("!QHd")
     #: The counters :meth:`stats` reports, each a plain int attribute (the
@@ -246,6 +250,10 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self.endpoints = dict(endpoints)
         self.codec = codec
         self._receive = None
+        #: The delivery step a frame's packet goes through; observability
+        #: wraps it (:meth:`install_delivery_wrapper`), not ``_receive``,
+        #: which a node's recovery registers again.
+        self._deliver_callback = self._deliver
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: False while "crashed": sends dropped, arrivals ignored.
@@ -262,9 +270,6 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
         self._pending_fragments: dict[tuple[int, int], dict] = {}
         for name in self.STATS:
             setattr(self, name, 0)
-        #: Optional :class:`repro.obs.LiveCausalLog`; one attribute read on
-        #: the send path is the entire disabled-mode cost.
-        self._causal = None
 
     # ------------------------------------------------------------- lifecycle
     async def open(self) -> None:
@@ -350,19 +355,14 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                                        self.local_address)
         # The codec joins the frame once, behind the prefix it is handed.
         frame = self.codec.encode_payload(payload, prefix)
-        causal = self._causal
-        if causal is not None:
-            ctx = causal.ctx
-            if ctx is not None:
-                trace_id, hop = ctx[0], ctx[1] + 1
-            else:
-                trace_id, hop = causal.new_trace(), 0
-            if hop <= 0xFFFF:
-                frame = (self._HEADER.pack(self.MAGIC, self._FRAME_TRACE,
-                                           self.local_address)
-                         + self._TRACE.pack(trace_id, hop, time.time())
-                         + frame)
-                self.traced_frames += 1
+        trace_id = packet.trace_id
+        if trace_id is not None and packet.trace_hop <= 0xFFFF:
+            frame = (self._HEADER.pack(self.MAGIC, self._FRAME_TRACE,
+                                       self.local_address)
+                     + self._TRACE.pack(trace_id, packet.trace_hop,
+                                        packet.created_at)
+                     + frame)
+            self.traced_frames += 1
         if len(frame) > FRAGMENT_THRESHOLD:
             return self._send_fragmented(frame, endpoint)
         try:
@@ -463,10 +463,11 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
 
     def _frame_received(self, data: bytes, addr,
                         frame_kind: Optional[int] = None, src: int = 0) -> None:
-        """Decode one frame and deliver it.  A delayed datagram and a traced
-        frame's inner frame arrive without their header parsed."""
+        """Decode one frame and deliver it.  A delayed datagram arrives
+        without its header parsed."""
         if not self.attached or self._receive is None:
             return   # crashed while a delayed datagram was in flight
+        trace_id, hop, sent_at = None, 0, 0.0
         try:
             if frame_kind is None:
                 _, frame_kind, src = self._HEADER.unpack_from(data, 0)
@@ -476,27 +477,11 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                     return
                 _, frame_kind, src = self._HEADER.unpack_from(data, 0)
             if frame_kind == self._FRAME_TRACE:
-                # Unwrap the causal piggyback and process the inner frame.
-                # A receiver without a causal log still interoperates: it
-                # strips the envelope and moves on.
+                # Unwrap the causal fields; they go back on the packet.
                 trace_id, hop, sent_at = self._TRACE.unpack_from(
                     data, self._HEADER.size)
-                inner = data[self._HEADER.size + self._TRACE.size:]
-                causal = self._causal
-                if causal is None:
-                    self._frame_received(inner, addr)
-                    return
-                causal.on_hop(trace_id, hop, src, sent_at,
-                              self.local_address)
-                previous = causal.ctx
-                causal.ctx = (trace_id, hop)
-                try:
-                    # Delivery is synchronous, so sends the handler makes
-                    # while this context is set inherit the trace.
-                    self._frame_received(inner, addr)
-                finally:
-                    causal.ctx = previous
-                return
+                data = data[self._HEADER.size + self._TRACE.size:]
+                _, frame_kind, src = self._HEADER.unpack_from(data, 0)
             offset = self._HEADER.size
             if frame_kind == self._FRAME_RAW:
                 payload, end = self.codec.decode_payload(data, offset)
@@ -536,11 +521,17 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
             logger.warning("dropping undecodable datagram from %s: %s",
                            addr, exc)
             return
-        packet = Packet(src, self.local_address, payload, size, "live")
+        self._deliver_callback(Packet(src, self.local_address, payload, size,
+                                      "live", sent_at, None, trace_id, hop))
+
+    def _deliver(self, packet: Packet, stage: Optional[tuple] = None) -> bool:
+        """Hand *packet* to the node: the socket's delivery step, with the
+        emulator's signature (*stage* is unused; a datagram has arrived)."""
         try:
             self._receive(packet)
         except Exception:   # noqa: BLE001 - one bad packet must not stop the node
             logger.exception("live receive callback failed for %r", packet)
+        return True
 
     # ---------------------------------------------------------- reassembly
     def _reassemble(self, data: bytes, addr) -> Optional[bytes]:
@@ -653,17 +644,6 @@ class SocketUdpNetwork(asyncio.DatagramProtocol):
                 faults.degraded.pop(target, None)
         else:
             raise WireError(f"unknown fault op {kind!r}")
-
-    # --------------------------------------------------------- observability
-    def enable_causal(self, causal) -> None:
-        """Attach a :class:`repro.obs.LiveCausalLog`.
-
-        From now on every outbound data frame is wrapped in a ``TRACE``
-        envelope carrying (trace id, hop, send time), and inbound
-        envelopes are unwrapped with the hop recorded.  Never enabled by
-        default: wire bytes with tracing off are pinned byte-identical.
-        """
-        self._causal = causal
 
     def stats(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.STATS}

@@ -12,7 +12,10 @@ halves are pinned here against baselines captured with observability off
 * a full churn scenario (joins, crashes, a route workload, the failure
   detector) byte-compares every scenario metric for two seeds;
 * the same churn scenario with full observability enabled must produce
-  the identical metrics dict — tracing is read-only;
+  the identical metrics dict — tracing is read-only — and, with causal
+  tracing at ``trace_level="med"``, the identical obs snapshot and trace
+  file bytes (pinned before the causal log became one class for both
+  modes);
 * a Scribe-over-Pastry pub/sub scenario with two crashes and recoveries
   byte-compares every metric for two seeds, so host-side speed-ups of the
   Pastry routines (the leaf-set memo) are held to moving nothing simulated.
@@ -21,6 +24,9 @@ Floats are compared via ``repr`` so drift of even one ULP fails.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -298,3 +304,26 @@ def test_enabling_observability_does_not_perturb_metrics(tmp_path):
     # And it really did observe: the snapshot carries trace/causal activity.
     assert observed.obs["counters"]["trace.records"] > 0
     assert observed.obs["counters"]["causal.traces"] > 0
+
+
+# The obs-on half of the same churn run, taken before the causal log became
+# one class for both modes: the snapshot's instruments and the trace file's
+# bytes.  The simulator's causal tracing (ids, hops, latencies, route
+# lengths) and every record it streams must reproduce them exactly.
+OBS_ON_SNAPSHOT_SHA256 = (
+    "a0299f8ce9394cbc2ed82fd319cbf1c2426a4a29dbe6a0aaa3a5799502fbd47f")
+OBS_ON_TRACE_SHA256 = (
+    "df0712cbbf6cfcf784cd47365494dea3f9cae90cbff863f25753ee44fdbedf7f")
+
+
+def test_obs_on_snapshot_and_trace_file_are_byte_identical(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    obs = churn_spec(1, obs=ObsConfig(trace_path=str(trace_path),
+                                      trace_level="med", causal=True)).run().obs
+    instruments = json.dumps(
+        {key: obs[key] for key in ("counters", "gauges", "histograms")},
+        sort_keys=True, default=repr)
+    assert hashlib.sha256(instruments.encode()).hexdigest() \
+        == OBS_ON_SNAPSHOT_SHA256
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() \
+        == OBS_ON_TRACE_SHA256

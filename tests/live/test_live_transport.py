@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 
 import pytest
 
@@ -281,3 +282,117 @@ def test_local_address_must_be_in_endpoint_map(codec):
     network = SocketUdpNetwork(1, {1: ("127.0.0.1", 9)}, codec)
     with pytest.raises(WireError, match="cannot register"):
         network.set_receive_callback(2, lambda packet: None)
+
+
+class _FakeTransport:
+    """Captures ``sendto`` calls instead of touching a socket."""
+
+    def __init__(self):
+        self.sent: list[bytes] = []
+
+    def sendto(self, data, endpoint):
+        self.sent.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+class _Clock:
+    """A settable stand-in for a node's ``LiveDriver`` clock."""
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+
+def test_causal_log_rides_the_socket_on_the_spec_clock(codec):
+    """The live carrier of :class:`CausalLog`, socket-free: the sender's
+    tap stamps the packet and the frame carries its three fields; the
+    receiver rebuilds them, delivers with the trace context set, and books
+    the hop in spec seconds."""
+    from repro.network.packet import Packet
+    from repro.obs import CausalLog
+    from repro.runtime.tracing import Tracer
+
+    endpoints = {1: ("127.0.0.1", 1111), 2: ("127.0.0.1", 2222)}
+    networks, logs, tracers = {}, {}, {}
+    for address, now in ((1, 2.5), (2, 2.75)):
+        network = networks[address] = SocketUdpNetwork(address, endpoints,
+                                                       codec)
+        network._transport = _FakeTransport()
+        tracers[address] = Tracer()
+        log = logs[address] = CausalLog(tracers[address], _Clock(now),
+                                        first_id=address << 40)
+        network.install_send_tap(log.tag)
+        network.install_delivery_wrapper(log.wrap_delivery)
+    message = _chord_message()
+
+    def packet(src, dst):
+        return Packet(src=src, dst=dst,
+                      payload=Datagram("CTRL", message, message.size),
+                      size=message.size)
+
+    def untraced_frame(src):
+        return b"".join((
+            SocketUdpNetwork._HEADER.pack(SocketUdpNetwork.MAGIC,
+                                          SocketUdpNetwork._FRAME_DATAGRAM,
+                                          src),
+            bytes([len("CTRL")]), b"CTRL", struct.pack("!I", message.size),
+            codec.encode_payload(message)))
+
+    def trace_of(frame):
+        magic, kind, _ = SocketUdpNetwork._HEADER.unpack_from(frame, 0)
+        assert (magic, kind) == (SocketUdpNetwork.MAGIC,
+                                 SocketUdpNetwork._FRAME_TRACE)
+        return SocketUdpNetwork._TRACE.unpack_from(
+            frame, SocketUdpNetwork._HEADER.size)
+
+    # An untagged packet goes out in the untraced layout, byte for byte.
+    plain = SocketUdpNetwork(1, endpoints, codec)
+    plain._transport = _FakeTransport()
+    assert plain.send(packet(1, 2))
+    assert plain._transport.sent == [untraced_frame(1)]
+    assert plain.traced_frames == 0
+
+    # A tagged send: one kind-6 frame around the untraced one.
+    left, right = networks[1], networks[2]
+    assert left.send(packet(1, 2))
+    (frame,) = left._transport.sent
+    trace_id, hop, created_at = trace_of(frame)
+    assert (trace_id, hop, created_at) == ((1 << 40) + 1, 0, 2.5)
+    header = SocketUdpNetwork._HEADER.size + SocketUdpNetwork._TRACE.size
+    assert frame[header:] == untraced_frame(1)
+    assert left.traced_frames == 1
+
+    # The receiver delivers under the trace: a send made in the callback
+    # carries the same id one hop further.
+    delivered = []
+
+    def forward(arrived):
+        delivered.append(arrived)
+        right.send(packet(2, 1))
+
+    right.set_receive_callback(2, forward)
+    right.datagram_received(frame, endpoints[1])
+    (arrived,) = delivered
+    assert (arrived.trace_id, arrived.trace_hop, arrived.created_at) \
+        == (trace_id, 0, 2.5)
+    assert arrived.payload.payload.fields == message.fields
+    assert trace_of(right._transport.sent[0])[:2] == (trace_id, 1)
+    assert logs[2].ctx is None
+
+    # The hop record: the receiver's clock minus the packet's created_at.
+    (record,) = tracers[2].records(category="route_hop")
+    assert record.time == 2.75 and record.node == 2
+    assert record.data == {"trace_id": trace_id, "hop": 0, "src": 1,
+                           "latency": 2.75 - 2.5}
+    assert logs[2].report() == {"traces": 0, "hops": 1,
+                                "hop_latencies": [2.75 - 2.5],
+                                "max_hop": {trace_id: 0}}
+
+    # A hop the frame's 16-bit field cannot hold goes out untraced.
+    left._transport.sent.clear()
+    logs[1].ctx = (trace_id, 0xFFFF)
+    assert left.send(packet(1, 2))
+    logs[1].ctx = None
+    assert left._transport.sent == [untraced_frame(1)]
+    assert left.traced_frames == 1

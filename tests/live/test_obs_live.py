@@ -68,11 +68,24 @@ def test_live_obs_snapshot_matches_sim_keys_and_routes(tmp_path):
     for sample in live_snapshot["wallclock"]:
         assert len(sample["nodes"]) == 4
 
+    # Hops are tracer records in both modes: the live count includes them.
+    for snapshot in (live_snapshot, sim_snapshot):
+        assert snapshot["counters"]["trace.records"] \
+            >= snapshot["counters"]["causal.hops"] > 0
+
     # Route reconstruction works on both modes' trace files.
     for name, expected_mode in (("live-trace.jsonl", "live"),
                                 ("sim-trace.jsonl", "sim")):
         header, records = load_trace(str(tmp_path / name))
         assert header["mode"] == expected_mode
+        if expected_mode == "live":
+            # Spec seconds from the cluster's zero, not epoch seconds.
+            hops = [record for record in records
+                    if record["cat"] == "route_hop"]
+            assert hops
+            for record in hops:
+                assert 0.0 <= record["t"] <= config.spec.duration + 1.0
+                assert 0.0 <= record["data"]["latency"] <= 1.0
         routes = reconstruct_routes(records)
         assert routes, f"no routes reconstructed from {name}"
         for route in routes:
