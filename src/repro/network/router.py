@@ -121,7 +121,7 @@ class Router:
         self._links = links
         # Flat adjacency (node -> [(neighbour, latency), ...]) built lazily from
         # the graph and patched at both ends of every edge event; Dijkstra over
-        # it is several times faster than networkx per-edge attribute access.
+        # it is several times faster than per-edge attribute-dict access.
         self._adjacency: Optional[dict[int, list[tuple[int, float]]]] = None
         # Dijkstra results since the last edge event: source -> (dist, pred)
         # over at least the nodes its plans were asked for.
@@ -305,8 +305,8 @@ class Router:
         bottleneck = plan._bottleneck
         if bottleneck is None:
             if plan.edges:
-                graph_edges = self._graph.edges
-                bottleneck = min(graph_edges[u, v][BANDWIDTH_ATTR]
+                graph = self._graph
+                bottleneck = min(graph[u][v][BANDWIDTH_ATTR]
                                  for u, v in plan.edges)
             else:
                 bottleneck = float("inf")

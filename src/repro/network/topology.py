@@ -3,8 +3,10 @@
 The paper evaluates overlays over 20,000-node INET topologies emulated with
 ModelNet, plus an 8-site Internet-like topology reconstructed from the NICE
 SIGCOMM paper.  This module builds equivalent router-level topologies as
-``networkx`` graphs annotated with per-link latency and bandwidth, and marks a
-set of *client* nodes where overlay hosts attach.
+:class:`Graph` objects annotated with per-link latency and bandwidth, and marks
+a set of *client* nodes where overlay hosts attach.  :class:`Graph` stores and
+orders nodes and edges exactly as ``networkx.Graph`` does, so the package needs
+only the standard library; networkx is a test oracle only.
 
 Two generators are provided:
 
@@ -24,9 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Optional, Sequence
 
 #: Graph attribute names used throughout the emulator.
 LATENCY_ATTR = "latency"      # one-way propagation delay, seconds
@@ -36,6 +36,80 @@ ROLE_ATTR = "role"            # "transit" | "stub" | "client"
 
 class TopologyError(ValueError):
     """Raised when a topology request cannot be satisfied."""
+
+
+class Graph:
+    """An undirected graph stored as ``networkx.Graph`` stores one: ``nodes``
+    (node -> attrs) and ``adj`` (node -> {neighbour: edge attrs, one dict
+    shared by both ends}) in insertion order.  The order is a contract: the
+    router's Dijkstra breaks ties by neighbour order and the emulator builds
+    its links in :meth:`edges` order, so both must be networkx's for the same
+    calls.  ``networkx.bridges`` reads only what is here."""
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, dict] = {}
+        self.adj: dict[int, dict[int, dict]] = {}
+
+    def add_node(self, node: int, **attrs) -> None:
+        if node not in self.nodes:
+            self.nodes[node] = {}
+            self.adj[node] = {}
+        self.nodes[node].update(attrs)
+
+    def add_edge(self, u: int, v: int, **attrs) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        data = self.adj[u].get(v, {})
+        data.update(attrs)
+        self.adj[u][v] = self.adj[v][u] = data
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj.get(u, ())
+
+    def neighbors(self, node: int) -> Iterator[int]:
+        return iter(self.adj[node])
+
+    def edges(self, data: bool = False) -> Iterator[tuple]:
+        """Each edge once, from the end that came first in node order."""
+        seen = set()
+        for u, neighbours in self.adj.items():
+            for v, attrs in neighbours.items():
+                if v not in seen:
+                    yield (u, v, attrs) if data else (u, v)
+            seen.add(u)
+
+    def components(self, within: Iterable[int]) -> list[set[int]]:
+        """Connected components of the subgraph induced by *within*."""
+        left = set(within)
+        components = []
+        while left:
+            stack = [left.pop()]
+            component = set(stack)
+            while stack:
+                reached = left.intersection(self.adj[stack.pop()])
+                left -= reached
+                component |= reached
+                stack.extend(reached)
+            components.append(component)
+        return components
+
+    def is_directed(self) -> bool:
+        return False
+
+    def is_multigraph(self) -> bool:
+        return False
+
+    def __getitem__(self, node: int) -> dict[int, dict]:
+        return self.adj[node]
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.nodes
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
 
 
 @dataclass
@@ -75,7 +149,7 @@ class TopologyProfile:
 class Topology:
     """A generated topology: the router graph plus the list of client nodes."""
 
-    graph: nx.Graph
+    graph: Graph
     clients: list[int]
     name: str = "topology"
     #: Optional mapping of client node -> site index (used by multi-site topologies).
@@ -83,7 +157,7 @@ class Topology:
 
     @property
     def num_routers(self) -> int:
-        return sum(1 for _, data in self.graph.nodes(data=True)
+        return sum(1 for data in self.graph.nodes.values()
                    if data.get(ROLE_ATTR) != "client")
 
     @property
@@ -101,7 +175,7 @@ class Topology:
 
     def validate(self) -> None:
         """Sanity-check link annotations and connectivity."""
-        if not nx.is_connected(self.graph):
+        if len(self.graph.components(self.graph)) != 1:
             raise TopologyError(f"topology {self.name!r} is not connected")
         for u, v, data in self.graph.edges(data=True):
             if LATENCY_ATTR not in data or data[LATENCY_ATTR] <= 0:
@@ -121,14 +195,13 @@ def stub_domains(topology: Topology) -> list[frozenset[int]]:
     topologies without stub-role routers.
     """
     graph = topology.graph
-    stubs = [node for node, data in graph.nodes(data=True)
+    stubs = [node for node, data in graph.nodes.items()
              if data.get(ROLE_ATTR) == "stub"]
-    components = sorted(sorted(component) for component
-                        in nx.connected_components(graph.subgraph(stubs)))
+    components = sorted(sorted(part) for part in graph.components(stubs))
     return [frozenset(component) for component in components]
 
 
-def _add_link(graph: nx.Graph, u: int, v: int, profile: LinkProfile,
+def _add_link(graph: Graph, u: int, v: int, profile: LinkProfile,
               rng: random.Random) -> None:
     graph.add_edge(u, v, **{
         LATENCY_ATTR: profile.sample_latency(rng),
@@ -160,7 +233,7 @@ def transit_stub_topology(
         raise TopologyError("need at least 3 transit routers")
     profile = profile or TopologyProfile()
     rng = random.Random(seed)
-    graph = nx.Graph()
+    graph = Graph()
     counter = itertools.count()
 
     transit = [next(counter) for _ in range(transit_routers)]
@@ -231,10 +304,14 @@ def multi_site_topology(
                 matrix[i][j] = matrix[j][i] = rng.uniform(5.0, 40.0)
         inter_site_latency_ms = matrix
     else:
-        if len(inter_site_latency_ms) != num_sites:
+        if (len(inter_site_latency_ms) != num_sites
+                or any(len(row) != num_sites for row in inter_site_latency_ms)):
             raise TopologyError("latency matrix does not match number of sites")
+        for i, j in itertools.combinations(range(num_sites), 2):
+            if inter_site_latency_ms[i][j] != inter_site_latency_ms[j][i]:
+                raise TopologyError(f"asymmetric latency matrix at sites {i}, {j}")
 
-    graph = nx.Graph()
+    graph = Graph()
     counter = itertools.count()
     gateways = []
     for site in range(num_sites):
@@ -286,7 +363,7 @@ def dumbbell_topology(
     """
     if clients_per_side <= 0:
         raise TopologyError("clients_per_side must be positive")
-    graph = nx.Graph()
+    graph = Graph()
     left, right = 0, 1
     graph.add_node(left, **{ROLE_ATTR: "transit"})
     graph.add_node(right, **{ROLE_ATTR: "transit"})

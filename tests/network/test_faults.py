@@ -9,7 +9,7 @@ from repro.network.emulator import NetworkEmulator
 from repro.network.packet import Packet
 from repro.network.router import Router, RoutingError
 from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, ROLE_ATTR,
-                                    Topology, TopologyError,
+                                    Graph, Topology, TopologyError,
                                     transit_stub_topology)
 from repro.runtime.engine import Simulator
 
@@ -202,7 +202,7 @@ def test_disable_unknown_edge_raises():
 
 # --------------------------------------------------------------- attach errors
 def test_attach_on_clientless_topology_raises_actionable_error():
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_node(0, **{ROLE_ATTR: "transit"})
     graph.add_node(1, **{ROLE_ATTR: "transit"})
     graph.add_edge(0, 1, **{LATENCY_ATTR: 0.01, BANDWIDTH_ATTR: 1e6})

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.network.emulator import NetworkEmulator
 from repro.network.links import DirectedLink
 from repro.network.packet import HEADER_BYTES, Packet
 from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, ROLE_ATTR,
-                                    Topology, dumbbell_topology,
+                                    Graph, Topology, dumbbell_topology,
                                     transit_stub_topology)
 from repro.runtime.engine import Simulator
 
@@ -123,7 +122,7 @@ def _random_topology(rng: random.Random, routers: int, clients: int,
                      narrow_middle: bool) -> Topology:
     """A random connected router graph with client leaves; access links are
     slow, router links fast — except, optionally, one narrow bridge."""
-    graph = nx.Graph()
+    graph = Graph()
     for node in range(routers):
         graph.add_node(node, **{ROLE_ATTR: "transit"})
         if node:

@@ -8,12 +8,13 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from nx_oracle import from_networkx
 
 import repro.network.router as router_module
 from repro.network.emulator import NetworkEmulator
 from repro.network.router import Router, RoutingError
-from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, Topology,
-                                    transit_stub_topology)
+from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, Graph,
+                                    Topology, transit_stub_topology)
 from repro.runtime.engine import Simulator
 
 FACTORS = (0.25, 0.5, 1.0, 1.0, 2.0, 4.0)
@@ -84,7 +85,7 @@ def test_incremental_invalidation_matches_a_fresh_router(
     emulator = build(seed, integer_weights)
     router, graph = emulator.router, emulator.topology.graph
     edges = sorted(graph.edges())
-    nodes = graph.number_of_nodes()
+    nodes = len(graph)
     for kind, first, second, third, may_shorten in steps:
         if kind in ("plan", "warm"):       # warm: a plan from every source
             sources = range(nodes) if kind == "warm" else (first % nodes,)
@@ -118,7 +119,7 @@ def test_a_healed_edge_that_only_ties_still_drops_the_plan():
     """0-1-2 costs 1 + 1, the healed chord 0-2 costs 2: no distance changes,
     but first-seen-wins now reaches 2 over the chord, so the cached plan
     (0, 1, 2) is not what a fresh router builds and must go."""
-    graph = nx.Graph()
+    graph = Graph()
     for u, v, weight in ((0, 1, 1), (1, 2, 1), (0, 2, 2)):
         graph.add_edge(u, v, **{LATENCY_ATTR: weight, BANDWIDTH_ATTR: 1.0})
     topology = Topology(graph=graph, clients=[])
@@ -131,9 +132,10 @@ def test_a_healed_edge_that_only_ties_still_drops_the_plan():
 
 # ------------------------------------------------------------ the bridge pass
 def unit_topology(graph: nx.Graph) -> Topology:
+    """The router's copy of the oracle *graph*, in the oracle's order."""
     nx.set_edge_attributes(graph, 1.0, LATENCY_ATTR)
     nx.set_edge_attributes(graph, 1.0, BANDWIDTH_ATTR)
-    return Topology(graph=graph, clients=[])
+    return Topology(graph=from_networkx(graph), clients=[])
 
 
 def random_graph(kind: str, size: int, rng: random.Random) -> nx.Graph:

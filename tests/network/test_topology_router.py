@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from nx_oracle import to_networkx
 
 from repro.network.router import Router, RoutingError
 from repro.network.topology import (
@@ -23,7 +24,7 @@ def test_transit_stub_basic_properties():
     topology.validate()
     assert topology.num_clients == 30
     assert topology.num_routers > 10
-    roles = {data["role"] for _, data in topology.graph.nodes(data=True)}
+    roles = {data["role"] for _, data in topology.graph.nodes.items()}
     assert roles == {"transit", "stub", "client"}
 
 
@@ -56,6 +57,18 @@ def test_multi_site_topology_sites_and_latency_matrix():
         multi_site_topology([2, 2], inter_site_latency_ms=[[0]])
 
 
+def test_multi_site_topology_rejects_a_ragged_latency_matrix():
+    with pytest.raises(TopologyError, match="does not match"):
+        multi_site_topology([2, 3, 4],
+                            inter_site_latency_ms=[[0, 10, 20], [10, 0],
+                                                   [20, 30, 0]])
+
+
+def test_multi_site_topology_rejects_an_asymmetric_latency_matrix():
+    with pytest.raises(TopologyError, match="asymmetric latency matrix at sites 0, 1"):
+        multi_site_topology([2, 2], inter_site_latency_ms=[[0, 10], [99, 0]])
+
+
 def test_dumbbell_topology():
     topology = dumbbell_topology(clients_per_side=3)
     assert topology.num_clients == 6
@@ -78,7 +91,7 @@ def test_stub_domains_are_stub_routers_only():
 def test_stub_domains_partition_the_stub_routers_in_a_fixed_order():
     topology = transit_stub_topology(48, seed=3)
     domains = stub_domains(topology)
-    stubs = {node for node, data in topology.graph.nodes(data=True)
+    stubs = {node for node, data in topology.graph.nodes.items()
              if data[ROLE_ATTR] == "stub"}
     assert sum(len(domain) for domain in domains) == len(stubs)
     assert set().union(*domains) == stubs
@@ -96,8 +109,9 @@ def test_stub_domains_are_the_connected_stub_components():
     for u, v in graph.edges():
         if u in domain_of and v in domain_of:
             assert domain_of[u] == domain_of[v]
+    oracle = to_networkx(graph)
     for domain in domains:
-        assert nx.is_connected(graph.subgraph(domain))
+        assert nx.is_connected(oracle.subgraph(domain))
 
 
 def test_stub_domains_empty_without_stub_routers():
@@ -142,15 +156,15 @@ def test_topology_always_connected_and_annotated(num_clients, seed):
 def test_router_dijkstra_matches_networkx_bit_for_bit():
     """The hand-rolled Dijkstra must replicate networkx exactly (distances,
     paths, and tie-breaking), which is what keeps fixed-seed experiment
-    metrics identical across the fast-path rewrite."""
-    import networkx as nx
-
+    metrics identical across the fast-path rewrite.  The oracle is a copy
+    with the same neighbour order, so ties are compared, not assumed."""
     for seed in range(3):
         topology = transit_stub_topology(20, seed=seed)
         router = Router(topology)
+        oracle = to_networkx(topology.graph)
         for source in list(topology.graph.nodes)[::9]:
             dist_nx, paths_nx = nx.single_source_dijkstra(
-                topology.graph, source, weight=LATENCY_ATTR)
+                oracle, source, weight=LATENCY_ATTR)
             dist, _ = router._sssp(source)
             assert dist == dist_nx
             for target in topology.graph.nodes:
