@@ -1,8 +1,9 @@
 """Setuptools shim.
 
-The project is configured through ``pyproject.toml``; this file exists so the
-package can be installed in environments whose tooling lacks a wheel backend
-(``pip install -e . --no-build-isolation --no-use-pep517``).
+The package metadata lives in ``setup.cfg`` (``[metadata]``, ``[options]``);
+this file exists so tooling that expects ``setup.py`` can build and install
+the package, e.g. ``python setup.py --name --version`` or
+``pip install -e . --no-build-isolation --no-use-pep517``.
 """
 
 from setuptools import setup

@@ -18,6 +18,7 @@ from ..network.topology import TopologyError, transit_stub_topology
 from ..runtime.engine import Simulator
 from ..runtime.node import MacedonNode
 from ..runtime.tracing import Tracer
+from .scenario import bind_model, draw_model
 
 
 class OverlayExperiment:
@@ -95,31 +96,27 @@ class OverlayExperiment:
         return histogram
 
     # ------------------------------------------------------ scenario primitives
-    def join_node(self, node, bootstrap: Optional[int] = None) -> None:
+    def join_node(self, node) -> None:
         """Initialise one node against the bootstrap (recovering it first if
         it is currently crashed)."""
         node = self._resolve_node(node)
-        bootstrap = bootstrap if bootstrap is not None else self.bootstrap.address
         if node.crashed:
-            self._recover(node, bootstrap)
+            self.recover_node(node)
         else:
-            node.macedon_init(bootstrap)
+            node.macedon_init(self.bootstrap.address)
 
     def crash_node(self, node) -> None:
         """Fail-stop one node.  Idempotent."""
         self._resolve_node(node).crash()
 
-    def recover_node(self, node, *, rejoin: bool = True) -> None:
-        """Recover a crashed node, re-joining the overlay unless told not to."""
-        self._recover(self._resolve_node(node),
-                      self.bootstrap.address if rejoin else None)
-
-    def _recover(self, node: MacedonNode, bootstrap: Optional[int]) -> None:
-        """Recover *node*, re-applying ``spec.configure`` to the fresh stack
-        (recovery rebuilds agents from the original classes, so per-node
-        tuning would otherwise be lost on exactly the churned nodes)."""
+    def recover_node(self, node) -> None:
+        """Recover a crashed node, re-joining the overlay, and re-apply
+        ``spec.configure`` to its fresh stack (recovery rebuilds agents from
+        the original classes, so per-node tuning would otherwise be lost on
+        exactly the churned nodes)."""
+        node = self._resolve_node(node)
         was_crashed = node.crashed
-        node.recover(bootstrap)
+        node.recover(self.bootstrap.address)
         if was_crashed and self.spec.configure is not None:
             self.spec.configure(self)
 
@@ -166,13 +163,19 @@ class OverlayExperiment:
         self.emulator.restore_host(self._resolve_node(node).address)
 
     def apply_model(self, model, *, horizon: Optional[float] = None):
-        """Compile a scenario model and schedule its events from *now*.
+        """Draw a scenario model on :attr:`scenario_rng`, bind it to this
+        experiment — the executor of every fault verb, owner of every
+        node — and schedule its events from *now*.
 
         Event times are offsets from the current simulated time; *horizon*
         defaults to the spec's duration.  Returns the compiled model.
         """
         horizon = horizon if horizon is not None else self.spec.duration
-        compiled = model.instantiate(self, self.scenario_rng, horizon)
+        drawn = draw_model(model, len(self.nodes),
+                           self.nodes[0].lowest_agent.key_space.size,
+                           self.scenario_rng, horizon, self)
+        compiled = bind_model(drawn, self, dict(enumerate(self.nodes)),
+                              self.workload_streams, horizon)
         self.compiled_models.append(compiled)
         for event in compiled.events:
             self.simulator.schedule(event.time, event.apply)

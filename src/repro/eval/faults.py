@@ -2,11 +2,11 @@
 
 A fault model describes its faults once, as data: its ``draw`` is a pure
 function of ``(model, num_nodes, rng, horizon)`` returning :class:`Fault`
-rows over the one vocabulary :data:`FAULT_VERBS`.  The simulator executes
-the rows on an :class:`~repro.eval.experiment.OverlayExperiment`
-(:meth:`~repro.eval.scenario.ScenarioModel.instantiate`).  A live deployment
-calls the same ``draw`` on the same RNG stream and keeps the drawn offsets
-(:meth:`~repro.live.cluster.LiveClusterConfig.draw`); the
+rows over the one vocabulary :data:`FAULT_VERBS`.  Every driver draws the
+rows on the same RNG stream and binds them with one binder
+(:func:`~repro.eval.scenario.draw_model`,
+:func:`~repro.eval.scenario.bind_model`): the simulator executes them on an
+:class:`~repro.eval.experiment.OverlayExperiment`; a live deployment's
 supervisor runs the fault rows by verb on a
 :class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`), and
 each node process runs its own join and group rows.

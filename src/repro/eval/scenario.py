@@ -3,45 +3,34 @@
 The paper's evaluation does not just boot N nodes and measure: it joins them
 under realistic schedules, kills them, lets the failure detector drive
 ``error`` transitions, and measures workloads *while* the overlay is
-repairing itself.  This module is the ns-style scenario script for the
-reproduction: a :class:`ScenarioSpec` is a declarative description of one
-such run — which agents, how many nodes, and a set of typed event models —
-that compiles onto the simulator timeline and executes deterministically from
-a seed.
+repairing itself.  A :class:`ScenarioSpec` describes one such run — which
+agents, how many nodes, and a set of typed event models: the fault models of
+:mod:`repro.eval.faults`, :class:`GroupModel` choreography and the
+:class:`WorkloadModel` of :mod:`repro.eval.workload`, re-exported here.
 
-The event models cover the paper's fault vocabulary plus the adversarial
-shapes the scenario fuzzer (:mod:`repro.eval.fuzz`) explores:
-
-* the seven fault models — churn, flash crowds, crashes, rack failures,
-  partitions, flapping partitions, degradation — which live in
-  :mod:`repro.eval.faults`, the fault plane the simulator and the live
-  supervisor both execute, and are re-exported here;
-* :class:`GroupModel` — multicast group choreography (create + member joins)
-  for tree-building protocols;
-* :class:`WorkloadModel` — measurement traffic: multicast bursts, key route
-  probes, a replicated key/value workload (``kind="kv"``: Zipf-skewed
-  put/get mix against :class:`~repro.apps.kv.KvStore` with quorum
-  accounting), or topic pub/sub (``kind="pubsub"``: subscribe fanout plus
-  publishes against :class:`~repro.apps.pubsub.PubSub`), all with
-  delivery/latency accounting.  It lives in :mod:`repro.eval.workload` —
-  the workload plane the simulator and the live cluster both drive — and is
-  re-exported here.
+A spec means the same run under every driver, because every driver takes
+one path through this module: :func:`draw_model` draws each model once, as
+data, from an RNG forked from the seed (:meth:`ScenarioSpec.draw` draws
+them all); :func:`bind_model` turns a draw into the events of the process
+that runs them — the simulated experiment, a live node process or the
+live coordinator; and
+:func:`build_result` scores the processes' reports into one
+:class:`ScenarioResult`.
 
 Event times are **offsets from the moment the model is applied**;
-:meth:`ScenarioSpec.run` applies every model at time zero, so offsets and
-absolute times coincide for whole-scenario runs.  All randomness comes from
-an RNG forked from the experiment seed, so a spec is a pure function of
-``(spec, seed)`` — the fixed-seed determinism tests pin this.
-
-:class:`~repro.eval.runner.ScenarioRunner` executes one spec across several
-seeds and aggregates the resulting metrics.
+:meth:`ScenarioSpec.run` applies every model at time zero, so a spec is a
+pure function of ``(spec, seed)`` — the fixed-seed determinism tests pin
+this.  :class:`~repro.eval.runner.ScenarioRunner` executes one spec across
+several seeds and aggregates the resulting metrics.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence, Type, Union
+from typing import (Any, Callable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Type, Union)
 
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
@@ -73,9 +62,6 @@ class ScenarioEvent:
     #: network-wide event.
     node: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        check_event_time(self.kind, self.time)
-
 
 class CompiledModel:
     """A model bound to one experiment: its events, what it observed, and the
@@ -84,14 +70,14 @@ class CompiledModel:
     ``payload`` returns this process's raw, picklable observations and
     ``score`` is a pure function from the payloads of every process that ran
     the scenario (one in the simulator, N in a live cluster) to the metrics
-    dict.  A model whose metrics are fixed at compile time passes them as a
-    constant dict instead of a callable and takes the default scorer: its
-    own dict, which any process that reports the model must report too.
+    dict.  A model whose metrics its draw fixes returns them as its payload
+    and takes the default scorer: its own dict, which any process that
+    reports the model must report too.
     ``faults`` are the rows of its draw that fire by the horizon.
     """
 
     def __init__(self, label: str, events: Sequence[ScenarioEvent],
-                 payload: Union[dict, Callable[[], Any], None] = None,
+                 payload: Callable[[], Any],
                  score: Optional[Callable[[list], dict[str, float]]] = None,
                  restore: Optional[Callable[[], None]] = None, *,
                  model: Optional["ScenarioModel"] = None,
@@ -106,8 +92,7 @@ class CompiledModel:
 
     def shard_payload(self) -> Any:
         """This process's observations, as shipped to the scorer."""
-        payload = self._payload
-        return payload() if callable(payload) else dict(payload or {})
+        return self._payload()
 
     def score(self, payloads: list) -> dict[str, float]:
         """Metrics from the pooled payloads of every process."""
@@ -204,10 +189,10 @@ class ScenarioModel:
 
     Every model draws its schedule once, as data: a fault model
     (:mod:`repro.eval.faults`) and :class:`GroupModel` with :meth:`draw`,
-    :class:`WorkloadModel` with its own ``draw``.  A model that observes the
-    run (:class:`GroupModel`, :class:`WorkloadModel`) also overrides
-    :meth:`instantiate`.  A live deployment runs the same draws
-    (:meth:`repro.live.cluster.LiveClusterConfig.draw`).
+    :class:`WorkloadModel` with its own ``draw``.  Every driver draws it
+    through :func:`draw_model` and binds it with :func:`bind_model`; a
+    model that scores what it observed (:class:`GroupModel`,
+    :class:`WorkloadModel`) also has a ``score``.
     """
 
     label: str = ""
@@ -231,29 +216,6 @@ class ScenarioModel:
         raise ScenarioError(
             f"{type(self).__name__} defines no draw: it cannot be described "
             f"as fault rows")
-
-    def instantiate(self, experiment: "OverlayExperiment",  # noqa: F821
-                    rng, horizon: float) -> CompiledModel:
-        """The drawn rows as timeline events on *experiment*, each fault's
-        undo right behind its begin."""
-        faults, metrics = self.draw(len(experiment.nodes), rng, horizon,
-                                    experiment)
-        events: list[ScenarioEvent] = []
-        for fault in faults:
-            kind, undo, undo_kind, undo_arity = FAULT_VERBS[fault.verb]
-            events.append(ScenarioEvent(
-                fault.at, kind, fault.detail,
-                partial(getattr(experiment, fault.verb), *fault.args),
-                node=fault.node))
-            if fault.until is not None:
-                events.append(ScenarioEvent(
-                    fault.until, undo_kind, fault.undo_detail,
-                    partial(getattr(experiment, undo),
-                            *fault.args[:undo_arity]),
-                    node=fault.node))
-        return CompiledModel(self.label or self.default_label(), events,
-                             metrics, model=self,
-                             faults=fired_faults(faults, horizon))
 
 
 def resolve_index(count: int, index: int, what: str) -> int:
@@ -306,29 +268,10 @@ class GroupModel(ScenarioModel):
                  for offset, index in enumerate(members)]
         return rows, {"members": float(len(members))}
 
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        rows, metrics = self.draw(len(experiment.nodes), rng, horizon)
-        joined = 0
-
-        def _run(row) -> None:
-            nonlocal joined
-            node = experiment.nodes[row.node]
-            if node.alive and node.initialized:
-                getattr(node, row.verb)(*row.args)
-                joined += row.verb == "macedon_join"
-
-        events = [ScenarioEvent(row.at, "group", row.detail,
-                                partial(_run, row), node=row.node)
-                  for row in rows]
-        return CompiledModel(
-            self.label or self.default_label(), events, payload=lambda: joined,
-            score=partial(self.score, metrics), model=self)
-
     @staticmethod
     def score(metrics: dict, counts: list) -> dict[str, float]:
-        """The drawn *metrics* plus ``joined``.  Each member's join fires in
-        the process that owns it, so the per-process counts pool by
-        summing."""
+        """The drawn *metrics* plus ``joined``: each member's join fires in
+        the process that owns it, so the per-process counts sum."""
         return dict(metrics, joined=float(sum(counts)))
 
 
@@ -337,8 +280,172 @@ from .faults import (FAULT_VERBS, ChurnModel, CorrelatedCrashModel,  # noqa: E40
                      CrashModel, DegradeModel, Fault, FlappingPartitionModel,
                      FlashCrowdModel, PartitionModel, fault_horizon,
                      fired_faults)
-from .workload import (KvWorkloadState, WorkloadModel,  # noqa: E402,F401
-                       WorkloadObservations)
+from .workload import (KvWorkloadState, NodeWorkload,  # noqa: E402,F401
+                       WorkloadModel, WorkloadObservations, WorkloadPlan)
+
+
+# ------------------------------------------------------------------- schedule
+class Drawn(NamedTuple):
+    """One model's draw: a workload's ``plan``, or another model's ``rows``
+    and the ``metrics`` its draw fixes."""
+
+    model: ScenarioModel
+    plan: Optional[WorkloadPlan]
+    rows: list
+    metrics: dict
+
+
+def draw_model(model: ScenarioModel, num_nodes: int, key_space: int, rng,
+               horizon: float, experiment=None) -> Drawn:
+    """*model*'s schedule, drawn once from *rng*: the one draw of every
+    driver.  An event before the moment the model is applied raises
+    :class:`ScenarioError` here, in the words of its event kind."""
+    if isinstance(model, WorkloadModel):
+        plan = model.draw(num_nodes, key_space, rng, horizon)
+        for op in plan.ops:
+            check_event_time(model.kind, op.time)
+        return Drawn(model, plan, [], {})
+    rows, metrics = model.draw(num_nodes, rng, horizon, experiment)
+    for row in rows:
+        kind, _undo, undo_kind, _arity = FAULT_VERBS.get(
+            row.verb, ("group", None, "group", 0))
+        check_event_time(kind, row.at)
+        if row.until is not None:
+            check_event_time(undo_kind, row.until)
+    return Drawn(model, None, rows, metrics)
+
+
+def bind_model(drawn: Drawn, executor, nodes: Mapping[int, Any],
+               streams: set, horizon: float,
+               bootstrap: Optional[int] = None) -> CompiledModel:
+    """*drawn* as one process's events: the one binder of every driver.
+
+    *nodes* maps the indices this process owns to their nodes; *executor*
+    has the fault verbs (``None``: this process runs none).  A fault row is
+    its verb at ``at`` and its :data:`FAULT_VERBS` undo at ``until``; a join
+    row is ``executor.join_node`` on an owned node, or with *bootstrap*
+    that node's ``macedon_init(bootstrap)``; any other row runs on an owned
+    node that is up, and a workload op on the :class:`NodeWorkload` share
+    of an owned node.  *streams* are the workload streams claimed so far.
+    """
+    model, plan = drawn.model, drawn.plan
+    label = model.label or model.default_label()
+    events: list[ScenarioEvent] = []
+    if plan is not None:
+        stream_id = model.claim_stream(streams)
+        observations = WorkloadObservations()
+        shares = {index: NodeWorkload(node, model, stream_id, observations)
+                  for index, node in nodes.items()}
+        events = [ScenarioEvent(
+            op.time, "kv-repair" if op.verb == "repair" else model.kind,
+            op.detail, partial(getattr(shares[op.node], op.verb), *op.args),
+            node=op.node) for op in plan.ops if op.node in shares]
+        # The events now hold this process's share of the schedule; keeping
+        # the drawn ops as well would hold it in memory twice for the run.
+        plan.ops = []
+
+        def restore() -> None:
+            for share in shares.values():
+                share.restore()
+
+        compiled = CompiledModel(label, events, observations.payload,
+                                 partial(model.score, plan), restore,
+                                 model=model)
+        compiled.plan = plan                  # type: ignore[attr-defined]
+        compiled.observations = observations  # type: ignore[attr-defined]
+        if model.kind == "kv":
+            compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
+                observations, [share.app for share in shares.values()],
+                model.replicas, model.write_quorum, model.read_quorum,
+                model.start)
+        return compiled
+
+    joined = 0
+
+    def run_on_node(node, row) -> None:
+        nonlocal joined
+        if node.alive and node.initialized:
+            getattr(node, row.verb)(*row.args)
+            joined += row.verb == "macedon_join"
+
+    for row in drawn.rows:
+        verbs = FAULT_VERBS.get(row.verb)
+        if row.verb == "join_node":
+            if row.node in nodes:
+                events.append(ScenarioEvent(
+                    row.at, verbs[0], row.detail,
+                    partial(executor.join_node, *row.args) if bootstrap is None
+                    else partial(nodes[row.node].macedon_init, bootstrap),
+                    node=row.node))
+        elif verbs is not None:
+            if executor is not None:
+                kind, undo, undo_kind, undo_arity = verbs
+                events.append(ScenarioEvent(
+                    row.at, kind, row.detail,
+                    partial(getattr(executor, row.verb), *row.args),
+                    node=row.node))
+                if row.until is not None:
+                    events.append(ScenarioEvent(
+                        row.until, undo_kind, row.undo_detail, partial(
+                            getattr(executor, undo), *row.args[:undo_arity]),
+                        node=row.node))
+        elif row.node in nodes:
+            events.append(ScenarioEvent(
+                row.at, "group", row.detail,
+                partial(run_on_node, nodes[row.node], row), node=row.node))
+    score = getattr(model, "score", None)
+    if score is None:
+        return CompiledModel(label, events, partial(dict, drawn.metrics),
+                             model=model,
+                             faults=fired_faults(drawn.rows, horizon))
+    return CompiledModel(label, events, lambda: joined,
+                         partial(score, drawn.metrics), model=model)
+
+
+def model_payloads(compiled_models: Sequence[CompiledModel]) -> dict:
+    """A process report's ``"models"``: each model's payload in this
+    process, under its metric label."""
+    labels = metric_labels(compiled.label for compiled in compiled_models)
+    return {label: compiled.shard_payload()
+            for label, compiled in zip(labels, compiled_models)}
+
+
+def build_result(spec: "ScenarioSpec", compiled_models: Sequence[CompiledModel],
+                 reports: list, *, mode: str, name: str, nodes_alive: int,
+                 **fields) -> "ScenarioResult":
+    """The run's :class:`ScenarioResult`, whichever driver ran it: its
+    models scored over the processes' *reports* (:func:`score_models`,
+    :func:`score_recovery`), ``sim.events_processed``, and with ``spec.obs``
+    the ``repro.obs/1`` snapshot.  The driver adds its own counters;
+    *fields* are its other result fields."""
+    metrics = score_models(compiled_models, reports)
+    metrics.update(score_recovery(compiled_models, reports,
+                                  spec.post_fault_settle))
+    metrics["sim.events_processed"] = float(sum(
+        report["events_processed"] for report in reports))
+    snapshot = None
+    if spec.obs is not None:
+        from ..obs import artifact, base_registry, fill, write_obs_snapshot
+        registry = base_registry()
+        labels = metric_labels(compiled.label for compiled in compiled_models)
+        fill(registry, reports,
+             [label for label, compiled in zip(labels, compiled_models)
+              if isinstance(compiled.model, WorkloadModel)],
+             nodes_total=spec.num_nodes, nodes_alive=nodes_alive)
+        snapshot = artifact(registry, mode=mode, name=name, seed=spec.seed,
+                            duration=spec.duration)
+        if mode == "live":
+            # Each node's stats samples, regrouped by instant.
+            samples: dict[float, list] = {}
+            for report in reports:
+                for at, stats in report.pop("wallclock", ()):
+                    samples.setdefault(at, []).append(stats)
+            snapshot["wallclock"] = [{"t": at, "nodes": nodes}
+                                     for at, nodes in sorted(samples.items())]
+        if spec.obs.snapshot_path:
+            write_obs_snapshot(spec.obs.snapshot_path, snapshot)
+    return ScenarioResult(name=name, seed=spec.seed, duration=spec.duration,
+                          metrics=metrics, obs=snapshot, **fields)
 
 
 # -------------------------------------------------------------------- samples
@@ -448,24 +555,47 @@ class ScenarioSpec:
             experiment.apply_model(model)
         return experiment
 
+    def draw(self) -> list[Drawn]:
+        """The spec's deployment schedule, one :class:`Drawn` per model in
+        spec order, each :func:`draw_model` on the stream the simulator's
+        ``experiment.scenario_rng`` is: every process that draws holds the
+        simulator's rows and plans, or its :class:`ScenarioError`.  A row no
+        live process runs raises :class:`~repro.live.faults.LiveFaultError`."""
+        from ..live import LiveCluster, LiveFaultError
+        from ..live.node import NODE_VERBS
+
+        key_space = self.resolve_agents()[0].KEY_SPACE.size
+        rng = random.Random(f"{self.seed}:scenario")
+        drawn = []
+        for model in self.models:
+            drawn.append(draw_model(model, self.num_nodes, key_space, rng,
+                                    self.duration))
+            for row in drawn[-1].rows:
+                if row.verb not in NODE_VERBS and not (
+                        row.verb in FAULT_VERBS
+                        and hasattr(LiveCluster, row.verb)):
+                    raise LiveFaultError(
+                        f"a live cluster has no fault verb {row.verb!r} "
+                        f"({type(model).__name__}: {row.detail})")
+        return drawn
+
     # --------------------------------------------------------------------- run
     def run(self) -> ScenarioResult:
         """Execute the scenario and collect metrics, series, and event log.
 
         Builds the experiment, attaches observability, schedules the sample
         series, advances the clock to ``duration``, unwinds the models and
-        scores each over what it observed.  Runs in this process and hands
-        back the live experiment on the result.
+        scores each over what it observed (:func:`build_result`).  Runs in
+        this process and hands back the live experiment on the result.
         """
         experiment = self.build()
         simulator = experiment.simulator
         emulator = experiment.emulator
         tracer = experiment.tracer
 
-        obs_registry = obs_causal = None
+        obs_causal = None
         if self.obs is not None:
-            from ..obs import CausalLog, base_registry
-            obs_registry = base_registry()
+            from ..obs import CausalLog
             if tracer.sink is not None:
                 tracer.sink.update_meta(mode="sim", name=self.name,
                                         seed=self.seed)
@@ -489,16 +619,15 @@ class ScenarioSpec:
 
         # Reverse apply order: each restore() re-installs what the model saw
         # when it was applied, so unwinding must pop the chain LIFO.
-        for compiled in reversed(experiment.compiled_models):
+        compiled_models = experiment.compiled_models
+        for compiled in reversed(compiled_models):
             compiled.restore()
 
         # The whole run is one process, so it files one report.
-        compiled_models = experiment.compiled_models
-        labels = metric_labels(compiled.label for compiled in compiled_models)
+        nodes = experiment.nodes
         stats = emulator.stats
         report = {
-            "models": {label: compiled.shard_payload() for label, compiled
-                       in zip(labels, compiled_models)},
+            "models": model_payloads(compiled_models),
             "events_processed": simulator.events_processed,
             "net": {"packets_sent": stats.packets_sent,
                     "packets_delivered": stats.packets_delivered,
@@ -506,45 +635,27 @@ class ScenarioSpec:
                     "bytes_delivered": stats.bytes_delivered},
             "trace": {"records": sum(tracer.counts.values()),
                       "dropped": tracer.dropped},
-            "ring": ring_rows(experiment.nodes),
+            "ring": ring_rows(nodes),
         }
         if obs_causal is not None:
             report["causal"] = obs_causal.report()
-        nodes = experiment.nodes
-
-        obs_snapshot = None
-        if obs_registry is not None:
-            from ..obs import artifact, fill, write_obs_snapshot
-            fill(obs_registry, [report],
-                 [label for label, compiled in zip(labels, compiled_models)
-                  if hasattr(compiled, "observations")],
-                 nodes_total=len(nodes),
-                 nodes_alive=sum(node.alive for node in nodes))
-            if tracer.sink is not None:
-                tracer.sink.close()
-            obs_snapshot = artifact(obs_registry, mode="sim", name=self.name,
-                                    seed=self.seed, duration=self.duration)
-            if self.obs.snapshot_path:
-                write_obs_snapshot(self.obs.snapshot_path, obs_snapshot)
-
-        metrics = score_models(compiled_models, [report])
-        metrics.update(score_recovery(compiled_models, [report],
-                                      self.post_fault_settle))
-        metrics.update({f"net.{key}": float(value)
-                        for key, value in report["net"].items()})
-        metrics.update({
-            "sim.events_processed": float(simulator.events_processed),
-            "nodes.alive": float(sum(node.alive for node in nodes)),
-            "nodes.crashes": float(sum(node.crash_count for node in nodes)),
-            "nodes.recoveries": float(sum(node.recover_count
-                                          for node in nodes)),
-        })
+        if tracer.sink is not None:
+            tracer.sink.close()
 
         events = [(event.time, event.kind, event.detail)
                   for compiled in compiled_models
                   for event in compiled.events]
         events.sort(key=lambda item: item[0])
-        return ScenarioResult(name=self.name, seed=self.seed,
-                              duration=self.duration, metrics=metrics,
-                              series=series, events=events,
-                              experiment=experiment, obs=obs_snapshot)
+        alive = sum(node.alive for node in nodes)
+        result = build_result(self, compiled_models, [report], mode="sim",
+                              name=self.name, nodes_alive=alive, series=series,
+                              events=events, experiment=experiment)
+        result.metrics.update({f"net.{key}": float(value)
+                               for key, value in report["net"].items()})
+        result.metrics.update({
+            "nodes.alive": float(alive),
+            "nodes.crashes": float(sum(node.crash_count for node in nodes)),
+            "nodes.recoveries": float(sum(node.recover_count
+                                          for node in nodes)),
+        })
+        return result

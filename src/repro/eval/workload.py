@@ -14,9 +14,9 @@ therefore split along that line:
   the node's application (:class:`~repro.apps.kv.KvStore`,
   :class:`~repro.apps.pubsub.PubSub`, or the chained probe recorder),
   carries the verbs the ops name, and books what it sent, skipped and saw
-  into a :class:`WorkloadObservations`.  The simulator builds one per node
-  and turns ops into ``ScenarioEvent(node=op.node)`` thunks; a live process
-  builds exactly one and keeps the ops addressed to its own index.
+  into a :class:`WorkloadObservations`.  The binder builds one per node
+  its process owns, all of them in the simulator, and turns their ops into
+  ``ScenarioEvent(node=op.node)`` thunks.
 * **score** — observations leave a process as
   :meth:`WorkloadObservations.payload` (raw, picklable) and
   :meth:`WorkloadModel.score` is the one formula over the pooled payloads
@@ -39,8 +39,7 @@ from ..apps.payload import AppPayload
 from ..apps.pubsub import PubSub
 from .metrics import (mean, percentile, phantom_reads, quorum_staleness,
                       replica_coverage, requests_per_second, zipf_cdf)
-from .scenario import (CompiledModel, ScenarioError, ScenarioEvent,
-                       ScenarioModel, resolve_index)
+from .scenario import ScenarioError, ScenarioModel, resolve_index
 
 
 class WorkloadOp(NamedTuple):
@@ -519,7 +518,6 @@ class WorkloadModel(ScenarioModel):
             })
         return metrics
 
-    # ----------------------------------------------------------- simulation
     def claim_stream(self, used: set) -> int:
         """Claim this workload's stream id in *used*, the ids the run's
         other workloads hold: ``stream_id``, or the first free one from
@@ -536,38 +534,3 @@ class WorkloadModel(ScenarioModel):
                 stream_id += 1
         used.add(stream_id)
         return stream_id
-
-    def instantiate(self, experiment, rng, horizon: float) -> CompiledModel:
-        nodes = experiment.nodes
-        # Drawn (and so validated) before anything is claimed or installed.
-        plan = self.draw(len(nodes), nodes[0].lowest_agent.key_space.size,
-                         rng, horizon)
-        stream_id = self.claim_stream(experiment.workload_streams)
-        observations = WorkloadObservations()
-        shares = [NodeWorkload(node, self, stream_id, observations)
-                  for node in nodes]
-        events = [ScenarioEvent(
-            op.time, "kv-repair" if op.verb == "repair" else self.kind,
-            op.detail, partial(getattr(shares[op.node], op.verb), *op.args),
-            node=op.node) for op in plan.ops]
-        # The events now hold the schedule; keeping the drawn rows as well
-        # would hold it in memory twice for the whole run.
-        plan.ops = []
-
-        def _restore() -> None:
-            for share in shares:
-                share.restore()
-
-        compiled = CompiledModel(
-            self.label or self.default_label(), events,
-            payload=observations.payload,
-            score=partial(self.score, plan), restore=_restore, model=self)
-        compiled.plan = plan                  # type: ignore[attr-defined]
-        compiled.observations = observations  # type: ignore[attr-defined]
-        if self.kind == "kv":
-            compiled.kv_state = KvWorkloadState(  # type: ignore[attr-defined]
-                observations=observations,
-                stores=[share.app for share in shares],
-                replicas=self.replicas, write_quorum=self.write_quorum,
-                read_quorum=self.read_quorum, start=self.start)
-        return compiled

@@ -20,7 +20,8 @@ Live mode deploys the spec itself, ``LiveClusterConfig(spec, **overrides)``:
 the protocol is the registry stack the spec's agents factory names (a
 :data:`repro.eval.library.PROTOCOLS` row), and every node process and the
 coordinator draw the spec's schedule — joins, group rows, workload ops,
-fault rows — exactly as the simulator draws it.  The schedule, protocol
+fault rows — with the simulator's ``spec.draw``, bind it with its binder
+and score it with its result function.  The schedule, protocol
 timers and the failure detector all keep spec seconds, each run in
 ``time_scale`` wall seconds (by default the spec is fitted into a dozen wall
 seconds).  A live deployment runs one seed in one piece.  Keyword

@@ -6,12 +6,16 @@ scaled clock.  :class:`LiveCluster` boots one OS process per node of the spec
 stack on a :class:`~repro.live.driver.LiveDriver` and a
 :class:`~repro.transport.udp.SocketUdpNetwork` socket.  Every process, and
 the coordinator, draws the spec's schedule as the simulator draws it
-(:meth:`LiveClusterConfig.draw`) and runs its own share in spec seconds: a
-node process its node's joins, group rows and workload ops; the coordinator
-the fault rows, by verb, as :class:`~repro.eval.experiment.OverlayExperiment`
-runs them.  The coordinator scores the node reports with the simulator's own
-scorers into the simulator's :class:`~repro.eval.scenario.ScenarioResult`:
-one ruler for both modes, the paper's Figure-1 promise.
+(:meth:`~repro.eval.scenario.ScenarioSpec.draw`), binds it with the
+simulator's binder (:func:`~repro.eval.scenario.bind_model`) and runs its
+own share in spec seconds: a node process its node's joins, group rows and
+workload ops; the coordinator the fault rows, by verb, as
+:class:`~repro.eval.experiment.OverlayExperiment` runs them.  The
+coordinator scores the node reports with the models it bound into the
+simulator's :class:`~repro.eval.scenario.ScenarioResult`, through the
+function the simulator builds its own with
+(:func:`~repro.eval.scenario.build_result`): one ruler for both modes, the
+paper's Figure-1 promise.
 
 Coordination is minimal: a static address→port map, a start barrier whose
 action fixes the cluster's zero on the host's monotonic clock, and a results
@@ -29,7 +33,6 @@ import heapq
 import itertools
 import multiprocessing
 import os
-import random
 import signal
 import socket as socket_module
 import threading
@@ -39,18 +42,16 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from queue import Empty
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from ..eval.faults import FAULT_VERBS, fired_faults
 from ..eval.library import PROTOCOLS, RegistryStack
-from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioModel,
-                             ScenarioResult, ScenarioSpec, check_event_time,
-                             metric_labels, score_models, score_recovery)
-from ..eval.workload import WorkloadModel, WorkloadPlan
+from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioResult,
+                             ScenarioSpec, bind_model, build_result,
+                             metric_labels)
+from ..eval.workload import WorkloadModel
 from ..transport.udp import SocketUdpNetwork
-from .faults import (DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS,
-                     LiveFaultError)
-from .node import FIRST_ADDRESS, NODE_VERBS, TRANSPORT_TOTALS, worker_entry
+from .faults import DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS
+from .node import FIRST_ADDRESS, TRANSPORT_TOTALS, worker_entry
 
 #: Wall seconds a spec is fitted into when its config sets no ``time_scale``:
 #: a 300-second scenario does not hold real sockets for five minutes.
@@ -73,17 +74,6 @@ _AWAITED = ("crash_node", "recover_node", "_respawn")
 
 class LiveClusterError(RuntimeError):
     """Raised when a live deployment fails to boot, run, or report."""
-
-
-class Drawn(NamedTuple):
-    """One model's draw, under its metric label: a workload's ``plan``, or
-    another model's ``rows`` and the ``metrics`` its draw fixes."""
-
-    label: str
-    model: ScenarioModel
-    plan: Optional[WorkloadPlan]
-    rows: list
-    metrics: dict
 
 
 @dataclass(frozen=True)
@@ -141,46 +131,6 @@ class LiveClusterConfig:
         return {FIRST_ADDRESS + index: (self.host, self.base_port + index)
                 for index in range(self.spec.num_nodes)}
 
-    def draw(self) -> list[Drawn]:
-        """The spec's schedule, one :class:`Drawn` per model.
-
-        Every model's own ``draw``, in spec order, from the stream the
-        simulator's ``experiment.scenario_rng`` is (``fork_rng("scenario")``
-        of the spec's seed) and without an underlay — so each process, and
-        the coordinator, holds the simulator's own rows and plans, untouched,
-        without exchanging a byte.  A spec the simulator rejects raises its
-        :class:`ScenarioError`, in its words; a row no live process can run
-        raises :class:`~repro.live.faults.LiveFaultError`.
-        """
-        spec = self.spec
-        key_space = spec.resolve_agents()[0].KEY_SPACE.size
-        rng = random.Random(f"{spec.seed}:scenario")
-        drawn = []
-        for label, model in zip(
-                metric_labels(model.label or model.default_label()
-                              for model in spec.models), spec.models):
-            if isinstance(model, WorkloadModel):
-                plan = model.draw(spec.num_nodes, key_space, rng,
-                                  spec.duration)
-                for op in plan.ops:
-                    check_event_time(model.kind, op.time)
-                drawn.append(Drawn(label, model, plan, [], {}))
-                continue
-            rows, metrics = model.draw(spec.num_nodes, rng, spec.duration)
-            for row in rows:
-                if row.verb not in NODE_VERBS and not (
-                        row.verb in FAULT_VERBS
-                        and hasattr(LiveCluster, row.verb)):
-                    raise LiveFaultError(
-                        f"a live cluster has no fault verb {row.verb!r} "
-                        f"({type(model).__name__}: {row.detail})")
-                kinds = FAULT_VERBS.get(row.verb, ("group",))
-                check_event_time(kinds[0], row.at)
-                if row.until is not None:
-                    check_event_time(kinds[2], row.until)
-            drawn.append(Drawn(label, model, None, rows, metrics))
-        return drawn
-
 
 # -------------------------------------------------------------- coordinator
 class LiveCluster:
@@ -207,8 +157,8 @@ class LiveCluster:
         self._seq = itertools.count()
         #: Scheduled offset of the action running now.
         self._now = 0.0
-        #: The fault rows this coordinator runs (:meth:`_schedule`).
-        self._faults: list = []
+        #: The spec's models as this coordinator binds them (:meth:`_bind`).
+        self._compiled: list[CompiledModel] = []
         #: Standing network-fault rules (key → op), and the respawned nodes
         #: that have not had them yet (:meth:`_replay`).
         self._standing: dict = {}
@@ -271,17 +221,20 @@ class LiveCluster:
         self._control(address, {"op": "restore", "targets": [address]})
 
     # ---------------------------------------------------------- supervision
-    def _schedule(self, rows) -> None:
-        """Queue the fault rows among *rows* that fire by the spec's horizon
-        (:func:`~repro.eval.faults.fired_faults`): each verb at ``at`` and
-        its undo at ``until``, as ``ScenarioModel.instantiate`` binds them."""
-        self._faults = fired_faults(rows, self.config.spec.duration)
-        for row in self._faults:
-            _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[row.verb]
-            self._push(row.at, getattr(self, row.verb), *row.args)
-            if row.until is not None:
-                self._push(row.until, getattr(self, undo),
-                           *row.args[:undo_arity])
+    def _bind(self) -> list[CompiledModel]:
+        """Draw the spec and bind every model as a process that owns no
+        node (:func:`~repro.eval.scenario.bind_model`): the fault rows
+        become this supervisor's actions, each verb at ``at`` and its undo
+        at ``until``, those due by the spec's horizon."""
+        duration = self.config.spec.duration
+        self._compiled = [bind_model(drawn, self, {}, set(), duration)
+                          for drawn in self.config.spec.draw()]
+        for compiled in self._compiled:
+            for event in compiled.events:
+                if event.time <= duration:   # a partial of one of our verbs
+                    self._push(event.time, event.apply.func,
+                               *event.apply.args)
+        return self._compiled
 
     def _push(self, at: float, action, *args) -> None:
         heapq.heappush(self._actions, (at, next(self._seq), action, args))
@@ -347,8 +300,7 @@ class LiveCluster:
         # Drawn before any process starts: compiling the stack validates the
         # protocol (and fork children inherit the warm registry), and a spec
         # the simulator would refuse is refused here.
-        drawn = config.draw()
-        self._schedule([row for model in drawn for row in model.rows])
+        self._bind()
 
         self._ctx = multiprocessing.get_context(config.start_method or (
             "fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -414,7 +366,8 @@ class LiveCluster:
                     if (index in reports or node_state["pending_respawn"]
                             or node_state["proc"].is_alive()):
                         continue
-                    if not self._faults:
+                    if not any(compiled.faults
+                               for compiled in self._compiled):
                         raise LiveClusterError(
                             f"live node process died without reporting "
                             f"(index {index}, exit code "
@@ -441,7 +394,7 @@ class LiveCluster:
         per_node = [reports.get(index) or self._down_report(index, state[index])
                     for index in range(nodes)]
         self._verdict(per_node)
-        return self._aggregate(drawn, per_node)
+        return self._aggregate(per_node)
 
     def _verdict(self, per_node: list[dict]) -> None:
         """Fail the run on any node that failed, or that "passed" while its
@@ -512,25 +465,22 @@ class LiveCluster:
                 "socket": dict.fromkeys(SocketUdpNetwork.STATS, 0)}
 
     # ------------------------------------------------------------ aggregation
-    def _aggregate(self, drawn: list[Drawn],
-                   per_node: list[dict]) -> ScenarioResult:
-        """Score the run with the simulator's own scorers — a workload or
-        group model over its processes' payloads, a fault model on what its
-        draw fixed — then add what only a deployment has: process, transport
-        and socket totals and the supervisor's counts."""
+    def _aggregate(self, per_node: list[dict]) -> ScenarioResult:
+        """Score the run with the models this coordinator bound
+        (:func:`~repro.eval.scenario.build_result`), then add what only a
+        deployment has: process, transport and socket totals and the
+        supervisor's counts."""
         spec = self.config.spec
-        compiled = []
-        for label, model, plan, rows, fixed in drawn:
-            score = getattr(model, "score", None)
-            compiled.append(CompiledModel(
-                label, (), fixed, score and partial(
-                    score, fixed if plan is None else plan),
-                model=model, faults=fired_faults(rows, spec.duration)))
-        metrics = score_models(compiled, per_node)
-        metrics.update(score_recovery(compiled, per_node,
-                                      spec.post_fault_settle))
-        workloads = [model for model in drawn if model.plan is not None]
-        for label, workload, *_ in workloads:
+        labels = metric_labels(compiled.label for compiled in self._compiled)
+        workloads = [(label, compiled.model) for label, compiled
+                     in zip(labels, self._compiled) if hasattr(compiled, "plan")]
+        name = f"live-{spec.agents.name}-{workloads[0][1].kind}"
+        result = build_result(
+            spec, self._compiled, per_node, mode="live", name=name,
+            nodes_alive=sum(not report.get("down") for report in per_node),
+            series={}, events=[], per_node=per_node)
+        metrics = result.metrics
+        for label, workload in workloads:
             # Staleness needs a strictly-before clock, which the per-process
             # store clocks do not give us; the version-space checks (phantom
             # reads, coverage) are sound across processes and stay.
@@ -547,12 +497,10 @@ class LiveCluster:
                 if report["state"] not in ("init", "down"))),
             "nodes.callback_errors": float(sum(
                 report["callback_error_count"] for report in per_node)),
-            "sim.events_processed": float(sum(
-                report["events_processed"] for report in per_node)),
         })
-        for name, key in (("killed", "killed"), ("respawns", "restarts"),
-                          ("down", "down")):
-            metrics[f"nodes.{name}"] = float(sum(
+        for counter, key in (("killed", "killed"), ("respawns", "restarts"),
+                             ("down", "down")):
+            metrics[f"nodes.{counter}"] = float(sum(
                 node[key] for node in self._state.values()))
         for key in ("messages_sent", "retransmissions"):
             metrics[f"transport.{key}"] = float(sum(
@@ -560,41 +508,20 @@ class LiveCluster:
         for key in ("decode_errors", "fault_drops", "reassembly_timeouts"):
             metrics[f"socket.{key}"] = float(sum(
                 report["socket"][key] for report in per_node))
-        name = f"live-{spec.agents.name}-{workloads[0].model.kind}"
-        obs, obs_snapshot = spec.obs, None
-        if obs is not None:
-            from ..obs import (TraceSink, artifact, base_registry, fill,
-                               write_obs_snapshot)
-            registry = base_registry()
-            fill(registry, per_node, [model.label for model in workloads],
-                 nodes_total=spec.num_nodes,
-                 nodes_alive=sum(not report.get("down") for report in per_node))
-            obs_snapshot = artifact(registry, mode="live", name=name,
-                                    seed=spec.seed, duration=spec.duration)
-            # Each node's samples, regrouped by instant.
-            samples: dict[float, list] = {}
-            for report in per_node:
-                for at, stats in report.pop("wallclock", ()):
-                    samples.setdefault(at, []).append(stats)
-            obs_snapshot["wallclock"] = [
-                {"t": at, "nodes": nodes}
-                for at, nodes in sorted(samples.items())]
-            if obs.snapshot_path:
-                write_obs_snapshot(obs.snapshot_path, obs_snapshot)
-            if obs.trace_path:
-                # Every node's shipped tracer records, one time-sorted stream.
-                sink = TraceSink(obs.trace_path, meta={
-                    "mode": "live", "name": name, "seed": spec.seed})
-                for record in sorted(
-                        (record for report in per_node
-                         for record in report.pop("trace_records", ())),
-                        key=attrgetter("time")):
-                    sink.write(record)
-                sink.close()
-        return ScenarioResult(name=name, seed=spec.seed,
-                              duration=spec.duration, metrics=metrics,
-                              series={}, events=[], obs=obs_snapshot,
-                              per_node=per_node)
+        obs = spec.obs
+        if obs is not None and obs.trace_path:
+            from ..obs import TraceSink
+
+            # Every node's shipped tracer records, one time-sorted stream.
+            sink = TraceSink(obs.trace_path, meta={
+                "mode": "live", "name": result.name, "seed": spec.seed})
+            for record in sorted(
+                    (record for report in per_node
+                     for record in report.pop("trace_records", ())),
+                    key=attrgetter("time")):
+                sink.write(record)
+            sink.close()
+        return result
 
 
 def _set_zero(zero) -> None:

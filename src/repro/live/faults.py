@@ -1,18 +1,13 @@
 """What the live fault plane adds to the scenario fault vocabulary.
 
-A :class:`~repro.eval.scenario.ScenarioModel` fault model describes its
-faults once, as the :class:`~repro.eval.faults.Fault` rows its ``draw``
-returns.  The simulator runs them on an
-:class:`~repro.eval.experiment.OverlayExperiment`; a live deployment draws
-the same rows from the same RNG stream
-(:meth:`~repro.live.cluster.LiveClusterConfig.draw`) and runs them at their
-own offsets, in spec seconds, on a
-:class:`~repro.live.cluster.LiveCluster`, which carries the verbs a
-deployment can carry out under the experiment's names.  Both score the
-post-fault window on the same rows
-(:func:`~repro.eval.scenario.score_recovery`).  This module holds the rest:
-how a degraded access link's factors become socket delay and loss, and
-whether a spec can be deployed at all.
+A fault model describes its faults once, as the
+:class:`~repro.eval.faults.Fault` rows its ``draw`` returns, and both
+drivers draw and bind them the same way (:mod:`repro.eval.scenario`): the
+simulator on an :class:`~repro.eval.experiment.OverlayExperiment`, a live
+deployment on a :class:`~repro.live.cluster.LiveCluster`, which carries the
+verbs a deployment can carry out under the experiment's names.  This module
+holds the rest: how a degraded access link's factors become socket delay
+and loss, and whether a spec can be deployed at all.
 
 A model that needs the emulated underlay (link-level cuts and degradation,
 rack-correlated crashes) says so itself when drawn without one, so a spec
@@ -54,7 +49,8 @@ def live_runnable(spec) -> Tuple[bool, Optional[str]]:
     from .cluster import LiveClusterConfig, LiveClusterError
 
     try:
-        LiveClusterConfig(spec).draw()
+        LiveClusterConfig(spec)
+        spec.draw()
     except (ScenarioError, LiveClusterError) as exc:
         return False, str(exc)
     return True, None

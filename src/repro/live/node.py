@@ -3,32 +3,25 @@
 :func:`worker_entry` is what :class:`~repro.live.cluster.LiveCluster` starts
 in every process.  The process compiles its registry stack, binds its
 socket, waits on the cluster's start barrier (whose action fixes the
-cluster's clock zero) and draws the spec's schedule
-(:meth:`~repro.live.cluster.LiveClusterConfig.draw`), the same draw every
-other process and the coordinator hold.  It schedules its own node's share
-in spec seconds on its :class:`~repro.live.driver.LiveDriver`, which runs
-them ``time_scale`` wall seconds each: the join and group rows naming
-its index on the :class:`~repro.runtime.node.MacedonNode`, and each
-workload's ops naming its index on the
-:class:`~repro.eval.workload.NodeWorkload` it builds for it — the class the
-simulator builds one of per node.  At the end it ships a report home over
-the results queue: one payload per observing model under the model's label
-(a workload's observations, a group model's join count), its FSM state,
-transport, network and socket counters, for ring protocols its ring row
-(:func:`~repro.eval.metrics.ring_rows`) and, with ``spec.obs`` set, its
-stats samples, trace counts, causal section and (with a ``trace_path``)
-its tracer's records.
+cluster's clock zero), draws the spec's schedule as every process does
+(:meth:`~repro.eval.scenario.ScenarioSpec.draw`) and binds it as the
+simulator does (:func:`~repro.eval.scenario.bind_model`), owning its one
+node.  Its :class:`~repro.live.driver.LiveDriver` runs the events in spec
+seconds, ``time_scale`` wall seconds each.  At the end it ships a report
+home over the results queue: every model's payload under its label, its
+FSM state, transport, network and socket counters, for ring protocols its
+ring row (:func:`~repro.eval.metrics.ring_rows`) and, with ``spec.obs``
+set, its stats samples, trace counts, causal section and (with a
+``trace_path``) its tracer's records.
 """
 
 from __future__ import annotations
 
 import traceback
-from functools import partial
 from typing import Any
 
 from ..eval.metrics import ring_rows
-from ..eval.scenario import GroupModel
-from ..eval.workload import NodeWorkload, WorkloadObservations
+from ..eval.scenario import bind_model, model_payloads
 from ..transport.udp import SocketUdpNetwork
 
 #: Lowest overlay address; 0 is avoided because the specs treat a zero
@@ -80,7 +73,7 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         # usual self-bootstrap would found a fresh one-node overlay.
         bootstrap = FIRST_ADDRESS + 1
     stack = config.spec.resolve_agents()
-    drawn = config.draw()
+    drawn = config.spec.draw()
     network = SocketUdpNetwork(address, config.endpoints(),
                                WireCodec.for_agents(stack))
     await network.open()
@@ -134,38 +127,18 @@ async def node_main(config, index: int, barrier, ready, zero, *,
             node.crash_count = incarnation
             node.recover()
 
-        # --- this node's share of the drawn schedule and of what the models
-        # observe.  A workload's share is the same per-node class the
-        # simulator builds N of, recording into the same observations on
-        # the driver clock, whose zero every process shares.  A group model
-        # counts the joins its rows ran here.
-        observed: dict[str, WorkloadObservations] = {}
-        joined: dict[str, int] = {}
+        # --- this node's share of the schedule, bound as the simulator binds
+        # every node's; workloads record on the driver clock, whose zero
+        # every process shares.
+        if incarnation:
+            _resume(drawn, driver.now)
         streams: set[int] = set()
-        mine = []
-
-        def run_row(label, row) -> None:
-            if row.verb == "join_node":
-                node.macedon_init(bootstrap)
-            elif node.alive and node.initialized:   # as GroupModel's rows
-                getattr(node, row.verb)(*row.args)
-                if label in joined:
-                    joined[label] += row.verb == "macedon_join"
-
-        for label, model, plan, rows, _metrics in drawn:
-            if plan is not None:
-                observed[label] = WorkloadObservations()
-                share = NodeWorkload(node, model, model.claim_stream(streams),
-                                     observed[label])
-                mine += [(op.time, op.verb,
-                          partial(getattr(share, op.verb), *op.args))
-                         for op in plan.ops if op.node == index]
-                continue
-            if isinstance(model, GroupModel):
-                joined[label] = 0
-            mine += [(row.at, row.verb, partial(run_row, label, row))
-                     for row in rows
-                     if row.node == index and row.verb in NODE_VERBS]
+        compiled_models = [
+            bind_model(entry, None, {index: node}, streams,
+                       config.spec.duration, bootstrap=bootstrap)
+            for entry in drawn]
+        observed = [compiled.observations for compiled in compiled_models
+                    if hasattr(compiled, "observations")]
 
         # Stats every quarter of the run (at least 1 spec-s apart), shipped
         # home in the report: nothing travels mid-run, and the samples of a
@@ -177,9 +150,8 @@ async def node_main(config, index: int, barrier, ready, zero, *,
                     "address": address,
                     "events_processed": driver.events_processed,
                     "errors": driver.error_count,
-                    "sent": sum(seen.sent for seen in observed.values()),
-                    "delivered": sum(seen.deliveries
-                                     for seen in observed.values()),
+                    "sent": sum(seen.sent for seen in observed),
+                    "delivered": sum(seen.deliveries for seen in observed),
                     "socket": network.stats(),
                 }))
 
@@ -191,11 +163,9 @@ async def node_main(config, index: int, barrier, ready, zero, *,
                     driver.schedule_at(at, sample, round(at, 3))
                 at += step
 
-        for at, verb, call in mine:
-            if not incarnation or at > driver.now + 0.01:
-                driver.schedule_at(at, call)
-            elif verb in REJOIN:
-                driver.schedule(REJOIN[verb], call)
+        for compiled in compiled_models:
+            for event in compiled.events:
+                driver.schedule_at(event.time, event.apply)
 
         await driver.run_for(config.spec.duration - driver.now)
 
@@ -210,8 +180,7 @@ async def node_main(config, index: int, barrier, ready, zero, *,
             "state": node.highest_agent.state,
             "incarnation": incarnation,
             "epoch": node.transport_host.epoch,
-            "models": {**joined, **{label: seen.payload()
-                                    for label, seen in observed.items()}},
+            "models": model_payloads(compiled_models),
             "events_processed": driver.events_processed,
             "callback_errors": [repr(exc) for exc in driver.errors][:5],
             "callback_error_count": driver.error_count,
@@ -237,6 +206,23 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         return report
     finally:
         network.close()
+
+
+def _resume(drawn: list, now: float) -> None:
+    """Cut *drawn* to what a reborn process runs at spec time *now*: every
+    row and op still ahead, and each :data:`REJOIN` verb behind re-entered
+    shortly.  Any other slot behind belonged to the dead incarnation."""
+    def resume(at: float, verb: str):
+        if at > now + 0.01:
+            return at
+        return now + REJOIN[verb] if verb in REJOIN else None
+
+    for entry in drawn:
+        if entry.plan is not None:
+            entry.plan.ops = [op._replace(time=at) for op in entry.plan.ops
+                              if (at := resume(op.time, op.verb)) is not None]
+        entry.rows[:] = [row._replace(at=at) for row in entry.rows
+                         if (at := resume(row.at, row.verb)) is not None]
 
 
 def worker_entry(config, index: int, barrier, results, ready, zero,

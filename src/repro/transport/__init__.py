@@ -3,8 +3,6 @@
 from .base import DeliverUpcall, Segment, Transport, TransportKind, TransportStats
 from .demux import TransportError, TransportHost
 from .reliable import AimdWindow, FixedWindow, ReliableConnection, ReliableTransport
-from .swp import SwpTransport
-from .tcp import TcpTransport
 from .udp import UdpTransport
 
 __all__ = [
@@ -19,7 +17,5 @@ __all__ = [
     "FixedWindow",
     "ReliableConnection",
     "ReliableTransport",
-    "SwpTransport",
-    "TcpTransport",
     "UdpTransport",
 ]

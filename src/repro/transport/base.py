@@ -156,6 +156,8 @@ class Transport(abc.ABC):
 
     #: Maximum segment payload size in bytes (Ethernet-ish MSS).
     MSS = 1400
+    #: Service class of this transport, known before ``__init__`` runs.
+    kind: TransportKind
 
     def __init__(
         self,
@@ -174,9 +176,8 @@ class Transport(abc.ABC):
         self.stats = TransportStats()
         self._deliver_upcall: Optional[DeliverUpcall] = None
         self._msg_ids = itertools.count(1)
-        # Wire-protocol tag stamped on every outgoing packet; formatted once
-        # here rather than per packet (``kind`` is a property on subclasses).
-        self._protocol_label: Optional[str] = None
+        # Wire-protocol tag stamped on every outgoing packet, formatted once.
+        self._protocol_label = f"{self.kind.value.lower()}:{name}"
 
     # ------------------------------------------------------------------ wiring
     def set_deliver_upcall(self, upcall: DeliverUpcall) -> None:
@@ -191,11 +192,9 @@ class Transport(abc.ABC):
 
     def _send_packet(self, dst: int, segment: Segment, size: int,
                      payload_tag: Optional[str] = None) -> bool:
-        protocol = self._protocol_label
-        if protocol is None:
-            protocol = self._protocol_label = f"{self.kind.value.lower()}:{self.name}"
         accepted = self.emulator.send(
-            Packet(self.local_address, dst, segment, size, protocol),
+            Packet(self.local_address, dst, segment, size,
+                   self._protocol_label),
             payload_tag)
         stats = self.stats
         stats.segments_sent += 1
@@ -205,11 +204,6 @@ class Transport(abc.ABC):
         return accepted
 
     # --------------------------------------------------------------- interface
-    @property
-    @abc.abstractmethod
-    def kind(self) -> TransportKind:
-        """Service class of this transport."""
-
     @abc.abstractmethod
     def send(self, dst: int, payload: Any, size: int,
              payload_tag: Optional[str] = None) -> None:

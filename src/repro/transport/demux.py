@@ -16,15 +16,8 @@ from ..network.packet import Packet
 from ..runtime.engine import Simulator
 from .base import (DeliverUpcall, Datagram, Segment, Transport,
                    TransportError, TransportKind)
-from .swp import SwpTransport
-from .tcp import TcpTransport
+from .reliable import ReliableTransport
 from .udp import UdpTransport
-
-_TRANSPORT_CLASSES = {
-    TransportKind.TCP: TcpTransport,
-    TransportKind.UDP: UdpTransport,
-    TransportKind.SWP: SwpTransport,
-}
 
 
 class TransportHost:
@@ -48,13 +41,16 @@ class TransportHost:
         emulator.set_receive_callback(local_address, self._on_packet)
 
     # ----------------------------------------------------------------- config
-    def declare(self, kind: TransportKind, name: str, **options: Any) -> Transport:
+    def declare(self, kind: TransportKind, name: str) -> Transport:
         """Create a named transport instance of the given kind."""
         if name in self._transports:
             raise TransportError(f"transport {name!r} declared twice")
-        transport_cls = _TRANSPORT_CLASSES[kind]
-        transport = transport_cls(name, self.simulator, self.emulator,
-                                  self.local_address, **options)
+        if kind is TransportKind.UDP:
+            transport = UdpTransport(name, self.simulator, self.emulator,
+                                     self.local_address)
+        else:
+            transport = ReliableTransport(name, self.simulator, self.emulator,
+                                          self.local_address, kind)
         transport.epoch = self.epoch
         if self._deliver_upcall is not None:
             transport.set_deliver_upcall(self._deliver_upcall)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .base import Segment, Transport, TransportKind
 
@@ -411,10 +411,16 @@ class ReliableConnection:
 
 
 class ReliableTransport(Transport):
-    """Base class for TCP and SWP transport instances."""
+    """One reliable transport instance.  Its kind differs from the other
+    reliable kind only in the window policy each connection gets:
+    :class:`AimdWindow` for ``TCP``, :class:`FixedWindow` for ``SWP``."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, name: str, simulator, emulator, local_address: int,
+                 kind: TransportKind) -> None:
+        self.kind = kind
+        super().__init__(name, simulator, emulator, local_address)
+        self._window: Callable[[], WindowPolicy] = (
+            AimdWindow if kind is TransportKind.TCP else FixedWindow)
         self._connections: dict[int, ReliableConnection] = {}
         #: Connections that started holding an ACK since the last flush (one
         #: may appear twice, or have sent its ACK since), and the one timer
@@ -422,10 +428,6 @@ class ReliableTransport(Transport):
         #: is non-empty, so a hold costs no event of its own.
         self._held_acks: list[ReliableConnection] = []
         self._flush_cell = [0]
-
-    @abc.abstractmethod
-    def _make_policy(self) -> WindowPolicy:
-        """Window policy for a new connection."""
 
     def _hold_ack(self, connection: ReliableConnection) -> None:
         held = self._held_acks
@@ -444,7 +446,7 @@ class ReliableTransport(Transport):
     def _connection(self, peer: int) -> ReliableConnection:
         connection = self._connections.get(peer)
         if connection is None:
-            connection = ReliableConnection(self, peer, self._make_policy())
+            connection = ReliableConnection(self, peer, self._window())
             self._connections[peer] = connection
         return connection
 

@@ -43,9 +43,7 @@ from .base import Datagram, Segment, Transport, TransportKind
 class UdpTransport(Transport):
     """Fire-and-forget datagrams with fragmentation but no reassembly timeout."""
 
-    @property
-    def kind(self) -> TransportKind:
-        return TransportKind.UDP
+    kind = TransportKind.UDP
 
     def send(self, dst: int, payload: Any, size: int,
              payload_tag: Optional[str] = None) -> None:
@@ -53,13 +51,10 @@ class UdpTransport(Transport):
         stats.messages_sent += 1
         if size <= self.MSS:
             # Inlined best-effort fast path (no Segment, no _send_packet).
-            protocol = self._protocol_label
-            if protocol is None:
-                protocol = self._protocol_label = f"udp:{self.name}"
             accepted = self.emulator.send(
                 Packet(src=self.local_address, dst=dst,
                        payload=Datagram(self.name, payload, size),
-                       size=size, protocol=protocol),
+                       size=size, protocol=self._protocol_label),
                 payload_tag=payload_tag)
             stats.segments_sent += 1
             stats.bytes_sent += size
@@ -91,8 +86,23 @@ class UdpTransport(Transport):
         if segment.chunks <= 1:
             self._deliver_up(src, segment.payload, segment.size)
             return
-        key = (src, segment.msg_id)
-        pending = self._reassembly.setdefault(key, {"chunks": {}, "payload": None})
+        # A reborn sender restarts its message ids: its epoch tells its
+        # messages from those of its dead incarnation, whose partial ones
+        # can never complete.  A fragment from an older epoch than the
+        # source's newest is dropped, and the newest's rise purges them.
+        epoch = segment.epoch
+        newest = self._epochs.get(src, epoch)
+        if epoch < newest:
+            return
+        if epoch > newest:
+            for stale in [other for other in self._reassembly
+                          if other[0] == src]:
+                del self._reassembly[stale]
+        self._epochs[src] = epoch
+        key = (src, epoch, segment.msg_id)
+        pending = self._reassembly.get(key)
+        if pending is None:
+            pending = self._reassembly[key] = {"chunks": {}, "payload": None}
         pending["chunks"][segment.chunk] = segment.size
         if segment.chunk == 0:
             pending["payload"] = segment.payload
@@ -104,7 +114,8 @@ class UdpTransport(Transport):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._reassembly: dict[tuple[int, int], dict] = {}
+        self._reassembly: dict[tuple[int, int, int], dict] = {}
+        self._epochs: dict[int, int] = {}
 
 
 # ================================================================ live sockets

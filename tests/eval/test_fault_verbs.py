@@ -25,7 +25,7 @@ from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, PartitionModel,
                                  ScenarioModel, ScenarioSpec, WorkloadModel)
-from repro.live import LiveCluster, LiveClusterConfig, LiveFaultError
+from repro.live import LiveCluster, LiveFaultError
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
 
@@ -92,7 +92,7 @@ def test_a_row_a_live_cluster_cannot_run_is_an_error_naming_the_verb():
                         num_nodes=4, duration=60.0,
                         models=(LinkCutter(), WorkloadModel(kind="route")))
     with pytest.raises(LiveFaultError, match="disable_link"):
-        LiveClusterConfig(spec).draw()
+        spec.draw()
 
 
 def test_scenarios_md_shows_the_verb_table():

@@ -37,3 +37,24 @@ def test_every_registered_protocol_is_generated_and_live_deployable():
             name=f"deploy-{name}", agents=stack, num_nodes=4, duration=30.0,
             models=(WorkloadModel(kind="route", packets=4, start=20.0),))
         assert LiveClusterConfig(spec).spec.agents.name == stack.name
+
+
+#: The library entries a live cluster can deploy; every other one names the
+#: emulated underlay or a sim-only shape.
+LIVE_RUNNABLE = {"flash-crowd", "flapping-partition", "slow-nodes",
+                 "churn-storm", "partition-under-churn"}
+
+
+def test_the_live_runnable_library_set_is_pinned():
+    """The live draw decides what the differential harness can consume: a
+    change to it must not shrink or grow the set unnoticed."""
+    from repro.eval.library import LIBRARY
+    from repro.live import live_runnable
+
+    verdicts = {entry.name: live_runnable(entry.spec()) for entry in LIBRARY}
+    assert {name for name, (ok, _) in verdicts.items() if ok} == LIVE_RUNNABLE
+    for name, (ok, reason) in verdicts.items():
+        if ok:
+            assert reason is None, name
+        else:
+            assert isinstance(reason, str) and reason, name

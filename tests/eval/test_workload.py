@@ -19,11 +19,9 @@ from repro.eval.library import resolve_protocol
 from repro.eval.scenario import ChurnModel, ScenarioSpec
 from repro.eval.workload import (NodeWorkload, WorkloadModel,
                                  WorkloadObservations, WorkloadPlan)
-from repro.live import LiveClusterConfig
 from repro.protocols import randtree_agent
 
 KEY_SPACE = 2 ** 32
-SCALE = 0.1
 
 
 def live(model, seed=3):
@@ -31,7 +29,7 @@ def live(model, seed=3):
     spec = ScenarioSpec(name="plan", agents=resolve_protocol("chord"),
                         num_nodes=5, duration=80.0, seed=seed,
                         models=(model,))
-    (drawn,) = LiveClusterConfig(spec, time_scale=SCALE).draw()
+    (drawn,) = spec.draw()
     return drawn.plan
 
 

@@ -36,11 +36,11 @@ def test_config_validation():
     with pytest.raises(ScenarioError, match="no WorkloadModel"):
         LiveClusterConfig(_spec())
     with pytest.raises(ScenarioError, match="unknown workload"):
-        LiveClusterConfig(_spec(WorkloadModel(kind="teleport"))).draw()
+        _spec(WorkloadModel(kind="teleport")).draw()
     with pytest.raises(ScenarioError, match="keys >= 1"):
-        LiveClusterConfig(_spec(WorkloadModel(kind="kv", keys=0))).draw()
+        _spec(WorkloadModel(kind="kv", keys=0)).draw()
     config = LiveClusterConfig(_spec(route, nodes=3), time_scale=1.0)
-    ops = config.draw()[-1].plan.ops
+    ops = config.spec.draw()[-1].plan.ops
     assert [op.args[0] for op in ops] == list(range(8))
     assert {op.node for op in ops} <= {0, 1, 2}
     assert sorted(config.endpoints()) == [1, 2, 3]

@@ -36,7 +36,7 @@ def _spec(*models, protocol="chord", num_nodes=6, duration=120.0, seed=3):
 
 def _drawn_rows(config):
     """Every row *config* draws, model after model."""
-    return [row for model in config.draw() for row in model.rows]
+    return [row for model in config.spec.draw() for row in model.rows]
 
 
 def _rows(*models, **fields):
@@ -86,7 +86,7 @@ def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
            for compiled in spec.build().compiled_models
            for event in compiled.events]
     config = LiveClusterConfig(spec, time_scale=SCALE)
-    live = [(op.time, op.detail, op.node) for model in config.draw()
+    live = [(op.time, op.detail, op.node) for model in config.spec.draw()
             if model.plan is not None for op in model.plan.ops]
     for row in _drawn_rows(config):
         live.append((row.at, row.detail, row.node))
@@ -98,8 +98,9 @@ def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
 @pytest.mark.parametrize("name", SPECS)
 def test_every_drawn_row_runs_in_exactly_one_process(name):
     """A node process takes the join and group rows of its own index; the
-    coordinator queues the fault rows at their spec times, undo included,
-    and leaves out what falls past the horizon, as the simulator does."""
+    coordinator binds the fault rows as actions at their spec times, undo
+    included, and leaves out what falls past the horizon, as the simulator
+    does."""
     config = LiveClusterConfig(SPECS[name], time_scale=SCALE)
     rows = _drawn_rows(config)
     assert all((row.verb in NODE_VERBS) != hasattr(LiveCluster, row.verb)
@@ -107,7 +108,7 @@ def test_every_drawn_row_runs_in_exactly_one_process(name):
     assert all(row.node is not None for row in rows
                if row.verb in NODE_VERBS)
     cluster = _cluster(config)
-    cluster._schedule(rows)
+    cluster._bind()
     expected = []
     for row in rows:
         if row.verb in NODE_VERBS or row.at > config.spec.duration:
@@ -124,9 +125,8 @@ def test_every_drawn_row_runs_in_exactly_one_process(name):
 def test_the_draw_is_deterministic_per_seed():
     spec = _spec(ChurnModel(churn_fraction=0.4, churn_start=30.0,
                             churn_end=60.0))
-    assert LiveClusterConfig(spec).draw() == LiveClusterConfig(spec).draw()
-    assert LiveClusterConfig(spec).draw() \
-        != LiveClusterConfig(replace(spec, seed=9)).draw()
+    assert spec.draw() == spec.draw()
+    assert spec.draw() != replace(spec, seed=9).draw()
 
 
 def test_an_unset_time_scale_fits_the_spec_into_the_wall_budget():
@@ -186,12 +186,12 @@ def test_flapping_cycles_past_the_horizon_are_drawn_but_never_queued():
     ats = [row.at for row in rows]
     assert [b - a for a, b in zip(ats, ats[1:])] \
         == pytest.approx([20.0] * 9)
-    cluster = _cluster(config)
-    cluster._schedule(rows)
+    faults = [row for compiled in _cluster(config)._bind()
+              for row in compiled.faults]
     # Cuts at 30, 50, 70, 90, 110 s fit the 120 s horizon; the last heal
     # lands on it exactly.
-    assert len(cluster._faults) == 5
-    assert all(row.until is not None for row in cluster._faults)
+    assert len(faults) == 5
+    assert all(row.until is not None for row in faults)
 
 
 def test_degrade_maps_factors_with_caps():
@@ -299,7 +299,7 @@ def test_a_spec_the_simulator_rejects_is_rejected_live_in_the_same_words(name):
     with pytest.raises(ScenarioError) as sim:
         spec.build()
     with pytest.raises(ScenarioError) as live:
-        LiveClusterConfig(spec).draw()
+        spec.draw()
     assert (type(live.value), str(live.value)) \
         == (type(sim.value), str(sim.value))
     assert live_runnable(spec) == (False, str(sim.value))

@@ -1,10 +1,12 @@
-"""Reliable-transport behaviour across fail-stop restarts (incarnation epochs).
+"""Transport behaviour across fail-stop restarts (incarnation epochs).
 
 A restarted host starts its reliable streams from sequence zero while peers
 still hold pre-crash connection state.  Without the epoch handshake the two
 sides deadlock on mismatched sequence numbers — or worse, a retransmission of
 pre-crash traffic poisons the fresh receive window and later shadows a
-genuine same-sequence segment.  These tests pin the reset semantics.
+genuine same-sequence segment.  These tests pin the reset semantics, and
+that best-effort reassembly keeps a reborn sender's fragments apart from
+its dead incarnation's.
 """
 
 from __future__ import annotations
@@ -88,3 +90,46 @@ def test_restarted_sender_resets_peer_connection():
     host_x2.send("T", p, "three", 100)
     simulator.run(until=10.0)
     assert p_inbox == ["one", "two", "three"]
+
+
+class _Wire:
+    """An emulator stand-in that keeps every packet sent into it."""
+
+    def __init__(self) -> None:
+        self.packets: list = []
+
+    def send(self, packet, payload_tag=None) -> bool:
+        self.packets.append(packet)
+        return True
+
+
+def test_udp_reassembly_tells_a_reborn_sender_from_its_dead_incarnation():
+    """A reborn sender's fresh transport restarts its message ids, so only
+    the epoch keeps its fragments out of what its dead incarnation left."""
+    from repro.transport.udp import UdpTransport
+
+    wire = _Wire()
+    UdpTransport("U", None, wire, 1).send(2, "OLD", 3000)
+    reborn = UdpTransport("U", None, wire, 1)
+    reborn.epoch = 1
+    reborn.send(2, "NEW", 3000)
+    old, new = wire.packets[:3], wire.packets[3:]
+    assert [packet.payload.msg_id for packet in old + new] == [1] * 6
+
+    receiver = UdpTransport("U", None, wire, 2)
+    inbox: list = []
+    receiver.set_deliver_upcall(
+        lambda src, payload, size, name: inbox.append((payload, size)))
+    # The old message loses chunk 1; the new one's chunk 0 is late.
+    for packet in (old[0], old[2], new[1], new[2]):
+        receiver.handle_segment(packet.src, packet.payload)
+    assert inbox == []
+    # The dead incarnation's partial message is dropped, not kept forever.
+    assert [key[1] for key in receiver._reassembly] == [1]
+    receiver.handle_segment(new[0].src, new[0].payload)
+    assert inbox == [("NEW", 3000)]
+    assert receiver._reassembly == {}
+    # A late fragment from the dead incarnation opens no entry.
+    receiver.handle_segment(old[1].src, old[1].payload)
+    assert inbox == [("NEW", 3000)]
+    assert receiver._reassembly == {}
