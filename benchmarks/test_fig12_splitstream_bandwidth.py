@@ -17,7 +17,7 @@ lifetime, a :class:`GroupModel` builds the forest and a multicast
 the same bandwidth, because the bundled Pastry settles into full membership
 and every route is one overlay hop, so there is no detour for an evicted
 cache entry to cause.  The ordering becomes a real test once Pastry routes
-by prefix table and leaf set (ROADMAP direction 3(a)).
+by prefix table and leaf set (ROADMAP direction 2(a)).
 """
 
 from __future__ import annotations

@@ -121,42 +121,47 @@ def correct_chord_fingers(my_key: int, membership_keys: Sequence[tuple[int, int]
     of all joining nodes.
     """
     key_space = key_space or KeySpace()
+    return _fingers_on(_ring(membership_keys), my_key, num_fingers,
+                       key_space.size)
+
+
+def _ring(membership_keys: Iterable[tuple[int, int]]) -> tuple[list, list]:
+    """The membership sorted and deduplicated, and its keys alone: built
+    once per snapshot, read by every node's oracle."""
     ordered = sorted(set(membership_keys))
-    keys_only = [key for key, _ in ordered]
+    return ordered, [key for key, _ in ordered]
+
+
+def _fingers_on(ring: tuple[list, list], my_key: int, num_fingers: int,
+                size: int) -> dict[int, tuple[int, int]]:
+    ordered, keys = ring
     correct: dict[int, tuple[int, int]] = {}
-    size = key_space.size
     for index in range(num_fingers):
-        target = (my_key + (1 << index)) % size
-        position = bisect.bisect_left(keys_only, target)
-        if position == len(keys_only):
-            position = 0
-        correct[index] = ordered[position]
+        position = bisect.bisect_left(keys, (my_key + (1 << index)) % size)
+        correct[index] = ordered[position if position < len(keys) else 0]
     return correct
+
+
+def _correct_entries(agent, ring: tuple[list, list], num_fingers: int) -> int:
+    correct = _fingers_on(ring, agent.my_key, num_fingers, agent.key_space.size)
+    return sum(1 for index, entry in agent.finger_table().items()
+               if correct.get(index) == tuple(entry))
 
 
 def chord_correct_entry_count(agent, membership_keys: Sequence[tuple[int, int]],
                               *, num_fingers: int = 32) -> int:
     """Number of finger-table entries of *agent* matching the correct table."""
-    correct = correct_chord_fingers(agent.my_key, membership_keys,
-                                    num_fingers=num_fingers,
-                                    key_space=agent.key_space)
-    table = agent.finger_table()
-    count = 0
-    for index, entry in table.items():
-        if correct.get(index) == tuple(entry):
-            count += 1
-    return count
+    return _correct_entries(agent, _ring(membership_keys), num_fingers)
 
 
 def average_correct_route_entries(nodes: Sequence[MacedonNode],
                                   protocol: str = "chord",
                                   *, num_fingers: int = 32) -> float:
     """Figure 10's y-axis: per-node average number of correct route entries."""
-    membership = [(node.agent(protocol).my_key, node.address) for node in nodes]
-    total = 0
-    for node in nodes:
-        total += chord_correct_entry_count(node.agent(protocol), membership,
-                                           num_fingers=num_fingers)
+    agents = [node.agent(protocol) for node in nodes]
+    ring = _ring((agent.my_key, node.address)
+                 for agent, node in zip(agents, nodes))
+    total = sum(_correct_entries(agent, ring, num_fingers) for agent in agents)
     return total / max(1, len(nodes))
 
 

@@ -17,7 +17,7 @@ from ..runtime.engine import Simulator
 from .base import (DeliverUpcall, Datagram, Segment, Transport,
                    TransportError, TransportKind)
 from .reliable import ReliableTransport
-from .udp import UdpTransport
+from .best_effort import UdpTransport
 
 
 class TransportHost:

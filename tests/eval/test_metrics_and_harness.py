@@ -9,6 +9,8 @@ from repro.eval import (
     ChurnModel,
     ScenarioSpec,
     WorkloadModel,
+    average_correct_route_entries,
+    chord_correct_entry_count,
     correct_chord_fingers,
     expansion_factor,
     format_series,
@@ -79,6 +81,57 @@ def test_correct_chord_fingers_matches_manual_ring():
     # Wrapping: 200 + 64 = 264 mod 256 = 8 -> wraps to node 10.
     wrapped = correct_chord_fingers(200, membership, num_fingers=8, key_space=space)
     assert wrapped[6] == (10, 1)
+
+
+class _FakeChord:
+    def __init__(self, my_key, key_space, fingers):
+        self.my_key = my_key
+        self.key_space = key_space
+        self._fingers = fingers
+
+    def finger_table(self):
+        return self._fingers
+
+
+class _FakeNode:
+    def __init__(self, address, agent):
+        self.address = address
+        self._agent = agent
+
+    def agent(self, protocol):
+        return self._agent
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 40))
+def test_the_sorted_once_oracle_equals_the_per_node_one(rng, count):
+    """Fig 10's snapshot sorts the membership once; each node's count must
+    equal the per-node computation and a brute-force scan of the ring, with
+    duplicate nodes and shared keys in the membership."""
+    space = KeySpace(bits=8, digit_bits=4)
+    keys = [rng.randrange(space.size) for _ in range(count)]
+    keys += rng.choices(keys, k=rng.randrange(4))          # shared keys
+    addresses = [rng.randrange(1, 2 * count) for _ in keys]  # duplicate nodes
+    membership = list(zip(keys, addresses))
+    ring = sorted(set(membership))
+
+    def first_at_or_after(target):
+        return min((entry for entry in ring if entry[0] >= target),
+                   default=ring[0])
+
+    nodes, expected_total = [], 0
+    for my_key, address in membership:
+        fingers = {index: rng.choice(ring) for index in range(8)
+                   if rng.random() < 0.9}
+        agent = _FakeChord(my_key, space, fingers)
+        nodes.append(_FakeNode(address, agent))
+        brute = sum(1 for index, entry in fingers.items()
+                    if first_at_or_after((my_key + (1 << index)) % space.size)
+                    == entry)
+        assert chord_correct_entry_count(agent, membership, num_fingers=8) \
+            == brute
+        expected_total += brute
+    assert average_correct_route_entries(nodes, num_fingers=8) \
+        == expected_total / len(nodes)
 
 
 def test_loc_reporting_consistency():

@@ -106,7 +106,7 @@ class _Wire:
 def test_udp_reassembly_tells_a_reborn_sender_from_its_dead_incarnation():
     """A reborn sender's fresh transport restarts its message ids, so only
     the epoch keeps its fragments out of what its dead incarnation left."""
-    from repro.transport.udp import UdpTransport
+    from repro.transport.best_effort import UdpTransport
 
     wire = _Wire()
     UdpTransport("U", None, wire, 1).send(2, "OLD", 3000)
