@@ -17,6 +17,8 @@ It then deploys a 4-node live Chord cluster (5 spec-s, ``time_scale`` 1,
 real processes and loopback sockets on ``--base-port`` onward) with causal
 tracing on, and applies the same route checks to its trace, plus the
 spec-clock bound: every ``route_hop`` time lies in ``[0, duration + 1]``.
+Its snapshot must carry exactly the sim snapshot's ``counters``,
+``gauges`` and ``histograms`` keys: the namespace is structural.
 
 Artifacts land in ``--out-dir`` (``trace.jsonl``/``obs.json`` for the
 simulated run, ``live-trace.jsonl``/``live-obs.json`` for the live one) so
@@ -152,6 +154,9 @@ def main() -> int:
     check(all(0.0 <= record["t"] <= live_spec.duration + 1.0
               for record in live_records if record["cat"] == "route_hop"),
           "live: route_hop times are spec seconds")
+    for section in ("counters", "gauges", "histograms"):
+        check(set(live_snapshot[section]) == set(snapshot[section]),
+              f"live and sim snapshots share their {section} keys")
 
     summary = {
         "records": len(records),

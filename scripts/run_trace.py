@@ -5,8 +5,9 @@ Both execution modes produce the same artifact shapes (see
 docs/OBSERVABILITY.md): one :class:`TraceSink` writes ``repro.trace/1``
 JSONL — the simulator's records as they happen, the live nodes' shipped
 records at the coordinator — with times in spec seconds, and every mode
-snapshots its metrics registry as a ``repro.obs/1`` document.  This script is therefore mode-agnostic: point it at any trace
-file and it prints per-category record counts, the top-talking nodes, the
+folds its process reports into a ``repro.obs/1`` metrics snapshot.  This
+script is therefore mode-agnostic: point it at any trace file and it
+prints per-category record counts, the top-talking nodes, the
 reconstructed per-request route paths (hop-count histogram plus per-hop
 latency distribution), and — with ``--obs`` — a summary of the metrics
 snapshot, drift-ready for diffing against another run's.

@@ -425,15 +425,13 @@ def build_result(spec: "ScenarioSpec", compiled_models: Sequence[CompiledModel],
         report["events_processed"] for report in reports))
     snapshot = None
     if spec.obs is not None:
-        from ..obs import artifact, base_registry, fill, write_obs_snapshot
-        registry = base_registry()
+        from ..obs import fold_snapshot, write_obs_snapshot
         labels = metric_labels(compiled.label for compiled in compiled_models)
-        fill(registry, reports,
-             [label for label, compiled in zip(labels, compiled_models)
-              if isinstance(compiled.model, WorkloadModel)],
-             nodes_total=spec.num_nodes, nodes_alive=nodes_alive)
-        snapshot = artifact(registry, mode=mode, name=name, seed=spec.seed,
-                            duration=spec.duration)
+        snapshot = fold_snapshot(
+            reports, [label for label, compiled in zip(labels, compiled_models)
+                      if isinstance(compiled.model, WorkloadModel)],
+            mode=mode, name=name, seed=spec.seed, duration=spec.duration,
+            nodes_total=spec.num_nodes, nodes_alive=nodes_alive)
         if mode == "live":
             # Each node's stats samples, regrouped by instant.
             samples: dict[float, list] = {}

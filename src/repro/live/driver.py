@@ -62,7 +62,6 @@ class LiveDriver(Driver):
     def __init__(self, seed: int = 0, time_scale: float = 1.0) -> None:
         self._seed = seed
         self.time_scale = time_scale
-        self.rng = random.Random(seed)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._zero = 0.0
         #: Callbacks dispatched so far — the live analogue of the simulator's

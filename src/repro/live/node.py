@@ -18,6 +18,7 @@ set, its stats samples, trace counts, causal section and (with a
 from __future__ import annotations
 
 import traceback
+from dataclasses import replace
 from typing import Any
 
 from ..eval.metrics import ring_rows
@@ -106,11 +107,9 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         obs = config.spec.obs
         obs_tracer = causal = None
         if obs is not None:
-            from ..obs import CausalLog
-            from ..runtime.tracing import Tracer
-            obs_tracer = Tracer(obs.max_records,
-                                category_levels=obs.category_levels,
-                                level=obs.trace_level)
+            from ..obs import CausalLog, build_tracer
+            # The records ship home; the coordinator writes the file.
+            obs_tracer = build_tracer(replace(obs, trace_path=None))
             if obs.causal:
                 causal = CausalLog(obs_tracer, driver, first_id=(
                     (address & 0xFFFFFF) << 40 | (incarnation & 0xFF) << 32))

@@ -1,12 +1,12 @@
-"""Unified observability: metrics registry, trace artifacts, causal tracing.
+"""Unified observability: metrics snapshots, trace artifacts, causal tracing.
 
 One opt-in knob (:class:`ObsConfig`, threaded through
 ``ScenarioSpec.obs`` / ``repro.run(obs=...)``, in simulation and live)
 turns on the same three capabilities in every execution mode:
 
-* a :class:`MetricsRegistry` snapshotting to a versioned ``repro.obs/1``
-  JSON artifact with a mode-independent key set
-  (:func:`~repro.obs.probes.base_registry`);
+* a versioned ``repro.obs/1`` JSON snapshot folded from the run's
+  per-process reports (:func:`fold_snapshot`), with a mode-independent
+  key set;
 * streaming ``repro.trace/1`` JSONL export from the runtime
   :class:`~repro.runtime.tracing.Tracer`, with per-run category-level
   overrides;
@@ -21,26 +21,19 @@ bit; see ``docs/OBSERVABILITY.md``.
 
 from .causal import CausalLog
 from .config import ObsConfig, build_tracer
-from .probes import artifact, base_registry, fill
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .probes import fold_snapshot
 from .trace import (OBS_SCHEMA, TRACE_SCHEMA, TraceSink, load_obs_snapshot,
                     load_trace, reconstruct_routes, validate_obs_snapshot,
                     write_obs_snapshot)
 
 __all__ = [
     "CausalLog",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "OBS_SCHEMA",
     "ObsConfig",
     "TRACE_SCHEMA",
     "TraceSink",
-    "artifact",
-    "base_registry",
     "build_tracer",
-    "fill",
+    "fold_snapshot",
     "load_obs_snapshot",
     "load_trace",
     "reconstruct_routes",

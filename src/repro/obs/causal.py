@@ -25,7 +25,7 @@ A hop is a ``route_hop`` record in the process's
 :class:`~repro.runtime.tracing.Tracer` (``data``: ``trace_id``, ``hop``,
 ``src``, ``latency``), which is what makes ``scripts/run_trace.py``
 mode-agnostic; :meth:`CausalLog.report` is the process report's
-``causal`` section that :func:`repro.obs.probes.fill` folds.
+``causal`` section that :func:`repro.obs.probes.fold_snapshot` folds.
 
 Retransmissions and timer-driven sends start fresh traces by design: they
 are new causal roots, not forwards.

@@ -4,7 +4,7 @@
 live cluster config) with ``obs=None`` — the default — runs the exact
 historical code paths, and the determinism pins
 (``tests/eval/test_obs_pin.py``) hold the disabled path byte-identical.
-Attaching a config turns on the metrics registry, and optionally the
+Attaching a config turns on the metrics snapshot, and optionally the
 streaming trace sink, per-run category-level overrides, and causal
 message tracing.
 

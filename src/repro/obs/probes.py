@@ -1,22 +1,19 @@
-"""The canonical instrument namespace and per-mode fill helpers.
+"""The canonical metric namespace and the fold that fills it.
 
-Every execution mode — the simulator and the live cluster — snapshots
-through :func:`base_registry`, which pre-creates the full instrument set.
-That makes the ``repro.obs/1`` key set *structural*: a counter that cannot
-tick in some mode (``errors.decode_errors`` in sim) is still present at
-zero, so snapshots from different modes of the same spec always carry
-identical keys and can be diffed field-by-field (the drift harness's
+Every execution mode — the simulator and the live cluster — builds its
+``repro.obs/1`` snapshot with :func:`fold_snapshot`, which starts from the
+full namespace at zero.  That makes the key set *structural*: a counter
+that cannot tick in some mode (``errors.decode_errors`` in sim) is still
+present at zero, so snapshots from different modes of the same spec always
+carry identical keys and can be diffed field-by-field (the drift harness's
 requirement).
-
-:func:`fill` translates the per-process reports of a run, in either mode,
-into the shared namespace at end of run, the same way for both.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .registry import MetricsRegistry
 from .trace import OBS_SCHEMA
 
 #: Workload end-to-end latency (simulated or wall-clock seconds).
@@ -55,32 +52,36 @@ HISTOGRAMS = {
 }
 
 
-def base_registry() -> MetricsRegistry:
-    """A registry with the full canonical namespace pre-created at zero."""
-    registry = MetricsRegistry()
-    for name in COUNTERS:
-        registry.counter(name)
-    for name in GAUGES:
-        registry.gauge(name)
-    for name, bounds in HISTOGRAMS.items():
-        registry.histogram(name, bounds)
-    return registry
+def histogram(bounds: Sequence[float], values: Iterable[float]) -> dict:
+    """One fixed-bucket histogram row over *values*.
+
+    Bucket ``i`` counts ``bounds[i - 1] <= value < bounds[i]``
+    (:func:`bisect.bisect_right`), so a value equal to a bound lands in the
+    bucket that bound opens; one overflow bucket holds everything from the
+    last bound up, so ``counts`` has ``len(bounds) + 1`` entries.  Fixed
+    bounds make two runs (sim vs live, this build vs last) comparable
+    bucket-wise.
+    """
+    edges = [float(bound) for bound in bounds]
+    values = [float(value) for value in values]
+    counts = [0] * (len(edges) + 1)
+    total = 0.0
+    for value in values:
+        counts[bisect_right(edges, value)] += 1
+        # Not sum(): it is compensated from Python 3.12, and the pinned
+        # snapshot must not depend on the interpreter.
+        total += value
+    return {"bounds": edges, "counts": counts, "count": len(values),
+            "sum": total, "min": min(values, default=None),
+            "max": max(values, default=None)}
 
 
-def artifact(registry: MetricsRegistry, *, mode: str, name: str, seed: int,
-             duration: float) -> dict:
-    """Wrap a registry snapshot as a ``repro.obs/1`` document."""
-    snapshot = {"schema": OBS_SCHEMA, "mode": mode, "name": name,
-                "seed": seed, "duration": duration}
-    snapshot.update(registry.snapshot())
-    return snapshot
-
-
-def fill(registry: MetricsRegistry, reports: Iterable[dict],
-         workloads: Sequence[str], *, nodes_total: int,
-         nodes_alive: int) -> None:
-    """Fold a finished run's per-process reports into *registry* — the one
-    report of a simulated run, or every live node's.
+def fold_snapshot(reports: Iterable[dict], workloads: Sequence[str], *,
+                  mode: str, name: str, seed: int, duration: float,
+                  nodes_total: int, nodes_alive: int) -> dict:
+    """The ``repro.obs/1`` snapshot of a finished run, folded from its
+    per-process reports — the one report of a simulated run, or every live
+    node's.
 
     A report counts what its process saw: ``events_processed``, ``net``
     packets, ``trace`` records, its ``causal`` section
@@ -90,44 +91,51 @@ def fill(registry: MetricsRegistry, reports: Iterable[dict],
     (:meth:`~repro.eval.workload.WorkloadObservations.payload`).  A trace's
     route length is one more than its highest hop in any report.
     """
-    counter = registry.counter
-    latency = registry.histogram("workload.latency")
-    hop_latency = registry.histogram("causal.hop_latency")
+    counters = dict.fromkeys(COUNTERS, 0)
+    latencies: list = []
+    hop_latencies: list = []
     max_hop: dict[int, int] = {}
     for report in reports:
-        counter("engine.events_processed").inc(report["events_processed"])
+        counters["engine.events_processed"] += report["events_processed"]
         for key, value in report.get("net", {}).items():
-            counter(f"net.{key}").inc(value)
+            counters[f"net.{key}"] += value
         for label in workloads:
             payload = report["models"].get(label)
             if payload is None:
                 continue
             records = payload["records"]
-            counter("workload.sent").inc(len(payload["sent"]))
-            counter("workload.delivered").inc(len(records))
-            counter("workload.duplicates").inc(payload["duplicates"])
-            counter("workload.skipped").inc(payload["skipped"])
+            counters["workload.sent"] += len(payload["sent"])
+            counters["workload.delivered"] += len(records)
+            counters["workload.duplicates"] += payload["duplicates"]
+            counters["workload.skipped"] += payload["skipped"]
             # Delivery records end in their latency; a kv record carries
             # (issued_at, completed_at) at [5:7] instead.
-            latency.observe_many(record[6] - record[5] if len(record) > 3
-                                 else record[2] for record in records)
+            latencies.extend(record[6] - record[5] if len(record) > 3
+                             else record[2] for record in records)
         socket_stats = report.get("socket", {})
-        counter("errors.callback_errors").inc(
-            report.get("callback_error_count", 0))
+        counters["errors.callback_errors"] += report.get(
+            "callback_error_count", 0)
         for key in ("decode_errors", "reassembly_timeouts", "fault_drops"):
-            counter(f"errors.{key}").inc(socket_stats.get(key, 0))
+            counters[f"errors.{key}"] += socket_stats.get(key, 0)
         trace_stats = report.get("trace", {})
-        counter("trace.records").inc(trace_stats.get("records", 0))
-        counter("trace.dropped").inc(trace_stats.get("dropped", 0))
+        counters["trace.records"] += trace_stats.get("records", 0)
+        counters["trace.dropped"] += trace_stats.get("dropped", 0)
         causal = report.get("causal")
         if causal is not None:
-            counter("causal.traces").inc(causal["traces"])
-            counter("causal.hops").inc(causal["hops"])
-            hop_latency.observe_many(causal["hop_latencies"])
+            counters["causal.traces"] += causal["traces"]
+            counters["causal.hops"] += causal["hops"]
+            hop_latencies.extend(causal["hop_latencies"])
             for trace_id, hop in causal["max_hop"].items():
                 if hop > max_hop.get(trace_id, -1):
                     max_hop[trace_id] = hop
-    registry.gauge("nodes.alive").set(nodes_alive)
-    registry.gauge("nodes.total").set(nodes_total)
-    registry.histogram("causal.route_hops").observe_many(
-        hop + 1 for hop in max_hop.values())
+    values = {"workload.latency": latencies,
+              "causal.hop_latency": hop_latencies,
+              "causal.route_hops": [hop + 1 for hop in max_hop.values()]}
+    gauges = {"nodes.alive": float(nodes_alive),
+              "nodes.total": float(nodes_total)}
+    return {"schema": OBS_SCHEMA, "mode": mode, "name": name, "seed": seed,
+            "duration": duration,
+            "counters": dict(sorted(counters.items())),
+            "gauges": {key: gauges[key] for key in sorted(GAUGES)},
+            "histograms": {key: histogram(HISTOGRAMS[key], values[key])
+                           for key in sorted(HISTOGRAMS)}}

@@ -17,9 +17,10 @@ conventions:
   ``max_records``), sorted by time.  ``t`` is spec seconds in both, so
   ``scripts/run_trace.py`` is mode-agnostic.
 
-* ``repro.obs/1`` — a single JSON document holding a
-  :meth:`~repro.obs.registry.MetricsRegistry.snapshot` plus run identity
-  (mode, name, seed, duration).  Key sets are structural: every mode
+* ``repro.obs/1`` — a single JSON document holding the counters, gauges
+  and histograms :func:`~repro.obs.probes.fold_snapshot` folds from the
+  run's per-process reports, plus run identity (mode, name, seed,
+  duration).  Key sets are structural: every mode
   emits the full canonical namespace (zeros where inapplicable), so a
   sim snapshot and a live snapshot of the same spec always share keys.
 

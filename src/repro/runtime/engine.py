@@ -47,10 +47,10 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for the simulation-wide random number generator.  All random
-        choices made by the network emulator, transports, and protocols should
-        derive from :attr:`rng` (or from generators forked via
-        :meth:`fork_rng`) so an experiment is fully reproducible.
+        Seed of every random stream in the run.  All random choices made
+        by the network emulator, transports, and protocols come from
+        generators forked via :meth:`fork_rng`, so an experiment is fully
+        reproducible.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -62,7 +62,6 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
-        self.rng = random.Random(seed)
         self._seed = seed
         self.events_processed = 0
 
@@ -79,9 +78,9 @@ class Simulator:
     def fork_rng(self, name: str) -> random.Random:
         """Return a new RNG deterministically derived from the seed and *name*.
 
-        Subsystems that need their own stream of randomness (e.g. one per
-        node) should fork rather than share :attr:`rng`, so adding a new
-        consumer does not perturb every other consumer's draws.
+        Each subsystem that needs randomness (e.g. one per node) forks its
+        own stream, so adding a new consumer does not perturb every other
+        consumer's draws.
         """
         return random.Random(f"{self._seed}:{name}")
 

@@ -95,12 +95,6 @@ class NeighborEntry:
     def type_name(self) -> str:
         return self._type.name
 
-    def as_dict(self) -> dict[str, Any]:
-        data = {"addr": self.addr, "key": self.key}
-        for spec in self._type.fields:
-            data[spec.name] = getattr(self, spec.name)
-        return data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborEntry({self._type.name}, addr={self.addr}, key={self.key})"
 

@@ -1,8 +1,8 @@
-"""The observability layer: registry primitives, artifacts, causal tracing.
+"""The observability layer: the snapshot fold, artifacts, causal tracing.
 
 The byte-identity contract of the *disabled* path is pinned separately in
-test_obs_pin.py; this module covers the enabled path — the metrics
-registry, the canonical namespace, snapshot/trace artifact round-trips,
+test_obs_pin.py; this module covers the enabled path — the histogram
+rule, the canonical namespace, snapshot/trace artifact round-trips,
 facade plumbing, and route reconstruction.
 """
 
@@ -15,9 +15,9 @@ import pytest
 import repro
 from repro.eval.library import resolve_protocol
 from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
-from repro.obs import (Histogram, MetricsRegistry, ObsConfig, base_registry,
-                       load_obs_snapshot, load_trace, reconstruct_routes,
-                       validate_obs_snapshot)
+from repro.obs import (ObsConfig, fold_snapshot, load_obs_snapshot,
+                       load_trace, reconstruct_routes, validate_obs_snapshot)
+from repro.obs.probes import COUNTERS, GAUGES, HISTOGRAMS, histogram
 
 
 def traced_spec(seed: int = 3, **obs_kwargs) -> ScenarioSpec:
@@ -30,41 +30,75 @@ def traced_spec(seed: int = 3, **obs_kwargs) -> ScenarioSpec:
         obs=ObsConfig(**obs_kwargs))
 
 
-# ------------------------------------------------------------------ registry
-def test_counter_gauge_histogram_basics():
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.counter("c").inc(4)
-    registry.gauge("g").set(2.5)
-    registry.gauge("g").add(0.5)
-    histogram = registry.histogram("h", bounds=(1.0, 10.0))
-    histogram.observe_many([0.5, 5.0, 50.0])
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["c"] == 5
-    assert snapshot["gauges"]["g"] == 3.0
-    assert snapshot["histograms"]["h"]["counts"] == [1, 1, 1]
-    assert snapshot["histograms"]["h"]["min"] == 0.5
-    assert snapshot["histograms"]["h"]["max"] == 50.0
-    assert histogram.mean() == pytest.approx(55.5 / 3)
+# ---------------------------------------------------------------- snapshot
+def test_histogram_buckets_overflow_and_empty():
+    row = histogram((1.0, 10.0), [1.0, 0.5, 9.5, 50.0])
+    # A value equal to a bound lands in the bucket that bound opens; one
+    # above the last bound lands in the overflow bucket.
+    assert row["counts"] == [1, 2, 1]
+    assert row["bounds"] == [1.0, 10.0]
+    assert (row["count"], row["sum"]) == (4, 61.0)
+    assert (row["min"], row["max"]) == (0.5, 50.0)
+    assert histogram((1.0, 10.0), [10.0])["counts"] == [0, 0, 1]
+    assert histogram((1.0, 10.0), []) == {
+        "bounds": [1.0, 10.0], "counts": [0, 0, 0], "count": 0,
+        "sum": 0.0, "min": None, "max": None}
+
+
+def test_a_snapshot_of_no_reports_carries_the_full_namespace():
+    snapshot = fold_snapshot([], [], mode="sim", name="empty", seed=0,
+                             duration=0.0, nodes_total=0, nodes_alive=0)
+    validate_obs_snapshot(snapshot)
+    assert snapshot["counters"] == dict.fromkeys(sorted(COUNTERS), 0)
+    assert snapshot["gauges"] == dict.fromkeys(sorted(GAUGES), 0.0)
+    assert list(snapshot["histograms"]) == sorted(HISTOGRAMS)
+    for key, bounds in HISTOGRAMS.items():
+        assert snapshot["histograms"][key]["bounds"] == list(bounds)
+        assert snapshot["histograms"][key]["count"] == 0
 
 
 def test_histogram_bounds_validation():
-    with pytest.raises(ValueError):
-        Histogram(())
-    with pytest.raises(ValueError):
-        Histogram((1.0, 1.0))
-    with pytest.raises(ValueError):
-        Histogram((2.0, 1.0))
-    Histogram((1.0, 2.0, 3.0))   # ascending is fine
+    # bisect_right buckets silently wrong on unsorted or repeated bounds,
+    # so every fixed bound set must be non-empty and strictly ascending.
+    for key, bounds in HISTOGRAMS.items():
+        assert bounds, key
+        assert all(low < high for low, high in zip(bounds, bounds[1:])), key
 
 
-def test_base_registry_precreates_the_full_namespace():
-    snapshot = base_registry().snapshot()
-    assert snapshot["counters"]["errors.decode_errors"] == 0
-    assert snapshot["counters"]["errors.reassembly_timeouts"] == 0
-    assert snapshot["gauges"]["nodes.total"] == 0.0
-    assert snapshot["histograms"]["causal.route_hops"]["count"] == 0
-    validate_obs_snapshot({"schema": "repro.obs/1", **snapshot})
+def test_fold_sums_reports_and_takes_the_longest_route():
+    def report(records, sent, hops, max_hop, **extra):
+        return {"events_processed": 10, "net": {"packets_sent": 3},
+                "models": {"w": {"records": records, "sent": sent,
+                                 "duplicates": 1, "skipped": 0}},
+                "causal": {"traces": len(max_hop), "hops": len(hops),
+                           "hop_latencies": hops, "max_hop": max_hop},
+                **extra}
+
+    reports = [
+        report([("a", "b", 0.02)], ["m1", "m2"], [0.003], {7: 0, 8: 2}),
+        report([("c", "d", 0.3)], ["m3"], [0.004, 0.2], {7: 3},
+               socket={"decode_errors": 2}, callback_error_count=1),
+        {"events_processed": 5, "models": {}},   # a node with no workload
+    ]
+    snapshot = fold_snapshot(reports, ["w"], mode="live", name="fold",
+                             seed=1, duration=2.0, nodes_total=3,
+                             nodes_alive=2)
+    validate_obs_snapshot(snapshot)
+    counters = snapshot["counters"]
+    assert counters["engine.events_processed"] == 25
+    assert counters["net.packets_sent"] == 6
+    assert (counters["workload.sent"], counters["workload.delivered"]) == (3, 2)
+    assert counters["workload.duplicates"] == 2
+    assert counters["errors.decode_errors"] == 2
+    assert counters["errors.callback_errors"] == 1
+    assert (counters["causal.traces"], counters["causal.hops"]) == (3, 3)
+    assert snapshot["gauges"] == {"nodes.alive": 2.0, "nodes.total": 3.0}
+    histograms = snapshot["histograms"]
+    assert histograms["workload.latency"]["count"] == 2
+    assert histograms["causal.hop_latency"]["count"] == 3
+    # Trace 7 reached hop 3 on the second node: a route of 4 hops, not 1.
+    routes = histograms["causal.route_hops"]
+    assert (routes["count"], routes["min"], routes["max"]) == (2, 3.0, 4.0)
 
 
 # ----------------------------------------------------------------- sim runs
@@ -105,9 +139,9 @@ def test_causal_tracing_reconstructs_routes(tmp_path):
 
 def test_sim_snapshot_keys_are_the_canonical_namespace():
     result = traced_spec(causal=True).run()
-    canonical = base_registry().snapshot()
-    for section in ("counters", "gauges", "histograms"):
-        assert set(result.obs[section]) == set(canonical[section])
+    assert set(result.obs["counters"]) == set(COUNTERS)
+    assert set(result.obs["gauges"]) == set(GAUGES)
+    assert set(result.obs["histograms"]) == set(HISTOGRAMS)
 
 
 def test_a_traced_run_writes_one_stream_to_the_named_path(tmp_path):

@@ -203,6 +203,11 @@ def engine_fingerprint(seed: int = 7, num_hosts: int = 64,
 
     stress = max((view.max_stress for view in emulator.link_stats().values()),
                  default=0)
+    # Added in arrival order, not with sum(): that is compensated from
+    # Python 3.12, and the pin must not depend on the interpreter.
+    latency_sum = 0.0
+    for latency in latencies:
+        latency_sum += latency
     return {
         "packets_sent": emulator.stats.packets_sent,
         "packets_delivered": emulator.stats.packets_delivered,
@@ -211,7 +216,7 @@ def engine_fingerprint(seed: int = 7, num_hosts: int = 64,
         "events_processed": simulator.events_processed,
         "final_time": repr(simulator.now),
         "latency_count": len(latencies),
-        "latency_sum": repr(sum(latencies)),
+        "latency_sum": repr(latency_sum),
         "max_link_stress": stress,
     }
 
