@@ -150,6 +150,8 @@ def main() -> int:
     check(live_snapshot["mode"] == "live", "live snapshot mode")
     live_header, live_records = load_trace(str(live_trace_path))
     check(live_header["mode"] == "live", "live trace mode")
+    check(live_snapshot["name"] == live_header["name"] == live_spec.name,
+          "live snapshot and trace carry the spec's name")
     live_routes = check_routes(check, "live", live_records, live_snapshot)
     check(all(0.0 <= record["t"] <= live_spec.duration + 1.0
               for record in live_records if record["cat"] == "route_hop"),

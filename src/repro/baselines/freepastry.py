@@ -17,7 +17,7 @@ routing algorithm but models those runtime costs explicitly:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from ..protocols import pastry_agent
@@ -28,49 +28,38 @@ class FreePastryCapacityError(RuntimeError):
     """Raised when more FreePastry instances are created than memory allows."""
 
 
-class _FreePastryFactory:
-    _cached = None
-
-    @classmethod
-    def get(cls):
-        if cls._cached is None:
-            base = pastry_agent()
-
-            class FreePastryAgentImpl(base):  # type: ignore[misc,valid-type]
-                """Pastry with FreePastry/RMI cost characteristics."""
-
-                PROTOCOL = "freepastry"
-                #: Marshalling + RMI dispatch delay added to every message send.
-                #: Calibrated so the per-packet latency gap matches the ~80 %
-                #: reduction the paper reports for MACEDON over FreePastry/RMI.
-                RMI_OVERHEAD = 0.100
-                #: Additional per-received-message dispatch (deserialisation) delay.
-                RMI_RECEIVE_OVERHEAD = 0.050
-                #: Largest population the baseline supports before exhausting memory.
-                MAX_POPULATION = 100
-
-                def __init__(self, node) -> None:
-                    if len(node.emulator.hosts) > self.MAX_POPULATION:
-                        raise FreePastryCapacityError(
-                            f"FreePastry baseline cannot run more than "
-                            f"{self.MAX_POPULATION} participants (out of memory)"
-                        )
-                    super().__init__(node)
-
-                def send_msg(self, message: Message, dest: int, *,
-                             priority: int = -1,
-                             tag: Optional[str] = None) -> None:
-                    """Delay every transmission by the RMI marshalling overhead."""
-                    overhead = self.RMI_OVERHEAD + self.RMI_RECEIVE_OVERHEAD
-                    self.simulator.schedule(overhead, partial(
-                        super().send_msg, message, dest, priority=priority,
-                        tag=tag))
-
-            cls._cached = FreePastryAgentImpl
-        return cls._cached
-
-
+@cache
 def FreePastryAgent():
-    """Return the FreePastry baseline agent class."""
-    return _FreePastryFactory.get()
+    """Return the FreePastry baseline agent class (built once per process)."""
 
+    class FreePastryAgentImpl(pastry_agent()):  # type: ignore[misc,valid-type]
+        """Pastry with FreePastry/RMI cost characteristics."""
+
+        PROTOCOL = "freepastry"
+        #: Marshalling + RMI dispatch delay added to every message send.
+        #: Calibrated so the per-packet latency gap matches the ~80 %
+        #: reduction the paper reports for MACEDON over FreePastry/RMI.
+        RMI_OVERHEAD = 0.100
+        #: Additional per-received-message dispatch (deserialisation) delay.
+        RMI_RECEIVE_OVERHEAD = 0.050
+        #: Largest population the baseline supports before exhausting memory.
+        MAX_POPULATION = 100
+
+        def __init__(self, node) -> None:
+            if len(node.emulator.hosts) > self.MAX_POPULATION:
+                raise FreePastryCapacityError(
+                    f"FreePastry baseline cannot run more than "
+                    f"{self.MAX_POPULATION} participants (out of memory)"
+                )
+            super().__init__(node)
+
+        def send_msg(self, message: Message, dest: int, *,
+                     priority: int = -1,
+                     tag: Optional[str] = None) -> None:
+            """Delay every transmission by the RMI marshalling overhead."""
+            overhead = self.RMI_OVERHEAD + self.RMI_RECEIVE_OVERHEAD
+            self.simulator.schedule(overhead, partial(
+                super().send_msg, message, dest, priority=priority,
+                tag=tag))
+
+    return FreePastryAgentImpl

@@ -6,10 +6,11 @@ rows over the one vocabulary :data:`FAULT_VERBS`.  Every driver draws the
 rows on the same RNG stream and binds them with one binder
 (:func:`~repro.eval.scenario.draw_model`,
 :func:`~repro.eval.scenario.bind_model`): the simulator executes them on an
-:class:`~repro.eval.experiment.OverlayExperiment`; a live deployment's
-supervisor runs the fault rows by verb on a
-:class:`~repro.live.cluster.LiveCluster` (:mod:`repro.live.faults`), and
-each node process runs its own join and group rows.
+:class:`~repro.eval.experiment.OverlayExperiment`; in a live deployment
+each node process runs its own join and group rows and every partition and
+degrade row on its socket's :class:`~repro.transport.udp.SocketFaults`, and
+the supervisor, a :class:`~repro.live.cluster.LiveCluster`, runs the crash
+rows (:mod:`repro.live.faults`).
 A new fault model is one class with one ``draw``; no driver changes.
 
 The models cover the paper's fault vocabulary plus the adversarial shapes
@@ -60,8 +61,9 @@ class Fault(NamedTuple):
 
 #: The fault vocabulary: ``verb -> (event kind, undo verb, undo event kind,
 #: leading args the undo takes)``.  Every verb and undo verb is a method of
-#: :class:`~repro.eval.experiment.OverlayExperiment`; a
-#: :class:`~repro.live.cluster.LiveCluster` has the ones a deployment can
+#: :class:`~repro.eval.experiment.OverlayExperiment`; a live node's
+#: :class:`~repro.transport.udp.SocketFaults` and the
+#: :class:`~repro.live.cluster.LiveCluster` have the ones a deployment can
 #: carry out.  docs/SCENARIOS.md "Fault verbs" is a view of this table.
 FAULT_VERBS: dict[str, tuple] = {
     "join_node": ("join", None, None, 0),

@@ -321,7 +321,7 @@ def bind_model(drawn: Drawn, executor, nodes: Mapping[int, Any],
     """*drawn* as one process's events: the one binder of every driver.
 
     *nodes* maps the indices this process owns to their nodes; *executor*
-    has the fault verbs (``None``: this process runs none).  A fault row is
+    runs the fault rows whose verb it has, and no other.  A fault row is
     its verb at ``at`` and its :data:`FAULT_VERBS` undo at ``until``; a join
     row is ``executor.join_node`` on an owned node, or with *bootstrap*
     that node's ``macedon_init(bootstrap)``; any other row runs on an owned
@@ -378,7 +378,7 @@ def bind_model(drawn: Drawn, executor, nodes: Mapping[int, Any],
                     else partial(nodes[row.node].macedon_init, bootstrap),
                     node=row.node))
         elif verbs is not None:
-            if executor is not None:
+            if hasattr(executor, row.verb):
                 kind, undo, undo_kind, undo_arity = verbs
                 events.append(ScenarioEvent(
                     row.at, kind, row.detail,

@@ -15,13 +15,13 @@ package is the live half of the reproduction:
 * :class:`~repro.live.cluster.LiveCluster` — a
   :class:`~repro.eval.scenario.ScenarioSpec` on a scaled clock: the
   coordinator draws the spec's schedule as the simulator does, runs its
-  fault rows by verb and scores every model with the simulator's own scorer
+  crash rows by verb and scores every model with the simulator's own scorer
   into a :class:`~repro.eval.scenario.ScenarioResult`;
 * :mod:`~repro.live.node` — one node process: the same draw, its own node's
-  joins, group rows and :class:`~repro.eval.workload.NodeWorkload` ops, and
-  one payload home per observing model;
-* :mod:`~repro.live.faults` — what the fault plane adds live: the
-  degrade-to-socket translation and the live-runnable verdict.
+  joins, group rows and :class:`~repro.eval.workload.NodeWorkload` ops,
+  every partition and degrade row on its socket's fault table, and one
+  payload home per observing model;
+* :mod:`~repro.live.faults` — the live-runnable verdict.
 
 See docs/LIVE.md for the architecture and scripts/run_live.py for the CLI.
 """

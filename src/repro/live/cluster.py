@@ -9,11 +9,12 @@ the coordinator, draws the spec's schedule as the simulator draws it
 (:meth:`~repro.eval.scenario.ScenarioSpec.draw`), binds it with the
 simulator's binder (:func:`~repro.eval.scenario.bind_model`) and runs its
 own share in spec seconds: a node process its node's joins, group rows and
-workload ops; the coordinator the fault rows, by verb, as
-:class:`~repro.eval.experiment.OverlayExperiment` runs them.  The
-coordinator scores the node reports with the models it bound into the
-simulator's :class:`~repro.eval.scenario.ScenarioResult`, through the
-function the simulator builds its own with
+workload ops and every partition and degrade row, on its own socket's fault
+table; the coordinator the rows that need another process, crashes and
+recoveries, by verb, as :class:`~repro.eval.experiment.OverlayExperiment`
+runs them.  The coordinator scores the node reports with the models it
+bound into the simulator's :class:`~repro.eval.scenario.ScenarioResult`,
+through the function the simulator builds its own with
 (:func:`~repro.eval.scenario.build_result`): one ruler for both modes, the
 paper's Figure-1 promise.
 
@@ -22,9 +23,10 @@ action fixes the cluster's zero on the host's monotonic clock, and a results
 queue.  Once the barrier drops, nodes talk only protocol traffic.  When the
 spec draws fault rows the coordinator becomes a supervisor: real
 ``SIGKILL`` signals, respawns under a per-node restart budget (a reborn process
-re-enters through the transport restart epoch, on the shared zero), and
-partition/degrade rules sent one way into every node's socket fault table.
-A node that exhausts its budget is accounted *down*, not a run failure.
+re-enters through the transport restart epoch, on the shared zero, and
+re-applies the network rows that stand at its rebirth).  Nothing is sent to
+a node after the barrier.  A node that exhausts its budget is accounted
+*down*, not a run failure.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import itertools
 import multiprocessing
 import os
 import signal
-import socket as socket_module
 import threading
 import time
 from contextlib import suppress
@@ -49,9 +50,8 @@ from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioResult,
                              ScenarioSpec, bind_model, build_result,
                              metric_labels)
 from ..eval.workload import WorkloadModel
-from ..transport.udp import SocketUdpNetwork
-from .faults import DEGRADE_DELAY_UNIT, MAX_DEGRADE_DELAY, MAX_DEGRADE_LOSS
-from .node import FIRST_ADDRESS, TRANSPORT_TOTALS, worker_entry
+from ..transport.udp import FIRST_ADDRESS, SocketUdpNetwork
+from .node import TRANSPORT_TOTALS, worker_entry
 
 #: Wall seconds a spec is fitted into when its config sets no ``time_scale``:
 #: a 300-second scenario does not hold real sockets for five minutes.
@@ -67,9 +67,6 @@ BACKOFF_CAP = 8.0
 #: and for node reports once the spec's horizon has passed.
 POLL = 0.01
 REPORT_TIMEOUT = 30.0
-
-#: Actions the run waits for after the last report: each changes who reports.
-_AWAITED = ("crash_node", "recover_node", "_respawn")
 
 
 class LiveClusterError(RuntimeError):
@@ -137,8 +134,9 @@ class LiveCluster:
     """Boot a :class:`LiveClusterConfig` across processes and aggregate.
 
     The fault verbs are the :class:`~repro.eval.experiment.OverlayExperiment`
-    methods a deployment can carry out, with their names and arguments, so
-    a drawn :class:`~repro.eval.faults.Fault` row runs here as it runs in
+    methods that need a process other than the node's — ``crash_node`` and
+    its undo — with their names and arguments, so a drawn
+    :class:`~repro.eval.faults.Fault` row runs here as it runs in
     simulation: the verb at ``at``, its ``FAULT_VERBS`` undo at ``until``.
     The supervision state lives on the instance: one instance, one run.
     """
@@ -159,10 +157,6 @@ class LiveCluster:
         self._now = 0.0
         #: The spec's models as this coordinator binds them (:meth:`_bind`).
         self._compiled: list[CompiledModel] = []
-        #: Standing network-fault rules (key → op), and the respawned nodes
-        #: that have not had them yet (:meth:`_replay`).
-        self._standing: dict = {}
-        self._reborn: set = set()
         self._processes: list = []
 
     # ------------------------------------------------------------ fault verbs
@@ -194,36 +188,10 @@ class LiveCluster:
             self._push(self._now + min(BACKOFF_CAP, stretch), self._respawn,
                        index)
 
-    def partition(self, groups) -> None:
-        """Host-group partition of node indices (the emulator's rule)."""
-        self._control("partition", {
-            "op": "partition",
-            "groups": [[FIRST_ADDRESS + i for i in group]
-                       for group in groups]})
-
-    def heal_partition(self) -> None:
-        self._control("partition", {"op": "heal-partition"})
-
-    def degrade_node(self, index: int, bandwidth_factor: float,
-                     latency_factor: float) -> None:
-        """Degrade node *index*'s access link: the factors become capped
-        added delay and loss."""
-        delay = min(MAX_DEGRADE_DELAY,
-                    (latency_factor - 1.0) * DEGRADE_DELAY_UNIT)
-        loss = min(MAX_DEGRADE_LOSS, max(0.0, 1.0 - bandwidth_factor))
-        address = FIRST_ADDRESS + index
-        self._control(address, {"op": "degrade", "targets": [address],
-                                "delay": round(delay, 4),
-                                "loss": round(loss, 4)})
-
-    def restore_node(self, index: int) -> None:
-        address = FIRST_ADDRESS + index
-        self._control(address, {"op": "restore", "targets": [address]})
-
     # ---------------------------------------------------------- supervision
     def _bind(self) -> list[CompiledModel]:
         """Draw the spec and bind every model as a process that owns no
-        node (:func:`~repro.eval.scenario.bind_model`): the fault rows
+        node (:func:`~repro.eval.scenario.bind_model`): the crash rows
         become this supervisor's actions, each verb at ``at`` and its undo
         at ``until``, those due by the spec's horizon."""
         duration = self.config.spec.duration
@@ -238,23 +206,6 @@ class LiveCluster:
 
     def _push(self, at: float, action, *args) -> None:
         heapq.heappush(self._actions, (at, next(self._seq), action, args))
-
-    def _control(self, key, op: dict) -> None:
-        """Send *op* to every node.  A partition or degrade stands under
-        *key* until the heal or restore on the same key retires it."""
-        if op["op"] in ("partition", "degrade"):
-            self._standing[key] = op
-        else:
-            self._standing.pop(key, None)
-        self._send_control(op)
-
-    def _send_control(self, op: dict, addresses=None) -> None:
-        frame = SocketUdpNetwork.control_frame(op)
-        endpoints = self.config.endpoints()
-        for address in addresses if addresses is not None else endpoints:
-            for _ in range(2):   # UDP: fire twice, ops are idempotent
-                with suppress(OSError):   # endpoint gone
-                    self._control_socket.sendto(frame, endpoints[address])
 
     def _spawn(self, index: int) -> None:
         incarnation = self._state[index]["incarnation"]
@@ -275,18 +226,7 @@ class LiveCluster:
         node.update(incarnation=node["incarnation"] + 1,
                     restarts=node["restarts"] + 1, down=False,
                     pending_respawn=False)
-        self._ready[index] = 0
         self._spawn(index)
-        self._reborn.add(index)
-
-    def _replay(self) -> None:
-        """Send the standing rules to each reborn node once its socket is
-        bound (its ``ready`` flag): a fresh fault table would otherwise leak
-        traffic through an unhealed partition."""
-        for index in [index for index in self._reborn if self._ready[index]]:
-            self._reborn.discard(index)
-            for op in list(self._standing.values()):
-                self._send_control(op, [FIRST_ADDRESS + index])
 
     def _clock(self) -> float:
         """The cluster's spec-second clock, as every node's driver reads it:
@@ -313,8 +253,6 @@ class LiveCluster:
             nodes + 1, action=partial(_set_zero, self._zero))
         self._ready = self._ctx.Array("b", nodes)
         self._results = results_queue = self._ctx.Queue()
-        self._control_socket = socket_module.socket(socket_module.AF_INET,
-                                                    socket_module.SOCK_DGRAM)
         state, actions = self._state, self._actions
         reports: dict[int, dict] = {}
 
@@ -333,14 +271,10 @@ class LiveCluster:
                 while actions and actions[0][0] <= now:
                     self._now, _, action, args = heapq.heappop(actions)
                     action(*args)
-                self._replay()
 
                 expected = [i for i in range(nodes) if not state[i]["down"]]
-                if (all(i in reports for i in expected)
-                        and not any(action.__name__ in _AWAITED
-                                    for _, _, action, _ in actions)):
-                    # Leftover network actions (a heal scheduled past the
-                    # run's end) have nobody left to heal — don't wait.
+                if all(i in reports for i in expected) and not actions:
+                    # Every pending action changes who reports.
                     break
                 if deadline is None and now > config.spec.duration:
                     deadline = time.monotonic() + REPORT_TIMEOUT
@@ -380,7 +314,6 @@ class LiveCluster:
                     else:
                         node_state["down"] = True
         finally:
-            self._control_socket.close()
             # Orphan cleanup covers every process ever started, including
             # respawned incarnations: join, then escalate to terminate and
             # finally kill — a coordinator exit must leave no node behind.
@@ -474,9 +407,8 @@ class LiveCluster:
         labels = metric_labels(compiled.label for compiled in self._compiled)
         workloads = [(label, compiled.model) for label, compiled
                      in zip(labels, self._compiled) if hasattr(compiled, "plan")]
-        name = f"live-{spec.agents.name}-{workloads[0][1].kind}"
         result = build_result(
-            spec, self._compiled, per_node, mode="live", name=name,
+            spec, self._compiled, per_node, mode="live", name=spec.name,
             nodes_alive=sum(not report.get("down") for report in per_node),
             series={}, events=[], per_node=per_node)
         metrics = result.metrics

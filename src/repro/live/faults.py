@@ -4,10 +4,12 @@ A fault model describes its faults once, as the
 :class:`~repro.eval.faults.Fault` rows its ``draw`` returns, and both
 drivers draw and bind them the same way (:mod:`repro.eval.scenario`): the
 simulator on an :class:`~repro.eval.experiment.OverlayExperiment`, a live
-deployment on a :class:`~repro.live.cluster.LiveCluster`, which carries the
-verbs a deployment can carry out under the experiment's names.  This module
-holds the rest: how a degraded access link's factors become socket delay
-and loss, and whether a spec can be deployed at all.
+deployment on two executors that carry the experiment's verbs under its
+names — each node process's :class:`~repro.transport.udp.SocketFaults`
+(partitions and degraded access links, with the caps that turn factors
+into socket delay and loss) and the :class:`~repro.live.cluster.LiveCluster`
+supervisor (crashes and recoveries).  This module holds the rest: whether a
+spec can be deployed at all.
 
 A model that needs the emulated underlay (link-level cuts and degradation,
 rack-correlated crashes) says so itself when drawn without one, so a spec
@@ -21,17 +23,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..eval.scenario import ScenarioError
-
-#: One simulated latency-factor unit maps to this many seconds of added
-#: one-way delay on a degraded node's access link (localhost has no
-#: meaningful base RTT to scale, so the unit is declared, not measured).
-DEGRADE_DELAY_UNIT = 0.02
-
-#: Ceilings keeping degradation survivable on a short live run: more delay
-#: than this stalls reliable windows for the whole run, reporting transport
-#: collapse instead of degradation.
-MAX_DEGRADE_DELAY = 0.25
-MAX_DEGRADE_LOSS = 0.75
 
 
 class LiveFaultError(ScenarioError):

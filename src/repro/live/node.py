@@ -6,8 +6,11 @@ socket, waits on the cluster's start barrier (whose action fixes the
 cluster's clock zero), draws the spec's schedule as every process does
 (:meth:`~repro.eval.scenario.ScenarioSpec.draw`) and binds it as the
 simulator does (:func:`~repro.eval.scenario.bind_model`), owning its one
-node.  Its :class:`~repro.live.driver.LiveDriver` runs the events in spec
-seconds, ``time_scale`` wall seconds each.  At the end it ships a report
+node, with its socket's :class:`~repro.transport.udp.SocketFaults` as the
+executor of the partition and degrade rows (a reborn process re-applies
+the ones standing at its rebirth, :func:`_resume`).  Its
+:class:`~repro.live.driver.LiveDriver` runs the events in spec seconds,
+``time_scale`` wall seconds each.  At the end it ships a report
 home over the results queue: every model's payload under its label, its
 FSM state, transport, network and socket counters, for ring protocols its
 ring row (:func:`~repro.eval.metrics.ring_rows`) and, with ``spec.obs``
@@ -19,19 +22,22 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import replace
-from typing import Any
+from typing import Any, Optional
 
 from ..eval.metrics import ring_rows
 from ..eval.scenario import bind_model, model_payloads
-from ..transport.udp import SocketUdpNetwork
+from ..transport.udp import FIRST_ADDRESS, SocketUdpNetwork
 
-#: Lowest overlay address; 0 is avoided because the specs treat a zero
-#: address as "unset" (``if candidate:`` guards).
-FIRST_ADDRESS = 1
+#: The network-fault verbs a node process runs on its own socket's fault
+#: table (:class:`~repro.transport.udp.SocketFaults`), undos included.
+NETWORK_VERBS = ("partition", "heal_partition", "degrade_node",
+                 "restore_node")
 
-#: The drawn verbs a node process runs on its own node: its joins and its
-#: group rows.  Every other drawn verb is a :class:`LiveCluster` fault verb.
-NODE_VERBS = ("join_node", "macedon_create_group", "macedon_join")
+#: The drawn verbs a node process runs: its own node's joins and group
+#: rows, and every network-fault row.  Every other drawn verb is a
+#: :class:`LiveCluster` fault verb.
+NODE_VERBS = ("join_node", "macedon_create_group", "macedon_join") \
+    + NETWORK_VERBS
 
 #: Spec seconds after a respawn at which a reborn process re-enters what its
 #: dead incarnation had joined: the overlay, then its groups and topics.  Any
@@ -83,8 +89,7 @@ async def node_main(config, index: int, barrier, ready, zero, *,
         driver = LiveDriver(seed=config.spec.seed,
                             time_scale=config.scale)
         # The ready flag lets the coordinator name the stuck node when the
-        # start barrier times out, and replay the standing fault rules to a
-        # reborn socket.
+        # start barrier times out.
         ready[index] = 1
         if incarnation == 0:
             # Every socket must be bound before any node may send.
@@ -127,13 +132,14 @@ async def node_main(config, index: int, barrier, ready, zero, *,
             node.recover()
 
         # --- this node's share of the schedule, bound as the simulator binds
-        # every node's; workloads record on the driver clock, whose zero
-        # every process shares.
+        # every node's, the network-fault rows on this socket's fault table;
+        # workloads record on the driver clock, whose zero every process
+        # shares.
         if incarnation:
             _resume(drawn, driver.now)
         streams: set[int] = set()
         compiled_models = [
-            bind_model(entry, None, {index: node}, streams,
+            bind_model(entry, network.faults, {index: node}, streams,
                        config.spec.duration, bootstrap=bootstrap)
             for entry in drawn]
         observed = [compiled.observations for compiled in compiled_models
@@ -209,19 +215,26 @@ async def node_main(config, index: int, barrier, ready, zero, *,
 
 def _resume(drawn: list, now: float) -> None:
     """Cut *drawn* to what a reborn process runs at spec time *now*: every
-    row and op still ahead, and each :data:`REJOIN` verb behind re-entered
-    shortly.  Any other slot behind belonged to the dead incarnation."""
-    def resume(at: float, verb: str):
+    row and op still ahead, each :data:`REJOIN` verb behind re-entered
+    shortly, and each network row whose span covers *now* re-applied at
+    once (its undo stays at ``until``).  Any other slot behind belonged to
+    the dead incarnation, or has already ended."""
+    def resume(at: float, verb: str, until: Optional[float] = None):
         if at > now + 0.01:
             return at
-        return now + REJOIN[verb] if verb in REJOIN else None
+        if verb in REJOIN:
+            return now + REJOIN[verb]
+        if verb in NETWORK_VERBS and (until is None or until > now):
+            return now
+        return None
 
     for entry in drawn:
         if entry.plan is not None:
             entry.plan.ops = [op._replace(time=at) for op in entry.plan.ops
                               if (at := resume(op.time, op.verb)) is not None]
         entry.rows[:] = [row._replace(at=at) for row in entry.rows
-                         if (at := resume(row.at, row.verb)) is not None]
+                         if (at := resume(row.at, row.verb, row.until))
+                         is not None]
 
 
 def worker_entry(config, index: int, barrier, results, ready, zero,

@@ -62,43 +62,6 @@ def hash_key(value: Union[str, int, bytes], bits: int = DEFAULT_KEY_BITS) -> int
         return hash_bytes(str(value).encode("utf-8"), bits)
 
 
-def key_space_size(bits: int = DEFAULT_KEY_BITS) -> int:
-    """Total number of identifiers in a *bits*-wide key space."""
-    return 1 << bits
-
-
-def in_interval(value: int, start: int, end: int, bits: int = DEFAULT_KEY_BITS,
-                inclusive_start: bool = False, inclusive_end: bool = False) -> bool:
-    """Whether *value* lies on the ring interval (start, end) modulo 2**bits.
-
-    Ring-interval membership is the core predicate of Chord routing; it is
-    shared by the MACEDON Chord spec and the lsd baseline so both agree on
-    correctness.
-    """
-    size = 1 << bits
-    value %= size
-    start %= size
-    end %= size
-    if start == end:
-        # Whole ring, except possibly the endpoints.
-        if inclusive_start or inclusive_end:
-            return True
-        return value != start
-    if start < end:
-        after_start = value > start or (inclusive_start and value == start)
-        before_end = value < end or (inclusive_end and value == end)
-        return after_start and before_end
-    # Interval wraps around zero.
-    after_start = value > start or (inclusive_start and value == start)
-    before_end = value < end or (inclusive_end and value == end)
-    return after_start or before_end
-
-
-def ring_distance(a: int, b: int, bits: int = DEFAULT_KEY_BITS) -> int:
-    """Clockwise distance from *a* to *b* on the ring."""
-    return (b - a) % (1 << bits)
-
-
 def key_digits(key: int, base_bits: int, digits: int) -> list[int]:
     """Split *key* into *digits* digits of *base_bits* bits each, most significant first.
 
@@ -162,9 +125,9 @@ class KeySpace:
 
     def between(self, value: int, start: int, end: int, *,
                 inclusive_start: bool = False, inclusive_end: bool = False) -> bool:
-        # Inlined in_interval() over the cached size: this predicate runs on
-        # every routing decision of every DHT hop.  Keep the logic in exact
-        # lockstep with in_interval() above.
+        """Whether *value* lies on the ring interval (start, end), either
+        end optionally included; ``start == end`` is the whole ring, less
+        *start* unless an end is included.  Chord's routing predicate."""
         size = self.size
         value %= size
         start %= size

@@ -64,19 +64,7 @@ class MacedonNode:
         host = emulator.attach_host(topology_node)
         self.address: int = host.address
         self.host = host
-        self.transport_host = TransportHost(simulator, emulator, self.address)
-        self.transport_host.set_deliver_upcall(self._on_transport_deliver)
-
-        self.failure_detector = FailureDetector(
-            simulator,
-            send_heartbeat=self._send_heartbeat,
-            on_failure=self._on_peer_failure,
-            config=failure_config,
-        )
-
-        self.stack = ProtocolStack(self, self._agent_classes)
-        self.stack.validate_layering()
-        self._declare_transports()
+        self._build(epoch=0)
         self.initialized = False
         self.crashed = False
         #: Lifecycle counters (how often this node fail-stopped / recovered).
@@ -84,6 +72,23 @@ class MacedonNode:
         self.recover_count = 0
 
     # ------------------------------------------------------------------- setup
+    def _build(self, epoch: int) -> None:
+        """A fresh transport subsystem under restart *epoch*, failure
+        detector and agent stack: what construction and every recovery
+        build, in this order."""
+        self.transport_host = TransportHost(self.simulator, self.emulator,
+                                            self.address, epoch=epoch)
+        self.transport_host.set_deliver_upcall(self._on_transport_deliver)
+        self.failure_detector = FailureDetector(
+            self.simulator,
+            send_heartbeat=self._send_heartbeat,
+            on_failure=self._on_peer_failure,
+            config=self._failure_config,
+        )
+        self.stack = ProtocolStack(self, self._agent_classes)
+        self.stack.validate_layering()
+        self._declare_transports()
+
     def _declare_transports(self) -> None:
         lowest = self.stack.lowest
         declarations = lowest.TRANSPORT_DECLS
@@ -145,19 +150,7 @@ class MacedonNode:
             return
         self.recover_count += 1
         self.emulator.reattach_host(self.address)
-        self.transport_host = TransportHost(self.simulator, self.emulator,
-                                            self.address,
-                                            epoch=self.crash_count)
-        self.transport_host.set_deliver_upcall(self._on_transport_deliver)
-        self.failure_detector = FailureDetector(
-            self.simulator,
-            send_heartbeat=self._send_heartbeat,
-            on_failure=self._on_peer_failure,
-            config=self._failure_config,
-        )
-        self.stack = ProtocolStack(self, self._agent_classes)
-        self.stack.validate_layering()
-        self._declare_transports()
+        self._build(epoch=self.crash_count)
         self.crashed = False
         if bootstrap is not None:
             self.macedon_init(bootstrap)

@@ -6,7 +6,10 @@ socket between OS processes, presenting the emulator's
 ``send``/``set_receive_callback``/``attach_host`` surface so
 :class:`~repro.transport.demux.TransportHost` and every transport class —
 best-effort demux, reliable windows, epochs, reassembly — run unchanged in
-live mode; :class:`SocketFaults` is its fault table.  See docs/LIVE.md.
+live mode.  :class:`SocketFaults` is its fault table and carries the
+simulator's network-fault verbs, so a node process binds its own partition
+and degrade rows to it, as the simulator binds them to its emulator.  See
+docs/LIVE.md.
 
 Only :mod:`repro.live` imports this module: it loads :mod:`asyncio`, which
 a simulated run never needs.
@@ -15,7 +18,6 @@ a simulated run never needs.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import random
 import struct
@@ -44,26 +46,40 @@ FRAGMENT_THRESHOLD = 60_000
 #: lose the message).
 FRAGMENT_TIMEOUT = 5.0
 
+#: Lowest overlay address; 0 is avoided because the specs treat a zero
+#: address as "unset" (``if candidate:`` guards).  Node index *i* of a live
+#: deployment is overlay address ``FIRST_ADDRESS + i``.
+FIRST_ADDRESS = 1
+
+#: One simulated latency-factor unit maps to this many seconds of added
+#: one-way delay on a degraded node's access link (localhost has no
+#: meaningful base RTT to scale, so the unit is declared, not measured).
+DEGRADE_DELAY_UNIT = 0.02
+
+#: Ceilings keeping degradation survivable on a short live run: more delay
+#: than this stalls reliable windows for the whole run, reporting transport
+#: collapse instead of degradation.
+MAX_DEGRADE_DELAY = 0.25
+MAX_DEGRADE_LOSS = 0.75
+
 
 class SocketFaults:
     """Network-fault table for one live socket: the live twin of the
-    emulator's partition/degrade hooks.
+    emulator's partition/degrade hooks, with the
+    :class:`~repro.eval.experiment.OverlayExperiment` verbs that install
+    them (node indices, as the simulator's take).
 
-    Partition rules are keyed by *peer overlay address*, degradation by the
-    degraded node, and both apply where a real network would apply them: a
-    partition drops an outbound datagram after the transport stack handed
-    it over (the send still "succeeds" — the bytes die in the network, not
-    on the host); partition, loss, and delay act on arriving datagrams
-    before any decoding.  A degraded node's access link limps both ways, so
-    an arrival takes the rule of its source and this node's own: delays
-    add and losses compound, as two degraded links in series do.  Partition
-    membership and degradation are tracked separately so healing one fault
-    never heals another that targets the same peer.
-
-    The table is installed over the coordinator control channel (see
-    :meth:`SocketUdpNetwork.apply_fault_op`); every operation is idempotent,
-    so the coordinator can re-send rules (control datagrams are themselves
-    best-effort) and replay the active set to a respawned node.
+    A node process binds its spec's network-fault rows to its own table,
+    so each verb runs in every process at its spec instant.  Partition and
+    loss act where a real network would: a partition drops an outbound
+    datagram after the transport stack handed it over (the send still
+    "succeeds" — the bytes die in the network, not on the host); partition,
+    loss, and delay act on arriving datagrams before any decoding.  A
+    degraded node's access link limps both ways, so an arrival takes the
+    rule of its source and this node's own: delays add and losses compound,
+    as two degraded links in series do.  Partition membership and
+    degradation are tracked separately so healing one fault never heals
+    another that targets the same peer.
     """
 
     def __init__(self, local_address: int,
@@ -73,15 +89,44 @@ class SocketFaults:
         #: reproducible drop pattern per receiver (timing still varies).
         self.rng = rng if rng is not None \
             else random.Random(local_address * 0x9E3779B1)
-        self.partitioned: set[int] = set()   # peers cut both ways
+        #: overlay address -> partition group, and this node's group; an
+        #: unlisted address is in group 0 (the emulator's rule).
+        self.group_of: dict[int, int] = {}
+        self.group = 0
         #: degraded node address -> (added delay seconds, loss probability)
         self.degraded: dict[int, tuple[float, float]] = {}
 
+    # ------------------------------------------------------------ fault verbs
+    def partition(self, groups) -> None:
+        """Host-group partition of node indices: a datagram whose two ends
+        are in different groups is dropped; unlisted nodes are group 0,
+        listed groups are numbered from 1 (``partition_hosts``)."""
+        self.group_of = {FIRST_ADDRESS + index: number
+                         for number, group in enumerate(groups, 1)
+                         for index in group}
+        self.group = self.group_of.get(self.local_address, 0)
+
+    def heal_partition(self) -> None:
+        self.group_of, self.group = {}, 0
+
+    def degrade_node(self, index: int, bandwidth_factor: float,
+                     latency_factor: float) -> None:
+        """Degrade node *index*'s access link: the factors become capped
+        added delay and loss."""
+        delay = (latency_factor - 1.0) * DEGRADE_DELAY_UNIT
+        loss = max(0.0, 1.0 - bandwidth_factor)
+        self.degraded[FIRST_ADDRESS + index] = (
+            min(MAX_DEGRADE_DELAY, delay), min(MAX_DEGRADE_LOSS, loss))
+
+    def restore_node(self, index: int) -> None:
+        self.degraded.pop(FIRST_ADDRESS + index, None)
+
+    # --------------------------------------------------------------- verdicts
     def active(self) -> bool:
-        return bool(self.partitioned or self.degraded)
+        return bool(self.group_of or self.degraded)
 
     def drops_outbound(self, dst: int) -> bool:
-        return dst in self.partitioned
+        return self.group_of.get(dst, 0) != self.group
 
     def inbound(self, src: int):
         """Verdict for an arriving datagram from *src*.
@@ -89,7 +134,7 @@ class SocketFaults:
         ``"drop"`` discards it, a positive float delays delivery by that
         many seconds, ``None`` delivers immediately.
         """
-        if src in self.partitioned:
+        if self.group_of.get(src, 0) != self.group:
             return "drop"
         delay = loss = 0.0
         for end in {src, self.local_address}:
@@ -103,8 +148,7 @@ class SocketFaults:
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return (f"SocketFaults(addr={self.local_address}, "
-                f"partitioned={sorted(self.partitioned)}, "
-                f"degraded={self.degraded})")
+                f"groups={self.group_of}, degraded={self.degraded})")
 
 
 class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
@@ -140,7 +184,6 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     _FRAME_SEGMENT = 2
     _FRAME_RAW = 3
     _FRAME_FRAGMENT = 4
-    _FRAME_CONTROL = 5
     #: kind flag, seq, ack, msg_id, chunk, chunks, epoch, dest_epoch, size,
     #: ack_delay — the full Segment envelope (its ~53 bytes of framing play
     #: the role of the emulator's fixed HEADER_BYTES overhead).
@@ -160,8 +203,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     #: per-packet paths increment them in place).
     STATS = ("frames_sent", "frames_received", "bytes_sent", "bytes_received",
              "send_drops", "decode_errors", "fault_drops", "fragments_sent",
-             "fragments_received", "reassembly_timeouts", "control_frames",
-             "traced_frames")
+             "fragments_received", "reassembly_timeouts", "traced_frames")
 
     def __init__(self, local_address: int,
                  endpoints: Mapping[int, tuple[str, int]],
@@ -181,8 +223,8 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: False while "crashed": sends dropped, arrivals ignored.
         self.attached = True
-        #: Injected network faults (partition/degrade rules); consulted
-        #: on both send and receive, installed via :meth:`apply_fault_op`.
+        #: Injected network faults (partition/degrade rules), consulted on
+        #: both send and receive; the node binds its fault rows to it.
         self.faults = SocketFaults(local_address)
         self._frag_id = 0
         #: (frame kind, transport name) -> the bytes every such frame of this
@@ -364,12 +406,6 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
             logger.warning("dropping datagram with bad magic %#x from %s",
                            magic, addr)
             return
-        if frame_kind == self._FRAME_CONTROL:
-            # The coordinator control channel is out-of-band: it works
-            # through partitions (it *installs* them) and while the node is
-            # detached, so fault state stays current across crash/recover.
-            self._handle_control(data, addr)
-            return
         if not self.attached or self._receive is None:
             return
         faults = self.faults
@@ -500,73 +536,6 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         for key in expired:
             del self._pending_fragments[key]
             self.reassembly_timeouts += 1
-
-    # ------------------------------------------------------ control channel
-    @classmethod
-    def control_frame(cls, op: dict) -> bytes:
-        """Encode a fault-table operation as one control datagram.
-
-        The coordinator (conventionally address 0, which no overlay node
-        uses) sends these from a plain blocking socket; they need no codec.
-        """
-        return (cls._HEADER.pack(cls.MAGIC, cls._FRAME_CONTROL, 0)
-                + json.dumps(op, separators=(",", ":")).encode("utf-8"))
-
-    def _handle_control(self, data: bytes, addr) -> None:
-        self.control_frames += 1
-        try:
-            op = json.loads(data[self._HEADER.size:].decode("utf-8"))
-            if not isinstance(op, dict):
-                raise WireError(f"control payload is not an object: {op!r}")
-            self.apply_fault_op(op)
-        except (WireError, ValueError, KeyError, TypeError) as exc:
-            self.decode_errors += 1
-            logger.warning("dropping bad control frame from %s: %s",
-                           addr, exc)
-
-    def apply_fault_op(self, op: dict) -> None:
-        """Apply one coordinator fault operation to the local fault table.
-
-        Addresses in *op* are overlay addresses.  Operations:
-
-        * ``{"op": "partition", "groups": [[a, b], [c]]}`` — host-level
-          partition: this node can only reach peers in its own group;
-          unlisted nodes form their own implicit group (exactly the
-          emulator's ``partition_hosts`` rule).  Replaces any previous
-          partition.
-        * ``{"op": "heal-partition"}`` — clear partition rules only.
-        * ``{"op": "degrade", "targets": [a], "delay": 0.05, "loss": 0.3}``
-          — degrade the access link of each target: arrivals *from* a
-          target are delayed/lossy everywhere, and a targeted node applies
-          the rule to arrivals from every peer (its inbound direction).
-        * ``{"op": "restore", "targets": [a]}`` — undo ``degrade`` for
-          those targets only.
-        """
-        faults = self.faults
-        kind = op.get("op")
-        if kind == "partition":
-            groups = [set(group) for group in op.get("groups", ())]
-            peers = set(self.endpoints) - {self.local_address}
-            mine = next((group for group in groups
-                         if self.local_address in group), None)
-            if mine is None:
-                listed: set[int] = set()
-                for group in groups:
-                    listed |= group
-                faults.partitioned = peers & listed
-            else:
-                faults.partitioned = peers - mine
-        elif kind == "heal-partition":
-            faults.partitioned = set()
-        elif kind == "degrade":
-            rule = (float(op.get("delay", 0.0)), float(op.get("loss", 0.0)))
-            for target in op.get("targets", ()):
-                faults.degraded[target] = rule
-        elif kind == "restore":
-            for target in op.get("targets", ()):
-                faults.degraded.pop(target, None)
-        else:
-            raise WireError(f"unknown fault op {kind!r}")
 
     def stats(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.STATS}

@@ -1,12 +1,13 @@
 """The fault vocabulary stays in step with its executors and its docs.
 
-``FAULT_VERBS`` is one table read by two executors: the simulator looks every
-verb and undo verb up on :class:`OverlayExperiment`, the live cluster on
-:class:`LiveCluster`, which carries the verbs a deployment can carry out.
-These tests fail when a row names a method an executor does not have (or
-passes it arguments it does not take), when the cluster carries a verb
-without its undo, and when docs/SCENARIOS.md "Fault verbs" no longer shows
-the table.
+``FAULT_VERBS`` is one table read by every executor: the simulator looks
+every verb and undo verb up on :class:`OverlayExperiment`; a live deployment
+carries out the crash verb on the coordinator's :class:`LiveCluster` and the
+network verbs on each node process's :class:`SocketFaults`.  These tests
+fail when a row names a method an executor does not have (or passes it
+arguments it does not take), when a live executor carries a verb without
+its undo, and when docs/SCENARIOS.md "Fault verbs" no longer shows the
+table.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  FlashCrowdModel, PartitionModel,
                                  ScenarioModel, ScenarioSpec, WorkloadModel)
 from repro.live import LiveCluster, LiveFaultError
+from repro.transport.udp import SocketFaults
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
 
@@ -44,8 +46,10 @@ EVERY_VERB = ScenarioSpec(
                      bandwidth_factor=0.5, restore_after=5.0)))
 
 
-#: The verbs of the table a live cluster carries out.
-LIVE = [verb for verb in FAULT_VERBS if hasattr(LiveCluster, verb)]
+#: The verbs of the table a live deployment carries out, by executor: the
+#: coordinator's supervisor and each node process's socket fault table.
+LIVE = {executor: [verb for verb in FAULT_VERBS if hasattr(executor, verb)]
+        for executor in (LiveCluster, SocketFaults)}
 
 
 def _binds(method_name: str, args: tuple,
@@ -63,9 +67,9 @@ def test_every_verb_is_an_experiment_method_taking_the_drawn_arguments():
                                       EVERY_VERB.duration, experiment)
         for fault in faults:
             _kind, undo, _undo_kind, undo_arity = FAULT_VERBS[fault.verb]
-            executors = [OverlayExperiment]
-            if fault.verb in LIVE:
-                executors.append(LiveCluster)
+            executors = [OverlayExperiment] + [
+                executor for executor, verbs in LIVE.items()
+                if fault.verb in verbs]
             for executor in executors:
                 _binds(fault.verb, fault.args, executor)
                 if undo is not None:
@@ -74,12 +78,14 @@ def test_every_verb_is_an_experiment_method_taking_the_drawn_arguments():
     assert drawn == set(FAULT_VERBS)
 
 
-def test_every_verb_the_live_cluster_carries_out_has_its_undo():
-    assert LIVE == ["crash_node", "partition", "degrade_node"]
-    for verb in LIVE:
-        undo = FAULT_VERBS[verb][1]
-        assert callable(getattr(LiveCluster, undo, None)), \
-            f"LiveCluster.{verb} has no undo {undo}"
+def test_every_verb_a_live_executor_carries_out_has_its_undo():
+    assert LIVE == {LiveCluster: ["crash_node"],
+                    SocketFaults: ["partition", "degrade_node"]}
+    for executor, verbs in LIVE.items():
+        for verb in verbs:
+            undo = FAULT_VERBS[verb][1]
+            assert callable(getattr(executor, undo, None)), \
+                f"{executor.__name__}.{verb} has no undo {undo}"
 
 
 def test_a_row_a_live_cluster_cannot_run_is_an_error_naming_the_verb():
@@ -108,8 +114,11 @@ def test_scenarios_md_shows_the_verb_table():
         assert cells[1:4] == [f"`{kind}`",
                               f"`{undo}`" if undo else "—",
                               f"`{undo_kind}`" if undo else "—"]
-        if verb in LIVE:
-            assert f"`LiveCluster.{verb}`" in cells[4]
+        carriers = [executor.__name__ for executor, verbs in LIVE.items()
+                    if verb in verbs]
+        if carriers:
+            (carrier,) = carriers
+            assert f"`{carrier}.{verb}`" in cells[4]
         elif verb != "join_node":
             assert "needs the emulated underlay" in cells[4]
     assert len(rows) == len(FAULT_VERBS)

@@ -222,8 +222,7 @@ def test_unseen_transport_name_and_delayed_delivery():
     assert [p.payload.payload for p in received] == [b"hello"] * 2
 
     right._loop = _FakeLoop()
-    right.apply_fault_op({"op": "degrade", "targets": [1], "delay": 0.25,
-                          "loss": 0.0})
+    right.faults.degrade_node(0, 1.0, 100.0)   # capped: 0.25 s, no loss
     right.datagram_received(first, ("127.0.0.1", 1111))
     assert len(received) == 2            # held back, not delivered
     (delay, callback, args), = right._loop.later

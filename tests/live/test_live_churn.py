@@ -115,8 +115,8 @@ def test_failure_detection_fires_on_the_spec_clock():
 
 def test_partition_and_degrade_reach_real_sockets():
     """A spec's partition and degrade models, at their spec instants on a
-    ``time_scale`` clock, go through the coordinator into every node's
-    socket fault table."""
+    ``time_scale`` clock, reach every node's socket fault table: each node
+    process runs the rows on its own table."""
     spec = ScenarioSpec(
         name="partition-degrade-live", agents=resolve_protocol("chord"),
         num_nodes=4, duration=60.0, seed=3,

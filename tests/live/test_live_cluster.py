@@ -190,5 +190,5 @@ def test_same_kv_spec_runs_live_via_facade():
     assert metrics["workload.quorum_success"] >= 0.9
     assert metrics["workload.phantom_reads"] == 0.0
     # The live config inherited the spec's quorum knobs and population.
-    assert outcome.name == "live-chord-kv"
+    assert outcome.name == spec.name
     assert metrics["nodes.count"] == 4.0

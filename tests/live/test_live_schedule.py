@@ -1,11 +1,12 @@
 """A live deployment runs its spec's own schedule: what every process draws,
-and the supervisor verbs that run the coordinator's rows (no process
-started)."""
+the supervisor verbs that run the coordinator's rows, and what a reborn
+node process re-applies (no process started)."""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 
@@ -14,10 +15,12 @@ from repro.eval.library import library_spec, resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, GroupModel, PartitionModel,
-                                 ScenarioError, ScenarioSpec, WorkloadModel)
+                                 ScenarioError, ScenarioSpec, WorkloadModel,
+                                 bind_model)
 from repro.live import (LiveCluster, LiveClusterConfig, LiveFaultError,
                         live_runnable)
-from repro.live.node import NODE_VERBS
+from repro.live.node import NETWORK_VERBS, NODE_VERBS, _resume
+from repro.transport.udp import FIRST_ADDRESS, SocketFaults
 
 pytestmark = pytest.mark.live
 
@@ -43,7 +46,8 @@ def _rows(*models, **fields):
     """The fault rows a deployment of a spec with *models* draws."""
     rows = _drawn_rows(LiveClusterConfig(_spec(*models, **fields),
                                          time_scale=SCALE))
-    return [row for row in rows if row.verb not in NODE_VERBS]
+    return [row for row in rows
+            if row.verb in FAULT_VERBS and row.verb != "join_node"]
 
 
 def _span(row):
@@ -97,16 +101,17 @@ def test_live_draws_the_simulators_joins_ops_and_faults_up_to_time_scale(
 
 @pytest.mark.parametrize("name", SPECS)
 def test_every_drawn_row_runs_in_exactly_one_process(name):
-    """A node process takes the join and group rows of its own index; the
-    coordinator binds the fault rows as actions at their spec times, undo
-    included, and leaves out what falls past the horizon, as the simulator
-    does."""
+    """A node process takes the join and group rows of its own index and
+    every network row; the coordinator binds the crash rows as actions at
+    their spec times, undo included, and leaves out what falls past the
+    horizon, as the simulator does."""
     config = LiveClusterConfig(SPECS[name], time_scale=SCALE)
     rows = _drawn_rows(config)
     assert all((row.verb in NODE_VERBS) != hasattr(LiveCluster, row.verb)
                for row in rows)
+    # A network row runs in every node process; any other node row in one.
     assert all(row.node is not None for row in rows
-               if row.verb in NODE_VERBS)
+               if row.verb in NODE_VERBS and row.verb not in NETWORK_VERBS)
     cluster = _cluster(config)
     cluster._bind()
     expected = []
@@ -195,32 +200,31 @@ def test_flapping_cycles_past_the_horizon_are_drawn_but_never_queued():
 
 
 def test_degrade_maps_factors_with_caps():
+    """A node process runs the row on its own socket's fault table."""
     (fault,) = _rows(DegradeModel(at=40.0, restore_after=30.0, hosts=(3,),
                                   latency_factor=5.0, bandwidth_factor=0.5))
     assert fault.verb == "degrade_node"
     assert fault.args == (3, 0.5, 5.0)
-    (op,) = _sent_ops(fault)
-    assert op["targets"] == [4]                  # node index 3's address
-    assert op["delay"] == pytest.approx(0.08)    # (5 - 1) * 0.02
-    assert op["loss"] == pytest.approx(0.5)      # 1 - bandwidth_factor
+    faults = SocketFaults(1)
+    getattr(faults, fault.verb)(*fault.args)
+    ((address, (delay, loss)),) = faults.degraded.items()
+    assert address == 4                          # node index 3's address
+    assert delay == pytest.approx(0.08)          # (5 - 1) * 0.02
+    assert loss == pytest.approx(0.5)            # 1 - bandwidth_factor
 
     (capped,) = _rows(DegradeModel(at=40.0, hosts=(3,), latency_factor=100.0,
                                    bandwidth_factor=0.01))
-    (op,) = _sent_ops(capped)
-    assert op["delay"] == pytest.approx(0.25)
-    assert op["loss"] == pytest.approx(0.75)
+    getattr(faults, capped.verb)(*capped.args)
+    assert faults.degraded == {4: (0.25, 0.75)}
 
     with pytest.raises(ScenarioError, match="access links only"):
         _rows(DegradeModel(at=40.0, links=((0, 1),), bandwidth_factor=0.5))
 
 
 def _cluster(config=None, **fields) -> LiveCluster:
-    """A cluster whose spawns and control sends are recorded, not made."""
+    """A cluster whose spawns are recorded, not made."""
     cluster = LiveCluster(config or LiveClusterConfig(_spec(), **fields))
-    cluster.sent, cluster.spawned = [], []
-    cluster._ready = [0] * cluster.config.spec.num_nodes
-    cluster._send_control = \
-        lambda op, addresses=None: cluster.sent.append((op, addresses))
+    cluster.spawned = []
     cluster._spawn = cluster.spawned.append
     return cluster
 
@@ -233,14 +237,6 @@ def _drain(cluster) -> list:
         action(*args)
         fired.append((cluster._now, action.__name__, args))
     return fired
-
-
-def _sent_ops(row) -> list:
-    """The fault-table ops a cluster sends to every node for *row*'s verb."""
-    cluster = _cluster()
-    getattr(cluster, row.verb)(*row.args)
-    assert all(addresses is None for _, addresses in cluster.sent)
-    return [op for op, _ in cluster.sent]
 
 
 def test_sim_only_models_raise_with_a_reason():
@@ -328,50 +324,40 @@ def test_negative_victim_index_counts_from_the_end_in_both_modes():
 
 
 # ------------------------------------------------------------ supervisor verbs
-def test_network_verbs_send_the_ops_and_their_undos_retire_them():
-    cluster = _cluster()
-    cluster.partition(((0, 1, 2), (3, 4, 5)))
-    cluster.degrade_node(1, 0.5, 5.0)
-    cluster.degrade_node(2, 1.0, 2.0)
-    assert [op for op, _ in cluster.sent] == [
-        {"op": "partition", "groups": [[1, 2, 3], [4, 5, 6]]},
-        {"op": "degrade", "targets": [2], "delay": 0.08, "loss": 0.5},
-        {"op": "degrade", "targets": [3], "delay": 0.02, "loss": 0.0}]
-    assert len(cluster._standing) == 3
+def test_a_respawn_re_applies_the_network_rows_that_stand():
+    """A node reborn at 40 s re-applies, at once, the partition and the
+    degrade that stand then (each undo stays at its ``until``), and not the
+    partition healed at 15 s."""
+    config = LiveClusterConfig(_spec(
+        PartitionModel(at=10.0, heal_after=5.0, groups=((2, 3),)),
+        PartitionModel(at=30.0, heal_after=20.0, groups=((0, 1),)),
+        DegradeModel(at=35.0, hosts=(3,), bandwidth_factor=0.5),
+        DegradeModel(at=60.0, restore_after=5.0, hosts=(1,),
+                     bandwidth_factor=0.5)), time_scale=SCALE)
+    drawn = config.spec.draw()
+    _resume(drawn, 40.0)
+    rows = [(row.verb, row.args, row.at, row.until)
+            for entry in drawn for row in entry.rows
+            if row.verb in NETWORK_VERBS]
+    assert rows == [("partition", (((0, 1),),), 40.0, 50.0),
+                    ("degrade_node", (3, 0.5, 1.0), 40.0, None),
+                    ("degrade_node", (1, 0.5, 1.0), 60.0, 65.0)]
 
-    cluster.sent.clear()
-    cluster.heal_partition()
-    cluster.restore_node(1)
-    assert [op for op, _ in cluster.sent] == [
-        {"op": "heal-partition"}, {"op": "restore", "targets": [2]}]
-    # Restoring node 1 leaves node 2's rule standing.
-    assert list(cluster._standing.values()) == [
-        {"op": "degrade", "targets": [3], "delay": 0.02, "loss": 0.0}]
-
-
-def test_a_respawn_gets_the_standing_rules_replayed():
-    """Once its process has bound the reborn socket (its ready flag), and
-    only then, on supervision's time rather than the spec's."""
-    cluster = _cluster()
-    cluster.partition(((0, 1), (2, 3, 4, 5)))
-    cluster.sent.clear()
-    cluster._now = 3.0
-    cluster.crash_node(2)
-    assert cluster._state[2]["down"]
-    cluster._now = 4.0
-    cluster.recover_node(2)
-    assert _drain(cluster) == [(4.0, "_respawn", (2,))]
-    assert cluster.spawned == [2]
-    cluster._replay()
-    assert cluster.sent == []          # not bound yet
-    cluster._ready[2] = 1
-    cluster._replay()
-    cluster._replay()                  # once per rebirth
-    # ``_send_control`` itself fires each frame twice.
-    assert cluster.sent == [(cluster._standing["partition"], [3])]
-    node = cluster._state[2]
-    assert (node["incarnation"], node["restarts"], node["killed"]) == (1, 1, 1)
-    assert not node["down"] and not node["pending_respawn"]
+    # Bound as the node binds them, the events due by 40 s rebuild the
+    # table a node outside the partition held when it was killed.
+    faults = SocketFaults(FIRST_ADDRESS + 2)
+    events = sorted((event for entry in drawn
+                     for event in bind_model(entry, faults, {}, set(),
+                                             config.spec.duration).events),
+                    key=attrgetter("time"))
+    for event in events:
+        if event.time <= 40.0:
+            event.apply()
+    assert faults.group_of == {1: 1, 2: 1} and faults.group == 0
+    assert list(faults.degraded) == [4]
+    assert [(event.time, event.kind) for event in events
+            if event.time > 40.0] \
+        == [(50.0, "heal"), (60.0, "degrade"), (65.0, "restore")]
 
 
 def test_crash_and_recover_are_no_ops_where_the_simulator_s_are():

@@ -9,17 +9,17 @@ from repro.runtime.keys import (
     DEFAULT_KEY_BITS,
     KeySpace,
     hash_key,
-    in_interval,
-    key_space_size,
-    ring_distance,
     shared_prefix_length,
 )
+
+#: The 32-bit ring Chord routes on.
+RING = KeySpace()
 
 
 def test_hash_key_is_deterministic_and_bounded():
     assert hash_key("node-1") == hash_key("node-1")
     assert hash_key("node-1") != hash_key("node-2")
-    assert 0 <= hash_key("anything") < key_space_size()
+    assert 0 <= hash_key("anything") < RING.size
 
 
 def test_hash_key_width():
@@ -28,28 +28,28 @@ def test_hash_key_width():
         hash_key("x", bits=0)
 
 
-def test_in_interval_simple_and_wrapping():
-    assert in_interval(5, 1, 10)
-    assert not in_interval(1, 1, 10)
-    assert in_interval(1, 1, 10, inclusive_start=True)
-    assert in_interval(10, 1, 10, inclusive_end=True)
+def test_between_simple_and_wrapping():
+    assert RING.between(5, 1, 10)
+    assert not RING.between(1, 1, 10)
+    assert RING.between(1, 1, 10, inclusive_start=True)
+    assert RING.between(10, 1, 10, inclusive_end=True)
     # Wrapping interval (10, 3): contains 11.. and 0..2
-    assert in_interval(0, 10, 3)
-    assert in_interval(12, 10, 3)
-    assert not in_interval(5, 10, 3)
+    assert RING.between(0, 10, 3)
+    assert RING.between(12, 10, 3)
+    assert not RING.between(5, 10, 3)
 
 
-def test_in_interval_degenerate_whole_ring():
-    assert not in_interval(5, 5, 5)
-    assert in_interval(7, 5, 5)
-    assert in_interval(5, 5, 5, inclusive_start=True)
+def test_between_degenerate_whole_ring():
+    assert not RING.between(5, 5, 5)
+    assert RING.between(7, 5, 5)
+    assert RING.between(5, 5, 5, inclusive_start=True)
 
 
-def test_ring_distance():
-    size = key_space_size()
-    assert ring_distance(0, 10) == 10
-    assert ring_distance(10, 0) == size - 10
-    assert ring_distance(7, 7) == 0
+def test_distance():
+    assert RING.size == 2 ** DEFAULT_KEY_BITS
+    assert RING.distance(0, 10) == 10
+    assert RING.distance(10, 0) == RING.size - 10
+    assert RING.distance(7, 7) == 0
 
 
 def test_key_space_digits_and_prefix():
@@ -76,13 +76,12 @@ def test_successor_distance_order():
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_ring_distance_antisymmetry(a, b):
-    size = key_space_size()
-    d_ab = ring_distance(a, b)
-    d_ba = ring_distance(b, a)
-    assert 0 <= d_ab < size
+def test_distance_antisymmetry(a, b):
+    d_ab = RING.distance(a, b)
+    d_ba = RING.distance(b, a)
+    assert 0 <= d_ab < RING.size
     if a != b:
-        assert d_ab + d_ba == size
+        assert d_ab + d_ba == RING.size
     else:
         assert d_ab == 0 and d_ba == 0
 
@@ -93,8 +92,8 @@ def test_ring_distance_antisymmetry(a, b):
 def test_interval_membership_excludes_exactly_one_side(value, start, end):
     if start == end:
         return
-    inside = in_interval(value, start, end)
-    outside = in_interval(value, end, start)
+    inside = RING.between(value, start, end)
+    outside = RING.between(value, end, start)
     if value in (start, end):
         assert not inside or not outside
     else:
