@@ -9,7 +9,8 @@ chain end to end:
   validation, and its counters agree with the run;
 * the ``repro.trace/1`` JSONL stream loads, and causal ``route_hop``
   records reconstruct into route paths with hop counts and per-hop
-  latencies;
+  latencies; the snapshot's ``causal.route_hops`` histogram counts every
+  route, and its bucket 0 exactly the one-hop ones;
 * running the *same* spec without observability produces byte-identical
   metrics — the disabled path must not perturb the simulation.
 
@@ -82,6 +83,9 @@ def check_routes(check, label: str, records: list[dict],
     hop_histogram = snapshot["histograms"]["causal.route_hops"]
     check(hop_histogram["count"] == len(routes),
           f"{label}: route-hop histogram count matches reconstructed routes")
+    one_hop = sum(1 for route in routes if route["hops"] == 1)
+    check(hop_histogram["counts"][0] == one_hop,
+          f"{label}: route-hop bucket 0 holds the {one_hop} one-hop routes")
     counters = snapshot["counters"]
     check(counters["trace.records"] >= counters["causal.hops"] > 0,
           f"{label}: every hop is a counted trace record")

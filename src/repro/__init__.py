@@ -29,7 +29,7 @@ One front door runs any scenario in any mode (see :mod:`repro.facade`)::
     live = repro.run(spec, mode="live")       # real processes, real UDP
 """
 
-from .codegen import compile_mac, get_registry, load_protocol, load_stack
+from .codegen import compile_mac, get_registry
 from .facade import run
 from .network import NetworkEmulator, multi_site_topology, transit_stub_topology
 from .runtime import MacedonNode, Simulator, Tracer
@@ -40,8 +40,6 @@ __all__ = [
     "run",
     "compile_mac",
     "get_registry",
-    "load_protocol",
-    "load_stack",
     "NetworkEmulator",
     "multi_site_topology",
     "transit_stub_topology",

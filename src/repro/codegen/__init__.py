@@ -13,11 +13,8 @@ from .registry import (
     ProtocolRegistry,
     compile_mac,
     compile_source,
-    compile_spec,
     default_specs_dir,
     get_registry,
-    load_protocol,
-    load_stack,
 )
 
 __all__ = [
@@ -31,9 +28,6 @@ __all__ = [
     "ProtocolRegistry",
     "compile_mac",
     "compile_source",
-    "compile_spec",
     "default_specs_dir",
     "get_registry",
-    "load_protocol",
-    "load_stack",
 ]

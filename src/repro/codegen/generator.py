@@ -72,20 +72,18 @@ _ROUTINE_DEF_RE = re.compile(r"^\s*def\s+([A-Za-z_][A-Za-z_0-9]*)\s*\(", re.MULT
 
 
 # --------------------------------------------------------------------- helpers
-def class_name_for(protocol_name: str) -> str:
-    """Python class name for a protocol, e.g. ``split_stream`` → ``SplitStreamAgent``."""
+def class_name_for(protocol_name: str, base: Optional[str] = None) -> str:
+    """Python class name for a protocol, e.g. ``split_stream`` →
+    ``SplitStreamAgent``; re-layered over ``chord``,
+    ``SplitStreamAgentOverChord``."""
     parts = re.split(r"[_\-]+", protocol_name)
-    return "".join(part.capitalize() for part in parts if part) + "Agent"
+    name = "".join(part.capitalize() for part in parts if part) + "Agent"
+    return f"{name}Over{base.capitalize()}" if base else name
 
 
 def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
-    """Synthetic module name under which generated code is registered.
-
-    Re-based variants (``base`` given) get their own module name so loading
-    Scribe-over-Chord never clobbers the ``sys.modules`` registration of the
-    bundled Scribe-over-Pastry module (both can pickle/traceback correctly
-    in one process).
-    """
+    """Synthetic name of a generated module (its classes' ``__module__``,
+    its tracebacks' file), a re-layered variant's its own."""
     if base:
         return f"repro._generated.{protocol_name}__over_{base}"
     return f"repro._generated.{protocol_name}"
@@ -220,10 +218,13 @@ def routine_method_names(spec: ProtocolSpec) -> list[str]:
 
 # ---------------------------------------------------------------- generation
 class CodeGenerator:
-    """Generates a Python module from a validated :class:`ProtocolSpec`."""
+    """Generates a Python module from a validated :class:`ProtocolSpec`,
+    re-layered over *base* (its ``uses`` header overridden) if one is given."""
 
-    def __init__(self, spec: ProtocolSpec) -> None:
+    def __init__(self, spec: ProtocolSpec, base: Optional[str] = None) -> None:
         self.spec = spec
+        self.base = spec.base if base is None else base
+        self.class_name = class_name_for(spec.name, base)
         self.constants = spec.constant_map()
         self.catalog = MessageCatalog([
             MessageType(message.name, tuple(
@@ -252,8 +253,7 @@ class CodeGenerator:
     # ---------------------------------------------------------------- sections
     def generate(self) -> str:
         """Return the complete Python source of the generated module."""
-        spec = self.spec
-        class_name = class_name_for(spec.name)
+        spec, class_name = self.spec, self.class_name
         parts: list[str] = []
         parts.append(self._header())
         parts.append(self._imports())
@@ -294,7 +294,7 @@ class CodeGenerator:
         spec = self.spec
         lines: list[str] = []
         lines.append(f"    PROTOCOL = {spec.name!r}")
-        lines.append(f"    BASE_PROTOCOL = {spec.base!r}")
+        lines.append(f"    BASE_PROTOCOL = {self.base!r}")
         lines.append(f"    ADDRESSING = {spec.addressing!r}")
         lines.append(f"    TRACE = TraceLevel.{spec.trace.upper()}")
         lines.append(f"    CONSTANTS = {self.constants!r}")
@@ -547,6 +547,6 @@ class CodeGenerator:
                 f"cannot classify")
 
 
-def generate_source(spec: ProtocolSpec) -> str:
-    """Convenience wrapper: generate Python source for a validated spec."""
-    return CodeGenerator(spec).generate()
+def generate_source(spec: ProtocolSpec, base: Optional[str] = None) -> str:
+    """Python source for a validated spec, re-layered over *base* if given."""
+    return CodeGenerator(spec, base).generate()

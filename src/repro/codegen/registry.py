@@ -1,33 +1,34 @@
 """Compiling and caching generated protocol agents.
 
-The registry ties the pipeline together:
+Two roads lead from a specification to an
+:class:`~repro.runtime.agent.Agent` subclass, both ending in
+:func:`repro.codegen.generator.generate_source` → :func:`compile_source`:
 
-``.mac`` text → :func:`repro.dsl.parser.parse_mac` → validation →
-:func:`repro.codegen.generator.generate_source` → :func:`compile_source` →
-an importable :class:`~repro.runtime.agent.Agent` subclass.
+* a bundled spec, by name: :meth:`ProtocolRegistry.load_spec` (parse,
+  validate, cache) → :meth:`ProtocolRegistry.generated_source` →
+  :func:`compile_source`, the class cached per ``(name, base)``;
+* ``.mac`` text: :func:`compile_mac` (parse → validate → generate →
+  compile).
 
-It also resolves protocol *stacks*: following the ``uses`` header of each
-specification (with optional overrides, which is how "switch Scribe from
-Pastry to Chord by changing a single line" is exercised programmatically)
-down to the lowest layer, returning the agent classes lowest-first, ready to
-hand to :class:`~repro.runtime.node.MacedonNode`.
+The registry also resolves protocol *stacks*: following the ``uses`` header
+of each specification (with optional overrides, which is how "switch Scribe
+from Pastry to Chord by changing a single line" is exercised
+programmatically) down to the lowest layer, returning the agent classes
+lowest-first, ready to hand to :class:`~repro.runtime.node.MacedonNode`.
 """
 
 from __future__ import annotations
 
 import difflib
-import sys
-import types
-from dataclasses import replace as dataclass_replace
 from pathlib import Path
-from typing import Optional, Sequence, Type
+from typing import Optional, Type
 
 from ..dsl.ast import ProtocolSpec
 from ..dsl.errors import CodegenError, MacError
 from ..dsl.parser import parse_mac
 from ..dsl.validator import validate
 from ..runtime.agent import Agent
-from .generator import class_name_for, generate_source, module_name_for
+from .generator import generate_source, module_name_for
 
 
 def default_specs_dir() -> Path:
@@ -36,40 +37,27 @@ def default_specs_dir() -> Path:
 
 
 def compile_source(source: str, module_name: str) -> Type[Agent]:
-    """Execute generated *source* as a module and return its agent class."""
-    module = types.ModuleType(module_name)
-    module.__dict__["__file__"] = f"<macedon-generated:{module_name}>"
+    """Execute generated *source* as a module named *module_name* and return
+    its agent class.  Nothing is registered: the class is the only handle."""
+    filename = f"<macedon-generated:{module_name}>"
+    namespace = {"__name__": module_name, "__file__": filename}
     try:
-        code = compile(source, module.__dict__["__file__"], "exec")
-        exec(code, module.__dict__)  # noqa: S102 - executing our own generated code
+        code = compile(source, filename, "exec")
+        exec(code, namespace)  # noqa: S102 - executing our own generated code
     except SyntaxError as exc:
         raise CodegenError(f"generated code does not compile: {exc}") from exc
-    agent_class = module.__dict__.get("AGENT_CLASS")
+    agent_class = namespace.get("AGENT_CLASS")
     if agent_class is None or not issubclass(agent_class, Agent):
         raise CodegenError(f"generated module {module_name!r} did not define AGENT_CLASS")
-    # Register so tracebacks and pickling can find the module.
-    sys.modules[module_name] = module
     return agent_class
 
 
-def compile_spec(spec: ProtocolSpec, *, validate_spec: bool = True,
-                 module_name: Optional[str] = None) -> Type[Agent]:
-    """Validate, generate, and compile a parsed specification.
-
-    ``module_name`` overrides the ``sys.modules`` registration name; the
-    registry uses this to keep re-based variants from clobbering the bundled
-    variant's module entry.
-    """
-    if validate_spec:
-        validate(spec)
-    source = generate_source(spec)
-    return compile_source(source, module_name or module_name_for(spec.name))
-
-
 def compile_mac(text: str, filename: Optional[str] = None) -> Type[Agent]:
-    """One-shot: mac source text → agent class."""
+    """One-shot: mac source text → parsed, validated, generated, compiled
+    agent class."""
     spec = parse_mac(text, filename)
-    return compile_spec(spec)
+    validate(spec)
+    return compile_source(generate_source(spec), module_name_for(spec.name))
 
 
 class ProtocolRegistry:
@@ -130,24 +118,15 @@ class ProtocolRegistry:
 
         Passing ``base`` overrides the specification's ``uses`` header — the
         paper's single-line change that moves Scribe from Pastry to Chord.
+        Each variant is its own class (``ScribeAgentOverChord``), cached
+        under its own key.
         """
         cache_key = (name, base)
-        cached = self._class_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        spec = self.load_spec(name)
-        if base is not None and base != spec.base:
-            spec = _respecify_base(spec, base)
-        # Re-based variants compile under their own module name so they never
-        # poison the unoverridden variant's sys.modules registration (or its
-        # cached class, which keeps pointing at its own module).
-        agent_class = compile_spec(spec, validate_spec=False,
-                                   module_name=module_name_for(name, base))
-        if base is not None:
-            # Distinguish re-based variants so both can coexist in one process.
-            agent_class = type(f"{class_name_for(name)}Over{base.capitalize()}",
-                               (agent_class,), {"BASE_PROTOCOL": base})
-        self._class_cache[cache_key] = agent_class
+        agent_class = self._class_cache.get(cache_key)
+        if agent_class is None:
+            agent_class = compile_source(self.generated_source(name, base=base),
+                                         module_name_for(name, base))
+            self._class_cache[cache_key] = agent_class
         return agent_class
 
     def load_stack(self, name: str,
@@ -178,11 +157,9 @@ class ProtocolRegistry:
 
     # ------------------------------------------------------------------ output
     def generated_source(self, name: str, *, base: Optional[str] = None) -> str:
-        """The generated Python source for the named protocol."""
-        spec = self.load_spec(name)
-        if base is not None and base != spec.base:
-            spec = _respecify_base(spec, base)
-        return generate_source(spec)
+        """The generated Python source for the named protocol, re-layered
+        over *base* if given."""
+        return generate_source(self.load_spec(name), base)
 
     def write_generated(self, name: str, directory: Path,
                         *, base: Optional[str] = None) -> Path:
@@ -198,11 +175,6 @@ class ProtocolRegistry:
         return {name: self.load_spec(name).lines_of_code() for name in self.available()}
 
 
-def _respecify_base(spec: ProtocolSpec, base: str) -> ProtocolSpec:
-    """A copy of *spec* with its ``uses`` header replaced."""
-    return dataclass_replace(spec, base=base)
-
-
 #: Process-wide registry over the bundled specifications.
 _default_registry: Optional[ProtocolRegistry] = None
 
@@ -213,14 +185,3 @@ def get_registry() -> ProtocolRegistry:
     if _default_registry is None:
         _default_registry = ProtocolRegistry()
     return _default_registry
-
-
-def load_protocol(name: str, *, base: Optional[str] = None) -> Type[Agent]:
-    """Shortcut for :meth:`ProtocolRegistry.load_protocol` on the shared registry."""
-    return get_registry().load_protocol(name, base=base)
-
-
-def load_stack(name: str,
-               base_overrides: Optional[dict[str, str]] = None) -> list[Type[Agent]]:
-    """Shortcut for :meth:`ProtocolRegistry.load_stack` on the shared registry."""
-    return get_registry().load_stack(name, base_overrides)

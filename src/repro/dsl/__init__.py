@@ -13,8 +13,7 @@ from .ast import (
 )
 from .errors import CodegenError, MacError, MacSyntaxError, MacValidationError
 from .lexer import Lexer, Token
-from .loader import load_spec, load_spec_text
-from .parser import parse_mac, parse_mac_file
+from .parser import parse_mac
 from .validator import validate
 
 __all__ = [
@@ -33,9 +32,6 @@ __all__ = [
     "MacValidationError",
     "Lexer",
     "Token",
-    "load_spec",
-    "load_spec_text",
     "parse_mac",
-    "parse_mac_file",
     "validate",
 ]

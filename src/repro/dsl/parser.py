@@ -39,14 +39,6 @@ def parse_mac(text: str, filename: Optional[str] = None) -> ProtocolSpec:
     return _Parser(text, filename).parse()
 
 
-def parse_mac_file(path) -> ProtocolSpec:
-    """Parse a mac file from disk."""
-    from pathlib import Path
-
-    path = Path(path)
-    return parse_mac(path.read_text(encoding="utf-8"), filename=str(path))
-
-
 class _Parser:
     def __init__(self, text: str, filename: Optional[str]) -> None:
         self.lexer = Lexer(text, filename)

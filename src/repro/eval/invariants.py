@@ -340,8 +340,7 @@ INVARIANTS: tuple[str, ...] = ("no_duplicate_delivery", "no_lost_acks",
 
 def check_invariants(result: ScenarioResult, *,
                      ring_threshold: float = 0.95,
-                     ring_settle: float = 40.0,
-                     include_ring: bool = True) -> list[InvariantViolation]:
+                     ring_settle: float = 40.0) -> list[InvariantViolation]:
     """Run every invariant against *result*, simulated or live; return all
     violations found."""
     violations = []
@@ -349,9 +348,8 @@ def check_invariants(result: ScenarioResult, *,
     violations.extend(no_lost_acks(result))
     violations.extend(epoch_monotonicity(result))
     violations.extend(no_decode_errors(result))
-    if include_ring:
-        violations.extend(ring_eventually_correct(
-            result, threshold=ring_threshold, settle=ring_settle))
+    violations.extend(ring_eventually_correct(
+        result, threshold=ring_threshold, settle=ring_settle))
     violations.extend(no_drop_on_idle_link(result))
     violations.extend(kv_no_phantom_reads(result))
     violations.extend(kv_read_your_quorum_writes(result))

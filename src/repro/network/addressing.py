@@ -8,7 +8,6 @@ ModelNet runs) plus a human-readable dotted form for traces and debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Base of the emulated address block (10.0.0.0/8 style, purely cosmetic).
 _ADDRESS_BASE = 10 << 24
@@ -58,33 +57,14 @@ class HostAddress:
 
 
 class AddressAllocator:
-    """Sequentially allocates host addresses and remembers their attachment."""
+    """Sequentially allocates host addresses."""
 
     def __init__(self, base: int = _ADDRESS_BASE) -> None:
         self._base = base
         self._next = 1
-        self._by_address: dict[int, HostAddress] = {}
 
     def allocate(self, topology_node: int) -> HostAddress:
         """Allocate the next free address, attached to *topology_node*."""
         address = self._base + self._next
         self._next += 1
-        host = HostAddress(address=address, topology_node=topology_node)
-        self._by_address[address] = host
-        return host
-
-    def lookup(self, address: int) -> HostAddress:
-        """Return the :class:`HostAddress` record for *address*."""
-        try:
-            return self._by_address[address]
-        except KeyError as exc:
-            raise AddressError(f"unknown host address {address}") from exc
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._by_address
-
-    def __len__(self) -> int:
-        return len(self._by_address)
-
-    def __iter__(self) -> Iterator[HostAddress]:
-        return iter(self._by_address.values())
+        return HostAddress(address=address, topology_node=topology_node)

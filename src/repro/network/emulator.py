@@ -171,8 +171,8 @@ class NetworkEmulator(NetworkHooks):
         self._schedule = simulator.schedule
         self._deliver_callback = self._deliver
         self._build_links()
-        # Edges added to the graph get their links even when callers
-        # invalidate at the router level rather than through us.
+        # Edges added to the graph get their links when the router is
+        # invalidated.
         self.router.add_invalidation_listener(self._build_links)
 
     # ------------------------------------------------------------------ setup
@@ -414,17 +414,6 @@ class NetworkEmulator(NetworkHooks):
                 self.degrade_edge(u, v, **others[-1])
             else:
                 self.restore_edge(u, v)
-
-    # ------------------------------------------------------------------ routes
-    def invalidate(self) -> None:
-        """Drop cached routes after edges were added to or removed from the
-        topology graph (faults go through the targeted hooks instead).
-
-        Clears the router's caches, then registers links for any edges added
-        to the graph (existing links keep their queue state and counters).  Calling ``router.invalidate()`` directly is
-        equivalent — the emulator listens for it.
-        """
-        self.router.invalidate()
 
     # ------------------------------------------------------------------ send
     def send(self, packet: Packet, payload_tag: Optional[str] = None) -> bool:

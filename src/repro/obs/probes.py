@@ -20,8 +20,9 @@ from .trace import OBS_SCHEMA
 LATENCY_BOUNDS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 #: Single overlay-hop latency.
 HOP_LATENCY_BOUNDS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
-#: Route length in overlay hops (a direct A->B delivery is 1).
-ROUTE_HOP_BOUNDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+#: Route length in overlay hops.  A route is at least one hop (a direct
+#: A->B delivery), so bucket 0 (below 2) holds exactly the one-hop routes.
+ROUTE_HOP_BOUNDS = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0)
 
 COUNTERS = (
     "engine.events_processed",

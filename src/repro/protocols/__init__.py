@@ -14,7 +14,7 @@ not need to deal with the registry directly::
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Type
 
 from ..codegen.registry import get_registry
 from ..runtime.agent import Agent
@@ -31,16 +31,6 @@ BUNDLED_PROTOCOLS = (
     "scribe",
     "splitstream",
 )
-
-
-def available_protocols() -> list[str]:
-    """Names of the bundled mac specifications found on disk."""
-    return get_registry().available()
-
-
-def spec_lines_of_code() -> dict[str, int]:
-    """Lines of MACEDON code per bundled specification (Figure 7)."""
-    return get_registry().lines_of_code()
 
 
 # --------------------------------------------------------------- single agents
@@ -68,18 +58,6 @@ def ammo_agent() -> Type[Agent]:
     return get_registry().load_protocol("ammo")
 
 
-def scribe_agent(base: Optional[str] = None) -> Type[Agent]:
-    return get_registry().load_protocol("scribe", base=base)
-
-
-def splitstream_agent(base: Optional[str] = None) -> Type[Agent]:
-    return get_registry().load_protocol("splitstream", base=base)
-
-
-def bullet_agent(base: Optional[str] = None) -> Type[Agent]:
-    return get_registry().load_protocol("bullet", base=base)
-
-
 # ---------------------------------------------------------------------- stacks
 def scribe_stack(base: str = "pastry") -> list[Type[Agent]]:
     """Scribe layered over *base* (``pastry`` by default, ``chord`` to switch)."""
@@ -97,27 +75,15 @@ def bullet_stack() -> list[Type[Agent]]:
     return get_registry().load_stack("bullet")
 
 
-def protocol_stack(name: str,
-                   base_overrides: Optional[dict[str, str]] = None) -> list[Type[Agent]]:
-    """Generic accessor: resolve any bundled protocol's full stack."""
-    return get_registry().load_stack(name, base_overrides)
-
-
 __all__ = [
     "BUNDLED_PROTOCOLS",
-    "available_protocols",
-    "spec_lines_of_code",
     "randtree_agent",
     "overcast_agent",
     "chord_agent",
     "pastry_agent",
     "nice_agent",
     "ammo_agent",
-    "scribe_agent",
-    "splitstream_agent",
-    "bullet_agent",
     "scribe_stack",
     "splitstream_stack",
     "bullet_stack",
-    "protocol_stack",
 ]

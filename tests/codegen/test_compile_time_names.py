@@ -9,7 +9,7 @@ import inspect
 import pytest
 
 from repro.codegen import ProtocolRegistry, compile_mac, generate_source
-from repro.dsl import load_spec_text
+from repro.dsl import parse_mac, validate
 from repro.dsl.errors import CodegenError
 from repro.runtime.messages import Message, MessageError
 
@@ -102,7 +102,9 @@ def test_non_literal_names_stay_a_runtime_check():
                    'field("m" + "")\n'
                    '        name = "po" + "ng"\n'
                    '        send_msg(name, source, **{"n": field("n" + "")})'}
-    generate_source(load_spec_text(text, filename="checked.mac"))
+    spec = parse_mac(text, filename="checked.mac")
+    validate(spec)
+    generate_source(spec)
     agent_class = compile_mac(text, "checked.mac")
     transition = agent_class._t01_recv_ping
     assert list(inspect.signature(transition).parameters) == [

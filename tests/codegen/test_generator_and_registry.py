@@ -8,13 +8,10 @@ from repro.codegen import (
     ProtocolRegistry,
     class_name_for,
     compile_mac,
-    compile_spec,
     generate_source,
     get_registry,
-    load_protocol,
-    load_stack,
 )
-from repro.dsl import load_spec_text, parse_mac, validate
+from repro.dsl import parse_mac, validate
 from repro.dsl.errors import MacError
 from repro.runtime.agent import Agent
 from repro.runtime.tracing import TraceLevel
@@ -47,7 +44,8 @@ def test_class_name_for():
 
 
 def test_generated_source_structure():
-    spec = load_spec_text(SIMPLE)
+    spec = parse_mac(SIMPLE)
+    validate(spec)
     source = generate_source(spec)
     assert "class TinyAgent(Agent):" in source
     assert "PROTOCOL = 'tiny'" in source
@@ -107,18 +105,20 @@ def test_registry_unknown_protocol():
 
 
 def test_load_protocol_caches_classes():
-    assert load_protocol("randtree") is load_protocol("randtree")
+    registry = get_registry()
+    assert registry.load_protocol("randtree") is registry.load_protocol("randtree")
 
 
 def test_load_stack_resolution_order():
-    stack = load_stack("splitstream")
+    stack = get_registry().load_stack("splitstream")
     assert [cls.PROTOCOL for cls in stack] == ["pastry", "scribe", "splitstream"]
-    bullet = load_stack("bullet")
+    bullet = get_registry().load_stack("bullet")
     assert [cls.PROTOCOL for cls in bullet] == ["randtree", "bullet"]
 
 
 def test_load_stack_with_base_override():
-    stack = load_stack("scribe", base_overrides={"scribe": "chord"})
+    stack = get_registry().load_stack("scribe",
+                                      base_overrides={"scribe": "chord"})
     assert [cls.PROTOCOL for cls in stack] == ["chord", "scribe"]
     assert stack[1].BASE_PROTOCOL == "chord"
 
@@ -137,7 +137,6 @@ def test_lines_of_code_reporting():
     assert loc["splitstream"] < loc["chord"]
 
 
-def test_compile_spec_rejects_invalid():
-    spec = parse_mac("protocol bad states { a; a; }")
+def test_compile_mac_rejects_invalid():
     with pytest.raises(Exception):
-        compile_spec(spec)
+        compile_mac("protocol bad states { a; a; }")

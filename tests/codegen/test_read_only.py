@@ -12,9 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.codegen import compile_mac, generate_source
-from repro.codegen.registry import default_specs_dir
-from repro.dsl import load_spec
+from repro.codegen import ProtocolRegistry, compile_mac, generate_source
 from repro.dsl.errors import CodegenError
 
 BUNDLED = ("ammo", "bullet", "chord", "nice", "overcast", "pastry",
@@ -105,7 +103,7 @@ def test_every_bundled_read_body_passes_and_a_write_in_it_does_not(protocol):
     """Every ``locking read`` body of the bundled specs passes the check as
     written, and is refused, at its new last line, once a write primitive
     is appended to it."""
-    spec = load_spec(default_specs_dir() / f"{protocol}.mac")
+    spec = ProtocolRegistry().load_spec(protocol)   # fresh: ours to edit
     generate_source(spec)
     transitions = list(spec.transitions)
     for index, decl in enumerate(transitions):

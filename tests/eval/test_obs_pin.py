@@ -314,9 +314,13 @@ def test_enabling_observability_does_not_perturb_metrics(tmp_path):
 # The obs-on half of the same churn run, taken before the causal log became
 # one class for both modes: the snapshot's instruments and the trace file's
 # bytes.  The simulator's causal tracing (ids, hops, latencies, route
-# lengths) and every record it streams must reproduce them exactly.
+# lengths) and every record it streams must reproduce them exactly.  The
+# snapshot was re-pinned once, when ROUTE_HOP_BOUNDS began at 2 so that
+# bucket 0 holds the one-hop routes: the old run's 3 090 route lengths,
+# re-bucketed, give the new causal.route_hops row (139 one-hop routes in
+# bucket 0), and every other instrument is byte-identical.
 OBS_ON_SNAPSHOT_SHA256 = (
-    "a0299f8ce9394cbc2ed82fd319cbf1c2426a4a29dbe6a0aaa3a5799502fbd47f")
+    "3c9eb8461b72752fbf206712a6aeb92149522bf03a7ac3bf871a90c2216d5b26")
 OBS_ON_TRACE_SHA256 = (
     "df0712cbbf6cfcf784cd47365494dea3f9cae90cbff863f25753ee44fdbedf7f")
 

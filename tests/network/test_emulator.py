@@ -178,7 +178,7 @@ def test_emulator_invalidate_drops_route_plans():
     node_b = emulator._host(b.address).node
     topology.graph.add_edge(node_a, node_b,
                             **{LATENCY_ATTR: 1e-6, BANDWIDTH_ATTR: 1e9})
-    emulator.invalidate()
+    emulator.router.invalidate()
     after_path = emulator.ip_path(a.address, b.address)
     assert after_path == [node_a, node_b]
     assert after_path != before_path
@@ -208,7 +208,7 @@ def test_router_level_invalidate_also_refreshes_emulator_routes():
     assert (node_a, node_b) in emulator.router._plan_cache
     topology.graph.add_edge(node_a, node_b,
                             **{LATENCY_ATTR: 1e-6, BANDWIDTH_ATTR: 1e9})
-    emulator.router.invalidate()  # router-level call, not emulator.invalidate()
+    emulator.router.invalidate()
     assert not emulator.router._plan_cache
     delivered = []
     emulator.set_receive_callback(b.address, delivered.append)
