@@ -146,12 +146,12 @@ class ProtocolRegistry:
             if current in seen:
                 raise MacError(f"layering cycle detected at protocol {current!r}")
             seen.add(current)
-            override = base_overrides.get(current)
             spec = self.load_spec(current)
-            effective_base = override if override is not None else spec.base
-            agent_class = self.load_protocol(current, base=override)
-            chain.append(agent_class)
-            current = effective_base
+            override = base_overrides.get(current)
+            if override == spec.base:       # the bundled class, not a copy
+                override = None
+            chain.append(self.load_protocol(current, base=override))
+            current = override if override is not None else spec.base
         chain.reverse()
         return chain
 

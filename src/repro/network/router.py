@@ -9,8 +9,10 @@ count, and bottleneck bandwidth.
 Every query method (:meth:`Router.path`, :meth:`Router.latency`,
 :meth:`Router.hop_count`, :meth:`Router.bottleneck_bandwidth`) reads the plan,
 so repeated queries for the same pair — the per-packet common case — cost one
-dict lookup.  A missing plan costs a Dijkstra search from its source that
-crosses a bridge of the underlay only towards the destination.
+dict lookup.  A missing plan costs a Dijkstra search that crosses a bridge of
+the underlay only towards the destination: from the source the first time,
+and after that from the one bridge between the source's cached tree and the
+destination, growing the tree instead of searching it again.
 
 The router is also the component the evaluation framework queries for *global*
 information — direct IP latency between any two hosts and the underlay path a
@@ -128,6 +130,7 @@ class Router:
         self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, Optional[int]]]] = {}
         # Bridges of the enabled graph (see _bridge_sides).
         self._sides: Optional[tuple[dict[int, int], dict]] = None
+        self._above: Optional[dict[int, tuple[Optional[int], int]]] = None
         # Bandwidth at or under which a link in the middle of a route is a
         # queue point (see RoutePlan): a link no faster than a host can feed
         # is where a backlog can physically form.
@@ -166,38 +169,59 @@ class Router:
         only to nodes whose entry time t has ``(lo <= t <= hi) == inside``
         (a bridge is a tree edge of every DFS, and one side of it is exactly
         the DFS subtree of its later-entered end; it is a bridge when nothing
-        in that subtree reaches, ``low``, as far back as the other end)."""
+        in that subtree reaches, ``low``, as far back as the other end).
+
+        The same pass sets ``_above``: for every node, the bridge above its
+        2-edge-connected component as ``(parent end, child end)``, and
+        ``(None, root)`` in the component of a DFS root, so two nodes are
+        connected exactly when their walks up end at the same root.
+        """
         adjacency = self._adj()
         entry: dict[int, int] = {}
         low: dict[int, int] = {}
         sides = {}
+        above: dict[int, tuple[Optional[int], int]] = {}
+        unplaced: list[int] = []    # entered, component not yet closed
         for root in adjacency:
             if root in entry:
                 continue
             entry[root] = low[root] = len(entry)
+            unplaced.append(root)
             stack = [(root, None, iter(adjacency[root]))]
             while stack:
                 node, parent, neighbours = stack[-1]
                 for other, _ in neighbours:
                     if other not in entry:
                         entry[other] = low[other] = len(entry)
+                        unplaced.append(other)
                         stack.append((other, node, iter(adjacency[other])))
                         break
                     if other != parent and entry[other] < low[node]:
                         low[node] = entry[other]
                 else:           # subtree done: it is entry[node]..len(entry)-1
                     stack.pop()
-                    if parent is not None:
+                    if parent is None:
+                        bridge = None, root
+                    elif low[node] > entry[parent]:
+                        side = entry[node], len(entry) - 1
+                        sides[parent, node] = (*side, True)
+                        sides[node, parent] = (*side, False)
+                        bridge = parent, node
+                    else:
                         if low[node] < low[parent]:
                             low[parent] = low[node]
-                        if low[node] > entry[parent]:
-                            side = entry[node], len(entry) - 1
-                            sides[parent, node] = (*side, True)
-                            sides[node, parent] = (*side, False)
-        self._sides = entry, sides
+                        continue
+                    # node heads a component: its unplaced subtree.
+                    member = None
+                    while member != node:
+                        member = unplaced.pop()
+                        above[member] = bridge
+        self._sides, self._above = (entry, sides), above
         return self._sides
 
     def _dijkstra(self, source: int, target: Optional[int] = None,
+                  tree: Optional[tuple[dict[int, float], dict[int, Optional[int]]]] = None,
+                  bridge: Optional[tuple[int, int]] = None,
                   ) -> tuple[dict[int, float], dict[int, Optional[int]]]:
         """Single-source shortest paths over the flat adjacency.
 
@@ -215,6 +239,13 @@ class Router:
         returns, for the nodes it covers, exactly the entries of the full
         search: what lies behind another bridge never relays, and leaving
         its pushes out keeps the order of all others.
+
+        Given *source*'s *tree* and a *bridge* ``(v, u)`` out of it (v
+        settled, nothing behind u), the search grows that tree in place from
+        u, entered at ``dist[v] + w(v, u)``, instead of starting at
+        *source*.  Behind a bridge nothing is reached but through it, so the
+        search pops those nodes in the (distance, push) order the one from
+        *source* does, and makes the same entries.
         """
         adjacency = self._adj()
         if source not in adjacency:
@@ -222,12 +253,18 @@ class Router:
         entry, sides = ({}, {}) if target not in adjacency else \
             self._sides or self._bridge_sides()
         goal, side_of = entry.get(target), sides.get
-        dist: dict[int, float] = {}
-        pred: dict[int, Optional[int]] = {source: None}
-        seen: dict[int, float] = {source: 0}
+        if tree is None:
+            dist: dict[int, float] = {}
+            pred: dict[int, Optional[int]] = {source: None}
+            start, d = source, 0
+        else:
+            (dist, pred), (near, start) = tree, bridge
+            d = dist[near] + dict(adjacency[near])[start]
+            pred[start] = near
+        seen: dict[int, float] = {start: d}
         seen_get = seen.get
         tie = 0
-        fringe: list[tuple[float, int, int]] = [(0, tie, source)]
+        fringe: list[tuple[float, int, int]] = [(d, tie, start)]
         while fringe:
             d, _, v = heappop(fringe)
             if v in dist:
@@ -252,14 +289,44 @@ class Router:
 
     def _sssp(self, source: int, target: Optional[int] = None,
               ) -> tuple[dict[int, float], dict[int, Optional[int]]]:
-        """The cached Dijkstra entry of *source*, grown by a search towards
-        *target* (without one: over the whole graph) if it lacks it."""
+        """The cached Dijkstra entry of *source*, grown towards *target* if it
+        lacks it; without a target, the whole-graph search.
+
+        A search settles whole 2-edge-connected components, those on the
+        bridge path from the source's to its target's, so a tree is a
+        connected piece of the bridge tree, and a target it lacks lies
+        behind the one bridge where the path to the target leaves it: under
+        a settled parent end on the way up from the target or, failing
+        that, under an unsettled one on the way up from the source.  The
+        tree grows across that bridge (:meth:`_dijkstra`); with neither, the
+        target is unreachable and the tree stays as it is.
+        """
         tree = self._sssp_cache.get(source)
-        if tree is None:
+        if tree is None or target is None:
             tree = self._sssp_cache[source] = self._dijkstra(source, target)
         elif target not in tree[0]:
-            for known, found in zip(tree, self._dijkstra(source, target)):
-                known.update(found)
+            if self._sides is None:
+                self._bridge_sides()
+            above, dist = self._above, tree[0]
+
+            def walk(node: int) -> list[tuple[Optional[int], int]]:
+                """The bridges above *node*, ending with ``(None, root)``."""
+                bridges = [above[node]]
+                while bridges[-1][0] is not None:
+                    bridges.append(above[bridges[-1][0]])
+                return bridges
+
+            if target in above:
+                over_target = walk(target)
+                crossing = next(((parent, child) for parent, child in over_target
+                                 if parent in dist), None)
+                if crossing is None:
+                    over_source = walk(source)
+                    if over_source[-1] == over_target[-1]:      # connected
+                        crossing = next((child, parent) for parent, child
+                                        in over_source if parent not in dist)
+                if crossing is not None:
+                    self._dijkstra(source, target, tree, crossing)
         return tree
 
     def plan(self, src_node: int, dst_node: int) -> RoutePlan:
@@ -422,7 +489,7 @@ class Router:
         live :class:`~repro.network.emulator.NetworkEmulator` refreshes the
         emulator's link table too.
         """
-        self._adjacency = self._sides = None
+        self._adjacency = self._sides = self._above = None
         self._narrow = self._topology.access_bandwidth()
         self._sssp_cache.clear()
         for plan in self._plan_cache.values():

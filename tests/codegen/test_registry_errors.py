@@ -8,6 +8,7 @@ import pytest
 
 from repro.codegen import ProtocolRegistry, compile_source, get_registry
 from repro.dsl.errors import CodegenError, MacError
+from repro.protocols import scribe_stack, splitstream_stack
 from repro.runtime.agent import Agent
 
 
@@ -102,3 +103,14 @@ def test_override_variants_coexist_and_cache_separately():
     assert issubclass(over_chord, Agent)
     assert over_chord.PROTOCOL == plain.PROTOCOL == "scribe"
     assert over_chord.__name__ == "ScribeAgentOverChord"
+
+
+def test_the_declared_base_as_an_override_is_the_bundled_stack():
+    """``scribe_stack()`` names Scribe's own base: the classes are those of
+    ``load_stack("scribe")``, and no second Scribe is compiled beside them."""
+    registry = get_registry()
+    assert scribe_stack() == registry.load_stack("scribe")
+    assert splitstream_stack()[:2] == registry.load_stack("scribe")
+    assert scribe_stack("chord")[-1].__name__ == "ScribeAgentOverChord"
+    assert {key for key in registry._class_cache if key[0] == "scribe"} == \
+        {("scribe", None), ("scribe", "chord")}

@@ -165,7 +165,11 @@ def test_send_reuses_cached_route_plan():
     assert received[0].hops == len(received[0].path) - 1
 
 
-def test_emulator_invalidate_drops_route_plans():
+def test_router_level_invalidate_also_refreshes_emulator_routes():
+    """router.invalidate() on an emulator-owned router must empty the one
+    plan cache send() reads, give edges new to the graph their links, and
+    drop the bridges that the searches before it crossed by."""
+    from repro.network.router import Router
     from repro.network.topology import BANDWIDTH_ATTR, LATENCY_ATTR
 
     simulator = Simulator(seed=9)
@@ -173,49 +177,34 @@ def test_emulator_invalidate_drops_route_plans():
     emulator = NetworkEmulator(simulator, topology)
     a = emulator.attach_host()
     b = emulator.attach_host()
-    before_path = emulator.ip_path(a.address, b.address)
     node_a = emulator._host(a.address).node
     node_b = emulator._host(b.address).node
-    topology.graph.add_edge(node_a, node_b,
-                            **{LATENCY_ATTR: 1e-6, BANDWIDTH_ATTR: 1e9})
-    emulator.router.invalidate()
-    after_path = emulator.ip_path(a.address, b.address)
-    assert after_path == [node_a, node_b]
-    assert after_path != before_path
-    # The new edge got DirectedLink state and carries traffic.
-    delivered = []
-    emulator.set_receive_callback(b.address, delivered.append)
+    (relay_a,), (relay_b,) = (list(topology.graph.neighbors(node))
+                              for node in (node_a, node_b))
+    before_path = emulator.ip_path(a.address, b.address)
+    # Warm the plan cache, and a tree whose source is no client.
     assert emulator.send(Packet(src=a.address, dst=b.address, payload=None, size=10))
     simulator.run()
-    assert len(delivered) == 1
-    assert delivered[0].hops == 1
-
-
-def test_router_level_invalidate_also_refreshes_emulator_routes():
-    """router.invalidate() on an emulator-owned router must empty the one
-    plan cache send() reads and give edges new to the graph their links."""
-    from repro.network.topology import BANDWIDTH_ATTR, LATENCY_ATTR
-
-    simulator = Simulator(seed=10)
-    topology = transit_stub_topology(4, seed=10)
-    emulator = NetworkEmulator(simulator, topology)
-    a = emulator.attach_host()
-    b = emulator.attach_host()
-    node_a = emulator._host(a.address).node
-    node_b = emulator._host(b.address).node
-    # Warm the plan cache.
-    assert emulator.send(Packet(src=a.address, dst=b.address, payload=None, size=10))
     assert (node_a, node_b) in emulator.router._plan_cache
+    emulator.router.plan(relay_a, relay_b)
     topology.graph.add_edge(node_a, node_b,
                             **{LATENCY_ATTR: 1e-6, BANDWIDTH_ATTR: 1e9})
     emulator.router.invalidate()
     assert not emulator.router._plan_cache
+    after_path = emulator.ip_path(a.address, b.address)
+    assert after_path == [node_a, node_b]
+    assert after_path != before_path
+    # The client uplinks were bridges; now the new edge is the shortcut.
+    assert emulator.router.plan(relay_a, relay_b).path == \
+        (relay_a, node_a, node_b, relay_b) == \
+        Router(topology).plan(relay_a, relay_b).path
     delivered = []
     emulator.set_receive_callback(b.address, delivered.append)
     second = Packet(src=a.address, dst=b.address, payload=None, size=10)
     assert emulator.send(second)
     simulator.run()
-    assert second.hops == 1  # took the new direct edge, not the stale plan
+    assert len(delivered) == 1
+    assert second.hops == delivered[0].hops == 1  # the new edge, not the stale plan
     assert emulator.router._plan_cache[node_a, node_b].links == \
         (emulator._links[node_a, node_b],)
 

@@ -4,6 +4,7 @@ fresh :class:`Router` on the same graph state would disagree with."""
 from __future__ import annotations
 
 import random
+from heapq import heappop
 
 import networkx as nx
 import pytest
@@ -13,8 +14,9 @@ from nx_oracle import from_networkx
 import repro.network.router as router_module
 from repro.network.emulator import NetworkEmulator
 from repro.network.router import Router, RoutingError
-from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, Graph,
-                                    Topology, transit_stub_topology)
+from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, ROLE_ATTR,
+                                    Graph, Topology, stub_domains,
+                                    transit_stub_topology)
 from repro.runtime.engine import Simulator
 
 FACTORS = (0.25, 0.5, 1.0, 1.0, 2.0, 4.0)
@@ -24,7 +26,7 @@ index = st.integers(min_value=0, max_value=10_000)
 #: meaning depends on the kind, and ``may_shorten`` where it is a choice.
 steps = st.lists(st.tuples(
     st.sampled_from(("plan", "warm", "disable", "disable", "enable", "enable",
-                     "reweigh")),
+                     "reweigh", "tree")),
     index, index, index, st.booleans()), min_size=1, max_size=24)
 
 
@@ -94,6 +96,8 @@ def test_incremental_invalidation_matches_a_fresh_router(
                     router.plan(source, second % nodes)
                 except RoutingError:
                     pass
+        elif kind == "tree":       # a whole-graph tree over a partial one
+            router._sssp(first % nodes)
         elif kind == "disable":
             router.disable_edge(*edges[first % len(edges)])
         elif kind == "enable":     # a cut edge when there is one
@@ -113,6 +117,56 @@ def test_incremental_invalidation_matches_a_fresh_router(
                 if plan is before.get(key):
                     assert (u, v) not in plan.edges and (v, u) not in plan.edges
         check_against_fresh(emulator)
+
+
+def test_a_miss_grows_the_tree_across_one_bridge(monkeypatch):
+    """Eight plans from every client of the 600-host underlay: each miss
+    searches only past the bridge between its source's tree and the target,
+    not from the source again (105 910 pops for the same entries)."""
+    topology = transit_stub_topology(600, seed=7)
+    router = Router(topology)
+    pops = 0
+
+    def counted(fringe):
+        nonlocal pops
+        pops += 1
+        return heappop(fringe)
+    monkeypatch.setattr(router_module, "heappop", counted)
+    rng = random.Random(3)
+    for source in topology.clients:
+        for target in rng.sample(topology.clients, 8):
+            router.plan(source, target)
+    assert sum(len(dist) for dist, _ in router._sssp_cache.values()) == 31_121
+    assert pops == 33_571
+
+
+def test_an_unreachable_target_leaves_the_tree_as_it_was():
+    """The stub behind a cut uplink is in another DFS tree: no bridge leads
+    there from a tree over the core, nor from one over its own stub only."""
+    topology = transit_stub_topology(40, seed=7)
+    graph = topology.graph
+    near, stranded, far = (topology.clients[i] for i in (0, 5, 9))
+    (relay,) = graph.neighbors(near)
+    stub = next(domain for domain in stub_domains(topology)
+                if not domain.isdisjoint(graph.neighbors(stranded)))
+    uplink = next((member, n) for member in stub for n in graph.neighbors(member)
+                  if graph.nodes[n][ROLE_ATTR] == "transit")
+    router = Router(topology)
+    router.disable_edge(*uplink)
+    router.plan(near, far)              # a tree over the core
+    router.plan(relay, near)            # a tree over one stub
+    for source in (near, relay):
+        dist, pred = router._sssp_cache[source]
+        before = dict(dist), dict(pred)
+        with pytest.raises(RoutingError):
+            router.plan(source, stranded)
+        assert (dist, pred) == before
+        assert router._sssp_cache[source][0] is dist
+    router.enable_edge(*uplink)
+    for source in (near, relay):
+        healed, fresh = router.plan(source, stranded), \
+            Router(topology).plan(source, stranded)
+        assert (healed.path, healed.latency) == (fresh.path, fresh.latency)
 
 
 def test_a_healed_edge_that_only_ties_still_drops_the_plan():
