@@ -11,7 +11,12 @@ the qualitative shape rather than absolute values.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+
+from repro.eval import Stack
+from repro.live import live_runnable
 
 
 def run_once(benchmark, fn):
@@ -25,3 +30,18 @@ def once(benchmark):
     def _run(fn):
         return run_once(benchmark, fn)
     return _run
+
+
+@pytest.fixture
+def stack_value():
+    """Check that a figure's spec names its protocol as a value: its
+    ``agents`` is a :class:`~repro.eval.Stack` that pickles back equal.
+    Returns ``live_runnable(spec)``, whose reason must name a model row or
+    the workload rule, never the agents."""
+    def _check(spec):
+        assert isinstance(spec.agents, Stack)
+        assert pickle.loads(pickle.dumps(spec.agents)) == spec.agents
+        ok, reason = live_runnable(spec)
+        assert ok or "agents" not in reason, reason
+        return ok, reason
+    return _check

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 
-from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, mean
+from repro.eval import ChurnModel, ScenarioSpec, Stack, WorkloadModel, mean
 from repro.eval.reports import format_table
 from repro.obs import ObsConfig
 from repro.network import dumbbell_topology
-from repro.protocols import randtree_agent
 from repro.runtime import Simulator
 from repro.network import NetworkEmulator
 from repro.transport import TransportKind, TransportHost
@@ -108,7 +107,7 @@ def test_ablation_locking_read_fraction(once):
     def run():
         spec = ScenarioSpec(
             name="ablation-locking",
-            agents=lambda: [randtree_agent()],
+            agents=Stack("randtree"),
             num_nodes=20,
             duration=90.0,
             seed=143,

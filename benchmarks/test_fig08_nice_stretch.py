@@ -11,11 +11,10 @@ and after ``CONVERGENCE`` seconds node 0 multicasts a short probe burst.
 
 from __future__ import annotations
 
-from repro.eval import (ChurnModel, ScenarioSpec, WorkloadModel, group_by_site, mean,
-                        stretch_samples)
+from repro.eval import (ChurnModel, ScenarioSpec, Stack, WorkloadModel,
+                        group_by_site, mean, stretch_samples)
 from repro.eval.reports import format_table
 from repro.network import multi_site_topology
-from repro.protocols import nice_agent
 
 #: Published per-site stretch from the NICE paper (Figure 15 there), eyeballed
 #: from the plot; used only for side-by-side reporting.
@@ -27,20 +26,24 @@ CONVERGENCE = 180.0
 PACKETS, GAP, SETTLE = 5, 0.5, 20.0
 
 
-def build_and_measure():
-    topology = multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=81,
-                                   name="nice-8-sites")
-    spec = ScenarioSpec(
+def stretch_spec() -> ScenarioSpec:
+    return ScenarioSpec(
         name="fig08-nice-stretch",
-        agents=lambda: [nice_agent()],
+        agents=Stack("nice"),
         num_nodes=MEMBERS_PER_SITE * NUM_SITES,
         duration=CONVERGENCE + PACKETS * GAP + SETTLE,
         seed=81,
-        topology=topology,
+        topology=multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=81,
+                                     name="nice-8-sites"),
         models=(ChurnModel(join="immediate"),
                 WorkloadModel(kind="multicast", source=0, group=1,
                               start=CONVERGENCE, packets=PACKETS, gap=GAP)),
     )
+
+
+def build_and_measure():
+    spec = stretch_spec()
+    topology = spec.topology
     experiment = spec.run().experiment
     source = experiment.nodes[0]
     per_receiver = experiment.compiled_models[-1].observations.per_receiver
@@ -54,6 +57,10 @@ def build_and_measure():
         site_of[node.address] = topology.client_sites.get(node.host.topology_node, 0)
     per_site = group_by_site(stretch_by_receiver, site_of)
     return per_site, latencies
+
+
+def test_fig08_spec_is_a_value(stack_value):
+    assert stack_value(stretch_spec()) == (True, None)
 
 
 def test_fig08_nice_stretch_distribution(once):

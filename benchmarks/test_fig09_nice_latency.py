@@ -8,10 +8,10 @@ across the eight sites.  The run is the same shape of
 
 from __future__ import annotations
 
-from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, group_by_site, mean
+from repro.eval import (ChurnModel, ScenarioSpec, Stack, WorkloadModel,
+                        group_by_site, mean)
 from repro.eval.reports import format_table
 from repro.network import multi_site_topology
-from repro.protocols import nice_agent
 
 #: Published per-site latencies (ms) from the NICE paper's Figure 16, for the
 #: side-by-side column.
@@ -23,20 +23,24 @@ CONVERGENCE = 180.0
 PACKETS, GAP, SETTLE = 5, 0.5, 20.0
 
 
-def build_and_measure():
-    topology = multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=91,
-                                   name="nice-8-sites-latency")
-    spec = ScenarioSpec(
+def latency_spec() -> ScenarioSpec:
+    return ScenarioSpec(
         name="fig09-nice-latency",
-        agents=lambda: [nice_agent()],
+        agents=Stack("nice"),
         num_nodes=MEMBERS_PER_SITE * NUM_SITES,
         duration=CONVERGENCE + PACKETS * GAP + SETTLE,
         seed=91,
-        topology=topology,
+        topology=multi_site_topology([MEMBERS_PER_SITE] * NUM_SITES, seed=91,
+                                     name="nice-8-sites-latency"),
         models=(ChurnModel(join="immediate"),
                 WorkloadModel(kind="multicast", source=0, group=1,
                               start=CONVERGENCE, packets=PACKETS, gap=GAP)),
     )
+
+
+def build_and_measure():
+    spec = latency_spec()
+    topology = spec.topology
     experiment = spec.run().experiment
     source = experiment.nodes[0]
     per_receiver = experiment.compiled_models[-1].observations.per_receiver
@@ -47,6 +51,10 @@ def build_and_measure():
                for node in experiment.nodes}
     per_site = group_by_site(latencies, site_of)
     return per_site
+
+
+def test_fig09_spec_is_a_value(stack_value):
+    assert stack_value(latency_spec()) == (True, None)
 
 
 def test_fig09_nice_latency_distribution(once):

@@ -12,41 +12,37 @@ baselines" records the measured curve points); the ordering of the three
 curves is what is asserted.  Each variant
 is one declarative :class:`ScenarioSpec` — a staggered-join churn model plus
 a sampled convergence series — so the same spec extends to churn/crash
-variants by adding models.
+variants by adding models.  Its stack is a :class:`Stack` value whose
+``params`` row sets the fix-fingers period on every node.
 """
 
 from __future__ import annotations
 
-from repro.baselines import LsdChordAgent
-from repro.eval import ChurnModel, SampleSeries, ScenarioSpec, average_correct_route_entries
+from repro.eval import (ChurnModel, SampleSeries, ScenarioSpec, Stack,
+                        average_correct_route_entries)
 from repro.eval.reports import format_table
-from repro.protocols import chord_agent
 
 NUM_NODES = 60
 SNAPSHOT_INTERVAL = 2.0
 DURATION = 80.0
 
 
-def run_variant(agent_factory, protocol_name: str, fix_period: float | None,
-                seed: int):
-    def configure(experiment) -> None:
-        if fix_period is not None:
-            for node in experiment.nodes:
-                node.agent(protocol_name).fix_period = fix_period
-
-    spec = ScenarioSpec(
-        name=f"fig10-{protocol_name}-{fix_period}",
-        agents=lambda: [agent_factory()],
+def variant_spec(protocol: str, fix_period: float, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
+        name=f"fig10-{protocol}-{fix_period}",
+        agents=Stack(protocol, params=((protocol, "fix_period", fix_period),)),
         num_nodes=NUM_NODES,
         duration=DURATION,
         seed=seed,
         models=(ChurnModel(join="staggered", join_spacing=0.25),),
         samples=(SampleSeries(
             "correct_entries", SNAPSHOT_INTERVAL,
-            lambda exp: average_correct_route_entries(exp.nodes, protocol_name)),),
-        configure=configure,
+            lambda exp: average_correct_route_entries(exp.nodes, protocol)),),
     )
-    return spec.run().series["correct_entries"]
+
+
+def run_variant(protocol: str, fix_period: float, seed: int):
+    return variant_spec(protocol, fix_period, seed).run().series["correct_entries"]
 
 
 def area_under(series):
@@ -54,11 +50,17 @@ def area_under(series):
     return sum(value for _, value in series)
 
 
+def test_fig10_spec_is_a_value(stack_value):
+    ok, reason = stack_value(variant_spec("lsd_chord", 1.0, seed=101))
+    # Figure 10 samples the routing tables and drives no traffic.
+    assert not ok and "no WorkloadModel" in reason
+
+
 def test_fig10_chord_routing_table_convergence(once):
     def run():
-        fast = run_variant(chord_agent, "chord", 1.0, seed=101)
-        slow = run_variant(chord_agent, "chord", 20.0, seed=101)
-        lsd = run_variant(LsdChordAgent, "lsd_chord", 1.0, seed=101)
+        fast = run_variant("chord", 1.0, seed=101)
+        slow = run_variant("chord", 20.0, seed=101)
+        lsd = run_variant("lsd_chord", 1.0, seed=101)
         return fast, slow, lsd
 
     fast, slow, lsd = once(run)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FreePastryAgent, FreePastryCapacityError
-from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, mean
+from repro.baselines import FreePastryCapacityError
+from repro.eval import ChurnModel, ScenarioSpec, Stack, WorkloadModel, mean
 from repro.eval.reports import format_table
-from repro.protocols import pastry_agent
 
 NODE_COUNTS = [10, 25, 50, 75]
 CONVERGENCE = 80.0
@@ -31,10 +30,10 @@ SETTLE = 10.0
 INTERVAL = 1000 * 8 / 10_000      # 1000-byte packets at 10 Kbps per node
 
 
-def measure(agent_factory, num_nodes: int, seed: int) -> float:
-    spec = ScenarioSpec(
+def latency_spec(protocol: str, num_nodes: int, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
         name=f"fig11-{num_nodes}",
-        agents=lambda: [agent_factory()],
+        agents=Stack(protocol),
         num_nodes=num_nodes,
         duration=CONVERGENCE + MEASURE + SETTLE,
         seed=seed,
@@ -43,7 +42,15 @@ def measure(agent_factory, num_nodes: int, seed: int) -> float:
                               packets=num_nodes * int(MEASURE // INTERVAL),
                               gap=INTERVAL / num_nodes)),
     )
-    return spec.run().metrics["workload.latency_mean"]
+
+
+def measure(protocol: str, num_nodes: int, seed: int) -> float:
+    return latency_spec(protocol, num_nodes, seed).run().metrics[
+        "workload.latency_mean"]
+
+
+def test_fig11_spec_is_a_value(stack_value):
+    assert stack_value(latency_spec("freepastry", 10, seed=120)) == (True, None)
 
 
 def test_fig11_pastry_vs_freepastry_latency(once):
@@ -51,8 +58,8 @@ def test_fig11_pastry_vs_freepastry_latency(once):
         macedon = {}
         freepastry = {}
         for count in NODE_COUNTS:
-            macedon[count] = measure(pastry_agent, count, seed=110 + count)
-            freepastry[count] = measure(FreePastryAgent, count, seed=110 + count)
+            macedon[count] = measure("pastry", count, seed=110 + count)
+            freepastry[count] = measure("freepastry", count, seed=110 + count)
         return macedon, freepastry
 
     macedon, freepastry = once(run)
@@ -74,4 +81,4 @@ def test_fig11_pastry_vs_freepastry_latency(once):
 
     # FreePastry cannot be pushed past its memory ceiling (~100 participants).
     with pytest.raises(FreePastryCapacityError):
-        measure(FreePastryAgent, 120, seed=999)
+        measure("freepastry", 120, seed=999)

@@ -9,22 +9,23 @@ re-resolution traffic and multi-hop detours eat into goodput).
 Scaled down here (fewer nodes, lower rate, shorter run); the assertions check
 the shape: both configurations deliver most of the source rate, and the
 no-eviction policy delivers at least as much as the short-lifetime policy.
-Each policy is one :class:`ScenarioSpec`: ``configure`` sets the cache
-lifetime, a :class:`GroupModel` builds the forest and a multicast
-:class:`WorkloadModel` streams into it.
+Each policy is one :class:`ScenarioSpec`: its :class:`Stack` value's
+``params`` row sets Pastry's cache lifetime on every node, a
+:class:`GroupModel` builds the forest and a multicast :class:`WorkloadModel`
+streams into it.
 
 ``cache_lifetime`` does not move this figure today: both policies deliver
 the same bandwidth, because the bundled Pastry settles into full membership
 and every route is one overlay hop, so there is no detour for an evicted
 cache entry to cause.  The ordering becomes a real test once Pastry routes
-by prefix table and leaf set (ROADMAP direction 2(a)).
+by prefix table and leaf set (ROADMAP direction 3(a)).
 """
 
 from __future__ import annotations
 
-from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel, mean
+from repro.eval import (ChurnModel, GroupModel, ScenarioSpec, Stack,
+                        WorkloadModel, mean)
 from repro.eval.reports import format_series
-from repro.protocols import splitstream_stack
 
 NUM_NODES = 40
 SOURCE = 1
@@ -52,18 +53,14 @@ def bandwidth_series(records, source_address: int) -> list[tuple[float, float]]:
             for index, count in enumerate(received)]
 
 
-def run_policy(cache_lifetime: float, seed: int):
-    def configure(experiment) -> None:
-        for node in experiment.nodes:
-            node.agent("pastry").cache_lifetime = cache_lifetime
-
-    spec = ScenarioSpec(
+def policy_spec(cache_lifetime: float, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
         name=f"fig12-cache-{cache_lifetime}",
-        agents=splitstream_stack,
+        agents=Stack("splitstream", params=(
+            ("pastry", "cache_lifetime", cache_lifetime),)),
         num_nodes=NUM_NODES,
         duration=STREAM_START + STREAM_SECONDS + 15.0,
         seed=seed,
-        configure=configure,
         models=(ChurnModel(join="staggered", join_spacing=0.2),
                 GroupModel(group=GROUP, source=SOURCE, at=CONVERGENCE),
                 WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,
@@ -72,11 +69,18 @@ def run_policy(cache_lifetime: float, seed: int):
                               gap=GAP,
                               packet_bytes=PACKET_BYTES)),
     )
-    experiment = spec.run().experiment
+
+
+def run_policy(cache_lifetime: float, seed: int):
+    experiment = policy_spec(cache_lifetime, seed).run().experiment
     workload = experiment.compiled_models[-1]
     series = bandwidth_series(workload.observations.records,
                               experiment.nodes[SOURCE].address)
     return series, mean([value for _, value in series])
+
+
+def test_fig12_spec_is_a_value(stack_value):
+    assert stack_value(policy_spec(1.0, seed=121)) == (True, None)
 
 
 def test_fig12_splitstream_bandwidth_cache_policies(once):

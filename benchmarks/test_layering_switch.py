@@ -5,15 +5,16 @@ Pastry to Chord by changing a single line in its MACEDON specification."
 This benchmark builds Scribe over both substrates from the same specification
 (overriding only the ``uses`` header) and verifies multicast delivery works on
 both, reporting delivery rate and mean latency side by side.  Both runs are
-the same :class:`ScenarioSpec` but for the stack: a staggered join, a
-:class:`GroupModel` and a 10 packets/s multicast :class:`WorkloadModel`.
+the same :class:`ScenarioSpec` but for the stack, ``Stack("scribe",
+base=...)``: a staggered join, a :class:`GroupModel` and a 10 packets/s
+multicast :class:`WorkloadModel`.
 """
 
 from __future__ import annotations
 
-from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel, mean
+from repro.eval import (ChurnModel, GroupModel, ScenarioSpec, Stack,
+                        WorkloadModel, mean)
 from repro.eval.reports import format_table
-from repro.protocols import scribe_stack
 
 NUM_NODES = 30
 GROUP = 77
@@ -22,10 +23,10 @@ CONVERGENCE = 100.0
 STREAM_START = CONVERGENCE + 45.0
 
 
-def run_over(base: str, seed: int):
-    spec = ScenarioSpec(
+def scribe_spec(base: str, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
         name=f"scribe-over-{base}",
-        agents=lambda: scribe_stack(base=base),
+        agents=Stack("scribe", base=base),
         num_nodes=NUM_NODES,
         duration=STREAM_START + 40.0,
         seed=seed,
@@ -34,7 +35,10 @@ def run_over(base: str, seed: int):
                 WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,
                               start=STREAM_START, packets=200, gap=0.1)),
     )
-    result = spec.run()
+
+
+def run_over(base: str, seed: int):
+    result = scribe_spec(base, seed).run()
     observations = result.experiment.compiled_models[-1].observations
     sent = result.metrics["workload.sent"]
     source = result.experiment.nodes[SOURCE].address
@@ -45,6 +49,10 @@ def run_over(base: str, seed: int):
         if sent else 0.0
     latency = mean([mean(latencies) for latencies in received if latencies])
     return delivery, latency
+
+
+def test_layering_switch_spec_is_a_value(stack_value):
+    assert stack_value(scribe_spec("chord", seed=131)) == (True, None)
 
 
 def test_scribe_substrate_switch(once):

@@ -19,10 +19,10 @@ Qualitative assertions (churn-path performance is timed by the
 
 from __future__ import annotations
 
-from repro.eval import ChurnModel, ScenarioRunner, ScenarioSpec, WorkloadModel
+from repro.eval import (ChurnModel, ScenarioRunner, ScenarioSpec, Stack,
+                        WorkloadModel)
 from repro.eval.metrics import ring_successor_correctness
 from repro.eval.reports import format_table
-from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 NUM_NODES = 20
@@ -37,7 +37,7 @@ FAILURE = FailureDetectorConfig(failure_timeout=10.0, heartbeat_timeout=4.0,
 def churn_spec(churn_fraction: float) -> ScenarioSpec:
     return ScenarioSpec(
         name=f"chord-churn-{int(churn_fraction * 100)}pct",
-        agents=lambda: [chord_agent()],
+        agents=Stack("chord"),
         num_nodes=NUM_NODES,
         duration=DURATION,
         failure_config=FAILURE,

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the bundled Chord specification and inspect the DHT it builds.
 
-Demonstrates: loading a bundled protocol, describing the run as a
-declarative :class:`ScenarioSpec` (staggered joins + a sampled convergence
-series), and routing application data to the node that owns a key.
+Demonstrates: naming a bundled protocol as a :class:`Stack` value (its
+``params`` row sets the fix-fingers period on every node), describing the
+run as a declarative :class:`ScenarioSpec` (staggered joins + a sampled
+convergence series), and routing application data to the node that owns a
+key.
 
 Run with:  python examples/chord_dht.py
 """
@@ -11,9 +13,9 @@ Run with:  python examples/chord_dht.py
 from __future__ import annotations
 
 from repro.apps import AppPayload
-from repro.eval import ChurnModel, SampleSeries, ScenarioSpec, average_correct_route_entries
+from repro.eval import (ChurnModel, SampleSeries, ScenarioSpec, Stack,
+                        average_correct_route_entries)
 from repro.eval.reports import format_series
-from repro.protocols import chord_agent
 
 NUM_NODES = 40
 
@@ -23,7 +25,8 @@ def main() -> None:
     # routing-table snapshot series — as one declarative spec.
     spec = ScenarioSpec(
         name="chord-convergence",
-        agents=lambda: [chord_agent()],
+        # A 1-second fix-fingers timer (the fast static setting of Figure 10).
+        agents=Stack("chord", params=(("chord", "fix_period", 1.0),)),
         num_nodes=NUM_NODES,
         duration=60.0,
         seed=11,
@@ -31,9 +34,6 @@ def main() -> None:
         samples=(SampleSeries(
             "correct_entries", 2.0,
             lambda exp: average_correct_route_entries(exp.nodes, "chord")),),
-        # A 1-second fix-fingers timer (the fast static setting of Figure 10).
-        configure=lambda exp: [setattr(node.agent("chord"), "fix_period", 1.0)
-                               for node in exp.nodes],
     )
     result = spec.run()
     print(format_series("Chord convergence (correct finger entries, max 32)",

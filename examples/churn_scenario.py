@@ -18,16 +18,16 @@ from repro.eval import (
     SampleSeries,
     ScenarioRunner,
     ScenarioSpec,
+    Stack,
     WorkloadModel,
 )
 from repro.eval.metrics import ring_successor_correctness
 from repro.eval.reports import format_series
-from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 SPEC = ScenarioSpec(
     name="chord-under-fire",
-    agents=lambda: [chord_agent()],
+    agents=Stack("chord"),
     num_nodes=16,
     duration=240.0,
     # Aggressive f/g so repairs happen on a demo-friendly timescale.

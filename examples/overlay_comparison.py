@@ -15,6 +15,7 @@ from repro.eval import (
     ChurnModel,
     GroupModel,
     ScenarioSpec,
+    Stack,
     WorkloadModel,
     link_stress,
     mean,
@@ -22,7 +23,6 @@ from repro.eval import (
     stretch_samples,
 )
 from repro.eval.reports import format_table
-from repro.protocols import nice_agent, overcast_agent, randtree_agent, scribe_stack
 
 NUM_NODES = 24
 GROUP = 1
@@ -53,11 +53,11 @@ def evaluate(name: str, stack) -> tuple[str, float, float, float]:
 
 def main() -> None:
     results = [
-        evaluate("randtree", [randtree_agent()]),
-        evaluate("overcast", [overcast_agent()]),
-        evaluate("nice", [nice_agent()]),
-        evaluate("scribe/pastry", scribe_stack(base="pastry")),
-        evaluate("scribe/chord", scribe_stack(base="chord")),
+        evaluate("randtree", Stack("randtree")),
+        evaluate("overcast", Stack("overcast")),
+        evaluate("nice", Stack("nice")),
+        evaluate("scribe/pastry", Stack("scribe", base="pastry")),
+        evaluate("scribe/chord", Stack("scribe", base="chord")),
     ]
     rows = [(name, f"{rdp:.2f}", f"{latency:.1f}", f"{stress:.0f}")
             for name, rdp, latency, stress in results]

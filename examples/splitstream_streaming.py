@@ -5,16 +5,16 @@ This is a miniature version of the paper's Figure-12 experiment: build a
 SplitStream forest, stream fixed-size packets from one source, and report the
 average bandwidth each receiver saw — once with the Pastry location cache kept
 forever and once with a short cache lifetime.  Each run is one
-``ScenarioSpec``: a staggered join, a ``GroupModel`` that builds the forest
-and a multicast ``WorkloadModel`` that streams into it.
+``ScenarioSpec``: a ``Stack`` value whose ``params`` row sets Pastry's cache
+lifetime, a staggered join, a ``GroupModel`` that builds the forest and a
+multicast ``WorkloadModel`` that streams into it.
 
 Run with:  python examples/splitstream_streaming.py
 """
 
 from __future__ import annotations
 
-from repro.eval import ChurnModel, GroupModel, ScenarioSpec, WorkloadModel
-from repro.protocols import splitstream_stack
+from repro.eval import ChurnModel, GroupModel, ScenarioSpec, Stack, WorkloadModel
 
 NUM_NODES = 25
 SOURCE = 1
@@ -26,19 +26,15 @@ CONVERGENCE = 100.0
 
 
 def run(cache_lifetime: float) -> float:
-    def configure(experiment) -> None:
-        for node in experiment.nodes:
-            node.agent("pastry").cache_lifetime = cache_lifetime
-
     packets_per_second = RATE_BPS / (PACKET_BYTES * 8)
     stream_start = CONVERGENCE + 35.0
     spec = ScenarioSpec(
         name=f"splitstream-cache-{cache_lifetime}",
-        agents=splitstream_stack,
+        agents=Stack("splitstream", params=(
+            ("pastry", "cache_lifetime", cache_lifetime),)),
         num_nodes=NUM_NODES,
         duration=stream_start + STREAM_SECONDS + 10.0,
         seed=5,
-        configure=configure,
         models=(ChurnModel(join="staggered", join_spacing=0.2),
                 GroupModel(group=GROUP, source=SOURCE, at=CONVERGENCE),
                 WorkloadModel(kind="multicast", source=SOURCE, group=GROUP,

@@ -43,12 +43,13 @@ from repro.eval.diff import (DEFAULT_TOLERANCES, Tolerance,  # noqa: E402
 def default_spec():
     """Small chord churn spec sized for a CI machine: 6 nodes, one node
     fail-stops mid-workload and rejoins, lookups keep flowing throughout."""
-    from repro.eval.library import FAST_FAILURE, resolve_protocol
+    from repro.eval import Stack
+    from repro.eval.library import FAST_FAILURE
     from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
 
     return ScenarioSpec(
         name="diff-chord-churn",
-        agents=resolve_protocol("chord"),
+        agents=Stack("chord"),
         num_nodes=6,
         duration=120.0,
         failure_config=FAST_FAILURE,

@@ -26,14 +26,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
-from repro.eval.library import FAST_FAILURE, resolve_protocol  # noqa: E402
+from repro.eval import Stack  # noqa: E402
+from repro.eval.library import FAST_FAILURE  # noqa: E402
 from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel  # noqa: E402
 
 
 def build_spec(nodes: int, duration: float, seed: int) -> ScenarioSpec:
     return ScenarioSpec(
         name="kv-smoke",
-        agents=resolve_protocol("chord"),
+        agents=Stack("chord"),
         num_nodes=nodes,
         duration=duration,
         seed=seed,

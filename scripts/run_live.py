@@ -41,7 +41,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.library import RegistryStack  # noqa: E402
+from repro.eval import Stack  # noqa: E402
 from repro.eval.scenario import (ChurnModel, CrashModel,  # noqa: E402
                                  GroupModel, ScenarioError, ScenarioSpec,
                                  WorkloadModel)
@@ -110,7 +110,7 @@ def build_spec(args, packets: int) -> ScenarioSpec:
     ))
     return ScenarioSpec(
         name=f"live-{args.protocol}-{args.workload}",
-        agents=RegistryStack(args.protocol), num_nodes=args.nodes,
+        agents=Stack(args.protocol), num_nodes=args.nodes,
         duration=args.duration, seed=args.seed,
         models=tuple(models) + tuple(args.kill),
         post_fault_settle=args.post_fault_settle)

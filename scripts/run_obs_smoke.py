@@ -41,7 +41,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.library import resolve_protocol            # noqa: E402
+from repro.eval import Stack                              # noqa: E402
 from repro.eval.scenario import (ChurnModel, ScenarioSpec,  # noqa: E402
                                  WorkloadModel)
 from repro.live import LiveCluster, LiveClusterConfig      # noqa: E402
@@ -51,7 +51,7 @@ from repro.obs import (ObsConfig, load_obs_snapshot,       # noqa: E402
 
 def build_spec(seed: int) -> ScenarioSpec:
     return ScenarioSpec(
-        name="obs-smoke", agents=resolve_protocol("chord"),
+        name="obs-smoke", agents=Stack("chord"),
         num_nodes=8, duration=40.0, seed=seed,
         models=(ChurnModel(join="staggered", join_spacing=0.5),
                 WorkloadModel(kind="route", source=-1, start=10.0,
@@ -62,7 +62,7 @@ def build_live_spec(trace_path: Path, snapshot_path: Path) -> ScenarioSpec:
     """The shape of ``tests/live/test_obs_live.py``: joins 0.1 s apart, then
     16 routed packets, in spec seconds on a ``time_scale`` 1 clock."""
     return ScenarioSpec(
-        name="obs-smoke-live", agents=resolve_protocol("chord"),
+        name="obs-smoke-live", agents=Stack("chord"),
         num_nodes=4, duration=5.0, seed=5,
         obs=ObsConfig(trace_path=str(trace_path), causal=True,
                       snapshot_path=str(snapshot_path)),

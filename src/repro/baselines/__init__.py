@@ -12,7 +12,11 @@
 from .freepastry import FreePastryAgent, FreePastryCapacityError
 from .lsd_chord import LsdChordAgent
 
+#: Registry stack names (``Stack("lsd_chord")``) -> agent-class factory.
+BASELINES = {"lsd_chord": LsdChordAgent, "freepastry": FreePastryAgent}
+
 __all__ = [
+    "BASELINES",
     "FreePastryAgent",
     "FreePastryCapacityError",
     "LsdChordAgent",

@@ -10,11 +10,11 @@ Two roads lead from a specification to an
 * ``.mac`` text: :func:`compile_mac` (parse → validate → generate →
   compile).
 
-The registry also resolves protocol *stacks*: following the ``uses`` header
-of each specification (with optional overrides, which is how "switch Scribe
-from Pastry to Chord by changing a single line" is exercised
-programmatically) down to the lowest layer, returning the agent classes
-lowest-first, ready to hand to :class:`~repro.runtime.node.MacedonNode`.
+The registry also resolves the protocol *stacks* a
+:class:`~repro.eval.scenario.Stack` names: following the ``uses`` headers
+down to the lowest layer, or re-layered over another base ("switch Scribe
+from Pastry to Chord by changing a single line"), lowest layer first.  The
+:mod:`repro.baselines` agents are one-layer stack names.
 """
 
 from __future__ import annotations
@@ -130,30 +130,32 @@ class ProtocolRegistry:
         return agent_class
 
     def load_stack(self, name: str,
-                   base_overrides: Optional[dict[str, str]] = None) -> list[Type[Agent]]:
-        """Resolve the full layering chain of *name*, lowest layer first.
+                   base: Optional[str] = None) -> list[Type[Agent]]:
+        """The layering chain of *name*, lowest layer first.  ``base``
+        replaces the chain's lowest layer (``load_stack("splitstream",
+        "chord")`` is SplitStream over Scribe over Chord); naming the
+        declared base keeps the bundled classes."""
+        from ..baselines import BASELINES
 
-        ``base_overrides`` maps protocol name → replacement base protocol,
-        applied while following the ``uses`` chain (e.g. ``{"scribe":
-        "chord"}`` builds SplitStream/Scribe/Chord instead of
-        SplitStream/Scribe/Pastry).
-        """
-        base_overrides = base_overrides or {}
-        chain: list[Type[Agent]] = []
-        seen: set[str] = set()
-        current: Optional[str] = name
-        while current is not None:
-            if current in seen:
-                raise MacError(f"layering cycle detected at protocol {current!r}")
-            seen.add(current)
-            spec = self.load_spec(current)
-            override = base_overrides.get(current)
-            if override == spec.base:       # the bundled class, not a copy
-                override = None
-            chain.append(self.load_protocol(current, base=override))
-            current = override if override is not None else spec.base
-        chain.reverse()
-        return chain
+        chain = [name]          # down the ``uses`` headers, top first
+        while name not in BASELINES and \
+                (below := self.load_spec(chain[-1]).base) is not None:
+            if below in chain:
+                raise MacError(f"layering cycle detected at protocol {below!r}")
+            chain.append(below)
+        if base is not None and len(chain) == 1:
+            raise MacError(f"protocol {name!r} uses no lower layer to replace "
+                           f"with {base!r}")
+        if name in BASELINES:
+            return [BASELINES[name]()]
+        if base is None or base == chain[-1]:
+            return [self.load_protocol(layer) for layer in reversed(chain)]
+        *upper, relayered = chain[:-1]
+        below = self.load_stack(base)
+        if any(agent_class.PROTOCOL in chain[:-1] for agent_class in below):
+            raise MacError(f"layering cycle: {base!r} runs {name!r} already")
+        return (below + [self.load_protocol(relayered, base=base)]
+                + [self.load_protocol(layer) for layer in reversed(upper)])
 
     # ------------------------------------------------------------------ output
     def generated_source(self, name: str, *, base: Optional[str] = None) -> str:

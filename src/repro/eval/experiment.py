@@ -56,7 +56,8 @@ class OverlayExperiment:
         self.nodes: list[MacedonNode] = [
             MacedonNode(self.simulator, self.emulator, self.agent_classes,
                         tracer=self.tracer,
-                        failure_config=spec.failure_config)
+                        failure_config=spec.failure_config,
+                        params=spec.params)
             for _ in range(spec.num_nodes)
         ]
         self.bootstrap = self.nodes[0]
@@ -110,15 +111,9 @@ class OverlayExperiment:
         self._resolve_node(node).crash()
 
     def recover_node(self, node) -> None:
-        """Recover a crashed node, re-joining the overlay, and re-apply
-        ``spec.configure`` to its fresh stack (recovery rebuilds agents from
-        the original classes, so per-node tuning would otherwise be lost on
-        exactly the churned nodes)."""
-        node = self._resolve_node(node)
-        was_crashed = node.crashed
-        node.recover(self.bootstrap.address)
-        if was_crashed and self.spec.configure is not None:
-            self.spec.configure(self)
+        """Recover a crashed node, re-joining the overlay (its fresh stack
+        carries the spec's ``params`` rows again)."""
+        self._resolve_node(node).recover(self.bootstrap.address)
 
     def partition(self, groups: Sequence[Sequence[int]]) -> None:
         """Host-level partition by node indices (see ``partition_hosts``)."""

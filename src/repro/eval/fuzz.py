@@ -244,21 +244,21 @@ def generate_spec(seed: int,
 
 # -------------------------------------------------------------- serialisation
 def protocol_name_of(spec: ScenarioSpec) -> str:
-    """Reverse-resolve a spec's agents callable to its registry name."""
-    for name, factory in PROTOCOLS.items():
-        if factory is spec.agents:
+    """Reverse-resolve a spec's agents to their :data:`PROTOCOLS` name."""
+    for name, stack in PROTOCOLS.items():
+        if stack == spec.agents:
             return name
     raise ScenarioError(
-        "spec's agents are not a registered protocol factory; only specs "
-        "built from repro.eval.library.PROTOCOLS serialise")
+        "spec's agents are not a registered protocol; only specs built "
+        "from repro.eval.library.PROTOCOLS serialise")
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
     """JSON-ready form of a registry-built spec (topology stays implicit)."""
-    if spec.topology is not None or spec.samples or spec.configure:
+    if spec.topology is not None or spec.samples:
         raise ScenarioError(
-            "only specs with default topology and no samples/configure "
-            "hooks serialise to artifacts")
+            "only specs with default topology and no samples serialise to "
+            "artifacts")
     return {
         "name": spec.name,
         "protocol": protocol_name_of(spec),

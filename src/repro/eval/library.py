@@ -14,22 +14,16 @@ Entries are plain :class:`~repro.eval.scenario.ScenarioSpec` builders::
     spec = library_spec("flash-crowd")        # seed 0
     summary = ScenarioRunner(spec, seeds=[1, 2, 3]).run()
 
-The :data:`PROTOCOLS` table is the one protocol registry of the evaluation
-plane — library, fuzzer, ``repro.run`` in every mode: a name maps to a
-:class:`RegistryStack`, a zero-argument callable returning the generated
-agent-class stack, which is exactly the lazy form
-:class:`~repro.eval.scenario.ScenarioSpec` accepts for its ``agents`` field (so
-specs stay picklable/serialisable by name) and which also names what a live
-node compiles.  Every entry runs a protocol generated from ``specs/*.mac``.
+The :data:`PROTOCOLS` table names the fuzzer's and the library's protocols,
+each a :class:`~repro.eval.scenario.Stack` value generated from
+``specs/*.mac``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Type
+from typing import Callable
 
-from ..codegen.registry import get_registry
-from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
 from .scenario import (
     ChurnModel,
@@ -40,36 +34,24 @@ from .scenario import (
     GroupModel,
     ScenarioError,
     ScenarioSpec,
+    Stack,
     WorkloadModel,
 )
 
 
-@dataclass(frozen=True)
-class RegistryStack:
-    """A ``spec.agents`` factory: the registry's stack *name*
-    (:meth:`~repro.codegen.registry.ProtocolRegistry.load_stack`).  The
-    simulator calls it; ``repro.run(mode="live")`` hands the same name to
-    every node process."""
-
-    name: str
-
-    def __call__(self) -> list[Type[Agent]]:
-        return get_registry().load_stack(self.name)
-
-
-#: Protocol registry: name -> agent-stack factory.  Chord exposes a
-#: ``successor`` pointer, so the ring-convergence invariant is live for it;
-#: Pastry and Scribe-over-Pastry (Scribe's declared base) exercise the
-#: prefix-routing family where only the transport/delivery invariants apply.
-PROTOCOLS: "dict[str, Callable[[], Sequence[Type[Agent]]]]" = {
-    "chord": RegistryStack("chord"),
-    "pastry": RegistryStack("pastry"),
-    "scribe-pastry": RegistryStack("scribe"),
+#: Protocol table: name -> :class:`Stack`.  Chord exposes a ``successor``
+#: pointer, so the ring-convergence invariant is live for it; Pastry and
+#: Scribe-over-Pastry (Scribe's declared base) exercise the prefix-routing
+#: family where only the transport/delivery invariants apply.
+PROTOCOLS: dict[str, Stack] = {
+    "chord": Stack("chord"),
+    "pastry": Stack("pastry"),
+    "scribe-pastry": Stack("scribe"),
 }
 
 
-def resolve_protocol(name: str) -> Callable[[], Sequence[Type[Agent]]]:
-    """The agent-stack factory for *name* (raises ScenarioError if unknown)."""
+def resolve_protocol(name: str) -> Stack:
+    """The stack for *name* (raises ScenarioError if unknown)."""
     try:
         return PROTOCOLS[name]
     except KeyError:

@@ -32,6 +32,7 @@ from functools import partial
 from typing import (Any, Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Type, Union)
 
+from ..codegen.registry import get_registry
 from ..runtime.agent import Agent
 from ..runtime.failure import FailureDetectorConfig
 from ..network.topology import Topology
@@ -493,22 +494,45 @@ class ScenarioResult:
     per_node: Optional[list] = None
 
 
-AgentClasses = Union[Sequence[Type[Agent]], Callable[[], Sequence[Type[Agent]]]]
+@dataclass(frozen=True)
+class Stack:
+    """A protocol stack by registry name, which the simulator and every live
+    node process resolve to the same classes (docs/SCENARIOS.md).  ``base``
+    replaces the lowest layer of the ``uses`` chain; each ``params`` row
+    ``(protocol, var, value)`` is set on every fresh agent stack of a node,
+    at construction and after every fail-stop recovery."""
+
+    name: str
+    base: Optional[str] = None
+    params: tuple[tuple[str, str, Any], ...] = ()
+
+    def resolve(self) -> list[Type[Agent]]:
+        """The agent classes, lowest layer first.  A ``params`` row naming no
+        declared ``var`` of a protocol in the stack is a ScenarioError."""
+        classes = get_registry().load_stack(self.name, self.base)
+        declared = {cls.PROTOCOL: [spec.name for spec in cls.STATE_VARS
+                                   if spec.kind == "var"] for cls in classes}
+        for protocol, var, _ in self.params:
+            if var not in declared.get(protocol, ()):
+                raise ScenarioError(
+                    f"{self}: params row ({protocol!r}, {var!r}) names no "
+                    f"declared var of the stack's protocols {declared}")
+        return classes
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One declarative scenario: agents, population, faults, and workload.
 
-    ``agents`` may be a sequence of agent classes or a zero-argument callable
-    returning one (so DSL compilation happens lazily, per spec use).
+    ``agents`` is a :class:`Stack`, or a literal sequence of agent classes
+    (simulation only: a live node process compiles its stack by name).
     ``topology`` may be a :class:`Topology` or a callable ``seed -> Topology``;
     by default a transit-stub topology with ``num_nodes`` clients is generated
     from the seed, so every seed sees a different (but reproducible) network.
     """
 
     name: str
-    agents: AgentClasses
+    agents: Union[Stack, Sequence[Type[Agent]]]
     num_nodes: int
     duration: float
     seed: int = 0
@@ -517,11 +541,6 @@ class ScenarioSpec:
     failure_config: Optional[FailureDetectorConfig] = None
     models: tuple[ScenarioModel, ...] = ()
     samples: tuple[SampleSeries, ...] = ()
-    #: Post-construction tuning hook, e.g. tightening protocol timers per
-    #: node.  Must be **idempotent**: it is re-applied after every node
-    #: recovery, because fail-stop recovery rebuilds the agent stack and
-    #: would otherwise revert the tuning on exactly the churned nodes.
-    configure: Optional[Callable[["OverlayExperiment"], None]] = None  # noqa: F821
     #: Observability opt-in (:class:`repro.obs.ObsConfig`): metrics
     #: snapshot on ``result.obs``, optional trace export and causal
     #: tracing.  ``None`` — the default — runs the historical code paths
@@ -537,8 +556,14 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------- build
     def resolve_agents(self) -> list[Type[Agent]]:
-        agents = self.agents() if callable(self.agents) else self.agents
-        return list(agents)
+        if isinstance(self.agents, Stack):
+            return self.agents.resolve()
+        return list(self.agents)
+
+    @property
+    def params(self) -> tuple[tuple[str, str, Any], ...]:
+        """The stack's ``params`` rows (a literal class sequence has none)."""
+        return self.agents.params if isinstance(self.agents, Stack) else ()
 
     def build(self) -> "OverlayExperiment":  # noqa: F821
         """Construct the experiment and schedule every model onto it."""
@@ -547,8 +572,6 @@ class ScenarioSpec:
         if self.duration <= 0:
             raise ScenarioError("scenario duration must be positive")
         experiment = OverlayExperiment(self)
-        if self.configure is not None:
-            self.configure(experiment)
         for model in self.models:
             experiment.apply_model(model)
         return experiment

@@ -17,8 +17,8 @@ the underlying entry point directly (pinned by
 ``tests/eval/test_facade.py``), and the old entry points remain public.
 
 Live mode deploys the spec itself, ``LiveClusterConfig(spec, **overrides)``:
-the protocol is the registry stack the spec's agents factory names (a
-:data:`repro.eval.library.PROTOCOLS` row), and every node process and the
+the protocol is the spec's :class:`~repro.eval.scenario.Stack`, which
+every node process resolves by name, and every node process and the
 coordinator draw the spec's schedule — joins, group rows, workload ops,
 fault rows — with the simulator's ``spec.draw``, bind it with its binder
 and score it with its result function.  The schedule, protocol

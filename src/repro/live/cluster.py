@@ -45,9 +45,9 @@ from operator import attrgetter
 from queue import Empty
 from typing import Optional
 
-from ..eval.library import PROTOCOLS, RegistryStack
+from ..dsl.errors import MacError
 from ..eval.scenario import (CompiledModel, ScenarioError, ScenarioResult,
-                             ScenarioSpec, bind_model, build_result,
+                             ScenarioSpec, Stack, bind_model, build_result,
                              metric_labels)
 from ..eval.workload import WorkloadModel
 from ..transport.udp import FIRST_ADDRESS, SocketUdpNetwork
@@ -98,12 +98,15 @@ class LiveClusterConfig:
 
     def __post_init__(self) -> None:
         spec = self.spec
-        if not (isinstance(spec.agents, RegistryStack)
-                and spec.agents in PROTOCOLS.values()):
+        if not isinstance(spec.agents, Stack):
             raise ScenarioError(
-                f"spec.agents has no live deployment: a node process compiles "
-                f"its stack by registry name, so live mode needs a row of "
-                f"repro.eval.library.PROTOCOLS ({sorted(PROTOCOLS)})")
+                "spec.agents has no live deployment: a node process compiles "
+                "its stack by registry name, so live mode needs a "
+                "repro.eval.Stack")
+        try:        # an unknown name fails here, before any process spawns
+            spec.agents.resolve()
+        except MacError as exc:
+            raise ScenarioError(str(exc)) from None
         if not any(isinstance(model, WorkloadModel) for model in spec.models):
             raise ScenarioError(
                 "spec.models has no WorkloadModel: live mode needs a "

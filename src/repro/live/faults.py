@@ -32,8 +32,9 @@ class LiveFaultError(ScenarioError):
 def live_runnable(spec) -> Tuple[bool, Optional[str]]:
     """Is *spec* runnable as a live deployment?  Returns ``(ok, reason)``.
 
-    A spec is live-runnable when its agents are a registry stack (any
-    ``PROTOCOLS`` row), it carries a workload, and every row it draws has a
+    A spec is live-runnable when its agents are a
+    :class:`~repro.eval.scenario.Stack` that resolves, it carries a
+    workload, and every row it draws has a
     live executor — the tag the fuzzer stamps on generated specs so the
     differential harness can consume fuzzer artifacts.
     """

@@ -122,7 +122,8 @@ async def node_main(config, index: int, barrier, ready, zero, *,
                 network.install_delivery_wrapper(causal.wrap_delivery)
 
         node = MacedonNode(driver, network, stack, tracer=obs_tracer,
-                           failure_config=config.spec.failure_config)
+                           failure_config=config.spec.failure_config,
+                           params=config.spec.params)
         if incarnation:
             # Rebuild through the fail-stop recovery path so the transport
             # subsystem carries the real restart epoch, exactly as a

@@ -5,11 +5,12 @@ an :class:`~repro.runtime.agent.Agent` subclass on first use via
 :mod:`repro.codegen`.  This module provides typed accessors so user code does
 not need to deal with the registry directly::
 
-    from repro.protocols import chord_agent, scribe_stack
+    from repro.protocols import chord_agent
 
     ChordAgent = chord_agent()
-    stack = scribe_stack()              # [PastryAgent, ScribeAgent]
-    stack = scribe_stack(base="chord")  # [ChordAgent, ScribeAgent]
+
+A layered stack is a :class:`~repro.eval.scenario.Stack` value
+(``Stack("scribe", base="chord")``; docs/SCENARIOS.md).
 """
 
 from __future__ import annotations
@@ -58,23 +59,6 @@ def ammo_agent() -> Type[Agent]:
     return get_registry().load_protocol("ammo")
 
 
-# ---------------------------------------------------------------------- stacks
-def scribe_stack(base: str = "pastry") -> list[Type[Agent]]:
-    """Scribe layered over *base* (``pastry`` by default, ``chord`` to switch)."""
-    return get_registry().load_stack("scribe", base_overrides={"scribe": base})
-
-
-def splitstream_stack(base: str = "pastry") -> list[Type[Agent]]:
-    """SplitStream over Scribe over *base*."""
-    return get_registry().load_stack("splitstream",
-                                     base_overrides={"scribe": base})
-
-
-def bullet_stack() -> list[Type[Agent]]:
-    """Bullet over RandTree."""
-    return get_registry().load_stack("bullet")
-
-
 __all__ = [
     "BUNDLED_PROTOCOLS",
     "randtree_agent",
@@ -83,7 +67,4 @@ __all__ = [
     "pastry_agent",
     "nice_agent",
     "ammo_agent",
-    "scribe_stack",
-    "splitstream_stack",
-    "bullet_stack",
 ]

@@ -53,6 +53,7 @@ class MacedonNode:
         tracer: Optional[Tracer] = None,
         topology_node: Optional[int] = None,
         failure_config: Optional[FailureDetectorConfig] = None,
+        params: Sequence[tuple[str, str, Any]] = (),
     ) -> None:
         self.simulator = simulator
         self.emulator = emulator
@@ -60,6 +61,8 @@ class MacedonNode:
         self.handlers = Handlers()
         self._agent_classes = list(agent_classes)
         self._failure_config = failure_config
+        #: ``(protocol, var, value)`` rows set on every fresh agent stack.
+        self._params = tuple(params)
 
         host = emulator.attach_host(topology_node)
         self.address: int = host.address
@@ -74,8 +77,8 @@ class MacedonNode:
     # ------------------------------------------------------------------- setup
     def _build(self, epoch: int) -> None:
         """A fresh transport subsystem under restart *epoch*, failure
-        detector and agent stack: what construction and every recovery
-        build, in this order."""
+        detector and agent stack, tuned by the ``params`` rows: what
+        construction and every recovery build, in this order."""
         self.transport_host = TransportHost(self.simulator, self.emulator,
                                             self.address, epoch=epoch)
         self.transport_host.set_deliver_upcall(self._on_transport_deliver)
@@ -87,6 +90,8 @@ class MacedonNode:
         )
         self.stack = ProtocolStack(self, self._agent_classes)
         self.stack.validate_layering()
+        for protocol, var, value in self._params:
+            setattr(self.stack.agent(protocol), var, value)
         self._declare_transports()
 
     def _declare_transports(self) -> None:

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from repro.api.handlers import Handlers
 from repro.network import NetworkEmulator, transit_stub_topology
-from repro.protocols import randtree_agent, scribe_stack
+from repro.eval import Stack
+from repro.protocols import randtree_agent
 from repro.runtime import MacedonNode, Simulator
 
 
@@ -44,7 +45,7 @@ def test_randtree_multicast_reaches_every_other_node():
 
 
 def test_scribe_session_from_a_non_bootstrap_source():
-    simulator, nodes = build_nodes(scribe_stack(), 12, seed=92)
+    simulator, nodes = build_nodes(Stack("scribe").resolve(), 12, seed=92)
     received = []
     for node in nodes:
         node.macedon_register_handlers(deliver=lambda p, s, t: received.append(s))
@@ -83,7 +84,7 @@ def test_application_switches_overlay_without_code_changes():
         return len(delivered)
 
     over_tree = run_app([randtree_agent()], 7, seed=93)
-    over_scribe = run_app(scribe_stack(), 7, seed=94)
+    over_scribe = run_app(Stack("scribe").resolve(), 7, seed=94)
     assert over_tree >= 9
     assert over_scribe >= 9
 

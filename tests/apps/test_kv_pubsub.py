@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import KvStore, PubSub
-from repro.eval import ChurnModel, ScenarioSpec
+from repro.eval import ChurnModel, ScenarioSpec, Stack
 from repro.eval.library import FAST_FAILURE
-from repro.protocols import chord_agent, scribe_stack
+from repro.protocols import chord_agent
 
 
 def build_kv_experiment(num_nodes=10, seed=11, *, failure_config=None):
@@ -202,7 +202,7 @@ def test_kv_chains_foreign_payloads_to_previous_handler():
 
 def build_pubsub_experiment(num_nodes=12, seed=21):
     experiment = ScenarioSpec(
-        name="pubsub", agents=scribe_stack("pastry"), num_nodes=num_nodes,
+        name="pubsub", agents=Stack("scribe"), num_nodes=num_nodes,
         duration=60.0, seed=seed,
         models=(ChurnModel(join="immediate"),)).run().experiment
     apps = {node.address: PubSub(node) for node in experiment.nodes}

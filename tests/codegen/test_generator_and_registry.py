@@ -13,6 +13,7 @@ from repro.codegen import (
 )
 from repro.dsl import parse_mac, validate
 from repro.dsl.errors import MacError
+from repro.eval import Stack
 from repro.runtime.agent import Agent
 from repro.runtime.tracing import TraceLevel
 
@@ -117,8 +118,7 @@ def test_load_stack_resolution_order():
 
 
 def test_load_stack_with_base_override():
-    stack = get_registry().load_stack("scribe",
-                                      base_overrides={"scribe": "chord"})
+    stack = Stack("scribe", base="chord").resolve()
     assert [cls.PROTOCOL for cls in stack] == ["chord", "scribe"]
     assert stack[1].BASE_PROTOCOL == "chord"
 

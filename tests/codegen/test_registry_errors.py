@@ -8,7 +8,7 @@ import pytest
 
 from repro.codegen import ProtocolRegistry, compile_source, get_registry
 from repro.dsl.errors import CodegenError, MacError
-from repro.protocols import scribe_stack, splitstream_stack
+from repro.eval import Stack
 from repro.runtime.agent import Agent
 
 
@@ -69,8 +69,7 @@ def test_override_does_not_poison_unoverridden_class_cache():
     """Loading Scribe-over-Chord must leave plain Scribe untouched."""
     registry = get_registry()
     plain_before = registry.load_protocol("scribe")
-    overridden = registry.load_stack("scribe",
-                                     base_overrides={"scribe": "chord"})[-1]
+    overridden = Stack("scribe", base="chord").resolve()[-1]
     plain_after = registry.load_protocol("scribe")
     assert plain_after is plain_before
     assert plain_after.BASE_PROTOCOL == "pastry"
@@ -106,11 +105,34 @@ def test_override_variants_coexist_and_cache_separately():
 
 
 def test_the_declared_base_as_an_override_is_the_bundled_stack():
-    """``scribe_stack()`` names Scribe's own base: the classes are those of
-    ``load_stack("scribe")``, and no second Scribe is compiled beside them."""
+    """``Stack("scribe", base="pastry")`` names Scribe's own base: the
+    classes are those of ``load_stack("scribe")``, and no second Scribe is
+    compiled beside them."""
     registry = get_registry()
-    assert scribe_stack() == registry.load_stack("scribe")
-    assert splitstream_stack()[:2] == registry.load_stack("scribe")
-    assert scribe_stack("chord")[-1].__name__ == "ScribeAgentOverChord"
+    assert Stack("scribe", base="pastry").resolve() == \
+        registry.load_stack("scribe")
+    assert Stack("splitstream", base="pastry").resolve()[:2] == \
+        registry.load_stack("scribe")
+    assert Stack("scribe", base="chord").resolve()[-1].__name__ == \
+        "ScribeAgentOverChord"
     assert {key for key in registry._class_cache if key[0] == "scribe"} == \
         {("scribe", None), ("scribe", "chord")}
+
+
+def test_a_base_on_a_one_layer_stack_raises():
+    for name in ("chord", "lsd_chord"):
+        with pytest.raises(MacError, match="uses no lower layer"):
+            Stack(name, base="pastry").resolve()
+
+
+def test_relayering_into_a_cycle_raises():
+    with pytest.raises(MacError, match="layering cycle: 'splitstream' runs "
+                                       "'scribe' already"):
+        Stack("scribe", base="splitstream").resolve()
+
+
+def test_the_baselines_are_registry_stack_names():
+    from repro.baselines import FreePastryAgent, LsdChordAgent
+
+    assert Stack("lsd_chord").resolve() == [LsdChordAgent()]
+    assert Stack("freepastry").resolve() == [FreePastryAgent()]

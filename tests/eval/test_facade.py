@@ -13,10 +13,10 @@ from dataclasses import replace
 import pytest
 
 import repro
-from repro.eval.library import RegistryStack, resolve_protocol
+from repro.eval.library import resolve_protocol
 from repro.eval.runner import ScenarioRunner
 from repro.eval.scenario import (ChurnModel, ScenarioError, ScenarioSpec,
-                                 WorkloadModel)
+                                 Stack, WorkloadModel)
 
 
 def route_spec(seed=3):
@@ -107,17 +107,19 @@ def test_facade_rejects_bad_arguments():
 
 
 def test_facade_live_mapping_rejects_uncompiled_protocols():
-    # Agent classes built in this process, not a PROTOCOLS row: a node
-    # process would have no registry name to compile.
+    # Agent classes built in this process, not a Stack: a node process
+    # would have no registry name to compile.
     spec = ScenarioSpec(
-        name="facade-classes", agents=resolve_protocol("chord")(),
+        name="facade-classes", agents=resolve_protocol("chord").resolve(),
         num_nodes=4, duration=30.0, seed=1,
         models=(WorkloadModel(kind="route", packets=4, start=20.0),))
     with pytest.raises(ScenarioError, match="no live deployment"):
         repro.run(spec, mode="live")
-    # Nor is a registry stack the table does not list.
-    with pytest.raises(ScenarioError, match="no live deployment"):
-        repro.run(replace(spec, agents=RegistryStack("bullet")), mode="live")
+    # Nor is a Stack whose params row names no declared var: the
+    # coordinator resolves it before any process spawns.
+    with pytest.raises(ScenarioError, match="names no declared var"):
+        repro.run(replace(spec, agents=Stack(
+            "chord", params=(("chord", "fix_perod", 1.0),))), mode="live")
 
 
 def test_facade_live_mapping_needs_a_workload():

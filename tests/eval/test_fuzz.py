@@ -42,7 +42,7 @@ class DoubleDeliverAgent(chord_agent()):
 
 @pytest.fixture
 def buggy_protocol():
-    PROTOCOLS["chord-dupbug"] = lambda: [DoubleDeliverAgent]
+    PROTOCOLS["chord-dupbug"] = (DoubleDeliverAgent,)
     try:
         yield "chord-dupbug"
     finally:
@@ -321,7 +321,7 @@ def test_shrink_candidates_are_pinned_for_every_model_kind():
     from repro.eval.library import STUB_UPLINK_EDGES
 
     spec = ScenarioSpec(
-        name="every-kind", agents=lambda: [chord_agent()], num_nodes=12,
+        name="every-kind", agents=[chord_agent()], num_nodes=12,
         duration=160.0,
         models=(
             ChurnModel(churn_fraction=0.4),

@@ -30,7 +30,7 @@ def test_moved_library_entry_holds_every_invariant_on_generated_chord(name,
 
 def test_every_registered_protocol_is_generated_and_live_deployable():
     for name, stack in PROTOCOLS.items():
-        for agent_class in stack():
+        for agent_class in stack.resolve():
             assert agent_class.__module__.startswith("repro._generated"), \
                 (name, agent_class)
         spec = ScenarioSpec(

@@ -282,7 +282,7 @@ def test_churn_metrics_are_byte_identical_to_pre_obs_baseline(seed):
 @pytest.mark.parametrize("seed", sorted(PASTRY_BASELINES))
 def test_scribe_over_pastry_metrics_are_byte_identical_to_baseline(
         seed, monkeypatch):
-    pastry = next(cls for cls in resolve_protocol("scribe-pastry")()
+    pastry = next(cls for cls in resolve_protocol("scribe-pastry").resolve()
                   if cls.PROTOCOL == "pastry")
     method = next(spec.method for spec in pastry.TRANSITIONS
                   if (spec.kind, spec.name) == ("api", "error"))

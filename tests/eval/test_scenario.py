@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+import re
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 
@@ -14,12 +18,13 @@ from repro.eval import (
     ScenarioError,
     ScenarioRunner,
     ScenarioSpec,
+    Stack,
     SummaryStats,
     WorkloadModel,
 )
 from repro.eval.metrics import ring_successor_correctness
 from repro.network.topology import TopologyError, transit_stub_topology
-from repro.protocols import chord_agent, scribe_stack
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 #: Aggressive failure detection keeps test scenarios short.
@@ -213,7 +218,7 @@ def test_experiment_rejects_more_nodes_than_attachment_points():
 def test_workload_chains_and_restores_deliver_handlers(kind):
     if kind == "pubsub":
         experiment = ScenarioSpec(
-            name="topics", agents=scribe_stack("pastry"), num_nodes=4,
+            name="topics", agents=Stack("scribe"), num_nodes=4,
             duration=120.0, seed=5, failure_config=FAST_FAILURE,
             models=(ChurnModel(join="immediate"),)).build()
     else:
@@ -248,20 +253,42 @@ def test_workload_chains_and_restores_deliver_handlers(kind):
                for node, handlers in zip(experiment.nodes, originals))
 
 
-def test_configure_reapplied_after_recovery():
+def test_stack_params_survive_recovery():
     spec = ScenarioSpec(
-        name="retune", agents=[chord_agent()], num_nodes=4, duration=60.0,
-        failure_config=FAST_FAILURE,
+        name="retune", agents=Stack("chord", params=(("chord", "fix_period", 20.0),)),
+        num_nodes=4, duration=60.0, failure_config=FAST_FAILURE,
         models=(ChurnModel(join="immediate"),
                 CrashModel(at=10.0, victims=(2,), recover_after=15.0)),
-        configure=lambda exp: [setattr(node.lowest_agent, "tuned", True)
-                               for node in exp.nodes],
     )
     result = spec.run()
     node = result.experiment.nodes[2]
     assert node.crash_count == 1 and node.alive
-    # Recovery rebuilt the agent stack; configure must have re-tuned it.
-    assert getattr(node.lowest_agent, "tuned", False)
+    # Recovery rebuilt the agent stack; the params row tuned it again (an
+    # untuned Chord takes DEFAULT_FIX_PERIOD when it joins).
+    assert node.agent("chord").fix_period == 20.0
+    assert node.agent("chord").CONSTANTS["DEFAULT_FIX_PERIOD"] != 20.0
+
+
+@pytest.mark.parametrize("row", [
+    ("chord", "fix_perod", 1.0),            # a typo
+    ("chord", "stabilize", 1.0),            # a timer, not a var
+    ("pastry", "cache_lifetime", 1.0),      # a protocol not in the stack
+])
+def test_a_params_row_outside_the_stack_raises_at_build(row):
+    """A typo must not silently run the scenario at the default: a row
+    names a protocol of the stack and a ``var`` it declares."""
+    spec = replace(ring_spec(4), agents=Stack("chord", params=(row,)))
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"params row {row[:2]!r} names no declared var")):
+        spec.build()
+
+
+def test_a_relayered_stack_resolves_and_pickles():
+    stack = Stack("splitstream", base="chord")
+    assert [cls.__name__ for cls in stack.resolve()] == \
+        ["ChordAgent", "ScribeAgentOverChord", "SplitstreamAgent"]
+    assert pickle.loads(pickle.dumps(stack)) == stack
+    assert pickle.loads(pickle.dumps(stack)).resolve() == stack.resolve()
 
 
 # -------------------------------------------------------------- whole scenarios

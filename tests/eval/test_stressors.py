@@ -19,10 +19,11 @@ from repro.eval import (
     PartitionModel,
     ScenarioError,
     ScenarioSpec,
+    Stack,
     WorkloadModel,
 )
 from repro.network.topology import BANDWIDTH_ATTR, dumbbell_topology
-from repro.protocols import chord_agent, scribe_stack
+from repro.protocols import chord_agent
 from repro.runtime.failure import FailureDetectorConfig
 
 FAST_FAILURE = FailureDetectorConfig(failure_timeout=10.0,
@@ -364,13 +365,13 @@ STRESSOR_SPECS = {
                      WorkloadModel(kind="multicast", source=0, group=7,
                                    start=38.0, packets=4, gap=1.0)],
         num_nodes=30, seed=3, duration=45.0),
-        agents=lambda: scribe_stack("pastry")),
+        agents=Stack("scribe")),
     "pubsub-fanout": lambda: replace(ring_spec(
         "d-pubsub", [ChurnModel(join="staggered", join_spacing=0.15),
                      WorkloadModel(kind="pubsub", source=-1, start=15.0,
                                    packets=8, gap=0.5, topics=3, fanout=7)],
         num_nodes=30, seed=3, duration=32.0),
-        agents=lambda: scribe_stack("pastry")),
+        agents=Stack("scribe")),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps import AppPayload
 from repro.eval.library import resolve_protocol
-from repro.eval.scenario import ChurnModel, ScenarioSpec
+from repro.eval.scenario import ChurnModel, ScenarioSpec, Stack
 from repro.eval.workload import (NodeWorkload, WorkloadModel,
                                  WorkloadObservations, WorkloadPlan)
 from repro.protocols import randtree_agent
@@ -161,7 +161,7 @@ def test_a_dead_incarnations_probe_is_neither_sent_nor_lost():
 def test_multicast_stream_reaches_every_receiver():
     """10 packets/s for 10 s down a converged 12-node RandTree."""
     spec = ScenarioSpec(
-        name="stream", agents=lambda: [randtree_agent()], num_nodes=12,
+        name="stream", agents=Stack("randtree"), num_nodes=12,
         duration=80.0, seed=61,
         models=(ChurnModel(join="immediate"),
                 WorkloadModel(kind="multicast", source=0, group=1,

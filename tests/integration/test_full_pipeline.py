@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen import compile_mac, get_registry
-from repro.eval import ChurnModel, ScenarioSpec, WorkloadModel, link_stress, mean
+from repro.eval import (ChurnModel, ScenarioSpec, Stack, WorkloadModel,
+                        link_stress, mean)
 from repro.eval.metrics import stretch_samples
 from repro.network import NetworkEmulator, multi_site_topology, transit_stub_topology
-from repro.protocols import overcast_agent, scribe_stack
+from repro.protocols import overcast_agent
 from repro.runtime import MacedonNode, Simulator
 from repro.apps.payload import AppPayload
 
@@ -100,7 +101,7 @@ def test_stretch_and_link_stress_from_real_overlay_run():
 
 def test_splitstream_full_stack_over_chord_substrate():
     """Three-layer stack with the substrate switched at load time."""
-    stack = scribe_stack(base="chord")
+    stack = Stack("scribe", base="chord").resolve()
     simulator = Simulator(seed=103)
     emulator = NetworkEmulator(simulator, transit_stub_topology(15, seed=103))
     nodes = [MacedonNode(simulator, emulator, stack) for _ in range(15)]

@@ -25,13 +25,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: (staggered joins + route probes), every metric printed repr-exactly.
 SCALE_SCRIPT = r"""
 import json
-from repro.eval.scenario import ChurnModel, ScenarioSpec, WorkloadModel
-from repro.protocols import chord_agent
+from repro.eval.scenario import ChurnModel, ScenarioSpec, Stack, WorkloadModel
 from repro.runtime.failure import FailureDetectorConfig
 
 spec = ScenarioSpec(
     name="scale-determinism",
-    agents=lambda: [chord_agent()],
+    agents=Stack("chord"),
     num_nodes=200,
     duration=30.0,
     failure_config=FailureDetectorConfig(failure_timeout=10.0,

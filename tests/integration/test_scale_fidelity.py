@@ -18,8 +18,7 @@ building simulates shows up here.
 from __future__ import annotations
 
 from repro.eval.scenario import (ChurnModel, GroupModel, ScenarioSpec,
-                                 WorkloadModel)
-from repro.protocols import chord_agent, scribe_stack
+                                 Stack, WorkloadModel)
 from repro.runtime.failure import FailureDetectorConfig
 
 FAILURE_CONFIG = FailureDetectorConfig(failure_timeout=10.0,
@@ -33,7 +32,7 @@ def test_200_node_chord_routes_everything_and_suspects_nobody():
     nodes, duration, probe_gap = 200, 120.0, 0.25
     result = ScenarioSpec(
         name="scale-fidelity-chord",
-        agents=lambda: [chord_agent()],
+        agents=Stack("chord"),
         num_nodes=nodes,
         duration=duration,
         seed=1,
@@ -64,7 +63,7 @@ def test_100_node_scribe_multicast_reaches_every_member():
     probe_at = group_at + 25.0
     result = ScenarioSpec(
         name="scale-fidelity-scribe",
-        agents=scribe_stack,
+        agents=Stack("scribe"),
         num_nodes=nodes,
         duration=probe_at + packets * gap + 15.0,
         seed=1,

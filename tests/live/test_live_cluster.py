@@ -11,9 +11,9 @@ import pytest
 
 from dataclasses import replace
 
-from repro.eval.library import RegistryStack, resolve_protocol
+from repro.eval.library import resolve_protocol
 from repro.eval.scenario import (ChurnModel, ScenarioError, ScenarioSpec,
-                                 WorkloadModel)
+                                 Stack, WorkloadModel)
 from repro.live import LiveCluster, LiveClusterConfig, LiveClusterError
 
 pytestmark = pytest.mark.live
@@ -91,9 +91,8 @@ def test_verdict_names_the_node_whose_driver_swallowed_errors():
 
 
 def test_unknown_protocol_fails_before_spawning_processes():
-    spec = replace(_spec(WorkloadModel(kind="route")),
-                   agents=RegistryStack("chrod"))
-    with pytest.raises(ScenarioError, match="no live deployment"):
+    spec = replace(_spec(WorkloadModel(kind="route")), agents=Stack("chrod"))
+    with pytest.raises(ScenarioError, match="did you mean: chord"):
         LiveCluster(LiveClusterConfig(spec)).run()
 
 

@@ -15,8 +15,8 @@ from repro.eval.library import library_spec, resolve_protocol
 from repro.eval.scenario import (ChurnModel, CorrelatedCrashModel, CrashModel,
                                  DegradeModel, FlappingPartitionModel,
                                  FlashCrowdModel, GroupModel, PartitionModel,
-                                 ScenarioError, ScenarioSpec, WorkloadModel,
-                                 bind_model)
+                                 ScenarioError, ScenarioSpec, Stack,
+                                 WorkloadModel, bind_model)
 from repro.live import (LiveCluster, LiveClusterConfig, LiveFaultError,
                         live_runnable)
 from repro.live.node import NETWORK_VERBS, NODE_VERBS, _resume
@@ -255,10 +255,14 @@ def test_live_runnable_tags():
     ok, reason = live_runnable(_spec(ROUTE))
     assert ok and reason is None
 
-    # Agent classes rather than a PROTOCOLS row: nothing names the stack.
+    # Agent classes rather than a Stack: nothing names the stack.
     ok, reason = live_runnable(
-        replace(_spec(ROUTE), agents=resolve_protocol("chord")()))
+        replace(_spec(ROUTE), agents=resolve_protocol("chord").resolve()))
     assert not ok and "no live deployment" in reason
+
+    # A Stack the registry cannot resolve is refused by name, cleanly.
+    ok, reason = live_runnable(replace(_spec(ROUTE), agents=Stack("chrod")))
+    assert not ok and "did you mean: chord" in reason
 
     ok, reason = live_runnable(replace(_spec(), models=()))
     assert not ok and "no WorkloadModel" in reason

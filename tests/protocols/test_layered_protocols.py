@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.protocols import scribe_stack, splitstream_stack
+from repro.eval import Stack
 
 GROUP = 4040
 
@@ -35,7 +35,7 @@ def setup_session(overlay_builder, stack, seed, num=20):
 @pytest.mark.parametrize("base", ["pastry", "chord"])
 def test_scribe_multicast_delivers_over_either_dht(overlay_builder, base):
     simulator, nodes, source, received = setup_session(
-        overlay_builder, scribe_stack(base=base), seed=41)
+        overlay_builder, Stack("scribe", base=base).resolve(), seed=41)
     for index in range(5):
         source.macedon_multicast(GROUP, Pkt(index), 1000)
     simulator.run(until=simulator.now + 40)
@@ -45,8 +45,8 @@ def test_scribe_multicast_delivers_over_either_dht(overlay_builder, base):
 
 
 def test_scribe_builds_a_tree_rooted_at_group_owner(overlay_builder):
-    simulator, nodes, source, _ = setup_session(overlay_builder, scribe_stack(),
-                                                seed=42)
+    simulator, nodes, source, _ = setup_session(
+        overlay_builder, Stack("scribe").resolve(), seed=42)
     roots = [node for node in nodes if node.agent("scribe").is_group_root(GROUP)]
     assert len(roots) == 1
     # Every member is someone's child or the root itself.
@@ -58,8 +58,8 @@ def test_scribe_builds_a_tree_rooted_at_group_owner(overlay_builder):
 
 
 def test_scribe_non_members_do_not_deliver(overlay_builder):
-    simulator, emulator, nodes = overlay_builder(scribe_stack(), 15, seed=43,
-                                                 run_for=120.0)
+    simulator, emulator, nodes = overlay_builder(
+        Stack("scribe").resolve(), 15, seed=43, run_for=120.0)
     source = nodes[1]
     outsider = nodes[2]
     source.macedon_create_group(GROUP)
@@ -79,7 +79,7 @@ def test_scribe_non_members_do_not_deliver(overlay_builder):
 
 def test_splitstream_uses_multiple_stripe_trees(overlay_builder):
     simulator, nodes, source, received = setup_session(
-        overlay_builder, splitstream_stack(), seed=44)
+        overlay_builder, Stack("splitstream").resolve(), seed=44)
     splitstream = source.agent("splitstream")
     stripes = splitstream.stripe_groups(GROUP)
     assert len(stripes) == splitstream.num_stripes
@@ -100,7 +100,8 @@ def test_splitstream_uses_multiple_stripe_trees(overlay_builder):
 
 
 def test_splitstream_stripe_assignment_is_deterministic_per_seqno(overlay_builder):
-    _, _, nodes = overlay_builder(splitstream_stack(), 6, seed=45, run_for=60.0)
+    _, _, nodes = overlay_builder(Stack("splitstream").resolve(), 6, seed=45,
+                                  run_for=60.0)
     agent = nodes[0].agent("splitstream")
     assert agent.stripe_for_payload(Pkt(3), 4) == 3 % 4
     assert agent.stripe_for_payload(Pkt(7), 4) == 7 % 4

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.eval import Stack
 from repro.eval.metrics import multicast_tree_depths
 from repro.protocols import (
     ammo_agent,
-    bullet_stack,
     nice_agent,
     overcast_agent,
     randtree_agent,
@@ -95,8 +95,8 @@ def test_nice_rp_knows_all_leaders(overlay_builder):
 
 
 def test_bullet_builds_mesh_and_recovers_from_tree_loss(overlay_builder):
-    simulator, emulator, nodes = overlay_builder(bullet_stack(), 20, seed=37,
-                                                 run_for=100.0)
+    simulator, emulator, nodes = overlay_builder(
+        Stack("bullet").resolve(), 20, seed=37, run_for=100.0)
     # Mesh peers get assigned by the source.
     simulator.run(until=simulator.now + 30)
     peered = sum(1 for node in nodes if node.agent("bullet").mesh_peers())

@@ -166,7 +166,7 @@ def test_a_sim_run_is_unchanged_by_a_codec_over_its_stack():
                 WorkloadModel(kind="route", source=-1, start=15.0,
                               packets=8, gap=0.5)))
     before = spec.run()
-    stack = spec.agents()
+    stack = spec.resolve_agents()
     codec = WireCodec.for_agents(stack)
     for agent_class in stack:
         for message_type in agent_class.MESSAGE_TYPES:
