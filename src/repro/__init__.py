@@ -29,22 +29,22 @@ One front door runs any scenario in any mode (see :mod:`repro.facade`)::
     live = repro.run(spec, mode="live")       # real processes, real UDP
 """
 
-from .codegen import compile_mac, get_registry
-from .facade import run
-from .network import NetworkEmulator, multi_site_topology, transit_stub_topology
-from .runtime import MacedonNode, Simulator, Tracer
+from ._lazy import lazy_front
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "run",
-    "compile_mac",
-    "get_registry",
-    "NetworkEmulator",
-    "multi_site_topology",
-    "transit_stub_topology",
-    "MacedonNode",
-    "Simulator",
-    "Tracer",
-    "__version__",
-]
+#: Public name -> the submodule it is imported from on first use.
+_EXPORTS = {
+    "run": ".facade",
+    "compile_mac": ".codegen",
+    "get_registry": ".codegen",
+    "NetworkEmulator": ".network",
+    "multi_site_topology": ".network",
+    "transit_stub_topology": ".network",
+    "MacedonNode": ".runtime",
+    "Simulator": ".runtime",
+    "Tracer": ".runtime",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_front(globals(), _EXPORTS)

@@ -19,7 +19,6 @@ from Pastry to Chord by changing a single line"), lowest layer first.  The
 
 from __future__ import annotations
 
-import difflib
 from pathlib import Path
 from typing import Optional, Type
 
@@ -80,21 +79,26 @@ class ProtocolRegistry:
         return path
 
     def _missing_spec_message(self, name: str) -> str:
-        """A diagnosis for a missing spec: where we looked, the closest match,
-        and how to register a new one."""
+        """A diagnosis for a missing spec: where we looked, the closest
+        stack name (bundled spec or baseline), and how to register a new
+        one."""
+        from difflib import get_close_matches
+
+        from ..baselines import BASELINES
+
         lines = [f"no specification named {name!r}",
                  f"specs directory: {self.specs_dir}"]
+        available = self.available()
+        close = get_close_matches(name, available + sorted(BASELINES), n=3)
+        if close:
+            lines.append(f"did you mean: {', '.join(close)}?")
         if not self.specs_dir.is_dir():
             lines.append("the specs directory does not exist")
+        elif available:
+            lines.append(f"available specs: {', '.join(available)}")
         else:
-            available = self.available()
-            if available:
-                close = difflib.get_close_matches(name, available, n=3)
-                if close:
-                    lines.append(f"did you mean: {', '.join(close)}?")
-                lines.append(f"available specs: {', '.join(available)}")
-            else:
-                lines.append("the specs directory contains no .mac files")
+            lines.append("the specs directory contains no .mac files")
+        lines.append(f"baseline stacks: {', '.join(sorted(BASELINES))}")
         lines.append(
             f"to register a new protocol, save its specification as "
             f"{self.specs_dir / (name + '.mac')} (or construct "

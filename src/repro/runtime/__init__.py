@@ -1,70 +1,48 @@
 """MACEDON runtime: event kernel, agents, layering, timers, transports glue."""
 
-from .agent import (
-    Agent,
-    AgentError,
-    API_NAMES,
-    NBR_TYPE_CHILDREN,
-    NBR_TYPE_PARENT,
-    NBR_TYPE_PEERS,
-    NBR_TYPE_SIBLINGS,
-    StateVarSpec,
-    TransitionSpec,
-)
-from .engine import SimulationError, Simulator
-from .failure import FailureDetector, FailureDetectorConfig
-from .keys import KeySpace, hash_key
-from .messages import (
-    FieldSpec,
-    Message,
-    MessageCatalog,
-    MessageError,
-    MessageType,
-)
-from .neighbors import NeighborEntry, NeighborError, NeighborFieldSpec, NeighborSet, NeighborType
-from .node import MacedonNode
-from .stack import ProtocolStack, StackError
-from .stateexpr import StateExpr, StateExprError, parse_state_expr
-from .timers import ProtocolTimer, TimerError, TimerSpec, TimerTable
-from .tracing import TraceLevel, TraceRecord, Tracer
+from .._lazy import lazy_front
 
-__all__ = [
-    "Agent",
-    "AgentError",
-    "API_NAMES",
-    "NBR_TYPE_CHILDREN",
-    "NBR_TYPE_PARENT",
-    "NBR_TYPE_PEERS",
-    "NBR_TYPE_SIBLINGS",
-    "StateVarSpec",
-    "TransitionSpec",
-    "SimulationError",
-    "Simulator",
-    "FailureDetector",
-    "FailureDetectorConfig",
-    "KeySpace",
-    "hash_key",
-    "FieldSpec",
-    "Message",
-    "MessageCatalog",
-    "MessageError",
-    "MessageType",
-    "NeighborEntry",
-    "NeighborError",
-    "NeighborFieldSpec",
-    "NeighborSet",
-    "NeighborType",
-    "MacedonNode",
-    "ProtocolStack",
-    "StackError",
-    "StateExpr",
-    "StateExprError",
-    "parse_state_expr",
-    "ProtocolTimer",
-    "TimerError",
-    "TimerSpec",
-    "TimerTable",
-    "TraceLevel",
-    "TraceRecord",
-    "Tracer",
-]
+#: Public name -> the submodule it is imported from on first use.
+_EXPORTS = {
+    "Agent": ".agent",
+    "AgentError": ".agent",
+    "API_NAMES": ".agent",
+    "NBR_TYPE_CHILDREN": ".agent",
+    "NBR_TYPE_PARENT": ".agent",
+    "NBR_TYPE_PEERS": ".agent",
+    "NBR_TYPE_SIBLINGS": ".agent",
+    "StateVarSpec": ".agent",
+    "TransitionSpec": ".agent",
+    "SimulationError": ".engine",
+    "Simulator": ".engine",
+    "FailureDetector": ".failure",
+    "FailureDetectorConfig": ".failure",
+    "KeySpace": ".keys",
+    "hash_key": ".keys",
+    "FieldSpec": ".messages",
+    "Message": ".messages",
+    "MessageCatalog": ".messages",
+    "MessageError": ".messages",
+    "MessageType": ".messages",
+    "NeighborEntry": ".neighbors",
+    "NeighborError": ".neighbors",
+    "NeighborFieldSpec": ".neighbors",
+    "NeighborSet": ".neighbors",
+    "NeighborType": ".neighbors",
+    "MacedonNode": ".node",
+    "ProtocolStack": ".stack",
+    "StackError": ".stack",
+    "StateExpr": ".stateexpr",
+    "StateExprError": ".stateexpr",
+    "parse_state_expr": ".stateexpr",
+    "ProtocolTimer": ".timers",
+    "TimerError": ".timers",
+    "TimerSpec": ".timers",
+    "TimerTable": ".timers",
+    "TraceLevel": ".tracing",
+    "TraceRecord": ".tracing",
+    "Tracer": ".tracing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_front(globals(), _EXPORTS)

@@ -10,10 +10,14 @@ width or digit base.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Union
+
+try:    # the builtin SHA-1, as ``random`` takes ``_sha512``: no OpenSSL load
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 #: Default width of the hash address space, matching the paper's MACEDON Chord.
 DEFAULT_KEY_BITS = 32
@@ -27,7 +31,7 @@ def hash_bytes(data: bytes, bits: int = DEFAULT_KEY_BITS) -> int:
     """
     if bits <= 0 or bits > 160:
         raise ValueError(f"key width must be in (0, 160] bits, got {bits}")
-    digest = hashlib.sha1(data).digest()
+    digest = sha1(data).digest()
     value = int.from_bytes(digest, "big")
     return value >> (160 - bits)
 

@@ -35,6 +35,22 @@ def test_unknown_spec_without_close_match_lists_available():
     assert "available specs" in message
 
 
+def test_a_misspelt_baseline_is_diagnosed():
+    with pytest.raises(MacError) as excinfo:
+        Stack("lsd_chrod").resolve()
+    message = str(excinfo.value)
+    assert "did you mean: lsd_chord?" in message
+    assert "baseline stacks: freepastry, lsd_chord" in message
+
+
+def test_an_empty_specs_directory_still_offers_the_baselines(tmp_path):
+    with pytest.raises(MacError) as excinfo:
+        ProtocolRegistry(specs_dir=tmp_path).load_stack("freepasty")
+    message = str(excinfo.value)
+    assert "contains no .mac files" in message
+    assert "did you mean: freepastry?" in message
+
+
 def test_missing_specs_directory_diagnosed(tmp_path):
     registry = ProtocolRegistry(specs_dir=tmp_path / "nowhere")
     with pytest.raises(MacError, match="specs directory does not exist"):

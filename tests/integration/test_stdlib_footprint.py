@@ -13,6 +13,17 @@ through it, ssl, socket, selectors and subprocess: about 40 ms of import
 and 4 MB of RSS that no simulated run uses.  A second interpreter imports
 only the simulation's entry points, runs the same spec and finds none of
 them in ``sys.modules``.
+
+The same run also leaves out ``hashlib``, its OpenSSL backend
+``_hashlib`` (about 3.7 MB of RSS) and ``difflib``: keys hash with the
+builtin ``_sha1``, and only the registry's missing-spec diagnosis uses
+``difflib``.
+
+The package fronts ``repro``, ``repro.runtime`` and ``repro.eval`` are
+lazy (PEP 562), so the emulator, the topology, the packet and the event
+kernel import without the code generator, the DSL, the evaluation
+harness or the agent runtime; the ``emulator_*`` benchmark workloads run
+on those four alone.
 """
 
 from __future__ import annotations
@@ -62,6 +73,29 @@ loaded = [name for name in live_only if name in sys.modules]
 assert not loaded, f"a simulated run loaded {loaded}"
 """
 
+WITHOUT_OPENSSL = r"""
+import sys
+
+import repro
+""" + RUN_CHORD + r"""
+loaded = [name for name in ("hashlib", "_hashlib", "difflib")
+          if name in sys.modules]
+assert not loaded, f"a simulated run loaded {loaded}"
+"""
+
+NETWORK_ONLY = r"""
+import sys
+
+import repro.network.emulator
+import repro.network.packet
+import repro.network.topology
+import repro.runtime.engine
+
+unused = ("repro.codegen", "repro.dsl", "repro.eval", "repro.runtime.agent")
+loaded = [name for name in unused if name in sys.modules]
+assert not loaded, f"the network substrate loaded {loaded}"
+"""
+
 
 def _run(script: str) -> None:
     env = dict(os.environ)
@@ -78,6 +112,14 @@ def test_the_package_imports_and_runs_without_networkx():
 
 def test_a_simulated_run_does_not_load_the_socket_stack():
     _run(SIMULATION_ONLY)
+
+
+def test_a_simulated_run_does_not_load_openssl_or_difflib():
+    _run(WITHOUT_OPENSSL)
+
+
+def test_the_network_substrate_loads_no_protocol_plane():
+    _run(NETWORK_ONLY)
 
 
 def test_the_socket_module_re_exports_the_best_effort_transport():
