@@ -14,7 +14,10 @@ Usage::
     PYTHONPATH=src python scripts/run_fuzz.py --library   # curated specs only
 
 Every case, generated or curated, runs a protocol compiled from a bundled
-``.mac`` specification (:data:`repro.eval.library.PROTOCOLS`).
+``.mac`` specification (:data:`repro.eval.library.PROTOCOLS`).  Generated
+cases run Chord unless ``--protocols`` names other rows; a Pastry stack
+(``--protocols pastry,scribe-pastry``) is also held to the two Pastry
+invariants, leaf-set symmetry and the O(2^b log N) routing-state bound.
 
 Exit status is non-zero when any invariant is violated *or any case crashes
 with an unhandled exception* (or, with --replay, when the artifact still

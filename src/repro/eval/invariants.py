@@ -13,7 +13,7 @@ scored ``<label>.*`` metrics exist in every mode, the node process reports
 (``result.per_node``) only live, and the simulated ``result.experiment``
 only in simulation — a check whose input a run lacks is vacuous there.
 
-Nine invariants:
+Eleven invariants:
 
 * **no_duplicate_delivery** — no workload probe is delivered twice to the
   same receiver: the ``(stream, seqno)`` pair is unique per delivery
@@ -38,6 +38,16 @@ Nine invariants:
   :func:`~repro.eval.metrics.correct_successor_fraction` over the ring rows.
   Skipped when the scenario leaves no settle window or the protocol has no
   ring shape.
+* **leaf_set_symmetric** — for Pastry (agents that expose a ``leafset``
+  and a ``routing_state_size``), after the last fault every leaf of a live
+  node is a live node, and B is in leaf(A) exactly when A is in leaf(B):
+  with ``L / 2`` leaves a side, B is among A's ``L / 2`` nearest one way
+  exactly when A is among B's nearest the other way.  Skipped, as the ring
+  check is, without a settle window.
+* **routing_state_bounded** — for Pastry, after the last fault no live
+  node's routing state (table and leaf set, distinct peers) exceeds
+  ``(2^b - 1) * ceil(log_{2^b} N) + L`` entries for ``N`` nodes: the
+  published O(2^b log N) state, not full membership.
 * **no_drop_on_idle_link** — a link whose queue dropped a packet has
   carried at least one full queue of bytes (``max_queue_delay × bandwidth``):
   drop-tail loss needs a backlog, and a backlog is made of packets that
@@ -226,6 +236,65 @@ def ring_eventually_correct(result: ScenarioResult, *,
     return []
 
 
+def _settled_pastry(result: ScenarioResult, settle: float) -> dict:
+    """``{address: agent}`` of the live nodes' Pastry agents, or nothing
+    when the run leaves less than *settle* fault-free seconds at its end."""
+    if result.duration - last_disruption(result) < settle:
+        return {}
+    agents = {}
+    for node in _nodes(result):
+        if node.crashed:
+            continue
+        for agent in node.stack:
+            if hasattr(agent, "leafset") and \
+                    hasattr(agent, "routing_state_size"):
+                agents[node.address] = agent
+                break
+    return agents
+
+
+def leaf_set_symmetric(result: ScenarioResult, *,
+                       settle: float = 40.0) -> list[InvariantViolation]:
+    """After the faults, every leaf is live and leaf membership is mutual."""
+    agents = _settled_pastry(result, settle)
+    violations = []
+    for address, agent in agents.items():
+        for leaf in agent.leafset.addresses():
+            if leaf not in agents:
+                violations.append(InvariantViolation(
+                    "leaf_set_symmetric",
+                    f"node {address} keeps {leaf}, which is not a live node, "
+                    f"in its leaf set"))
+            elif not agents[leaf].leafset.query(address):
+                violations.append(InvariantViolation(
+                    "leaf_set_symmetric",
+                    f"{leaf} is in node {address}'s leaf set, but {address} "
+                    f"is not in {leaf}'s"))
+    return violations
+
+
+def routing_state_bounded(result: ScenarioResult, *,
+                          settle: float = 40.0) -> list[InvariantViolation]:
+    """After the faults, no node holds more than O(2^b log N) peers."""
+    agents = _settled_pastry(result, settle)
+    population = len(_nodes(result))
+    violations = []
+    for address, agent in agents.items():
+        base = agent.key_space.digit_base
+        rows = 0
+        while base ** rows < population:
+            rows += 1
+        bound = (base - 1) * rows + agent.LEAF_SET
+        size = agent.routing_state_size()
+        if size > bound:
+            violations.append(InvariantViolation(
+                "routing_state_bounded",
+                f"node {address} holds {size} peers, more than the "
+                f"(2^b - 1) * ceil(log N) + L = {bound} of {population} "
+                f"nodes"))
+    return violations
+
+
 def no_drop_on_idle_link(result: ScenarioResult) -> list[InvariantViolation]:
     """Every link that dropped from queue overflow carried a queue's worth."""
     if result.experiment is None:
@@ -333,6 +402,7 @@ def no_decode_errors(result: ScenarioResult) -> list[InvariantViolation]:
 INVARIANTS: tuple[str, ...] = ("no_duplicate_delivery", "no_lost_acks",
                                "epoch_monotonicity", "no_decode_errors",
                                "ring_eventually_correct",
+                               "leaf_set_symmetric", "routing_state_bounded",
                                "no_drop_on_idle_link", "kv_no_phantom_reads",
                                "kv_read_your_quorum_writes",
                                "kv_write_durability")
@@ -342,7 +412,8 @@ def check_invariants(result: ScenarioResult, *,
                      ring_threshold: float = 0.95,
                      ring_settle: float = 40.0) -> list[InvariantViolation]:
     """Run every invariant against *result*, simulated or live; return all
-    violations found."""
+    violations found.  *ring_settle* is the fault-free window the ring and
+    the two Pastry checks need."""
     violations = []
     violations.extend(no_duplicate_delivery(result))
     violations.extend(no_lost_acks(result))
@@ -350,6 +421,8 @@ def check_invariants(result: ScenarioResult, *,
     violations.extend(no_decode_errors(result))
     violations.extend(ring_eventually_correct(
         result, threshold=ring_threshold, settle=ring_settle))
+    violations.extend(leaf_set_symmetric(result, settle=ring_settle))
+    violations.extend(routing_state_bounded(result, settle=ring_settle))
     violations.extend(no_drop_on_idle_link(result))
     violations.extend(kv_no_phantom_reads(result))
     violations.extend(kv_read_your_quorum_writes(result))

@@ -298,36 +298,43 @@ class Router:
         behind the one bridge where the path to the target leaves it: under
         a settled parent end on the way up from the target or, failing
         that, under an unsettled one on the way up from the source.  The
-        tree grows across that bridge (:meth:`_dijkstra`); with neither, the
-        target is unreachable and the tree stays as it is.
+        tree grows across that bridge (:meth:`_dijkstra`).
+
+        Two nodes are connected exactly when their walks up the bridges end
+        at the same root, so a target in another piece of the graph raises
+        :class:`RoutingError` before any search: no tree is built or grown
+        for it, and a cached one stays as it is.
         """
         tree = self._sssp_cache.get(source)
-        if tree is None or target is None:
-            tree = self._sssp_cache[source] = self._dijkstra(source, target)
-        elif target not in tree[0]:
+        if target is None:
+            tree = self._sssp_cache[source] = self._dijkstra(source)
+        elif tree is None or target not in tree[0]:
             if self._sides is None:
                 self._bridge_sides()
-            above, dist = self._above, tree[0]
-
-            def walk(node: int) -> list[tuple[Optional[int], int]]:
-                """The bridges above *node*, ending with ``(None, root)``."""
-                bridges = [above[node]]
-                while bridges[-1][0] is not None:
-                    bridges.append(above[bridges[-1][0]])
-                return bridges
-
-            if target in above:
-                over_target = walk(target)
+            above = self._above
+            if target in above and source in above:
+                over_target = self._bridges_above(target)
+                over_source = self._bridges_above(source)
+                if over_source[-1] != over_target[-1]:
+                    raise RoutingError(f"no route from {source} to {target}")
+            if tree is None:
+                tree = self._sssp_cache[source] = self._dijkstra(source, target)
+            elif target in above:
+                dist = tree[0]
                 crossing = next(((parent, child) for parent, child in over_target
-                                 if parent in dist), None)
-                if crossing is None:
-                    over_source = walk(source)
-                    if over_source[-1] == over_target[-1]:      # connected
-                        crossing = next((child, parent) for parent, child
-                                        in over_source if parent not in dist)
-                if crossing is not None:
-                    self._dijkstra(source, target, tree, crossing)
+                                 if parent in dist), None) or \
+                    next((child, parent) for parent, child in over_source
+                         if parent not in dist)
+                self._dijkstra(source, target, tree, crossing)
         return tree
+
+    def _bridges_above(self, node: int) -> list[tuple[Optional[int], int]]:
+        """The bridges above *node*, ending with ``(None, root)``."""
+        above = self._above
+        bridges = [above[node]]
+        while bridges[-1][0] is not None:
+            bridges.append(above[bridges[-1][0]])
+        return bridges
 
     def plan(self, src_node: int, dst_node: int) -> RoutePlan:
         """The cached :class:`RoutePlan` from *src_node* to *dst_node*."""

@@ -129,6 +129,18 @@ class FailureDetector:
         """Record that any traffic arrived from *peer*."""
         self._last_heard[peer] = self.simulator._now
 
+    def reset_silence(self, peer: int) -> None:
+        """Count *peer*'s silence from now.
+
+        :meth:`monitor` keeps the time *peer* was last heard from, even long
+        before the watch began, and a peer that has been silent past the
+        failure timeout is declared failed at the next sweep, with no
+        heartbeat solicited.  A protocol that starts watching a peer it only
+        heard of second-hand calls this to give it a full timeout.
+        """
+        if int(peer) in self._monitored:
+            self._last_heard[int(peer)] = self.simulator.now
+
     def monitored_peers(self) -> list[int]:
         return sorted(self._monitored)
 

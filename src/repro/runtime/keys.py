@@ -81,15 +81,14 @@ def key_digits(key: int, base_bits: int, digits: int) -> list[int]:
 
 
 def shared_prefix_length(a: int, b: int, base_bits: int, digits: int) -> int:
-    """Number of leading digits shared by keys *a* and *b*."""
-    da = key_digits(a, base_bits, digits)
-    db = key_digits(b, base_bits, digits)
-    count = 0
-    for x, y in zip(da, db):
-        if x != y:
-            break
-        count += 1
-    return count
+    """Number of leading digits shared by keys *a* and *b*.
+
+    Only the low ``digits * base_bits`` bits of either key count, as in
+    :func:`key_digits`; the highest differing bit ends the shared prefix.
+    """
+    width = digits * base_bits
+    differ = ((a ^ b) & ((1 << width) - 1)).bit_length()
+    return (width - differ) // base_bits
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,11 @@ class KeySpace:
         """``2 ** bits``; cached in the instance (hot on every routing step)."""
         return 1 << self.bits
 
-    @property
+    @cached_property
     def num_digits(self) -> int:
         return self.bits // self.digit_bits
 
-    @property
+    @cached_property
     def digit_base(self) -> int:
         return 1 << self.digit_bits
 

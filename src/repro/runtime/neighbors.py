@@ -108,7 +108,8 @@ class NeighborSet:
     :attr:`generation` goes up by one on every membership change (a new
     address, a refresh that changes an entry's key, the removal of a present
     address), so a protocol can memoise something it derives from the set —
-    Pastry's farthest leaf — and recompute only when the number has moved.
+    the two leaves that bound Pastry's leaf range — and recompute only when
+    the number has moved.
     """
 
     def __init__(self, name: str, neighbor_type: NeighborType,

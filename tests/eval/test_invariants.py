@@ -6,8 +6,10 @@ import pytest
 
 from repro.eval import (
     ChurnModel,
+    CrashModel,
     PartitionModel,
     ScenarioSpec,
+    Stack,
     WorkloadModel,
     check_invariants,
     epoch_monotonicity,
@@ -178,3 +180,69 @@ def test_check_invariants_aggregates_everything():
     names = {v.invariant for v in check_invariants(result)}
     assert "epoch_monotonicity" in names
     assert "ring_eventually_correct" in names
+
+
+def pastry_run(**options):
+    return run_spec([ChurnModel(join="staggered", join_spacing=0.3),
+                     CrashModel(at=20.0, victims=(4,))],
+                    agents=Stack("pastry"), num_nodes=14, **options)
+
+
+def test_pastry_leaf_sets_are_mutual_and_state_bounded_after_a_crash():
+    from repro.eval.invariants import (leaf_set_symmetric,
+                                       routing_state_bounded)
+
+    result = pastry_run()
+    assert leaf_set_symmetric(result) == []
+    assert routing_state_bounded(result) == []
+    # Chord has no leaf set: both are vacuous there.
+    chord = run_spec(ADVERSARIAL)
+    assert leaf_set_symmetric(chord) == routing_state_bounded(chord) == []
+
+
+def test_leaf_set_symmetry_detects_a_one_sided_or_dead_leaf():
+    from repro.eval.invariants import leaf_set_symmetric
+
+    result = pastry_run()
+    nodes = [node for node in result.experiment.nodes if not node.crashed]
+    agent, other = nodes[0].lowest_agent, nodes[1].lowest_agent
+    leaf = agent.leafset.addresses()[0]
+    agent.leafset.remove(leaf)
+    violations = leaf_set_symmetric(result)
+    assert violations and {v.invariant for v in violations} == \
+        {"leaf_set_symmetric"}
+    assert f"{nodes[0].address} is in node {leaf}'s leaf set, but {leaf} " \
+        f"is not in {nodes[0].address}'s" in str(violations[0])
+    dead = next(node.address for node in result.experiment.nodes
+                if node.crashed)
+    assert violations == [v for v in check_invariants(result)
+                          if v.invariant == "leaf_set_symmetric"]
+    other.leafset.remove(other.leafset.addresses()[0])
+    other.leafset.add(dead, key=other.hash_of(dead))
+    assert any(f"node {nodes[1].address} keeps {dead}, which is not a live "
+               f"node" in str(v) for v in leaf_set_symmetric(result))
+
+
+def test_routing_state_bound_detects_full_membership():
+    """14 nodes: (2^4 - 1) * ceil(log_16 14) + 8 = 23 peers; a node that
+    knows one more than that, as a full-membership table would at 25
+    nodes, is flagged."""
+    from repro.eval.invariants import routing_state_bounded
+
+    result = pastry_run()
+    agent = result.experiment.nodes[0].lowest_agent
+    for slot in range(24):
+        agent.table[1000 + slot] = 2**31 + slot
+    violations = routing_state_bounded(result)
+    assert [v.invariant for v in violations] == ["routing_state_bounded"]
+    assert "more than the (2^b - 1) * ceil(log N) + L = 23" in \
+        str(violations[0])
+
+
+def test_pastry_invariants_vacuous_without_settle_window():
+    from repro.eval.invariants import leaf_set_symmetric
+
+    result = pastry_run(duration=50.0)
+    agent = result.experiment.nodes[0].lowest_agent
+    agent.leafset.remove(agent.leafset.addresses()[0])
+    assert leaf_set_symmetric(result) == []

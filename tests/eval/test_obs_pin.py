@@ -113,27 +113,30 @@ CHURN_BASELINES = {
 }
 
 # Captured on the commit before Pastry's leaf_update memoised its farthest
-# leaf: a Pastry routine change that claims to move no simulated event must
-# keep reproducing these bytes.
+# leaf, and re-captured once when Pastry became prefix routing over a table
+# and a leaf set (docs/PERFORMANCE.md "Re-pinned baselines (prefix
+# Pastry)"): deliveries, coverage and success are unchanged, the network
+# carries 40 % fewer packets.  A Pastry routine change that claims to move
+# no simulated event must keep reproducing these bytes.
 PASTRY_BASELINES = {
     1: {
         "churn.churn_cycles": "0.0",
         "churn.joins": "16.0",
         "crash.victims": "2.0",
-        "net.bytes_delivered": "2184148.0",
-        "net.packets_delivered": "14825.0",
-        "net.packets_dropped": "174.0",
-        "net.packets_sent": "15007.0",
+        "net.bytes_delivered": "1934600.0",
+        "net.packets_delivered": "8946.0",
+        "net.packets_dropped": "131.0",
+        "net.packets_sent": "9087.0",
         "nodes.alive": "16.0",
         "nodes.crashes": "2.0",
         "nodes.recoveries": "2.0",
-        "sim.events_processed": "23070.0",
+        "sim.events_processed": "14266.0",
         "workload.coverage": "0.8927777777777778",
         "workload.deliveries": "1607.0",
         "workload.duplicates": "0.0",
         "workload.expected": "1800.0",
-        "workload.latency_mean": "0.11020311344759669",
-        "workload.latency_p95": "0.15634775282949676",
+        "workload.latency_mean": "0.11006617312754126",
+        "workload.latency_p95": "0.1562772833346635",
         "workload.post_fault_probes": "28.0",
         "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",
@@ -145,20 +148,20 @@ PASTRY_BASELINES = {
         "churn.churn_cycles": "0.0",
         "churn.joins": "16.0",
         "crash.victims": "2.0",
-        "net.bytes_delivered": "2182832.0",
-        "net.packets_delivered": "14813.0",
-        "net.packets_dropped": "184.0",
-        "net.packets_sent": "15006.0",
+        "net.bytes_delivered": "1933040.0",
+        "net.packets_delivered": "8997.0",
+        "net.packets_dropped": "133.0",
+        "net.packets_sent": "9140.0",
         "nodes.alive": "16.0",
         "nodes.crashes": "2.0",
         "nodes.recoveries": "2.0",
-        "sim.events_processed": "22961.0",
+        "sim.events_processed": "14334.0",
         "workload.coverage": "0.8944444444444445",
         "workload.deliveries": "1610.0",
         "workload.duplicates": "0.0",
         "workload.expected": "1800.0",
-        "workload.latency_mean": "0.09458854698376534",
-        "workload.latency_p95": "0.12989205046715568",
+        "workload.latency_mean": "0.0945261693754246",
+        "workload.latency_p95": "0.12985619515988134",
         "workload.post_fault_probes": "28.0",
         "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",

@@ -169,6 +169,47 @@ def test_an_unreachable_target_leaves_the_tree_as_it_was():
         assert (healed.path, healed.latency) == (fresh.path, fresh.latency)
 
 
+def test_a_first_search_toward_an_unreachable_target_settles_nothing(
+        monkeypatch):
+    """Cutting uplink (14, 0) strands stub {14..17} and client 174 behind it.
+    A first plan from stub router 10 to 174 raises before any search and
+    caches no tree (a search first settled 14 nodes and cached them); every
+    other plan and tree is what a whole-graph search gives."""
+    topology = transit_stub_topology(40, seed=7)
+    router = Router(topology)
+    router.disable_edge(14, 0)
+    pops = 0
+
+    def counted(fringe):
+        nonlocal pops
+        pops += 1
+        return heappop(fringe)
+    monkeypatch.setattr(router_module, "heappop", counted)
+    with pytest.raises(RoutingError):
+        router.plan(10, 174)
+    assert pops == 0 and router._sssp_cache == {}
+    monkeypatch.undo()
+
+    full = {}
+    for source in (10, *topology.clients):
+        full[source] = router._dijkstra(source)
+        for target in topology.clients:
+            if target not in full[source][0]:
+                with pytest.raises(RoutingError):
+                    router.plan(source, target)
+                continue
+            plan, node = router.plan(source, target), target
+            assert plan.latency == full[source][0][target]
+            for hop in reversed(plan.path):
+                assert hop == node
+                node = full[source][1][hop]
+    for source, (dist, pred) in router._sssp_cache.items():
+        for node in dist:
+            assert (dist[node], pred[node]) == \
+                (full[source][0][node], full[source][1][node])
+    assert 174 not in router._sssp_cache[10][0]
+
+
 def test_a_healed_edge_that_only_ties_still_drops_the_plan():
     """0-1-2 costs 1 + 1, the healed chord 0-2 costs 2: no distance changes,
     but first-seen-wins now reaches 2 over the chord, so the cached plan

@@ -9,6 +9,7 @@ from repro.runtime.keys import (
     DEFAULT_KEY_BITS,
     KeySpace,
     hash_key,
+    key_digits,
     shared_prefix_length,
 )
 
@@ -109,6 +110,10 @@ def test_shared_prefix_symmetric_and_bounded(a, b):
     assert length == shared_prefix_length(b, a, 4, 8)
     if a == b:
         assert length == 8
+    # The leading digits key_digits gives both keys, counted until they part.
+    pairs = zip(key_digits(a, 4, 8), key_digits(b, 4, 8))
+    assert length == next((index for index, (x, y) in enumerate(pairs)
+                           if x != y), 8)
 
 
 @given(st.text(min_size=0, max_size=40))

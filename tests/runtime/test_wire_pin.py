@@ -38,9 +38,10 @@ from repro.transport.base import Datagram, Segment
 from repro.transport.udp import FRAGMENT_THRESHOLD, SocketUdpNetwork
 
 #: sha256 over the corpus, computed on the commit before the codec refactor,
-#: re-pinned when segment frames gained ``ack_delay`` and again when Chord's
-#: ``lookup_reply`` gained ``succs``.
-CORPUS_SHA256 = "8eeef51552da0e68709ff08f4ea41e7148141c0421bcf19b986de75b57fddd8e"
+#: re-pinned when segment frames gained ``ack_delay``, when Chord's
+#: ``lookup_reply`` gained ``succs``, and when Pastry's messages became those
+#: of prefix routing (every other stack's types encode byte-identically).
+CORPUS_SHA256 = "2379b2dec3da74a085e82a1b011fa436e4deeef0ab2001288bdde09fcf7dbbfb"
 
 #: Every field type, as a scalar and as a list (no bundled spec uses strings).
 EVERYTHING = MessageType("everything", tuple(
@@ -238,7 +239,7 @@ def corpus_digest() -> tuple[str, int]:
 
 def test_wire_bytes_are_pinned_and_every_corpus_message_round_trips():
     digest, count = corpus_digest()
-    assert count >= 250   # 84 message types x 3 field variants
+    assert count >= 250   # 87 message types x 3 field variants
     assert digest == CORPUS_SHA256
 
 
