@@ -1,33 +1,22 @@
 """MACEDON code generation: mac specifications → Python agent classes."""
 
-from .generator import (
-    CodeGenerator,
-    class_name_for,
-    generate_source,
-    module_name_for,
-    normalize_action_code,
-    rewrite_action_code,
-)
-from .primitives import AGENT_PRIMITIVES
-from .registry import (
-    ProtocolRegistry,
-    compile_mac,
-    compile_source,
-    default_specs_dir,
-    get_registry,
-)
+from .._lazy import lazy_front
 
-__all__ = [
-    "CodeGenerator",
-    "class_name_for",
-    "generate_source",
-    "module_name_for",
-    "normalize_action_code",
-    "rewrite_action_code",
-    "AGENT_PRIMITIVES",
-    "ProtocolRegistry",
-    "compile_mac",
-    "compile_source",
-    "default_specs_dir",
-    "get_registry",
-]
+#: Public name -> the submodule it is imported from on first use.
+_EXPORTS = {
+    "CodeGenerator": ".generator",
+    "class_name_for": ".generator",
+    "generate_source": ".generator",
+    "normalize_action_code": ".generator",
+    "rewrite_action_code": ".generator",
+    "AGENT_PRIMITIVES": ".primitives",
+    "ProtocolRegistry": ".registry",
+    "compile_mac": ".registry",
+    "compile_source": ".registry",
+    "default_specs_dir": ".registry",
+    "get_registry": ".registry",
+    "module_name_for": ".registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_front(globals(), _EXPORTS)

@@ -30,6 +30,7 @@ import ast
 import functools
 import re
 import textwrap
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -79,14 +80,6 @@ def class_name_for(protocol_name: str, base: Optional[str] = None) -> str:
     parts = re.split(r"[_\-]+", protocol_name)
     name = "".join(part.capitalize() for part in parts if part) + "Agent"
     return f"{name}Over{base.capitalize()}" if base else name
-
-
-def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
-    """Synthetic name of a generated module (its classes' ``__module__``,
-    its tracebacks' file), a re-layered variant's its own."""
-    if base:
-        return f"repro._generated.{protocol_name}__over_{base}"
-    return f"repro._generated.{protocol_name}"
 
 
 def _nodes(body: str, context: str) -> list[ast.AST]:
@@ -359,12 +352,18 @@ class CodeGenerator:
         """Routine method name -> its routines block and the nodes of its def."""
         bodies = {}
         for routine, _, nodes in self._routine_blocks:
-            for top in nodes:
-                if isinstance(top, ast.FunctionDef) and top.col_offset == 0:
-                    bodies[top.name] = (routine, [
-                        node for node in nodes
-                        if top.lineno <= getattr(node, "lineno", 0)
-                        <= top.end_lineno])
+            tops = [node for node in nodes
+                    if isinstance(node, ast.FunctionDef) and node.col_offset == 0]
+            by_line = sorted(tops, key=lambda top: top.lineno)
+            starts = [top.lineno for top in by_line]
+            owned = {id(top): [] for top in tops}
+            for node in nodes:      # top-level defs own disjoint line ranges
+                line = getattr(node, "lineno", 0)
+                at = bisect_right(starts, line) - 1
+                if at >= 0 and line <= by_line[at].end_lineno:
+                    owned[id(by_line[at])].append(node)
+            for top in tops:
+                bodies[top.name] = (routine, owned[id(top)])
         return bodies
 
     def _routines(self) -> str:

@@ -4,11 +4,24 @@ Two roads lead from a specification to an
 :class:`~repro.runtime.agent.Agent` subclass, both ending in
 :func:`repro.codegen.generator.generate_source` → :func:`compile_source`:
 
-* a bundled spec, by name: :meth:`ProtocolRegistry.load_spec` (parse,
-  validate, cache) → :meth:`ProtocolRegistry.generated_source` →
-  :func:`compile_source`, the class cached per ``(name, base)``;
+* a bundled spec, by name: :meth:`ProtocolRegistry.load_protocol`, which
+  generates each ``(name, base)`` variant once per host and keeps its
+  source text in ``<specs_dir>/__pycache__`` (below), the class cached per
+  ``(name, base)`` in the process;
 * ``.mac`` text: :func:`compile_mac` (parse → validate → generate →
-  compile).
+  compile), never cached.
+
+A cache entry, ``<name>[__over_<base>].macgen``, is one header line (the
+spec's ``uses`` base, a key, the SHA-1 of the text) and the generated text.
+The key covers the spec's bytes and path, the base, the Python version and
+every source file of the DSL, the generator and the runtime
+(:func:`generator_fingerprint`), so an edit to any of them misses.  A hit
+compiles the stored text and imports neither the DSL front end nor the
+generator; a miss, a short or corrupt entry, or a stale key generates
+again and writes the entry through a temporary file and ``os.replace``
+(an unwritable directory writes nothing).  The entry is source, not
+bytecode: compiling it in the process keeps what the process allocates
+the same as a generating run.  Delete the ``*.macgen`` files to clear it.
 
 The registry also resolves the protocol *stacks* a
 :class:`~repro.eval.scenario.Stack` names: following the ``uses`` headers
@@ -19,20 +32,95 @@ from Pastry to Chord by changing a single line"), lowest layer first.  The
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from pathlib import Path
-from typing import Optional, Type
+from typing import TYPE_CHECKING, Optional, Type
 
-from ..dsl.ast import ProtocolSpec
 from ..dsl.errors import CodegenError, MacError
-from ..dsl.parser import parse_mac
-from ..dsl.validator import validate
 from ..runtime.agent import Agent
-from .generator import generate_source, module_name_for
+
+try:    # the builtin SHA-1, as ``runtime/keys.py`` takes it: no OpenSSL load
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
+
+if TYPE_CHECKING:
+    from ..dsl.ast import ProtocolSpec
+
+#: First word of a cache entry's header line.
+_ENTRY_FORMAT = "macgen/1"
 
 
 def default_specs_dir() -> Path:
     """Directory holding the bundled ``.mac`` specifications."""
     return Path(__file__).resolve().parent.parent / "protocols" / "specs"
+
+
+def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
+    """Synthetic name of a generated module (its classes' ``__module__``,
+    its tracebacks' file), a re-layered variant's its own."""
+    if base:
+        return f"repro._generated.{protocol_name}__over_{base}"
+    return f"repro._generated.{protocol_name}"
+
+
+@functools.lru_cache(maxsize=None)
+def generator_fingerprint() -> bytes:
+    """SHA-1 over every source file of ``repro.dsl``, ``repro.codegen`` and
+    ``repro.runtime``, read once per process: what a generated module is
+    made by and runs on."""
+    root = Path(__file__).resolve().parent.parent
+    digest = sha1()
+    for package in ("dsl", "codegen", "runtime"):
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.digest()
+
+
+def _entry_key(spec: bytes, path: Path, base: Optional[str]) -> str:
+    """The key of the entry generated from *spec* (the bytes of the file at
+    *path*, as the generated text names it) over *base*."""
+    digest = sha1(repr((str(path), base, sys.version_info[:2])).encode())
+    digest.update(generator_fingerprint())
+    digest.update(spec)
+    return digest.hexdigest()
+
+
+def _read_entry(path: Path, key: str, *, body: bool = True
+                ) -> Optional[tuple[Optional[str], str]]:
+    """``(uses, text)`` from the entry at *path* if its key is *key* and its
+    text is whole (with *body* false, only the header is read and the text
+    is empty); else None."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            header = handle.readline().split()
+            text = handle.read() if body else ""
+    except (OSError, UnicodeDecodeError):
+        return None
+    if len(header) != 4 or header[0] != _ENTRY_FORMAT or header[2] != key \
+            or (body and header[3] != sha1(text.encode()).hexdigest()):
+        return None
+    return (None if header[1] == "-" else header[1]), text
+
+
+def _write_entry(path: Path, key: str, uses: Optional[str], text: str) -> None:
+    """Write an entry whole or not at all: a reader sees the old file or the
+    new one, never a part."""
+    header = f"{_ENTRY_FORMAT} {uses or '-'} {key} {sha1(text.encode()).hexdigest()}\n"
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            handle.write(header + text)
+        os.replace(temporary, path)
+    except OSError:             # not writable: the caller compiles in memory
+        try:
+            temporary.unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 def compile_source(source: str, module_name: str) -> Type[Agent]:
@@ -54,6 +142,10 @@ def compile_source(source: str, module_name: str) -> Type[Agent]:
 def compile_mac(text: str, filename: Optional[str] = None) -> Type[Agent]:
     """One-shot: mac source text → parsed, validated, generated, compiled
     agent class."""
+    from ..dsl.parser import parse_mac
+    from ..dsl.validator import validate
+    from .generator import generate_source
+
     spec = parse_mac(text, filename)
     validate(spec)
     return compile_source(generate_source(spec), module_name_for(spec.name))
@@ -64,8 +156,11 @@ class ProtocolRegistry:
 
     def __init__(self, specs_dir: Optional[Path] = None) -> None:
         self.specs_dir = Path(specs_dir) if specs_dir is not None else default_specs_dir()
-        self._spec_cache: dict[str, ProtocolSpec] = {}
+        #: name -> the spec's bytes and the spec parsed from them.
+        self._spec_cache: dict[str, tuple[bytes, ProtocolSpec]] = {}
         self._class_cache: dict[tuple[str, Optional[str]], Type[Agent]] = {}
+        #: name -> its spec's ``uses`` base, as its entry or its parse gave it.
+        self._uses: dict[str, Optional[str]] = {}
 
     # ------------------------------------------------------------------- specs
     def available(self) -> list[str]:
@@ -110,11 +205,15 @@ class ProtocolRegistry:
         """Parse and validate the named bundled specification (cached)."""
         cached = self._spec_cache.get(name)
         if cached is None:
+            from ..dsl.parser import parse_mac
+            from ..dsl.validator import validate
+
             path = self.spec_path(name)
-            cached = parse_mac(path.read_text(encoding="utf-8"), filename=str(path))
-            validate(cached)
-            self._spec_cache[name] = cached
-        return cached
+            data = path.read_bytes()
+            spec = parse_mac(data.decode("utf-8"), filename=str(path))
+            validate(spec)
+            cached = self._spec_cache[name] = (data, spec)
+        return cached[1]
 
     # ----------------------------------------------------------------- classes
     def load_protocol(self, name: str, *, base: Optional[str] = None) -> Type[Agent]:
@@ -143,7 +242,7 @@ class ProtocolRegistry:
 
         chain = [name]          # down the ``uses`` headers, top first
         while name not in BASELINES and \
-                (below := self.load_spec(chain[-1]).base) is not None:
+                (below := self._declared_base(chain[-1])) is not None:
             if below in chain:
                 raise MacError(f"layering cycle detected at protocol {below!r}")
             chain.append(below)
@@ -161,11 +260,47 @@ class ProtocolRegistry:
         return (below + [self.load_protocol(relayered, base=base)]
                 + [self.load_protocol(layer) for layer in reversed(upper)])
 
+    def _declared_base(self, name: str) -> Optional[str]:
+        """The ``uses`` base of the named spec: from the header of its entry
+        when that is current, else by loading (and so generating) it."""
+        if name not in self._uses:
+            entry = self._current_entry(name, None, body=False)
+            if entry is None:
+                self.load_protocol(name)
+            else:
+                self._uses[name] = entry[0]
+        return self._uses[name]
+
     # ------------------------------------------------------------------ output
     def generated_source(self, name: str, *, base: Optional[str] = None) -> str:
         """The generated Python source for the named protocol, re-layered
-        over *base* if given."""
-        return generate_source(self.load_spec(name), base)
+        over *base* if given: the current cache entry's text, else generated
+        (and the entry written)."""
+        entry = self._current_entry(name, base)
+        if entry is None:
+            from .generator import generate_source
+
+            spec = self.load_spec(name)
+            # Keyed on the bytes the spec was parsed from, which an edit
+            # since this registry parsed it may no longer match.
+            entry = spec.base, generate_source(spec, base)
+            _write_entry(self._entry_path(name, base),
+                         _entry_key(self._spec_cache[name][0], self.spec_path(name), base),
+                         *entry)
+        self._uses[name] = entry[0]
+        return entry[1]
+
+    def _entry_path(self, name: str, base: Optional[str]) -> Path:
+        stem = f"{name}__over_{base}" if base else name
+        return self.specs_dir / "__pycache__" / f"{stem}.macgen"
+
+    def _current_entry(self, name: str, base: Optional[str], *, body: bool = True
+                       ) -> Optional[tuple[Optional[str], str]]:
+        """:func:`_read_entry` of the variant's entry, against the key of
+        the spec as it is on disk now."""
+        path = self.spec_path(name)
+        return _read_entry(self._entry_path(name, base),
+                           _entry_key(path.read_bytes(), path, base), body=body)
 
     def write_generated(self, name: str, directory: Path,
                         *, base: Optional[str] = None) -> Path:

@@ -1,37 +1,27 @@
 """The MACEDON domain-specific language front end (Figure-4 grammar)."""
 
-from .ast import (
-    ConstantDecl,
-    FieldDecl,
-    MessageDecl,
-    NeighborTypeDecl,
-    ProtocolSpec,
-    RoutineDecl,
-    StateVarDecl,
-    TransitionDecl,
-    TransportDecl,
-)
-from .errors import CodegenError, MacError, MacSyntaxError, MacValidationError
-from .lexer import Lexer, Token
-from .parser import parse_mac
-from .validator import validate
+from .._lazy import lazy_front
 
-__all__ = [
-    "ConstantDecl",
-    "FieldDecl",
-    "MessageDecl",
-    "NeighborTypeDecl",
-    "ProtocolSpec",
-    "RoutineDecl",
-    "StateVarDecl",
-    "TransitionDecl",
-    "TransportDecl",
-    "CodegenError",
-    "MacError",
-    "MacSyntaxError",
-    "MacValidationError",
-    "Lexer",
-    "Token",
-    "parse_mac",
-    "validate",
-]
+#: Public name -> the submodule it is imported from on first use.
+_EXPORTS = {
+    "ConstantDecl": ".ast",
+    "FieldDecl": ".ast",
+    "MessageDecl": ".ast",
+    "NeighborTypeDecl": ".ast",
+    "ProtocolSpec": ".ast",
+    "RoutineDecl": ".ast",
+    "StateVarDecl": ".ast",
+    "TransitionDecl": ".ast",
+    "TransportDecl": ".ast",
+    "CodegenError": ".errors",
+    "MacError": ".errors",
+    "MacSyntaxError": ".errors",
+    "MacValidationError": ".errors",
+    "Lexer": ".lexer",
+    "Token": ".lexer",
+    "parse_mac": ".parser",
+    "validate": ".validator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_front(globals(), _EXPORTS)

@@ -26,6 +26,8 @@ EOF = "EOF"
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
 _PUNCT_CHARS = "{}[]();|!=,"
+#: The characters a raw block's scan stops at: quotes, comments, braces.
+_RAW_STOP_RE = re.compile(r"[\"'#{}]")
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,9 @@ class Lexer:
             self._advance(1)
         depth = 1
         start = self.pos
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
+        while (stop := _RAW_STOP_RE.search(self.text, self.pos)) is not None:
+            self._advance(stop.start() - self.pos)
+            char = stop.group()
             if char in "\"'":
                 self._skip_embedded_string(char)
                 continue
@@ -200,7 +203,7 @@ class Lexer:
                 continue
             if char == "{":
                 depth += 1
-            elif char == "}":
+            else:
                 depth -= 1
                 if depth == 0:
                     body = self.text[start:self.pos]

@@ -118,7 +118,7 @@ def test_non_literal_names_stay_a_runtime_check():
 
 
 def test_all_bundled_specs_compile_unchanged():
-    registry = ProtocolRegistry()          # fresh: nothing cached
+    registry = ProtocolRegistry()          # fresh: no class cached
     assert len(registry.available()) == 9
     for name in registry.available():
         registry.load_protocol(name)

@@ -1,4 +1,5 @@
-"""The lazy package fronts ``repro``, ``repro.runtime`` and ``repro.eval``.
+"""The lazy package fronts ``repro``, ``repro.runtime``, ``repro.eval``,
+``repro.codegen`` and ``repro.dsl``.
 
 Each front imports a name's submodule when the name is first read
 (PEP 562).  Its table is the only list of names: every ``__all__`` entry
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-FRONTS = ("repro", "repro.runtime", "repro.eval")
+FRONTS = ("repro", "repro.runtime", "repro.eval", "repro.codegen", "repro.dsl")
 
 
 @pytest.fixture(params=FRONTS)

@@ -19,11 +19,15 @@ The same run also leaves out ``hashlib``, its OpenSSL backend
 builtin ``_sha1``, and only the registry's missing-spec diagnosis uses
 ``difflib``.
 
-The package fronts ``repro``, ``repro.runtime`` and ``repro.eval`` are
-lazy (PEP 562), so the emulator, the topology, the packet and the event
-kernel import without the code generator, the DSL, the evaluation
-harness or the agent runtime; the ``emulator_*`` benchmark workloads run
-on those four alone.
+A bundled spec is generated once per host: after one interpreter has
+run Chord, a second compiles Chord's cached module and loads neither the
+DSL front end nor the generator.
+
+The package fronts ``repro``, ``repro.runtime``, ``repro.eval``,
+``repro.codegen`` and ``repro.dsl`` are lazy (PEP 562), so the emulator,
+the topology, the packet and the event kernel import without the code
+generator, the DSL, the evaluation harness or the agent runtime; the
+``emulator_*`` benchmark workloads run on those four alone.
 """
 
 from __future__ import annotations
@@ -83,6 +87,17 @@ loaded = [name for name in ("hashlib", "_hashlib", "difflib")
 assert not loaded, f"a simulated run loaded {loaded}"
 """
 
+FROM_THE_CACHE = r"""
+import sys
+
+import repro
+""" + RUN_CHORD + r"""
+generating = ("repro.dsl.ast", "repro.dsl.lexer", "repro.dsl.parser",
+              "repro.dsl.validator", "repro.codegen.generator", "_hashlib")
+loaded = [name for name in generating if name in sys.modules]
+assert not loaded, f"a run from the cached module loaded {loaded}"
+"""
+
 NETWORK_ONLY = r"""
 import sys
 
@@ -116,6 +131,11 @@ def test_a_simulated_run_does_not_load_the_socket_stack():
 
 def test_a_simulated_run_does_not_load_openssl_or_difflib():
     _run(WITHOUT_OPENSSL)
+
+
+def test_a_second_run_loads_no_parser_or_generator():
+    _run("import repro\n" + RUN_CHORD)     # the first run writes the cache
+    _run(FROM_THE_CACHE)
 
 
 def test_the_network_substrate_loads_no_protocol_plane():
