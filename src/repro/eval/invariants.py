@@ -27,8 +27,8 @@ Eleven invariants:
   a held ACK implies its transport's flush timer is armed.
 * **epoch_monotonicity** — transport incarnation numbers track the node
   lifecycle exactly: a live node's transport epoch equals its crash count,
-  a crashed node's equals its recover count, and no connection has observed
-  a peer epoch from the future.  Live, a node process's epoch equals its
+  a crashed node's equals its recover count, and no host has recorded a
+  peer epoch from the future.  Live, a node process's epoch equals its
   supervisor incarnation: every respawn re-keys the transport demux.
 * **no_decode_errors** — live only: both ends speak our codec, so no frame
   any node received failed to decode.
@@ -183,20 +183,14 @@ def epoch_monotonicity(result: ScenarioResult) -> list[InvariantViolation]:
                 f"node {node.address}: transport epoch {host.epoch} != "
                 f"{expected} (crashes={node.crash_count}, "
                 f"recoveries={node.recover_count}, crashed={node.crashed})"))
-        for transport in host._transports.values():
-            if not isinstance(transport, ReliableTransport):
-                continue
-            for peer, connection in transport._connections.items():
-                peer_epoch = connection.peer_epoch
-                if peer_epoch is None:
-                    continue
-                limit = crash_counts.get(peer)
-                if limit is not None and peer_epoch > limit:
-                    violations.append(InvariantViolation(
-                        "epoch_monotonicity",
-                        f"node {node.address} observed epoch {peer_epoch} "
-                        f"from peer {peer}, which has only crashed "
-                        f"{limit} times"))
+        for peer, epoch in host.peer_epochs.items():
+            limit = crash_counts.get(peer)
+            if limit is not None and epoch > limit:
+                violations.append(InvariantViolation(
+                    "epoch_monotonicity",
+                    f"node {node.address} observed epoch {epoch} "
+                    f"from peer {peer}, which has only crashed "
+                    f"{limit} times"))
     return violations
 
 

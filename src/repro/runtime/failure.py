@@ -42,7 +42,6 @@ class FailureDetectorConfig:
 class FailureDetectorStats:
     heartbeats_sent: int = 0
     failures_declared: int = 0
-    monitored_peers: int = 0
 
 
 class FailureDetector:
@@ -89,28 +88,22 @@ class FailureDetector:
         self._running = False
         self._sweep.cancel()
 
-    def reset(self) -> None:
-        """Forget all monitored peers and liveness history.
-
-        Used by the node's crash path: a fail-stop node loses its detector
-        state, and the fresh agent stack built on recovery re-registers its
-        monitored peers from scratch.
-        """
-        self._monitored.clear()
-        self._last_heard.clear()
-        self.stats.monitored_peers = 0
-
     def _schedule_check(self) -> None:
         if self._running:
             self._sweep.schedule()
 
     # ------------------------------------------------------------- membership
     def monitor(self, peer: int) -> None:
-        """Start (or add a reference to) monitoring *peer*."""
+        """Start (or add a reference to) monitoring *peer*.
+
+        A watch counts silence from when it starts, however long ago the
+        peer was last heard from; a later reference leaves the clock alone.
+        """
         peer = int(peer)
-        self._monitored[peer] = self._monitored.get(peer, 0) + 1
-        self._last_heard.setdefault(peer, self.simulator.now)
-        self.stats.monitored_peers = len(self._monitored)
+        count = self._monitored.get(peer, 0)
+        self._monitored[peer] = count + 1
+        if not count:
+            self._last_heard[peer] = self.simulator.now
 
     def unmonitor(self, peer: int) -> None:
         """Drop one reference to *peer*; stops monitoring at zero references."""
@@ -123,23 +116,10 @@ class FailureDetector:
             self._last_heard.pop(peer, None)
         else:
             self._monitored[peer] = count - 1
-        self.stats.monitored_peers = len(self._monitored)
 
     def heard_from(self, peer: int) -> None:
         """Record that any traffic arrived from *peer*."""
         self._last_heard[peer] = self.simulator._now
-
-    def reset_silence(self, peer: int) -> None:
-        """Count *peer*'s silence from now.
-
-        :meth:`monitor` keeps the time *peer* was last heard from, even long
-        before the watch began, and a peer that has been silent past the
-        failure timeout is declared failed at the next sweep, with no
-        heartbeat solicited.  A protocol that starts watching a peer it only
-        heard of second-hand calls this to give it a full timeout.
-        """
-        if int(peer) in self._monitored:
-            self._last_heard[int(peer)] = self.simulator.now
 
     def monitored_peers(self) -> list[int]:
         return sorted(self._monitored)
@@ -160,5 +140,4 @@ class FailureDetector:
             self._monitored.pop(peer, None)
             self._last_heard.pop(peer, None)
             self._on_failure(peer)
-        self.stats.monitored_peers = len(self._monitored)
         self._schedule_check()

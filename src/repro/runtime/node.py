@@ -122,10 +122,11 @@ class MacedonNode:
         Everything that could generate future events is silenced: protocol
         and runtime timers are cancelled, the transport subsystem drops its
         retransmission state and mutes both directions, the failure detector
-        stops sweeping and forgets its peers, and the emulated host detaches
-        so in-flight packets addressed to it are dropped.  Peers keep their
-        own failure detectors running, which is exactly what drives their
-        ``error`` API transitions *f* seconds of silence later.  Idempotent.
+        stops sweeping (recovery builds a fresh one), and the emulated host
+        detaches so in-flight packets addressed to it are dropped.  Peers keep
+        their own failure detectors running, which is exactly what drives
+        their ``error`` API transitions *f* seconds of silence later.
+        Idempotent.
         """
         if self.crashed:
             return
@@ -133,7 +134,6 @@ class MacedonNode:
         self.crash_count += 1
         self.initialized = False
         self.failure_detector.stop()
-        self.failure_detector.reset()
         for agent in self.stack:
             agent.shutdown()
         self.transport_host.shutdown()

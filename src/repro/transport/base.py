@@ -98,8 +98,8 @@ class Segment:
         self.chunk = chunk
         self.chunks = chunks
         #: Incarnation of the sending host (bumped on fail-stop recovery).
-        #: The reliable transports use it the way TCP uses new ISNs after a
-        #: restart: a higher epoch from a peer resets the connection, a lower
+        #: The receiving host uses it the way TCP uses new ISNs after a
+        #: restart: a higher epoch from a peer resets its connections, a lower
         #: one is a stale pre-crash segment and is discarded.
         self.epoch = epoch
         #: The incarnation the sender believes the *destination* is running.
@@ -123,18 +123,21 @@ class Datagram:
 
     Best-effort single-segment sends are the dominant traffic class, and they
     use none of the reliable machinery — no sequence numbers, no ACK field,
-    no reassembly indices, no epoch checks (the UDP receive path never read
-    them).  This three-slot envelope replaces the eleven-field
+    no reassembly indices.  This four-slot envelope replaces the twelve-field
     :class:`Segment` on that path; the demux dispatches on its type before
-    touching the segment machinery.
+    touching the segment machinery.  It carries its sender's incarnation as
+    a segment does: the receiving host drops a datagram from a dead
+    incarnation, and learns a peer's restart from its first datagram.
     """
 
-    __slots__ = ("transport", "payload", "size")
+    __slots__ = ("transport", "payload", "size", "epoch")
 
-    def __init__(self, transport: str, payload: Any, size: int) -> None:
+    def __init__(self, transport: str, payload: Any, size: int,
+                 epoch: int = 0) -> None:
         self.transport = transport
         self.payload = payload
         self.size = size
+        self.epoch = epoch
 
 
 @dataclass
@@ -173,6 +176,10 @@ class Transport(abc.ABC):
         #: This host's incarnation number, stamped on every outgoing segment
         #: (set by the TransportHost; 0 for a host that never crashed).
         self.epoch = 0
+        #: The newest incarnation heard from each peer: the TransportHost's
+        #: one map, shared by all its transports, which stamp it as a
+        #: segment's ``dest_epoch``.
+        self.peer_epochs: dict[int, int] = {}
         self.stats = TransportStats()
         self._deliver_upcall: Optional[DeliverUpcall] = None
         self._msg_ids = itertools.count(1)
@@ -224,6 +231,11 @@ class Transport(abc.ABC):
             f"transport {self.name!r} ({self.kind.value}) received a "
             f"best-effort datagram; peer stack binds this name to UDP"
         )
+
+    def peer_restarted(self, src: int) -> None:
+        """Host *src* fail-stopped and came back under a newer epoch (the
+        host has recorded it): drop what this transport kept of its dead
+        incarnation.  Base implementation is a no-op."""
 
     def close(self) -> None:
         """Release timers and queued state (fail-stop crash of the host).

@@ -7,7 +7,7 @@ there is no pacing.  Overlays use it for messages whose loss is tolerable
 timer anyway).
 
 The common case — a message that fits in one MSS — is fully inlined: a
-three-slot :class:`Datagram` envelope goes straight into a
+four-slot :class:`Datagram` envelope goes straight into a
 :class:`~repro.network.packet.Packet`, skipping :class:`Segment`
 construction, the ``_send_packet`` indirection, and (on the receive side) the
 reliable demux machinery.  Only oversized messages fall back to segments and
@@ -35,7 +35,7 @@ class UdpTransport(Transport):
             # Inlined best-effort fast path (no Segment, no _send_packet).
             accepted = self.emulator.send(
                 Packet(src=self.local_address, dst=dst,
-                       payload=Datagram(self.name, payload, size),
+                       payload=Datagram(self.name, payload, size, self.epoch),
                        size=size, protocol=self._protocol_label),
                 payload_tag=payload_tag)
             stats.segments_sent += 1
@@ -68,20 +68,10 @@ class UdpTransport(Transport):
         if segment.chunks <= 1:
             self._deliver_up(src, segment.payload, segment.size)
             return
-        # A reborn sender restarts its message ids: its epoch tells its
-        # messages from those of its dead incarnation, whose partial ones
-        # can never complete.  A fragment from an older epoch than the
-        # source's newest is dropped, and the newest's rise purges them.
-        epoch = segment.epoch
-        newest = self._epochs.get(src, epoch)
-        if epoch < newest:
-            return
-        if epoch > newest:
-            for stale in [other for other in self._reassembly
-                          if other[0] == src]:
-                del self._reassembly[stale]
-        self._epochs[src] = epoch
-        key = (src, epoch, segment.msg_id)
+        # A reborn sender restarts its message ids, but the host drops its
+        # dead incarnation's fragments and has purged their partial
+        # messages (peer_restarted), so the id alone keys a message.
+        key = (src, segment.msg_id)
         pending = self._reassembly.get(key)
         if pending is None:
             pending = self._reassembly[key] = {"chunks": {}, "payload": None}
@@ -94,7 +84,11 @@ class UdpTransport(Transport):
             del self._reassembly[key]
             self._deliver_up(src, payload, total)
 
+    def peer_restarted(self, src: int) -> None:
+        """The dead incarnation's partial messages can never complete."""
+        for stale in [key for key in self._reassembly if key[0] == src]:
+            del self._reassembly[stale]
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._reassembly: dict[tuple[int, int, int], dict] = {}
-        self._epochs: dict[int, int] = {}
+        self._reassembly: dict[tuple[int, int], dict] = {}

@@ -5,6 +5,11 @@ named transport instances a protocol stack declared, registers itself as the
 host's network receive callback, and demultiplexes arriving segments to the
 right transport instance by name — the interoperability layer the paper
 describes sitting between the generated agent code and ns / native sockets.
+
+It also keeps the one record of each peer's restart epoch: every arriving
+datagram and segment carries its sender's incarnation, an older one than
+recorded is a dead incarnation's and is dropped, and a newer one resets
+every transport's state for that peer at once, whichever transport heard it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ class TransportHost:
         #: Incarnation of this host (bumped across fail-stop recoveries);
         #: stamped on outgoing segments so peers reset dead connections.
         self.epoch = epoch
+        #: Peer address -> the newest incarnation heard from it.
+        self.peer_epochs: dict[int, int] = {}
         self._transports: dict[str, Transport] = {}
         self._deliver_upcall: Optional[DeliverUpcall] = None
         #: False after shutdown(): sends are dropped, arrivals ignored.
@@ -52,6 +59,7 @@ class TransportHost:
             transport = ReliableTransport(name, self.simulator, self.emulator,
                                           self.local_address, kind)
         transport.epoch = self.epoch
+        transport.peer_epochs = self.peer_epochs
         if self._deliver_upcall is not None:
             transport.set_deliver_upcall(self._deliver_upcall)
         self._transports[name] = transport
@@ -114,29 +122,36 @@ class TransportHost:
         if not self.active:
             return  # Crashed host: arrivals fall on dead silicon.
         segment = packet.payload
-        if type(segment) is Datagram:
-            # Inlined best-effort fast path: dominant traffic class, checked
-            # first, dispatched without touching the reliable machinery.
-            transport = self._transports.get(segment.transport)
-            if transport is None:
-                raise TransportError(
-                    f"host {self.local_address} received datagram for "
-                    f"undeclared transport {segment.transport!r}"
-                )
-            transport.handle_datagram(packet.src, segment)
-            return
-        if not isinstance(segment, Segment):
+        kind = type(segment)
+        if kind is not Datagram and kind is not Segment:
             # Not transport traffic (e.g. a raw test packet); ignore silently.
             return
+        src = packet.src
+        epoch = segment.epoch
+        known = self.peer_epochs.get(src)
+        if known != epoch:
+            if known is not None and epoch < known:
+                return  # Sent by a dead incarnation of the peer.
+            self.peer_epochs[src] = epoch
+            if known is not None:
+                # The peer fail-stopped and restarted: recorded first, so
+                # what a reset transmits is aimed at the new incarnation.
+                for transport in self._transports.values():
+                    transport.peer_restarted(src)
         transport = self._transports.get(segment.transport)
         if transport is None:
             # The peer used a transport name we have not declared; this is a
             # configuration error in a layered stack and should be loud.
             raise TransportError(
-                f"host {self.local_address} received segment for undeclared "
-                f"transport {segment.transport!r}"
+                f"host {self.local_address} received {kind.__name__.lower()} "
+                f"for undeclared transport {segment.transport!r}"
             )
-        transport.handle_segment(packet.src, segment)
+        if kind is Datagram:
+            # Best-effort fast path: the dominant traffic class, dispatched
+            # without touching the reliable machinery.
+            transport.handle_datagram(src, segment)
+        else:
+            transport.handle_segment(src, segment)
 
     def stats(self) -> dict[str, Any]:
         """Per-transport statistics snapshot."""

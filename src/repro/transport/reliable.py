@@ -144,8 +144,6 @@ class ReliableConnection:
         self._ack_held_since: Optional[float] = None
         self.out_of_order: dict[int, Segment] = {}
         self._assembly: dict[int, dict[str, Any]] = {}
-        #: Last incarnation seen from the peer; None until the first segment.
-        self.peer_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------ sender
     def enqueue(self, segment: Segment, size: int, payload_tag: Optional[str]) -> None:
@@ -184,9 +182,9 @@ class ReliableConnection:
         now = simulator._now
         self.in_flight[segment.seq] = _InFlight(segment, size, now)
         # The destination incarnation is stamped at (re)transmission, not at
-        # enqueue: the sender may learn the peer restarted (via a challenge
-        # ACK) while a segment sits in the queue or awaits retransmission.
-        segment.dest_epoch = self.peer_epoch or 0
+        # enqueue: the host may learn the peer restarted while a segment
+        # sits in the queue or awaits retransmission.
+        segment.dest_epoch = transport.peer_epochs.get(self.peer, 0)
         held = self._ack_held_since
         if held is not None:
             # Piggyback the held ACK; the transport's flush skips it now.
@@ -202,9 +200,10 @@ class ReliableConnection:
 
     def _retransmit(self, entry: _InFlight) -> None:
         entry.retransmitted = True
-        entry.segment.dest_epoch = self.peer_epoch or 0
-        self.transport._send_packet(self.peer, entry.segment, entry.size, None)
-        self.transport.stats.retransmissions += 1
+        transport = self.transport
+        entry.segment.dest_epoch = transport.peer_epochs.get(self.peer, 0)
+        transport._send_packet(self.peer, entry.segment, entry.size, None)
+        transport.stats.retransmissions += 1
 
     def _arm_timer(self) -> None:
         simulator = self.transport.simulator
@@ -227,7 +226,7 @@ class ReliableConnection:
         self.out_of_order.clear()
         self._assembly.clear()
 
-    def reset_for_peer_restart(self, epoch: int) -> None:
+    def reset_for_peer_restart(self) -> None:
         """The peer fail-stopped and came back: start a fresh byte stream.
 
         Everything in flight toward the old incarnation is void (its receiver
@@ -238,7 +237,6 @@ class ReliableConnection:
         sequence numbers at transmission time, so they simply ride the new
         stream.
         """
-        self.peer_epoch = epoch
         if self._timer_armed:
             self._timer_armed = False
             self.transport.simulator.cancel_gen(self._timer_cell)
@@ -385,7 +383,8 @@ class ReliableConnection:
         transport._send_packet(    # Segment built positionally, as in send()
             self.peer,
             Segment(transport.name, "ACK", 0, None, 0, self.expected_seq,
-                    0, 0, 1, transport.epoch, self.peer_epoch or 0,
+                    0, 0, 1, transport.epoch,
+                    transport.peer_epochs.get(self.peer, 0),
                     0.0 if held is None else transport.simulator._now - held),
             self.ACK_SIZE, None)
 
@@ -473,17 +472,17 @@ class ReliableTransport(Transport):
                         chunk_size, -1, msg_id, index, chunks, self.epoch),
                 chunk_size, payload_tag)
 
+    def peer_restarted(self, src: int) -> None:
+        """The peer fail-stopped and restarted: its old stream is gone."""
+        connection = self._connections.get(src)
+        if connection is not None:
+            connection.reset_for_peer_restart()
+
     def handle_segment(self, src: int, segment: Segment) -> None:
+        # The host has already dropped a segment from a dead incarnation of
+        # the peer, and reset this connection if the peer is reborn.
         self.stats.segments_received += 1
         connection = self._connections.get(src) or self._connection(src)
-        epoch = segment.epoch
-        if connection.peer_epoch is None:
-            connection.peer_epoch = epoch
-        elif epoch > connection.peer_epoch:
-            # The peer fail-stopped and restarted: its old stream is gone.
-            connection.reset_for_peer_restart(epoch)
-        elif epoch < connection.peer_epoch:
-            return  # Stale segment from a dead incarnation of the peer.
         if segment.dest_epoch < self.epoch:
             # Aimed at a dead incarnation of this host (e.g. a retransmission
             # of pre-crash traffic racing our recovery).  It must not touch

@@ -188,7 +188,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     #: ack_delay — the full Segment envelope (its ~53 bytes of framing play
     #: the role of the emulator's fixed HEADER_BYTES overhead).
     _SEGMENT = struct.Struct("!BqqQIIIIId")
-    _SIZE = struct.Struct("!I")              # a datagram's declared size
+    _SIZE = struct.Struct("!II")             # a datagram's size and epoch
     #: magic, frame kind, src address, fragment id, index, count — each
     #: fragment datagram carries one slice of an oversized frame.
     _FRAGMENT = struct.Struct("!BBIIHH")
@@ -305,7 +305,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         payload = packet.payload
         if type(payload) is Datagram:
             prefix = self._prefix(self._FRAME_DATAGRAM, payload.transport) \
-                + self._SIZE.pack(payload.size)
+                + self._SIZE.pack(payload.size, payload.epoch)
             payload = payload.payload
         elif isinstance(payload, Segment):
             prefix = self._prefix(self._FRAME_SEGMENT, payload.transport) \
@@ -454,9 +454,10 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
                     if len(self._transport_names) < 256:   # names off the wire
                         self._transport_names[name] = transport_name
                 if frame_kind == self._FRAME_DATAGRAM:
-                    (size,) = self._SIZE.unpack_from(data, offset)
-                    inner, end = self.codec.decode_payload(data, offset + 4)
-                    payload = Datagram(transport_name, inner, size)
+                    size, epoch = self._SIZE.unpack_from(data, offset)
+                    inner, end = self.codec.decode_payload(
+                        data, offset + self._SIZE.size)
+                    payload = Datagram(transport_name, inner, size, epoch)
                 elif frame_kind == self._FRAME_SEGMENT:
                     (kind_flag, seq, ack, msg_id, chunk, chunks, epoch,
                      dest_epoch, size, ack_delay) = self._SEGMENT.unpack_from(

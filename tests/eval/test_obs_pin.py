@@ -49,10 +49,12 @@ from repro.runtime.failure import FailureDetectorConfig
 # its best-effort transport ("Re-pinned baselines (best-effort
 # maintenance)"), and when Chord began answering from its successor chain
 # and folded the notify into get_state ("Re-pinned baselines (successor
-# chain)"): obs=None must keep reproducing these bytes until the simulated
-# behaviour is changed on purpose again.  The ring and post-fault keys were
-# added, every other value unchanged, when the simulator began scoring them
-# as live runs do (no simulated event moved).
+# chain)"), and when each host began keeping one restart epoch per peer
+# and a watch began counting silence from its start (CHANGES.md lists
+# old -> new): obs=None must keep reproducing these bytes until the
+# simulated behaviour is changed on purpose again.  The ring and post-fault
+# keys were added, every other value unchanged, when the simulator began
+# scoring them as live runs do (no simulated event moved).
 FINGERPRINT_BASELINE = {
     "packets_sent": 2000,
     "packets_delivered": 1978,
@@ -69,15 +71,15 @@ CHURN_BASELINES = {
     1: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "270932.0",
-        "net.packets_delivered": "6316.0",
+        "net.bytes_delivered": "270912.0",
+        "net.packets_delivered": "6313.0",
         "net.packets_dropped": "36.0",
-        "net.packets_sent": "6354.0",
+        "net.packets_sent": "6351.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
         "ring.correct_successor_fraction": "1.0",
-        "sim.events_processed": "11141.0",
+        "sim.events_processed": "11136.0",
         "workload.deliveries": "58.0",
         "workload.duplicates": "0.0",
         "workload.latency_mean": "0.06411647075372759",
@@ -91,15 +93,15 @@ CHURN_BASELINES = {
     2: {
         "churn.churn_cycles": "1.0",
         "churn.joins": "10.0",
-        "net.bytes_delivered": "277216.0",
-        "net.packets_delivered": "6290.0",
+        "net.bytes_delivered": "277196.0",
+        "net.packets_delivered": "6287.0",
         "net.packets_dropped": "53.0",
-        "net.packets_sent": "6347.0",
+        "net.packets_sent": "6344.0",
         "nodes.alive": "10.0",
         "nodes.crashes": "1.0",
         "nodes.recoveries": "1.0",
         "ring.correct_successor_fraction": "1.0",
-        "sim.events_processed": "11141.0",
+        "sim.events_processed": "11136.0",
         "workload.deliveries": "56.0",
         "workload.duplicates": "0.0",
         "workload.latency_mean": "0.06799961926568322",
@@ -116,27 +118,29 @@ CHURN_BASELINES = {
 # leaf, and re-captured once when Pastry became prefix routing over a table
 # and a leaf set (docs/PERFORMANCE.md "Re-pinned baselines (prefix
 # Pastry)"): deliveries, coverage and success are unchanged, the network
-# carries 40 % fewer packets.  A Pastry routine change that claims to move
+# carries 40 % fewer packets.  Re-captured again when each host began keeping
+# one restart epoch per peer and a watch began counting silence from its
+# start (deliveries unchanged; CHANGES.md lists old -> new).  A Pastry routine change that claims to move
 # no simulated event must keep reproducing these bytes.
 PASTRY_BASELINES = {
     1: {
         "churn.churn_cycles": "0.0",
         "churn.joins": "16.0",
         "crash.victims": "2.0",
-        "net.bytes_delivered": "1934600.0",
-        "net.packets_delivered": "8946.0",
+        "net.bytes_delivered": "1933584.0",
+        "net.packets_delivered": "8955.0",
         "net.packets_dropped": "131.0",
-        "net.packets_sent": "9087.0",
+        "net.packets_sent": "9096.0",
         "nodes.alive": "16.0",
         "nodes.crashes": "2.0",
         "nodes.recoveries": "2.0",
-        "sim.events_processed": "14266.0",
+        "sim.events_processed": "14260.0",
         "workload.coverage": "0.8927777777777778",
         "workload.deliveries": "1607.0",
         "workload.duplicates": "0.0",
         "workload.expected": "1800.0",
-        "workload.latency_mean": "0.11006617312754126",
-        "workload.latency_p95": "0.1562772833346635",
+        "workload.latency_mean": "0.11021214819849473",
+        "workload.latency_p95": "0.156277283334731",
         "workload.post_fault_probes": "28.0",
         "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",
@@ -148,20 +152,20 @@ PASTRY_BASELINES = {
         "churn.churn_cycles": "0.0",
         "churn.joins": "16.0",
         "crash.victims": "2.0",
-        "net.bytes_delivered": "1933040.0",
-        "net.packets_delivered": "8997.0",
+        "net.bytes_delivered": "1932972.0",
+        "net.packets_delivered": "8990.0",
         "net.packets_dropped": "133.0",
-        "net.packets_sent": "9140.0",
+        "net.packets_sent": "9133.0",
         "nodes.alive": "16.0",
         "nodes.crashes": "2.0",
         "nodes.recoveries": "2.0",
-        "sim.events_processed": "14334.0",
+        "sim.events_processed": "14304.0",
         "workload.coverage": "0.8944444444444445",
         "workload.deliveries": "1610.0",
         "workload.duplicates": "0.0",
         "workload.expected": "1800.0",
-        "workload.latency_mean": "0.0945261693754246",
-        "workload.latency_p95": "0.12985619515988134",
+        "workload.latency_mean": "0.09458305384747455",
+        "workload.latency_p95": "0.12989205046715568",
         "workload.post_fault_probes": "28.0",
         "workload.post_fault_success_ratio": "1.0",
         "workload.publishes_per_sec": "1.45",
@@ -321,11 +325,13 @@ def test_enabling_observability_does_not_perturb_metrics(tmp_path):
 # snapshot was re-pinned once, when ROUTE_HOP_BOUNDS began at 2 so that
 # bucket 0 holds the one-hop routes: the old run's 3 090 route lengths,
 # re-bucketed, give the new causal.route_hops row (139 one-hop routes in
-# bucket 0), and every other instrument is byte-identical.
+# bucket 0), and every other instrument is byte-identical.  Both moved
+# with CHURN_BASELINES when each host began keeping one restart epoch per
+# peer.
 OBS_ON_SNAPSHOT_SHA256 = (
-    "3c9eb8461b72752fbf206712a6aeb92149522bf03a7ac3bf871a90c2216d5b26")
+    "f28005c70d7c434b416fd7791700e69237c61ac78fc24782d68b1fa2c938eba0")
 OBS_ON_TRACE_SHA256 = (
-    "df0712cbbf6cfcf784cd47365494dea3f9cae90cbff863f25753ee44fdbedf7f")
+    "717c7be90ff6eb9ea6ca2a0d4a7293f4a96a7ab4de468dbcdd0a3493ab8c6b76")
 
 
 def test_obs_on_snapshot_and_trace_file_are_byte_identical(tmp_path):

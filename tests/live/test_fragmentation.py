@@ -23,9 +23,9 @@ from repro.transport.udp import (FRAGMENT_THRESHOLD, FRAGMENT_TIMEOUT,
 pytestmark = pytest.mark.live
 
 #: Bytes of Datagram framing around a bytes payload: header (6) + transport
-#: name length byte + "CTRL" (4) + declared size (4) + payload type tag (1)
-#: + payload length prefix (4).
-_DATAGRAM_OVERHEAD = 20
+#: name length byte + "CTRL" (4) + declared size (4) + epoch (4) + payload
+#: type tag (1) + payload length prefix (4).
+_DATAGRAM_OVERHEAD = 24
 
 
 class _FakeTransport:
@@ -52,22 +52,22 @@ def _pair():
     return left, right, received
 
 
-def _send_bytes(left, payload: bytes) -> list[bytes]:
+def _send_bytes(left, payload: bytes, epoch: int = 0) -> list[bytes]:
     """Send one bytes-payload Datagram; return the wire datagrams."""
     left._transport.sent.clear()
-    assert left.send(Packet(src=1, dst=2,
-                            payload=Datagram("CTRL", payload, len(payload)),
+    datagram = Datagram("CTRL", payload, len(payload), epoch)
+    assert left.send(Packet(src=1, dst=2, payload=datagram,
                             size=len(payload))) is True
     return [data for data, _ in left._transport.sent]
 
 
 def test_sub_cap_frame_is_one_datagram_with_the_pinned_layout():
-    """Frames under the threshold keep the exact pre-fragmentation wire
-    format — one datagram, byte-identical to the hand-packed layout — so
-    mixed-version deployments interoperate for small messages."""
+    """Frames under the threshold go out as one datagram, byte-identical to
+    the hand-packed layout of docs/LIVE.md "Wire format", the sender's
+    epoch behind the declared size."""
     left, right, received = _pair()
     payload = bytes(range(256)) * 4                       # 1 KiB
-    wire = _send_bytes(left, payload)
+    wire = _send_bytes(left, payload, epoch=3)
     assert len(wire) == 1
     assert left.fragments_sent == 0
 
@@ -75,7 +75,7 @@ def test_sub_cap_frame_is_one_datagram_with_the_pinned_layout():
         SocketUdpNetwork._HEADER.pack(SocketUdpNetwork.MAGIC,
                                       SocketUdpNetwork._FRAME_DATAGRAM, 1),
         bytes([len("CTRL")]), b"CTRL",
-        struct.pack("!I", len(payload)),
+        struct.pack("!II", len(payload), 3),
         left.codec.encode_payload(payload),
     ))
     assert wire[0] == expected
@@ -83,6 +83,7 @@ def test_sub_cap_frame_is_one_datagram_with_the_pinned_layout():
     right.datagram_received(wire[0], ("127.0.0.1", 1111))
     assert len(received) == 1
     assert received[0].payload.payload == payload
+    assert received[0].payload.epoch == 3
     assert right.fragments_received == 0
 
 

@@ -336,7 +336,8 @@ def test_causal_log_rides_the_socket_on_the_spec_clock(codec):
             SocketUdpNetwork._HEADER.pack(SocketUdpNetwork.MAGIC,
                                           SocketUdpNetwork._FRAME_DATAGRAM,
                                           src),
-            bytes([len("CTRL")]), b"CTRL", struct.pack("!I", message.size),
+            bytes([len("CTRL")]), b"CTRL",
+            struct.pack("!II", message.size, 0),
             codec.encode_payload(message)))
 
     def trace_of(frame):

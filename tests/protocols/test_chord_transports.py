@@ -72,8 +72,14 @@ def test_maintenance_is_best_effort_and_joins_data_and_heartbeats_reliable(
     for index, node in enumerate(nodes[:6]):
         node.macedon_route(nodes[-1 - index].lowest_agent.my_key, None, 64)
         node.macedon_routeIP(nodes[-1 - index].address, None, 64)
-    # A crashed node falls silent, so its neighbours ping it.
+    # A crashed node falls silent, so its neighbours ping it.  A live node
+    # cut off for longer than g but shorter than f is pinged too, and
+    # answers once it is back.
+    quiet = nodes[2]
+    quiet.emulator.detach_host(quiet.address)
     nodes[7].crash()
+    simulator.run(until=simulator.now + 3.0)
+    quiet.emulator.reattach_host(quiet.address)
     simulator.run(until=simulator.now + CONFIG.failure_timeout + 2.0)
 
     wrong = {label: dict(counts) for label, counts in seen.items()

@@ -10,13 +10,17 @@ and pin the three properties that matter:
   protocol repairs its neighbor sets;
 * heartbeat-only traffic (no protocol chatter at all) keeps a live peer
   alive indefinitely — no false positives.
+
+A watch counts silence from when it starts: a peer heard from long before
+is solicited at *g* and declared at *f* after the watch began.
 """
 
 from __future__ import annotations
 
 from repro.eval import ChurnModel, CrashModel, ScenarioSpec
 from repro.protocols import chord_agent
-from repro.runtime.failure import FailureDetectorConfig
+from repro.runtime import Simulator
+from repro.runtime.failure import FailureDetector, FailureDetectorConfig
 
 F = 10.0   # failure timeout (paper's f)
 G = 4.0    # heartbeat timeout (paper's g)
@@ -105,3 +109,24 @@ def test_recovered_peer_is_detected_and_ring_reforms():
     assert b.alive and b.initialized
     assert a.lowest_agent.successor == b.address
     assert b.lowest_agent.successor == a.address
+
+
+def test_watch_started_after_a_long_silence_counts_from_its_start():
+    simulator = Simulator(seed=3)
+    pinged, failed = [], []
+    detector = FailureDetector(
+        simulator, send_heartbeat=lambda peer: pinged.append(simulator.now),
+        on_failure=lambda peer: failed.append(simulator.now),
+        config=FailureDetectorConfig(failure_timeout=F, heartbeat_timeout=G,
+                                     check_interval=CHECK))
+    detector.start()
+    detector.heard_from(7)
+    simulator.run(until=5 * F)
+    detector.monitor(7)
+    watched_at = simulator.now
+    # A later reference leaves the clock alone.
+    simulator.run(until=watched_at + G / 2)
+    detector.monitor(7)
+    simulator.run(until=watched_at + F + 2 * CHECK)
+    assert pinged and watched_at + G <= pinged[0] <= watched_at + G + CHECK
+    assert failed and watched_at + F <= failed[0] <= watched_at + F + CHECK

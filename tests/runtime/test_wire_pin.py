@@ -39,9 +39,10 @@ from repro.transport.udp import FRAGMENT_THRESHOLD, SocketUdpNetwork
 
 #: sha256 over the corpus, computed on the commit before the codec refactor,
 #: re-pinned when segment frames gained ``ack_delay``, when Chord's
-#: ``lookup_reply`` gained ``succs``, and when Pastry's messages became those
-#: of prefix routing (every other stack's types encode byte-identically).
-CORPUS_SHA256 = "2379b2dec3da74a085e82a1b011fa436e4deeef0ab2001288bdde09fcf7dbbfb"
+#: ``lookup_reply`` gained ``succs``, when Pastry's messages became those
+#: of prefix routing (every other stack's types encode byte-identically), and
+#: when datagram frames gained the sender's epoch.
+CORPUS_SHA256 = "15add41efcf106b93ac404edc9bb3f4cfa9dfdb733a9b45eb2187e6faf8aa49a"
 
 #: Every field type, as a scalar and as a list (no bundled spec uses strings).
 EVERYTHING = MessageType("everything", tuple(
