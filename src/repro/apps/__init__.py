@@ -10,16 +10,19 @@ and multicast streams of the paper's figures — is not an app: it is a
 ``kv`` and ``pubsub`` kinds.
 """
 
-from .kv import KvOpRecord, KvStore
-from .payload import AppPayload, KvPayload, TopicPayload
-from .pubsub import PubSub, TopicDelivery
+from .._lazy import lazy_front
 
-__all__ = [
-    "AppPayload",
-    "KvOpRecord",
-    "KvPayload",
-    "KvStore",
-    "PubSub",
-    "TopicDelivery",
-    "TopicPayload",
-]
+#: Public name -> the submodule it is imported from on first use: a codec
+#: that needs only the payload records loads neither app nor the node.
+_EXPORTS = {
+    "KvOpRecord": ".kv",
+    "KvStore": ".kv",
+    "AppPayload": ".payload",
+    "KvPayload": ".payload",
+    "TopicPayload": ".payload",
+    "PubSub": ".pubsub",
+    "TopicDelivery": ".pubsub",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_front(globals(), _EXPORTS)

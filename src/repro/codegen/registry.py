@@ -14,14 +14,15 @@ Two roads lead from a specification to an
 A cache entry, ``<name>[__over_<base>].macgen``, is one header line (the
 spec's ``uses`` base, a key, the SHA-1 of the text) and the generated text.
 The key covers the spec's bytes and path, the base, the Python version and
-every source file of the DSL, the generator and the runtime
-(:func:`generator_fingerprint`), so an edit to any of them misses.  A hit
-compiles the stored text and imports neither the DSL front end nor the
-generator; a miss, a short or corrupt entry, or a stale key generates
-again and writes the entry through a temporary file and ``os.replace``
-(an unwritable directory writes nothing).  The entry is source, not
-bytecode: compiling it in the process keeps what the process allocates
-the same as a generating run.  Delete the ``*.macgen`` files to clear it.
+the path, size and modification time of every source file of the DSL, the
+generator and the runtime (:func:`generator_fingerprint`), so an edit to
+any of them misses.  A hit compiles the stored text and imports neither
+the DSL front end nor the generator; a miss, a short or corrupt entry, or
+a stale key generates again and writes the entry through a temporary file
+and ``os.replace`` (an unwritable directory writes nothing).  The entry is
+source, not bytecode: compiling it in the process keeps what the process
+allocates the same as a generating run.  Delete the ``*.macgen`` files to
+clear it.
 
 The registry also resolves the protocol *stacks* a
 :class:`~repro.eval.scenario.Stack` names: following the ``uses`` headers
@@ -66,18 +67,28 @@ def module_name_for(protocol_name: str, base: Optional[str] = None) -> str:
     return f"repro._generated.{protocol_name}"
 
 
+def source_fingerprint(root: Path) -> bytes:
+    """SHA-1 over the relative path, size and modification time (ns) of
+    every source file of ``dsl``, ``codegen`` and ``runtime`` under *root*:
+    the stamp CPython trusts a ``.pyc`` by, taken without reading a file."""
+    stamps = []
+    for package in ("dsl", "codegen", "runtime"):
+        for top, dirs, files in os.walk(root / package):
+            dirs[:] = [name for name in dirs if name != "__pycache__"]
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(top, name)
+                    stat = os.stat(path)
+                    stamps.append(f"{os.path.relpath(path, root)} "
+                                  f"{stat.st_size} {stat.st_mtime_ns}\n")
+    return sha1("".join(sorted(stamps)).encode()).digest()
+
+
 @functools.lru_cache(maxsize=None)
 def generator_fingerprint() -> bytes:
-    """SHA-1 over every source file of ``repro.dsl``, ``repro.codegen`` and
-    ``repro.runtime``, read once per process: what a generated module is
-    made by and runs on."""
-    root = Path(__file__).resolve().parent.parent
-    digest = sha1()
-    for package in ("dsl", "codegen", "runtime"):
-        for path in sorted((root / package).rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
-    return digest.digest()
+    """:func:`source_fingerprint` of this package, taken once per process:
+    what a generated module is made by and runs on."""
+    return source_fingerprint(Path(__file__).resolve().parent.parent)
 
 
 def _entry_key(spec: bytes, path: Path, base: Optional[str]) -> str:

@@ -245,6 +245,10 @@ class LiveCluster:
         # the simulator would refuse is refused here.
         self._bind()
 
+        # Fork children inherit asyncio already imported: `repro.live`
+        # imports the driver, which imports it.  The socket module imports
+        # asyncio only when a socket opens, so a child would otherwise pay
+        # that import at boot.
         self._ctx = multiprocessing.get_context(config.start_method or (
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"))

@@ -11,18 +11,20 @@ simulator's network-fault verbs, so a node process binds its own partition
 and degrade rows to it, as the simulator binds them to its emulator.  See
 docs/LIVE.md.
 
-Only :mod:`repro.live` imports this module: it loads :mod:`asyncio`, which
-a simulated run never needs.
+The module loads what framing runs and nothing more: :mod:`asyncio` (and
+through it ssl, socket, selectors and subprocess) is imported by
+:meth:`SocketUdpNetwork.open`, when a socket is bound on an event loop, and
+:mod:`logging` by the first warning.  A process that frames datagrams
+through an in-memory pipe (the ``live_framing`` benchmark, the wire tests)
+loads neither; a simulated run does not import this module at all.
 """
 
 from __future__ import annotations
 
-import asyncio
-import logging
 import random
 import struct
 import time
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..network.addressing import HostAddress
 from ..network.emulator import NetworkHooks
@@ -33,7 +35,16 @@ from .base import Datagram, Segment
 # best-effort transport through this path.
 from .best_effort import UdpTransport  # noqa: F401
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import asyncio
+    import logging
+
+
+def _logger() -> logging.Logger:
+    """This module's logger, ``repro.transport.udp``: :mod:`logging` is
+    imported on the first message, not with the module."""
+    import logging
+    return logging.getLogger(__name__)
 
 #: Frames larger than this are split into fragment datagrams.  Sized to the
 #: old single-datagram ceiling so every frame that fit before still goes out
@@ -151,7 +162,7 @@ class SocketFaults:
                 f"groups={self.group_of}, degraded={self.degraded})")
 
 
-class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
+class SocketUdpNetwork(NetworkHooks):
     """The network emulator's socket-backed counterpart for one live node.
 
     One instance owns one bound UDP socket and knows the ``(ip, port)``
@@ -176,6 +187,11 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     modes; only the bytes become real.  ``payload_tag`` (link-stress
     accounting, a global-knowledge metric) is accepted and ignored: there is
     no omniscient observer on a real network.
+
+    The instance is its own :class:`asyncio.DatagramProtocol` without
+    subclassing it (asyncio's transports call the protocol's methods and
+    check no type), so the class is defined without importing asyncio; it
+    carries that protocol's whole method set.
     """
 
     MAGIC = 0xCD
@@ -239,6 +255,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     # ------------------------------------------------------------- lifecycle
     async def open(self) -> None:
         """Bind the local endpoint on the running event loop."""
+        import asyncio
         loop = asyncio.get_running_loop()
         self._loop = loop
         host, port = self.endpoints[self.local_address]
@@ -256,10 +273,18 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
     def connection_lost(self, exc) -> None:         # DatagramProtocol hook
         self._transport = None
         if exc is not None:   # pragma: no cover - platform-dependent
-            logger.warning("live socket closed with error: %s", exc)
+            _logger().warning("live socket closed with error: %s", exc)
 
     def error_received(self, exc) -> None:          # pragma: no cover
-        logger.warning("live socket error: %s", exc)
+        _logger().warning("live socket error: %s", exc)
+
+    def pause_writing(self) -> None:                # DatagramProtocol hook
+        """asyncio's transport holds more than its high-water mark of
+        datagrams the kernel would not yet take.  Sending goes on: the
+        reliable transports' windows pace what a node sends."""
+
+    def resume_writing(self) -> None:               # DatagramProtocol hook
+        """The transport's buffer has drained below its low-water mark."""
 
     # ------------------------------------------------- emulator-like surface
     def attach_host(self, topology_node: Optional[int] = None,
@@ -333,7 +358,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         try:
             self._transport.sendto(frame, endpoint)
         except OSError as exc:   # pragma: no cover - oversized datagram, etc.
-            logger.warning("live send to %s failed: %s", endpoint, exc)
+            _logger().warning("live send to %s failed: %s", endpoint, exc)
             self.send_drops += 1
             return False
         self.frames_sent += 1
@@ -368,7 +393,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         budget = FRAGMENT_THRESHOLD - self._FRAGMENT.size
         count = (len(frame) + budget - 1) // budget
         if count > 0xFFFF:   # pragma: no cover - a >3.9 GB message
-            logger.warning("frame of %d bytes exceeds the fragment count "
+            _logger().warning("frame of %d bytes exceeds the fragment count "
                            "limit; dropping", len(frame))
             self.send_drops += 1
             return False
@@ -382,7 +407,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
             try:
                 self._transport.sendto(datagram, endpoint)
             except OSError as exc:   # pragma: no cover - kernel buffer, etc.
-                logger.warning("live fragment send to %s failed: %s",
+                _logger().warning("live fragment send to %s failed: %s",
                                endpoint, exc)
                 self.send_drops += 1
                 return False
@@ -399,11 +424,11 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
             magic, frame_kind, src = self._HEADER.unpack_from(data, 0)
         except struct.error:
             self.decode_errors += 1
-            logger.warning("dropping runt datagram from %s", addr)
+            _logger().warning("dropping runt datagram from %s", addr)
             return
         if magic != self.MAGIC:
             self.decode_errors += 1
-            logger.warning("dropping datagram with bad magic %#x from %s",
+            _logger().warning("dropping datagram with bad magic %#x from %s",
                            magic, addr)
             return
         if not self.attached or self._receive is None:
@@ -478,7 +503,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
             # A malformed datagram (version skew, stray traffic on the port)
             # must not kill a live node: count it and drop, like line noise.
             self.decode_errors += 1
-            logger.warning("dropping undecodable datagram from %s: %s",
+            _logger().warning("dropping undecodable datagram from %s: %s",
                            addr, exc)
             return
         self._deliver_callback(Packet(src, self.local_address, payload, size,
@@ -490,7 +515,7 @@ class SocketUdpNetwork(NetworkHooks, asyncio.DatagramProtocol):
         try:
             self._receive(packet)
         except Exception:   # noqa: BLE001 - one bad packet must not stop the node
-            logger.exception("live receive callback failed for %r", packet)
+            _logger().exception("live receive callback failed for %r", packet)
         return True
 
     # ---------------------------------------------------------- reassembly

@@ -125,6 +125,31 @@ def test_a_changed_generator_misses(specs, generations, monkeypatch):
     assert entry(specs, "chord").read_text().split()[2] != key
 
 
+def test_the_fingerprint_moves_with_a_source_files_size_or_mtime(tmp_path):
+    root = tmp_path / "repro"
+    for package in ("dsl", "codegen", "runtime"):
+        shutil.copytree(SRC / "repro" / package, root / package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    fingerprint = registry_module.source_fingerprint
+    original = fingerprint(root)
+    assert fingerprint(root) == original
+    (root / "runtime" / "__pycache__").mkdir()      # bytecode is no source
+    (root / "runtime" / "__pycache__" / "stray.py").write_text("")
+    assert fingerprint(root) == original
+
+    path = root / "runtime" / "keys.py"
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+    touched = fingerprint(root)
+    assert touched != original
+    path.write_bytes(path.read_bytes() + b"\n")      # grown, same mtime
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    grown = fingerprint(root)
+    assert grown not in (original, touched)
+    (root / "dsl" / "new.py").write_text("")
+    assert fingerprint(root) not in (original, touched, grown)
+
+
 def _truncate(data: bytes) -> bytes:
     return data[:len(data) // 2]
 

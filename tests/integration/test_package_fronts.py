@@ -1,5 +1,5 @@
 """The lazy package fronts ``repro``, ``repro.runtime``, ``repro.eval``,
-``repro.codegen`` and ``repro.dsl``.
+``repro.codegen``, ``repro.dsl`` and ``repro.apps``.
 
 Each front imports a name's submodule when the name is first read
 (PEP 562).  Its table is the only list of names: every ``__all__`` entry
@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-FRONTS = ("repro", "repro.runtime", "repro.eval", "repro.codegen", "repro.dsl")
+FRONTS = ("repro", "repro.runtime", "repro.eval", "repro.codegen", "repro.dsl",
+          "repro.apps")
 
 
 @pytest.fixture(params=FRONTS)

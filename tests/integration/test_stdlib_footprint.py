@@ -8,11 +8,14 @@ made unimportable imports every entry-point module and runs a short
 simulated Chord scenario; an import of networkx anywhere under ``src/``
 fails there, at its import site.
 
-The live socket network (:mod:`repro.transport.udp`) loads asyncio and,
-through it, ssl, socket, selectors and subprocess: about 40 ms of import
-and 4 MB of RSS that no simulated run uses.  A second interpreter imports
-only the simulation's entry points, runs the same spec and finds none of
-them in ``sys.modules``.
+Asyncio and, through it, ssl, socket, selectors and subprocess cost
+about 40 ms of import and 7 MB of RSS that no simulated run uses.  A
+second interpreter imports only the simulation's entry points, runs the
+same spec and finds none of them in ``sys.modules``.  The live socket
+network (:mod:`repro.transport.udp`) imports asyncio only when a socket is
+opened on an event loop, and logging only on its first warning: a third
+interpreter frames Chord messages, one of them fragmented, between two
+socket networks over an in-memory pipe and finds neither, nor the apps.
 
 The same run also leaves out ``hashlib``, its OpenSSL backend
 ``_hashlib`` (about 3.7 MB of RSS) and ``difflib``: keys hash with the
@@ -87,6 +90,60 @@ loaded = [name for name in ("hashlib", "_hashlib", "difflib")
 assert not loaded, f"a simulated run loaded {loaded}"
 """
 
+FRAMING_ONLY = r"""
+import sys
+
+from repro.network.packet import Packet
+from repro.protocols import chord_agent
+from repro.runtime.messages import Message, WireCodec
+from repro.transport.base import Datagram
+from repro.transport.udp import SocketUdpNetwork
+
+
+class Pipe:
+    def __init__(self, peer, endpoint):
+        self.peer, self.endpoint = peer, endpoint
+
+    def sendto(self, data, endpoint):
+        self.peer.datagram_received(data, self.endpoint)
+
+
+agent = chord_agent()
+types = {kind.name: kind for kind in agent.MESSAGE_TYPES}
+codec = WireCodec.for_agents([agent])
+endpoints = {1: ("127.0.0.1", 1), 2: ("127.0.0.1", 2)}
+near = SocketUdpNetwork(1, endpoints, codec)
+far = SocketUdpNetwork(2, endpoints, codec)
+near.connection_made(Pipe(far, endpoints[1]))
+far.connection_made(Pipe(near, endpoints[2]))
+echoed = []
+near.set_receive_callback(1, echoed.append)
+far.set_receive_callback(2, lambda packet: far.send(Packet(
+    src=2, dst=1, payload=packet.payload, size=packet.size)))
+
+big = bytes(range(256)) * 275        # 70 400 bytes: fragmented both ways
+for sent in (
+        Message(type=types["lookup"], protocol="chord",
+                fields={"target": 7, "origin": 1, "purpose": 0, "idx": 3,
+                        "hops": 0}),
+        Message(type=types["data"], protocol="chord",
+                fields={"target": 7, "hops": 0}, payload=big,
+                payload_size=len(big))):
+    near.send(Packet(src=1, dst=2, payload=Datagram("CTRL", sent, sent.size),
+                     size=sent.size))
+    got = echoed.pop().payload.payload
+    assert (got.type, got.fields, got.payload) == \
+        (sent.type, sent.fields, sent.payload), got
+assert near.fragments_sent == far.fragments_sent == 2
+assert near.decode_errors == far.decode_errors == 0
+
+unused = ("asyncio", "ssl", "socket", "selectors", "subprocess",
+          "concurrent.futures", "logging", "repro.apps.kv",
+          "repro.apps.pubsub")
+loaded = [name for name in unused if name in sys.modules]
+assert not loaded, f"framing over a pipe loaded {loaded}"
+"""
+
 FROM_THE_CACHE = r"""
 import sys
 
@@ -127,6 +184,10 @@ def test_the_package_imports_and_runs_without_networkx():
 
 def test_a_simulated_run_does_not_load_the_socket_stack():
     _run(SIMULATION_ONLY)
+
+
+def test_framing_without_an_event_loop_loads_no_asyncio_or_logging():
+    _run(FRAMING_ONLY)
 
 
 def test_a_simulated_run_does_not_load_openssl_or_difflib():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
 import struct
 
@@ -282,6 +283,30 @@ def test_local_address_must_be_in_endpoint_map(codec):
     network = SocketUdpNetwork(1, {1: ("127.0.0.1", 9)}, codec)
     with pytest.raises(WireError, match="cannot register"):
         network.set_receive_callback(2, lambda packet: None)
+
+
+def test_the_socket_network_has_every_datagram_protocol_method(codec):
+    # It is asyncio's protocol without subclassing it: the datagram transport
+    # calls these, pause_writing/resume_writing under back-pressure.
+    methods = [name for name in dir(asyncio.DatagramProtocol)
+               if not name.startswith("_")]
+    assert {"datagram_received", "pause_writing"} <= set(methods)
+    network = SocketUdpNetwork(1, {1: ("127.0.0.1", 9)}, codec)
+    for name in methods:
+        assert callable(getattr(network, name)), name
+    network.pause_writing()
+    network.resume_writing()
+
+
+def test_a_runt_datagram_is_logged_under_the_module_logger(codec, caplog):
+    network = SocketUdpNetwork(1, {1: ("127.0.0.1", 9)}, codec)
+    with caplog.at_level(logging.WARNING, logger="repro.transport.udp"):
+        network.datagram_received(b"\xcd", ("127.0.0.1", 7))
+    assert network.decode_errors == 1
+    assert [(record.name, record.levelno, record.getMessage())
+            for record in caplog.records] == [
+        ("repro.transport.udp", logging.WARNING,
+         "dropping runt datagram from ('127.0.0.1', 7)")]
 
 
 class _FakeTransport:
