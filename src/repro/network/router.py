@@ -3,9 +3,9 @@
 The emulator routes every packet along the latency-weighted shortest path
 between the source and destination attachment routers, the same policy a
 ModelNet core applies.  Routes are computed lazily and cached as one
-:class:`RoutePlan` per (src, dst) pair: the resolved node path, directed edge
-list, the emulator's per-hop link objects, end-to-end propagation latency, hop
-count, and bottleneck bandwidth.
+:class:`RoutePlan` per (src, dst) pair: the resolved node path (its edges and
+hop count are read off it), the emulator's per-hop link objects, end-to-end
+propagation latency, and bottleneck bandwidth.
 Every query method (:meth:`Router.path`, :meth:`Router.latency`,
 :meth:`Router.hop_count`, :meth:`Router.bottleneck_bandwidth`) reads the plan,
 so repeated queries for the same pair — the per-packet common case — cost one
@@ -24,8 +24,11 @@ models) goes through :meth:`Router.disable_edge` / :meth:`Router.enable_edge`
 / :meth:`Router.reweigh_edge`, and each drops **only the plans the edge can
 have changed**: one that went away or got *slower* the plans that traverse it,
 one that came back or got *faster* the plans a path through it could match.
-:meth:`Router.invalidate` is for real topology mutation (edges added to or
-removed from the graph) only.
+The per-source Dijkstra trees are kept the same way, each dropped only when an
+O(1) test on its own entries says the event can have moved it
+(:meth:`Router._edge_changed`), so the re-plans after a fault grow the trees
+that survived it.  :meth:`Router.invalidate` is for real topology mutation
+(edges added to or removed from the graph) only.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ class RoutingError(RuntimeError):
 class RoutePlan:
     """Resolved route between one (src, dst) router pair.
 
-    ``latency`` is the Dijkstra distance (not a re-summation of edge weights),
-    so it is bit-identical to what the shortest-path search reported.
+    A plan is its ``path``: ``edges`` (the directed hops) and ``hop_count``
+    are read off it, not stored.  ``latency`` is the Dijkstra distance (not
+    a re-summation of edge weights), so it is bit-identical to what the
+    shortest-path search reported.
     ``links`` are the emulator's :class:`DirectedLink` objects in hop order
     (empty for a router built without a link table).
 
@@ -65,18 +70,17 @@ class RoutePlan:
     plan; :meth:`fold` moves them onto the links.
     """
 
-    __slots__ = ("path", "edges", "links", "latency", "hop_count",
+    __slots__ = ("path", "links", "latency", "hop_count",
                  "_bottleneck", "uplink", "head_latency", "head_inv_bandwidth",
                  "stage", "packets", "bytes", "payloads")
 
-    def __init__(self, path: tuple[int, ...], edges: tuple[tuple[int, int], ...],
-                 latency: float, links: tuple[DirectedLink, ...] = (),
+    def __init__(self, path: tuple[int, ...], latency: float,
+                 links: tuple[DirectedLink, ...] = (),
                  narrow: float = float("inf")) -> None:
         self.path = path
-        self.edges = edges
         self.links = links
         self.latency = latency
-        self.hop_count = len(edges)
+        self.hop_count = len(path) - 1
         self._bottleneck: Optional[float] = None
         self.packets = self.bytes = 0
         self.payloads: Optional[dict[str, int]] = None
@@ -95,6 +99,12 @@ class RoutePlan:
         self.stage = stage
         self.head_latency = reach + links[0].latency if links else 0.0
         self.head_inv_bandwidth = inv + 1.0 / links[0].bandwidth if links else 0.0
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The directed hops ``(a, b)`` of the path, in order."""
+        path = self.path
+        return tuple(zip(path, path[1:]))
 
     def fold(self) -> None:
         """Move this plan's traffic counters onto the links it crosses."""
@@ -125,8 +135,12 @@ class Router:
         # the graph and patched at both ends of every edge event; Dijkstra over
         # it is several times faster than per-edge attribute-dict access.
         self._adjacency: Optional[dict[int, list[tuple[int, float]]]] = None
-        # Dijkstra results since the last edge event: source -> (dist, pred)
-        # over at least the nodes its plans were asked for.
+        # The nodes with exactly one enabled neighbour (on a transit-stub
+        # underlay: the hosts), kept beside _adjacency and patched with it.
+        self._leaves: set[int] = set()
+        # Dijkstra results kept across the edge events that cannot have
+        # moved them: source -> (dist, pred) over at least the nodes its
+        # plans were asked for.
         self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, Optional[int]]]] = {}
         # Bridges of the enabled graph (see _bridge_sides).
         self._sides: Optional[tuple[dict[int, int], dict]] = None
@@ -157,10 +171,12 @@ class Router:
                 if (node, neighbour) not in self._disabled_edges]
 
     def _adj(self) -> dict[int, list[tuple[int, float]]]:
-        """:meth:`_neighbours` of every node."""
+        """:meth:`_neighbours` of every node (and :attr:`_leaves` with it)."""
         if self._adjacency is None:
             self._adjacency = {node: self._neighbours(node)
                                for node in self._graph.adj}
+            self._leaves = {node for node, neighbours in self._adjacency.items()
+                            if len(neighbours) == 1}
         return self._adjacency
 
     def _bridge_sides(self) -> tuple[dict[int, int], dict]:
@@ -175,8 +191,13 @@ class Router:
         2-edge-connected component as ``(parent end, child end)``, and
         ``(None, root)`` in the component of a DFS root, so two nodes are
         connected exactly when their walks up end at the same root.
+
+        A degree-1 neighbour is entered and closed where it is found, with
+        no stack frame: its subtree is itself and its one edge a bridge, so
+        the numbering, ``sides`` and ``_above`` are those of the full DFS.
         """
         adjacency = self._adj()
+        leaves = self._leaves
         entry: dict[int, int] = {}
         low: dict[int, int] = {}
         sides = {}
@@ -192,6 +213,12 @@ class Router:
                 node, parent, neighbours = stack[-1]
                 for other, _ in neighbours:
                     if other not in entry:
+                        if other in leaves:     # entered and closed at once
+                            entry[other] = at = len(entry)
+                            sides[node, other] = (at, at, True)
+                            sides[other, node] = (at, at, False)
+                            above[other] = node, other
+                            continue
                         entry[other] = low[other] = len(entry)
                         unplaced.append(other)
                         stack.append((other, node, iter(adjacency[other])))
@@ -246,6 +273,11 @@ class Router:
         *source*.  Behind a bridge nothing is reached but through it, so the
         search pops those nodes in the (distance, push) order the one from
         *source* does, and makes the same entries.
+
+        A whole-graph search pushes no degree-1 node: it gets exactly one
+        offer, from its one neighbour, so it is entered from that offer after
+        the loop.  Leaving a push out lowers every later tie counter by one
+        and keeps the order of all the others.
         """
         adjacency = self._adj()
         if source not in adjacency:
@@ -263,6 +295,8 @@ class Router:
             pred[start] = near
         seen: dict[int, float] = {start: d}
         seen_get = seen.get
+        leaves = () if sides else self._leaves
+        offers: list[tuple[int, int, float]] = []     # (leaf, from, dist)
         tie = 0
         fringe: list[tuple[float, int, int]] = [(d, tie, start)]
         while fringe:
@@ -278,6 +312,9 @@ class Router:
                     if side is not None and \
                             (side[0] <= goal <= side[1]) != side[2]:
                         continue
+                elif u in leaves:
+                    offers.append((u, v, d + edge_latency))
+                    continue
                 vu_dist = d + edge_latency
                 seen_u = seen_get(u)
                 if seen_u is None or vu_dist < seen_u:
@@ -285,6 +322,9 @@ class Router:
                     tie += 1
                     heappush(fringe, (vu_dist, tie, u))
                     pred[u] = v
+        for u, v, d in offers:
+            dist[u] = d
+            pred[u] = v
         return dist, pred
 
     def _sssp(self, source: int, target: Optional[int] = None,
@@ -346,7 +386,7 @@ class Router:
 
     def _build_plan(self, src_node: int, dst_node: int) -> RoutePlan:
         if src_node == dst_node:
-            return RoutePlan((src_node,), (), 0.0)
+            return RoutePlan((src_node,), 0.0)
         dist, pred = self._sssp(src_node, dst_node)
         latency = dist.get(dst_node)
         if latency is None:
@@ -358,12 +398,12 @@ class Router:
             node = pred[node]
         nodes.reverse()
         path = tuple(nodes)
-        edges = tuple(zip(path[:-1], path[1:]))
         links = self._links
         if not links:
-            return RoutePlan(path, edges, latency)
-        return RoutePlan(path, edges, latency,
-                         tuple([links[edge] for edge in edges]), self._narrow)
+            return RoutePlan(path, latency)
+        return RoutePlan(path, latency,
+                         tuple([links[edge] for edge in zip(path, path[1:])]),
+                         self._narrow)
 
     def path(self, src_node: int, dst_node: int) -> list[int]:
         """Topology path (list of router ids) from *src_node* to *dst_node*."""
@@ -392,21 +432,74 @@ class Router:
         return self.plan(src_node, dst_node).hop_count
 
     # ------------------------------------------------------------ fault hooks
-    def _edge_changed(self, u: int, v: int) -> None:
-        """Edge (u, v) changed: re-read its two adjacency lists, drop the trees."""
+    def _edge_changed(self, u: int, v: int, weight: Optional[float] = None,
+                      heal: bool = False) -> None:
+        """Edge (u, v) changed: re-read its two adjacency lists and drop the
+        cached trees the change can have moved, each by an O(1) test.
+
+        Without a *weight* the edge went away or got no shorter.  A tree
+        survives unless the edge is one of its tree edges: removing or
+        lengthening any other edge only removes or raises an offer that
+        lost, and a push taken out of the heap lowers the later tie
+        counters alike, so first-seen-wins picks the same predecessors.
+
+        With the *weight* it now has, the edge came back (*heal*) or got
+        shorter.  A tree covering both ends survives if neither end's offer
+        to the other reaches its distance; an exact tie could flip
+        first-seen-wins, so the test is strict.  A tree covers whole
+        2-edge-connected components, so an edge with one end in it is a
+        bridge out of it, and one with no end in it lies behind such a
+        bridge: a reweigh moves neither.  A heal keeps such a tree only when
+        the edge joins one piece to itself (``_above`` still holds the
+        pieces before the heal); otherwise it can close a cycle through the
+        tree, and a tree with one end of it is dropped too.
+        """
         if self._adjacency is not None:
+            leaves = self._leaves
             for node in (u, v):
-                self._adjacency[node] = self._neighbours(node)
-        self._sssp_cache.clear()
+                self._adjacency[node] = neighbours = self._neighbours(node)
+                if len(neighbours) == 1:
+                    leaves.add(node)
+                else:
+                    leaves.discard(node)
+        trees = self._sssp_cache
+        if weight is None:
+            stale = [source for source, (_, pred) in trees.items()
+                     if pred.get(v) == u or pred.get(u) == v]
+        else:
+            above = self._above
+            one_piece = not heal or above is not None and above[u] == above[v]
+            stale = []
+            for source, (dist, _) in trees.items():
+                at_u, at_v = dist.get(u), dist.get(v)
+                if at_u is not None and at_v is not None:
+                    keep = at_u + weight > at_v and at_v + weight > at_u
+                elif at_u is None and at_v is None:
+                    keep = one_piece
+                else:
+                    keep = not heal
+                if not keep:
+                    stale.append(source)
+        for source in stale:
+            del trees[source]
 
     def _drop_users(self, u: int, v: int) -> None:
         """Edge (u, v) went away or got slower: drop the plans whose path
         traverses it.  Every other plan is kept: removing or lengthening an
         edge never shortens a route that avoids it, and a fresh Dijkstra
-        still makes the same choice at every node of a kept path."""
+        still makes the same choice at every node of a kept path.
+
+        A path holds a node once, so a plan crosses the edge exactly when
+        ``u`` is on its path with ``v`` beside it."""
         plans = self._plan_cache
-        for key in [k for k, plan in plans.items()
-                    if (u, v) in plan.edges or (v, u) in plan.edges]:
+        stale = []
+        for key, plan in plans.items():
+            path = plan.path
+            if u in path:
+                at = path.index(u)
+                if v in path[max(at - 1, 0):at + 2]:
+                    stale.append(key)
+        for key in stale:
             plans.pop(key).fold()
 
     def _drop_beneficiaries(self, u: int, v: int, weight: float) -> None:
@@ -422,11 +515,12 @@ class Router:
         plans = self._plan_cache
         inf = float("inf")
         from_u, from_v = self._sssp(u)[0].get, self._sssp(v)[0].get
-        for (src, dst), plan in list(plans.items()):
-            through = min(from_u(src, inf) + from_v(dst, inf),
-                          from_v(src, inf) + from_u(dst, inf)) + weight
-            if through <= plan.latency * (1 + 1e-9):
-                plans.pop((src, dst)).fold()
+        stale = [(src, dst) for (src, dst), plan in plans.items()
+                 if min(from_u(src, inf) + from_v(dst, inf),
+                        from_v(src, inf) + from_u(dst, inf)) + weight
+                 <= plan.latency * (1 + 1e-9)]
+        for key in stale:
+            plans.pop(key).fold()
 
     def disable_edge(self, u: int, v: int) -> None:
         """Cut the undirected edge (u, v); see :meth:`_drop_users` for what
@@ -450,9 +544,10 @@ class Router:
         if (u, v) not in self._disabled_edges:
             return
         self._disabled_edges.difference_update(((u, v), (v, u)))
-        self._edge_changed(u, v)
+        weight = self._graph[u][v][LATENCY_ATTR]
+        self._edge_changed(u, v, weight, heal=True)     # reads the old pieces
         self._bridge_sides()            # at once, as in disable_edge
-        self._drop_beneficiaries(u, v, self._graph[u][v][LATENCY_ATTR])
+        self._drop_beneficiaries(u, v, weight)
 
     def reweigh_edge(self, u: int, v: int, latency: float,
                      *, may_shorten: bool = False) -> None:
@@ -468,10 +563,13 @@ class Router:
         """
         if not self._graph.has_edge(u, v):
             raise RoutingError(f"cannot reweigh edge ({u}, {v}): not in topology")
-        self._graph[u][v][LATENCY_ATTR] = latency
+        data = self._graph[u][v]
+        shorter = latency < data[LATENCY_ATTR]
+        data[LATENCY_ATTR] = latency
         if (u, v) in self._disabled_edges:
             return
-        self._edge_changed(u, v)        # same bridges, new weights
+        # Same bridges, new weights.
+        self._edge_changed(u, v, latency if shorter else None)
         self._drop_users(u, v)
         if may_shorten:
             self._drop_beneficiaries(u, v, latency)
@@ -497,6 +595,7 @@ class Router:
         emulator's link table too.
         """
         self._adjacency = self._sides = self._above = None
+        self._leaves = set()
         self._narrow = self._topology.access_bandwidth()
         self._sssp_cache.clear()
         for plan in self._plan_cache.values():

@@ -9,11 +9,11 @@ from heapq import heappop
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
-from nx_oracle import from_networkx
+from nx_oracle import from_networkx, to_networkx
 
 import repro.network.router as router_module
 from repro.network.emulator import NetworkEmulator
-from repro.network.router import Router, RoutingError
+from repro.network.router import RoutePlan, Router, RoutingError
 from repro.network.topology import (BANDWIDTH_ATTR, LATENCY_ATTR, ROLE_ATTR,
                                     Graph, Topology, stub_domains,
                                     transit_stub_topology)
@@ -213,7 +213,8 @@ def test_a_first_search_toward_an_unreachable_target_settles_nothing(
 def test_a_healed_edge_that_only_ties_still_drops_the_plan():
     """0-1-2 costs 1 + 1, the healed chord 0-2 costs 2: no distance changes,
     but first-seen-wins now reaches 2 over the chord, so the cached plan
-    (0, 1, 2) is not what a fresh router builds and must go."""
+    (0, 1, 2) is not what a fresh router builds and must go, and so must
+    node 0's tree, which holds the same choice (pred[2] == 1)."""
     graph = Graph()
     for u, v, weight in ((0, 1, 1), (1, 2, 1), (0, 2, 2)):
         graph.add_edge(u, v, **{LATENCY_ATTR: weight, BANDWIDTH_ATTR: 1.0})
@@ -221,8 +222,143 @@ def test_a_healed_edge_that_only_ties_still_drops_the_plan():
     router = Router(topology)
     router.disable_edge(0, 2)
     assert router.plan(0, 2).path == (0, 1, 2)
+    assert router._sssp_cache[0][1][2] == 1
+    # The heal searches whole-graph trees from both ends right after it
+    # prunes, so the tree is looked at in between.
+    after_prune = []
+    prune = router._edge_changed
+
+    def watched(*args, **kwargs):
+        prune(*args, **kwargs)
+        after_prune.append(router._sssp_cache.get(0))
+    router._edge_changed = watched
     router.enable_edge(0, 2)
+    assert after_prune == [None]
     assert router.plan(0, 2).path == Router(topology).plan(0, 2).path == (0, 2)
+    assert router._sssp_cache[0][1][2] == 0
+
+
+def test_trees_outlive_the_edge_events_that_cannot_move_them():
+    """A cut drops exactly the trees the edge is a tree edge of and keeps
+    every other tree as the very same object; the heal then keeps each tree
+    holding both ends in which neither end's offer over the edge reaches
+    the other end's distance."""
+    emulator = build(seed=0, integer_weights=False)
+    router, graph = emulator.router, emulator.topology.graph
+    nodes = len(graph)
+    for source in range(nodes):
+        router.plan(source, (source + nodes // 2) % nodes)
+    trees = dict(router._sssp_cache)
+    assert len(trees) == nodes
+    u, v = 0, 1
+    users = {source for source, (_, pred) in trees.items()
+             if pred.get(v) == u or pred.get(u) == v}
+    assert 0 < len(users) < nodes
+    router.disable_edge(u, v)
+    assert router._sssp_cache.keys() == trees.keys() - users
+    for source, tree in router._sssp_cache.items():
+        assert tree is trees[source], source
+    check_against_fresh(emulator)
+
+    weight = graph[u][v][LATENCY_ATTR]
+    slack = {source: tree for source, tree in router._sssp_cache.items()
+             if source not in (u, v) and u in tree[0] and v in tree[0]
+             and tree[0][u] + weight > tree[0][v]
+             and tree[0][v] + weight > tree[0][u]}
+    assert slack
+    router.enable_edge(u, v)
+    for source, tree in slack.items():
+        assert router._sssp_cache[source] is tree, source
+    check_against_fresh(emulator)
+
+
+def test_a_heal_that_closes_a_cycle_through_a_tree_drops_it():
+    """Triangle 0-1-2 (edges of 10) with 3 hung off 0 and 4 off 1: healing
+    3-4 makes 0-3-4-1 (3) the way from 0 to 1.  Node 0's tree spans the
+    triangle and holds neither end of the edge, node 1's spans the triangle
+    and 3 and holds one end; the edge joins two pieces through both, so
+    both trees go, though neither holds a distance the test could read."""
+    graph = Graph()
+    for u, v, weight in ((0, 1, 10), (1, 2, 10), (0, 2, 10), (0, 3, 1),
+                         (1, 4, 1), (3, 4, 1)):
+        graph.add_edge(u, v, **{LATENCY_ATTR: weight, BANDWIDTH_ATTR: 1.0})
+    topology = Topology(graph=graph, clients=[])
+    router = Router(topology)
+    router.disable_edge(3, 4)
+    router.plan(0, 1)
+    router.plan(1, 3)
+    assert router._sssp_cache[0][0].keys() == {0, 1, 2}
+    assert router._sssp_cache[1][0].keys() == {0, 1, 2, 3}
+    router.enable_edge(3, 4)
+    assert router._sssp_cache.keys() == {3, 4}      # the heal's own searches
+    fresh = Router(topology)
+    for src, dst in ((0, 1), (1, 3), (1, 4), (2, 4)):
+        assert router.plan(src, dst).path == fresh.plan(src, dst).path
+    assert router.plan(0, 1).path == (0, 3, 4, 1)
+
+
+# --------------------------------------------------------- a plan is its path
+def test_a_plan_stores_its_path_and_derives_its_edges():
+    emulator = build(seed=1, integer_weights=False)
+    assert "edges" not in RoutePlan.__slots__
+    for dst in range(len(emulator.topology.graph)):
+        plan = emulator.router.plan(3, dst)
+        assert plan.edges == tuple(zip(plan.path, plan.path[1:]))
+        assert plan.hop_count == len(plan.path) - 1 == len(plan.edges)
+        assert plan.links == tuple(emulator._links[edge] for edge in plan.edges)
+
+
+@pytest.mark.parametrize("with_links", (True, False))
+def test_a_cut_drops_exactly_the_plans_that_cross_it(with_links):
+    """Every edge in turn, over plans between all pairs: a plan goes when
+    its path crosses the edge in either direction, at any hop."""
+    emulator = build(seed=2, integer_weights=False)
+    router = emulator.router if with_links else Router(emulator.topology)
+    graph = emulator.topology.graph
+    nodes = range(len(graph))
+    at_ends = set()
+    for u, v in graph.edges():
+        for src in nodes:
+            for dst in nodes:
+                router.plan(src, dst)
+        before = dict(router._plan_cache)
+        crossing = set()
+        for key, plan in before.items():
+            hops = list(zip(plan.path, plan.path[1:]))
+            for hop in ((u, v), (v, u)):
+                if hop in hops:
+                    crossing.add(key)
+                    at_ends.add((hop == (u, v), hops.index(hop) == 0,
+                                 hops.index(hop) == len(hops) - 1))
+        router._drop_users(u, v)
+        assert router._plan_cache.keys() == before.keys() - crossing, (u, v)
+    # Both directions, as the first hop and as the last.
+    assert {(forward, first) for forward, first, _ in at_ends} >= \
+        {(True, True), (False, True)}
+    assert {(forward, last) for forward, _, last in at_ends} >= \
+        {(True, True), (False, True)}
+
+
+# ------------------------------------------------------------ degree-1 nodes
+def test_a_whole_graph_search_without_leaf_pushes_is_the_pushing_one():
+    """Integer weights (ties everywhere), every source — hosts, so degree-1
+    sources, included — and a two-node component: each whole-graph tree is
+    networkx's, distance for distance and first-seen predecessor for
+    predecessor."""
+    topology = build(seed=4, integer_weights=True).topology
+    graph = topology.graph
+    graph.add_edge(100, 101, **{LATENCY_ATTR: 2, BANDWIDTH_ATTR: 1.0})
+    router = Router(topology)
+    router._adj()
+    assert {100, 101, *topology.clients} <= router._leaves
+    oracle = to_networkx(graph)
+    for source in graph:
+        dist, pred = router._dijkstra(source)
+        dist_nx, paths_nx = nx.single_source_dijkstra(
+            oracle, source, weight=LATENCY_ATTR)
+        assert dist == dist_nx, source
+        assert pred == {node: path[-2] if len(path) > 1 else None
+                        for node, path in paths_nx.items()}, source
 
 
 # ------------------------------------------------------------ the bridge pass
@@ -338,6 +474,7 @@ def test_patched_adjacency_is_the_freshly_built_one(seed, steps, cold):
         fresh = fresh_router(emulator)
         assert router._adj() == fresh._adj()
         assert list(router._adj()) == list(fresh._adj())
+        assert router._leaves == fresh._leaves
         # None until the first real cut or plan, never stale after one.
         assert router._sides in (None, fresh._bridge_sides())
 
